@@ -5,8 +5,8 @@
 //! The paper's constructor pair (`format`/`recover`) hard-wired exactly one
 //! inner file system and one construction mode each. The builder composes
 //! the same pieces — NVMM region, inner backend(s), configuration, mount
-//! mode — explicitly, and is the only way to mount a **tiered** stack where
-//! a [`Router`] spreads files over several backends:
+//! mode — explicitly, and is the one way to mount any stack, including a
+//! **tiered** one where a [`Router`] spreads files over several backends:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -34,9 +34,8 @@
 //! # }
 //! ```
 //!
-//! A single-backend `Mount::Format` produces a region **byte-identical** to
-//! the deprecated `NvCache::format` (the oracle tests pin this down), so
-//! adopting the builder is purely an API migration.
+//! A single-backend, single-stripe `Mount::Format` produces the seed's
+//! region image byte for byte (the header oracle tests pin this down).
 
 use std::sync::Arc;
 

@@ -1,8 +1,8 @@
-//! The NVCache façade: [`NvCache`] (format/recover/shutdown, the
-//! intercepted `FileSystem` surface of paper Table III) and the [`Shared`]
-//! state joining the application-facing write/read paths with the
-//! per-stripe cleanup workers (write path → stripe routing, read cache and
-//! dirty-miss procedure, close/zombie drain bookkeeping).
+//! The NVCache façade: [`NvCache`] (shutdown/abort, the intercepted
+//! `FileSystem` surface of paper Table III) and the [`Shared`] state joining
+//! the application-facing write/read paths with the per-stripe cleanup
+//! workers (the write path's one body and its page-lock helper, read cache
+//! and dirty-miss procedure, close/zombie drain bookkeeping).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -10,17 +10,17 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use nvmm::NvRegion;
-use parking_lot::{Mutex, RwLock};
-use simclock::ActorClock;
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use simclock::{ActorClock, SimTime};
 use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
 
-use crate::builder::{Mount, NvCacheBuilder};
-use crate::files::{FdSlotAllocator, FileState, OpenedFile, PersistentFdTable};
+use crate::builder::NvCacheBuilder;
+use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentFdTable};
 use crate::layout::{self, Layout};
-use crate::lockcheck::{Class, Recorder};
-use crate::log::Log;
+use crate::lockcheck::{Class, Held, Recorder};
+use crate::log::{Log, Stripe};
 use crate::migrate::{MigrationPolicy, Migrator, RebalanceReport};
-use crate::pagedesc::PageDescriptor;
+use crate::pagedesc::{PageDescriptor, PageSlot};
 use crate::placement::{quantize_heat, PlacementPolicy, RouterPlacement};
 use crate::readcache::ReadCache;
 use crate::recovery::RecoveryReport;
@@ -35,6 +35,21 @@ pub(crate) struct Zombie {
     pub opened: Arc<OpenedFile>,
     /// Per-stripe head snapshot taken at close time.
     pub drain_targets: Box<[u64]>,
+}
+
+/// A page descriptor keyed by `(file_id, page_no)` — the key every
+/// multi-page lock acquisition ascends by.
+pub(crate) type KeyedPage = ((u64, u64), Arc<PageDescriptor>);
+
+/// A held per-page lock plus its lock-order record.
+pub(crate) type PageGuard<'p, T> = (MutexGuard<'p, T>, Held);
+
+/// One write of a [`Shared::commit_writes`] batch.
+pub(crate) struct WriteOp<'a> {
+    pub opened: &'a OpenedFile,
+    /// Never empty.
+    pub data: &'a [u8],
+    pub off: u64,
 }
 
 /// State shared between the application-facing API and the cleanup workers.
@@ -73,8 +88,6 @@ pub(crate) struct Shared {
     /// One virtual clock per cleanup worker (stripe).
     pub cleanup_clocks: Box<[Arc<ActorClock>]>,
     pub next_file_id: AtomicU64,
-    /// In-flight intercepted calls per fd slot, for close synchronization.
-    pub in_flight: Box<[AtomicU32]>,
     /// The tier migrator: closed-file catalog, migration/path-op gate and
     /// the background worker's clock. Fully inert under
     /// [`MigrationPolicy::Disabled`] or a single backend.
@@ -128,6 +141,71 @@ impl Shared {
     pub fn opened_by_slot(&self, slot: u32) -> Option<Arc<OpenedFile>> {
         let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
         self.opened.read().get(&slot).cloned()
+    }
+
+    /// The open descriptor behind `fd`, unless its `close` has begun.
+    pub fn opened_fd(&self, fd: Fd) -> IoResult<Arc<OpenedFile>> {
+        self.opened_by_slot(fd.0 as u32)
+            .filter(|o| !o.closing.load(Ordering::Acquire))
+            .ok_or(IoError::BadFd(fd.0))
+    }
+
+    /// Resolves `fd` and counts one in-flight use on it (the
+    /// close-synchronization handshake shared by the synchronous calls and
+    /// the queue pairs' submissions).
+    pub fn enter(&self, fd: Fd) -> IoResult<InFlight> {
+        InFlight::enter(self.opened_fd(fd)?).ok_or(IoError::BadFd(fd.0))
+    }
+
+    /// The descriptors of `file`'s pages covering `[off, off + len)`,
+    /// ascending; empty for a file never opened for writing (no radix tree).
+    pub fn page_descs(&self, file: &FileState, off: u64, len: usize) -> Vec<KeyedPage> {
+        let Some(radix) = file.radix.get() else {
+            return Vec::new();
+        };
+        self.pages_of(off, len)
+            .map(|p| ((file.file_id, p), radix.get_or_create(p)))
+            .collect()
+    }
+
+    /// Takes one lock per page of `pages` — `lock` picks which, and `class`
+    /// must name it: [`PageDescriptor::lock`] is [`Class::PageAtomic`],
+    /// [`PageDescriptor::lock_cleanup`] is [`Class::PageCleanup`]. `pages`
+    /// must ascend by key: that one global order is what keeps synchronous
+    /// writers, readers, doorbells and the cleanup workers deadlock-free
+    /// against each other (the recorder checks it under `pmcheck`).
+    #[track_caller]
+    pub fn lock_pages<'p, T>(
+        &self,
+        class: Class,
+        pages: &'p [KeyedPage],
+        lock: fn(&'p PageDescriptor) -> MutexGuard<'p, T>,
+    ) -> Vec<PageGuard<'p, T>> {
+        let mut guards = Vec::with_capacity(pages.len());
+        for ((file_id, page_no), desc) in pages {
+            let order = self.lockcheck.acquire_page(class, *file_id, *page_no);
+            guards.push((lock(desc), order));
+        }
+        guards
+    }
+
+    /// The stripe a write of `len` bytes at `off` into `file` goes to, and
+    /// the entries it takes: group commits stay contiguous in a single
+    /// stripe, routed by the write's first aligned chunk.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::InvalidArgument`] if the write can never fit the stripe.
+    pub fn route_write(&self, file: &FileState, off: u64, len: usize) -> IoResult<(&Stripe, u64)> {
+        let k = len.div_ceil(self.cfg.entry_size) as u64;
+        let stripe = self.log.route(file.dev_ino, off);
+        if k > stripe.capacity() {
+            return Err(IoError::InvalidArgument(format!(
+                "write of {len} bytes cannot fit a {}-entry log stripe",
+                stripe.capacity()
+            )));
+        }
+        Ok((stripe, k))
     }
 
     /// Whether any file can move between tiers on this mount (≥ 2 backends
@@ -259,26 +337,9 @@ impl Shared {
     pub fn kernel_flush_file(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
         for (si, seq, hdr) in self.pending_entries_for(|h| h.fd_slot == opened.slot) {
             let data = self.log.stripes[si].read_data_cached(seq, hdr.len as usize);
-            let descs: Vec<_> = match opened.file.radix.get() {
-                Some(radix) => self
-                    .pages_of(hdr.file_off, hdr.len as usize)
-                    .map(|p| radix.get_or_create(p))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let first_page = self.pages_of(hdr.file_off, hdr.len as usize).start;
-            let mut guards = Vec::with_capacity(descs.len());
-            let mut _lock_order = Vec::with_capacity(descs.len());
-            for (j, d) in descs.iter().enumerate() {
-                _lock_order.push(self.lockcheck.acquire_page(
-                    Class::PageCleanup,
-                    opened.file.file_id,
-                    first_page + j as u64,
-                ));
-                guards.push(d.lock_cleanup());
-            }
+            let pages = self.page_descs(&opened.file, hdr.file_off, hdr.len as usize);
+            let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
             let _ = self.inner_of(opened).pwrite(opened.inner_fd, &data, hdr.file_off, clock);
-            drop(guards);
         }
     }
 
@@ -370,13 +431,116 @@ impl Shared {
         }
     }
 
-    /// The write path (paper Algorithm 1, generalized to multi-page and
-    /// multi-entry writes): lock pages → append to the routed log stripe →
-    /// commit (synchronous durability) → update dirty counters, propagation
-    /// queues and loaded page contents → release.
+    /// The write path's one body (paper Algorithm 1, generalized to
+    /// multi-page, multi-entry and batched writes): append `writes` — all
+    /// routed to `stripe`, together fitting it — as one reservation window,
+    /// commit them with a single fence pair (synchronous durability), then
+    /// update dirty counters, propagation queues, loaded page contents and
+    /// file sizes. The caller holds the atomic lock of every written page:
+    /// `pages` ascending by key, `guards` parallel to it. Returns the commit
+    /// instant, from which every write is durable; heat and operation
+    /// counters are the caller's business.
+    ///
+    /// # Errors
+    ///
+    /// Nothing is logged if the stripe was poisoned by an inner I/O error
+    /// (its worker is gone, so waiting for space could block forever).
+    pub fn commit_writes(
+        &self,
+        stripe: &Stripe,
+        writes: &[WriteOp<'_>],
+        pages: &[KeyedPage],
+        guards: &mut [PageGuard<'_, PageSlot>],
+        clock: &ActorClock,
+    ) -> IoResult<SimTime> {
+        let es = self.cfg.entry_size;
+        let entries = |w: &WriteOp<'_>| w.data.len().div_ceil(es) as u64;
+        // Append (Algorithm 1 ll.14-22). Every write is its own commit group
+        // (per-write recovery atomicity), members pointing at their leader's
+        // global slot.
+        let window = writes.iter().map(entries).sum();
+        let (first_seq, first_gseq) = self.log.reserve(stripe, window, clock, &self.stats)?;
+        let mut groups = Vec::with_capacity(writes.len());
+        let (mut seq, mut gseq) = (first_seq, first_gseq);
+        for w in writes {
+            let k = entries(w);
+            let leader_slot = stripe.slot(seq);
+            for (i, part) in w.data.chunks(es).enumerate() {
+                stripe.fill_entry(
+                    seq + i as u64,
+                    gseq + i as u64,
+                    w.opened.slot,
+                    w.off + (i * es) as u64,
+                    part,
+                    k as u32,
+                    (i > 0).then_some(leader_slot),
+                    clock,
+                );
+            }
+            groups.push((seq, k));
+            seq += k;
+            gseq += k;
+        }
+        // Commit (ll.23-27): one pfence + one psync for the whole window.
+        stripe.commit_batch(&groups, clock);
+        let done = clock.now();
+
+        // Read-cache maintenance (ll.29-31), in window order: one
+        // dirty-counter increment per (entry, page) overlap — plus, on a
+        // striped log, one propagation-queue entry so the cleanup workers
+        // replay each page's writes in commit order — and in-place update of
+        // loaded contents.
+        let ordered_handoff = !self.log.single();
+        let ps = self.cfg.page_size as u64;
+        let mut gseq = first_gseq;
+        for (w, &(_, k)) in writes.iter().zip(&groups) {
+            let file = &w.opened.file;
+            let index_of = |p: u64| {
+                pages
+                    .binary_search_by_key(&(file.file_id, p), |&(key, _)| key)
+                    .expect("the caller locked every written page")
+            };
+            for (i, part) in w.data.chunks(es).enumerate() {
+                for p in self.pages_of(w.off + (i * es) as u64, part.len()) {
+                    let desc = &pages[index_of(p)].1;
+                    desc.inc_dirty();
+                    if ordered_handoff {
+                        desc.enqueue_propagation(gseq + i as u64);
+                    }
+                }
+            }
+            let end = w.off + w.data.len() as u64;
+            let mut updated_bytes = 0u64;
+            for p in self.pages_of(w.off, w.data.len()) {
+                let j = index_of(p);
+                if let Some(content) = guards[j].0.content.as_mut() {
+                    let page_start = p * ps;
+                    let s = w.off.max(page_start);
+                    let e = end.min(page_start + ps);
+                    content[(s - page_start) as usize..(e - page_start) as usize]
+                        .copy_from_slice(&w.data[(s - w.off) as usize..(e - w.off) as usize]);
+                    updated_bytes += e - s;
+                }
+                pages[j].1.mark_accessed();
+            }
+            if updated_bytes > 0 {
+                clock.advance(self.cfg.copy_bandwidth.time_for(updated_bytes));
+            }
+            file.size.fetch_max(end, Ordering::AcqRel);
+            file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
+            gseq += k;
+        }
+        Ok(done)
+    }
+
+    /// The synchronous write: a one-op doorbell — check, pay the libc
+    /// crossing, lock the written pages, run [`commit_writes`] with the one
+    /// write, account it right away.
+    ///
+    /// [`commit_writes`]: Shared::commit_writes
     fn do_pwrite(
         &self,
-        opened: &Arc<OpenedFile>,
+        opened: &OpenedFile,
         data: &[u8],
         off: u64,
         clock: &ActorClock,
@@ -388,92 +552,11 @@ impl Shared {
         if data.is_empty() {
             return Ok(0);
         }
-        let es = self.cfg.entry_size;
-        let k = data.len().div_ceil(es) as u64;
         let file = &opened.file;
-        // Group commits stay contiguous in a single stripe, routed by the
-        // write's first aligned chunk.
-        let stripe = self.log.route(file.dev_ino, off);
-        if k > stripe.capacity() {
-            return Err(IoError::InvalidArgument(format!(
-                "write of {} bytes cannot fit a {}-entry log stripe",
-                data.len(),
-                stripe.capacity()
-            )));
-        }
-        let radix = file.radix.get().expect("writable open creates the radix tree");
-        let pages = self.pages_of(off, data.len());
-        let first_page = pages.start;
-        let descs: Vec<Arc<PageDescriptor>> = pages.map(|p| radix.get_or_create(p)).collect();
-        let mut guards = Vec::with_capacity(descs.len());
-        let mut _lock_order = Vec::with_capacity(descs.len());
-        for (j, d) in descs.iter().enumerate() {
-            _lock_order.push(self.lockcheck.acquire_page(
-                Class::PageAtomic,
-                file.file_id,
-                first_page + j as u64,
-            ));
-            guards.push(d.lock());
-        }
-
-        // Append to the write cache (Algorithm 1 ll.14-27). Fails if the
-        // stripe was poisoned by an inner I/O error (its worker is gone, so
-        // waiting for space could block forever).
-        let (first_seq, first_gseq) = self.log.alloc(stripe, k, clock, &self.stats)?;
-        let leader_slot = stripe.slot(first_seq);
-        for i in 0..k as usize {
-            let chunk = &data[i * es..((i + 1) * es).min(data.len())];
-            let member = (i > 0).then_some(leader_slot);
-            stripe.fill_entry(
-                first_seq + i as u64,
-                first_gseq + i as u64,
-                opened.slot,
-                off + (i * es) as u64,
-                chunk,
-                k as u32,
-                member,
-                clock,
-            );
-        }
-        stripe.commit_group(first_seq, k, clock);
-
-        // Read-cache maintenance (Algorithm 1 ll.29-31): one dirty-counter
-        // increment per (entry, page) overlap — plus, on a striped log, one
-        // propagation-queue entry so the cleanup workers replay this page's
-        // writes in commit order — and in-place update of loaded contents.
-        let ordered_handoff = !self.log.single();
-        for i in 0..k as usize {
-            let e_off = off + (i * es) as u64;
-            let e_len = ((i + 1) * es).min(data.len()) - i * es;
-            for p in self.pages_of(e_off, e_len) {
-                let desc = &descs[(p - first_page) as usize];
-                desc.inc_dirty();
-                if ordered_handoff {
-                    desc.enqueue_propagation(first_gseq + i as u64);
-                }
-            }
-        }
-        let ps = self.cfg.page_size as u64;
-        let mut updated_bytes = 0u64;
-        let mut guards = guards;
-        for (j, d) in descs.iter().enumerate() {
-            let slot = &mut *guards[j];
-            if let Some(content) = slot.content.as_mut() {
-                let p = first_page + j as u64;
-                let page_start = p * ps;
-                let s = off.max(page_start);
-                let e = (off + data.len() as u64).min(page_start + ps);
-                content[(s - page_start) as usize..(e - page_start) as usize]
-                    .copy_from_slice(&data[(s - off) as usize..(e - off) as usize]);
-                updated_bytes += e - s;
-            }
-            d.mark_accessed();
-        }
-        if updated_bytes > 0 {
-            clock.advance(self.cfg.copy_bandwidth.time_for(updated_bytes));
-        }
-        file.size.fetch_max(off + data.len() as u64, Ordering::AcqRel);
-        file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
+        let (stripe, k) = self.route_write(file, off, data.len())?;
+        let pages = self.page_descs(file, off, data.len());
+        let mut guards = self.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
+        self.commit_writes(stripe, &[WriteOp { opened, data, off }], &pages, &mut guards, clock)?;
         if self.track_heat {
             let now = clock.now();
             file.touch_heat(now, self.heat_half_life);
@@ -495,7 +578,7 @@ impl Shared {
     /// dirty-miss reconciliation; read-only files bypass the cache entirely.
     fn do_pread(
         &self,
-        opened: &Arc<OpenedFile>,
+        opened: &OpenedFile,
         buf: &mut [u8],
         off: u64,
         clock: &ActorClock,
@@ -520,28 +603,17 @@ impl Shared {
             self.migrator.observe_time(now);
         }
         let n = buf.len().min((size - off) as usize);
-        let Some(radix) = file.radix.get() else {
+        if file.radix.get().is_none() {
             // Never opened for writing: the kernel page cache is fresh.
             self.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
             return self.inner_of(opened).pread(opened.inner_fd, &mut buf[..n], off, clock);
-        };
-        let ps = self.cfg.page_size as u64;
-        let pages = self.pages_of(off, n);
-        let first_page = pages.start;
-        let descs: Vec<Arc<PageDescriptor>> = pages.map(|p| radix.get_or_create(p)).collect();
-        let mut guards = Vec::with_capacity(descs.len());
-        let mut _lock_order = Vec::with_capacity(descs.len());
-        for (j, d) in descs.iter().enumerate() {
-            _lock_order.push(self.lockcheck.acquire_page(
-                Class::PageAtomic,
-                file.file_id,
-                first_page + j as u64,
-            ));
-            guards.push(d.lock());
         }
-        for (j, d) in descs.iter().enumerate() {
-            let p = first_page + j as u64;
-            if guards[j].content.is_none() {
+        let ps = self.cfg.page_size as u64;
+        let pages = self.page_descs(file, off, n);
+        let mut guards = self.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
+        for (((_, p), d), (slot, _)) in pages.iter().zip(&mut guards) {
+            let p = *p;
+            if slot.content.is_none() {
                 self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
                 self.pool.make_room(&self.stats);
                 let _cl = self.lockcheck.acquire_page(Class::PageCleanup, file.file_id, p);
@@ -553,12 +625,12 @@ impl Shared {
                     self.dirty_miss(file, p, &mut page_buf, clock);
                 }
                 drop(cleanup_guard);
-                self.pool.install(d, &mut guards[j], page_buf.into_boxed_slice());
+                self.pool.install(d, slot, page_buf.into_boxed_slice());
             } else {
                 self.stats.read_hits.fetch_add(1, Ordering::Relaxed);
             }
             d.mark_accessed();
-            let content = guards[j].content.as_ref().expect("just installed");
+            let content = slot.content.as_ref().expect("just installed");
             let page_start = p * ps;
             let s = off.max(page_start);
             let e = (off + n as u64).min(page_start + ps);
@@ -616,7 +688,8 @@ pub struct NvCache {
     /// otherwise.
     migrator_worker: Mutex<Option<JoinHandle<()>>>,
     /// The recovery report when the instance was mounted with
-    /// [`Mount::Recover`]/[`Mount::RecoverRepair`]; `None` on a fresh
+    /// [`Mount::Recover`](crate::Mount) or
+    /// [`Mount::RecoverRepair`](crate::Mount); `None` on a fresh
     /// format.
     recovery: Option<RecoveryReport>,
 }
@@ -631,53 +704,10 @@ impl std::fmt::Debug for NvCache {
 }
 
 impl NvCache {
-    /// Starts building a mount over `region` — the composable replacement
-    /// for the original `format`/`recover` constructor pair, and the only
-    /// way to assemble a **tiered** (multi-backend) stack. See
-    /// [`NvCacheBuilder`].
+    /// Starts building a mount over `region` — the one way to mount, single
+    /// backend or **tiered** (multi-backend). See [`NvCacheBuilder`].
     pub fn builder(region: NvRegion) -> NvCacheBuilder {
         NvCacheBuilder::new(region)
-    }
-
-    /// Formats `region` as a fresh NVCache log over `inner` and starts the
-    /// cleanup thread.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] if the region is too small for `cfg`.
-    #[deprecated(note = "use NvCache::builder(region).backend(inner).config(cfg).mount(clock)")]
-    pub fn format(
-        region: NvRegion,
-        inner: Arc<dyn FileSystem>,
-        cfg: NvCacheConfig,
-        clock: &ActorClock,
-    ) -> IoResult<NvCache> {
-        Self::builder(region).backend(inner).config(cfg).mount(clock)
-    }
-
-    /// Runs the recovery procedure on a previously formatted region (replay
-    /// committed entries, sync, empty the log) and starts a fresh instance.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] if the region is not a formatted NVCache
-    /// log or its geometry disagrees with `cfg`.
-    #[deprecated(
-        note = "use NvCache::builder(region).backend(inner).config(cfg).mode(Mount::Recover).mount(clock)"
-    )]
-    pub fn recover(
-        region: NvRegion,
-        inner: Arc<dyn FileSystem>,
-        cfg: NvCacheConfig,
-        clock: &ActorClock,
-    ) -> IoResult<(NvCache, RecoveryReport)> {
-        let cache = Self::builder(region)
-            .backend(inner)
-            .config(cfg)
-            .mode(Mount::Recover)
-            .mount(clock)?;
-        let report = cache.recovery_report().expect("recover mode always produces a report");
-        Ok((cache, report))
     }
 
     pub(crate) fn start(
@@ -689,8 +719,6 @@ impl NvCache {
         misplaced: Vec<(String, u32)>,
     ) -> NvCache {
         let lay = Layout::for_config(&cfg);
-        let mut in_flight = Vec::with_capacity(cfg.fd_slots as usize);
-        in_flight.resize_with(cfg.fd_slots as usize, || AtomicU32::new(0));
         let mut cleanup_clocks = Vec::with_capacity(cfg.log_shards);
         cleanup_clocks.resize_with(cfg.log_shards, || Arc::new(ActorClock::new()));
         let placement: Arc<dyn PlacementPolicy> =
@@ -727,7 +755,6 @@ impl NvCache {
             kill: AtomicBool::new(false),
             cleanup_clocks: cleanup_clocks.into_boxed_slice(),
             next_file_id: AtomicU64::new(1),
-            in_flight: in_flight.into_boxed_slice(),
             migrator,
             placement,
             track_heat,
@@ -794,7 +821,7 @@ impl NvCache {
         }
     }
 
-    /// The recovery report of a [`Mount::Recover`] mount (`None` when the
+    /// The recovery report of a [`Mount::Recover`](crate::Mount) mount (`None` when the
     /// instance was freshly formatted).
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         self.recovery
@@ -853,8 +880,8 @@ impl NvCache {
     }
 
     /// Indices of log stripes poisoned by an inner-file-system error: their
-    /// workers have stopped, their pending entries await
-    /// [`NvCache::recover`], and writes routed to them fail. Empty in
+    /// workers have stopped, their pending entries await a
+    /// [`Mount::Recover`](crate::Mount) mount, and writes routed to them fail. Empty in
     /// healthy operation ([`NvCacheStats::inner_io_errors`] counts the
     /// causes).
     pub fn poisoned_stripes(&self) -> Vec<usize> {
@@ -953,7 +980,7 @@ impl NvCache {
     /// Blocks until every entry currently in any stripe has been propagated
     /// and fsync'ed by its cleanup worker (the flush barrier drains *all*
     /// stripes). If a stripe is poisoned the barrier returns early — its
-    /// entries can only drain through [`NvCache::recover`]; operations
+    /// entries can only drain through a [`Mount::Recover`](crate::Mount) mount; operations
     /// whose correctness *depends* on the drain use the internal
     /// `drained_flush` and propagate the error instead.
     pub fn flush_log(&self, clock: &ActorClock) {
@@ -985,7 +1012,7 @@ impl NvCache {
     }
 
     /// Immediate stop (crash simulation): the cleanup workers exit without
-    /// draining; pending entries stay in NVMM for [`NvCache::recover`].
+    /// draining; pending entries stay in NVMM for a [`Mount::Recover`](crate::Mount) mount.
     pub fn abort(&self) {
         self.shared.kill.store(true, Ordering::Release);
         self.shared.stop.store(true, Ordering::Release);
@@ -999,17 +1026,6 @@ impl NvCache {
         }
     }
 
-    fn slot_of(fd: Fd) -> u32 {
-        fd.0 as u32
-    }
-
-    fn opened(&self, fd: Fd) -> IoResult<Arc<OpenedFile>> {
-        self.shared
-            .opened_by_slot(Self::slot_of(fd))
-            .filter(|o| !o.closing.load(Ordering::Acquire))
-            .ok_or(IoError::BadFd(fd.0))
-    }
-
     /// Cursor-based write (libc `write`): appends at the NVCache-maintained
     /// cursor, honouring `O_APPEND` against NVCache's own size.
     ///
@@ -1017,7 +1033,7 @@ impl NvCache {
     ///
     /// Same as [`FileSystem::pwrite`].
     pub fn write(&self, fd: Fd, data: &[u8], clock: &ActorClock) -> IoResult<usize> {
-        let opened = self.opened(fd)?;
+        let opened = self.shared.opened_fd(fd)?;
         let mut cursor = opened.cursor.lock();
         if opened.flags.contains(OpenFlags::APPEND) {
             *cursor = opened.file.size.load(Ordering::Acquire);
@@ -1033,7 +1049,7 @@ impl NvCache {
     ///
     /// Same as [`FileSystem::pread`].
     pub fn read(&self, fd: Fd, buf: &mut [u8], clock: &ActorClock) -> IoResult<usize> {
-        let opened = self.opened(fd)?;
+        let opened = self.shared.opened_fd(fd)?;
         let mut cursor = opened.cursor.lock();
         let n = self.pread(fd, buf, *cursor, clock)?;
         *cursor += n as u64;
@@ -1048,7 +1064,7 @@ impl NvCache {
     /// [`IoError::InvalidArgument`] when seeking before byte zero.
     pub fn lseek(&self, fd: Fd, from: SeekFrom, clock: &ActorClock) -> IoResult<u64> {
         clock.advance(self.shared.cfg.libc_overhead);
-        let opened = self.opened(fd)?;
+        let opened = self.shared.opened_fd(fd)?;
         let mut cursor = opened.cursor.lock();
         let base: i128 = match from {
             SeekFrom::Start(o) => o as i128,
@@ -1068,7 +1084,7 @@ impl NvCache {
     ///
     /// [`IoError::BadFd`] if the descriptor is not open.
     pub fn tell(&self, fd: Fd) -> IoResult<u64> {
-        Ok(*self.opened(fd)?.cursor.lock())
+        Ok(*self.shared.opened_fd(fd)?.cursor.lock())
     }
 }
 
@@ -1100,14 +1116,6 @@ impl Drop for NvCache {
     }
 }
 
-struct InFlightGuard<'a>(&'a AtomicU32);
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 impl NvCache {
     /// Persists `file`'s decayed temperature into its fd slot's spare word
     /// (heat-format layouts with a temperature-reading policy only): one
@@ -1126,18 +1134,6 @@ impl NvCache {
             quantize_heat(heat),
             clock,
         );
-    }
-
-    fn enter(&self, fd: Fd) -> IoResult<(Arc<OpenedFile>, InFlightGuard<'_>)> {
-        let opened = self.opened(fd)?;
-        let counter = &self.shared.in_flight[opened.slot as usize];
-        counter.fetch_add(1, Ordering::AcqRel);
-        // Re-check after publication so close() can wait for quiescence.
-        if opened.closing.load(Ordering::Acquire) {
-            counter.fetch_sub(1, Ordering::AcqRel);
-            return Err(IoError::BadFd(fd.0));
-        }
-        Ok((opened, InFlightGuard(counter)))
     }
 
     /// Body of the intercepted `open`, after path normalization and the
@@ -1300,6 +1296,7 @@ impl NvCache {
             backend: backend_idx as u32,
             inner_fd,
             closing: AtomicBool::new(false),
+            in_flight: AtomicU32::new(0),
         });
         {
             let _lk = self.shared.lockcheck.acquire(Class::OpenedMap, 0);
@@ -1470,8 +1467,7 @@ impl FileSystem for NvCache {
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.shared.cfg.libc_overhead);
-        let slot = Self::slot_of(fd);
-        let opened = self.opened(fd)?;
+        let opened = self.shared.opened_fd(fd)?;
         if opened.closing.swap(true, Ordering::AcqRel) {
             return Err(IoError::BadFd(fd.0));
         }
@@ -1479,14 +1475,14 @@ impl FileSystem for NvCache {
         // pending writes into the kernel page cache (paper §I: close flushes
         // all user-space writes *to the kernel* — durability is already in
         // NVMM, so no fsync and no waiting for the cleanup thread).
-        while self.shared.in_flight[slot as usize].load(Ordering::Acquire) > 0 {
+        while opened.in_flight.load(Ordering::Acquire) > 0 {
             std::thread::yield_now();
         }
         self.shared.kernel_flush_file(&opened, clock);
         // Final temperature summary while the slot is still valid: a crash
         // during the zombie drain window hands the next mount this file's
         // heat (a clean finish clears the slot, heat word included).
-        self.stamp_heat(&opened.file, slot, clock);
+        self.stamp_heat(&opened.file, opened.slot, clock);
         // The persistent fd slot must outlive the entries that reference it
         // (recovery resolves paths through it); defer the actual teardown to
         // the cleanup workers if entries are still in flight anywhere.
@@ -1504,12 +1500,12 @@ impl FileSystem for NvCache {
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let (opened, _guard) = self.enter(fd)?;
+        let opened = self.shared.enter(fd)?;
         self.shared.do_pread(&opened, buf, off, clock)
     }
 
     fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let (opened, _guard) = self.enter(fd)?;
+        let opened = self.shared.enter(fd)?;
         self.shared.do_pwrite(&opened, data, off, clock)
     }
 
@@ -1518,13 +1514,13 @@ impl FileSystem for NvCache {
         // data durable in NVMM. A heat-persisting mount piggybacks its
         // temperature summary on the application's own durability points.
         clock.advance(self.shared.cfg.libc_overhead);
-        let opened = self.opened(fd)?;
+        let opened = self.shared.opened_fd(fd)?;
         self.stamp_heat(&opened.file, opened.slot, clock);
         Ok(())
     }
 
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        let (opened, _guard) = self.enter(fd)?;
+        let opened = self.shared.enter(fd)?;
         if !opened.flags.writable() {
             return Err(IoError::PermissionDenied("fd opened read-only".into()));
         }
@@ -1540,7 +1536,7 @@ impl FileSystem for NvCache {
 
     fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.shared.cfg.libc_overhead);
-        let opened = self.opened(fd)?;
+        let opened = self.shared.opened_fd(fd)?;
         Ok(Metadata {
             dev: opened.file.dev_ino.0,
             ino: opened.file.dev_ino.1,

@@ -14,8 +14,10 @@ use std::sync::Arc;
 use fiosim::IoRing;
 use simclock::SimTime;
 
-use crate::cache::Shared;
+use crate::cache::{KeyedPage, Shared};
 use crate::layout::CommitWord;
+use crate::lockcheck::Class;
+use crate::pagedesc::PageDescriptor;
 
 /// Body of one cleanup worker (paper §III "Cleanup thread and batching",
 /// one worker per log stripe).
@@ -180,13 +182,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 // would otherwise serialize the cleanup worker's far-future
                 // timeline against in-flight application flushes).
                 let data = stripe.read_data_cached(seq + i, e.len as usize);
-                let pages = shared.pages_of(e.file_off, e.len as usize);
-                let first_page = pages.start;
-                let descs: Vec<_> = match opened.file.radix.get() {
-                    Some(radix) => pages.map(|p| radix.get_or_create(p)).collect(),
-                    None => Vec::new(),
-                };
-                if ordered_handoff && !wait_for_handoff(&shared, stripe, &descs, e.seq) {
+                let pages = shared.page_descs(&opened.file, e.file_off, e.len as usize);
+                if ordered_handoff && !wait_for_handoff(&shared, stripe, &pages, e.seq) {
                     if shared.kill.load(Ordering::Acquire) {
                         return; // killed while waiting
                     }
@@ -202,16 +199,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 // while the kernel copy is being updated (paper §II-D). The
                 // write itself executes here (submission order is execution
                 // order); only its completion time is deferred to the reap.
-                let mut guards = Vec::with_capacity(descs.len());
-                let mut _lock_order = Vec::with_capacity(descs.len());
-                for (j, d) in descs.iter().enumerate() {
-                    _lock_order.push(shared.lockcheck.acquire_page(
-                        crate::lockcheck::Class::PageCleanup,
-                        opened.file.file_id,
-                        first_page + j as u64,
-                    ));
-                    guards.push(d.lock_cleanup());
-                }
+                let guards =
+                    shared.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
                 let backend = opened.backend as usize;
                 let cqe = rings[backend].submit_pwrite(
                     opened.inner_fd,
@@ -227,7 +216,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                     batch_failed = true;
                     break;
                 }
-                for d in &descs {
+                for (_, d) in &pages {
                     d.dec_dirty();
                     if ordered_handoff {
                         d.pop_propagation(e.seq);
@@ -320,7 +309,7 @@ fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
 }
 
 /// Cross-stripe per-page ordering: blocks until `gseq` is the oldest
-/// pending entry for every page in `descs`. Only entries with smaller
+/// pending entry for every page in `pages`. Only entries with smaller
 /// global sequence numbers can be ahead, and those sit at (or drain
 /// towards) other stripes' tails; registering as a handoff waiter makes
 /// those stripes run batches even below `batch_min`, so the wait always
@@ -337,18 +326,18 @@ fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
 fn wait_for_handoff(
     shared: &Shared,
     stripe: &crate::log::Stripe,
-    descs: &[Arc<crate::pagedesc::PageDescriptor>],
+    pages: &[KeyedPage],
     gseq: u64,
 ) -> bool {
     /// Parked (condvar, ~1 ms each) waits between scans of the poisoned
     /// stripes' windows once a poisoned stripe has been observed.
     const POISON_GRACE_PARKS: u32 = 64;
-    let at_front = |descs: &[Arc<crate::pagedesc::PageDescriptor>]| {
-        descs
+    let at_front = || {
+        pages
             .iter()
-            .all(|d| matches!(d.propagation_front(), Some(front) if front >= gseq))
+            .all(|(_, d)| matches!(d.propagation_front(), Some(front) if front >= gseq))
     };
-    if at_front(descs) {
+    if at_front() {
         return true; // fast path: already at every front
     }
     shared.log.handoff_waiters.fetch_add(1, Ordering::AcqRel);
@@ -356,7 +345,7 @@ fn wait_for_handoff(
     let mut spins = 0u32;
     let mut poison_parks = 0u32;
     let survived = loop {
-        if at_front(descs) {
+        if at_front() {
             break true;
         }
         if shared.kill.load(Ordering::Acquire) {
@@ -364,7 +353,7 @@ fn wait_for_handoff(
         }
         if poison_parks > POISON_GRACE_PARKS {
             poison_parks = 0;
-            if blocked_by_poisoned_stripe(shared, descs, gseq) {
+            if blocked_by_poisoned_stripe(shared, pages, gseq) {
                 break false;
             }
             // The blocking entries sit in healthy stripes — their workers
@@ -395,14 +384,10 @@ fn wait_for_handoff(
 /// some stripe's window until freed, so a miss here means the blocker is
 /// in a healthy stripe (or was popped concurrently — the caller's
 /// `at_front` re-check picks that up). Only runs on the degraded path.
-fn blocked_by_poisoned_stripe(
-    shared: &Shared,
-    descs: &[Arc<crate::pagedesc::PageDescriptor>],
-    gseq: u64,
-) -> bool {
-    let blockers: Vec<u64> = descs
+fn blocked_by_poisoned_stripe(shared: &Shared, pages: &[KeyedPage], gseq: u64) -> bool {
+    let blockers: Vec<u64> = pages
         .iter()
-        .filter_map(|d| d.propagation_front())
+        .filter_map(|(_, d)| d.propagation_front())
         .filter(|&front| front < gseq)
         .collect();
     if blockers.is_empty() {

@@ -86,6 +86,39 @@ pub(crate) struct OpenedFile {
     /// Set once `close` begins; new calls on the descriptor then fail while
     /// close waits for in-flight calls to drain.
     pub closing: AtomicBool,
+    /// Intercepted calls and queued submissions currently using this
+    /// descriptor — live [`InFlight`] guards; `close` waits for zero.
+    pub in_flight: AtomicU32,
+}
+
+/// An open descriptor with one in-flight use counted on it, released on
+/// drop. The synchronous calls hold one for their duration; a queued
+/// submission carries one until it completes, is discarded, or unwinds — so
+/// `close` can never be left waiting on a count nobody will give back.
+#[derive(Debug)]
+pub(crate) struct InFlight(Arc<OpenedFile>);
+
+impl InFlight {
+    /// Counts one use of `opened`, or `None` if its `close` has begun.
+    pub fn enter(opened: Arc<OpenedFile>) -> Option<InFlight> {
+        opened.in_flight.fetch_add(1, Ordering::AcqRel);
+        let guard = InFlight(opened);
+        // Re-check after publication so close() can wait for quiescence.
+        (!guard.closing.load(Ordering::Acquire)).then_some(guard)
+    }
+}
+
+impl std::ops::Deref for InFlight {
+    type Target = Arc<OpenedFile>;
+    fn deref(&self) -> &Arc<OpenedFile> {
+        &self.0
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Lock-free allocator for persistent fd-table slots: a Treiber stack over

@@ -92,8 +92,7 @@
 //!
 //! Mounting goes through [`NvCache::builder`]: pick the NVMM region, the
 //! inner backend(s), the configuration and the [`Mount`] mode, then
-//! [`mount`](NvCacheBuilder::mount). The original `format`/`recover`
-//! constructors remain as deprecated wrappers.
+//! [`mount`](NvCacheBuilder::mount) — the only way in.
 //!
 //! A **tiered** stack supplies several backends and a [`Router`] that maps
 //! each file to one of them (hot files over NOVA, cold bulk over ext4+HDD —
@@ -159,9 +158,12 @@
 //! overhead), rings [`QueuePair::ring_doorbell`] to make everything
 //! submitted durable in one **batch-reserved** stripe window per routed
 //! stripe (one fence pair per stripe group instead of one per write), and
-//! reaps completions with [`QueuePair::reap`]. Heat and statistics
-//! accumulate per queue pair and flush on reap, so [`HeatPolicy`] and
-//! [`NvCacheStats`] observe exactly the synchronous path's values.
+//! reaps completions with [`QueuePair::reap`]. Both paths run the one
+//! implementation of Algorithm 1's body — the synchronous `pwrite` is a
+//! doorbell of one write — and differ only in what surrounds it: heat and
+//! statistics accumulate per queue pair and flush on reap, so
+//! [`HeatPolicy`] and [`NvCacheStats`] observe exactly the synchronous
+//! path's values.
 //! `sq_pairs = 0` (the default) does not construct the front-end and keeps
 //! the synchronous path byte- and virtual-time-identical to the seed
 //! (oracle-tested).
@@ -219,7 +221,6 @@ mod heat_tests;
 #[cfg(test)]
 mod migrate_tests;
 #[cfg(test)]
-#[allow(deprecated)] // the legacy format/recover wrappers stay under test
 mod tests;
 #[cfg(test)]
 mod tiering_tests;

@@ -198,20 +198,13 @@ impl Stripe {
         self.region.pwb(base, (layout::ENTRY_HEADER_BYTES as usize) + data.len());
     }
 
-    /// Commits the group whose leader is `first_seq`: `pfence` (order fills
-    /// before the commit), write the leader's commit flag, flush its cache
-    /// line, `psync` (durable linearizability — Algorithm 1, ll.23–27).
-    pub fn commit_group(&self, first_seq: u64, k: u64, clock: &ActorClock) {
-        self.commit_batch(&[(first_seq, k)], clock);
-    }
-
-    /// Commits several already-filled groups with **one** fence pair: one
-    /// `pfence` orders every fill, then each leader's commit flag is written
-    /// and flushed, then one `psync` makes them all durable together. This
-    /// is the doorbell-batch amortization of the multi-queue front-end: the
-    /// per-commit fixed costs (fence + drain latency) are paid once per
-    /// doorbell instead of once per write. With a single group the sequence
-    /// of NVMM operations is identical to [`Stripe::commit_group`].
+    /// Commits already-filled groups — `(leader's stripe-local sequence,
+    /// entries)` each — with **one** fence pair: one `pfence` orders every
+    /// fill before the commit words, then each leader's commit flag is
+    /// written and flushed, then one `psync` makes them all durable together
+    /// (durable linearizability — Algorithm 1, ll.23–27). A synchronous write
+    /// commits a batch of one; a doorbell pays the fixed costs (fence + drain
+    /// latency) once for its whole window.
     ///
     /// Every group must already be filled; none of the groups is durable (or
     /// acknowledgeable) until this call returns.
@@ -452,10 +445,16 @@ impl Log {
         &self.stripes[(h % self.stripes.len() as u64) as usize]
     }
 
-    /// Allocates `k` consecutive entries in `stripe`, waiting while it is
-    /// full (`next_entry` of Algorithm 1, generalized to groups and
-    /// stripes). Returns `(stripe-local sequence, global sequence)` of the
-    /// first entry.
+    /// Reserves a window of `k` consecutive entries in `stripe`, waiting
+    /// while it is full (`next_entry` of Algorithm 1, generalized to groups,
+    /// stripes and doorbell batches: the caller carves the window into
+    /// per-write commit groups). Returns `(stripe-local sequence, global
+    /// sequence)` of the first entry. The window's global sequence numbers
+    /// are drawn under the stripe's allocation lock, so ring order == global
+    /// order within the stripe holds for any carving; entries inside the
+    /// window may be filled and committed out of order with respect to
+    /// *other* windows (the cleanup worker waits at the tail and recovery
+    /// skips uncommitted gaps).
     ///
     /// # Errors
     ///
@@ -465,30 +464,8 @@ impl Log {
     ///
     /// # Panics
     ///
-    /// Panics if `k` exceeds the stripe capacity (such a write can never
+    /// Panics if `k` exceeds the stripe capacity (such a window can never
     /// fit).
-    pub fn alloc(
-        &self,
-        stripe: &Stripe,
-        k: u64,
-        clock: &ActorClock,
-        stats: &NvCacheStats,
-    ) -> IoResult<(u64, u64)> {
-        self.reserve(stripe, k, clock, stats)
-    }
-
-    /// Reserves a window of `k` consecutive entries in `stripe` — the
-    /// primitive behind both [`Log::alloc`] (one group per window, the
-    /// synchronous path) and the multi-queue doorbell (one window per
-    /// doorbell-batch per stripe, carved into per-write groups by the
-    /// caller). The window's global sequence numbers are drawn under the
-    /// stripe's allocation lock, so ring order == global order within the
-    /// stripe holds for any carving; entries inside the window may be
-    /// filled and committed out of order with respect to *other* windows
-    /// (the cleanup worker waits at the tail and recovery skips
-    /// uncommitted gaps).
-    ///
-    /// Errors and panics as documented on [`Log::alloc`].
     pub fn reserve(
         &self,
         stripe: &Stripe,
@@ -650,12 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn alloc_is_monotonic_and_contiguous() {
+    fn reserve_is_monotonic_and_contiguous() {
         let (c, s, log) = mk_log(16);
         let stripe = &log.stripes[0];
-        assert_eq!(log.alloc(stripe, 1, &c, &s).unwrap(), (0, 0));
-        assert_eq!(log.alloc(stripe, 3, &c, &s).unwrap(), (1, 1));
-        assert_eq!(log.alloc(stripe, 1, &c, &s).unwrap(), (4, 4));
+        assert_eq!(log.reserve(stripe, 1, &c, &s).unwrap(), (0, 0));
+        assert_eq!(log.reserve(stripe, 3, &c, &s).unwrap(), (1, 1));
+        assert_eq!(log.reserve(stripe, 1, &c, &s).unwrap(), (4, 4));
         assert_eq!(log.in_flight(), 5);
     }
 
@@ -663,11 +640,11 @@ mod tests {
     fn fill_and_commit_round_trip() {
         let (c, s, log) = mk_log(16);
         let stripe = &log.stripes[0];
-        let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+        let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
         stripe.fill_entry(seq, gseq, 7, 4096, b"payload", 1, None, &c);
         let h = stripe.read_header(seq);
         assert_eq!(h.commit, CommitWord::Free, "not committed yet");
-        stripe.commit_group(seq, 1, &c);
+        stripe.commit_batch(&[(seq, 1)], &c);
         let h = stripe.read_header(seq);
         assert_eq!(h.commit, CommitWord::Leader);
         assert_eq!(h.fd_slot, 7);
@@ -682,13 +659,13 @@ mod tests {
     fn group_members_point_to_leader() {
         let (c, s, log) = mk_log(16);
         let stripe = &log.stripes[0];
-        let (first, gseq) = log.alloc(stripe, 3, &c, &s).unwrap();
+        let (first, gseq) = log.reserve(stripe, 3, &c, &s).unwrap();
         let leader_slot = stripe.slot(first);
         for i in 0..3u64 {
             let member = (i > 0).then_some(leader_slot);
             stripe.fill_entry(first + i, gseq + i, 1, i * 128, &[i as u8; 16], 3, member, &c);
         }
-        stripe.commit_group(first, 3, &c);
+        stripe.commit_batch(&[(first, 3)], &c);
         assert_eq!(stripe.read_header(first).commit, CommitWord::Leader);
         assert_eq!(stripe.read_header(first + 1).commit, CommitWord::Member(leader_slot));
         assert_eq!(stripe.read_header(first + 2).commit, CommitWord::Member(leader_slot));
@@ -698,10 +675,10 @@ mod tests {
     fn uncommitted_entries_are_lost_on_crash_committed_survive() {
         let (c, s, log) = mk_log(16);
         let stripe = &log.stripes[0];
-        let (a, ga) = log.alloc(stripe, 1, &c, &s).unwrap();
+        let (a, ga) = log.reserve(stripe, 1, &c, &s).unwrap();
         stripe.fill_entry(a, ga, 1, 0, b"committed", 1, None, &c);
-        stripe.commit_group(a, 1, &c);
-        let (b, gb) = log.alloc(stripe, 1, &c, &s).unwrap();
+        stripe.commit_batch(&[(a, 1)], &c);
+        let (b, gb) = log.reserve(stripe, 1, &c, &s).unwrap();
         stripe.fill_entry(b, gb, 1, 0, b"torn!", 1, None, &c);
         // no commit for b
         let crashed = log.region.dimm().crash_and_restart();
@@ -716,35 +693,35 @@ mod tests {
         let (c, s, log) = mk_log(4);
         let stripe = &log.stripes[0];
         for i in 0..4u64 {
-            let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
             stripe.fill_entry(seq, gseq, 0, i * 128, &[1; 8], 1, None, &c);
-            stripe.commit_group(seq, 1, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
         }
         assert_eq!(log.in_flight(), 4);
         stripe.free_range(0, 2, &c);
         assert_eq!(log.in_flight(), 2);
         assert_eq!(log.region.read_u64(layout::OFF_PTAIL), 2);
         // Freed slots are reusable.
-        let (seq, _) = log.alloc(stripe, 2, &c, &s).unwrap();
+        let (seq, _) = log.reserve(stripe, 2, &c, &s).unwrap();
         assert_eq!(seq, 4);
         assert_eq!(stripe.read_header(4).commit, CommitWord::Free);
     }
 
     #[test]
-    fn alloc_blocks_until_space_is_freed() {
+    fn reserve_blocks_until_space_is_freed() {
         let (c, s, log) = mk_log(4);
         for _ in 0..4 {
             let stripe = &log.stripes[0];
-            let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
             stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
-            stripe.commit_group(seq, 1, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
         }
         let log = Arc::new(log);
         let log2 = Arc::clone(&log);
         let waiter = std::thread::spawn(move || {
             let c2 = ActorClock::new();
             let s2 = NvCacheStats::default();
-            let (seq, _) = log2.alloc(&log2.stripes[0], 1, &c2, &s2).unwrap();
+            let (seq, _) = log2.reserve(&log2.stripes[0], 1, &c2, &s2).unwrap();
             (seq, s2.log_full_waits.load(Ordering::Relaxed))
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -760,16 +737,16 @@ mod tests {
         let (c, s, log) = mk_log(2);
         for _ in 0..2 {
             let stripe = &log.stripes[0];
-            let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
             stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
-            stripe.commit_group(seq, 1, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
         }
         let log = Arc::new(log);
         let log2 = Arc::clone(&log);
         let waiter = std::thread::spawn(move || {
             let c2 = ActorClock::new();
             let s2 = NvCacheStats::default();
-            log2.alloc(&log2.stripes[0], 1, &c2, &s2).unwrap();
+            log2.reserve(&log2.stripes[0], 1, &c2, &s2).unwrap();
             c2.now()
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -787,9 +764,9 @@ mod tests {
         let (c, s, log) = mk_log(8);
         for _ in 0..3 {
             let stripe = &log.stripes[0];
-            let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
             stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
-            stripe.commit_group(seq, 1, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
         }
         let log = Arc::new(log);
         let log2 = Arc::clone(&log);
@@ -807,7 +784,7 @@ mod tests {
     #[should_panic(expected = "exceeds stripe capacity")]
     fn oversized_group_panics() {
         let (c, s, log) = mk_log(4);
-        log.alloc(&log.stripes[0], 5, &c, &s).unwrap();
+        log.reserve(&log.stripes[0], 5, &c, &s).unwrap();
     }
 
     #[test]
@@ -817,7 +794,7 @@ mod tests {
         let (c, s, log) = mk_log(16);
         let stripe = &log.stripes[0];
         for _ in 0..5 {
-            let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
             assert_eq!(seq, gseq);
         }
     }
@@ -827,9 +804,9 @@ mod tests {
         let (c, s, log) = mk_log_sharded(16, 4);
         assert_eq!(log.stripes.len(), 4);
         assert_eq!(log.stripes[0].capacity(), 4);
-        let (l0, g0) = log.alloc(&log.stripes[0], 1, &c, &s).unwrap();
-        let (l1, g1) = log.alloc(&log.stripes[2], 2, &c, &s).unwrap();
-        let (l2, g2) = log.alloc(&log.stripes[0], 1, &c, &s).unwrap();
+        let (l0, g0) = log.reserve(&log.stripes[0], 1, &c, &s).unwrap();
+        let (l1, g1) = log.reserve(&log.stripes[2], 2, &c, &s).unwrap();
+        let (l2, g2) = log.reserve(&log.stripes[0], 1, &c, &s).unwrap();
         // Local sequences restart per stripe…
         assert_eq!((l0, l1, l2), (0, 0, 1));
         // …while global sequences are unique and monotonic across stripes.
@@ -839,12 +816,12 @@ mod tests {
     #[test]
     fn stripes_own_disjoint_entry_windows() {
         let (c, s, log) = mk_log_sharded(8, 2);
-        let (a, ga) = log.alloc(&log.stripes[0], 1, &c, &s).unwrap();
-        let (b, gb) = log.alloc(&log.stripes[1], 1, &c, &s).unwrap();
+        let (a, ga) = log.reserve(&log.stripes[0], 1, &c, &s).unwrap();
+        let (b, gb) = log.reserve(&log.stripes[1], 1, &c, &s).unwrap();
         log.stripes[0].fill_entry(a, ga, 1, 0, b"left", 1, None, &c);
         log.stripes[1].fill_entry(b, gb, 2, 0, b"right", 1, None, &c);
-        log.stripes[0].commit_group(a, 1, &c);
-        log.stripes[1].commit_group(b, 1, &c);
+        log.stripes[0].commit_batch(&[(a, 1)], &c);
+        log.stripes[1].commit_batch(&[(b, 1)], &c);
         // Slot 0 belongs to stripe 0, slot 4 (= stripe_entries) to stripe 1.
         assert_eq!(log.stripes[0].slot(a), 0);
         assert_eq!(log.stripes[1].slot(b), 4);
@@ -857,9 +834,9 @@ mod tests {
         let (c, s, log) = mk_log_sharded(8, 2);
         for stripe in log.stripes.iter() {
             for _ in 0..2 {
-                let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+                let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
                 stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
-                stripe.commit_group(seq, 1, &c);
+                stripe.commit_batch(&[(seq, 1)], &c);
             }
         }
         log.stripes[0].free_range(0, 1, &c);
@@ -888,18 +865,18 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_stripe_rejects_allocs_and_releases_flushers() {
+    fn poisoned_stripe_rejects_reservations_and_releases_flushers() {
         let (c, s, log) = mk_log(4);
         let stripe = &log.stripes[0];
-        let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+        let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
         stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
-        stripe.commit_group(seq, 1, &c);
+        stripe.commit_batch(&[(seq, 1)], &c);
         assert!(!log.any_poisoned());
         stripe.poison();
         assert!(stripe.is_poisoned());
         assert_eq!(log.poisoned_stripes(), vec![0]);
         // New allocations fail instead of waiting on the dead worker…
-        assert!(log.alloc(stripe, 1, &c, &s).is_err());
+        assert!(log.reserve(stripe, 1, &c, &s).is_err());
         // …and a flush barrier returns instead of blocking forever, leaving
         // the entry in the log for recovery.
         stripe.flush_to(1, &c);
@@ -910,9 +887,9 @@ mod tests {
     fn full_log_flush_barrier_covers_every_stripe() {
         let (c, s, log) = mk_log_sharded(8, 2);
         for stripe in log.stripes.iter() {
-            let (seq, gseq) = log.alloc(stripe, 1, &c, &s).unwrap();
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
             stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
-            stripe.commit_group(seq, 1, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
         }
         let log = Arc::new(log);
         let log2 = Arc::clone(&log);

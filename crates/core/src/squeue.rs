@@ -10,7 +10,9 @@
 //! *reservation window* ([`Log::reserve`](crate::log::Log)) under its
 //! `alloc_lock` only; fills and commits happen outside any stripe-wide
 //! mutex, so queues interleave freely and only serialize on the short
-//! window hand-out.
+//! window hand-out. Each window is committed by the write path's one body,
+//! `Shared::commit_writes` — the synchronous `pwrite` is the same call with
+//! a batch of one.
 //!
 //! # Ordering and durability contract
 //!
@@ -43,10 +45,12 @@ use std::sync::Arc;
 use simclock::{ActorClock, SimTime};
 use vfs::{Fd, IoError, IoResult};
 
-use crate::cache::{NvCache, Shared};
-use crate::files::{FileState, OpenedFile};
-use crate::pagedesc::PageDescriptor;
-use crate::stats::SQ_BATCH_BUCKETS;
+use crate::cache::{KeyedPage, NvCache, PageGuard, Shared, WriteOp};
+use crate::files::{FileState, InFlight};
+use crate::lockcheck::Class;
+use crate::log::Stripe;
+use crate::pagedesc::{PageDescriptor, PageSlot};
+use crate::stats::{NvCacheStatsSnapshot, QueueStatsSnapshot, SQ_BATCH_BUCKETS};
 
 /// A completion queue entry: the asynchronous result of one submitted
 /// operation, reaped with [`QueuePair::reap`].
@@ -63,49 +67,32 @@ pub struct Completion {
     pub completed_at: SimTime,
 }
 
-enum SqeOp {
-    Write { data: Box<[u8]>, off: u64 },
-    Flush,
-}
-
-/// A submission queue entry. Holds the resolved descriptor and an
-/// in-flight count on its fd slot until the entry completes (or is
-/// discarded unrung), so `close` waits for it exactly as it waits for a
-/// synchronous call.
-struct Sqe {
+/// A queued write, routed at submission (routing is a pure function of
+/// the file and offset, so the doorbell need not repeat it).
+struct QueuedWrite {
     user_data: u64,
-    opened: Arc<OpenedFile>,
-    op: SqeOp,
+    opened: InFlight,
+    data: Box<[u8]>,
+    off: u64,
+    /// Index of the routed stripe.
+    stripe: usize,
+    /// Log entries the write takes.
+    k: u64,
 }
 
-/// Deferred counters, flushed into the mount-wide [`crate::NvCacheStats`]
-/// on reap/drop so the hot path touches no shared cache lines.
-struct PendingStats {
-    writes: u64,
-    bytes_logged: u64,
-    entries_logged: u64,
-    groups_logged: u64,
-    per_shard_entries: Vec<u64>,
-    sq_submitted: u64,
-    sq_doorbells: u64,
-    sq_batch_hist: [u64; SQ_BATCH_BUCKETS],
-    cq_reap_lag: u64,
+/// A submission queue entry. Carries the resolved descriptor's
+/// [`InFlight`] guard until the entry completes, is discarded unrung, or is
+/// unwound past by a panicking doorbell — so `close` waits for it exactly
+/// as it waits for a synchronous call, and never for longer.
+enum Sqe {
+    Write(QueuedWrite),
+    Flush { user_data: u64, opened: InFlight },
 }
 
-impl PendingStats {
-    fn new(shards: usize) -> PendingStats {
-        PendingStats {
-            writes: 0,
-            bytes_logged: 0,
-            entries_logged: 0,
-            groups_logged: 0,
-            per_shard_entries: vec![0; shards],
-            sq_submitted: 0,
-            sq_doorbells: 0,
-            sq_batch_hist: [0; SQ_BATCH_BUCKETS],
-            cq_reap_lag: 0,
-        }
-    }
+/// A zeroed delta for the mount-wide counters of a log with `shards`
+/// stripes.
+fn write_delta(shards: usize) -> NvCacheStatsSnapshot {
+    NvCacheStatsSnapshot { per_shard: vec![Default::default(); shards], ..Default::default() }
 }
 
 /// Histogram bucket for a doorbell batch of `n` entries: 1, 2–3, 4–7, …,
@@ -156,7 +143,12 @@ pub struct QueuePair {
     next_user_data: u64,
     sq: Vec<Sqe>,
     cq: VecDeque<Completion>,
-    acc: PendingStats,
+    /// Deferred counters, added into the mount-wide
+    /// [`NvCacheStats`](crate::NvCacheStats) on reap/drop so the hot path
+    /// touches no shared cache lines: the write-side delta, and this pair's
+    /// own [`QueueStats`](crate::QueueStats) delta.
+    acc: NvCacheStatsSnapshot,
+    queue_acc: QueueStatsSnapshot,
     /// Deferred `(file, commit instant)` heat touches, applied on reap.
     heat: Vec<(Arc<FileState>, SimTime)>,
 }
@@ -182,7 +174,8 @@ impl QueuePair {
             next_user_data: 0,
             sq: Vec::new(),
             cq: VecDeque::new(),
-            acc: PendingStats::new(shards),
+            acc: write_delta(shards),
+            queue_acc: QueueStatsSnapshot::default(),
             heat: Vec::new(),
         })
     }
@@ -200,29 +193,6 @@ impl QueuePair {
     /// Completed-but-unreaped entries in the completion queue.
     pub fn cq_len(&self) -> usize {
         self.cq.len()
-    }
-
-    /// Resolves `fd` and takes an in-flight count on its slot (released
-    /// when the entry completes or is discarded), mirroring the
-    /// synchronous path's close-synchronization handshake.
-    fn enter(&self, fd: Fd) -> IoResult<Arc<OpenedFile>> {
-        let opened = self
-            .shared
-            .opened_by_slot(fd.0 as u32)
-            .filter(|o| !o.closing.load(Ordering::Acquire))
-            .ok_or(IoError::BadFd(fd.0))?;
-        let counter = &self.shared.in_flight[opened.slot as usize];
-        counter.fetch_add(1, Ordering::AcqRel);
-        // Re-check after publication so close() can wait for quiescence.
-        if opened.closing.load(Ordering::Acquire) {
-            counter.fetch_sub(1, Ordering::AcqRel);
-            return Err(IoError::BadFd(fd.0));
-        }
-        Ok(opened)
-    }
-
-    fn exit(&self, opened: &OpenedFile) {
-        self.shared.in_flight[opened.slot as usize].fetch_sub(1, Ordering::AcqRel);
     }
 
     /// Queues a positional write. Costs only the memcpy into the
@@ -244,35 +214,26 @@ impl QueuePair {
         off: u64,
         clock: &ActorClock,
     ) -> IoResult<u64> {
-        let opened = self.enter(fd)?;
+        let opened = self.shared.enter(fd)?;
         if !opened.flags.writable() {
-            self.exit(&opened);
             return Err(IoError::PermissionDenied("fd opened read-only".into()));
         }
-        let k = data.len().div_ceil(self.shared.cfg.entry_size) as u64;
-        let stripe = self.shared.log.route(opened.file.dev_ino, off);
-        if k > stripe.capacity() {
-            self.exit(&opened);
-            return Err(IoError::InvalidArgument(format!(
-                "write of {} bytes cannot fit a {}-entry log stripe",
-                data.len(),
-                stripe.capacity()
-            )));
-        }
+        let (stripe, k) = self.shared.route_write(&opened.file, off, data.len())?;
+        let stripe = stripe.index;
         let user_data = self.next_user_data;
         self.next_user_data += 1;
-        self.acc.sq_submitted += 1;
+        self.queue_acc.sq_submitted += 1;
         if data.is_empty() {
             // Nothing to log: complete immediately (the synchronous path's
             // early return).
-            self.exit(&opened);
             self.cq
                 .push_back(Completion { user_data, result: Ok(0), completed_at: clock.now() });
             return Ok(user_data);
         }
         clock.advance(self.shared.cfg.copy_bandwidth.time_for(data.len() as u64));
+        let data = data.into();
         self.sq
-            .push(Sqe { user_data, opened, op: SqeOp::Write { data: data.into(), off } });
+            .push(Sqe::Write(QueuedWrite { user_data, opened, data, off, stripe, k }));
         Ok(user_data)
     }
 
@@ -285,11 +246,11 @@ impl QueuePair {
     ///
     /// [`IoError::BadFd`] if the descriptor is not open.
     pub fn submit_flush(&mut self, fd: Fd) -> IoResult<u64> {
-        let opened = self.enter(fd)?;
+        let opened = self.shared.enter(fd)?;
         let user_data = self.next_user_data;
         self.next_user_data += 1;
-        self.acc.sq_submitted += 1;
-        self.sq.push(Sqe { user_data, opened, op: SqeOp::Flush });
+        self.queue_acc.sq_submitted += 1;
+        self.sq.push(Sqe::Flush { user_data, opened });
         Ok(user_data)
     }
 
@@ -305,8 +266,8 @@ impl QueuePair {
         clock.advance(self.shared.cfg.libc_overhead);
         let batch = std::mem::take(&mut self.sq);
         let consumed = batch.len();
-        self.acc.sq_doorbells += 1;
-        self.acc.sq_batch_hist[batch_bucket(consumed)] += 1;
+        self.queue_acc.sq_doorbells += 1;
+        self.queue_acc.sq_batch_hist[batch_bucket(consumed)] += 1;
 
         // Conflict split: within one sub-batch, stripe groups commit
         // sequentially, so two same-page writes routed to *different*
@@ -315,262 +276,125 @@ impl QueuePair {
         // earlier write reached through another stripe; pages revisited
         // through the *same* stripe stay ordered by the window itself.
         let shared = Arc::clone(&self.shared);
-        let mut flushes: Vec<Sqe> = Vec::new();
-        let mut sub: Vec<Sqe> = Vec::new();
+        let mut flushes = Vec::new();
+        let mut sub: Vec<QueuedWrite> = Vec::new();
         let mut touched: HashMap<(u64, u64), usize> = HashMap::new();
         for sqe in batch {
-            let SqeOp::Write { ref data, off } = sqe.op else {
-                flushes.push(sqe);
-                continue;
+            let w = match sqe {
+                Sqe::Write(w) => w,
+                Sqe::Flush { user_data, opened } => {
+                    flushes.push((user_data, opened));
+                    continue;
+                }
             };
-            let sidx = shared.log.route(sqe.opened.file.dev_ino, off).index;
-            let file_id = sqe.opened.file.file_id;
-            let pages = shared.pages_of(off, data.len());
-            let conflict =
-                pages.clone().any(|p| touched.get(&(file_id, p)).is_some_and(|&s| s != sidx));
+            let file_id = w.opened.file.file_id;
+            let pages = shared.pages_of(w.off, w.data.len());
+            let conflict = pages
+                .clone()
+                .any(|p| touched.get(&(file_id, p)).is_some_and(|&s| s != w.stripe));
             if conflict {
                 self.run_sub_batch(std::mem::take(&mut sub), clock);
                 touched.clear();
             }
             for p in pages {
-                touched.insert((file_id, p), sidx);
+                touched.insert((file_id, p), w.stripe);
             }
-            sub.push(sqe);
+            sub.push(w);
         }
         self.run_sub_batch(sub, clock);
 
         // Flush barriers complete once the whole doorbell is durable.
         let now = clock.now();
-        for f in flushes {
-            self.exit(&f.opened);
-            self.cq.push_back(Completion {
-                user_data: f.user_data,
-                result: Ok(0),
-                completed_at: now,
-            });
+        for (user_data, _opened) in flushes {
+            self.cq.push_back(Completion { user_data, result: Ok(0), completed_at: now });
         }
         consumed
     }
 
     /// Commits one conflict-free sub-batch: lock the union of its pages in
-    /// sorted order, then per stripe group reserve → fill → commit with one
-    /// fence pair → bookkeeping in window order.
-    fn run_sub_batch(&mut self, sub: Vec<Sqe>, clock: &ActorClock) {
+    /// globally sorted `(file_id, page_no)` order — consistent with the
+    /// ascending per-file order of the synchronous write path — then, per
+    /// stripe group, carve reservation windows and commit each through the
+    /// write core.
+    fn run_sub_batch(&mut self, sub: Vec<QueuedWrite>, clock: &ActorClock) {
         if sub.is_empty() {
             return;
         }
         let shared = Arc::clone(&self.shared);
-        let es = shared.cfg.entry_size;
-
-        // Page descriptors for the whole sub-batch, locked in globally
-        // sorted (file_id, page_no) order — consistent with the ascending
-        // per-file order of the synchronous write path.
-        let mut keys: Vec<((u64, u64), Arc<PageDescriptor>)> = Vec::new();
-        {
-            let mut seen: std::collections::HashSet<(u64, u64)> = std::collections::HashSet::new();
-            for sqe in &sub {
-                let SqeOp::Write { ref data, off } = sqe.op else { unreachable!() };
-                let file = &sqe.opened.file;
-                let radix = file.radix.get().expect("writable open creates the radix tree");
-                for p in shared.pages_of(off, data.len()) {
-                    if seen.insert((file.file_id, p)) {
-                        keys.push(((file.file_id, p), radix.get_or_create(p)));
-                    }
-                }
-            }
-        }
-        keys.sort_by_key(|&(k, _)| k);
-        let desc_of: HashMap<(u64, u64), usize> =
-            keys.iter().enumerate().map(|(i, &(k, _))| (k, i)).collect();
-        let descs: Vec<Arc<PageDescriptor>> = keys.iter().map(|(_, d)| Arc::clone(d)).collect();
-        let mut guards = Vec::with_capacity(descs.len());
-        let mut _lock_order = Vec::with_capacity(descs.len());
-        for (i, d) in descs.iter().enumerate() {
-            let (file_id, page_no) = keys[i].0;
-            _lock_order.push(shared.lockcheck.acquire_page(
-                crate::lockcheck::Class::PageAtomic,
-                file_id,
-                page_no,
-            ));
-            guards.push(d.lock());
-        }
+        let mut pages: Vec<KeyedPage> = sub
+            .iter()
+            .flat_map(|w| shared.page_descs(&w.opened.file, w.off, w.data.len()))
+            .collect();
+        pages.sort_by_key(|&(key, _)| key);
+        pages.dedup_by_key(|&mut (key, _)| key);
+        let mut guards = shared.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
 
         // Group by routed stripe, first-appearance order; submission order
         // within a group (so each stripe's window replays the submitter's
         // order).
-        let mut groups: Vec<(usize, Vec<Sqe>)> = Vec::new();
-        for sqe in sub {
-            let SqeOp::Write { off, .. } = sqe.op else { unreachable!() };
-            let sidx = shared.log.route(sqe.opened.file.dev_ino, off).index;
-            match groups.iter_mut().find(|(i, _)| *i == sidx) {
-                Some((_, v)) => v.push(sqe),
-                None => groups.push((sidx, vec![sqe])),
+        let mut groups: Vec<(usize, VecDeque<QueuedWrite>)> = Vec::new();
+        for w in sub {
+            match groups.iter_mut().find(|(i, _)| *i == w.stripe) {
+                Some((_, group)) => group.push_back(w),
+                None => groups.push((w.stripe, VecDeque::from([w]))),
             }
         }
 
-        for (sidx, writes) in groups {
+        for (sidx, mut group) in groups {
             let stripe = &shared.log.stripes[sidx];
-            let cap = stripe.capacity();
-            // Carve the group into reservation windows at write
-            // boundaries: every chunk fits the stripe (a single write
-            // already does, checked at submission).
-            let mut failed: Option<IoError> = None;
-            let mut chunk: Vec<(Sqe, u64)> = Vec::new();
-            let mut chunk_k = 0u64;
-            let mut queue: VecDeque<Sqe> = writes.into();
-            while let Some(sqe) = queue.pop_front() {
-                if let Some(e) = &failed {
-                    // The stripe refused a window (poisoned): every write
-                    // routed to it this doorbell fails the same way.
-                    let err = e.clone();
-                    self.exit(&sqe.opened);
-                    self.cq.push_back(Completion {
-                        user_data: sqe.user_data,
-                        result: Err(err),
-                        completed_at: clock.now(),
-                    });
-                    continue;
+            while !group.is_empty() {
+                // Carve the next reservation window at write boundaries: a
+                // single write always fits the stripe (checked at
+                // submission), so every window takes at least one.
+                let (mut n, mut window_k) = (0, 0);
+                while group.get(n).is_some_and(|w| window_k + w.k <= stripe.capacity()) {
+                    window_k += group[n].k;
+                    n += 1;
                 }
-                let SqeOp::Write { ref data, .. } = sqe.op else { unreachable!() };
-                let k = data.len().div_ceil(es) as u64;
-                if chunk_k + k > cap {
-                    if let Err(e) =
-                        self.commit_chunk(stripe, &mut chunk, &desc_of, &descs, &mut guards, clock)
-                    {
-                        failed = Some(e);
-                    }
-                    chunk_k = 0;
-                }
-                chunk_k += k;
-                chunk.push((sqe, k));
-            }
-            if failed.is_none() {
-                if let Err(e) =
-                    self.commit_chunk(stripe, &mut chunk, &desc_of, &descs, &mut guards, clock)
-                {
-                    failed = Some(e);
-                }
-            }
-            if let Some(e) = failed {
-                for (sqe, _) in chunk.drain(..) {
-                    self.exit(&sqe.opened);
-                    self.cq.push_back(Completion {
-                        user_data: sqe.user_data,
-                        result: Err(e.clone()),
-                        completed_at: clock.now(),
-                    });
-                }
+                let chunk: Vec<QueuedWrite> = group.drain(..n).collect();
+                self.commit_chunk(stripe, chunk, &pages, &mut guards, clock);
             }
         }
     }
 
-    /// Reserves one window for `chunk`, fills every write as its own
-    /// commit group, commits them all with a single fence pair, then runs
-    /// per-write bookkeeping in window order. On error (poisoned stripe)
-    /// the chunk is left untouched for the caller to fail.
+    /// Commits one reservation window through the write core, accounts the
+    /// committed writes into the pair's deferred delta, and completes every
+    /// write of the window in submission order — with the stripe's error if
+    /// it refused the window (poisoned; so will it refuse the group's later
+    /// windows).
     fn commit_chunk(
         &mut self,
-        stripe: &crate::log::Stripe,
-        chunk: &mut Vec<(Sqe, u64)>,
-        desc_of: &HashMap<(u64, u64), usize>,
-        descs: &[Arc<PageDescriptor>],
-        guards: &mut [parking_lot::MutexGuard<'_, crate::pagedesc::PageSlot>],
+        stripe: &Stripe,
+        chunk: Vec<QueuedWrite>,
+        pages: &[KeyedPage],
+        guards: &mut [PageGuard<'_, PageSlot>],
         clock: &ActorClock,
-    ) -> IoResult<()> {
-        if chunk.is_empty() {
-            return Ok(());
-        }
-        let shared = Arc::clone(&self.shared);
-        let es = shared.cfg.entry_size;
-        let ps = shared.cfg.page_size as u64;
-        let k_total: u64 = chunk.iter().map(|&(_, k)| k).sum();
-        let (first_seq, first_gseq) = shared.log.reserve(stripe, k_total, clock, &shared.stats)?;
-
-        // Fill phase: every write is its own group (per-write recovery
-        // atomicity), members pointing at their leader's global slot.
-        let mut meta: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
-        let mut seq = first_seq;
-        let mut gseq = first_gseq;
-        for (sqe, k) in chunk.iter() {
-            let SqeOp::Write { ref data, off } = sqe.op else { unreachable!() };
-            let leader_slot = stripe.slot(seq);
-            for i in 0..*k as usize {
-                let part = &data[i * es..((i + 1) * es).min(data.len())];
-                let member = (i > 0).then_some(leader_slot);
-                stripe.fill_entry(
-                    seq + i as u64,
-                    gseq + i as u64,
-                    sqe.opened.slot,
-                    off + (i * es) as u64,
-                    part,
-                    *k as u32,
-                    member,
-                    clock,
-                );
-            }
-            meta.push((seq, *k));
-            seq += k;
-            gseq += k;
-        }
-        // The doorbell amortization: one pfence + one psync for the whole
-        // window instead of one pair per write.
-        stripe.commit_batch(&meta, clock);
-        let done = clock.now();
-
-        // Bookkeeping in window order, under the sub-batch's page locks:
-        // dirty counters, propagation queues (ascending gseq per page),
-        // in-place updates of loaded pages, sizes, heat and counters.
-        let ordered_handoff = !shared.log.single();
-        let mut w_gseq = first_gseq;
-        for (sqe, k) in chunk.drain(..) {
-            let Sqe { user_data, opened, op } = sqe;
-            let SqeOp::Write { data, off } = op else { unreachable!() };
-            let file = &opened.file;
-            for i in 0..k as usize {
-                let e_off = off + (i * es) as u64;
-                let e_len = ((i + 1) * es).min(data.len()) - i * es;
-                for p in shared.pages_of(e_off, e_len) {
-                    let di = desc_of[&(file.file_id, p)];
-                    descs[di].inc_dirty();
-                    if ordered_handoff {
-                        descs[di].enqueue_propagation(w_gseq + i as u64);
+    ) {
+        let writes: Vec<WriteOp<'_>> = chunk
+            .iter()
+            .map(|w| WriteOp { opened: &w.opened, data: &w.data, off: w.off })
+            .collect();
+        let outcome = self.shared.commit_writes(stripe, &writes, pages, guards, clock);
+        let completed_at = *outcome.as_ref().unwrap_or(&clock.now());
+        for w in chunk {
+            let result = match &outcome {
+                Ok(_) => {
+                    if self.shared.track_heat {
+                        self.heat.push((Arc::clone(&w.opened.file), completed_at));
                     }
+                    self.acc.writes += 1;
+                    self.acc.bytes_logged += w.data.len() as u64;
+                    self.acc.entries_logged += w.k;
+                    self.acc.per_shard[stripe.index].entries_logged += w.k;
+                    if w.k > 1 {
+                        self.acc.groups_logged += 1;
+                    }
+                    Ok(w.data.len())
                 }
-            }
-            let mut updated = 0u64;
-            for p in shared.pages_of(off, data.len()) {
-                let di = desc_of[&(file.file_id, p)];
-                if let Some(content) = guards[di].content.as_mut() {
-                    let page_start = p * ps;
-                    let s = off.max(page_start);
-                    let e = (off + data.len() as u64).min(page_start + ps);
-                    content[(s - page_start) as usize..(e - page_start) as usize]
-                        .copy_from_slice(&data[(s - off) as usize..(e - off) as usize]);
-                    updated += e - s;
-                }
-                descs[di].mark_accessed();
-            }
-            if updated > 0 {
-                clock.advance(shared.cfg.copy_bandwidth.time_for(updated));
-            }
-            file.size.fetch_max(off + data.len() as u64, Ordering::AcqRel);
-            file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
-            if shared.track_heat {
-                self.heat.push((Arc::clone(file), done));
-            }
-            self.acc.writes += 1;
-            self.acc.bytes_logged += data.len() as u64;
-            self.acc.entries_logged += k;
-            self.acc.per_shard_entries[stripe.index] += k;
-            if k > 1 {
-                self.acc.groups_logged += 1;
-            }
-            self.exit(&opened);
-            self.cq
-                .push_back(Completion { user_data, result: Ok(data.len()), completed_at: done });
-            w_gseq += k;
+                Err(e) => Err(e.clone()),
+            };
+            self.cq.push_back(Completion { user_data: w.user_data, result, completed_at });
         }
-        Ok(())
     }
 
     /// Drains the completion queue, applies the deferred heat touches (in
@@ -581,7 +405,7 @@ impl QueuePair {
         let now = clock.now();
         let out: Vec<Completion> = self.cq.drain(..).collect();
         for c in &out {
-            self.acc.cq_reap_lag += now.saturating_sub(c.completed_at).as_nanos();
+            self.queue_acc.cq_reap_lag += now.saturating_sub(c.completed_at).as_nanos();
         }
         self.apply_heat();
         self.flush_stats();
@@ -601,48 +425,17 @@ impl QueuePair {
 
     fn flush_stats(&mut self) {
         let stats = &self.shared.stats;
-        let acc = &mut self.acc;
-        stats.writes.fetch_add(acc.writes, Ordering::Relaxed);
-        stats.bytes_logged.fetch_add(acc.bytes_logged, Ordering::Relaxed);
-        stats.entries_logged.fetch_add(acc.entries_logged, Ordering::Relaxed);
-        stats.groups_logged.fetch_add(acc.groups_logged, Ordering::Relaxed);
-        for (i, e) in acc.per_shard_entries.iter_mut().enumerate() {
-            if *e > 0 {
-                stats.per_shard[i].entries_logged.fetch_add(*e, Ordering::Relaxed);
-            }
-            *e = 0;
-        }
-        let q = &stats.per_queue[self.index];
-        q.sq_submitted.fetch_add(acc.sq_submitted, Ordering::Relaxed);
-        q.sq_doorbells.fetch_add(acc.sq_doorbells, Ordering::Relaxed);
-        for (i, h) in acc.sq_batch_hist.iter().enumerate() {
-            if *h > 0 {
-                q.sq_batch_hist[i].fetch_add(*h, Ordering::Relaxed);
-            }
-        }
-        q.cq_reap_lag.fetch_add(acc.cq_reap_lag, Ordering::Relaxed);
-        acc.writes = 0;
-        acc.bytes_logged = 0;
-        acc.entries_logged = 0;
-        acc.groups_logged = 0;
-        acc.sq_submitted = 0;
-        acc.sq_doorbells = 0;
-        acc.sq_batch_hist = [0; SQ_BATCH_BUCKETS];
-        acc.cq_reap_lag = 0;
+        stats.add(&std::mem::replace(&mut self.acc, write_delta(stats.per_shard.len())));
+        stats.per_queue[self.index].add(&std::mem::take(&mut self.queue_acc));
     }
 }
 
 impl Drop for QueuePair {
     fn drop(&mut self) {
-        // Unrung submissions were never acknowledged: discarding them is
-        // within the durability contract. Their in-flight counts must
-        // still drop so close() does not wait forever.
-        for sqe in std::mem::take(&mut self.sq) {
-            self.exit(&sqe.opened);
-        }
-        self.cq.clear();
-        // Writes already committed did happen: their heat and counters
-        // must land even if the application never reaped.
+        // Unrung submissions were never acknowledged: discarding them (with
+        // the rest of the pair) is within the durability contract. Writes
+        // already committed did happen: their heat and counters must land
+        // even if the application never reaped.
         self.apply_heat();
         self.flush_stats();
         self.shared.sq_taken[self.index].store(false, Ordering::Release);

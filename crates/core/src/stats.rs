@@ -1,73 +1,157 @@
 //! Operation counters: global [`NvCacheStats`] plus the per-stripe
-//! [`ShardStats`] breakdown (propagation, saturation, submission-ring
-//! overlap and inner-I/O-error counters), with plain-value snapshots for
-//! reporting.
+//! [`ShardStats`] and per-queue-pair [`QueueStats`] breakdowns, with
+//! plain-value snapshots for reporting. Every family is declared once, in a
+//! [`counter_table!`] invocation; the live struct, its `*Snapshot` twin,
+//! `NAMES`, `snapshot()` and `add()` are generated from that one table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-stripe operation counters of a sharded log.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Log entries created in this stripe.
-    pub entries_logged: AtomicU64,
-    /// Entries propagated by this stripe's cleanup worker.
-    pub entries_propagated: AtomicU64,
-    /// Cleanup batches completed by this stripe's worker.
-    pub cleanup_batches: AtomicU64,
-    /// `fsync` calls issued by this stripe's worker.
-    pub cleanup_fsyncs: AtomicU64,
-    /// Times a writer had to wait for space in this stripe.
-    pub log_full_waits: AtomicU64,
-    /// Operations this stripe's worker submitted to its I/O ring.
-    pub uring_submitted: AtomicU64,
-    /// Operations reaped from the ring (equals submitted once idle).
-    pub uring_completed: AtomicU64,
-    /// Largest number of simultaneously in-flight ring operations observed
-    /// (how much overlap `queue_depth` actually bought; `1` on a
-    /// synchronous drain).
-    pub uring_inflight_peak: AtomicU64,
-    /// Inner-file-system errors hit while draining this stripe (each one
-    /// poisons the stripe instead of panicking the worker).
-    pub inner_io_errors: AtomicU64,
+/// A live counter family and its plain-value snapshot: what
+/// [`counter_table!`] needs from a nested field to snapshot it and to add a
+/// delta into it.
+trait Family {
+    type Snap;
+    fn snap(&self) -> Self::Snap;
+    fn add_delta(&self, delta: &Self::Snap);
 }
 
-impl ShardStats {
-    fn snapshot(&self) -> ShardStatsSnapshot {
-        ShardStatsSnapshot {
-            entries_logged: self.entries_logged.load(Ordering::Relaxed),
-            entries_propagated: self.entries_propagated.load(Ordering::Relaxed),
-            cleanup_batches: self.cleanup_batches.load(Ordering::Relaxed),
-            cleanup_fsyncs: self.cleanup_fsyncs.load(Ordering::Relaxed),
-            log_full_waits: self.log_full_waits.load(Ordering::Relaxed),
-            uring_submitted: self.uring_submitted.load(Ordering::Relaxed),
-            uring_completed: self.uring_completed.load(Ordering::Relaxed),
-            uring_inflight_peak: self.uring_inflight_peak.load(Ordering::Relaxed),
-            inner_io_errors: self.inner_io_errors.load(Ordering::Relaxed),
+impl Family for AtomicU64 {
+    type Snap = u64;
+    fn snap(&self) -> u64 {
+        self.load(Ordering::Relaxed)
+    }
+    fn add_delta(&self, delta: &u64) {
+        // Deltas are mostly zero; skipping them keeps a flush from dirtying
+        // cache lines the cleanup workers are counting on.
+        if *delta != 0 {
+            self.fetch_add(*delta, Ordering::Relaxed);
         }
     }
 }
 
-/// Plain-value snapshot of [`ShardStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStatsSnapshot {
-    /// Log entries created in this stripe.
-    pub entries_logged: u64,
-    /// Entries propagated by this stripe's cleanup worker.
-    pub entries_propagated: u64,
-    /// Cleanup batches completed by this stripe's worker.
-    pub cleanup_batches: u64,
-    /// `fsync` calls issued by this stripe's worker.
-    pub cleanup_fsyncs: u64,
-    /// Times a writer had to wait for space in this stripe.
-    pub log_full_waits: u64,
-    /// Operations this stripe's worker submitted to its I/O ring.
-    pub uring_submitted: u64,
-    /// Operations reaped from the ring.
-    pub uring_completed: u64,
-    /// Largest in-flight ring population observed.
-    pub uring_inflight_peak: u64,
-    /// Inner-file-system errors (stripe poisonings).
-    pub inner_io_errors: u64,
+impl<const N: usize> Family for [AtomicU64; N] {
+    type Snap = [u64; N];
+    fn snap(&self) -> [u64; N] {
+        std::array::from_fn(|i| self[i].snap())
+    }
+    fn add_delta(&self, delta: &[u64; N]) {
+        self.iter().zip(delta).for_each(|(c, d)| c.add_delta(d));
+    }
+}
+
+impl<F: Family> Family for Box<[F]> {
+    type Snap = Vec<F::Snap>;
+    fn snap(&self) -> Vec<F::Snap> {
+        self.iter().map(F::snap).collect()
+    }
+    fn add_delta(&self, delta: &Vec<F::Snap>) {
+        self.iter().zip(delta).for_each(|(c, d)| c.add_delta(d));
+    }
+}
+
+/// Declares one counter family from a single table. `counters` are scalar
+/// `AtomicU64`s (`u64` in the snapshot), each spelled exactly once; `nested`
+/// fields are other families (`live type => snapshot type = default`).
+macro_rules! counter_table {
+    (
+        $(#[$live_meta:meta])*
+        $live:ident => $(#[$snap_meta:meta])* $snap:ident
+        counters { $($(#[$doc:meta])* $name:ident,)* }
+        nested { $($(#[$ndoc:meta])* $nname:ident: $nlive:ty => $nsnap:ty = $ndefault:expr,)* }
+    ) => {
+        $(#[$live_meta])*
+        #[derive(Debug)]
+        pub struct $live {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+            $($(#[$ndoc])* pub $nname: $nlive,)*
+        }
+
+        $(#[$snap_meta])*
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct $snap {
+            $($(#[$doc])* pub $name: u64,)*
+            $($(#[$ndoc])* pub $nname: $nsnap,)*
+        }
+
+        impl $live {
+            /// The scalar counters' names, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($name)),*];
+
+            /// The scalar counters, parallel to [`NAMES`](Self::NAMES).
+            pub fn counters(&self) -> [&AtomicU64; Self::NAMES.len()] {
+                [$(&self.$name),*]
+            }
+
+            /// Point-in-time copy of all counters.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $($name: self.$name.snap(),)* $($nname: self.$nname.snap(),)* }
+            }
+
+            /// Adds `delta` counter by counter (nested families element by
+            /// element, as far as both sides reach). For deltas of monotonic
+            /// counters — adding into a gauge or a peak is meaningless.
+            pub fn add(&self, delta: &$snap) {
+                $(self.$name.add_delta(&delta.$name);)*
+                $(self.$nname.add_delta(&delta.$nname);)*
+            }
+        }
+
+        impl Default for $live {
+            fn default() -> Self {
+                $live { $($name: AtomicU64::new(0),)* $($nname: $ndefault,)* }
+            }
+        }
+
+        impl $snap {
+            /// The scalar counters' values, parallel to the live struct's
+            /// `NAMES`.
+            pub fn values(&self) -> [u64; $live::NAMES.len()] {
+                [$(self.$name),*]
+            }
+        }
+
+        impl Family for $live {
+            type Snap = $snap;
+            fn snap(&self) -> $snap {
+                self.snapshot()
+            }
+            fn add_delta(&self, delta: &$snap) {
+                self.add(delta)
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// Per-stripe operation counters of a sharded log.
+    ShardStats =>
+    /// Plain-value snapshot of [`ShardStats`].
+    #[derive(Copy)]
+    ShardStatsSnapshot
+    counters {
+        /// Log entries created in this stripe.
+        entries_logged,
+        /// Entries propagated by this stripe's cleanup worker.
+        entries_propagated,
+        /// Cleanup batches completed by this stripe's worker.
+        cleanup_batches,
+        /// `fsync` calls issued by this stripe's worker.
+        cleanup_fsyncs,
+        /// Times a writer had to wait for space in this stripe.
+        log_full_waits,
+        /// Operations this stripe's worker submitted to its I/O ring.
+        uring_submitted,
+        /// Operations reaped from the ring (equals submitted once idle).
+        uring_completed,
+        /// Largest number of simultaneously in-flight ring operations
+        /// observed (how much overlap `queue_depth` actually bought; `1` on
+        /// a synchronous drain).
+        uring_inflight_peak,
+        /// Inner-file-system errors hit while draining this stripe (each one
+        /// poisons the stripe instead of panicking the worker).
+        inner_io_errors,
+    }
+    nested {}
 }
 
 /// Histogram buckets for the doorbell batch-size distribution
@@ -76,149 +160,135 @@ pub struct ShardStatsSnapshot {
 /// 1, 2–3, 4–7, 8–15, 16–31, 32–63, 64+.
 pub const SQ_BATCH_BUCKETS: usize = 7;
 
-/// Per-queue-pair counters of the multi-queue submission front-end
-/// (one per [`sq_pairs`](crate::NvCacheConfig::sq_pairs)).
-#[derive(Debug)]
-pub struct QueueStats {
-    /// Operations enqueued on this pair's submission queue.
-    pub sq_submitted: AtomicU64,
-    /// Doorbells rung (each one batch-commits everything submitted since
-    /// the previous doorbell).
-    pub sq_doorbells: AtomicU64,
-    /// Doorbell batch-size histogram (see [`SQ_BATCH_BUCKETS`]). A mass
-    /// stuck in the first bucket means the submitter rings after every
-    /// op — paying the synchronous path's fixed costs with extra steps.
-    pub sq_batch_hist: [AtomicU64; SQ_BATCH_BUCKETS],
-    /// Total virtual nanoseconds between an op's completion and its reap —
-    /// divided by completions, the average time completions sat unobserved
-    /// in the CQ (a lazy reaper inflates observed latency, not durability).
-    pub cq_reap_lag: AtomicU64,
-}
-
-impl Default for QueueStats {
-    fn default() -> Self {
-        QueueStats {
-            sq_submitted: AtomicU64::new(0),
-            sq_doorbells: AtomicU64::new(0),
-            sq_batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            cq_reap_lag: AtomicU64::new(0),
-        }
+counter_table! {
+    /// Per-queue-pair counters of the multi-queue submission front-end
+    /// (one per [`sq_pairs`](crate::NvCacheConfig::sq_pairs)).
+    QueueStats =>
+    /// Plain-value snapshot of [`QueueStats`].
+    #[derive(Copy)]
+    QueueStatsSnapshot
+    counters {
+        /// Operations enqueued on this pair's submission queue.
+        sq_submitted,
+        /// Doorbells rung (each one batch-commits everything submitted since
+        /// the previous doorbell).
+        sq_doorbells,
+        /// Total virtual nanoseconds between an op's completion and its reap
+        /// — divided by completions, the average time completions sat
+        /// unobserved in the CQ (a lazy reaper inflates observed latency, not
+        /// durability).
+        cq_reap_lag,
+    }
+    nested {
+        /// Doorbell batch-size histogram (see [`SQ_BATCH_BUCKETS`]). A mass
+        /// stuck in the first bucket means the submitter rings after every
+        /// op — paying the synchronous path's fixed costs with extra steps.
+        sq_batch_hist: [AtomicU64; SQ_BATCH_BUCKETS] => [u64; SQ_BATCH_BUCKETS] = Default::default(),
     }
 }
 
-impl QueueStats {
-    fn snapshot(&self) -> QueueStatsSnapshot {
-        QueueStatsSnapshot {
-            sq_submitted: self.sq_submitted.load(Ordering::Relaxed),
-            sq_doorbells: self.sq_doorbells.load(Ordering::Relaxed),
-            sq_batch_hist: std::array::from_fn(|i| self.sq_batch_hist[i].load(Ordering::Relaxed)),
-            cq_reap_lag: self.cq_reap_lag.load(Ordering::Relaxed),
-        }
+/// `n` zeroed members of a nested family.
+fn family<F: Default>(n: usize) -> Box<[F]> {
+    (0..n).map(|_| F::default()).collect()
+}
+
+counter_table! {
+    /// Operation counters of an [`NvCache`](crate::NvCache) instance (one
+    /// stripe, one backend and no queue pair by default).
+    NvCacheStats =>
+    /// Plain-value snapshot of [`NvCacheStats`].
+    NvCacheStatsSnapshot
+    counters {
+        /// Intercepted write calls.
+        writes,
+        /// Intercepted read calls.
+        reads,
+        /// Bytes appended to the NVMM log (payload only).
+        bytes_logged,
+        /// Log entries created.
+        entries_logged,
+        /// Multi-entry groups created.
+        groups_logged,
+        /// Reads served entirely from the read cache.
+        read_hits,
+        /// Page faults into the read cache.
+        read_misses,
+        /// Misses that required the dirty-miss reconciliation procedure.
+        dirty_misses,
+        /// Reads that bypassed the read cache (read-only files).
+        bypass_reads,
+        /// Pages evicted from the read cache.
+        evictions,
+        /// Times a writer had to wait for log space (saturation events).
+        log_full_waits,
+        /// Times `open` found the fd table exhausted and had to force a log
+        /// drain to reap zombie descriptors before a slot freed up (or the
+        /// open failed). Rising values mean
+        /// [`fd_slots`](crate::NvCacheConfig::fd_slots) is too small for the
+        /// open/close churn.
+        fd_slot_waits,
+        /// Cleanup batches completed.
+        cleanup_batches,
+        /// Entries propagated to the inner file system.
+        entries_propagated,
+        /// `fsync` calls issued by the cleanup workers.
+        cleanup_fsyncs,
+        /// Entries replayed by recovery.
+        recovered_entries,
+        /// Inner-file-system errors hit by the cleanup workers (each one
+        /// poisons the owning stripe; see
+        /// [`NvCache::poisoned_stripes`](crate::NvCache::poisoned_stripes)).
+        inner_io_errors,
+        /// Files moved between tiers by the migrator (background sweeps,
+        /// [`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
+        /// calls and cross-tier renames; recovery-repair moves are reported
+        /// in
+        /// [`RecoveryReport::files_repaired`](crate::RecoveryReport::files_repaired)
+        /// instead). Always `0` on a single-backend mount.
+        files_migrated,
+        /// Payload bytes copied across tiers by those migrations.
+        migration_bytes,
+        /// Migrations that moved a file **onto** the placement policy's fast
+        /// tier ([`PlacementPolicy::fast_tier`](crate::PlacementPolicy) — `0`
+        /// forever under a policy with no fast tier, e.g. the default
+        /// [`RouterPlacement`](crate::RouterPlacement)).
+        files_promoted,
+        /// Migrations that moved a file **off** the fast tier (demotions:
+        /// heat decayed below the demote threshold, or the fast-tier budget
+        /// evicted the coldest residents).
+        files_demoted,
+        /// Payload bytes of catalogued (closed) files currently sitting on
+        /// the placement policy's fast tier — a gauge, refreshed after every
+        /// migration and rebalance sweep; the occupancy the
+        /// [`HeatPolicy`](crate::HeatPolicy) budget is enforced against.
+        fast_tier_bytes,
+        /// Entries a capacity-bounded migrator catalog
+        /// ([`catalog_capacity`](crate::NvCacheConfig::catalog_capacity))
+        /// dropped to stay within its bound — always correctly-placed cold
+        /// files (misplaced or promote-worthy entries are pinned). Always
+        /// `0` on an unbounded catalog. A high rate relative to closes means
+        /// the capacity is too small for the working set.
+        catalog_evictions,
+        /// Closes that re-admitted a path the bounded catalog had previously
+        /// evicted — each one restarted heat accumulation from the file's
+        /// open-time state, so a rising rate means the catalog is thrashing
+        /// (capacity below the *recurring* working set).
+        catalog_readmissions,
     }
-}
-
-/// Plain-value snapshot of [`QueueStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueStatsSnapshot {
-    /// Operations enqueued on this pair's submission queue.
-    pub sq_submitted: u64,
-    /// Doorbells rung.
-    pub sq_doorbells: u64,
-    /// Doorbell batch-size histogram (see [`SQ_BATCH_BUCKETS`]).
-    pub sq_batch_hist: [u64; SQ_BATCH_BUCKETS],
-    /// Total virtual nanoseconds completions waited in the CQ before reap.
-    pub cq_reap_lag: u64,
-}
-
-/// Operation counters of an [`NvCache`](crate::NvCache) instance.
-#[derive(Debug)]
-pub struct NvCacheStats {
-    /// Intercepted write calls.
-    pub writes: AtomicU64,
-    /// Intercepted read calls.
-    pub reads: AtomicU64,
-    /// Bytes appended to the NVMM log (payload only).
-    pub bytes_logged: AtomicU64,
-    /// Log entries created.
-    pub entries_logged: AtomicU64,
-    /// Multi-entry groups created.
-    pub groups_logged: AtomicU64,
-    /// Reads served entirely from the read cache.
-    pub read_hits: AtomicU64,
-    /// Page faults into the read cache.
-    pub read_misses: AtomicU64,
-    /// Misses that required the dirty-miss reconciliation procedure.
-    pub dirty_misses: AtomicU64,
-    /// Reads that bypassed the read cache (read-only files).
-    pub bypass_reads: AtomicU64,
-    /// Pages evicted from the read cache.
-    pub evictions: AtomicU64,
-    /// Times a writer had to wait for log space (saturation events).
-    pub log_full_waits: AtomicU64,
-    /// Times `open` found the fd table exhausted and had to force a log
-    /// drain to reap zombie descriptors before a slot freed up (or the open
-    /// failed). Rising values mean
-    /// [`fd_slots`](crate::NvCacheConfig::fd_slots) is too small for the
-    /// open/close churn.
-    pub fd_slot_waits: AtomicU64,
-    /// Cleanup batches completed.
-    pub cleanup_batches: AtomicU64,
-    /// Entries propagated to the inner file system.
-    pub entries_propagated: AtomicU64,
-    /// `fsync` calls issued by the cleanup workers.
-    pub cleanup_fsyncs: AtomicU64,
-    /// Entries replayed by recovery.
-    pub recovered_entries: AtomicU64,
-    /// Inner-file-system errors hit by the cleanup workers (each one
-    /// poisons the owning stripe; see
-    /// [`NvCache::poisoned_stripes`](crate::NvCache::poisoned_stripes)).
-    pub inner_io_errors: AtomicU64,
-    /// Files moved between tiers by the migrator (background sweeps,
-    /// [`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
-    /// calls and cross-tier renames; recovery-repair moves are reported in
-    /// [`RecoveryReport::files_repaired`](crate::RecoveryReport::files_repaired)
-    /// instead). Always `0` on a single-backend mount.
-    pub files_migrated: AtomicU64,
-    /// Payload bytes copied across tiers by those migrations.
-    pub migration_bytes: AtomicU64,
-    /// Migrations that moved a file **onto** the placement policy's fast
-    /// tier ([`PlacementPolicy::fast_tier`](crate::PlacementPolicy) — `0`
-    /// forever under a policy with no fast tier, e.g. the default
-    /// [`RouterPlacement`](crate::RouterPlacement)).
-    pub files_promoted: AtomicU64,
-    /// Migrations that moved a file **off** the fast tier (demotions:
-    /// heat decayed below the demote threshold, or the fast-tier budget
-    /// evicted the coldest residents).
-    pub files_demoted: AtomicU64,
-    /// Payload bytes of catalogued (closed) files currently sitting on the
-    /// placement policy's fast tier — a gauge, refreshed after every
-    /// migration and rebalance sweep; the occupancy the
-    /// [`HeatPolicy`](crate::HeatPolicy) budget is enforced against.
-    pub fast_tier_bytes: AtomicU64,
-    /// Entries a capacity-bounded migrator catalog
-    /// ([`catalog_capacity`](crate::NvCacheConfig::catalog_capacity))
-    /// dropped to stay within its bound — always correctly-placed cold
-    /// files (misplaced or promote-worthy entries are pinned). Always `0`
-    /// on an unbounded catalog. A high rate relative to closes means the
-    /// capacity is too small for the working set.
-    pub catalog_evictions: AtomicU64,
-    /// Closes that re-admitted a path the bounded catalog had previously
-    /// evicted — each one restarted heat accumulation from the file's
-    /// open-time state, so a rising rate means the catalog is thrashing
-    /// (capacity below the *recurring* working set).
-    pub catalog_readmissions: AtomicU64,
-    /// Per-stripe breakdown of the log counters (one entry per
-    /// [`log_shards`](crate::NvCacheConfig::log_shards)).
-    pub per_shard: Box<[ShardStats]>,
-    /// Per-queue-pair front-end counters (one entry per
-    /// [`sq_pairs`](crate::NvCacheConfig::sq_pairs); empty when the
-    /// multi-queue front-end is off).
-    pub per_queue: Box<[QueueStats]>,
-    /// Entries propagated to each inner backend (one entry per
-    /// [`backends`](crate::NvCacheConfig::backends) — a single element on a
-    /// non-tiered mount). Shows how the router actually spread the write
-    /// traffic over the tiers.
-    pub per_backend_propagated: Box<[AtomicU64]>,
+    nested {
+        /// Per-stripe breakdown of the log counters (one entry per
+        /// [`log_shards`](crate::NvCacheConfig::log_shards)).
+        per_shard: Box<[ShardStats]> => Vec<ShardStatsSnapshot> = family(1),
+        /// Per-queue-pair front-end counters (one entry per
+        /// [`sq_pairs`](crate::NvCacheConfig::sq_pairs); empty when the
+        /// multi-queue front-end is off).
+        per_queue: Box<[QueueStats]> => Vec<QueueStatsSnapshot> = family(0),
+        /// Entries propagated to each inner backend (one entry per
+        /// [`backends`](crate::NvCacheConfig::backends) — a single element
+        /// on a non-tiered mount). Shows how the router actually spread the
+        /// write traffic over the tiers.
+        per_backend_propagated: Box<[AtomicU64]> => Vec<u64> = family(1),
+    }
 }
 
 impl NvCacheStats {
@@ -237,160 +307,81 @@ impl NvCacheStats {
     /// file systems, and `queues` submission/completion queue pairs (`0` =
     /// no multi-queue front-end).
     pub fn with_front_end(shards: usize, backends: usize, queues: usize) -> NvCacheStats {
-        let mut per_shard = Vec::with_capacity(shards.max(1));
-        per_shard.resize_with(shards.max(1), ShardStats::default);
-        let mut per_backend = Vec::with_capacity(backends.max(1));
-        per_backend.resize_with(backends.max(1), || AtomicU64::new(0));
-        let mut per_queue = Vec::with_capacity(queues);
-        per_queue.resize_with(queues, QueueStats::default);
         NvCacheStats {
-            writes: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            bytes_logged: AtomicU64::new(0),
-            entries_logged: AtomicU64::new(0),
-            groups_logged: AtomicU64::new(0),
-            read_hits: AtomicU64::new(0),
-            read_misses: AtomicU64::new(0),
-            dirty_misses: AtomicU64::new(0),
-            bypass_reads: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            log_full_waits: AtomicU64::new(0),
-            fd_slot_waits: AtomicU64::new(0),
-            cleanup_batches: AtomicU64::new(0),
-            entries_propagated: AtomicU64::new(0),
-            cleanup_fsyncs: AtomicU64::new(0),
-            recovered_entries: AtomicU64::new(0),
-            inner_io_errors: AtomicU64::new(0),
-            files_migrated: AtomicU64::new(0),
-            migration_bytes: AtomicU64::new(0),
-            files_promoted: AtomicU64::new(0),
-            files_demoted: AtomicU64::new(0),
-            fast_tier_bytes: AtomicU64::new(0),
-            catalog_evictions: AtomicU64::new(0),
-            catalog_readmissions: AtomicU64::new(0),
-            per_shard: per_shard.into_boxed_slice(),
-            per_queue: per_queue.into_boxed_slice(),
-            per_backend_propagated: per_backend.into_boxed_slice(),
+            per_shard: family(shards.max(1)),
+            per_queue: family(queues),
+            per_backend_propagated: family(backends.max(1)),
+            ..Default::default()
         }
     }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> NvCacheStatsSnapshot {
-        NvCacheStatsSnapshot {
-            writes: self.writes.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            bytes_logged: self.bytes_logged.load(Ordering::Relaxed),
-            entries_logged: self.entries_logged.load(Ordering::Relaxed),
-            groups_logged: self.groups_logged.load(Ordering::Relaxed),
-            read_hits: self.read_hits.load(Ordering::Relaxed),
-            read_misses: self.read_misses.load(Ordering::Relaxed),
-            dirty_misses: self.dirty_misses.load(Ordering::Relaxed),
-            bypass_reads: self.bypass_reads.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            log_full_waits: self.log_full_waits.load(Ordering::Relaxed),
-            fd_slot_waits: self.fd_slot_waits.load(Ordering::Relaxed),
-            cleanup_batches: self.cleanup_batches.load(Ordering::Relaxed),
-            entries_propagated: self.entries_propagated.load(Ordering::Relaxed),
-            cleanup_fsyncs: self.cleanup_fsyncs.load(Ordering::Relaxed),
-            recovered_entries: self.recovered_entries.load(Ordering::Relaxed),
-            inner_io_errors: self.inner_io_errors.load(Ordering::Relaxed),
-            files_migrated: self.files_migrated.load(Ordering::Relaxed),
-            migration_bytes: self.migration_bytes.load(Ordering::Relaxed),
-            files_promoted: self.files_promoted.load(Ordering::Relaxed),
-            files_demoted: self.files_demoted.load(Ordering::Relaxed),
-            fast_tier_bytes: self.fast_tier_bytes.load(Ordering::Relaxed),
-            catalog_evictions: self.catalog_evictions.load(Ordering::Relaxed),
-            catalog_readmissions: self.catalog_readmissions.load(Ordering::Relaxed),
-            per_shard: self.per_shard.iter().map(ShardStats::snapshot).collect(),
-            per_queue: self.per_queue.iter().map(QueueStats::snapshot).collect(),
-            per_backend_propagated: self
-                .per_backend_propagated
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-        }
-    }
-}
-
-impl Default for NvCacheStats {
-    fn default() -> Self {
-        NvCacheStats::with_shards(1)
-    }
-}
-
-/// Plain-value snapshot of [`NvCacheStats`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct NvCacheStatsSnapshot {
-    /// Intercepted write calls.
-    pub writes: u64,
-    /// Intercepted read calls.
-    pub reads: u64,
-    /// Bytes appended to the NVMM log (payload only).
-    pub bytes_logged: u64,
-    /// Log entries created.
-    pub entries_logged: u64,
-    /// Multi-entry groups created.
-    pub groups_logged: u64,
-    /// Reads served entirely from the read cache.
-    pub read_hits: u64,
-    /// Page faults into the read cache.
-    pub read_misses: u64,
-    /// Misses that required the dirty-miss procedure.
-    pub dirty_misses: u64,
-    /// Reads that bypassed the read cache.
-    pub bypass_reads: u64,
-    /// Pages evicted from the read cache.
-    pub evictions: u64,
-    /// Saturation events (writer waited for space).
-    pub log_full_waits: u64,
-    /// Times `open` hit an exhausted fd table and forced a drain.
-    pub fd_slot_waits: u64,
-    /// Cleanup batches completed.
-    pub cleanup_batches: u64,
-    /// Entries propagated to the inner file system.
-    pub entries_propagated: u64,
-    /// Cleanup `fsync` calls.
-    pub cleanup_fsyncs: u64,
-    /// Entries replayed by recovery.
-    pub recovered_entries: u64,
-    /// Inner-file-system errors (stripe poisonings).
-    pub inner_io_errors: u64,
-    /// Files moved between tiers by the migrator.
-    pub files_migrated: u64,
-    /// Payload bytes copied across tiers by those migrations.
-    pub migration_bytes: u64,
-    /// Migrations onto the placement policy's fast tier (promotions).
-    pub files_promoted: u64,
-    /// Migrations off the fast tier (demotions).
-    pub files_demoted: u64,
-    /// Catalogued payload bytes currently on the fast tier (gauge).
-    pub fast_tier_bytes: u64,
-    /// Entries evicted from a capacity-bounded migrator catalog.
-    pub catalog_evictions: u64,
-    /// Closes that re-admitted a previously evicted path (thrash signal).
-    pub catalog_readmissions: u64,
-    /// Per-stripe breakdown of the log counters.
-    pub per_shard: Vec<ShardStatsSnapshot>,
-    /// Per-queue-pair front-end counters (empty without `sq_pairs`).
-    pub per_queue: Vec<QueueStatsSnapshot>,
-    /// Entries propagated to each inner backend (tiered mounts; one element
-    /// otherwise).
-    pub per_backend_propagated: Vec<u64>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Sets counter *i* to *i + 1* and checks the snapshot mirrors every one.
+    fn mirrors<const N: usize>(
+        names: &[&str],
+        counters: [&AtomicU64; N],
+        values: impl Fn() -> [u64; N],
+    ) {
+        assert_eq!(names.len(), N);
+        for (i, c) in counters.iter().enumerate() {
+            c.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        for (i, v) in values().iter().enumerate() {
+            assert_eq!(*v, i as u64 + 1, "snapshot does not mirror `{}`", names[i]);
+        }
+    }
+
     #[test]
-    fn snapshot_mirrors_counters() {
-        let s = NvCacheStats::default();
-        s.writes.store(3, Ordering::Relaxed);
-        s.dirty_misses.store(1, Ordering::Relaxed);
+    fn snapshot_mirrors_every_counter_of_the_table() {
+        let s = NvCacheStats::with_front_end(1, 1, 1);
+        mirrors(NvCacheStats::NAMES, s.counters(), || s.snapshot().values());
+        let shard = &s.per_shard[0];
+        mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
+        let queue = &s.per_queue[0];
+        mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
+        assert_eq!(NvCacheStats::NAMES.len(), 24);
+        assert_eq!(NvCacheStats::NAMES[0], "writes");
+    }
+
+    #[test]
+    fn add_applies_a_delta_to_every_family() {
+        let s = NvCacheStats::with_front_end(2, 1, 1);
+        s.writes.store(1, Ordering::Relaxed);
+        let mut delta = NvCacheStatsSnapshot {
+            writes: 2,
+            groups_logged: 5,
+            per_shard: vec![ShardStatsSnapshot::default(); 2],
+            per_queue: vec![QueueStatsSnapshot::default()],
+            ..Default::default()
+        };
+        delta.per_shard[1].entries_logged = 7;
+        delta.per_queue[0].sq_batch_hist[3] = 4;
+        s.add(&delta);
+        s.add(&delta);
         let snap = s.snapshot();
-        assert_eq!(snap.writes, 3);
-        assert_eq!(snap.dirty_misses, 1);
-        assert_eq!(snap.reads, 0);
+        assert_eq!((snap.writes, snap.groups_logged, snap.reads), (5, 10, 0));
+        assert_eq!(snap.per_shard[0], ShardStatsSnapshot::default());
+        assert_eq!(snap.per_shard[1].entries_logged, 14);
+        assert_eq!(snap.per_queue[0].sq_batch_hist[3], 8);
+        assert_eq!(snap.per_backend_propagated, vec![0]);
+    }
+
+    /// Doc drift: every generated counter name has a row in the operator's
+    /// guide.
+    #[test]
+    fn every_counter_has_a_glossary_row() {
+        let tuning = include_str!("../../../docs/TUNING.md");
+        let glossary = tuning.split("\n## ").find(|s| s.starts_with("Stats glossary"));
+        let glossary = glossary.expect("docs/TUNING.md has a `## Stats glossary` section");
+        let nested = ["per_shard", "per_queue", "per_backend_propagated", "sq_batch_hist"];
+        let names = [NvCacheStats::NAMES, ShardStats::NAMES, QueueStats::NAMES, &nested];
+        for name in names.into_iter().flatten() {
+            assert!(glossary.contains(&format!("`{name}")), "no glossary row for `{name}`");
+        }
     }
 
     #[test]

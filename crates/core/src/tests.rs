@@ -6,14 +6,26 @@ use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, IoError, Layer, MemFs, OpenFlags};
 
-use crate::{NvCache, NvCacheConfig};
+use crate::{Mount, NvCache, NvCacheConfig};
+
+/// The one mount path, as the tests use it: `region` over a single `inner`
+/// backend.
+pub(crate) fn mount(
+    region: NvRegion,
+    inner: Arc<dyn FileSystem>,
+    cfg: NvCacheConfig,
+    mode: Mount,
+    clock: &ActorClock,
+) -> vfs::IoResult<NvCache> {
+    NvCache::builder(region).backend(inner).config(cfg).mode(mode).mount(clock)
+}
 
 fn setup(cfg: NvCacheConfig) -> (ActorClock, Arc<NvDimm>, Arc<dyn FileSystem>, NvCache) {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache =
-        NvCache::format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg, &clock)
+        mount(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg, Mount::Format, &clock)
             .expect("format");
     (clock, dimm, inner, cache)
 }
@@ -160,10 +172,11 @@ fn crash_before_propagation_recovers_all_acked_writes() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
+    let cache = mount(
         NvRegion::whole(Arc::clone(&dimm)),
         Arc::clone(&inner),
         cfg.clone(),
+        Mount::Format,
         &clock,
     )
     .unwrap();
@@ -178,8 +191,9 @@ fn crash_before_propagation_recovers_all_acked_writes() {
     // here the file itself survives as an empty shell because metadata is
     // in the simulated kernel namespace).
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+    let recovered =
+        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 2);
     assert_eq!(report.files_reopened, 1);
     let fd2 = recovered.open("/crash", OpenFlags::RDONLY, &clock).unwrap();
@@ -209,7 +223,8 @@ fn torn_write_is_discarded_by_recovery() {
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let region = NvRegion::whole(Arc::clone(&dimm));
-    let cache = NvCache::format(region.clone(), Arc::clone(&inner), cfg.clone(), &clock).unwrap();
+    let cache =
+        mount(region.clone(), Arc::clone(&inner), cfg.clone(), Mount::Format, &clock).unwrap();
     let fd = cache.open("/torn", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, b"committed", 0, &clock).unwrap();
     cache.abort();
@@ -226,8 +241,9 @@ fn torn_write_is_discarded_by_recovery() {
     region.pfence(&clock);
 
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+    let recovered =
+        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 1, "only the committed entry replays");
     let fd2 = recovered.open("/torn", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = [0u8; 9];
@@ -359,10 +375,11 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
+    let cache = mount(
         NvRegion::whole(Arc::clone(&dimm)),
         Arc::clone(&inner),
         cfg.clone(),
+        Mount::Format,
         &clock,
     )
     .unwrap();
@@ -374,8 +391,9 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     cache.abort();
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+    let recovered =
+        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let report = recovered.recovery_report().unwrap();
     assert_eq!(report.files_missing, 1, "the unlinked file must be skipped");
     assert!(report.entries_replayed >= 1);
     assert!(
@@ -424,7 +442,7 @@ fn write_latency_is_single_digit_microseconds() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(NvRegion::whole(dimm), inner, cfg, &clock).unwrap();
+    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).unwrap();
     let fd = cache.open("/lat", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[0u8; 4096], 0, &clock).unwrap(); // warm-up (radix alloc)
     let before = clock.now();
@@ -456,10 +474,11 @@ fn recovery_is_idempotent() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
+    let cache = mount(
         NvRegion::whole(Arc::clone(&dimm)),
         Arc::clone(&inner),
         cfg.clone(),
+        Mount::Format,
         &clock,
     )
     .unwrap();
@@ -469,13 +488,15 @@ fn recovery_is_idempotent() {
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
     let region = NvRegion::whole(Arc::clone(&crashed));
-    let (first, r1) =
-        NvCache::recover(region.clone(), Arc::clone(&inner), cfg.clone(), &clock).unwrap();
+    let first =
+        mount(region.clone(), Arc::clone(&inner), cfg.clone(), Mount::Recover, &clock).unwrap();
+    let r1 = first.recovery_report().unwrap();
     assert_eq!(r1.entries_replayed, 1);
     first.abort();
     drop(first);
     // Second recovery over the emptied log: nothing to do, content intact.
-    let (second, r2) = NvCache::recover(region, Arc::clone(&inner), cfg, &clock).unwrap();
+    let second = mount(region, Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let r2 = second.recovery_report().unwrap();
     assert_eq!(r2.entries_replayed, 0);
     let fd2 = second.open("/idem", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = [0u8; 4];
@@ -551,10 +572,11 @@ fn sharded_crash_recovery_merges_stripes_in_commit_order() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
+    let cache = mount(
         NvRegion::whole(Arc::clone(&dimm)),
         Arc::clone(&inner),
         cfg.clone(),
+        Mount::Format,
         &clock,
     )
     .unwrap();
@@ -569,8 +591,9 @@ fn sharded_crash_recovery_merges_stripes_in_commit_order() {
     cache.abort();
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&inner), cfg, &clock).unwrap();
+    let recovered =
+        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 5, "2 + 1 + 1 + 1 entries");
     let fd2 = recovered.open("/merge", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = vec![0u8; 8192];
@@ -589,10 +612,11 @@ fn sharded_recovery_requires_matching_shard_count() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::format(
+    let cache = mount(
         NvRegion::whole(Arc::clone(&dimm)),
         Arc::clone(&inner),
         cfg.clone(),
+        Mount::Format,
         &clock,
     )
     .unwrap();
@@ -600,7 +624,7 @@ fn sharded_recovery_requires_matching_shard_count() {
     drop(cache);
     let crashed = Arc::new(dimm.crash_and_restart());
     let wrong = NvCacheConfig { log_shards: 2, ..cfg };
-    let res = NvCache::recover(NvRegion::whole(crashed), inner, wrong, &clock);
+    let res = mount(NvRegion::whole(crashed), inner, wrong, Mount::Recover, &clock);
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
 }
 
@@ -691,16 +715,22 @@ fn reformatting_a_sharded_region_as_single_stripe_recovers() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(sharded.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let first =
-        NvCache::format(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), sharded, &clock)
-            .unwrap();
+    let first = mount(
+        NvRegion::whole(Arc::clone(&dimm)),
+        Arc::clone(&inner),
+        sharded,
+        Mount::Format,
+        &clock,
+    )
+    .unwrap();
     first.shutdown(&clock);
     drop(first);
     // Reuse the region as a plain single-stripe log.
-    let second = NvCache::format(
+    let second = mount(
         NvRegion::whole(Arc::clone(&dimm)),
         Arc::clone(&inner),
         single.clone(),
+        Mount::Format,
         &clock,
     )
     .unwrap();
@@ -709,8 +739,9 @@ fn reformatting_a_sharded_region_as_single_stripe_recovers() {
     second.abort();
     drop(second);
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) = NvCache::recover(NvRegion::whole(crashed), inner, single, &clock)
+    let recovered = mount(NvRegion::whole(crashed), inner, single, Mount::Recover, &clock)
         .expect("stale shard word must not block recovery");
+    let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 1);
     recovered.shutdown(&clock);
 }
@@ -759,7 +790,7 @@ fn recover_rejects_unformatted_region() {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let res = NvCache::recover(NvRegion::whole(dimm), inner, cfg, &clock);
+    let res = mount(NvRegion::whole(dimm), inner, cfg, Mount::Recover, &clock);
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
 }
 
@@ -791,8 +822,8 @@ fn inner_write_errors_poison_the_stripe_instead_of_panicking() {
     let mem: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     // Every cleanup pwrite fails.
     let inner = vfs::FaultLayer::failing_pwrites(0).wrap(Arc::clone(&mem));
-    let cache =
-        NvCache::format(NvRegion::whole(Arc::clone(&dimm)), inner, cfg, &clock).expect("format");
+    let cache = mount(NvRegion::whole(Arc::clone(&dimm)), inner, cfg, Mount::Format, &clock)
+        .expect("format");
     let fd = cache.open("/poison", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[7u8; 4096], 0, &clock).unwrap();
     wait_for_poison(&cache);
@@ -831,8 +862,9 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let mem: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let inner = vfs::FaultLayer::failing_pwrites(3).wrap(Arc::clone(&mem));
-    let cache = NvCache::format(NvRegion::whole(Arc::clone(&dimm)), inner, cfg.clone(), &clock)
-        .expect("format");
+    let cache =
+        mount(NvRegion::whole(Arc::clone(&dimm)), inner, cfg.clone(), Mount::Format, &clock)
+            .expect("format");
     let fd = cache.open("/midbatch", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     for i in 0..8u64 {
         cache.pwrite(fd, &[i as u8 + 1; 4096], i * 4096, &clock).unwrap();
@@ -846,8 +878,9 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
 
     // Crash, then recover against the (healthy) underlying file system.
     let crashed = Arc::new(dimm.crash_and_restart());
-    let (recovered, report) =
-        NvCache::recover(NvRegion::whole(crashed), Arc::clone(&mem), cfg, &clock).expect("recover");
+    let recovered = mount(NvRegion::whole(crashed), Arc::clone(&mem), cfg, Mount::Recover, &clock)
+        .expect("recover");
+    let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 8, "every entry of the failed batch must replay");
     let mut buf = [0u8; 4096];
     let rfd = recovered.open("/midbatch", OpenFlags::RDONLY, &clock).unwrap();
@@ -876,8 +909,8 @@ fn sharded_drain_elapsed(queue_depth: usize) -> (SimTime, u64, Vec<u8>) {
     let inner: Arc<dyn FileSystem> =
         Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache =
-        NvCache::format(NvRegion::whole(dimm), Arc::clone(&inner), cfg, &clock).expect("format");
+    let cache = mount(NvRegion::whole(dimm), Arc::clone(&inner), cfg, Mount::Format, &clock)
+        .expect("format");
     // O_DIRECT inner file: cleanup propagation writes hit the SSD directly,
     // 1 MiB apart (beyond the drive's sequential window), as in Fig. 5's
     // post-saturation regime.

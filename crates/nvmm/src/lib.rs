@@ -20,8 +20,10 @@
 //! ordering bugs observable in tests instead of latent.
 //!
 //! Latency is charged against virtual time ([`simclock`]) using an
-//! Optane-like profile; the DIMM is a shared [`Resource`](simclock::Resource)
-//! so concurrent flushers contend for media bandwidth.
+//! Optane-like profile, directly to the calling actor's clock: the DIMM is
+//! *not* a shared device timeline, so concurrent flushers do not contend
+//! for media bandwidth (see [`NvDimm`] for why; ROADMAP's "make the model
+//! contend" item is the fix).
 //!
 //! # Example
 //!

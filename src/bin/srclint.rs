@@ -13,6 +13,10 @@
 //! blocks, `tests.rs`/`*_tests.rs` files and doc/line comments are skipped.
 //! Exit status is non-zero when any violation is found, so the CI lint job
 //! fails the build.
+//!
+//! `srclint --loc` prints, with the same stripping, the non-test,
+//! non-comment, non-blank code lines of every crate under `crates/` — the
+//! size figure simplification PRs are held to.
 
 use std::path::{Path, PathBuf};
 
@@ -29,11 +33,8 @@ const WALL_CLOCK: &[&str] = &["Instant::now", "SystemTime", "thread::sleep"];
 const ALLOW_PANIC: &[(&str, &str)] = &[
     // Invariant messages: a failure here is internal state corruption.
     ("core/src/cleanup.rs", "entry references a closed fd"),
-    ("core/src/cache.rs", "recover mode always produces a report"),
-    ("core/src/cache.rs", "writable open creates the radix tree"),
+    ("core/src/cache.rs", "the caller locked every written page"),
     ("core/src/cache.rs", "just installed"),
-    ("core/src/squeue.rs", "writable open creates the radix tree"),
-    ("core/src/squeue.rs", "fd checked at submission"),
     // Thread spawning: no meaningful recovery from a failed spawn at mount.
     ("core/src/cache.rs", "spawn cleanup worker"),
     ("core/src/cache.rs", "spawn migration worker"),
@@ -55,6 +56,9 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 
 fn main() {
     let root = workspace_root();
+    if std::env::args().any(|a| a == "--loc") {
+        return print_loc(&root);
+    }
     let mut violations: Vec<String> = Vec::new();
     let mut scanned = 0usize;
     for krate in CRATES {
@@ -73,6 +77,30 @@ fn main() {
         eprintln!("  {v}");
     }
     std::process::exit(1);
+}
+
+/// Prints the code-line count of every crate under `crates/`, and the total.
+fn print_loc(root: &Path) {
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+        return;
+    };
+    let mut crates: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
+    crates.sort();
+    let mut total = 0;
+    for krate in crates.iter().filter(|p| p.is_dir()) {
+        let mut lines = 0;
+        for file in rs_files(&krate.join("src")) {
+            let text = std::fs::read_to_string(&file).unwrap_or_default();
+            for_each_code_line(&text, |_, _, code| lines += usize::from(!code.trim().is_empty()));
+        }
+        println!(
+            "{:>7}  crates/{}",
+            lines,
+            krate.file_name().unwrap_or_default().to_string_lossy()
+        );
+        total += lines;
+    }
+    println!("{total:>7}  total (non-test, non-comment, non-blank lines)");
 }
 
 /// The workspace root: `CARGO_MANIFEST_DIR` when cargo provides it (it
@@ -115,6 +143,32 @@ fn scan_file(root: &Path, path: &Path, violations: &mut Vec<String>) {
     let rel = path.strip_prefix(root).unwrap_or(path);
     let rel = rel.to_string_lossy().replace('\\', "/");
 
+    for_each_code_line(&text, |lineno, raw, line| {
+        for api in WALL_CLOCK {
+            if line.contains(api) {
+                violations
+                    .push(format!("{rel}:{lineno}: wall-clock API `{api}` in virtual-time code"));
+            }
+        }
+        let panicky = line.contains(".unwrap()") || line.contains(".expect(");
+        if panicky {
+            let allowed = ALLOW_PANIC
+                .iter()
+                .any(|(file, needle)| rel.ends_with(file) && raw.contains(needle));
+            if !allowed {
+                violations.push(format!(
+                    "{rel}:{lineno}: unwrap()/expect() in non-test code (add a reviewed \
+                     allowlist entry in src/bin/srclint.rs if deliberate)"
+                ));
+            }
+        }
+    });
+}
+
+/// Calls `f(line number, raw line, line without comments)` for every line
+/// of `text` outside `#[cfg(test)] mod … { … }` blocks (the attribute lines
+/// themselves are skipped too).
+fn for_each_code_line(text: &str, mut f: impl FnMut(usize, &str, &str)) {
     // Brace-tracked exclusion of `#[cfg(test)] mod … { … }` (and
     // `#[cfg(all(test, …))]`) blocks: after the attribute, skip until the
     // module's braces balance again. A plain block scanner is enough — the
@@ -162,28 +216,7 @@ fn scan_file(root: &Path, path: &Path, violations: &mut Vec<String>) {
             }
             continue;
         }
-
-        for api in WALL_CLOCK {
-            if line.contains(api) {
-                violations.push(format!(
-                    "{rel}:{}: wall-clock API `{api}` in virtual-time code",
-                    lineno + 1
-                ));
-            }
-        }
-        let panicky = line.contains(".unwrap()") || line.contains(".expect(");
-        if panicky {
-            let allowed = ALLOW_PANIC
-                .iter()
-                .any(|(file, needle)| rel.ends_with(file) && raw.contains(needle));
-            if !allowed {
-                violations.push(format!(
-                    "{rel}:{}: unwrap()/expect() in non-test code (add a reviewed \
-                     allowlist entry in src/bin/srclint.rs if deliberate)",
-                    lineno + 1
-                ));
-            }
-        }
+        f(lineno + 1, raw, &line);
     }
 }
 

@@ -23,7 +23,8 @@ fn mount(clock: &ActorClock) -> (Arc<NvDimm>, Arc<dyn FileSystem>, NvCacheConfig
         fd_slots: 8,
         read_cache_pages: 8,
         ..NvCacheConfig::default()
-    };
+    }
+    .with_sq_pairs(1);
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
     let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
@@ -96,6 +97,35 @@ fn skipped_pwb_is_flagged_at_the_covering_fence() {
     // The Dirty store is the fill's entry write in the log.
     assert!(msg.contains("crates/core/src/log.rs"), "{msg}");
     assert!(msg.contains("line 0x"), "{msg}");
+}
+
+/// A checker panic inside `ring_doorbell` unwinds past queued entries that
+/// each hold an in-flight count on their descriptor. The counts must come
+/// back with the unwind, or `close` waits for them forever.
+#[test]
+fn panicking_doorbell_gives_back_its_in_flight_counts() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let clock = ActorClock::new();
+        let (_dimm, _inner, _cfg, cache) = mount(&clock);
+        let fd = cache.open("/bell", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
+        let mut qp = cache.queue_pair(0, &clock).expect("queue pair");
+        for i in 0..3u64 {
+            qp.submit_pwrite(fd, &[3u8; 100], i * 4096, &clock).expect("submit");
+        }
+        qp.submit_flush(fd).expect("submit flush");
+        pm_mutation::arm_drop_fence();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| qp.ring_doorbell(&clock)))
+            .expect_err("the armed mutation must make pmcheck panic mid-doorbell");
+        pm_mutation::disarm_all();
+        drop(qp);
+        let closed = cache.close(fd, &clock);
+        cache.abort();
+        let _ = tx.send(closed);
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(30))
+        .expect("close() hung: the unwound doorbell leaked an in-flight count")
+        .expect("close");
 }
 
 #[test]

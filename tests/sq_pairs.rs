@@ -6,9 +6,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{
+    FaultLayer, Layer, Mount, NvCache, NvCacheConfig, NvCacheStatsSnapshot, QueuePair,
+};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
-use nvcache_repro::simclock::ActorClock;
+use nvcache_repro::simclock::{ActorClock, SimTime};
 use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, IoError, MemFs, OpenFlags};
 use proptest::prelude::*;
 
@@ -85,64 +87,201 @@ fn unused_queue_pairs_leave_the_sync_path_identical() {
     assert_eq!((zero.2, zero.3, zero.4), (eight.2, eight.3, eight.4), "counters diverged");
 }
 
-/// The same write sequence, submitted through a queue pair, must converge
-/// to the same backend bytes as the synchronous oracle — overlapping,
-/// page-straddling and multi-entry writes included.
-#[test]
-fn queued_writes_match_the_synchronous_oracle() {
-    let writes: Vec<(u64, usize, u8)> = (0..48)
-        .map(|i: u64| ((i * 2711) % 20000, 1 + ((i as usize * 131) % 9000), (i + 1) as u8))
-        .collect();
+/// One step of the synchronous-vs-queued oracle.
+#[derive(Clone, Copy)]
+enum Op {
+    Write {
+        off: u64,
+        len: usize,
+        byte: u8,
+    },
+    /// Reads the whole file through the cache (a synchronous call in both
+    /// arms), so later writes update loaded pages in place.
+    ReadAll,
+}
 
-    // Synchronous oracle.
-    let (clock, inner, cache) = mount(small_cfg(4, 0));
-    let fd = cache.open("/w", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    for &(off, len, byte) in &writes {
-        cache.pwrite(fd, &vec![byte; len], off, &clock).unwrap();
-    }
-    cache.flush_log(&clock);
-    let size = cache.fstat(fd, &clock).unwrap().size;
-    let mut oracle = vec![0u8; size as usize];
-    let ifd = inner.open("/w", OpenFlags::RDONLY, &clock).unwrap();
-    inner.pread(ifd, &mut oracle, 0, &clock).unwrap();
-    cache.shutdown(&clock);
+/// What one arm of the oracle leaves behind.
+struct Run {
+    /// Virtual time of the op sequence (after open and queue-pair claim).
+    elapsed: SimTime,
+    /// NVMM region image and DIMM counters right after the last op.
+    region: Vec<u8>,
+    nvmm: [u64; 5],
+    stats: NvCacheStatsSnapshot,
+    /// The backend's bytes after a full drain.
+    inner: Vec<u8>,
+}
 
-    // Queued run: same writes, batched 6 per doorbell.
-    let (clock, inner, cache) = mount(small_cfg(4, 1));
+/// Runs `ops` on a fresh mount — synchronously, or through queue pair 0
+/// with a doorbell + reap every `doorbell_every` submissions (and before
+/// every read, and at the end).
+fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run {
+    let clock = ActorClock::new();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
+    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
+        .backend(Arc::clone(&inner))
+        .config(cfg)
+        .mount(&clock)
+        .expect("mount");
     let fd = cache.open("/w", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    let mut qp = cache.queue_pair(0, &clock).unwrap();
-    let mut acked = 0usize;
-    for (i, &(off, len, byte)) in writes.iter().enumerate() {
-        qp.submit_pwrite(fd, &vec![byte; len], off, &clock).unwrap();
-        if i % 6 == 5 {
-            qp.ring_doorbell(&clock);
-            for c in qp.reap(&clock) {
-                assert!(c.result.is_ok());
-                acked += 1;
+    let mut qp = doorbell_every.map(|_| cache.queue_pair(0, &clock).unwrap());
+    let ring = |qp: &mut QueuePair| {
+        let rung = qp.ring_doorbell(&clock);
+        let done = qp.reap(&clock);
+        assert_eq!(done.len(), rung, "every rung write must complete");
+        assert!(done.iter().all(|c| c.result.is_ok()));
+        assert!(done.windows(2).all(|w| w[0].user_data < w[1].user_data));
+    };
+    let t0 = clock.now();
+    for &op in ops {
+        match (op, qp.as_mut()) {
+            (Op::Write { off, len, byte }, None) => {
+                cache.pwrite(fd, &vec![byte; len], off, &clock).unwrap();
+            }
+            (Op::Write { off, len, byte }, Some(qp)) => {
+                qp.submit_pwrite(fd, &vec![byte; len], off, &clock).unwrap();
+                if Some(qp.sq_len()) == doorbell_every {
+                    ring(qp);
+                }
+            }
+            (Op::ReadAll, qp) => {
+                qp.map(ring);
+                let mut view = vec![0u8; cache.fstat(fd, &clock).unwrap().size as usize];
+                cache.pread(fd, &mut view, 0, &clock).unwrap();
             }
         }
     }
-    qp.ring_doorbell(&clock);
-    acked += qp.reap(&clock).len();
-    assert_eq!(acked, writes.len(), "every submitted write must complete");
+    qp.as_mut().map(ring);
+    let elapsed = clock.now() - t0;
     drop(qp);
-    cache.flush_log(&clock);
-    assert_eq!(cache.fstat(fd, &clock).unwrap().size, size);
-    let mut queued = vec![0u8; size as usize];
-    let ifd = inner.open("/w", OpenFlags::RDONLY, &clock).unwrap();
-    inner.pread(ifd, &mut queued, 0, &clock).unwrap();
-    assert_eq!(queued, oracle, "queued path diverged from the synchronous oracle");
 
-    // The per-queue counters observed the run.
-    let snap = cache.stats().snapshot();
-    assert_eq!(snap.per_queue.len(), 1);
-    assert_eq!(snap.per_queue[0].sq_submitted, writes.len() as u64);
-    // 48 writes ring exactly 8 in-loop doorbells; the final ring found an
-    // empty SQ, which is free and uncounted.
-    assert_eq!(snap.per_queue[0].sq_doorbells, 8);
-    assert_eq!(snap.writes, writes.len() as u64);
+    let mut region = vec![0u8; dimm.len() as usize];
+    dimm.read_cached(0, &mut region);
+    let n = dimm.stats().snapshot();
+    let nvmm = [n.fences, n.drains, n.lines_flushed, n.commit_stores, n.bytes_stored];
+    let stats = cache.stats().snapshot();
     assert_checkers_clean(&cache);
+
+    cache.flush_log(&clock);
+    let mut inner_view = vec![0u8; cache.fstat(fd, &clock).unwrap().size as usize];
+    let ifd = inner.open("/w", OpenFlags::RDONLY, &clock).unwrap();
+    inner.pread(ifd, &mut inner_view, 0, &clock).unwrap();
     cache.shutdown(&clock);
+    Run { elapsed, region, nvmm, stats, inner: inner_view }
+}
+
+/// The same op sequence, submitted through a queue pair, must converge to
+/// the same backend bytes as the synchronous oracle — overlapping,
+/// page-straddling and multi-entry writes included. And the synchronous
+/// write *is* a one-op doorbell: rung after every submission, with nothing
+/// draining, the queued arm leaves a byte-identical NVMM image, identical
+/// DIMM and log counters, and a clock that differs by exactly the ring
+/// copies.
+#[test]
+fn queued_writes_match_the_synchronous_oracle() {
+    let scattered: Vec<Op> = (0..48u64)
+        .map(|i| Op::Write {
+            off: (i * 2711) % 20000,
+            len: 1 + ((i as usize * 131) % 9000),
+            byte: (i + 1) as u8,
+        })
+        .collect();
+    // Sub-entry, page-straddling and multi-entry-group writes; then the same
+    // shapes again over pages the read loaded.
+    let shapes =
+        [(0u64, 100usize), (4000, 200), (8192, 3 * 4096), (10, 5000), (7 * 4096 + 1, 4095)];
+    let mut shaped: Vec<Op> = Vec::new();
+    for round in 0..2u8 {
+        for (i, &(off, len)) in shapes.iter().enumerate() {
+            shaped.push(Op::Write { off, len, byte: 16 * (round + 1) + i as u8 });
+        }
+        shaped.push(Op::ReadAll);
+    }
+    let parked = |shards| NvCacheConfig {
+        batch_min: usize::MAX >> 1, // park cleanup: nothing but the ops runs
+        batch_max: usize::MAX >> 1,
+        ..small_cfg(shards, 1)
+    };
+
+    for (name, cfg, ops, every) in [
+        ("batched", small_cfg(4, 1), &scattered, 6),
+        ("one-op", parked(1), &shaped, 1),
+        ("one-op, striped", parked(4), &shaped, 1),
+    ] {
+        let sync = run_ops(cfg.clone(), ops, None);
+        let queued = run_ops(cfg.clone(), ops, Some(every));
+        assert_eq!(queued.inner, sync.inner, "{name}: queued path diverged from the oracle");
+
+        let writes: Vec<usize> = ops
+            .iter()
+            .filter_map(|op| match op {
+                Op::Write { len, .. } => Some(*len),
+                Op::ReadAll => None,
+            })
+            .collect();
+        let log_side = |s: &NvCacheStatsSnapshot| {
+            let per_shard: Vec<u64> = s.per_shard.iter().map(|p| p.entries_logged).collect();
+            (
+                s.writes,
+                s.bytes_logged,
+                s.entries_logged,
+                s.groups_logged,
+                s.log_full_waits,
+                per_shard,
+            )
+        };
+        assert_eq!(log_side(&queued.stats), log_side(&sync.stats), "{name}: log counters");
+        assert_eq!(queued.stats.writes, writes.len() as u64);
+        // The per-queue counters observed the run; an empty ring is free and
+        // uncounted.
+        let q = queued.stats.per_queue[0];
+        assert_eq!(q.sq_submitted, writes.len() as u64, "{name}");
+        assert_eq!(q.sq_doorbells, writes.len().div_ceil(every) as u64, "{name}");
+
+        if every == 1 {
+            assert!(queued.region == sync.region, "{name}: NVMM images differ");
+            assert_eq!(queued.nvmm, sync.nvmm, "{name}: DIMM counters");
+            let ring_copies: SimTime =
+                writes.iter().map(|&len| cfg.copy_bandwidth.time_for(len as u64)).sum();
+            assert_eq!(queued.elapsed - sync.elapsed, ring_copies, "{name}: virtual time");
+        }
+    }
+}
+
+/// A doorbell larger than its (poisoned) stripe fails window by window — and
+/// still completes its writes in submission order.
+#[test]
+fn poisoned_stripe_fails_a_multi_window_doorbell_in_submission_order() {
+    let cfg = NvCacheConfig { nb_entries: 4, ..small_cfg(1, 1) };
+    let clock = ActorClock::new();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let inner = FaultLayer::failing_pwrites(0).wrap(Arc::new(MemFs::new()));
+    let cache = NvCache::builder(NvRegion::whole(dimm))
+        .backend(inner)
+        .config(cfg)
+        .mount(&clock)
+        .expect("mount");
+    let fd = cache.open("/p", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    // The first propagation fails and poisons the only stripe.
+    cache.pwrite(fd, &[1u8; 64], 0, &clock).unwrap();
+    while cache.poisoned_stripes().is_empty() {
+        std::thread::yield_now();
+    }
+
+    let mut qp = cache.queue_pair(0, &clock).unwrap();
+    let submitted: Vec<u64> = (0..10u64)
+        .map(|i| qp.submit_pwrite(fd, &[2u8; 64], i * 4096, &clock).unwrap())
+        .collect();
+    assert_eq!(qp.ring_doorbell(&clock), 10); // three windows of a 4-entry stripe
+    let done = qp.reap(&clock);
+    assert!(done.iter().all(|c| c.result.is_err()), "a poisoned stripe accepts nothing");
+    let order: Vec<u64> = done.iter().map(|c| c.user_data).collect();
+    assert_eq!(order, submitted, "completions must keep submission order");
+    assert_eq!(cache.stats().snapshot().writes, 1, "failed writes are not counted");
+    drop(qp);
+    cache.close(fd, &clock).unwrap(); // no in-flight count left behind
+    cache.abort();
 }
 
 /// Doorbell batching must amortize the per-write fixed costs (libc
