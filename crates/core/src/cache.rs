@@ -396,13 +396,20 @@ impl Shared {
     }
 
     /// The dirty-miss procedure (paper §II-C): reconstruct a fresh page by
-    /// re-applying, in *global commit order* across all stripes, every
-    /// pending entry that overlaps it. Caller holds the page's atomic lock
-    /// *and* cleanup lock.
+    /// re-applying, in *global commit order* across all stripes, the
+    /// `unpropagated` pending entries that overlap it — the page's dirty
+    /// count, exact because the caller holds the page's atomic lock (no
+    /// writer increments it) *and* cleanup lock (no worker decrements it).
+    /// Those are the newest overlapping entries. The scan can also meet
+    /// older, already propagated ones whose worker has not cleared their
+    /// commit word yet (`free_range` runs outside the page locks, oldest
+    /// first): `page_buf` already holds them, and replaying one whose newer
+    /// sibling the sweep has cleared meanwhile would bring stale bytes back.
     fn dirty_miss(
         &self,
         file: &Arc<FileState>,
         page: u64,
+        unpropagated: usize,
         page_buf: &mut [u8],
         clock: &ActorClock,
     ) {
@@ -420,7 +427,8 @@ impl Shared {
                 None => false,
             }
         });
-        for (si, seq, hdr) in overlapping {
+        let propagated = overlapping.len().saturating_sub(unpropagated);
+        for (si, seq, hdr) in overlapping.into_iter().skip(propagated) {
             let e_start = hdr.file_off;
             let e_end = e_start + hdr.len as u64;
             let data = self.log.stripes[si].read_data(seq, hdr.len as usize, clock);
@@ -620,9 +628,10 @@ impl Shared {
                 let cleanup_guard = d.lock_cleanup();
                 let mut page_buf = vec![0u8; ps as usize];
                 self.inner_of(opened).pread(opened.inner_fd, &mut page_buf, p * ps, clock)?;
-                if d.dirty_count() > 0 {
+                let unpropagated = d.dirty_count();
+                if unpropagated > 0 {
                     self.stats.dirty_misses.fetch_add(1, Ordering::Relaxed);
-                    self.dirty_miss(file, p, &mut page_buf, clock);
+                    self.dirty_miss(file, p, unpropagated as usize, &mut page_buf, clock);
                 }
                 drop(cleanup_guard);
                 self.pool.install(d, slot, page_buf.into_boxed_slice());

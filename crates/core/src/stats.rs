@@ -135,8 +135,11 @@ counter_table! {
         entries_propagated,
         /// Cleanup batches completed by this stripe's worker.
         cleanup_batches,
-        /// `fsync` calls issued by this stripe's worker.
+        /// Durability barriers (`fsync` or `syncfs`) this stripe's worker
+        /// completed.
         cleanup_fsyncs,
+        /// Those of them that were a `syncfs`.
+        cleanup_syncfs,
         /// Times a writer had to wait for space in this stripe.
         log_full_waits,
         /// Operations this stripe's worker submitted to its I/O ring.
@@ -231,8 +234,12 @@ counter_table! {
         cleanup_batches,
         /// Entries propagated to the inner file system.
         entries_propagated,
-        /// `fsync` calls issued by the cleanup workers.
+        /// Durability barriers the cleanup workers completed: one per batch
+        /// per backend the batch wrote to — `fsync` of the file when it
+        /// touched one there, a `syncfs` of the backend when several.
         cleanup_fsyncs,
+        /// Those of them that were a `syncfs` (multi-file batches).
+        cleanup_syncfs,
         /// Entries replayed by recovery.
         recovered_entries,
         /// Inner-file-system errors hit by the cleanup workers (each one
@@ -343,7 +350,7 @@ mod tests {
         mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
         let queue = &s.per_queue[0];
         mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
-        assert_eq!(NvCacheStats::NAMES.len(), 24);
+        assert_eq!(NvCacheStats::NAMES.len(), 25);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 

@@ -161,6 +161,71 @@ fn dirty_miss_reconstructs_fresh_state() {
     cache.shutdown(&c);
 }
 
+/// Mounts with the cleanup workers parked, writes A then B over the same
+/// bytes of page `page` and C beside them, plays the workers by hand —
+/// A and B propagated (inner `pwrite`, dirty counters, propagation queues),
+/// C still pending — lets `free_b` recycle B and not A, and reads the
+/// never-loaded page: a dirty miss whose scan meets A's commit word and not
+/// B's. Replaying A over the kernel copy that holds B is the stale read.
+fn dirty_miss_after_partial_free(shards: usize, free_b: impl Fn(&crate::log::Stripe, u64)) {
+    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..sharded_cfg(shards) };
+    let (c, _d, inner, cache) = setup(cfg);
+    let fd = cache.open("/race", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+    let shared = &cache.shared;
+    let file = Arc::clone(&shared.opened_fd(fd).unwrap().file);
+    let stripe_of = |off: u64| shared.log.route(file.dev_ino, off).index;
+    // A and C straddle into the page from the entry-sized chunk before it,
+    // B starts in the page's own chunk: on a striped log, pick a page whose
+    // two chunks route to different stripes, so B sits alone in its stripe.
+    let page = (1..64u64)
+        .find(|p| shards == 1 || stripe_of(p * 4096 - 100) != stripe_of(p * 4096))
+        .expect("some neighbouring chunks route apart");
+    let start = page * 4096;
+    let writes = [(0xAA, start - 100, 200), (0xBB, start, 64), (0xCC, start - 50, 100)];
+    let mut seqs = Vec::new();
+    for (byte, off, len) in writes {
+        let stripe = &shared.log.stripes[stripe_of(off)];
+        seqs.push((stripe, stripe.head.load(std::sync::atomic::Ordering::Acquire)));
+        cache.pwrite(fd, &vec![byte; len], off, &c).unwrap();
+    }
+    let ifd = inner.open("/race", OpenFlags::RDWR, &c).unwrap();
+    for &(stripe, seq) in &seqs[..2] {
+        let e = stripe.read_header(seq);
+        let data = stripe.read_data_cached(seq, e.len as usize);
+        inner.pwrite(ifd, &data, e.file_off, &c).unwrap();
+        for (_, d) in shared.page_descs(&file, e.file_off, e.len as usize) {
+            d.dec_dirty();
+            if shards > 1 {
+                d.pop_propagation(e.seq);
+            }
+        }
+    }
+    free_b(seqs[1].0, seqs[1].1);
+
+    let mut buf = [0u8; 100];
+    cache.pread(fd, &mut buf, start, &c).unwrap();
+    assert_eq!(cache.stats().snapshot().dirty_misses, 1);
+    assert_eq!(buf[..50], [0xCC; 50], "C is pending: replayed");
+    assert_eq!(buf[50..64], [0xBB; 14], "B is in the kernel copy: A must not cover it");
+    assert_eq!(buf[64..], [0xAA; 36]);
+    cache.abort();
+}
+
+#[test]
+fn dirty_miss_ignores_a_propagated_entry_whose_newer_sibling_was_freed() {
+    // Two stripes: B's worker finished its batch and freed it while A's
+    // worker still waits for its barrier.
+    dirty_miss_after_partial_free(2, |stripe, seq| stripe.free_range(seq, 1, &ActorClock::new()));
+    // One stripe: `free_range` clears the batch's commit words oldest
+    // first, outside the page locks, while the read scans in the same
+    // direction — it read A's word before the sweep cleared it and B's
+    // after. This is the log as that scan saw it.
+    dirty_miss_after_partial_free(1, |stripe, seq| {
+        let commit = stripe.layout.entry(stripe.slot(seq)) + crate::layout::ENT_COMMIT;
+        nvmm::PmemInts::write_u64(&stripe.region, commit, 0, &ActorClock::new());
+    });
+}
+
 #[test]
 fn crash_before_propagation_recovers_all_acked_writes() {
     let cfg = NvCacheConfig {

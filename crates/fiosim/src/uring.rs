@@ -6,11 +6,11 @@
 //! device latency of every in-flight operation instead of paying it once per
 //! call. This module reproduces that *timing* model in the simulator:
 //!
-//! * [`IoRing::submit_pwrite`] / [`IoRing::submit_fsync`] perform the
-//!   operation **eagerly** (side effects land in real execution order, so
-//!   content semantics are identical to the synchronous path) but charge its
-//!   latency to a private per-operation clock that starts at the operation's
-//!   *dispatch* time;
+//! * [`IoRing::submit_pwrite`] / [`IoRing::submit_fsync`] /
+//!   [`IoRing::submit_sync`] perform the operation **eagerly** (side effects
+//!   land in real execution order, so content semantics are identical to the
+//!   synchronous path) but charge its latency to a private per-operation
+//!   clock that starts at the operation's *dispatch* time;
 //! * at most [`IoRing::depth`] operations are in flight: an operation
 //!   dispatches at its submission time, or — when the ring is full — at the
 //!   earliest completion among the in-flight set (a k-server window, exactly
@@ -40,7 +40,7 @@ pub struct Cqe {
     /// Caller-chosen tag identifying the submission.
     pub user_data: u64,
     /// The operation's outcome (bytes transferred for writes, `0` for
-    /// fsyncs).
+    /// `fsync` and `syncfs`).
     pub result: IoResult<usize>,
     /// Virtual time at which the operation was dispatched to the file
     /// system.
@@ -152,13 +152,25 @@ impl IoRing {
         now.max(earliest)
     }
 
-    fn record(&mut self, user_data: u64, result: IoResult<usize>, start: SimTime, done: SimTime) {
+    /// Runs `op` eagerly on a private clock starting at its dispatch time
+    /// and records the completion.
+    fn submit(
+        &mut self,
+        user_data: u64,
+        now: SimTime,
+        op: impl FnOnce(&dyn FileSystem, &ActorClock) -> IoResult<usize>,
+    ) -> &Cqe {
+        let start = self.dispatch_gate(now);
+        let op_clock = ActorClock::starting_at(start);
+        let result = op(&*self.fs, &op_clock);
+        let done = op_clock.now();
         let pos = self.inflight.partition_point(|&t| t <= done);
         self.inflight.insert(pos, done);
         self.peak_inflight = self.peak_inflight.max(self.inflight.len());
         self.submitted += 1;
         self.completed
             .push(Cqe { user_data, result, dispatched_at: start, completed_at: done });
+        self.completed.last().expect("just recorded")
     }
 
     /// Queues a positional write of `data` at `off`, submitted at `now`.
@@ -173,23 +185,21 @@ impl IoRing {
         user_data: u64,
         now: SimTime,
     ) -> &Cqe {
-        let start = self.dispatch_gate(now);
-        let op_clock = ActorClock::starting_at(start);
-        let result = self.fs.pwrite(fd, data, off, &op_clock);
-        let done = op_clock.now();
-        self.record(user_data, result, start, done);
-        self.completed.last().expect("just recorded")
+        self.submit(user_data, now, |fs, clock| fs.pwrite(fd, data, off, clock))
     }
 
     /// Queues an `fsync` of `fd`, submitted at `now`. Same eager-execution,
     /// overlapped-latency contract as [`IoRing::submit_pwrite`].
     pub fn submit_fsync(&mut self, fd: Fd, user_data: u64, now: SimTime) -> &Cqe {
-        let start = self.dispatch_gate(now);
-        let op_clock = ActorClock::starting_at(start);
-        let result = self.fs.fsync(fd, &op_clock).map(|()| 0);
-        let done = op_clock.now();
-        self.record(user_data, result, start, done);
-        self.completed.last().expect("just recorded")
+        self.submit(user_data, now, |fs, clock| fs.fsync(fd, clock).map(|()| 0))
+    }
+
+    /// Queues a `syncfs` of the whole file system ([`FileSystem::sync`]),
+    /// submitted at `now`: one durability barrier for everything written
+    /// through this ring, whatever the number of files. Same contract as
+    /// [`IoRing::submit_fsync`].
+    pub fn submit_sync(&mut self, user_data: u64, now: SimTime) -> &Cqe {
+        self.submit(user_data, now, |fs, clock| fs.sync(clock).map(|()| 0))
     }
 
     /// Reaps every completion: advances `clock` to the latest completion
@@ -334,6 +344,81 @@ mod tests {
 
         assert_eq!(serial_clock.now(), ring_clock.now());
         assert!(serial_clock.now() > SimTime::from_millis(1), "the device time must be real");
+    }
+
+    #[test]
+    fn qd1_sync_is_identical_to_a_serial_syncfs_and_covers_every_file() {
+        // The multi-file barrier's oracle: buffered writes to three files,
+        // then one `syncfs`. The depth-1 ring reproduces the serial
+        // timeline to the nanosecond, pays one journal commit and one device
+        // flush for the three files, and all of them survive a power cut.
+        use blockdev::{BlockDevice, SsdDevice, SsdProfile};
+        use vfs::{Ext4, Ext4Profile};
+        let stack = || {
+            let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
+            let ext4 = Arc::new(Ext4::new(
+                "ext4+ssd",
+                Arc::clone(&ssd) as Arc<dyn BlockDevice>,
+                Ext4Profile::default(),
+            ));
+            (ssd, ext4)
+        };
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let paths = ["/a", "/b", "/c"];
+
+        let (_, serial_fs) = stack();
+        let serial_clock = ActorClock::new();
+        for (f, path) in paths.iter().enumerate() {
+            let fd = serial_fs.open(path, flags, &serial_clock).unwrap();
+            for i in 0..8u64 {
+                serial_fs.pwrite(fd, &[f as u8 + 1; 4096], i * 4096, &serial_clock).unwrap();
+            }
+        }
+        serial_fs.sync(&serial_clock).unwrap();
+
+        let (ssd, ring_fs) = stack();
+        let ring_clock = ActorClock::new();
+        let mut ring = IoRing::new(Arc::clone(&ring_fs) as Arc<dyn FileSystem>, 1);
+        let mut fds = Vec::new();
+        for (f, path) in paths.iter().enumerate() {
+            let fd = ring_fs.open(path, flags, &ring_clock).unwrap();
+            for i in 0..8u64 {
+                ring.submit_pwrite(fd, &[f as u8 + 1; 4096], i * 4096, i, ring_clock.now());
+                ring.wait_all(&ring_clock);
+            }
+            fds.push(fd);
+        }
+        let cqe = ring.submit_sync(7, ring_clock.now());
+        assert_eq!((cqe.user_data, cqe.result.as_ref().ok()), (7, Some(&0)));
+        ring.wait_all(&ring_clock);
+
+        assert_eq!(serial_clock.now(), ring_clock.now(), "QD=1 must be serial-equivalent");
+        assert_eq!(ring_fs.journal_commit_count(), 1);
+        let dev = ssd.stats().snapshot();
+        assert_eq!((dev.flushes, dev.bytes_written), (1, 3 * 8 * 4096));
+        ring_fs.simulate_power_failure();
+        for (f, fd) in fds.into_iter().enumerate() {
+            let mut buf = [0u8; 4096];
+            ring_fs.pread(fd, &mut buf, 7 * 4096, &ring_clock).unwrap();
+            assert_eq!(buf, [f as u8 + 1; 4096]);
+        }
+    }
+
+    #[test]
+    fn sync_overlaps_like_any_other_op_and_surfaces_its_error() {
+        use vfs::{FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer};
+        let fault = FaultLayer::new(vec![FaultRule::new(FaultOp::Sync, FaultTrigger::OnNth(2))]);
+        let fs = fault.wrap(memfs());
+        let clock = ActorClock::new();
+        let mut ring = IoRing::new(Arc::clone(&fs), 2);
+        ring.submit_sync(1, clock.now());
+        ring.submit_sync(2, clock.now());
+        assert_eq!(ring.peak_in_flight(), 2, "a sync occupies a ring slot like a write");
+        assert!(ring.first_error().is_some());
+        let cqes = ring.wait_all(&clock);
+        assert!(cqes[0].result.is_ok());
+        assert!(cqes[1].result.is_err(), "the second syncfs was armed to fail");
+        assert_eq!(clock.now(), cqes[0].completed_at);
     }
 
     #[test]

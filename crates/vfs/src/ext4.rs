@@ -45,6 +45,25 @@ struct Ext4Inode {
     /// slab index -> device base offset
     slabs: Mutex<HashMap<u64, u64>>,
     meta_dirty: AtomicBool,
+    /// What keeps the inode alive: its name, and every open descriptor. An
+    /// unlinked file lives on until its last descriptor is closed.
+    refs: AtomicU64,
+}
+
+impl Ext4Inode {
+    /// Drops one reference; `true` tells the caller it was the last one and
+    /// the inode is to be [retired](Ext4::retire).
+    fn release(&self) -> bool {
+        self.refs.fetch_sub(1, Ordering::AcqRel) == 1
+    }
+}
+
+/// The namespace, and every live inode (named or merely open) by number:
+/// writeback starts from a page's `(ino, page)` key.
+#[derive(Default)]
+struct Namespace {
+    by_path: HashMap<String, Arc<Ext4Inode>>,
+    by_ino: HashMap<u64, Arc<Ext4Inode>>,
 }
 
 #[derive(Clone)]
@@ -70,7 +89,7 @@ pub struct Ext4 {
     dev: Arc<dyn BlockDevice>,
     profile: Ext4Profile,
     cache: PageCache,
-    files: RwLock<HashMap<String, Arc<Ext4Inode>>>,
+    files: RwLock<Namespace>,
     fds: FdTable<Ext4Fd>,
     next_ino: AtomicU64,
     alloc_next: AtomicU64,
@@ -83,7 +102,7 @@ impl std::fmt::Debug for Ext4 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ext4")
             .field("name", &self.name)
-            .field("files", &self.files.read().len())
+            .field("files", &self.files.read().by_path.len())
             .finish()
     }
 }
@@ -96,7 +115,7 @@ impl Ext4 {
             dev,
             cache: PageCache::new(profile.cache.clone()),
             profile,
-            files: RwLock::new(HashMap::new()),
+            files: RwLock::new(Namespace::default()),
             fds: FdTable::new(),
             next_ino: AtomicU64::new(1),
             alloc_next: AtomicU64::new(0),
@@ -106,8 +125,11 @@ impl Ext4 {
         }
     }
 
-    /// Returns an inode's slabs to the allocator (unlink / replace).
-    fn reclaim_slabs(&self, inode: &Ext4Inode) {
+    /// Forgets an inode nothing refers to any more (no name, no descriptor):
+    /// drops its cached pages and returns its slabs to the allocator.
+    fn retire(&self, files: &mut Namespace, inode: &Ext4Inode) {
+        files.by_ino.remove(&inode.ino);
+        self.cache.drop_inode(inode.ino);
         let mut slabs = inode.slabs.lock();
         self.free_slabs.lock().extend(slabs.values().copied());
         slabs.clear();
@@ -174,7 +196,7 @@ impl Ext4 {
     }
 
     fn lookup(&self, path: &str) -> Option<Arc<Ext4Inode>> {
-        self.files.read().get(path).cloned()
+        self.files.read().by_path.get(path).cloned()
     }
 
     fn is_dir(&self, path: &str) -> bool {
@@ -182,17 +204,14 @@ impl Ext4 {
             return true;
         }
         let prefix = format!("{path}/");
-        self.files.read().keys().any(|k| k.starts_with(&prefix))
+        self.files.read().by_path.keys().any(|k| k.starts_with(&prefix))
     }
 
     fn writeback_evicted(&self, evicted: Vec<crate::pagecache::EvictedPage>, clock: &ActorClock) {
         for e in evicted {
-            // The inode may have been unlinked concurrently; its pages are
+            // The inode may have been retired concurrently; its pages are
             // dropped from the cache then, so a lookup miss means skip.
-            let target = {
-                let files = self.files.read();
-                files.values().find(|i| i.ino == e.ino).cloned()
-            };
+            let target = self.files.read().by_ino.get(&e.ino).cloned();
             if let Some(inode) = target {
                 if let Ok(dev_off) = self.map_alloc(&inode, e.page) {
                     self.dev.write(dev_off, &e.data, clock);
@@ -207,17 +226,28 @@ impl Ext4 {
         self.journal_commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn fsync_inode(&self, inode: &Ext4Inode, clock: &ActorClock) -> IoResult<()> {
-        let dirty = self.cache.take_dirty(inode.ino);
-        let mut targets = Vec::with_capacity(dirty.len());
-        for (page, data) in dirty {
+    /// Writeback of `fsync` and `sync`: maps each dirty page to its device
+    /// offset (allocating slabs), then issues the writes in device-offset
+    /// order (elevator).
+    fn write_back<'a>(
+        &self,
+        dirty: impl IntoIterator<Item = (&'a Ext4Inode, u64, Vec<u8>)>,
+        clock: &ActorClock,
+    ) -> IoResult<()> {
+        let mut targets = Vec::new();
+        for (inode, page, data) in dirty {
             targets.push((self.map_alloc(inode, page)?, data));
         }
-        // Elevator: issue writebacks in device-offset order.
         targets.sort_by_key(|(off, _)| *off);
         for (off, data) in targets {
             self.dev.write(off, &data, clock);
         }
+        Ok(())
+    }
+
+    fn fsync_inode(&self, inode: &Ext4Inode, clock: &ActorClock) -> IoResult<()> {
+        let dirty = self.cache.take_dirty(inode.ino);
+        self.write_back(dirty.into_iter().map(|(page, data)| (inode, page, data)), clock)?;
         self.journal_commit(clock);
         inode.meta_dirty.store(false, Ordering::Release);
         Ok(())
@@ -308,11 +338,19 @@ impl FileSystem for Ext4 {
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
         let path = normalize_path(path);
-        let inode = match self.lookup(&path) {
+        let existing = match self.files.read().by_path.get(&path) {
+            Some(_) if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) => {
+                return Err(IoError::AlreadyExists(path));
+            }
+            // The descriptor's reference, taken while the name holds its own.
             Some(inode) => {
-                if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                    return Err(IoError::AlreadyExists(path));
-                }
+                inode.refs.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(inode))
+            }
+            None => None,
+        };
+        let inode = match existing {
+            Some(inode) => {
                 if flags.contains(OpenFlags::TRUNC) && flags.writable() {
                     inode.size.store(0, Ordering::Release);
                     self.cache.drop_inode(inode.ino);
@@ -329,8 +367,11 @@ impl FileSystem for Ext4 {
                     size: AtomicU64::new(0),
                     slabs: Mutex::new(HashMap::new()),
                     meta_dirty: AtomicBool::new(true),
+                    refs: AtomicU64::new(2), // the name and this descriptor
                 });
-                self.files.write().insert(path, Arc::clone(&inode));
+                let mut files = self.files.write();
+                files.by_ino.insert(inode.ino, Arc::clone(&inode));
+                files.by_path.insert(path, Arc::clone(&inode));
                 inode
             }
         };
@@ -339,7 +380,11 @@ impl FileSystem for Ext4 {
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
-        self.fds.remove(fd).map(|_| ())
+        let entry = self.fds.remove(fd)?;
+        if entry.inode.release() {
+            self.retire(&mut self.files.write(), &entry.inode);
+        }
+        Ok(())
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
@@ -448,9 +493,11 @@ impl FileSystem for Ext4 {
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
         let path = normalize_path(path);
-        let inode = self.files.write().remove(&path).ok_or(IoError::NotFound(path))?;
-        self.cache.drop_inode(inode.ino);
-        self.reclaim_slabs(&inode);
+        let mut files = self.files.write();
+        let inode = files.by_path.remove(&path).ok_or(IoError::NotFound(path))?;
+        if inode.release() {
+            self.retire(&mut files, &inode);
+        }
         Ok(())
     }
 
@@ -459,10 +506,11 @@ impl FileSystem for Ext4 {
         let from = normalize_path(from);
         let to = normalize_path(to);
         let mut files = self.files.write();
-        let inode = files.remove(&from).ok_or(IoError::NotFound(from))?;
-        if let Some(replaced) = files.insert(to, inode) {
-            self.cache.drop_inode(replaced.ino);
-            self.reclaim_slabs(&replaced);
+        let inode = files.by_path.remove(&from).ok_or(IoError::NotFound(from))?;
+        if let Some(replaced) = files.by_path.insert(to, inode) {
+            if replaced.release() {
+                self.retire(&mut files, &replaced);
+            }
         }
         Ok(())
     }
@@ -470,8 +518,14 @@ impl FileSystem for Ext4 {
     fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
         let dir = normalize_path(dir);
-        let mut out: Vec<String> =
-            self.files.read().keys().filter(|k| parent_of(k) == dir).cloned().collect();
+        let mut out: Vec<String> = self
+            .files
+            .read()
+            .by_path
+            .keys()
+            .filter(|k| parent_of(k) == dir)
+            .cloned()
+            .collect();
         out.sort();
         Ok(out)
     }
@@ -479,13 +533,13 @@ impl FileSystem for Ext4 {
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
         let dirty = self.cache.take_all_dirty();
-        let by_ino: Vec<Arc<Ext4Inode>> = self.files.read().values().cloned().collect();
-        for e in dirty {
-            if let Some(inode) = by_ino.iter().find(|i| i.ino == e.ino) {
-                let off = self.map_alloc(inode, e.page)?;
-                self.dev.write(off, &e.data, clock);
-            }
-        }
+        let files = self.files.read();
+        // An inode retired since had its last descriptor closed: nobody can
+        // ask for its pages again.
+        let live = dirty
+            .into_iter()
+            .filter_map(|e| Some((&**files.by_ino.get(&e.ino)?, e.page, e.data)));
+        self.write_back(live, clock)?;
         self.journal_commit(clock);
         Ok(())
     }
@@ -647,6 +701,76 @@ mod tests {
             fs.fsync(fd, &c).unwrap();
         }
         assert_eq!(fs.journal_commit_count(), 5);
+    }
+
+    #[test]
+    fn sync_is_one_commit_for_every_file_open_or_named() {
+        let (c, ssd, fs) = fs();
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let fds: Vec<Fd> = ["/a", "/b", "/anon", "/gone"]
+            .iter()
+            .map(|p| fs.open(p, flags, &c).unwrap())
+            .collect();
+        for (i, &fd) in fds.iter().enumerate() {
+            fs.pwrite(fd, &[i as u8 + 1; 8192], 0, &c).unwrap();
+        }
+        // An anonymous temporary file: the name goes, the descriptor stays
+        // and keeps writing. A file closed and then unlinked is gone for good.
+        fs.unlink("/anon", &c).unwrap();
+        fs.pwrite(fds[2], &[9u8; 4096], 4096, &c).unwrap();
+        fs.close(fds[3], &c).unwrap();
+        fs.unlink("/gone", &c).unwrap();
+        fs.sync(&c).unwrap();
+        let snap = ssd.stats().snapshot();
+        assert_eq!((fs.journal_commit_count(), snap.flushes), (1, 1));
+        assert_eq!(snap.bytes_written, 3 * 8192, "three live files, two pages each");
+        assert_eq!(fs.page_cache().dirty_count(), 0);
+        fs.simulate_power_failure(); // every page now comes from the device
+        for (i, &fd) in fds[..3].iter().enumerate() {
+            let mut buf = [0u8; 8192];
+            fs.pread(fd, &mut buf, 0, &c).unwrap();
+            let tail = if i == 2 { 9 } else { i as u8 + 1 };
+            assert!(buf[..4096] == [i as u8 + 1; 4096] && buf[4096..] == [tail; 4096], "file {i}");
+        }
+        // The last close retires the anonymous file and frees its slab.
+        assert_eq!((fs.files.read().by_ino.len(), fs.free_slabs.lock().len()), (3, 0));
+        fs.close(fds[2], &c).unwrap();
+        assert_eq!((fs.files.read().by_ino.len(), fs.free_slabs.lock().len()), (2, 1));
+    }
+
+    #[test]
+    fn unlinked_open_file_survives_eviction_of_its_dirty_pages() {
+        let (c, _ssd, fs) = small_cache_fs(8);
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let anon = fs.open("/anon", flags, &c).unwrap();
+        fs.pwrite(anon, &[5u8; 4096], 0, &c).unwrap();
+        fs.unlink("/anon", &c).unwrap();
+        fs.pwrite(anon, &[6u8; 4096], 4096, &c).unwrap();
+        let other = fs.open("/other", flags, &c).unwrap();
+        for page in 0..32u64 {
+            fs.pwrite(other, &[1u8; 4096], page * 4096, &c).unwrap();
+        }
+        let mut buf = [0u8; 8192];
+        assert_eq!(fs.pread(anon, &mut buf, 0, &c).unwrap(), 8192);
+        assert!(buf[..4096] == [5; 4096] && buf[4096..] == [6; 4096], "{:?}", [buf[0], buf[4096]]);
+    }
+
+    #[test]
+    fn eviction_writeback_finds_its_inode_among_many() {
+        let (c, ssd, fs) = small_cache_fs(8);
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        for i in 0..64u64 {
+            let fd = fs.open(&format!("/f{i}"), flags, &c).unwrap();
+            fs.pwrite(fd, &[i as u8; 4096], 0, &c).unwrap();
+        }
+        // 64 dirty pages through an 8-page cache: all but the residents were
+        // evicted, each written back through the inode index.
+        let written = ssd.stats().snapshot().bytes_written;
+        assert!(written >= (64 - 9) * 4096, "evicted pages must reach the device: {written}");
+        let fd = fs.open("/f0", OpenFlags::RDONLY, &c).unwrap();
+        let mut buf = [1u8; 4096];
+        fs.pread(fd, &mut buf, 0, &c).unwrap();
+        assert_eq!(buf, [0u8; 4096], "f0's page of zeroes came back from the device");
     }
 
     #[test]

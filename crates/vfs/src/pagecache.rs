@@ -1,4 +1,4 @@
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -47,7 +47,6 @@ pub struct EvictedPage {
 #[derive(Debug)]
 struct Page {
     data: Option<Box<[u8]>>,
-    dirty: bool,
     accessed: bool,
 }
 
@@ -56,6 +55,26 @@ struct Inner {
     pages: HashMap<(u64, u64), Page>,
     /// Second-chance eviction queue (may contain stale keys).
     queue: VecDeque<(u64, u64)>,
+    /// Keys of the dirty pages (all resident), ordered by `(inode, page)`:
+    /// a sync walks its dirty pages, not every resident one.
+    dirty: BTreeSet<(u64, u64)>,
+}
+
+impl Inner {
+    /// The contents of the resident pages `keys`, in `keys`' order.
+    fn contents(
+        &self,
+        keys: impl IntoIterator<Item = (u64, u64)>,
+        page_size: usize,
+    ) -> Vec<EvictedPage> {
+        keys.into_iter()
+            .map(|(ino, page)| {
+                let data = self.pages[&(ino, page)].data.as_ref();
+                let data = data.map_or_else(|| vec![0u8; page_size], |d| d.to_vec());
+                EvictedPage { ino, page, data }
+            })
+            .collect()
+    }
 }
 
 /// The kernel's volatile write-back page cache.
@@ -124,7 +143,7 @@ impl PageCache {
             }
             let p = inner.pages.remove(&key).expect("page present");
             stats.evictions.fetch_add(1, Ordering::Relaxed);
-            if p.dirty {
+            if inner.dirty.remove(&key) {
                 stats.writebacks.fetch_add(1, Ordering::Relaxed);
                 out.push(EvictedPage {
                     ino: key.0,
@@ -149,12 +168,14 @@ impl PageCache {
         if let Some(b) = &mut buf {
             b.copy_from_slice(data);
         }
-        let fresh = inner
-            .pages
-            .insert((ino, page), Page { data: buf, dirty, accessed: true })
-            .is_none();
+        let fresh = inner.pages.insert((ino, page), Page { data: buf, accessed: true }).is_none();
         if fresh {
             inner.queue.push_back((ino, page));
+        }
+        if dirty {
+            inner.dirty.insert((ino, page));
+        } else {
+            inner.dirty.remove(&(ino, page));
         }
         Self::evict_if_needed(&mut inner, &self.cfg, &self.stats)
     }
@@ -163,13 +184,13 @@ impl PageCache {
     /// a miss (the caller must fill the page first).
     pub fn update(&self, ino: u64, page: u64, in_page: usize, bytes: &[u8]) -> bool {
         assert!(in_page + bytes.len() <= self.cfg.page_size, "update exceeds page");
-        let mut inner = self.inner.lock();
+        let inner = &mut *self.inner.lock();
         match inner.pages.get_mut(&(ino, page)) {
             Some(p) => {
                 if let Some(d) = &mut p.data {
                     d[in_page..in_page + bytes.len()].copy_from_slice(bytes);
                 }
-                p.dirty = true;
+                inner.dirty.insert((ino, page));
                 p.accessed = true;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 true
@@ -206,43 +227,28 @@ impl PageCache {
     /// marking them clean but leaving them resident. Used by `fsync`.
     pub fn take_dirty(&self, ino: u64) -> Vec<(u64, Vec<u8>)> {
         let mut inner = self.inner.lock();
-        let mut out = Vec::new();
-        let page_size = self.cfg.page_size;
-        for (&(i, page), p) in inner.pages.iter_mut() {
-            if i == ino && p.dirty {
-                p.dirty = false;
-                let data = p.data.as_ref().map_or_else(|| vec![0u8; page_size], |d| d.to_vec());
-                out.push((page, data));
-            }
+        let keys: Vec<_> = inner.dirty.range((ino, 0)..=(ino, u64::MAX)).copied().collect();
+        for key in &keys {
+            inner.dirty.remove(key);
         }
-        out.sort_by_key(|(page, _)| *page);
-        self.stats.writebacks.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
+        self.stats.writebacks.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        let out = inner.contents(keys, self.cfg.page_size);
+        out.into_iter().map(|e| (e.page, e.data)).collect()
     }
 
     /// Removes and returns every dirty page (sorted by inode then page).
     pub fn take_all_dirty(&self) -> Vec<EvictedPage> {
         let mut inner = self.inner.lock();
-        let mut out = Vec::new();
-        let page_size = self.cfg.page_size;
-        for (&(ino, page), p) in inner.pages.iter_mut() {
-            if p.dirty {
-                p.dirty = false;
-                out.push(EvictedPage {
-                    ino,
-                    page,
-                    data: p.data.as_ref().map_or_else(|| vec![0u8; page_size], |d| d.to_vec()),
-                });
-            }
-        }
-        out.sort_by_key(|e| (e.ino, e.page));
-        self.stats.writebacks.fetch_add(out.len() as u64, Ordering::Relaxed);
-        out
+        let keys = std::mem::take(&mut inner.dirty);
+        self.stats.writebacks.fetch_add(keys.len() as u64, Ordering::Relaxed);
+        inner.contents(keys, self.cfg.page_size)
     }
 
     /// Drops every page of `ino` (unlink / truncate).
     pub fn drop_inode(&self, ino: u64) {
-        self.inner.lock().pages.retain(|&(i, _), _| i != ino);
+        let mut inner = self.inner.lock();
+        inner.pages.retain(|&(i, _), _| i != ino);
+        inner.dirty.retain(|&(i, _)| i != ino);
     }
 
     /// Power failure: the cache is volatile, everything vanishes.
@@ -250,11 +256,12 @@ impl PageCache {
         let mut inner = self.inner.lock();
         inner.pages.clear();
         inner.queue.clear();
+        inner.dirty.clear();
     }
 
     /// Number of currently dirty pages.
     pub fn dirty_count(&self) -> usize {
-        self.inner.lock().pages.values().filter(|p| p.dirty).count()
+        self.inner.lock().dirty.len()
     }
 }
 
@@ -322,6 +329,30 @@ mod tests {
         let mut buf = [0u8; 1];
         assert!(pc.read(5, 3, 0, &mut buf));
         assert_eq!(buf[0], 3);
+    }
+
+    #[test]
+    fn dirty_set_follows_every_way_a_page_stops_being_dirty() {
+        let pc = cache(4);
+        pc.insert(2, 1, &[1u8; 64], true);
+        pc.insert(1, 7, &[2u8; 64], false);
+        assert!(pc.update(1, 7, 0, &[3]), "an update dirties a clean resident page");
+        pc.insert(1, 3, &[4u8; 64], true);
+        pc.insert(3, 0, &[5u8; 64], true);
+        assert_eq!(pc.dirty_count(), 4);
+        pc.insert(3, 0, &[6u8; 64], false); // replaced by a clean copy
+        pc.drop_inode(2); // unlinked
+        let all = pc.take_all_dirty();
+        let keys: Vec<_> = all.iter().map(|e| (e.ino, e.page, e.data[0])).collect();
+        assert_eq!(keys, vec![(1, 3, 4), (1, 7, 3)], "sorted by inode, then page");
+        assert_eq!(pc.dirty_count(), 0);
+        assert!(pc.take_all_dirty().is_empty());
+        // Evicted dirty pages leave the set with the cache.
+        for page in 0..16 {
+            pc.insert(9, page, &[7u8; 64], true);
+        }
+        assert_eq!(pc.dirty_count(), pc.take_dirty(9).len());
+        assert!(pc.resident() <= 5);
     }
 
     #[test]

@@ -43,7 +43,9 @@ struct Schedule {
 
 fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     (
-        prop_oneof![Just(FaultOp::Write), Just(FaultOp::Fsync)],
+        // A drain's barrier is an `fsync` when the batch touched one file of
+        // the tier and a `syncfs` when it touched both.
+        prop_oneof![Just(FaultOp::Write), Just(FaultOp::Fsync), Just(FaultOp::Sync)],
         prop_oneof![
             (0..10u64).prop_map(FaultTrigger::AfterBudget),
             (1..10u64).prop_map(FaultTrigger::OnNth),
@@ -95,7 +97,7 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
         .mount(&clock)
         .expect("mount");
 
-    let paths = ["/cold-file", "/hot/file"];
+    let paths = ["/cold-file", "/hot/file", "/cold-file-2", "/hot/file-2"];
     let mut fds = BTreeMap::new();
     let mut model = Model::default();
     let mut opened = true;
@@ -113,7 +115,7 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
     }
     if opened {
         for &(sel, off, len) in writes {
-            let path = paths[sel as usize % 2];
+            let path = paths[sel as usize % 4];
             let byte = (off % 250 + 1) as u8;
             let buf = vec![byte; len as usize];
             match cache.pwrite(fds[path], &buf, off as u64, &clock) {
@@ -170,7 +172,7 @@ proptest! {
     fn acknowledged_prefix_survives_randomized_fault_schedules(
         schedule in schedule_strategy(),
         crash_seed in 0..1000u64,
-        writes in proptest::collection::vec((0..2u8, 0..16_000u16, 1..1500u16), 1..40),
+        writes in proptest::collection::vec((0..4u8, 0..16_000u16, 1..1500u16), 1..40),
     ) {
         crash_under_fault_schedule(&schedule, crash_seed, &writes);
     }
