@@ -31,6 +31,15 @@ pub trait BlockDevice: Send + Sync {
 
     /// Operation statistics.
     fn stats(&self) -> &DeviceStats;
+
+    /// Requests the device serves at once (its command-queue channels): how
+    /// many writes a file system's writeback keeps in flight. Read from the
+    /// [`queue_depth`](DeviceStats::queue_depth) gauge, so a wrapper that
+    /// forwards [`stats`](BlockDevice::stats) reports its inner device's
+    /// depth without knowing this method.
+    fn queue_depth(&self) -> usize {
+        (self.stats().queue_depth.load(Ordering::Relaxed) as usize).max(1)
+    }
 }
 
 /// Shared operation counters for block devices.
@@ -48,9 +57,17 @@ pub struct DeviceStats {
     pub reads: AtomicU64,
     /// Flush commands.
     pub flushes: AtomicU64,
+    /// A gauge, not a counter: the device's parallel service channels, set
+    /// once by its constructor. Unset (0) reads as 1, a serial device.
+    pub queue_depth: AtomicU64,
 }
 
 impl DeviceStats {
+    /// Fresh counters for a device with `depth` parallel service channels.
+    pub fn with_queue_depth(depth: usize) -> Self {
+        DeviceStats { queue_depth: AtomicU64::new(depth as u64), ..DeviceStats::default() }
+    }
+
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> DeviceStatsSnapshot {
         DeviceStatsSnapshot {
@@ -94,5 +111,39 @@ mod tests {
         assert_eq!(snap.bytes_written, 4096);
         assert_eq!(snap.flushes, 2);
         assert_eq!(snap.reads, 0);
+    }
+
+    #[test]
+    fn queue_depth_is_visible_through_a_wrapper_that_only_forwards_stats() {
+        struct Forward(Box<dyn BlockDevice>);
+        impl BlockDevice for Forward {
+            fn capacity(&self) -> u64 {
+                self.0.capacity()
+            }
+            fn read(&self, off: u64, buf: &mut [u8], clock: &ActorClock) {
+                self.0.read(off, buf, clock)
+            }
+            fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
+                self.0.write(off, data, clock)
+            }
+            fn flush(&self, clock: &ActorClock) {
+                self.0.flush(clock)
+            }
+            fn stats(&self) -> &DeviceStats {
+                self.0.stats()
+            }
+        }
+        use crate::{DmWriteCacheDev, DmWriteCacheProfile, HddDevice, HddProfile};
+        use crate::{SsdDevice, SsdProfile};
+        use std::sync::Arc;
+        let ssd = |depth| SsdDevice::new(SsdProfile::s4600().with_queue_depth(depth));
+        assert_eq!(ssd(1).queue_depth(), 1);
+        assert_eq!(ssd(8).queue_depth(), 8);
+        assert_eq!(Forward(Box::new(Forward(Box::new(ssd(8))))).queue_depth(), 8);
+        assert_eq!(HddDevice::new(HddProfile::seven_k2()).queue_depth(), 1);
+        let dimm = Arc::new(nvmm::NvDimm::new(1 << 16, nvmm::NvmmProfile::instant()));
+        let cache = nvmm::NvRegion::whole(dimm);
+        let dmwc = DmWriteCacheDev::new(Arc::new(ssd(8)), cache, DmWriteCacheProfile::default());
+        assert_eq!(dmwc.queue_depth(), 1, "writes land in its NVMM, one at a time");
     }
 }

@@ -32,8 +32,11 @@ pub struct SsdProfile {
     pub keep_content: bool,
     /// Parallel command-queue channels (NCQ depth). `1` — the seed model —
     /// serves strictly serially; `k > 1` lets up to `k` requests whose
-    /// submission windows overlap (e.g. an io_uring-style batch) proceed
-    /// concurrently. Flushes are barriers across all channels either way.
+    /// submission windows overlap proceed concurrently: `O_DIRECT` writes
+    /// of an io_uring-style batch, or the pages of a file system's
+    /// writeback, which `Ext4` keeps `k` in flight
+    /// ([`BlockDevice::queue_depth`]). Flushes are barriers across all
+    /// channels either way.
     pub queue_depth: usize,
 }
 
@@ -115,7 +118,7 @@ impl SsdDevice {
             timeline: ChannelResource::new(depth),
             last_write_end: AtomicU64::new(u64::MAX),
             last_read_end: AtomicU64::new(u64::MAX),
-            stats: DeviceStats::default(),
+            stats: DeviceStats::with_queue_depth(depth),
         }
     }
 

@@ -4,7 +4,9 @@
 //! io_uring-style submission rings ([`fiosim::IoRing`]) — one ring per
 //! backend of a tiered mount, so each tier gets its own
 //! [`queue_depth`](crate::NvCacheConfig::queue_depth)-deep overlap window
-//! before the batch's one durability barrier per backend.
+//! before the batch's one durability barrier per backend. The ring overlaps
+//! *calls*; where the device's share of a batch is paid — at the ring, or in
+//! the barrier's writeback — is in [`run_cleanup`]'s phases 1 and 2.
 //! Inner-file-system errors poison the stripe (see
 //! [`crate::NvCache::poisoned_stripes`]) instead of panicking.
 
@@ -30,8 +32,10 @@ use crate::pagedesc::PageDescriptor;
 ///    land immediately (execution order is exactly the synchronous drain's
 ///    order, so page bookkeeping and cross-stripe handoff are unchanged),
 ///    but its *latency* is charged to a per-operation clock: with
-///    `queue_depth = N`, up to `N` writes overlap on the inner device
-///    instead of each waiting for the previous completion.
+///    `queue_depth = N`, up to `N` calls overlap instead of each waiting
+///    for the previous completion. That is device time only when the inner
+///    file is `O_DIRECT`; a buffered `pwrite` is a copy into the inner page
+///    cache, and the device's share of the batch is paid in phase 2.
 /// 2. **Reap** — the worker joins all completions, then submits **one
 ///    durability barrier per backend** the batch wrote to (tiers overlap,
 ///    each on its own ring) and reaps those too: `fsync` of the file when
@@ -41,7 +45,11 @@ use crate::pagedesc::PageDescriptor;
 ///    file (an engine that creates a journal per transaction touches dozens
 ///    of files per batch). This is the batching knob of paper Fig. 6; the
 ///    form is chosen from the batch's own content, so a single-file drain
-///    keeps the synchronous drain's timeline.
+///    keeps the synchronous drain's timeline. For buffered inner files the
+///    barrier is where the batch meets the device: its writeback issues the
+///    dirty pages as a queued batch bounded by the device's channels
+///    ([`blockdev::BlockDevice::queue_depth`]), not by `queue_depth` here —
+///    one page after the other on a one-channel device.
 /// 3. **Free** — only after the whole batch's completions (writes *and*
 ///    barriers) have landed does the worker clear commit flags, persist the
 ///    stripe's tail index, and publish the space to writers through the
@@ -243,8 +251,9 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         }
 
         // Phase 2: reap the writes from every tier's ring (the clock joins
-        // the latest completion across all backends), then overlap the
-        // coalesced fsyncs.
+        // the latest completion across all backends), then submit one
+        // barrier per backend — the tiers' barriers overlap, each on its
+        // own ring.
         let write_cqes: Vec<_> = rings.iter_mut().flat_map(|r| r.wait_all(&clock)).collect();
         shard_stats
             .uring_completed

@@ -74,8 +74,11 @@
 //! `pwrite`+`fsync`, paying the inner device's latency once per entry.
 //! [`NvCacheConfig::queue_depth`] instead drains each batch through an
 //! io_uring-style submission ring ([`fiosim::IoRing`]): up to `queue_depth`
-//! propagation writes overlap on the inner device, completions are reaped,
-//! and one coalesced `fsync` per touched file closes the batch. The stripe
+//! propagation calls overlap (on the inner device when the inner file is
+//! `O_DIRECT`), completions are reaped, and one durability barrier per
+//! backend closes the batch — for buffered inner files that barrier's
+//! writeback is where the batch meets the device, queued as deep as the
+//! device has channels. The stripe
 //! tail only advances after the *whole* batch's completions (writes and
 //! fsyncs) have landed, so the crash-consistency contract — recovery
 //! replays everything past the persistent tail — is unchanged, and

@@ -956,32 +956,40 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
     recovered.shutdown(&clock);
 }
 
-/// Runs a fig5-style random-write drain (4 log stripes over Ext4+SSD) at the
-/// given queue depth and returns (virtual elapsed time, propagated entries,
-/// a content sample read back through the inner file system).
-fn sharded_drain_elapsed(queue_depth: usize) -> (SimTime, u64, Vec<u8>) {
+/// Runs a fig5-style random-write drain (4 log stripes over Ext4+SSD) with
+/// rings of `queue_depth` over an SSD of `ssd_channels` and returns (virtual
+/// elapsed time, propagated entries, a content sample read back through the
+/// inner file system).
+fn sharded_drain_elapsed(
+    queue_depth: usize,
+    ssd_channels: usize,
+    direct: bool,
+) -> (SimTime, u64, Vec<u8>) {
     use blockdev::{BlockDevice, SsdDevice, SsdProfile};
     use vfs::{Ext4, Ext4Profile};
     // batch_min above the workload size parks the backlog until the flush
     // barrier, so each stripe drains in one large batch (one fsync) and the
-    // measurement isolates the pwrite overlap instead of per-batch flushes.
+    // measurement isolates the device overlap instead of per-batch flushes.
     let cfg = NvCacheConfig { nb_entries: 512, fd_slots: 16, ..NvCacheConfig::tiny() }
         .with_log_shards(4)
         .with_batching(1_000, 1_000)
         .with_queue_depth(queue_depth);
     let clock = ActorClock::new();
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600().with_queue_depth(queue_depth)));
+    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600().with_queue_depth(ssd_channels)));
     let inner: Arc<dyn FileSystem> =
         Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cache = mount(NvRegion::whole(dimm), Arc::clone(&inner), cfg, Mount::Format, &clock)
         .expect("format");
-    // O_DIRECT inner file: cleanup propagation writes hit the SSD directly,
-    // 1 MiB apart (beyond the drive's sequential window), as in Fig. 5's
-    // post-saturation regime.
-    let fd = cache
-        .open("/qd", OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::DIRECT, &clock)
-        .unwrap();
+    // Writes 1 MiB apart (beyond the drive's sequential window), as in
+    // Fig. 5's post-saturation regime. An O_DIRECT inner file sends each
+    // propagation write to the SSD from the ring; a buffered one sends them
+    // from the barrier's writeback.
+    let mut flags = OpenFlags::RDWR | OpenFlags::CREATE;
+    if direct {
+        flags |= OpenFlags::DIRECT;
+    }
+    let fd = cache.open("/qd", flags, &clock).unwrap();
     for i in 0..256u64 {
         cache.pwrite(fd, &[(i % 251) as u8; 4096], i << 20, &clock).unwrap();
     }
@@ -1001,8 +1009,8 @@ fn queue_depth_overlap_beats_the_synchronous_drain() {
     // measurably faster at queue_depth=8 than at queue_depth=1, without
     // changing what reaches the inner file system.
     let serial_floor = blockdev::SsdProfile::s4600().rand_write_4k * 256;
-    let (qd1, prop1, sample1) = sharded_drain_elapsed(1);
-    let (qd8, prop8, sample8) = sharded_drain_elapsed(8);
+    let (qd1, prop1, sample1) = sharded_drain_elapsed(1, 1, true);
+    let (qd8, prop8, sample8) = sharded_drain_elapsed(8, 8, true);
     assert_eq!(prop1, 256);
     assert_eq!(prop8, 256);
     assert_eq!(sample1, sample8, "queue depth must not change drained content");
@@ -1012,6 +1020,22 @@ fn queue_depth_overlap_beats_the_synchronous_drain() {
     // …while queue_depth=8 overlaps it away — at least 2x end to end (the
     // device-time portion alone shrinks ~8x).
     assert!(qd8 * 2 < qd1, "expected ≥2x speedup from overlap: qd8 {qd8} vs qd1 {qd1}");
+}
+
+#[test]
+fn buffered_drain_overlaps_in_the_barrier_writeback() {
+    // The buffered twin: the ring's writes end in Ext4's page cache, so the
+    // SSD sees the batch at the barrier — whose writeback keeps as many
+    // requests in flight as the device has channels, whatever the ring.
+    let serial_floor = blockdev::SsdProfile::s4600().rand_write_4k * 256;
+    let (one, prop1, sample1) = sharded_drain_elapsed(8, 1, false);
+    let (eight, prop8, sample8) = sharded_drain_elapsed(8, 8, false);
+    assert_eq!((prop1, prop8), (256, 256));
+    assert_eq!(sample1, sample8, "the device's channels must not change drained content");
+    assert!(one >= serial_floor, "one channel drained in {one}, below {serial_floor}");
+    assert!(eight * 2 < one, "expected ≥2x from 8 channels: {eight} vs {one}");
+    let (unringed, ..) = sharded_drain_elapsed(1, 8, false);
+    assert!(unringed * 2 < one, "the overlap is the device's, not the ring's: {unringed}");
 }
 
 #[test]

@@ -14,10 +14,15 @@
 //! * at most [`IoRing::depth`] operations are in flight: an operation
 //!   dispatches at its submission time, or — when the ring is full — at the
 //!   earliest completion among the in-flight set (a k-server window, exactly
-//!   how a fixed-depth submission queue behaves);
+//!   how a fixed-depth submission queue behaves: [`simclock::DispatchWindow`],
+//!   which a file system's writeback queues its pages through as well);
 //! * [`IoRing::wait_all`] reaps every completion and advances the caller's
 //!   clock to the latest completion time — the `io_uring_enter(…, wait_nr)`
 //!   moment where the submitter rejoins its I/O.
+//!
+//! What overlaps is the *calls*. Device time overlaps only as far as a call
+//! reaches the device: an `O_DIRECT` write does, a buffered one ends in the
+//! page cache and leaves the device to the next `fsync`/`syncfs`.
 //!
 //! With `depth == 1` the dispatch gate degenerates to "previous completion",
 //! which makes the ring *exactly* equivalent to issuing the operations back
@@ -31,7 +36,7 @@
 
 use std::sync::Arc;
 
-use simclock::{ActorClock, SimTime};
+use simclock::{ActorClock, DispatchWindow, SimTime};
 use vfs::{Fd, FileSystem, IoError, IoResult};
 
 /// One reaped completion.
@@ -75,22 +80,18 @@ pub struct Cqe {
 /// ```
 pub struct IoRing {
     fs: Arc<dyn FileSystem>,
-    depth: usize,
-    /// Completion times of in-flight (submitted, unreaped) operations,
-    /// kept sorted ascending — the dispatch gate pops the earliest.
-    inflight: Vec<SimTime>,
+    /// The k-server window of submitted, unreaped operations.
+    window: DispatchWindow,
     /// Completions accumulated since the last [`IoRing::wait_all`].
     completed: Vec<Cqe>,
-    /// Largest in-flight population observed since creation.
-    peak_inflight: usize,
     submitted: u64,
 }
 
 impl std::fmt::Debug for IoRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IoRing")
-            .field("depth", &self.depth)
-            .field("in_flight", &self.inflight.len())
+            .field("depth", &self.window.depth())
+            .field("in_flight", &self.window.in_flight())
             .field("unreaped", &self.completed.len())
             .finish()
     }
@@ -103,25 +104,17 @@ impl IoRing {
     ///
     /// Panics if `depth` is zero.
     pub fn new(fs: Arc<dyn FileSystem>, depth: usize) -> Self {
-        assert!(depth >= 1, "ring depth must be at least 1");
-        IoRing {
-            fs,
-            depth,
-            inflight: Vec::new(),
-            completed: Vec::new(),
-            peak_inflight: 0,
-            submitted: 0,
-        }
+        IoRing { fs, window: DispatchWindow::new(depth), completed: Vec::new(), submitted: 0 }
     }
 
     /// The configured queue depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.window.depth()
     }
 
     /// Submitted-but-unreaped operations.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.window.in_flight()
     }
 
     /// Total operations submitted over the ring's lifetime.
@@ -132,44 +125,21 @@ impl IoRing {
     /// Largest in-flight population seen so far (the observable measure of
     /// how much overlap the ring actually achieved).
     pub fn peak_in_flight(&self) -> usize {
-        self.peak_inflight
-    }
-
-    /// When the next operation may dispatch: its submission time, or — ring
-    /// full — the earliest completion among in-flight operations (which is
-    /// thereby retired from the window). Operations whose virtual completion
-    /// is already at or before `now` are retired first: they are no longer
-    /// in flight at this instant, so they neither occupy a ring slot nor
-    /// count towards [`IoRing::peak_in_flight`] (which would otherwise
-    /// report queue occupancy between reaps instead of temporal overlap).
-    fn dispatch_gate(&mut self, now: SimTime) -> SimTime {
-        let done = self.inflight.partition_point(|&t| t <= now);
-        self.inflight.drain(..done);
-        if self.inflight.len() < self.depth {
-            return now;
-        }
-        let earliest = self.inflight.remove(0);
-        now.max(earliest)
+        self.window.peak()
     }
 
     /// Runs `op` eagerly on a private clock starting at its dispatch time
-    /// and records the completion.
+    /// (the [`DispatchWindow`]'s gate) and records the completion.
     fn submit(
         &mut self,
         user_data: u64,
         now: SimTime,
         op: impl FnOnce(&dyn FileSystem, &ActorClock) -> IoResult<usize>,
     ) -> &Cqe {
-        let start = self.dispatch_gate(now);
-        let op_clock = ActorClock::starting_at(start);
-        let result = op(&*self.fs, &op_clock);
-        let done = op_clock.now();
-        let pos = self.inflight.partition_point(|&t| t <= done);
-        self.inflight.insert(pos, done);
-        self.peak_inflight = self.peak_inflight.max(self.inflight.len());
+        let fs = &*self.fs;
+        let (dispatched_at, completed_at, result) = self.window.run(now, |clock| op(fs, clock));
         self.submitted += 1;
-        self.completed
-            .push(Cqe { user_data, result, dispatched_at: start, completed_at: done });
+        self.completed.push(Cqe { user_data, result, dispatched_at, completed_at });
         self.completed.last().expect("just recorded")
     }
 
@@ -206,10 +176,7 @@ impl IoRing {
     /// time and drains the completion queue. After this call the ring is
     /// empty and reusable.
     pub fn wait_all(&mut self, clock: &ActorClock) -> Vec<Cqe> {
-        if let Some(&last) = self.inflight.last() {
-            clock.advance_to(last);
-        }
-        self.inflight.clear();
+        self.window.join(clock);
         std::mem::take(&mut self.completed)
     }
 

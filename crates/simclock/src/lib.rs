@@ -28,8 +28,10 @@ mod clock;
 mod resource;
 mod series;
 mod time;
+mod window;
 
 pub use clock::ActorClock;
 pub use resource::{Bandwidth, ChannelResource, Resource};
 pub use series::{Sample, SeriesBin, TimeSeries};
 pub use time::SimTime;
+pub use window::DispatchWindow;

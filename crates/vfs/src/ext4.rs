@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use blockdev::BlockDevice;
 use parking_lot::{Mutex, RwLock};
-use simclock::{ActorClock, SimTime};
+use simclock::{ActorClock, DispatchWindow, SimTime};
 
 use crate::path::parent_of;
 use crate::{
@@ -226,29 +226,50 @@ impl Ext4 {
         self.journal_commits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Writeback of `fsync` and `sync`: maps each dirty page to its device
-    /// offset (allocating slabs), then issues the writes in device-offset
-    /// order (elevator).
-    fn write_back<'a>(
-        &self,
-        dirty: impl IntoIterator<Item = (&'a Ext4Inode, u64, Vec<u8>)>,
-        clock: &ActorClock,
-    ) -> IoResult<()> {
-        let mut targets = Vec::new();
-        for (inode, page, data) in dirty {
-            targets.push((self.map_alloc(inode, page)?, data));
-        }
+    /// Writeback of `fsync`, `O_SYNC` and `sync`: issues the dirty pages in
+    /// device-offset order (elevator), one request per page, as a queued
+    /// batch — the device's [`queue_depth`](BlockDevice::queue_depth)
+    /// requests in flight, each on its own clock, the caller's joining the
+    /// last completion. On a one-channel device that is one write after the
+    /// other on the caller's clock.
+    fn write_back(&self, mut targets: Vec<(u64, Vec<u8>)>, clock: &ActorClock) {
         targets.sort_by_key(|(off, _)| *off);
+        let mut queue = DispatchWindow::new(self.dev.queue_depth());
         for (off, data) in targets {
-            self.dev.write(off, &data, clock);
+            queue.run(clock.now(), |op| self.dev.write(off, &data, op));
         }
+        queue.join(clock);
+    }
+
+    /// The durability barrier over the dirty pages of `only`, or of every
+    /// live inode: maps each to its device offset (allocating slabs) and
+    /// marks it clean, writes them back, commits the journal.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::NoSpace`] when a page has no room on the device: nothing
+    /// was written and every page is still dirty.
+    fn barrier(&self, only: Option<&Ext4Inode>, clock: &ActorClock) -> IoResult<()> {
+        let targets = match only {
+            Some(inode) => self
+                .cache
+                .take_dirty(Some(inode.ino), |_, page| self.map_alloc(inode, page).map(Some)),
+            None => {
+                let files = self.files.read();
+                // An inode retired since had its last descriptor closed:
+                // nobody can ask for its pages again.
+                self.cache.take_dirty(None, |ino, page| {
+                    files.by_ino.get(&ino).map(|inode| self.map_alloc(inode, page)).transpose()
+                })
+            }
+        }?;
+        self.write_back(targets, clock);
+        self.journal_commit(clock);
         Ok(())
     }
 
     fn fsync_inode(&self, inode: &Ext4Inode, clock: &ActorClock) -> IoResult<()> {
-        let dirty = self.cache.take_dirty(inode.ino);
-        self.write_back(dirty.into_iter().map(|(page, data)| (inode, page, data)), clock)?;
-        self.journal_commit(clock);
+        self.barrier(Some(inode), clock)?;
         inode.meta_dirty.store(false, Ordering::Release);
         Ok(())
     }
@@ -532,16 +553,7 @@ impl FileSystem for Ext4 {
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
-        let dirty = self.cache.take_all_dirty();
-        let files = self.files.read();
-        // An inode retired since had its last descriptor closed: nobody can
-        // ask for its pages again.
-        let live = dirty
-            .into_iter()
-            .filter_map(|e| Some((&**files.by_ino.get(&e.ino)?, e.page, e.data)));
-        self.write_back(live, clock)?;
-        self.journal_commit(clock);
-        Ok(())
+        self.barrier(None, clock)
     }
 
     fn simulate_power_failure(&self) {
@@ -785,6 +797,185 @@ mod tests {
             .map(|i| fs.pwrite(fd, &[0u8; 4096], i * (2 << 20), &c))
             .collect::<Result<Vec<_>, _>>();
         assert!(matches!(res, Err(IoError::NoSpace)));
+    }
+
+    /// Forwards `capacity/read/write/flush/stats` and nothing else, as a
+    /// tracing wrapper would, recording each write's offset and the interval
+    /// of the clock it ran on.
+    struct Recorder {
+        inner: SsdDevice,
+        writes: Mutex<Vec<(u64, SimTime, SimTime)>>,
+    }
+
+    impl BlockDevice for Recorder {
+        fn capacity(&self) -> u64 {
+            self.inner.capacity()
+        }
+        fn read(&self, off: u64, buf: &mut [u8], clock: &ActorClock) {
+            self.inner.read(off, buf, clock)
+        }
+        fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
+            let start = clock.now();
+            self.inner.write(off, data, clock);
+            self.writes.lock().push((off, start, clock.now()));
+        }
+        fn flush(&self, clock: &ActorClock) {
+            self.inner.flush(clock)
+        }
+        fn stats(&self) -> &blockdev::DeviceStats {
+            self.inner.stats()
+        }
+    }
+
+    /// How the scattered pages reach the device.
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        Fsync,
+        /// Half of the pages in a second file, then `sync`.
+        Sync,
+        /// The last page through an `O_SYNC` descriptor of the same file.
+        OSync,
+    }
+
+    /// What one barrier did: its (start, end), the device's writes, the
+    /// device's counters and the file content after a power failure.
+    struct Barrier {
+        span: (SimTime, SimTime),
+        writes: Vec<(u64, SimTime, SimTime)>,
+        stats: blockdev::DeviceStatsSnapshot,
+        content: Vec<u8>,
+    }
+
+    const SCATTERED: u64 = 21;
+
+    /// Dirties `SCATTERED` pages 1 MiB apart (one per slab, so every device
+    /// write is random) in scrambled order and makes them durable `via` a
+    /// barrier on an SSD of `depth` channels.
+    fn scattered_barrier(depth: usize, via: Via) -> Barrier {
+        let ssd = SsdDevice::new(SsdProfile::s4600().with_queue_depth(depth));
+        let dev = Arc::new(Recorder { inner: ssd, writes: Mutex::new(Vec::new()) });
+        let fs =
+            Ext4::new("ext4+ssd", Arc::clone(&dev) as Arc<dyn BlockDevice>, Ext4Profile::default());
+        let c = ActorClock::new();
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let f = fs.open("/f", flags, &c).unwrap();
+        let g = fs.open("/g", flags, &c).unwrap();
+        let o_sync = fs.open("/f", flags | OpenFlags::SYNC, &c).unwrap();
+        let page = |i: u64| vec![i as u8 + 1; 4096];
+        let spot = |i: u64| (i * 8 % SCATTERED) << 20;
+        let last = SCATTERED - 1;
+        let buffered = if matches!(via, Via::OSync) { last } else { SCATTERED };
+        let file_of = |i: u64| if matches!(via, Via::Sync) && i % 2 == 1 { g } else { f };
+        for i in 0..buffered {
+            fs.pwrite(file_of(i), &page(i), spot(i), &c).unwrap();
+        }
+        let start = c.now();
+        match via {
+            Via::Fsync => fs.fsync(f, &c),
+            Via::Sync => fs.sync(&c),
+            Via::OSync => fs.pwrite(o_sync, &page(last), spot(last), &c).map(|_| ()),
+        }
+        .unwrap();
+        let span = (start, c.now());
+        assert_eq!(fs.page_cache().dirty_count(), 0);
+        fs.simulate_power_failure();
+        let mut content = Vec::new();
+        for i in 0..SCATTERED {
+            let mut buf = vec![0u8; 4096];
+            fs.pread(file_of(i), &mut buf, spot(i), &c).unwrap();
+            assert_eq!(buf, page(i), "page {i} {via:?} depth {depth}");
+            content.extend(buf);
+        }
+        let writes = dev.writes.lock().clone();
+        Barrier { span, writes, stats: dev.stats().snapshot(), content }
+    }
+
+    #[test]
+    fn one_channel_writeback_is_the_serial_loop() {
+        // The oracle: sorted by device offset, one write after the other on
+        // the caller's clock, then the commit and the flush.
+        let profile = Ext4Profile::default();
+        for via in [Via::Fsync, Via::Sync, Via::OSync] {
+            let run = scattered_barrier(1, via);
+            assert_eq!(run.writes.len() as u64, SCATTERED, "{via:?}");
+            let twin = SsdDevice::new(SsdProfile::s4600());
+            let serial = ActorClock::starting_at(run.writes[0].1);
+            let mut offsets: Vec<u64> = run.writes.iter().map(|w| w.0).collect();
+            offsets.sort_unstable();
+            let expected: Vec<_> = offsets
+                .into_iter()
+                .map(|off| {
+                    let start = serial.now();
+                    twin.write(off, &[0u8; 4096], &serial);
+                    (off, start, serial.now())
+                })
+                .collect();
+            assert_eq!(run.writes, expected, "{via:?}: call order and each call's interval");
+            serial.advance(profile.journal_commit);
+            twin.flush(&serial);
+            assert_eq!(run.span.1, serial.now(), "{via:?}");
+            if !matches!(via, Via::OSync) {
+                assert_eq!(run.writes[0].1, run.span.0 + profile.costs.syscall, "{via:?}");
+            }
+            let twin = twin.stats().snapshot();
+            assert_eq!(
+                (run.stats.seq_writes, run.stats.rand_writes, run.stats.flushes),
+                (twin.seq_writes, twin.rand_writes, 1),
+                "{via:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn writeback_keeps_every_channel_of_the_device_busy() {
+        let profile = Ext4Profile::default();
+        let ssd = SsdProfile::s4600();
+        for via in [Via::Fsync, Via::Sync, Via::OSync] {
+            let serial = scattered_barrier(1, via);
+            let run = scattered_barrier(8, via);
+            let barrier_at = run.writes[0].1;
+            assert!(run.writes[..8].iter().all(|w| w.1 == barrier_at), "{via:?}: 8 at once");
+            assert!(run.writes.windows(2).all(|w| w[0].0 < w[1].0), "{via:?}: elevator order");
+            let waves = SCATTERED.div_ceil(8);
+            let written = run.writes.iter().map(|w| w.2).max().unwrap();
+            assert_eq!(written, barrier_at + ssd.rand_write_4k * waves, "{via:?}");
+            assert_eq!(run.span.1, written + profile.journal_commit + ssd.flush, "{via:?}");
+            assert_eq!(barrier_at, serial.writes[0].1, "{via:?}: the same work before it");
+            // The same work, overlapped.
+            assert_eq!(run.stats, serial.stats, "{via:?}");
+            assert_eq!(run.content, serial.content, "{via:?}");
+            let offsets = |b: &Barrier| b.writes.iter().map(|w| w.0).collect::<Vec<_>>();
+            assert_eq!(offsets(&run), offsets(&serial), "{via:?}");
+        }
+    }
+
+    #[test]
+    fn failed_writeback_keeps_its_pages_dirty() {
+        // Two 1 MiB slabs of room, dirty pages in three: delayed allocation
+        // runs out at the barrier.
+        for whole_fs in [false, true] {
+            let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600().with_capacity(2 << 20)));
+            let dev = Arc::clone(&ssd) as Arc<dyn BlockDevice>;
+            let fs = Ext4::new("tiny", dev, Ext4Profile::default());
+            let c = ActorClock::new();
+            let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+            for slab in 0..3u64 {
+                fs.pwrite(fd, &[slab as u8 + 1; 4096], slab << 20, &c).unwrap();
+            }
+            let barrier = || if whole_fs { fs.sync(&c) } else { fs.fsync(fd, &c) };
+            for attempt in 0..2 {
+                assert!(matches!(barrier(), Err(IoError::NoSpace)), "attempt {attempt}");
+                assert_eq!(fs.page_cache().dirty_count(), 3, "attempt {attempt}");
+            }
+            assert_eq!((fs.journal_commit_count(), ssd.stats().snapshot().bytes_written), (0, 0));
+            // Nothing was acknowledged, and nothing pretends to have been.
+            fs.simulate_power_failure();
+            for slab in 0..3u64 {
+                let mut buf = [9u8; 4096];
+                assert_eq!(fs.pread(fd, &mut buf, slab << 20, &c).unwrap(), 4096);
+                assert_eq!(buf, [0u8; 4096], "slab {slab}");
+            }
+        }
     }
 
     #[test]

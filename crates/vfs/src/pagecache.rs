@@ -3,6 +3,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::IoResult;
+
 /// Configuration of a [`PageCache`].
 #[derive(Debug, Clone)]
 pub struct PageCacheConfig {
@@ -50,9 +52,48 @@ struct Page {
     accessed: bool,
 }
 
+/// The resident pages, by inode and then by page: dropping an inode drops
+/// its own map instead of walking every resident page.
+#[derive(Debug, Default)]
+struct Resident {
+    files: HashMap<u64, HashMap<u64, Page>>,
+    len: usize,
+}
+
+impl Resident {
+    fn get(&self, (ino, page): (u64, u64)) -> Option<&Page> {
+        self.files.get(&ino)?.get(&page)
+    }
+
+    fn get_mut(&mut self, (ino, page): (u64, u64)) -> Option<&mut Page> {
+        self.files.get_mut(&ino)?.get_mut(&page)
+    }
+
+    /// Whether the page is new to the cache.
+    fn insert(&mut self, (ino, page): (u64, u64), content: Page) -> bool {
+        let fresh = self.files.entry(ino).or_default().insert(page, content).is_none();
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    fn remove(&mut self, (ino, page): (u64, u64)) -> Option<Page> {
+        let file = self.files.get_mut(&ino)?;
+        let removed = file.remove(&page)?;
+        if file.is_empty() {
+            self.files.remove(&ino);
+        }
+        self.len -= 1;
+        Some(removed)
+    }
+
+    fn remove_inode(&mut self, ino: u64) {
+        self.len -= self.files.remove(&ino).map_or(0, |file| file.len());
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    pages: HashMap<(u64, u64), Page>,
+    pages: Resident,
     /// Second-chance eviction queue (may contain stale keys).
     queue: VecDeque<(u64, u64)>,
     /// Keys of the dirty pages (all resident), ordered by `(inode, page)`:
@@ -60,21 +101,9 @@ struct Inner {
     dirty: BTreeSet<(u64, u64)>,
 }
 
-impl Inner {
-    /// The contents of the resident pages `keys`, in `keys`' order.
-    fn contents(
-        &self,
-        keys: impl IntoIterator<Item = (u64, u64)>,
-        page_size: usize,
-    ) -> Vec<EvictedPage> {
-        keys.into_iter()
-            .map(|(ino, page)| {
-                let data = self.pages[&(ino, page)].data.as_ref();
-                let data = data.map_or_else(|| vec![0u8; page_size], |d| d.to_vec());
-                EvictedPage { ino, page, data }
-            })
-            .collect()
-    }
+/// The keys `(ino, _)`.
+fn pages_of(ino: u64) -> std::ops::RangeInclusive<(u64, u64)> {
+    (ino, 0)..=(ino, u64::MAX)
 }
 
 /// The kernel's volatile write-back page cache.
@@ -115,12 +144,12 @@ impl PageCache {
 
     /// Number of resident pages.
     pub fn resident(&self) -> usize {
-        self.inner.lock().pages.len()
+        self.inner.lock().pages.len
     }
 
     /// Whether the page is resident.
     pub fn contains(&self, ino: u64, page: u64) -> bool {
-        self.inner.lock().pages.contains_key(&(ino, page))
+        self.inner.lock().pages.get((ino, page)).is_some()
     }
 
     fn make_buf(&self) -> Option<Box<[u8]>> {
@@ -133,15 +162,15 @@ impl PageCache {
         stats: &PageCacheStats,
     ) -> Vec<EvictedPage> {
         let mut out = Vec::new();
-        while inner.pages.len() > cfg.capacity_pages {
+        while inner.pages.len > cfg.capacity_pages {
             let Some(key) = inner.queue.pop_front() else { break };
-            let Some(p) = inner.pages.get_mut(&key) else { continue };
+            let Some(p) = inner.pages.get_mut(key) else { continue };
             if p.accessed {
                 p.accessed = false;
                 inner.queue.push_back(key);
                 continue;
             }
-            let p = inner.pages.remove(&key).expect("page present");
+            let p = inner.pages.remove(key).expect("page present");
             stats.evictions.fetch_add(1, Ordering::Relaxed);
             if inner.dirty.remove(&key) {
                 stats.writebacks.fetch_add(1, Ordering::Relaxed);
@@ -168,7 +197,7 @@ impl PageCache {
         if let Some(b) = &mut buf {
             b.copy_from_slice(data);
         }
-        let fresh = inner.pages.insert((ino, page), Page { data: buf, accessed: true }).is_none();
+        let fresh = inner.pages.insert((ino, page), Page { data: buf, accessed: true });
         if fresh {
             inner.queue.push_back((ino, page));
         }
@@ -185,7 +214,7 @@ impl PageCache {
     pub fn update(&self, ino: u64, page: u64, in_page: usize, bytes: &[u8]) -> bool {
         assert!(in_page + bytes.len() <= self.cfg.page_size, "update exceeds page");
         let inner = &mut *self.inner.lock();
-        match inner.pages.get_mut(&(ino, page)) {
+        match inner.pages.get_mut((ino, page)) {
             Some(p) => {
                 if let Some(d) = &mut p.data {
                     d[in_page..in_page + bytes.len()].copy_from_slice(bytes);
@@ -206,7 +235,7 @@ impl PageCache {
     pub fn read(&self, ino: u64, page: u64, in_page: usize, buf: &mut [u8]) -> bool {
         assert!(in_page + buf.len() <= self.cfg.page_size, "read exceeds page");
         let mut inner = self.inner.lock();
-        match inner.pages.get_mut(&(ino, page)) {
+        match inner.pages.get_mut((ino, page)) {
             Some(p) => {
                 match &p.data {
                     Some(d) => buf.copy_from_slice(&d[in_page..in_page + buf.len()]),
@@ -223,38 +252,54 @@ impl PageCache {
         }
     }
 
-    /// Removes and returns all dirty pages of `ino` (sorted by page number),
-    /// marking them clean but leaving them resident. Used by `fsync`.
-    pub fn take_dirty(&self, ino: u64) -> Vec<(u64, Vec<u8>)> {
-        let mut inner = self.inner.lock();
-        let keys: Vec<_> = inner.dirty.range((ino, 0)..=(ino, u64::MAX)).copied().collect();
+    /// Marks clean, and returns for writeback, the dirty pages of `ino` — of
+    /// every inode when `None` — sorted by inode then page; they stay
+    /// resident. `map` gives each `(inode, page)` its device offset, which
+    /// is returned beside the page's content, or `None` for a page nobody
+    /// can ask for again, which is marked clean and left out.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `map`, with every page still dirty: a writeback
+    /// that cannot place a page has written none, and the next one retries.
+    pub fn take_dirty(
+        &self,
+        ino: Option<u64>,
+        mut map: impl FnMut(u64, u64) -> IoResult<Option<u64>>,
+    ) -> IoResult<Vec<(u64, Vec<u8>)>> {
+        let inner = &mut *self.inner.lock();
+        let range = ino.map_or((0, 0)..=(u64::MAX, u64::MAX), pages_of);
+        let keys: Vec<(u64, u64)> = inner.dirty.range(range).copied().collect();
+        let mut out = Vec::with_capacity(keys.len());
+        for &(ino, page) in &keys {
+            if let Some(target) = map(ino, page)? {
+                let resident = inner.pages.get((ino, page)).expect("a dirty page is resident");
+                let data = resident.data.as_ref();
+                let data = data.map_or_else(|| vec![0u8; self.cfg.page_size], |d| d.to_vec());
+                out.push((target, data));
+            }
+        }
         for key in &keys {
             inner.dirty.remove(key);
         }
         self.stats.writebacks.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        let out = inner.contents(keys, self.cfg.page_size);
-        out.into_iter().map(|e| (e.page, e.data)).collect()
-    }
-
-    /// Removes and returns every dirty page (sorted by inode then page).
-    pub fn take_all_dirty(&self) -> Vec<EvictedPage> {
-        let mut inner = self.inner.lock();
-        let keys = std::mem::take(&mut inner.dirty);
-        self.stats.writebacks.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        inner.contents(keys, self.cfg.page_size)
+        Ok(out)
     }
 
     /// Drops every page of `ino` (unlink / truncate).
     pub fn drop_inode(&self, ino: u64) {
-        let mut inner = self.inner.lock();
-        inner.pages.retain(|&(i, _), _| i != ino);
-        inner.dirty.retain(|&(i, _)| i != ino);
+        let inner = &mut *self.inner.lock();
+        inner.pages.remove_inode(ino);
+        let dirty: Vec<(u64, u64)> = inner.dirty.range(pages_of(ino)).copied().collect();
+        for key in &dirty {
+            inner.dirty.remove(key);
+        }
     }
 
     /// Power failure: the cache is volatile, everything vanishes.
     pub fn drop_all(&self) {
         let mut inner = self.inner.lock();
-        inner.pages.clear();
+        inner.pages = Resident::default();
         inner.queue.clear();
         inner.dirty.clear();
     }
@@ -268,6 +313,7 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IoError;
 
     fn cache(capacity: usize) -> PageCache {
         PageCache::new(PageCacheConfig {
@@ -275,6 +321,13 @@ mod tests {
             page_size: 64,
             keep_content: true,
         })
+    }
+
+    /// Takes the dirty pages of `ino` (of every inode when `None`) with the
+    /// page `(i, p)` placed at offset `100 * i + p`: (offset, first byte).
+    fn take(pc: &PageCache, ino: Option<u64>) -> Vec<(u64, u8)> {
+        let taken = pc.take_dirty(ino, |i, p| Ok(Some(100 * i + p))).unwrap();
+        taken.into_iter().map(|(off, data)| (off, data[0])).collect()
     }
 
     #[test]
@@ -322,9 +375,9 @@ mod tests {
         pc.insert(5, 1, &[1u8; 64], true);
         pc.insert(5, 2, &[2u8; 64], false);
         pc.insert(6, 0, &[6u8; 64], true);
-        let dirty = pc.take_dirty(5);
-        assert_eq!(dirty.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![1, 3]);
-        assert!(pc.take_dirty(5).is_empty(), "second take sees nothing dirty");
+        assert_eq!(take(&pc, Some(5)), vec![(501, 1), (503, 3)]);
+        assert!(take(&pc, Some(5)).is_empty(), "second take sees nothing dirty");
+        assert_eq!(pc.dirty_count(), 1, "inode 6 was not asked for");
         // Pages remain resident and readable.
         let mut buf = [0u8; 1];
         assert!(pc.read(5, 3, 0, &mut buf));
@@ -342,16 +395,14 @@ mod tests {
         assert_eq!(pc.dirty_count(), 4);
         pc.insert(3, 0, &[6u8; 64], false); // replaced by a clean copy
         pc.drop_inode(2); // unlinked
-        let all = pc.take_all_dirty();
-        let keys: Vec<_> = all.iter().map(|e| (e.ino, e.page, e.data[0])).collect();
-        assert_eq!(keys, vec![(1, 3, 4), (1, 7, 3)], "sorted by inode, then page");
+        assert_eq!(take(&pc, None), vec![(103, 4), (107, 3)], "sorted by inode, then page");
         assert_eq!(pc.dirty_count(), 0);
-        assert!(pc.take_all_dirty().is_empty());
+        assert!(take(&pc, None).is_empty());
         // Evicted dirty pages leave the set with the cache.
         for page in 0..16 {
             pc.insert(9, page, &[7u8; 64], true);
         }
-        assert_eq!(pc.dirty_count(), pc.take_dirty(9).len());
+        assert_eq!(pc.dirty_count(), take(&pc, Some(9)).len());
         assert!(pc.resident() <= 5);
     }
 
@@ -364,7 +415,27 @@ mod tests {
         }
         // 33 logical writes, one dirty page to flush: that is the combining
         // effect the paper's Fig. 6 relies on.
-        assert_eq!(pc.take_dirty(1).len(), 1);
+        assert_eq!(take(&pc, Some(1)).len(), 1);
+    }
+
+    #[test]
+    fn a_take_that_cannot_place_a_page_leaves_every_page_dirty() {
+        let pc = cache(8);
+        for page in 0..4 {
+            pc.insert(1, page, &[page as u8; 64], true);
+        }
+        pc.insert(2, 0, &[9u8; 64], true);
+        let full = |_, page| if page < 2 { Ok(Some(page)) } else { Err(IoError::NoSpace) };
+        for ino in [Some(1), None] {
+            assert!(matches!(pc.take_dirty(ino, full), Err(IoError::NoSpace)));
+            assert_eq!(pc.dirty_count(), 5);
+        }
+        assert_eq!(pc.stats().writebacks.load(Ordering::Relaxed), 0);
+        // A page nobody can ask for again is marked clean and left out.
+        let gone = |ino, page| Ok((ino != 2).then_some(page));
+        assert_eq!(pc.take_dirty(None, gone).unwrap().len(), 4);
+        assert_eq!(pc.dirty_count(), 0);
+        assert_eq!(pc.stats().writebacks.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -381,9 +452,12 @@ mod tests {
         let pc = cache(8);
         pc.insert(1, 0, &[1u8; 64], false);
         pc.insert(2, 0, &[2u8; 64], false);
+        pc.insert(1, u64::MAX, &[3u8; 64], true);
+        pc.insert(0, u64::MAX, &[4u8; 64], true);
         pc.drop_inode(1);
-        assert!(!pc.contains(1, 0));
-        assert!(pc.contains(2, 0));
+        assert!(!pc.contains(1, 0) && !pc.contains(1, u64::MAX));
+        assert!(pc.contains(2, 0) && pc.contains(0, u64::MAX));
+        assert_eq!((pc.resident(), pc.dirty_count()), (2, 1), "its dirty marks go with it");
     }
 
     #[test]
@@ -397,6 +471,6 @@ mod tests {
         let mut buf = [1u8; 8];
         assert!(pc.read(1, 0, 0, &mut buf));
         assert_eq!(buf, [0u8; 8], "content-free mode reads zeroes");
-        assert_eq!(pc.take_dirty(1).len(), 1);
+        assert_eq!(pc.take_dirty(Some(1), |_, page| Ok(Some(page))).unwrap(), [(0, vec![0u8; 64])]);
     }
 }

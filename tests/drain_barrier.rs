@@ -11,7 +11,7 @@
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
-use nvcache_repro::blockdev::{BlockDevice, SsdDevice, SsdProfile};
+use nvcache_repro::blockdev::{BlockDevice, DeviceStats, SsdDevice, SsdProfile};
 use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
@@ -430,4 +430,97 @@ fn tiered_batch_issues_one_overlapped_syncfs_per_backend() {
     let joined = flushed.now() - hot_start;
     assert!(joined >= long && joined < long + short / 2, "max, not sum: {joined} vs {long}");
     cache.shutdown(&ActorClock::new());
+}
+
+/// Forwards `capacity/read/write/flush/stats` and nothing else, as a tracing
+/// wrapper does, recording when each write completed and the interval of
+/// each flush.
+struct DevProbe {
+    inner: SsdDevice,
+    write_ends: Mutex<Vec<SimTime>>,
+    flushes: Mutex<Vec<(SimTime, SimTime)>>,
+}
+
+impl BlockDevice for DevProbe {
+    fn capacity(&self) -> u64 {
+        self.inner.capacity()
+    }
+    fn read(&self, off: u64, buf: &mut [u8], clock: &ActorClock) {
+        self.inner.read(off, buf, clock)
+    }
+    fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
+        self.inner.write(off, data, clock);
+        self.write_ends.lock().unwrap().push(clock.now());
+    }
+    fn flush(&self, clock: &ActorClock) {
+        let start = clock.now();
+        self.inner.flush(clock);
+        self.flushes.lock().unwrap().push((start, clock.now()));
+    }
+    fn stats(&self) -> &DeviceStats {
+        self.inner.stats()
+    }
+}
+
+/// (e) Over an 8-channel SSD the barrier's writeback queues its pages eight
+/// at a time. A multi-file batch is still one `syncfs`, one journal commit
+/// and one device flush, and the tail moves only after the last queued page
+/// completed.
+#[test]
+fn multi_file_batch_over_a_multi_channel_ssd_is_one_barrier_after_the_last_page() {
+    const FILES: u64 = 3;
+    const PAGES_EACH: u64 = 11;
+    let ssd = SsdProfile::s4600().with_queue_depth(8);
+    let fs_profile = Ext4Profile::default();
+    let dev = Arc::new(DevProbe {
+        inner: SsdDevice::new(ssd.clone()),
+        write_ends: Mutex::default(),
+        flushes: Mutex::default(),
+    });
+    let ext4 = Arc::new(Ext4::new(
+        "ext4+ssd8",
+        Arc::clone(&dev) as Arc<dyn BlockDevice>,
+        fs_profile.clone(),
+    ));
+    let probe = Probe::over(Arc::clone(&ext4) as Arc<dyn FileSystem>);
+    let cfg = batch_cfg(PARKED);
+    let cache =
+        mount(&log_dimm(&cfg), Arc::clone(&probe) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    // Pages 1 MiB apart: one per slab, every device write a random one.
+    for f in 0..FILES {
+        let fd = cache.open(&format!("/file-{f}"), rdwr_create(), &ActorClock::new()).unwrap();
+        for p in 0..PAGES_EACH {
+            cache
+                .pwrite(fd, &[(f * PAGES_EACH + p) as u8 + 1; 4096], p << 20, &ActorClock::new())
+                .unwrap();
+        }
+    }
+    let flushed = ActorClock::new();
+    cache.flush_log(&flushed);
+    let stats = cache.stats().snapshot();
+    assert_eq!((stats.cleanup_batches, stats.cleanup_fsyncs, stats.cleanup_syncfs), (1, 1, 1));
+    assert_eq!((probe.count(Op::Sync), probe.count(Op::Fsync)), (1, 0));
+    assert_eq!(ext4.journal_commit_count(), 1);
+    assert_eq!(dev.stats().snapshot().flushes, 1);
+
+    let (_, sync_start, sync_end) = *probe.ops().last().unwrap();
+    let write_ends = dev.write_ends.lock().unwrap().clone();
+    let (flush_start, flush_end) = dev.flushes.lock().unwrap()[0];
+    assert_eq!(write_ends.len() as u64, FILES * PAGES_EACH);
+    let last_page = *write_ends.iter().max().unwrap();
+    let waves = (FILES * PAGES_EACH).div_ceil(8);
+    let queued = sync_start + fs_profile.costs.syscall;
+    assert_eq!(last_page, queued + ssd.rand_write_4k * waves, "8 at a time");
+    assert_eq!(flush_start, last_page + fs_profile.journal_commit);
+    assert_eq!((flush_end, sync_end), (flush_start + ssd.flush, flush_end));
+    assert!(flushed.now() >= sync_end, "the tail moved at {}, before {sync_end}", flushed.now());
+    cache.shutdown(&ActorClock::new());
+
+    ext4.simulate_power_failure();
+    for f in 0..FILES {
+        for p in 0..PAGES_EACH {
+            let page = read_at(&*ext4, &format!("/file-{f}"), p << 20, 4096);
+            assert_eq!(page, [(f * PAGES_EACH + p) as u8 + 1; 4096], "file {f} page {p}");
+        }
+    }
 }
