@@ -107,7 +107,7 @@ fn bench_radix(c: &mut Criterion) {
     let mut g = c.benchmark_group("radix");
     g.bench_function("get_or_create_cold", |b| {
         b.iter_batched(
-            Radix::new,
+            || Radix::new(1),
             |r| {
                 for p in 0..256u64 {
                     r.get_or_create(p * 977);
@@ -117,7 +117,7 @@ fn bench_radix(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    let warm = Radix::new();
+    let warm = Radix::new(1);
     for p in 0..4096u64 {
         warm.get_or_create(p);
     }

@@ -286,6 +286,7 @@ impl NvCacheBuilder {
                     cfg.persist_heat,
                     mode == Mount::RecoverRepair,
                     clock,
+                    crate::recovery::replay_planned,
                 )?;
                 let cache = NvCache::start(region, backends, router, cfg, Some(report), misplaced);
                 // Re-seed the heat catalog from the image's persisted

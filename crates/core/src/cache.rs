@@ -5,7 +5,7 @@
 //! and dirty-miss procedure, close/zombie drain bookkeeping).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
@@ -24,6 +24,7 @@ use crate::pagedesc::{PageDescriptor, PageSlot};
 use crate::placement::{quantize_heat, PlacementPolicy, RouterPlacement};
 use crate::readcache::ReadCache;
 use crate::recovery::RecoveryReport;
+use crate::replay::{Pending, Window};
 use crate::router::Router;
 use crate::{NvCacheConfig, NvCacheStats, Radix};
 
@@ -80,6 +81,14 @@ pub(crate) struct Shared {
     pub sq_taken: Box<[AtomicBool]>,
     /// Closed fds awaiting their last log entries to drain.
     pub zombies: Mutex<Vec<Zombie>>,
+    /// Descriptors inside [`finish_close`](Shared::finish_close), or
+    /// unlisted from `zombies` on their way there: gone from both tables,
+    /// slot not yet released. Counted by whoever hands the descriptor to
+    /// `finish_close` — under the zombies lock when unlisting a zombie —
+    /// and given back once the slot is free, so that
+    /// [`out_of_descriptors`](Shared::out_of_descriptors) never mistakes
+    /// that moment for a full table.
+    pub finishing: AtomicUsize,
     pub stats: NvCacheStats,
     /// Graceful stop: drain the log, then exit.
     pub stop: AtomicBool,
@@ -330,29 +339,53 @@ impl Shared {
         pending
     }
 
-    /// Propagates this file's still-pending log entries into the kernel
-    /// (buffered `pwrite`, **no** fsync): the paper's `close` contract —
-    /// "all the writes in user space are actually flushed to the kernel" —
-    /// durability already lives in the NVMM log.
+    /// Propagates this descriptor's still-pending log entries into the
+    /// kernel (buffered `pwrite`, **no** fsync): the paper's `close`
+    /// contract — "all the writes in user space are actually flushed to the
+    /// kernel" — durability already lives in the NVMM log. The entries go
+    /// through the replay planner (`replay.rs`): each contiguous extent of
+    /// surviving bytes is one inner write, under the cleanup lock of every
+    /// page it covers.
     pub fn kernel_flush_file(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
+        let mut window = Window::default();
+        let write_out = |window: &mut Window| {
+            let _ = window.write_out(
+                |at, buf| self.log.region.read_cached(at, buf),
+                |_, off, data| {
+                    let pages = self.page_descs(&opened.file, off, data.len());
+                    let _guards =
+                        self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
+                    let _ = self.inner_of(opened).pwrite(opened.inner_fd, data, off, clock);
+                    Ok(())
+                },
+            );
+        };
         for (si, seq, hdr) in self.pending_entries_for(|h| h.fd_slot == opened.slot) {
-            let data = self.log.stripes[si].read_data_cached(seq, hdr.len as usize);
-            let pages = self.page_descs(&opened.file, hdr.file_off, hdr.len as usize);
-            let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
-            let _ = self.inner_of(opened).pwrite(opened.inner_fd, &data, hdr.file_off, clock);
+            let data_at = self.log.layout.entry_data(self.log.stripes[si].slot(seq));
+            let entry = Pending { file: 0, file_off: hdr.file_off, len: hdr.len, data_at };
+            if window.push(entry) {
+                write_out(&mut window);
+            }
         }
+        write_out(&mut window);
     }
 
     /// Completes a deferred close: releases the inner fd, the persistent fd
     /// slot and, on last close, the file structure and its cached pages.
+    /// The caller has counted the descriptor in
+    /// [`finishing`](Shared::finishing); the count is given back here, once
+    /// the slot is free.
     pub fn finish_close(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
         {
             let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
             self.opened.write().remove(&opened.slot);
         }
+        // The descriptor is in no table and its slot is still taken.
+        crate::stress_point();
         let _ = self.inner_of(opened).close(opened.inner_fd, clock);
         PersistentFdTable::clear(&self.log.region, &self.log.layout, opened.slot, clock);
         self.fd_slots.release(opened.slot);
+        self.finishing.fetch_sub(1, Ordering::SeqCst);
         if opened.file.open_count.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.pool.purge_file(opened.file.file_id);
             let (dev, ino) = opened.file.dev_ino;
@@ -388,11 +421,30 @@ impl Shared {
             let (done, keep): (Vec<Zombie>, Vec<Zombie>) =
                 z.drain(..).partition(|zb| self.log.drained_to(&zb.drain_targets));
             *z = keep;
+            self.finishing.fetch_add(done.len(), Ordering::SeqCst);
             done
         };
         for zb in ready {
             self.finish_close(&zb.opened, clock);
         }
+    }
+
+    /// Whether no slot can come back without a new `close`: no zombie is
+    /// listed, no open descriptor is closing and none is being finished.
+    /// The order matters: a descriptor leaves `zombies` and `opened` only
+    /// after it is counted in `finishing` and leaves `finishing` only after
+    /// its slot is released, so reading `finishing` last sees every
+    /// descriptor the two tables no longer show. A caller told `true`
+    /// tries the allocator once more: what was on its way is free by now.
+    pub fn out_of_descriptors(&self) -> bool {
+        let _lz = self.lockcheck.acquire(Class::Zombies, 0);
+        let zombies = self.zombies.lock();
+        zombies.is_empty()
+            && {
+                let _lo = self.lockcheck.acquire(Class::OpenedMap, 0);
+                self.opened.read().values().all(|o| !o.closing.load(Ordering::Acquire))
+            }
+            && self.finishing.load(Ordering::SeqCst) == 0
     }
 
     /// The dirty-miss procedure (paper §II-C): reconstruct a fresh page by
@@ -759,6 +811,7 @@ impl NvCache {
                 taken.into_boxed_slice()
             },
             zombies: Mutex::new(Vec::new()),
+            finishing: AtomicUsize::new(0),
             stats: NvCacheStats::with_front_end(cfg.log_shards, cfg.backends, cfg.sq_pairs),
             stop: AtomicBool::new(false),
             kill: AtomicBool::new(false),
@@ -1211,7 +1264,7 @@ impl NvCache {
             self.shared.pool.purge_file(file.file_id);
         }
         if flags.writable() {
-            file.radix.get_or_init(Radix::new);
+            file.radix.get_or_init(|| Radix::new(file.file_id));
         }
         file.open_count.fetch_add(1, Ordering::AcqRel);
         let slot = {
@@ -1239,20 +1292,12 @@ impl NvCache {
                         // error below.
                         break;
                     }
-                    let out_of_descriptors = {
-                        let _lz = self.shared.lockcheck.acquire(Class::Zombies, 0);
-                        let zombies = self.shared.zombies.lock();
-                        zombies.is_empty() && {
-                            let _lo = self.shared.lockcheck.acquire(Class::OpenedMap, 0);
-                            self.shared
-                                .opened
-                                .read()
-                                .values()
-                                .all(|o| !o.closing.load(Ordering::Acquire))
-                        }
-                    };
-                    if out_of_descriptors {
-                        break; // genuinely out of descriptors
+                    if self.shared.out_of_descriptors() {
+                        // Genuinely out of descriptors — unless the last
+                        // one on its way freed its slot since the attempt
+                        // above.
+                        slot = self.shared.fd_slots.acquire();
+                        break;
                     }
                     std::thread::yield_now();
                 }
@@ -1497,6 +1542,7 @@ impl FileSystem for NvCache {
         // the cleanup workers if entries are still in flight anywhere.
         let targets = self.shared.log.heads();
         if self.shared.log.drained_to(&targets) {
+            self.shared.finishing.fetch_add(1, Ordering::SeqCst);
             self.shared.finish_close(&opened, clock);
         } else {
             {
@@ -1709,5 +1755,25 @@ impl FileSystem for NvCache {
 
     fn durable_linearizability(&self) -> bool {
         true // the psync precedes the lock release (paper §III)
+    }
+}
+
+/// [`Shared::kernel_flush_file`] as it was before the planner — one inner
+/// write per pending entry, in commit order — kept as the reference the
+/// planned form is tested against (`replay_tests.rs`).
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl Shared {
+        pub fn kernel_flush_file_per_entry(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
+            for (si, seq, hdr) in self.pending_entries_for(|h| h.fd_slot == opened.slot) {
+                let data = self.log.stripes[si].read_data_cached(seq, hdr.len as usize);
+                let pages = self.page_descs(&opened.file, hdr.file_off, hdr.len as usize);
+                let _guards =
+                    self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
+                let _ = self.inner_of(opened).pwrite(opened.inner_fd, &data, hdr.file_off, clock);
+            }
+        }
     }
 }

@@ -55,9 +55,11 @@
 //!    stripes' tails — no cycles, no cross-stripe serialization of
 //!    unrelated pages.
 //! 4. **Merge-replay recovery** — each stripe is scanned from its own
-//!    persistent tail (a sorted run, by invariant 2) and the committed
-//!    groups are replayed in one k-way merge by global sequence number:
-//!    exactly the committed prefix, in exactly the acknowledged order.
+//!    persistent tail (a sorted run, by invariant 2), the committed groups
+//!    are k-way merged by global sequence number, and the merged run is
+//!    replayed as planned extents (each surviving byte written once) that
+//!    leave what replaying exactly the committed prefix, in exactly the
+//!    acknowledged order, would leave.
 //! 5. **Flush fan-out** — `flush`/`close`/`shutdown` barriers drain *all*
 //!    stripes; close keeps its persistent fd slot alive until every
 //!    stripe's tail passes the per-stripe drain target snapshotted at close
@@ -215,6 +217,7 @@ pub mod pm_mutation;
 mod radix;
 mod readcache;
 mod recovery;
+mod replay;
 mod router;
 mod squeue;
 mod stats;
@@ -223,6 +226,8 @@ mod stats;
 mod heat_tests;
 #[cfg(test)]
 mod migrate_tests;
+#[cfg(test)]
+mod replay_tests;
 #[cfg(test)]
 mod tests;
 #[cfg(test)]

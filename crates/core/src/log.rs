@@ -32,6 +32,31 @@ pub(crate) struct EntryHeader {
     pub seq: u64,
 }
 
+impl EntryHeader {
+    /// Bytes [`decode`](EntryHeader::decode) takes: the header up to and
+    /// including the sequence number.
+    pub const BYTES: usize = ENT_SEQ as usize + 8;
+
+    /// Decodes the leading bytes of an entry as one charged read returned
+    /// them (recovery; the hot paths load the fields one by one).
+    pub fn decode(bytes: &[u8; Self::BYTES]) -> EntryHeader {
+        let u32_at = |at: u64| {
+            u32::from_le_bytes(bytes[at as usize..at as usize + 4].try_into().expect("4 bytes"))
+        };
+        let u64_at = |at: u64| {
+            u64::from_le_bytes(bytes[at as usize..at as usize + 8].try_into().expect("8 bytes"))
+        };
+        EntryHeader {
+            commit: layout::parse_commit_word(u64_at(ENT_COMMIT)),
+            fd_slot: u32_at(ENT_FD),
+            len: u32_at(ENT_LEN),
+            file_off: u64_at(ENT_FILE_OFF),
+            group_len: u32_at(ENT_GROUP_LEN),
+            seq: u64_at(ENT_SEQ),
+        }
+    }
+}
+
 /// One stripe of the circular NVMM write log (paper §II-B, Algorithm 1,
 /// applied to the stripe's contiguous share of the entry array).
 ///

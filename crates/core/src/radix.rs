@@ -46,12 +46,16 @@ impl Node {
 ///
 /// ```
 /// use nvcache::Radix;
-/// let r = Radix::new();
+/// let r = Radix::new(7);
 /// let a = r.get_or_create(42);
 /// let b = r.get_or_create(42);
 /// assert!(std::sync::Arc::ptr_eq(&a, &b));
+/// assert_eq!(a.file_id(), 7);
 /// ```
 pub struct Radix {
+    /// The owning file's id, stamped on every leaf: the read cache finds a
+    /// file's loaded pages by it.
+    file_id: u64,
     root: Arc<Node>,
     descriptors: AtomicUsize,
 }
@@ -62,16 +66,10 @@ impl std::fmt::Debug for Radix {
     }
 }
 
-impl Default for Radix {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Radix {
-    /// Creates an empty tree.
-    pub fn new() -> Self {
-        Radix { root: Node::new(), descriptors: AtomicUsize::new(0) }
+    /// Creates the empty tree of file `file_id`.
+    pub fn new(file_id: u64) -> Self {
+        Radix { file_id, root: Node::new(), descriptors: AtomicUsize::new(0) }
     }
 
     /// Number of page descriptors ever created in this tree.
@@ -137,7 +135,7 @@ impl Radix {
         let mut created = false;
         let child = node.children[idx].get_or_init(|| {
             created = true;
-            Child::Leaf(Arc::new(PageDescriptor::new(page)))
+            Child::Leaf(Arc::new(PageDescriptor::for_file(self.file_id, page)))
         });
         if created {
             self.descriptors.fetch_add(1, Ordering::Relaxed);
@@ -155,9 +153,9 @@ mod tests {
 
     #[test]
     fn create_then_get_same_descriptor() {
-        let r = Radix::new();
+        let r = Radix::new(3);
         let d = r.get_or_create(123_456_789);
-        assert_eq!(d.page_no(), 123_456_789);
+        assert_eq!((d.file_id(), d.page_no()), (3, 123_456_789));
         let again = r.get(123_456_789).expect("present");
         assert!(Arc::ptr_eq(&d, &again));
         assert_eq!(r.len(), 1);
@@ -165,7 +163,7 @@ mod tests {
 
     #[test]
     fn missing_page_is_none() {
-        let r = Radix::new();
+        let r = Radix::new(1);
         assert!(r.get(5).is_none());
         r.get_or_create(5);
         assert!(r.get(4).is_none());
@@ -173,7 +171,7 @@ mod tests {
 
     #[test]
     fn dense_and_sparse_pages_coexist() {
-        let r = Radix::new();
+        let r = Radix::new(1);
         for p in 0..100u64 {
             r.get_or_create(p);
         }
@@ -185,7 +183,7 @@ mod tests {
 
     #[test]
     fn concurrent_creation_converges() {
-        let r = Arc::new(Radix::new());
+        let r = Arc::new(Radix::new(1));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let r = Arc::clone(&r);
@@ -205,6 +203,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of radix range")]
     fn page_out_of_range_panics() {
-        Radix::new().get_or_create(1 << 36);
+        Radix::new(1).get_or_create(1 << 36);
     }
 }

@@ -111,19 +111,27 @@ impl ReadCache {
     }
 
     /// Drops every loaded page belonging to `file_id` (file close: the paper
-    /// frees the whole radix tree; the pool must release those contents).
+    /// frees the whole radix tree; the pool must release those contents —
+    /// and a truncation must not leave the cut content readable).
+    ///
+    /// The pages are unlisted under the LRU lock and emptied after it is
+    /// released: `install` and `make_room` take the LRU lock while holding
+    /// page locks, so waiting for a page lock under it could deadlock.
     pub fn purge_file(&self, file_id: u64) {
-        let mut q = self.queue.lock();
-        q.retain(|desc| {
-            if desc.file_id() != file_id {
-                return true;
+        let mut purged = Vec::new();
+        self.queue.lock().retain(|desc| {
+            let keep = desc.file_id() != file_id;
+            if !keep {
+                purged.push(Arc::clone(desc));
             }
-            let mut slot = desc.lock();
-            if slot.content.take().is_some() {
+            keep
+        });
+        for desc in purged {
+            // A page listed twice (evicted and loaded again) empties once.
+            if desc.lock().content.take().is_some() {
                 self.loaded.fetch_sub(1, Ordering::AcqRel);
             }
-            false
-        });
+        }
     }
 }
 

@@ -1,9 +1,30 @@
 //! The recovery procedure (paper §III): reopen files from the persistent
 //! fd table — each on the backend its slot records (header v3), or on the
-//! router-chosen backend when migrating a legacy image — k-way merge-replay
-//! every committed log entry in global commit order (per-stripe sorted
-//! runs), sync every backend, and empty the log. Idempotent under crashes
-//! during recovery itself.
+//! router-chosen backend when migrating a legacy image — collect every
+//! committed group in global commit order (per-stripe sorted runs, k-way
+//! merged), and replay them as a **plan**, not entry by entry:
+//!
+//! 1. **plan** — the committed entries are admitted, in commit order, into
+//!    a [`replay::Window`](crate::replay); it walks them newest-first and
+//!    keeps of each entry only the bytes no newer entry of the *same file*
+//!    overwrites. "Same file" is the file's identity on its inner file
+//!    system — `(backend, dev, ino)` from an `fstat` of the reopened
+//!    descriptor — never the fd slot: one file open through two descriptors
+//!    is last-writer-wins across both;
+//! 2. **extents** — the surviving pieces of a window are glued into
+//!    contiguous extents, each read from NVMM once and written with one
+//!    inner `pwrite`, ascending by offset. A window holds at most
+//!    [`WINDOW_PAYLOAD`](crate::replay::WINDOW_PAYLOAD) payload bytes or
+//!    [`WINDOW_ENTRIES`](crate::replay::WINDOW_ENTRIES) entries and is
+//!    written out completely before the next one is planned, so memory is
+//!    bounded whatever the log holds;
+//! 3. **sync** — every backend is synced;
+//! 4. **empty** — only then are the commit words, the tails and the fd
+//!    table cleared.
+//!
+//! The inner files end byte-identical to a sequential replay of every
+//! entry, and — because nothing in NVMM changes before step 4 — a crash
+//! anywhere inside recovery is healed by running it again.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,13 +34,17 @@ use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
 use crate::layout::{self, CommitWord, Layout};
+use crate::log::EntryHeader;
 use crate::placement::PlacementPolicy;
+use crate::replay::{Pending, Window, Written};
 use crate::router::Router;
 
 /// Outcome of a recovery run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReport {
-    /// Committed entries replayed to the inner file system(s).
+    /// Committed entries whose effect reached the inner file system(s):
+    /// every committed entry of a file that still exists, whether its bytes
+    /// were written or absorbed by a newer entry of the same file.
     pub entries_replayed: u64,
     /// Torn/uncommitted entries skipped.
     pub entries_skipped: u64,
@@ -28,8 +53,16 @@ pub struct RecoveryReport {
     /// fd-table slots whose file no longer exists (deliberately unlinked
     /// before the crash); their entries are discarded, not replayed.
     pub files_missing: usize,
-    /// Payload bytes replayed.
+    /// Payload bytes of the replayed entries.
     pub bytes_replayed: u64,
+    /// Inner `pwrite` calls the replay issued: one per contiguous extent of
+    /// surviving bytes (per planning window), not one per entry. Exact —
+    /// a function of the log's content alone.
+    pub inner_writes: u64,
+    /// Of [`bytes_replayed`](RecoveryReport::bytes_replayed), the bytes
+    /// never read from NVMM nor written, because a newer entry of the same
+    /// file in the same planning window overwrites them. Exact, as above.
+    pub bytes_absorbed: u64,
     /// Distinct inner backends that received replayed files (`1` on a
     /// single-backend mount; up to the tier count on a tiered one).
     pub backends_touched: usize,
@@ -66,21 +99,117 @@ pub struct RecoveryReport {
 
 /// A committed group found by the scan phase: `stripe`'s ring position
 /// `first_slot..first_slot+len` (global entry slots, contiguous), ordered
-/// globally by the leader's stamped sequence number.
+/// globally by the leader's stamped sequence number (`leader.seq`).
 #[derive(Debug, Clone, Copy)]
 struct CommittedGroup {
-    gseq: u64,
     first_slot: u64,
     len: u64,
+    /// The leader's header as the scan read it (not read again).
+    leader: EntryHeader,
 }
 
+/// What the replay phase works on: the image, the reopened files and the
+/// committed groups in global commit order.
+pub(crate) struct Replay<'a> {
+    region: &'a NvRegion,
+    lay: &'a Layout,
+    backends: &'a [Arc<dyn FileSystem>],
+    /// One `(backend, descriptor)` per distinct reopened *file*.
+    files: &'a [(usize, vfs::Fd)],
+    /// fd slot → index into `files`; a slot whose file is gone is absent.
+    file_of_slot: &'a HashMap<u32, usize>,
+    groups: &'a [CommittedGroup],
+    clock: &'a ActorClock,
+}
+
+impl Replay<'_> {
+    /// Global entry slot of member `g` of `group`. Group slots are
+    /// contiguous in the owning stripe's window and never wrap past it
+    /// mid-group (allocation keeps groups whole), but the modulo keeps the
+    /// scan honest at the window edge.
+    fn slot_of(&self, group: &CommittedGroup, g: u64) -> u64 {
+        let per_stripe = self.lay.stripe_entries();
+        let stripe = group.first_slot / per_stripe;
+        stripe * per_stripe + (group.first_slot % per_stripe + g) % per_stripe
+    }
+}
+
+/// The header of the entry in global slot `slot`, by one charged read.
+fn read_header(region: &NvRegion, lay: &Layout, slot: u64, clock: &ActorClock) -> EntryHeader {
+    let mut bytes = [0u8; EntryHeader::BYTES];
+    region.read(lay.entry(slot), &mut bytes, clock);
+    EntryHeader::decode(&bytes)
+}
+
+/// The replay phase's one production form: plan → extents (module docs).
+pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -> IoResult<()> {
+    let Replay { region, lay, backends, files, clock, .. } = *replay;
+    let mut window = Window::default();
+    let mut total = Written::default();
+    let mut write_out = |window: &mut Window| -> IoResult<()> {
+        let written = window.write_out(
+            |at, buf| region.read(at, buf, clock),
+            |file, off, data| {
+                let (backend, fd) = files[file];
+                backends[backend].pwrite(fd, data, off, clock).map(drop)
+            },
+        )?;
+        total.inner_writes += written.inner_writes;
+        total.bytes += written.bytes;
+        Ok(())
+    };
+    for group in replay.groups {
+        for g in 0..group.len {
+            let gslot = replay.slot_of(group, g);
+            let logged = if g == 0 { group.leader } else { read_header(region, lay, gslot, clock) };
+            let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
+                // Entry for a slot missing from the fd table: the file was
+                // unlinked before the crash, or the slot was cleared — which
+                // requires a prior full drain, so the entry is on disk.
+                report.entries_skipped += 1;
+                continue;
+            };
+            report.entries_replayed += 1;
+            report.bytes_replayed += logged.len as u64;
+            let entry = Pending {
+                file,
+                file_off: logged.file_off,
+                len: logged.len,
+                data_at: lay.entry_data(gslot),
+            };
+            if window.push(entry) {
+                write_out(&mut window)?;
+            }
+        }
+    }
+    write_out(&mut window)?;
+    report.inner_writes = total.inner_writes;
+    report.bytes_absorbed = report.bytes_replayed - total.bytes;
+    Ok(())
+}
+
+#[cfg(test)]
+pub(crate) use reference::replay_per_entry;
+
+/// The replay phase as [`recover`] takes it.
+pub(crate) type Replayer = fn(&Replay<'_>, &mut RecoveryReport) -> IoResult<()>;
+
+/// `(path, backend, dequantized heat)` summaries harvested from a
+/// heat-format image's fd slots, ready to seed the migrator's catalog.
+pub(crate) type HeatSeeds = Vec<(String, u32, f64)>;
+
+/// What [`recover`] hands the mount: the report, the `(path, backend)`
+/// pairs still misplaced after recovery, and the recovered heat seeds.
+pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
+
 /// The recovery procedure (paper §III "Recovery procedure"): reopen the
-/// files recorded in the NVMM fd table, replay every committed entry from
+/// files recorded in the NVMM fd table, collect every committed entry from
 /// the persistent tail(s) in *global commit order* (skipping torn entries,
-/// honouring group commit flags), `sync`, close the files, and empty the
+/// honouring group commit flags), replay them as planned extents (module
+/// docs: plan → extents → sync → empty), close the files, and empty the
 /// log.
 ///
-/// On a single-stripe log (the seed format) the replay is the seed's
+/// On a single-stripe log (the seed format) the scan is the seed's
 /// in-ring-order scan from [`layout::OFF_PTAIL`]. On a striped log each
 /// stripe is scanned from its own persistent tail; within a stripe, ring
 /// order equals global-sequence order (an allocation invariant), so the
@@ -135,15 +264,11 @@ struct CommittedGroup {
 /// Idempotent: crashing *during* recovery and running it again converges to
 /// the same state, because replay only overwrites with logged data and the
 /// log is emptied only after the final `sync`.
-/// `(path, backend, dequantized heat)` summaries harvested from a
-/// heat-format image's fd slots, ready to seed the migrator's catalog.
-pub(crate) type HeatSeeds = Vec<(String, u32, f64)>;
-
-/// What [`recover`] hands the mount: the report, the `(path, backend)`
-/// pairs still misplaced after recovery, and the recovered heat seeds.
-pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
-
-#[allow(clippy::too_many_arguments)] // one slot per mount-configuration axis
+///
+/// `replay` is the replay phase: [`replay_planned`] for every mount; tests
+/// also pass the per-entry reference, which then runs between the very same
+/// reopen, scan, sync and empty steps.
+#[allow(clippy::too_many_arguments)] // one slot per mount-configuration axis, plus the replayer
 pub(crate) fn recover(
     region: &NvRegion,
     backends: &[Arc<dyn FileSystem>],
@@ -153,6 +278,7 @@ pub(crate) fn recover(
     target_heat: bool,
     repair: bool,
     clock: &ActorClock,
+    replay: Replayer,
 ) -> IoResult<Recovered> {
     // Read the layout back from the header (charged reads: cold caches).
     let mut header = [0u8; 64];
@@ -201,7 +327,13 @@ pub(crate) fn recover(
     };
 
     // Reopen the files referenced by the fd table, each on its backend.
-    let mut fds: HashMap<u32, (usize, vfs::Fd)> = HashMap::new();
+    // `reopened` lists every descriptor (to close it and clear its slot);
+    // `files` lists every distinct file once, found by its identity on the
+    // inner file system, and `file_of_slot` maps each slot to its file.
+    let mut reopened: Vec<(u32, usize, vfs::Fd)> = Vec::new();
+    let mut files: Vec<(usize, vfs::Fd)> = Vec::new();
+    let mut file_of_identity: HashMap<(usize, u64, u64), usize> = HashMap::new();
+    let mut file_of_slot: HashMap<u32, usize> = HashMap::new();
     let mut misplaced: Vec<(String, u32)> = Vec::new();
     // path → (backend, heat): one entry per path (a file open through
     // several descriptors stamps one summary per slot; keep the hottest).
@@ -244,7 +376,15 @@ pub(crate) fn recover(
                 // it.
                 match inner.open(&path, OpenFlags::RDWR, clock) {
                     Ok(fd) => {
-                        fds.insert(slot, (backend, fd));
+                        let meta = inner.fstat(fd, clock)?;
+                        let file = *file_of_identity
+                            .entry((backend, meta.dev, meta.ino))
+                            .or_insert_with(|| {
+                                files.push((backend, fd));
+                                files.len() - 1
+                            });
+                        file_of_slot.insert(slot, file);
+                        reopened.push((slot, backend, fd));
                         report.files_reopened += 1;
                         resolved = Some(backend);
                         break;
@@ -308,7 +448,7 @@ pub(crate) fn recover(
     misplaced.dedup();
     report.files_misplaced = misplaced.len();
     let mut touched = vec![false; backends.len()];
-    for &(backend, _) in fds.values() {
+    for &(_, backend, _) in &reopened {
         touched[backend] = true;
     }
     report.backends_touched = touched.iter().filter(|&&t| t).count();
@@ -329,13 +469,8 @@ pub(crate) fn recover(
         let mut i = 0u64;
         while i < per_stripe {
             let slot = lay.stripe_slot(stripe, stripe_tail + i);
-            let base = lay.entry(slot);
-            let mut ehdr = [0u8; 40];
-            region.read(base, &mut ehdr, clock);
-            let commit = layout::parse_commit_word(u64::from_le_bytes(
-                ehdr[0..8].try_into().expect("8 bytes"),
-            ));
-            match commit {
+            let header = read_header(region, &lay, slot, clock);
+            match header.commit {
                 CommitWord::Free => {
                     i += 1;
                 }
@@ -346,11 +481,12 @@ pub(crate) fn recover(
                     i += 1;
                 }
                 CommitWord::Leader => {
-                    let group_len =
-                        u32::from_le_bytes(ehdr[24..28].try_into().expect("4 bytes")).max(1) as u64;
-                    let group_len = group_len.min(per_stripe - i);
-                    let gseq = u64::from_le_bytes(ehdr[32..40].try_into().expect("8 bytes"));
-                    groups.push(CommittedGroup { gseq, first_slot: slot, len: group_len });
+                    let group_len = (header.group_len.max(1) as u64).min(per_stripe - i);
+                    groups.push(CommittedGroup {
+                        first_slot: slot,
+                        len: group_len,
+                        leader: header,
+                    });
                     i += group_len;
                 }
             }
@@ -359,38 +495,22 @@ pub(crate) fn recover(
     // Merge phase: total order by global sequence number. Each stripe's scan
     // produced an already-sorted run, so this is the k-way merge collapsed
     // into one sort of the (few) committed groups.
-    groups.sort_by_key(|g| g.gseq);
+    groups.sort_by_key(|g| g.leader.seq);
 
-    // Replay phase, in global commit order, each entry to the backend its
-    // fd slot resolved to.
-    for group in &groups {
-        for g in 0..group.len {
-            // Group slots are contiguous in the owning stripe's window and
-            // never wrap past it mid-group (allocation keeps groups whole),
-            // but the modulo keeps the scan honest at the window edge.
-            let stripe = group.first_slot / per_stripe;
-            let within = (group.first_slot % per_stripe + g) % per_stripe;
-            let gslot = stripe * per_stripe + within;
-            let gbase = lay.entry(gslot);
-            let mut gh = [0u8; 40];
-            region.read(gbase, &mut gh, clock);
-            let fd_slot = u32::from_le_bytes(gh[8..12].try_into().expect("4 bytes"));
-            let len = u32::from_le_bytes(gh[12..16].try_into().expect("4 bytes"));
-            let file_off = u64::from_le_bytes(gh[16..24].try_into().expect("8 bytes"));
-            let Some(&(backend, fd)) = fds.get(&fd_slot) else {
-                // Entry for a slot missing from the fd table: can only
-                // happen if the slot was cleared, which requires a prior
-                // full drain — the entry is already on disk.
-                report.entries_skipped += 1;
-                continue;
-            };
-            let mut data = vec![0u8; len as usize];
-            region.read(lay.entry_data(gslot), &mut data, clock);
-            backends[backend].pwrite(fd, &data, file_off, clock)?;
-            report.entries_replayed += 1;
-            report.bytes_replayed += len as u64;
-        }
-    }
+    // Replay phase: every committed entry, in global commit order, to the
+    // file its fd slot resolved to.
+    replay(
+        &Replay {
+            region,
+            lay: &lay,
+            backends,
+            files: &files,
+            file_of_slot: &file_of_slot,
+            groups: &groups,
+            clock,
+        },
+        &mut report,
+    )?;
 
     // Make the replay durable on every backend, then (and only then) empty
     // the log.
@@ -412,7 +532,7 @@ pub(crate) fn recover(
     }
     region.persist_fence(clock);
     // Close and clear the fd table.
-    for (slot, (backend, fd)) in fds {
+    for (slot, backend, fd) in reopened {
         backends[backend].close(fd, clock)?;
         crate::files::PersistentFdTable::clear(region, &lay, slot, clock);
     }
@@ -507,4 +627,38 @@ pub(crate) fn recover(
     // must be (the virtual-time oracle replays mounts byte for byte).
     heat_seeds.sort_by(|a, b| a.0.cmp(&b.0));
     Ok((report, misplaced, heat_seeds))
+}
+
+/// The per-entry replay this module used before the planner: one header
+/// read, one data read and one inner `pwrite` per committed entry, in
+/// commit order. Kept as the reference the planned replay is tested
+/// against (`replay_tests.rs`).
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(crate) fn replay_per_entry(
+        replay: &Replay<'_>,
+        report: &mut RecoveryReport,
+    ) -> IoResult<()> {
+        let Replay { region, lay, backends, files, clock, .. } = *replay;
+        for group in replay.groups {
+            for g in 0..group.len {
+                let gslot = replay.slot_of(group, g);
+                let logged = read_header(region, lay, gslot, clock);
+                let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
+                    report.entries_skipped += 1;
+                    continue;
+                };
+                let (backend, fd) = files[file];
+                let mut data = vec![0u8; logged.len as usize];
+                region.read(lay.entry_data(gslot), &mut data, clock);
+                backends[backend].pwrite(fd, &data, logged.file_off, clock)?;
+                report.entries_replayed += 1;
+                report.bytes_replayed += logged.len as u64;
+                report.inner_writes += 1;
+            }
+        }
+        Ok(())
+    }
 }

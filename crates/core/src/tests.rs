@@ -429,6 +429,64 @@ fn close_flushes_content_to_the_kernel_without_draining() {
     assert_eq!(cache.pending_entries(), 0);
 }
 
+/// ROADMAP 3a: radix leaves carry their file's id, so `purge_file` finds
+/// them. Truncating — by `ftruncate(0)` or by an `O_TRUNC` open beside a
+/// descriptor that keeps the file structure alive — must empty the file's
+/// loaded pages, or a later read serves the cut content.
+#[test]
+fn truncation_drops_the_files_cached_pages() {
+    for by_reopen in [false, true] {
+        let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+        let ps = cache.config().page_size;
+        let fd = cache.open("/t", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        cache.pwrite(fd, &vec![7u8; ps], 0, &c).unwrap();
+        let mut page = vec![0u8; ps];
+        cache.pread(fd, &mut page, 0, &c).unwrap();
+        assert_eq!(cache.shared.pool.loaded(), 1, "the read loaded page 0");
+        let fd = if by_reopen {
+            cache.open("/t", OpenFlags::RDWR | OpenFlags::TRUNC, &c).unwrap()
+        } else {
+            cache.ftruncate(fd, 0, &c).unwrap();
+            fd
+        };
+        assert_eq!(cache.shared.pool.loaded(), 0, "by_reopen={by_reopen}");
+        // 100 new bytes at the front, one at the page's end so that the
+        // whole page is inside the file again: the gap must read as zeros.
+        cache.pwrite(fd, &[9u8; 100], 0, &c).unwrap();
+        cache.pwrite(fd, &[9u8], ps as u64 - 1, &c).unwrap();
+        assert_eq!(cache.pread(fd, &mut page, 0, &c).unwrap(), ps);
+        assert!(page[..100].iter().all(|&b| b == 9));
+        assert!(
+            page[100..ps - 1].iter().all(|&b| b == 0),
+            "stale content survived the truncation (by_reopen={by_reopen})"
+        );
+        cache.shutdown(&c);
+    }
+}
+
+/// ROADMAP 3a, the other caller: the last close gives the file's loaded
+/// pages back to the pool.
+#[test]
+fn last_close_returns_the_files_pages_to_the_pool() {
+    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let ps = cache.config().page_size;
+    let fd = cache.open("/lc", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+    let other = cache.open("/other", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+    let mut page = vec![0u8; ps];
+    for fd in [fd, other] {
+        cache.pwrite(fd, &vec![5u8; 2 * ps], 0, &c).unwrap();
+        cache.pread(fd, &mut page, 0, &c).unwrap();
+        cache.pread(fd, &mut page, ps as u64, &c).unwrap();
+    }
+    assert_eq!(cache.shared.pool.loaded(), 4);
+    cache.flush_log(&c); // drained: the close below finishes on the spot
+    cache.close(fd, &c).unwrap();
+    assert_eq!(cache.shared.pool.loaded(), 2, "only the closed file's pages go");
+    cache.close(other, &c).unwrap();
+    assert_eq!(cache.shared.pool.loaded(), 0);
+    cache.shutdown(&c);
+}
+
 #[test]
 fn unlinked_file_is_not_resurrected_by_recovery() {
     let cfg = NvCacheConfig {
@@ -526,6 +584,117 @@ fn fd_table_exhaustion_is_reported() {
     let _b = cache.open("/2", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     assert!(cache.open("/3", OpenFlags::RDWR | OpenFlags::CREATE, &c).is_err());
     cache.shutdown(&c);
+}
+
+/// Forwards to `inner`; `close` first runs the armed hook — on the thread
+/// that is inside `Shared::finish_close` at that moment, its descriptor
+/// gone from every table and its slot not yet released.
+struct CloseHook {
+    inner: Arc<dyn FileSystem>,
+    hook: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl FileSystem for CloseHook {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> vfs::IoResult<vfs::Fd> {
+        self.inner.open(path, flags, clock)
+    }
+    fn close(&self, fd: vfs::Fd, clock: &ActorClock) -> vfs::IoResult<()> {
+        if let Some(hook) = self.hook.lock().take() {
+            hook();
+        }
+        self.inner.close(fd, clock)
+    }
+    fn pread(&self, fd: vfs::Fd, buf: &mut [u8], off: u64, c: &ActorClock) -> vfs::IoResult<usize> {
+        self.inner.pread(fd, buf, off, c)
+    }
+    fn pwrite(&self, fd: vfs::Fd, data: &[u8], off: u64, c: &ActorClock) -> vfs::IoResult<usize> {
+        self.inner.pwrite(fd, data, off, c)
+    }
+    fn fsync(&self, fd: vfs::Fd, clock: &ActorClock) -> vfs::IoResult<()> {
+        self.inner.fsync(fd, clock)
+    }
+    fn ftruncate(&self, fd: vfs::Fd, len: u64, clock: &ActorClock) -> vfs::IoResult<()> {
+        self.inner.ftruncate(fd, len, clock)
+    }
+    fn fstat(&self, fd: vfs::Fd, clock: &ActorClock) -> vfs::IoResult<vfs::Metadata> {
+        self.inner.fstat(fd, clock)
+    }
+    fn stat(&self, path: &str, clock: &ActorClock) -> vfs::IoResult<vfs::Metadata> {
+        self.inner.stat(path, clock)
+    }
+    fn unlink(&self, path: &str, clock: &ActorClock) -> vfs::IoResult<()> {
+        self.inner.unlink(path, clock)
+    }
+    fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> vfs::IoResult<()> {
+        self.inner.rename(from, to, clock)
+    }
+    fn list_dir(&self, dir: &str, clock: &ActorClock) -> vfs::IoResult<Vec<String>> {
+        self.inner.list_dir(dir, clock)
+    }
+    fn sync(&self, clock: &ActorClock) -> vfs::IoResult<()> {
+        self.inner.sync(clock)
+    }
+}
+
+/// ROADMAP 3b: between `finish_close` unlisting a descriptor and releasing
+/// its slot, no table shows it — `open`'s out-of-slots check took that for
+/// a full table (`catalog_churn`, ~1 run in 30). The hook evaluates the
+/// check from inside that very window, for both ways in: a `close` that
+/// finishes on the spot, and a zombie finished by `drain_zombies`.
+#[test]
+fn a_descriptor_being_finished_does_not_read_as_a_full_table() {
+    for zombie in [false, true] {
+        let cfg = NvCacheConfig {
+            fd_slots: 1,
+            batch_min: 1_000_000,
+            batch_max: 1_000_000,
+            ..NvCacheConfig::tiny()
+        };
+        let c = ActorClock::new();
+        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+        let hooked = Arc::new(CloseHook {
+            inner: Arc::new(MemFs::new()),
+            hook: parking_lot::Mutex::new(None),
+        });
+        let inner = Arc::clone(&hooked) as Arc<dyn FileSystem>;
+        let cache =
+            Arc::new(mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &c).expect("format"));
+        let fd = cache.open("/a", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        if zombie {
+            cache.pwrite(fd, b"pending", 0, &c).unwrap(); // parked: close defers
+        }
+        let seen = Arc::new(parking_lot::Mutex::new(None));
+        *hooked.hook.lock() = Some(Box::new({
+            let (cache, seen) = (Arc::clone(&cache), Arc::clone(&seen));
+            move || {
+                let shared = &cache.shared;
+                let in_no_table =
+                    shared.opened.read().is_empty() && shared.zombies.lock().is_empty();
+                *seen.lock() =
+                    Some((in_no_table, shared.fd_slots.free_count(), shared.out_of_descriptors()));
+            }
+        }));
+        cache.close(fd, &c).unwrap();
+        if zombie {
+            assert_eq!(cache.fd_slot_usage(), (0, 1, 1), "the close was deferred");
+            cache.flush_log(&c);
+            cache.shared.drain_zombies(&c);
+        }
+        assert_eq!(
+            *seen.lock(),
+            Some((true, 0, false)),
+            "zombie={zombie}: in no table, slot still taken, yet not out of descriptors"
+        );
+        assert!(cache.shared.out_of_descriptors(), "nothing is on its way any more");
+        let fd = cache
+            .open("/b", OpenFlags::RDWR | OpenFlags::CREATE, &c)
+            .expect("the slot is back");
+        cache.close(fd, &c).unwrap();
+        cache.shutdown(&c);
+    }
 }
 
 #[test]

@@ -306,6 +306,29 @@ impl CryptFs {
         Ok(())
     }
 
+    /// The file grows from `old`, inside a tagged page, to `len`: what the
+    /// inner file system zero-fills behind `old` is wrong ciphertext for
+    /// plaintext zeroes, and the page's tag covers only the old prefix —
+    /// re-encrypt the page with its zero extension.
+    fn reseal_grown_tail(
+        &self,
+        e: &CryptFdEntry,
+        data_fd: Fd,
+        old: u64,
+        len: u64,
+        clock: &ActorClock,
+    ) -> IoResult<()> {
+        let page_no = old / self.page;
+        if self.read_tag(e.tag_fd, page_no, clock)? != 0 {
+            let old_avail = (old - page_no * self.page) as usize;
+            let new_avail = (len - page_no * self.page).min(self.page) as usize;
+            let mut plain = self.open_page_unverified(e, data_fd, page_no, old_avail, clock)?;
+            plain.resize(new_avail, 0);
+            self.seal_page(e, data_fd, page_no, &mut plain, clock)?;
+        }
+        Ok(())
+    }
+
     fn file_size(&self, data_fd: Fd, clock: &ActorClock) -> IoResult<u64> {
         Ok(self.inner.fstat(data_fd, clock)?.size)
     }
@@ -405,6 +428,11 @@ impl FileSystem for CryptFs {
         let size = self.file_size(fd, clock)?;
         let end = off + data.len() as u64;
         let (first, last) = (off / self.page, (end - 1) / self.page);
+        if !size.is_multiple_of(self.page) && first > size / self.page {
+            // The write starts beyond the partly filled last page, which so
+            // becomes an inner page without being written.
+            self.reseal_grown_tail(&e, fd, size, end, clock)?;
+        }
         for page_no in first..=last {
             let base = page_no * self.page;
             let old_in_page = size.saturating_sub(base).min(self.page) as usize;
@@ -455,17 +483,7 @@ impl FileSystem for CryptFs {
                 self.write_tag(e.tag_fd, page_no, tag, clock)?;
             }
         } else if len > old && !old.is_multiple_of(self.page) {
-            // Extend from inside a tagged page: the inner zero-fill is
-            // wrong ciphertext for plaintext zeroes — re-encrypt the page
-            // with its zero extension.
-            let page_no = old / self.page;
-            if self.read_tag(e.tag_fd, page_no, clock)? != 0 {
-                let old_avail = (old - page_no * self.page) as usize;
-                let new_avail = (len - page_no * self.page).min(self.page) as usize;
-                let mut plain = self.open_page_unverified(&e, fd, page_no, old_avail, clock)?;
-                plain.resize(new_avail, 0);
-                self.seal_page(&e, fd, page_no, &mut plain, clock)?;
-            }
+            self.reseal_grown_tail(&e, fd, old, len, clock)?;
         }
         Ok(())
     }
@@ -612,6 +630,33 @@ mod tests {
         let mut tail = [0u8; 4];
         fs.pread(fd, &mut tail, 4096 * 2 + 100, &c).unwrap();
         assert_eq!(&tail, b"tail");
+    }
+
+    /// A write that starts beyond the partly filled last page turns it into
+    /// an inner page: its tag must then cover the whole page, whichever
+    /// order the two writes come in — and the bytes at rest are the same.
+    #[test]
+    fn growing_past_a_short_last_page_keeps_it_readable() {
+        let raw_of = |ascending: bool| {
+            let (c, inner, fs, layer) = rig(11);
+            let fd = fs.open("/g", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+            let writes: [(&[u8], u64); 2] = [(&[1u8; 100], 0), (&[2u8; 100], 8192)];
+            let order: [usize; 2] = if ascending { [0, 1] } else { [1, 0] };
+            for i in order {
+                fs.pwrite(fd, writes[i].0, writes[i].1, &c).unwrap();
+            }
+            let mut buf = vec![9u8; 8292];
+            assert_eq!(fs.pread(fd, &mut buf, 0, &c).unwrap(), 8292, "ascending={ascending}");
+            assert!(buf[..100].iter().all(|&b| b == 1));
+            assert!(buf[100..8192].iter().all(|&b| b == 0), "the gap reads as zeroes");
+            assert!(buf[8192..].iter().all(|&b| b == 2));
+            assert_eq!(layer.stats().tamper_detected, 0);
+            let raw = inner.open("/g", OpenFlags::RDONLY, &c).unwrap();
+            let mut at_rest = vec![0u8; 8292];
+            inner.pread(raw, &mut at_rest, 0, &c).unwrap();
+            at_rest
+        };
+        assert_eq!(raw_of(true), raw_of(false));
     }
 
     #[test]

@@ -23,13 +23,20 @@ fn assert_checkers_clean(cache: &NvCache) {
 fn assert_checkers_clean(_cache: &NvCache) {}
 
 fn setup(shards: usize) -> (ActorClock, Arc<dyn FileSystem>, Arc<NvCache>) {
+    setup_with_fd_slots(shards, 16)
+}
+
+fn setup_with_fd_slots(
+    shards: usize,
+    fd_slots: u32,
+) -> (ActorClock, Arc<dyn FileSystem>, Arc<NvCache>) {
     let clock = ActorClock::new();
     let cfg = NvCacheConfig {
         nb_entries: 1024,
         read_cache_pages: 128,
         batch_min: 1,
         batch_max: 64,
-        fd_slots: 16,
+        fd_slots,
         ..NvCacheConfig::default()
     }
     .with_log_shards(shards);
@@ -147,6 +154,42 @@ fn disjoint_writers_use_multiple_stripes() {
             assert_eq!(buf[0], (t + 1) as u8, "inner page {page}");
         }
     }
+    assert_checkers_clean(&cache);
+    cache.shutdown(&clock);
+}
+
+/// ROADMAP 3b: as many slots as threads, each thread holding at most one
+/// descriptor — the table is never full, so no `open` may say it is, even
+/// when it arrives while another thread's `close` is between unlisting its
+/// descriptor and releasing the slot (`sched-stress` yields there).
+#[test]
+fn open_never_finds_the_table_full_while_a_close_is_finishing() {
+    const THREADS: u32 = 4;
+    let (clock, _inner, cache) = setup_with_fd_slots(2, THREADS);
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let clock = ActorClock::new();
+                for round in 0..400u64 {
+                    let path = format!("/churn/t{t}-{}", round % 7);
+                    let fd = cache
+                        .open(&path, OpenFlags::RDWR | OpenFlags::CREATE, &clock)
+                        .unwrap_or_else(|e| panic!("thread {t} round {round}: {e}"));
+                    // Every other descriptor closes with entries pending
+                    // (a zombie), the rest finish on the spot.
+                    if round % 2 == 0 {
+                        cache.pwrite(fd, &[t as u8 + 1; 64], 64 * round, &clock).unwrap();
+                    }
+                    cache.close(fd, &clock).unwrap();
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    cache.flush_log(&clock);
     assert_checkers_clean(&cache);
     cache.shutdown(&clock);
 }

@@ -13,7 +13,7 @@ proptest! {
 
     #[test]
     fn radix_behaves_like_a_map(pages in proptest::collection::vec(0u64..1 << 20, 1..200)) {
-        let radix = Radix::new();
+        let radix = Radix::new(1);
         let mut model = std::collections::HashSet::new();
         for &p in &pages {
             let d = radix.get_or_create(p);
