@@ -10,7 +10,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use nvmm::NvRegion;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use simclock::{ActorClock, SimTime};
 use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
 
@@ -81,6 +81,11 @@ pub(crate) struct Shared {
     pub sq_taken: Box<[AtomicBool]>,
     /// Closed fds awaiting their last log entries to drain.
     pub zombies: Mutex<Vec<Zombie>>,
+    /// Descriptors of files that just died (unlinked, every descriptor
+    /// closed), waiting for a cleanup worker to release their inner
+    /// descriptors ([`release_dead`](Shared::release_dead)) — on its clock,
+    /// where a deferred close is paid anyway.
+    pub graveyard: Mutex<Vec<Arc<OpenedFile>>>,
     /// Descriptors inside [`finish_close`](Shared::finish_close), or
     /// unlisted from `zombies` on their way there: gone from both tables,
     /// slot not yet released. Counted by whoever hands the descriptor to
@@ -234,18 +239,29 @@ impl Shared {
         }
     }
 
+    /// A descriptor — open, closing or draining: a zombie stays in `opened`
+    /// until [`finish_close`](Shared::finish_close) — on the file *named*
+    /// `path`. An unlinked file has no name and answers no path-keyed query.
+    fn descriptor_at(&self, path: &str) -> Option<Arc<OpenedFile>> {
+        let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
+        let opened = self.opened.read();
+        let named =
+            |o: &&Arc<OpenedFile>| o.file.path == path && !o.file.unlinked.load(Ordering::Acquire);
+        opened.values().find(named).cloned()
+    }
+
+    /// Every descriptor — open, closing or draining — on `file`.
+    fn descriptors_of(&self, file: &Arc<FileState>) -> Vec<Arc<OpenedFile>> {
+        let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
+        let opened = self.opened.read();
+        opened.values().filter(|o| Arc::ptr_eq(&o.file, file)).cloned().collect()
+    }
+
     /// Whether any open descriptor or closed-but-undrained zombie still
     /// references `path` — such a file owns pending log entries tied to its
     /// recorded backend and must not migrate.
     pub fn path_is_open_or_draining(&self, path: &str) -> bool {
-        {
-            let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
-            if self.opened.read().values().any(|o| o.file.path == path) {
-                return true;
-            }
-        }
-        let _lk = self.lockcheck.acquire(Class::Zombies, 0);
-        self.zombies.lock().iter().any(|z| z.opened.file.path == path)
+        self.descriptor_at(path).is_some()
     }
 
     /// Pops a free persistent fd slot (draining finished zombies once if
@@ -264,19 +280,9 @@ impl Shared {
     /// file's bytes live where they were written, not where the router
     /// would place the path today.
     pub fn recorded_backend(&self, path: &str) -> Option<u32> {
-        {
-            let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
-            if let Some(o) = self.opened.read().values().find(|o| o.file.path == path) {
-                return Some(o.backend);
-            }
-        }
-        {
-            let _lk = self.lockcheck.acquire(Class::Zombies, 0);
-            if let Some(z) = self.zombies.lock().iter().find(|z| z.opened.file.path == path) {
-                return Some(z.opened.backend);
-            }
-        }
-        self.migrator.backend_of(path)
+        self.descriptor_at(path)
+            .map(|o| o.backend)
+            .or_else(|| self.migrator.backend_of(path))
     }
 
     /// Backend probe order for path operations: the recorded backend first,
@@ -312,6 +318,91 @@ impl Shared {
             }
         }
         Ok(None)
+    }
+
+    /// Holds `opened`'s inner descriptor shared: it cannot be released
+    /// before the guard drops, so whoever finds `Some(fd)` may use `fd` for
+    /// as long as it holds the guard. Taken *after* any page lock — a
+    /// queued release would otherwise stand between two readers that hold
+    /// them in opposite orders.
+    pub fn hold_inner<'o>(
+        &self,
+        opened: &'o OpenedFile,
+    ) -> (RwLockReadGuard<'o, Option<Fd>>, Held) {
+        let order = self.lockcheck.acquire(Class::InnerFd, 0);
+        (opened.inner.read(), order)
+    }
+
+    /// Closes `opened`'s inner descriptor, once: whoever takes it out of
+    /// the handle closes it, after every holder of the handle has let go.
+    pub fn release_inner(&self, opened: &OpenedFile, clock: &ActorClock) {
+        crate::stress_point();
+        let taken = {
+            let _lk = self.lockcheck.acquire(Class::InnerFd, 0);
+            opened.inner.write().take()
+        };
+        crate::stress_point();
+        if let Some(fd) = taken {
+            let _ = self.inner_of(opened).close(fd, clock);
+        }
+    }
+
+    /// Releases the inner descriptors of the files that died since the last
+    /// call: the inner file system retires an unlinked inode at its last
+    /// `close` and drops the pages it still caches for it, so a later
+    /// barrier has nothing of theirs to write back.
+    pub fn release_dead(&self, clock: &ActorClock) {
+        let dead = std::mem::take(&mut *self.graveyard.lock());
+        for opened in dead {
+            self.release_inner(&opened, clock);
+        }
+    }
+
+    /// The inner `unlink` of the file `identity` names (`(backend, dev,
+    /// ino)`) succeeded. If the mount knows the file it loses its name: it
+    /// leaves the file table (the inode number may come back as another
+    /// file), and the valid word of every fd slot on it is cleared, so that
+    /// recovery skips its pending entries instead of replaying them into
+    /// whatever carries the name by then. Inner unlink first, valid words
+    /// second: a crash in between finds the slots valid and no file
+    /// (recovery counts it missing and discards the entries); the reverse
+    /// order would lose acknowledged writes of a file that still has its
+    /// name.
+    fn file_unlinked(&self, identity: (u32, u64, u64), clock: &ActorClock) {
+        let Some(file) = ({
+            let _lk = self.lockcheck.acquire(Class::FilesMap, 0);
+            self.files.lock().remove(&identity)
+        }) else {
+            return;
+        };
+        file.unlinked.store(true, Ordering::SeqCst);
+        let descriptors = self.descriptors_of(&file);
+        let slots = descriptors.iter().map(|o| o.slot);
+        PersistentFdTable::clear_all(&self.log.region, &self.log.layout, slots, clock);
+        self.bury_if_dead(&file, descriptors);
+    }
+
+    /// Whether the unlinked `file` is *dead* — none of its `descriptors`
+    /// (all of them, listed after `unlinked` was set) is left un-closed, so
+    /// nothing can read it again. The caller that finds it so
+    /// first buries it: its read-cache pages go, and its descriptors'
+    /// inner halves are handed to the cleanup workers for release. From
+    /// then on the workers drop its entries instead of writing them; its
+    /// zombies stay listed only to pin their slot numbers until the tail
+    /// has passed those entries. `unlink` and the last `close` may race
+    /// here: each publishes its own step (`unlinked`, `closing`) before it
+    /// looks for the other's, so at least one of them finds the file dead.
+    fn bury_if_dead(&self, file: &FileState, descriptors: Vec<Arc<OpenedFile>>) -> bool {
+        if descriptors.iter().any(|o| !o.closing.load(Ordering::SeqCst)) {
+            return false;
+        }
+        if !file.dead.swap(true, Ordering::SeqCst) {
+            self.pool.purge_file(file.file_id);
+            self.stats.files_buried.fetch_add(1, Ordering::Relaxed);
+            self.graveyard.lock().extend(descriptors);
+            self.log.notify_work_all();
+        }
+        true
     }
 
     /// Collects this file's still-pending log entries from every stripe,
@@ -355,7 +446,10 @@ impl Shared {
                     let pages = self.page_descs(&opened.file, off, data.len());
                     let _guards =
                         self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
-                    let _ = self.inner_of(opened).pwrite(opened.inner_fd, data, off, clock);
+                    let (inner, _lk) = self.hold_inner(opened);
+                    if let Some(fd) = *inner {
+                        let _ = self.inner_of(opened).pwrite(fd, data, off, clock);
+                    }
                     Ok(())
                 },
             );
@@ -381,19 +475,29 @@ impl Shared {
             self.opened.write().remove(&opened.slot);
         }
         // The descriptor is in no table and its slot is still taken.
-        crate::stress_point();
-        let _ = self.inner_of(opened).close(opened.inner_fd, clock);
-        PersistentFdTable::clear(&self.log.region, &self.log.layout, opened.slot, clock);
+        self.release_inner(opened, clock);
+        // An unlinked file's slots were cleared at the `unlink`; it is in
+        // no file table, and there is no path to catalogue.
+        let named = !opened.file.unlinked.load(Ordering::SeqCst);
+        if named {
+            PersistentFdTable::clear(&self.log.region, &self.log.layout, opened.slot, clock);
+        }
         self.fd_slots.release(opened.slot);
         self.finishing.fetch_sub(1, Ordering::SeqCst);
         if opened.file.open_count.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.pool.purge_file(opened.file.file_id);
             let (dev, ino) = opened.file.dev_ino;
             {
+                // Only this file's own entry: the key of a file unlinked
+                // meanwhile may already name its successor.
                 let _lk = self.lockcheck.acquire(Class::FilesMap, 0);
-                self.files.lock().remove(&(opened.backend, dev, ino));
+                let mut files = self.files.lock();
+                let key = (opened.backend, dev, ino);
+                if files.get(&key).is_some_and(|f| Arc::ptr_eq(f, &opened.file)) {
+                    files.remove(&key);
+                }
             }
-            if self.migration_enabled() {
+            if named && self.migration_enabled() {
                 // The file is now closed and drained: catalog it (with its
                 // accumulated access heat, size and decaying temperature)
                 // so sweeps can re-home it, and wake the background
@@ -666,7 +770,9 @@ impl Shared {
         if file.radix.get().is_none() {
             // Never opened for writing: the kernel page cache is fresh.
             self.stats.bypass_reads.fetch_add(1, Ordering::Relaxed);
-            return self.inner_of(opened).pread(opened.inner_fd, &mut buf[..n], off, clock);
+            let (inner, _lk) = self.hold_inner(opened);
+            let inner_fd = inner.ok_or(IoError::BadFd(opened.slot as u64))?;
+            return self.inner_of(opened).pread(inner_fd, &mut buf[..n], off, clock);
         }
         let ps = self.cfg.page_size as u64;
         let pages = self.page_descs(file, off, n);
@@ -679,7 +785,11 @@ impl Shared {
                 let _cl = self.lockcheck.acquire_page(Class::PageCleanup, file.file_id, p);
                 let cleanup_guard = d.lock_cleanup();
                 let mut page_buf = vec![0u8; ps as usize];
-                self.inner_of(opened).pread(opened.inner_fd, &mut page_buf, p * ps, clock)?;
+                {
+                    let (inner, _lk) = self.hold_inner(opened);
+                    let inner_fd = inner.ok_or(IoError::BadFd(opened.slot as u64))?;
+                    self.inner_of(opened).pread(inner_fd, &mut page_buf, p * ps, clock)?;
+                }
                 let unpropagated = d.dirty_count();
                 if unpropagated > 0 {
                     self.stats.dirty_misses.fetch_add(1, Ordering::Relaxed);
@@ -811,6 +921,7 @@ impl NvCache {
                 taken.into_boxed_slice()
             },
             zombies: Mutex::new(Vec::new()),
+            graveyard: Mutex::new(Vec::new()),
             finishing: AtomicUsize::new(0),
             stats: NvCacheStats::with_front_end(cfg.log_shards, cfg.backends, cfg.sq_pairs),
             stop: AtomicBool::new(false),
@@ -1250,6 +1361,8 @@ impl NvCache {
                     file_id: self.shared.next_file_id.fetch_add(1, Ordering::Relaxed),
                     dev_ino: (meta.dev, meta.ino),
                     path: path.to_string(),
+                    unlinked: AtomicBool::new(false),
+                    dead: AtomicBool::new(false),
                     size: AtomicU64::new(meta.size),
                     reads: AtomicU64::new(heat.reads),
                     writes: AtomicU64::new(heat.writes),
@@ -1348,7 +1461,7 @@ impl NvCache {
             cursor: Mutex::new(0),
             file,
             backend: backend_idx as u32,
-            inner_fd,
+            inner: RwLock::new(Some(inner_fd)),
             closing: AtomicBool::new(false),
             in_flight: AtomicU32::new(0),
         });
@@ -1522,21 +1635,30 @@ impl FileSystem for NvCache {
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.shared.cfg.libc_overhead);
         let opened = self.shared.opened_fd(fd)?;
-        if opened.closing.swap(true, Ordering::AcqRel) {
+        if opened.closing.swap(true, Ordering::SeqCst) {
             return Err(IoError::BadFd(fd.0));
         }
         // Wait out in-flight calls on this descriptor, then push this file's
         // pending writes into the kernel page cache (paper §I: close flushes
         // all user-space writes *to the kernel* — durability is already in
-        // NVMM, so no fsync and no waiting for the cleanup thread).
+        // NVMM, so no fsync and no waiting for the cleanup thread). The last
+        // close of an unlinked file has nobody left to flush for: the file
+        // is dead.
         while opened.in_flight.load(Ordering::Acquire) > 0 {
             std::thread::yield_now();
         }
-        self.shared.kernel_flush_file(&opened, clock);
-        // Final temperature summary while the slot is still valid: a crash
-        // during the zombie drain window hands the next mount this file's
-        // heat (a clean finish clears the slot, heat word included).
-        self.stamp_heat(&opened.file, opened.slot, clock);
+        let file = &opened.file;
+        let shared = &self.shared;
+        let dead = file.unlinked.load(Ordering::SeqCst)
+            && shared.bury_if_dead(file, shared.descriptors_of(file));
+        if !dead {
+            self.shared.kernel_flush_file(&opened, clock);
+            // Final temperature summary while the slot is still valid: a
+            // crash during the zombie drain window hands the next mount this
+            // file's heat (a clean finish clears the slot, heat word
+            // included).
+            self.stamp_heat(file, opened.slot, clock);
+        }
         // The persistent fd slot must outlive the entries that reference it
         // (recovery resolves paths through it); defer the actual teardown to
         // the cleanup workers if entries are still in flight anywhere.
@@ -1583,7 +1705,11 @@ impl FileSystem for NvCache {
         // Rare, non-critical path: drain then delegate, keeping NVCache's
         // size authoritative.
         self.drained_flush(clock)?;
-        self.shared.inner_of(&opened).ftruncate(opened.inner_fd, len, clock)?;
+        {
+            let (inner, _lk) = self.shared.hold_inner(&opened);
+            let inner_fd = inner.ok_or(IoError::BadFd(fd.0))?;
+            self.shared.inner_of(&opened).ftruncate(inner_fd, len, clock)?;
+        }
         opened.file.size.store(len, Ordering::Release);
         self.shared.pool.purge_file(opened.file.file_id);
         Ok(())
@@ -1633,13 +1759,23 @@ impl FileSystem for NvCache {
     }
 
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
-        // Pass-through, as in the paper (Table III does not intercept it).
-        // Pending log entries for the victim are neutralized at recovery,
-        // which refuses to recreate files that no longer exist. Like
-        // `stat`, the probe honours the recorded backend before policy
-        // routing, so a misplaced file can actually be removed.
+        // Paper Table III passes `unlink` through, and so does this — and
+        // then tells the cache that the victim is gone, which no caller can
+        // observe: once the name is removed its pending entries have nowhere
+        // to be read from, so recovery skips them (the fd slots are
+        // invalidated here; a slot the mount could not match is still caught
+        // by recovery refusing to recreate a missing file) and, once the
+        // last descriptor is closed too, the drain drops them
+        // (`Shared::bury_if_dead`). A file that is still open keeps working
+        // through its descriptors. Like `stat`, the probe honours the
+        // recorded backend before policy routing, so a misplaced file can
+        // actually be removed.
         clock.advance(self.shared.cfg.libc_overhead);
         let path = vfs::normalize_path(path);
+        // The victim's state is found by identity, which costs an inner
+        // `stat` — paid only when a descriptor suggests the mount knows the
+        // file at all (`FileState::path` can be stale: it never decides).
+        let known = self.shared.path_is_open_or_draining(&path);
         let gated = self.shared.migration_enabled();
         let _gate = gated.then(|| self.shared.lockcheck.acquire(Class::MigrationGate, 0));
         if gated {
@@ -1653,8 +1789,15 @@ impl FileSystem for NvCache {
         let mut removed = false;
         let mut result = Err(IoError::NotFound(path.clone()));
         for backend in self.shared.resolution_order(&path) {
-            match self.shared.backends[backend].unlink(&path, clock) {
-                Ok(()) => removed = true,
+            let inner = &self.shared.backends[backend];
+            let identity = known.then(|| inner.stat(&path, clock).ok()).flatten();
+            match inner.unlink(&path, clock) {
+                Ok(()) => {
+                    removed = true;
+                    if let Some(meta) = identity {
+                        self.shared.file_unlinked((backend as u32, meta.dev, meta.ino), clock);
+                    }
+                }
                 Err(IoError::NotFound(_)) => {}
                 Err(e) => {
                     result = Err(e);
@@ -1772,7 +1915,9 @@ mod reference {
                 let pages = self.page_descs(&opened.file, hdr.file_off, hdr.len as usize);
                 let _guards =
                     self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
-                let _ = self.inner_of(opened).pwrite(opened.inner_fd, &data, hdr.file_off, clock);
+                let (inner, _lk) = self.hold_inner(opened);
+                let fd = inner.expect("an open descriptor");
+                let _ = self.inner_of(opened).pwrite(fd, &data, hdr.file_off, clock);
             }
         }
     }

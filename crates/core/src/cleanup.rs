@@ -17,6 +17,7 @@ use fiosim::IoRing;
 use simclock::SimTime;
 
 use crate::cache::{KeyedPage, Shared};
+use crate::files::OpenedFile;
 use crate::layout::CommitWord;
 use crate::lockcheck::Class;
 use crate::pagedesc::PageDescriptor;
@@ -35,7 +36,11 @@ use crate::pagedesc::PageDescriptor;
 ///    `queue_depth = N`, up to `N` calls overlap instead of each waiting
 ///    for the previous completion. That is device time only when the inner
 ///    file is `O_DIRECT`; a buffered `pwrite` is a copy into the inner page
-///    cache, and the device's share of the batch is paid in phase 2.
+///    cache, and the device's share of the batch is paid in phase 2. An
+///    entry whose file is *dead* — unlinked, every descriptor closed, its
+///    inner descriptor released ([`Shared::release_dead`]) — is consumed
+///    like any other (handoff, page locks, dirty counters) without the
+///    write: [`entries_elided`](crate::NvCacheStats::entries_elided).
 /// 2. **Reap** — the worker joins all completions, then submits **one
 ///    durability barrier per backend** the batch wrote to (tiers overlap,
 ///    each on its own ring) and reaps those too: `fsync` of the file when
@@ -114,6 +119,9 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 || space_needed
                 || handoff_pressure
                 || stop);
+        // Whatever died before this batch was asked for is released before
+        // the batch looks at its entries.
+        shared.release_dead(&clock);
         if !should_run {
             if stop && pending == 0 {
                 shared.drain_zombies(&clock);
@@ -214,20 +222,29 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 let guards =
                     shared.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
                 let backend = opened.backend as usize;
-                let cqe = rings[backend].submit_pwrite(
-                    opened.inner_fd,
-                    &data,
-                    e.file_off,
-                    e.seq,
-                    clock.now(),
-                );
-                let failed = cqe.result.is_err();
-                shard_stats.uring_submitted.fetch_add(1, Ordering::Relaxed);
-                if failed {
-                    drop(guards);
-                    batch_failed = true;
-                    break;
+                // The inner descriptor stays ours across the submit. A
+                // released one means the file is dead: the entry is consumed
+                // like any other, minus the write nobody could read back.
+                let (inner, inner_order) = shared.hold_inner(&opened);
+                if let Some(fd) = *inner {
+                    let cqe =
+                        rings[backend].submit_pwrite(fd, &data, e.file_off, e.seq, clock.now());
+                    shard_stats.uring_submitted.fetch_add(1, Ordering::Relaxed);
+                    if cqe.result.is_err() {
+                        batch_failed = true;
+                        break;
+                    }
+                    shared.stats.per_backend_propagated[backend].fetch_add(1, Ordering::Relaxed);
+                    touched[backend] = match std::mem::take(&mut touched[backend]) {
+                        Touched::Nothing => Touched::One(Arc::clone(&opened)),
+                        Touched::One(one) if Arc::ptr_eq(&one, &opened) => Touched::One(one),
+                        _ => Touched::Several,
+                    };
+                } else {
+                    shared.stats.entries_elided.fetch_add(1, Ordering::Relaxed);
+                    shard_stats.entries_elided.fetch_add(1, Ordering::Relaxed);
                 }
+                drop((inner, inner_order));
                 for (_, d) in &pages {
                     d.dec_dirty();
                     if ordered_handoff {
@@ -235,14 +252,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                     }
                 }
                 drop(guards);
-                touched[backend] = match touched[backend] {
-                    Touched::Nothing => Touched::One(opened.inner_fd),
-                    Touched::One(fd) if fd == opened.inner_fd => Touched::One(fd),
-                    _ => Touched::Several,
-                };
                 shared.stats.entries_propagated.fetch_add(1, Ordering::Relaxed);
                 shard_stats.entries_propagated.fetch_add(1, Ordering::Relaxed);
-                shared.stats.per_backend_propagated[backend].fetch_add(1, Ordering::Relaxed);
             }
             if batch_failed {
                 break;
@@ -274,13 +285,21 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
 
         // One barrier per batch per backend: the batching knob of paper
         // Fig. 6 (each stripe applies the policy independently, each tier on
-        // its own ring). The fd may have raced to close after we propagated
-        // its last entry; an error here would mean the drain ordering broke
-        // — poison, as above.
+        // its own ring). The files that died during the batch go first, so
+        // that a `syncfs` finds none of their pages. A descriptor cannot
+        // finish its close before the tail passes this batch, so `One`'s is
+        // released only if its file died meanwhile — which leaves nothing
+        // to make durable; an error here would mean the drain ordering
+        // broke — poison, as above.
+        shared.release_dead(&clock);
         for (ring, touched) in rings.iter_mut().zip(&touched) {
-            match *touched {
+            match touched {
                 Touched::Nothing => continue,
-                Touched::One(fd) => ring.submit_fsync(fd, 0, clock.now()),
+                Touched::One(opened) => {
+                    let (inner, _lk) = shared.hold_inner(opened);
+                    let Some(fd) = *inner else { continue };
+                    ring.submit_fsync(fd, 0, clock.now())
+                }
                 Touched::Several => ring.submit_sync(0, clock.now()),
             };
             shard_stats.uring_submitted.fetch_add(1, Ordering::Relaxed);
@@ -324,17 +343,19 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
 }
 
 /// What a batch wrote to on one backend, which decides that backend's
-/// durability barrier (an fd is only meaningful on its own backend).
+/// durability barrier (a descriptor is only meaningful on its own backend).
+/// Entries dropped because their file was dead wrote to nothing.
 ///
 /// `One` is not there for speed — one `syncfs` for every batch measures
 /// the same on the benchmark. `fsync(fd)` keeps a single-file drain on the
 /// synchronous drain's timeline to the nanosecond, which the qd-1
 /// serial-equivalence oracles and the bit-identical benchmark workloads
 /// rely on; should those be relaxed, the drain collapses to `syncfs` alone.
-#[derive(Clone, Copy)]
+#[derive(Clone, Default)]
 enum Touched {
+    #[default]
     Nothing,
-    One(vfs::Fd),
+    One(Arc<OpenedFile>),
     Several,
 }
 

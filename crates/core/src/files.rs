@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use nvmm::{NvRegion, PmemInts};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use simclock::{ActorClock, SimTime};
 
 use crate::layout::{
@@ -27,11 +27,21 @@ pub(crate) struct FileState {
     pub file_id: u64,
     /// Identity on the inner file system.
     pub dev_ino: (u64, u64),
-    /// Canonical path. Path-based calls (`stat`, `unlink`, `rename`) consult
-    /// it to find the *recorded* backend of an open file before falling back
-    /// to policy routing; recovery still reads paths from the persistent fd
-    /// table, not from here.
+    /// The path the file was first opened under. Path-based calls (`stat`,
+    /// `unlink`, `rename`) consult it to find the *recorded* backend of an
+    /// open file before falling back to policy routing; recovery still reads
+    /// paths from the persistent fd table, not from here. A rename while the
+    /// file is open leaves it stale, so it may *suggest* a file and never
+    /// identify one: `unlink` confirms its victim by `dev_ino`.
     pub path: String,
+    /// Set once the inner `unlink` of this file succeeded: it has no name
+    /// any more, answers no path-keyed query, is gone from the file table
+    /// and from the persistent fd table, and is never catalogued.
+    pub unlinked: AtomicBool,
+    /// Unlinked *and* no descriptor left un-closed: nothing can read the
+    /// file again, so the drain drops its entries and its inner descriptors
+    /// are released (see `Shared::bury_if_dead`). Set exactly once.
+    pub dead: AtomicBool,
     /// NVCache's own view of the file size — the kernel's may be stale while
     /// appends sit in the log (paper §II-C).
     pub size: AtomicU64,
@@ -81,8 +91,12 @@ pub(crate) struct OpenedFile {
     /// all resolve the inner file system through this — never by re-routing.
     pub backend: u32,
     /// Descriptor on the inner (kernel) file system, used by the cleanup
-    /// thread and by read misses.
-    pub inner_fd: vfs::Fd,
+    /// workers, the kernel flush and read misses — each holds the lock
+    /// shared across its inner call (`Shared::hold_inner`). `None` once
+    /// released (`Shared::release_inner`): at `finish_close`, or as soon as
+    /// the file is dead — a worker that finds `None` drops the entry instead
+    /// of writing it.
+    pub inner: RwLock<Option<vfs::Fd>>,
     /// Set once `close` begins; new calls on the descriptor then fail while
     /// close waits for in-flight calls to drain.
     pub closing: AtomicBool,
@@ -375,11 +389,23 @@ impl PersistentFdTable {
         parse_heat_word(u64::from_le_bytes(w))
     }
 
-    /// Invalidates `slot` (close path — only after the log has been drained,
-    /// so no entry can still reference it).
+    /// Invalidates `slot`: recovery skips every entry that references it.
+    /// On the close path that is only after the log has drained past them;
+    /// on the `unlink` path it is what discards the file's pending entries.
     pub fn clear(region: &NvRegion, layout: &Layout, slot: u32, clock: &ActorClock) {
-        let base = layout.fd_slot(slot);
-        region.commit_store(base, 0, clock);
+        Self::clear_all(region, layout, [slot], clock);
+    }
+
+    /// [`clear`](PersistentFdTable::clear) for several slots under one fence.
+    pub fn clear_all(
+        region: &NvRegion,
+        layout: &Layout,
+        slots: impl IntoIterator<Item = u32>,
+        clock: &ActorClock,
+    ) {
+        for slot in slots {
+            region.commit_store(layout.fd_slot(slot), 0, clock);
+        }
         region.persist_fence(clock);
     }
 

@@ -65,6 +65,20 @@
 //!    stripe's tail passes the per-stripe drain target snapshotted at close
 //!    time.
 //!
+//! 6. **Dead files** — `unlink` is passed through, inner `unlink` first,
+//!    and then invalidates every persistent fd slot on the victim (found by
+//!    its `(backend, dev, ino)` identity, never by path alone): recovery
+//!    skips entries logged through an invalid slot, so a file created later
+//!    under the same name cannot inherit them. Once no descriptor on the
+//!    unlinked file is left un-closed it is *dead*: the workers release its
+//!    inner descriptors (the inner file system drops what it cached for the
+//!    inode) and consume its entries — same handoff, page locks, dirty
+//!    counters, tail and barrier rules — without the inner write. An inner
+//!    descriptor is only ever used under its guard (`OpenedFile::inner`,
+//!    read-held across the call, taken out under the write lock), so no
+//!    worker can be handed a released one; a zombie of a dead file stays
+//!    listed to pin its slot number until the tail has passed its entries.
+//!
 //! Back-pressure (the Fig. 5 saturation collapse) is preserved per stripe:
 //! each stripe couples its writers to its own cleanup worker's virtual
 //! `tail_time`/`free_stamps`, and [`NvCacheStats::per_shard`] exposes the

@@ -50,6 +50,10 @@ pub(crate) enum Class {
     MigrationGate,
     /// The migrator's closed-file catalog.
     MigratorCatalog,
+    /// `OpenedFile::inner` — the guarded inner descriptor, read-held
+    /// across inner calls (always after any page lock), write-held to
+    /// release it.
+    InnerFd,
 }
 
 #[cfg(feature = "pmcheck")]
@@ -66,6 +70,7 @@ impl Class {
             Class::Zombies => "Zombies",
             Class::MigrationGate => "MigrationGate",
             Class::MigratorCatalog => "MigratorCatalog",
+            Class::InnerFd => "InnerFd",
         }
     }
 

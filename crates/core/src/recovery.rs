@@ -46,12 +46,18 @@ pub struct RecoveryReport {
     /// every committed entry of a file that still exists, whether its bytes
     /// were written or absorbed by a newer entry of the same file.
     pub entries_replayed: u64,
-    /// Torn/uncommitted entries skipped.
+    /// Entries skipped: torn or uncommitted, or logged through an fd slot
+    /// that is no longer valid (the file was unlinked, or is missing).
     pub entries_skipped: u64,
     /// Files reopened from the persistent fd table.
     pub files_reopened: usize,
-    /// fd-table slots whose file no longer exists (deliberately unlinked
-    /// before the crash); their entries are discarded, not replayed.
+    /// Valid fd-table slots whose file no longer exists: removed behind the
+    /// mount's back (directly on the inner file system), or by a crash
+    /// between an inner `unlink` and the slot update. Their entries are
+    /// discarded, not replayed. A file unlinked *through the mount* is not
+    /// counted: `unlink` invalidated its slots, so recovery never looks for
+    /// it (its entries are in
+    /// [`entries_skipped`](RecoveryReport::entries_skipped)).
     pub files_missing: usize,
     /// Payload bytes of the replayed entries.
     pub bytes_replayed: u64,
@@ -163,9 +169,11 @@ pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -
             let gslot = replay.slot_of(group, g);
             let logged = if g == 0 { group.leader } else { read_header(region, lay, gslot, clock) };
             let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
-                // Entry for a slot missing from the fd table: the file was
-                // unlinked before the crash, or the slot was cleared — which
-                // requires a prior full drain, so the entry is on disk.
+                // Entry for a slot missing from the fd table. By design:
+                // `unlink` cleared the slots of its victim so that nothing
+                // of it is replayed, into whatever carries the name now; a
+                // `close` clears a slot only after a full drain, so the
+                // entry is on disk; or the file is missing (cleared above).
                 report.entries_skipped += 1;
                 continue;
             };
@@ -370,10 +378,9 @@ pub(crate) fn recover(
                         backends.len()
                     )));
                 };
-                // No O_CREAT: a file that disappeared was deliberately
-                // unlinked (NVCache opens files on the inner FS
-                // synchronously), and its pending writes must not resurrect
-                // it.
+                // No O_CREAT: a file that disappeared was deleted
+                // (NVCache opens files on the inner FS synchronously), and
+                // its pending writes must not resurrect it.
                 match inner.open(&path, OpenFlags::RDWR, clock) {
                     Ok(fd) => {
                         let meta = inner.fstat(fd, clock)?;
@@ -428,9 +435,10 @@ pub(crate) fn recover(
                 }
             }
             if resolved.is_none() {
-                // The file was deliberately unlinked before the crash: its
-                // pending entries are skipped below, and the slot must be
-                // cleared here — a stale slot would otherwise survive a
+                // The file was removed behind the mount's back, or the
+                // crash fell between an inner `unlink` and the slot update:
+                // its pending entries are skipped below, and the slot must
+                // be cleared here — a stale slot would otherwise survive a
                 // v2 → v3 migration and be re-parsed under the v3
                 // partitioning on the *next* recovery, where its path bytes
                 // masquerade as a (garbage) backend word and wedge the

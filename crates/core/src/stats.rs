@@ -131,8 +131,11 @@ counter_table! {
     counters {
         /// Log entries created in this stripe.
         entries_logged,
-        /// Entries propagated by this stripe's cleanup worker.
+        /// Entries consumed by this stripe's cleanup worker (see
+        /// [`NvCacheStats::entries_propagated`]).
         entries_propagated,
+        /// Those of them dropped instead of written: entries of dead files.
+        entries_elided,
         /// Cleanup batches completed by this stripe's worker.
         cleanup_batches,
         /// Durability barriers (`fsync` or `syncfs`) this stripe's worker
@@ -232,8 +235,22 @@ counter_table! {
         fd_slot_waits,
         /// Cleanup batches completed.
         cleanup_batches,
-        /// Entries propagated to the inner file system.
+        /// Entries *consumed* by the cleanup workers: written to the inner
+        /// file system, or — [`entries_elided`](Self::entries_elided) of
+        /// them — dropped because their file was dead. Every logged entry
+        /// ends up here exactly once, which is what `flush_log`, the zombie
+        /// accounting and per-entry ratios rely on; the entries a backend
+        /// actually received are in `per_backend_propagated`.
         entries_propagated,
+        /// Entries the workers dropped instead of writing, because their
+        /// file was *dead* — unlinked, every descriptor on it closed — by
+        /// the time its turn came: work no reader could ever observe.
+        entries_elided,
+        /// Files that died with descriptors or zombies still around: the
+        /// inner descriptors were released at once (so the inner file
+        /// system drops the pages it cached for them) instead of at the end
+        /// of their drain.
+        files_buried,
         /// Durability barriers the cleanup workers completed: one per batch
         /// per backend the batch wrote to — `fsync` of the file when it
         /// touched one there, a `syncfs` of the backend when several.
@@ -290,7 +307,7 @@ counter_table! {
         /// [`sq_pairs`](crate::NvCacheConfig::sq_pairs); empty when the
         /// multi-queue front-end is off).
         per_queue: Box<[QueueStats]> => Vec<QueueStatsSnapshot> = family(0),
-        /// Entries propagated to each inner backend (one entry per
+        /// Entries written to each inner backend (one entry per
         /// [`backends`](crate::NvCacheConfig::backends) — a single element
         /// on a non-tiered mount). Shows how the router actually spread the
         /// write traffic over the tiers.
@@ -350,7 +367,7 @@ mod tests {
         mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
         let queue = &s.per_queue[0];
         mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
-        assert_eq!(NvCacheStats::NAMES.len(), 25);
+        assert_eq!(NvCacheStats::NAMES.len(), 27);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 

@@ -517,8 +517,12 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     let recovered =
         mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
     let report = recovered.recovery_report().unwrap();
-    assert_eq!(report.files_missing, 1, "the unlinked file must be skipped");
-    assert!(report.entries_replayed >= 1);
+    assert_eq!(
+        report.files_missing, 0,
+        "unlinked through the mount: its slot was invalidated at the unlink, so recovery has \
+         no path to miss (missing = removed behind the mount's back)"
+    );
+    assert_eq!((report.entries_replayed, report.entries_skipped), (1, 1), "kept, doomed");
     assert!(
         matches!(recovered.stat("/gone", &clock), Err(IoError::NotFound(_))),
         "recovery must not resurrect an unlinked file"
@@ -528,6 +532,62 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     recovered.pread(fd, &mut buf, 0, &clock).unwrap();
     assert_eq!(&buf, b"kept");
     recovered.shutdown(&clock);
+}
+
+/// sqlight's hot-journal pattern: a journal is written, deleted and created
+/// again under the same name while the old one's entries are still in the
+/// log. Recovery must not replay the dead file's entries into its successor,
+/// whichever way the old file died.
+#[test]
+fn a_recreated_name_does_not_inherit_a_dead_files_entries() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Death {
+        CloseThenUnlink,
+        UnlinkThenClose,
+        /// Unlinked, still open, and written to until the crash.
+        UnlinkStillOpen,
+    }
+    for death in [Death::CloseThenUnlink, Death::UnlinkThenClose, Death::UnlinkStillOpen] {
+        let cfg = NvCacheConfig {
+            batch_min: 1_000_000,
+            batch_max: 1_000_000,
+            nb_entries: 128,
+            ..NvCacheConfig::tiny()
+        };
+        let (clock, dimm, inner, cache) = setup(cfg.clone());
+        let create = OpenFlags::RDWR | OpenFlags::CREATE;
+        let old = cache.open("/db-journal", create, &clock).unwrap();
+        cache.pwrite(old, b"OLDHEADEROLDHEAD", 0, &clock).unwrap();
+        cache.pwrite(old, b"old-record", 100, &clock).unwrap();
+        if death == Death::CloseThenUnlink {
+            cache.close(old, &clock).unwrap();
+        }
+        cache.unlink("/db-journal", &clock).unwrap();
+        if death == Death::UnlinkThenClose {
+            cache.close(old, &clock).unwrap();
+        }
+        let new = cache.open("/db-journal", create, &clock).unwrap();
+        cache.pwrite(new, b"new", 16, &clock).unwrap();
+        if death == Death::UnlinkStillOpen {
+            cache.pwrite(old, b"late", 200, &clock).unwrap();
+        }
+        assert_eq!(cache.stats().snapshot().entries_propagated, 0, "{death:?}: drain is parked");
+        cache.abort();
+        drop(cache);
+        let crashed = Arc::new(dimm.crash_and_restart());
+        let recovered =
+            mount(NvRegion::whole(crashed), inner, cfg, Mount::Recover, &clock).unwrap();
+        let report = recovered.recovery_report().unwrap();
+        assert_eq!((report.files_reopened, report.files_missing), (1, 0), "{death:?}");
+        assert_eq!(report.entries_replayed, 1, "{death:?}: only the new file's write");
+        let fd = recovered.open("/db-journal", OpenFlags::RDONLY, &clock).unwrap();
+        let mut content = vec![0xFF; 256];
+        let n = recovered.pread(fd, &mut content, 0, &clock).unwrap();
+        let mut expect = vec![0u8; 16];
+        expect.extend_from_slice(b"new");
+        assert_eq!(&content[..n], &expect[..], "{death:?}: the successor holds its own bytes");
+        recovered.shutdown(&clock);
+    }
 }
 
 #[test]

@@ -591,9 +591,10 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
         .unwrap();
     let fd = cache.open("/hot/gone", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, b"will be unlinked", 0, &clock).unwrap();
-    // Unlink passes through while the descriptor stays open (its persistent
-    // slot therefore stays valid), then crash.
-    cache.unlink("/hot/gone", &clock).unwrap();
+    // The file is removed behind the mount's back while the descriptor
+    // stays open (its persistent slot therefore stays valid — an `unlink`
+    // through the mount would have invalidated it), then crash.
+    legacy.unlink("/hot/gone", &clock).unwrap();
     cache.abort();
     drop(cache);
     let restarted = Arc::new(dimm.crash_and_restart());
@@ -609,7 +610,7 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
         .mount(&clock)
         .expect("migrating recovery");
     let report = recovered.recovery_report().unwrap();
-    assert_eq!(report.files_missing, 1);
+    assert_eq!(report.files_missing, 1, "a valid slot whose file is gone: removed on the inner fs");
     assert_eq!(report.entries_replayed, 0);
     recovered.abort();
     drop(recovered);
@@ -624,4 +625,40 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
         .expect("v3 image must stay recoverable after the migration");
     assert_eq!(recovered.recovery_report().unwrap().files_missing, 0);
     recovered.shutdown(&clock);
+}
+
+#[test]
+fn an_unlinked_file_is_never_catalogued() {
+    // Regression: `unlink` forgot the path, then the victim's zombie
+    // finished its drain and `finish_close` catalogued the deleted path
+    // again — one `catalog_capacity` seat per journal until a sweep tripped
+    // over `NotFound`.
+    let cfg = NvCacheConfig { fd_slots: 64, ..NvCacheConfig::tiny() }
+        .with_backends(2)
+        .with_migration(crate::MigrationPolicy::Background)
+        .with_catalog_capacity(8);
+    let (c, _dimm, _cold, _hot, cache) = tiered_setup(cfg, Arc::new(MemFs::new()));
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    let db = cache.open("/hot/db", create, &c).unwrap();
+    cache.pwrite(db, b"page", 0, &c).unwrap();
+    cache.flush_log(&c);
+    let resident = cache.catalog_resident();
+    for txn in 0..1000u64 {
+        let journal = format!("/hot/db-journal-{}", txn % 5);
+        let j = cache.open(&journal, create, &c).unwrap();
+        cache.pwrite(j, &txn.to_le_bytes(), 0, &c).unwrap();
+        cache.pwrite(db, &txn.to_le_bytes(), 8 * txn, &c).unwrap();
+        // Mostly a zombie (its entry is pending): the drain finishes it
+        // after the unlink below.
+        cache.close(j, &c).unwrap();
+        cache.unlink(&journal, &c).unwrap();
+    }
+    cache.shutdown(&c); // joins the workers: every journal's zombie has finished
+    assert_eq!(cache.fd_slot_usage().2, 0);
+    assert_eq!(cache.catalog_resident(), resident, "no deleted journal sits in the catalog");
+    let snap = cache.stats().snapshot();
+    // A journal whose close found the log drained finished on the spot and
+    // left nothing to bury; one entry each, dropped only once buried.
+    assert!(snap.entries_elided <= snap.files_buried && snap.files_buried <= 1000, "{snap:?}");
+    assert_eq!(snap.entries_propagated, 2001, "every entry is consumed, written or not");
 }

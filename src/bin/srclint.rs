@@ -40,6 +40,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
     ("core/src/cache.rs", "spawn migration worker"),
     // Fixed-width header/field decoding: the slices are always 4/8 bytes.
     ("core/src/recovery.rs", ".try_into().expect("),
+    ("core/src/log.rs", ".try_into().expect("),
     // Crash simulation requires the durable mirror the profile enabled.
     ("nvmm/src/dimm.rs", "crash semantics unavailable"),
     // Histogram bin guaranteed set on the taken branch.

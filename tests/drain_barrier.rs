@@ -8,6 +8,7 @@
 //! `batch_min = batch_max` entries — so that no count depends on the host's
 //! scheduler.
 
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
@@ -176,8 +177,12 @@ fn read_at(fs: &dyn FileSystem, path: &str, off: u64, len: usize) -> Vec<u8> {
 }
 
 /// (a) An engine that creates, fills, closes and unlinks a journal per
-/// transaction beside one long-lived database file: every batch touches
-/// many descriptors and still pays one journal commit and one device flush.
+/// transaction beside one long-lived database file: every batch holds the
+/// entries of many descriptors and still pays one journal commit and one
+/// device flush. A journal that is dead by the time its entries come up is
+/// dropped, not written; which ones are is the host scheduler's business,
+/// so the barrier's *form* is not pinned here (a batch that wrote to the
+/// database alone ends in its `fsync`).
 #[test]
 fn journal_churn_pays_one_commit_and_one_flush_per_batch() {
     const TXNS: u64 = 24;
@@ -202,7 +207,7 @@ fn journal_churn_pays_one_commit_and_one_flush_per_batch() {
     assert_eq!(batches, (3 * TXNS).div_ceil(16), "72 entries in batches of 16");
     assert_eq!(stats.entries_propagated, 3 * TXNS);
     assert_eq!(stats.cleanup_fsyncs, batches, "one barrier per batch on the one backend");
-    assert_eq!(stats.cleanup_syncfs, batches, "every batch touched the db and journals");
+    assert!(stats.cleanup_syncfs <= batches && stats.entries_elided <= 2 * TXNS, "{stats:?}");
     assert_eq!(ext4.journal_commit_count(), batches);
     assert_eq!(ssd.stats().snapshot().flushes, batches);
     assert_eq!(stats.inner_io_errors, 0);
@@ -253,6 +258,126 @@ fn unlinked_open_file_in_a_multi_file_batch_keeps_its_data() {
     let intact = buf[..4096] == [5; 4096] && buf[4096..] == [7; 4096];
     assert!(intact, "acknowledged data lost: {:?}", [buf[0], buf[4095], buf[4096], buf[8191]]);
     cache.shutdown(&c);
+}
+
+/// (a) The feature at the device: a file created, written, closed and
+/// unlinked before any batch ran is dead when the drain reaches its entries.
+/// They are consumed without an inner write, its inner descriptor is closed
+/// first — so the pages `close` had pushed into the kernel go with the
+/// inode — and neither the page cache nor the device sees a byte of it. A
+/// sibling written in between arrives whole.
+#[test]
+fn a_file_that_died_before_its_drain_costs_the_device_nothing() {
+    const PAGES: u64 = 16; // 64 KiB
+    let c = ActorClock::new();
+    let (ssd, ext4) = ext4_ssd("ext4+ssd");
+    let cfg = batch_cfg(PARKED);
+    let cache =
+        mount(&log_dimm(&cfg), Arc::clone(&ext4) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let cost = || {
+        let writebacks = ext4.page_cache().stats().writebacks.load(Ordering::Relaxed);
+        (ssd.stats().snapshot().bytes_written, writebacks)
+    };
+    let lifecycle = |sibling: Option<Fd>| {
+        let journal = cache.open("/journal", rdwr_create(), &c).unwrap();
+        for page in 0..PAGES {
+            cache.pwrite(journal, &[0xD0 + page as u8; 4096], page * 4096, &c).unwrap();
+            if let Some(sibling) = sibling.filter(|_| page % 4 == 0) {
+                cache.pwrite(sibling, &[page as u8 + 1; 4096], page * 1024, &c).unwrap();
+            }
+        }
+        cache.close(journal, &c).unwrap();
+        cache.unlink("/journal", &c).unwrap();
+    };
+
+    // Alone: the whole flush is free below the cache.
+    let before = cost();
+    lifecycle(None);
+    cache.flush_log(&c);
+    assert_eq!(cost(), before, "(device bytes, page-cache writebacks) of a dead file");
+    let stats = cache.stats().snapshot();
+    assert_eq!((stats.entries_propagated, stats.entries_elided), (PAGES, PAGES));
+    assert_eq!((stats.cleanup_batches, stats.cleanup_fsyncs), (1, 0), "nothing to make durable");
+    assert_eq!((stats.files_buried, stats.inner_io_errors), (1, 0));
+
+    // Beside a sibling: the flush costs what the sibling's 4 pages cost.
+    let sibling = cache.open("/sibling", rdwr_create(), &c).unwrap();
+    let before = cost();
+    lifecycle(Some(sibling));
+    cache.flush_log(&c);
+    assert_eq!(cost(), (before.0 + 4 * 4096, before.1 + 4), "the sibling's pages and no other");
+    let stats = cache.stats().snapshot();
+    assert_eq!((stats.entries_propagated, stats.entries_elided), (2 * PAGES + 4, 2 * PAGES));
+    assert_eq!((stats.cleanup_fsyncs, stats.cleanup_syncfs), (1, 0), "one file written: fsync");
+    cache.shutdown(&c);
+    assert_eq!(cache.fd_slot_usage().1 + cache.fd_slot_usage().2, 1, "only the sibling is left");
+    ext4.simulate_power_failure();
+    let mut model = vec![0u8; 12 * 1024 + 4096];
+    for page in (0..PAGES).step_by(4) {
+        model[page as usize * 1024..][..4096].fill(page as u8 + 1);
+    }
+    assert_eq!(read_at(&*ext4, "/sibling", 0, model.len()), model, "from Ext4, after a power cut");
+    assert!(matches!(ext4.stat("/journal", &c), Err(IoError::NotFound(_))));
+}
+
+/// (a) The temporary-file idiom end to end: open, write, `unlink`, keep
+/// writing and reading through the descriptor. The file has lost its name,
+/// not its readers: every read — hit, miss after eviction, dirty miss over
+/// pending entries, before and after a drain — returns the model. Only the
+/// last `close` kills it, and what is still in the log then is dropped.
+#[test]
+fn a_temporary_file_works_through_its_descriptor_until_the_last_close() {
+    const PAGE: usize = 4096;
+    let c = ActorClock::new();
+    let (_, ext4) = ext4_ssd("ext4+ssd");
+    let cfg = NvCacheConfig { read_cache_pages: 2, ..batch_cfg(PARKED) };
+    let cache =
+        mount(&log_dimm(&cfg), Arc::clone(&ext4) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let tmp = cache.open("/tmp-scratch", rdwr_create(), &c).unwrap();
+    let mut model = vec![0u8; 6 * PAGE];
+    let write = |model: &mut Vec<u8>, byte: u8, off: usize, len: usize| {
+        cache.pwrite(tmp, &vec![byte; len], off as u64, &c).unwrap();
+        model[off..off + len].fill(byte);
+    };
+    let check = |model: &[u8], off: usize, len: usize, what: &str| {
+        let mut buf = vec![0xEE; len];
+        assert_eq!(cache.pread(tmp, &mut buf, off as u64, &c).unwrap(), len, "{what}");
+        assert!(buf == model[off..off + len], "{what}: read differs from the model at {off}");
+    };
+    write(&mut model, 1, 0, 4 * PAGE);
+    cache.unlink("/tmp-scratch", &c).unwrap();
+    assert!(matches!(cache.stat("/tmp-scratch", &c), Err(IoError::NotFound(_))));
+    assert_eq!(cache.fstat(tmp, &c).unwrap().size, 4 * PAGE as u64);
+
+    write(&mut model, 2, PAGE + 100, 3000); // after the unlink, page 1
+    check(&model, PAGE, PAGE, "dirty miss, everything pending");
+    check(&model, PAGE, PAGE, "hit");
+    for page in [2, 3, 0] {
+        check(&model, page * PAGE, PAGE, "misses that evict page 1");
+    }
+    check(&model, PAGE, PAGE, "dirty miss after eviction");
+    let before = cache.stats().snapshot();
+    assert!(before.read_hits >= 1 && before.dirty_misses >= 5 && before.evictions >= 3);
+
+    cache.flush_log(&c); // a drain in the middle: still open, so written
+    let drained = cache.stats().snapshot();
+    assert_eq!((drained.entries_propagated, drained.entries_elided), (5, 0));
+    check(&model, 0, 4 * PAGE, "after the drain, from the nameless inode");
+    write(&mut model, 3, PAGE - 50, 100); // straddles pages 0 and 1
+    write(&mut model, 4, 4 * PAGE, 2 * PAGE); // grows the file
+    check(&model, 0, 6 * PAGE, "dirty misses over the new entries");
+    // Pages 4 and 5 were never loaded; 0 and 1 may have been updated in place.
+    assert!(cache.stats().snapshot().dirty_misses - drained.dirty_misses >= 2);
+
+    let pending = cache.pending_entries();
+    assert_eq!(pending, 3);
+    cache.close(tmp, &c).unwrap();
+    cache.flush_log(&c);
+    let stats = cache.stats().snapshot();
+    assert_eq!((stats.entries_propagated, stats.entries_elided), (5 + pending, pending));
+    assert_eq!((stats.files_buried, stats.inner_io_errors), (1, 0));
+    cache.shutdown(&c); // joins the worker: every zombie has finished
+    assert_eq!(cache.fd_slot_usage(), (cfg.fd_slots as usize, 0, 0));
 }
 
 /// (b) A batch that touched one file keeps the synchronous drain's

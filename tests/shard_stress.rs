@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
+use nvcache_repro::vfs::{FileSystem, IoError, MemFs, OpenFlags};
 
 /// Under `pmcheck`, audit the mount's post-mortem registries: violations
 /// panic at the offending site already, but an end-of-run sweep also
@@ -192,4 +192,163 @@ fn open_never_finds_the_table_full_while_a_close_is_finishing() {
     cache.flush_log(&clock);
     assert_checkers_clean(&cache);
     cache.shutdown(&clock);
+}
+
+/// Files dying under the workers' hands: four threads loop create →
+/// page-straddling writes → close → unlink (every other one unlink → close)
+/// while four stripes drain constantly (`batch_min` 1) and a fifth thread
+/// keeps one long-lived file in step with a model. A worker of any stripe
+/// may be inside the submit, or about to submit the batch's `fsync`, on the
+/// very inner descriptor a burial releases (`sched-stress` yields inside that
+/// window): a `BadFd` there would poison the stripe.
+///
+/// With `crash` everybody stops after `rounds` rounds and the mount is
+/// aborted undrained: recovery must bring back the model of
+/// the long-lived file and none of the dead ones.
+fn journals_die_beside_a_long_lived_file(rounds: u64, crash: bool) {
+    const CHURNERS: u64 = 4;
+    const PAGE: u64 = 4096;
+    let clock = ActorClock::new();
+    let cfg = NvCacheConfig {
+        nb_entries: 64,
+        read_cache_pages: 16,
+        batch_min: 1,
+        batch_max: 32,
+        fd_slots: 64,
+        ..NvCacheConfig::default()
+    }
+    .with_log_shards(4);
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    let cache = Arc::new(
+        NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
+            .backend(Arc::clone(&inner))
+            .config(cfg.clone())
+            .mount(&clock)
+            .expect("mount"),
+    );
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    let long_lived = cache.open("/db", create, &clock).unwrap();
+
+    let churners: Vec<_> = (0..CHURNERS)
+        .map(|t| {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                let clock = ActorClock::new();
+                for round in 0..rounds {
+                    let path = format!("/journal-{t}-{}", round % 3);
+                    let fd = cache
+                        .open(&path, create, &clock)
+                        .unwrap_or_else(|e| panic!("thread {t} round {round}: {e}"));
+                    // Each write straddles a page border: its entries (and
+                    // the pages' handoff queues) span stripes.
+                    for w in 0..3 {
+                        let off = (w + 1) * PAGE - 700 - 64 * t;
+                        cache.pwrite(fd, &[t as u8 + 1; 1400], off, &clock).unwrap();
+                    }
+                    if (round + t) % 2 == 0 {
+                        cache.close(fd, &clock).unwrap();
+                        cache.unlink(&path, &clock).unwrap();
+                    } else {
+                        cache.unlink(&path, &clock).unwrap();
+                        cache.pwrite(fd, &[0xEE; 100], 0, &clock).unwrap(); // nameless, alive
+                        cache.close(fd, &clock).unwrap();
+                    }
+                }
+            })
+        })
+        .collect();
+    // The long-lived file, on this thread: one writer, so the model is exact.
+    let mut model = vec![0u8; 8 * PAGE as usize];
+    for round in 0..rounds {
+        let off = (round % 7) * PAGE + PAGE - 300;
+        let byte = round as u8 | 1;
+        cache.pwrite(long_lived, &[byte; 600], off, &clock).unwrap();
+        model[off as usize..off as usize + 600].fill(byte);
+        if round % 16 == 5 {
+            let mut page = vec![0u8; PAGE as usize];
+            let p = (round % 8) * PAGE;
+            cache.pread(long_lived, &mut page, p, &clock).unwrap();
+            assert!(page == model[p as usize..][..PAGE as usize], "round {round}: page at {p}");
+        }
+    }
+    for h in churners {
+        h.join().unwrap();
+    }
+
+    if crash {
+        cache.abort();
+        assert_checkers_clean(&cache);
+        drop(cache);
+        let crashed = Arc::new(dimm.crash_and_restart());
+        let recovered = NvCache::builder(NvRegion::whole(crashed))
+            .backend(inner)
+            .config(cfg)
+            .mode(Mount::Recover)
+            .mount(&clock)
+            .expect("recovery");
+        let report = recovered.recovery_report().expect("a recovering mount");
+        assert_eq!((report.files_reopened, report.files_missing), (1, 0), "{report:?}");
+        assert_eq!(recovered.list_dir("/", &clock).unwrap(), ["/db"], "no dead file came back");
+        let fd = recovered.open("/db", OpenFlags::RDONLY, &clock).unwrap();
+        let mut content = vec![0u8; model.len()];
+        let n = recovered.pread(fd, &mut content, 0, &clock).unwrap();
+        assert!(content[..n] == model[..n] && model[n..].iter().all(|&b| b == 0), "model differs");
+        recovered.shutdown(&clock);
+        return;
+    }
+
+    cache.flush_log(&clock);
+    assert_eq!(cache.pending_entries(), 0);
+    assert_eq!(cache.poisoned_stripes(), Vec::<usize>::new());
+    let snap = cache.stats().snapshot();
+    assert_eq!(snap.inner_io_errors, 0);
+    assert_eq!(snap.entries_propagated, snap.entries_logged, "every entry consumed exactly once");
+    let by_shard = |f: fn(&nvcache_repro::nvcache::ShardStatsSnapshot) -> u64| {
+        snap.per_shard.iter().map(f).sum::<u64>()
+    };
+    assert_eq!(by_shard(|s| s.entries_elided), snap.entries_elided);
+    // The log is small, so the workers stay close behind the writers: some
+    // journal entries are written while their file lives, most are dropped.
+    assert!(snap.entries_elided > 0 && snap.files_buried > 0, "{snap:?}");
+    assert!(snap.entries_elided <= snap.entries_propagated - rounds, "{snap:?}");
+    // No page of the long-lived file is left with a dirty count or a queued
+    // handoff: with the log empty every miss is a clean one, and a write to
+    // each page still drains.
+    let mut content = vec![0u8; model.len()];
+    for pass in 0..2 {
+        let before = cache.stats().snapshot().dirty_misses;
+        let n = cache.pread(long_lived, &mut content, 0, &clock).unwrap();
+        assert!(content[..n] == model[..n], "pass {pass}: the long-lived file differs");
+        assert!(model[n..].iter().all(|&b| b == 0), "pass {pass}: short by {}", model.len() - n);
+        assert_eq!(cache.stats().snapshot().dirty_misses, before, "pass {pass}: stale dirty count");
+        for page in 0..8 {
+            cache.pwrite(long_lived, &[0xAB; 8], page * PAGE + 8, &clock).unwrap();
+            model[(page * PAGE + 8) as usize..][..8].fill(0xAB);
+        }
+        cache.flush_log(&clock);
+    }
+    for t in 0..CHURNERS {
+        for k in 0..3 {
+            let gone = inner.stat(&format!("/journal-{t}-{k}"), &clock);
+            assert!(matches!(gone, Err(IoError::NotFound(_))), "journal {t}-{k}: {gone:?}");
+        }
+    }
+    assert_checkers_clean(&cache);
+    cache.shutdown(&clock); // joins the workers: every zombie has finished
+    assert_eq!(cache.fd_slot_usage(), (63, 1, 0), "only the long-lived descriptor is left");
+    assert!(cache.poisoned_stripes().is_empty());
+}
+
+#[test]
+fn dying_files_never_hand_a_worker_a_released_descriptor() {
+    journals_die_beside_a_long_lived_file(600, false);
+}
+
+#[test]
+fn a_crash_among_dying_files_recovers_the_survivor_and_no_dead_file() {
+    // The crash falls after a different number of rounds each time.
+    for rounds in [7, 33, 120] {
+        journals_die_beside_a_long_lived_file(rounds, true);
+    }
 }
