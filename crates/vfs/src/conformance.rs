@@ -60,6 +60,7 @@ pub fn check_posix_semantics(fs: &dyn FileSystem) {
     let fst = fs.fstat(fd, &c).expect("fstat");
     assert_eq!(st.ino, fst.ino, "stat and fstat must agree on the inode");
     assert_eq!(st.size, 64);
+    assert!(!st.is_dir, "a file is not a directory");
     assert!(fs.stat("/conf", &c).expect("dir stat").is_dir);
 
     // -- fsync + durability contract --------------------------------------
@@ -100,6 +101,42 @@ pub fn check_posix_semantics(fs: &dyn FileSystem) {
     fs.unlink("/conf/b", &c).expect("unlink");
     assert!(matches!(fs.stat("/conf/b", &c), Err(IoError::NotFound(_))));
     assert!(matches!(fs.unlink("/conf/b", &c), Err(IoError::NotFound(_))));
+
+    // -- a file lives until its name and its last descriptor are gone --------
+    let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+    let read_all = |fd, len: usize| {
+        let mut buf = vec![0u8; len + 1];
+        let n = fs.pread(fd, &mut buf, 0, &c).expect("pread");
+        buf.truncate(n);
+        buf
+    };
+    let tmp = fs.open("/conf/tmp", flags, &c).expect("create tmp");
+    let mine: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8).collect();
+    assert_eq!(fs.pwrite(tmp, &mine, 0, &c).expect("pwrite tmp"), 8192);
+    fs.fsync(tmp, &c).expect("fsync tmp");
+    fs.unlink("/conf/tmp", &c).expect("unlink an open file");
+    assert!(matches!(fs.stat("/conf/tmp", &c), Err(IoError::NotFound(_))));
+    let other = fs.open("/conf/other", flags, &c).expect("create other");
+    let theirs = vec![0xB7u8; 8192];
+    fs.pwrite(other, &theirs, 0, &c).expect("pwrite other");
+    assert_eq!(read_all(tmp, 8192), mine, "an unlinked file keeps its bytes while it is open");
+    assert_eq!(fs.pwrite(tmp, b"late", 8192, &c).expect("write to an unlinked file"), 4);
+    assert_eq!(fs.fstat(tmp, &c).expect("fstat of an unlinked file").size, 8196);
+    assert_eq!(read_all(other, 8192), theirs, "two files must not share storage");
+
+    let third = fs.open("/conf/third", flags, &c).expect("create third");
+    fs.pwrite(third, b"replacement", 0, &c).expect("pwrite third");
+    fs.rename("/conf/third", "/conf/other", &c).expect("rename over an open file");
+    assert_eq!(read_all(other, 8192), theirs, "the replaced file lives on behind its descriptor");
+    assert_eq!(fs.stat("/conf/other", &c).expect("stat the new name").size, 11);
+    for fd in [tmp, other, third] {
+        fs.close(fd, &c).expect("close");
+    }
+    fs.unlink("/conf/other", &c).expect("unlink");
+    assert!(
+        matches!(fs.stat("/conf", &c), Err(IoError::NotFound(_))),
+        "an implicit directory is gone with its last file"
+    );
 
     // -- whole-fs sync must not error ---------------------------------------
     fs.sync(&c).expect("sync");

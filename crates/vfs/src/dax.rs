@@ -1,15 +1,11 @@
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use nvmm::NvRegion;
-use parking_lot::{Mutex, RwLock};
 use simclock::{ActorClock, SimTime};
 
-use crate::path::parent_of;
-use crate::{
-    normalize_path, Fd, FdTable, FileSystem, IoError, IoResult, KernelCosts, Metadata, OpenFlags,
-};
+use crate::extent::{page_spans, PageSpan, SlabFile, SlabMap};
+use crate::namespace::Namespace;
+use crate::{Fd, FileSystem, IoResult, KernelCosts, Metadata, OpenFlags};
 
 /// Tuning of the simulated Ext4-DAX.
 #[derive(Debug, Clone)]
@@ -40,20 +36,6 @@ impl Default for DaxProfile {
     }
 }
 
-#[derive(Debug)]
-struct DaxInode {
-    ino: u64,
-    size: AtomicU64,
-    slabs: Mutex<HashMap<u64, u64>>,
-    meta_dirty: AtomicBool,
-}
-
-#[derive(Clone)]
-struct DaxFd {
-    inode: Arc<DaxInode>,
-    flags: OpenFlags,
-}
-
 /// Simulated Ext4-DAX: the Ext4 code paths with file data mapped directly in
 /// NVMM (paper Table IV row "Ext4-DAX", refs \[20\], \[56\]).
 ///
@@ -63,17 +45,13 @@ struct DaxFd {
 pub struct DaxFs {
     region: NvRegion,
     profile: DaxProfile,
-    files: RwLock<HashMap<String, Arc<DaxInode>>>,
-    fds: FdTable<DaxFd>,
-    next_ino: AtomicU64,
-    alloc_next: AtomicU64,
-    free_slabs: Mutex<Vec<u64>>,
-    dev_id: u64,
+    ns: Namespace<SlabFile>,
+    slabs: SlabMap,
 }
 
 impl std::fmt::Debug for DaxFs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DaxFs").field("files", &self.files.read().len()).finish()
+        f.debug_struct("DaxFs").field("files", &self.ns.len()).finish()
     }
 }
 
@@ -81,68 +59,11 @@ impl DaxFs {
     /// Creates an Ext4-DAX instance over an NVMM region.
     pub fn new(region: NvRegion, profile: DaxProfile) -> Self {
         DaxFs {
+            ns: Namespace::new(0xDA),
+            slabs: SlabMap::new(profile.slab_pages, profile.page_size, region.len()),
             region,
             profile,
-            files: RwLock::new(HashMap::new()),
-            fds: FdTable::new(),
-            next_ino: AtomicU64::new(1),
-            alloc_next: AtomicU64::new(0),
-            free_slabs: Mutex::new(Vec::new()),
-            dev_id: 0xDA,
         }
-    }
-
-    /// Returns an inode's slabs to the allocator (unlink / replace).
-    fn reclaim_slabs(&self, inode: &DaxInode) {
-        let mut slabs = inode.slabs.lock();
-        self.free_slabs.lock().extend(slabs.values().copied());
-        slabs.clear();
-    }
-
-    fn slab_bytes(&self) -> u64 {
-        self.profile.slab_pages * self.profile.page_size
-    }
-
-    fn map_alloc(&self, inode: &DaxInode, page: u64) -> IoResult<u64> {
-        let slab = page / self.profile.slab_pages;
-        let mut slabs = inode.slabs.lock();
-        if let Some(&base) = slabs.get(&slab) {
-            return Ok(base + (page % self.profile.slab_pages) * self.profile.page_size);
-        }
-        let base = match self.free_slabs.lock().pop() {
-            Some(base) => base,
-            None => {
-                let base = self.alloc_next.fetch_add(self.slab_bytes(), Ordering::Relaxed);
-                if base + self.slab_bytes() > self.region.len() {
-                    return Err(IoError::NoSpace);
-                }
-                base
-            }
-        };
-        slabs.insert(slab, base);
-        inode.meta_dirty.store(true, Ordering::Release);
-        Ok(base + (page % self.profile.slab_pages) * self.profile.page_size)
-    }
-
-    fn map_existing(&self, inode: &DaxInode, page: u64) -> Option<u64> {
-        let slab = page / self.profile.slab_pages;
-        inode
-            .slabs
-            .lock()
-            .get(&slab)
-            .map(|&base| base + (page % self.profile.slab_pages) * self.profile.page_size)
-    }
-
-    fn lookup(&self, path: &str) -> Option<Arc<DaxInode>> {
-        self.files.read().get(path).cloned()
-    }
-
-    fn is_dir(&self, path: &str) -> bool {
-        if path == "/" {
-            return true;
-        }
-        let prefix = format!("{path}/");
-        self.files.read().keys().any(|k| k.starts_with(&prefix))
     }
 
     fn journal_commit(&self, clock: &ActorClock) {
@@ -158,60 +79,29 @@ impl FileSystem for DaxFs {
 
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let path = normalize_path(path);
-        let inode = match self.lookup(&path) {
-            Some(inode) => {
-                if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                    return Err(IoError::AlreadyExists(path));
-                }
-                if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                    inode.size.store(0, Ordering::Release);
-                    inode.meta_dirty.store(true, Ordering::Release);
-                }
-                inode
-            }
-            None => {
-                if !flags.contains(OpenFlags::CREATE) {
-                    return Err(IoError::NotFound(path));
-                }
-                let inode = Arc::new(DaxInode {
-                    ino: self.next_ino.fetch_add(1, Ordering::Relaxed),
-                    size: AtomicU64::new(0),
-                    slabs: Mutex::new(HashMap::new()),
-                    meta_dirty: AtomicBool::new(true),
-                });
-                self.files.write().insert(path, Arc::clone(&inode));
-                inode
-            }
-        };
-        Ok(self.fds.insert(DaxFd { inode, flags }))
+        let opened = self.ns.open(path, flags, SlabFile::new)?;
+        if opened.truncate {
+            opened.inode.data.size.store(0, Ordering::Release);
+            opened.inode.data.meta_dirty.store(true, Ordering::Release);
+        }
+        Ok(opened.fd)
     }
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
-        self.fds.remove(fd).map(|_| ())
+        self.ns.close(fd, |inode| self.slabs.reclaim(&inode.data))
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.readable() {
-            return Err(IoError::PermissionDenied("fd opened write-only".into()));
-        }
+        let inode = self.ns.readable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let inode = &entry.inode;
-        let size = inode.size.load(Ordering::Acquire);
+        let size = inode.data.len();
         if off >= size {
             return Ok(0);
         }
         let total = buf.len().min((size - off) as usize);
-        let ps = self.profile.page_size;
-        let mut pos = 0usize;
-        while pos < total {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(total - pos);
-            match self.map_existing(inode, page) {
+        for PageSpan { page, in_page, pos, n } in page_spans(off, total, self.profile.page_size) {
+            match self.slabs.map_existing(&inode.data, page) {
                 Some(base) => {
                     let mut tmp = vec![0u8; n];
                     self.region.read(base + in_page as u64, &mut tmp, clock);
@@ -219,53 +109,44 @@ impl FileSystem for DaxFs {
                 }
                 None => buf[pos..pos + n].fill(0),
             }
-            pos += n;
         }
         clock.advance(self.profile.costs.copy(total as u64));
         Ok(total)
     }
 
     fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, flags) = self.ns.writable(fd)?;
         clock.advance(
             self.profile.costs.syscall
                 + self.profile.costs.fs_overhead
                 + self.profile.write_path_overhead,
         );
-        let inode = &entry.inode;
-        let ps = self.profile.page_size;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(data.len() - pos);
-            let base = self.map_alloc(inode, page)?;
+        let file = &inode.data;
+        for PageSpan { page, in_page, pos, n } in
+            page_spans(off, data.len(), self.profile.page_size)
+        {
+            let base = self.slabs.map_alloc(file, page)?;
             // DAX is in-place and byte-addressable: partial pages need no
             // read-modify cycle.
             self.region.write_and_pwb(base + in_page as u64, &data[pos..pos + n], clock);
-            pos += n;
         }
         // The kernel's DAX write path flushes data before returning.
         self.region.pfence(clock);
         let end = off + data.len() as u64;
-        if inode.size.fetch_max(end, Ordering::AcqRel) < end {
-            inode.meta_dirty.store(true, Ordering::Release);
+        if file.size.fetch_max(end, Ordering::AcqRel) < end {
+            file.meta_dirty.store(true, Ordering::Release);
         }
-        if entry.flags.contains(OpenFlags::SYNC) {
+        if flags.contains(OpenFlags::SYNC) {
             self.journal_commit(clock);
-            inode.meta_dirty.store(false, Ordering::Release);
+            file.meta_dirty.store(false, Ordering::Release);
         }
         Ok(data.len())
     }
 
     fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        let entry = self.fds.get(fd)?;
+        let inode = self.ns.inode(fd)?;
         clock.advance(self.profile.costs.syscall);
-        if entry.inode.meta_dirty.swap(false, Ordering::AcqRel) {
+        if inode.data.meta_dirty.swap(false, Ordering::AcqRel) {
             self.journal_commit(clock);
         } else {
             self.region.psync(clock);
@@ -274,71 +155,36 @@ impl FileSystem for DaxFs {
     }
 
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        entry.inode.size.store(len, Ordering::Release);
-        entry.inode.meta_dirty.store(true, Ordering::Release);
+        inode.data.size.store(len, Ordering::Release);
+        inode.data.meta_dirty.store(true, Ordering::Release);
         Ok(())
     }
 
     fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.profile.costs.syscall);
-        let entry = self.fds.get(fd)?;
-        Ok(Metadata {
-            dev: self.dev_id,
-            ino: entry.inode.ino,
-            size: entry.inode.size.load(Ordering::Acquire),
-            is_dir: false,
-        })
+        self.ns.fstat(fd, SlabFile::len)
     }
 
     fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.profile.costs.syscall);
-        let path = normalize_path(path);
-        if let Some(inode) = self.lookup(&path) {
-            return Ok(Metadata {
-                dev: self.dev_id,
-                ino: inode.ino,
-                size: inode.size.load(Ordering::Acquire),
-                is_dir: false,
-            });
-        }
-        if self.is_dir(&path) {
-            return Ok(Metadata { dev: self.dev_id, ino: 0, size: 0, is_dir: true });
-        }
-        Err(IoError::NotFound(path))
+        self.ns.stat(path, SlabFile::len)
     }
 
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let path = normalize_path(path);
-        let inode = self.files.write().remove(&path).ok_or(IoError::NotFound(path))?;
-        self.reclaim_slabs(&inode);
-        Ok(())
+        self.ns.unlink(path, |inode| self.slabs.reclaim(&inode.data))
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let from = normalize_path(from);
-        let to = normalize_path(to);
-        let mut files = self.files.write();
-        let inode = files.remove(&from).ok_or(IoError::NotFound(from))?;
-        if let Some(replaced) = files.insert(to, inode) {
-            self.reclaim_slabs(&replaced);
-        }
-        Ok(())
+        self.ns.rename(from, to, |inode| self.slabs.reclaim(&inode.data))
     }
 
     fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let dir = normalize_path(dir);
-        let mut out: Vec<String> =
-            self.files.read().keys().filter(|k| parent_of(k) == dir).cloned().collect();
-        out.sort();
-        Ok(out)
+        Ok(self.ns.list_dir(dir))
     }
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
@@ -364,7 +210,9 @@ impl FileSystem for DaxFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IoError;
     use nvmm::{NvDimm, NvmmProfile};
+    use std::sync::Arc;
 
     fn fs(mib: u64) -> (ActorClock, DaxFs) {
         let dimm = Arc::new(NvDimm::new(mib << 20, NvmmProfile::optane()));

@@ -1,15 +1,13 @@
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blockdev::BlockDevice;
-use parking_lot::{Mutex, RwLock};
 use simclock::{ActorClock, DispatchWindow, SimTime};
 
-use crate::path::parent_of;
+use crate::extent::{page_spans, PageSpan, SlabFile, SlabMap};
+use crate::namespace::{Inode, Namespace};
 use crate::{
-    normalize_path, Fd, FdTable, FileSystem, IoError, IoResult, KernelCosts, Metadata, OpenFlags,
-    PageCache, PageCacheConfig,
+    Fd, FileSystem, IoResult, KernelCosts, Metadata, OpenFlags, PageCache, PageCacheConfig,
 };
 
 /// Tuning of the simulated Ext4.
@@ -38,39 +36,7 @@ impl Default for Ext4Profile {
     }
 }
 
-#[derive(Debug)]
-struct Ext4Inode {
-    ino: u64,
-    size: AtomicU64,
-    /// slab index -> device base offset
-    slabs: Mutex<HashMap<u64, u64>>,
-    meta_dirty: AtomicBool,
-    /// What keeps the inode alive: its name, and every open descriptor. An
-    /// unlinked file lives on until its last descriptor is closed.
-    refs: AtomicU64,
-}
-
-impl Ext4Inode {
-    /// Drops one reference; `true` tells the caller it was the last one and
-    /// the inode is to be [retired](Ext4::retire).
-    fn release(&self) -> bool {
-        self.refs.fetch_sub(1, Ordering::AcqRel) == 1
-    }
-}
-
-/// The namespace, and every live inode (named or merely open) by number:
-/// writeback starts from a page's `(ino, page)` key.
-#[derive(Default)]
-struct Namespace {
-    by_path: HashMap<String, Arc<Ext4Inode>>,
-    by_ino: HashMap<u64, Arc<Ext4Inode>>,
-}
-
-#[derive(Clone)]
-struct Ext4Fd {
-    inode: Arc<Ext4Inode>,
-    flags: OpenFlags,
-}
+type Ext4Inode = Inode<SlabFile>;
 
 /// Simulated Ext4 over any block device.
 ///
@@ -89,20 +55,16 @@ pub struct Ext4 {
     dev: Arc<dyn BlockDevice>,
     profile: Ext4Profile,
     cache: PageCache,
-    files: RwLock<Namespace>,
-    fds: FdTable<Ext4Fd>,
-    next_ino: AtomicU64,
-    alloc_next: AtomicU64,
-    free_slabs: Mutex<Vec<u64>>,
+    ns: Namespace<SlabFile>,
+    slabs: SlabMap,
     journal_commits: AtomicU64,
-    dev_id: u64,
 }
 
 impl std::fmt::Debug for Ext4 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ext4")
             .field("name", &self.name)
-            .field("files", &self.files.read().by_path.len())
+            .field("files", &self.ns.len())
             .finish()
     }
 }
@@ -110,29 +72,23 @@ impl std::fmt::Debug for Ext4 {
 impl Ext4 {
     /// Creates an Ext4 instance named `name` over `dev`.
     pub fn new(name: impl Into<String>, dev: Arc<dyn BlockDevice>, profile: Ext4Profile) -> Self {
+        let page_size = profile.cache.page_size as u64;
         Ext4 {
             name: name.into(),
-            dev,
             cache: PageCache::new(profile.cache.clone()),
+            ns: Namespace::new(0xE4),
+            slabs: SlabMap::new(profile.slab_pages, page_size, dev.capacity()),
+            dev,
             profile,
-            files: RwLock::new(Namespace::default()),
-            fds: FdTable::new(),
-            next_ino: AtomicU64::new(1),
-            alloc_next: AtomicU64::new(0),
-            free_slabs: Mutex::new(Vec::new()),
             journal_commits: AtomicU64::new(0),
-            dev_id: 0xE4,
         }
     }
 
-    /// Forgets an inode nothing refers to any more (no name, no descriptor):
-    /// drops its cached pages and returns its slabs to the allocator.
-    fn retire(&self, files: &mut Namespace, inode: &Ext4Inode) {
-        files.by_ino.remove(&inode.ino);
+    /// The end of an inode nothing refers to any more: drops its cached
+    /// pages and returns its slabs to the allocator.
+    fn retire(&self, inode: &Ext4Inode) {
         self.cache.drop_inode(inode.ino);
-        let mut slabs = inode.slabs.lock();
-        self.free_slabs.lock().extend(slabs.values().copied());
-        slabs.clear();
+        self.slabs.reclaim(&inode.data);
     }
 
     /// Number of jbd2 commits performed so far.
@@ -154,64 +110,16 @@ impl Ext4 {
         self.profile.cache.page_size as u64
     }
 
-    fn slab_bytes(&self) -> u64 {
-        self.profile.slab_pages * self.page_size()
-    }
-
     /// Maps a file page to its device offset, allocating a slab on demand.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::NoSpace`] when the device is exhausted.
     fn map_alloc(&self, inode: &Ext4Inode, page: u64) -> IoResult<u64> {
-        let slab = page / self.profile.slab_pages;
-        let mut slabs = inode.slabs.lock();
-        if let Some(&base) = slabs.get(&slab) {
-            return Ok(base + (page % self.profile.slab_pages) * self.page_size());
-        }
-        let base = match self.free_slabs.lock().pop() {
-            Some(base) => base,
-            None => {
-                let base = self.alloc_next.fetch_add(self.slab_bytes(), Ordering::Relaxed);
-                if base + self.slab_bytes() > self.dev.capacity() {
-                    return Err(IoError::NoSpace);
-                }
-                base
-            }
-        };
-        slabs.insert(slab, base);
-        inode.meta_dirty.store(true, Ordering::Release);
-        Ok(base + (page % self.profile.slab_pages) * self.page_size())
-    }
-
-    /// Device offset of `page` if a slab exists (reads of sparse holes skip
-    /// the device).
-    fn map_existing(&self, inode: &Ext4Inode, page: u64) -> Option<u64> {
-        let slab = page / self.profile.slab_pages;
-        inode
-            .slabs
-            .lock()
-            .get(&slab)
-            .map(|&base| base + (page % self.profile.slab_pages) * self.page_size())
-    }
-
-    fn lookup(&self, path: &str) -> Option<Arc<Ext4Inode>> {
-        self.files.read().by_path.get(path).cloned()
-    }
-
-    fn is_dir(&self, path: &str) -> bool {
-        if path == "/" {
-            return true;
-        }
-        let prefix = format!("{path}/");
-        self.files.read().by_path.keys().any(|k| k.starts_with(&prefix))
+        self.slabs.map_alloc(&inode.data, page)
     }
 
     fn writeback_evicted(&self, evicted: Vec<crate::pagecache::EvictedPage>, clock: &ActorClock) {
         for e in evicted {
             // The inode may have been retired concurrently; its pages are
             // dropped from the cache then, so a lookup miss means skip.
-            let target = self.files.read().by_ino.get(&e.ino).cloned();
+            let target = self.ns.read().by_ino(e.ino).cloned();
             if let Some(inode) = target {
                 if let Ok(dev_off) = self.map_alloc(&inode, e.page) {
                     self.dev.write(dev_off, &e.data, clock);
@@ -255,11 +163,11 @@ impl Ext4 {
                 .cache
                 .take_dirty(Some(inode.ino), |_, page| self.map_alloc(inode, page).map(Some)),
             None => {
-                let files = self.files.read();
+                let files = self.ns.read();
                 // An inode retired since had its last descriptor closed:
                 // nobody can ask for its pages again.
                 self.cache.take_dirty(None, |ino, page| {
-                    files.by_ino.get(&ino).map(|inode| self.map_alloc(inode, page)).transpose()
+                    files.by_ino(ino).map(|inode| self.map_alloc(inode, page)).transpose()
                 })
             }
         }?;
@@ -270,13 +178,13 @@ impl Ext4 {
 
     fn fsync_inode(&self, inode: &Ext4Inode, clock: &ActorClock) -> IoResult<()> {
         self.barrier(Some(inode), clock)?;
-        inode.meta_dirty.store(false, Ordering::Release);
+        inode.data.meta_dirty.store(false, Ordering::Release);
         Ok(())
     }
 
     fn read_page_from_device(&self, inode: &Ext4Inode, page: u64, clock: &ActorClock) -> Vec<u8> {
         let mut buf = vec![0u8; self.page_size() as usize];
-        if let Some(off) = self.map_existing(inode, page) {
+        if let Some(off) = self.slabs.map_existing(&inode.data, page) {
             self.dev.read(off, &mut buf, clock);
         }
         buf
@@ -290,12 +198,7 @@ impl Ext4 {
         clock: &ActorClock,
     ) -> IoResult<usize> {
         let ps = self.page_size();
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(data.len() - pos);
+        for PageSpan { page, in_page, pos, n } in page_spans(off, data.len(), ps) {
             let dev_off = self.map_alloc(inode, page)?;
             if n == ps as usize {
                 self.dev.write(dev_off, &data[pos..pos + n], clock);
@@ -309,7 +212,6 @@ impl Ext4 {
             // Keep the page cache coherent, as the kernel invalidates/updates
             // overlapping cached pages on direct I/O.
             self.cache.update(inode.ino, page, in_page, &data[pos..pos + n]);
-            pos += n;
         }
         Ok(data.len())
     }
@@ -322,13 +224,8 @@ impl Ext4 {
         clock: &ActorClock,
     ) -> IoResult<usize> {
         let ps = self.page_size();
-        let size = inode.size.load(Ordering::Acquire);
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(data.len() - pos);
+        let size = inode.data.len();
+        for PageSpan { page, in_page, pos, n } in page_spans(off, data.len(), ps) {
             clock.advance(self.profile.costs.page_lookup);
             if !self.cache.update(inode.ino, page, in_page, &data[pos..pos + n]) {
                 // Page miss. A full overwrite or a page entirely beyond EOF
@@ -344,7 +241,6 @@ impl Ext4 {
                 let evicted = self.cache.insert(inode.ino, page, &fresh, true);
                 self.writeback_evicted(evicted, clock);
             }
-            pos += n;
         }
         clock.advance(self.profile.costs.copy(data.len() as u64));
         Ok(data.len())
@@ -358,75 +254,30 @@ impl FileSystem for Ext4 {
 
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let path = normalize_path(path);
-        let existing = match self.files.read().by_path.get(&path) {
-            Some(_) if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) => {
-                return Err(IoError::AlreadyExists(path));
-            }
-            // The descriptor's reference, taken while the name holds its own.
-            Some(inode) => {
-                inode.refs.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(inode))
-            }
-            None => None,
-        };
-        let inode = match existing {
-            Some(inode) => {
-                if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                    inode.size.store(0, Ordering::Release);
-                    self.cache.drop_inode(inode.ino);
-                    inode.meta_dirty.store(true, Ordering::Release);
-                }
-                inode
-            }
-            None => {
-                if !flags.contains(OpenFlags::CREATE) {
-                    return Err(IoError::NotFound(path));
-                }
-                let inode = Arc::new(Ext4Inode {
-                    ino: self.next_ino.fetch_add(1, Ordering::Relaxed),
-                    size: AtomicU64::new(0),
-                    slabs: Mutex::new(HashMap::new()),
-                    meta_dirty: AtomicBool::new(true),
-                    refs: AtomicU64::new(2), // the name and this descriptor
-                });
-                let mut files = self.files.write();
-                files.by_ino.insert(inode.ino, Arc::clone(&inode));
-                files.by_path.insert(path, Arc::clone(&inode));
-                inode
-            }
-        };
-        Ok(self.fds.insert(Ext4Fd { inode, flags }))
+        let opened = self.ns.open(path, flags, SlabFile::new)?;
+        if opened.truncate {
+            let inode = &opened.inode;
+            inode.data.size.store(0, Ordering::Release);
+            self.cache.drop_inode(inode.ino);
+            inode.data.meta_dirty.store(true, Ordering::Release);
+        }
+        Ok(opened.fd)
     }
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
-        let entry = self.fds.remove(fd)?;
-        if entry.inode.release() {
-            self.retire(&mut self.files.write(), &entry.inode);
-        }
-        Ok(())
+        self.ns.close(fd, |inode| self.retire(inode))
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.readable() {
-            return Err(IoError::PermissionDenied("fd opened write-only".into()));
-        }
+        let inode = &self.ns.readable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let inode = &entry.inode;
-        let size = inode.size.load(Ordering::Acquire);
+        let size = inode.data.len();
         if off >= size {
             return Ok(0);
         }
         let total = buf.len().min((size - off) as usize);
-        let ps = self.page_size();
-        let mut pos = 0usize;
-        while pos < total {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(total - pos);
+        for PageSpan { page, in_page, pos, n } in page_spans(off, total, self.page_size()) {
             clock.advance(self.profile.costs.page_lookup);
             if !self.cache.read(inode.ino, page, in_page, &mut buf[pos..pos + n]) {
                 let fresh = self.read_page_from_device(inode, page, clock);
@@ -434,121 +285,70 @@ impl FileSystem for Ext4 {
                 let evicted = self.cache.insert(inode.ino, page, &fresh, false);
                 self.writeback_evicted(evicted, clock);
             }
-            pos += n;
         }
         clock.advance(self.profile.costs.copy(total as u64));
         Ok(total)
     }
 
     fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, flags) = &self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let inode = &entry.inode;
-        let n = if entry.flags.contains(OpenFlags::DIRECT) {
+        let n = if flags.contains(OpenFlags::DIRECT) {
             self.write_direct(inode, data, off, clock)?
         } else {
             self.write_buffered(inode, data, off, clock)?
         };
         let end = off + n as u64;
-        if inode.size.fetch_max(end, Ordering::AcqRel) < end {
-            inode.meta_dirty.store(true, Ordering::Release);
+        if inode.data.size.fetch_max(end, Ordering::AcqRel) < end {
+            inode.data.meta_dirty.store(true, Ordering::Release);
         }
-        if entry.flags.contains(OpenFlags::SYNC) {
+        if flags.contains(OpenFlags::SYNC) {
             self.fsync_inode(inode, clock)?;
         }
         Ok(n)
     }
 
     fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        let entry = self.fds.get(fd)?;
+        let inode = self.ns.inode(fd)?;
         clock.advance(self.profile.costs.syscall);
-        self.fsync_inode(&entry.inode, clock)
+        self.fsync_inode(&inode, clock)
     }
 
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let old = entry.inode.size.swap(len, Ordering::AcqRel);
+        let old = inode.data.size.swap(len, Ordering::AcqRel);
         if len < old {
             // Invalidate cached pages wholly beyond the new end.
-            self.cache.drop_inode(entry.inode.ino);
+            self.cache.drop_inode(inode.ino);
         }
-        entry.inode.meta_dirty.store(true, Ordering::Release);
+        inode.data.meta_dirty.store(true, Ordering::Release);
         Ok(())
     }
 
     fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.profile.costs.syscall);
-        let entry = self.fds.get(fd)?;
-        Ok(Metadata {
-            dev: self.dev_id,
-            ino: entry.inode.ino,
-            size: entry.inode.size.load(Ordering::Acquire),
-            is_dir: false,
-        })
+        self.ns.fstat(fd, SlabFile::len)
     }
 
     fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.profile.costs.syscall);
-        let path = normalize_path(path);
-        if let Some(inode) = self.lookup(&path) {
-            return Ok(Metadata {
-                dev: self.dev_id,
-                ino: inode.ino,
-                size: inode.size.load(Ordering::Acquire),
-                is_dir: false,
-            });
-        }
-        if self.is_dir(&path) {
-            return Ok(Metadata { dev: self.dev_id, ino: 0, size: 0, is_dir: true });
-        }
-        Err(IoError::NotFound(path))
+        self.ns.stat(path, SlabFile::len)
     }
 
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let path = normalize_path(path);
-        let mut files = self.files.write();
-        let inode = files.by_path.remove(&path).ok_or(IoError::NotFound(path))?;
-        if inode.release() {
-            self.retire(&mut files, &inode);
-        }
-        Ok(())
+        self.ns.unlink(path, |inode| self.retire(inode))
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let from = normalize_path(from);
-        let to = normalize_path(to);
-        let mut files = self.files.write();
-        let inode = files.by_path.remove(&from).ok_or(IoError::NotFound(from))?;
-        if let Some(replaced) = files.by_path.insert(to, inode) {
-            if replaced.release() {
-                self.retire(&mut files, &replaced);
-            }
-        }
-        Ok(())
+        self.ns.rename(from, to, |inode| self.retire(inode))
     }
 
     fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let dir = normalize_path(dir);
-        let mut out: Vec<String> = self
-            .files
-            .read()
-            .by_path
-            .keys()
-            .filter(|k| parent_of(k) == dir)
-            .cloned()
-            .collect();
-        out.sort();
-        Ok(out)
+        Ok(self.ns.list_dir(dir))
     }
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
@@ -575,7 +375,9 @@ impl FileSystem for Ext4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IoError;
     use blockdev::{SsdDevice, SsdProfile};
+    use parking_lot::Mutex;
 
     fn fs() -> (ActorClock, Arc<SsdDevice>, Ext4) {
         let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
@@ -745,9 +547,9 @@ mod tests {
             assert!(buf[..4096] == [i as u8 + 1; 4096] && buf[4096..] == [tail; 4096], "file {i}");
         }
         // The last close retires the anonymous file and frees its slab.
-        assert_eq!((fs.files.read().by_ino.len(), fs.free_slabs.lock().len()), (3, 0));
+        assert_eq!((fs.ns.read().live(), fs.slabs.free_count()), (3, 0));
         fs.close(fds[2], &c).unwrap();
-        assert_eq!((fs.files.read().by_ino.len(), fs.free_slabs.lock().len()), (2, 1));
+        assert_eq!((fs.ns.read().live(), fs.slabs.free_count()), (2, 1));
     }
 
     #[test]

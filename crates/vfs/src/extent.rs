@@ -1,0 +1,171 @@
+//! Page and extent arithmetic shared by the inner file systems.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use parking_lot::Mutex;
+
+use crate::{IoError, IoResult};
+
+/// The part of a byte range that falls into one page.
+pub(crate) struct PageSpan {
+    /// File page number.
+    pub page: u64,
+    /// Offset of the part inside its page.
+    pub in_page: usize,
+    /// Offset of the part inside the caller's buffer.
+    pub pos: usize,
+    /// Length of the part.
+    pub n: usize,
+}
+
+/// Splits the file range `off .. off + len` at page boundaries, in order.
+pub(crate) fn page_spans(off: u64, len: usize, page_size: u64) -> impl Iterator<Item = PageSpan> {
+    let mut pos = 0usize;
+    std::iter::from_fn(move || {
+        if pos >= len {
+            return None;
+        }
+        let abs = off + pos as u64;
+        let in_page = (abs % page_size) as usize;
+        let n = (page_size as usize - in_page).min(len - pos);
+        let span = PageSpan { page: abs / page_size, in_page, pos, n };
+        pos += n;
+        Some(span)
+    })
+}
+
+/// Per-inode state of a file system that keeps its files in slabs (`Ext4`,
+/// `DaxFs`): the size, the slabs, and whether the inode changed since its
+/// last journal commit.
+#[derive(Debug)]
+pub(crate) struct SlabFile {
+    pub size: AtomicU64,
+    /// slab index -> base offset on the medium
+    slabs: Mutex<HashMap<u64, u64>>,
+    pub meta_dirty: AtomicBool,
+}
+
+impl SlabFile {
+    /// An empty file that was just created.
+    pub fn new() -> Self {
+        SlabFile {
+            size: AtomicU64::new(0),
+            slabs: Mutex::new(HashMap::new()),
+            meta_dirty: AtomicBool::new(true),
+        }
+    }
+
+    /// The file's length in bytes.
+    pub fn len(&self) -> u64 {
+        self.size.load(Ordering::Acquire)
+    }
+}
+
+/// Lazy extent allocation: file pages map onto contiguous slabs of the
+/// medium, so sequential file I/O stays sequential on it. Slabs come off a
+/// bump pointer, or off the free list once files have been retired.
+#[derive(Debug)]
+pub(crate) struct SlabMap {
+    slab_pages: u64,
+    page_size: u64,
+    capacity: u64,
+    alloc_next: AtomicU64,
+    free_slabs: Mutex<Vec<u64>>,
+}
+
+impl SlabMap {
+    /// A map over a medium of `capacity` bytes, nothing allocated.
+    pub fn new(slab_pages: u64, page_size: u64, capacity: u64) -> Self {
+        SlabMap {
+            slab_pages,
+            page_size,
+            capacity,
+            alloc_next: AtomicU64::new(0),
+            free_slabs: Mutex::new(Vec::new()),
+        }
+    }
+
+    fn within(&self, base: u64, page: u64) -> u64 {
+        base + (page % self.slab_pages) * self.page_size
+    }
+
+    /// Maps a file page to its offset on the medium, allocating a slab on
+    /// demand.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::NoSpace`] when the medium is exhausted.
+    pub fn map_alloc(&self, file: &SlabFile, page: u64) -> IoResult<u64> {
+        let slab = page / self.slab_pages;
+        let mut slabs = file.slabs.lock();
+        if let Some(&base) = slabs.get(&slab) {
+            return Ok(self.within(base, page));
+        }
+        let base = match self.free_slabs.lock().pop() {
+            Some(base) => base,
+            None => {
+                let slab_bytes = self.slab_pages * self.page_size;
+                let base = self.alloc_next.fetch_add(slab_bytes, Ordering::Relaxed);
+                if base + slab_bytes > self.capacity {
+                    return Err(IoError::NoSpace);
+                }
+                base
+            }
+        };
+        slabs.insert(slab, base);
+        file.meta_dirty.store(true, Ordering::Release);
+        Ok(self.within(base, page))
+    }
+
+    /// Offset of `page` if its slab exists (reads of sparse holes skip the
+    /// medium).
+    pub fn map_existing(&self, file: &SlabFile, page: u64) -> Option<u64> {
+        let slab = page / self.slab_pages;
+        file.slabs.lock().get(&slab).map(|&base| self.within(base, page))
+    }
+
+    /// Returns the slabs of a retired file to the allocator.
+    pub fn reclaim(&self, file: &SlabFile) {
+        let mut slabs = file.slabs.lock();
+        self.free_slabs.lock().extend(slabs.values().copied());
+        slabs.clear();
+    }
+
+    #[cfg(test)]
+    pub fn free_count(&self) -> usize {
+        self.free_slabs.lock().len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spans_cover_the_range_page_by_page() {
+        let spans: Vec<_> =
+            page_spans(4000, 5000, 4096).map(|s| (s.page, s.in_page, s.pos, s.n)).collect();
+        assert_eq!(spans, vec![(0, 4000, 0, 96), (1, 0, 96, 4096), (2, 0, 4192, 808)]);
+        assert_eq!(page_spans(8192, 0, 4096).count(), 0);
+        let whole: Vec<_> =
+            page_spans(8192, 4096, 4096).map(|s| (s.page, s.in_page, s.n)).collect();
+        assert_eq!(whole, vec![(2, 0, 4096)]);
+    }
+
+    #[test]
+    fn slabs_are_contiguous_bounded_and_recycled() {
+        let map = SlabMap::new(4, 4096, 3 * 4 * 4096);
+        let (a, b) = (SlabFile::new(), SlabFile::new());
+        assert_eq!(map.map_alloc(&a, 0).unwrap(), 0);
+        assert_eq!(map.map_alloc(&a, 3).unwrap(), 3 * 4096);
+        assert_eq!(map.map_alloc(&b, 9).unwrap(), 4 * 4096 + 4096, "page 9 = slab 2, page 1");
+        assert_eq!(map.map_existing(&a, 4), None);
+        assert_eq!(map.map_alloc(&a, 4).unwrap(), 2 * 4 * 4096);
+        assert_eq!(map.map_alloc(&b, 0), Err(IoError::NoSpace));
+        map.reclaim(&a);
+        assert_eq!((map.free_count(), map.map_existing(&a, 0)), (2, None));
+        assert!(map.map_alloc(&b, 0).is_ok(), "a retired file's slab is handed out again");
+        assert_eq!(map.free_count(), 1);
+    }
+}

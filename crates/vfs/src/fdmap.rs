@@ -5,24 +5,11 @@ use parking_lot::RwLock;
 
 use crate::{Fd, IoError, IoResult};
 
-/// A concurrent file-descriptor table.
-///
-/// Shared helper for every [`FileSystem`](crate::FileSystem) implementation:
-/// allocates monotonically increasing descriptors and maps them to per-open
-/// state.
-///
-/// # Example
-///
-/// ```
-/// use vfs::FdTable;
-/// let t: FdTable<String> = FdTable::new();
-/// let fd = t.insert("state".to_string());
-/// assert_eq!(t.get(fd).unwrap(), "state");
-/// t.remove(fd).unwrap();
-/// assert!(t.get(fd).is_err());
-/// ```
+/// The concurrent file-descriptor table of a
+/// [`Namespace`](crate::namespace::Namespace): allocates monotonically
+/// increasing descriptors and maps them to per-open state.
 #[derive(Debug)]
-pub struct FdTable<T> {
+pub(crate) struct FdTable<T> {
     next: AtomicU64,
     map: RwLock<HashMap<u64, T>>,
 }
@@ -58,27 +45,6 @@ impl<T: Clone> FdTable<T> {
     pub fn remove(&self, fd: Fd) -> IoResult<T> {
         self.map.write().remove(&fd.0).ok_or(IoError::BadFd(fd.0))
     }
-
-    /// Number of open descriptors.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Whether no descriptors are open.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
-
-    /// Snapshot of all open states.
-    pub fn values(&self) -> Vec<T> {
-        self.map.read().values().cloned().collect()
-    }
-}
-
-impl<T: Clone> Default for FdTable<T> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -92,7 +58,16 @@ mod tests {
         let b = t.insert(2);
         assert_eq!(a, Fd(3));
         assert_eq!(b, Fd(4));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.map.read().len(), 2);
+    }
+
+    #[test]
+    fn insert_get_remove_round_trip() {
+        let t: FdTable<String> = FdTable::new();
+        let fd = t.insert("state".to_string());
+        assert_eq!(t.get(fd).unwrap(), "state");
+        t.remove(fd).unwrap();
+        assert!(t.get(fd).is_err());
     }
 
     #[test]

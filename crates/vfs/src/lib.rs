@@ -19,9 +19,18 @@
 //! `NVCache` itself (crate `nvcache`) implements the same trait by wrapping
 //! any of these as its propagation target.
 //!
-//! Every operation charges modelled kernel costs ([`KernelCosts`]) against
-//! the caller's virtual clock; syscall-free user-space paths (the whole point
-//! of NVCache's write path) simply skip those charges.
+//! The four share what POSIX fixes and differ in what the paper compares.
+//! Shared, one copy each: the namespace (`namespace.rs` — path map, implicit
+//! directories, descriptor table with open flags, inode numbers, the
+//! `O_CREAT`/`O_EXCL` decision, and the rule that an inode lives until its
+//! name *and* its last descriptor are gone), the slab allocator of `Ext4`
+//! and `DaxFs` and the page walk of a byte range (`extent.rs`). Its own, per
+//! file system: the data path, `simulate_power_failure`, the two durability
+//! flags, and every charge — each operation charges modelled kernel costs
+//! ([`KernelCosts`]) against the caller's virtual clock in its own
+//! `impl FileSystem`, the shared code charges nothing; syscall-free
+//! user-space paths (the whole point of NVCache's write path) simply skip
+//! those charges.
 
 mod conformance;
 mod cost;
@@ -29,11 +38,13 @@ mod cursor;
 mod dax;
 mod error;
 mod ext4;
+mod extent;
 mod fdmap;
 mod flags;
 mod fs;
 mod layer;
 mod memfs;
+mod namespace;
 mod nova;
 mod pagecache;
 mod path;
@@ -44,7 +55,6 @@ pub use cursor::{CursorFile, SeekFrom};
 pub use dax::{DaxFs, DaxProfile};
 pub use error::{IoError, IoResult};
 pub use ext4::{Ext4, Ext4Profile};
-pub use fdmap::FdTable;
 pub use flags::{Metadata, OpenFlags};
 pub use fs::{Fd, FileSystem};
 pub use layer::{

@@ -1,25 +1,13 @@
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use parking_lot::RwLock;
 use simclock::ActorClock;
 
-use crate::path::parent_of;
-use crate::{
-    normalize_path, Fd, FdTable, FileSystem, IoError, IoResult, KernelCosts, Metadata, OpenFlags,
-};
+use crate::namespace::Namespace;
+use crate::{Fd, FileSystem, IoResult, KernelCosts, Metadata, OpenFlags};
 
-#[derive(Debug)]
-struct MemInode {
-    ino: u64,
-    data: RwLock<Vec<u8>>,
-}
+type Content = RwLock<Vec<u8>>;
 
-#[derive(Clone)]
-struct MemFd {
-    inode: Arc<MemInode>,
-    flags: OpenFlags,
+fn size(data: &Content) -> u64 {
+    data.read().len() as u64
 }
 
 /// tmpfs: files live entirely in DRAM inside the kernel page cache.
@@ -48,20 +36,12 @@ struct MemFd {
 /// ```
 pub struct MemFs {
     costs: KernelCosts,
-    files: RwLock<HashMap<String, Arc<MemInode>>>,
-    /// Implicit-directory index: each ancestor directory of a live file,
-    /// with the number of files beneath it. Keeps `stat` on a missing path
-    /// O(depth) instead of scanning the whole namespace — at a million
-    /// files the linear scan turned every create-open quadratic.
-    dirs: RwLock<HashMap<String, u64>>,
-    fds: FdTable<MemFd>,
-    next_ino: AtomicU64,
-    dev_id: u64,
+    ns: Namespace<Content>,
 }
 
 impl std::fmt::Debug for MemFs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemFs").field("files", &self.files.read().len()).finish()
+        f.debug_struct("MemFs").field("files", &self.ns.len()).finish()
     }
 }
 
@@ -79,47 +59,7 @@ impl MemFs {
 
     /// Creates an empty tmpfs with explicit kernel costs.
     pub fn with_costs(costs: KernelCosts) -> Self {
-        MemFs {
-            costs,
-            files: RwLock::new(HashMap::new()),
-            dirs: RwLock::new(HashMap::new()),
-            fds: FdTable::new(),
-            next_ino: AtomicU64::new(1),
-            dev_id: 0xEE,
-        }
-    }
-
-    fn lookup(&self, path: &str) -> Option<Arc<MemInode>> {
-        self.files.read().get(path).cloned()
-    }
-
-    fn is_dir(&self, path: &str) -> bool {
-        path == "/" || self.dirs.read().contains_key(path)
-    }
-
-    /// Counts `path`'s ancestors into the directory index (file created).
-    fn index_ancestors(&self, path: &str) {
-        let mut dirs = self.dirs.write();
-        let mut dir = parent_of(path);
-        while dir != "/" {
-            *dirs.entry(dir.to_string()).or_insert(0) += 1;
-            dir = parent_of(dir);
-        }
-    }
-
-    /// Uncounts `path`'s ancestors (file removed or renamed away).
-    fn unindex_ancestors(&self, path: &str) {
-        let mut dirs = self.dirs.write();
-        let mut dir = parent_of(path);
-        while dir != "/" {
-            if let Some(n) = dirs.get_mut(dir) {
-                *n -= 1;
-                if *n == 0 {
-                    dirs.remove(dir);
-                }
-            }
-            dir = parent_of(dir);
-        }
+        MemFs { costs, ns: Namespace::new(0xEE) }
     }
 }
 
@@ -130,47 +70,22 @@ impl FileSystem for MemFs {
 
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        let path = normalize_path(path);
-        let inode = match self.lookup(&path) {
-            Some(inode) => {
-                if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                    return Err(IoError::AlreadyExists(path));
-                }
-                if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                    inode.data.write().clear();
-                }
-                inode
-            }
-            None => {
-                if !flags.contains(OpenFlags::CREATE) {
-                    return Err(IoError::NotFound(path));
-                }
-                let inode = Arc::new(MemInode {
-                    ino: self.next_ino.fetch_add(1, Ordering::Relaxed),
-                    data: RwLock::new(Vec::new()),
-                });
-                let replaced = self.files.write().insert(path.clone(), Arc::clone(&inode));
-                if replaced.is_none() {
-                    self.index_ancestors(&path);
-                }
-                inode
-            }
-        };
-        Ok(self.fds.insert(MemFd { inode, flags }))
+        let opened = self.ns.open(path, flags, Content::default)?;
+        if opened.truncate {
+            opened.inode.data.write().clear();
+        }
+        Ok(opened.fd)
     }
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.costs.syscall);
-        self.fds.remove(fd).map(|_| ())
+        self.ns.close(fd, |_| ()) // the content goes with the inode
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.readable() {
-            return Err(IoError::PermissionDenied("fd opened write-only".into()));
-        }
+        let inode = self.ns.readable(fd)?;
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        let data = entry.inode.data.read();
+        let data = inode.data.read();
         let size = data.len() as u64;
         if off >= size {
             return Ok(0);
@@ -182,12 +97,9 @@ impl FileSystem for MemFs {
     }
 
     fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        let mut content = entry.inode.data.write();
+        let mut content = inode.data.write();
         let end = off as usize + data.len();
         if content.len() < end {
             content.resize(end, 0);
@@ -199,76 +111,39 @@ impl FileSystem for MemFs {
 
     fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.costs.syscall);
-        self.fds.get(fd).map(|_| ()) // nothing durable to do
+        self.ns.inode(fd).map(|_| ()) // nothing durable to do
     }
 
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        entry.inode.data.write().resize(len as usize, 0);
+        inode.data.write().resize(len as usize, 0);
         Ok(())
     }
 
     fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.costs.syscall);
-        let entry = self.fds.get(fd)?;
-        let size = entry.inode.data.read().len() as u64;
-        Ok(Metadata { dev: self.dev_id, ino: entry.inode.ino, size, is_dir: false })
+        self.ns.fstat(fd, size)
     }
 
     fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.costs.syscall);
-        let path = normalize_path(path);
-        if let Some(inode) = self.lookup(&path) {
-            return Ok(Metadata {
-                dev: self.dev_id,
-                ino: inode.ino,
-                size: inode.data.read().len() as u64,
-                is_dir: false,
-            });
-        }
-        if self.is_dir(&path) {
-            return Ok(Metadata { dev: self.dev_id, ino: 0, size: 0, is_dir: true });
-        }
-        Err(IoError::NotFound(path))
+        self.ns.stat(path, size)
     }
 
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        let path = normalize_path(path);
-        if self.files.write().remove(&path).is_none() {
-            return Err(IoError::NotFound(path));
-        }
-        self.unindex_ancestors(&path);
-        Ok(())
+        self.ns.unlink(path, |_| ())
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        let from = normalize_path(from);
-        let to = normalize_path(to);
-        let replaced = {
-            let mut files = self.files.write();
-            let inode = files.remove(&from).ok_or(IoError::NotFound(from.clone()))?;
-            files.insert(to.clone(), inode)
-        };
-        self.unindex_ancestors(&from);
-        if replaced.is_none() {
-            self.index_ancestors(&to);
-        }
-        Ok(())
+        self.ns.rename(from, to, |_| ())
     }
 
     fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
         clock.advance(self.costs.syscall + self.costs.fs_overhead);
-        let dir = normalize_path(dir);
-        let mut out: Vec<String> =
-            self.files.read().keys().filter(|k| parent_of(k) == dir).cloned().collect();
-        out.sort();
-        Ok(out)
+        Ok(self.ns.list_dir(dir))
     }
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
@@ -277,8 +152,7 @@ impl FileSystem for MemFs {
     }
 
     fn simulate_power_failure(&self) {
-        self.files.write().clear();
-        self.dirs.write().clear();
+        self.ns.clear(|_| ());
     }
 
     fn synchronous_durability(&self) -> bool {
@@ -293,6 +167,7 @@ impl FileSystem for MemFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IoError;
 
     fn fs() -> (ActorClock, MemFs) {
         (ActorClock::new(), MemFs::new())
@@ -368,15 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn dir_stat_is_implicit() {
-        let (c, fs) = fs();
-        fs.open("/x/y/z", OpenFlags::WRONLY | OpenFlags::CREATE, &c).unwrap();
-        assert!(fs.stat("/x/y", &c).unwrap().is_dir);
-        assert!(fs.stat("/x", &c).unwrap().is_dir);
-        assert!(!fs.stat("/x/y/z", &c).unwrap().is_dir);
-    }
-
-    #[test]
     fn permission_checks() {
         let (c, fs) = fs();
         let ro = fs.open("/p", OpenFlags::RDONLY | OpenFlags::CREATE, &c).unwrap();
@@ -384,16 +250,5 @@ mod tests {
         let wo = fs.open("/p", OpenFlags::WRONLY, &c).unwrap();
         let mut b = [0u8; 1];
         assert!(matches!(fs.pread(wo, &mut b, 0, &c), Err(IoError::PermissionDenied(_))));
-    }
-
-    #[test]
-    fn unlinked_file_remains_readable_via_open_fd() {
-        let (c, fs) = fs();
-        let fd = fs.open("/u", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
-        fs.pwrite(fd, b"still here", 0, &c).unwrap();
-        fs.unlink("/u", &c).unwrap();
-        let mut buf = [0u8; 10];
-        assert_eq!(fs.pread(fd, &mut buf, 0, &c).unwrap(), 10);
-        assert_eq!(&buf, b"still here");
     }
 }

@@ -1,15 +1,13 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use nvmm::NvRegion;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use simclock::{ActorClock, SimTime};
 
-use crate::path::parent_of;
-use crate::{
-    normalize_path, Fd, FdTable, FileSystem, IoError, IoResult, KernelCosts, Metadata, OpenFlags,
-};
+use crate::extent::{page_spans, PageSpan};
+use crate::namespace::Namespace;
+use crate::{Fd, FileSystem, IoError, IoResult, KernelCosts, Metadata, OpenFlags};
 
 /// Tuning of the simulated NOVA file system.
 #[derive(Debug, Clone)]
@@ -41,9 +39,8 @@ impl Default for NovaProfile {
     }
 }
 
-#[derive(Debug)]
-struct NovaInode {
-    ino: u64,
+#[derive(Debug, Default)]
+struct NovaFile {
     size: AtomicU64,
     /// file page -> NVMM offset of the current (CoW) page version
     pages: Mutex<HashMap<u64, u64>>,
@@ -51,10 +48,10 @@ struct NovaInode {
     log_entries: AtomicU64,
 }
 
-#[derive(Clone)]
-struct NovaFd {
-    inode: Arc<NovaInode>,
-    flags: OpenFlags,
+impl NovaFile {
+    fn len(&self) -> u64 {
+        self.size.load(Ordering::Acquire)
+    }
 }
 
 /// Simulated NOVA: a log-structured file system for hybrid volatile /
@@ -68,17 +65,14 @@ struct NovaFd {
 pub struct NovaFs {
     region: NvRegion,
     profile: NovaProfile,
-    files: RwLock<HashMap<String, Arc<NovaInode>>>,
-    fds: FdTable<NovaFd>,
-    next_ino: AtomicU64,
+    ns: Namespace<NovaFile>,
     alloc_next: AtomicU64,
     free_pages: Mutex<Vec<u64>>,
-    dev_id: u64,
 }
 
 impl std::fmt::Debug for NovaFs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NovaFs").field("files", &self.files.read().len()).finish()
+        f.debug_struct("NovaFs").field("files", &self.ns.len()).finish()
     }
 }
 
@@ -88,12 +82,9 @@ impl NovaFs {
         NovaFs {
             region,
             profile,
-            files: RwLock::new(HashMap::new()),
-            fds: FdTable::new(),
-            next_ino: AtomicU64::new(1),
+            ns: Namespace::new(0x0A),
             alloc_next: AtomicU64::new(0),
             free_pages: Mutex::new(Vec::new()),
-            dev_id: 0x0A,
         }
     }
 
@@ -117,22 +108,11 @@ impl NovaFs {
         Ok(off)
     }
 
-    fn lookup(&self, path: &str) -> Option<Arc<NovaInode>> {
-        self.files.read().get(path).cloned()
-    }
-
-    fn is_dir(&self, path: &str) -> bool {
-        if path == "/" {
-            return true;
-        }
-        let prefix = format!("{path}/");
-        self.files.read().keys().any(|k| k.starts_with(&prefix))
-    }
-
-    fn free_inode_pages(&self, inode: &NovaInode) {
-        let mut pages = inode.pages.lock();
-        let mut free = self.free_pages.lock();
-        free.extend(pages.values().copied());
+    /// Returns a file's data pages to the allocator (truncation, or the end
+    /// of an inode nothing refers to any more).
+    fn free_pages_of(&self, file: &NovaFile) {
+        let mut pages = file.pages.lock();
+        self.free_pages.lock().extend(pages.values().copied());
         pages.clear();
     }
 }
@@ -144,61 +124,32 @@ impl FileSystem for NovaFs {
 
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let path = normalize_path(path);
-        let inode = match self.lookup(&path) {
-            Some(inode) => {
-                if flags.contains(OpenFlags::CREATE) && flags.contains(OpenFlags::EXCL) {
-                    return Err(IoError::AlreadyExists(path));
-                }
-                if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-                    inode.size.store(0, Ordering::Release);
-                    self.free_inode_pages(&inode);
-                }
-                inode
-            }
-            None => {
-                if !flags.contains(OpenFlags::CREATE) {
-                    return Err(IoError::NotFound(path));
-                }
-                clock.advance(self.profile.meta_persist);
-                let inode = Arc::new(NovaInode {
-                    ino: self.next_ino.fetch_add(1, Ordering::Relaxed),
-                    size: AtomicU64::new(0),
-                    pages: Mutex::new(HashMap::new()),
-                    log_entries: AtomicU64::new(0),
-                });
-                self.files.write().insert(path, Arc::clone(&inode));
-                inode
-            }
-        };
-        Ok(self.fds.insert(NovaFd { inode, flags }))
+        let opened = self.ns.open(path, flags, NovaFile::default)?;
+        if opened.created {
+            clock.advance(self.profile.meta_persist);
+        }
+        if opened.truncate {
+            opened.inode.data.size.store(0, Ordering::Release);
+            self.free_pages_of(&opened.inode.data);
+        }
+        Ok(opened.fd)
     }
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.profile.costs.syscall);
-        self.fds.remove(fd).map(|_| ())
+        self.ns.close(fd, |inode| self.free_pages_of(&inode.data))
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.readable() {
-            return Err(IoError::PermissionDenied("fd opened write-only".into()));
-        }
+        let inode = self.ns.readable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let inode = &entry.inode;
-        let size = inode.size.load(Ordering::Acquire);
+        let size = inode.data.len();
         if off >= size {
             return Ok(0);
         }
         let total = buf.len().min((size - off) as usize);
-        let ps = self.profile.page_size;
-        let mut pos = 0usize;
-        while pos < total {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(total - pos);
-            let mapped = inode.pages.lock().get(&page).copied();
+        for PageSpan { page, in_page, pos, n } in page_spans(off, total, self.profile.page_size) {
+            let mapped = inode.data.pages.lock().get(&page).copied();
             match mapped {
                 Some(base) => {
                     let mut tmp = vec![0u8; n];
@@ -207,140 +158,88 @@ impl FileSystem for NovaFs {
                 }
                 None => buf[pos..pos + n].fill(0),
             }
-            pos += n;
         }
         clock.advance(self.profile.costs.copy(total as u64));
         Ok(total)
     }
 
     fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, _) = self.ns.writable(fd)?;
         clock.advance(
             self.profile.costs.syscall
                 + self.profile.costs.fs_overhead
                 + self.profile.alloc_overhead,
         );
-        let inode = &entry.inode;
+        let file = &inode.data;
         let ps = self.profile.page_size;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = off + pos as u64;
-            let page = abs / ps;
-            let in_page = (abs % ps) as usize;
-            let n = (ps as usize - in_page).min(data.len() - pos);
+        for PageSpan { page, in_page, pos, n } in page_spans(off, data.len(), ps) {
             let new_page = self.alloc_page()?;
-            let old = inode.pages.lock().get(&page).copied();
-            match old {
-                Some(old_page) if n < ps as usize => {
-                    // CoW read-modify-write of the previous version.
-                    let mut content = vec![0u8; ps as usize];
-                    self.region.read(old_page, &mut content, clock);
-                    content[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
-                    self.region.write_and_pwb(new_page, &content, clock);
-                }
-                _ => {
-                    // Whole page (or fresh page): no read needed; zero-fill
-                    // tail.
-                    let mut content = vec![0u8; ps as usize];
-                    content[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
-                    self.region.write_and_pwb(new_page, &content, clock);
-                }
+            let old = file.pages.lock().get(&page).copied();
+            // A whole or fresh page starts from zeroes and needs no read; a
+            // partial overwrite is a CoW read-modify-write of the previous
+            // version.
+            let mut content = vec![0u8; ps as usize];
+            if let Some(old_page) = old.filter(|_| n < ps as usize) {
+                self.region.read(old_page, &mut content, clock);
             }
+            content[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
+            self.region.write_and_pwb(new_page, &content, clock);
             // Append + persist the inode log entry, then flip the mapping.
             let log_off = self.alloc_log_entry()?;
             let log_entry = vec![0xABu8; self.profile.log_entry_bytes];
             self.region.write_and_pwb(log_off, &log_entry, clock);
             self.region.psync(clock);
-            inode.log_entries.fetch_add(1, Ordering::Relaxed);
-            let prev = inode.pages.lock().insert(page, new_page);
+            file.log_entries.fetch_add(1, Ordering::Relaxed);
+            let prev = file.pages.lock().insert(page, new_page);
             if let Some(p) = prev {
                 self.free_pages.lock().push(p);
             }
-            pos += n;
         }
         let end = off + data.len() as u64;
-        inode.size.fetch_max(end, Ordering::AcqRel);
+        file.size.fetch_max(end, Ordering::AcqRel);
         Ok(data.len())
     }
 
     fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         // Everything is already durable; only the syscall is charged.
         clock.advance(self.profile.costs.syscall);
-        self.fds.get(fd).map(|_| ())
+        self.ns.inode(fd).map(|_| ())
     }
 
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        let entry = self.fds.get(fd)?;
-        if !entry.flags.writable() {
-            return Err(IoError::PermissionDenied("fd opened read-only".into()));
-        }
+        let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        entry.inode.size.store(len, Ordering::Release);
+        inode.data.size.store(len, Ordering::Release);
         Ok(())
     }
 
     fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.profile.costs.syscall);
-        let entry = self.fds.get(fd)?;
-        Ok(Metadata {
-            dev: self.dev_id,
-            ino: entry.inode.ino,
-            size: entry.inode.size.load(Ordering::Acquire),
-            is_dir: false,
-        })
+        self.ns.fstat(fd, NovaFile::len)
     }
 
     fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.profile.costs.syscall);
-        let path = normalize_path(path);
-        if let Some(inode) = self.lookup(&path) {
-            return Ok(Metadata {
-                dev: self.dev_id,
-                ino: inode.ino,
-                size: inode.size.load(Ordering::Acquire),
-                is_dir: false,
-            });
-        }
-        if self.is_dir(&path) {
-            return Ok(Metadata { dev: self.dev_id, ino: 0, size: 0, is_dir: true });
-        }
-        Err(IoError::NotFound(path))
+        self.ns.stat(path, NovaFile::len)
     }
 
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(
             self.profile.costs.syscall + self.profile.costs.fs_overhead + self.profile.meta_persist,
         );
-        let path = normalize_path(path);
-        let inode = self.files.write().remove(&path).ok_or(IoError::NotFound(path))?;
-        self.free_inode_pages(&inode);
-        Ok(())
+        self.ns.unlink(path, |inode| self.free_pages_of(&inode.data))
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(
             self.profile.costs.syscall + self.profile.costs.fs_overhead + self.profile.meta_persist,
         );
-        let from = normalize_path(from);
-        let to = normalize_path(to);
-        let mut files = self.files.write();
-        let inode = files.remove(&from).ok_or(IoError::NotFound(from))?;
-        if let Some(replaced) = files.insert(to, inode) {
-            self.free_inode_pages(&replaced);
-        }
-        Ok(())
+        self.ns.rename(from, to, |inode| self.free_pages_of(&inode.data))
     }
 
     fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let dir = normalize_path(dir);
-        let mut out: Vec<String> =
-            self.files.read().keys().filter(|k| parent_of(k) == dir).cloned().collect();
-        out.sort();
-        Ok(out)
+        Ok(self.ns.list_dir(dir))
     }
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
@@ -366,6 +265,7 @@ impl FileSystem for NovaFs {
 mod tests {
     use super::*;
     use nvmm::{NvDimm, NvmmProfile};
+    use std::sync::Arc;
 
     fn fs(mib: u64) -> (ActorClock, NovaFs) {
         let dimm = Arc::new(NvDimm::new(mib << 20, NvmmProfile::optane()));

@@ -118,3 +118,36 @@ fn posix_conformance_for_every_system() {
         sys.shutdown(&clock);
     }
 }
+
+/// The temporary-file idiom on all seven stacks: a descriptor held across
+/// `unlink` still reads every acknowledged page once the log has drained
+/// them — the inner file system has the only copy by then, and must keep it
+/// until that descriptor closes, whoever is given storage in the meantime.
+#[test]
+fn a_descriptor_held_across_unlink_reads_every_drained_page_on_every_system() {
+    let clock = ActorClock::new();
+    let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+    for kind in SystemKind::all() {
+        let sys = build_system(&SystemSpec::new(kind, 512), &clock);
+        let fs = &sys.fs;
+        let drain = || sys.nvcache.iter().for_each(|nc| nc.flush_log(&clock));
+        let held = fs.open("/held", flags, &clock).expect("create");
+        for page in 0..8u64 {
+            fs.pwrite(held, &[page as u8 + 1; 4096], page * 4096, &clock).expect("pwrite");
+        }
+        fs.fsync(held, &clock).expect("fsync");
+        drain();
+        fs.unlink("/held", &clock).expect("unlink");
+        let next = fs.open("/next", flags, &clock).expect("create the next file");
+        fs.pwrite(next, &[0xEE; 8 * 4096], 0, &clock).expect("fill the next file");
+        drain();
+        for page in 0..8u64 {
+            let mut buf = [0u8; 4096];
+            assert_eq!(fs.pread(held, &mut buf, page * 4096, &clock), Ok(4096), "{}", sys.name);
+            assert!(buf == [page as u8 + 1; 4096], "{}: page {page} reads {}", sys.name, buf[0]);
+        }
+        fs.close(held, &clock).expect("close");
+        fs.close(next, &clock).expect("close");
+        sys.shutdown(&clock);
+    }
+}
