@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nvcache::{
-    HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router,
+    HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering,
 };
 use nvcache_bench::{arg_flag, arg_str, arg_u64, print_table, Json, Row};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
@@ -81,7 +81,7 @@ fn hot_path(i: usize) -> String {
     format!("/ws/f{i:02}")
 }
 
-fn churn_cfg(capacity: u64) -> NvCacheConfig {
+fn churn_cfg() -> NvCacheConfig {
     NvCacheConfig {
         nb_entries: 4096,
         read_cache_pages: 256,
@@ -90,23 +90,23 @@ fn churn_cfg(capacity: u64) -> NvCacheConfig {
         batch_max: usize::MAX >> 1, // so virtual time is seed-deterministic
         ..NvCacheConfig::default()
     }
-    .with_migration(MigrationPolicy::OnDemand)
-    .with_placement(Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600))))
-    .with_catalog_capacity(capacity as usize)
-    .with_persist_heat(true)
 }
 
 fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunResult, WallTimes) {
     let clock = ActorClock::new();
-    let cfg = churn_cfg(capacity);
+    let cfg = churn_cfg();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let bulk: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let fast: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     // No routing rule ever reaches the fast tier: only heat can promote.
-    let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
-    let tiers = vec![Arc::clone(&bulk), Arc::clone(&fast)];
+    let all_cold = Arc::new(PathPrefixRouter::new(vec![], 0));
+    let tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .migration(MigrationPolicy::OnDemand)
+        .placement(Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600))))
+        .catalog_capacity(capacity as usize)
+        .persist_heat(true);
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backends(Arc::clone(&all_cold), tiers.clone())
+        .tiers(tiering.clone())
         .config(cfg.clone())
         .mount(&clock)
         .expect("churn mount");
@@ -202,7 +202,7 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
 
     let recover_start = Instant::now();
     let cache = NvCache::builder(NvRegion::whole(Arc::new(dimm.crash_and_restart())))
-        .backends(all_cold, tiers)
+        .tiers(tiering)
         .config(cfg)
         .mode(Mount::RecoverRepair)
         .mount(&clock)

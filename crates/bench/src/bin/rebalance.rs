@@ -27,7 +27,7 @@ use std::sync::Arc;
 use blockdev::{HddDevice, HddProfile};
 use nvcache::{
     HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, PlacementPolicy,
-    Router, RouterPlacement,
+    Router, RouterPlacement, Tiering,
 };
 use nvcache_bench::{arg_flag, arg_u64};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
@@ -99,15 +99,16 @@ fn heat_policy_run(
         nb_entries: (2 * files * kib.div_ceil(4)).max(64).next_multiple_of(2),
         fd_slots: (2 * files + 8) as u32,
         ..NvCacheConfig::default()
-    }
-    .with_migration(MigrationPolicy::OnDemand)
-    .with_placement(policy);
+    };
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     // Every path — including /data/hot/** — routes to the bulk tier: no
     // static rule ever reaches NOVA.
     let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
+    let tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .migration(MigrationPolicy::OnDemand)
+        .placement(policy);
     let cache = NvCache::builder(NvRegion::whole(log_dimm))
-        .backends(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .tiers(tiering)
         .config(cfg)
         .mount(&clock)
         .expect("heat-policy mount");
@@ -235,14 +236,14 @@ fn main() {
         batch_min: usize::MAX >> 1, // park the drain: the crash finds everything in the log
         batch_max: usize::MAX >> 1,
         ..NvCacheConfig::default()
-    }
-    .with_migration(MigrationPolicy::OnDemand);
+    };
+    let tiers = vec![Arc::clone(&bulk), Arc::clone(&hot)];
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
 
     // Phase 1 — the old policy: everything lands on the bulk tier.
     let cold_everything: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-        .backends(cold_everything, vec![Arc::clone(&bulk), Arc::clone(&hot)])
+        .tiers(Tiering::new(cold_everything, tiers.clone()).migration(MigrationPolicy::OnDemand))
         .config(cfg.clone())
         .mount(&clock)
         .expect("phase-1 mount");
@@ -266,7 +267,7 @@ fn main() {
     // Phase 2 — recover under the real policy: /hot/** belongs on NOVA.
     let hot_policy: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let cache = NvCache::builder(NvRegion::whole(restarted))
-        .backends(Arc::clone(&hot_policy), vec![Arc::clone(&bulk), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_policy, tiers).migration(MigrationPolicy::OnDemand))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)

@@ -4,13 +4,14 @@
 //!
 //! The paper's constructor pair (`format`/`recover`) hard-wired exactly one
 //! inner file system and one construction mode each. The builder composes
-//! the same pieces — NVMM region, inner backend(s), configuration, mount
-//! mode — explicitly, and is the one way to mount any stack, including a
-//! **tiered** one where a [`Router`] spreads files over several backends:
+//! the same pieces — NVMM region, what is below the cache, configuration,
+//! mount mode — explicitly, and is the one way to mount any stack, including
+//! a **tiered** one where a [`Router`](crate::Router) spreads files over
+//! several backends ([`Tiering`]):
 //!
 //! ```
 //! use std::sync::Arc;
-//! use nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter};
+//! use nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 //! use nvmm::{NvDimm, NvRegion, NvmmProfile};
 //! use simclock::ActorClock;
 //! use vfs::{FileSystem, MemFs};
@@ -22,10 +23,10 @@
 //! let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
 //! let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
 //! let cache = NvCache::builder(NvRegion::whole(dimm))
-//!     .backends(
+//!     .tiers(Tiering::new(
 //!         Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
 //!         vec![cold, hot],
-//!     )
+//!     ))
 //!     .config(cfg)
 //!     .mode(Mount::Format)
 //!     .mount(&clock)?;
@@ -45,13 +46,9 @@ use vfs::{FileSystem, IoError, IoResult, Layer};
 
 use crate::cache::NvCache;
 use crate::layout::{self, Layout};
-use crate::placement::{PlacementPolicy, RouterPlacement};
-use crate::router::{Router, SingleBackend};
+use crate::router::SingleBackend;
+use crate::tiers::{Tiering, Tiers};
 use crate::NvCacheConfig;
-
-/// One tier of a [`NvCacheBuilder::backends_stacked`] mount: the layer
-/// stack (outermost first, empty = bare) and the inner file system it wraps.
-pub type LayeredTier = (Vec<Arc<dyn Layer>>, Arc<dyn FileSystem>);
 
 /// How [`NvCacheBuilder::mount`] treats the NVMM region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,59 +78,34 @@ pub enum Mount {
 /// [`NvCache::builder`].
 ///
 /// Defaults: [`NvCacheConfig::default`] configuration, [`Mount::Format`]
-/// mode, no backends (at least one of [`backend`](NvCacheBuilder::backend)
-/// or [`backends`](NvCacheBuilder::backends) is mandatory).
+/// mode, nothing below (one of [`backend`](NvCacheBuilder::backend),
+/// [`backend_stack`](NvCacheBuilder::backend_stack) or
+/// [`tiers`](NvCacheBuilder::tiers) is mandatory; the last call wins).
 #[must_use = "a builder does nothing until .mount() is called"]
+#[derive(Debug)]
 pub struct NvCacheBuilder {
     region: NvRegion,
     cfg: NvCacheConfig,
-    backends: Vec<Arc<dyn FileSystem>>,
-    /// One layer stack per backend (empty = bare). Applied and validated at
-    /// [`mount`](NvCacheBuilder::mount) time, first element outermost.
-    stacks: Vec<Vec<Arc<dyn Layer>>>,
-    router: Arc<dyn Router>,
+    tiering: Option<Tiering>,
     mode: Mount,
-}
-
-impl std::fmt::Debug for NvCacheBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NvCacheBuilder")
-            .field("backends", &self.backends.len())
-            .field("stack_depths", &self.stacks.iter().map(Vec::len).collect::<Vec<_>>())
-            .field("router", &self.router)
-            .field("mode", &self.mode)
-            .finish()
-    }
 }
 
 impl NvCacheBuilder {
     pub(crate) fn new(region: NvRegion) -> NvCacheBuilder {
-        NvCacheBuilder {
-            region,
-            cfg: NvCacheConfig::default(),
-            backends: Vec::new(),
-            stacks: Vec::new(),
-            router: Arc::new(SingleBackend),
-            mode: Mount::Format,
-        }
+        NvCacheBuilder { region, cfg: NvCacheConfig::default(), tiering: None, mode: Mount::Format }
     }
 
-    /// Mounts over a single inner backend (the paper's deployment). Replaces
-    /// any previously set backends and installs the implicit
-    /// [`SingleBackend`] router.
-    pub fn backend(mut self, inner: Arc<dyn FileSystem>) -> Self {
-        self.stacks = vec![Vec::new()];
-        self.backends = vec![inner];
-        self.router = Arc::new(SingleBackend);
-        self
+    /// Mounts over a single inner backend — the paper's deployment: one
+    /// tier behind the implicit [`SingleBackend`] router, no file ever moves.
+    pub fn backend(self, inner: Arc<dyn FileSystem>) -> Self {
+        self.backend_stack(Vec::new(), inner)
     }
 
-    /// Mounts over several inner backends, with `router` deciding which
-    /// backend owns each file (see [`Router`]). `inners[i]` is backend `i`.
-    pub fn backends(mut self, router: Arc<dyn Router>, inners: Vec<Arc<dyn FileSystem>>) -> Self {
-        self.stacks = vec![Vec::new(); inners.len()];
-        self.backends = inners;
-        self.router = router;
+    /// Mounts over what `tiering` describes: several inner backends, the
+    /// router that places files on them, and how files move between them
+    /// afterwards (see [`Tiering`]).
+    pub fn tiers(mut self, tiering: Tiering) -> Self {
+        self.tiering = Some(tiering);
         self
     }
 
@@ -171,32 +143,11 @@ impl NvCacheBuilder {
     /// stack, because a layered backend *is* a plain
     /// [`FileSystem`]. The stack is validated (depth bound) at
     /// [`mount`](NvCacheBuilder::mount).
-    pub fn backend_stack(
-        mut self,
-        layers: Vec<Arc<dyn Layer>>,
-        inner: Arc<dyn FileSystem>,
-    ) -> Self {
-        self.stacks = vec![layers];
-        self.backends = vec![inner];
-        self.router = Arc::new(SingleBackend);
-        self
-    }
-
-    /// Mounts over several inner backends, each wrapped in its own layer
-    /// stack (`tiers[i]` = `(layers, inner)` for backend `i`, empty layer
-    /// vec = bare). The layered combination of [`backends`](Self::backends)
-    /// and [`backend_stack`](Self::backend_stack).
-    pub fn backends_stacked(mut self, router: Arc<dyn Router>, tiers: Vec<LayeredTier>) -> Self {
-        let (stacks, backends) = tiers.into_iter().unzip();
-        self.stacks = stacks;
-        self.backends = backends;
-        self.router = router;
-        self
+    pub fn backend_stack(self, layers: Vec<Arc<dyn Layer>>, inner: Arc<dyn FileSystem>) -> Self {
+        self.tiers(Tiering::layered(Arc::new(SingleBackend), vec![(layers, inner)]))
     }
 
     /// Sets the cache configuration (defaults to [`NvCacheConfig::default`]).
-    /// The builder overrides [`NvCacheConfig::backends`] with the actual
-    /// backend count at mount time.
     ///
     /// Geometry knobs (`entry_size`, `nb_entries`, `fd_slots`,
     /// `log_shards`) are burned into the NVMM header and must match on a
@@ -231,83 +182,47 @@ impl NvCacheBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is internally inconsistent
-    /// ([`NvCacheConfig::validate`]).
+    /// Panics if the configuration or the [`Tiering`] is internally
+    /// inconsistent ([`NvCacheConfig::validate`]).
     pub fn mount(self, clock: &ActorClock) -> IoResult<NvCache> {
-        let NvCacheBuilder { region, cfg, backends, stacks, router, mode } = self;
-        if backends.is_empty() {
+        let NvCacheBuilder { region, cfg, tiering, mode } = self;
+        let Some(tiering) = tiering else {
             return Err(IoError::InvalidArgument(
-                "NvCacheBuilder needs at least one backend (.backend() or .backends())".into(),
+                "NvCacheBuilder needs at least one backend (.backend() or .tiers())".into(),
             ));
-        }
-        if router.fan_out() > backends.len() {
-            return Err(IoError::InvalidArgument(format!(
-                "router {:?} fans out to {} backends but only {} were supplied",
-                router,
-                router.fan_out(),
-                backends.len()
-            )));
-        }
-        // Apply the per-tier layer stacks (validated here: depth bound).
-        // Everything below — cleanup, migration, recovery — sees only the
-        // wrapped Arc<dyn FileSystem> and works unchanged.
-        let backends: Vec<Arc<dyn FileSystem>> = backends
-            .into_iter()
-            .zip(stacks)
-            .map(|(inner, layers)| vfs::stack(&layers, inner))
-            .collect::<IoResult<_>>()?;
-        let cfg = cfg.with_backends(backends.len());
+        };
+        let tiers = Tiers::mount(tiering)?;
         cfg.validate();
-        let backends: Box<[Arc<dyn FileSystem>]> = backends.into();
-        match mode {
+        let lay = tiers.layout(&cfg);
+        let recovered = match mode {
             Mount::Format => {
-                format_region(&region, &cfg, clock)?;
-                Ok(NvCache::start(region, backends, router, cfg, None, Vec::new()))
+                format_region(&region, &lay, cfg.page_size, clock)?;
+                None
             }
+            // Recovery stamps the (possibly migrated) backend count and
+            // heat-format epoch itself — before its repair pass, whose
+            // journal slots need the v3 header to be parseable after a
+            // crash mid-repair.
             Mount::Recover | Mount::RecoverRepair => {
-                check_geometry(&region, &cfg)?;
-                // Misplacement (and the repair pass's target) is judged by
-                // the mount's placement policy; recovered files carry only
-                // whatever temperature summary a heat-format image persisted
-                // (nothing otherwise), so the policy's cold placement
-                // applies to everything below the retain threshold.
-                let placement: Arc<dyn PlacementPolicy> =
-                    cfg.placement.clone().unwrap_or_else(|| Arc::new(RouterPlacement));
-                // Recovery stamps the (possibly migrated) backend count and
-                // heat-format epoch itself — before its repair pass, whose
-                // journal slots need the v3 header to be parseable after a
-                // crash mid-repair.
-                let (report, misplaced, heat_seeds) = crate::recovery::recover(
-                    &region,
-                    &backends,
-                    router.as_ref(),
-                    placement.as_ref(),
-                    cfg.backends,
-                    cfg.persist_heat,
-                    mode == Mount::RecoverRepair,
-                    clock,
-                    crate::recovery::replay_planned,
-                )?;
-                let cache = NvCache::start(region, backends, router, cfg, Some(report), misplaced);
-                // Re-seed the heat catalog from the image's persisted
-                // summaries: the next sweep re-promotes the recovered hot
-                // set without a single file being re-touched. Only when the
-                // policy actually reads temperature — seeding a
-                // router-placed mount would grow the catalog for nothing.
-                if cache.shared.track_heat && !heat_seeds.is_empty() {
-                    cache.shared.migrator.seed_heat(heat_seeds, clock.now(), &cache.shared.stats);
-                }
-                Ok(cache)
+                check_geometry(&region, &lay)?;
+                let repair = mode == Mount::RecoverRepair;
+                let replay = crate::recovery::replay_planned;
+                Some(crate::recovery::recover(&region, &tiers, repair, clock, replay)?)
             }
-        }
+        };
+        Ok(NvCache::start(region, tiers, cfg, recovered, clock))
     }
 }
 
 /// Writes a fresh log image (header, invalid fd slots, free entries) —
 /// the paper's `format` step. A `log_shards = 1`, single-backend format is
 /// byte-for-byte identical to the seed image.
-fn format_region(region: &NvRegion, cfg: &NvCacheConfig, clock: &ActorClock) -> IoResult<()> {
-    let lay = Layout::for_config(cfg);
+fn format_region(
+    region: &NvRegion,
+    lay: &Layout,
+    page_size: usize,
+    clock: &ActorClock,
+) -> IoResult<()> {
     if region.len() < lay.total_bytes() {
         return Err(IoError::InvalidArgument(format!(
             "region of {} bytes cannot hold the configured log ({} bytes)",
@@ -316,15 +231,15 @@ fn format_region(region: &NvRegion, cfg: &NvCacheConfig, clock: &ActorClock) -> 
         )));
     }
     region.write_u64(layout::OFF_MAGIC, layout::MAGIC, clock);
-    region.write_u64(layout::OFF_ENTRY_SIZE, cfg.entry_size as u64, clock);
-    region.write_u64(layout::OFF_NB_ENTRIES, cfg.nb_entries, clock);
+    region.write_u64(layout::OFF_ENTRY_SIZE, lay.entry_size, clock);
+    region.write_u64(layout::OFF_NB_ENTRIES, lay.nb_entries, clock);
     region.write_u64(layout::OFF_PTAIL, 0, clock);
-    region.write_u64(layout::OFF_FD_SLOTS, cfg.fd_slots as u64, clock);
-    region.write_u64(layout::OFF_PAGE_SIZE, cfg.page_size as u64, clock);
-    if cfg.log_shards > 1 {
+    region.write_u64(layout::OFF_FD_SLOTS, lay.fd_slots, clock);
+    region.write_u64(layout::OFF_PAGE_SIZE, page_size as u64, clock);
+    if lay.log_shards > 1 {
         // v2 header: the stripe count plus one persistent tail per stripe.
-        region.write_u64(layout::OFF_LOG_SHARDS, cfg.log_shards as u64, clock);
-        for s in 0..cfg.log_shards as u64 {
+        region.write_u64(layout::OFF_LOG_SHARDS, lay.log_shards, clock);
+        for s in 0..lay.log_shards {
             region.write_u64(layout::OFF_STRIPE_TAILS + 8 * s, 0, clock);
         }
     } else {
@@ -336,7 +251,7 @@ fn format_region(region: &NvRegion, cfg: &NvCacheConfig, clock: &ActorClock) -> 
     }
     // Same encoding trick for the backend count: 0 = single backend (the
     // v1/v2 formats), so a one-backend builder mount stays seed-identical.
-    let backends_word = if cfg.backends > 1 { cfg.backends as u64 } else { 0 };
+    let backends_word = if lay.tiered() { lay.backends } else { 0 };
     region.write_u64(layout::OFF_BACKENDS, backends_word, clock);
     // And for the heat-format epoch: 0 = no heat words in the fd slots.
     // Written (and flushed on its own line, away from the prefix below)
@@ -349,18 +264,18 @@ fn format_region(region: &NvRegion, cfg: &NvCacheConfig, clock: &ActorClock) -> 
     // rest of the header area is never-stored padding, and flushing those
     // clean lines is pure overhead (flagged by the pmcheck redundant-pwb
     // lint). The stripe-tail array is the last field written (shards > 1).
-    let header_written = if cfg.log_shards > 1 {
-        layout::OFF_STRIPE_TAILS + 8 * cfg.log_shards as u64
+    let header_written = if lay.log_shards > 1 {
+        layout::OFF_STRIPE_TAILS + 8 * lay.log_shards
     } else {
         layout::OFF_BACKENDS + 8
     };
     region.pwb(0, header_written as usize);
-    for slot in 0..cfg.fd_slots {
+    for slot in 0..lay.fd_slots as u32 {
         let base = lay.fd_slot(slot);
         region.write_u64(base, 0, clock);
         region.pwb(base, 8);
     }
-    for slot in 0..cfg.nb_entries {
+    for slot in 0..lay.nb_entries {
         let base = lay.entry(slot);
         region.write_u64(base + layout::ENT_COMMIT, 0, clock);
         region.pwb(base + layout::ENT_COMMIT, 8);
@@ -369,16 +284,16 @@ fn format_region(region: &NvRegion, cfg: &NvCacheConfig, clock: &ActorClock) -> 
     Ok(())
 }
 
-/// Pre-recovery check that the on-NVMM geometry agrees with `cfg`. The
+/// Pre-recovery check that the on-NVMM geometry agrees with the mount's. The
 /// backend count may *grow* across a recovery (v2 → v3 migration, or adding
 /// tiers to a tiered image); it must never shrink below what the image's fd
 /// slots may reference.
-fn check_geometry(region: &NvRegion, cfg: &NvCacheConfig) -> IoResult<()> {
-    if region.read_u64(layout::OFF_ENTRY_SIZE) != cfg.entry_size as u64
-        || region.read_u64(layout::OFF_NB_ENTRIES) != cfg.nb_entries
-        || region.read_u64(layout::OFF_FD_SLOTS) != cfg.fd_slots as u64
+fn check_geometry(region: &NvRegion, lay: &Layout) -> IoResult<()> {
+    if region.read_u64(layout::OFF_ENTRY_SIZE) != lay.entry_size
+        || region.read_u64(layout::OFF_NB_ENTRIES) != lay.nb_entries
+        || region.read_u64(layout::OFF_FD_SLOTS) != lay.fd_slots
         // 0 is the seed (v1) encoding of a single-stripe log.
-        || region.read_u64(layout::OFF_LOG_SHARDS).max(1) != cfg.log_shards as u64
+        || region.read_u64(layout::OFF_LOG_SHARDS).max(1) != lay.log_shards
     {
         return Err(IoError::InvalidArgument(
             "configuration disagrees with the on-NVMM log geometry".into(),
@@ -386,10 +301,10 @@ fn check_geometry(region: &NvRegion, cfg: &NvCacheConfig) -> IoResult<()> {
     }
     // 0 is the v1/v2 encoding of a single backend.
     let image_backends = region.read_u64(layout::OFF_BACKENDS).max(1);
-    if image_backends > cfg.backends as u64 {
+    if image_backends > lay.backends {
         return Err(IoError::InvalidArgument(format!(
             "region references {image_backends} backends but the mount provides only {}",
-            cfg.backends
+            lay.backends
         )));
     }
     // The heat epoch may change across a recovery (recovery clears every fd

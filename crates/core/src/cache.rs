@@ -16,16 +16,14 @@ use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
 
 use crate::builder::NvCacheBuilder;
 use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentFdTable};
-use crate::layout::{self, Layout};
+use crate::layout;
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::{Log, Stripe};
-use crate::migrate::{MigrationPolicy, Migrator, RebalanceReport};
 use crate::pagedesc::{PageDescriptor, PageSlot};
-use crate::placement::{quantize_heat, PlacementPolicy, RouterPlacement};
 use crate::readcache::ReadCache;
-use crate::recovery::RecoveryReport;
+use crate::recovery::{Recovered, RecoveryReport};
 use crate::replay::{Pending, Window};
-use crate::router::Router;
+use crate::tiers::Tiers;
 use crate::{NvCacheConfig, NvCacheStats, Radix};
 
 /// A closed descriptor whose log entries have not all drained yet: the
@@ -56,12 +54,9 @@ pub(crate) struct WriteOp<'a> {
 /// State shared between the application-facing API and the cleanup workers.
 pub(crate) struct Shared {
     pub cfg: NvCacheConfig,
-    /// The inner (propagation target) file systems; a single-backend mount
-    /// has exactly one. Indexed by the backend ids the router assigns.
-    pub backends: Box<[Arc<dyn FileSystem>]>,
-    /// Maps paths to backend indices (consulted at open and for path-based
-    /// calls; open descriptors carry their resolved index instead).
-    pub router: Arc<dyn Router>,
+    /// What is below the cache: the one inner file system of the paper's
+    /// deployment, or several behind one merged namespace (`tiers.rs`).
+    pub tiers: Tiers,
     pub log: Log,
     pub pool: ReadCache,
     /// file table: (backend, device, inode) -> file structure (paper §III
@@ -102,28 +97,11 @@ pub(crate) struct Shared {
     /// One virtual clock per cleanup worker (stripe).
     pub cleanup_clocks: Box<[Arc<ActorClock>]>,
     pub next_file_id: AtomicU64,
-    /// The tier migrator: closed-file catalog, migration/path-op gate and
-    /// the background worker's clock. Fully inert under
-    /// [`MigrationPolicy::Disabled`] or a single backend.
-    pub migrator: Migrator,
-    /// The placement policy deciding the migrator's targets
-    /// ([`RouterPlacement`] unless the configuration installs another one;
-    /// see [`NvCacheConfig::placement`]).
-    pub placement: Arc<dyn PlacementPolicy>,
-    /// Whether per-I/O temperature bookkeeping runs: the mount can migrate
-    /// at all AND the policy reads heat
-    /// ([`PlacementPolicy::uses_temperature`] — `false` for the default
-    /// [`RouterPlacement`]). Computed once at mount; the policy `Arc` is
-    /// immutable, and the read/write hot path must not pay vtable calls to
-    /// re-derive a constant.
-    pub track_heat: bool,
-    /// The policy's decay half-life, cached alongside for the same reason.
-    pub heat_half_life: Option<simclock::SimTime>,
     /// The mount's lock-order recorder (zero-sized and inert unless the
     /// `pmcheck` feature is on): every blocking lock acquisition in the
     /// crate reports here, and a cyclic acquisition order panics with the
     /// offending edge chain. Shared with the [`Log`]'s stripes and the
-    /// [`Migrator`].
+    /// tiers' migrator.
     pub lockcheck: Recorder,
 }
 
@@ -131,17 +109,7 @@ impl Shared {
     /// The inner file system behind an open descriptor (resolved through the
     /// backend index recorded at open time — never by re-routing).
     pub fn inner_of(&self, opened: &OpenedFile) -> &Arc<dyn FileSystem> {
-        &self.backends[opened.backend as usize]
-    }
-
-    /// The backend index owning `path` (always `0` on a single-backend
-    /// mount, skipping the router entirely).
-    pub fn route(&self, path: &str) -> usize {
-        if self.backends.len() == 1 {
-            0
-        } else {
-            self.router.route(path, 0)
-        }
+        &self.tiers.backends[opened.backend as usize]
     }
 
     pub fn pages_of(&self, off: u64, len: usize) -> std::ops::Range<u64> {
@@ -222,27 +190,10 @@ impl Shared {
         Ok((stripe, k))
     }
 
-    /// Whether any file can move between tiers on this mount (≥ 2 backends
-    /// and either a [`MigrationPolicy`] other than `Disabled` or the
-    /// cross-tier-rename flag). When `false` the migrator is bypassed
-    /// entirely — no gate leases, no catalog growth — so legacy mounts stay
-    /// byte- and virtual-time-identical.
-    pub fn migration_enabled(&self) -> bool {
-        self.backends.len() > 1
-            && (self.cfg.migration != MigrationPolicy::Disabled || self.cfg.cross_tier_rename)
-    }
-
-    /// Wakes the background migration worker, if one is running.
-    pub fn migrator_notify(&self) {
-        if self.migration_enabled() && self.cfg.migration == MigrationPolicy::Background {
-            self.migrator.notify();
-        }
-    }
-
     /// A descriptor — open, closing or draining: a zombie stays in `opened`
     /// until [`finish_close`](Shared::finish_close) — on the file *named*
     /// `path`. An unlinked file has no name and answers no path-keyed query.
-    fn descriptor_at(&self, path: &str) -> Option<Arc<OpenedFile>> {
+    pub fn descriptor_at(&self, path: &str) -> Option<Arc<OpenedFile>> {
         let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
         let opened = self.opened.read();
         let named =
@@ -272,52 +223,6 @@ impl Shared {
         }
         self.drain_zombies(clock);
         self.fd_slots.acquire()
-    }
-
-    /// The backend recorded for `path` by this mount — from an open
-    /// descriptor, a draining zombie, or the migrator's closed-file catalog
-    /// — if any. This beats policy routing for path operations: a misplaced
-    /// file's bytes live where they were written, not where the router
-    /// would place the path today.
-    pub fn recorded_backend(&self, path: &str) -> Option<u32> {
-        self.descriptor_at(path)
-            .map(|o| o.backend)
-            .or_else(|| self.migrator.backend_of(path))
-    }
-
-    /// Backend probe order for path operations: the recorded backend first,
-    /// then the router's placement, then every remaining tier in index
-    /// order (a misplaced or policy-orphaned file must still be reachable
-    /// by `stat`/`unlink`, wherever its bytes sit).
-    pub fn resolution_order(&self, path: &str) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.backends.len());
-        if let Some(b) = self.recorded_backend(path) {
-            order.push(b as usize);
-        }
-        let routed = self.route(path);
-        if !order.contains(&routed) {
-            order.push(routed);
-        }
-        for b in 0..self.backends.len() {
-            if !order.contains(&b) {
-                order.push(b);
-            }
-        }
-        order
-    }
-
-    /// The backend actually holding `path`, probing in
-    /// [`resolution_order`](Shared::resolution_order). Distinguishes "found
-    /// nowhere" (`Ok(None)`) from a real backend error (`Err`).
-    pub fn existing_backend(&self, path: &str, clock: &ActorClock) -> IoResult<Option<usize>> {
-        for b in self.resolution_order(path) {
-            match self.backends[b].stat(path, clock) {
-                Ok(_) => return Ok(Some(b)),
-                Err(IoError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(None)
     }
 
     /// Holds `opened`'s inner descriptor shared: it cannot be released
@@ -368,7 +273,7 @@ impl Shared {
     /// (recovery counts it missing and discards the entries); the reverse
     /// order would lose acknowledged writes of a file that still has its
     /// name.
-    fn file_unlinked(&self, identity: (u32, u64, u64), clock: &ActorClock) {
+    pub fn file_unlinked(&self, identity: (u32, u64, u64), clock: &ActorClock) {
         let Some(file) = ({
             let _lk = self.lockcheck.acquire(Class::FilesMap, 0);
             self.files.lock().remove(&identity)
@@ -464,6 +369,23 @@ impl Shared {
         write_out(&mut window);
     }
 
+    /// A flush barrier over every stripe that fails when the drain could
+    /// not complete because a stripe is poisoned. Ordering-sensitive
+    /// operations (truncate, rename, `O_TRUNC` opens) must not proceed in
+    /// that state: their pending entries would stay in NVMM and recovery
+    /// would later replay them *over* the operation's effect.
+    pub fn drained_flush(&self, clock: &ActorClock) -> IoResult<()> {
+        self.log.flush_all(clock);
+        if self.log.any_poisoned() {
+            return Err(IoError::Other(
+                "NVCache log stripe poisoned by an inner I/O error: pending entries \
+                 cannot drain (recovery required)"
+                    .into(),
+            ));
+        }
+        Ok(())
+    }
+
     /// Completes a deferred close: releases the inner fd, the persistent fd
     /// slot and, on last close, the file structure and its cached pages.
     /// The caller has counted the descriptor in
@@ -497,21 +419,8 @@ impl Shared {
                     files.remove(&key);
                 }
             }
-            if named && self.migration_enabled() {
-                // The file is now closed and drained: catalog it (with its
-                // accumulated access heat, size and decaying temperature)
-                // so sweeps can re-home it, and wake the background
-                // worker.
-                self.migrator.record_closed(
-                    &opened.file.path,
-                    opened.backend,
-                    opened.file.reads.load(Ordering::Relaxed),
-                    opened.file.writes.load(Ordering::Relaxed),
-                    opened.file.size.load(Ordering::Relaxed),
-                    *opened.file.temperature.lock(),
-                    &self.stats,
-                );
-                self.migrator_notify();
+            if named {
+                self.tiers.closed(opened, &self.stats);
             }
         }
     }
@@ -721,11 +630,7 @@ impl Shared {
         let pages = self.page_descs(file, off, data.len());
         let mut guards = self.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
         self.commit_writes(stripe, &[WriteOp { opened, data, off }], &pages, &mut guards, clock)?;
-        if self.track_heat {
-            let now = clock.now();
-            file.touch_heat(now, self.heat_half_life);
-            self.migrator.observe_time(now);
-        }
+        self.tiers.touch(file, clock.now());
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_logged.fetch_add(data.len() as u64, Ordering::Relaxed);
         self.stats.entries_logged.fetch_add(k, Ordering::Relaxed);
@@ -761,11 +666,7 @@ impl Shared {
             // symmetric — the empty-write return precedes the touch).
             return Ok(0);
         }
-        if self.track_heat {
-            let now = clock.now();
-            file.touch_heat(now, self.heat_half_life);
-            self.migrator.observe_time(now);
-        }
+        self.tiers.touch(file, clock.now());
         let n = buf.len().min((size - off) as usize);
         if file.radix.get().is_none() {
             // Never opened for writing: the kernel page cache is fresh.
@@ -854,10 +755,6 @@ pub struct NvCache {
     pub(crate) shared: Arc<Shared>,
     name: String,
     cleanup: Mutex<Vec<JoinHandle<()>>>,
-    /// The background migration worker
-    /// ([`MigrationPolicy::Background`] on a tiered mount); `None`
-    /// otherwise.
-    migrator_worker: Mutex<Option<JoinHandle<()>>>,
     /// The recovery report when the instance was mounted with
     /// [`Mount::Recover`](crate::Mount) or
     /// [`Mount::RecoverRepair`](crate::Mount); `None` on a fresh
@@ -875,43 +772,37 @@ impl std::fmt::Debug for NvCache {
 }
 
 impl NvCache {
-    /// Starts building a mount over `region` — the one way to mount, single
-    /// backend or **tiered** (multi-backend). See [`NvCacheBuilder`].
+    /// Starts building a mount over `region` — the one way to mount. See
+    /// [`NvCacheBuilder`].
     pub fn builder(region: NvRegion) -> NvCacheBuilder {
         NvCacheBuilder::new(region)
     }
 
+    /// Brings the mount up over a formatted (or just recovered) region:
+    /// `recovered` is what [`recover`](crate::recovery::recover) found.
     pub(crate) fn start(
         region: NvRegion,
-        backends: Box<[Arc<dyn FileSystem>]>,
-        router: Arc<dyn Router>,
+        tiers: Tiers,
         cfg: NvCacheConfig,
-        recovery: Option<RecoveryReport>,
-        misplaced: Vec<(String, u32)>,
+        recovered: Option<Recovered>,
+        clock: &ActorClock,
     ) -> NvCache {
-        let lay = Layout::for_config(&cfg);
         let mut cleanup_clocks = Vec::with_capacity(cfg.log_shards);
         cleanup_clocks.resize_with(cfg.log_shards, || Arc::new(ActorClock::new()));
-        let placement: Arc<dyn PlacementPolicy> =
-            cfg.placement.clone().unwrap_or_else(|| Arc::new(RouterPlacement));
-        let migration_enabled = backends.len() > 1
-            && (cfg.migration != MigrationPolicy::Disabled || cfg.cross_tier_rename);
-        let track_heat = migration_enabled && placement.uses_temperature();
-        let heat_half_life = placement.half_life();
-        let log = Log::new(region, lay, 0);
-        let lockcheck = log.lockcheck.clone();
-        let migrator = Migrator::new(
-            lockcheck.clone(),
-            cfg.catalog_capacity,
-            Arc::clone(&placement),
-            Arc::clone(&router),
-            backends.len(),
-        );
+        let lockcheck = tiers.migrator.lockcheck.clone();
+        let lay = tiers.layout(&cfg);
+        let stats =
+            NvCacheStats::with_front_end(cfg.log_shards, lay.backends as usize, cfg.sq_pairs);
+        let name = tiers.name();
+        let recovery = recovered.map(|(report, misplaced, heat)| {
+            tiers.seed(misplaced, heat, clock.now(), &stats);
+            stats.recovered_entries.store(report.entries_replayed, Ordering::Relaxed);
+            report
+        });
         let shared = Arc::new(Shared {
             pool: ReadCache::new(cfg.read_cache_pages),
-            log,
-            backends,
-            router,
+            log: Log::new(region, lay, 0, lockcheck.clone()),
+            tiers,
             files: Mutex::new(HashMap::new()),
             opened: RwLock::new(HashMap::new()),
             fd_slots: FdSlotAllocator::new(cfg.fd_slots),
@@ -923,32 +814,14 @@ impl NvCache {
             zombies: Mutex::new(Vec::new()),
             graveyard: Mutex::new(Vec::new()),
             finishing: AtomicUsize::new(0),
-            stats: NvCacheStats::with_front_end(cfg.log_shards, cfg.backends, cfg.sq_pairs),
+            stats,
             stop: AtomicBool::new(false),
             kill: AtomicBool::new(false),
             cleanup_clocks: cleanup_clocks.into_boxed_slice(),
             next_file_id: AtomicU64::new(1),
-            migrator,
-            placement,
-            track_heat,
-            heat_half_life,
             lockcheck,
             cfg,
         });
-        if shared.migration_enabled() {
-            // Recovery's misplaced files become migration candidates: a
-            // rebalance sweep (or the background worker) re-homes them.
-            shared.migrator.seed(misplaced, &shared.stats);
-        }
-        let name = if shared.backends.len() == 1 {
-            format!("nvcache+{}", shared.backends[0].name())
-        } else {
-            let tiers: Vec<&str> = shared.backends.iter().map(|b| b.name()).collect();
-            format!("nvcache+{}[{}]", shared.router.name(), tiers.join("|"))
-        };
-        if let Some(report) = &recovery {
-            shared.stats.recovered_entries.store(report.entries_replayed, Ordering::Relaxed);
-        }
         let handles = (0..shared.cfg.log_shards)
             .map(|stripe| {
                 let worker = Arc::clone(&shared);
@@ -976,22 +849,8 @@ impl NvCache {
                     .expect("spawn cleanup worker")
             })
             .collect();
-        let migrator_worker = (shared.migration_enabled()
-            && shared.cfg.migration == MigrationPolicy::Background)
-            .then(|| {
-                let worker = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("nvcache-migrator".into())
-                    .spawn(move || crate::migrate::run_migrator(worker))
-                    .expect("spawn migration worker")
-            });
-        NvCache {
-            shared,
-            name,
-            cleanup: Mutex::new(handles),
-            migrator_worker: Mutex::new(migrator_worker),
-            recovery,
-        }
+        shared.tiers.start_worker(&shared);
+        NvCache { shared, name, cleanup: Mutex::new(handles), recovery }
     }
 
     /// The recovery report of a [`Mount::Recover`](crate::Mount) mount (`None` when the
@@ -1008,32 +867,6 @@ impl NvCache {
     /// Operation counters.
     pub fn stats(&self) -> &NvCacheStats {
         &self.shared.stats
-    }
-
-    /// The inner (propagation target) file system of a single-backend
-    /// mount; the first backend of a tiered one (see
-    /// [`backends`](NvCache::backends)).
-    pub fn inner(&self) -> &Arc<dyn FileSystem> {
-        &self.shared.backends[0]
-    }
-
-    /// All inner backends, indexed by the ids the router assigns.
-    pub fn backends(&self) -> &[Arc<dyn FileSystem>] {
-        &self.shared.backends
-    }
-
-    /// The router mapping files to backends
-    /// ([`SingleBackend`](crate::SingleBackend) on a one-backend mount).
-    pub fn router(&self) -> &Arc<dyn Router> {
-        &self.shared.router
-    }
-
-    /// The placement policy driving the tier migrator's targets
-    /// ([`RouterPlacement`](crate::RouterPlacement) unless the
-    /// configuration installed another via
-    /// [`NvCacheConfig::with_placement`]).
-    pub fn placement(&self) -> &Arc<dyn PlacementPolicy> {
-        &self.shared.placement
     }
 
     /// The first cleanup worker's virtual clock (the only one on a
@@ -1059,52 +892,6 @@ impl NvCache {
     /// causes).
     pub fn poisoned_stripes(&self) -> Vec<usize> {
         self.shared.log.poisoned_stripes()
-    }
-
-    /// Runs one tier-rebalancing sweep on the caller's clock: every closed
-    /// file the mount knows about (catalogued at close time, or reported
-    /// misplaced by recovery) whose backend disagrees with the placement
-    /// policy's target — the router's static placement by default, or the
-    /// temperature-driven target of a configured
-    /// [`HeatPolicy`](crate::HeatPolicy) — is moved there through the
-    /// crash-safe copy → stamp → unlink protocol. Open or still-draining
-    /// files are skipped and retried on a later sweep. See
-    /// [`RebalanceReport`] and the `migrate` module docs.
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] when the mount's
-    /// [`MigrationPolicy`](crate::MigrationPolicy) is `Disabled`; any inner
-    /// I/O error a migration hits (the sweep stops there — already-moved
-    /// files stay moved, the rest stay catalogued).
-    pub fn rebalance(&self, clock: &ActorClock) -> IoResult<RebalanceReport> {
-        if self.shared.cfg.migration == MigrationPolicy::Disabled {
-            return Err(IoError::InvalidArgument(
-                "tier migration is disabled (MigrationPolicy::Disabled)".into(),
-            ));
-        }
-        crate::migrate::sweep(&self.shared, clock)
-    }
-
-    /// Moves the closed file at `path` to backend `to` with the crash-safe
-    /// migration protocol, regardless of the router's placement. Returns
-    /// the bytes copied (`0` if the file already lives there).
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] when migration is disabled or `to` is
-    /// out of range; [`IoError::Busy`] (EBUSY) while the file is open or
-    /// draining; [`IoError::NotFound`] if no backend holds the file; any
-    /// inner I/O error from the copy.
-    pub fn migrate(&self, path: &str, to: usize, clock: &ActorClock) -> IoResult<u64> {
-        if self.shared.cfg.migration == MigrationPolicy::Disabled {
-            return Err(IoError::InvalidArgument(
-                "tier migration is disabled (MigrationPolicy::Disabled)".into(),
-            ));
-        }
-        let path = vfs::normalize_path(path);
-        crate::migrate::migrate_path(&self.shared, &path, to, true, clock)
-            .map(|moved| moved.map_or(0, |(_, bytes)| bytes))
     }
 
     /// Claims submission/completion queue pair `index` (a "simulated
@@ -1141,40 +928,14 @@ impl NvCache {
         (free, open, zombie)
     }
 
-    /// Files currently resident in the migrator's closed-file catalog —
-    /// bounded by [`NvCacheConfig::catalog_capacity`] (plus any pinned
-    /// overflow the bound is not allowed to drop: misplaced or
-    /// above-threshold entries survive until acted on). Unbounded mounts
-    /// report the full catalog size.
-    pub fn catalog_resident(&self) -> usize {
-        self.shared.migrator.resident()
-    }
-
     /// Blocks until every entry currently in any stripe has been propagated
     /// and fsync'ed by its cleanup worker (the flush barrier drains *all*
     /// stripes). If a stripe is poisoned the barrier returns early — its
     /// entries can only drain through a [`Mount::Recover`](crate::Mount) mount; operations
     /// whose correctness *depends* on the drain use the internal
-    /// `drained_flush` and propagate the error instead.
+    /// `Shared::drained_flush` and propagate the error instead.
     pub fn flush_log(&self, clock: &ActorClock) {
         self.shared.log.flush_all(clock);
-    }
-
-    /// A [`flush_log`](NvCache::flush_log) that fails when the drain could
-    /// not complete because a stripe is poisoned. Ordering-sensitive
-    /// operations (truncate, rename, `O_TRUNC` opens) must not proceed in
-    /// that state: their pending entries would stay in NVMM and recovery
-    /// would later replay them *over* the operation's effect.
-    fn drained_flush(&self, clock: &ActorClock) -> IoResult<()> {
-        self.flush_log(clock);
-        if self.shared.log.any_poisoned() {
-            return Err(IoError::Other(
-                "NVCache log stripe poisoned by an inner I/O error: pending entries \
-                 cannot drain (recovery required)"
-                    .into(),
-            ));
-        }
-        Ok(())
     }
 
     /// Graceful shutdown: drain every stripe, stop and join the cleanup
@@ -1190,13 +951,10 @@ impl NvCache {
         self.shared.kill.store(true, Ordering::Release);
         self.shared.stop.store(true, Ordering::Release);
         self.shared.log.notify_work_all();
-        self.shared.migrator.notify();
         for h in self.cleanup.lock().drain(..) {
             let _ = h.join();
         }
-        if let Some(h) = self.migrator_worker.lock().take() {
-            let _ = h.join();
-        }
+        self.shared.tiers.stop_worker();
     }
 
     /// Cursor-based write (libc `write`): appends at the NVCache-maintained
@@ -1290,60 +1048,19 @@ impl Drop for NvCache {
 }
 
 impl NvCache {
-    /// Persists `file`'s decayed temperature into its fd slot's spare word
-    /// (heat-format layouts with a temperature-reading policy only): one
-    /// `commit_store` + fence, so a crash hands the next mount this file's
-    /// heat instead of a cold start. A no-op on every other mount — the
-    /// default configuration pays nothing, not even a branch on NVMM.
-    fn stamp_heat(&self, file: &FileState, slot: u32, clock: &ActorClock) {
-        if !self.shared.log.layout.heat_slots() || !self.shared.track_heat {
-            return;
-        }
-        let heat = file.temperature.lock().decayed(clock.now(), self.shared.heat_half_life);
-        PersistentFdTable::set_heat(
-            &self.shared.log.region,
-            &self.shared.log.layout,
-            slot,
-            quantize_heat(heat),
-            clock,
-        );
-    }
-
-    /// Body of the intercepted `open`, after path normalization and the
-    /// migration-gate lease: routing, inner open, file/descriptor
-    /// bookkeeping.
+    /// Body of the intercepted `open`, after path normalization and under
+    /// the path's lease: inner open, file/descriptor bookkeeping.
     fn open_at(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
-        // Tiering decision: the router places the file once, here; the index
-        // then travels with the descriptor (volatile) and the fd slot
-        // (persistent), so every later resolution agrees with this one.
-        let mut backend_idx = self.shared.route(path);
         if flags.contains(OpenFlags::TRUNC) && flags.writable() {
             // Pending log entries for the victim content must not resurface.
-            self.drained_flush(clock)?;
+            self.shared.drained_flush(clock)?;
         }
         // NVCache provides durability itself; the inner file is opened
         // without O_SYNC (the cleanup thread fsyncs batches explicitly).
         let inner_flags = flags.without(OpenFlags::SYNC);
-        let inner_fd = if self.shared.backends.len() == 1 {
-            self.shared.backends[0].open(path, inner_flags, clock)?
-        } else {
-            // Resolve where the file actually lives before touching any
-            // tier: an existing file is opened *in place* — POSIX O_CREAT
-            // opens, it does not shadow — even when a policy change left
-            // it misplaced. Only a genuinely new file is created on the
-            // router's tier (that is the placement decision).
-            match self.shared.existing_backend(path, clock)? {
-                Some(b) => {
-                    backend_idx = b;
-                    self.shared.backends[b].open(path, inner_flags, clock)?
-                }
-                None if flags.contains(OpenFlags::CREATE) => {
-                    self.shared.backends[backend_idx].open(path, inner_flags, clock)?
-                }
-                None => return Err(IoError::NotFound(path.to_string())),
-            }
-        };
-        let inner = &self.shared.backends[backend_idx];
+        let (backend_idx, inner_fd) =
+            self.shared.tiers.open(&self.shared, path, inner_flags, clock)?;
+        let inner = &self.shared.tiers.backends[backend_idx];
         let meta = inner.fstat(inner_fd, clock)?;
         let file = {
             let _lk = self.shared.lockcheck.acquire(Class::FilesMap, 0);
@@ -1355,8 +1072,8 @@ impl NvCache {
                 // catalog entry pointing at a *different* tier stays: it
                 // tracks a copy this open did not touch, which a sweep may
                 // still need to find.
-                let heat =
-                    self.shared.migrator.take_if_on(path, backend_idx as u32).unwrap_or_default();
+                let catalogued = self.shared.tiers.migrator.take_if_on(path, backend_idx as u32);
+                let heat = catalogued.unwrap_or_default();
                 Arc::new(FileState {
                     file_id: self.shared.next_file_id.fetch_add(1, Ordering::Relaxed),
                     dev_ino: (meta.dev, meta.ino),
@@ -1381,12 +1098,7 @@ impl NvCache {
         }
         file.open_count.fetch_add(1, Ordering::AcqRel);
         let slot = {
-            let mut slot = self.shared.fd_slots.acquire();
-            if slot.is_none() {
-                // Reclaim closed descriptors whose entries already drained.
-                self.shared.drain_zombies(clock);
-                slot = self.shared.fd_slots.acquire();
-            }
+            let mut slot = self.shared.take_free_slot(clock);
             if slot.is_none() {
                 // Slow path: the table is exhausted right now, but zombies
                 // (or concurrently closing descriptors) may give a slot
@@ -1440,21 +1152,8 @@ impl NvCache {
         );
         // A reopen inherits the catalog's accumulated temperature; persist
         // it right away so a crash before the first fsync does not forget a
-        // known-warm file. Cold opens (the common case) skip the stamp —
-        // the slot's zeroed heat word already reads as cold.
-        if self.shared.log.layout.heat_slots() && self.shared.track_heat {
-            let heat = file.temperature.lock().decayed(clock.now(), self.shared.heat_half_life);
-            let q = quantize_heat(heat);
-            if q > 0 {
-                PersistentFdTable::set_heat(
-                    &self.shared.log.region,
-                    &self.shared.log.layout,
-                    slot,
-                    q,
-                    clock,
-                );
-            }
-        }
+        // known-warm file. Cold opens (the common case) skip the stamp.
+        self.shared.tiers.stamp_heat(&self.shared.log, &file, slot, 1, clock);
         let opened = Arc::new(OpenedFile {
             slot,
             flags,
@@ -1471,143 +1170,6 @@ impl NvCache {
         }
         Ok(Fd(slot as u64))
     }
-
-    /// Multi-backend `rename`, under the caller's gate leases. Checks POSIX
-    /// errno order — a nonexistent source is ENOENT *before* any
-    /// cross-device consideration — then renames in place or, across tiers,
-    /// fails with EXDEV unless
-    /// [`cross_tier_rename`](NvCacheConfig::cross_tier_rename) turns the
-    /// call into a migrate-then-rename.
-    fn rename_tiered(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
-        let Some(src) = self.shared.existing_backend(from, clock)? else {
-            return Err(IoError::NotFound(from.to_string()));
-        };
-        if from == to {
-            // POSIX: renaming an existing file onto itself succeeds and
-            // does nothing — even when the router would place the name on
-            // a different tier than the one holding it.
-            return Ok(());
-        }
-        let dst = self.shared.route(to);
-        if src == dst {
-            // Pending entries logically precede the rename; replaying them
-            // after it (recovery) would corrupt the new name's content.
-            self.drained_flush(clock)?;
-            self.shared.backends[src].rename(from, to, clock)?;
-            // rename replaces the destination on the mount's *merged*
-            // view: stale copies of the new name on other tiers must go.
-            self.scrub_other_copies(to, src, clock)?;
-            if self.shared.migration_enabled() {
-                if self.shared.path_is_open_or_draining(from) {
-                    // The file is still open under its old name —
-                    // `FileState.path` keeps `from`, so the open-file
-                    // guard could not protect a catalog entry under `to`
-                    // and a sweep would migrate a file with live
-                    // descriptors. Leave both names uncatalogued (path
-                    // ops still reach the file by probing); stale entries
-                    // self-heal via the sweep's NotFound handling.
-                    self.shared.migrator.forget(from);
-                    self.shared.migrator.forget(to);
-                } else {
-                    self.shared.migrator.rename_entry(from, to, src as u32, &self.shared.stats);
-                }
-            }
-            return Ok(());
-        }
-        if !self.shared.cfg.cross_tier_rename {
-            // The two names live on different tiers: moving the bytes
-            // across backends behind a metadata call would break the
-            // router's placement invariant. Legacy applications already
-            // handle EXDEV (mv falls back to copy+unlink across mount
-            // points).
-            return Err(IoError::CrossDevice(format!("{from} -> {to}")));
-        }
-        self.migrate_rename(from, to, src, dst, clock)
-    }
-
-    /// Removes stale copies of `path` from every backend except `keep`:
-    /// a successful rename must replace the destination on the mount's
-    /// merged view, not just on the tier that executed it.
-    fn scrub_other_copies(&self, path: &str, keep: usize, clock: &ActorClock) -> IoResult<()> {
-        for (b, backend) in self.shared.backends.iter().enumerate() {
-            if b == keep {
-                continue;
-            }
-            match backend.unlink(path, clock) {
-                Ok(()) | Err(IoError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Cross-tier rename as a journaled migration: copy `from`@`src` to
-    /// `to`@`dst`, fsync, stamp, unlink the source — `mv` semantics across
-    /// mount points, not crash-atomic (a crash can briefly leave both
-    /// names; recovery converges every name to one authoritative copy).
-    fn migrate_rename(
-        &self,
-        from: &str,
-        to: &str,
-        src: usize,
-        dst: usize,
-        clock: &ActorClock,
-    ) -> IoResult<()> {
-        let shared = &self.shared;
-        let gate = &shared.migrator.gate;
-        // Trade the caller's path-op leases for exclusive migration claims
-        // (a lease blocks a claim, even our own). The unprotected gap is
-        // covered by the open/zombie re-check under the claims.
-        gate.exit_op(to);
-        gate.exit_op(from);
-        let claimed_from = gate.try_claim(from);
-        let _claim_from =
-            claimed_from.then(|| shared.lockcheck.acquire_try(Class::MigrationGate, 0));
-        let claimed_to = claimed_from && gate.try_claim(to);
-        let _claim_to = claimed_to.then(|| shared.lockcheck.acquire_try(Class::MigrationGate, 0));
-        let result = if !claimed_to {
-            Err(IoError::Busy(format!("{from} -> {to}: another migration is in flight")))
-        } else if shared.path_is_open_or_draining(from) || shared.path_is_open_or_draining(to) {
-            Err(IoError::Busy(format!("{from} -> {to}: open or draining descriptors exist")))
-        } else {
-            self.drained_flush(clock).and_then(|()| {
-                let moved = crate::migrate::journaled_move(shared, from, to, src, dst, clock);
-                moved.and_then(|bytes| {
-                    // The destination name is replaced mount-wide: drop any
-                    // stale copy of `to` on tiers other than `dst`.
-                    self.scrub_other_copies(to, dst, clock)?;
-                    shared.migrator.rename_entry(from, to, dst as u32, &shared.stats);
-                    shared.stats.files_migrated.fetch_add(1, Ordering::Relaxed);
-                    shared.stats.migration_bytes.fetch_add(bytes, Ordering::Relaxed);
-                    // A cross-tier rename is a migration like any other:
-                    // keep the fast-tier counters and occupancy gauge in
-                    // step with the catalog it just rewrote.
-                    if let Some(fast) = shared.placement.fast_tier() {
-                        if dst == fast {
-                            shared.stats.files_promoted.fetch_add(1, Ordering::Relaxed);
-                        } else if src == fast {
-                            shared.stats.files_demoted.fetch_add(1, Ordering::Relaxed);
-                        }
-                        shared.stats.fast_tier_bytes.store(
-                            shared.migrator.fast_tier_occupancy(fast as u32),
-                            Ordering::Relaxed,
-                        );
-                    }
-                    Ok(())
-                })
-            })
-        };
-        if claimed_from {
-            gate.release(from);
-        }
-        if claimed_to {
-            gate.release(to);
-        }
-        // Restore the leases so the caller's exits stay balanced.
-        gate.enter_op(from);
-        gate.enter_op(to);
-        result
-    }
 }
 
 impl FileSystem for NvCache {
@@ -1618,18 +1180,12 @@ impl FileSystem for NvCache {
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         clock.advance(self.shared.cfg.libc_overhead);
         let path = vfs::normalize_path(path);
+        // Before anything is created, any slot taken or any lease held.
+        self.shared.log.layout.check_path(&path)?;
         // A file mid-migration must not be opened (the copy is incomplete
-        // on the target tier): take a gate lease for the whole open.
-        let gated = self.shared.migration_enabled();
-        let _gate = gated.then(|| self.shared.lockcheck.acquire(Class::MigrationGate, 0));
-        if gated {
-            self.shared.migrator.gate.enter_op(&path);
-        }
-        let result = self.open_at(&path, flags, clock);
-        if gated {
-            self.shared.migrator.gate.exit_op(&path);
-        }
-        result
+        // on the target tier): hold the path's lease for the whole open.
+        let _lease = self.shared.tiers.lease(&path);
+        self.open_at(&path, flags, clock)
     }
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
@@ -1657,7 +1213,7 @@ impl FileSystem for NvCache {
             // crash during the zombie drain window hands the next mount this
             // file's heat (a clean finish clears the slot, heat word
             // included).
-            self.stamp_heat(file, opened.slot, clock);
+            shared.tiers.stamp_heat(&shared.log, file, opened.slot, 0, clock);
         }
         // The persistent fd slot must outlive the entries that reference it
         // (recovery resolves paths through it); defer the actual teardown to
@@ -1692,7 +1248,9 @@ impl FileSystem for NvCache {
         // temperature summary on the application's own durability points.
         clock.advance(self.shared.cfg.libc_overhead);
         let opened = self.shared.opened_fd(fd)?;
-        self.stamp_heat(&opened.file, opened.slot, clock);
+        self.shared
+            .tiers
+            .stamp_heat(&self.shared.log, &opened.file, opened.slot, 0, clock);
         Ok(())
     }
 
@@ -1704,7 +1262,7 @@ impl FileSystem for NvCache {
         clock.advance(self.shared.cfg.libc_overhead);
         // Rare, non-critical path: drain then delegate, keeping NVCache's
         // size authoritative.
-        self.drained_flush(clock)?;
+        self.shared.drained_flush(clock)?;
         {
             let (inner, _lk) = self.shared.hold_inner(&opened);
             let inner_fd = inner.ok_or(IoError::BadFd(fd.0))?;
@@ -1729,33 +1287,17 @@ impl FileSystem for NvCache {
     fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
         clock.advance(self.shared.cfg.libc_overhead);
         let path = vfs::normalize_path(path);
-        // Probe the *recorded* backend first, then the router's placement,
-        // then the remaining tiers: a misplaced (or policy-orphaned) file's
-        // bytes sit intact on some tier, and routing by the current policy
-        // alone would report ENOENT for them. Non-NotFound errors abort the
-        // probe — they are real failures, not absence.
-        let mut order = self.shared.resolution_order(&path).into_iter();
-        loop {
-            let Some(backend) = order.next() else {
-                return Err(IoError::NotFound(path));
-            };
-            match self.shared.backends[backend].stat(&path, clock) {
-                Ok(mut meta) => {
-                    // The kernel's size may be stale; NVCache's own is
-                    // authoritative (paper Table III: stat uses NVCache
-                    // size).
-                    let _lk = self.shared.lockcheck.acquire(Class::FilesMap, 0);
-                    if let Some(file) =
-                        self.shared.files.lock().get(&(backend as u32, meta.dev, meta.ino))
-                    {
-                        meta.size = file.size.load(Ordering::Acquire);
-                    }
-                    return Ok(meta);
-                }
-                Err(IoError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
+        let Some((backend, mut meta)) = self.shared.tiers.locate(&self.shared, &path, clock)?
+        else {
+            return Err(IoError::NotFound(path));
+        };
+        // The kernel's size may be stale; NVCache's own is authoritative
+        // (paper Table III: stat uses NVCache size).
+        let _lk = self.shared.lockcheck.acquire(Class::FilesMap, 0);
+        if let Some(file) = self.shared.files.lock().get(&(backend as u32, meta.dev, meta.ino)) {
+            meta.size = file.size.load(Ordering::Acquire);
         }
+        Ok(meta)
     }
 
     fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
@@ -1767,114 +1309,19 @@ impl FileSystem for NvCache {
         // by recovery refusing to recreate a missing file) and, once the
         // last descriptor is closed too, the drain drops them
         // (`Shared::bury_if_dead`). A file that is still open keeps working
-        // through its descriptors. Like `stat`, the probe honours the
-        // recorded backend before policy routing, so a misplaced file can
-        // actually be removed.
+        // through its descriptors.
         clock.advance(self.shared.cfg.libc_overhead);
-        let path = vfs::normalize_path(path);
-        // The victim's state is found by identity, which costs an inner
-        // `stat` — paid only when a descriptor suggests the mount knows the
-        // file at all (`FileState::path` can be stale: it never decides).
-        let known = self.shared.path_is_open_or_draining(&path);
-        let gated = self.shared.migration_enabled();
-        let _gate = gated.then(|| self.shared.lockcheck.acquire(Class::MigrationGate, 0));
-        if gated {
-            // The victim must not be mid-migration (the copy would
-            // resurrect it).
-            self.shared.migrator.gate.enter_op(&path);
-        }
-        // Keep probing after the first hit: a misplaced file plus a shadow
-        // created on the routed tier are duplicate copies of one name, and
-        // unlinking only one would let the other resurrect it.
-        let mut removed = false;
-        let mut result = Err(IoError::NotFound(path.clone()));
-        for backend in self.shared.resolution_order(&path) {
-            let inner = &self.shared.backends[backend];
-            let identity = known.then(|| inner.stat(&path, clock).ok()).flatten();
-            match inner.unlink(&path, clock) {
-                Ok(()) => {
-                    removed = true;
-                    if let Some(meta) = identity {
-                        self.shared.file_unlinked((backend as u32, meta.dev, meta.ino), clock);
-                    }
-                }
-                Err(IoError::NotFound(_)) => {}
-                Err(e) => {
-                    result = Err(e);
-                    removed = false;
-                    break;
-                }
-            }
-        }
-        if removed {
-            result = Ok(());
-        }
-        if gated {
-            self.shared.migrator.gate.exit_op(&path);
-        }
-        if result.is_ok() {
-            self.shared.migrator.forget(&path);
-        }
-        result
+        self.shared.tiers.unlink(&self.shared, &vfs::normalize_path(path), clock)
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(self.shared.cfg.libc_overhead);
-        let from = vfs::normalize_path(from);
-        let to = vfs::normalize_path(to);
-        if self.shared.backends.len() == 1 {
-            // Single backend: the inner file system owns the whole errno
-            // surface (ENOENT included) — no probing, identical to the
-            // paper's deployment.
-            self.drained_flush(clock)?;
-            return self.shared.backends[0].rename(&from, &to, clock);
-        }
-        let gated = self.shared.migration_enabled();
-        let _gate_from = gated.then(|| self.shared.lockcheck.acquire(Class::MigrationGate, 0));
-        let _gate_to = gated.then(|| self.shared.lockcheck.acquire(Class::MigrationGate, 0));
-        if gated {
-            self.shared.migrator.gate.enter_op(&from);
-            self.shared.migrator.gate.enter_op(&to);
-        }
-        let result = self.rename_tiered(&from, &to, clock);
-        if gated {
-            self.shared.migrator.gate.exit_op(&to);
-            self.shared.migrator.gate.exit_op(&from);
-        }
-        result
+        let (from, to) = (vfs::normalize_path(from), vfs::normalize_path(to));
+        self.shared.tiers.rename(&self.shared, &from, &to, clock)
     }
 
     fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
-        let dir = vfs::normalize_path(dir);
-        if self.shared.backends.len() == 1 {
-            return self.shared.backends[0].list_dir(&dir, clock);
-        }
-        // A directory's children may be spread over several tiers (the
-        // router partitions by path, not by subtree): merge every backend's
-        // view, deduplicate, and keep a deterministic order. Backends where
-        // the directory does not exist contribute nothing; the listing only
-        // fails when *no* backend knows the directory.
-        let mut merged: Vec<String> = Vec::new();
-        let mut found = false;
-        for backend in self.shared.backends.iter() {
-            match backend.list_dir(&dir, clock) {
-                Ok(entries) => {
-                    found = true;
-                    merged.extend(entries);
-                }
-                // Absence on one tier is expected; anything else is a real
-                // I/O failure and the merged listing would be silently
-                // partial — propagate it instead of papering over it.
-                Err(IoError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if !found {
-            return Err(IoError::NotFound(dir));
-        }
-        merged.sort();
-        merged.dedup();
-        Ok(merged)
+        self.shared.tiers.list_dir(&vfs::normalize_path(dir), clock)
     }
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
@@ -1887,7 +1334,7 @@ impl FileSystem for NvCache {
         // The faithful crash path goes through `NvDimm::crash_and_restart` +
         // a `Mount::Recover` mount; this in-place approximation only drops
         // the volatile state below NVCache.
-        for backend in self.shared.backends.iter() {
+        for backend in self.shared.tiers.backends.iter() {
             backend.simulate_power_failure();
         }
     }

@@ -89,6 +89,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
     // ring has its own `queue_depth` window); a single-backend mount
     // degenerates to exactly the old one-ring drain.
     let mut rings: Vec<IoRing> = shared
+        .tiers
         .backends
         .iter()
         .map(|backend| IoRing::new(Arc::clone(backend), shared.cfg.queue_depth))
@@ -336,9 +337,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         stripe.free_range(tail, consumed, &clock);
         shared.drain_zombies(&clock);
         // Files become migratable only once fully drained: zombies this
-        // batch finished may now move tiers, so wake the background
-        // migrator (no-op unless MigrationPolicy::Background).
-        shared.migrator_notify();
+        // batch finished may now move tiers.
+        shared.tiers.drained();
     }
 }
 

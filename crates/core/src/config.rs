@@ -1,14 +1,11 @@
 //! Configuration of an NVCache instance: the paper's §IV-A capacity and
 //! batching knobs, the striping (`log_shards`) and async-drain
 //! (`queue_depth`) extensions, and the scaling rules that shrink capacities
-//! for test machines while preserving the saturation dynamics.
-
-use std::sync::Arc;
+//! for test machines while preserving the saturation dynamics. Which inner
+//! file system holds a file is not configured here: that is the mount's
+//! [`Tiering`](crate::Tiering).
 
 use simclock::{Bandwidth, SimTime};
-
-use crate::migrate::MigrationPolicy;
-use crate::placement::PlacementPolicy;
 
 /// Configuration of an [`NvCache`](crate::NvCache) instance.
 ///
@@ -52,26 +49,6 @@ pub struct NvCacheConfig {
     /// hash; a global sequence number preserves recoverability (entries from
     /// all stripes merge-replay in total order).
     pub log_shards: usize,
-    /// Number of inner backends this cache propagates to. `1` (the default)
-    /// is the paper's deployment — one legacy file system below the cache —
-    /// and keeps the persistent image seed-compatible. `B > 1` switches the
-    /// fd table to the v3 tiered slot layout (each slot records which
-    /// backend owns the file) and is set by
-    /// [`NvCacheBuilder::backends`](crate::NvCacheBuilder::backends); it
-    /// must equal the length of the backend vector handed to the builder.
-    ///
-    /// Each backend may additionally carry a vertical **layer stack**
-    /// ([`NvCacheBuilder::backend_stack`](crate::NvCacheBuilder::backend_stack)
-    /// — delay/fault/crypt/RAM-cache wrappers from `vfs::layer`). Stacks
-    /// are per-mount, purely volatile state: nothing about them is encoded
-    /// in the NVMM image or in this configuration, they are validated at
-    /// mount time (depth ≤ [`vfs::MAX_STACK_DEPTH`]), and a region written
-    /// through one stack may be recovered through another — recovery
-    /// replays through whatever stack the recovering mount supplies, so
-    /// remounting an encrypted tier *without* its `CryptLayer` (or with the
-    /// wrong key) yields unreadable ciphertext, exactly like a real
-    /// encrypted disk.
-    pub backends: usize,
     /// Queue depth of each cleanup worker's submission ring. `1` (the
     /// default) reproduces the paper's synchronous drain exactly: every
     /// propagation `pwrite` waits for the previous one. `N > 1` lets each
@@ -91,66 +68,6 @@ pub struct NvCacheConfig {
     /// routed stripe — one `pfence`+`psync` pair per stripe group instead of
     /// one per write. The synchronous path stays fully available alongside.
     pub sq_pairs: usize,
-    /// How the tier migrator may move files between backends of a tiered
-    /// mount. [`MigrationPolicy::Disabled`] (the default) keeps the migrator
-    /// fully inert — single-backend mounts stay byte- and
-    /// virtual-time-identical to a build without the migrator;
-    /// [`MigrationPolicy::OnDemand`] enables explicit
-    /// [`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
-    /// sweeps; [`MigrationPolicy::Background`] additionally runs a worker
-    /// thread that re-homes misplaced files on its own.
-    pub migration: MigrationPolicy,
-    /// Whether a `rename` whose source and destination resolve to different
-    /// tiers is executed as a migrate-then-rename (copy → stamp → unlink
-    /// through the migration journal) instead of failing with
-    /// `EXDEV`. `false` (the default) keeps the legacy mount-point-crossing
-    /// fidelity: applications see `EXDEV` and apply their own fallback, as
-    /// `mv` does. The migrated rename has `mv` semantics, **not**
-    /// `rename(2)` atomicity: a crash can leave both names briefly
-    /// (recovery converges every name to one authoritative copy), and a
-    /// pre-existing destination is truncated before the copy commits, so a
-    /// *failed* cross-tier rename can lose the old destination content —
-    /// exactly like `mv` across mount points.
-    pub cross_tier_rename: bool,
-    /// The placement policy deciding *where* the tier migrator should move
-    /// files (the migration protocol decides *how*). `None` (the default)
-    /// is [`RouterPlacement`](crate::RouterPlacement) — files belong
-    /// wherever the router's static rules put them, exactly the pre-policy
-    /// behavior, byte- and virtual-time-identical.
-    /// [`HeatPolicy`](crate::HeatPolicy) instead drives placement from
-    /// per-file access temperature: hot files are promoted onto a
-    /// designated fast tier regardless of path, cold ones demoted back to
-    /// the router baseline, with hysteresis and an optional fast-tier byte
-    /// budget. Set via
-    /// [`with_placement`](NvCacheConfig::with_placement).
-    pub placement: Option<Arc<dyn PlacementPolicy>>,
-    /// Upper bound on resident entries in the migrator's closed-file
-    /// catalog. `None` (the default) keeps the catalog unbounded — every
-    /// path ever closed stays tracked, the seed behavior, byte- and
-    /// virtual-time-identical. `Some(n)` caps the resident set at `n`
-    /// entries with a clock (second-chance) eviction policy that only
-    /// evicts *correctly-placed cold* files: an entry that is misplaced
-    /// (its recorded tier disagrees with
-    /// [`PlacementPolicy::place_cold`](crate::PlacementPolicy::place_cold))
-    /// or whose decayed heat sits at or above the policy's promote
-    /// threshold is pinned until a sweep acts on it, so a bounded catalog
-    /// never loses work the migrator still owes. When the pinned
-    /// population alone exceeds `n` the catalog grows past the cap rather
-    /// than drop pinned entries (evictions and readmissions are counted in
-    /// [`NvCacheStatsSnapshot`](crate::NvCacheStatsSnapshot)). This is the
-    /// knob that keeps sweep time and catalog memory O(hot files) instead
-    /// of O(total files) on million-file namespaces.
-    pub catalog_capacity: Option<usize>,
-    /// Whether each fd slot additionally persists a compact per-file
-    /// temperature summary (quantized decayed heat + a format epoch) in
-    /// the slot bytes past the path field. `false` (the default) keeps
-    /// the v3 slot layout and NVMM image byte-identical to the seed.
-    /// `true` (tiered mounts only) shortens the on-slot path budget from
-    /// `PATH_MAX_V3` (240) to `PATH_MAX_HEAT` (232) bytes and stamps the
-    /// summary at close time, so a crash + [`Mount::Recover`](crate::Mount::Recover) remount
-    /// re-seeds [`HeatPolicy`](crate::HeatPolicy) promotions instead of
-    /// starting every file cold.
-    pub persist_heat: bool,
     /// User-space bookkeeping cost charged per intercepted call (NVCache
     /// replaces the syscall with this — the design's core bet).
     pub libc_overhead: SimTime,
@@ -172,14 +89,8 @@ impl Default for NvCacheConfig {
             // worth of closes), or opens start forcing log drains.
             fd_slots: 4096,
             log_shards: 1,
-            backends: 1,
             queue_depth: 1,
             sq_pairs: 0,
-            migration: MigrationPolicy::Disabled,
-            cross_tier_rename: false,
-            placement: None,
-            catalog_capacity: None,
-            persist_heat: false,
             libc_overhead: SimTime::from_nanos(1_500),
             copy_bandwidth: Bandwidth::gib_per_sec(8.0),
         }
@@ -237,99 +148,6 @@ impl NvCacheConfig {
         self.log_shards = shards;
         let shards = shards as u64;
         self.nb_entries = self.nb_entries.max(2 * shards).div_ceil(shards) * shards;
-        self
-    }
-
-    /// Sets the number of inner backends (normally done by
-    /// [`NvCacheBuilder::backends`](crate::NvCacheBuilder::backends), which
-    /// keeps it in sync with the backend vector).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is zero or exceeds
-    /// [`MAX_BACKENDS`](crate::layout::MAX_BACKENDS).
-    pub fn with_backends(mut self, backends: usize) -> Self {
-        assert!(
-            (1..=crate::layout::MAX_BACKENDS).contains(&backends),
-            "backends must be in 1..={}",
-            crate::layout::MAX_BACKENDS
-        );
-        self.backends = backends;
-        self
-    }
-
-    /// Sets the tier-migration policy (see [`MigrationPolicy`]; normally
-    /// paired with a multi-backend
-    /// [`NvCacheBuilder::backends`](crate::NvCacheBuilder::backends) mount —
-    /// on a single backend every policy is inert).
-    pub fn with_migration(mut self, policy: MigrationPolicy) -> Self {
-        self.migration = policy;
-        self
-    }
-
-    /// Allows `rename` across tiers as a migrate-then-rename instead of
-    /// `EXDEV` (see [`NvCacheConfig::cross_tier_rename`]).
-    pub fn with_cross_tier_rename(mut self, allow: bool) -> Self {
-        self.cross_tier_rename = allow;
-        self
-    }
-
-    /// Installs a [`PlacementPolicy`] deciding where the tier migrator
-    /// moves files (see [`NvCacheConfig::placement`]). Without this the
-    /// mount uses [`RouterPlacement`](crate::RouterPlacement) — the
-    /// router's static rules, the pre-policy behavior.
-    ///
-    /// Heat tracking and rebalance sweeps only run when migration is
-    /// armed: pair a [`HeatPolicy`](crate::HeatPolicy) with a
-    /// [`MigrationPolicy`](crate::MigrationPolicy) other than `Disabled`
-    /// (or the cross-tier-rename flag), or no file will ever move and the
-    /// promotion counters stay at zero. The policy's *cold* judgement
-    /// ([`PlacementPolicy::place_cold`]) still applies either way — it
-    /// decides `files_misplaced` and the `RecoverRepair` targets at
-    /// recovery, which is why a `Disabled` + policy combination is legal
-    /// rather than rejected.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use nvcache::{HeatPolicy, MigrationPolicy, NvCacheConfig};
-    /// use simclock::SimTime;
-    ///
-    /// let cfg = NvCacheConfig::tiny()
-    ///     .with_migration(MigrationPolicy::Background)
-    ///     .with_placement(Arc::new(HeatPolicy::new(
-    ///         1,                        // promote onto backend 1
-    ///         8.0,                      // promote at 8 units of heat
-    ///         2.0,                      // demote below 2
-    ///         SimTime::from_secs(30),   // heat halves every 30 s
-    ///     )));
-    /// assert_eq!(cfg.placement.as_ref().map(|p| p.name().to_string()).as_deref(), Some("heat"));
-    /// ```
-    pub fn with_placement(mut self, policy: Arc<dyn PlacementPolicy>) -> Self {
-        self.placement = Some(policy);
-        self
-    }
-
-    /// Caps the migrator's closed-file catalog at `n` resident entries
-    /// (see [`NvCacheConfig::catalog_capacity`]); without this call the
-    /// catalog is unbounded, the seed behavior.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero — a catalog that can hold nothing would
-    /// silently disable heat accumulation and misplacement tracking.
-    pub fn with_catalog_capacity(mut self, n: usize) -> Self {
-        assert!(n >= 1, "catalog_capacity must be at least 1");
-        self.catalog_capacity = Some(n);
-        self
-    }
-
-    /// Persists a compact per-file temperature summary in each fd slot
-    /// (see [`NvCacheConfig::persist_heat`]). Tiered mounts only —
-    /// [`validate`](NvCacheConfig::validate) rejects the flag on a
-    /// single-backend configuration, where there is no placement decision
-    /// for the summary to survive into.
-    pub fn with_persist_heat(mut self, persist: bool) -> Self {
-        self.persist_heat = persist;
         self
     }
 
@@ -415,33 +233,24 @@ impl NvCacheConfig {
             "sq_pairs must be at most {}",
             Self::MAX_SQ_PAIRS
         );
-        assert!(
-            (1..=crate::layout::MAX_BACKENDS).contains(&self.backends),
-            "backends must be in 1..={}",
-            crate::layout::MAX_BACKENDS
-        );
-        if let Some(capacity) = self.catalog_capacity {
-            assert!(capacity >= 1, "catalog_capacity must be at least 1");
-        }
-        assert!(
-            !self.persist_heat || self.backends > 1,
-            "persist_heat requires a tiered mount (backends > 1): a single-backend \
-             slot layout has no spare bytes and no placement to re-seed"
-        );
-        if let Some(fast) = self.placement.as_ref().and_then(|p| p.fast_tier()) {
-            assert!(
-                fast < self.backends,
-                "placement policy promotes onto backend {fast}, \
-                 but the mount has only {} backend(s)",
-                self.backends
-            );
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use vfs::{FileSystem, MemFs};
+
     use super::*;
+    use crate::{HashRouter, MigrationPolicy, PlacementPolicy, RouterPlacement, Tiering};
+
+    /// What replaced this configuration's six tiering fields: `n` bare tiers
+    /// with every tiering choice at its default.
+    fn tiering(n: usize) -> Tiering {
+        let tiers = (0..n).map(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>).collect();
+        Tiering::new(Arc::new(HashRouter::new(n.max(1))), tiers)
+    }
 
     #[test]
     fn defaults_match_paper_settings() {
@@ -479,55 +288,47 @@ mod tests {
 
     #[test]
     fn default_migration_is_disabled_and_exdev_preserved() {
-        let cfg = NvCacheConfig::default();
-        assert_eq!(cfg.migration, MigrationPolicy::Disabled);
-        assert!(!cfg.cross_tier_rename);
-        let cfg = cfg.with_migration(MigrationPolicy::Background).with_cross_tier_rename(true);
-        assert_eq!(cfg.migration, MigrationPolicy::Background);
-        assert!(cfg.cross_tier_rename);
-        cfg.validate();
+        let tiering = tiering(2);
+        assert_eq!(tiering.migration, MigrationPolicy::Disabled, "so a cross-tier rename is EXDEV");
+        let tiering = tiering.migration(MigrationPolicy::Background);
+        assert_eq!(tiering.migration, MigrationPolicy::Background);
+        tiering.validate();
     }
 
     #[test]
     fn default_placement_is_router_static() {
-        assert!(NvCacheConfig::default().placement.is_none());
-        assert!(NvCacheConfig::tiny().placement.is_none());
+        assert_eq!(tiering(1).placement.name(), RouterPlacement.name());
+        assert_eq!(tiering(2).placement.name(), RouterPlacement.name());
     }
 
     #[test]
     #[should_panic(expected = "promotes onto backend")]
     fn out_of_range_fast_tier_panics() {
         let policy = crate::HeatPolicy::new(2, 4.0, 1.0, SimTime::from_secs(1));
-        NvCacheConfig::tiny()
-            .with_backends(2)
-            .with_placement(Arc::new(policy))
-            .validate();
+        tiering(2).placement(Arc::new(policy)).validate();
     }
 
     #[test]
     fn default_catalog_is_unbounded_and_heat_volatile() {
-        let cfg = NvCacheConfig::default();
-        assert_eq!(cfg.catalog_capacity, None);
-        assert!(!cfg.persist_heat);
-        let cfg = NvCacheConfig::tiny()
-            .with_backends(2)
-            .with_catalog_capacity(128)
-            .with_persist_heat(true);
-        assert_eq!(cfg.catalog_capacity, Some(128));
-        assert!(cfg.persist_heat);
-        cfg.validate();
+        let tiering = tiering(2);
+        assert_eq!(tiering.catalog_capacity, None);
+        assert!(!tiering.persist_heat);
+        let tiering = tiering.catalog_capacity(128).persist_heat(true);
+        assert_eq!(tiering.catalog_capacity, Some(128));
+        assert!(tiering.persist_heat);
+        tiering.validate();
     }
 
     #[test]
     #[should_panic(expected = "catalog_capacity must be at least 1")]
     fn zero_catalog_capacity_panics() {
-        NvCacheConfig::tiny().with_catalog_capacity(0);
+        tiering(2).catalog_capacity(0);
     }
 
     #[test]
     #[should_panic(expected = "persist_heat requires a tiered mount")]
     fn persist_heat_on_single_backend_panics() {
-        NvCacheConfig::tiny().with_persist_heat(true).validate();
+        tiering(1).persist_heat(true).validate();
     }
 
     #[test]
@@ -538,16 +339,18 @@ mod tests {
 
     #[test]
     fn default_is_single_backend() {
-        assert_eq!(NvCacheConfig::default().backends, 1);
-        let cfg = NvCacheConfig::tiny().with_backends(3);
-        assert_eq!(cfg.backends, 3);
-        cfg.validate();
+        // The configuration has no backend count: it sizes the region for
+        // any number of tiers, and the mount's `Tiering` brings them.
+        assert_eq!(crate::layout::Layout::for_config(&NvCacheConfig::default()).backends, 1);
+        let tiering = tiering(3);
+        assert_eq!(tiering.tiers.len(), 3);
+        tiering.validate();
     }
 
     #[test]
     #[should_panic(expected = "backends must be in")]
     fn zero_backends_panics() {
-        NvCacheConfig::tiny().with_backends(0);
+        tiering(0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::{Arc, OnceLock};
 
 use nvmm::{NvRegion, PmemInts};
 use parking_lot::{Mutex, RwLock};
-use simclock::{ActorClock, SimTime};
+use simclock::ActorClock;
 
 use crate::layout::{
     heat_word, parse_heat_word, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_SLOT_BYTES,
@@ -62,15 +62,6 @@ pub(crate) struct FileState {
     pub radix: OnceLock<Radix>,
     /// Opens currently referencing this file.
     pub open_count: AtomicU32,
-}
-
-impl FileState {
-    /// One intercepted access at virtual instant `now`: decays the stored
-    /// temperature and adds one unit of heat. `half_life` comes from the
-    /// mount's placement policy (`None` = undecayed touch counting).
-    pub fn touch_heat(&self, now: SimTime, half_life: Option<SimTime>) {
-        self.temperature.lock().touch(now, half_life);
-    }
 }
 
 /// Volatile per-descriptor state: the *opened table* entry of paper §III,
@@ -445,14 +436,16 @@ mod tests {
     use crate::NvCacheConfig;
     use nvmm::{NvDimm, NvmmProfile};
 
-    fn setup_with(cfg: NvCacheConfig) -> (ActorClock, NvRegion, Layout) {
-        let layout = Layout::for_config(&cfg);
+    /// A region laid out for a mount over `backends` tiers, with or
+    /// without a heat word in its fd slots.
+    fn setup_with(backends: u64, heat: bool) -> (ActorClock, NvRegion, Layout) {
+        let layout = Layout { backends, heat, ..Layout::for_config(&NvCacheConfig::tiny()) };
         let dimm = Arc::new(NvDimm::new(layout.total_bytes(), NvmmProfile::instant()));
         (ActorClock::new(), NvRegion::whole(dimm), layout)
     }
 
     fn setup() -> (ActorClock, NvRegion, Layout) {
-        setup_with(NvCacheConfig::tiny())
+        setup_with(1, false)
     }
 
     #[test]
@@ -470,7 +463,7 @@ mod tests {
 
     #[test]
     fn tiered_slots_round_trip_the_backend_index() {
-        let (c, region, layout) = setup_with(NvCacheConfig::tiny().with_backends(4));
+        let (c, region, layout) = setup_with(4, false);
         PersistentFdTable::set(&region, &layout, 2, "/hot/wal", 3, &c);
         PersistentFdTable::set(&region, &layout, 5, "/cold/blob", 0, &c);
         assert_eq!(PersistentFdTable::get(&region, &layout, 2, &c), Some(("/hot/wal".into(), 3)));
@@ -488,8 +481,7 @@ mod tests {
 
     #[test]
     fn heat_word_round_trips_and_resets_on_slot_reuse() {
-        let cfg = NvCacheConfig::tiny().with_backends(2).with_persist_heat(true);
-        let (c, region, layout) = setup_with(cfg);
+        let (c, region, layout) = setup_with(2, true);
         assert!(layout.heat_slots());
         PersistentFdTable::set(&region, &layout, 1, "/hot/a", 1, &c);
         // Unstamped slot: no summary, not a zero-heat one.
@@ -506,8 +498,7 @@ mod tests {
 
     #[test]
     fn heat_word_survives_crash() {
-        let cfg = NvCacheConfig::tiny().with_backends(2).with_persist_heat(true);
-        let (c, region, layout) = setup_with(cfg);
+        let (c, region, layout) = setup_with(2, true);
         PersistentFdTable::set(&region, &layout, 0, "/hot/wal", 1, &c);
         PersistentFdTable::set_heat(&region, &layout, 0, 4321, &c);
         let crashed = region.dimm().crash_and_restart();
@@ -518,8 +509,7 @@ mod tests {
 
     #[test]
     fn heat_layout_shrinks_the_path_budget() {
-        let cfg = NvCacheConfig::tiny().with_backends(2).with_persist_heat(true);
-        let (c, region, layout) = setup_with(cfg);
+        let (c, region, layout) = setup_with(2, true);
         let fits = format!("/{}", "x".repeat(layout.path_max() - 1));
         PersistentFdTable::set(&region, &layout, 0, &fits, 0, &c);
         assert_eq!(PersistentFdTable::get(&region, &layout, 0, &c).map(|(p, _)| p), Some(fits));
@@ -528,13 +518,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "heat-format slot layout")]
     fn heat_stamp_on_plain_tiered_layout_panics() {
-        let (c, region, layout) = setup_with(NvCacheConfig::tiny().with_backends(2));
+        let (c, region, layout) = setup_with(2, false);
         PersistentFdTable::set_heat(&region, &layout, 0, 1, &c);
     }
 
     #[test]
     fn tiered_backend_word_survives_crash() {
-        let (c, region, layout) = setup_with(NvCacheConfig::tiny().with_backends(2));
+        let (c, region, layout) = setup_with(2, false);
         PersistentFdTable::set(&region, &layout, 1, "/tiered", 1, &c);
         let crashed = region.dimm().crash_and_restart();
         let region2 = NvRegion::whole(Arc::new(crashed));

@@ -13,10 +13,12 @@ use vfs::{FileSystem, MemFs, OpenFlags};
 use crate::migrate::MigrationPolicy;
 use crate::placement::{FileTemperature, PlacementPolicy};
 use crate::router::Router;
-use crate::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, RouterPlacement};
+use crate::{
+    HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, RouterPlacement, Tiering,
+};
 
-/// A tiered config with the drain parked (tests flush explicitly, so every
-/// comparison point is deterministic) and on-demand migration.
+/// A config with the drain parked (tests flush explicitly, so every
+/// comparison point is deterministic).
 fn parked_cfg() -> NvCacheConfig {
     NvCacheConfig {
         nb_entries: 128,
@@ -24,7 +26,17 @@ fn parked_cfg() -> NvCacheConfig {
         batch_max: usize::MAX >> 1,
         ..NvCacheConfig::tiny()
     }
-    .with_migration(MigrationPolicy::OnDemand)
+}
+
+/// `tiers` behind `router`, with on-demand migration.
+fn on_demand(router: Arc<dyn Router>, tiers: &Tiers) -> Tiering {
+    Tiering::new(router, vec![Arc::clone(&tiers.0), Arc::clone(&tiers.1)])
+        .migration(MigrationPolicy::OnDemand)
+}
+
+/// A DIMM sized for [`parked_cfg`].
+fn parked_dimm(profile: NvmmProfile) -> Arc<NvDimm> {
+    Arc::new(NvDimm::new(parked_cfg().required_nvmm_bytes(), profile))
 }
 
 /// A router that sends everything to the bulk tier 0 — the "cold-routed
@@ -40,17 +52,10 @@ fn two_memfs() -> Tiers {
     (Arc::new(MemFs::new()), Arc::new(MemFs::new()))
 }
 
-fn mount(
-    cfg: NvCacheConfig,
-    router: Arc<dyn Router>,
-    tiers: &Tiers,
-    dimm: &Arc<NvDimm>,
-    mode: Mount,
-    clock: &ActorClock,
-) -> NvCache {
+fn mount(tiering: Tiering, dimm: &Arc<NvDimm>, mode: Mount, clock: &ActorClock) -> NvCache {
     NvCache::builder(NvRegion::whole(Arc::clone(dimm)))
-        .backends(router, vec![Arc::clone(&tiers.0), Arc::clone(&tiers.1)])
-        .config(cfg)
+        .tiers(tiering)
+        .config(parked_cfg())
         .mode(mode)
         .mount(clock)
         .expect("tiered mount")
@@ -83,12 +88,12 @@ fn heat_up(cache: &NvCache, path: &str, times: usize, clock: &ActorClock) {
 /// exactly the pre-policy migrator.
 #[test]
 fn default_config_is_byte_and_time_identical_to_explicit_router_placement() {
-    let run = |cfg: NvCacheConfig| {
+    let run = |tune: fn(Tiering) -> Tiering| {
         let clock = ActorClock::new();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
+        let dimm = parked_dimm(NvmmProfile::optane());
         let tiers = two_memfs();
         let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-        let cache = mount(cfg, router, &tiers, &dimm, Mount::Format, &clock);
+        let cache = mount(tune(on_demand(router, &tiers)), &dimm, Mount::Format, &clock);
         let mut fds = Vec::new();
         for (path, byte) in [("/hot/a", 1u8), ("/cold/b", 2), ("/cold/c", 3)] {
             let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -130,9 +135,9 @@ fn default_config_is_byte_and_time_identical_to_explicit_router_placement() {
         (region_bytes(&dimm), clock.now(), report, stats)
     };
 
-    let (bytes_default, time_default, report_default, stats_default) = run(parked_cfg());
+    let (bytes_default, time_default, report_default, stats_default) = run(|tiering| tiering);
     let (bytes_router, time_router, report_router, stats_router) =
-        run(parked_cfg().with_placement(Arc::new(RouterPlacement)));
+        run(|tiering| tiering.placement(Arc::new(RouterPlacement)));
 
     assert_eq!(bytes_default, bytes_router, "persistent images must be byte-identical");
     assert_eq!(time_default, time_router, "virtual timelines must be identical");
@@ -152,11 +157,11 @@ fn default_config_is_byte_and_time_identical_to_explicit_router_placement() {
 #[test]
 fn heat_policy_promotes_hot_files_and_demotes_after_decay() {
     let policy = Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10)));
-    let cfg = parked_cfg().with_placement(policy);
     let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(cfg, cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     for (path, reads) in [("/data/hot", 8usize), ("/data/cold", 0)] {
         let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -209,11 +214,11 @@ fn heat_policy_promotes_hot_files_and_demotes_after_decay() {
 #[test]
 fn temperature_survives_close_and_reopen() {
     let policy = Arc::new(HeatPolicy::new(1, 6.0, 1.0, SimTime::from_secs(3600)));
-    let cfg = parked_cfg().with_placement(policy);
     let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(cfg, cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[7; 256], 0, &clock).unwrap();
@@ -243,11 +248,11 @@ fn temperature_survives_close_and_reopen() {
 #[test]
 fn fast_tier_budget_evicts_the_coldest_resident() {
     let policy = Arc::new(HeatPolicy::new(1, 3.0, 1.0, SimTime::from_secs(3600)).with_budget(1024));
-    let cfg = parked_cfg().with_placement(policy);
     let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(cfg, cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     // Three 512-byte files, all above the promote threshold, 1536 bytes of
     // candidates against a 1024-byte budget — the coldest must lose.
@@ -275,11 +280,11 @@ fn fast_tier_budget_evicts_the_coldest_resident() {
 #[test]
 fn sweep_on_a_lagging_clock_still_sees_decay() {
     let policy = Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10)));
-    let cfg = parked_cfg().with_placement(policy);
     let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(cfg, cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     for path in ["/idle", "/later"] {
         let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -337,11 +342,11 @@ impl PlacementPolicy for PinToCurrent {
 fn recovery_judges_misplacement_by_the_active_policy() {
     let build_image = || {
         let clock = ActorClock::new();
-        let cfg = parked_cfg();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+        let dimm = parked_dimm(NvmmProfile::instant());
         let tiers = two_memfs();
         // Old world: everything routed to tier 0.
-        let cache = mount(cfg, cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+        let old_world = on_demand(cold_everything(), &tiers);
+        let cache = mount(old_world, &dimm, Mount::Format, &clock);
         let fd = cache.open("/hot/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
         cache.pwrite(fd, &[9; 128], 0, &clock).unwrap();
         cache.abort(); // crash with the descriptor open and entries pending
@@ -353,7 +358,7 @@ fn recovery_judges_misplacement_by_the_active_policy() {
     let hot_router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
 
     let (clock, dimm, tiers) = build_image();
-    let cache = mount(parked_cfg(), hot_router(), &tiers, &dimm, Mount::Recover, &clock);
+    let cache = mount(on_demand(hot_router(), &tiers), &dimm, Mount::Recover, &clock);
     let report = cache.recovery_report().unwrap();
     assert_eq!(report.files_misplaced, 1, "the default judgement follows the router");
     cache.shutdown(&clock);
@@ -361,14 +366,8 @@ fn recovery_judges_misplacement_by_the_active_policy() {
     // ...but a policy that pins files to their current tier judges the
     // very same image clean: nothing misplaced, nothing repaired.
     let (clock, dimm, tiers) = build_image();
-    let cache = mount(
-        parked_cfg().with_placement(Arc::new(PinToCurrent)),
-        hot_router(),
-        &tiers,
-        &dimm,
-        Mount::RecoverRepair,
-        &clock,
-    );
+    let pinned = on_demand(hot_router(), &tiers).placement(Arc::new(PinToCurrent));
+    let cache = mount(pinned, &dimm, Mount::RecoverRepair, &clock);
     let report = cache.recovery_report().unwrap();
     assert_eq!((report.files_misplaced, report.files_repaired), (0, 0));
     assert!(on_tier(&tiers.0, "/hot/wal", &clock), "repair moved nothing");
@@ -381,11 +380,11 @@ fn recovery_judges_misplacement_by_the_active_policy() {
 #[test]
 fn recover_repair_demotes_a_previously_promoted_file() {
     let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
-    let cfg = parked_cfg().with_placement(policy());
     let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(cfg.clone(), cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy());
+    let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[3; 256], 0, &clock).unwrap();
@@ -402,14 +401,7 @@ fn recover_repair_demotes_a_previously_promoted_file() {
     cache.abort();
     drop(cache);
 
-    let cache = mount(
-        cfg,
-        cold_everything(),
-        &tiers,
-        &Arc::new(dimm.crash_and_restart()),
-        Mount::RecoverRepair,
-        &clock,
-    );
+    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::RecoverRepair, &clock);
     let report = cache.recovery_report().unwrap();
     assert_eq!(report.files_repaired, 1, "the stale promotion is demoted at recovery");
     assert_eq!(report.files_misplaced, 0);
@@ -432,11 +424,11 @@ fn recover_repair_demotes_a_previously_promoted_file() {
 #[test]
 fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
     let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
-    let cfg = parked_cfg().with_placement(policy()).with_persist_heat(true);
     let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(cfg.clone(), cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy()).persist_heat(true);
+    let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     // Two files open at crash time: one read-hot, one written once and
     // left alone. fsync is the app's durability point, so it is also the
@@ -455,14 +447,7 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
     cache.abort();
     drop(cache);
 
-    let cache = mount(
-        cfg,
-        cold_everything(),
-        &tiers,
-        &Arc::new(dimm.crash_and_restart()),
-        Mount::Recover,
-        &clock,
-    );
+    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::Recover, &clock);
     // No opens, reads or writes since the crash: the sweep decides purely
     // on the summaries recovery harvested from the fd slots.
     let report = cache.rebalance(&clock).expect("post-recovery sweep");
@@ -486,13 +471,13 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
 fn pre_heat_images_recover_cold_and_upgrade_in_place() {
     let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
     let clock = ActorClock::new();
-    let volatile_cfg = parked_cfg().with_placement(policy());
-    let dimm = Arc::new(NvDimm::new(volatile_cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
+    let volatile = on_demand(cold_everything(), &tiers).placement(policy());
 
     // Old world: heat tracked but volatile — the image carries no epoch
     // word and every spare slot byte stays zero.
-    let cache = mount(volatile_cfg, cold_everything(), &tiers, &dimm, Mount::Format, &clock);
+    let cache = mount(volatile.clone(), &dimm, Mount::Format, &clock);
     let fd = cache.open("/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[5; 200], 0, &clock).unwrap();
     cache.flush_log(&clock);
@@ -506,9 +491,9 @@ fn pre_heat_images_recover_cold_and_upgrade_in_place() {
 
     // New world: `persist_heat` on. The pre-crash temperature is gone —
     // the zeroed spare bytes must read back as "cold", not as heat.
-    let heat_cfg = parked_cfg().with_placement(policy()).with_persist_heat(true);
+    let persistent = volatile.persist_heat(true);
     let dimm = Arc::new(dimm.crash_and_restart());
-    let cache = mount(heat_cfg.clone(), cold_everything(), &tiers, &dimm, Mount::Recover, &clock);
+    let cache = mount(persistent.clone(), &dimm, Mount::Recover, &clock);
     let report = cache.rebalance(&clock).expect("sweep on the upgraded mount");
     assert_eq!(report.files_promoted, 0, "a pre-heat image recovers cold");
     assert!(on_tier(&tiers.0, "/wal", &clock), "nothing promoted without a summary");
@@ -523,14 +508,7 @@ fn pre_heat_images_recover_cold_and_upgrade_in_place() {
     cache.abort();
     drop(cache);
 
-    let cache = mount(
-        heat_cfg,
-        cold_everything(),
-        &tiers,
-        &Arc::new(dimm.crash_and_restart()),
-        Mount::Recover,
-        &clock,
-    );
+    let cache = mount(persistent, &Arc::new(dimm.crash_and_restart()), Mount::Recover, &clock);
     let report = cache.rebalance(&clock).expect("post-upgrade sweep");
     assert_eq!(report.files_promoted, 1, "the upgraded image persists heat");
     assert!(on_tier(&tiers.1, "/wal", &clock));
@@ -543,12 +521,12 @@ fn pre_heat_images_recover_cold_and_upgrade_in_place() {
 /// and stats included, and the eviction counters stay at zero.
 #[test]
 fn an_unreached_catalog_capacity_is_byte_and_time_identical_to_unbounded() {
-    let run = |cfg: NvCacheConfig| {
+    let run = |tune: fn(Tiering) -> Tiering| {
         let clock = ActorClock::new();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
+        let dimm = parked_dimm(NvmmProfile::optane());
         let tiers = two_memfs();
         let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-        let cache = mount(cfg, router, &tiers, &dimm, Mount::Format, &clock);
+        let cache = mount(tune(on_demand(router, &tiers)), &dimm, Mount::Format, &clock);
         let mut fds = Vec::new();
         for (path, byte) in [("/hot/a", 1u8), ("/cold/b", 2), ("/cold/c", 3)] {
             let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -580,9 +558,9 @@ fn an_unreached_catalog_capacity_is_byte_and_time_identical_to_unbounded() {
         (region_bytes(&dimm), clock.now(), report, stats)
     };
 
-    let (bytes_unbounded, time_unbounded, report_unbounded, stats_unbounded) = run(parked_cfg());
+    let (bytes_unbounded, time_unbounded, report_unbounded, stats_unbounded) = run(|t| t);
     let (bytes_bounded, time_bounded, report_bounded, stats_bounded) =
-        run(parked_cfg().with_catalog_capacity(1 << 20));
+        run(|tiering| tiering.catalog_capacity(1 << 20));
 
     assert_eq!(bytes_unbounded, bytes_bounded, "persistent images must be byte-identical");
     assert_eq!(time_unbounded, time_bounded, "virtual timelines must be identical");

@@ -51,6 +51,8 @@
 //! * `MEMBER_BIT | leader_slot` — continuation entry of a multi-entry write;
 //!   valid iff its leader is committed.
 
+use vfs::{IoError, IoResult};
+
 use crate::NvCacheConfig;
 
 /// Size of the region header.
@@ -74,7 +76,7 @@ pub const PATH_MAX: usize = (FD_SLOT_BYTES - 8) as usize;
 /// eight bytes off the front of the path area.
 pub const PATH_MAX_V3: usize = (FD_SLOT_BYTES - 16) as usize;
 /// Maximum stored path length in a v3 slot that also persists a heat
-/// summary ([`NvCacheConfig::persist_heat`](crate::NvCacheConfig)): the
+/// summary ([`Tiering::persist_heat`](crate::Tiering::persist_heat)): the
 /// heat word takes eight bytes off the *tail* of the path area.
 pub const PATH_MAX_HEAT: usize = (FD_SLOT_BYTES - 24) as usize;
 /// Offset (within a v3 fd slot) of the backend-index word.
@@ -164,15 +166,17 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Layout for a configuration.
+    /// Layout for a configuration over one backend — the region's size and
+    /// every offset but the fd slots' partitioning, which the mount decides
+    /// from its [`Tiering`](crate::Tiering) (`backends`, `heat`).
     pub fn for_config(cfg: &NvCacheConfig) -> Layout {
         Layout {
             nb_entries: cfg.nb_entries,
             entry_size: cfg.entry_size as u64,
             fd_slots: cfg.fd_slots as u64,
             log_shards: cfg.log_shards as u64,
-            backends: cfg.backends as u64,
-            heat: cfg.persist_heat && cfg.backends > 1,
+            backends: 1,
+            heat: false,
         }
     }
 
@@ -204,6 +208,21 @@ impl Layout {
         } else {
             PATH_MAX
         }
+    }
+
+    /// Whether an fd slot of this layout can hold `path` (normalized).
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::InvalidArgument`], naming the limit.
+    pub fn check_path(&self, path: &str) -> IoResult<()> {
+        if path.len() <= self.path_max() {
+            return Ok(());
+        }
+        Err(IoError::InvalidArgument(format!(
+            "{path}: path exceeds the {} bytes an fd slot of this mount holds",
+            self.path_max()
+        )))
     }
 
     /// Start of the fd table.

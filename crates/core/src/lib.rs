@@ -109,44 +109,46 @@
 //!
 //! ## The mount stack
 //!
-//! Mounting goes through [`NvCache::builder`]: pick the NVMM region, the
-//! inner backend(s), the configuration and the [`Mount`] mode, then
+//! Mounting goes through [`NvCache::builder`]: pick the NVMM region, what
+//! is below the cache, the configuration and the [`Mount`] mode, then
 //! [`mount`](NvCacheBuilder::mount) — the only way in.
+//! [`backend`](NvCacheBuilder::backend) is the paper's deployment: one
+//! unmodified inner file system, `open`/`unlink`/`rename` passed straight
+//! through (Table III).
 //!
-//! A **tiered** stack supplies several backends and a [`Router`] that maps
-//! each file to one of them (hot files over NOVA, cold bulk over ext4+HDD —
-//! the ROADMAP's multi-backend item): [`PathPrefixRouter`] for explicit
-//! placement, [`HashRouter`] for uniform spreading. The routing decision is
-//! taken once per open, recorded in the volatile descriptor *and* in the
-//! persistent fd slot (region header v3), and the per-stripe cleanup
-//! workers drain each tier through its own submission ring — so a crash
-//! replays every pending entry to the backend that acknowledged it, never
-//! to wherever the router would place the file today.
+//! A **tiered** stack hands [`NvCacheBuilder::tiers`] one [`Tiering`] value:
+//! several backends and a [`Router`] that maps each file to one of them (hot
+//! files over NOVA, cold bulk over ext4+HDD): [`PathPrefixRouter`] for
+//! explicit placement, [`HashRouter`] for uniform spreading. Everything the
+//! crate knows about *which* inner file system holds a file lives in the
+//! `tiers` module; `cache.rs` sees one merged namespace. The routing
+//! decision is taken once per open, recorded in the volatile descriptor
+//! *and* in the persistent fd slot (region header v3), and the per-stripe
+//! cleanup workers drain each tier through its own submission ring — so a
+//! crash replays every pending entry to the backend that acknowledged it,
+//! never to wherever the router would place the file today.
 //!
 //! ## Tier rebalancing
 //!
-//! Placement is no longer fixed forever at open time: the **tier migrator**
+//! Placement is not fixed forever at open time: the **tier migrator**
 //! (`migrate` module) moves closed, fully drained files between backends
 //! with a crash-safe copy → stamp → unlink protocol journaled in a
 //! persistent fd slot — a crash at any step recovers to exactly one
-//! authoritative copy. [`NvCacheConfig::with_migration`] picks the
+//! authoritative copy. [`Tiering::migration`] picks the
 //! [`MigrationPolicy`]: explicit [`NvCache::rebalance`] /
 //! [`NvCache::migrate`] sweeps (`OnDemand`) or a background worker that
 //! re-homes misplaced files on its own (`Background`), driven by the
 //! placement policy's targets, per-file access heat and the
 //! per-tier propagation load. A [`Mount::RecoverRepair`] mount re-homes
-//! every file recovery found misplaced before the cache comes up, and
-//! [`NvCacheConfig::with_cross_tier_rename`] optionally turns the
-//! EXDEV of a cross-tier `rename` into a migrate-then-rename. All of it is
-//! opt-in: the default policy keeps single-backend mounts byte- and
-//! virtual-time-identical to a migrator-less build.
+//! every file recovery found misplaced before the cache comes up. A
+//! `rename` across tiers is `EXDEV` exactly when the policy is `Disabled`
+//! (the default), and a journaled migrate-then-rename otherwise.
 //!
 //! ## Heat-driven placement
 //!
 //! *Where* the migrator moves files is decided by a [`PlacementPolicy`]
-//! (`placement` module). The default, [`RouterPlacement`], re-homes files
-//! to the router's static rules — the pre-policy behavior, byte- and
-//! virtual-time-identical. [`HeatPolicy`] instead drives placement from
+//! ([`Tiering::placement`]). The default, [`RouterPlacement`], re-homes
+//! files to the router's static rules. [`HeatPolicy`] instead drives placement from
 //! per-file **temperature**: every intercepted read/write decays the
 //! file's stored heat to the touching call's *virtual* clock
 //! (`heat ← heat · 2^(−Δt / half_life)`, no wall clock anywhere) and adds
@@ -158,7 +160,8 @@
 //! moves at most once per threshold crossing), and an optional fast-tier
 //! byte budget demotes the coldest residents when the hot set outgrows
 //! the fast medium. Temperature survives close → reopen through the
-//! migrator catalog; after a remount it is gone (volatile by design) and
+//! migrator catalog; after a remount it is gone (unless
+//! [`Tiering::persist_heat`] keeps a summary in the fd slots) and
 //! recovery judges files by [`PlacementPolicy::place_cold`].
 //! [`NvCacheStats::files_promoted`] / `files_demoted` /
 //! `fast_tier_bytes` expose what the policy is doing. See
@@ -235,6 +238,7 @@ mod replay;
 mod router;
 mod squeue;
 mod stats;
+mod tiers;
 
 #[cfg(test)]
 mod heat_tests;
@@ -247,7 +251,7 @@ mod tests;
 #[cfg(test)]
 mod tiering_tests;
 
-pub use builder::{LayeredTier, Mount, NvCacheBuilder};
+pub use builder::{Mount, NvCacheBuilder};
 pub use cache::NvCache;
 pub use config::NvCacheConfig;
 pub use migrate::{MigrationPolicy, RebalanceReport};
@@ -261,6 +265,7 @@ pub use stats::{
     NvCacheStats, NvCacheStatsSnapshot, QueueStats, QueueStatsSnapshot, ShardStats,
     ShardStatsSnapshot, SQ_BATCH_BUCKETS,
 };
+pub use tiers::{LayeredTier, Tiering};
 // Re-exported so layered mounts can be assembled from `nvcache` alone.
 pub use vfs::{
     CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats, FaultLayer, FaultOp, FaultRule,

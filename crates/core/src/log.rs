@@ -402,9 +402,6 @@ pub(crate) struct Log {
     pub region: NvRegion,
     pub layout: Layout,
     pub stripes: Box<[Stripe]>,
-    /// The mount's lock-order recorder; `Shared` clones this so every
-    /// tracked lock in the mount shares one acquisition graph.
-    pub lockcheck: Recorder,
     /// Next global sequence number (multi-stripe only; a single stripe
     /// reuses its local sequence, matching the seed format).
     global_seq: AtomicU64,
@@ -427,9 +424,10 @@ impl std::fmt::Debug for Log {
 }
 
 impl Log {
-    pub fn new(region: NvRegion, layout: Layout, start_seq: u64) -> Self {
+    /// `lockcheck` is the mount's lock-order recorder: every tracked lock of
+    /// the mount shares one acquisition graph.
+    pub fn new(region: NvRegion, layout: Layout, start_seq: u64, lockcheck: Recorder) -> Self {
         let shards = layout.log_shards.max(1) as usize;
-        let lockcheck = Recorder::new();
         let stripes: Vec<Stripe> = (0..shards)
             .map(|i| Stripe::new(i, region.clone(), layout, start_seq, lockcheck.clone()))
             .collect();
@@ -437,7 +435,6 @@ impl Log {
             region,
             layout,
             stripes: stripes.into_boxed_slice(),
-            lockcheck,
             global_seq: AtomicU64::new(start_seq),
             handoff_waiters: AtomicUsize::new(0),
         }
@@ -644,7 +641,8 @@ mod tests {
         let layout = Layout::for_config(&cfg);
         let dimm = Arc::new(NvDimm::new(layout.total_bytes(), NvmmProfile::instant()));
         let region = NvRegion::whole(dimm);
-        (ActorClock::new(), NvCacheStats::with_shards(shards), Log::new(region, layout, 0))
+        let log = Log::new(region, layout, 0, Recorder::new());
+        (ActorClock::new(), NvCacheStats::with_shards(shards), log)
     }
 
     fn mk_log(nb: u64) -> (ActorClock, NvCacheStats, Log) {
@@ -708,7 +706,7 @@ mod tests {
         // no commit for b
         let crashed = log.region.dimm().crash_and_restart();
         let region = NvRegion::whole(Arc::new(crashed));
-        let recovered = Log::new(region, log.layout, 0);
+        let recovered = Log::new(region, log.layout, 0, Recorder::new());
         assert_eq!(recovered.stripes[0].read_header(a).commit, CommitWord::Leader);
         assert_eq!(recovered.stripes[0].read_header(b).commit, CommitWord::Free);
     }

@@ -69,16 +69,18 @@ use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 use crate::cache::Shared;
 use crate::files::PersistentFdTable;
 use crate::layout::Layout;
-use crate::lockcheck::{Class, Recorder};
+use crate::lockcheck::{Class, Held, Recorder};
 use crate::placement::{FileTemperature, PlacementPolicy, Temperature};
 use crate::router::Router;
 use crate::stats::NvCacheStats;
+use crate::tiers::Tiers;
 
 /// How (and whether) the tier migrator may move files between backends.
 ///
-/// The policy is a [`NvCacheConfig`](crate::NvCacheConfig) knob
-/// ([`with_migration`](crate::NvCacheConfig::with_migration)); on a
-/// single-backend mount every policy is inert.
+/// Set with [`Tiering::migration`](crate::Tiering::migration). It also
+/// decides what a `rename` across tiers does: `EXDEV` under `Disabled` —
+/// the mount may never move a file — and a journaled migrate-then-rename
+/// (`mv` semantics, not `rename(2)` atomicity) under the other two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationPolicy {
     /// No migration, ever — the PR-3 behavior. `rebalance`/`migrate` fail
@@ -181,19 +183,27 @@ impl MigrationGate {
     /// Claims `path` for a migration. Fails (without blocking) if any path
     /// operation holds a lease on it or another migration already claimed
     /// it.
-    pub fn try_claim(&self, path: &str) -> bool {
+    pub fn try_claim<'a>(&'a self, path: &'a str) -> Option<Claim<'a>> {
         let mut g = self.state.lock();
         if g.leases.contains_key(path) || g.migrating.contains(path) {
-            return false;
+            return None;
         }
         g.migrating.insert(path.to_string());
-        true
+        Some(Claim { gate: self, path })
     }
+}
 
-    /// Releases a migration claim and wakes blocked path operations.
-    pub fn release(&self, path: &str) {
-        self.state.lock().migrating.remove(path);
-        self.released.notify_all();
+/// A migration claim on one path; dropping it releases the claim and wakes
+/// the path operations blocked on it.
+pub(crate) struct Claim<'a> {
+    gate: &'a MigrationGate,
+    path: &'a str,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.gate.state.lock().migrating.remove(self.path);
+        self.gate.released.notify_all();
     }
 }
 
@@ -232,7 +242,7 @@ struct CatalogEntry {
 }
 
 /// The closed-file catalog: `path → CatalogEntry`, plus — only when a
-/// [`catalog_capacity`](crate::NvCacheConfig::catalog_capacity) bound is
+/// [`catalog_capacity`](crate::Tiering::catalog_capacity) bound is
 /// set — the clock-eviction ring and the recently-evicted filter behind
 /// the readmission counter. Unbounded catalogs (the default) never touch
 /// `ring`/`evicted`, so the seed's memory and timing are unchanged.
@@ -295,7 +305,7 @@ pub(crate) struct Migrator {
     /// Resident-set bound ([`catalog_capacity`]); `None` = unbounded, the
     /// seed behavior.
     ///
-    /// [`catalog_capacity`]: crate::NvCacheConfig::catalog_capacity
+    /// [`catalog_capacity`]: crate::Tiering::catalog_capacity
     capacity: Option<usize>,
     /// The mount's placement policy — the eviction pin judgement
     /// (misplaced? promote-worthy?) must agree with the sweeps it guards.
@@ -318,7 +328,7 @@ pub(crate) struct Migrator {
     /// app-side stamp and [`HeatPolicy`] cooling would never demote.
     time_high_water: std::sync::atomic::AtomicU64,
     /// The mount's shared lock-order recorder (inert unless `pmcheck`).
-    lockcheck: Recorder,
+    pub lockcheck: Recorder,
 }
 
 impl Migrator {
@@ -347,6 +357,13 @@ impl Migrator {
         }
     }
 
+    /// Claims `path` for a migration ([`MigrationGate::try_claim`]), with
+    /// the lock-order record of the claim.
+    pub fn claim<'a>(&'a self, path: &'a str) -> Option<(Claim<'a>, Held)> {
+        let claim = self.gate.try_claim(path)?;
+        Some((claim, self.lockcheck.acquire_try(Class::MigrationGate, 0)))
+    }
+
     /// Folds an observed virtual instant into the decay high-water mark.
     pub fn observe_time(&self, now: simclock::SimTime) {
         self.time_high_water.fetch_max(now.as_nanos(), Ordering::Relaxed);
@@ -370,11 +387,6 @@ impl Migrator {
         self.work_pending.swap(false, Ordering::AcqRel)
     }
 
-    /// Parks the background worker until new work may exist.
-    pub fn wait_for_work(&self) {
-        self.park(Duration::from_millis(1));
-    }
-
     /// Parks the background worker for up to `timeout` (woken early by
     /// [`Migrator::notify`] — including the one `abort` sends on
     /// shutdown).
@@ -396,9 +408,7 @@ impl Migrator {
         if backend >= self.backends {
             return true;
         }
-        if self.backends > 1
-            && self.placement.place_cold(path, backend, self.router.as_ref()) != backend
-        {
+        if self.placement.place_cold(path, backend, self.router.as_ref()) != backend {
             return true;
         }
         if let Some(threshold) = self.placement.retain_heat_threshold() {
@@ -478,33 +488,20 @@ impl Migrator {
         catalog.maybe_compact();
     }
 
-    /// Records a file that just fully closed (it is now migratable),
-    /// accumulating the raw counters across open generations; the size and
-    /// temperature of the latest close win (the [`FileState`](crate::files)
-    /// temperature already folded the catalogued heat back in at open).
-    /// New paths go through the capacity-bounded admission path.
-    #[allow(clippy::too_many_arguments)] // mirrors the FileState counters
-    pub fn record_closed(
-        &self,
-        path: &str,
-        backend: u32,
-        reads: u64,
-        writes: u64,
-        bytes: u64,
-        temp: Temperature,
-        stats: &NvCacheStats,
-    ) {
+    /// Records a file that just fully closed (it is now migratable) with
+    /// the `heat` of this open generation: the raw counters accumulate
+    /// across generations; the backend, size and temperature of the latest
+    /// close win (the [`FileState`](crate::files) temperature already
+    /// folded the catalogued heat back in at open). New paths go through
+    /// the capacity-bounded admission path.
+    pub fn record_closed(&self, path: &str, heat: FileHeat, stats: &NvCacheStats) {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         let mut catalog = self.catalog.lock();
         if let Some(e) = catalog.map.get_mut(path) {
-            e.heat.backend = backend;
-            e.heat.reads += reads;
-            e.heat.writes += writes;
-            e.heat.bytes = bytes;
-            e.heat.temp = temp;
+            let (reads, writes) = (e.heat.reads + heat.reads, e.heat.writes + heat.writes);
+            e.heat = FileHeat { reads, writes, ..heat };
             e.referenced = true;
         } else {
-            let heat = FileHeat { backend, reads, writes, bytes, temp };
             self.admit_new(&mut catalog, path.to_string(), heat, stats);
         }
     }
@@ -570,61 +567,34 @@ impl Migrator {
         self.catalog.lock().map.get(path).map(|e| e.heat.backend)
     }
 
-    /// Updates a catalog entry's backend after a successful migration.
+    /// Stamps the backend — and the temperature, when one is known — of
+    /// each `(path, backend, temperature)` on its catalog entry. Three
+    /// callers: a finished migration publishing where the file now lives,
+    /// recovery's misplaced-file list (pinned, so even a bounded catalog
+    /// admits every one), and the temperatures recovered from persisted
+    /// heat summaries ([`persist_heat`](crate::Tiering::persist_heat)), so
+    /// the first sweep judges each file exactly as hot as the crashed mount
+    /// last persisted it.
     ///
-    /// A path the clock hand has already evicted (correctly placed and
-    /// cold at the time) re-enters through the admission path: dropping
-    /// the stamp instead would strand a file just moved *off* its routed
-    /// tier — no catalog record of the misplacement, so no sweep would
-    /// ever bring it home.
-    pub fn set_backend(&self, path: &str, backend: u32, stats: &NvCacheStats) {
-        let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        let mut catalog = self.catalog.lock();
-        if let Some(e) = catalog.map.get_mut(path) {
-            e.heat.backend = backend;
-        } else {
-            let heat = FileHeat { backend, ..FileHeat::default() };
-            self.admit_new(&mut catalog, path.to_string(), heat, stats);
-        }
-    }
-
-    /// Seeds the catalog (recovery's misplaced-file list). Misplaced
-    /// entries are pinned, so even a bounded catalog admits every one.
-    pub fn seed(&self, entries: impl IntoIterator<Item = (String, u32)>, stats: &NvCacheStats) {
-        let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        let mut catalog = self.catalog.lock();
-        for (path, backend) in entries {
-            if let Some(e) = catalog.map.get_mut(&path) {
-                e.heat.backend = backend;
-            } else {
-                let heat = FileHeat { backend, ..FileHeat::default() };
-                self.admit_new(&mut catalog, path, heat, stats);
-            }
-        }
-    }
-
-    /// Seeds the catalog with temperatures recovered from persisted heat
-    /// summaries ([`persist_heat`](crate::NvCacheConfig::persist_heat)):
-    /// each file re-enters the catalog on its recorded backend with its
-    /// dequantized heat stamped at `now`, so the first sweep judges it
-    /// exactly as hot as the crashed mount last persisted it — promotions
-    /// re-earn themselves without a single application touch.
-    pub fn seed_heat(
+    /// A path the catalog does not hold — never closed on this mount, or
+    /// already evicted as correctly placed and cold — enters through the
+    /// admission path: dropping the stamp instead would strand a file just
+    /// moved *off* its routed tier with no record of the misplacement, and
+    /// no sweep would ever bring it home.
+    pub fn seed(
         &self,
-        entries: impl IntoIterator<Item = (String, u32, f64)>,
-        now: simclock::SimTime,
+        entries: impl IntoIterator<Item = (String, u32, Option<Temperature>)>,
         stats: &NvCacheStats,
     ) {
-        self.observe_time(now);
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         let mut catalog = self.catalog.lock();
-        for (path, backend, heat) in entries {
-            let temp = Temperature { heat, stamp: now };
+        for (path, backend, temp) in entries {
             if let Some(e) = catalog.map.get_mut(&path) {
                 e.heat.backend = backend;
-                e.heat.temp = temp;
+                e.heat.temp = temp.unwrap_or(e.heat.temp);
             } else {
-                let heat = FileHeat { backend, temp, ..FileHeat::default() };
+                let heat =
+                    FileHeat { backend, temp: temp.unwrap_or_default(), ..FileHeat::default() };
                 self.admit_new(&mut catalog, path, heat, stats);
             }
         }
@@ -633,7 +603,7 @@ impl Migrator {
     /// Number of resident catalog entries — the population sweeps clone
     /// and sort, the quantity [`catalog_capacity`] bounds.
     ///
-    /// [`catalog_capacity`]: crate::NvCacheConfig::catalog_capacity
+    /// [`catalog_capacity`]: crate::Tiering::catalog_capacity
     pub fn resident(&self) -> usize {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         self.catalog.lock().map.len()
@@ -691,16 +661,10 @@ pub(crate) fn migrate_bytes(
 ) -> IoResult<u64> {
     assert!(from != to, "migration endpoints must differ");
     assert!(from < backends.len() && to < backends.len(), "backend index out of range");
-    if to_path.len() > layout.path_max() {
-        // Legacy (v1/v2) slots hold up to 248 path bytes but a v3 journal
-        // slot only 240: a file with such a path can be recovered, yet
-        // never journaled — surface an error instead of panicking the
-        // repair pass or the background worker.
-        return Err(IoError::InvalidArgument(format!(
-            "{to_path}: path exceeds the tiered journal slot capacity ({} bytes)",
-            layout.path_max()
-        )));
-    }
+    // Legacy (v1/v2) slots hold up to 248 path bytes but a v3 journal slot
+    // only 240: a file with such a path can be recovered, yet never
+    // journaled — an error, not a panic in the repair pass or the worker.
+    layout.check_path(to_path)?;
     // Open the source before anything else: a vanished source (stale
     // catalog entry, duplicate repair request) must fail the migration
     // with NotFound *before* the journal is written or the target tier —
@@ -808,7 +772,7 @@ fn copy_from(
 pub(crate) fn repair_journals(
     region: &NvRegion,
     layout: &Layout,
-    backends: &[Arc<dyn FileSystem>],
+    tiers: &Tiers,
     clock: &ActorClock,
 ) -> IoResult<usize> {
     if !layout.tiered() {
@@ -820,15 +784,7 @@ pub(crate) fn repair_journals(
         else {
             continue;
         };
-        for (b, backend) in backends.iter().enumerate() {
-            if b == keep as usize {
-                continue;
-            }
-            match backend.unlink(&path, clock) {
-                Ok(()) | Err(IoError::NotFound(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        tiers.unlink_others(&path, keep as usize, clock)?;
         PersistentFdTable::clear(region, layout, slot, clock);
         repaired += 1;
     }
@@ -841,10 +797,9 @@ pub(crate) fn repair_journals(
 /// one resolved *under the claim*, which callers must prefer over any
 /// pre-claim snapshot — or `None` when the file already lives on `to`
 /// (a concurrent migration may have beaten this call, and callers must
-/// not count such a no-op as a move). With
-/// `refresh_gauge` the `fast_tier_bytes` occupancy gauge is recomputed
-/// after a successful move; sweeps pass `false` (one catalog scan per
-/// moved file would be redundant) and refresh once at sweep end.
+/// not count such a no-op as a move). The `fast_tier_bytes` gauge is the
+/// caller's to refresh ([`Tiers::refresh_gauge`]): a sweep does it once at
+/// its end, not once per moved file.
 ///
 /// # Errors
 ///
@@ -856,74 +811,32 @@ pub(crate) fn migrate_path(
     shared: &Shared,
     path: &str,
     to: usize,
-    refresh_gauge: bool,
     clock: &ActorClock,
 ) -> IoResult<Option<(usize, u64)>> {
-    if to >= shared.backends.len() {
+    let tiers = &shared.tiers;
+    if to >= tiers.backends.len() {
         return Err(IoError::InvalidArgument(format!(
             "migration target backend {to} out of range (mount has {})",
-            shared.backends.len()
+            tiers.backends.len()
         )));
     }
-    if !shared.migrator.gate.try_claim(path) {
+    let Some(_claim) = tiers.migrator.claim(path) else {
         return Err(IoError::Busy(format!("{path}: migration or path operation in flight")));
+    };
+    // Resolve the source *under the claim*: between a pre-claim read and
+    // the claim, a concurrent migration could move the file, and journaling
+    // the stale location would let the error rollback delete the real copy
+    // on the target tier.
+    let from = match tiers.migrator.backend_of(path) {
+        Some(b) => b as usize,
+        None => match tiers.locate(shared, path, clock)? {
+            Some((b, _)) => b,
+            None => return Err(IoError::NotFound(path.to_string())),
+        },
+    };
+    if from == to {
+        return Ok(None); // already in place — not a move
     }
-    let _claim = shared.lockcheck.acquire_try(Class::MigrationGate, 0);
-    let mut moved_from = None;
-    let result = (|| {
-        // Resolve the source *under the claim*: between a pre-claim read
-        // and the claim, a concurrent migration could move the file, and
-        // journaling the stale location would let the error rollback
-        // delete the real copy on the target tier.
-        let from = match shared.migrator.backend_of(path) {
-            Some(b) => b as usize,
-            None => shared
-                .existing_backend(path, clock)?
-                .ok_or_else(|| IoError::NotFound(path.to_string()))?,
-        };
-        if from == to {
-            return Ok(None); // already in place — not a move
-        }
-        let bytes = migrate_claimed(shared, path, from, to, clock)?;
-        moved_from = Some(from);
-        Ok(Some((from, bytes)))
-    })();
-    if let Some(from) = moved_from {
-        if let Ok(Some((_, bytes))) = result {
-            // Publish the new placement *before* releasing the claim: a
-            // concurrent sweep reading a stale catalog backend would probe
-            // the old tier, get NotFound and drop the entry entirely.
-            shared.migrator.set_backend(path, to as u32, &shared.stats);
-            shared.stats.files_migrated.fetch_add(1, Ordering::Relaxed);
-            shared.stats.migration_bytes.fetch_add(bytes, Ordering::Relaxed);
-            if let Some(fast) = shared.placement.fast_tier() {
-                if to == fast {
-                    shared.stats.files_promoted.fetch_add(1, Ordering::Relaxed);
-                } else if from == fast {
-                    shared.stats.files_demoted.fetch_add(1, Ordering::Relaxed);
-                }
-                if refresh_gauge {
-                    shared
-                        .stats
-                        .fast_tier_bytes
-                        .store(shared.migrator.fast_tier_occupancy(fast as u32), Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    shared.migrator.gate.release(path);
-    result
-}
-
-/// The claimed section of [`migrate_path`]: open/drain re-check, journal
-/// slot bookkeeping, and the protocol itself.
-fn migrate_claimed(
-    shared: &Shared,
-    path: &str,
-    from: usize,
-    to: usize,
-    clock: &ActorClock,
-) -> IoResult<u64> {
     // Zombies whose entries already drained just haven't been reaped yet;
     // finish them so a freshly drained file is immediately migratable.
     shared.drain_zombies(clock);
@@ -933,7 +846,13 @@ fn migrate_claimed(
     if shared.path_is_open_or_draining(path) {
         return Err(IoError::Busy(format!("{path}: open or draining descriptors exist")));
     }
-    journaled_move(shared, path, path, from, to, clock)
+    let bytes = journaled_move(shared, path, path, from, to, clock)?;
+    // Publish the new placement *before* the claim is released: a
+    // concurrent sweep reading a stale catalog backend would probe the old
+    // tier, get NotFound and drop the entry entirely.
+    tiers.migrator.seed([(path.to_string(), to as u32, None)], &shared.stats);
+    tiers.moved(&shared.stats, from, to, bytes);
+    Ok(Some((from, bytes)))
 }
 
 /// Allocates a journal slot, runs the copy → stamp → unlink protocol, and
@@ -961,7 +880,7 @@ pub(crate) fn journaled_move(
     let result = migrate_bytes(
         &shared.log.region,
         &shared.log.layout,
-        &shared.backends,
+        &shared.tiers.backends,
         slot,
         from_path,
         to_path,
@@ -989,16 +908,13 @@ pub(crate) fn journaled_move(
 /// the timing are identical to the pre-policy sweep.
 pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceReport> {
     let mut report = RebalanceReport::default();
-    if shared.backends.len() == 1 {
-        return Ok(report); // nothing to move between
-    }
+    let Tiers { backends, router, placement, migrator, .. } = &shared.tiers;
     // Decay against the most advanced virtual instant any actor reported:
     // the background worker's own clock starts at zero and would otherwise
     // see Δt = 0 against every app-side heat stamp (no cooling, ever).
-    let now = clock.now().max(shared.migrator.observed_time());
-    let half_life = shared.placement.half_life();
-    let views: Vec<FileTemperature> = shared
-        .migrator
+    let now = clock.now().max(migrator.observed_time());
+    let half_life = placement.half_life();
+    let views: Vec<FileTemperature> = migrator
         .entries()
         .into_iter()
         .map(|(path, h)| FileTemperature {
@@ -1010,7 +926,7 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
             writes: h.writes,
         })
         .collect();
-    let targets = shared.placement.assign(&views, shared.router.as_ref(), shared.backends.len());
+    let targets = placement.assign(&views, router.as_ref(), backends.len());
     // Contract violations surface as errors, not panics: a panic here
     // would silently kill the background worker thread and stop all
     // migration forever, while an Err is observable (rebalance callers see
@@ -1018,18 +934,18 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
     if targets.len() != views.len() {
         return Err(IoError::InvalidArgument(format!(
             "placement policy {} assigned {} targets for {} files",
-            shared.placement.name(),
+            placement.name(),
             targets.len(),
             views.len()
         )));
     }
-    let fast = shared.placement.fast_tier();
+    let fast = placement.fast_tier();
     let mut candidates: Vec<(usize, usize)> = Vec::new(); // (view index, target)
     for (i, &target) in targets.iter().enumerate() {
-        if target >= shared.backends.len() {
+        if target >= backends.len() {
             return Err(IoError::InvalidArgument(format!(
                 "placement policy {} assigned {} to out-of-range backend {target}",
-                shared.placement.name(),
+                placement.name(),
                 views[i].path
             )));
         }
@@ -1060,19 +976,17 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
     });
     for (i, target) in candidates {
         let view = &views[i];
-        match migrate_path(shared, &view.path, target, false, clock) {
+        match migrate_path(shared, &view.path, target, clock) {
             Ok(Some((from, bytes))) => {
                 report.files_migrated += 1;
                 report.bytes_moved += bytes;
-                if let Some(fast) = fast {
-                    // Classify by the source migrate_path actually resolved
-                    // under its claim — the snapshot backend may be stale
-                    // if a concurrent manual move raced this sweep.
-                    if target == fast {
-                        report.files_promoted += 1;
-                    } else if from == fast {
-                        report.files_demoted += 1;
-                    }
+                // Classify by the source migrate_path actually resolved
+                // under its claim — the snapshot backend may be stale if a
+                // concurrent manual move raced this sweep.
+                if fast == Some(target) {
+                    report.files_promoted += 1;
+                } else if fast == Some(from) {
+                    report.files_demoted += 1;
                 }
             }
             // A concurrent migration (manual move, another sweep) beat us
@@ -1082,18 +996,11 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
             // The catalog entry went stale (unlinked below the mount, or a
             // concurrent op removed it), or the path can never fit a v3
             // journal slot: drop it rather than error every sweep.
-            Err(IoError::NotFound(_) | IoError::InvalidArgument(_)) => {
-                shared.migrator.forget(&view.path)
-            }
+            Err(IoError::NotFound(_) | IoError::InvalidArgument(_)) => migrator.forget(&view.path),
             Err(e) => return Err(e),
         }
     }
-    if let Some(fast) = fast {
-        shared
-            .stats
-            .fast_tier_bytes
-            .store(shared.migrator.fast_tier_occupancy(fast as u32), Ordering::Relaxed);
-    }
+    shared.tiers.refresh_gauge(&shared.stats);
     Ok(report)
 }
 
@@ -1107,15 +1014,16 @@ pub(crate) fn run_migrator(shared: Arc<Shared>) {
     const ERROR_BACKOFF_MIN: Duration = Duration::from_millis(10);
     /// Retry-delay cap while sweeps keep hard-failing.
     const ERROR_BACKOFF_MAX: Duration = Duration::from_secs(1);
-    let clock = Arc::clone(&shared.migrator.clock);
+    let migrator = &shared.tiers.migrator;
+    let clock = Arc::clone(&migrator.clock);
     let mut error_backoff = ERROR_BACKOFF_MIN;
     loop {
         if shared.kill.load(Ordering::Acquire) || shared.stop.load(Ordering::Acquire) {
             return;
         }
-        if !shared.migrator.take_work() {
+        if !migrator.take_work() {
             // Idle: cheap flag check per condvar timeout, no sweep.
-            shared.migrator.wait_for_work();
+            migrator.park(Duration::from_millis(1));
             continue;
         }
         match sweep(&shared, &clock) {
@@ -1127,8 +1035,8 @@ pub(crate) fn run_migrator(shared: Arc<Shared>) {
                 // re-signal) — but back off exponentially, or a tier that
                 // keeps hard-failing would have this loop re-sorting the
                 // catalog and hammering the broken backend ~1000×/s.
-                shared.migrator.notify();
-                shared.migrator.park(error_backoff);
+                migrator.notify();
+                migrator.park(error_backoff);
                 error_backoff = (error_backoff * 2).min(ERROR_BACKOFF_MAX);
             }
         }
@@ -1171,7 +1079,7 @@ mod tests {
     }
 
     fn close_cold(m: &Migrator, stats: &NvCacheStats, path: &str, backend: u32) {
-        m.record_closed(path, backend, 0, 0, 10, Temperature::default(), stats);
+        m.record_closed(path, FileHeat { backend, bytes: 10, ..FileHeat::default() }, stats);
     }
 
     #[test]
@@ -1179,16 +1087,16 @@ mod tests {
         let gate = MigrationGate::default();
         gate.enter_op("/a");
         gate.enter_op("/a"); // concurrent ops on one path are legal
-        assert!(!gate.try_claim("/a"), "a leased path cannot be claimed");
-        assert!(gate.try_claim("/b"));
-        assert!(!gate.try_claim("/b"), "double claim");
+        assert!(gate.try_claim("/a").is_none(), "a leased path cannot be claimed");
+        let b = gate.try_claim("/b");
+        assert!(b.is_some());
+        assert!(gate.try_claim("/b").is_none(), "double claim");
         gate.exit_op("/a");
-        assert!(!gate.try_claim("/a"), "still one lease left");
+        assert!(gate.try_claim("/a").is_none(), "still one lease left");
         gate.exit_op("/a");
-        assert!(gate.try_claim("/a"), "free path claims fine");
-        gate.release("/a");
-        gate.release("/b");
-        assert!(gate.try_claim("/a"), "released claims free the path");
+        assert!(gate.try_claim("/a").is_some(), "free path claims fine; dropped at once");
+        drop(b);
+        assert!(gate.try_claim("/b").is_some(), "dropped claims free the path");
     }
 
     #[test]
@@ -1196,9 +1104,11 @@ mod tests {
         let (m, stats) = unbounded();
         let mut temp = Temperature::default();
         temp.touch(SimTime::from_secs(1), None);
-        m.record_closed("/f", 1, 10, 4, 100, temp, &stats);
+        let closed =
+            |backend, reads, writes, bytes, temp| FileHeat { backend, reads, writes, bytes, temp };
+        m.record_closed("/f", closed(1, 10, 4, 100, temp), &stats);
         temp.touch(SimTime::from_secs(2), None);
-        m.record_closed("/f", 0, 5, 1, 300, temp, &stats);
+        m.record_closed("/f", closed(0, 5, 1, 300, temp), &stats);
         assert!(m.take_if_on("/f", 1).is_none(), "a mismatched tier must not steal the entry");
         let heat = m.take_if_on("/f", 0).expect("catalogued");
         assert_eq!(heat.backend, 0, "latest close wins the placement");
@@ -1206,7 +1116,7 @@ mod tests {
         assert_eq!(heat.bytes, 300, "latest close wins the size");
         assert_eq!(heat.temp, temp, "latest close wins the temperature snapshot");
         assert!(m.take_if_on("/f", 0).is_none(), "take removes the entry");
-        m.seed([("/g".to_string(), 2u32)], &stats);
+        m.seed([("/g".to_string(), 2u32, None)], &stats);
         assert_eq!(m.backend_of("/g"), Some(2));
         m.rename_entry("/g", "/h", 1, &stats);
         assert_eq!(m.backend_of("/g"), None);
@@ -1220,9 +1130,9 @@ mod tests {
     #[test]
     fn fast_tier_occupancy_sums_catalogued_bytes() {
         let (m, stats) = unbounded();
-        m.record_closed("/a", 1, 0, 0, 100, Temperature::default(), &stats);
-        m.record_closed("/b", 1, 0, 0, 50, Temperature::default(), &stats);
-        m.record_closed("/c", 0, 0, 0, 999, Temperature::default(), &stats);
+        for (path, backend, bytes) in [("/a", 1, 100), ("/b", 1, 50), ("/c", 0, 999)] {
+            m.record_closed(path, FileHeat { backend, bytes, ..FileHeat::default() }, &stats);
+        }
         assert_eq!(m.fast_tier_occupancy(1), 150);
         assert_eq!(m.fast_tier_occupancy(0), 999);
         assert_eq!(m.fast_tier_occupancy(7), 0);
@@ -1239,7 +1149,8 @@ mod tests {
         for _ in 0..8 {
             hot.touch(SimTime::from_secs(1), None);
         }
-        m.record_closed("/bulk/hot", 0, 8, 0, 10, hot, &stats);
+        let heat = FileHeat { backend: 0, reads: 8, writes: 0, bytes: 10, temp: hot };
+        m.record_closed("/bulk/hot", heat, &stats);
         close_cold(&m, &stats, "/bulk/cold-a", 0);
         assert_eq!(m.resident(), 3);
         // Admitting a fourth entry must evict one of the colds — never the
@@ -1273,9 +1184,7 @@ mod tests {
         assert_eq!(stats.catalog_evictions.load(Ordering::Relaxed), 1);
         // ...and once the pinned files are re-homed (set_backend after a
         // migration), they become evictable colds again.
-        m.set_backend("/hot/a", 1, &stats);
-        m.set_backend("/hot/b", 1, &stats);
-        m.set_backend("/hot/c", 1, &stats);
+        m.seed(["/hot/a", "/hot/b", "/hot/c"].map(|p| (p.to_string(), 1, None)), &stats);
         close_cold(&m, &stats, "/bulk/cold", 0);
         assert_eq!(m.backend_of("/bulk/cold"), Some(0));
         assert!(m.resident() <= 3);
@@ -1395,7 +1304,8 @@ mod tests {
                         for _ in 0..touches {
                             temp.touch(now, policy.half_life());
                         }
-                        m.record_closed(&path, backend, 1, 0, 10, temp, &stats);
+                        let heat = FileHeat { backend, reads: 1, writes: 0, bytes: 10, temp };
+                        m.record_closed(&path, heat, &stats);
                         let e = model.entry(path).or_default();
                         e.backend = backend;
                         e.reads += 1;
@@ -1438,7 +1348,7 @@ mod tests {
                         // flipped misplaced by a migration it can't start).
                         let path = model_path(p);
                         if m.backend_of(&path).is_some() {
-                            m.set_backend(&path, backend, &stats);
+                            m.seed([(path.clone(), backend, None)], &stats);
                             if let Some(h) = model.get_mut(&path) {
                                 h.backend = backend;
                             }

@@ -2,7 +2,7 @@
 //! (exactly one authoritative copy after a crash at every protocol step,
 //! proptest-randomized), live migration/rebalance semantics (busy files,
 //! access-heat catalog), the recovery repair mode of the acceptance
-//! criteria, and cross-tier rename behind the config flag.
+//! criteria, and cross-tier rename on a mount that may move files.
 
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use vfs::{FileSystem, IoError, MemFs, OpenFlags};
 
 use crate::layout::Layout;
 use crate::migrate::{self, CrashPoint, MigrationPolicy};
-use crate::{Mount, NvCache, NvCacheConfig, PathPrefixRouter};
+use crate::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 
 fn tiny_tiered_cfg() -> NvCacheConfig {
     NvCacheConfig {
@@ -38,7 +38,7 @@ fn formatted_v3_region(
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg.clone())
         .mount(&clock)
         .expect("format");
@@ -85,7 +85,7 @@ fn crash_scenario(content: &[u8], from: usize, crash_after: Option<CrashPoint>) 
     let path = "/hot/victim";
     write_file(&backends[from], path, content, &clock);
 
-    let lay = Layout::for_config(&cfg.clone().with_backends(2));
+    let lay = Layout { backends: 2, ..Layout::for_config(&cfg) };
     let region = NvRegion::whole(Arc::clone(&dimm));
     migrate::migrate_bytes(
         &region,
@@ -105,7 +105,7 @@ fn crash_scenario(content: &[u8], from: usize, crash_after: Option<CrashPoint>) 
     // every recovery, repair mode or not).
     let restarted = Arc::new(dimm.crash_and_restart());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -193,13 +193,16 @@ proptest! {
 
 #[test]
 fn live_migration_moves_a_closed_file_and_counts_stats() {
-    let cfg = tiny_tiered_cfg().with_migration(MigrationPolicy::OnDemand);
+    let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(
+            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+                .migration(MigrationPolicy::OnDemand),
+        )
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -237,13 +240,16 @@ fn live_migration_moves_a_closed_file_and_counts_stats() {
 
 #[test]
 fn draining_zombie_blocks_migration_until_drained() {
-    let cfg = tiny_tiered_cfg().with_migration(MigrationPolicy::OnDemand);
+    let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(
+            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+                .migration(MigrationPolicy::OnDemand),
+        )
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -265,7 +271,7 @@ fn draining_zombie_blocks_migration_until_drained() {
 fn rebalance_requires_an_enabled_policy() {
     let (clock, dimm, cold, hot) = formatted_v3_region(&tiny_tiered_cfg());
     let cache = NvCache::builder(NvRegion::whole(Arc::new(dimm.crash_and_restart())))
-        .backends(hot_router(), vec![cold, hot])
+        .tiers(Tiering::new(hot_router(), vec![cold, hot]))
         .config(tiny_tiered_cfg()) // MigrationPolicy::Disabled
         .mode(Mount::Recover)
         .mount(&clock)
@@ -312,7 +318,7 @@ fn recover_repair_rehomes_every_misplaced_file() {
     // by the repair pass.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&restarted)))
-        .backends(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)]))
         .config(cfg.clone())
         .mode(Mount::RecoverRepair)
         .mount(&clock)
@@ -343,7 +349,7 @@ fn recover_repair_rehomes_every_misplaced_file() {
     drop(recovered);
     let restarted = Arc::new(restarted.crash_and_restart());
     let next = NvCache::builder(NvRegion::whole(restarted))
-        .backends(hot_router(), vec![legacy, hot])
+        .tiers(Tiering::new(hot_router(), vec![legacy, hot]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -355,7 +361,7 @@ fn recover_repair_rehomes_every_misplaced_file() {
 
 #[test]
 fn background_policy_rehomes_misplaced_files_by_itself() {
-    let cfg = tiny_tiered_cfg().with_migration(MigrationPolicy::Background);
+    let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let legacy: Arc<dyn FileSystem> = Arc::new(MemFs::new());
@@ -374,7 +380,10 @@ fn background_policy_rehomes_misplaced_files_by_itself() {
     // and the background worker must re-home it on its own.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
+        .tiers(
+            Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
+                .migration(MigrationPolicy::Background),
+        )
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -401,13 +410,16 @@ fn open_falls_back_to_the_recorded_tier_for_misplaced_files() {
     // stat-able: a non-creating open probes past the router's tier. A
     // creating open still follows the router (that is the placement
     // decision for new files).
-    let cfg = tiny_tiered_cfg().with_migration(MigrationPolicy::OnDemand);
+    let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(
+            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+                .migration(MigrationPolicy::OnDemand),
+        )
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -447,7 +459,7 @@ fn creating_open_reuses_a_misplaced_file_instead_of_shadowing() {
     // The file lives on tier 0 while the router claims /hot/** for tier 1.
     write_file(&cold, "/hot/kept", b"original", &clock);
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -483,7 +495,7 @@ fn unlink_removes_duplicate_copies_from_every_tier() {
     write_file(&cold, "/hot/dup", b"stale copy", &clock);
     write_file(&hot, "/hot/dup", b"fresh copy", &clock);
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -506,7 +518,7 @@ fn rename_onto_itself_succeeds_even_when_misplaced() {
     // The file sits on tier 0 while the router places /hot/** on tier 1.
     write_file(&cold, "/hot/self", b"content", &clock);
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -521,7 +533,7 @@ fn rename_replaces_stale_destination_copies_on_other_tiers() {
     // rename must replace the destination on the mount's *merged* view: a
     // stale copy of the destination name on a third location would
     // resurface once the fresh copy is unlinked.
-    let cfg = tiny_tiered_cfg().with_cross_tier_rename(true);
+    let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
@@ -529,7 +541,10 @@ fn rename_replaces_stale_destination_copies_on_other_tiers() {
     // Destination name pre-exists, misplaced on the hot tier (routes cold).
     write_file(&hot, "/cold/dest", b"stale destination", &clock);
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(
+            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+                .migration(MigrationPolicy::OnDemand),
+        )
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -548,13 +563,16 @@ fn rename_replaces_stale_destination_copies_on_other_tiers() {
 
 #[test]
 fn cross_tier_rename_migrates_behind_the_flag() {
-    let cfg = tiny_tiered_cfg().with_cross_tier_rename(true);
+    let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(
+            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
+                .migration(MigrationPolicy::OnDemand),
+        )
         .config(cfg)
         .mount(&clock)
         .unwrap();

@@ -32,7 +32,7 @@
 //! migrator catalog, exactly like the raw read/write counters; by default
 //! it does **not** survive a remount (the catalog is volatile), so a
 //! freshly recovered file is judged by [`PlacementPolicy::place_cold`].
-//! [`NvCacheConfig::persist_heat`](crate::NvCacheConfig::persist_heat)
+//! [`Tiering::persist_heat`](crate::Tiering::persist_heat)
 //! relaxes that: each fd slot then carries a quantized summary
 //! ([`quantize_heat`]/[`dequantize_heat`]) that recovery feeds back into
 //! the catalog, so promotions re-earn themselves from the persisted heat
@@ -125,7 +125,7 @@ pub struct FileTemperature {
 }
 
 /// Decides where each closed file of a tiered mount belongs. Installed via
-/// [`NvCacheConfig::with_placement`](crate::NvCacheConfig::with_placement);
+/// [`Tiering::placement`](crate::Tiering::placement);
 /// the default is [`RouterPlacement`].
 ///
 /// The policy is consulted by the rebalance sweep (all catalogued files at
@@ -187,7 +187,7 @@ pub trait PlacementPolicy: Send + Sync + std::fmt::Debug {
 
     /// Decayed heat at or above which a catalogued entry must **never** be
     /// evicted from a capacity-bounded migrator catalog
-    /// ([`NvCacheConfig::catalog_capacity`](crate::NvCacheConfig::catalog_capacity)):
+    /// ([`Tiering::catalog_capacity`](crate::Tiering::catalog_capacity)):
     /// such an entry is promotion work the next sweep still owes, and
     /// dropping it would silently cancel the promotion. `None` (the
     /// default) pins nothing by heat — entries are then only pinned while

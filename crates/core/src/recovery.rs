@@ -35,9 +35,8 @@ use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
 use crate::layout::{self, CommitWord, Layout};
 use crate::log::EntryHeader;
-use crate::placement::PlacementPolicy;
 use crate::replay::{Pending, Window, Written};
-use crate::router::Router;
+use crate::tiers::Tiers;
 
 /// Outcome of a recovery run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -250,7 +249,7 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// `files_misplaced == 0`. Leftover migration journals from a crash inside
 /// the protocol are repaired on *every* recovery, repair mode or not.
 ///
-/// **Persisted heat** ([`NvCacheConfig::persist_heat`](crate::NvCacheConfig)):
+/// **Persisted heat** ([`Tiering::persist_heat`](crate::Tiering::persist_heat)):
 /// a heat-format image ([`layout::OFF_HEAT_EPOCH`] = [`layout::HEAT_EPOCH`])
 /// carries a quantized temperature summary in each open slot's last word.
 /// Recovery dequantizes the summaries and returns them so the mount can
@@ -276,18 +275,14 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// `replay` is the replay phase: [`replay_planned`] for every mount; tests
 /// also pass the per-entry reference, which then runs between the very same
 /// reopen, scan, sync and empty steps.
-#[allow(clippy::too_many_arguments)] // one slot per mount-configuration axis, plus the replayer
 pub(crate) fn recover(
     region: &NvRegion,
-    backends: &[Arc<dyn FileSystem>],
-    router: &dyn Router,
-    placement: &dyn PlacementPolicy,
-    target_backends: usize,
-    target_heat: bool,
+    tiers: &Tiers,
     repair: bool,
     clock: &ActorClock,
     replay: Replayer,
 ) -> IoResult<Recovered> {
+    let (backends, router, placement) = (&*tiers.backends, &*tiers.router, &*tiers.placement);
     // Read the layout back from the header (charged reads: cold caches).
     let mut header = [0u8; 64];
     region.read(0, &mut header, clock);
@@ -330,7 +325,7 @@ pub(crate) fn recover(
     // gone before anything else looks at the backends). A v1/v2 image
     // cannot hold journals.
     let mut report = RecoveryReport {
-        migrations_repaired: crate::migrate::repair_journals(region, &lay, backends, clock)?,
+        migrations_repaired: crate::migrate::repair_journals(region, &lay, tiers, clock)?,
         ..RecoveryReport::default()
     };
 
@@ -359,8 +354,6 @@ pub(crate) fn recover(
             // writes are never discarded by a routing-policy change.
             let candidates: Vec<usize> = if lay.tiered() {
                 vec![stored as usize]
-            } else if backends.len() == 1 {
-                vec![0]
             } else {
                 let routed = router.route(&path, 0);
                 if routed == 0 {
@@ -427,10 +420,7 @@ pub(crate) fn recover(
                     (Some(h), Some(t)) => h >= t,
                     _ => false,
                 };
-                if backends.len() > 1
-                    && !retained_hot
-                    && backend != placement.place_cold(&path, backend, router)
-                {
+                if !retained_hot && backend != placement.place_cold(&path, backend, router) {
                     misplaced.push((path.clone(), backend as u32));
                 }
             }
@@ -550,14 +540,15 @@ pub(crate) fn recover(
     // 0 encoding (bytes unchanged on v1/v2 images). Stamping *before* the
     // repair pass matters: repair journals use the v3 slot partitioning, so
     // a crash mid-repair must find a v3 header on the next mount.
-    let backends_word = if target_backends > 1 { target_backends as u64 } else { 0 };
+    let target = Layout { backends: backends.len() as u64, heat: tiers.persist_heat, ..lay };
+    let backends_word = if target.tiered() { target.backends } else { 0 };
     region.commit_store(layout::OFF_BACKENDS, backends_word, clock);
     // Stamp the heat-format epoch the *mount* will write slots under. Safe
     // at this point for the same reason as the backends word: every fd slot
     // was cleared above, so no slot written under the old partitioning can
     // be re-parsed under the new one. Written only on a change so images
     // that never touch heat persistence stay byte-for-byte unchanged.
-    let heat_word_target = if target_heat && target_backends > 1 { layout::HEAT_EPOCH } else { 0 };
+    let heat_word_target = if target.heat_slots() { layout::HEAT_EPOCH } else { 0 };
     if heat_word_target != image_heat_epoch {
         region.commit_store(layout::OFF_HEAT_EPOCH, heat_word_target, clock);
     }
@@ -567,8 +558,8 @@ pub(crate) fn recover(
     // cold target with the journaled migration protocol. Every fd slot was
     // cleared above, so slot 0 is free to journal through; the files are
     // closed and the log is empty, so no coordination is needed.
-    if repair && backends.len() > 1 {
-        let repair_lay = Layout { backends: target_backends as u64, ..lay };
+    if repair {
+        let repair_lay = Layout { backends: target.backends, ..lay };
         let mut unrepairable = Vec::new();
         for (path, from) in misplaced.drain(..) {
             let to = placement.place_cold(&path, from as usize, router);

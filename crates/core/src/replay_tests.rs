@@ -13,7 +13,7 @@ use simclock::ActorClock;
 
 use crate as nvcache;
 use crate::recovery::{self, RecoveryReport, Replayer};
-use crate::RouterPlacement;
+use crate::tiers::Tiers;
 
 #[path = "../../../tests/support/replay_log.rs"]
 mod replay_log;
@@ -26,19 +26,10 @@ const SEEDS: u64 = 3;
 /// Runs recovery over `crashed` with `replay` as its replay phase — the
 /// mount's own call, minus the mount.
 fn recover_with(crashed: &Crashed, replay: Replayer) -> RecoveryReport {
-    let backends = crashed.below.stacked();
-    let (report, misplaced, _) = recovery::recover(
-        &NvRegion::whole(Arc::clone(&crashed.dimm)),
-        &backends,
-        crashed.below.router().as_ref(),
-        &RouterPlacement,
-        backends.len(),
-        false,
-        false,
-        &ActorClock::new(),
-        replay,
-    )
-    .expect("recovery");
+    let tiers = Tiers::mount(crashed.below.tiering(&[])).expect("tiers");
+    let region = NvRegion::whole(Arc::clone(&crashed.dimm));
+    let (report, misplaced, _) =
+        recovery::recover(&region, &tiers, false, &ActorClock::new(), replay).expect("recovery");
     assert!(misplaced.is_empty());
     report
 }

@@ -379,7 +379,7 @@ impl QueuePair {
         for w in chunk {
             let result = match &outcome {
                 Ok(_) => {
-                    if self.shared.track_heat {
+                    if self.shared.tiers.track_heat {
                         self.heat.push((Arc::clone(&w.opened.file), completed_at));
                     }
                     self.acc.writes += 1;
@@ -418,8 +418,7 @@ impl QueuePair {
         }
         let shared = Arc::clone(&self.shared);
         for (file, t) in self.heat.drain(..) {
-            file.touch_heat(t, shared.heat_half_life);
-            shared.migrator.observe_time(t);
+            shared.tiers.touch(&file, t);
         }
     }
 

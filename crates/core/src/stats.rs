@@ -287,7 +287,7 @@ counter_table! {
         /// [`HeatPolicy`](crate::HeatPolicy) budget is enforced against.
         fast_tier_bytes,
         /// Entries a capacity-bounded migrator catalog
-        /// ([`catalog_capacity`](crate::NvCacheConfig::catalog_capacity))
+        /// ([`catalog_capacity`](crate::Tiering::catalog_capacity))
         /// dropped to stay within its bound — always correctly-placed cold
         /// files (misplaced or promote-worthy entries are pinned). Always
         /// `0` on an unbounded catalog. A high rate relative to closes means
@@ -307,9 +307,9 @@ counter_table! {
         /// [`sq_pairs`](crate::NvCacheConfig::sq_pairs); empty when the
         /// multi-queue front-end is off).
         per_queue: Box<[QueueStats]> => Vec<QueueStatsSnapshot> = family(0),
-        /// Entries written to each inner backend (one entry per
-        /// [`backends`](crate::NvCacheConfig::backends) — a single element
-        /// on a non-tiered mount). Shows how the router actually spread the
+        /// Entries written to each inner backend (one entry per tier of the
+        /// mount's [`Tiering`](crate::Tiering) — a single element on a
+        /// non-tiered mount). Shows how the router actually spread the
         /// write traffic over the tiers.
         per_backend_propagated: Box<[AtomicU64]> => Vec<u64> = family(1),
     }

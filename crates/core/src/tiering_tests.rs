@@ -7,11 +7,13 @@ use std::sync::Arc;
 
 use blockdev::{SsdDevice, SsdProfile};
 use nvmm::{NvDimm, NvRegion, NvmmProfile, PmemInts};
-use simclock::ActorClock;
-use vfs::{Ext4, Ext4Profile, FileSystem, IoError, MemFs, OpenFlags};
+use simclock::{ActorClock, SimTime};
+use vfs::{DelayLayer, Ext4, Ext4Profile, FileSystem, IoError, Layer, MemFs, OpenFlags};
 
 use crate::layout::{self, FD_BACKEND_OFF, FD_PATH_OFF_V3};
-use crate::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, SingleBackend};
+use crate::{
+    Mount, NvCache, NvCacheBuilder, NvCacheConfig, PathPrefixRouter, Router, SingleBackend, Tiering,
+};
 
 /// `(clock, log dimm, cold tier, hot tier, mount)` of a tiered rig.
 type TieredRig = (ActorClock, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<dyn FileSystem>, NvCache);
@@ -19,14 +21,23 @@ type TieredRig = (ActorClock, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<dyn FileSyst
 /// A two-tier mount: MemFs on backend 0 (default tier), a second backend on
 /// tier 1 for everything under `/hot`.
 fn tiered_setup(cfg: NvCacheConfig, tier1: Arc<dyn FileSystem>) -> TieredRig {
+    tiered_setup_with(cfg, tier1, |tiering| tiering)
+}
+
+/// [`tiered_setup`] with the tiering choices `tune` makes.
+fn tiered_setup_with(
+    cfg: NvCacheConfig,
+    tier1: Arc<dyn FileSystem>,
+    tune: impl FnOnce(Tiering) -> Tiering,
+) -> TieredRig {
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backends(
+        .tiers(tune(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
             vec![Arc::clone(&cold), Arc::clone(&tier1)],
-        )
+        )))
         .config(cfg)
         .mount(&clock)
         .expect("tiered mount");
@@ -35,19 +46,66 @@ fn tiered_setup(cfg: NvCacheConfig, tier1: Arc<dyn FileSystem>) -> TieredRig {
 
 #[test]
 fn single_backend_builder_mount_keeps_the_seed_header_encoding() {
-    let clock = ActorClock::new();
-    let cfg = NvCacheConfig::tiny();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::new(MemFs::new()))
-        .config(cfg)
-        .mount(&clock)
-        .unwrap();
-    let region = NvRegion::whole(Arc::clone(&dimm));
-    assert_eq!(region.read_u64(layout::OFF_BACKENDS), 0, "single backend keeps the v1/v2 word");
-    assert_eq!(cache.backends().len(), 1);
-    assert_eq!(cache.router().fan_out(), 1);
-    cache.shutdown(&clock);
+    // One script — open, write, rename, list_dir, close, unlink, abort,
+    // recover — through `.backend(x)` and through the one-tier `Tiering` it
+    // stands for. Every inner call costs 5 µs on its caller's clock, so an
+    // inner call one arm makes and the other does not shows in the clocks.
+    type Below = fn(NvCacheBuilder, Arc<dyn FileSystem>) -> NvCacheBuilder;
+    let run = |below: Below| {
+        let clock = ActorClock::new();
+        // Parked drain: the log drains at the `rename`, whole, or not at all.
+        let cfg = NvCacheConfig {
+            batch_min: usize::MAX >> 1,
+            batch_max: usize::MAX >> 1,
+            ..NvCacheConfig::tiny()
+        };
+        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
+        let slow = DelayLayer::fixed(SimTime::from_micros(5));
+        let inner: Arc<dyn FileSystem> = slow.wrap(Arc::new(MemFs::new()));
+        let cache = below(NvCache::builder(NvRegion::whole(Arc::clone(&dimm))), Arc::clone(&inner))
+            .config(cfg.clone())
+            .mount(&clock)
+            .unwrap();
+        let region = NvRegion::whole(Arc::clone(&dimm));
+        assert_eq!(region.read_u64(layout::OFF_BACKENDS), 0, "single backend keeps the v1/v2 word");
+        assert_eq!(cache.backends().len(), 1);
+        assert_eq!(cache.router().fan_out(), 1);
+
+        let create = OpenFlags::RDWR | OpenFlags::CREATE;
+        let a = cache.open("/d/a", create, &clock).unwrap();
+        let b = cache.open("/d/b", create, &clock).unwrap();
+        cache.pwrite(a, b"kept", 0, &clock).unwrap();
+        cache.pwrite(b, b"renamed, then unlinked", 0, &clock).unwrap();
+        cache.rename("/d/b", "/d/c", &clock).unwrap();
+        let listing = cache.list_dir("/d", &clock).unwrap();
+        assert_eq!(listing, ["/d/a", "/d/c"]);
+        cache.close(b, &clock).unwrap();
+        cache.unlink("/d/c", &clock).unwrap();
+        assert!(matches!(cache.stat("/d/c", &clock), Err(IoError::NotFound(_))));
+        cache.pwrite(a, b"pending at the crash", 4, &clock).unwrap();
+        let stats = cache.stats().snapshot();
+        cache.abort();
+        drop(cache);
+
+        let restarted = Arc::new(dimm.crash_and_restart());
+        let recovered = below(NvCache::builder(NvRegion::whole(Arc::clone(&restarted))), inner)
+            .config(cfg)
+            .mode(Mount::Recover)
+            .mount(&clock)
+            .unwrap();
+        let report = recovered.recovery_report().unwrap();
+        assert_eq!((report.entries_replayed, report.files_reopened), (1, 1));
+        assert_eq!(recovered.stat("/d/a", &clock).unwrap().size, 24);
+        recovered.shutdown(&clock);
+        let mut image = vec![0u8; restarted.len() as usize];
+        restarted.read_cached(0, &mut image);
+        (image, clock.now(), stats, report, recovered.stats().snapshot())
+    };
+    let backend = run(|builder, x| builder.backend(x));
+    let one_tier = run(|builder, x| builder.tiers(Tiering::new(Arc::new(SingleBackend), vec![x])));
+    assert!(backend.0 == one_tier.0, "region bytes differ");
+    assert_eq!(backend.1, one_tier.1, "application clocks differ");
+    assert_eq!((backend.2, backend.3, backend.4), (one_tier.2, one_tier.3, one_tier.4));
 }
 
 #[test]
@@ -62,10 +120,10 @@ fn tiered_mount_passes_posix_conformance() {
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
     let hot: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/conf".into(), 1)], 0)),
             vec![Arc::new(MemFs::new()), hot],
-        )
+        ))
         .config(cfg)
         .mount(&clock)
         .expect("tiered mount");
@@ -146,10 +204,10 @@ fn tiered_mount_requires_enough_backends_for_the_router() {
     let cfg = NvCacheConfig::tiny();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let res = NvCache::builder(NvRegion::whole(dimm))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 3)], 0)),
             vec![Arc::new(MemFs::new()), Arc::new(MemFs::new())],
-        )
+        ))
         .config(cfg)
         .mount(&clock);
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
@@ -196,17 +254,17 @@ fn crash_mid_drain_replays_each_entry_to_its_recorded_backend() {
     // The fd slots persisted their backend indices (v3 layout).
     let region = NvRegion::whole(Arc::clone(&restarted));
     assert_eq!(region.read_u64(layout::OFF_BACKENDS), 2, "tiered image must be v3");
-    let lay = crate::layout::Layout::for_config(&cfg.clone().with_backends(2));
+    let lay = layout::Layout { backends: 2, ..layout::Layout::for_config(&cfg) };
     let mut slot_backends: Vec<u64> =
         (0..2u32).map(|s| region.read_u64(lay.fd_slot(s) + FD_BACKEND_OFF)).collect();
     slot_backends.sort();
     assert_eq!(slot_backends, vec![0, 1], "one slot per tier");
 
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
             vec![Arc::clone(&cold), Arc::clone(&hot)],
-        )
+        ))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&c)
@@ -267,10 +325,10 @@ fn v2_image_migrates_to_v3_on_tiered_recovery() {
 
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&restarted)))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
             vec![Arc::clone(&legacy), Arc::clone(&hot)],
-        )
+        ))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -335,10 +393,10 @@ fn pre_moved_files_recover_onto_their_new_tier() {
     hot.close(moved, &clock).unwrap();
 
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
             vec![Arc::clone(&legacy), Arc::clone(&hot)],
-        )
+        ))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -361,10 +419,10 @@ fn tiered_image_cannot_be_mounted_with_fewer_backends() {
         let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
         let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
         let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-            .backends(
+            .tiers(Tiering::new(
                 Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
                 vec![Arc::clone(&cold), Arc::clone(&hot)],
-            )
+            ))
             .config(cfg.clone())
             .mount(&clock)
             .unwrap();
@@ -414,7 +472,7 @@ fn persisted_backend_beats_a_changed_router_policy() {
         }
     }
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(Arc::new(Inverted), vec![Arc::clone(&cold), Arc::clone(&hot)])
+        .tiers(Tiering::new(Arc::new(Inverted), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&c)
@@ -434,8 +492,7 @@ fn persisted_backend_beats_a_changed_router_policy() {
 fn fd_slots_store_paths_after_the_backend_word() {
     // Layout regression guard: the v3 slot keeps the path NUL-padded right
     // after the backend word.
-    let cfg = NvCacheConfig::tiny().with_backends(2);
-    let lay = crate::layout::Layout::for_config(&cfg);
+    let lay = layout::Layout { backends: 2, ..layout::Layout::for_config(&NvCacheConfig::tiny()) };
     assert_eq!(lay.fd_path_off(), FD_PATH_OFF_V3);
     let (c, dimm, _cold, _hot, cache) = tiered_setup(NvCacheConfig::tiny(), Arc::new(MemFs::new()));
     let fd = cache.open("/hot/p", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
@@ -477,10 +534,10 @@ fn list_dir_propagates_real_backend_errors_instead_of_partial_listings() {
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let broken = broken_list_fs(Arc::new(MemFs::new()));
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
             vec![Arc::new(MemFs::new()), broken],
-        )
+        ))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -528,10 +585,10 @@ fn stat_and_unlink_reach_misplaced_files_on_their_recorded_tier() {
     // file replays to tier 0 and is misplaced from now on.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(
+        .tiers(Tiering::new(
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
             vec![Arc::clone(&legacy), Arc::clone(&hot)],
-        )
+        ))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -604,7 +661,7 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&restarted)))
-        .backends(router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
+        .tiers(Tiering::new(router(), vec![Arc::clone(&legacy), Arc::clone(&hot)]))
         .config(cfg.clone())
         .mode(Mount::Recover)
         .mount(&clock)
@@ -618,7 +675,7 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
     // Second crash + recovery on the now-v3 image must still mount.
     let restarted = Arc::new(restarted.crash_and_restart());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(router(), vec![legacy, hot])
+        .tiers(Tiering::new(router(), vec![legacy, hot]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -633,11 +690,10 @@ fn an_unlinked_file_is_never_catalogued() {
     // finished its drain and `finish_close` catalogued the deleted path
     // again — one `catalog_capacity` seat per journal until a sweep tripped
     // over `NotFound`.
-    let cfg = NvCacheConfig { fd_slots: 64, ..NvCacheConfig::tiny() }
-        .with_backends(2)
-        .with_migration(crate::MigrationPolicy::Background)
-        .with_catalog_capacity(8);
-    let (c, _dimm, _cold, _hot, cache) = tiered_setup(cfg, Arc::new(MemFs::new()));
+    let cfg = NvCacheConfig { fd_slots: 64, ..NvCacheConfig::tiny() };
+    let (c, _dimm, _cold, _hot, cache) = tiered_setup_with(cfg, Arc::new(MemFs::new()), |t| {
+        t.migration(crate::MigrationPolicy::Background).catalog_capacity(8)
+    });
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     let db = cache.open("/hot/db", create, &c).unwrap();
     cache.pwrite(db, b"page", 0, &c).unwrap();
@@ -661,4 +717,73 @@ fn an_unlinked_file_is_never_catalogued() {
     // left nothing to bury; one entry each, dropped only once buried.
     assert!(snap.entries_elided <= snap.files_buried && snap.files_buried <= 1000, "{snap:?}");
     assert_eq!(snap.entries_propagated, 2001, "every entry is consumed, written or not");
+}
+
+#[test]
+fn a_path_past_the_fd_slot_is_an_error_and_one_at_the_limit_survives_a_crash() {
+    // The three slot layouts: single (248 path bytes), tiered (240), tiered
+    // with a heat word (232). The tiered mounts may migrate, so `open`
+    // holds a gate lease there.
+    fn on_demand(tiers: Vec<Arc<dyn FileSystem>>) -> Tiering {
+        let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
+        Tiering::new(router, tiers).migration(crate::MigrationPolicy::OnDemand)
+    }
+    type Below = fn(Vec<Arc<dyn FileSystem>>) -> Tiering;
+    let layouts: [(usize, usize, Below); 3] = [
+        (layout::PATH_MAX, 1, |tiers| Tiering::new(Arc::new(SingleBackend), tiers)),
+        (layout::PATH_MAX_V3, 2, on_demand),
+        (layout::PATH_MAX_HEAT, 2, |tiers| on_demand(tiers).persist_heat(true)),
+    ];
+    for (limit, tiers, below) in layouts {
+        let clock = ActorClock::new();
+        let cfg = NvCacheConfig::tiny();
+        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+        let inners: Vec<Arc<dyn FileSystem>> =
+            (0..tiers).map(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>).collect();
+        let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
+            .tiers(below(inners.clone()))
+            .config(cfg.clone())
+            .mount(&clock)
+            .unwrap();
+        let create = OpenFlags::RDWR | OpenFlags::CREATE;
+        let usage = cache.fd_slot_usage();
+
+        let too_long = format!("/{}", "x".repeat(limit));
+        let refused = cache.open(&too_long, create, &clock);
+        assert!(
+            matches!(&refused, Err(IoError::InvalidArgument(why)) if why.contains(&limit.to_string())),
+            "{limit}: {refused:?}"
+        );
+        for inner in &inners {
+            assert!(matches!(inner.stat(&too_long, &clock), Err(IoError::NotFound(_))));
+        }
+        assert_eq!(cache.fd_slot_usage(), usage, "{limit}: no slot consumed");
+        if tiers > 1 {
+            // No lease outlives the refused open: a leaked one would make
+            // the path Busy forever.
+            let moved = cache.migrate(&too_long, 1, &clock);
+            assert!(matches!(moved, Err(IoError::NotFound(_))), "{limit}: {moved:?}");
+            let fd = cache.open("/hot/src", create, &clock).unwrap();
+            cache.close(fd, &clock).unwrap();
+            let renamed = cache.rename("/hot/src", &too_long, &clock);
+            assert!(matches!(renamed, Err(IoError::InvalidArgument(_))), "{limit}: {renamed:?}");
+            assert!(cache.stat("/hot/src", &clock).is_ok(), "{limit}: the source stays");
+        }
+
+        let longest = format!("/{}", "x".repeat(limit - 1));
+        let fd = cache.open(&longest, create, &clock).unwrap();
+        cache.pwrite(fd, b"at the limit", 0, &clock).unwrap();
+        cache.abort();
+        drop(cache);
+        let restarted = Arc::new(dimm.crash_and_restart());
+        let recovered = NvCache::builder(NvRegion::whole(restarted))
+            .tiers(below(inners))
+            .config(cfg)
+            .mode(Mount::Recover)
+            .mount(&clock)
+            .unwrap();
+        assert_eq!(recovered.recovery_report().unwrap().files_reopened, 1, "{limit}");
+        assert_eq!(recovered.stat(&longest, &clock).unwrap().size, 12, "{limit}");
+        recovered.shutdown(&clock);
+    }
 }

@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::{
-    HeatPolicy, MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Router,
+    HeatPolicy, MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
 };
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
@@ -25,16 +25,18 @@ fn main() -> Result<(), Box<dyn Error>> {
     // the fast tier.
     let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10)).with_budget(2048);
     let cfg =
-        NvCacheConfig { nb_entries: 4096, batch_min: 1, batch_max: 64, ..NvCacheConfig::tiny() }
-            .with_migration(MigrationPolicy::OnDemand)
-            .with_placement(Arc::new(policy));
+        NvCacheConfig { nb_entries: 4096, batch_min: 1, batch_max: 64, ..NvCacheConfig::tiny() };
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
 
     // The router sends every path to the bulk tier: only temperature can
     // ever reach the fast one.
     let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
     let cache = NvCache::builder(NvRegion::whole(log_dimm))
-        .backends(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .tiers(
+            Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+                .migration(MigrationPolicy::OnDemand)
+                .placement(Arc::new(policy)),
+        )
         .config(cfg)
         .mount(&clock)?;
 

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use nvcache_repro::nvcache::{
     HeatPolicy, LayeredTier, MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Router,
+    Tiering,
 };
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
@@ -87,13 +88,15 @@ fn main() -> Result<(), Box<dyn Error>> {
         fd_slots: 512,
         ..NvCacheConfig::default()
     }
-    .with_read_cache_pages(16)
-    .with_migration(MigrationPolicy::OnDemand)
-    .with_placement(Arc::new(policy));
+    .with_read_cache_pages(16);
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     let cache = Arc::new(
         NvCache::builder(NvRegion::whole(log_dimm))
-            .backends_stacked(all_cold, vec![bulk, fast])
+            .tiers(
+                Tiering::layered(all_cold, vec![bulk, fast])
+                    .migration(MigrationPolicy::OnDemand)
+                    .placement(Arc::new(policy)),
+            )
             .config(cfg)
             .mount(&clock)?,
     );

@@ -1,7 +1,7 @@
 //! Tier rebalancing: a routing-policy change leaves files misplaced after a
 //! crash; one repair-mode recovery re-homes them all through the crash-safe
-//! copy → stamp → unlink migration protocol, and the cross-tier-rename flag
-//! turns EXDEV into a migrate-then-rename.
+//! copy → stamp → unlink migration protocol, and on a mount that may move
+//! files a rename across tiers is a migrate-then-rename, not EXDEV.
 //!
 //! Run with: `cargo run --example tier_rebalance`
 
@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::{
-    MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router,
+    MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
 };
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
@@ -25,15 +25,19 @@ fn main() -> Result<(), Box<dyn Error>> {
         batch_min: usize::MAX >> 1, // park the drain: the crash finds everything in the log
         batch_max: usize::MAX >> 1,
         ..NvCacheConfig::tiny()
-    }
-    .with_migration(MigrationPolicy::OnDemand)
-    .with_cross_tier_rename(true);
+    };
+    // A mount that may move files: explicit sweeps and moves, and a rename
+    // across tiers is a migrate-then-rename instead of EXDEV.
+    let on_demand = |router: Arc<dyn Router>| {
+        Tiering::new(router, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+            .migration(MigrationPolicy::OnDemand)
+    };
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
 
     // ---- yesterday's deployment: everything on the bulk tier --------------
     let cold_everything: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-        .backends(cold_everything, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .tiers(on_demand(cold_everything))
         .config(cfg.clone())
         .mount(&clock)?;
     for i in 0..8u32 {
@@ -52,7 +56,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // current placement — crash-safe at every step.
     let hot_policy: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let cache = NvCache::builder(NvRegion::whole(restarted))
-        .backends(hot_policy, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .tiers(on_demand(hot_policy))
         .config(cfg)
         .mode(Mount::RecoverRepair)
         .mount(&clock)?;
@@ -75,10 +79,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     assert!(matches!(bulk.stat("/hot/seg3", &clock), Err(IoError::NotFound(_))));
     println!("byte oracle: /hot/seg3 intact on the fast tier, gone from bulk ✓");
 
-    // ---- cross-tier rename behind the flag --------------------------------
-    // Demoting a segment to the bulk tier is a rename across backends: with
-    // `cross_tier_rename` it runs as a journaled migrate-then-rename
-    // instead of failing with EXDEV.
+    // ---- cross-tier rename ------------------------------------------------
+    // Demoting a segment to the bulk tier is a rename across backends: under
+    // any `MigrationPolicy` but `Disabled` it runs as a journaled
+    // migrate-then-rename instead of failing with EXDEV.
     cache.rename("/hot/seg7", "/archive/seg7", &clock)?;
     assert!(bulk.stat("/archive/seg7", &clock).is_ok());
     assert!(matches!(fast.stat("/hot/seg7", &clock), Err(IoError::NotFound(_))));

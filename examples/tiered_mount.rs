@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, NovaFs, NovaProfile, OpenFlags};
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     let router: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-        .backends(Arc::clone(&router), vec![Arc::clone(&bulk), Arc::clone(&hot)])
+        .tiers(Tiering::new(Arc::clone(&router), vec![Arc::clone(&bulk), Arc::clone(&hot)]))
         .config(cfg.clone())
         .mount(&clock)?;
     println!("mounted: {}", cache.name());
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // ---- reboot + tiered recovery ----------------------------------------
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .backends(router, vec![Arc::clone(&bulk), Arc::clone(&hot)])
+        .tiers(Tiering::new(router, vec![Arc::clone(&bulk), Arc::clone(&hot)]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)?;

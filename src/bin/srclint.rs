@@ -7,6 +7,8 @@
 //! so CI runs this scanner over the virtual-time crates:
 //!
 //! * **deny wall-clock**: `Instant::now`, `SystemTime`, `thread::sleep`;
+//! * **deny hand-paired gate leases**: `enter_op(`/`exit_op(` anywhere but
+//!   the gate itself (`migrate.rs`) and the RAII `Lease` (`tiers.rs`);
 //! * **deny `unwrap()`/`expect()`** outside the reviewed allowlist below.
 //!
 //! Both rules apply to non-test code only — `#[cfg(test)] mod … { … }`
@@ -16,7 +18,8 @@
 //!
 //! `srclint --loc` prints, with the same stripping, the non-test,
 //! non-comment, non-blank code lines of every crate under `crates/` — the
-//! size figure simplification PRs are held to — and exits non-zero when a
+//! size figure simplification PRs are held to — with every file above
+//! [`BIG_FILE`] lines listed under its crate, and exits non-zero when a
 //! crate listed in [`LOC_CEILINGS`] has outgrown its ceiling.
 
 use std::path::{Path, PathBuf};
@@ -26,6 +29,12 @@ const CRATES: &[&str] = &["core", "nvmm", "fiosim", "traffic", "simclock"];
 
 /// APIs that read or consume wall-clock time.
 const WALL_CLOCK: &[&str] = &["Instant::now", "SystemTime", "thread::sleep"];
+
+/// The migration gate's lease calls, and the only files that may spell them:
+/// everyone else holds a `tiers::Lease`, which `?`, an early return or an
+/// unwind cannot leak.
+const LEASE_CALLS: &[&str] = &["enter_op(", "exit_op("];
+const LEASE_FILES: &[&str] = &["core/src/migrate.rs", "core/src/tiers.rs"];
 
 /// Reviewed `(file suffix, line needle)` pairs where `unwrap()`/`expect()`
 /// in non-test code is deliberate: each one documents an invariant whose
@@ -38,7 +47,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
     ("core/src/cache.rs", "just installed"),
     // Thread spawning: no meaningful recovery from a failed spawn at mount.
     ("core/src/cache.rs", "spawn cleanup worker"),
-    ("core/src/cache.rs", "spawn migration worker"),
+    ("core/src/tiers.rs", "spawn migration worker"),
     // Fixed-width header/field decoding: the slices are always 4/8 bytes.
     ("core/src/recovery.rs", ".try_into().expect("),
     ("core/src/log.rs", ".try_into().expect("),
@@ -60,7 +69,11 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// figure the crate's last simplification reached, rounded up to the next
 /// 50, so that what a simplification removed does not grow back unnoticed.
 /// Raising a ceiling is a reviewed one-line diff here.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5350), ("vfs", 2800)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5200), ("vfs", 2800)];
+
+/// Code lines above which `--loc` names a file under its crate: the split
+/// candidates, as a number CI shows.
+const BIG_FILE: usize = 600;
 
 fn main() {
     let root = workspace_root();
@@ -100,10 +113,15 @@ fn print_loc(root: &Path) -> bool {
     crates.sort();
     let (mut total, mut within) = (0, true);
     for krate in crates.iter().filter(|p| p.is_dir()) {
-        let mut lines = 0;
+        let (mut lines, mut big) = (0, Vec::new());
         for file in rs_files(&krate.join("src")) {
             let text = std::fs::read_to_string(&file).unwrap_or_default();
-            for_each_code_line(&text, |_, _, code| lines += usize::from(!code.trim().is_empty()));
+            let mut here = 0;
+            for_each_code_line(&text, |_, _, code| here += usize::from(!code.trim().is_empty()));
+            lines += here;
+            if here > BIG_FILE {
+                big.push((here, file));
+            }
         }
         let name = krate.file_name().unwrap_or_default().to_string_lossy();
         match LOC_CEILINGS.iter().find(|(listed, _)| *listed == name) {
@@ -113,6 +131,10 @@ fn print_loc(root: &Path) -> bool {
             }
             Some((_, ceiling)) => println!("{lines:>7}  crates/{name}  (ceiling {ceiling})"),
             None => println!("{lines:>7}  crates/{name}"),
+        }
+        for (here, file) in big {
+            let file = file.strip_prefix(krate).unwrap_or(&file);
+            println!("{here:>11}  {}", file.display());
         }
         total += lines;
     }
@@ -165,6 +187,13 @@ fn scan_file(root: &Path, path: &Path, violations: &mut Vec<String>) {
             if line.contains(api) {
                 violations
                     .push(format!("{rel}:{lineno}: wall-clock API `{api}` in virtual-time code"));
+            }
+        }
+        for call in LEASE_CALLS {
+            if line.contains(call) && !LEASE_FILES.iter().any(|file| rel.ends_with(file)) {
+                violations.push(format!(
+                    "{rel}:{lineno}: hand-paired gate lease `{call}…)` (hold a `tiers::Lease`)"
+                ));
             }
         }
         let panicky = line.contains(".unwrap()") || line.contains(".expect(");

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter};
+use nvcache_repro::nvcache::{MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
@@ -53,17 +53,18 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         batch_max: 64,
         fd_slots: 64,
         ..NvCacheConfig::default()
-    }
-    .with_backends(2)
-    .with_migration(MigrationPolicy::Background)
-    .with_catalog_capacity(CAPACITY);
+    };
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let tier0: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let tier1: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let cache = Arc::new(
         NvCache::builder(NvRegion::whole(dimm))
-            .backends(router, vec![Arc::clone(&tier0), Arc::clone(&tier1)])
+            .tiers(
+                Tiering::new(router, vec![Arc::clone(&tier0), Arc::clone(&tier1)])
+                    .migration(MigrationPolicy::Background)
+                    .catalog_capacity(CAPACITY),
+            )
             .config(cfg)
             .mount(&clock)
             .expect("tiered mount"),

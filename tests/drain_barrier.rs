@@ -13,7 +13,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use nvcache_repro::blockdev::{BlockDevice, DeviceStats, SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
 use nvcache_repro::vfs::{
@@ -525,7 +525,7 @@ fn tiered_batch_issues_one_overlapped_syncfs_per_backend() {
     let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let tiers = probes.iter().map(|p| Arc::clone(p) as Arc<dyn FileSystem>).collect();
     let cache = NvCache::builder(NvRegion::whole(log_dimm(&cfg)))
-        .backends(router, tiers)
+        .tiers(Tiering::new(router, tiers))
         .config(cfg)
         .mount(&ActorClock::new())
         .expect("tiered mount");

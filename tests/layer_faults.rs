@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{
@@ -92,7 +92,7 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
     };
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backends_stacked(Arc::clone(&router), tiers(schedule.tier))
+        .tiers(Tiering::layered(Arc::clone(&router), tiers(schedule.tier)))
         .config(cfg.clone())
         .mount(&clock)
         .expect("mount");
@@ -143,7 +143,7 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
     hot.simulate_power_failure();
     fault.disarm();
     let recovered = NvCache::builder(NvRegion::whole(crashed))
-        .backends_stacked(router, tiers(schedule.tier))
+        .tiers(Tiering::layered(router, tiers(schedule.tier)))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)

@@ -25,7 +25,7 @@ use simclock::ActorClock;
 use vfs::{CryptLayer, Ext4, Ext4Profile, Fd, FileSystem, Layer, OpenFlags};
 
 use super::nvcache::{
-    LayeredTier, Mount, NvCache, NvCacheBuilder, NvCacheConfig, PathPrefixRouter, Router,
+    LayeredTier, Mount, NvCache, NvCacheBuilder, NvCacheConfig, PathPrefixRouter, Tiering,
 };
 
 /// What varies between logs.
@@ -176,6 +176,11 @@ impl Below {
     /// A builder over `region` with this stack, `extra` layers on top of
     /// every tier (a `FaultLayer`, say).
     pub fn builder(&self, region: NvRegion, extra: &[Arc<dyn Layer>]) -> NvCacheBuilder {
+        NvCache::builder(region).tiers(self.tiering(extra)).config(self.cfg.clone())
+    }
+
+    /// The tiers as the cache mounts them, `extra` layers on top of each.
+    pub fn tiering(&self, extra: &[Arc<dyn Layer>]) -> Tiering {
         let tiers: Vec<LayeredTier> = self
             .bases
             .iter()
@@ -187,26 +192,8 @@ impl Below {
                 (layers, Arc::clone(base))
             })
             .collect();
-        NvCache::builder(region)
-            .backends_stacked(self.router(), tiers)
-            .config(self.cfg.clone())
-    }
-
-    pub fn router(&self) -> Arc<dyn Router> {
         let hot = self.bases.len() - 1; // 0 on a single tier: everything is "cold"
-        Arc::new(PathPrefixRouter::new(vec![("/hot".into(), hot)], 0))
-    }
-
-    /// The tiers as the cache sees them (layers applied), for callers that
-    /// bypass the builder.
-    pub fn stacked(&self) -> Vec<Arc<dyn FileSystem>> {
-        self.bases
-            .iter()
-            .map(|base| match self.shape.crypt {
-                true => CryptLayer::new(CRYPT_KEY).wrap(Arc::clone(base)),
-                false => Arc::clone(base),
-            })
-            .collect()
+        Tiering::layered(Arc::new(PathPrefixRouter::new(vec![("/hot".into(), hot)], 0)), tiers)
     }
 
     /// Every file of every base — sidecars included — as stored: what two

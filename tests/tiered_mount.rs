@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, Router};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, Router, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::rocklet::{RockletDb, RockletOptions, WriteOptions};
 use nvcache_repro::simclock::ActorClock;
@@ -50,7 +50,7 @@ fn lsm_engine_runs_and_recovers_on_a_wal_tiered_mount() {
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cache = Arc::new(
         NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-            .backends(Arc::new(WalRouter), vec![Arc::clone(&bulk), Arc::clone(&hot)])
+            .tiers(Tiering::new(Arc::new(WalRouter), vec![Arc::clone(&bulk), Arc::clone(&hot)]))
             .config(cfg.clone())
             .mount(&clock)
             .expect("tiered mount"),
@@ -104,7 +104,7 @@ fn lsm_engine_runs_and_recovers_on_a_wal_tiered_mount() {
     let restarted = Arc::new(log_dimm.crash_and_restart());
     let recovered = Arc::new(
         NvCache::builder(NvRegion::whole(restarted))
-            .backends(Arc::new(WalRouter), vec![bulk, hot])
+            .tiers(Tiering::new(Arc::new(WalRouter), vec![bulk, hot]))
             .config(cfg)
             .mode(Mount::Recover)
             .mount(&clock)
@@ -134,7 +134,7 @@ fn tiered_mount_is_posix_for_the_engine_paths() {
     let (bulk, hot) = tiers();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(Arc::new(WalRouter), vec![bulk, hot])
+        .tiers(Tiering::new(Arc::new(WalRouter), vec![bulk, hot]))
         .config(cfg)
         .mount(&clock)
         .expect("mount");
@@ -149,7 +149,7 @@ fn open_fds_keep_serving_reads_from_both_tiers() {
     let (bulk, hot) = tiers();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backends(Arc::new(WalRouter), vec![Arc::clone(&bulk), Arc::clone(&hot)])
+        .tiers(Tiering::new(Arc::new(WalRouter), vec![Arc::clone(&bulk), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .expect("mount");
