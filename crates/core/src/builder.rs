@@ -45,7 +45,7 @@ use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, Layer};
 
 use crate::cache::NvCache;
-use crate::layout::{self, Layout};
+use crate::layout::{self, Header, Layout};
 use crate::router::SingleBackend;
 use crate::tiers::{Tiering, Tiers};
 use crate::NvCacheConfig;
@@ -199,15 +199,15 @@ impl NvCacheBuilder {
                 format_region(&region, &lay, cfg.page_size, clock)?;
                 None
             }
-            // Recovery stamps the (possibly migrated) backend count and
-            // heat-format epoch itself — before its repair pass, whose
-            // journal slots need the v3 header to be parseable after a
-            // crash mid-repair.
+            // Recovery stamps the (possibly migrated) backend count itself
+            // — before its repair pass, whose journal slots need the v3
+            // header to be parseable after a crash mid-repair.
             Mount::Recover | Mount::RecoverRepair => {
-                check_geometry(&region, &lay)?;
+                let image = Header::read(&region, clock)?;
+                image.check(&lay)?;
                 let repair = mode == Mount::RecoverRepair;
                 let replay = crate::recovery::replay_planned;
-                Some(crate::recovery::recover(&region, &tiers, repair, clock, replay)?)
+                Some(crate::recovery::recover(&region, &image, &tiers, repair, clock, replay)?)
             }
         };
         Ok(NvCache::start(region, tiers, cfg, recovered, clock))
@@ -230,46 +230,7 @@ fn format_region(
             lay.total_bytes()
         )));
     }
-    region.write_u64(layout::OFF_MAGIC, layout::MAGIC, clock);
-    region.write_u64(layout::OFF_ENTRY_SIZE, lay.entry_size, clock);
-    region.write_u64(layout::OFF_NB_ENTRIES, lay.nb_entries, clock);
-    region.write_u64(layout::OFF_PTAIL, 0, clock);
-    region.write_u64(layout::OFF_FD_SLOTS, lay.fd_slots, clock);
-    region.write_u64(layout::OFF_PAGE_SIZE, page_size as u64, clock);
-    if lay.log_shards > 1 {
-        // v2 header: the stripe count plus one persistent tail per stripe.
-        region.write_u64(layout::OFF_LOG_SHARDS, lay.log_shards, clock);
-        for s in 0..lay.log_shards {
-            region.write_u64(layout::OFF_STRIPE_TAILS + 8 * s, 0, clock);
-        }
-    } else {
-        // Single stripe: store the v1 encoding (0). On a fresh region this
-        // writes the bytes already there — byte-for-byte seed compatibility
-        // — while clearing a stale shard count when a previously striped
-        // region is reformatted.
-        region.write_u64(layout::OFF_LOG_SHARDS, 0, clock);
-    }
-    // Same encoding trick for the backend count: 0 = single backend (the
-    // v1/v2 formats), so a one-backend builder mount stays seed-identical.
-    let backends_word = if lay.tiered() { lay.backends } else { 0 };
-    region.write_u64(layout::OFF_BACKENDS, backends_word, clock);
-    // And for the heat-format epoch: 0 = no heat words in the fd slots.
-    // Written (and flushed on its own line, away from the prefix below)
-    // even when 0, so reformatting a region that previously persisted heat
-    // clears the stale epoch.
-    let heat_word = if lay.heat_slots() { layout::HEAT_EPOCH } else { 0 };
-    region.write_u64(layout::OFF_HEAT_EPOCH, heat_word, clock);
-    region.pwb(layout::OFF_HEAT_EPOCH, 8);
-    // Flush only the written header prefix, not all of `HEADER_BYTES`: the
-    // rest of the header area is never-stored padding, and flushing those
-    // clean lines is pure overhead (flagged by the pmcheck redundant-pwb
-    // lint). The stripe-tail array is the last field written (shards > 1).
-    let header_written = if lay.log_shards > 1 {
-        layout::OFF_STRIPE_TAILS + 8 * lay.log_shards
-    } else {
-        layout::OFF_BACKENDS + 8
-    };
-    region.pwb(0, header_written as usize);
+    Header::format(region, lay, page_size, clock);
     for slot in 0..lay.fd_slots as u32 {
         let base = lay.fd_slot(slot);
         region.write_u64(base, 0, clock);
@@ -281,42 +242,5 @@ fn format_region(
         region.pwb(base + layout::ENT_COMMIT, 8);
     }
     region.psync(clock);
-    Ok(())
-}
-
-/// Pre-recovery check that the on-NVMM geometry agrees with the mount's. The
-/// backend count may *grow* across a recovery (v2 → v3 migration, or adding
-/// tiers to a tiered image); it must never shrink below what the image's fd
-/// slots may reference.
-fn check_geometry(region: &NvRegion, lay: &Layout) -> IoResult<()> {
-    if region.read_u64(layout::OFF_ENTRY_SIZE) != lay.entry_size
-        || region.read_u64(layout::OFF_NB_ENTRIES) != lay.nb_entries
-        || region.read_u64(layout::OFF_FD_SLOTS) != lay.fd_slots
-        // 0 is the seed (v1) encoding of a single-stripe log.
-        || region.read_u64(layout::OFF_LOG_SHARDS).max(1) != lay.log_shards
-    {
-        return Err(IoError::InvalidArgument(
-            "configuration disagrees with the on-NVMM log geometry".into(),
-        ));
-    }
-    // 0 is the v1/v2 encoding of a single backend.
-    let image_backends = region.read_u64(layout::OFF_BACKENDS).max(1);
-    if image_backends > lay.backends {
-        return Err(IoError::InvalidArgument(format!(
-            "region references {image_backends} backends but the mount provides only {}",
-            lay.backends
-        )));
-    }
-    // The heat epoch may change across a recovery (recovery clears every fd
-    // slot before restamping it), but an epoch this build does not know how
-    // to parse means slots whose partitioning we would guess wrong.
-    let image_heat = region.read_u64(layout::OFF_HEAT_EPOCH);
-    if image_heat != 0 && image_heat != layout::HEAT_EPOCH {
-        return Err(IoError::InvalidArgument(format!(
-            "region uses heat-summary format epoch {image_heat}, but this build \
-             only understands {} (and 0 = none)",
-            layout::HEAT_EPOCH
-        )));
-    }
     Ok(())
 }

@@ -1146,6 +1146,7 @@ impl NvCache {
             &self.shared.log.region,
             &self.shared.log.layout,
             slot,
+            layout::FD_VALID_OPEN,
             path,
             backend_idx as u32,
             clock,
@@ -1244,7 +1245,7 @@ impl FileSystem for NvCache {
 
     fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
         // Paper Table III: no operation — the write call already made the
-        // data durable in NVMM. A heat-persisting mount piggybacks its
+        // data durable in NVMM. A mount that tracks heat piggybacks its
         // temperature summary on the application's own durability points.
         clock.advance(self.shared.cfg.libc_overhead);
         let opened = self.shared.opened_fd(fd)?;

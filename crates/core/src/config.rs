@@ -312,10 +312,10 @@ mod tests {
     fn default_catalog_is_unbounded_and_heat_volatile() {
         let tiering = tiering(2);
         assert_eq!(tiering.catalog_capacity, None);
-        assert!(!tiering.persist_heat);
-        let tiering = tiering.catalog_capacity(128).persist_heat(true);
+        // The default placement reads no heat: nothing tracks or stamps it.
+        assert!(!crate::tiers::Tiers::mount(tiering.clone()).unwrap().track_heat);
+        let tiering = tiering.catalog_capacity(128);
         assert_eq!(tiering.catalog_capacity, Some(128));
-        assert!(tiering.persist_heat);
         tiering.validate();
     }
 
@@ -323,12 +323,6 @@ mod tests {
     #[should_panic(expected = "catalog_capacity must be at least 1")]
     fn zero_catalog_capacity_panics() {
         tiering(2).catalog_capacity(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "persist_heat requires a tiered mount")]
-    fn persist_heat_on_single_backend_panics() {
-        tiering(1).persist_heat(true).validate();
     }
 
     #[test]

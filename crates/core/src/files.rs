@@ -12,8 +12,8 @@ use parking_lot::{Mutex, RwLock};
 use simclock::ActorClock;
 
 use crate::layout::{
-    heat_word, parse_heat_word, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_SLOT_BYTES,
-    FD_VALID_MIGRATION, FD_VALID_OPEN,
+    heat_word, parse_heat_word, word_at, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_SLOT_BYTES,
+    FD_VALID_OPEN,
 };
 use crate::placement::Temperature;
 use crate::Radix;
@@ -220,89 +220,102 @@ impl FdSlotAllocator {
 /// NVMM a table that associates the file path to each file descriptor, in
 /// order to retrieve the state after a crash"). On a tiered mount (layout
 /// v3) each slot additionally records the backend index, so a crash cannot
-/// silently re-route a file's pending writes to a different tier.
+/// silently re-route a file's pending writes to a different tier, and ends
+/// in the file's heat word.
 pub(crate) struct PersistentFdTable;
 
+/// A valid fd slot as [`PersistentFdTable::get`] reads it back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct FdSlot {
+    pub path: String,
+    /// Backend holding the file (`0` on a single-backend layout).
+    pub backend: u32,
+    /// The quantized temperature last stamped into the slot; `None` when
+    /// never stamped, and on a single-backend layout.
+    pub heat: Option<u16>,
+}
+
 impl PersistentFdTable {
-    /// Persists `path` (and, on a tiered layout, `backend`) into `slot` in
-    /// two ordered phases: payload (backend word + path) written, flushed
-    /// and **fenced first**, then the valid word published with a
-    /// [`commit_store`](NvRegion::commit_store) and fenced. The slot must be
-    /// durable before any entry referencing it commits — and the valid word
-    /// must never be able to reach the media *before* the path it
-    /// validates. (A single fence over the whole slot was not enough: cache
-    /// eviction may persist the valid word's line on a crash while the path
-    /// lines are still dirty, and recovery would then open a garbage path.)
+    /// Persists `path` (and, on a tiered layout, `backend` and a zeroed heat
+    /// word) into `slot` under the valid word `valid` —
+    /// [`FD_VALID_OPEN`] for an open file,
+    /// [`FD_VALID_MIGRATION`](crate::layout::FD_VALID_MIGRATION) for a
+    /// migration journal (`core/src/migrate.rs`). Two ordered phases:
+    /// payload (backend word, then path and heat word as one write to the
+    /// slot's end) written, flushed and **fenced first**, then the valid
+    /// word published with a [`commit_store`](NvRegion::commit_store) and
+    /// fenced. The slot must be durable before any entry referencing it
+    /// commits — and the valid word must never be able to reach the media
+    /// *before* the path it validates. (A single fence over the whole slot
+    /// was not enough: cache eviction may persist the valid word's line on
+    /// a crash while the path lines are still dirty, and recovery would
+    /// then open a garbage path.) A reused slot never leaks the previous
+    /// occupant's temperature.
     ///
     /// # Panics
     ///
-    /// Panics if the path exceeds [`Layout::path_max`], or if `backend` is
-    /// non-zero on a legacy (v1/v2) layout that has nowhere to store it.
+    /// Panics if the path exceeds [`Layout::path_max`], or if a legacy
+    /// (single-backend) layout is asked for a non-zero `backend` or a
+    /// journal, which it has nowhere to store.
     pub fn set(
         region: &NvRegion,
         layout: &Layout,
         slot: u32,
+        valid: u64,
         path: &str,
         backend: u32,
         clock: &ActorClock,
     ) {
         let bytes = path.as_bytes();
         assert!(bytes.len() <= layout.path_max(), "path longer than PATH_MAX: {path}");
+        assert!(
+            layout.tiered() || (backend == 0 && valid == FD_VALID_OPEN),
+            "legacy fd slots cannot record a backend index or a journal"
+        );
         let base = layout.fd_slot(slot);
-        let mut buf = vec![0u8; layout.path_max()];
-        buf[..bytes.len()].copy_from_slice(bytes);
+        let mut tail = vec![0u8; (FD_SLOT_BYTES - layout.fd_path_off()) as usize];
+        tail[..bytes.len()].copy_from_slice(bytes);
         if layout.tiered() {
             region.write_u64(base + FD_BACKEND_OFF, backend as u64, clock);
-        } else {
-            assert_eq!(backend, 0, "legacy fd slots cannot record a backend index");
         }
-        region.write(base + layout.fd_path_off(), &buf, clock);
-        if layout.heat_slots() {
-            // Part of the payload phase: a reused slot must not leak the
-            // previous occupant's temperature to this file. The pwb below
-            // already spans the slot's last word.
-            region.write_u64(base + FD_HEAT_OFF, 0, clock);
-        }
+        region.write(base + layout.fd_path_off(), &tail, clock);
         region.pwb(base + FD_BACKEND_OFF, FD_SLOT_BYTES as usize - FD_BACKEND_OFF as usize);
         region.persist_fence(clock);
-        region.commit_store(base, FD_VALID_OPEN, clock);
+        region.commit_store(base, valid, clock);
         region.persist_fence(clock);
     }
 
-    /// Persists a **migration journal** into `slot` (v3 layouts only): the
-    /// authoritative copy of `path` lives on `backend`; any copy found
-    /// elsewhere after a crash is an incomplete migration artifact and must
-    /// be deleted. Same durability discipline as [`PersistentFdTable::set`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layout is not tiered (migration needs ≥ 2 backends) or
-    /// the path exceeds [`Layout::path_max`].
-    pub fn set_migration(
+    /// Reads `slot` back if its valid word is `valid`. Charged reads
+    /// (recovery runs with a cold CPU cache): the valid word, the backend
+    /// word, then path and heat word in one read.
+    pub fn get(
         region: &NvRegion,
         layout: &Layout,
         slot: u32,
-        path: &str,
-        backend: u32,
+        valid: u64,
         clock: &ActorClock,
-    ) {
-        assert!(layout.tiered(), "migration journals need the v3 (tiered) slot layout");
-        let bytes = path.as_bytes();
-        assert!(bytes.len() <= layout.path_max(), "path longer than PATH_MAX: {path}");
+    ) -> Option<FdSlot> {
         let base = layout.fd_slot(slot);
-        let mut buf = vec![0u8; layout.path_max()];
-        buf[..bytes.len()].copy_from_slice(bytes);
-        region.write_u64(base + FD_BACKEND_OFF, backend as u64, clock);
-        region.write(base + layout.fd_path_off(), &buf, clock);
-        if layout.heat_slots() {
-            // Journal slots carry no temperature; zero the word so a slot
-            // later reused for an open file starts from a clean payload.
-            region.write_u64(base + FD_HEAT_OFF, 0, clock);
+        let mut word = [0u8; 8];
+        region.read(base, &mut word, clock);
+        if u64::from_le_bytes(word) != valid {
+            return None;
         }
-        region.pwb(base + FD_BACKEND_OFF, FD_SLOT_BYTES as usize - FD_BACKEND_OFF as usize);
-        region.persist_fence(clock);
-        region.commit_store(base, FD_VALID_MIGRATION, clock);
-        region.persist_fence(clock);
+        let backend = if layout.tiered() {
+            region.read(base + FD_BACKEND_OFF, &mut word, clock);
+            u64::from_le_bytes(word) as u32
+        } else {
+            0
+        };
+        let mut tail = vec![0u8; (FD_SLOT_BYTES - layout.fd_path_off()) as usize];
+        region.read(base + layout.fd_path_off(), &mut tail, clock);
+        let (path, heat) = tail.split_at(layout.path_max());
+        let end = path.iter().position(|&b| b == 0).unwrap_or(path.len());
+        Some(FdSlot {
+            path: String::from_utf8_lossy(&path[..end]).into_owned(),
+            backend,
+            heat: layout.tiered().then(|| parse_heat_word(word_at(heat, 0))).flatten(),
+        })
     }
 
     /// Atomically flips the backend word of a journal (or open) slot — the
@@ -322,62 +335,21 @@ impl PersistentFdTable {
         region.persist_fence(clock);
     }
 
-    /// Reads `slot` as a migration journal, returning `(path, backend)` if
-    /// its valid word is [`FD_VALID_MIGRATION`]. Charged reads, like
-    /// [`PersistentFdTable::get`].
-    pub fn get_migration(
-        region: &NvRegion,
-        layout: &Layout,
-        slot: u32,
-        clock: &ActorClock,
-    ) -> Option<(String, u32)> {
-        if !layout.tiered() {
-            return None; // legacy layouts have no journal encoding
-        }
-        let base = layout.fd_slot(slot);
-        let mut head = [0u8; 8];
-        region.read(base, &mut head, clock);
-        if u64::from_le_bytes(head) != FD_VALID_MIGRATION {
-            return None;
-        }
-        let mut b = [0u8; 8];
-        region.read(base + FD_BACKEND_OFF, &mut b, clock);
-        let backend = u64::from_le_bytes(b) as u32;
-        let mut buf = vec![0u8; layout.path_max()];
-        region.read(base + layout.fd_path_off(), &mut buf, clock);
-        let end = buf.iter().position(|&b| b == 0).unwrap_or(layout.path_max());
-        Some((String::from_utf8_lossy(&buf[..end]).into_owned(), backend))
-    }
-
-    /// Stamps the packed temperature summary of an open slot (heat layouts
-    /// only): one aligned 8-byte [`commit_store`](NvRegion::commit_store)
-    /// plus fence into the slot's last word. Crash-atomic on its own — the
-    /// summary is advisory (recovery treats a missing or half-stale word as
-    /// cold), so it needs no two-phase protocol, just the guarantee that a
-    /// torn write can never be parsed (the packed epoch provides it).
+    /// Stamps the packed temperature summary of an open slot: one aligned
+    /// 8-byte [`commit_store`](NvRegion::commit_store) plus fence into the
+    /// slot's heat word. Crash-atomic on its own — the summary is advisory
+    /// (recovery treats a missing or half-stale word as cold), so it needs
+    /// no two-phase protocol, just the guarantee that a torn write can never
+    /// be parsed (the packed epoch provides it).
     ///
     /// # Panics
     ///
-    /// Panics if the layout does not carry heat words.
+    /// Panics on a single-backend layout, whose slots have no heat word.
     pub fn set_heat(region: &NvRegion, layout: &Layout, slot: u32, qheat: u16, clock: &ActorClock) {
-        assert!(layout.heat_slots(), "heat stamps need the heat-format slot layout");
+        assert!(layout.tiered(), "heat stamps need the v3 (tiered) slot layout");
         let base = layout.fd_slot(slot);
         region.commit_store(base + FD_HEAT_OFF, heat_word(qheat), clock);
         region.persist_fence(clock);
-    }
-
-    /// Reads the quantized temperature summary of `slot`, or `None` when
-    /// the layout carries no heat words, the word was never stamped, or it
-    /// carries a foreign epoch. Charged reads, like
-    /// [`PersistentFdTable::get`].
-    pub fn heat(region: &NvRegion, layout: &Layout, slot: u32, clock: &ActorClock) -> Option<u16> {
-        if !layout.heat_slots() {
-            return None;
-        }
-        let base = layout.fd_slot(slot);
-        let mut w = [0u8; 8];
-        region.read(base + FD_HEAT_OFF, &mut w, clock);
-        parse_heat_word(u64::from_le_bytes(w))
     }
 
     /// Invalidates `slot`: recovery skips every entry that references it.
@@ -399,151 +371,152 @@ impl PersistentFdTable {
         }
         region.persist_fence(clock);
     }
-
-    /// Reads `slot`, returning the stored `(path, backend)` if valid (the
-    /// backend is `0` on legacy layouts). Uses charged reads (recovery runs
-    /// with a cold CPU cache).
-    pub fn get(
-        region: &NvRegion,
-        layout: &Layout,
-        slot: u32,
-        clock: &ActorClock,
-    ) -> Option<(String, u32)> {
-        let base = layout.fd_slot(slot);
-        let mut head = [0u8; 8];
-        region.read(base, &mut head, clock);
-        if u64::from_le_bytes(head) != FD_VALID_OPEN {
-            return None;
-        }
-        let backend = if layout.tiered() {
-            let mut b = [0u8; 8];
-            region.read(base + FD_BACKEND_OFF, &mut b, clock);
-            u64::from_le_bytes(b) as u32
-        } else {
-            0
-        };
-        let mut buf = vec![0u8; layout.path_max()];
-        region.read(base + layout.fd_path_off(), &mut buf, clock);
-        let end = buf.iter().position(|&b| b == 0).unwrap_or(layout.path_max());
-        Some((String::from_utf8_lossy(&buf[..end]).into_owned(), backend))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::PATH_MAX;
+    use crate::layout::{FD_VALID_MIGRATION, PATH_MAX};
     use crate::NvCacheConfig;
     use nvmm::{NvDimm, NvmmProfile};
 
-    /// A region laid out for a mount over `backends` tiers, with or
-    /// without a heat word in its fd slots.
-    fn setup_with(backends: u64, heat: bool) -> (ActorClock, NvRegion, Layout) {
-        let layout = Layout { backends, heat, ..Layout::for_config(&NvCacheConfig::tiny()) };
+    /// A region laid out for a mount over `backends` tiers.
+    fn setup_with(backends: u64) -> (ActorClock, NvRegion, Layout) {
+        let layout = Layout { backends, ..Layout::for_config(&NvCacheConfig::tiny()) };
         let dimm = Arc::new(NvDimm::new(layout.total_bytes(), NvmmProfile::instant()));
         (ActorClock::new(), NvRegion::whole(dimm), layout)
     }
 
     fn setup() -> (ActorClock, NvRegion, Layout) {
-        setup_with(1, false)
+        setup_with(1)
+    }
+
+    /// Records an open file in `slot`.
+    fn set(region: &NvRegion, layout: &Layout, slot: u32, path: &str, backend: u32) {
+        PersistentFdTable::set(
+            region,
+            layout,
+            slot,
+            FD_VALID_OPEN,
+            path,
+            backend,
+            &ActorClock::new(),
+        );
+    }
+
+    /// The open file recorded in `slot`.
+    fn get(region: &NvRegion, layout: &Layout, slot: u32) -> Option<FdSlot> {
+        PersistentFdTable::get(region, layout, slot, FD_VALID_OPEN, &ActorClock::new())
+    }
+
+    /// `(path, backend)` of the open file recorded in `slot`.
+    fn get_path(region: &NvRegion, layout: &Layout, slot: u32) -> Option<(String, u32)> {
+        get(region, layout, slot).map(|s| (s.path, s.backend))
     }
 
     #[test]
     fn set_get_clear_round_trip() {
         let (c, region, layout) = setup();
-        assert_eq!(PersistentFdTable::get(&region, &layout, 3, &c), None);
-        PersistentFdTable::set(&region, &layout, 3, "/data/wal.log", 0, &c);
-        assert_eq!(
-            PersistentFdTable::get(&region, &layout, 3, &c),
-            Some(("/data/wal.log".into(), 0))
-        );
+        assert_eq!(get(&region, &layout, 3), None);
+        set(&region, &layout, 3, "/data/wal.log", 0);
+        assert_eq!(get_path(&region, &layout, 3), Some(("/data/wal.log".into(), 0)));
         PersistentFdTable::clear(&region, &layout, 3, &c);
-        assert_eq!(PersistentFdTable::get(&region, &layout, 3, &c), None);
+        assert_eq!(get(&region, &layout, 3), None);
     }
 
     #[test]
     fn tiered_slots_round_trip_the_backend_index() {
-        let (c, region, layout) = setup_with(4, false);
-        PersistentFdTable::set(&region, &layout, 2, "/hot/wal", 3, &c);
-        PersistentFdTable::set(&region, &layout, 5, "/cold/blob", 0, &c);
-        assert_eq!(PersistentFdTable::get(&region, &layout, 2, &c), Some(("/hot/wal".into(), 3)));
-        assert_eq!(PersistentFdTable::get(&region, &layout, 5, &c), Some(("/cold/blob".into(), 0)));
+        let (_, region, layout) = setup_with(4);
+        set(&region, &layout, 2, "/hot/wal", 3);
+        set(&region, &layout, 5, "/cold/blob", 0);
+        assert_eq!(get_path(&region, &layout, 2), Some(("/hot/wal".into(), 3)));
+        assert_eq!(get_path(&region, &layout, 5), Some(("/cold/blob".into(), 0)));
+    }
+
+    #[test]
+    fn a_journal_slot_reads_back_only_as_a_journal() {
+        let (c, region, layout) = setup_with(2);
+        PersistentFdTable::set(&region, &layout, 1, FD_VALID_MIGRATION, "/moving", 1, &c);
+        assert_eq!(get(&region, &layout, 1), None, "not an open file");
+        let journal = PersistentFdTable::get(&region, &layout, 1, FD_VALID_MIGRATION, &c);
+        let journal = journal.expect("journal");
+        assert_eq!((journal.path.as_str(), journal.backend, journal.heat), ("/moving", 1, None));
     }
 
     #[test]
     fn slots_survive_crash() {
-        let (c, region, layout) = setup();
-        PersistentFdTable::set(&region, &layout, 0, "/survivor", 0, &c);
+        let (_, region, layout) = setup();
+        set(&region, &layout, 0, "/survivor", 0);
         let crashed = region.dimm().crash_and_restart();
         let region2 = NvRegion::whole(Arc::new(crashed));
-        assert_eq!(PersistentFdTable::get(&region2, &layout, 0, &c), Some(("/survivor".into(), 0)));
+        assert_eq!(get_path(&region2, &layout, 0), Some(("/survivor".into(), 0)));
     }
 
     #[test]
     fn heat_word_round_trips_and_resets_on_slot_reuse() {
-        let (c, region, layout) = setup_with(2, true);
-        assert!(layout.heat_slots());
-        PersistentFdTable::set(&region, &layout, 1, "/hot/a", 1, &c);
+        let (c, region, layout) = setup_with(2);
+        set(&region, &layout, 1, "/hot/a", 1);
         // Unstamped slot: no summary, not a zero-heat one.
-        assert_eq!(PersistentFdTable::heat(&region, &layout, 1, &c), None);
+        assert_eq!(get(&region, &layout, 1).unwrap().heat, None);
         PersistentFdTable::set_heat(&region, &layout, 1, 777, &c);
-        assert_eq!(PersistentFdTable::heat(&region, &layout, 1, &c), Some(777));
+        assert_eq!(get(&region, &layout, 1).unwrap().heat, Some(777));
         // The path bytes are untouched by the stamp.
-        assert_eq!(PersistentFdTable::get(&region, &layout, 1, &c), Some(("/hot/a".into(), 1)));
+        assert_eq!(get_path(&region, &layout, 1), Some(("/hot/a".into(), 1)));
         // Reusing the slot for another file must not inherit the summary.
         PersistentFdTable::clear(&region, &layout, 1, &c);
-        PersistentFdTable::set(&region, &layout, 1, "/bulk/b", 0, &c);
-        assert_eq!(PersistentFdTable::heat(&region, &layout, 1, &c), None);
+        set(&region, &layout, 1, "/bulk/b", 0);
+        assert_eq!(get(&region, &layout, 1).unwrap().heat, None);
     }
 
     #[test]
     fn heat_word_survives_crash() {
-        let (c, region, layout) = setup_with(2, true);
-        PersistentFdTable::set(&region, &layout, 0, "/hot/wal", 1, &c);
+        let (c, region, layout) = setup_with(2);
+        set(&region, &layout, 0, "/hot/wal", 1);
         PersistentFdTable::set_heat(&region, &layout, 0, 4321, &c);
         let crashed = region.dimm().crash_and_restart();
         let region2 = NvRegion::whole(Arc::new(crashed));
-        assert_eq!(PersistentFdTable::heat(&region2, &layout, 0, &c), Some(4321));
-        assert_eq!(PersistentFdTable::get(&region2, &layout, 0, &c), Some(("/hot/wal".into(), 1)));
+        let slot = get(&region2, &layout, 0).unwrap();
+        assert_eq!((slot.path.as_str(), slot.backend, slot.heat), ("/hot/wal", 1, Some(4321)));
     }
 
     #[test]
     fn heat_layout_shrinks_the_path_budget() {
-        let (c, region, layout) = setup_with(2, true);
+        let (c, region, layout) = setup_with(2);
         let fits = format!("/{}", "x".repeat(layout.path_max() - 1));
-        PersistentFdTable::set(&region, &layout, 0, &fits, 0, &c);
-        assert_eq!(PersistentFdTable::get(&region, &layout, 0, &c).map(|(p, _)| p), Some(fits));
+        set(&region, &layout, 0, &fits, 0);
+        PersistentFdTable::set_heat(&region, &layout, 0, u16::MAX, &c);
+        assert_eq!(get(&region, &layout, 0).map(|s| s.path), Some(fits));
     }
 
     #[test]
-    #[should_panic(expected = "heat-format slot layout")]
-    fn heat_stamp_on_plain_tiered_layout_panics() {
-        let (c, region, layout) = setup_with(2, false);
+    #[should_panic(expected = "tiered")]
+    fn heat_stamp_on_single_backend_layout_panics() {
+        let (c, region, layout) = setup();
         PersistentFdTable::set_heat(&region, &layout, 0, 1, &c);
     }
 
     #[test]
     fn tiered_backend_word_survives_crash() {
-        let (c, region, layout) = setup_with(2, false);
-        PersistentFdTable::set(&region, &layout, 1, "/tiered", 1, &c);
+        let (_, region, layout) = setup_with(2);
+        set(&region, &layout, 1, "/tiered", 1);
         let crashed = region.dimm().crash_and_restart();
         let region2 = NvRegion::whole(Arc::new(crashed));
-        assert_eq!(PersistentFdTable::get(&region2, &layout, 1, &c), Some(("/tiered".into(), 1)));
+        assert_eq!(get_path(&region2, &layout, 1), Some(("/tiered".into(), 1)));
     }
 
     #[test]
     #[should_panic(expected = "PATH_MAX")]
     fn oversized_path_panics() {
-        let (c, region, layout) = setup();
+        let (_, region, layout) = setup();
         let long = "x".repeat(PATH_MAX + 1);
-        PersistentFdTable::set(&region, &layout, 0, &long, 0, &c);
+        set(&region, &layout, 0, &long, 0);
     }
 
     #[test]
     #[should_panic(expected = "legacy fd slots")]
     fn backend_on_legacy_layout_panics() {
-        let (c, region, layout) = setup();
-        PersistentFdTable::set(&region, &layout, 0, "/x", 1, &c);
+        let (_, region, layout) = setup();
+        set(&region, &layout, 0, "/x", 1);
     }
 
     #[test]

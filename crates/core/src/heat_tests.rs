@@ -10,6 +10,7 @@ use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, MemFs, OpenFlags};
 
+use crate::layout::{Layout, FD_HEAT_OFF};
 use crate::migrate::MigrationPolicy;
 use crate::placement::{FileTemperature, PlacementPolicy};
 use crate::router::Router;
@@ -374,9 +375,10 @@ fn recovery_judges_misplacement_by_the_active_policy() {
     cache.shutdown(&clock);
 }
 
-/// Temperature is volatile: a file the heat policy promoted before a crash
-/// is judged cold at recovery, and a `RecoverRepair` mount demotes it back
-/// to the router baseline with intact bytes.
+/// A file the heat policy promoted, and that cooled off before the crash,
+/// is judged cold at recovery — its persisted heat word no longer clears the
+/// promote threshold — and a `RecoverRepair` mount demotes it back to the
+/// router baseline with intact bytes.
 #[test]
 fn recover_repair_demotes_a_previously_promoted_file() {
     let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
@@ -394,8 +396,10 @@ fn recover_repair_demotes_a_previously_promoted_file() {
     cache.rebalance(&clock).expect("promote");
     assert!(on_tier(&tiers.1, "/burst", &clock), "promoted before the crash");
 
-    // Reopen on its promoted tier (the fd slot records backend 1), then
-    // crash: recovery finds the file on a tier no cold judgement assigns.
+    // Ten half-lives later, reopen on its promoted tier (the fd slot records
+    // backend 1 and the cooled heat), then crash: recovery finds the file on
+    // a tier no cold judgement assigns.
+    clock.advance(SimTime::from_secs(10 * 3600));
     let fd = cache.open("/burst", OpenFlags::RDWR, &clock).unwrap();
     cache.pwrite(fd, &[4; 64], 0, &clock).unwrap();
     cache.abort();
@@ -416,18 +420,18 @@ fn recover_repair_demotes_a_previously_promoted_file() {
     cache.shutdown(&clock);
 }
 
-/// The persisted-heat remount oracle: with `persist_heat` on, the compact
-/// per-slot summaries stamped at `fsync` survive a crash, recovery seeds
-/// them back into the catalog, and the next sweep re-promotes the hot set
-/// **without a single post-recovery read or write** — placement quality
-/// survives the remount on persisted temperature alone.
+/// The persisted-heat remount oracle: the compact per-slot summaries
+/// stamped at `fsync` survive a crash, recovery seeds them back into the
+/// catalog, and the next sweep re-promotes the hot set **without a single
+/// post-recovery read or write** — placement quality survives the remount on
+/// persisted temperature alone.
 #[test]
 fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
     let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy()).persist_heat(true);
+    let tiering = on_demand(cold_everything(), &tiers).placement(policy());
     let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     // Two files open at crash time: one read-hot, one written once and
@@ -461,58 +465,57 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
     cache.shutdown(&clock);
 }
 
-/// Forward compatibility with pre-heat images: a tiered v3 image whose
-/// spare slot bytes are all zero (written by a mount without
-/// `persist_heat`) recovers every file as cold — a zero word parses as "no
-/// summary", never as garbage heat. The recovery mount then stamps the
-/// heat epoch, upgrading the image in place: from that remount on,
-/// summaries persist across crashes.
+/// Heat is stamped only where it is tracked: a tiered mount whose placement
+/// reads no heat, or that may never migrate, leaves every fd slot's heat
+/// word at zero through open, pwrite, fsync, close and a crash, and its
+/// recovery seeds nothing.
 #[test]
-fn pre_heat_images_recover_cold_and_upgrade_in_place() {
-    let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
-    let clock = ActorClock::new();
-    let dimm = parked_dimm(NvmmProfile::instant());
-    let tiers = two_memfs();
-    let volatile = on_demand(cold_everything(), &tiers).placement(policy());
+fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
+    let lay = Layout { backends: 2, ..Layout::for_config(&parked_cfg()) };
+    let heat_words = |dimm: &NvDimm| -> Vec<u64> {
+        let mut word = [0u8; 8];
+        (0..lay.fd_slots as u32)
+            .map(|slot| {
+                dimm.read_cached(lay.fd_slot(slot) + FD_HEAT_OFF, &mut word);
+                u64::from_le_bytes(word)
+            })
+            .collect()
+    };
+    let router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
+    let (bulk, fast) = two_memfs();
+    let heat = Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
+    for (what, tiering) in [
+        ("RouterPlacement", on_demand(router(), &two_memfs())),
+        ("Disabled", Tiering::new(router(), vec![bulk, fast]).placement(heat)),
+    ] {
+        let clock = ActorClock::new();
+        let dimm = parked_dimm(NvmmProfile::instant());
+        let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
+        let create = OpenFlags::RDWR | OpenFlags::CREATE;
+        let kept = cache.open("/hot/kept", create, &clock).unwrap();
+        let closed = cache.open("/cold/closed", create, &clock).unwrap();
+        let mut buf = [0u8; 64];
+        for fd in [kept, closed] {
+            cache.pwrite(fd, &[7; 64], 0, &clock).unwrap();
+            for _ in 0..8 {
+                cache.pread(fd, &mut buf, 0, &clock).unwrap();
+            }
+            cache.fsync(fd, &clock).unwrap();
+        }
+        cache.flush_log(&clock);
+        cache.close(closed, &clock).unwrap();
+        cache.pwrite(kept, &[8; 64], 0, &clock).unwrap();
+        assert!(heat_words(&dimm).iter().all(|&w| w == 0), "{what}: stamped while mounted");
+        cache.abort();
+        drop(cache);
 
-    // Old world: heat tracked but volatile — the image carries no epoch
-    // word and every spare slot byte stays zero.
-    let cache = mount(volatile.clone(), &dimm, Mount::Format, &clock);
-    let fd = cache.open("/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(fd, &[5; 200], 0, &clock).unwrap();
-    cache.flush_log(&clock);
-    let mut buf = [0u8; 64];
-    for _ in 0..8 {
-        cache.pread(fd, &mut buf, 0, &clock).unwrap();
+        let dimm = Arc::new(dimm.crash_and_restart());
+        assert!(heat_words(&dimm).iter().all(|&w| w == 0), "{what}: stamped in the image");
+        let cache = mount(tiering, &dimm, Mount::Recover, &clock);
+        assert_eq!(cache.recovery_report().unwrap().files_reopened, 1, "{what}");
+        assert_eq!(cache.catalog_resident(), 0, "{what}: recovery seeded the catalog");
+        cache.shutdown(&clock);
     }
-    cache.fsync(fd, &clock).unwrap();
-    cache.abort();
-    drop(cache);
-
-    // New world: `persist_heat` on. The pre-crash temperature is gone —
-    // the zeroed spare bytes must read back as "cold", not as heat.
-    let persistent = volatile.persist_heat(true);
-    let dimm = Arc::new(dimm.crash_and_restart());
-    let cache = mount(persistent.clone(), &dimm, Mount::Recover, &clock);
-    let report = cache.rebalance(&clock).expect("sweep on the upgraded mount");
-    assert_eq!(report.files_promoted, 0, "a pre-heat image recovers cold");
-    assert!(on_tier(&tiers.0, "/wal", &clock), "nothing promoted without a summary");
-
-    // The recovery mount stamped the heat epoch: heat earned now survives
-    // the *next* crash.
-    let fd = cache.open("/wal", OpenFlags::RDONLY, &clock).unwrap();
-    for _ in 0..8 {
-        cache.pread(fd, &mut buf, 0, &clock).unwrap();
-    }
-    cache.fsync(fd, &clock).unwrap();
-    cache.abort();
-    drop(cache);
-
-    let cache = mount(persistent, &Arc::new(dimm.crash_and_restart()), Mount::Recover, &clock);
-    let report = cache.rebalance(&clock).expect("post-upgrade sweep");
-    assert_eq!(report.files_promoted, 1, "the upgraded image persists heat");
-    assert!(on_tier(&tiers.1, "/wal", &clock));
-    cache.shutdown(&clock);
 }
 
 /// The bounded-catalog identity oracle: a capacity the workload never

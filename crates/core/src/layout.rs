@@ -14,13 +14,13 @@
 //!
 //! # Header versioning
 //!
-//! The header is versioned implicitly through [`OFF_LOG_SHARDS`] and
-//! [`OFF_BACKENDS`]:
+//! The header is versioned implicitly through two count words, each never
+//! written by the formats that predate it — so `0` reads as one:
 //!
-//! * **v1 (seed format)** — the word at [`OFF_LOG_SHARDS`] is `0` (never
-//!   written). One circular log over the whole entry array, with its single
-//!   persistent tail at [`OFF_PTAIL`]. A region formatted with
-//!   `log_shards = 1` is byte-for-byte identical to the seed format.
+//! * **v1 (seed format)** — the word at [`OFF_LOG_SHARDS`] is `0`. One
+//!   circular log over the whole entry array, with its single persistent
+//!   tail at [`OFF_PTAIL`]. A region formatted with `log_shards = 1` is
+//!   byte-for-byte identical to the seed format.
 //! * **v2 (striped)** — the word at [`OFF_LOG_SHARDS`] holds `N > 1`. The
 //!   entry array is split into `N` equal contiguous stripes; stripe `s` owns
 //!   entries `[s·(nb_entries/N), (s+1)·(nb_entries/N))` and persists its own
@@ -29,19 +29,25 @@
 //!   merge-replay committed entries from all stripes in total order.
 //! * **v3 (tiered)** — the word at [`OFF_BACKENDS`] holds `B > 1`: the mount
 //!   propagates to `B` inner backends selected by a
-//!   [`Router`](crate::Router). Each fd slot then stores the file's backend
-//!   index in a second word ([`FD_BACKEND_OFF`], before the path, which
-//!   moves to [`FD_PATH_OFF_V3`] and shrinks to [`PATH_MAX_V3`] bytes) so
-//!   recovery replays every pending entry to the backend that acknowledged
-//!   it — the router is *not* re-consulted for v3 slots. A v1/v2 image
-//!   (backends word `0`) migrates forward on recovery: its slots are
-//!   re-routed by path and the backends word is written afterwards.
-//!   Orthogonal to v2 — a region can be striped, tiered, both, or neither;
-//!   total region size is unchanged (the fd slot is re-partitioned, not
-//!   grown). A v3 fd slot whose valid word is [`FD_VALID_MIGRATION`] is a
-//!   *migration journal* instead of an open file: it records the
-//!   authoritative location of a file mid-move between tiers (see
-//!   `core/src/migrate.rs`).
+//!   [`Router`](crate::Router). The fd slot shape follows from this word
+//!   alone. A single-backend slot is the seed's: valid word, then
+//!   [`PATH_MAX`] path bytes. A tiered slot is valid word, backend word
+//!   ([`FD_BACKEND_OFF`]), [`PATH_MAX_V3`] path bytes ([`FD_PATH_OFF_V3`])
+//!   and the heat word ([`FD_HEAT_OFF`]). The backend word lets recovery
+//!   replay every pending entry to the backend that acknowledged it — the
+//!   router is *not* re-consulted. The heat word is the file's quantized
+//!   temperature ([`heat_word`]) on a mount whose placement reads heat, and
+//!   zero on every other. A v1/v2 image recovered over several backends
+//!   migrates forward: its slots are re-routed by path and the backends
+//!   word is stamped afterwards. Orthogonal to v2, and the region does not
+//!   grow: the slot is re-partitioned. A tiered slot whose valid word is
+//!   [`FD_VALID_MIGRATION`] is a *migration journal* instead of an open
+//!   file: it records the authoritative location of a file mid-move between
+//!   tiers (see `core/src/migrate.rs`).
+//!
+//! `Header` is the only code that reads or writes the header's geometry
+//! and count words: one charged read at recovery, the fresh image at
+//! format, and the backends stamp that upgrades a recovered image.
 //!
 //! Entry commit words (offset 0 of each entry header) encode the paper's
 //! packed commit-flag/group-index integer:
@@ -51,6 +57,8 @@
 //! * `MEMBER_BIT | leader_slot` — continuation entry of a multi-entry write;
 //!   valid iff its leader is committed.
 
+use nvmm::{NvRegion, PmemInts};
+use simclock::ActorClock;
 use vfs::{IoError, IoResult};
 
 use crate::NvCacheConfig;
@@ -70,19 +78,16 @@ pub const FD_VALID_OPEN: u64 = 1;
 /// migrate).
 pub const FD_VALID_MIGRATION: u64 = 2;
 /// Maximum stored path length (rest of the slot after the valid word,
-/// v1/v2 slot layout).
+/// single-backend slot layout).
 pub const PATH_MAX: usize = (FD_SLOT_BYTES - 8) as usize;
 /// Maximum stored path length in a v3 (tiered) slot: the backend word takes
-/// eight bytes off the front of the path area.
-pub const PATH_MAX_V3: usize = (FD_SLOT_BYTES - 16) as usize;
-/// Maximum stored path length in a v3 slot that also persists a heat
-/// summary ([`Tiering::persist_heat`](crate::Tiering::persist_heat)): the
-/// heat word takes eight bytes off the *tail* of the path area.
-pub const PATH_MAX_HEAT: usize = (FD_SLOT_BYTES - 24) as usize;
+/// eight bytes off the front of the path area, the heat word eight off its
+/// tail.
+pub const PATH_MAX_V3: usize = (FD_SLOT_BYTES - 24) as usize;
 /// Offset (within a v3 fd slot) of the backend-index word.
 pub const FD_BACKEND_OFF: u64 = 8;
-/// Offset (within a heat-format v3 fd slot) of the packed heat-summary
-/// word — the last eight bytes of the slot, after the shortened path.
+/// Offset (within a v3 fd slot) of the packed heat-summary word — the last
+/// eight bytes of the slot, after the path.
 pub const FD_HEAT_OFF: u64 = FD_SLOT_BYTES - 8;
 /// Offset (within an fd slot) of the path bytes, v1/v2 layout.
 pub const FD_PATH_OFF: u64 = 8;
@@ -115,17 +120,9 @@ pub const OFF_BACKENDS: u64 = 56;
 /// Base of the per-stripe persistent tail array (v2 format only; stripe `s`
 /// persists its tail at `OFF_STRIPE_TAILS + 8 * s`).
 pub const OFF_STRIPE_TAILS: u64 = 64;
-/// Heat-summary format epoch of the image; `0` (every format that predates
-/// heat persistence — the word is simply never written) means the fd
-/// slots carry **no** heat word and their full v3 path area is path
-/// bytes. `HEAT_EPOCH` marks a heat-format image: each slot's last eight
-/// bytes are a packed summary ([`heat_word`]). Placed after the stripe
-/// tail array so no existing field moves.
-pub const OFF_HEAT_EPOCH: u64 = OFF_STRIPE_TAILS + 8 * MAX_LOG_SHARDS as u64;
-/// The current heat-summary format epoch (the only non-zero one so far).
-/// Also packed into every slot's heat word, so a summary is only believed
-/// when both the header *and* the slot agree on the format — stale path
-/// bytes from a pre-heat image can never be misread as temperature.
+/// Format epoch packed into every slot heat word ([`heat_word`]), so a word
+/// the current format did not write — path bytes of an image formatted
+/// before slots carried heat — is never misread as temperature.
 pub const HEAT_EPOCH: u64 = 1;
 
 /// Upper bound on `log_shards` (the per-stripe tail array must fit in the
@@ -156,19 +153,14 @@ pub struct Layout {
     /// Log stripes the entry array is split into (1 = seed format).
     pub log_shards: u64,
     /// Inner backends of the mount (1 = v1/v2 single-backend fd slots,
-    /// `B > 1` = v3 slots carrying a backend word).
+    /// `B > 1` = v3 slots carrying a backend and a heat word).
     pub backends: u64,
-    /// Whether fd slots carry the persisted heat summary
-    /// ([`OFF_HEAT_EPOCH`] non-zero in the header): the path area shrinks
-    /// to [`PATH_MAX_HEAT`] and the slot's last word ([`FD_HEAT_OFF`])
-    /// holds a packed [`heat_word`]. Only meaningful on tiered layouts.
-    pub heat: bool,
 }
 
 impl Layout {
     /// Layout for a configuration over one backend — the region's size and
-    /// every offset but the fd slots' partitioning, which the mount decides
-    /// from its [`Tiering`](crate::Tiering) (`backends`, `heat`).
+    /// every offset but the fd slots' partitioning, which follows from the
+    /// mount's backend count.
     pub fn for_config(cfg: &NvCacheConfig) -> Layout {
         Layout {
             nb_entries: cfg.nb_entries,
@@ -176,18 +168,12 @@ impl Layout {
             fd_slots: cfg.fd_slots as u64,
             log_shards: cfg.log_shards as u64,
             backends: 1,
-            heat: false,
         }
     }
 
     /// Whether fd slots use the v3 (tiered) partitioning.
     pub fn tiered(&self) -> bool {
         self.backends > 1
-    }
-
-    /// Whether fd slots carry the heat-summary word.
-    pub fn heat_slots(&self) -> bool {
-        self.tiered() && self.heat
     }
 
     /// Offset of the path bytes within an fd slot.
@@ -201,9 +187,7 @@ impl Layout {
 
     /// Maximum storable path length for this layout's fd slots.
     pub fn path_max(&self) -> usize {
-        if self.heat_slots() {
-            PATH_MAX_HEAT
-        } else if self.tiered() {
+        if self.tiered() {
             PATH_MAX_V3
         } else {
             PATH_MAX
@@ -303,6 +287,120 @@ impl Layout {
     }
 }
 
+/// The region header as [`Header::read`] decodes it: the geometry and fd-slot
+/// shape the image was written under, and the single-stripe tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Header {
+    /// The image's geometry; `backends` is the count its fd slots were
+    /// written under.
+    pub layout: Layout,
+    /// Persistent tail of a single-stripe log ([`OFF_PTAIL`]).
+    pub ptail: u64,
+}
+
+impl Header {
+    /// Reads the header back by one charged 64-byte read (recovery runs with
+    /// cold caches). The magic is checked first; the count words read `0` as
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::InvalidArgument`] if the region is not a formatted log.
+    pub fn read(region: &NvRegion, clock: &ActorClock) -> IoResult<Header> {
+        let mut bytes = [0u8; 64];
+        region.read(0, &mut bytes, clock);
+        let word = |off: u64| word_at(&bytes, off as usize);
+        if word(OFF_MAGIC) != MAGIC {
+            return Err(IoError::InvalidArgument(
+                "NVMM region is not a formatted NVCache log".into(),
+            ));
+        }
+        Ok(Header {
+            layout: Layout {
+                nb_entries: word(OFF_NB_ENTRIES),
+                entry_size: word(OFF_ENTRY_SIZE),
+                fd_slots: word(OFF_FD_SLOTS),
+                log_shards: word(OFF_LOG_SHARDS).max(1),
+                backends: word(OFF_BACKENDS).max(1),
+            },
+            ptail: word(OFF_PTAIL),
+        })
+    }
+
+    /// Whether a mount laid out as `mount` may recover this image: the same
+    /// geometry, and at least the backends the image's fd slots may
+    /// reference. The count may grow across a recovery (a v2 → v3
+    /// migration, or tiers added); it may never shrink.
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::InvalidArgument`] naming the disagreement.
+    pub fn check(&self, mount: &Layout) -> IoResult<()> {
+        if (Layout { backends: mount.backends, ..self.layout }) != *mount {
+            return Err(IoError::InvalidArgument(
+                "configuration disagrees with the on-NVMM log geometry".into(),
+            ));
+        }
+        if self.layout.backends > mount.backends {
+            return Err(IoError::InvalidArgument(format!(
+                "region references {} backends but the mount provides only {}",
+                self.layout.backends, mount.backends
+            )));
+        }
+        Ok(())
+    }
+
+    /// Writes the header of a fresh image of `lay` and flushes it; the caller
+    /// fences. A single-stripe, single-backend header is the seed's byte for
+    /// byte: the count words it never wrote are written `0`, which also
+    /// clears a stale count when a region is reformatted.
+    pub fn format(region: &NvRegion, lay: &Layout, page_size: usize, clock: &ActorClock) {
+        region.write_u64(OFF_MAGIC, MAGIC, clock);
+        region.write_u64(OFF_ENTRY_SIZE, lay.entry_size, clock);
+        region.write_u64(OFF_NB_ENTRIES, lay.nb_entries, clock);
+        region.write_u64(OFF_PTAIL, 0, clock);
+        region.write_u64(OFF_FD_SLOTS, lay.fd_slots, clock);
+        region.write_u64(OFF_PAGE_SIZE, page_size as u64, clock);
+        region.write_u64(OFF_LOG_SHARDS, count_word(lay.log_shards), clock);
+        // v2: one persistent tail per stripe.
+        let tails = if lay.log_shards > 1 { lay.log_shards } else { 0 };
+        for s in 0..tails {
+            region.write_u64(OFF_STRIPE_TAILS + 8 * s, 0, clock);
+        }
+        region.write_u64(OFF_BACKENDS, count_word(lay.backends), clock);
+        // Flush only the written prefix: the rest of the header is
+        // never-stored padding, and flushing clean lines is pure overhead
+        // (the pmcheck redundant-pwb lint flags it).
+        region.pwb(0, (OFF_STRIPE_TAILS + 8 * tails) as usize);
+    }
+
+    /// Stamps the mount's backend count into a recovered image, fenced — the
+    /// one upgrade step: a v1/v2 image recovered over several backends is v3
+    /// from here on. Only once every fd slot written under the old shape is
+    /// cleared, so no slot is ever parsed under the wrong one.
+    pub fn upgrade(region: &NvRegion, backends: u64, clock: &ActorClock) {
+        region.commit_store(OFF_BACKENDS, count_word(backends), clock);
+        region.persist_fence(clock);
+    }
+}
+
+/// A count word of the header: `0` encodes one, the value the formats that
+/// predate the word read back.
+fn count_word(n: u64) -> u64 {
+    if n > 1 {
+        n
+    } else {
+        0
+    }
+}
+
+/// The little-endian word at byte `at` of `bytes`.
+pub(crate) fn word_at(bytes: &[u8], at: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(word)
+}
+
 /// Encodes a member commit word pointing at `leader_slot`.
 pub fn member_commit_word(leader_slot: u64) -> u64 {
     MEMBER_BIT | leader_slot
@@ -351,17 +449,14 @@ pub fn parse_heat_word(w: u64) -> Option<u16> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use nvmm::{NvDimm, NvmmProfile};
+
     use super::*;
 
     fn layout() -> Layout {
-        Layout {
-            nb_entries: 8,
-            entry_size: 128,
-            fd_slots: 4,
-            log_shards: 1,
-            backends: 1,
-            heat: false,
-        }
+        Layout { nb_entries: 8, entry_size: 128, fd_slots: 4, log_shards: 1, backends: 1 }
     }
 
     #[test]
@@ -440,24 +535,40 @@ mod tests {
         assert_eq!(tiered.fd_path_off(), FD_PATH_OFF_V3);
         assert_eq!(legacy.path_max(), PATH_MAX);
         assert_eq!(tiered.path_max(), PATH_MAX_V3);
-        assert_eq!(tiered.fd_path_off() + tiered.path_max() as u64, FD_SLOT_BYTES);
     }
 
     #[test]
-    fn heat_slots_give_up_path_tail_bytes_only_when_tiered() {
-        let tiered = Layout { backends: 3, heat: true, ..layout() };
-        assert!(tiered.heat_slots());
-        assert_eq!(tiered.path_max(), PATH_MAX_HEAT);
-        // Backend word + path + heat word exactly tile the slot.
-        assert_eq!(tiered.fd_path_off() + tiered.path_max() as u64 + 8, FD_SLOT_BYTES);
+    fn both_slot_shapes_tile_256_bytes() {
+        // Single backend: valid word + 248 path bytes.
+        let flat = layout();
+        assert_eq!(flat.path_max(), 248);
+        assert_eq!(8 + flat.path_max() as u64, FD_SLOT_BYTES);
+        assert_eq!(flat.fd_path_off(), 8);
+        // Tiered: valid word + backend word + 232 path bytes + heat word.
+        let tiered = Layout { backends: 2, ..layout() };
+        assert_eq!(tiered.path_max(), 232);
+        assert_eq!(tiered.fd_path_off(), FD_BACKEND_OFF + 8);
         assert_eq!(tiered.fd_path_off() + tiered.path_max() as u64, FD_HEAT_OFF);
-        // A single-backend layout has no spare bytes: the flag is inert.
-        let flat = Layout { heat: true, ..layout() };
-        assert!(!flat.heat_slots());
-        assert_eq!(flat.path_max(), PATH_MAX);
-        // The epoch word sits after the stripe-tail array, inside the header.
-        const { assert!(OFF_HEAT_EPOCH == 576) }
-        const { assert!(OFF_HEAT_EPOCH + 8 <= HEADER_BYTES) }
+        assert_eq!(FD_HEAT_OFF + 8, FD_SLOT_BYTES);
+    }
+
+    fn region(lay: &Layout) -> (ActorClock, NvRegion) {
+        let dimm = NvDimm::new(lay.total_bytes(), NvmmProfile::instant());
+        (ActorClock::new(), NvRegion::whole(Arc::new(dimm)))
+    }
+
+    #[test]
+    fn the_header_round_trips_every_shape() {
+        for (log_shards, backends) in [(1, 1), (4, 1), (1, 3), (4, 3)] {
+            let lay = Layout { log_shards, backends, ..layout() };
+            let (clock, region) = region(&lay);
+            Header::format(&region, &lay, 4096, &clock);
+            assert_eq!(Header::read(&region, &clock).unwrap(), Header { layout: lay, ptail: 0 });
+            assert_eq!(region.read_u64(OFF_PAGE_SIZE), 4096);
+            // One stripe, one backend: the count words stay at the seed's 0.
+            assert_eq!(region.read_u64(OFF_LOG_SHARDS) == 0, log_shards == 1);
+            assert_eq!(region.read_u64(OFF_BACKENDS) == 0, backends == 1);
+        }
     }
 
     #[test]

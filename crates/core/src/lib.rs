@@ -160,9 +160,9 @@
 //! moves at most once per threshold crossing), and an optional fast-tier
 //! byte budget demotes the coldest residents when the hot set outgrows
 //! the fast medium. Temperature survives close → reopen through the
-//! migrator catalog; after a remount it is gone (unless
-//! [`Tiering::persist_heat`] keeps a summary in the fd slots) and
-//! recovery judges files by [`PlacementPolicy::place_cold`].
+//! migrator catalog, and a crash through the heat word of each open file's
+//! fd slot, stamped at `open`, `fsync` and `close`; a file recovered without
+//! a hot summary is judged by [`PlacementPolicy::place_cold`].
 //! [`NvCacheStats::files_promoted`] / `files_demoted` /
 //! `fast_tier_bytes` expose what the policy is doing. See
 //! `docs/TUNING.md` for when to reach for which policy.

@@ -68,7 +68,7 @@ use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
 use crate::cache::Shared;
 use crate::files::PersistentFdTable;
-use crate::layout::Layout;
+use crate::layout::{Layout, FD_VALID_MIGRATION};
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::placement::{FileTemperature, PlacementPolicy, Temperature};
 use crate::router::Router;
@@ -161,8 +161,10 @@ impl MigrationGate {
     /// migration.
     pub fn enter_op(&self, path: &str) {
         let mut g = self.state.lock();
+        // Every claim release changes `migrating` under the mutex before it
+        // notifies, so no wakeup is lost between the check and the wait.
         while g.migrating.contains(path) {
-            self.released.wait_for(&mut g, Duration::from_millis(1));
+            self.released.wait(&mut g);
         }
         *g.leases.entry(path.to_string()).or_insert(0) += 1;
     }
@@ -571,10 +573,9 @@ impl Migrator {
     /// each `(path, backend, temperature)` on its catalog entry. Three
     /// callers: a finished migration publishing where the file now lives,
     /// recovery's misplaced-file list (pinned, so even a bounded catalog
-    /// admits every one), and the temperatures recovered from persisted
-    /// heat summaries ([`persist_heat`](crate::Tiering::persist_heat)), so
-    /// the first sweep judges each file exactly as hot as the crashed mount
-    /// last persisted it.
+    /// admits every one), and the temperatures recovered from the fd slots'
+    /// heat words, so the first sweep judges each file exactly as hot as the
+    /// crashed mount last persisted it.
     ///
     /// A path the catalog does not hold — never closed on this mount, or
     /// already evicted as correctly placed and cold — enters through the
@@ -637,7 +638,7 @@ impl Migrator {
 /// `journal_slot` must be a free fd slot; on return the journal is cleared
 /// — and the slot reusable — **except** when the unlink of the source copy
 /// failed after the stamp (the journal then survives for recovery repair;
-/// callers check [`PersistentFdTable::get_migration`] before recycling the
+/// callers read the slot back as a journal before recycling the
 /// slot). `crash_after` cuts the protocol short after the given step,
 /// simulating a power failure for the crash tests.
 ///
@@ -662,7 +663,7 @@ pub(crate) fn migrate_bytes(
     assert!(from != to, "migration endpoints must differ");
     assert!(from < backends.len() && to < backends.len(), "backend index out of range");
     // Legacy (v1/v2) slots hold up to 248 path bytes but a v3 journal slot
-    // only 240: a file with such a path can be recovered, yet never
+    // only 232: a file with such a path can be recovered, yet never
     // journaled — an error, not a panic in the repair pass or the worker.
     layout.check_path(to_path)?;
     // Open the source before anything else: a vanished source (stale
@@ -674,7 +675,15 @@ pub(crate) fn migrate_bytes(
     // Step 1 — journal: the authoritative copy of `to_path` is on `from`
     // (for a plain migration `to_path == from_path`; for a cross-tier
     // rename this reads "nothing at the destination name is valid yet").
-    PersistentFdTable::set_migration(region, layout, journal_slot, to_path, from as u32, clock);
+    PersistentFdTable::set(
+        region,
+        layout,
+        journal_slot,
+        FD_VALID_MIGRATION,
+        to_path,
+        from as u32,
+        clock,
+    );
     if crash_after == Some(CrashPoint::AfterJournal) {
         let _ = backends[from].close(src, clock);
         return Ok(0);
@@ -716,7 +725,7 @@ pub(crate) fn migrate_bytes(
     match backends[from].unlink(from_path, clock) {
         Ok(()) | Err(IoError::NotFound(_)) => {}
         // The journal stays valid: recovery will finish the unlink. The
-        // caller must not recycle the slot (it checks `get_migration`).
+        // caller must not recycle the slot (it reads the journal back).
         Err(e) => return Err(e),
     }
     if crash_after == Some(CrashPoint::AfterUnlink) {
@@ -780,11 +789,11 @@ pub(crate) fn repair_journals(
     }
     let mut repaired = 0;
     for slot in 0..layout.fd_slots as u32 {
-        let Some((path, keep)) = PersistentFdTable::get_migration(region, layout, slot, clock)
+        let Some(journal) = PersistentFdTable::get(region, layout, slot, FD_VALID_MIGRATION, clock)
         else {
             continue;
         };
-        tiers.unlink_others(&path, keep as usize, clock)?;
+        tiers.unlink_others(&journal.path, journal.backend as usize, clock)?;
         PersistentFdTable::clear(region, layout, slot, clock);
         repaired += 1;
     }
@@ -889,9 +898,8 @@ pub(crate) fn journaled_move(
         clock,
         None,
     );
-    if PersistentFdTable::get_migration(&shared.log.region, &shared.log.layout, slot, clock)
-        .is_none()
-    {
+    let (region, layout) = (&shared.log.region, &shared.log.layout);
+    if PersistentFdTable::get(region, layout, slot, FD_VALID_MIGRATION, clock).is_none() {
         shared.fd_slots.release(slot);
     }
     result
@@ -1097,6 +1105,27 @@ mod tests {
         assert!(gate.try_claim("/a").is_some(), "free path claims fine; dropped at once");
         drop(b);
         assert!(gate.try_claim("/b").is_some(), "dropped claims free the path");
+    }
+
+    #[test]
+    fn a_lease_blocked_by_a_claim_proceeds_once_the_claim_drops() {
+        let gate = MigrationGate::default();
+        let claim = gate.try_claim("/a").expect("free path");
+        let (leased, on_lease) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                gate.enter_op("/a");
+                leased.send(()).expect("receiver alive");
+                gate.exit_op("/a");
+            });
+            let blocked = on_lease.recv_timeout(Duration::from_millis(50));
+            assert!(blocked.is_err(), "a claimed path must not be leased");
+            drop(claim);
+            on_lease
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the drop wakes the lease");
+        });
+        assert!(gate.try_claim("/a").is_some(), "the lease was returned");
     }
 
     #[test]

@@ -29,14 +29,12 @@
 //! stored heat is first decayed to the touching call's **virtual** clock
 //! (`heat ← heat · 2^(−Δt / half_life)`, no wall clock anywhere), then
 //! incremented by one. Temperature survives close → reopen through the
-//! migrator catalog, exactly like the raw read/write counters; by default
-//! it does **not** survive a remount (the catalog is volatile), so a
-//! freshly recovered file is judged by [`PlacementPolicy::place_cold`].
-//! [`Tiering::persist_heat`](crate::Tiering::persist_heat)
-//! relaxes that: each fd slot then carries a quantized summary
-//! ([`quantize_heat`]/[`dequantize_heat`]) that recovery feeds back into
-//! the catalog, so promotions re-earn themselves from the persisted heat
-//! instead of from scratch.
+//! migrator catalog, exactly like the raw read/write counters. The catalog
+//! is volatile, but each open file's tiered fd slot carries a quantized
+//! summary ([`quantize_heat`]/[`dequantize_heat`]) that recovery feeds back
+//! into the catalog, so promotions re-earn themselves from the persisted
+//! heat instead of from scratch; a file recovered without a hot summary is
+//! judged by [`PlacementPolicy::place_cold`].
 
 use simclock::SimTime;
 

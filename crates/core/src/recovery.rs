@@ -33,8 +33,10 @@ use nvmm::{NvRegion, PmemInts};
 use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
-use crate::layout::{self, CommitWord, Layout};
+use crate::files::{FdSlot, PersistentFdTable};
+use crate::layout::{self, CommitWord, Header, Layout, FD_VALID_OPEN};
 use crate::log::EntryHeader;
+use crate::placement::dequantize_heat;
 use crate::replay::{Pending, Window, Written};
 use crate::tiers::Tiers;
 
@@ -79,8 +81,8 @@ pub struct RecoveryReport {
     /// is the router's current placement (possible after a v2 → v3
     /// migration or a routing-policy change), and under a
     /// [`HeatPolicy`](crate::HeatPolicy) it also counts files the policy
-    /// had promoted before the crash (temperature is volatile — they
-    /// re-earn promotion as heat accumulates). Their bytes stay fully
+    /// had promoted before the crash whose persisted heat word no longer
+    /// clears the promote threshold. Their bytes stay fully
     /// reachable — `stat`,
     /// `unlink` and `open` (creating or not) probe the recorded backend
     /// before policy routing, so an existing file is always opened in
@@ -201,8 +203,8 @@ pub(crate) use reference::replay_per_entry;
 /// The replay phase as [`recover`] takes it.
 pub(crate) type Replayer = fn(&Replay<'_>, &mut RecoveryReport) -> IoResult<()>;
 
-/// `(path, backend, dequantized heat)` summaries harvested from a
-/// heat-format image's fd slots, ready to seed the migrator's catalog.
+/// `(path, backend, dequantized heat)` summaries harvested from the fd
+/// slots' heat words, ready to seed the migrator's catalog.
 pub(crate) type HeatSeeds = Vec<(String, u32, f64)>;
 
 /// What [`recover`] hands the mount: the report, the `(path, backend)`
@@ -234,8 +236,8 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// writes survive any routing policy. This is the v2 → v3 migration path
 /// (the caller stamps the header afterwards).
 ///
-/// **Misplacement** is judged by the mount's placement policy: a recovered
-/// file has no accumulated temperature (the heat catalog is volatile), so
+/// **Misplacement** is judged by the mount's placement policy: the heat
+/// catalog is volatile (only the slot's heat word survives, see below), so
 /// each file is checked against
 /// [`PlacementPolicy::place_cold`](crate::PlacementPolicy::place_cold) —
 /// the router's current placement under the default
@@ -249,14 +251,13 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// `files_misplaced == 0`. Leftover migration journals from a crash inside
 /// the protocol are repaired on *every* recovery, repair mode or not.
 ///
-/// **Persisted heat** ([`Tiering::persist_heat`](crate::Tiering::persist_heat)):
-/// a heat-format image ([`layout::OFF_HEAT_EPOCH`] = [`layout::HEAT_EPOCH`])
-/// carries a quantized temperature summary in each open slot's last word.
-/// Recovery dequantizes the summaries and returns them so the mount can
-/// re-seed the migrator's heat catalog — a crashed
-/// [`HeatPolicy`](crate::HeatPolicy) mount re-promotes its hot set on the
-/// next sweep without the files being re-touched. A slot whose summary
-/// clears the policy's
+/// **Persisted heat**: a tiered slot ends in a quantized temperature
+/// summary ([`layout::heat_word`]), stamped by a mount whose placement reads
+/// heat. A mount that reads heat too (`Tiers::track_heat`) dequantizes the
+/// summaries and returns them so the mount can re-seed the migrator's heat
+/// catalog — a crashed [`HeatPolicy`](crate::HeatPolicy) mount re-promotes
+/// its hot set on the next sweep without the files being re-touched; every
+/// other mount ignores the word. A slot whose summary clears the policy's
 /// [`retain_heat_threshold`](crate::PlacementPolicy::retain_heat_threshold)
 /// is *not* judged misplaced by the cold-placement check (and not demoted
 /// by a repair pass): the persisted temperature says it is exactly where
@@ -265,60 +266,28 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// Returns the report, the `(path, backend)` pairs still misplaced after
 /// recovery (empty in repair mode) — the mount seeds the migrator's catalog
 /// with them so a later [`rebalance`](crate::NvCache::rebalance) can find
-/// the files — and the `(path, backend, heat)` summaries recovered from a
-/// heat-format image (empty otherwise).
+/// the files — and the `(path, backend, heat)` summaries recovered from the
+/// heat words (empty unless the mount reads heat).
 ///
 /// Idempotent: crashing *during* recovery and running it again converges to
 /// the same state, because replay only overwrites with logged data and the
 /// log is emptied only after the final `sync`.
 ///
-/// `replay` is the replay phase: [`replay_planned`] for every mount; tests
-/// also pass the per-entry reference, which then runs between the very same
-/// reopen, scan, sync and empty steps.
+/// `image` is the region's header, already read and checked against the
+/// mount. `replay` is the replay phase: [`replay_planned`] for every mount;
+/// tests also pass the per-entry reference, which then runs between the
+/// very same reopen, scan, sync and empty steps.
 pub(crate) fn recover(
     region: &NvRegion,
+    image: &Header,
     tiers: &Tiers,
     repair: bool,
     clock: &ActorClock,
     replay: Replayer,
 ) -> IoResult<Recovered> {
     let (backends, router, placement) = (&*tiers.backends, &*tiers.router, &*tiers.placement);
-    // Read the layout back from the header (charged reads: cold caches).
-    let mut header = [0u8; 64];
-    region.read(0, &mut header, clock);
-    let magic = u64::from_le_bytes(header[0..8].try_into().expect("8 bytes"));
-    if magic != layout::MAGIC {
-        return Err(IoError::InvalidArgument("NVMM region is not a formatted NVCache log".into()));
-    }
-    let entry_size = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let nb_entries = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-    let ptail = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-    let fd_slots = u64::from_le_bytes(header[32..40].try_into().expect("8 bytes"));
-    // 0 = v1 (seed) header that never wrote the shard word.
-    let log_shards = u64::from_le_bytes(header[48..56].try_into().expect("8 bytes")).max(1);
-    // 0 = v1/v2 header: single backend, no backend word in the fd slots.
-    let image_backends = u64::from_le_bytes(header[56..64].try_into().expect("8 bytes")).max(1);
-    if image_backends as usize > backends.len() {
-        return Err(IoError::InvalidArgument(format!(
-            "region references {image_backends} backends but recovery got only {}",
-            backends.len()
-        )));
-    }
-    // 0 = pre-heat header (never written): the fd slots carry no heat word
-    // and their full v3 path area is path bytes. Only the current epoch is
-    // understood; an unknown epoch is treated as absent (the slots are
-    // cleared during recovery anyway, so nothing stale survives).
-    let mut epoch_word = [0u8; 8];
-    region.read(layout::OFF_HEAT_EPOCH, &mut epoch_word, clock);
-    let image_heat_epoch = u64::from_le_bytes(epoch_word);
-    let lay = Layout {
-        nb_entries,
-        entry_size,
-        fd_slots,
-        log_shards,
-        backends: image_backends,
-        heat: image_heat_epoch == layout::HEAT_EPOCH,
-    };
+    let Header { layout: lay, ptail } = *image;
+    let (nb_entries, fd_slots, log_shards) = (lay.nb_entries, lay.fd_slots, lay.log_shards);
 
     // Repair interrupted migrations first (journal slots are invisible to
     // the open-file scan below, but their non-authoritative copies must be
@@ -342,8 +311,8 @@ pub(crate) fn recover(
     // several descriptors stamps one summary per slot; keep the hottest).
     let mut heat_seeds: HashMap<String, (u32, f64)> = HashMap::new();
     for slot in 0..fd_slots as u32 {
-        if let Some((path, stored)) =
-            crate::files::PersistentFdTable::get(region, &lay, slot, clock)
+        if let Some(FdSlot { path, backend: stored, heat }) =
+            PersistentFdTable::get(region, &lay, slot, FD_VALID_OPEN, clock)
         {
             // Candidate backends, in resolution order. A v3 slot's recorded
             // placement is authoritative. A legacy (v1/v2) slot entering a
@@ -400,12 +369,7 @@ pub(crate) fn recover(
             // until a repair pass, a rebalance sweep, or the operator moves
             // it. Count it so the mismatch is visible instead of silent.
             if let Some(backend) = resolved {
-                let heat = if lay.heat_slots() {
-                    crate::files::PersistentFdTable::heat(region, &lay, slot, clock)
-                        .map(crate::placement::dequantize_heat)
-                } else {
-                    None
-                };
+                let heat = heat.filter(|_| tiers.track_heat).map(dequantize_heat);
                 if let Some(h) = heat {
                     if h > 0.0 {
                         let seed = heat_seeds.entry(path.clone()).or_insert((backend as u32, 0.0));
@@ -433,7 +397,7 @@ pub(crate) fn recover(
                 // partitioning on the *next* recovery, where its path bytes
                 // masquerade as a (garbage) backend word and wedge the
                 // region permanently.
-                crate::files::PersistentFdTable::clear(region, &lay, slot, clock);
+                PersistentFdTable::clear(region, &lay, slot, clock);
                 report.files_missing += 1;
             }
         }
@@ -532,7 +496,7 @@ pub(crate) fn recover(
     // Close and clear the fd table.
     for (slot, backend, fd) in reopened {
         backends[backend].close(fd, clock)?;
-        crate::files::PersistentFdTable::clear(region, &lay, slot, clock);
+        PersistentFdTable::clear(region, &lay, slot, clock);
     }
 
     // Stamp the (possibly migrated) backend count: a legacy image mounted
@@ -540,26 +504,14 @@ pub(crate) fn recover(
     // 0 encoding (bytes unchanged on v1/v2 images). Stamping *before* the
     // repair pass matters: repair journals use the v3 slot partitioning, so
     // a crash mid-repair must find a v3 header on the next mount.
-    let target = Layout { backends: backends.len() as u64, heat: tiers.persist_heat, ..lay };
-    let backends_word = if target.tiered() { target.backends } else { 0 };
-    region.commit_store(layout::OFF_BACKENDS, backends_word, clock);
-    // Stamp the heat-format epoch the *mount* will write slots under. Safe
-    // at this point for the same reason as the backends word: every fd slot
-    // was cleared above, so no slot written under the old partitioning can
-    // be re-parsed under the new one. Written only on a change so images
-    // that never touch heat persistence stay byte-for-byte unchanged.
-    let heat_word_target = if target.heat_slots() { layout::HEAT_EPOCH } else { 0 };
-    if heat_word_target != image_heat_epoch {
-        region.commit_store(layout::OFF_HEAT_EPOCH, heat_word_target, clock);
-    }
-    region.persist_fence(clock);
+    Header::upgrade(region, backends.len() as u64, clock);
 
     // Repair mode: re-home every misplaced file to the placement policy's
     // cold target with the journaled migration protocol. Every fd slot was
     // cleared above, so slot 0 is free to journal through; the files are
     // closed and the log is empty, so no coordination is needed.
     if repair {
-        let repair_lay = Layout { backends: target.backends, ..lay };
+        let repair_lay = Layout { backends: backends.len() as u64, ..lay };
         let mut unrepairable = Vec::new();
         for (path, from) in misplaced.drain(..) {
             let to = placement.place_cold(&path, from as usize, router);

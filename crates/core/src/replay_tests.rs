@@ -12,6 +12,7 @@ use nvmm::NvRegion;
 use simclock::ActorClock;
 
 use crate as nvcache;
+use crate::layout::Header;
 use crate::recovery::{self, RecoveryReport, Replayer};
 use crate::tiers::Tiers;
 
@@ -28,8 +29,10 @@ const SEEDS: u64 = 3;
 fn recover_with(crashed: &Crashed, replay: Replayer) -> RecoveryReport {
     let tiers = Tiers::mount(crashed.below.tiering(&[])).expect("tiers");
     let region = NvRegion::whole(Arc::clone(&crashed.dimm));
+    let clock = ActorClock::new();
+    let image = Header::read(&region, &clock).expect("a formatted image");
     let (report, misplaced, _) =
-        recovery::recover(&region, &tiers, false, &ActorClock::new(), replay).expect("recovery");
+        recovery::recover(&region, &image, &tiers, false, &clock, replay).expect("recovery");
     assert!(misplaced.is_empty());
     report
 }

@@ -1088,6 +1088,19 @@ fn recover_rejects_unformatted_region() {
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
 }
 
+/// The magic is checked before any geometry word: a never-formatted region
+/// is named as such, not as a configuration mismatch.
+#[test]
+fn recovering_a_never_formatted_region_names_the_cause() {
+    let cfg = NvCacheConfig::tiny();
+    let clock = ActorClock::new();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    let err = mount(NvRegion::whole(dimm), inner, cfg, Mount::Recover, &clock).err();
+    let expected = "NVMM region is not a formatted NVCache log";
+    assert!(matches!(&err, Some(IoError::InvalidArgument(why)) if why == expected), "{err:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Async drain (queue_depth) and inner-error poisoning
 // ---------------------------------------------------------------------------

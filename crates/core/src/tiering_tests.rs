@@ -721,18 +721,17 @@ fn an_unlinked_file_is_never_catalogued() {
 
 #[test]
 fn a_path_past_the_fd_slot_is_an_error_and_one_at_the_limit_survives_a_crash() {
-    // The three slot layouts: single (248 path bytes), tiered (240), tiered
-    // with a heat word (232). The tiered mounts may migrate, so `open`
-    // holds a gate lease there.
+    // The two slot shapes: single (248 path bytes) and tiered (232, between
+    // the backend and the heat word). The tiered mount may migrate, so
+    // `open` holds a gate lease there.
     fn on_demand(tiers: Vec<Arc<dyn FileSystem>>) -> Tiering {
         let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
         Tiering::new(router, tiers).migration(crate::MigrationPolicy::OnDemand)
     }
     type Below = fn(Vec<Arc<dyn FileSystem>>) -> Tiering;
-    let layouts: [(usize, usize, Below); 3] = [
+    let layouts: [(usize, usize, Below); 2] = [
         (layout::PATH_MAX, 1, |tiers| Tiering::new(Arc::new(SingleBackend), tiers)),
         (layout::PATH_MAX_V3, 2, on_demand),
-        (layout::PATH_MAX_HEAT, 2, |tiers| on_demand(tiers).persist_heat(true)),
     ];
     for (limit, tiers, below) in layouts {
         let clock = ActorClock::new();

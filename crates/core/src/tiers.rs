@@ -8,11 +8,11 @@
 //!
 //! * [`Tiering`] — the public value handed to
 //!   [`NvCacheBuilder::tiers`](crate::NvCacheBuilder::tiers): the router,
-//!   the (layered) tiers, and the four choices about moving files between
-//!   them (placement policy, [`MigrationPolicy`], catalog capacity, heat
-//!   persistence). [`NvCacheBuilder::backend`](crate::NvCacheBuilder::backend)
-//!   builds the one-tier value of the paper's deployment, which has none of
-//!   the four to set.
+//!   the (layered) tiers, and the three choices about moving files between
+//!   them (placement policy, [`MigrationPolicy`], catalog capacity).
+//!   [`NvCacheBuilder::backend`](crate::NvCacheBuilder::backend) builds the
+//!   one-tier value of the paper's deployment, which has none of the three
+//!   to set.
 //! * `Tiers` — the mounted half, built once by the builder *before*
 //!   recovery. It owns the merged namespace `cache.rs` shows as one: an
 //!   existing file is opened in place (recorded backend, then routed
@@ -82,10 +82,12 @@ pub type LayeredTier = (Vec<Arc<dyn Layer>>, Arc<dyn FileSystem>);
 /// files move between them afterwards.
 ///
 /// Defaults: [`RouterPlacement`] (files belong where the router puts
-/// them), [`MigrationPolicy::Disabled`], an unbounded catalog, volatile
-/// heat. Nothing of this value is encoded in the NVMM image except the tier
-/// count and whether fd slots carry a heat word; everything else may change
-/// across a remount.
+/// them), [`MigrationPolicy::Disabled`], an unbounded catalog. Nothing of
+/// this value is encoded in the NVMM image except the tier count; everything
+/// else may change across a remount. A mount whose placement reads heat
+/// (and may migrate) stamps each open file's temperature into its fd slot
+/// at `open`, `fsync` and `close`, so a crash + recovery re-seeds the
+/// policy instead of starting every file cold.
 #[derive(Clone)]
 pub struct Tiering {
     pub(crate) router: Arc<dyn Router>,
@@ -93,7 +95,6 @@ pub struct Tiering {
     pub(crate) placement: Arc<dyn PlacementPolicy>,
     pub(crate) migration: MigrationPolicy,
     pub(crate) catalog_capacity: Option<usize>,
-    pub(crate) persist_heat: bool,
 }
 
 impl std::fmt::Debug for Tiering {
@@ -104,7 +105,6 @@ impl std::fmt::Debug for Tiering {
             .field("placement", &self.placement)
             .field("migration", &self.migration)
             .field("catalog_capacity", &self.catalog_capacity)
-            .field("persist_heat", &self.persist_heat)
             .finish()
     }
 }
@@ -140,7 +140,6 @@ impl Tiering {
             placement: Arc::new(RouterPlacement),
             migration: MigrationPolicy::Disabled,
             catalog_capacity: None,
-            persist_heat: false,
         }
     }
 
@@ -208,30 +207,12 @@ impl Tiering {
         self
     }
 
-    /// Persists a compact per-file temperature summary in each fd slot,
-    /// stamped at `fsync` and `close`, so a crash +
-    /// [`Mount::Recover`](crate::Mount::Recover) re-seeds [`HeatPolicy`]
-    /// promotions instead of starting every file cold. Shortens the on-slot
-    /// path budget from 240 to 232 bytes. Two or more tiers only: a
-    /// single-backend fd slot has no spare bytes and no placement to
-    /// re-seed.
-    ///
-    /// [`HeatPolicy`]: crate::HeatPolicy
-    pub fn persist_heat(mut self, persist: bool) -> Self {
-        self.persist_heat = persist;
-        self
-    }
-
     /// # Panics
     ///
-    /// Panics when heat persistence is asked of a single tier, or the
-    /// placement policy promotes onto a tier the mount does not have.
+    /// Panics when the placement policy promotes onto a tier the mount does
+    /// not have.
     pub(crate) fn validate(&self) {
         let tiers = self.tiers.len();
-        assert!(
-            !self.persist_heat || tiers > 1,
-            "persist_heat requires a tiered mount (two or more tiers)"
-        );
         if let Some(fast) = self.placement.fast_tier() {
             assert!(
                 fast < tiers,
@@ -268,13 +249,12 @@ pub(crate) struct Tiers {
     pub migrator: Migrator,
     /// [`MigrationPolicy::Disabled`] on one tier, whatever was asked for.
     policy: MigrationPolicy,
-    /// Whether per-I/O temperature bookkeeping runs: the mount can migrate
-    /// AND the policy reads heat. Computed once — the read/write hot path
-    /// must not pay vtable calls to re-derive a constant.
+    /// Whether per-I/O temperature bookkeeping runs — and with it the fd
+    /// slots' heat stamps and recovery's reading of them: the mount can
+    /// migrate AND the policy reads heat. Computed once — the read/write hot
+    /// path must not pay vtable calls to re-derive a constant.
     pub track_heat: bool,
     heat_half_life: Option<SimTime>,
-    /// Whether fd slots carry a heat word.
-    pub persist_heat: bool,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -292,8 +272,7 @@ impl Tiers {
     /// Panics if `tiering` is inconsistent ([`Tiering::validate`]).
     pub fn mount(tiering: Tiering) -> IoResult<Tiers> {
         tiering.validate();
-        let Tiering { router, tiers, placement, migration, catalog_capacity, persist_heat } =
-            tiering;
+        let Tiering { router, tiers, placement, migration, catalog_capacity } = tiering;
         if router.fan_out() > tiers.len() {
             return Err(IoError::InvalidArgument(format!(
                 "router {router:?} fans out to {} backends but only {} were supplied",
@@ -323,18 +302,13 @@ impl Tiers {
             placement,
             migrator,
             policy,
-            persist_heat,
             worker: Mutex::new(None),
         })
     }
 
     /// The fd-slot partitioning of this mount over `cfg`'s geometry.
     pub fn layout(&self, cfg: &NvCacheConfig) -> Layout {
-        Layout {
-            backends: self.backends.len() as u64,
-            heat: self.persist_heat,
-            ..Layout::for_config(cfg)
-        }
+        Layout { backends: self.backends.len() as u64, ..Layout::for_config(cfg) }
     }
 
     /// The one inner file system of the paper's deployment; `None` on a
@@ -636,14 +610,13 @@ impl Tiers {
         }
     }
 
-    /// Persists `file`'s decayed temperature into the spare word of its fd
-    /// slot when it quantizes to `at_least` or more (heat-format layouts
-    /// with a temperature-reading policy only): one `commit_store` + fence,
-    /// so a crash hands the next mount this file's heat instead of a cold
-    /// start. `fsync` and `close` stamp whatever the value (`0`); `open`
-    /// skips a cold one (`1`) — the slot's zeroed heat word already reads as
-    /// cold. A no-op on every other mount: the default pays nothing, not
-    /// even a branch on NVMM.
+    /// Persists `file`'s decayed temperature into the heat word of its fd
+    /// slot when it quantizes to `at_least` or more (mounts that track heat
+    /// only): one `commit_store` + fence, so a crash hands the next mount
+    /// this file's heat instead of a cold start. `fsync` and `close` stamp
+    /// whatever the value (`0`); `open` skips a cold one (`1`) — the slot's
+    /// zeroed heat word already reads as cold. A no-op on every other mount:
+    /// the default pays nothing, not even a branch on NVMM.
     pub fn stamp_heat(
         &self,
         log: &Log,
@@ -652,7 +625,7 @@ impl Tiers {
         at_least: u16,
         clock: &ActorClock,
     ) {
-        if !(self.persist_heat && self.track_heat) {
+        if !self.track_heat {
             return;
         }
         let heat = file.temperature.lock().decayed(clock.now(), self.heat_half_life);

@@ -49,7 +49,6 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
     ("core/src/cache.rs", "spawn cleanup worker"),
     ("core/src/tiers.rs", "spawn migration worker"),
     // Fixed-width header/field decoding: the slices are always 4/8 bytes.
-    ("core/src/recovery.rs", ".try_into().expect("),
     ("core/src/log.rs", ".try_into().expect("),
     // Crash simulation requires the durable mirror the profile enabled.
     ("nvmm/src/dimm.rs", "crash semantics unavailable"),
@@ -69,7 +68,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// figure the crate's last simplification reached, rounded up to the next
 /// 50, so that what a simplification removed does not grow back unnoticed.
 /// Raising a ceiling is a reviewed one-line diff here.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5200), ("vfs", 2800)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5150), ("vfs", 2800)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
