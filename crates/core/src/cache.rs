@@ -18,11 +18,11 @@ use crate::builder::NvCacheBuilder;
 use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentFdTable};
 use crate::layout;
 use crate::lockcheck::{Class, Held, Recorder};
-use crate::log::{Log, Stripe};
+use crate::log::{EntryHeader, Log, Stripe};
 use crate::pagedesc::{PageDescriptor, PageSlot};
 use crate::readcache::ReadCache;
 use crate::recovery::{Recovered, RecoveryReport};
-use crate::replay::{Pending, Window};
+use crate::replay::{Pending, Plan, Window};
 use crate::tiers::Tiers;
 use crate::{NvCacheConfig, NvCacheStats, Radix};
 
@@ -103,6 +103,9 @@ pub(crate) struct Shared {
     /// offending edge chain. Shared with the [`Log`]'s stripes and the
     /// tiers' migrator.
     pub lockcheck: Recorder,
+    /// Seeded bug: the cleanup workers rewrite entries `close` pushed.
+    #[cfg(test)]
+    pub rewrite_pushed: AtomicBool,
 }
 
 impl Shared {
@@ -202,10 +205,19 @@ impl Shared {
     }
 
     /// Every descriptor — open, closing or draining — on `file`.
-    fn descriptors_of(&self, file: &Arc<FileState>) -> Vec<Arc<OpenedFile>> {
-        let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
-        let opened = self.opened.read();
-        opened.values().filter(|o| Arc::ptr_eq(&o.file, file)).cloned().collect()
+    pub fn descriptors_of(&self, file: &FileState) -> Vec<Arc<OpenedFile>> {
+        let slots = file.slots.lock().clone();
+        slots.into_iter().filter_map(|slot| self.opened_by_slot(slot)).collect()
+    }
+
+    /// The state the mount holds for the file `meta` describes on
+    /// `backend`. Every pending entry belongs to a descriptor whose file
+    /// stays here until the tail has passed the entry (an unlinked file
+    /// leaves early, and has no name), so `None` means the file has
+    /// nothing in the log.
+    pub fn file_at(&self, backend: usize, meta: &Metadata) -> Option<Arc<FileState>> {
+        let _lk = self.lockcheck.acquire(Class::FilesMap, 0);
+        self.files.lock().get(&(backend as u32, meta.dev, meta.ino)).cloned()
     }
 
     /// Whether any open descriptor or closed-but-undrained zombie still
@@ -316,9 +328,9 @@ impl Shared {
     /// and callers hold either the page locks or fd quiescence).
     fn pending_entries_for(
         &self,
-        filter: impl Fn(&crate::log::EntryHeader) -> bool,
-    ) -> Vec<(usize, u64, crate::log::EntryHeader)> {
-        let mut pending: Vec<(usize, u64, crate::log::EntryHeader)> = Vec::new();
+        filter: impl Fn(&EntryHeader) -> bool,
+    ) -> Vec<(usize, u64, EntryHeader)> {
+        let mut pending: Vec<(usize, u64, EntryHeader)> = Vec::new();
         for (si, stripe) in self.log.stripes.iter().enumerate() {
             let tail = stripe.vtail.load(Ordering::Acquire);
             let head = stripe.head.load(Ordering::Acquire);
@@ -335,38 +347,96 @@ impl Shared {
         pending
     }
 
-    /// Propagates this descriptor's still-pending log entries into the
-    /// kernel (buffered `pwrite`, **no** fsync): the paper's `close`
-    /// contract — "all the writes in user space are actually flushed to the
-    /// kernel" — durability already lives in the NVMM log. The entries go
-    /// through the replay planner (`replay.rs`): each contiguous extent of
-    /// surviving bytes is one inner write, under the cleanup lock of every
-    /// page it covers.
-    pub fn kernel_flush_file(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
-        let mut window = Window::default();
-        let write_out = |window: &mut Window| {
-            let _ = window.write_out(
-                |at, buf| self.log.region.read_cached(at, buf),
-                |_, off, data| {
-                    let pages = self.page_descs(&opened.file, off, data.len());
-                    let _guards =
-                        self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
-                    let (inner, _lk) = self.hold_inner(opened);
-                    if let Some(fd) = *inner {
-                        let _ = self.inner_of(opened).pwrite(fd, data, off, clock);
-                    }
-                    Ok(())
-                },
-            );
+    /// Pushes pending log entries of `via`'s file into the kernel through
+    /// `via`'s inner descriptor (buffered `pwrite`, **no** fsync): the
+    /// paper's `close` contract — "all the writes in user space are actually
+    /// flushed to the kernel" — durability already lives in the NVMM log.
+    /// Without a `mark`, `via`'s own entries; with one, every entry of the
+    /// file below `mark`, and the file's mark moves there
+    /// ([`FileState::pushed_below`]). Entries below the old mark are in the
+    /// kernel already. The entries go through the replay planner
+    /// (`replay.rs`): each contiguous extent of surviving bytes is one inner
+    /// write.
+    ///
+    /// The cleanup lock of every page the push writes is held from before
+    /// the mark moves until the last write, so a worker consumes an entry
+    /// below the mark without a write only once its bytes are in the
+    /// kernel, and no read miss sees the page in between. The tail is
+    /// pinned from the snapshot of the entries to the last payload read, so
+    /// none of them is freed, and its slot refilled, in between. Returns
+    /// whether every write reached the kernel; if not, the mark stays where
+    /// it was and the workers write the entries themselves.
+    pub fn push(&self, via: &OpenedFile, mark: Option<u64>, clock: &ActorClock) -> bool {
+        let file = &via.file;
+        let _lk = self.lockcheck.acquire(Class::TailPin, 0);
+        let _pin = self.log.tail_pin.read();
+        let below = file.pushed_below.load(Ordering::Acquire);
+        let slots = file.slots.lock().clone();
+        let ours = |h: &EntryHeader| match mark {
+            Some(mark) => h.seq < mark && slots.contains(&h.fd_slot),
+            None => h.fd_slot == via.slot,
         };
-        for (si, seq, hdr) in self.pending_entries_for(|h| h.fd_slot == opened.slot) {
+        let mut plans = Vec::new();
+        let mut window = Window::default();
+        for (si, seq, hdr) in self.pending_entries_for(|h| h.seq >= below && ours(h)) {
             let data_at = self.log.layout.entry_data(self.log.stripes[si].slot(seq));
-            let entry = Pending { file: 0, file_off: hdr.file_off, len: hdr.len, data_at };
-            if window.push(entry) {
-                write_out(&mut window);
+            if window.push(Pending { file: 0, file_off: hdr.file_off, len: hdr.len, data_at }) {
+                plans.push(window.plan());
             }
         }
-        write_out(&mut window);
+        plans.push(window.plan());
+        #[cfg(test)]
+        crate::scoped_tests::after_snapshot();
+        let mut pages: Vec<KeyedPage> = plans
+            .iter()
+            .flat_map(Plan::extents)
+            .flat_map(|(_, off, len)| self.page_descs(file, off, len as usize))
+            .collect();
+        pages.sort_unstable_by_key(|(key, _)| *key);
+        pages.dedup_by_key(|(key, _)| *key);
+        let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
+        if let Some(mark) = mark {
+            file.pushed_below.store(mark, Ordering::Release);
+        }
+        let pushed = plans.into_iter().try_for_each(|plan| {
+            plan.write_out(
+                |at, buf| self.log.region.read_cached(at, buf),
+                |_, off, data| {
+                    let (inner, _lk) = self.hold_inner(via);
+                    let fd = inner.ok_or(IoError::BadFd(via.slot as u64))?;
+                    self.inner_of(via).pwrite(fd, data, off, clock).map(drop)
+                },
+            )
+            .map(drop)
+        });
+        if pushed.is_err() {
+            file.pushed_below.store(below, Ordering::Release);
+        }
+        pushed.is_ok()
+    }
+
+    /// Takes `file`'s push lock: the one `close` or `rename` pushing it.
+    pub fn serialize_push<'f>(&self, file: &'f FileState) -> (MutexGuard<'f, ()>, Held) {
+        let order = self.lockcheck.acquire(Class::FilePush, 0);
+        (file.push_lock.lock(), order)
+    }
+
+    /// `close`'s push of a writable descriptor. The last writable
+    /// descriptor to close pushes the whole file and moves its mark to
+    /// [`Log::next_seq`] — read *before* the count, so that a writer opened
+    /// after the count was read logs only at or above it; every entry below
+    /// it is committed, its descriptor having finished its calls. Any
+    /// other pushes its own entries. Only then, and only if the push
+    /// succeeded, does the count drop: at zero, the kernel's copy of the
+    /// file is current.
+    fn close_push(&self, opened: &OpenedFile, clock: &ActorClock) {
+        let file = &opened.file;
+        let _serial = self.serialize_push(file);
+        let next = self.log.next_seq();
+        let last = file.writers.load(Ordering::SeqCst) == 1;
+        if self.push(opened, last.then_some(next), clock) {
+            file.writers.fetch_sub(1, Ordering::SeqCst);
+        }
     }
 
     /// A flush barrier over every stripe that fails when the drain could
@@ -396,6 +466,7 @@ impl Shared {
             let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
             self.opened.write().remove(&opened.slot);
         }
+        opened.file.slots.lock().retain(|&slot| slot != opened.slot);
         // The descriptor is in no table and its slot is still taken.
         self.release_inner(opened, clock);
         // An unlinked file's slots were cleared at the `unlink`; it is in
@@ -611,7 +682,7 @@ impl Shared {
     /// write, account it right away.
     ///
     /// [`commit_writes`]: Shared::commit_writes
-    fn do_pwrite(
+    pub fn do_pwrite(
         &self,
         opened: &OpenedFile,
         data: &[u8],
@@ -692,7 +763,10 @@ impl Shared {
                     self.inner_of(opened).pread(inner_fd, &mut page_buf, p * ps, clock)?;
                 }
                 let unpropagated = d.dirty_count();
-                if unpropagated > 0 {
+                // With no writable descriptor left the kernel's copy is
+                // current: the last `close` pushed every entry, and the
+                // workers write none of them again.
+                if unpropagated > 0 && file.writers.load(Ordering::SeqCst) > 0 {
                     self.stats.dirty_misses.fetch_add(1, Ordering::Relaxed);
                     self.dirty_miss(file, p, unpropagated as usize, &mut page_buf, clock);
                 }
@@ -821,6 +895,8 @@ impl NvCache {
             next_file_id: AtomicU64::new(1),
             lockcheck,
             cfg,
+            #[cfg(test)]
+            rewrite_pushed: AtomicBool::new(false),
         });
         let handles = (0..shared.cfg.log_shards)
             .map(|stripe| {
@@ -1052,8 +1128,14 @@ impl NvCache {
     /// the path's lease: inner open, file/descriptor bookkeeping.
     fn open_at(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         if flags.contains(OpenFlags::TRUNC) && flags.writable() {
-            // Pending log entries for the victim content must not resurface.
-            self.shared.drained_flush(clock)?;
+            // Pending log entries for the victim content must not resurface
+            // — and only a file the mount holds state for has any.
+            let victim = self.shared.tiers.locate(&self.shared, path, clock)?;
+            if victim.is_some_and(|(b, meta)| self.shared.file_at(b, &meta).is_some()) {
+                self.shared.drained_flush(clock)?;
+            } else {
+                self.shared.stats.drains_skipped.fetch_add(1, Ordering::Relaxed);
+            }
         }
         // NVCache provides durability itself; the inner file is opened
         // without O_SYNC (the cleanup thread fsyncs batches explicitly).
@@ -1086,6 +1168,10 @@ impl NvCache {
                     temperature: Mutex::new(heat.temp),
                     radix: OnceLock::new(),
                     open_count: AtomicU32::new(0),
+                    slots: Mutex::new(Vec::new()),
+                    writers: AtomicU32::new(0),
+                    pushed_below: AtomicU64::new(0),
+                    push_lock: Mutex::new(()),
                 })
             }))
         };
@@ -1155,6 +1241,11 @@ impl NvCache {
         // it right away so a crash before the first fsync does not forget a
         // known-warm file. Cold opens (the common case) skip the stamp.
         self.shared.tiers.stamp_heat(&self.shared.log, &file, slot, 1, clock);
+        // Counted before the descriptor can write (see `close_push`).
+        if flags.writable() {
+            file.writers.fetch_add(1, Ordering::SeqCst);
+        }
+        file.slots.lock().push(slot);
         let opened = Arc::new(OpenedFile {
             slot,
             flags,
@@ -1195,12 +1286,12 @@ impl FileSystem for NvCache {
         if opened.closing.swap(true, Ordering::SeqCst) {
             return Err(IoError::BadFd(fd.0));
         }
-        // Wait out in-flight calls on this descriptor, then push this file's
-        // pending writes into the kernel page cache (paper §I: close flushes
-        // all user-space writes *to the kernel* — durability is already in
-        // NVMM, so no fsync and no waiting for the cleanup thread). The last
-        // close of an unlinked file has nobody left to flush for: the file
-        // is dead.
+        // Wait out in-flight calls on this descriptor (queued submissions
+        // count), then push this file's pending writes into the kernel page
+        // cache (paper §I: close flushes all user-space writes *to the
+        // kernel* — durability is already in NVMM, so no fsync and no
+        // waiting for the cleanup thread). The last close of an unlinked
+        // file has nobody left to flush for: the file is dead.
         while opened.in_flight.load(Ordering::Acquire) > 0 {
             std::thread::yield_now();
         }
@@ -1208,8 +1299,14 @@ impl FileSystem for NvCache {
         let shared = &self.shared;
         let dead = file.unlinked.load(Ordering::SeqCst)
             && shared.bury_if_dead(file, shared.descriptors_of(file));
+        if opened.flags.writable() {
+            if dead {
+                file.writers.fetch_sub(1, Ordering::SeqCst);
+            } else {
+                shared.close_push(&opened, clock);
+            }
+        }
         if !dead {
-            self.shared.kernel_flush_file(&opened, clock);
             // Final temperature summary while the slot is still valid: a
             // crash during the zombie drain window hands the next mount this
             // file's heat (a clean finish clears the slot, heat word
@@ -1294,8 +1391,7 @@ impl FileSystem for NvCache {
         };
         // The kernel's size may be stale; NVCache's own is authoritative
         // (paper Table III: stat uses NVCache size).
-        let _lk = self.shared.lockcheck.acquire(Class::FilesMap, 0);
-        if let Some(file) = self.shared.files.lock().get(&(backend as u32, meta.dev, meta.ino)) {
+        if let Some(file) = self.shared.file_at(backend, &meta) {
             meta.size = file.size.load(Ordering::Acquire);
         }
         Ok(meta)
@@ -1349,9 +1445,9 @@ impl FileSystem for NvCache {
     }
 }
 
-/// [`Shared::kernel_flush_file`] as it was before the planner — one inner
-/// write per pending entry, in commit order — kept as the reference the
-/// planned form is tested against (`replay_tests.rs`).
+/// [`Shared::push`] of a descriptor's own entries as it was before the
+/// planner — one inner write per pending entry, in commit order — kept as
+/// the reference the planned form is tested against (`replay_tests.rs`).
 #[cfg(test)]
 mod reference {
     use super::*;

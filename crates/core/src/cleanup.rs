@@ -6,7 +6,9 @@
 //! [`queue_depth`](crate::NvCacheConfig::queue_depth)-deep overlap window
 //! before the batch's one durability barrier per backend. The ring overlaps
 //! *calls*; where the device's share of a batch is paid — at the ring, or in
-//! the barrier's writeback — is in [`run_cleanup`]'s phases 1 and 2.
+//! the barrier's writeback — is in [`run_cleanup`]'s phases 1 and 2. An
+//! entry whose file's last writable `close` already pushed it into the
+//! kernel is consumed without a write, and still gets its batch's barrier.
 //! Inner-file-system errors poison the stripe (see
 //! [`crate::NvCache::poisoned_stripes`]) instead of panicking.
 
@@ -40,7 +42,12 @@ use crate::pagedesc::PageDescriptor;
 ///    entry whose file is *dead* — unlinked, every descriptor closed, its
 ///    inner descriptor released ([`Shared::release_dead`]) — is consumed
 ///    like any other (handoff, page locks, dirty counters) without the
-///    write: [`entries_elided`](crate::NvCacheStats::entries_elided).
+///    write: [`entries_elided`](crate::NvCacheStats::entries_elided). An
+///    entry below its file's pushed-below mark — the last writable `close`
+///    pushed it into the kernel ([`Shared::push`]) — skips the write too,
+///    but its file counts as touched, so phase 2's barrier makes the pushed
+///    bytes durable:
+///    [`entries_in_kernel`](crate::NvCacheStats::entries_in_kernel).
 /// 2. **Reap** — the worker joins all completions, then submits **one
 ///    durability barrier per backend** the batch wrote to (tiers overlap,
 ///    each on its own ring) and reaps those too: `fsync` of the file when
@@ -58,9 +65,11 @@ use crate::pagedesc::PageDescriptor;
 /// 3. **Free** — only after the whole batch's completions (writes *and*
 ///    barriers) have landed does the worker clear commit flags, persist the
 ///    stripe's tail index, and publish the space to writers through the
-///    volatile tail. A crash anywhere before phase 3 therefore leaves the
-///    persistent tail untouched and recovery replays the batch — the same
-///    crash-consistency contract as the synchronous drain.
+///    volatile tail — once no push pins the tail
+///    ([`Log::free`](crate::log::Log::free)). A crash anywhere before
+///    phase 3 therefore leaves the persistent tail untouched and recovery
+///    replays the batch — the same crash-consistency contract as the
+///    synchronous drain.
 ///
 /// With `queue_depth = 1` the ring degenerates to back-to-back calls on one
 /// timeline: the drain is behaviorally *and* temporally identical to the
@@ -197,12 +206,6 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 let opened = shared
                     .opened_by_slot(e.fd_slot)
                     .expect("entry references a closed fd: close must drain first");
-                // Entries at the tail were written recently by the
-                // application; their lines are still in the CPU caches, so
-                // the read is not charged against the NVMM media (which
-                // would otherwise serialize the cleanup worker's far-future
-                // timeline against in-flight application flushes).
-                let data = stripe.read_data_cached(seq + i, e.len as usize);
                 let pages = shared.page_descs(&opened.file, e.file_off, e.len as usize);
                 if ordered_handoff && !wait_for_handoff(&shared, stripe, &pages, e.seq) {
                     if shared.kill.load(Ordering::Acquire) {
@@ -228,12 +231,30 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 // like any other, minus the write nobody could read back.
                 let (inner, inner_order) = shared.hold_inner(&opened);
                 if let Some(fd) = *inner {
-                    let cqe =
-                        rings[backend].submit_pwrite(fd, &data, e.file_off, e.seq, clock.now());
-                    shard_stats.uring_submitted.fetch_add(1, Ordering::Relaxed);
-                    if cqe.result.is_err() {
-                        batch_failed = true;
-                        break;
+                    // Read under the cleanup locks, which a push holds from
+                    // before it sets the mark until it has written the page.
+                    let pushed = e.seq < opened.file.pushed_below.load(Ordering::Acquire);
+                    #[cfg(test)]
+                    let pushed = pushed && !shared.rewrite_pushed.load(Ordering::Relaxed);
+                    if pushed {
+                        // `close` pushed it: the kernel's copy is current,
+                        // and this batch's barrier makes it durable.
+                        shared.stats.entries_in_kernel.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        // Entries at the tail were written recently by the
+                        // application; their lines are still in the CPU
+                        // caches, so the read is not charged against the
+                        // NVMM media (which would otherwise serialize the
+                        // cleanup worker's far-future timeline against
+                        // in-flight application flushes).
+                        let data = stripe.read_data_cached(seq + i, e.len as usize);
+                        let cqe =
+                            rings[backend].submit_pwrite(fd, &data, e.file_off, e.seq, clock.now());
+                        shard_stats.uring_submitted.fetch_add(1, Ordering::Relaxed);
+                        if cqe.result.is_err() {
+                            batch_failed = true;
+                            break;
+                        }
                     }
                     shared.stats.per_backend_propagated[backend].fetch_add(1, Ordering::Relaxed);
                     touched[backend] = match std::mem::take(&mut touched[backend]) {
@@ -334,7 +355,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // releases from a flush barrier finds the batch in the stats.
         shared.stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         shard_stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
-        stripe.free_range(tail, consumed, &clock);
+        shared.log.free(stripe, tail, consumed, &clock);
         shared.drain_zombies(&clock);
         // Files become migratable only once fully drained: zombies this
         // batch finished may now move tiers.

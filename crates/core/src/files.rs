@@ -62,6 +62,21 @@ pub(crate) struct FileState {
     pub radix: OnceLock<Radix>,
     /// Opens currently referencing this file.
     pub open_count: AtomicU32,
+    /// Fd slots of the descriptors — open, closing or draining — on this
+    /// file, in no order (a leaf lock: nothing is taken while it is held).
+    pub slots: Mutex<Vec<u32>>,
+    /// Writable descriptors whose `close` has not finished pushing into the
+    /// kernel, counted from `open`. At zero the kernel's copy is current.
+    pub writers: AtomicU32,
+    /// Entries of this file with a global sequence below the mark are in
+    /// the kernel already (a `close` pushed them): the cleanup workers
+    /// consume them without a write. Set under [`push_lock`] before the
+    /// push writes, with the cleanup lock of every page it writes held.
+    ///
+    /// [`push_lock`]: FileState::push_lock
+    pub pushed_below: AtomicU64,
+    /// Serializes the pushes of `close` and `rename` on this file.
+    pub push_lock: Mutex<()>,
 }
 
 /// Volatile per-descriptor state: the *opened table* entry of paper §III,

@@ -78,6 +78,19 @@
 //!    read-held across the call, taken out under the write lock), so no
 //!    worker can be handed a released one; a zombie of a dead file stays
 //!    listed to pin its slot number until the tail has passed its entries.
+//! 7. **Pushed entries** — the last writable `close` of a file pushes its
+//!    pending entries into the kernel and moves the file's *pushed-below*
+//!    mark to the next global sequence number, holding the cleanup lock of
+//!    every page it writes from before the move until its last write; a
+//!    worker reads the mark under the entry's page cleanup locks and
+//!    consumes an entry below it without a write, but with the batch's
+//!    barrier. With no writable descriptor left, the kernel's copy is
+//!    current and a read miss replays nothing. A push pins the tail, so no
+//!    entry it listed is freed before it has read the payload. A truncating
+//!    `open` drains only a file the mount holds state for, and a same-tier
+//!    `rename` of a file no descriptor writes any more makes only that file
+//!    durable — push, inner `fsync`, retire its fd slots, rename — instead
+//!    of draining every stripe.
 //!
 //! Back-pressure (the Fig. 5 saturation collapse) is preserved per stripe:
 //! each stripe couples its writers to its own cleanup worker's virtual
@@ -246,6 +259,8 @@ mod heat_tests;
 mod migrate_tests;
 #[cfg(test)]
 mod replay_tests;
+#[cfg(test)]
+mod scoped_tests;
 #[cfg(test)]
 mod tests;
 #[cfg(test)]

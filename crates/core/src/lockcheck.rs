@@ -54,6 +54,11 @@ pub(crate) enum Class {
     /// across inner calls (always after any page lock), write-held to
     /// release it.
     InnerFd,
+    /// `FileState::push_lock` — one `close`/`rename` push per file at a
+    /// time; taken before the tail pin.
+    FilePush,
+    /// `Log::tail_pin` — read-held across a push, write-held to free.
+    TailPin,
 }
 
 #[cfg(feature = "pmcheck")]
@@ -71,6 +76,8 @@ impl Class {
             Class::MigrationGate => "MigrationGate",
             Class::MigratorCatalog => "MigratorCatalog",
             Class::InnerFd => "InnerFd",
+            Class::FilePush => "FilePush",
+            Class::TailPin => "TailPin",
         }
     }
 

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use nvmm::{NvRegion, PmemInts};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, RwLock};
 use simclock::{ActorClock, SimTime};
 use vfs::{IoError, IoResult};
 
@@ -411,6 +411,10 @@ pub(crate) struct Log {
     /// `batch_min` — otherwise a stripe with few pending entries could sit
     /// on the sequence number its peers are waiting for.
     pub handoff_waiters: AtomicUsize,
+    /// Read-held by a push (`Shared::push`) from its snapshot of pending
+    /// entries to its last payload read, write-held by [`Log::free`]: no
+    /// entry a push has seen can be freed, and its slot refilled, under it.
+    pub tail_pin: RwLock<()>,
 }
 
 impl std::fmt::Debug for Log {
@@ -437,7 +441,23 @@ impl Log {
             stripes: stripes.into_boxed_slice(),
             global_seq: AtomicU64::new(start_seq),
             handoff_waiters: AtomicUsize::new(0),
+            tail_pin: RwLock::new(()),
         }
+    }
+
+    /// The global sequence number the next reservation draws: every entry
+    /// below it has been reserved already.
+    pub fn next_seq(&self) -> u64 {
+        let next = if self.single() { &self.stripes[0].head } else { &self.global_seq };
+        next.load(Ordering::SeqCst)
+    }
+
+    /// [`Stripe::free_range`] once no push pins the tail: the cleanup
+    /// workers' one way to free entries.
+    pub fn free(&self, stripe: &Stripe, from: u64, count: u64, clock: &ActorClock) {
+        let _lk = stripe.lockcheck.acquire(Class::TailPin, 0);
+        let _pin = self.tail_pin.write();
+        stripe.free_range(from, count, clock);
     }
 
     /// Whether this log has a single stripe (seed-compatible mode).

@@ -154,7 +154,7 @@ pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -
     let mut window = Window::default();
     let mut total = Written::default();
     let mut write_out = |window: &mut Window| -> IoResult<()> {
-        let written = window.write_out(
+        let written = window.plan().write_out(
             |at, buf| region.read(at, buf, clock),
             |file, off, data| {
                 let (backend, fd) = files[file];

@@ -20,8 +20,12 @@
 //! as later entries overwrite earlier ones.
 //!
 //! Two callers: recovery (every committed entry, files keyed by identity
-//! on the inner file system) and `close`'s kernel flush (one descriptor's
-//! pending entries).
+//! on the inner file system) and `close`'s push into the kernel (one
+//! descriptor's pending entries, or at the last writable `close` the whole
+//! file's). The push plans every window first ([`Window::plan`]): it must
+//! hold the cleanup lock of each page a [`Plan`]'s extents cover before it
+//! writes the first one, and its pinned tail keeps the payloads in place
+//! until [`Plan::write_out`] has read them.
 
 use std::collections::BTreeMap;
 
@@ -57,8 +61,7 @@ pub(crate) struct Written {
     pub bytes: u64,
 }
 
-/// The entries admitted since the last [`Window::write_out`], in commit
-/// order.
+/// The entries admitted since the last [`Window::plan`], in commit order.
 #[derive(Debug, Default)]
 pub(crate) struct Window {
     entries: Vec<Pending>,
@@ -67,35 +70,52 @@ pub(crate) struct Window {
 
 impl Window {
     /// Admits the next entry in commit order. Returns `true` once the
-    /// window is full: the caller must [`write_out`](Window::write_out)
-    /// before admitting another.
+    /// window is full: the caller must [`plan`](Window::plan) it before
+    /// admitting another.
     pub fn push(&mut self, entry: Pending) -> bool {
         self.payload += entry.len as u64;
         self.entries.push(entry);
         self.payload >= WINDOW_PAYLOAD || self.entries.len() >= WINDOW_ENTRIES
     }
 
-    /// Plans the admitted entries, fills each extent through `read(region
-    /// offset, buffer)` and hands it to `write(file, file offset, bytes)`,
-    /// ascending by `(file, offset)`; leaves the window empty.
+    /// Plans the admitted entries and leaves the window empty.
+    pub fn plan(&mut self) -> Plan {
+        let plan = Plan(surviving(&self.entries));
+        self.entries.clear();
+        self.payload = 0;
+        plan
+    }
+}
+
+/// The surviving pieces of one window, sorted by `(file, offset)`: its
+/// extents are the runs of contiguous pieces.
+#[derive(Debug)]
+pub(crate) struct Plan(Vec<Pending>);
+
+impl Plan {
+    /// `(file, file offset, length)` of every extent, ascending.
+    pub fn extents(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        self.0.chunk_by(contiguous).map(|run| {
+            let last = run[run.len() - 1];
+            (run[0].file, run[0].file_off, last.file_off + last.len as u64 - run[0].file_off)
+        })
+    }
+
+    /// Fills each extent through `read(region offset, buffer)` and hands it
+    /// to `write(file, file offset, bytes)`, ascending by `(file, offset)`.
     ///
     /// # Errors
     ///
     /// The first error `write` returns; extents before it were written,
     /// the rest were not.
     pub fn write_out(
-        &mut self,
+        self,
         mut read: impl FnMut(u64, &mut [u8]),
         mut write: impl FnMut(usize, u64, &[u8]) -> IoResult<()>,
     ) -> IoResult<Written> {
-        let pieces = surviving(&self.entries);
-        self.entries.clear();
-        self.payload = 0;
         let mut written = Written::default();
         let mut extent = Vec::new();
-        let contiguous =
-            |a: &Pending, b: &Pending| a.file == b.file && a.file_off + a.len as u64 == b.file_off;
-        for run in pieces.chunk_by(contiguous) {
+        for run in self.0.chunk_by(contiguous) {
             extent.clear();
             for piece in run {
                 let at = extent.len();
@@ -108,6 +128,10 @@ impl Window {
         }
         Ok(written)
     }
+}
+
+fn contiguous(a: &Pending, b: &Pending) -> bool {
+    a.file == b.file && a.file_off + a.len as u64 == b.file_off
 }
 
 /// The parts of `entries` (commit order) no newer entry of the same file
@@ -187,6 +211,7 @@ mod tests {
         let mut files = Images::new();
         let mut calls = Vec::new();
         let written = window
+            .plan()
             .write_out(
                 |at, buf| buf.copy_from_slice(&log[at as usize..at as usize + buf.len()]),
                 |file, off, data| {
@@ -252,6 +277,7 @@ mod tests {
         }
         let mut reads = Vec::new();
         window
+            .plan()
             .write_out(|at, buf| reads.push((at, buf.len())), |_, _, _| Ok(()))
             .expect("infallible write");
         assert_eq!(reads, vec![(100, 100), (200, 100)], "entry 0 (log bytes 0..100) is absorbed");
@@ -293,7 +319,7 @@ mod tests {
         let big = Pending { file: 0, file_off: 0, len: (WINDOW_PAYLOAD / 2) as u32, data_at: 0 };
         assert!(!window.push(big));
         assert!(window.push(big), "the payload budget is reached");
-        window.write_out(|_, _| (), |_, _, _| Ok(())).expect("infallible write");
+        window.plan().write_out(|_, _| (), |_, _, _| Ok(())).expect("infallible write");
         let small = Pending { file: 0, file_off: 0, len: 1, data_at: 0 };
         assert!((1..WINDOW_ENTRIES).all(|_| !window.push(small)));
         assert!(window.push(small), "the entry cap is reached");
@@ -307,7 +333,7 @@ mod tests {
             window.push(e);
         }
         let mut calls = 0;
-        let result = window.write_out(
+        let result = window.plan().write_out(
             |at, buf| buf.copy_from_slice(&log[at as usize..at as usize + buf.len()]),
             |_, _, _| {
                 calls += 1;

@@ -108,7 +108,7 @@ fn planned_kernel_flush_matches_its_per_entry_form() {
             let clock = ActorClock::new();
             for (p, r) in planned.fds.iter().zip(&reference.fds) {
                 let shared = &planned.cache.shared;
-                shared.kernel_flush_file(&shared.opened_fd(*p).expect("open"), &clock);
+                assert!(shared.push(&shared.opened_fd(*p).expect("open"), None, &clock));
                 let shared = &reference.cache.shared;
                 shared.kernel_flush_file_per_entry(&shared.opened_fd(*r).expect("open"), &clock);
             }

@@ -251,6 +251,15 @@ counter_table! {
         /// system drops the pages it cached for them) instead of at the end
         /// of their drain.
         files_buried,
+        /// Of [`entries_propagated`](Self::entries_propagated), the entries
+        /// the workers consumed without a write because `close` had already
+        /// pushed them into the kernel (the batch's barrier still makes
+        /// them durable).
+        entries_in_kernel,
+        /// Truncating opens and same-tier renames that did not drain the
+        /// log: the file they touch had nothing in it, or a rename settled
+        /// its source file alone.
+        drains_skipped,
         /// Durability barriers the cleanup workers completed: one per batch
         /// per backend the batch wrote to — `fsync` of the file when it
         /// touched one there, a `syncfs` of the backend when several.
@@ -367,7 +376,7 @@ mod tests {
         mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
         let queue = &s.per_queue[0];
         mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
-        assert_eq!(NvCacheStats::NAMES.len(), 27);
+        assert_eq!(NvCacheStats::NAMES.len(), 29);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 

@@ -25,9 +25,12 @@
 //!   half-copied file invisible, heat bookkeeping, and the accounting of a
 //!   finished move.
 //!
-//! On one tier every operation issues exactly the inner calls of the
-//! paper's pass-through — no probe before `open`, `rename` is drain then
-//! rename, `list_dir` is one call — decided by `Tiers::sole` alone.
+//! On one tier every operation issues the inner calls of the paper's
+//! pass-through — no probe before `open` (one `stat` before a truncating
+//! one), `rename` is settle then rename, `list_dir` is one call — decided
+//! by `Tiers::sole` alone. Settling a rename (`Tiers::settle_rename`) makes
+//! the renamed file alone durable when it can, and drains the whole log
+//! when it cannot.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -362,6 +365,9 @@ impl Tiers {
     /// remaining tier in index order. A misplaced file's bytes live where
     /// they were written, not where the router would place the path today.
     fn resolution_order(&self, shared: &Shared, path: &str) -> Vec<usize> {
+        if self.sole().is_some() {
+            return vec![0];
+        }
         let recorded = shared
             .descriptor_at(path)
             .map(|o| o.backend)
@@ -377,8 +383,9 @@ impl Tiers {
     }
 
     /// The backend actually holding `path` and the inner `stat` of it there,
-    /// probing in resolution order. "Found nowhere" is `Ok(None)`; a real
-    /// backend error aborts the probe.
+    /// probing in resolution order — where [`open`](Tiers::open) opens an
+    /// existing file; one `stat` on one tier. "Found nowhere" is
+    /// `Ok(None)`; a real backend error aborts the probe.
     pub fn locate(
         &self,
         shared: &Shared,
@@ -386,10 +393,8 @@ impl Tiers {
         clock: &ActorClock,
     ) -> IoResult<Option<(usize, Metadata)>> {
         for b in self.resolution_order(shared, path) {
-            match self.backends[b].stat(path, clock) {
-                Ok(meta) => return Ok(Some((b, meta))),
-                Err(IoError::NotFound(_)) => {}
-                Err(e) => return Err(e),
+            if let Some(meta) = probe(&self.backends[b], path, clock)? {
+                return Ok(Some((b, meta)));
             }
         }
         Ok(None)
@@ -470,8 +475,8 @@ impl Tiers {
     ) -> IoResult<()> {
         if let Some(only) = self.sole() {
             // The inner file system owns the whole errno surface (ENOENT
-            // included) — no probing, the paper's deployment.
-            shared.drained_flush(clock)?;
+            // included) — the paper's deployment.
+            self.settle_rename(shared, 0, from, to, clock)?;
             return only.rename(from, to, clock);
         }
         let leases = (self.lease(from), self.lease(to));
@@ -496,9 +501,7 @@ impl Tiers {
             drop(leases);
             return self.migrate_rename(shared, from, to, src, dst, clock);
         }
-        // Pending entries logically precede the rename; replaying them
-        // after it (recovery) would corrupt the new name's content.
-        shared.drained_flush(clock)?;
+        self.settle_rename(shared, src, from, to, clock)?;
         self.backends[src].rename(from, to, clock)?;
         // rename replaces the destination on the mount's *merged* view:
         // stale copies of the new name on other tiers must go.
@@ -522,6 +525,80 @@ impl Tiers {
         } else {
             self.migrator.rename_entry(from, to, src as u32, &shared.stats);
         }
+        Ok(())
+    }
+
+    /// Readies a same-tier `rename` of `from` onto `to` on `backend` for a
+    /// crash. Log entries logically precede the rename: replayed after it
+    /// they would land under a name that no longer holds their file, or
+    /// bring `to`'s old bytes back over its new content. Draining the whole
+    /// log settles both. When the mount holds no state for `to` and no
+    /// descriptor on `from` is left open, settling `from` alone does:
+    ///
+    /// 1. its not-yet-pushed entries are pushed into the kernel (usually
+    ///    none: its last `close` pushed them);
+    /// 2. an inner `fsync` of the inode, through a zombie's descriptor,
+    ///    makes them durable;
+    /// 3. [`Shared::file_unlinked`] clears its fd slots under one fence and
+    ///    buries it: recovery skips its entries, the workers drop them;
+    /// 4. the caller renames.
+    ///
+    /// A crash after any step leaves every acknowledged byte replayable
+    /// under `from` or durable in the inode.
+    fn settle_rename(
+        &self,
+        shared: &Shared,
+        backend: usize,
+        from: &str,
+        to: &str,
+        clock: &ActorClock,
+    ) -> IoResult<()> {
+        let inner = &self.backends[backend];
+        let known = |path| -> IoResult<_> {
+            Ok(probe(inner, path, clock)?.and_then(|m| Some((shared.file_at(backend, &m)?, m))))
+        };
+        let source = known(from)?;
+        if known(to)?.is_some() || (self.sole().is_none() && shared.path_is_open_or_draining(to)) {
+            return shared.drained_flush(clock);
+        }
+        if let Some((file, meta)) = source {
+            let via = {
+                let _serial = shared.serialize_push(&file);
+                // Read before the count, as in `Shared::close_push`.
+                let next = shared.log.next_seq();
+                let descriptors = shared.descriptors_of(&file);
+                let open = descriptors.iter().any(|o| !o.closing.load(Ordering::SeqCst));
+                // A writable one, if any: the push writes through it.
+                let via = descriptors.iter().max_by_key(|o| o.flags.writable()).cloned();
+                match via {
+                    Some(via)
+                        if !open
+                            && file.writers.load(Ordering::SeqCst) == 0
+                            && shared.push(&via, Some(next), clock) =>
+                    {
+                        via
+                    }
+                    _ => return shared.drained_flush(clock),
+                }
+            };
+            #[cfg(test)]
+            crate::scoped_tests::crash_point(crate::scoped_tests::Step::Pushed)?;
+            {
+                let (fd, _lk) = shared.hold_inner(&via);
+                let Some(fd) = *fd else { return shared.drained_flush(clock) };
+                #[cfg(test)]
+                let fd = Some(fd).filter(|_| !crate::scoped_tests::skips_fsync());
+                #[cfg(not(test))]
+                let fd = Some(fd);
+                fd.map_or(Ok(()), |fd| inner.fsync(fd, clock))?;
+            }
+            #[cfg(test)]
+            crate::scoped_tests::crash_point(crate::scoped_tests::Step::Synced)?;
+            shared.file_unlinked((backend as u32, meta.dev, meta.ino), clock);
+            #[cfg(test)]
+            crate::scoped_tests::crash_point(crate::scoped_tests::Step::Retired)?;
+        }
+        shared.stats.drains_skipped.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -725,6 +802,15 @@ impl Tiers {
         if let Some(worker) = self.worker.lock().take() {
             let _ = worker.join();
         }
+    }
+}
+
+/// `fs`'s inner `stat` of `path`; `None` when it has no such file.
+fn probe(fs: &Arc<dyn FileSystem>, path: &str, clock: &ActorClock) -> IoResult<Option<Metadata>> {
+    match fs.stat(path, clock) {
+        Ok(meta) => Ok(Some(meta)),
+        Err(IoError::NotFound(_)) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 

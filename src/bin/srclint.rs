@@ -68,7 +68,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// figure the crate's last simplification reached, rounded up to the next
 /// 50, so that what a simplification removed does not grow back unnoticed.
 /// Raising a ceiling is a reviewed one-line diff here.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5150), ("vfs", 2800)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5300), ("vfs", 2800)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
