@@ -22,7 +22,7 @@ use crate::log::{EntryHeader, Log, Stripe};
 use crate::pagedesc::{PageDescriptor, PageSlot};
 use crate::readcache::ReadCache;
 use crate::recovery::{Recovered, RecoveryReport};
-use crate::replay::{Pending, Plan, Window};
+use crate::replay::{Pending, Window};
 use crate::tiers::Tiers;
 use crate::{NvCacheConfig, NvCacheStats, Radix};
 
@@ -106,6 +106,10 @@ pub(crate) struct Shared {
     /// Seeded bug: the cleanup workers rewrite entries `close` pushed.
     #[cfg(test)]
     pub rewrite_pushed: AtomicBool,
+    /// One bit per stripe whose worker waits between consuming a batch and
+    /// its barrier (`scoped_tests::before_barrier`).
+    #[cfg(test)]
+    pub held_stripes: AtomicU64,
 }
 
 impl Shared {
@@ -358,10 +362,11 @@ impl Shared {
     /// (`replay.rs`): each contiguous extent of surviving bytes is one inner
     /// write.
     ///
-    /// The cleanup lock of every page the push writes is held from before
-    /// the mark moves until the last write, so a worker consumes an entry
-    /// below the mark without a write only once its bytes are in the
-    /// kernel, and no read miss sees the page in between. The tail is
+    /// The cleanup lock of every page a listed entry covers is held from
+    /// before the mark moves until the last write, so a worker consumes an
+    /// entry below the mark without a write only once its bytes are in the
+    /// kernel, and no read miss sees the page in between. Under those locks
+    /// the entries a worker has consumed already are dropped. The tail is
     /// pinned from the snapshot of the entries to the last payload read, so
     /// none of them is freed, and its slot refilled, in between. Returns
     /// whether every write reached the kernel; if not, the mark stays where
@@ -376,25 +381,39 @@ impl Shared {
             Some(mark) => h.seq < mark && slots.contains(&h.fd_slot),
             None => h.fd_slot == via.slot,
         };
+        let listed = self.pending_entries_for(|h| h.seq >= below && ours(h));
+        #[cfg(test)]
+        crate::scoped_tests::after_snapshot();
+        let mut pages: Vec<KeyedPage> = listed
+            .iter()
+            .flat_map(|(_, _, h)| self.page_descs(file, h.file_off, h.len as usize))
+            .collect();
+        pages.sort_unstable_by_key(|(key, _)| *key);
+        pages.dedup_by_key(|(key, _)| *key);
+        let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
+        // A listed entry a worker has consumed is in the kernel already, and
+        // a newer one on its page may be consumed and freed, so unlisted:
+        // writing it would put older bytes over the newer ones. A worker
+        // consumes an entry on all its pages at once, under their cleanup
+        // locks, and pops it from each page's propagation queue (multi-stripe
+        // logs only: on one stripe entries are freed oldest first, so every
+        // newer entry is listed too).
+        let consumed = |h: &EntryHeader| {
+            !self.log.single()
+                && self
+                    .page_descs(file, h.file_off, 1)
+                    .iter()
+                    .all(|(_, page)| page.propagation_front().is_none_or(|front| front > h.seq))
+        };
         let mut plans = Vec::new();
         let mut window = Window::default();
-        for (si, seq, hdr) in self.pending_entries_for(|h| h.seq >= below && ours(h)) {
+        for (si, seq, hdr) in listed.into_iter().filter(|(_, _, h)| !consumed(h)) {
             let data_at = self.log.layout.entry_data(self.log.stripes[si].slot(seq));
             if window.push(Pending { file: 0, file_off: hdr.file_off, len: hdr.len, data_at }) {
                 plans.push(window.plan());
             }
         }
         plans.push(window.plan());
-        #[cfg(test)]
-        crate::scoped_tests::after_snapshot();
-        let mut pages: Vec<KeyedPage> = plans
-            .iter()
-            .flat_map(Plan::extents)
-            .flat_map(|(_, off, len)| self.page_descs(file, off, len as usize))
-            .collect();
-        pages.sort_unstable_by_key(|(key, _)| *key);
-        pages.dedup_by_key(|(key, _)| *key);
-        let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
         if let Some(mark) = mark {
             file.pushed_below.store(mark, Ordering::Release);
         }
@@ -531,48 +550,96 @@ impl Shared {
             && self.finishing.load(Ordering::SeqCst) == 0
     }
 
-    /// The dirty-miss procedure (paper §II-C): reconstruct a fresh page by
-    /// re-applying, in *global commit order* across all stripes, the
-    /// `unpropagated` pending entries that overlap it — the page's dirty
-    /// count, exact because the caller holds the page's atomic lock (no
-    /// writer increments it) *and* cleanup lock (no worker decrements it).
-    /// Those are the newest overlapping entries. The scan can also meet
-    /// older, already propagated ones whose worker has not cleared their
-    /// commit word yet (`free_range` runs outside the page locks, oldest
-    /// first): `page_buf` already holds them, and replaying one whose newer
-    /// sibling the sweep has cleared meanwhile would bring stale bytes back.
+    /// The dirty-miss procedure (paper §II-C) over a run of pages read into
+    /// `run_buf`, whose first page is `first`: each `(page, unpropagated)`
+    /// of `dirty` (ascending) is rebuilt by re-applying, in *global commit
+    /// order* across all stripes, the `unpropagated` pending entries that
+    /// overlap it — the page's dirty count, exact because the caller holds
+    /// the page's atomic lock (no writer increments it) *and* cleanup lock
+    /// (no worker decrements it). Those are the newest overlapping entries.
+    /// One scan of the log serves the whole run; each page keeps its own
+    /// count. The scan can also meet older, already propagated entries
+    /// whose worker has not cleared their commit word yet (`free_range`
+    /// runs outside the page locks, oldest first): the page already holds
+    /// them, and replaying one whose newer sibling the sweep has cleared
+    /// meanwhile would bring stale bytes back.
     fn dirty_miss(
         &self,
         file: &Arc<FileState>,
-        page: u64,
-        unpropagated: usize,
-        page_buf: &mut [u8],
+        first: u64,
+        dirty: &[(u64, usize)],
+        run_buf: &mut [u8],
         clock: &ActorClock,
     ) {
+        let (Some(&(lo, _)), Some(&(hi, _))) = (dirty.first(), dirty.last()) else {
+            return;
+        };
         let ps = self.cfg.page_size as u64;
-        let page_start = page * ps;
-        let page_end = page_start + ps;
+        let overlaps = |hdr: &EntryHeader, start: u64, end: u64| {
+            hdr.file_off < end && hdr.file_off + hdr.len as u64 > start
+        };
         let overlapping = self.pending_entries_for(|hdr| {
-            let e_start = hdr.file_off;
-            let e_end = e_start + hdr.len as u64;
-            if e_end <= page_start || e_start >= page_end {
-                return false;
-            }
-            match self.opened_by_slot(hdr.fd_slot) {
-                Some(op) => Arc::ptr_eq(&op.file, file),
-                None => false,
-            }
+            overlaps(hdr, lo * ps, (hi + 1) * ps)
+                && self.opened_by_slot(hdr.fd_slot).is_some_and(|op| Arc::ptr_eq(&op.file, file))
         });
-        let propagated = overlapping.len().saturating_sub(unpropagated);
-        for (si, seq, hdr) in overlapping.into_iter().skip(propagated) {
-            let e_start = hdr.file_off;
-            let e_end = e_start + hdr.len as u64;
-            let data = self.log.stripes[si].read_data(seq, hdr.len as usize, clock);
-            let s = e_start.max(page_start);
-            let e = e_end.min(page_end);
-            page_buf[(s - page_start) as usize..(e - page_start) as usize]
-                .copy_from_slice(&data[(s - e_start) as usize..(e - e_start) as usize]);
+        for &(page, unpropagated) in dirty {
+            let (page_start, page_end) = (page * ps, (page + 1) * ps);
+            let on_page: Vec<_> = overlapping
+                .iter()
+                .filter(|(_, _, h)| overlaps(h, page_start, page_end))
+                .collect();
+            let propagated = on_page.len().saturating_sub(unpropagated);
+            let page_buf = &mut run_buf[((page - first) * ps) as usize..][..ps as usize];
+            for &(si, seq, hdr) in on_page.into_iter().skip(propagated) {
+                let e_start = hdr.file_off;
+                let e_end = e_start + hdr.len as u64;
+                let data = self.log.stripes[si].read_data(seq, hdr.len as usize, clock);
+                let s = e_start.max(page_start);
+                let e = e_end.min(page_end);
+                page_buf[(s - page_start) as usize..(e - page_start) as usize]
+                    .copy_from_slice(&data[(s - e_start) as usize..(e - e_start) as usize]);
+            }
         }
+    }
+
+    /// Reads `run` — consecutive unloaded pages whose atomic locks the
+    /// caller holds — with one inner `pread`, under the run's cleanup locks
+    /// (ascending, so no worker writes any of them meanwhile), and rebuilds
+    /// its dirty pages ([`dirty_miss`](Shared::dirty_miss)). Returns the
+    /// pages' contents back to back; bytes past the inner file's end read as
+    /// zeroes.
+    fn read_run(
+        &self,
+        opened: &OpenedFile,
+        run: &[KeyedPage],
+        clock: &ActorClock,
+    ) -> IoResult<Vec<u8>> {
+        let ps = self.cfg.page_size;
+        let first = run[0].0 .1;
+        let _cleanup = self.lock_pages(Class::PageCleanup, run, PageDescriptor::lock_cleanup);
+        crate::stress_point();
+        let mut run_buf = vec![0u8; run.len() * ps];
+        {
+            let (inner, _lk) = self.hold_inner(opened);
+            let inner_fd = inner.ok_or(IoError::BadFd(opened.slot as u64))?;
+            self.inner_of(opened).pread(inner_fd, &mut run_buf, first * ps as u64, clock)?;
+        }
+        self.stats.read_miss_preads.fetch_add(1, Ordering::Relaxed);
+        // With no writable descriptor left the kernel's copy is current: the
+        // last `close` pushed every entry, and the workers write none of
+        // them again.
+        if opened.file.writers.load(Ordering::SeqCst) > 0 {
+            let dirty: Vec<(u64, usize)> = run
+                .iter()
+                .filter_map(|((_, p), d)| {
+                    let unpropagated = d.dirty_count();
+                    (unpropagated > 0).then_some((*p, unpropagated as usize))
+                })
+                .collect();
+            self.stats.dirty_misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
+            self.dirty_miss(&opened.file, first, &dirty, &mut run_buf, clock);
+        }
+        Ok(run_buf)
     }
 
     /// The write path's one body (paper Algorithm 1, generalized to
@@ -716,6 +783,13 @@ impl Shared {
 
     /// The read path (paper §II-C): read cache hit, or miss with optional
     /// dirty-miss reconciliation; read-only files bypass the cache entirely.
+    /// With every page's atomic lock held, each maximal run of consecutive
+    /// missing pages is read with one inner `pread` ([`read_run`]); then,
+    /// in page order, a missing page is installed (after
+    /// [`make_room`](ReadCache::make_room)) and every page is copied out —
+    /// the read cache sees the same sequence as with one `pread` per page.
+    ///
+    /// [`read_run`]: Shared::read_run
     fn do_pread(
         &self,
         opened: &OpenedFile,
@@ -749,29 +823,22 @@ impl Shared {
         let ps = self.cfg.page_size as u64;
         let pages = self.page_descs(file, off, n);
         let mut guards = self.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
+        let missing: Vec<bool> = guards.iter().map(|(slot, _)| slot.content.is_none()).collect();
+        let mut fetched = Vec::new();
+        let mut at = 0;
+        for run in missing.chunk_by(|a, b| a == b) {
+            if run[0] {
+                let run_buf = self.read_run(opened, &pages[at..at + run.len()], clock)?;
+                fetched.extend(run_buf.chunks(ps as usize).map(Box::<[u8]>::from));
+            }
+            at += run.len();
+        }
+        let mut fetched = fetched.into_iter();
         for (((_, p), d), (slot, _)) in pages.iter().zip(&mut guards) {
-            let p = *p;
             if slot.content.is_none() {
                 self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
                 self.pool.make_room(&self.stats);
-                let _cl = self.lockcheck.acquire_page(Class::PageCleanup, file.file_id, p);
-                let cleanup_guard = d.lock_cleanup();
-                let mut page_buf = vec![0u8; ps as usize];
-                {
-                    let (inner, _lk) = self.hold_inner(opened);
-                    let inner_fd = inner.ok_or(IoError::BadFd(opened.slot as u64))?;
-                    self.inner_of(opened).pread(inner_fd, &mut page_buf, p * ps, clock)?;
-                }
-                let unpropagated = d.dirty_count();
-                // With no writable descriptor left the kernel's copy is
-                // current: the last `close` pushed every entry, and the
-                // workers write none of them again.
-                if unpropagated > 0 && file.writers.load(Ordering::SeqCst) > 0 {
-                    self.stats.dirty_misses.fetch_add(1, Ordering::Relaxed);
-                    self.dirty_miss(file, p, unpropagated as usize, &mut page_buf, clock);
-                }
-                drop(cleanup_guard);
-                self.pool.install(d, slot, page_buf.into_boxed_slice());
+                self.pool.install(d, slot, fetched.next().expect("one page per miss"));
             } else {
                 self.stats.read_hits.fetch_add(1, Ordering::Relaxed);
             }
@@ -897,6 +964,8 @@ impl NvCache {
             cfg,
             #[cfg(test)]
             rewrite_pushed: AtomicBool::new(false),
+            #[cfg(test)]
+            held_stripes: AtomicU64::new(0),
         });
         let handles = (0..shared.cfg.log_shards)
             .map(|stripe| {

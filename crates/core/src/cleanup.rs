@@ -282,6 +282,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
             }
             consumed += group_len;
         }
+        #[cfg(test)]
+        crate::scoped_tests::before_barrier(&shared, stripe_idx);
 
         // Phase 2: reap the writes from every tier's ring (the clock joins
         // the latest completion across all backends), then submit one

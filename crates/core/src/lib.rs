@@ -258,6 +258,8 @@ mod heat_tests;
 #[cfg(test)]
 mod migrate_tests;
 #[cfg(test)]
+mod read_tests;
+#[cfg(test)]
 mod replay_tests;
 #[cfg(test)]
 mod scoped_tests;

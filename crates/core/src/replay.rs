@@ -22,10 +22,9 @@
 //! Two callers: recovery (every committed entry, files keyed by identity
 //! on the inner file system) and `close`'s push into the kernel (one
 //! descriptor's pending entries, or at the last writable `close` the whole
-//! file's). The push plans every window first ([`Window::plan`]): it must
-//! hold the cleanup lock of each page a [`Plan`]'s extents cover before it
-//! writes the first one, and its pinned tail keeps the payloads in place
-//! until [`Plan::write_out`] has read them.
+//! file's). The push plans every window first ([`Window::plan`]), under the
+//! cleanup lock of each page its entries cover, and its pinned tail keeps
+//! the payloads in place until [`Plan::write_out`] has read them.
 
 use std::collections::BTreeMap;
 
@@ -93,14 +92,6 @@ impl Window {
 pub(crate) struct Plan(Vec<Pending>);
 
 impl Plan {
-    /// `(file, file offset, length)` of every extent, ascending.
-    pub fn extents(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        self.0.chunk_by(contiguous).map(|run| {
-            let last = run[run.len() - 1];
-            (run[0].file, run[0].file_off, last.file_off + last.len as u64 - run[0].file_off)
-        })
-    }
-
     /// Fills each extent through `read(region offset, buffer)` and hands it
     /// to `write(file, file offset, bytes)`, ascending by `(file, offset)`.
     ///

@@ -4,8 +4,9 @@
 //! cleanup workers do not repeat. Each is crashed at its steps and checked
 //! against a model, its fallbacks must still drain, and two seeded bugs —
 //! a rename that retires the slots of an unsynced file, a worker that
-//! rewrites pushed entries — must fail the checks. Also the hooks the
-//! engine calls at those steps.
+//! rewrites pushed entries — must fail the checks. A push racing the
+//! workers of two stripes must not write an entry one of them consumed.
+//! Also the hooks the engine calls at those steps.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
@@ -16,6 +17,7 @@ use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::ActorClock;
 use vfs::{Ext4, Ext4Profile, FileSystem, IoError, IoResult, OpenFlags};
 
+use crate::cache::Shared;
 use crate::tests::mount;
 use crate::{Mount, NvCache, NvCacheConfig};
 
@@ -54,6 +56,17 @@ pub(crate) fn skips_fsync() -> bool {
 pub(crate) fn after_snapshot() {
     if let Some(hook) = AFTER_SNAPSHOT.with(|h| h.borrow_mut().take()) {
         hook();
+    }
+}
+
+/// Holds the cleanup worker of `stripe` between consuming its batch and the
+/// batch's barrier for as long as a test sets the stripe's bit in
+/// [`Shared::held_stripes`], or until the mount is killed.
+pub(crate) fn before_barrier(shared: &Shared, stripe: usize) {
+    while shared.held_stripes.load(Ordering::Acquire) & 1 << stripe != 0
+        && !shared.kill.load(Ordering::Acquire)
+    {
+        std::thread::yield_now();
     }
 }
 
@@ -359,4 +372,55 @@ fn close_never_pushes_a_recycled_slot() {
     rig.close(b);
     rig.close(c);
     rig.cache.shutdown(&rig.clock);
+}
+
+/// On a two-stripe log, the older write spans two pages in stripe A and
+/// the newer one covers the second page from stripe B. A's worker consumes
+/// the older write and waits before its barrier; B's consumes the newer
+/// one and frees it. The last `close` then lists the older entries and not
+/// the newer one. Returns what a reader reads of the second page, and what
+/// the file holds there after A's barrier, a power cut and recovery.
+fn push_beside_a_consumed_entry() -> (Vec<u8>, Option<Vec<u8>>) {
+    let rig = Rig::new(parked().with_log_shards(2));
+    let shared = Arc::clone(&rig.cache.shared);
+    let writer = rig.write("/page", create(), &[]);
+    let reader = rig.cache.open("/page", OpenFlags::RDONLY, &rig.clock).expect("open");
+    let file = Arc::clone(&shared.opened_fd(writer).expect("open").file);
+    let stripe_of = |page: u64| shared.log.route(file.dev_ino, page * 4096).index;
+    let older = (0..).find(|&p| stripe_of(p) != stripe_of(p + 1)).expect("two stripes");
+    let newer_at = (older + 1) * 4096;
+    rig.cache.pwrite(writer, &[1; 8192], older * 4096, &rig.clock).expect("pwrite");
+    rig.cache.pwrite(writer, &[2; 4096], newer_at, &rig.clock).expect("pwrite");
+    let (a, b) = (stripe_of(older), stripe_of(older + 1));
+    shared.held_stripes.store(1 << a, Ordering::Release);
+    let stripe_a = &shared.log.stripes[a];
+    stripe_a
+        .flush_target
+        .store(stripe_a.head.load(Ordering::Acquire), Ordering::Release);
+    stripe_a.notify_work();
+    while shared.stats.per_shard[a].entries_propagated.load(Ordering::Acquire) < 2 {
+        std::thread::yield_now();
+    }
+    let stripe_b = &shared.log.stripes[b];
+    stripe_b.flush_to(stripe_b.head.load(Ordering::Acquire), &rig.clock);
+    assert_eq!(rig.cache.pending_entries(), 2, "A's entries are consumed, not freed");
+    rig.close(writer);
+    let mut page = vec![0u8; 4096];
+    rig.cache.pread(reader, &mut page, newer_at, &rig.clock).expect("pread");
+    shared.held_stripes.store(0, Ordering::Release);
+    rig.close(reader);
+    rig.cache.flush_log(&rig.clock);
+    drop(shared);
+    let recovered = rig.crash();
+    let durable = content(&recovered, "/page").map(|c| c[newer_at as usize..].to_vec());
+    recovered.shutdown(&ActorClock::new());
+    (page, durable)
+}
+
+#[test]
+fn close_never_pushes_an_entry_a_worker_has_consumed() {
+    let (read, durable) = push_beside_a_consumed_entry();
+    assert!(read == [2; 4096], "the older write came back over the newer one: {:?}", &read[..4]);
+    let durable = durable.expect("the file survives");
+    assert!(durable == [2; 4096], "after recovery: {:?}", &durable[..4]);
 }

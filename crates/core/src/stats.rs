@@ -219,6 +219,10 @@ counter_table! {
         read_hits,
         /// Page faults into the read cache.
         read_misses,
+        /// Inner `pread`s issued by read misses: one per run of consecutive
+        /// missing pages of a read, so `read_misses / read_miss_preads` is
+        /// the pages each call fetched.
+        read_miss_preads,
         /// Misses that required the dirty-miss reconciliation procedure.
         dirty_misses,
         /// Reads that bypassed the read cache (read-only files).
@@ -376,7 +380,7 @@ mod tests {
         mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
         let queue = &s.per_queue[0];
         mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
-        assert_eq!(NvCacheStats::NAMES.len(), 29);
+        assert_eq!(NvCacheStats::NAMES.len(), 30);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 

@@ -45,6 +45,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
     ("core/src/cleanup.rs", "entry references a closed fd"),
     ("core/src/cache.rs", "the caller locked every written page"),
     ("core/src/cache.rs", "just installed"),
+    ("core/src/cache.rs", "one page per miss"),
     // Thread spawning: no meaningful recovery from a failed spawn at mount.
     ("core/src/cache.rs", "spawn cleanup worker"),
     ("core/src/tiers.rs", "spawn migration worker"),
