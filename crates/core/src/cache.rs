@@ -732,7 +732,7 @@ impl Shared {
                         .copy_from_slice(&w.data[(s - w.off) as usize..(e - w.off) as usize]);
                     updated_bytes += e - s;
                 }
-                pages[j].1.mark_accessed();
+                guards[j].0.touch();
             }
             if updated_bytes > 0 {
                 clock.advance(self.cfg.copy_bandwidth.time_for(updated_bytes));
@@ -838,11 +838,12 @@ impl Shared {
             if slot.content.is_none() {
                 self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
                 self.pool.make_room(&self.stats);
-                self.pool.install(d, slot, fetched.next().expect("one page per miss"));
+                let content = fetched.next().expect("one page per miss");
+                self.pool.install(d, slot, content, &self.stats);
             } else {
                 self.stats.read_hits.fetch_add(1, Ordering::Relaxed);
+                slot.touch();
             }
-            d.mark_accessed();
             let content = slot.content.as_ref().expect("just installed");
             let page_start = p * ps;
             let s = off.max(page_start);

@@ -12,8 +12,9 @@
 //!   per-entry commit flags and group commit for large writes (Algorithm
 //!   1);
 //! * the **read cache** — a bounded pool of page contents indexed by
-//!   per-file lock-free radix trees, with approximate LRU eviction and the
-//!   Table II page state machine ([`Radix`], [`PageState`]);
+//!   per-file lock-free radix trees, with S3-FIFO eviction (where the
+//!   paper uses an approximate LRU) and the Table II page state machine
+//!   ([`Radix`], [`PageState`]);
 //! * the **two-lock-per-page concurrency scheme** (atomic lock + cleanup
 //!   lock + dirty counter, §II-D);
 //! * the **cleanup workers** with write batching (§III);

@@ -4,7 +4,7 @@
 //! write order at the inner file system.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -20,11 +20,24 @@ pub enum PageState {
     UnloadedDirty,
 }
 
-/// Content slot guarded by the per-page *atomic lock*.
+/// Content slot guarded by the per-page *atomic lock*, with the read
+/// cache's S3-FIFO state for that content.
 #[derive(Debug, Default)]
 pub struct PageSlot {
     /// The cached page content when the page is loaded.
     pub content: Option<Box<[u8]>>,
+    /// Accesses counted by the eviction policy (saturating at 3).
+    pub(crate) freq: u8,
+    /// The read cache's count of small-FIFO evictions when this page last
+    /// left the small FIFO by eviction — a ghost while recent enough.
+    pub(crate) evicted_at: Option<u64>,
+}
+
+impl PageSlot {
+    /// Counts a read hit or a write for the eviction policy.
+    pub(crate) fn touch(&mut self) {
+        self.freq = (self.freq + 1).min(3);
+    }
 }
 
 /// A page descriptor: one leaf of the per-file radix tree (paper §II-C).
@@ -55,17 +68,12 @@ pub struct PageDescriptor {
     slot: Mutex<PageSlot>,
     cleanup_lock: Mutex<()>,
     dirty_counter: AtomicI64,
-    accessed: AtomicBool,
     prop_queue: Mutex<VecDeque<u64>>,
 }
 
 impl PageDescriptor {
-    /// Creates an unloaded-clean descriptor for `page_no`.
-    pub fn new(page_no: u64) -> Self {
-        Self::for_file(0, page_no)
-    }
-
-    /// Creates a descriptor tagged with the owning file's id.
+    /// Creates an unloaded-clean descriptor for `page_no`, tagged with the
+    /// owning file's id.
     pub fn for_file(file_id: u64, page_no: u64) -> Self {
         PageDescriptor {
             file_id,
@@ -73,7 +81,6 @@ impl PageDescriptor {
             slot: Mutex::new(PageSlot::default()),
             cleanup_lock: Mutex::new(()),
             dirty_counter: AtomicI64::new(0),
-            accessed: AtomicBool::new(false),
             prop_queue: Mutex::new(VecDeque::new()),
         }
     }
@@ -93,7 +100,7 @@ impl PageDescriptor {
         self.slot.lock()
     }
 
-    /// Tries to acquire the atomic lock (used by LRU eviction to avoid
+    /// Tries to acquire the atomic lock (used by eviction to avoid
     /// deadlocking with page locks the evictor already holds).
     pub fn try_lock(&self) -> Option<MutexGuard<'_, PageSlot>> {
         self.slot.try_lock()
@@ -146,16 +153,6 @@ impl PageDescriptor {
         assert_eq!(front, Some(gseq), "out-of-order propagation pop");
     }
 
-    /// Marks the page as recently accessed (second-chance LRU bit).
-    pub fn mark_accessed(&self) {
-        self.accessed.store(true, Ordering::Release);
-    }
-
-    /// Clears and returns the accessed bit (eviction scan).
-    pub fn take_accessed(&self) -> bool {
-        self.accessed.swap(false, Ordering::AcqRel)
-    }
-
     /// The page state per paper Table II, derived from residency and the
     /// dirty counter.
     pub fn state(&self) -> PageState {
@@ -176,7 +173,7 @@ mod tests {
 
     #[test]
     fn fresh_descriptor_is_unloaded_clean() {
-        let d = PageDescriptor::new(9);
+        let d = PageDescriptor::for_file(1, 9);
         assert_eq!(d.state(), PageState::UnloadedClean);
         assert_eq!(d.page_no(), 9);
         assert_eq!(d.dirty_count(), 0);
@@ -203,7 +200,7 @@ mod tests {
     fn eviction_of_dirty_page_is_unloaded_dirty() {
         // Fig. 2: loaded --eviction--> unloaded-dirty when dc > 0, i.e. the
         // design avoids a synchronous write-back at eviction.
-        let d = PageDescriptor::new(0);
+        let d = PageDescriptor::for_file(1, 0);
         d.lock().content = Some(vec![1u8; 64].into_boxed_slice());
         d.inc_dirty();
         d.lock().content = None; // evict without any I/O
@@ -212,7 +209,7 @@ mod tests {
 
     #[test]
     fn dirty_counter_can_go_transiently_negative() {
-        let d = PageDescriptor::new(0);
+        let d = PageDescriptor::for_file(1, 0);
         d.dec_dirty(); // cleanup overtakes the writer (paper footnote 4)
         assert_eq!(d.dirty_count(), -1);
         d.inc_dirty();
@@ -221,17 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn accessed_bit_is_take_once() {
-        let d = PageDescriptor::new(0);
-        assert!(!d.take_accessed());
-        d.mark_accessed();
-        assert!(d.take_accessed());
-        assert!(!d.take_accessed());
+    fn touch_saturates_at_three() {
+        let mut slot = PageSlot::default();
+        for expect in [1, 2, 3, 3] {
+            slot.touch();
+            assert_eq!(slot.freq, expect);
+        }
     }
 
     #[test]
     fn try_lock_fails_when_held() {
-        let d = PageDescriptor::new(0);
+        let d = PageDescriptor::for_file(1, 0);
         let g = d.lock();
         assert!(d.try_lock().is_none());
         drop(g);
@@ -240,7 +237,7 @@ mod tests {
 
     #[test]
     fn propagation_queue_is_fifo() {
-        let d = PageDescriptor::new(0);
+        let d = PageDescriptor::for_file(1, 0);
         assert_eq!(d.propagation_front(), None);
         d.enqueue_propagation(3);
         d.enqueue_propagation(9);
@@ -254,7 +251,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out-of-order propagation pop")]
     fn out_of_order_pop_is_detected() {
-        let d = PageDescriptor::new(0);
+        let d = PageDescriptor::for_file(1, 0);
         d.enqueue_propagation(1);
         d.enqueue_propagation(2);
         d.pop_propagation(2);

@@ -227,8 +227,14 @@ counter_table! {
         dirty_misses,
         /// Reads that bypassed the read cache (read-only files).
         bypass_reads,
-        /// Pages evicted from the read cache.
+        /// Pages evicted from the read cache, from either of its FIFOs.
         evictions,
+        /// Read-cache pages moved from the small FIFO to the main one: read
+        /// or written again while in the small one.
+        read_cache_promotions,
+        /// Read-cache installs admitted straight to the main FIFO: the page
+        /// had left the small one recently (a ghost).
+        read_cache_ghost_hits,
         /// Times a writer had to wait for log space (saturation events).
         log_full_waits,
         /// Times `open` found the fd table exhausted and had to force a log
@@ -380,7 +386,7 @@ mod tests {
         mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
         let queue = &s.per_queue[0];
         mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
-        assert_eq!(NvCacheStats::NAMES.len(), 30);
+        assert_eq!(NvCacheStats::NAMES.len(), 32);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 

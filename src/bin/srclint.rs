@@ -68,8 +68,9 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// Code-line ceilings of `srclint --loc`, by crate under `crates/`: the
 /// figure the crate's last simplification reached, rounded up to the next
 /// 50, so that what a simplification removed does not grow back unnoticed.
-/// Raising a ceiling is a reviewed one-line diff here.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5300), ("vfs", 2800)];
+/// Raising a ceiling is a reviewed one-line diff here, by no more than what
+/// a measured change had to add.
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5331), ("vfs", 2800)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.

@@ -136,6 +136,9 @@ fn multi_page_reads_beside_writers_and_two_workers_read_acknowledged_versions() 
     assert!(cached == drained, "the inner file system differs from the cache");
     let snap = cache.stats().snapshot();
     assert!(snap.read_misses > snap.read_miss_preads, "no read fetched a run: {snap:?}");
+    // Pages moved between the read cache's FIFOs and left it while other
+    // threads held them.
+    assert!(snap.read_cache_promotions > 0 && snap.evictions > 0, "{snap:?}");
     assert_checkers_clean(&cache);
     cache.shutdown(&clock);
 }
