@@ -196,7 +196,7 @@ impl NvCacheBuilder {
         let lay = tiers.layout(&cfg);
         let recovered = match mode {
             Mount::Format => {
-                format_region(&region, &lay, cfg.page_size, clock)?;
+                format_region(&region, &lay, clock)?;
                 None
             }
             // Recovery stamps the (possibly migrated) backend count itself
@@ -217,12 +217,7 @@ impl NvCacheBuilder {
 /// Writes a fresh log image (header, invalid fd slots, free entries) —
 /// the paper's `format` step. A `log_shards = 1`, single-backend format is
 /// byte-for-byte identical to the seed image.
-fn format_region(
-    region: &NvRegion,
-    lay: &Layout,
-    page_size: usize,
-    clock: &ActorClock,
-) -> IoResult<()> {
+fn format_region(region: &NvRegion, lay: &Layout, clock: &ActorClock) -> IoResult<()> {
     if region.len() < lay.total_bytes() {
         return Err(IoError::InvalidArgument(format!(
             "region of {} bytes cannot hold the configured log ({} bytes)",
@@ -230,7 +225,7 @@ fn format_region(
             lay.total_bytes()
         )));
     }
-    Header::format(region, lay, page_size, clock);
+    Header::format(region, lay, clock);
     for slot in 0..lay.fd_slots as u32 {
         let base = lay.fd_slot(slot);
         region.write_u64(base, 0, clock);

@@ -15,6 +15,7 @@ use simclock::{ActorClock, SimTime};
 use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
 
 use crate::builder::NvCacheBuilder;
+use crate::config::{copy_bandwidth, LIBC_OVERHEAD, PAGE_SIZE};
 use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentFdTable};
 use crate::layout;
 use crate::lockcheck::{Class, Held, Recorder};
@@ -65,10 +66,8 @@ pub(crate) struct Shared {
     pub files: Mutex<HashMap<(u32, u64, u64), Arc<FileState>>>,
     /// opened table: fd slot -> opened-file structure.
     pub opened: RwLock<HashMap<u32, Arc<OpenedFile>>>,
-    /// Lock-free persistent fd-slot allocator (Treiber stack): `open` and
-    /// `close` on different descriptors never serialize on slot
-    /// bookkeeping, and the multi-queue front-end can resolve descriptors
-    /// without touching a global mutex.
+    /// The free persistent fd slots: `open` pops one, the end of a close
+    /// pushes it back.
     pub fd_slots: FdSlotAllocator,
     /// One claim flag per configured submission queue pair
     /// ([`NvCacheConfig::sq_pairs`]): a pair is owned by exactly one
@@ -120,7 +119,7 @@ impl Shared {
     }
 
     pub fn pages_of(&self, off: u64, len: usize) -> std::ops::Range<u64> {
-        let ps = self.cfg.page_size as u64;
+        let ps = PAGE_SIZE as u64;
         if len == 0 {
             return off / ps..off / ps;
         }
@@ -395,15 +394,11 @@ impl Shared {
         // a newer one on its page may be consumed and freed, so unlisted:
         // writing it would put older bytes over the newer ones. A worker
         // consumes an entry on all its pages at once, under their cleanup
-        // locks, and pops it from each page's propagation queue (multi-stripe
-        // logs only: on one stripe entries are freed oldest first, so every
-        // newer entry is listed too).
+        // locks, and pops it from each page's propagation queue.
         let consumed = |h: &EntryHeader| {
-            !self.log.single()
-                && self
-                    .page_descs(file, h.file_off, 1)
-                    .iter()
-                    .all(|(_, page)| page.propagation_front().is_none_or(|front| front > h.seq))
+            self.page_descs(file, h.file_off, 1)
+                .iter()
+                .all(|(_, page)| page.propagation_front().is_none_or(|front| front > h.seq))
         };
         let mut plans = Vec::new();
         let mut window = Window::default();
@@ -574,7 +569,7 @@ impl Shared {
         let (Some(&(lo, _)), Some(&(hi, _))) = (dirty.first(), dirty.last()) else {
             return;
         };
-        let ps = self.cfg.page_size as u64;
+        let ps = PAGE_SIZE as u64;
         let overlaps = |hdr: &EntryHeader, start: u64, end: u64| {
             hdr.file_off < end && hdr.file_off + hdr.len as u64 > start
         };
@@ -614,7 +609,7 @@ impl Shared {
         run: &[KeyedPage],
         clock: &ActorClock,
     ) -> IoResult<Vec<u8>> {
-        let ps = self.cfg.page_size;
+        let ps = PAGE_SIZE;
         let first = run[0].0 .1;
         let _cleanup = self.lock_pages(Class::PageCleanup, run, PageDescriptor::lock_cleanup);
         crate::stress_point();
@@ -647,10 +642,10 @@ impl Shared {
     /// routed to `stripe`, together fitting it — as one reservation window,
     /// commit them with a single fence pair (synchronous durability), then
     /// update dirty counters, propagation queues, loaded page contents and
-    /// file sizes. The caller holds the atomic lock of every written page:
-    /// `pages` ascending by key, `guards` parallel to it. Returns the commit
-    /// instant, from which every write is durable; heat and operation
-    /// counters are the caller's business.
+    /// file sizes, and count the writes and their heat. The caller holds the
+    /// atomic lock of every written page: `pages` ascending by key, `guards`
+    /// parallel to it. Returns the commit instant, from which every write is
+    /// durable.
     ///
     /// # Errors
     ///
@@ -697,12 +692,10 @@ impl Shared {
         let done = clock.now();
 
         // Read-cache maintenance (ll.29-31), in window order: one
-        // dirty-counter increment per (entry, page) overlap — plus, on a
-        // striped log, one propagation-queue entry so the cleanup workers
-        // replay each page's writes in commit order — and in-place update of
-        // loaded contents.
-        let ordered_handoff = !self.log.single();
-        let ps = self.cfg.page_size as u64;
+        // dirty-counter increment and one propagation-queue entry per (entry,
+        // page) overlap — the cleanup workers replay each page's writes in
+        // commit order — and in-place update of loaded contents.
+        let ps = PAGE_SIZE as u64;
         let mut gseq = first_gseq;
         for (w, &(_, k)) in writes.iter().zip(&groups) {
             let file = &w.opened.file;
@@ -715,9 +708,7 @@ impl Shared {
                 for p in self.pages_of(w.off + (i * es) as u64, part.len()) {
                     let desc = &pages[index_of(p)].1;
                     desc.inc_dirty();
-                    if ordered_handoff {
-                        desc.enqueue_propagation(gseq + i as u64);
-                    }
+                    desc.enqueue_propagation(gseq + i as u64);
                 }
             }
             let end = w.off + w.data.len() as u64;
@@ -735,18 +726,32 @@ impl Shared {
                 guards[j].0.touch();
             }
             if updated_bytes > 0 {
-                clock.advance(self.cfg.copy_bandwidth.time_for(updated_bytes));
+                clock.advance(copy_bandwidth().time_for(updated_bytes));
             }
             file.size.fetch_max(end, Ordering::AcqRel);
             file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
             gseq += k;
+        }
+        let stats = &self.stats;
+        let bytes = writes.iter().map(|w| w.data.len() as u64).sum();
+        let multi_entry = groups.iter().filter(|&&(_, k)| k > 1).count() as u64;
+        stats.writes.fetch_add(writes.len() as u64, Ordering::Relaxed);
+        stats.bytes_logged.fetch_add(bytes, Ordering::Relaxed);
+        stats.entries_logged.fetch_add(window, Ordering::Relaxed);
+        stats.per_shard[stripe.index]
+            .entries_logged
+            .fetch_add(window, Ordering::Relaxed);
+        stats.groups_logged.fetch_add(multi_entry, Ordering::Relaxed);
+        let now = clock.now();
+        for w in writes {
+            self.tiers.touch(&w.opened.file, now);
         }
         Ok(done)
     }
 
     /// The synchronous write: a one-op doorbell — check, pay the libc
     /// crossing, lock the written pages, run [`commit_writes`] with the one
-    /// write, account it right away.
+    /// write.
     ///
     /// [`commit_writes`]: Shared::commit_writes
     pub fn do_pwrite(
@@ -759,25 +764,15 @@ impl Shared {
         if !opened.flags.writable() {
             return Err(IoError::PermissionDenied("fd opened read-only".into()));
         }
-        clock.advance(self.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         if data.is_empty() {
             return Ok(0);
         }
         let file = &opened.file;
-        let (stripe, k) = self.route_write(file, off, data.len())?;
+        let (stripe, _) = self.route_write(file, off, data.len())?;
         let pages = self.page_descs(file, off, data.len());
         let mut guards = self.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
         self.commit_writes(stripe, &[WriteOp { opened, data, off }], &pages, &mut guards, clock)?;
-        self.tiers.touch(file, clock.now());
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_logged.fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.stats.entries_logged.fetch_add(k, Ordering::Relaxed);
-        self.stats.per_shard[stripe.index]
-            .entries_logged
-            .fetch_add(k, Ordering::Relaxed);
-        if k > 1 {
-            self.stats.groups_logged.fetch_add(1, Ordering::Relaxed);
-        }
         Ok(data.len())
     }
 
@@ -800,17 +795,17 @@ impl Shared {
         if !opened.flags.readable() {
             return Err(IoError::PermissionDenied("fd opened write-only".into()));
         }
-        clock.advance(self.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         let file = &opened.file;
-        file.reads.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
         let size = file.size.load(Ordering::Acquire);
         if off >= size || buf.is_empty() {
             // No data moved, no heat: a tail-style poller hammering EOF
             // must not talk its file onto the fast tier (writes are
-            // symmetric — the empty-write return precedes the touch).
+            // symmetric — only a committed write counts).
             return Ok(0);
         }
+        file.reads.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
         self.tiers.touch(file, clock.now());
         let n = buf.len().min((size - off) as usize);
         if file.radix.get().is_none() {
@@ -820,7 +815,7 @@ impl Shared {
             let inner_fd = inner.ok_or(IoError::BadFd(opened.slot as u64))?;
             return self.inner_of(opened).pread(inner_fd, &mut buf[..n], off, clock);
         }
-        let ps = self.cfg.page_size as u64;
+        let ps = PAGE_SIZE as u64;
         let pages = self.page_descs(file, off, n);
         let mut guards = self.lock_pages(Class::PageAtomic, &pages, PageDescriptor::lock);
         let missing: Vec<bool> = guards.iter().map(|(slot, _)| slot.content.is_none()).collect();
@@ -851,7 +846,7 @@ impl Shared {
             buf[(s - off) as usize..(e - off) as usize]
                 .copy_from_slice(&content[(s - page_start) as usize..(e - page_start) as usize]);
         }
-        clock.advance(self.cfg.copy_bandwidth.time_for(n as u64));
+        clock.advance(copy_bandwidth().time_for(n as u64));
         Ok(n)
     }
 }
@@ -1140,7 +1135,7 @@ impl NvCache {
     ///
     /// [`IoError::InvalidArgument`] when seeking before byte zero.
     pub fn lseek(&self, fd: Fd, from: SeekFrom, clock: &ActorClock) -> IoResult<u64> {
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let opened = self.shared.opened_fd(fd)?;
         let mut cursor = opened.cursor.lock();
         let base: i128 = match from {
@@ -1340,7 +1335,7 @@ impl FileSystem for NvCache {
     }
 
     fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let path = vfs::normalize_path(path);
         // Before anything is created, any slot taken or any lease held.
         self.shared.log.layout.check_path(&path)?;
@@ -1351,7 +1346,7 @@ impl FileSystem for NvCache {
     }
 
     fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let opened = self.shared.opened_fd(fd)?;
         if opened.closing.swap(true, Ordering::SeqCst) {
             return Err(IoError::BadFd(fd.0));
@@ -1414,7 +1409,7 @@ impl FileSystem for NvCache {
         // Paper Table III: no operation — the write call already made the
         // data durable in NVMM. A mount that tracks heat piggybacks its
         // temperature summary on the application's own durability points.
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let opened = self.shared.opened_fd(fd)?;
         self.shared
             .tiers
@@ -1427,7 +1422,7 @@ impl FileSystem for NvCache {
         if !opened.flags.writable() {
             return Err(IoError::PermissionDenied("fd opened read-only".into()));
         }
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         // Rare, non-critical path: drain then delegate, keeping NVCache's
         // size authoritative.
         self.shared.drained_flush(clock)?;
@@ -1442,7 +1437,7 @@ impl FileSystem for NvCache {
     }
 
     fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let opened = self.shared.opened_fd(fd)?;
         Ok(Metadata {
             dev: opened.file.dev_ino.0,
@@ -1453,7 +1448,7 @@ impl FileSystem for NvCache {
     }
 
     fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let path = vfs::normalize_path(path);
         let Some((backend, mut meta)) = self.shared.tiers.locate(&self.shared, &path, clock)?
         else {
@@ -1477,12 +1472,12 @@ impl FileSystem for NvCache {
         // last descriptor is closed too, the drain drops them
         // (`Shared::bury_if_dead`). A file that is still open keeps working
         // through its descriptors.
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         self.shared.tiers.unlink(&self.shared, &vfs::normalize_path(path), clock)
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let (from, to) = (vfs::normalize_path(from), vfs::normalize_path(to));
         self.shared.tiers.rename(&self.shared, &from, &to, clock)
     }
@@ -1493,7 +1488,7 @@ impl FileSystem for NvCache {
 
     fn sync(&self, clock: &ActorClock) -> IoResult<()> {
         // Paper Table III: sync/syncfs are no-ops.
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         Ok(())
     }
 

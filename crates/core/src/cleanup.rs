@@ -75,13 +75,14 @@ use crate::pagedesc::PageDescriptor;
 /// timeline: the drain is behaviorally *and* temporally identical to the
 /// paper's synchronous cleanup (the `qd1` oracle tests pin this down).
 ///
-/// With multiple stripes, workers additionally synchronize *per page*
-/// through the descriptors' propagation queues: an entry is only written to
-/// the inner file system once its global sequence number reaches the front
-/// of every touched page's queue. Because global sequences are assigned in
-/// ring order within each stripe, a worker only ever waits for *smaller*
-/// sequence numbers sitting at other stripes' tails — the waits form no
-/// cycle and unrelated pages never serialize.
+/// Workers additionally synchronize *per page* through the descriptors'
+/// propagation queues: an entry is only written to the inner file system
+/// once its global sequence number reaches the front of every touched
+/// page's queue. Because global sequences are assigned in ring order within
+/// each stripe, a worker only ever waits for *smaller* sequence numbers
+/// sitting at other stripes' tails — the waits form no cycle and unrelated
+/// pages never serialize. On one stripe the entry at the tail is always at
+/// the front, once its writer has queued it.
 ///
 /// An inner-file-system error (failed `pwrite` or barrier) does **not**
 /// abort the worker thread with a panic: the error is counted in
@@ -91,7 +92,6 @@ use crate::pagedesc::PageDescriptor;
 pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
     let clock = Arc::clone(&shared.cleanup_clocks[stripe_idx]);
     let stripe = &shared.log.stripes[stripe_idx];
-    let ordered_handoff = !shared.log.single();
     let shard_stats = &shared.stats.per_shard[stripe_idx];
     // One submission ring per inner backend — the per-tier queues of a
     // tiered mount. Entries routed to different tiers overlap freely (each
@@ -120,8 +120,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // number it needs may sit in *this* stripe, below the batch
         // threshold — run regardless of `batch_min` until the pressure
         // clears.
-        let handoff_pressure =
-            ordered_handoff && shared.log.handoff_waiters.load(Ordering::Acquire) > 0;
+        let handoff_pressure = shared.log.handoff_waiters.load(Ordering::Acquire) > 0;
 
         let should_run = pending > 0
             && (pending >= shared.cfg.batch_min as u64
@@ -207,7 +206,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                     .opened_by_slot(e.fd_slot)
                     .expect("entry references a closed fd: close must drain first");
                 let pages = shared.page_descs(&opened.file, e.file_off, e.len as usize);
-                if ordered_handoff && !wait_for_handoff(&shared, stripe, &pages, e.seq) {
+                if !wait_for_handoff(&shared, stripe, &pages, e.seq) {
                     if shared.kill.load(Ordering::Acquire) {
                         return; // killed while waiting
                     }
@@ -269,9 +268,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 drop((inner, inner_order));
                 for (_, d) in &pages {
                     d.dec_dirty();
-                    if ordered_handoff {
-                        d.pop_propagation(e.seq);
-                    }
+                    d.pop_propagation(e.seq);
                 }
                 drop(guards);
                 shared.stats.entries_propagated.fetch_add(1, Ordering::Relaxed);

@@ -1,11 +1,28 @@
 //! Configuration of an NVCache instance: the paper's §IV-A capacity and
 //! batching knobs, the striping (`log_shards`) and async-drain
 //! (`queue_depth`) extensions, and the scaling rules that shrink capacities
-//! for test machines while preserving the saturation dynamics. Which inner
-//! file system holds a file is not configured here: that is the mount's
+//! for test machines while preserving the saturation dynamics — plus the
+//! three model constants no deployment varies. Which inner file system
+//! holds a file is not configured here: that is the mount's
 //! [`Tiering`](crate::Tiering).
 
 use simclock::{Bandwidth, SimTime};
+
+/// Page size of the read cache (the radix tree's leaves, the unit a read
+/// miss fetches), recorded in the region header.
+pub(crate) const PAGE_SIZE: usize = 4096;
+
+/// User-space bookkeeping cost charged per intercepted call (NVCache
+/// replaces the syscall with this — the design's core bet).
+pub(crate) const LIBC_OVERHEAD: SimTime = SimTime::from_nanos(1_500);
+
+/// DRAM copy bandwidth, in GiB/s, of read-cache hits and buffer copies.
+pub const COPY_GIB_PER_SEC: f64 = 8.0;
+
+/// [`COPY_GIB_PER_SEC`] as the bandwidth a copy is charged at.
+pub(crate) fn copy_bandwidth() -> Bandwidth {
+    Bandwidth::gib_per_sec(COPY_GIB_PER_SEC)
+}
 
 /// Configuration of an [`NvCache`](crate::NvCache) instance.
 ///
@@ -31,8 +48,6 @@ pub struct NvCacheConfig {
     pub entry_size: usize,
     /// Number of entries in the circular log.
     pub nb_entries: u64,
-    /// Page size of the read cache (powers of two only — radix tree).
-    pub page_size: usize,
     /// Capacity of the volatile read cache, in pages.
     pub read_cache_pages: usize,
     /// Minimum committed entries before the cleanup thread starts a batch.
@@ -68,11 +83,6 @@ pub struct NvCacheConfig {
     /// routed stripe — one `pfence`+`psync` pair per stripe group instead of
     /// one per write. The synchronous path stays fully available alongside.
     pub sq_pairs: usize,
-    /// User-space bookkeeping cost charged per intercepted call (NVCache
-    /// replaces the syscall with this — the design's core bet).
-    pub libc_overhead: SimTime,
-    /// DRAM copy bandwidth for read-cache hits and buffer copies.
-    pub copy_bandwidth: Bandwidth,
 }
 
 impl Default for NvCacheConfig {
@@ -80,7 +90,6 @@ impl Default for NvCacheConfig {
         NvCacheConfig {
             entry_size: 4096,
             nb_entries: 16 * 1024 * 1024,
-            page_size: 4096,
             read_cache_pages: 250_000,
             batch_min: 1_000,
             batch_max: 10_000,
@@ -91,8 +100,6 @@ impl Default for NvCacheConfig {
             log_shards: 1,
             queue_depth: 1,
             sq_pairs: 0,
-            libc_overhead: SimTime::from_nanos(1_500),
-            copy_bandwidth: Bandwidth::gib_per_sec(8.0),
         }
     }
 }
@@ -204,10 +211,9 @@ impl NvCacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent settings (non-power-of-two page size, zero
-    /// capacities, batch window inversion).
+    /// Panics on inconsistent settings (zero capacities, batch window
+    /// inversion).
     pub fn validate(&self) {
-        assert!(self.page_size.is_power_of_two(), "page size must be a power of two");
         assert!(self.entry_size > 0, "entry size must be positive");
         assert!(self.nb_entries >= 2, "log needs at least two entries");
         assert!(self.read_cache_pages >= 1, "read cache needs at least one page");
@@ -267,7 +273,6 @@ mod tests {
     fn scaling_preserves_sizes() {
         let cfg = NvCacheConfig::default().scaled(64);
         assert_eq!(cfg.entry_size, 4096);
-        assert_eq!(cfg.page_size, 4096);
         assert_eq!(cfg.nb_entries, 262_144);
         cfg.validate();
     }
@@ -277,13 +282,6 @@ mod tests {
         let cfg = NvCacheConfig::tiny();
         let need = cfg.required_nvmm_bytes();
         assert!(need > cfg.nb_entries * cfg.entry_size as u64);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_page_size_panics() {
-        let cfg = NvCacheConfig { page_size: 3000, ..NvCacheConfig::tiny() };
-        cfg.validate();
     }
 
     #[test]

@@ -141,93 +141,32 @@ impl Drop for InFlight {
     }
 }
 
-/// Lock-free allocator for persistent fd-table slots: a Treiber stack over
-/// a preallocated `next`-pointer array, with a generation-tagged head to
-/// defeat ABA. Replaces the old `Mutex<Vec<u32>>` free list so the
-/// multi-queue front-end's submitters (and plain `open`/`close` storms)
-/// never serialize on a global lock just to grab a descriptor slot.
-///
-/// LIFO, like the vector it replaces: the most recently released slot is
-/// handed out next, and a fresh allocator yields `0, 1, 2, …` — keeping
-/// descriptor numbering (and therefore every byte-oracle test) identical.
+/// The free persistent fd-table slots, as a stack: the most recently
+/// released slot is handed out next, and a fresh allocator yields `0, 1, 2,
+/// …` — descriptor numbers, and so every byte oracle, follow from that
+/// order. A leaf lock: nothing is taken while it is held.
 #[derive(Debug)]
-pub(crate) struct FdSlotAllocator {
-    /// `next[i]` = the slot below `i` on the free stack (`NIL` = bottom).
-    /// Only ever read/written for slots currently on the stack, so a slot's
-    /// word never changes while another thread may still traverse it.
-    next: Box<[AtomicU32]>,
-    /// `generation << 32 | slot` of the stack top (`slot == NIL` = empty).
-    /// The generation increments on every successful push/pop.
-    head: AtomicU64,
-    /// Free-slot gauge (exact when quiescent; used for usage reporting, not
-    /// for allocation decisions).
-    free: AtomicU32,
-}
-
-const NIL: u32 = u32::MAX;
-
-fn pack(generation: u32, slot: u32) -> u64 {
-    (u64::from(generation) << 32) | u64::from(slot)
-}
+pub(crate) struct FdSlotAllocator(Mutex<Vec<u32>>);
 
 impl FdSlotAllocator {
     /// An allocator over slots `0..n`, all free.
     pub fn new(n: u32) -> Self {
-        assert!(n < NIL, "fd slot count must leave room for the NIL sentinel");
-        let next: Vec<AtomicU32> =
-            (0..n).map(|i| AtomicU32::new(if i + 1 < n { i + 1 } else { NIL })).collect();
-        FdSlotAllocator {
-            next: next.into_boxed_slice(),
-            head: AtomicU64::new(pack(0, if n > 0 { 0 } else { NIL })),
-            free: AtomicU32::new(n),
-        }
+        FdSlotAllocator(Mutex::new((0..n).rev().collect()))
     }
 
     /// Pops a free slot, or `None` when the table is exhausted.
     pub fn acquire(&self) -> Option<u32> {
-        loop {
-            crate::stress_point();
-            let observed = self.head.load(Ordering::Acquire);
-            let slot = observed as u32;
-            if slot == NIL {
-                return None;
-            }
-            let below = self.next[slot as usize].load(Ordering::Acquire);
-            let replacement = pack((observed >> 32) as u32 + 1, below);
-            if self
-                .head
-                .compare_exchange_weak(observed, replacement, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free.fetch_sub(1, Ordering::AcqRel);
-                return Some(slot);
-            }
-        }
+        self.0.lock().pop()
     }
 
     /// Pushes `slot` back onto the free stack.
     pub fn release(&self, slot: u32) {
-        debug_assert!((slot as usize) < self.next.len(), "slot out of range");
-        loop {
-            crate::stress_point();
-            let observed = self.head.load(Ordering::Acquire);
-            self.next[slot as usize].store(observed as u32, Ordering::Release);
-            let replacement = pack((observed >> 32) as u32 + 1, slot);
-            if self
-                .head
-                .compare_exchange_weak(observed, replacement, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.free.fetch_add(1, Ordering::AcqRel);
-                return;
-            }
-        }
+        self.0.lock().push(slot);
     }
 
-    /// Currently free slots (a gauge — exact only while no acquire/release
-    /// races with the read).
+    /// Currently free slots.
     pub fn free_count(&self) -> u32 {
-        self.free.load(Ordering::Acquire)
+        self.0.lock().len() as u32
     }
 }
 

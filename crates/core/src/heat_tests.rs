@@ -1,9 +1,11 @@
 //! Mount-level tests of the placement-policy layer: the byte/virtual-time
 //! oracle pinning the default (`RouterPlacement`) to the pre-policy
 //! behavior, temperature-driven promotion/demotion end to end (decay,
-//! hysteresis, close → reopen survival, the fast-tier budget), and
-//! recovery consulting the active policy for its misplacement judgement.
+//! hysteresis, close → reopen survival, no heat from reads at the end of a
+//! file, the fast-tier budget), and recovery consulting the active policy
+//! for its misplacement judgement.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
@@ -240,6 +242,34 @@ fn temperature_survives_close_and_reopen() {
     let report = cache.rebalance(&clock).expect("final sweep");
     assert_eq!(report.files_promoted, 1, "accumulated heat promotes: 1 write + 6 reads ≥ 6");
     assert!(on_tier(&tiers.1, "/wal", &clock));
+    cache.shutdown(&clock);
+}
+
+/// A read at or past the end of a file moves no data and is no access heat:
+/// a tail poller's reads reach neither the temperature nor the read count
+/// the catalog carries across close and reopen.
+#[test]
+fn reads_at_the_end_of_a_file_leave_no_heat() {
+    let clock = ActorClock::new();
+    let dimm = parked_dimm(NvmmProfile::instant());
+    let tiers = two_memfs();
+    let cache = mount(on_demand(cold_everything(), &tiers), &dimm, Mount::Format, &clock);
+    let fd = cache.open("/tail", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    cache.pwrite(fd, &[5; 100], 0, &clock).unwrap();
+    cache.flush_log(&clock);
+    cache.close(fd, &clock).unwrap();
+    let fd = cache.open("/tail", OpenFlags::RDONLY, &clock).unwrap();
+    let mut buf = [0u8; 64];
+    for _ in 0..8 {
+        assert_eq!(cache.pread(fd, &mut buf, 100, &clock).unwrap(), 0, "at the end");
+    }
+    cache.close(fd, &clock).unwrap();
+    // A reopen takes the catalogued counters back.
+    let fd = cache.open("/tail", OpenFlags::RDONLY, &clock).unwrap();
+    let file = Arc::clone(&cache.shared.opened_fd(fd).unwrap().file);
+    let counted = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    assert_eq!((counted(&file.reads), counted(&file.writes)), (0, 1));
+    cache.close(fd, &clock).unwrap();
     cache.shutdown(&clock);
 }
 

@@ -354,13 +354,13 @@ impl Header {
     /// fences. A single-stripe, single-backend header is the seed's byte for
     /// byte: the count words it never wrote are written `0`, which also
     /// clears a stale count when a region is reformatted.
-    pub fn format(region: &NvRegion, lay: &Layout, page_size: usize, clock: &ActorClock) {
+    pub fn format(region: &NvRegion, lay: &Layout, clock: &ActorClock) {
         region.write_u64(OFF_MAGIC, MAGIC, clock);
         region.write_u64(OFF_ENTRY_SIZE, lay.entry_size, clock);
         region.write_u64(OFF_NB_ENTRIES, lay.nb_entries, clock);
         region.write_u64(OFF_PTAIL, 0, clock);
         region.write_u64(OFF_FD_SLOTS, lay.fd_slots, clock);
-        region.write_u64(OFF_PAGE_SIZE, page_size as u64, clock);
+        region.write_u64(OFF_PAGE_SIZE, crate::config::PAGE_SIZE as u64, clock);
         region.write_u64(OFF_LOG_SHARDS, count_word(lay.log_shards), clock);
         // v2: one persistent tail per stripe.
         let tails = if lay.log_shards > 1 { lay.log_shards } else { 0 };
@@ -562,7 +562,7 @@ mod tests {
         for (log_shards, backends) in [(1, 1), (4, 1), (1, 3), (4, 3)] {
             let lay = Layout { log_shards, backends, ..layout() };
             let (clock, region) = region(&lay);
-            Header::format(&region, &lay, 4096, &clock);
+            Header::format(&region, &lay, &clock);
             assert_eq!(Header::read(&region, &clock).unwrap(), Header { layout: lay, ptail: 0 });
             assert_eq!(region.read_u64(OFF_PAGE_SIZE), 4096);
             // One stripe, one backend: the count words stay at the seed's 0.

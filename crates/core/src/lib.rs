@@ -34,8 +34,9 @@
 //! pressure. [`NvCacheConfig::log_shards`] splits the log into `N`
 //! independent **stripes**, each with its own persistent tail, head/tail
 //! atomics, commit/free time stamps, condition variables, flush barrier and
-//! cleanup worker. `log_shards = 1` (the default) keeps the persistent
-//! image and observable behavior byte-for-byte seed-compatible.
+//! cleanup worker. One stripe is not a special case: `log_shards = 1` (the
+//! default) runs the same routing, sequence stamping and propagation
+//! handoff, and its persistent image is byte-for-byte seed-compatible.
 //!
 //! The invariants that make striping safe:
 //!
@@ -184,7 +185,7 @@
 //! ## The multi-queue submission front-end
 //!
 //! The synchronous `pwrite` path pays the intercepted call's bookkeeping
-//! (`libc_overhead`) and a full `pfence`+`psync` fence pair *per write* —
+//! (`LIBC_OVERHEAD`) and a full `pfence`+`psync` fence pair *per write* —
 //! fine for the paper's single-threaded FIO, but front-end fixed costs,
 //! not NVMM bandwidth, dominate small writes as simulated cores grow.
 //! [`NvCacheConfig::with_sq_pairs`] adds NVMe-style **submission/completion
@@ -196,10 +197,9 @@
 //! stripe (one fence pair per stripe group instead of one per write), and
 //! reaps completions with [`QueuePair::reap`]. Both paths run the one
 //! implementation of Algorithm 1's body — the synchronous `pwrite` is a
-//! doorbell of one write — and differ only in what surrounds it: heat and
-//! statistics accumulate per queue pair and flush on reap, so
-//! [`HeatPolicy`] and [`NvCacheStats`] observe exactly the synchronous
-//! path's values.
+//! doorbell of one write — and heat and statistics are counted there, where
+//! the write commits, so [`HeatPolicy`] and [`NvCacheStats`] observe
+//! exactly the synchronous path's values.
 //! `sq_pairs = 0` (the default) does not construct the front-end and keeps
 //! the synchronous path byte- and virtual-time-identical to the seed
 //! (oracle-tested).
@@ -271,7 +271,7 @@ mod tiering_tests;
 
 pub use builder::{Mount, NvCacheBuilder};
 pub use cache::NvCache;
-pub use config::NvCacheConfig;
+pub use config::{NvCacheConfig, COPY_GIB_PER_SEC};
 pub use migrate::{MigrationPolicy, RebalanceReport};
 pub use pagedesc::{PageDescriptor, PageSlot, PageState};
 pub use placement::{FileTemperature, HeatPolicy, PlacementPolicy, RouterPlacement};

@@ -386,9 +386,10 @@ impl Stripe {
 /// The striped NVMM write log: `log_shards` independent [`Stripe`]s over one
 /// entry array, plus the global sequence counter that keeps them mergeable.
 ///
-/// With one stripe this is exactly the paper's single circular log (and the
-/// stamped sequence numbers coincide with the allocation sequence, making
-/// the persistent image byte-for-byte seed-compatible). With `N > 1`:
+/// Every log has this one shape; with one stripe it is the paper's single
+/// circular log, and the stamped sequence numbers coincide with the
+/// allocation sequence, making the persistent image byte-for-byte
+/// seed-compatible.
 ///
 /// * writes are routed to a stripe by [`Log::route`] — a hash of
 ///   `(device, inode, file_off / entry_size)`, so rewrites of one aligned
@@ -402,8 +403,9 @@ pub(crate) struct Log {
     pub region: NvRegion,
     pub layout: Layout,
     pub stripes: Box<[Stripe]>,
-    /// Next global sequence number (multi-stripe only; a single stripe
-    /// reuses its local sequence, matching the seed format).
+    /// Next global sequence number. Drawn under the allocation lock of the
+    /// stripe that takes it, so on one stripe it is that stripe's head: the
+    /// stamped sequence is the local one, as in the seed format.
     global_seq: AtomicU64,
     /// Cleanup workers currently blocked in the per-page propagation
     /// handoff, waiting for another stripe to drain a smaller sequence
@@ -448,8 +450,7 @@ impl Log {
     /// The global sequence number the next reservation draws: every entry
     /// below it has been reserved already.
     pub fn next_seq(&self) -> u64 {
-        let next = if self.single() { &self.stripes[0].head } else { &self.global_seq };
-        next.load(Ordering::SeqCst)
+        self.global_seq.load(Ordering::SeqCst)
     }
 
     /// [`Stripe::free_range`] once no push pins the tail: the cleanup
@@ -460,20 +461,12 @@ impl Log {
         stripe.free_range(from, count, clock);
     }
 
-    /// Whether this log has a single stripe (seed-compatible mode).
-    pub fn single(&self) -> bool {
-        self.stripes.len() == 1
-    }
-
     /// The stripe that owns writes of file `dev_ino` starting at `file_off`:
     /// a hash of `(device, inode, file_off / entry_size)`, so repeated
     /// writes of the same aligned chunk keep their stripe (and, with
     /// `entry_size == page_size`, aligned same-page writes keep per-page
     /// ordering within one stripe).
     pub fn route(&self, dev_ino: (u64, u64), file_off: u64) -> &Stripe {
-        if self.single() {
-            return &self.stripes[0];
-        }
         let chunk = file_off / self.layout.entry_size;
         // SplitMix64-style mix of the three routing keys.
         let mut h = dev_ino
@@ -535,12 +528,7 @@ impl Log {
                     stripe.head.store(head + k, Ordering::Release);
                     // Global sequence assignment happens under the same lock
                     // so ring order == global order within the stripe.
-                    let gseq = if self.single() {
-                        head
-                    } else {
-                        self.global_seq.fetch_add(k, Ordering::AcqRel)
-                    };
-                    Some((head, gseq))
+                    Some((head, self.global_seq.fetch_add(k, Ordering::AcqRel)))
                 } else {
                     None
                 }

@@ -243,11 +243,9 @@ struct CatalogEntry {
     seq: u64,
 }
 
-/// The closed-file catalog: `path → CatalogEntry`, plus — only when a
-/// [`catalog_capacity`](crate::Tiering::catalog_capacity) bound is
-/// set — the clock-eviction ring and the recently-evicted filter behind
-/// the readmission counter. Unbounded catalogs (the default) never touch
-/// `ring`/`evicted`, so the seed's memory and timing are unchanged.
+/// The closed-file catalog: `path → CatalogEntry`, plus the clock-eviction
+/// ring and the recently-evicted filter behind the readmission counter. An
+/// unbounded catalog (the default) keeps the ring and never evicts.
 #[derive(Default)]
 struct Catalog {
     map: HashMap<String, CatalogEntry>,
@@ -304,11 +302,11 @@ pub(crate) struct Migrator {
     /// recovery reported misplaced). Volatile by design: after a remount
     /// the catalog refills from recovery's misplaced list and new closes.
     catalog: Mutex<Catalog>,
-    /// Resident-set bound ([`catalog_capacity`]); `None` = unbounded, the
-    /// seed behavior.
+    /// Resident-set bound ([`catalog_capacity`]); `usize::MAX` when
+    /// unbounded.
     ///
     /// [`catalog_capacity`]: crate::Tiering::catalog_capacity
-    capacity: Option<usize>,
+    capacity: usize,
     /// The mount's placement policy — the eviction pin judgement
     /// (misplaced? promote-worthy?) must agree with the sweeps it guards.
     placement: Arc<dyn PlacementPolicy>,
@@ -345,7 +343,7 @@ impl Migrator {
             clock: Arc::new(ActorClock::new()),
             gate: MigrationGate::default(),
             catalog: Mutex::new(Catalog::default()),
-            capacity,
+            capacity: capacity.unwrap_or(usize::MAX),
             placement,
             router,
             backends,
@@ -446,9 +444,7 @@ impl Migrator {
                         catalog.ring.push_back((seq, path));
                     } else {
                         catalog.map.remove(&path);
-                        if let Some(capacity) = self.capacity {
-                            catalog.note_evicted(&path, capacity);
-                        }
+                        catalog.note_evicted(&path, self.capacity);
                         stats.catalog_evictions.fetch_add(1, Ordering::Relaxed);
                         return true;
                     }
@@ -465,19 +461,13 @@ impl Migrator {
     /// admitted past the bound (owed work is never dropped) while a cold
     /// newcomer is rejected — which counts as an eviction of itself.
     fn admit_new(&self, catalog: &mut Catalog, path: String, heat: FileHeat, stats: &NvCacheStats) {
-        let Some(capacity) = self.capacity else {
-            // Unbounded (the default): a plain map insert, no ring, no
-            // filter — byte-identical bookkeeping to the seed.
-            catalog.map.insert(path, CatalogEntry { heat, referenced: false, seq: 0 });
-            return;
-        };
         // Evict until back under the bound — more than once when pinned
         // overflow from earlier admissions has since cooled below the
         // retain threshold and become evictable again.
-        while catalog.map.len() >= capacity && self.make_room(catalog, stats) {}
-        if catalog.map.len() >= capacity && !self.pinned(&path, &heat) {
+        while catalog.map.len() >= self.capacity && self.make_room(catalog, stats) {}
+        if catalog.map.len() >= self.capacity && !self.pinned(&path, &heat) {
             stats.catalog_evictions.fetch_add(1, Ordering::Relaxed);
-            catalog.note_evicted(&path, capacity);
+            catalog.note_evicted(&path, self.capacity);
             return;
         }
         if catalog.evicted.remove(&Catalog::path_hash(&path)) {
@@ -546,14 +536,12 @@ impl Migrator {
             // it (the old destination file is gone), keeping its ring seat.
             e.heat = heat;
             e.referenced = true;
-        } else if resident_source || self.capacity.is_none() {
+        } else if resident_source {
             // Net resident count is unchanged (one key out, one key in):
             // no eviction needed, just a fresh ring seat for the new key.
             let seq = catalog.next_seq;
             catalog.next_seq += 1;
-            if self.capacity.is_some() {
-                catalog.ring.push_back((seq, to.to_string()));
-            }
+            catalog.ring.push_back((seq, to.to_string()));
             catalog
                 .map
                 .insert(to.to_string(), CatalogEntry { heat, referenced: false, seq });

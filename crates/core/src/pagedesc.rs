@@ -1,7 +1,7 @@
 //! Per-page state: [`PageDescriptor`] with the paper's two-lock concurrency
-//! scheme (§II-D), the dirty counter, the Table II page states, and — on a
-//! striped log — the cross-stripe propagation queue that keeps per-page
-//! write order at the inner file system.
+//! scheme (§II-D), the dirty counter, the Table II page states, and the
+//! propagation queue that keeps per-page write order at the inner file
+//! system across stripes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -55,12 +55,12 @@ impl PageSlot {
 /// writer's increment (paper footnote 4) — readers can never observe the
 /// unstable value because the dirty-miss procedure requires both locks.
 ///
-/// With a striped log the descriptor additionally carries the **propagation
-/// queue**: the global sequence numbers of pending log entries touching this
-/// page, in commit order (writers enqueue under the atomic lock). A cleanup
-/// worker may only propagate an entry once it reaches the queue front, which
-/// restores cross-stripe per-page write ordering at the inner file system
-/// without serializing unrelated pages. Single-stripe logs never touch it.
+/// The descriptor additionally carries the **propagation queue**: the global
+/// sequence numbers of pending log entries touching this page, in commit
+/// order (writers enqueue under the atomic lock). A cleanup worker may only
+/// propagate an entry once it reaches the queue front, which restores
+/// cross-stripe per-page write ordering at the inner file system without
+/// serializing unrelated pages. Every log keeps it, one stripe included.
 #[derive(Debug)]
 pub struct PageDescriptor {
     file_id: u64,

@@ -231,11 +231,11 @@ impl PlacementPolicy for RouterPlacement {
         router: &dyn Router,
         _backends: usize,
     ) -> Vec<usize> {
-        files.iter().map(|f| router.route(&f.path, 0)).collect()
+        files.iter().map(|f| router.route(&f.path)).collect()
     }
 
     fn place_cold(&self, path: &str, _current: usize, router: &dyn Router) -> usize {
-        router.route(path, 0)
+        router.route(path)
     }
 
     fn name(&self) -> &str {
@@ -351,7 +351,7 @@ impl PlacementPolicy for HeatPolicy {
                 if f.heat >= self.promote_threshold {
                     self.fast_tier
                 } else if f.heat <= self.demote_threshold {
-                    router.route(&f.path, 0)
+                    router.route(&f.path)
                 } else {
                     f.backend // hysteresis band: no move
                 }
@@ -376,7 +376,7 @@ impl PlacementPolicy for HeatPolicy {
                 if occupied <= self.fast_tier_budget {
                     break;
                 }
-                targets[i] = self.spill_tier(router.route(&files[i].path, 0), backends);
+                targets[i] = self.spill_tier(router.route(&files[i].path), backends);
                 occupied -= files[i].bytes;
             }
         }
@@ -388,7 +388,7 @@ impl PlacementPolicy for HeatPolicy {
         // policy had promoted before the crash are therefore judged
         // misplaced after it — temperature is volatile by design, and the
         // file re-earns its promotion as heat accumulates.
-        router.route(path, 0)
+        router.route(path)
     }
 
     fn half_life(&self) -> Option<SimTime> {

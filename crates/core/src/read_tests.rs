@@ -11,6 +11,7 @@ use proptest::prelude::*;
 use simclock::{ActorClock, SimTime};
 use vfs::{DelayLayer, DelayProfile, Ext4, Ext4Profile, FileSystem, Layer, MemFs, OpenFlags};
 
+use crate::config::{copy_bandwidth, LIBC_OVERHEAD};
 use crate::tests::mount;
 use crate::{Mount, NvCache, NvCacheConfig, NvCacheStatsSnapshot};
 
@@ -135,8 +136,7 @@ fn a_lone_missing_page_charges_libc_one_inner_pread_and_the_copy() {
     let cfg = NvCacheConfig::tiny();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
     let inner = Arc::clone(&ext4) as Arc<dyn FileSystem>;
-    let cache =
-        mount(NvRegion::whole(dimm), inner, cfg.clone(), Mount::Format, &clock).expect("format");
+    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).expect("format");
     let fd = cache.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
     cache.pwrite(fd, &pages(0, 3), 0, &clock).expect("pwrite");
     cache.flush_log(&clock);
@@ -151,7 +151,7 @@ fn a_lone_missing_page_charges_libc_one_inner_pread_and_the_copy() {
     let mut buf = [0u8; 100];
     cache.pread(fd, &mut buf, PAGE as u64 + 1000, &clock).expect("pread");
     assert_eq!(buf, [2; 100]);
-    let expect = cfg.libc_overhead + one_page + cfg.copy_bandwidth.time_for(100);
+    let expect = LIBC_OVERHEAD + one_page + copy_bandwidth().time_for(100);
     assert_eq!(clock.now() - before, expect);
     cache.shutdown(&clock);
 }

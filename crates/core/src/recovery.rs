@@ -324,7 +324,7 @@ pub(crate) fn recover(
             let candidates: Vec<usize> = if lay.tiered() {
                 vec![stored as usize]
             } else {
-                let routed = router.route(&path, 0);
+                let routed = router.route(&path);
                 if routed == 0 {
                     vec![0]
                 } else {

@@ -26,9 +26,7 @@
 /// Implementations must be **path-stable**: the same (normalized) path must
 /// always resolve to the same backend index while the mount is up, because
 /// `open` routes before the file exists on any backend and the path-based
-/// operations re-route on every call. The `ino` argument is a refinement
-/// hint — `0` whenever the file is not yet open (so a router must not rely
-/// on it for placement, only for e.g. NUMA/affinity tie-breaking).
+/// operations re-route on every call — so the path is all a router sees.
 ///
 /// The trait is object-safe; tiered mounts hold it as `Arc<dyn Router>`.
 ///
@@ -37,17 +35,16 @@
 /// ```
 /// use nvcache::{PathPrefixRouter, Router};
 /// let r = PathPrefixRouter::new(vec![("/hot".into(), 1)], 0);
-/// assert_eq!(r.route("/hot/wal.log", 0), 1);
-/// assert_eq!(r.route("/cold/archive", 0), 0);
+/// assert_eq!(r.route("/hot/wal.log"), 1);
+/// assert_eq!(r.route("/cold/archive"), 0);
 /// ```
 pub trait Router: Send + Sync + std::fmt::Debug {
     /// The backend index of the file at `path` (normalized, absolute).
-    /// `ino` is the file's inode number when known, `0` otherwise.
     ///
     /// Must return a value in `[0, backends)` for the mount's backend count;
     /// the mount validates this at build time against the router's
     /// [`fan_out`](Router::fan_out) and clamps nothing at run time.
-    fn route(&self, path: &str, ino: u64) -> usize;
+    fn route(&self, path: &str) -> usize;
 
     /// The number of distinct backend indices this router can return
     /// (`route` must stay in `[0, fan_out)`).
@@ -66,7 +63,7 @@ pub trait Router: Send + Sync + std::fmt::Debug {
 pub struct SingleBackend;
 
 impl Router for SingleBackend {
-    fn route(&self, _path: &str, _ino: u64) -> usize {
+    fn route(&self, _path: &str) -> usize {
         0
     }
 
@@ -120,7 +117,7 @@ impl PathPrefixRouter {
 }
 
 impl Router for PathPrefixRouter {
-    fn route(&self, path: &str, _ino: u64) -> usize {
+    fn route(&self, path: &str) -> usize {
         self.rules
             .iter()
             .find(|(prefix, _)| Self::matches(prefix, path))
@@ -144,10 +141,7 @@ impl Router for PathPrefixRouter {
 
 /// Spreads files uniformly over `n` backends by hashing the path —
 /// capacity balancing when no placement policy applies. Uses the same
-/// SplitMix64-style mix as the log's stripe routing. The inode hint is
-/// deliberately ignored: placement must be path-stable (`open` routes
-/// before the inode exists), so hashing `ino` would send path-based calls
-/// to a different tier than the one the file was opened on.
+/// SplitMix64-style mix as the log's stripe routing.
 #[derive(Debug, Clone, Copy)]
 pub struct HashRouter {
     n: usize,
@@ -166,7 +160,7 @@ impl HashRouter {
 }
 
 impl Router for HashRouter {
-    fn route(&self, path: &str, _ino: u64) -> usize {
+    fn route(&self, path: &str) -> usize {
         let mut h = 0x9E37_79B9_7F4A_7C15u64;
         for &b in path.as_bytes() {
             h = (h ^ b as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -192,26 +186,30 @@ mod tests {
     #[test]
     fn single_backend_always_routes_to_zero() {
         let r = SingleBackend;
-        assert_eq!(r.route("/any/path", 42), 0);
+        assert_eq!(r.route("/any/path"), 0);
         assert_eq!(r.fan_out(), 1);
     }
 
     #[test]
     fn prefix_router_matches_whole_components() {
         let r = PathPrefixRouter::new(vec![("/hot".into(), 1), ("/hot/wal".into(), 2)], 0);
-        assert_eq!(r.route("/hot", 0), 1);
-        assert_eq!(r.route("/hot/data", 0), 1);
-        assert_eq!(r.route("/hot/wal/0001", 0), 2, "longest prefix wins");
-        assert_eq!(r.route("/hotel", 0), 0, "no partial-component match");
-        assert_eq!(r.route("/cold", 0), 0);
+        assert_eq!(r.route("/hot"), 1);
+        assert_eq!(r.route("/hot/data"), 1);
+        assert_eq!(r.route("/hot/wal/0001"), 2, "longest prefix wins");
+        assert_eq!(r.route("/hotel"), 0, "no partial-component match");
+        assert_eq!(r.route("/cold"), 0);
         assert_eq!(r.fan_out(), 3);
     }
 
     #[test]
     fn prefix_router_is_path_stable() {
-        let r = PathPrefixRouter::new(vec![("/a".into(), 1)], 0);
-        for _ in 0..3 {
-            assert_eq!(r.route("/a/f", 0), r.route("/a/f", 7));
+        // A remount may list the same rules in another order: the longest
+        // match still decides, so every path keeps its tier.
+        let rules = vec![("/a".to_string(), 1), ("/a/b".to_string(), 2)];
+        let r = PathPrefixRouter::new(rules.clone(), 0);
+        let reordered = PathPrefixRouter::new(rules.into_iter().rev().collect(), 0);
+        for path in ["/a", "/a/f", "/a/b", "/a/b/c", "/ab", "/z"] {
+            assert_eq!(r.route(path), reordered.route(path), "{path}");
         }
     }
 
@@ -228,23 +226,12 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for i in 0..64 {
             let path = format!("/f{i}");
-            let a = r.route(&path, 0);
-            assert_eq!(a, r.route(&path, 0), "must be deterministic");
+            let a = r.route(&path);
+            assert_eq!(a, r.route(&path), "must be deterministic");
             assert!(a < 3);
             seen.insert(a);
         }
         assert_eq!(seen.len(), 3, "64 paths must hit every backend");
-    }
-
-    #[test]
-    fn hash_router_placement_ignores_the_inode_hint() {
-        // `open` routes with ino = 0 and path-based calls may pass the real
-        // inode: both must agree, or stat/unlink would hit the wrong tier.
-        let r = HashRouter::new(4);
-        for i in 0..32 {
-            let path = format!("/spread/{i}");
-            assert_eq!(r.route(&path, 0), r.route(&path, 7777 + i));
-        }
     }
 
     #[test]
@@ -261,7 +248,7 @@ mod tests {
             Box::new(HashRouter::new(2)),
         ];
         for r in &routers {
-            assert!(r.route("/x/y", 0) < r.fan_out().max(2));
+            assert!(r.route("/x/y") < r.fan_out().max(2));
             assert!(!r.name().is_empty());
         }
     }

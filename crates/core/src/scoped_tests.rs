@@ -5,8 +5,8 @@
 //! against a model, its fallbacks must still drain, and two seeded bugs —
 //! a rename that retires the slots of an unsynced file, a worker that
 //! rewrites pushed entries — must fail the checks. A push racing the
-//! workers of two stripes must not write an entry one of them consumed.
-//! Also the hooks the engine calls at those steps.
+//! workers, on one stripe or two, must not write an entry one of them
+//! consumed. Also the hooks the engine calls at those steps.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
@@ -14,8 +14,10 @@ use std::sync::Arc;
 
 use blockdev::{BlockDevice, SsdDevice, SsdProfile};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
-use simclock::ActorClock;
-use vfs::{Ext4, Ext4Profile, FileSystem, IoError, IoResult, OpenFlags};
+use simclock::{ActorClock, SimTime};
+use vfs::{
+    DelayLayer, DelayProfile, Ext4, Ext4Profile, FileSystem, IoError, IoResult, Layer, OpenFlags,
+};
 
 use crate::cache::Shared;
 use crate::tests::mount;
@@ -82,12 +84,15 @@ fn parked() -> NvCacheConfig {
 }
 
 /// A mount over `Ext4` on an SSD: a power failure drops what no barrier
-/// wrote back.
+/// wrote back. The mount reaches it through a layer charging 1 ns per
+/// inner `pwrite`, so that the layer's delayed-operation count is the inner
+/// `pwrite` count.
 struct Rig {
     clock: ActorClock,
     cfg: NvCacheConfig,
     dimm: Arc<NvDimm>,
     ext4: Arc<Ext4>,
+    delay: DelayLayer,
     cache: NvCache,
 }
 
@@ -98,10 +103,19 @@ impl Rig {
         let ext4 =
             Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
         let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-        let inner = Arc::clone(&ext4) as Arc<dyn FileSystem>;
+        let delay = DelayLayer::new(DelayProfile {
+            pwrite: SimTime::from_nanos(1),
+            ..DelayProfile::default()
+        });
+        let inner = delay.wrap(Arc::clone(&ext4) as Arc<dyn FileSystem>);
         let region = NvRegion::whole(Arc::clone(&dimm));
         let cache = mount(region, inner, cfg.clone(), Mount::Format, &clock).expect("format");
-        Rig { clock, cfg, dimm, ext4, cache }
+        Rig { clock, cfg, dimm, ext4, delay, cache }
+    }
+
+    /// Inner `pwrite`s so far.
+    fn pwrites(&self) -> u64 {
+        self.delay.stats().ops_delayed
     }
 
     fn write(&self, path: &str, flags: OpenFlags, writes: &[(u64, &[u8])]) -> vfs::Fd {
@@ -374,37 +388,46 @@ fn close_never_pushes_a_recycled_slot() {
     rig.cache.shutdown(&rig.clock);
 }
 
-/// On a two-stripe log, the older write spans two pages in stripe A and
-/// the newer one covers the second page from stripe B. A's worker consumes
-/// the older write and waits before its barrier; B's consumes the newer
-/// one and frees it. The last `close` then lists the older entries and not
-/// the newer one. Returns what a reader reads of the second page, and what
-/// the file holds there after A's barrier, a power cut and recovery.
-fn push_beside_a_consumed_entry() -> (Vec<u8>, Option<Vec<u8>>) {
-    let rig = Rig::new(parked().with_log_shards(2));
+/// The older write spans two pages and the newer one covers the second. On
+/// a two-stripe log the older write's entries sit in stripe A and the
+/// newer one's in stripe B: A's worker consumes the older write and waits
+/// before its barrier, B's consumes the newer one and frees it. On one
+/// stripe, A's worker consumes all three entries and waits before its
+/// barrier. The last `close` then lists only consumed entries. Returns the
+/// inner `pwrite`s of that close, what a reader reads of the second page,
+/// and what the file holds there after A's barrier, a power cut and
+/// recovery.
+fn push_beside_a_consumed_entry(shards: usize) -> (u64, Vec<u8>, Option<Vec<u8>>) {
+    let rig = Rig::new(parked().with_log_shards(shards));
     let shared = Arc::clone(&rig.cache.shared);
     let writer = rig.write("/page", create(), &[]);
     let reader = rig.cache.open("/page", OpenFlags::RDONLY, &rig.clock).expect("open");
     let file = Arc::clone(&shared.opened_fd(writer).expect("open").file);
     let stripe_of = |page: u64| shared.log.route(file.dev_ino, page * 4096).index;
-    let older = (0..).find(|&p| stripe_of(p) != stripe_of(p + 1)).expect("two stripes");
+    let split = |p: u64| shards == 1 || stripe_of(p) != stripe_of(p + 1);
+    let older = (0..).find(|&p| split(p)).expect("two stripes");
     let newer_at = (older + 1) * 4096;
     rig.cache.pwrite(writer, &[1; 8192], older * 4096, &rig.clock).expect("pwrite");
     rig.cache.pwrite(writer, &[2; 4096], newer_at, &rig.clock).expect("pwrite");
     let (a, b) = (stripe_of(older), stripe_of(older + 1));
+    let in_a = if a == b { 3 } else { 2 };
     shared.held_stripes.store(1 << a, Ordering::Release);
     let stripe_a = &shared.log.stripes[a];
     stripe_a
         .flush_target
         .store(stripe_a.head.load(Ordering::Acquire), Ordering::Release);
     stripe_a.notify_work();
-    while shared.stats.per_shard[a].entries_propagated.load(Ordering::Acquire) < 2 {
+    while shared.stats.per_shard[a].entries_propagated.load(Ordering::Acquire) < in_a {
         std::thread::yield_now();
     }
-    let stripe_b = &shared.log.stripes[b];
-    stripe_b.flush_to(stripe_b.head.load(Ordering::Acquire), &rig.clock);
-    assert_eq!(rig.cache.pending_entries(), 2, "A's entries are consumed, not freed");
+    if b != a {
+        let stripe_b = &shared.log.stripes[b];
+        stripe_b.flush_to(stripe_b.head.load(Ordering::Acquire), &rig.clock);
+    }
+    assert_eq!(rig.cache.pending_entries(), in_a, "A's entries are consumed, not freed");
+    let before = rig.pwrites();
     rig.close(writer);
+    let pushed = rig.pwrites() - before;
     let mut page = vec![0u8; 4096];
     rig.cache.pread(reader, &mut page, newer_at, &rig.clock).expect("pread");
     shared.held_stripes.store(0, Ordering::Release);
@@ -414,13 +437,17 @@ fn push_beside_a_consumed_entry() -> (Vec<u8>, Option<Vec<u8>>) {
     let recovered = rig.crash();
     let durable = content(&recovered, "/page").map(|c| c[newer_at as usize..].to_vec());
     recovered.shutdown(&ActorClock::new());
-    (page, durable)
+    (pushed, page, durable)
 }
 
 #[test]
 fn close_never_pushes_an_entry_a_worker_has_consumed() {
-    let (read, durable) = push_beside_a_consumed_entry();
-    assert!(read == [2; 4096], "the older write came back over the newer one: {:?}", &read[..4]);
-    let durable = durable.expect("the file survives");
-    assert!(durable == [2; 4096], "after recovery: {:?}", &durable[..4]);
+    for shards in [1, 2] {
+        let (pushed, read, durable) = push_beside_a_consumed_entry(shards);
+        assert_eq!(pushed, 0, "{shards} stripe(s): the close wrote consumed entries again");
+        let newer = |bytes: &[u8]| bytes == [2; 4096];
+        assert!(newer(&read), "{shards} stripe(s): the older write came back: {:?}", &read[..4]);
+        let durable = durable.expect("the file survives");
+        assert!(newer(&durable), "{shards} stripe(s): after recovery: {:?}", &durable[..4]);
+    }
 }

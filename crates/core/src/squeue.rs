@@ -30,13 +30,10 @@
 //!   the same ascending order the synchronous write path uses within a
 //!   file — so doorbells, synchronous writers and the dirty-miss path
 //!   cannot deadlock.
-//! * Heat, migrator observations and operation counters accumulate locally
-//!   in the pair and flush on [`reap`](QueuePair::reap) (or drop), keeping
-//!   [`HeatPolicy`](crate::HeatPolicy) decisions and
-//!   [`NvCacheStats`](crate::NvCacheStats) totals exact without hot-path
-//!   contention ([`Temperature`](crate::Temperature) touches are
-//!   out-of-order safe, and the pair replays them with their recorded
-//!   commit timestamps).
+//! * Heat and the write counters of
+//!   [`NvCacheStats`](crate::NvCacheStats) are counted where each window
+//!   commits, as for a synchronous write; the pair's own
+//!   [`QueueStats`](crate::QueueStats) as each call happens.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -46,11 +43,12 @@ use simclock::{ActorClock, SimTime};
 use vfs::{Fd, IoError, IoResult};
 
 use crate::cache::{KeyedPage, NvCache, PageGuard, Shared, WriteOp};
-use crate::files::{FileState, InFlight};
+use crate::config::{copy_bandwidth, LIBC_OVERHEAD};
+use crate::files::InFlight;
 use crate::lockcheck::Class;
 use crate::log::Stripe;
 use crate::pagedesc::{PageDescriptor, PageSlot};
-use crate::stats::{NvCacheStatsSnapshot, QueueStatsSnapshot, SQ_BATCH_BUCKETS};
+use crate::stats::{QueueStats, SQ_BATCH_BUCKETS};
 
 /// A completion queue entry: the asynchronous result of one submitted
 /// operation, reaped with [`QueuePair::reap`].
@@ -87,12 +85,6 @@ struct QueuedWrite {
 enum Sqe {
     Write(QueuedWrite),
     Flush { user_data: u64, opened: InFlight },
-}
-
-/// A zeroed delta for the mount-wide counters of a log with `shards`
-/// stripes.
-fn write_delta(shards: usize) -> NvCacheStatsSnapshot {
-    NvCacheStatsSnapshot { per_shard: vec![Default::default(); shards], ..Default::default() }
 }
 
 /// Histogram bucket for a doorbell batch of `n` entries: 1, 2–3, 4–7, …,
@@ -143,20 +135,12 @@ pub struct QueuePair {
     next_user_data: u64,
     sq: Vec<Sqe>,
     cq: VecDeque<Completion>,
-    /// Deferred counters, added into the mount-wide
-    /// [`NvCacheStats`](crate::NvCacheStats) on reap/drop so the hot path
-    /// touches no shared cache lines: the write-side delta, and this pair's
-    /// own [`QueueStats`](crate::QueueStats) delta.
-    acc: NvCacheStatsSnapshot,
-    queue_acc: QueueStatsSnapshot,
-    /// Deferred `(file, commit instant)` heat touches, applied on reap.
-    heat: Vec<(Arc<FileState>, SimTime)>,
 }
 
 impl QueuePair {
     pub(crate) fn claim(cache: &NvCache, index: usize, clock: &ActorClock) -> IoResult<QueuePair> {
         let shared = Arc::clone(&cache.shared);
-        clock.advance(shared.cfg.libc_overhead); // queue setup is a syscall
+        clock.advance(LIBC_OVERHEAD); // queue setup is a syscall
         if index >= shared.cfg.sq_pairs {
             return Err(IoError::InvalidArgument(format!(
                 "queue pair {index} out of range: the mount has {} \
@@ -167,17 +151,12 @@ impl QueuePair {
         if shared.sq_taken[index].swap(true, Ordering::AcqRel) {
             return Err(IoError::Busy(format!("queue pair {index} is already claimed")));
         }
-        let shards = shared.cfg.log_shards;
-        Ok(QueuePair {
-            shared,
-            index,
-            next_user_data: 0,
-            sq: Vec::new(),
-            cq: VecDeque::new(),
-            acc: write_delta(shards),
-            queue_acc: QueueStatsSnapshot::default(),
-            heat: Vec::new(),
-        })
+        Ok(QueuePair { shared, index, next_user_data: 0, sq: Vec::new(), cq: VecDeque::new() })
+    }
+
+    /// This pair's counters in the mount's [`NvCacheStats`](crate::NvCacheStats).
+    fn counters(&self) -> &QueueStats {
+        &self.shared.stats.per_queue[self.index]
     }
 
     /// The pair's index (the `index` passed to [`NvCache::queue_pair`]).
@@ -196,7 +175,7 @@ impl QueuePair {
     }
 
     /// Queues a positional write. Costs only the memcpy into the
-    /// submission ring (at [`crate::NvCacheConfig::copy_bandwidth`]) — no libc
+    /// submission ring (at [`COPY_GIB_PER_SEC`](crate::COPY_GIB_PER_SEC)) — no libc
     /// crossing, no fence; durability is deferred to the next
     /// [`ring_doorbell`](QueuePair::ring_doorbell). Returns the
     /// `user_data` token that identifies the eventual [`Completion`].
@@ -222,7 +201,7 @@ impl QueuePair {
         let stripe = stripe.index;
         let user_data = self.next_user_data;
         self.next_user_data += 1;
-        self.queue_acc.sq_submitted += 1;
+        self.counters().sq_submitted.fetch_add(1, Ordering::Relaxed);
         if data.is_empty() {
             // Nothing to log: complete immediately (the synchronous path's
             // early return).
@@ -230,7 +209,7 @@ impl QueuePair {
                 .push_back(Completion { user_data, result: Ok(0), completed_at: clock.now() });
             return Ok(user_data);
         }
-        clock.advance(self.shared.cfg.copy_bandwidth.time_for(data.len() as u64));
+        clock.advance(copy_bandwidth().time_for(data.len() as u64));
         let data = data.into();
         self.sq
             .push(Sqe::Write(QueuedWrite { user_data, opened, data, off, stripe, k }));
@@ -249,7 +228,7 @@ impl QueuePair {
         let opened = self.shared.enter(fd)?;
         let user_data = self.next_user_data;
         self.next_user_data += 1;
-        self.queue_acc.sq_submitted += 1;
+        self.counters().sq_submitted.fetch_add(1, Ordering::Relaxed);
         self.sq.push(Sqe::Flush { user_data, opened });
         Ok(user_data)
     }
@@ -263,11 +242,12 @@ impl QueuePair {
         if self.sq.is_empty() {
             return 0;
         }
-        clock.advance(self.shared.cfg.libc_overhead);
+        clock.advance(LIBC_OVERHEAD);
         let batch = std::mem::take(&mut self.sq);
         let consumed = batch.len();
-        self.queue_acc.sq_doorbells += 1;
-        self.queue_acc.sq_batch_hist[batch_bucket(consumed)] += 1;
+        let counters = self.counters();
+        counters.sq_doorbells.fetch_add(1, Ordering::Relaxed);
+        counters.sq_batch_hist[batch_bucket(consumed)].fetch_add(1, Ordering::Relaxed);
 
         // Conflict split: within one sub-batch, stripe groups commit
         // sequentially, so two same-page writes routed to *different*
@@ -357,11 +337,10 @@ impl QueuePair {
         }
     }
 
-    /// Commits one reservation window through the write core, accounts the
-    /// committed writes into the pair's deferred delta, and completes every
-    /// write of the window in submission order — with the stripe's error if
-    /// it refused the window (poisoned; so will it refuse the group's later
-    /// windows).
+    /// Commits one reservation window through the write core and completes
+    /// every write of the window in submission order — with the stripe's
+    /// error if it refused the window (poisoned; so will it refuse the
+    /// group's later windows).
     fn commit_chunk(
         &mut self,
         stripe: &Stripe,
@@ -378,65 +357,26 @@ impl QueuePair {
         let completed_at = *outcome.as_ref().unwrap_or(&clock.now());
         for w in chunk {
             let result = match &outcome {
-                Ok(_) => {
-                    if self.shared.tiers.track_heat {
-                        self.heat.push((Arc::clone(&w.opened.file), completed_at));
-                    }
-                    self.acc.writes += 1;
-                    self.acc.bytes_logged += w.data.len() as u64;
-                    self.acc.entries_logged += w.k;
-                    self.acc.per_shard[stripe.index].entries_logged += w.k;
-                    if w.k > 1 {
-                        self.acc.groups_logged += 1;
-                    }
-                    Ok(w.data.len())
-                }
+                Ok(_) => Ok(w.data.len()),
                 Err(e) => Err(e.clone()),
             };
             self.cq.push_back(Completion { user_data: w.user_data, result, completed_at });
         }
     }
 
-    /// Drains the completion queue, applies the deferred heat touches (in
-    /// commit order, with their recorded timestamps) and flushes the
-    /// pair's local counters into the mount-wide
-    /// [`NvCacheStats`](crate::NvCacheStats).
+    /// Drains the completion queue, counting how long its entries waited.
     pub fn reap(&mut self, clock: &ActorClock) -> Vec<Completion> {
         let now = clock.now();
-        let out: Vec<Completion> = self.cq.drain(..).collect();
-        for c in &out {
-            self.queue_acc.cq_reap_lag += now.saturating_sub(c.completed_at).as_nanos();
-        }
-        self.apply_heat();
-        self.flush_stats();
-        out
-    }
-
-    fn apply_heat(&mut self) {
-        if self.heat.is_empty() {
-            return;
-        }
-        let shared = Arc::clone(&self.shared);
-        for (file, t) in self.heat.drain(..) {
-            shared.tiers.touch(&file, t);
-        }
-    }
-
-    fn flush_stats(&mut self) {
-        let stats = &self.shared.stats;
-        stats.add(&std::mem::replace(&mut self.acc, write_delta(stats.per_shard.len())));
-        stats.per_queue[self.index].add(&std::mem::take(&mut self.queue_acc));
+        let lag = self.cq.iter().map(|c| now.saturating_sub(c.completed_at).as_nanos()).sum();
+        self.counters().cq_reap_lag.fetch_add(lag, Ordering::Relaxed);
+        self.cq.drain(..).collect()
     }
 }
 
 impl Drop for QueuePair {
     fn drop(&mut self) {
         // Unrung submissions were never acknowledged: discarding them (with
-        // the rest of the pair) is within the durability contract. Writes
-        // already committed did happen: their heat and counters must land
-        // even if the application never reaped.
-        self.apply_heat();
-        self.flush_stats();
+        // the rest of the pair) is within the durability contract.
         self.shared.sq_taken[self.index].store(false, Ordering::Release);
     }
 }

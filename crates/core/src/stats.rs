@@ -2,30 +2,21 @@
 //! [`ShardStats`] and per-queue-pair [`QueueStats`] breakdowns, with
 //! plain-value snapshots for reporting. Every family is declared once, in a
 //! [`counter_table!`] invocation; the live struct, its `*Snapshot` twin,
-//! `NAMES`, `snapshot()` and `add()` are generated from that one table.
+//! `NAMES` and `snapshot()` are generated from that one table.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A live counter family and its plain-value snapshot: what
-/// [`counter_table!`] needs from a nested field to snapshot it and to add a
-/// delta into it.
+/// [`counter_table!`] needs from a nested field to snapshot it.
 trait Family {
     type Snap;
     fn snap(&self) -> Self::Snap;
-    fn add_delta(&self, delta: &Self::Snap);
 }
 
 impl Family for AtomicU64 {
     type Snap = u64;
     fn snap(&self) -> u64 {
         self.load(Ordering::Relaxed)
-    }
-    fn add_delta(&self, delta: &u64) {
-        // Deltas are mostly zero; skipping them keeps a flush from dirtying
-        // cache lines the cleanup workers are counting on.
-        if *delta != 0 {
-            self.fetch_add(*delta, Ordering::Relaxed);
-        }
     }
 }
 
@@ -34,18 +25,12 @@ impl<const N: usize> Family for [AtomicU64; N] {
     fn snap(&self) -> [u64; N] {
         std::array::from_fn(|i| self[i].snap())
     }
-    fn add_delta(&self, delta: &[u64; N]) {
-        self.iter().zip(delta).for_each(|(c, d)| c.add_delta(d));
-    }
 }
 
 impl<F: Family> Family for Box<[F]> {
     type Snap = Vec<F::Snap>;
     fn snap(&self) -> Vec<F::Snap> {
         self.iter().map(F::snap).collect()
-    }
-    fn add_delta(&self, delta: &Vec<F::Snap>) {
-        self.iter().zip(delta).for_each(|(c, d)| c.add_delta(d));
     }
 }
 
@@ -86,14 +71,6 @@ macro_rules! counter_table {
             pub fn snapshot(&self) -> $snap {
                 $snap { $($name: self.$name.snap(),)* $($nname: self.$nname.snap(),)* }
             }
-
-            /// Adds `delta` counter by counter (nested families element by
-            /// element, as far as both sides reach). For deltas of monotonic
-            /// counters — adding into a gauge or a peak is meaningless.
-            pub fn add(&self, delta: &$snap) {
-                $(self.$name.add_delta(&delta.$name);)*
-                $(self.$nname.add_delta(&delta.$nname);)*
-            }
         }
 
         impl Default for $live {
@@ -114,9 +91,6 @@ macro_rules! counter_table {
             type Snap = $snap;
             fn snap(&self) -> $snap {
                 self.snapshot()
-            }
-            fn add_delta(&self, delta: &$snap) {
-                self.add(delta)
             }
         }
     };
@@ -388,29 +362,6 @@ mod tests {
         mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
         assert_eq!(NvCacheStats::NAMES.len(), 32);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
-    }
-
-    #[test]
-    fn add_applies_a_delta_to_every_family() {
-        let s = NvCacheStats::with_front_end(2, 1, 1);
-        s.writes.store(1, Ordering::Relaxed);
-        let mut delta = NvCacheStatsSnapshot {
-            writes: 2,
-            groups_logged: 5,
-            per_shard: vec![ShardStatsSnapshot::default(); 2],
-            per_queue: vec![QueueStatsSnapshot::default()],
-            ..Default::default()
-        };
-        delta.per_shard[1].entries_logged = 7;
-        delta.per_queue[0].sq_batch_hist[3] = 4;
-        s.add(&delta);
-        s.add(&delta);
-        let snap = s.snapshot();
-        assert_eq!((snap.writes, snap.groups_logged, snap.reads), (5, 10, 0));
-        assert_eq!(snap.per_shard[0], ShardStatsSnapshot::default());
-        assert_eq!(snap.per_shard[1].entries_logged, 14);
-        assert_eq!(snap.per_queue[0].sq_batch_hist[3], 8);
-        assert_eq!(snap.per_backend_propagated, vec![0]);
     }
 
     /// Doc drift: every generated counter name has a row in the operator's

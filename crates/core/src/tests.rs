@@ -437,7 +437,7 @@ fn close_flushes_content_to_the_kernel_without_draining() {
 fn truncation_drops_the_files_cached_pages() {
     for by_reopen in [false, true] {
         let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
-        let ps = cache.config().page_size;
+        let ps = crate::config::PAGE_SIZE;
         let fd = cache.open("/t", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
         cache.pwrite(fd, &vec![7u8; ps], 0, &c).unwrap();
         let mut page = vec![0u8; ps];
@@ -469,7 +469,7 @@ fn truncation_drops_the_files_cached_pages() {
 #[test]
 fn last_close_returns_the_files_pages_to_the_pool() {
     let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
-    let ps = cache.config().page_size;
+    let ps = crate::config::PAGE_SIZE;
     let fd = cache.open("/lc", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let other = cache.open("/other", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let mut page = vec![0u8; ps];

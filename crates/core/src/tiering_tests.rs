@@ -464,7 +464,7 @@ fn persisted_backend_beats_a_changed_router_policy() {
     #[derive(Debug)]
     struct Inverted;
     impl Router for Inverted {
-        fn route(&self, path: &str, _ino: u64) -> usize {
+        fn route(&self, path: &str) -> usize {
             usize::from(!path.starts_with("/hot"))
         }
         fn fan_out(&self) -> usize {
@@ -511,7 +511,7 @@ fn fd_slots_store_paths_after_the_backend_word() {
 #[test]
 fn single_backend_router_is_the_implicit_default() {
     let r = SingleBackend;
-    assert_eq!(r.route("/whatever", 9), 0);
+    assert_eq!(r.route("/whatever"), 0);
 }
 
 /// A backend whose `list_dir` always fails with a *real* I/O error (not

@@ -374,7 +374,7 @@ impl Tiers {
             .or_else(|| self.migrator.backend_of(path));
         let mut order = Vec::with_capacity(self.backends.len());
         order.extend(recorded.map(|b| b as usize));
-        for b in std::iter::once(self.router.route(path, 0)).chain(0..self.backends.len()) {
+        for b in std::iter::once(self.router.route(path)).chain(0..self.backends.len()) {
             if !order.contains(&b) {
                 order.push(b);
             }
@@ -417,7 +417,7 @@ impl Tiers {
             Some(_) => 0,
             None => match self.locate(shared, path, clock)? {
                 Some((b, _)) => b,
-                None if flags.contains(OpenFlags::CREATE) => self.router.route(path, 0),
+                None if flags.contains(OpenFlags::CREATE) => self.router.route(path),
                 None => return Err(IoError::NotFound(path.to_string())),
             },
         };
@@ -489,7 +489,7 @@ impl Tiers {
             // a different tier than the one holding it.
             return Ok(());
         }
-        let dst = self.router.route(to, 0);
+        let dst = self.router.route(to);
         if src != dst {
             if !self.migrates() {
                 return Err(IoError::CrossDevice(format!("{from} -> {to}")));
@@ -1004,7 +1004,7 @@ mod tests {
         /// Recorded backend, then routed, then index order.
         fn locate(&self, path: &str) -> Option<usize> {
             let order = self.recorded.get(path).copied().into_iter();
-            let order = order.chain([router().route(path, 0)]).chain(0..TIERS);
+            let order = order.chain([router().route(path)]).chain(0..TIERS);
             let mut order = order.filter(|b| self.holders[path].contains(b));
             order.next()
         }
@@ -1032,7 +1032,7 @@ mod tests {
         };
         let create = OpenFlags::RDWR | OpenFlags::CREATE;
         for (path, seed) in PATHS.into_iter().zip(seeds) {
-            let routed = router().route(path, 0);
+            let routed = router().route(path);
             let on: &[usize] = match seed {
                 Seed::Absent => &[],
                 Seed::Placed => &[routed],
@@ -1069,7 +1069,7 @@ mod tests {
                         Some(b) => b,
                         // A new one is created on the routed tier.
                         None if creating => {
-                            let routed = router().route(path, 0);
+                            let routed = router().route(path);
                             model.holders.insert(path, BTreeSet::from([routed]));
                             routed
                         }
@@ -1130,7 +1130,7 @@ mod tests {
                         got.unwrap_or_else(|e| panic!("{what}: {e}"));
                         continue;
                     }
-                    let dst = router().route(to, 0);
+                    let dst = router().route(to);
                     if src != dst && !migrates {
                         // EXDEV exactly when the mount may never move a file.
                         assert!(matches!(got, Err(IoError::CrossDevice(_))), "{what}: {got:?}");

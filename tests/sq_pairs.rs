@@ -8,9 +8,10 @@ use std::sync::Arc;
 use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
 use nvcache_repro::nvcache::{
     FaultLayer, Layer, Mount, NvCache, NvCacheConfig, NvCacheStatsSnapshot, QueuePair,
+    COPY_GIB_PER_SEC,
 };
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
-use nvcache_repro::simclock::{ActorClock, SimTime};
+use nvcache_repro::simclock::{ActorClock, Bandwidth, SimTime};
 use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, IoError, MemFs, OpenFlags};
 use proptest::prelude::*;
 
@@ -108,6 +109,9 @@ struct Run {
     region: Vec<u8>,
     nvmm: [u64; 5],
     stats: NvCacheStatsSnapshot,
+    /// The queued arm's counters between its last doorbell that rang a
+    /// write and that doorbell's reap.
+    rung: Option<NvCacheStatsSnapshot>,
     /// The backend's bytes after a full drain.
     inner: Vec<u8>,
 }
@@ -126,10 +130,14 @@ fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run
         .expect("mount");
     let fd = cache.open("/w", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     let mut qp = doorbell_every.map(|_| cache.queue_pair(0, &clock).unwrap());
-    let ring = |qp: &mut QueuePair| {
-        let rung = qp.ring_doorbell(&clock);
+    let mut rung = None;
+    let mut ring = |qp: &mut QueuePair| {
+        let n = qp.ring_doorbell(&clock);
+        if n > 0 {
+            rung = Some(cache.stats().snapshot());
+        }
         let done = qp.reap(&clock);
-        assert_eq!(done.len(), rung, "every rung write must complete");
+        assert_eq!(done.len(), n, "every rung write must complete");
         assert!(done.iter().all(|c| c.result.is_ok()));
         assert!(done.windows(2).all(|w| w[0].user_data < w[1].user_data));
     };
@@ -146,7 +154,7 @@ fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run
                 }
             }
             (Op::ReadAll, qp) => {
-                qp.map(ring);
+                qp.map(&mut ring);
                 let mut view = vec![0u8; cache.fstat(fd, &clock).unwrap().size as usize];
                 cache.pread(fd, &mut view, 0, &clock).unwrap();
             }
@@ -168,12 +176,13 @@ fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run
     let ifd = inner.open("/w", OpenFlags::RDONLY, &clock).unwrap();
     inner.pread(ifd, &mut inner_view, 0, &clock).unwrap();
     cache.shutdown(&clock);
-    Run { elapsed, region, nvmm, stats, inner: inner_view }
+    Run { elapsed, region, nvmm, stats, rung, inner: inner_view }
 }
 
 /// The same op sequence, submitted through a queue pair, must converge to
 /// the same backend bytes as the synchronous oracle — overlapping,
-/// page-straddling and multi-entry writes included. And the synchronous
+/// page-straddling and multi-entry writes included, with the same log
+/// counters — counted at the doorbell, before the reap. And the synchronous
 /// write *is* a one-op doorbell: rung after every submission, with nothing
 /// draining, the queued arm leaves a byte-identical NVMM image, identical
 /// DIMM and log counters, and a clock that differs by exactly the ring
@@ -232,6 +241,8 @@ fn queued_writes_match_the_synchronous_oracle() {
             )
         };
         assert_eq!(log_side(&queued.stats), log_side(&sync.stats), "{name}: log counters");
+        let rung = queued.rung.as_ref().expect("the queued arm rings");
+        assert_eq!(log_side(rung), log_side(&sync.stats), "{name}: counted before the reap");
         assert_eq!(queued.stats.writes, writes.len() as u64);
         // The per-queue counters observed the run; an empty ring is free and
         // uncounted.
@@ -242,8 +253,8 @@ fn queued_writes_match_the_synchronous_oracle() {
         if every == 1 {
             assert!(queued.region == sync.region, "{name}: NVMM images differ");
             assert_eq!(queued.nvmm, sync.nvmm, "{name}: DIMM counters");
-            let ring_copies: SimTime =
-                writes.iter().map(|&len| cfg.copy_bandwidth.time_for(len as u64)).sum();
+            let copy = Bandwidth::gib_per_sec(COPY_GIB_PER_SEC);
+            let ring_copies: SimTime = writes.iter().map(|&len| copy.time_for(len as u64)).sum();
             assert_eq!(queued.elapsed - sync.elapsed, ring_copies, "{name}: virtual time");
         }
     }

@@ -20,7 +20,7 @@ use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, NovaFs, NovaProfile, Ope
 struct WalRouter;
 
 impl Router for WalRouter {
-    fn route(&self, path: &str, _ino: u64) -> usize {
+    fn route(&self, path: &str) -> usize {
         usize::from(path.rsplit('/').next().is_some_and(|f| f.starts_with("wal-")))
     }
 
