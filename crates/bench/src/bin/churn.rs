@@ -102,7 +102,7 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     let all_cold = Arc::new(PathPrefixRouter::new(vec![], 0));
     let tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
         .migration(MigrationPolicy::OnDemand)
-        .placement(Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600))))
+        .heat(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)))
         .catalog_capacity(capacity as usize);
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
         .tiers(tiering.clone())

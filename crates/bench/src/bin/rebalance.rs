@@ -14,7 +14,7 @@
 //!
 //! `--heat-policy` runs a different experiment: the hot set lives under a
 //! **cold-routed** prefix (`/data/hot/**`, router sends everything to the
-//! bulk tier), so `RouterPlacement` — the static default — never moves it.
+//! bulk tier), so the router — the static default — never moves it.
 //! The same workload under a `HeatPolicy` promotes the hot files onto NOVA
 //! purely from their access temperature; the demo compares the hot-set
 //! scan latency under both policies against an all-fast baseline (the
@@ -26,8 +26,7 @@ use std::sync::Arc;
 
 use blockdev::{HddDevice, HddProfile};
 use nvcache::{
-    HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, PlacementPolicy,
-    Router, RouterPlacement, Tiering,
+    HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
 };
 use nvcache_bench::{arg_flag, arg_u64};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
@@ -81,10 +80,11 @@ fn scan_converged(
 }
 
 /// The `--heat-policy` experiment: the hot set lives under a cold-routed
-/// prefix, so only temperature — never the router — can move it. Returns
-/// `(hot-set scan time after convergence, files promoted)`.
+/// prefix, so only temperature — never the router — can move it: `policy`
+/// is `None` for the router alone. Returns `(hot-set scan time after
+/// convergence, files promoted)`.
 fn heat_policy_run(
-    policy: Arc<dyn PlacementPolicy>,
+    policy: Option<HeatPolicy>,
     label: &str,
     files: u64,
     kib: u64,
@@ -104,9 +104,11 @@ fn heat_policy_run(
     // Every path — including /data/hot/** — routes to the bulk tier: no
     // static rule ever reaches NOVA.
     let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
-    let tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
-        .migration(MigrationPolicy::OnDemand)
-        .placement(policy);
+    let mut tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
+        .migration(MigrationPolicy::OnDemand);
+    if let Some(policy) = policy {
+        tiering = tiering.heat(policy);
+    }
     let cache = NvCache::builder(NvRegion::whole(log_dimm))
         .tiers(tiering)
         .config(cfg)
@@ -187,11 +189,9 @@ fn heat_policy_demo(files: u64, kib: u64) {
 
     // Promote above 5 units of decayed heat, demote below 1, heat halves
     // every virtual hour (no meaningful decay inside this short demo).
-    let heat: Arc<dyn PlacementPolicy> =
-        Arc::new(HeatPolicy::new(1, 5.0, 1.0, SimTime::from_secs(3600)));
-    let (t_router, promoted_router) =
-        heat_policy_run(Arc::new(RouterPlacement), "router", files, kib);
-    let (t_heat, promoted_heat) = heat_policy_run(heat, "heat", files, kib);
+    let heat = HeatPolicy::new(1, 5.0, 1.0, SimTime::from_secs(3600));
+    let (t_router, promoted_router) = heat_policy_run(None, "router", files, kib);
+    let (t_heat, promoted_heat) = heat_policy_run(Some(heat), "heat", files, kib);
 
     println!("  hot-set scan, router placement (stranded on ext4+hdd): {t_router}");
     println!("  hot-set scan, heat policy (converged onto NOVA):       {t_heat}");

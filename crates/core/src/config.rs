@@ -249,7 +249,7 @@ mod tests {
     use vfs::{FileSystem, MemFs};
 
     use super::*;
-    use crate::{HashRouter, MigrationPolicy, PlacementPolicy, RouterPlacement, Tiering};
+    use crate::{HashRouter, MigrationPolicy, Tiering};
 
     /// What replaced this configuration's six tiering fields: `n` bare tiers
     /// with every tiering choice at its default.
@@ -294,24 +294,18 @@ mod tests {
     }
 
     #[test]
-    fn default_placement_is_router_static() {
-        assert_eq!(tiering(1).placement.name(), RouterPlacement.name());
-        assert_eq!(tiering(2).placement.name(), RouterPlacement.name());
-    }
-
-    #[test]
     #[should_panic(expected = "promotes onto backend")]
     fn out_of_range_fast_tier_panics() {
         let policy = crate::HeatPolicy::new(2, 4.0, 1.0, SimTime::from_secs(1));
-        tiering(2).placement(Arc::new(policy)).validate();
+        tiering(2).heat(policy).validate();
     }
 
     #[test]
     fn default_catalog_is_unbounded_and_heat_volatile() {
         let tiering = tiering(2);
         assert_eq!(tiering.catalog_capacity, None);
-        // The default placement reads no heat: nothing tracks or stamps it.
-        assert!(!crate::tiers::Tiers::mount(tiering.clone()).unwrap().track_heat);
+        // No heat policy by default: nothing tracks or stamps heat.
+        assert!(crate::tiers::Tiers::mount(tiering.clone()).unwrap().heat.is_none());
         let tiering = tiering.catalog_capacity(128);
         assert_eq!(tiering.catalog_capacity, Some(128));
         tiering.validate();

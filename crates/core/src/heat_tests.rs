@@ -1,9 +1,7 @@
-//! Mount-level tests of the placement-policy layer: the byte/virtual-time
-//! oracle pinning the default (`RouterPlacement`) to the pre-policy
-//! behavior, temperature-driven promotion/demotion end to end (decay,
-//! hysteresis, close → reopen survival, no heat from reads at the end of a
-//! file, the fast-tier budget), and recovery consulting the active policy
-//! for its misplacement judgement.
+//! Mount-level tests of heat-driven placement: temperature-driven
+//! promotion/demotion end to end (decay, hysteresis, close → reopen
+//! survival, no heat from reads at the end of a file, the fast-tier
+//! budget), and recovery's misplacement judgement on persisted heat.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -14,11 +12,8 @@ use vfs::{FileSystem, MemFs, OpenFlags};
 
 use crate::layout::{Layout, FD_HEAT_OFF};
 use crate::migrate::MigrationPolicy;
-use crate::placement::{FileTemperature, PlacementPolicy};
 use crate::router::Router;
-use crate::{
-    HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, RouterPlacement, Tiering,
-};
+use crate::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 
 /// A config with the drain parked (tests flush explicitly, so every
 /// comparison point is deterministic).
@@ -84,86 +79,16 @@ fn heat_up(cache: &NvCache, path: &str, times: usize, clock: &ActorClock) {
     cache.close(fd, clock).unwrap();
 }
 
-/// The tentpole oracle: a mount with no placement configured and a mount
-/// with an explicit [`RouterPlacement`] must be **byte- and
-/// virtual-time-identical** over a workload that exercises writes, reads,
-/// explicit migration and a rebalance sweep — i.e. the default config is
-/// exactly the pre-policy migrator.
-#[test]
-fn default_config_is_byte_and_time_identical_to_explicit_router_placement() {
-    let run = |tune: fn(Tiering) -> Tiering| {
-        let clock = ActorClock::new();
-        let dimm = parked_dimm(NvmmProfile::optane());
-        let tiers = two_memfs();
-        let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-        let cache = mount(tune(on_demand(router, &tiers)), &dimm, Mount::Format, &clock);
-        let mut fds = Vec::new();
-        for (path, byte) in [("/hot/a", 1u8), ("/cold/b", 2), ("/cold/c", 3)] {
-            let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-            cache.pwrite(fd, &[byte; 700], 0, &clock).unwrap();
-            fds.push(fd);
-        }
-        // Drain before closing: a close with entries still pending defers
-        // its slot teardown to a zombie drained by whoever gets there
-        // first, and that race would make slot reuse — and therefore the
-        // region bytes — scheduler-dependent in *both* runs.
-        cache.flush_log(&clock);
-        for fd in fds {
-            cache.close(fd, &clock).unwrap();
-        }
-        heat_up(&cache, "/cold/c", 5, &clock);
-        // Push one file off its routed tier, then let the sweep re-home it.
-        let moved = cache.migrate("/cold/c", 1, &clock).unwrap();
-        assert_eq!(moved, 700);
-        let report = cache.rebalance(&clock).expect("sweep");
-        cache.flush_log(&clock);
-        let snap = cache.stats().snapshot();
-        cache.shutdown(&clock);
-        // Compare only the scheduler-independent counters: how the drain
-        // happened to batch (cleanup_batches, fsyncs, ring peaks) races
-        // the OS scheduler and differs between *any* two runs.
-        let stats = (
-            snap.writes,
-            snap.reads,
-            snap.bytes_logged,
-            snap.entries_logged,
-            snap.entries_propagated,
-            snap.per_backend_propagated.clone(),
-            snap.files_migrated,
-            snap.migration_bytes,
-            snap.files_promoted,
-            snap.files_demoted,
-            snap.fast_tier_bytes,
-        );
-        (region_bytes(&dimm), clock.now(), report, stats)
-    };
-
-    let (bytes_default, time_default, report_default, stats_default) = run(|tiering| tiering);
-    let (bytes_router, time_router, report_router, stats_router) =
-        run(|tiering| tiering.placement(Arc::new(RouterPlacement)));
-
-    assert_eq!(bytes_default, bytes_router, "persistent images must be byte-identical");
-    assert_eq!(time_default, time_router, "virtual timelines must be identical");
-    assert_eq!(report_default, report_router, "sweep reports must agree");
-    assert_eq!(stats_default, stats_router, "stats must agree");
-    // And the sweep did what the pre-policy sweep would have done.
-    assert_eq!(report_default.files_migrated, 1, "the misplaced file went home");
-    assert_eq!((report_default.files_promoted, report_default.files_demoted), (0, 0));
-    let (.., promoted, demoted, fast_bytes) = stats_default;
-    assert_eq!((promoted, demoted), (0, 0));
-    assert_eq!(fast_bytes, 0, "no policy, no fast tier");
-}
-
 /// The acceptance scenario, end to end: a hot file under a cold-routed
 /// prefix is promoted onto the fast tier by heat alone, stays there inside
 /// the hysteresis band, and is demoted back once its temperature decays.
 #[test]
 fn heat_policy_promotes_hot_files_and_demotes_after_decay() {
-    let policy = Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10)));
+    let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     for (path, reads) in [("/data/hot", 8usize), ("/data/cold", 0)] {
@@ -216,11 +141,11 @@ fn heat_policy_promotes_hot_files_and_demotes_after_decay() {
 /// single generation would have reached.
 #[test]
 fn temperature_survives_close_and_reopen() {
-    let policy = Arc::new(HeatPolicy::new(1, 6.0, 1.0, SimTime::from_secs(3600)));
+    let policy = HeatPolicy::new(1, 6.0, 1.0, SimTime::from_secs(3600));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -278,11 +203,11 @@ fn reads_at_the_end_of_a_file_leave_no_heat() {
 /// never promoted at all.
 #[test]
 fn fast_tier_budget_evicts_the_coldest_resident() {
-    let policy = Arc::new(HeatPolicy::new(1, 3.0, 1.0, SimTime::from_secs(3600)).with_budget(1024));
+    let policy = HeatPolicy::new(1, 3.0, 1.0, SimTime::from_secs(3600)).with_budget(1024);
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     // Three 512-byte files, all above the promote threshold, 1536 bytes of
@@ -310,11 +235,11 @@ fn fast_tier_budget_evicts_the_coldest_resident() {
 /// would never demote (the `MigrationPolicy::Background` failure mode).
 #[test]
 fn sweep_on_a_lagging_clock_still_sees_decay() {
-    let policy = Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10)));
+    let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy);
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     for path in ["/idle", "/later"] {
@@ -341,81 +266,17 @@ fn sweep_on_a_lagging_clock_still_sees_decay() {
     cache.shutdown(&clock);
 }
 
-/// A policy that judges every file well-placed wherever it already is —
-/// distinguishable from any router-derived judgement.
-#[derive(Debug)]
-struct PinToCurrent;
-
-impl PlacementPolicy for PinToCurrent {
-    fn assign(
-        &self,
-        files: &[FileTemperature],
-        _router: &dyn Router,
-        _backends: usize,
-    ) -> Vec<usize> {
-        files.iter().map(|f| f.backend).collect()
-    }
-
-    fn place_cold(&self, _path: &str, current: usize, _router: &dyn Router) -> usize {
-        current
-    }
-
-    fn name(&self) -> &str {
-        "pin"
-    }
-}
-
-/// Recovery consults the *placement policy*, not the router: with a policy
-/// that pins files to their current tier, a routing-policy change across a
-/// crash reports nothing misplaced and `RecoverRepair` moves nothing —
-/// while the default router judgement reports (and repairs) the same image.
-#[test]
-fn recovery_judges_misplacement_by_the_active_policy() {
-    let build_image = || {
-        let clock = ActorClock::new();
-        let dimm = parked_dimm(NvmmProfile::instant());
-        let tiers = two_memfs();
-        // Old world: everything routed to tier 0.
-        let old_world = on_demand(cold_everything(), &tiers);
-        let cache = mount(old_world, &dimm, Mount::Format, &clock);
-        let fd = cache.open("/hot/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-        cache.pwrite(fd, &[9; 128], 0, &clock).unwrap();
-        cache.abort(); // crash with the descriptor open and entries pending
-        (clock, Arc::new(dimm.crash_and_restart()), tiers)
-    };
-    // New world: the router now claims /hot/** for tier 1, so the recovered
-    // file (replayed to tier 0, where it was acknowledged) is misplaced by
-    // every router-derived judgement...
-    let hot_router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-
-    let (clock, dimm, tiers) = build_image();
-    let cache = mount(on_demand(hot_router(), &tiers), &dimm, Mount::Recover, &clock);
-    let report = cache.recovery_report().unwrap();
-    assert_eq!(report.files_misplaced, 1, "the default judgement follows the router");
-    cache.shutdown(&clock);
-
-    // ...but a policy that pins files to their current tier judges the
-    // very same image clean: nothing misplaced, nothing repaired.
-    let (clock, dimm, tiers) = build_image();
-    let pinned = on_demand(hot_router(), &tiers).placement(Arc::new(PinToCurrent));
-    let cache = mount(pinned, &dimm, Mount::RecoverRepair, &clock);
-    let report = cache.recovery_report().unwrap();
-    assert_eq!((report.files_misplaced, report.files_repaired), (0, 0));
-    assert!(on_tier(&tiers.0, "/hot/wal", &clock), "repair moved nothing");
-    cache.shutdown(&clock);
-}
-
 /// A file the heat policy promoted, and that cooled off before the crash,
 /// is judged cold at recovery — its persisted heat word no longer clears the
 /// promote threshold — and a `RecoverRepair` mount demotes it back to the
 /// router baseline with intact bytes.
 #[test]
 fn recover_repair_demotes_a_previously_promoted_file() {
-    let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
+    let policy = || HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy());
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy());
     let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -428,7 +289,7 @@ fn recover_repair_demotes_a_previously_promoted_file() {
 
     // Ten half-lives later, reopen on its promoted tier (the fd slot records
     // backend 1 and the cooled heat), then crash: recovery finds the file on
-    // a tier no cold judgement assigns.
+    // a tier the router does not assign.
     clock.advance(SimTime::from_secs(10 * 3600));
     let fd = cache.open("/burst", OpenFlags::RDWR, &clock).unwrap();
     cache.pwrite(fd, &[4; 64], 0, &clock).unwrap();
@@ -450,6 +311,51 @@ fn recover_repair_demotes_a_previously_promoted_file() {
     cache.shutdown(&clock);
 }
 
+/// A file open through two descriptors at the crash has one heat summary per
+/// fd slot. Recovery judges the path once, by the hottest summary — the one
+/// it seeds into the catalog — so a promoted file whose older descriptor
+/// stamped it hot at `fsync` is not demoted because the newer descriptor's
+/// `open` stamped it cooler, and the next sweep has nothing to undo.
+#[test]
+fn recovery_judges_a_file_open_twice_by_its_hottest_slot() {
+    let policy = || HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
+    let clock = ActorClock::new();
+    let dimm = parked_dimm(NvmmProfile::instant());
+    let tiers = two_memfs();
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy());
+    let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
+
+    let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    cache.pwrite(fd, &[3; 256], 0, &clock).unwrap();
+    cache.flush_log(&clock);
+    cache.close(fd, &clock).unwrap();
+    heat_up(&cache, "/burst", 8, &clock);
+    cache.rebalance(&clock).expect("promote");
+    assert!(on_tier(&tiers.1, "/burst", &clock), "promoted before the crash");
+
+    // Descriptor A reads and fsyncs: its slot's summary clears the promote
+    // threshold. Three half-lives later descriptor B's open stamps the
+    // decayed heat into its own slot, below the threshold.
+    let a = cache.open("/burst", OpenFlags::RDONLY, &clock).unwrap();
+    let mut buf = [0u8; 64];
+    for _ in 0..4 {
+        cache.pread(a, &mut buf, 0, &clock).unwrap();
+    }
+    cache.fsync(a, &clock).unwrap();
+    clock.advance(SimTime::from_secs(3 * 3600));
+    cache.open("/burst", OpenFlags::RDONLY, &clock).unwrap();
+    cache.abort();
+    drop(cache);
+
+    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::RecoverRepair, &clock);
+    let report = cache.recovery_report().unwrap();
+    assert_eq!((report.files_misplaced, report.files_repaired), (0, 0), "judged by slot A");
+    assert!(on_tier(&tiers.1, "/burst", &clock), "still on the fast tier");
+    let sweep = cache.rebalance(&clock).expect("post-recovery sweep");
+    assert_eq!(sweep.files_migrated, 0, "the seeded heat keeps the file where it is");
+    cache.shutdown(&clock);
+}
+
 /// The persisted-heat remount oracle: the compact per-slot summaries
 /// stamped at `fsync` survive a crash, recovery seeds them back into the
 /// catalog, and the next sweep re-promotes the hot set **without a single
@@ -457,11 +363,11 @@ fn recover_repair_demotes_a_previously_promoted_file() {
 /// persisted temperature alone.
 #[test]
 fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
-    let policy = || Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
+    let policy = || HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).placement(policy());
+    let tiering = on_demand(cold_everything(), &tiers).heat(policy());
     let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     // Two files open at crash time: one read-hot, one written once and
@@ -495,8 +401,8 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
     cache.shutdown(&clock);
 }
 
-/// Heat is stamped only where it is tracked: a tiered mount whose placement
-/// reads no heat, or that may never migrate, leaves every fd slot's heat
+/// Heat is stamped only where it is tracked: a tiered mount without a heat
+/// policy, or that may never migrate, leaves every fd slot's heat
 /// word at zero through open, pwrite, fsync, close and a crash, and its
 /// recovery seeds nothing.
 #[test]
@@ -513,10 +419,10 @@ fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
     };
     let router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let (bulk, fast) = two_memfs();
-    let heat = Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)));
+    let heat = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
     for (what, tiering) in [
-        ("RouterPlacement", on_demand(router(), &two_memfs())),
-        ("Disabled", Tiering::new(router(), vec![bulk, fast]).placement(heat)),
+        ("no heat policy", on_demand(router(), &two_memfs())),
+        ("Disabled", Tiering::new(router(), vec![bulk, fast]).heat(heat)),
     ] {
         let clock = ActorClock::new();
         let dimm = parked_dimm(NvmmProfile::instant());

@@ -153,7 +153,7 @@
 //! [`MigrationPolicy`]: explicit [`NvCache::rebalance`] /
 //! [`NvCache::migrate`] sweeps (`OnDemand`) or a background worker that
 //! re-homes misplaced files on its own (`Background`), driven by the
-//! placement policy's targets, per-file access heat and the
+//! router's placement (or the heat policy's), per-file access heat and the
 //! per-tier propagation load. A [`Mount::RecoverRepair`] mount re-homes
 //! every file recovery found misplaced before the cache comes up. A
 //! `rename` across tiers is `EXDEV` exactly when the policy is `Disabled`
@@ -161,10 +161,9 @@
 //!
 //! ## Heat-driven placement
 //!
-//! *Where* the migrator moves files is decided by a [`PlacementPolicy`]
-//! ([`Tiering::placement`]). The default, [`RouterPlacement`], re-homes
-//! files to the router's static rules. [`HeatPolicy`] instead drives placement from
-//! per-file **temperature**: every intercepted read/write decays the
+//! *Where* the migrator moves files is decided by the router, unless one
+//! [`HeatPolicy`] ([`Tiering::heat`]) overrides it with per-file
+//! **temperature**: every intercepted read/write decays the
 //! file's stored heat to the touching call's *virtual* clock
 //! (`heat ← heat · 2^(−Δt / half_life)`, no wall clock anywhere) and adds
 //! one; a sweep promotes files whose decayed heat crosses
@@ -176,11 +175,11 @@
 //! byte budget demotes the coldest residents when the hot set outgrows
 //! the fast medium. Temperature survives close → reopen through the
 //! migrator catalog, and a crash through the heat word of each open file's
-//! fd slot, stamped at `open`, `fsync` and `close`; a file recovered without
-//! a hot summary is judged by [`PlacementPolicy::place_cold`].
-//! [`NvCacheStats::files_promoted`] / `files_demoted` /
+//! fd slot, stamped at `open`, `fsync` and `close`; recovery judges a file
+//! whose hottest summary does not clear the promote threshold by its
+//! router. [`NvCacheStats::files_promoted`] / `files_demoted` /
 //! `fast_tier_bytes` expose what the policy is doing. See
-//! `docs/TUNING.md` for when to reach for which policy.
+//! `docs/TUNING.md` for when to reach for one.
 //!
 //! ## The multi-queue submission front-end
 //!
@@ -274,7 +273,7 @@ pub use cache::NvCache;
 pub use config::{NvCacheConfig, COPY_GIB_PER_SEC};
 pub use migrate::{MigrationPolicy, RebalanceReport};
 pub use pagedesc::{PageDescriptor, PageSlot, PageState};
-pub use placement::{FileTemperature, HeatPolicy, PlacementPolicy, RouterPlacement};
+pub use placement::HeatPolicy;
 pub use radix::Radix;
 pub use recovery::RecoveryReport;
 pub use router::{HashRouter, PathPrefixRouter, Router, SingleBackend};

@@ -650,7 +650,7 @@ mod tests {
         let dimm = Arc::new(NvDimm::new(layout.total_bytes(), NvmmProfile::instant()));
         let region = NvRegion::whole(dimm);
         let log = Log::new(region, layout, 0, Recorder::new());
-        (ActorClock::new(), NvCacheStats::with_shards(shards), log)
+        (ActorClock::new(), NvCacheStats::with_front_end(shards, 1, 0), log)
     }
 
     fn mk_log(nb: u64) -> (ActorClock, NvCacheStats, Log) {

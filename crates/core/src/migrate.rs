@@ -43,12 +43,11 @@
 //! decaying [`Temperature`]) folded in from the
 //! [`FileState`](crate::files) at last close; recovery seeds it with the
 //! files it found misplaced. A sweep ([`sweep`], surfaced as
-//! [`NvCache::rebalance`](crate::NvCache::rebalance)) asks the mount's
-//! [`PlacementPolicy`](crate::PlacementPolicy) for every catalogued file's
-//! target — the router's static placement under the default
-//! [`RouterPlacement`](crate::RouterPlacement), temperature-driven
-//! promotion/demotion under [`HeatPolicy`](crate::HeatPolicy) — and
-//! re-homes every file whose backend disagrees, draining the tier with the
+//! [`NvCache::rebalance`](crate::NvCache::rebalance)) judges every
+//! catalogued file's target — the router's placement of its path, or the
+//! temperature-driven promotion/demotion of the mount's
+//! [`HeatPolicy`](crate::HeatPolicy) when it has one — and re-homes every
+//! file whose backend disagrees, draining the tier with the
 //! highest propagated-entry load first
 //! ([`NvCacheStats::per_backend_propagated`](crate::NvCacheStats)) and,
 //! within a tier, the hottest files first. With
@@ -70,7 +69,7 @@ use crate::cache::Shared;
 use crate::files::PersistentFdTable;
 use crate::layout::{Layout, FD_VALID_MIGRATION};
 use crate::lockcheck::{Class, Held, Recorder};
-use crate::placement::{FileTemperature, PlacementPolicy, Temperature};
+use crate::placement::{HeatPolicy, Temperature};
 use crate::router::Router;
 use crate::stats::NvCacheStats;
 use crate::tiers::Tiers;
@@ -102,21 +101,35 @@ pub enum MigrationPolicy {
 /// ([`NvCache::rebalance`](crate::NvCache::rebalance)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RebalanceReport {
-    /// Files moved to the placement policy's target.
+    /// Files moved to their target: the router's placement, or the heat
+    /// policy's.
     pub files_migrated: usize,
     /// Payload bytes copied across tiers.
     pub bytes_moved: u64,
     /// Misplaced files skipped because they were open or still draining
     /// (they stay catalogued and are retried on the next sweep).
     pub files_busy: usize,
-    /// Catalogued files already on the backend the policy assigns.
+    /// Catalogued files already on their target backend.
     pub files_in_place: usize,
-    /// Of the migrated files, how many moved **onto** the policy's fast
-    /// tier (always `0` under a policy with no fast tier, e.g. the default
-    /// [`RouterPlacement`](crate::RouterPlacement)).
+    /// Of the migrated files, how many moved **onto** the heat policy's
+    /// fast tier (always `0` on a mount without a
+    /// [`HeatPolicy`](crate::HeatPolicy)).
     pub files_promoted: usize,
     /// Of the migrated files, how many moved **off** the fast tier.
     pub files_demoted: usize,
+}
+
+/// Which way a finished move went, relative to the heat policy's fast tier
+/// (classified once, by `Tiers::moved`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Move {
+    /// Onto the fast tier.
+    Promotion,
+    /// Off the fast tier.
+    Demotion,
+    /// Neither: between two other tiers, or on a mount without a heat
+    /// policy.
+    Lateral,
 }
 
 /// Where a test-injected crash cuts the migration protocol short (the step
@@ -307,13 +320,12 @@ pub(crate) struct Migrator {
     ///
     /// [`catalog_capacity`]: crate::Tiering::catalog_capacity
     capacity: usize,
-    /// The mount's placement policy — the eviction pin judgement
-    /// (misplaced? promote-worthy?) must agree with the sweeps it guards.
-    placement: Arc<dyn PlacementPolicy>,
-    /// The mount's router, feeding the policy's `place_cold` baseline.
+    /// The mount's heat policy, if it tracks heat — the eviction pin
+    /// judgement (misplaced? promote-worthy?) must agree with the sweeps it
+    /// guards.
+    heat: Option<HeatPolicy>,
+    /// The mount's router: where a file belongs when heat does not say.
     router: Arc<dyn Router>,
-    /// Backend count of the mount (validates `place_cold` inputs).
-    backends: usize,
     /// Set by [`Migrator::notify`]; the background worker only runs a
     /// (catalog-cloning, sorting) sweep after taking it, so an idle mount
     /// pays a flag check per condvar timeout instead of a full sweep.
@@ -335,18 +347,16 @@ impl Migrator {
     pub fn new(
         lockcheck: Recorder,
         capacity: Option<usize>,
-        placement: Arc<dyn PlacementPolicy>,
+        heat: Option<HeatPolicy>,
         router: Arc<dyn Router>,
-        backends: usize,
     ) -> Migrator {
         Migrator {
             clock: Arc::new(ActorClock::new()),
             gate: MigrationGate::default(),
             catalog: Mutex::new(Catalog::default()),
             capacity: capacity.unwrap_or(usize::MAX),
-            placement,
+            heat,
             router,
-            backends,
             // Starts pending so a worker sweeps once on mount (recovery may
             // have seeded misplaced files with no close to signal them).
             work_pending: std::sync::atomic::AtomicBool::new(true),
@@ -397,27 +407,15 @@ impl Migrator {
 
     /// Whether a catalogued entry is **pinned** — never evictable from a
     /// bounded catalog. Pinned means the migrator still owes work on it:
-    /// the file is misplaced (its recorded tier disagrees with the
-    /// policy's cold placement), or its decayed heat sits at or above the
-    /// policy's [`retain_heat_threshold`](PlacementPolicy) (a promotion
-    /// the next sweep will execute). Entries recording an out-of-range
-    /// backend are pinned too — they are inconsistencies the sweep's
-    /// NotFound handling must resolve, not eviction.
+    /// the file is misplaced (its recorded tier is not where the router
+    /// puts its path), or its decayed heat sits at or above the heat
+    /// policy's promote threshold (a promotion the next sweep will
+    /// execute).
     fn pinned(&self, path: &str, heat: &FileHeat) -> bool {
-        let backend = heat.backend as usize;
-        if backend >= self.backends {
-            return true;
-        }
-        if self.placement.place_cold(path, backend, self.router.as_ref()) != backend {
-            return true;
-        }
-        if let Some(threshold) = self.placement.retain_heat_threshold() {
-            let now = self.observed_time();
-            if heat.temp.decayed(now, self.placement.half_life()) >= threshold {
-                return true;
-            }
-        }
-        false
+        self.router.route(path) != heat.backend as usize
+            || self.heat.as_ref().is_some_and(|p| {
+                heat.temp.decayed(self.observed_time(), p.half_life) >= p.promote_threshold
+            })
     }
 
     /// Advances the clock hand until one unpinned, unreferenced resident is
@@ -790,9 +788,9 @@ pub(crate) fn repair_journals(
 
 /// Migrates the closed file at `path` (normalized) to backend `to`,
 /// coordinating with path operations and the cleanup workers. Returns the
-/// `(source backend, bytes moved)` pair of the move — the source is the
-/// one resolved *under the claim*, which callers must prefer over any
-/// pre-claim snapshot — or `None` when the file already lives on `to`
+/// `(direction, bytes moved)` pair of the move — the direction is judged
+/// from the source resolved *under the claim*, not from any pre-claim
+/// snapshot — or `None` when the file already lives on `to`
 /// (a concurrent migration may have beaten this call, and callers must
 /// not count such a no-op as a move). The `fast_tier_bytes` gauge is the
 /// caller's to refresh ([`Tiers::refresh_gauge`]): a sweep does it once at
@@ -809,7 +807,7 @@ pub(crate) fn migrate_path(
     path: &str,
     to: usize,
     clock: &ActorClock,
-) -> IoResult<Option<(usize, u64)>> {
+) -> IoResult<Option<(Move, u64)>> {
     let tiers = &shared.tiers;
     if to >= tiers.backends.len() {
         return Err(IoError::InvalidArgument(format!(
@@ -848,8 +846,7 @@ pub(crate) fn migrate_path(
     // concurrent sweep reading a stale catalog backend would probe the old
     // tier, get NotFound and drop the entry entirely.
     tiers.migrator.seed([(path.to_string(), to as u32, None)], &shared.stats);
-    tiers.moved(&shared.stats, from, to, bytes);
-    Ok(Some((from, bytes)))
+    Ok(Some((tiers.moved(&shared.stats, from, to, bytes), bytes)))
 }
 
 /// Allocates a journal slot, runs the copy → stamp → unlink protocol, and
@@ -893,59 +890,34 @@ pub(crate) fn journaled_move(
     result
 }
 
-/// One rebalancing sweep: asks the mount's placement policy for every
-/// catalogued file's target backend — decaying each file's temperature to
-/// the sweep instant with the policy's half-life — and re-homes every file
-/// whose backend disagrees. Candidates drain the backend with the highest
-/// propagated-entry load first (`per_backend_propagated`), hottest
-/// (decayed) files first within a backend. Busy files are skipped (and
-/// stay catalogued); hard inner errors abort the sweep. Under the default
-/// [`RouterPlacement`](crate::RouterPlacement) the targets, the order and
-/// the timing are identical to the pre-policy sweep.
+/// One rebalancing sweep: judges every catalogued file's target backend —
+/// where the router puts its path, or, on a mount with a heat policy, the
+/// policy's judgement of its temperature decayed to the sweep instant — and
+/// re-homes every file whose backend disagrees. Candidates drain the
+/// backend with the highest propagated-entry load first
+/// (`per_backend_propagated`), hottest (decayed) files first within a
+/// backend. Busy files are skipped (and stay catalogued); hard inner errors
+/// abort the sweep.
 pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceReport> {
     let mut report = RebalanceReport::default();
-    let Tiers { backends, router, placement, migrator, .. } = &shared.tiers;
+    let Tiers { backends, router, heat, migrator, .. } = &shared.tiers;
     // Decay against the most advanced virtual instant any actor reported:
     // the background worker's own clock starts at zero and would otherwise
     // see Δt = 0 against every app-side heat stamp (no cooling, ever).
     let now = clock.now().max(migrator.observed_time());
-    let half_life = placement.half_life();
-    let views: Vec<FileTemperature> = migrator
-        .entries()
-        .into_iter()
-        .map(|(path, h)| FileTemperature {
-            path,
-            backend: h.backend as usize,
-            bytes: h.bytes,
-            heat: h.temp.decayed(now, half_life),
-            reads: h.reads,
-            writes: h.writes,
-        })
+    let files = migrator.entries();
+    let targets: Vec<usize> = match heat {
+        Some(policy) => policy.assign(&files, now, router.as_ref(), backends.len()),
+        None => files.iter().map(|(path, _)| router.route(path)).collect(),
+    };
+    // Without a policy no heat is ever touched: every file is at 0.
+    let heats: Vec<f64> = files
+        .iter()
+        .map(|(_, h)| heat.as_ref().map_or(0.0, |p| h.temp.decayed(now, p.half_life)))
         .collect();
-    let targets = placement.assign(&views, router.as_ref(), backends.len());
-    // Contract violations surface as errors, not panics: a panic here
-    // would silently kill the background worker thread and stop all
-    // migration forever, while an Err is observable (rebalance callers see
-    // it; the worker just retries on the next notify).
-    if targets.len() != views.len() {
-        return Err(IoError::InvalidArgument(format!(
-            "placement policy {} assigned {} targets for {} files",
-            placement.name(),
-            targets.len(),
-            views.len()
-        )));
-    }
-    let fast = placement.fast_tier();
-    let mut candidates: Vec<(usize, usize)> = Vec::new(); // (view index, target)
-    for (i, &target) in targets.iter().enumerate() {
-        if target >= backends.len() {
-            return Err(IoError::InvalidArgument(format!(
-                "placement policy {} assigned {} to out-of-range backend {target}",
-                placement.name(),
-                views[i].path
-            )));
-        }
-        if target == views[i].backend {
+    let mut candidates: Vec<(usize, usize)> = Vec::new(); // (file index, target)
+    for (i, (&target, (_, h))) in targets.iter().zip(&files).enumerate() {
+        if target == h.backend as usize {
             report.files_in_place += 1;
         } else {
             candidates.push((i, target));
@@ -963,26 +935,23 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
         .map(|c| c.load(Ordering::Relaxed))
         .collect();
     candidates.sort_by(|&(a, _), &(b, _)| {
-        let (fa, fb) = (&views[a], &views[b]);
-        loads[fb.backend]
-            .cmp(&loads[fa.backend])
-            .then(fb.heat.total_cmp(&fa.heat))
-            .then((fb.reads + fb.writes).cmp(&(fa.reads + fa.writes)))
-            .then(fa.path.cmp(&fb.path))
+        let ((pa, ha), (pb, hb)) = (&files[a], &files[b]);
+        loads[hb.backend as usize]
+            .cmp(&loads[ha.backend as usize])
+            .then(heats[b].total_cmp(&heats[a]))
+            .then((hb.reads + hb.writes).cmp(&(ha.reads + ha.writes)))
+            .then(pa.cmp(pb))
     });
     for (i, target) in candidates {
-        let view = &views[i];
-        match migrate_path(shared, &view.path, target, clock) {
-            Ok(Some((from, bytes))) => {
+        let path = &files[i].0;
+        match migrate_path(shared, path, target, clock) {
+            Ok(Some((direction, bytes))) => {
                 report.files_migrated += 1;
                 report.bytes_moved += bytes;
-                // Classify by the source migrate_path actually resolved
-                // under its claim — the snapshot backend may be stale if a
-                // concurrent manual move raced this sweep.
-                if fast == Some(target) {
-                    report.files_promoted += 1;
-                } else if fast == Some(from) {
-                    report.files_demoted += 1;
+                match direction {
+                    Move::Promotion => report.files_promoted += 1,
+                    Move::Demotion => report.files_demoted += 1,
+                    Move::Lateral => {}
                 }
             }
             // A concurrent migration (manual move, another sweep) beat us
@@ -992,7 +961,7 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
             // The catalog entry went stale (unlinked below the mount, or a
             // concurrent op removed it), or the path can never fit a v3
             // journal slot: drop it rather than error every sweep.
-            Err(IoError::NotFound(_) | IoError::InvalidArgument(_)) => migrator.forget(&view.path),
+            Err(IoError::NotFound(_) | IoError::InvalidArgument(_)) => migrator.forget(path),
             Err(e) => return Err(e),
         }
     }
@@ -1045,19 +1014,12 @@ mod tests {
     use simclock::SimTime;
 
     use super::*;
-    use crate::placement::{HeatPolicy, RouterPlacement};
     use crate::router::{PathPrefixRouter, SingleBackend};
 
     /// An unbounded migrator over a single-backend router (every entry
     /// correctly placed, nothing pinned) — the seed-faithful default.
     fn unbounded() -> (Migrator, NvCacheStats) {
-        let m = Migrator::new(
-            Recorder::default(),
-            None,
-            Arc::new(RouterPlacement),
-            Arc::new(SingleBackend),
-            1,
-        );
+        let m = Migrator::new(Recorder::default(), None, None, Arc::new(SingleBackend));
         (m, NvCacheStats::default())
     }
 
@@ -1067,9 +1029,8 @@ mod tests {
         let m = Migrator::new(
             Recorder::default(),
             Some(capacity),
-            Arc::new(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60))),
+            Some(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60))),
             Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
-            2,
         );
         (m, NvCacheStats::default())
     }
@@ -1120,11 +1081,11 @@ mod tests {
     fn catalog_accumulates_heat_across_generations() {
         let (m, stats) = unbounded();
         let mut temp = Temperature::default();
-        temp.touch(SimTime::from_secs(1), None);
+        temp.touch(SimTime::from_secs(1), SimTime::from_secs(60));
         let closed =
             |backend, reads, writes, bytes, temp| FileHeat { backend, reads, writes, bytes, temp };
         m.record_closed("/f", closed(1, 10, 4, 100, temp), &stats);
-        temp.touch(SimTime::from_secs(2), None);
+        temp.touch(SimTime::from_secs(2), SimTime::from_secs(60));
         m.record_closed("/f", closed(0, 5, 1, 300, temp), &stats);
         assert!(m.take_if_on("/f", 1).is_none(), "a mismatched tier must not steal the entry");
         let heat = m.take_if_on("/f", 0).expect("catalogued");
@@ -1164,7 +1125,7 @@ mod tests {
         close_cold(&m, &stats, "/hot/misplaced", 0);
         let mut hot = Temperature::default();
         for _ in 0..8 {
-            hot.touch(SimTime::from_secs(1), None);
+            hot.touch(SimTime::from_secs(1), SimTime::from_secs(60));
         }
         let heat = FileHeat { backend: 0, reads: 8, writes: 0, bytes: 10, temp: hot };
         m.record_closed("/bulk/hot", heat, &stats);
@@ -1319,7 +1280,7 @@ mod tests {
                             .map(|h| h.temp)
                             .unwrap_or_default();
                         for _ in 0..touches {
-                            temp.touch(now, policy.half_life());
+                            temp.touch(now, policy.half_life);
                         }
                         let heat = FileHeat { backend, reads: 1, writes: 0, bytes: 10, temp };
                         m.record_closed(&path, heat, &stats);
@@ -1376,9 +1337,8 @@ mod tests {
                 let pinned = model
                     .iter()
                     .filter(|(path, h)| {
-                        let cold = RouterPlacement.place_cold(path, h.backend as usize, &router);
-                        cold != h.backend as usize
-                            || h.temp.decayed(decay_now, policy.half_life()) >= 4.0
+                        router.route(path) != h.backend as usize
+                            || h.temp.decayed(decay_now, policy.half_life) >= 4.0
                     })
                     .count();
                 // Resident only grows at admission, where the bound
@@ -1397,9 +1357,8 @@ mod tests {
             let decay_now = m.observed_time();
             let retained: HashMap<String, FileHeat> = m.entries().into_iter().collect();
             for (path, h) in &model {
-                let cold = RouterPlacement.place_cold(path, h.backend as usize, &router);
-                let is_pinned = cold != h.backend as usize
-                    || h.temp.decayed(decay_now, policy.half_life()) >= 4.0;
+                let is_pinned = router.route(path) != h.backend as usize
+                    || h.temp.decayed(decay_now, policy.half_life) >= 4.0;
                 if is_pinned {
                     let kept = retained.get(path);
                     prop_assert!(kept.is_some(), "pinned entry {path} was evicted");
@@ -1411,34 +1370,12 @@ mod tests {
             }
             // On the retained set, sweep targets equal the unbounded
             // model's assignment for the same files.
-            let mut views: Vec<FileTemperature> = retained
-                .iter()
-                .map(|(path, h)| FileTemperature {
-                    path: path.clone(),
-                    backend: h.backend as usize,
-                    bytes: h.bytes,
-                    heat: h.temp.decayed(decay_now, policy.half_life()),
-                    reads: h.reads,
-                    writes: h.writes,
-                })
-                .collect();
-            views.sort_by(|a, b| a.path.cmp(&b.path));
-            let bounded_targets = policy.assign(&views, &router, 2);
-            let model_views: Vec<FileTemperature> = views
-                .iter()
-                .map(|v| {
-                    let h = &model[&v.path];
-                    FileTemperature {
-                        path: v.path.clone(),
-                        backend: h.backend as usize,
-                        bytes: h.bytes,
-                        heat: h.temp.decayed(decay_now, policy.half_life()),
-                        reads: h.reads,
-                        writes: h.writes,
-                    }
-                })
-                .collect();
-            prop_assert_eq!(bounded_targets, policy.assign(&model_views, &router, 2));
+            let mut kept: Vec<(String, FileHeat)> = retained.into_iter().collect();
+            kept.sort_by(|a, b| a.0.cmp(&b.0));
+            let bounded_targets = policy.assign(&kept, decay_now, &router, 2);
+            let modelled: Vec<(String, FileHeat)> =
+                kept.into_iter().map(|(path, _)| (path.clone(), model[&path])).collect();
+            prop_assert_eq!(bounded_targets, policy.assign(&modelled, decay_now, &router, 2));
         }
     }
 }

@@ -1,43 +1,38 @@
-//! Placement policies for tiered mounts: *where* should each closed file
-//! live? The [`PlacementPolicy`] trait decides the tier-migration targets
-//! the sweep ([`NvCache::rebalance`](crate::NvCache::rebalance), the
-//! background worker) and the recovery misplacement judgement
-//! ([`Mount::RecoverRepair`](crate::Mount),
-//! [`RecoveryReport::files_misplaced`](crate::RecoveryReport)) work
-//! toward. The policy only decides *where* a file belongs — the journaled
-//! copy → stamp → unlink protocol of `migrate.rs` remains the only way a
-//! file actually moves, and open-time placement of *new* files stays with
-//! the [`Router`].
+//! Heat-driven placement for tiered mounts: *where* should each closed file
+//! live? A file belongs where the mount's [`Router`] puts its path, unless
+//! the mount has a [`HeatPolicy`]
+//! ([`Tiering::heat`](crate::Tiering::heat)) — then files whose
+//! exponentially decayed access heat crosses `promote_threshold` belong on
+//! the `fast_tier` regardless of what the router says, and files that cool
+//! below `demote_threshold` fall back to the router's baseline. The gap
+//! between the two thresholds is a **hysteresis band** (a file inside it
+//! stays put), and an optional fast-tier byte budget demotes the coldest
+//! residents when the hot set outgrows the fast tier.
 //!
-//! Two policies ship:
-//!
-//! * [`RouterPlacement`] (the default) — a file belongs wherever the
-//!   router's static rules put its path. This reproduces the pre-policy
-//!   migrator exactly: the default configuration is byte- and
-//!   virtual-time-identical to a build without this module.
-//! * [`HeatPolicy`] — temperature-driven: files whose exponentially
-//!   decayed access heat crosses `promote_threshold` belong on the
-//!   `fast_tier` regardless of what the router says; files that cool below
-//!   `demote_threshold` fall back to the router's baseline. The gap
-//!   between the two thresholds is a **hysteresis band** (a file inside it
-//!   stays put), and an optional fast-tier byte budget demotes the coldest
-//!   residents when the hot set outgrows the fast tier.
+//! That judgement is what the sweep ([`NvCache::rebalance`](crate::NvCache::rebalance),
+//! the background worker) works toward. It only decides *where* a file
+//! belongs — the journaled copy → stamp → unlink protocol of `migrate.rs`
+//! remains the only way a file actually moves, and open-time placement of
+//! *new* files stays with the router.
 //!
 //! # Temperature
 //!
-//! Every intercepted read and write touches the file's temperature: the
-//! stored heat is first decayed to the touching call's **virtual** clock
+//! On a mount with a heat policy that may migrate, every intercepted read
+//! and write touches the file's temperature: the stored heat is first
+//! decayed to the touching call's **virtual** clock
 //! (`heat ← heat · 2^(−Δt / half_life)`, no wall clock anywhere), then
 //! incremented by one. Temperature survives close → reopen through the
 //! migrator catalog, exactly like the raw read/write counters. The catalog
 //! is volatile, but each open file's tiered fd slot carries a quantized
 //! summary ([`quantize_heat`]/[`dequantize_heat`]) that recovery feeds back
 //! into the catalog, so promotions re-earn themselves from the persisted
-//! heat instead of from scratch; a file recovered without a hot summary is
-//! judged by [`PlacementPolicy::place_cold`].
+//! heat instead of from scratch; recovery judges a file whose summary does
+//! not clear the promote threshold by its router
+//! ([`RecoveryReport::files_misplaced`](crate::RecoveryReport)).
 
 use simclock::SimTime;
 
+use crate::migrate::FileHeat;
 use crate::router::Router;
 
 /// A decaying access-heat accumulator: `heat` as of virtual instant
@@ -53,20 +48,18 @@ pub(crate) struct Temperature {
 }
 
 impl Temperature {
-    /// The heat decayed to `now`. `half_life = None` disables decay (the
-    /// accumulator then equals the lifetime touch count).
-    pub fn decayed(&self, now: SimTime, half_life: Option<SimTime>) -> f64 {
-        let Some(hl) = half_life else { return self.heat };
+    /// The heat decayed to `now`, halving every `half_life`.
+    pub fn decayed(&self, now: SimTime, half_life: SimTime) -> f64 {
         let dt = now.saturating_sub(self.stamp);
         if dt == SimTime::ZERO || self.heat == 0.0 {
             self.heat
         } else {
-            self.heat * f64::exp2(-(dt.as_nanos() as f64 / hl.as_nanos().max(1) as f64))
+            self.heat * f64::exp2(-(dt.as_nanos() as f64 / half_life.as_nanos().max(1) as f64))
         }
     }
 
     /// One access at `now`: decay, then add one unit of heat.
-    pub fn touch(&mut self, now: SimTime, half_life: Option<SimTime>) {
+    pub fn touch(&mut self, now: SimTime, half_life: SimTime) {
         self.heat = self.decayed(now, half_life) + 1.0;
         self.stamp = self.stamp.max(now);
     }
@@ -102,147 +95,6 @@ pub(crate) fn dequantize_heat(q: u16) -> f64 {
     }
 }
 
-/// The placement policy's view of one catalogued (closed) file — the input
-/// of [`PlacementPolicy::assign`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FileTemperature {
-    /// Normalized absolute path.
-    pub path: String,
-    /// Backend index currently holding the file.
-    pub backend: usize,
-    /// Payload bytes at last close (`0` when only recovery has seen the
-    /// file — its size is unknown until it is reopened or migrated).
-    pub bytes: u64,
-    /// Exponentially decayed access heat, decayed to the sweep instant
-    /// with the policy's own [`half_life`](PlacementPolicy::half_life).
-    pub heat: f64,
-    /// Lifetime intercepted reads (undecayed).
-    pub reads: u64,
-    /// Lifetime intercepted writes (undecayed).
-    pub writes: u64,
-}
-
-/// Decides where each closed file of a tiered mount belongs. Installed via
-/// [`Tiering::placement`](crate::Tiering::placement);
-/// the default is [`RouterPlacement`].
-///
-/// The policy is consulted by the rebalance sweep (all catalogued files at
-/// once, so cross-file constraints like a capacity budget can hold) and by
-/// recovery (per file, with no temperature — the catalog is volatile). It
-/// never changes *how* a file moves: every move still goes through the
-/// crash-safe migration protocol, and open-time placement of new files
-/// stays with the [`Router`].
-///
-/// # Example
-///
-/// ```
-/// use nvcache::{FileTemperature, HeatPolicy, PlacementPolicy, SingleBackend};
-/// use simclock::SimTime;
-///
-/// let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60));
-/// let hot = FileTemperature {
-///     path: "/cold/but-busy".into(),
-///     backend: 0,
-///     bytes: 4096,
-///     heat: 9.5,
-///     reads: 9,
-///     writes: 1,
-/// };
-/// // The router would keep the file on tier 0; its heat promotes it.
-/// assert_eq!(policy.assign(&[hot], &SingleBackend, 2), vec![1]);
-/// ```
-pub trait PlacementPolicy: Send + Sync + std::fmt::Debug {
-    /// The target backend for each file in `files` (parallel vector, same
-    /// order). A file whose target equals its current backend is left in
-    /// place. `router` provides the static baseline placement and
-    /// `backends` the mount's backend count; every returned index must be
-    /// `< backends`.
-    fn assign(&self, files: &[FileTemperature], router: &dyn Router, backends: usize)
-        -> Vec<usize>;
-
-    /// Where a file with **no accumulated temperature** belongs — the
-    /// recovery-time judgement (`files_misplaced`,
-    /// [`Mount::RecoverRepair`](crate::Mount) re-homing), where the
-    /// volatile heat catalog is empty. `current` is the backend holding
-    /// the file's bytes.
-    fn place_cold(&self, path: &str, current: usize, router: &dyn Router) -> usize;
-
-    /// Half-life of the exponential heat decay. `None` (the default)
-    /// accumulates heat without decay — the raw touch count.
-    fn half_life(&self) -> Option<SimTime> {
-        None
-    }
-
-    /// Whether this policy reads [`FileTemperature::heat`] at all. The
-    /// default derives it from the decay and fast-tier hooks; override to
-    /// return `true` if your policy consumes heat without declaring
-    /// either. When `false` the mount skips the per-I/O temperature
-    /// bookkeeping entirely — [`RouterPlacement`] routes by path alone, so
-    /// the default tiered mount pays nothing on the read/write path.
-    fn uses_temperature(&self) -> bool {
-        self.half_life().is_some() || self.fast_tier().is_some()
-    }
-
-    /// Decayed heat at or above which a catalogued entry must **never** be
-    /// evicted from a capacity-bounded migrator catalog
-    /// ([`Tiering::catalog_capacity`](crate::Tiering::catalog_capacity)):
-    /// such an entry is promotion work the next sweep still owes, and
-    /// dropping it would silently cancel the promotion. `None` (the
-    /// default) pins nothing by heat — entries are then only pinned while
-    /// misplaced.
-    fn retain_heat_threshold(&self) -> Option<f64> {
-        None
-    }
-
-    /// The backend this policy promotes hot files onto, if any. Drives the
-    /// [`files_promoted`](crate::NvCacheStats::files_promoted) /
-    /// [`files_demoted`](crate::NvCacheStats::files_demoted) /
-    /// [`fast_tier_bytes`](crate::NvCacheStats::fast_tier_bytes) counters;
-    /// `None` (the default) leaves them at zero.
-    fn fast_tier(&self) -> Option<usize> {
-        None
-    }
-
-    /// Short human-readable name (mount banners, bench output).
-    fn name(&self) -> &str {
-        "placement"
-    }
-}
-
-/// The default policy: a file belongs exactly where the [`Router`] puts
-/// its path. Reproduces the pre-policy migrator byte for byte and
-/// nanosecond for nanosecond — the sweep targets, the sweep order and the
-/// recovery misplacement judgement are unchanged (pinned by the oracle
-/// test in `heat_tests.rs`).
-///
-/// ```
-/// use nvcache::{PathPrefixRouter, PlacementPolicy, RouterPlacement};
-/// let router = PathPrefixRouter::new(vec![("/hot".into(), 1)], 0);
-/// assert_eq!(RouterPlacement.place_cold("/hot/wal", 0, &router), 1);
-/// assert_eq!(RouterPlacement.place_cold("/bulk/seg", 1, &router), 0);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RouterPlacement;
-
-impl PlacementPolicy for RouterPlacement {
-    fn assign(
-        &self,
-        files: &[FileTemperature],
-        router: &dyn Router,
-        _backends: usize,
-    ) -> Vec<usize> {
-        files.iter().map(|f| router.route(&f.path)).collect()
-    }
-
-    fn place_cold(&self, path: &str, _current: usize, router: &dyn Router) -> usize {
-        router.route(path)
-    }
-
-    fn name(&self) -> &str {
-        "router"
-    }
-}
-
 /// Temperature-driven placement: promote hot files onto one designated
 /// fast tier, demote cold ones back to the router's baseline, with
 /// hysteresis and an optional fast-tier capacity budget.
@@ -275,10 +127,13 @@ impl PlacementPolicy for RouterPlacement {
 /// churn matters for your workload.
 #[derive(Debug, Clone)]
 pub struct HeatPolicy {
-    fast_tier: usize,
-    promote_threshold: f64,
+    pub(crate) fast_tier: usize,
+    /// Also the decayed heat at or above which a capacity-bounded migrator
+    /// catalog never evicts an entry: it is a promotion the sweep still
+    /// owes.
+    pub(crate) promote_threshold: f64,
     demote_threshold: f64,
-    half_life: SimTime,
+    pub(crate) half_life: SimTime,
     fast_tier_budget: u64,
 }
 
@@ -322,11 +177,6 @@ impl HeatPolicy {
         self
     }
 
-    /// The designated fast tier.
-    pub fn fast_tier_index(&self) -> usize {
-        self.fast_tier
-    }
-
     /// Where a demoted file goes: its router baseline, unless the baseline
     /// *is* the fast tier — then the lowest-indexed other backend.
     fn spill_tier(&self, baseline: usize, backends: usize) -> usize {
@@ -336,95 +186,82 @@ impl HeatPolicy {
             (0..backends).find(|&b| b != self.fast_tier).unwrap_or(self.fast_tier)
         }
     }
-}
 
-impl PlacementPolicy for HeatPolicy {
-    fn assign(
+    /// The target backend of each catalogued `(path, heat)` entry, in the
+    /// same order, judged on its heat decayed to `now`. An entry whose
+    /// target is its current backend stays in place; `backends` is the
+    /// mount's tier count, where the budget pass spills to.
+    pub(crate) fn assign(
         &self,
-        files: &[FileTemperature],
+        files: &[(String, FileHeat)],
+        now: SimTime,
         router: &dyn Router,
         backends: usize,
     ) -> Vec<usize> {
+        let heat: Vec<f64> =
+            files.iter().map(|(_, h)| h.temp.decayed(now, self.half_life)).collect();
         let mut targets: Vec<usize> = files
             .iter()
-            .map(|f| {
-                if f.heat >= self.promote_threshold {
+            .zip(&heat)
+            .map(|((path, h), &heat)| {
+                if heat >= self.promote_threshold {
                     self.fast_tier
-                } else if f.heat <= self.demote_threshold {
-                    router.route(&f.path)
+                } else if heat <= self.demote_threshold {
+                    router.route(path)
                 } else {
-                    f.backend // hysteresis band: no move
+                    h.backend as usize // hysteresis band: no move
                 }
             })
             .collect();
         if self.fast_tier_budget < u64::MAX {
+            let bytes = |i: usize| files[i].1.bytes;
             let mut residents: Vec<usize> = (0..files.len())
-                .filter(|&i| targets[i] == self.fast_tier && files[i].bytes > 0)
+                .filter(|&i| targets[i] == self.fast_tier && bytes(i) > 0)
                 .collect();
-            let mut occupied: u64 = residents.iter().map(|&i| files[i].bytes).sum();
+            let mut occupied: u64 = residents.iter().map(|&i| bytes(i)).sum();
             // Coldest first; bigger files first within equal heat (frees
             // the budget with the fewest evictions), path as the final
             // deterministic tie-break.
             residents.sort_by(|&a, &b| {
-                files[a]
-                    .heat
-                    .total_cmp(&files[b].heat)
-                    .then(files[b].bytes.cmp(&files[a].bytes))
-                    .then(files[a].path.cmp(&files[b].path))
+                heat[a]
+                    .total_cmp(&heat[b])
+                    .then(bytes(b).cmp(&bytes(a)))
+                    .then(files[a].0.cmp(&files[b].0))
             });
             for i in residents {
                 if occupied <= self.fast_tier_budget {
                     break;
                 }
-                targets[i] = self.spill_tier(router.route(&files[i].path), backends);
-                occupied -= files[i].bytes;
+                targets[i] = self.spill_tier(router.route(&files[i].0), backends);
+                occupied -= bytes(i);
             }
         }
         targets
-    }
-
-    fn place_cold(&self, path: &str, _current: usize, router: &dyn Router) -> usize {
-        // No temperature (fresh recovery): the router baseline. Files the
-        // policy had promoted before the crash are therefore judged
-        // misplaced after it — temperature is volatile by design, and the
-        // file re-earns its promotion as heat accumulates.
-        router.route(path)
-    }
-
-    fn half_life(&self) -> Option<SimTime> {
-        Some(self.half_life)
-    }
-
-    fn retain_heat_threshold(&self) -> Option<f64> {
-        // An entry at or above the promote threshold is a promotion the
-        // sweep has not executed yet — a bounded catalog must keep it.
-        Some(self.promote_threshold)
-    }
-
-    fn fast_tier(&self) -> Option<usize> {
-        Some(self.fast_tier)
-    }
-
-    fn name(&self) -> &str {
-        "heat"
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use proptest::prelude::*;
 
     use super::*;
+    use crate::lockcheck::Recorder;
+    use crate::migrate::Migrator;
     use crate::router::{PathPrefixRouter, SingleBackend};
+    use crate::NvCacheStats;
 
-    fn file(path: &str, backend: usize, bytes: u64, heat: f64) -> FileTemperature {
-        FileTemperature { path: path.into(), backend, bytes, heat, reads: 0, writes: 0 }
+    /// A catalog entry on `backend` whose heat is `heat` at virtual time 0.
+    fn file(path: &str, backend: u32, bytes: u64, heat: f64) -> (String, FileHeat) {
+        let temp = Temperature { heat, stamp: SimTime::ZERO };
+        (path.into(), FileHeat { backend, bytes, temp, ..FileHeat::default() })
     }
 
     #[test]
     fn temperature_decays_with_the_virtual_clock() {
         let mut t = Temperature::default();
-        let hl = Some(SimTime::from_secs(10));
+        let hl = SimTime::from_secs(10);
         t.touch(SimTime::ZERO, hl);
         t.touch(SimTime::ZERO, hl);
         assert_eq!(t.decayed(SimTime::ZERO, hl), 2.0);
@@ -434,31 +271,18 @@ mod tests {
         // Touch after a half-life: decayed + 1.
         t.touch(SimTime::from_secs(10), hl);
         assert_eq!(t.decayed(SimTime::from_secs(10), hl), 2.0);
-        // Reading without a half-life returns the stored (already decayed
-        // at touch time) accumulator as-is.
-        assert_eq!(t.decayed(SimTime::from_secs(10), None), 2.0);
     }
 
     #[test]
     fn temperature_never_rewinds_on_an_older_clock() {
         let mut t = Temperature::default();
-        let hl = Some(SimTime::from_secs(1));
+        let hl = SimTime::from_secs(1);
         t.touch(SimTime::from_secs(100), hl);
         // A touch from an actor whose clock lags must neither decay (the
         // saturating Δt is zero) nor move the stamp backwards.
         t.touch(SimTime::from_secs(50), hl);
         assert_eq!(t.stamp, SimTime::from_secs(100));
         assert_eq!(t.decayed(SimTime::from_secs(100), hl), 2.0);
-    }
-
-    #[test]
-    fn router_placement_mirrors_the_router() {
-        let router = PathPrefixRouter::new(vec![("/hot".into(), 1)], 0);
-        let files = vec![file("/hot/a", 0, 10, 100.0), file("/bulk/b", 1, 10, 100.0)];
-        assert_eq!(RouterPlacement.assign(&files, &router, 2), vec![1, 0]);
-        assert_eq!(RouterPlacement.place_cold("/hot/a", 0, &router), 1);
-        assert_eq!(RouterPlacement.half_life(), None);
-        assert_eq!(RouterPlacement.fast_tier(), None);
     }
 
     #[test]
@@ -473,9 +297,7 @@ mod tests {
             file("/e", 1, 10, 4.0), // exactly at promote → fast
             file("/f", 0, 10, 1.0), // exactly at demote → baseline
         ];
-        assert_eq!(p.assign(&files, &router, 2), vec![1, 0, 0, 1, 1, 0]);
-        assert_eq!(p.fast_tier(), Some(1));
-        assert_eq!(p.half_life(), Some(SimTime::from_secs(60)));
+        assert_eq!(p.assign(&files, SimTime::ZERO, &router, 2), vec![1, 0, 0, 1, 1, 0]);
     }
 
     #[test]
@@ -485,7 +307,7 @@ mod tests {
         let p = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60));
         let router = PathPrefixRouter::new(vec![("/wal".into(), 1)], 0);
         let files = vec![file("/wal/0001", 1, 10, 0.0)];
-        assert_eq!(p.assign(&files, &router, 2), vec![1]);
+        assert_eq!(p.assign(&files, SimTime::ZERO, &router, 2), vec![1]);
     }
 
     #[test]
@@ -500,7 +322,7 @@ mod tests {
         ];
         // 40 bytes want the fast tier, budget is 25: the two coldest
         // residents (/band at 2.0, /coolest at 4.5) are demoted.
-        assert_eq!(p.assign(&files, &router, 2), vec![1, 1, 0, 0]);
+        assert_eq!(p.assign(&files, SimTime::ZERO, &router, 2), vec![1, 1, 0, 0]);
     }
 
     #[test]
@@ -510,7 +332,7 @@ mod tests {
         // the spill must pick the lowest-indexed other backend; the
         // hotter file keeps its seat under the 10-byte budget.
         let files = vec![file("/a", 0, 10, 9.0), file("/b", 0, 10, 8.0)];
-        assert_eq!(p.assign(&files, &SingleBackend, 3), vec![0, 1]);
+        assert_eq!(p.assign(&files, SimTime::ZERO, &SingleBackend, 3), vec![0, 1]);
     }
 
     #[test]
@@ -519,7 +341,7 @@ mod tests {
         // The recovery-seeded entry (unknown size, bytes = 0) occupies no
         // budget; evicting it would free nothing, so it must stay.
         let files = vec![file("/seeded", 1, 0, 2.0), file("/big", 1, 10, 9.0)];
-        assert_eq!(p.assign(&files, &SingleBackend, 2), vec![1, 0]);
+        assert_eq!(p.assign(&files, SimTime::ZERO, &SingleBackend, 2), vec![1, 0]);
     }
 
     #[test]
@@ -544,9 +366,20 @@ mod tests {
 
     #[test]
     fn retain_threshold_follows_the_promote_threshold() {
-        assert_eq!(RouterPlacement.retain_heat_threshold(), None);
-        let p = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60));
-        assert_eq!(p.retain_heat_threshold(), Some(4.0));
+        // A one-entry catalog holding `resident` at `heat`, then asked to
+        // admit a cold newcomer: whether the resident survives.
+        let kept = |heat: f64| {
+            let p = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60));
+            let m = Migrator::new(Recorder::default(), Some(1), Some(p), Arc::new(SingleBackend));
+            let stats = NvCacheStats::default();
+            let (path, resident) = file("/resident", 0, 10, heat);
+            m.record_closed(&path, resident, &stats);
+            let (path, newcomer) = file("/newcomer", 0, 10, 0.0);
+            m.record_closed(&path, newcomer, &stats);
+            m.backend_of("/resident").is_some()
+        };
+        assert!(kept(4.0), "at the promote threshold the sweep still owes a promotion");
+        assert!(!kept(3.99), "below it the entry is a correctly placed cold file");
     }
 
     #[test]
@@ -631,9 +464,9 @@ mod tests {
             for (touch, gap_ms) in steps {
                 now += SimTime::from_millis(gap_ms);
                 if touch {
-                    temp.touch(now, p.half_life());
+                    temp.touch(now, p.half_life);
                 }
-                let heat = temp.decayed(now, p.half_life());
+                let heat = temp.decayed(now, p.half_life);
                 // Count full band traversals of the heat signal itself.
                 match band(heat, &p) {
                     Band::Hot if last_extreme == Band::Cold => {
@@ -646,15 +479,13 @@ mod tests {
                     }
                     _ => {}
                 }
-                let f = FileTemperature {
-                    path: "/f".into(),
-                    backend: tier,
+                let f = ("/f".to_string(), FileHeat {
+                    backend: tier as u32,
                     bytes: 10,
-                    heat,
-                    reads: 0,
-                    writes: 0,
-                };
-                let target = p.assign(std::slice::from_ref(&f), &router, 2)[0];
+                    temp,
+                    ..FileHeat::default()
+                });
+                let target = p.assign(&[f], now, &router, 2)[0];
                 if target != tier {
                     // Each move must be justified by the heat at this step.
                     if target == 1 {

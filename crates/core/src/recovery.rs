@@ -74,16 +74,11 @@ pub struct RecoveryReport {
     /// single-backend mount; up to the tier count on a tiered one).
     pub backends_touched: usize,
     /// Recovered files whose backend disagrees with where the mount's
-    /// *placement policy* puts their path — judged cold, with no
-    /// accumulated temperature
-    /// ([`PlacementPolicy::place_cold`](crate::PlacementPolicy::place_cold));
-    /// under the default [`RouterPlacement`](crate::RouterPlacement) this
-    /// is the router's current placement (possible after a v2 → v3
-    /// migration or a routing-policy change), and under a
-    /// [`HeatPolicy`](crate::HeatPolicy) it also counts files the policy
-    /// had promoted before the crash whose persisted heat word no longer
-    /// clears the promote threshold. Their bytes stay fully
-    /// reachable — `stat`,
+    /// router puts their path (possible after a v2 → v3 migration or a
+    /// routing-policy change); under a [`HeatPolicy`](crate::HeatPolicy)
+    /// that also counts files the policy had promoted before the crash
+    /// whose hottest persisted heat word no longer clears the promote
+    /// threshold. Their bytes stay fully reachable — `stat`,
     /// `unlink` and `open` (creating or not) probe the recorded backend
     /// before policy routing, so an existing file is always opened in
     /// place — but they sit on the wrong tier until a repair-mode recovery
@@ -94,8 +89,8 @@ pub struct RecoveryReport {
     /// re-homing pass (so `0` on success, with the moves counted in
     /// [`files_repaired`](RecoveryReport::files_repaired)).
     pub files_misplaced: usize,
-    /// Misplaced files re-homed to the placement policy's cold target by a
-    /// repair-mode recovery (always `0` under plain
+    /// Misplaced files re-homed to the router's placement by a repair-mode
+    /// recovery (always `0` under plain
     /// [`Mount::Recover`](crate::Mount)).
     pub files_repaired: usize,
     /// Interrupted migrations rolled forward/back from their journal slots
@@ -236,38 +231,36 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// writes survive any routing policy. This is the v2 → v3 migration path
 /// (the caller stamps the header afterwards).
 ///
-/// **Misplacement** is judged by the mount's placement policy: the heat
-/// catalog is volatile (only the slot's heat word survives, see below), so
-/// each file is checked against
-/// [`PlacementPolicy::place_cold`](crate::PlacementPolicy::place_cold) —
-/// the router's current placement under the default
-/// [`RouterPlacement`](crate::RouterPlacement).
+/// **Misplacement** is judged once per path, after the slot scan: the heat
+/// catalog is volatile (only the slots' heat words survive, see below), so
+/// each recovered file is checked against the router's current placement of
+/// its path.
 ///
 /// **Repair mode** (`repair = true`, a [`Mount::RecoverRepair`](crate::Mount)
 /// mount): after the replay is durable and the fd table cleared, every
-/// recovered file whose backend disagrees with the policy's cold target is
-/// re-homed to that target through the journaled copy → stamp → unlink
-/// protocol of `migrate.rs` — so the next mount reports
+/// file judged misplaced is re-homed to the router's placement through the
+/// journaled copy → stamp → unlink protocol of `migrate.rs` — so the next
+/// mount reports
 /// `files_misplaced == 0`. Leftover migration journals from a crash inside
 /// the protocol are repaired on *every* recovery, repair mode or not.
 ///
 /// **Persisted heat**: a tiered slot ends in a quantized temperature
-/// summary ([`layout::heat_word`]), stamped by a mount whose placement reads
-/// heat. A mount that reads heat too (`Tiers::track_heat`) dequantizes the
-/// summaries and returns them so the mount can re-seed the migrator's heat
-/// catalog — a crashed [`HeatPolicy`](crate::HeatPolicy) mount re-promotes
-/// its hot set on the next sweep without the files being re-touched; every
-/// other mount ignores the word. A slot whose summary clears the policy's
-/// [`retain_heat_threshold`](crate::PlacementPolicy::retain_heat_threshold)
-/// is *not* judged misplaced by the cold-placement check (and not demoted
-/// by a repair pass): the persisted temperature says it is exactly where
-/// promotion put it.
+/// summary ([`layout::heat_word`]), stamped by a mount that tracks heat. A
+/// mount that tracks heat too (`Tiers::heat`) dequantizes the summaries,
+/// keeps the hottest of each path's slots and returns them so the mount can
+/// re-seed the migrator's heat catalog — a crashed
+/// [`HeatPolicy`](crate::HeatPolicy) mount re-promotes its hot set on the
+/// next sweep without the files being re-touched; every other mount ignores
+/// the word. A path whose seeded heat clears the promote threshold is *not*
+/// judged misplaced (and not demoted by a repair pass): the persisted
+/// temperature says it is exactly where promotion put it, and the next
+/// sweep would promote it again.
 ///
 /// Returns the report, the `(path, backend)` pairs still misplaced after
 /// recovery (empty in repair mode) — the mount seeds the migrator's catalog
 /// with them so a later [`rebalance`](crate::NvCache::rebalance) can find
 /// the files — and the `(path, backend, heat)` summaries recovered from the
-/// heat words (empty unless the mount reads heat).
+/// heat words (empty unless the mount tracks heat).
 ///
 /// Idempotent: crashing *during* recovery and running it again converges to
 /// the same state, because replay only overwrites with logged data and the
@@ -285,7 +278,7 @@ pub(crate) fn recover(
     clock: &ActorClock,
     replay: Replayer,
 ) -> IoResult<Recovered> {
-    let (backends, router, placement) = (&*tiers.backends, &*tiers.router, &*tiers.placement);
+    let (backends, router) = (&*tiers.backends, &*tiers.router);
     let Header { layout: lay, ptail } = *image;
     let (nb_entries, fd_slots, log_shards) = (lay.nb_entries, lay.fd_slots, lay.log_shards);
 
@@ -306,10 +299,10 @@ pub(crate) fn recover(
     let mut files: Vec<(usize, vfs::Fd)> = Vec::new();
     let mut file_of_identity: HashMap<(usize, u64, u64), usize> = HashMap::new();
     let mut file_of_slot: HashMap<u32, usize> = HashMap::new();
-    let mut misplaced: Vec<(String, u32)> = Vec::new();
-    // path → (backend, heat): one entry per path (a file open through
-    // several descriptors stamps one summary per slot; keep the hottest).
-    let mut heat_seeds: HashMap<String, (u32, f64)> = HashMap::new();
+    // path → (backend, heat) of every recovered file: one entry per path (a
+    // file open through several descriptors stamps one summary per slot;
+    // keep the hottest, 0 when the mount tracks no heat).
+    let mut recovered: HashMap<String, (u32, f64)> = HashMap::new();
     for slot in 0..fd_slots as u32 {
         if let Some(FdSlot { path, backend: stored, heat }) =
             PersistentFdTable::get(region, &lay, slot, FD_VALID_OPEN, clock)
@@ -362,33 +355,12 @@ pub(crate) fn recover(
                     Err(e) => return Err(e),
                 }
             }
-            // Replay lands on `resolved`; path operations keep reaching
-            // the file there (recorded-backend probing), but it sits on
-            // the wrong tier — as judged by the placement policy, with the
-            // slot's persisted temperature summary (if any) to go on —
-            // until a repair pass, a rebalance sweep, or the operator moves
-            // it. Count it so the mismatch is visible instead of silent.
             if let Some(backend) = resolved {
-                let heat = heat.filter(|_| tiers.track_heat).map(dequantize_heat);
-                if let Some(h) = heat {
-                    if h > 0.0 {
-                        let seed = heat_seeds.entry(path.clone()).or_insert((backend as u32, 0.0));
-                        seed.0 = backend as u32;
-                        seed.1 = seed.1.max(h);
-                    }
-                }
-                // A summary clearing the retain threshold says promotion
-                // put the file here on purpose — not a misplacement, even
-                // though cold placement would route the path elsewhere.
-                let retained_hot = match (heat, placement.retain_heat_threshold()) {
-                    (Some(h), Some(t)) => h >= t,
-                    _ => false,
-                };
-                if !retained_hot && backend != placement.place_cold(&path, backend, router) {
-                    misplaced.push((path.clone(), backend as u32));
-                }
-            }
-            if resolved.is_none() {
+                let heat = heat.filter(|_| tiers.heat.is_some()).map_or(0.0, dequantize_heat);
+                let (at, hottest) = recovered.entry(path).or_insert((0, 0.0));
+                *at = backend as u32;
+                *hottest = hottest.max(heat);
+            } else {
                 // The file was removed behind the mount's back, or the
                 // crash fell between an inner `unlink` and the slot update:
                 // its pending entries are skipped below, and the slot must
@@ -402,12 +374,25 @@ pub(crate) fn recover(
             }
         }
     }
-    // A file open through several descriptors at crash time occupies one
-    // fd slot per descriptor: the misplaced list — and the report's count,
-    // which the repair pass decrements per *path* and must end at zero —
-    // carries each path once.
+    // Replay lands where each file was found; path operations keep reaching
+    // it there (recorded-backend probing), but it sits on the wrong tier —
+    // as judged by the router, unless the hottest persisted summary of its
+    // path clears the promote threshold (promotion put it there on purpose)
+    // — until a repair pass, a rebalance sweep, or the operator moves it.
+    // Count it so the mismatch is visible instead of silent. Each path is
+    // judged once, with the heat it seeds: the misplaced list — and the
+    // report's count, which the repair pass decrements per path and must
+    // end at zero — carries each path once, with its target.
+    let promote = tiers.heat.as_ref().map(|p| p.promote_threshold);
+    let mut misplaced: Vec<(String, u32, usize)> = recovered
+        .iter()
+        .filter_map(|(path, &(backend, heat))| {
+            let to = router.route(path);
+            let hot = promote.is_some_and(|t| heat >= t);
+            (backend as usize != to && !hot).then(|| (path.clone(), backend, to))
+        })
+        .collect();
     misplaced.sort();
-    misplaced.dedup();
     report.files_misplaced = misplaced.len();
     let mut touched = vec![false; backends.len()];
     for &(_, backend, _) in &reopened {
@@ -506,31 +491,14 @@ pub(crate) fn recover(
     // a crash mid-repair must find a v3 header on the next mount.
     Header::upgrade(region, backends.len() as u64, clock);
 
-    // Repair mode: re-home every misplaced file to the placement policy's
-    // cold target with the journaled migration protocol. Every fd slot was
-    // cleared above, so slot 0 is free to journal through; the files are
-    // closed and the log is empty, so no coordination is needed.
+    // Repair mode: re-home every misplaced file to its router placement
+    // with the journaled migration protocol. Every fd slot was cleared
+    // above, so slot 0 is free to journal through; the files are closed and
+    // the log is empty, so no coordination is needed.
     if repair {
         let repair_lay = Layout { backends: backends.len() as u64, ..lay };
         let mut unrepairable = Vec::new();
-        for (path, from) in misplaced.drain(..) {
-            let to = placement.place_cold(&path, from as usize, router);
-            // Validate the policy's answer before it reaches the protocol
-            // (whose asserts would panic the mount): contract violations
-            // surface as errors here, exactly like the sweep path.
-            if to >= backends.len() {
-                return Err(IoError::InvalidArgument(format!(
-                    "placement policy re-homed {path} to out-of-range backend {to} \
-                     (recovery has {} backends)",
-                    backends.len()
-                )));
-            }
-            if to == from as usize {
-                // A non-pure policy changed its judgement between the scan
-                // and the repair: the file is where the policy now wants it.
-                report.files_misplaced -= 1;
-                continue;
-            }
+        for (path, from, to) in misplaced.drain(..) {
             match crate::migrate::migrate_bytes(
                 region,
                 &repair_lay,
@@ -548,14 +516,14 @@ pub(crate) fn recover(
                     report.files_misplaced -= 1;
                     // A (below-threshold) temperature summary follows the
                     // re-homed file to its new tier.
-                    if let Some(seed) = heat_seeds.get_mut(&path) {
+                    if let Some(seed) = recovered.get_mut(&path) {
                         seed.0 = to as u32;
                     }
                 }
                 // A legacy path longer than the v3 journal slot capacity
                 // cannot be journaled: leave it counted misplaced instead
                 // of failing the whole mount.
-                Err(IoError::InvalidArgument(_)) => unrepairable.push((path, from)),
+                Err(IoError::InvalidArgument(_)) => unrepairable.push((path, from, to)),
                 // Already gone from the recorded tier (the source is opened
                 // before anything is journaled or touched, so this is
                 // side-effect-free): nothing left to repair.
@@ -570,13 +538,15 @@ pub(crate) fn recover(
     // protocol each end fenced), so the barrier the seed inherited from the
     // paper's recovery sketch covered nothing — the pmcheck redundant-fence
     // counter confirmed an always-empty flush queue here.
-    let mut heat_seeds: Vec<(String, u32, f64)> = heat_seeds
+    let mut heat_seeds: HeatSeeds = recovered
         .into_iter()
+        .filter(|&(_, (_, heat))| heat > 0.0)
         .map(|(path, (backend, heat))| (path, backend, heat))
         .collect();
     // HashMap iteration order is not deterministic; catalog admission order
     // must be (the virtual-time oracle replays mounts byte for byte).
     heat_seeds.sort_by(|a, b| a.0.cmp(&b.0));
+    let misplaced = misplaced.into_iter().map(|(path, backend, _)| (path, backend)).collect();
     Ok((report, misplaced, heat_seeds))
 }
 

@@ -140,7 +140,7 @@ impl Router for PathPrefixRouter {
 }
 
 /// Spreads files uniformly over `n` backends by hashing the path —
-/// capacity balancing when no placement policy applies. Uses the same
+/// capacity balancing when no explicit placement rule applies. Uses the same
 /// SplitMix64-style mix as the log's stripe routing.
 #[derive(Debug, Clone, Copy)]
 pub struct HashRouter {

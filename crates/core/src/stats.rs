@@ -265,17 +265,16 @@ counter_table! {
         files_migrated,
         /// Payload bytes copied across tiers by those migrations.
         migration_bytes,
-        /// Migrations that moved a file **onto** the placement policy's fast
-        /// tier ([`PlacementPolicy::fast_tier`](crate::PlacementPolicy) — `0`
-        /// forever under a policy with no fast tier, e.g. the default
-        /// [`RouterPlacement`](crate::RouterPlacement)).
+        /// Migrations that moved a file **onto** the fast tier of the mount's
+        /// [`HeatPolicy`](crate::HeatPolicy) — `0` forever on a mount
+        /// without one, whose files go where the router puts them.
         files_promoted,
         /// Migrations that moved a file **off** the fast tier (demotions:
         /// heat decayed below the demote threshold, or the fast-tier budget
         /// evicted the coldest residents).
         files_demoted,
         /// Payload bytes of catalogued (closed) files currently sitting on
-        /// the placement policy's fast tier — a gauge, refreshed after every
+        /// the heat policy's fast tier — a gauge, refreshed after every
         /// migration and rebalance sweep; the occupancy the
         /// [`HeatPolicy`](crate::HeatPolicy) budget is enforced against.
         fast_tier_bytes,
@@ -309,17 +308,6 @@ counter_table! {
 }
 
 impl NvCacheStats {
-    /// Counters for a log with `shards` stripes (single backend).
-    pub fn with_shards(shards: usize) -> NvCacheStats {
-        Self::with_topology(shards, 1)
-    }
-
-    /// Counters for a log with `shards` stripes propagating to `backends`
-    /// inner file systems.
-    pub fn with_topology(shards: usize, backends: usize) -> NvCacheStats {
-        Self::with_front_end(shards, backends, 0)
-    }
-
     /// Counters for the full topology: `shards` stripes, `backends` inner
     /// file systems, and `queues` submission/completion queue pairs (`0` =
     /// no multi-queue front-end).
@@ -380,7 +368,7 @@ mod tests {
 
     #[test]
     fn per_shard_counters_snapshot_independently() {
-        let s = NvCacheStats::with_shards(3);
+        let s = NvCacheStats::with_front_end(3, 1, 0);
         assert_eq!(s.per_shard.len(), 3);
         s.per_shard[1].entries_propagated.store(7, Ordering::Relaxed);
         s.per_shard[2].log_full_waits.store(2, Ordering::Relaxed);
@@ -398,7 +386,7 @@ mod tests {
 
     #[test]
     fn per_backend_counters_follow_the_topology() {
-        let s = NvCacheStats::with_topology(2, 3);
+        let s = NvCacheStats::with_front_end(2, 3, 0);
         assert_eq!(s.per_shard.len(), 2);
         assert_eq!(s.per_backend_propagated.len(), 3);
         s.per_backend_propagated[2].store(5, Ordering::Relaxed);
@@ -407,7 +395,7 @@ mod tests {
 
     #[test]
     fn per_queue_counters_follow_the_front_end() {
-        assert!(NvCacheStats::with_topology(2, 1).per_queue.is_empty());
+        assert!(NvCacheStats::with_front_end(2, 1, 0).per_queue.is_empty());
         let s = NvCacheStats::with_front_end(1, 1, 4);
         assert_eq!(s.per_queue.len(), 4);
         s.per_queue[3].sq_submitted.store(9, Ordering::Relaxed);

@@ -9,7 +9,7 @@
 //! * [`Tiering`] — the public value handed to
 //!   [`NvCacheBuilder::tiers`](crate::NvCacheBuilder::tiers): the router,
 //!   the (layered) tiers, and the three choices about moving files between
-//!   them (placement policy, [`MigrationPolicy`], catalog capacity).
+//!   them ([`HeatPolicy`], [`MigrationPolicy`], catalog capacity).
 //!   [`NvCacheBuilder::backend`](crate::NvCacheBuilder::backend) builds the
 //!   one-tier value of the paper's deployment, which has none of the three
 //!   to set.
@@ -70,8 +70,8 @@ use crate::files::{FileState, OpenedFile, PersistentFdTable};
 use crate::layout::{Layout, MAX_BACKENDS};
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::Log;
-use crate::migrate::{FileHeat, MigrationGate, MigrationPolicy, Migrator, RebalanceReport};
-use crate::placement::{quantize_heat, PlacementPolicy, RouterPlacement, Temperature};
+use crate::migrate::{FileHeat, MigrationGate, MigrationPolicy, Migrator, Move, RebalanceReport};
+use crate::placement::{quantize_heat, HeatPolicy, Temperature};
 use crate::recovery::HeatSeeds;
 use crate::router::Router;
 use crate::{NvCacheConfig, NvCacheStats};
@@ -84,18 +84,18 @@ pub type LayeredTier = (Vec<Arc<dyn Layer>>, Arc<dyn FileSystem>);
 /// [`Router`] that places a new file on one of them, and how — if at all —
 /// files move between them afterwards.
 ///
-/// Defaults: [`RouterPlacement`] (files belong where the router puts
-/// them), [`MigrationPolicy::Disabled`], an unbounded catalog. Nothing of
-/// this value is encoded in the NVMM image except the tier count; everything
-/// else may change across a remount. A mount whose placement reads heat
-/// (and may migrate) stamps each open file's temperature into its fd slot
-/// at `open`, `fsync` and `close`, so a crash + recovery re-seeds the
-/// policy instead of starting every file cold.
+/// Defaults: no [`HeatPolicy`] (files belong where the router puts them),
+/// [`MigrationPolicy::Disabled`], an unbounded catalog. Nothing of this
+/// value is encoded in the NVMM image except the tier count; everything
+/// else may change across a remount. A mount with a heat policy that may
+/// migrate stamps each open file's temperature into its fd slot at `open`,
+/// `fsync` and `close`, so a crash + recovery re-seeds the policy instead
+/// of starting every file cold.
 #[derive(Clone)]
 pub struct Tiering {
     pub(crate) router: Arc<dyn Router>,
     pub(crate) tiers: Vec<LayeredTier>,
-    pub(crate) placement: Arc<dyn PlacementPolicy>,
+    pub(crate) heat: Option<HeatPolicy>,
     pub(crate) migration: MigrationPolicy,
     pub(crate) catalog_capacity: Option<usize>,
 }
@@ -105,7 +105,7 @@ impl std::fmt::Debug for Tiering {
         f.debug_struct("Tiering")
             .field("router", &self.router)
             .field("stack_depths", &self.tiers.iter().map(|t| t.0.len()).collect::<Vec<_>>())
-            .field("placement", &self.placement)
+            .field("heat", &self.heat)
             .field("migration", &self.migration)
             .field("catalog_capacity", &self.catalog_capacity)
             .finish()
@@ -140,23 +140,23 @@ impl Tiering {
         Tiering {
             router,
             tiers,
-            placement: Arc::new(RouterPlacement),
+            heat: None,
             migration: MigrationPolicy::Disabled,
             catalog_capacity: None,
         }
     }
 
-    /// Installs the [`PlacementPolicy`] deciding *where* the migrator moves
-    /// files (the migration protocol decides *how*). [`HeatPolicy`] drives
-    /// placement from per-file access temperature: hot files are promoted
-    /// onto a designated fast tier regardless of path, cold ones demoted
-    /// back to the router baseline.
+    /// Installs the [`HeatPolicy`] that overrides the router's answer to
+    /// *where* the migrator moves files (the migration protocol decides
+    /// *how*): hot files are promoted onto a designated fast tier
+    /// regardless of path, cold ones demoted back to the router baseline.
     ///
     /// Heat tracking and rebalance sweeps only run on a mount that may move
     /// files: pair the policy with a [`MigrationPolicy`] other than
-    /// `Disabled`. The policy's *cold* judgement
-    /// ([`PlacementPolicy::place_cold`]) applies either way — it decides
-    /// `files_misplaced` and the `RecoverRepair` targets at recovery.
+    /// `Disabled`. Recovery judges `files_misplaced` and the
+    /// `RecoverRepair` targets by the router either way; only on a mount
+    /// that tracks heat does a persisted heat summary clearing the promote
+    /// threshold keep a file off that list.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -169,18 +169,16 @@ impl Tiering {
     ///     vec![Arc::new(MemFs::new()), Arc::new(MemFs::new())],
     /// )
     /// .migration(MigrationPolicy::Background)
-    /// .placement(Arc::new(HeatPolicy::new(
+    /// .heat(HeatPolicy::new(
     ///     1,                        // promote onto backend 1
     ///     8.0,                      // promote at 8 units of heat
     ///     2.0,                      // demote below 2
     ///     SimTime::from_secs(30),   // heat halves every 30 s
-    /// )));
+    /// ));
     /// assert!(format!("{tiering:?}").contains("HeatPolicy"));
     /// ```
-    ///
-    /// [`HeatPolicy`]: crate::HeatPolicy
-    pub fn placement(mut self, policy: Arc<dyn PlacementPolicy>) -> Self {
-        self.placement = policy;
+    pub fn heat(mut self, policy: HeatPolicy) -> Self {
+        self.heat = Some(policy);
         self
     }
 
@@ -212,14 +210,15 @@ impl Tiering {
 
     /// # Panics
     ///
-    /// Panics when the placement policy promotes onto a tier the mount does
-    /// not have.
+    /// Panics when the heat policy promotes onto a tier the mount does not
+    /// have.
     pub(crate) fn validate(&self) {
         let tiers = self.tiers.len();
-        if let Some(fast) = self.placement.fast_tier() {
+        if let Some(policy) = &self.heat {
+            let fast = policy.fast_tier;
             assert!(
                 fast < tiers,
-                "placement policy promotes onto backend {fast}, \
+                "heat policy promotes onto backend {fast}, \
                  but the mount has only {tiers} backend(s)"
             );
         }
@@ -246,18 +245,15 @@ pub(crate) struct Tiers {
     /// by the backend ids the router assigns.
     pub backends: Box<[Arc<dyn FileSystem>]>,
     pub router: Arc<dyn Router>,
-    pub placement: Arc<dyn PlacementPolicy>,
+    /// The heat policy, on a mount that may migrate: per-I/O temperature
+    /// bookkeeping — and with it the fd slots' heat stamps and recovery's
+    /// reading of them — runs exactly when this is `Some`.
+    pub heat: Option<HeatPolicy>,
     /// Closed-file catalog, migration gate and the background worker's
     /// clock; idle unless [`migrates`](Tiers::migrates).
     pub migrator: Migrator,
     /// [`MigrationPolicy::Disabled`] on one tier, whatever was asked for.
     policy: MigrationPolicy,
-    /// Whether per-I/O temperature bookkeeping runs — and with it the fd
-    /// slots' heat stamps and recovery's reading of them: the mount can
-    /// migrate AND the policy reads heat. Computed once — the read/write hot
-    /// path must not pay vtable calls to re-derive a constant.
-    pub track_heat: bool,
-    heat_half_life: Option<SimTime>,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -275,7 +271,7 @@ impl Tiers {
     /// Panics if `tiering` is inconsistent ([`Tiering::validate`]).
     pub fn mount(tiering: Tiering) -> IoResult<Tiers> {
         tiering.validate();
-        let Tiering { router, tiers, placement, migration, catalog_capacity } = tiering;
+        let Tiering { router, tiers, heat, migration, catalog_capacity } = tiering;
         if router.fan_out() > tiers.len() {
             return Err(IoError::InvalidArgument(format!(
                 "router {router:?} fans out to {} backends but only {} were supplied",
@@ -290,23 +286,10 @@ impl Tiers {
             .map(|(layers, inner)| vfs::stack(&layers, inner))
             .collect::<IoResult<_>>()?;
         let policy = if backends.len() > 1 { migration } else { MigrationPolicy::Disabled };
-        let migrator = Migrator::new(
-            Recorder::new(),
-            catalog_capacity,
-            Arc::clone(&placement),
-            Arc::clone(&router),
-            backends.len(),
-        );
-        Ok(Tiers {
-            track_heat: policy != MigrationPolicy::Disabled && placement.uses_temperature(),
-            heat_half_life: placement.half_life(),
-            backends,
-            router,
-            placement,
-            migrator,
-            policy,
-            worker: Mutex::new(None),
-        })
+        let heat = heat.filter(|_| policy != MigrationPolicy::Disabled);
+        let migrator =
+            Migrator::new(Recorder::new(), catalog_capacity, heat.clone(), Arc::clone(&router));
+        Ok(Tiers { backends, router, heat, migrator, policy, worker: Mutex::new(None) })
     }
 
     /// The fd-slot partitioning of this mount over `cfg`'s geometry.
@@ -681,8 +664,8 @@ impl Tiers {
     /// One intercepted access to `file` that moved data, at virtual instant
     /// `now`: decays its temperature to `now` and adds one unit of heat.
     pub fn touch(&self, file: &FileState, now: SimTime) {
-        if self.track_heat {
-            file.temperature.lock().touch(now, self.heat_half_life);
+        if let Some(policy) = &self.heat {
+            file.temperature.lock().touch(now, policy.half_life);
             self.migrator.observe_time(now);
         }
     }
@@ -702,10 +685,8 @@ impl Tiers {
         at_least: u16,
         clock: &ActorClock,
     ) {
-        if !self.track_heat {
-            return;
-        }
-        let heat = file.temperature.lock().decayed(clock.now(), self.heat_half_life);
+        let Some(policy) = &self.heat else { return };
+        let heat = file.temperature.lock().decayed(clock.now(), policy.half_life);
         let quantized = quantize_heat(heat);
         if quantized >= at_least {
             PersistentFdTable::set_heat(&log.region, &log.layout, slot, quantized, clock);
@@ -739,23 +720,28 @@ impl Tiers {
         }
     }
 
-    /// Accounts one finished move of `bytes` from tier `from` to tier `to`.
-    pub fn moved(&self, stats: &NvCacheStats, from: usize, to: usize, bytes: u64) {
+    /// Accounts one finished move of `bytes` from tier `from` to tier `to`,
+    /// and returns which way it went.
+    pub fn moved(&self, stats: &NvCacheStats, from: usize, to: usize, bytes: u64) -> Move {
         stats.files_migrated.fetch_add(1, Ordering::Relaxed);
         stats.migration_bytes.fetch_add(bytes, Ordering::Relaxed);
-        let fast = self.placement.fast_tier();
+        let fast = self.heat.as_ref().map(|p| p.fast_tier);
         if fast == Some(to) {
             stats.files_promoted.fetch_add(1, Ordering::Relaxed);
+            Move::Promotion
         } else if fast == Some(from) {
             stats.files_demoted.fetch_add(1, Ordering::Relaxed);
+            Move::Demotion
+        } else {
+            Move::Lateral
         }
     }
 
     /// Recomputes the `fast_tier_bytes` occupancy gauge from the catalog
     /// (one scan: after a single move, or once at the end of a sweep).
     pub fn refresh_gauge(&self, stats: &NvCacheStats) {
-        if let Some(fast) = self.placement.fast_tier() {
-            let occupancy = self.migrator.fast_tier_occupancy(fast as u32);
+        if let Some(policy) = &self.heat {
+            let occupancy = self.migrator.fast_tier_occupancy(policy.fast_tier as u32);
             stats.fast_tier_bytes.store(occupancy, Ordering::Relaxed);
         }
     }
@@ -764,7 +750,7 @@ impl Tiers {
     /// the files found misplaced become migration candidates, and the
     /// persisted temperature summaries re-seed the catalog so the next sweep
     /// re-promotes the recovered hot set without a file being re-touched —
-    /// only when the policy reads temperature at all.
+    /// only on a mount that tracks heat.
     pub fn seed(
         &self,
         misplaced: Vec<(String, u32)>,
@@ -776,7 +762,7 @@ impl Tiers {
             self.migrator
                 .seed(misplaced.into_iter().map(|(path, b)| (path, b, None)), stats);
         }
-        if self.track_heat && !heat.is_empty() {
+        if self.heat.is_some() && !heat.is_empty() {
             self.migrator.observe_time(now);
             let warm = |(path, b, heat)| (path, b, Some(Temperature { heat, stamp: now }));
             self.migrator.seed(heat.into_iter().map(warm), stats);
@@ -828,13 +814,6 @@ impl NvCache {
         &self.shared.tiers.router
     }
 
-    /// The placement policy driving the tier migrator's targets
-    /// ([`RouterPlacement`] unless [`Tiering::placement`] installed
-    /// another).
-    pub fn placement(&self) -> &Arc<dyn PlacementPolicy> {
-        &self.shared.tiers.placement
-    }
-
     /// Files currently resident in the migrator's closed-file catalog —
     /// bounded by [`Tiering::catalog_capacity`] (plus any pinned overflow
     /// the bound is not allowed to drop: misplaced or above-threshold
@@ -846,10 +825,9 @@ impl NvCache {
 
     /// Runs one tier-rebalancing sweep on the caller's clock: every closed
     /// file the mount knows about (catalogued at close time, or reported
-    /// misplaced by recovery) whose backend disagrees with the placement
-    /// policy's target — the router's static placement by default, or the
-    /// temperature-driven target of a [`HeatPolicy`](crate::HeatPolicy) —
-    /// is moved there through the crash-safe copy → stamp → unlink
+    /// misplaced by recovery) whose backend disagrees with its target — the
+    /// router's placement, or the temperature-driven target of the mount's
+    /// [`HeatPolicy`] — is moved there through the crash-safe copy → stamp → unlink
     /// protocol. Open or still-draining files are skipped and retried on a
     /// later sweep. See [`RebalanceReport`] and the `migrate` module docs.
     ///

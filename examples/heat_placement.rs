@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .tiers(
             Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
                 .migration(MigrationPolicy::OnDemand)
-                .placement(Arc::new(policy)),
+                .heat(policy),
         )
         .config(cfg)
         .mount(&clock)?;

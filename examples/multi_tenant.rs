@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             .tiers(
                 Tiering::layered(all_cold, vec![bulk, fast])
                     .migration(MigrationPolicy::OnDemand)
-                    .placement(Arc::new(policy)),
+                    .heat(policy),
             )
             .config(cfg)
             .mount(&clock)?,

@@ -78,7 +78,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// 50, so that what a simplification removed does not grow back unnoticed.
 /// Raising a ceiling is a reviewed one-line diff here, by no more than what
 /// a measured change had to add.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5193), ("vfs", 2800)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5065), ("vfs", 2800)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
