@@ -990,7 +990,6 @@ impl NvCache {
                     .expect("spawn cleanup worker")
             })
             .collect();
-        shared.tiers.start_worker(&shared);
         NvCache { shared, name, cleanup: Mutex::new(handles), recovery }
     }
 
@@ -1095,7 +1094,6 @@ impl NvCache {
         for h in self.cleanup.lock().drain(..) {
             let _ = h.join();
         }
-        self.shared.tiers.stop_worker();
     }
 
     /// Cursor-based write (libc `write`): appends at the NVCache-maintained

@@ -356,9 +356,6 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         shard_stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         shared.log.free(stripe, tail, consumed, &clock);
         shared.drain_zombies(&clock);
-        // Files become migratable only once fully drained: zombies this
-        // batch finished may now move tiers.
-        shared.tiers.drained();
     }
 }
 

@@ -288,8 +288,6 @@ mod tests {
     fn default_migration_is_disabled_and_exdev_preserved() {
         let tiering = tiering(2);
         assert_eq!(tiering.migration, MigrationPolicy::Disabled, "so a cross-tier rename is EXDEV");
-        let tiering = tiering.migration(MigrationPolicy::Background);
-        assert_eq!(tiering.migration, MigrationPolicy::Background);
         tiering.validate();
     }
 

@@ -228,11 +228,11 @@ fn fast_tier_budget_evicts_the_coldest_resident() {
     cache.shutdown(&clock);
 }
 
-/// The background worker sweeps on its own virtual clock, which starts at
+/// `rebalance` accepts any caller's clock, including one that starts at
 /// zero and is unrelated to the app clocks that stamped the heat: decay
 /// must be measured against the mount's observed-time high-water mark, or
 /// a sweep on a lagging clock would compute `Δt = 0` forever and cooling
-/// would never demote (the `MigrationPolicy::Background` failure mode).
+/// would never demote.
 #[test]
 fn sweep_on_a_lagging_clock_still_sees_decay() {
     let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(10));
@@ -257,8 +257,8 @@ fn sweep_on_a_lagging_clock_still_sees_decay() {
     clock.advance(SimTime::from_secs(100));
     heat_up(&cache, "/later", 1, &clock);
 
-    // A sweep on a brand-new clock (now = 0, like the background worker's)
-    // must still see the 100 s of decay and demote the cooled file.
+    // A sweep on a brand-new clock (now = 0) must still see the 100 s of
+    // decay and demote the cooled file.
     let lagging = ActorClock::new();
     let report = cache.rebalance(&lagging).expect("lagging sweep");
     assert_eq!(report.files_demoted, 1, "decay must follow observed time, not the sweep clock");

@@ -150,10 +150,10 @@
 //! with a crash-safe copy → stamp → unlink protocol journaled in a
 //! persistent fd slot — a crash at any step recovers to exactly one
 //! authoritative copy. [`Tiering::migration`] picks the
-//! [`MigrationPolicy`]: explicit [`NvCache::rebalance`] /
-//! [`NvCache::migrate`] sweeps (`OnDemand`) or a background worker that
-//! re-homes misplaced files on its own (`Background`), driven by the
-//! router's placement (or the heat policy's), per-file access heat and the
+//! [`MigrationPolicy`]: under `OnDemand`, explicit [`NvCache::rebalance`]
+//! sweeps and [`NvCache::migrate`] moves, on the caller's clock; nothing
+//! migrates unless a caller asks. A sweep is driven by the router's
+//! placement (or the heat policy's), per-file access heat and the
 //! per-tier propagation load. A [`Mount::RecoverRepair`] mount re-homes
 //! every file recovery found misplaced before the cache comes up. A
 //! `rename` across tiers is `EXDEV` exactly when the policy is `Disabled`
@@ -286,7 +286,7 @@ pub use tiers::{LayeredTier, Tiering};
 // Re-exported so layered mounts can be assembled from `nvcache` alone.
 pub use vfs::{
     CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats, FaultLayer, FaultOp, FaultRule,
-    FaultTrigger, Layer, RamCacheLayer, RamCacheStats,
+    FaultTrigger, Layer,
 };
 
 /// Seeded-schedule stress point: under the `sched-stress` feature every

@@ -1,4 +1,4 @@
-//! The background tier migrator: moves whole files between the backends of
+//! The tier migrator: moves whole files between the backends of
 //! a tiered mount with a crash-safe **copy → stamp → unlink** protocol, so
 //! that placement is no longer fixed at open time (the ROADMAP's "tier
 //! rebalancing" item — NVLog-style transparent migration between tiers).
@@ -50,15 +50,14 @@
 //! file whose backend disagrees, draining the tier with the
 //! highest propagated-entry load first
 //! ([`NvCacheStats::per_backend_propagated`](crate::NvCacheStats)) and,
-//! within a tier, the hottest files first. With
-//! [`MigrationPolicy::Background`] a dedicated worker thread runs sweeps on
-//! its own virtual clock whenever closes or cleanup batches complete.
+//! within a tier, the hottest files first. Every sweep and every move runs
+//! on the clock of the caller that asked for it; nothing migrates by
+//! itself.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use nvmm::NvRegion;
 use parking_lot::{Condvar, Mutex};
@@ -79,11 +78,11 @@ use crate::tiers::Tiers;
 /// Set with [`Tiering::migration`](crate::Tiering::migration). It also
 /// decides what a `rename` across tiers does: `EXDEV` under `Disabled` —
 /// the mount may never move a file — and a journaled migrate-then-rename
-/// (`mv` semantics, not `rename(2)` atomicity) under the other two.
+/// (`mv` semantics, not `rename(2)` atomicity) under `OnDemand`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MigrationPolicy {
     /// No migration, ever — the PR-3 behavior. `rebalance`/`migrate` fail
-    /// with `EINVAL`; no worker thread is spawned. The default.
+    /// with `EINVAL`. The default.
     #[default]
     Disabled,
     /// Migration happens only when explicitly requested:
@@ -91,10 +90,6 @@ pub enum MigrationPolicy {
     /// [`NvCache::migrate`](crate::NvCache::migrate) single-file moves run
     /// inline on the caller's clock.
     OnDemand,
-    /// Everything `OnDemand` allows, plus a background worker thread that
-    /// re-homes misplaced closed files automatically whenever file closes or
-    /// cleanup batches complete.
-    Background,
 }
 
 /// Outcome of one rebalancing sweep
@@ -303,13 +298,9 @@ impl Catalog {
     }
 }
 
-/// The migrator's shared state: the catalog of migratable (closed) files,
-/// the [`MigrationGate`], the background worker's wakeup channel and its
-/// virtual clock.
+/// The migrator's shared state: the catalog of migratable (closed) files
+/// and the [`MigrationGate`].
 pub(crate) struct Migrator {
-    /// The background worker's virtual clock (unused timeline under
-    /// `Disabled`/`OnDemand`).
-    pub clock: Arc<ActorClock>,
     pub gate: MigrationGate,
     /// path → placement + heat for files the mount has seen close (or
     /// recovery reported misplaced). Volatile by design: after a remount
@@ -326,18 +317,13 @@ pub(crate) struct Migrator {
     heat: Option<HeatPolicy>,
     /// The mount's router: where a file belongs when heat does not say.
     router: Arc<dyn Router>,
-    /// Set by [`Migrator::notify`]; the background worker only runs a
-    /// (catalog-cloning, sorting) sweep after taking it, so an idle mount
-    /// pays a flag check per condvar timeout instead of a full sweep.
-    work_pending: std::sync::atomic::AtomicBool,
-    work_lock: Mutex<()>,
-    work_cv: Condvar,
     /// High-water mark (nanoseconds) of the virtual time observed on any
-    /// heat touch. Per-actor clocks advance independently — in particular
-    /// the background worker's own clock starts at zero — so temperature
-    /// decay is always measured against `max(caller clock, this mark)`:
-    /// without it a background sweep would compute `Δt = 0` against every
-    /// app-side stamp and [`HeatPolicy`] cooling would never demote.
+    /// heat touch. Per-actor clocks advance independently, and `rebalance`
+    /// accepts any caller's clock — one that lags the actors that heated
+    /// the files included — so temperature decay is always measured
+    /// against `max(caller clock, this mark)`: without it a sweep on a
+    /// lagging clock would compute `Δt = 0` against every app-side stamp
+    /// and [`HeatPolicy`] cooling would never demote.
     time_high_water: std::sync::atomic::AtomicU64,
     /// The mount's shared lock-order recorder (inert unless `pmcheck`).
     pub lockcheck: Recorder,
@@ -351,17 +337,11 @@ impl Migrator {
         router: Arc<dyn Router>,
     ) -> Migrator {
         Migrator {
-            clock: Arc::new(ActorClock::new()),
             gate: MigrationGate::default(),
             catalog: Mutex::new(Catalog::default()),
             capacity: capacity.unwrap_or(usize::MAX),
             heat,
             router,
-            // Starts pending so a worker sweeps once on mount (recovery may
-            // have seeded misplaced files with no close to signal them).
-            work_pending: std::sync::atomic::AtomicBool::new(true),
-            work_lock: Mutex::new(()),
-            work_cv: Condvar::new(),
             time_high_water: std::sync::atomic::AtomicU64::new(0),
             lockcheck,
         }
@@ -383,26 +363,6 @@ impl Migrator {
     /// a sweep may decay against.
     pub fn observed_time(&self) -> simclock::SimTime {
         simclock::SimTime::from_nanos(self.time_high_water.load(Ordering::Relaxed))
-    }
-
-    /// Wakes the background worker (no-op when none is running).
-    pub fn notify(&self) {
-        self.work_pending.store(true, Ordering::Release);
-        let _g = self.work_lock.lock();
-        self.work_cv.notify_all();
-    }
-
-    /// Consumes the pending-work flag (background worker only).
-    pub fn take_work(&self) -> bool {
-        self.work_pending.swap(false, Ordering::AcqRel)
-    }
-
-    /// Parks the background worker for up to `timeout` (woken early by
-    /// [`Migrator::notify`] — including the one `abort` sends on
-    /// shutdown).
-    pub fn park(&self, timeout: Duration) {
-        let mut g = self.work_lock.lock();
-        self.work_cv.wait_for(&mut g, timeout);
     }
 
     /// Whether a catalogued entry is **pinned** — never evictable from a
@@ -650,7 +610,7 @@ pub(crate) fn migrate_bytes(
     assert!(from < backends.len() && to < backends.len(), "backend index out of range");
     // Legacy (v1/v2) slots hold up to 248 path bytes but a v3 journal slot
     // only 232: a file with such a path can be recovered, yet never
-    // journaled — an error, not a panic in the repair pass or the worker.
+    // journaled — an error, not a panic in the repair pass or a sweep.
     layout.check_path(to_path)?;
     // Open the source before anything else: a vanished source (stale
     // catalog entry, duplicate repair request) must fail the migration
@@ -902,8 +862,8 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
     let mut report = RebalanceReport::default();
     let Tiers { backends, router, heat, migrator, .. } = &shared.tiers;
     // Decay against the most advanced virtual instant any actor reported:
-    // the background worker's own clock starts at zero and would otherwise
-    // see Δt = 0 against every app-side heat stamp (no cooling, ever).
+    // a caller's clock that lags the actors who heated the files would
+    // otherwise see Δt = 0 against every heat stamp (no cooling, ever).
     let now = clock.now().max(migrator.observed_time());
     let files = migrator.entries();
     let targets: Vec<usize> = match heat {
@@ -926,8 +886,7 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
     // Snapshot the per-backend loads once: the comparator must not re-read
     // atomics the cleanup workers are bumping concurrently — values
     // changing mid-sort break the total-order contract and std's sort may
-    // panic, which on the background worker thread would kill migration
-    // silently and for good.
+    // panic.
     let loads: Vec<u64> = shared
         .stats
         .per_backend_propagated
@@ -969,47 +928,10 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
     Ok(report)
 }
 
-/// Body of the background migration worker
-/// ([`MigrationPolicy::Background`]): sweep whenever closes or cleanup
-/// batches signal new work, on the migrator's own virtual clock. Inner
-/// errors do not kill the worker — the affected file keeps its catalog
-/// entry and the sweep retries later.
-pub(crate) fn run_migrator(shared: Arc<Shared>) {
-    /// First retry delay after a failed sweep; doubles up to the cap.
-    const ERROR_BACKOFF_MIN: Duration = Duration::from_millis(10);
-    /// Retry-delay cap while sweeps keep hard-failing.
-    const ERROR_BACKOFF_MAX: Duration = Duration::from_secs(1);
-    let migrator = &shared.tiers.migrator;
-    let clock = Arc::clone(&migrator.clock);
-    let mut error_backoff = ERROR_BACKOFF_MIN;
-    loop {
-        if shared.kill.load(Ordering::Acquire) || shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        if !migrator.take_work() {
-            // Idle: cheap flag check per condvar timeout, no sweep.
-            migrator.park(Duration::from_millis(1));
-            continue;
-        }
-        match sweep(&shared, &clock) {
-            Ok(_) => error_backoff = ERROR_BACKOFF_MIN,
-            Err(_) => {
-                // take_work consumed the pending flag: re-arm it so the
-                // not-yet-migrated files are retried even on an otherwise
-                // idle mount (no further closes or cleanup batches to
-                // re-signal) — but back off exponentially, or a tier that
-                // keeps hard-failing would have this loop re-sorting the
-                // catalog and hammering the broken backend ~1000×/s.
-                migrator.notify();
-                migrator.park(error_backoff);
-                error_backoff = (error_backoff * 2).min(ERROR_BACKOFF_MAX);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use proptest::prelude::*;
     use simclock::SimTime;
 

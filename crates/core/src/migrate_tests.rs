@@ -360,7 +360,7 @@ fn recover_repair_rehomes_every_misplaced_file() {
 }
 
 #[test]
-fn background_policy_rehomes_misplaced_files_by_itself() {
+fn a_recovered_misplaced_file_goes_home_on_the_next_sweep() {
     let cfg = tiny_tiered_cfg();
     let clock = ActorClock::new();
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
@@ -376,29 +376,24 @@ fn background_policy_rehomes_misplaced_files_by_itself() {
     drop(cache);
     let restarted = Arc::new(dimm.crash_and_restart());
 
-    // Plain Recover (no repair pass): the misplaced file seeds the catalog
-    // and the background worker must re-home it on its own.
+    // Plain Recover (no repair pass): the misplaced file seeds the catalog,
+    // so the first sweep a caller asks for re-homes it.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
         .tiers(
             Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
-                .migration(MigrationPolicy::Background),
+                .migration(MigrationPolicy::OnDemand),
         )
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
         .expect("recovery");
     assert_eq!(recovered.recovery_report().unwrap().files_misplaced, 1);
-    for _ in 0..10_000 {
-        if recovered.stats().files_migrated.load(std::sync::atomic::Ordering::Relaxed) > 0 {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    assert_eq!(recovered.rebalance(&clock).expect("sweep").files_migrated, 1);
     assert_eq!(
         read_file(&hot, "/hot/auto", &clock).as_deref(),
         Some(b"self-healing".as_slice()),
-        "the background worker must move the file to its router tier"
+        "the sweep must move the file to its router tier"
     );
     assert_eq!(read_file(&legacy, "/hot/auto", &clock), None);
     recovered.shutdown(&clock);

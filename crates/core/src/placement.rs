@@ -9,8 +9,8 @@
 //! stays put), and an optional fast-tier byte budget demotes the coldest
 //! residents when the hot set outgrows the fast tier.
 //!
-//! That judgement is what the sweep ([`NvCache::rebalance`](crate::NvCache::rebalance),
-//! the background worker) works toward. It only decides *where* a file
+//! That judgement is what the sweep ([`NvCache::rebalance`](crate::NvCache::rebalance))
+//! works toward. It only decides *where* a file
 //! belongs — the journaled copy → stamp → unlink protocol of `migrate.rs`
 //! remains the only way a file actually moves, and open-time placement of
 //! *new* files stays with the router.

@@ -16,8 +16,7 @@
 //! [`NvCache::migrate`](crate::NvCache::migrate) moved it) is **misplaced**:
 //! `stat`/`unlink` still reach it by probing the recorded backend first,
 //! and the tier migrator — [`NvCache::rebalance`](crate::NvCache::rebalance)
-//! sweeps, the [`MigrationPolicy::Background`](crate::MigrationPolicy)
-//! worker, or a [`Mount::RecoverRepair`](crate::Mount) mount — re-homes it
+//! sweeps or a [`Mount::RecoverRepair`](crate::Mount) mount — re-homes it
 //! to where `route` says it belongs.
 
 /// Maps files to backend indices in a tiered

@@ -256,8 +256,8 @@ counter_table! {
         /// poisons the owning stripe; see
         /// [`NvCache::poisoned_stripes`](crate::NvCache::poisoned_stripes)).
         inner_io_errors,
-        /// Files moved between tiers by the migrator (background sweeps,
-        /// [`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
+        /// Files moved between tiers by the migrator
+        /// ([`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
         /// calls and cross-tier renames; recovery-repair moves are reported
         /// in
         /// [`RecoveryReport::files_repaired`](crate::RecoveryReport::files_repaired)

@@ -692,7 +692,7 @@ fn an_unlinked_file_is_never_catalogued() {
     // over `NotFound`.
     let cfg = NvCacheConfig { fd_slots: 64, ..NvCacheConfig::tiny() };
     let (c, _dimm, _cold, _hot, cache) = tiered_setup_with(cfg, Arc::new(MemFs::new()), |t| {
-        t.migration(crate::MigrationPolicy::Background).catalog_capacity(8)
+        t.migration(crate::MigrationPolicy::OnDemand).catalog_capacity(8)
     });
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     let db = cache.open("/hot/db", create, &c).unwrap();

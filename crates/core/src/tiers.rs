@@ -59,9 +59,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use simclock::{ActorClock, SimTime};
 use vfs::{Fd, FileSystem, IoError, IoResult, Layer, Metadata, OpenFlags};
 
@@ -152,8 +150,8 @@ impl Tiering {
     /// regardless of path, cold ones demoted back to the router baseline.
     ///
     /// Heat tracking and rebalance sweeps only run on a mount that may move
-    /// files: pair the policy with a [`MigrationPolicy`] other than
-    /// `Disabled`. Recovery judges `files_misplaced` and the
+    /// files: pair the policy with [`MigrationPolicy::OnDemand`].
+    /// Recovery judges `files_misplaced` and the
     /// `RecoverRepair` targets by the router either way; only on a mount
     /// that tracks heat does a persisted heat summary clearing the promote
     /// threshold keep a file off that list.
@@ -168,7 +166,7 @@ impl Tiering {
     ///     Arc::new(HashRouter::new(2)),
     ///     vec![Arc::new(MemFs::new()), Arc::new(MemFs::new())],
     /// )
-    /// .migration(MigrationPolicy::Background)
+    /// .migration(MigrationPolicy::OnDemand)
     /// .heat(HeatPolicy::new(
     ///     1,                        // promote onto backend 1
     ///     8.0,                      // promote at 8 units of heat
@@ -249,12 +247,12 @@ pub(crate) struct Tiers {
     /// bookkeeping — and with it the fd slots' heat stamps and recovery's
     /// reading of them — runs exactly when this is `Some`.
     pub heat: Option<HeatPolicy>,
-    /// Closed-file catalog, migration gate and the background worker's
-    /// clock; idle unless [`migrates`](Tiers::migrates).
+    /// Closed-file catalog and migration gate; idle unless
+    /// [`migrates`](Tiers::migrates).
     pub migrator: Migrator,
-    /// [`MigrationPolicy::Disabled`] on one tier, whatever was asked for.
-    policy: MigrationPolicy,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    /// Whether any file can ever move between tiers: never on one tier,
+    /// whatever was asked for.
+    migrates: bool,
 }
 
 impl Tiers {
@@ -285,11 +283,11 @@ impl Tiers {
             .into_iter()
             .map(|(layers, inner)| vfs::stack(&layers, inner))
             .collect::<IoResult<_>>()?;
-        let policy = if backends.len() > 1 { migration } else { MigrationPolicy::Disabled };
-        let heat = heat.filter(|_| policy != MigrationPolicy::Disabled);
+        let migrates = backends.len() > 1 && migration == MigrationPolicy::OnDemand;
+        let heat = heat.filter(|_| migrates);
         let migrator =
             Migrator::new(Recorder::new(), catalog_capacity, heat.clone(), Arc::clone(&router));
-        Ok(Tiers { backends, router, heat, migrator, policy, worker: Mutex::new(None) })
+        Ok(Tiers { backends, router, heat, migrator, migrates })
     }
 
     /// The fd-slot partitioning of this mount over `cfg`'s geometry.
@@ -320,7 +318,7 @@ impl Tiers {
     /// Whether any file can ever move between tiers. When `false` the
     /// migrator is bypassed entirely — no gate leases, no catalog growth.
     pub fn migrates(&self) -> bool {
-        self.policy != MigrationPolicy::Disabled
+        self.migrates
     }
 
     fn refuse_if_disabled(&self) -> IoResult<()> {
@@ -709,15 +707,6 @@ impl Tiers {
             temp: *file.temperature.lock(),
         };
         self.migrator.record_closed(&file.path, heat, stats);
-        self.drained();
-    }
-
-    /// Files become migratable only once fully drained: wakes the
-    /// background worker, if the mount runs one.
-    pub fn drained(&self) {
-        if self.policy == MigrationPolicy::Background {
-            self.migrator.notify();
-        }
     }
 
     /// Accounts one finished move of `bytes` from tier `from` to tier `to`,
@@ -746,7 +735,7 @@ impl Tiers {
         }
     }
 
-    /// Hands recovery's findings to the migrator, before any worker runs:
+    /// Hands recovery's findings to the migrator, before the mount comes up:
     /// the files found misplaced become migration candidates, and the
     /// persisted temperature summaries re-seed the catalog so the next sweep
     /// re-promotes the recovered hot set without a file being re-touched —
@@ -766,27 +755,6 @@ impl Tiers {
             self.migrator.observe_time(now);
             let warm = |(path, b, heat)| (path, b, Some(Temperature { heat, stamp: now }));
             self.migrator.seed(heat.into_iter().map(warm), stats);
-        }
-    }
-
-    /// Starts the background migration worker if the policy asks for one.
-    pub fn start_worker(&self, shared: &Arc<Shared>) {
-        if self.policy == MigrationPolicy::Background {
-            let shared = Arc::clone(shared);
-            let worker = std::thread::Builder::new()
-                .name("nvcache-migrator".into())
-                .spawn(move || crate::migrate::run_migrator(shared))
-                .expect("spawn migration worker");
-            *self.worker.lock() = Some(worker);
-        }
-    }
-
-    /// Wakes and joins the background worker (the mount's stop flags are
-    /// already set).
-    pub fn stop_worker(&self) {
-        self.migrator.notify();
-        if let Some(worker) = self.worker.lock().take() {
-            let _ = worker.join();
         }
     }
 }

@@ -13,23 +13,21 @@
 //!                │ Router picks a tier per file
 //!       ┌────────┴────────┐
 //!    tier 0            tier 1
-//!   CryptLayer        RamCacheLayer      ← outermost layer
+//!   CryptLayer        FaultLayer         ← outermost layer
 //!       │                 │
 //!   DelayLayer         Ext4+SSD          ← … down to the base backend
 //!       │
 //!    Ext4+SSD
 //! ```
 //!
-//! Four first-class layers ship with the crate:
+//! Three first-class layers ship with the crate:
 //!
 //! * [`DelayLayer`] — deterministic per-op virtual-time latency (device
 //!   parameterization, what-if modelling);
 //! * [`FaultLayer`] — deterministic fault schedules (op budgets, nth-op
 //!   triggers, path predicates) for chaos/crash testing;
 //! * [`CryptLayer`] — simulated-fidelity encryption-at-rest: per-page
-//!   XOR keystream plus a stored per-page auth tag, verified on read;
-//! * [`RamCacheLayer`] — a write-through DRAM page read-cache with
-//!   hit/miss statistics.
+//!   XOR keystream plus a stored per-page auth tag, verified on read.
 //!
 //! # The inertness contract
 //!
@@ -49,13 +47,11 @@
 //! that built a stack can `arm()`/`disarm()` faults mid-run and report
 //! [`faults_injected`](FaultLayer::faults_injected) — the wrapper shares
 //! its state. One layer value should wrap one stack; wrapping several
-//! stacks with the same handle shares counters (and, for
-//! [`RamCacheLayer`], the cache itself) across them.
+//! stacks with the same handle shares its counters across them.
 
 mod crypt;
 mod delay;
 mod fault;
-mod ramcache;
 
 use std::sync::Arc;
 
@@ -64,7 +60,6 @@ use crate::{FileSystem, IoError, IoResult};
 pub use crypt::{CryptLayer, CryptStats};
 pub use delay::{DelayLayer, DelayProfile, DelayStats};
 pub use fault::{FaultLayer, FaultOp, FaultRule, FaultTrigger};
-pub use ramcache::{RamCacheLayer, RamCacheStats};
 
 /// Deepest supported layer stack per tier. Stacks are hand-assembled and
 /// shallow in practice; the bound exists to catch accidentally cyclic or
@@ -160,7 +155,6 @@ mod tests {
             Arc::new(DelayLayer::inert()),
             Arc::new(FaultLayer::inert()),
             Arc::new(CryptLayer::passthrough()),
-            Arc::new(RamCacheLayer::inert()),
         ];
         for layer in &layers {
             check_posix_semantics(layer.wrap(Arc::new(MemFs::new())).as_ref());
@@ -174,7 +168,6 @@ mod tests {
         let layers: Vec<Arc<dyn Layer>> = vec![
             Arc::new(DelayLayer::fixed(simclock::SimTime::from_micros(3))),
             Arc::new(CryptLayer::new(0xC0FFEE)),
-            Arc::new(RamCacheLayer::new(8)),
         ];
         for layer in &layers {
             check_posix_semantics(layer.wrap(Arc::new(MemFs::new())).as_ref());

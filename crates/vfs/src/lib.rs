@@ -59,8 +59,7 @@ pub use flags::{Metadata, OpenFlags};
 pub use fs::{Fd, FileSystem};
 pub use layer::{
     stack, validate_stack, CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats,
-    FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer, RamCacheLayer, RamCacheStats,
-    MAX_STACK_DEPTH,
+    FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer, MAX_STACK_DEPTH,
 };
 pub use memfs::MemFs;
 pub use nova::{NovaFs, NovaProfile};

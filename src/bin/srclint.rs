@@ -13,6 +13,10 @@
 //!   a lock-free structure saves host time only, and every number these
 //!   crates report is virtual time — one would have to argue its way in
 //!   through a reviewed change to this rule;
+//! * **deny host-clock timeouts** (`.wait_for(`, `Duration::from_`): a
+//!   timeout decides an interleaving by the host's clock, not the model's;
+//!   the reviewed allowlist holds the polls still waiting for exact
+//!   notifications and may only shrink;
 //! * **deny `unwrap()`/`expect()`** outside the reviewed allowlist below.
 //!
 //! The rules apply to non-test code only — `#[cfg(test)] mod … { … }`
@@ -44,6 +48,16 @@ const LEASE_FILES: &[&str] = &["core/src/migrate.rs", "core/src/tiers.rs"];
 /// which buy host time and no virtual time.
 const CAS_CALLS: &[&str] = &["compare_exchange", "fetch_update"];
 
+/// Host-clock timeouts, and the reviewed `(file suffix, line needle)` sites
+/// that may still spell one: the stripe's 1 ms polls for cleanup work and
+/// for log space. Entries leave this list; none join it.
+const HOST_TIMEOUTS: &[&str] = &[".wait_for(", "Duration::from_"];
+const ALLOW_TIMEOUT: &[(&str, &str)] = &[
+    ("core/src/log.rs", "self.work_cv.wait_for("),
+    ("core/src/log.rs", "self.space_cv.wait_for("),
+    ("core/src/log.rs", "stripe.space_cv.wait_for("),
+];
+
 /// Reviewed `(file suffix, line needle)` pairs where `unwrap()`/`expect()`
 /// in non-test code is deliberate: each one documents an invariant whose
 /// violation is a bug in *this* workspace, not a recoverable condition.
@@ -56,7 +70,6 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
     ("core/src/cache.rs", "one page per miss"),
     // Thread spawning: no meaningful recovery from a failed spawn at mount.
     ("core/src/cache.rs", "spawn cleanup worker"),
-    ("core/src/tiers.rs", "spawn migration worker"),
     // Fixed-width header/field decoding: the slices are always 4/8 bytes.
     ("core/src/log.rs", ".try_into().expect("),
     // Crash simulation requires the durable mirror the profile enabled.
@@ -74,11 +87,11 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 ];
 
 /// Code-line ceilings of `srclint --loc`, by crate under `crates/`: the
-/// figure the crate's last simplification reached, rounded up to the next
-/// 50, so that what a simplification removed does not grow back unnoticed.
-/// Raising a ceiling is a reviewed one-line diff here, by no more than what
-/// a measured change had to add.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 5065), ("vfs", 2800)];
+/// figure the crate's last simplification reached, so that what a
+/// simplification removed does not grow back unnoticed. Raising a ceiling
+/// is a reviewed one-line diff here, by no more than what a measured change
+/// had to add.
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4991), ("vfs", 2539)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
@@ -205,6 +218,16 @@ fn scan_file(root: &Path, path: &Path, violations: &mut Vec<String>) {
                      does the same in virtual time)"
                 ));
             }
+        }
+        let timeout = HOST_TIMEOUTS.iter().any(|t| line.contains(t));
+        let allowed = ALLOW_TIMEOUT
+            .iter()
+            .any(|(file, needle)| rel.ends_with(file) && line.contains(needle));
+        if timeout && !allowed {
+            violations.push(format!(
+                "{rel}:{lineno}: host-clock timeout in virtual-time code (wait for an exact \
+                 notification instead)"
+            ));
         }
         for call in LEASE_CALLS {
             if line.contains(call) && !LEASE_FILES.iter().any(|file| rel.ends_with(file)) {

@@ -1,11 +1,13 @@
 //! Catalog churn stress: multi-threaded close/reopen churn over ~10^5
-//! distinct paths against a *small* bounded migrator catalog while the
-//! `Background` worker re-homes misplaced files underneath. The run must
-//! finish (no deadlock between closes, the catalog lock and the worker),
-//! keep the resident set within `capacity + pinned`, and lose **zero**
-//! misplaced files to eviction — every file parked on the wrong tier is
-//! back on its routed tier after the final sweep.
+//! distinct paths against a *small* bounded migrator catalog while a
+//! sweeper thread re-homes misplaced files underneath with back-to-back
+//! `rebalance` calls. The run must finish (no deadlock between closes, the
+//! catalog lock and the sweeps), keep the resident set within
+//! `capacity + pinned`, and lose **zero** misplaced files to eviction —
+//! every file parked on the wrong tier is back on its routed tier after the
+//! final sweep.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::{MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
@@ -62,7 +64,7 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         NvCache::builder(NvRegion::whole(dimm))
             .tiers(
                 Tiering::new(router, vec![Arc::clone(&tier0), Arc::clone(&tier1)])
-                    .migration(MigrationPolicy::Background)
+                    .migration(MigrationPolicy::OnDemand)
                     .catalog_capacity(CAPACITY),
             )
             .config(cfg)
@@ -112,9 +114,9 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         }));
     }
     // One thread keeps shoving the victim set onto the wrong tier while
-    // the background worker pulls in the other direction. Races with an
-    // in-flight re-home are expected — the move may bounce with EBUSY —
-    // but a *lost* file is not.
+    // the sweeper pulls in the other direction. Races with an in-flight
+    // re-home are expected — the move may bounce with EBUSY — but a *lost*
+    // file is not.
     {
         let cache = Arc::clone(&cache);
         handles.push(std::thread::spawn(move || {
@@ -130,13 +132,30 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
             }
         }));
     }
+    // Live sweeps race the closes, the admissions and the wrong-way moves
+    // on the bounded catalog until the churn is over.
+    let done = Arc::new(AtomicBool::new(false));
+    let sweeper = {
+        let (cache, done) = (Arc::clone(&cache), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let clock = ActorClock::new();
+            loop {
+                cache.rebalance(&clock).expect("live sweep");
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+            }
+        })
+    };
     for h in handles {
         h.join().unwrap();
     }
+    done.store(true, Ordering::Release);
+    sweeper.join().unwrap();
 
     cache.flush_log(&clock);
     assert_eq!(cache.pending_entries(), 0, "drain barrier left entries behind");
-    // Final sweep: whatever the background worker had not re-homed yet
+    // Final sweep: whatever the live sweeps had not re-homed yet
     // goes home now. Run twice — the first sweep may race the last
     // wrong-way migration's catalog stamp.
     cache.rebalance(&clock).expect("final sweep");
