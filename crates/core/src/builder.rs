@@ -58,12 +58,11 @@ pub enum Mount {
     Format,
     /// Run the recovery procedure on a previously formatted region — replay
     /// committed entries to their recorded backends, sync, empty the log —
-    /// then mount. Recovering a legacy (single-backend) image into a
-    /// multi-backend stack migrates it: the router places each reopened
-    /// file, and the header is stamped v3 afterwards. Interrupted tier
-    /// migrations are always repaired from their journal slots; files found
-    /// *misplaced* (recovered backend ≠ current router placement) are only
-    /// counted, not moved.
+    /// then mount. An image may be recovered over more backends than it
+    /// was written under, never fewer; every file replays to the backend
+    /// its fd slot records. Interrupted tier migrations are always repaired
+    /// from their journal slots; files found *misplaced* (recovered backend
+    /// ≠ current router placement) are only counted, not moved.
     Recover,
     /// [`Mount::Recover`], plus a **repair pass**: after the replay is
     /// durable, every misplaced file is re-homed to the router's current
@@ -193,18 +192,17 @@ impl NvCacheBuilder {
         };
         let tiers = Tiers::mount(tiering)?;
         cfg.validate();
-        let lay = tiers.layout(&cfg);
+        let lay = Layout::for_config(&cfg);
+        let backends = tiers.backends.len() as u64;
         let recovered = match mode {
             Mount::Format => {
-                format_region(&region, &lay, clock)?;
+                format_region(&region, &lay, backends, clock)?;
                 None
             }
-            // Recovery stamps the (possibly migrated) backend count itself
-            // — before its repair pass, whose journal slots need the v3
-            // header to be parseable after a crash mid-repair.
+            // Recovery stamps the grown backend count itself.
             Mount::Recover | Mount::RecoverRepair => {
                 let image = Header::read(&region, clock)?;
-                image.check(&lay)?;
+                image.check(&lay, backends)?;
                 let repair = mode == Mount::RecoverRepair;
                 let replay = crate::recovery::replay_planned;
                 Some(crate::recovery::recover(&region, &image, &tiers, repair, clock, replay)?)
@@ -217,7 +215,12 @@ impl NvCacheBuilder {
 /// Writes a fresh log image (header, invalid fd slots, free entries) —
 /// the paper's `format` step. A `log_shards = 1`, single-backend format is
 /// byte-for-byte identical to the seed image.
-fn format_region(region: &NvRegion, lay: &Layout, clock: &ActorClock) -> IoResult<()> {
+fn format_region(
+    region: &NvRegion,
+    lay: &Layout,
+    backends: u64,
+    clock: &ActorClock,
+) -> IoResult<()> {
     if region.len() < lay.total_bytes() {
         return Err(IoError::InvalidArgument(format!(
             "region of {} bytes cannot hold the configured log ({} bytes)",
@@ -225,7 +228,7 @@ fn format_region(region: &NvRegion, lay: &Layout, clock: &ActorClock) -> IoResul
             lay.total_bytes()
         )));
     }
-    Header::format(region, lay, clock);
+    Header::format(region, lay, backends, clock);
     for slot in 0..lay.fd_slots as u32 {
         let base = lay.fd_slot(slot);
         region.write_u64(base, 0, clock);

@@ -17,7 +17,7 @@ use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
 use crate::builder::NvCacheBuilder;
 use crate::config::{copy_bandwidth, LIBC_OVERHEAD, PAGE_SIZE};
 use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentFdTable};
-use crate::layout;
+use crate::layout::{self, Layout};
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::{EntryHeader, Log, Stripe};
 use crate::pagedesc::{PageDescriptor, PageSlot};
@@ -927,9 +927,9 @@ impl NvCache {
         let mut cleanup_clocks = Vec::with_capacity(cfg.log_shards);
         cleanup_clocks.resize_with(cfg.log_shards, || Arc::new(ActorClock::new()));
         let lockcheck = tiers.migrator.lockcheck.clone();
-        let lay = tiers.layout(&cfg);
+        let lay = Layout::for_config(&cfg);
         let stats =
-            NvCacheStats::with_front_end(cfg.log_shards, lay.backends as usize, cfg.sq_pairs);
+            NvCacheStats::with_front_end(cfg.log_shards, tiers.backends.len(), cfg.sq_pairs);
         let name = tiers.name();
         let recovery = recovered.map(|(report, misplaced, heat)| {
             tiers.seed(misplaced, heat, clock.now(), &stats);
@@ -1336,7 +1336,7 @@ impl FileSystem for NvCache {
         clock.advance(LIBC_OVERHEAD);
         let path = vfs::normalize_path(path);
         // Before anything is created, any slot taken or any lease held.
-        self.shared.log.layout.check_path(&path)?;
+        layout::check_path(&path)?;
         // A file mid-migration must not be opened (the copy is incomplete
         // on the target tier): hold the path's lease for the whole open.
         let _lease = self.shared.tiers.lease(&path);

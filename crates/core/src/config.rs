@@ -325,7 +325,11 @@ mod tests {
     fn default_is_single_backend() {
         // The configuration has no backend count: it sizes the region for
         // any number of tiers, and the mount's `Tiering` brings them.
-        assert_eq!(crate::layout::Layout::for_config(&NvCacheConfig::default()).backends, 1);
+        let cfg = NvCacheConfig::default();
+        assert_eq!(
+            cfg.required_nvmm_bytes(),
+            crate::layout::Layout::for_config(&cfg).total_bytes()
+        );
         let tiering = tiering(3);
         assert_eq!(tiering.tiers.len(), 3);
         tiering.validate();

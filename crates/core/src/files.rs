@@ -1,19 +1,18 @@
 //! File bookkeeping: the volatile per-file and per-descriptor structures
 //! (paper §III "Open") plus [`PersistentFdTable`], the NVMM table mapping
-//! fd slots to paths — and, on a tiered (header v3) mount, to the backend
-//! that owns the file — so recovery can reopen the files referenced by
-//! pending log entries on the right inner file system.
+//! fd slots to paths and to the backend that owns each file, so recovery
+//! can reopen the files referenced by pending log entries on the right
+//! inner file system.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use nvmm::{NvRegion, PmemInts};
+use nvmm::NvRegion;
 use parking_lot::{Mutex, RwLock};
 use simclock::ActorClock;
 
 use crate::layout::{
-    heat_word, parse_heat_word, word_at, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_SLOT_BYTES,
-    FD_VALID_OPEN,
+    word_at, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_PATH_OFF, FD_SLOT_BYTES, PATH_MAX,
 };
 use crate::placement::Temperature;
 use crate::Radix;
@@ -172,33 +171,39 @@ impl FdSlotAllocator {
 
 /// Accessors for the persistent fd table (paper §II-B: "NVCache stores in
 /// NVMM a table that associates the file path to each file descriptor, in
-/// order to retrieve the state after a crash"). On a tiered mount (layout
-/// v3) each slot additionally records the backend index, so a crash cannot
-/// silently re-route a file's pending writes to a different tier, and ends
-/// in the file's heat word.
+/// order to retrieve the state after a crash"). Each slot also records the
+/// backend index, so a crash cannot silently re-route a file's pending
+/// writes to a different tier, and ends in the file's heat word.
 pub(crate) struct PersistentFdTable;
 
 /// A valid fd slot as [`PersistentFdTable::get`] reads it back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FdSlot {
     pub path: String,
-    /// Backend holding the file (`0` on a single-backend layout).
+    /// Backend holding the file (`0` on a single-backend mount).
     pub backend: u32,
-    /// The quantized temperature last stamped into the slot; `None` when
-    /// never stamped, and on a single-backend layout.
-    pub heat: Option<u16>,
+    /// The quantized temperature last stamped into the slot; `0` when cold
+    /// or never stamped.
+    pub heat: u16,
+}
+
+/// Bytes of the slot after its valid word: path, backend word, heat word.
+const PAYLOAD: usize = (FD_SLOT_BYTES - FD_PATH_OFF) as usize;
+
+/// Offset of the slot word at `off` within the payload.
+const fn in_payload(off: u64) -> usize {
+    (off - FD_PATH_OFF) as usize
 }
 
 impl PersistentFdTable {
-    /// Persists `path` (and, on a tiered layout, `backend` and a zeroed heat
-    /// word) into `slot` under the valid word `valid` —
-    /// [`FD_VALID_OPEN`] for an open file,
+    /// Persists `path`, `backend` and a zeroed heat word into `slot` under
+    /// the valid word `valid` — [`FD_VALID_OPEN`](crate::layout::FD_VALID_OPEN)
+    /// for an open file,
     /// [`FD_VALID_MIGRATION`](crate::layout::FD_VALID_MIGRATION) for a
-    /// migration journal (`core/src/migrate.rs`). Two ordered phases:
-    /// payload (backend word, then path and heat word as one write to the
-    /// slot's end) written, flushed and **fenced first**, then the valid
-    /// word published with a [`commit_store`](NvRegion::commit_store) and
-    /// fenced. The slot must be durable before any entry referencing it
+    /// migration journal (`core/src/migrate.rs`). Two ordered phases: the
+    /// payload written as one write, flushed and **fenced first**, then the
+    /// valid word published with a [`commit_store`](NvRegion::commit_store)
+    /// and fenced. The slot must be durable before any entry referencing it
     /// commits — and the valid word must never be able to reach the media
     /// *before* the path it validates. (A single fence over the whole slot
     /// was not enough: cache eviction may persist the valid word's line on
@@ -208,9 +213,7 @@ impl PersistentFdTable {
     ///
     /// # Panics
     ///
-    /// Panics if the path exceeds [`Layout::path_max`], or if a legacy
-    /// (single-backend) layout is asked for a non-zero `backend` or a
-    /// journal, which it has nowhere to store.
+    /// Panics if the path exceeds [`PATH_MAX`].
     pub fn set(
         region: &NvRegion,
         layout: &Layout,
@@ -221,27 +224,22 @@ impl PersistentFdTable {
         clock: &ActorClock,
     ) {
         let bytes = path.as_bytes();
-        assert!(bytes.len() <= layout.path_max(), "path longer than PATH_MAX: {path}");
-        assert!(
-            layout.tiered() || (backend == 0 && valid == FD_VALID_OPEN),
-            "legacy fd slots cannot record a backend index or a journal"
-        );
+        assert!(bytes.len() <= PATH_MAX, "path longer than PATH_MAX: {path}");
         let base = layout.fd_slot(slot);
-        let mut tail = vec![0u8; (FD_SLOT_BYTES - layout.fd_path_off()) as usize];
-        tail[..bytes.len()].copy_from_slice(bytes);
-        if layout.tiered() {
-            region.write_u64(base + FD_BACKEND_OFF, backend as u64, clock);
-        }
-        region.write(base + layout.fd_path_off(), &tail, clock);
-        region.pwb(base + FD_BACKEND_OFF, FD_SLOT_BYTES as usize - FD_BACKEND_OFF as usize);
+        let mut payload = [0u8; PAYLOAD];
+        payload[..bytes.len()].copy_from_slice(bytes);
+        let at = in_payload(FD_BACKEND_OFF);
+        payload[at..at + 8].copy_from_slice(&u64::from(backend).to_le_bytes());
+        region.write(base + FD_PATH_OFF, &payload, clock);
+        region.pwb(base + FD_PATH_OFF, payload.len());
         region.persist_fence(clock);
         region.commit_store(base, valid, clock);
         region.persist_fence(clock);
     }
 
     /// Reads `slot` back if its valid word is `valid`. Charged reads
-    /// (recovery runs with a cold CPU cache): the valid word, the backend
-    /// word, then path and heat word in one read.
+    /// (recovery runs with a cold CPU cache): the valid word, then the rest
+    /// of the slot in one read.
     pub fn get(
         region: &NvRegion,
         layout: &Layout,
@@ -255,20 +253,14 @@ impl PersistentFdTable {
         if u64::from_le_bytes(word) != valid {
             return None;
         }
-        let backend = if layout.tiered() {
-            region.read(base + FD_BACKEND_OFF, &mut word, clock);
-            u64::from_le_bytes(word) as u32
-        } else {
-            0
-        };
-        let mut tail = vec![0u8; (FD_SLOT_BYTES - layout.fd_path_off()) as usize];
-        region.read(base + layout.fd_path_off(), &mut tail, clock);
-        let (path, heat) = tail.split_at(layout.path_max());
-        let end = path.iter().position(|&b| b == 0).unwrap_or(path.len());
+        let mut payload = [0u8; PAYLOAD];
+        region.read(base + FD_PATH_OFF, &mut payload, clock);
+        let path = &payload[..PATH_MAX];
+        let end = path.iter().position(|&b| b == 0).unwrap_or(PATH_MAX);
         Some(FdSlot {
             path: String::from_utf8_lossy(&path[..end]).into_owned(),
-            backend,
-            heat: layout.tiered().then(|| parse_heat_word(word_at(heat, 0))).flatten(),
+            backend: word_at(&payload, in_payload(FD_BACKEND_OFF)) as u32,
+            heat: word_at(&payload, in_payload(FD_HEAT_OFF)) as u16,
         })
     }
 
@@ -283,26 +275,19 @@ impl PersistentFdTable {
         backend: u32,
         clock: &ActorClock,
     ) {
-        assert!(layout.tiered(), "backend stamps need the v3 (tiered) slot layout");
         let base = layout.fd_slot(slot);
         region.commit_store(base + FD_BACKEND_OFF, backend as u64, clock);
         region.persist_fence(clock);
     }
 
-    /// Stamps the packed temperature summary of an open slot: one aligned
-    /// 8-byte [`commit_store`](NvRegion::commit_store) plus fence into the
-    /// slot's heat word. Crash-atomic on its own — the summary is advisory
-    /// (recovery treats a missing or half-stale word as cold), so it needs
-    /// no two-phase protocol, just the guarantee that a torn write can never
-    /// be parsed (the packed epoch provides it).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-backend layout, whose slots have no heat word.
+    /// Stamps the quantized temperature of an open slot: one aligned 8-byte
+    /// [`commit_store`](NvRegion::commit_store) plus fence into the slot's
+    /// heat word, which holds the quantized heat itself. Crash-atomic on its
+    /// own — an 8-byte store cannot tear, and the summary is advisory (an
+    /// unstamped `0` reads as cold) — so it needs no two-phase protocol.
     pub fn set_heat(region: &NvRegion, layout: &Layout, slot: u32, qheat: u16, clock: &ActorClock) {
-        assert!(layout.tiered(), "heat stamps need the v3 (tiered) slot layout");
         let base = layout.fd_slot(slot);
-        region.commit_store(base + FD_HEAT_OFF, heat_word(qheat), clock);
+        region.commit_store(base + FD_HEAT_OFF, qheat as u64, clock);
         region.persist_fence(clock);
     }
 
@@ -330,19 +315,14 @@ impl PersistentFdTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{FD_VALID_MIGRATION, PATH_MAX};
+    use crate::layout::{FD_VALID_MIGRATION, FD_VALID_OPEN};
     use crate::NvCacheConfig;
     use nvmm::{NvDimm, NvmmProfile};
 
-    /// A region laid out for a mount over `backends` tiers.
-    fn setup_with(backends: u64) -> (ActorClock, NvRegion, Layout) {
-        let layout = Layout { backends, ..Layout::for_config(&NvCacheConfig::tiny()) };
+    fn setup() -> (ActorClock, NvRegion, Layout) {
+        let layout = Layout::for_config(&NvCacheConfig::tiny());
         let dimm = Arc::new(NvDimm::new(layout.total_bytes(), NvmmProfile::instant()));
         (ActorClock::new(), NvRegion::whole(dimm), layout)
-    }
-
-    fn setup() -> (ActorClock, NvRegion, Layout) {
-        setup_with(1)
     }
 
     /// Records an open file in `slot`.
@@ -380,7 +360,7 @@ mod tests {
 
     #[test]
     fn tiered_slots_round_trip_the_backend_index() {
-        let (_, region, layout) = setup_with(4);
+        let (_, region, layout) = setup();
         set(&region, &layout, 2, "/hot/wal", 3);
         set(&region, &layout, 5, "/cold/blob", 0);
         assert_eq!(get_path(&region, &layout, 2), Some(("/hot/wal".into(), 3)));
@@ -389,12 +369,12 @@ mod tests {
 
     #[test]
     fn a_journal_slot_reads_back_only_as_a_journal() {
-        let (c, region, layout) = setup_with(2);
+        let (c, region, layout) = setup();
         PersistentFdTable::set(&region, &layout, 1, FD_VALID_MIGRATION, "/moving", 1, &c);
         assert_eq!(get(&region, &layout, 1), None, "not an open file");
         let journal = PersistentFdTable::get(&region, &layout, 1, FD_VALID_MIGRATION, &c);
         let journal = journal.expect("journal");
-        assert_eq!((journal.path.as_str(), journal.backend, journal.heat), ("/moving", 1, None));
+        assert_eq!((journal.path.as_str(), journal.backend, journal.heat), ("/moving", 1, 0));
     }
 
     #[test]
@@ -408,50 +388,43 @@ mod tests {
 
     #[test]
     fn heat_word_round_trips_and_resets_on_slot_reuse() {
-        let (c, region, layout) = setup_with(2);
+        let (c, region, layout) = setup();
         set(&region, &layout, 1, "/hot/a", 1);
-        // Unstamped slot: no summary, not a zero-heat one.
-        assert_eq!(get(&region, &layout, 1).unwrap().heat, None);
+        // An unstamped slot reads as cold.
+        assert_eq!(get(&region, &layout, 1).unwrap().heat, 0);
         PersistentFdTable::set_heat(&region, &layout, 1, 777, &c);
-        assert_eq!(get(&region, &layout, 1).unwrap().heat, Some(777));
+        assert_eq!(get(&region, &layout, 1).unwrap().heat, 777);
         // The path bytes are untouched by the stamp.
         assert_eq!(get_path(&region, &layout, 1), Some(("/hot/a".into(), 1)));
         // Reusing the slot for another file must not inherit the summary.
         PersistentFdTable::clear(&region, &layout, 1, &c);
         set(&region, &layout, 1, "/bulk/b", 0);
-        assert_eq!(get(&region, &layout, 1).unwrap().heat, None);
+        assert_eq!(get(&region, &layout, 1).unwrap().heat, 0);
     }
 
     #[test]
     fn heat_word_survives_crash() {
-        let (c, region, layout) = setup_with(2);
+        let (c, region, layout) = setup();
         set(&region, &layout, 0, "/hot/wal", 1);
         PersistentFdTable::set_heat(&region, &layout, 0, 4321, &c);
         let crashed = region.dimm().crash_and_restart();
         let region2 = NvRegion::whole(Arc::new(crashed));
         let slot = get(&region2, &layout, 0).unwrap();
-        assert_eq!((slot.path.as_str(), slot.backend, slot.heat), ("/hot/wal", 1, Some(4321)));
+        assert_eq!((slot.path.as_str(), slot.backend, slot.heat), ("/hot/wal", 1, 4321));
     }
 
     #[test]
     fn heat_layout_shrinks_the_path_budget() {
-        let (c, region, layout) = setup_with(2);
-        let fits = format!("/{}", "x".repeat(layout.path_max() - 1));
+        let (c, region, layout) = setup();
+        let fits = format!("/{}", "x".repeat(PATH_MAX - 1));
         set(&region, &layout, 0, &fits, 0);
         PersistentFdTable::set_heat(&region, &layout, 0, u16::MAX, &c);
         assert_eq!(get(&region, &layout, 0).map(|s| s.path), Some(fits));
     }
 
     #[test]
-    #[should_panic(expected = "tiered")]
-    fn heat_stamp_on_single_backend_layout_panics() {
-        let (c, region, layout) = setup();
-        PersistentFdTable::set_heat(&region, &layout, 0, 1, &c);
-    }
-
-    #[test]
     fn tiered_backend_word_survives_crash() {
-        let (_, region, layout) = setup_with(2);
+        let (_, region, layout) = setup();
         set(&region, &layout, 1, "/tiered", 1);
         let crashed = region.dimm().crash_and_restart();
         let region2 = NvRegion::whole(Arc::new(crashed));
@@ -464,13 +437,6 @@ mod tests {
         let (_, region, layout) = setup();
         let long = "x".repeat(PATH_MAX + 1);
         set(&region, &layout, 0, &long, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "legacy fd slots")]
-    fn backend_on_legacy_layout_panics() {
-        let (_, region, layout) = setup();
-        set(&region, &layout, 0, "/x", 1);
     }
 
     #[test]

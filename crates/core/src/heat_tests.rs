@@ -407,8 +407,8 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
 /// recovery seeds nothing.
 #[test]
 fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
-    let lay = Layout { backends: 2, ..Layout::for_config(&parked_cfg()) };
-    let heat_words = |dimm: &NvDimm| -> Vec<u64> {
+    let lay = Layout::for_config(&parked_cfg());
+    let heat_stamps = |dimm: &NvDimm| -> Vec<u64> {
         let mut word = [0u8; 8];
         (0..lay.fd_slots as u32)
             .map(|slot| {
@@ -441,12 +441,12 @@ fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
         cache.flush_log(&clock);
         cache.close(closed, &clock).unwrap();
         cache.pwrite(kept, &[8; 64], 0, &clock).unwrap();
-        assert!(heat_words(&dimm).iter().all(|&w| w == 0), "{what}: stamped while mounted");
+        assert!(heat_stamps(&dimm).iter().all(|&w| w == 0), "{what}: stamped while mounted");
         cache.abort();
         drop(cache);
 
         let dimm = Arc::new(dimm.crash_and_restart());
-        assert!(heat_words(&dimm).iter().all(|&w| w == 0), "{what}: stamped in the image");
+        assert!(heat_stamps(&dimm).iter().all(|&w| w == 0), "{what}: stamped in the image");
         let cache = mount(tiering, &dimm, Mount::Recover, &clock);
         assert_eq!(cache.recovery_report().unwrap().files_reopened, 1, "{what}");
         assert_eq!(cache.catalog_resident(), 0, "{what}: recovery seeded the catalog");

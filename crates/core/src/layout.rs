@@ -12,38 +12,43 @@
 //! +-----------+----------------------+--------------------------------+
 //! ```
 //!
-//! # Header versioning
+//! # Header count words
 //!
-//! The header is versioned implicitly through two count words, each never
-//! written by the formats that predate it — so `0` reads as one:
+//! The header carries two count words, each never written by the seed
+//! format — so `0` reads as one, and a single-stripe, single-backend header
+//! is the seed's byte for byte:
 //!
-//! * **v1 (seed format)** — the word at [`OFF_LOG_SHARDS`] is `0`. One
-//!   circular log over the whole entry array, with its single persistent
-//!   tail at [`OFF_PTAIL`]. A region formatted with `log_shards = 1` is
-//!   byte-for-byte identical to the seed format.
-//! * **v2 (striped)** — the word at [`OFF_LOG_SHARDS`] holds `N > 1`. The
-//!   entry array is split into `N` equal contiguous stripes; stripe `s` owns
-//!   entries `[s·(nb_entries/N), (s+1)·(nb_entries/N))` and persists its own
-//!   tail at [`OFF_STRIPE_TAILS`]` + 8·s`. Every entry additionally carries a
-//!   globally monotonic sequence number ([`ENT_SEQ`]) so recovery can
-//!   merge-replay committed entries from all stripes in total order.
-//! * **v3 (tiered)** — the word at [`OFF_BACKENDS`] holds `B > 1`: the mount
-//!   propagates to `B` inner backends selected by a
-//!   [`Router`](crate::Router). The fd slot shape follows from this word
-//!   alone. A single-backend slot is the seed's: valid word, then
-//!   [`PATH_MAX`] path bytes. A tiered slot is valid word, backend word
-//!   ([`FD_BACKEND_OFF`]), [`PATH_MAX_V3`] path bytes ([`FD_PATH_OFF_V3`])
-//!   and the heat word ([`FD_HEAT_OFF`]). The backend word lets recovery
-//!   replay every pending entry to the backend that acknowledged it — the
-//!   router is *not* re-consulted. The heat word is the file's quantized
-//!   temperature ([`heat_word`]) on a mount whose placement reads heat, and
-//!   zero on every other. A v1/v2 image recovered over several backends
-//!   migrates forward: its slots are re-routed by path and the backends
-//!   word is stamped afterwards. Orthogonal to v2, and the region does not
-//!   grow: the slot is re-partitioned. A tiered slot whose valid word is
-//!   [`FD_VALID_MIGRATION`] is a *migration journal* instead of an open
-//!   file: it records the authoritative location of a file mid-move between
-//!   tiers (see `core/src/migrate.rs`).
+//! * [`OFF_LOG_SHARDS`] — log stripes. With `N > 1` the entry array is
+//!   split into `N` equal contiguous stripes; stripe `s` owns entries
+//!   `[s·(nb_entries/N), (s+1)·(nb_entries/N))` and persists its own tail at
+//!   [`OFF_STRIPE_TAILS`]` + 8·s` (one stripe keeps the seed's tail at
+//!   [`OFF_PTAIL`]). Every entry carries a globally monotonic sequence
+//!   number ([`ENT_SEQ`]) so recovery can merge-replay committed entries
+//!   from all stripes in total order.
+//! * [`OFF_BACKENDS`] — inner backends of the mount, selected by a
+//!   [`Router`](crate::Router). A mount may recover an image over more
+//!   backends than it was written under, never fewer.
+//!
+//! # The fd slot
+//!
+//! Every fd slot has one shape:
+//!
+//! ```text
+//! +---------+--------------------------+------------+---------+
+//! | valid   | path, NUL-padded         | backend    | heat    |
+//! | u64 @0  | PATH_MAX = 232 B @8      | u64 @240   | u64 @248|
+//! +---------+--------------------------+------------+---------+
+//! ```
+//!
+//! The backend word lets recovery replay every pending entry to the
+//! backend that acknowledged it — the router is *not* re-consulted. The
+//! heat word is the file's quantized temperature on a mount whose placement
+//! reads heat, and `0` (cold) on every other. On a single-backend mount both
+//! words are `0` and land where the seed slot had path padding, so a slot
+//! holding a path of at most [`PATH_MAX`] bytes is the seed's byte for byte.
+//! A slot whose valid word is [`FD_VALID_MIGRATION`] is a *migration
+//! journal* instead of an open file: it records the authoritative location
+//! of a file mid-move between tiers (see `core/src/migrate.rs`).
 //!
 //! `Header` is the only code that reads or writes the header's geometry
 //! and count words: one charged read at recovery, the fresh image at
@@ -67,32 +72,26 @@ use crate::NvCacheConfig;
 pub const HEADER_BYTES: u64 = 4096;
 /// Bytes per persistent fd slot.
 pub const FD_SLOT_BYTES: u64 = 256;
-/// Valid word of an fd slot holding an open file (v1/v2/v3 layouts).
+/// Valid word of an fd slot holding an open file.
 pub const FD_VALID_OPEN: u64 = 1;
-/// Valid word of an fd slot used as a **migration journal** (v3 layouts
-/// only): the slot's path/backend pair names the *authoritative* copy of a
+/// Valid word of an fd slot used as a **migration journal**: the slot's
+/// path/backend pair names the *authoritative* copy of a
 /// file being moved between tiers. Recovery deletes the path from every
 /// other backend and clears the slot — the crash-repair half of the
 /// copy → stamp → unlink protocol (`core/src/migrate.rs`). No log entry
 /// ever references a journal slot (only closed, fully drained files
 /// migrate).
 pub const FD_VALID_MIGRATION: u64 = 2;
-/// Maximum stored path length (rest of the slot after the valid word,
-/// single-backend slot layout).
-pub const PATH_MAX: usize = (FD_SLOT_BYTES - 8) as usize;
-/// Maximum stored path length in a v3 (tiered) slot: the backend word takes
-/// eight bytes off the front of the path area, the heat word eight off its
-/// tail.
-pub const PATH_MAX_V3: usize = (FD_SLOT_BYTES - 24) as usize;
-/// Offset (within a v3 fd slot) of the backend-index word.
-pub const FD_BACKEND_OFF: u64 = 8;
-/// Offset (within a v3 fd slot) of the packed heat-summary word — the last
-/// eight bytes of the slot, after the path.
-pub const FD_HEAT_OFF: u64 = FD_SLOT_BYTES - 8;
-/// Offset (within an fd slot) of the path bytes, v1/v2 layout.
+/// Maximum stored path length: the slot between the valid word and the
+/// backend word.
+pub const PATH_MAX: usize = (FD_BACKEND_OFF - FD_PATH_OFF) as usize;
+/// Offset (within an fd slot) of the NUL-padded path bytes.
 pub const FD_PATH_OFF: u64 = 8;
-/// Offset (within an fd slot) of the path bytes, v3 layout.
-pub const FD_PATH_OFF_V3: u64 = 16;
+/// Offset (within an fd slot) of the backend-index word.
+pub const FD_BACKEND_OFF: u64 = 240;
+/// Offset (within an fd slot) of the quantized heat word — the last eight
+/// bytes of the slot.
+pub const FD_HEAT_OFF: u64 = 248;
 /// Bytes of each entry header.
 pub const ENTRY_HEADER_BYTES: u64 = 64;
 
@@ -114,16 +113,12 @@ pub const OFF_PAGE_SIZE: u64 = 40;
 /// Number of log stripes; `0` (the seed format, which never writes this
 /// word) means one.
 pub const OFF_LOG_SHARDS: u64 = 48;
-/// Number of inner backends of a tiered mount; `0` (v1/v2 formats, which
-/// never write this word) means one.
+/// Number of inner backends of the mount; `0` (the seed format, which never
+/// writes this word) means one.
 pub const OFF_BACKENDS: u64 = 56;
-/// Base of the per-stripe persistent tail array (v2 format only; stripe `s`
-/// persists its tail at `OFF_STRIPE_TAILS + 8 * s`).
+/// Base of the per-stripe persistent tail array (striped logs only; stripe
+/// `s` persists its tail at `OFF_STRIPE_TAILS + 8 * s`).
 pub const OFF_STRIPE_TAILS: u64 = 64;
-/// Format epoch packed into every slot heat word ([`heat_word`]), so a word
-/// the current format did not write — path bytes of an image formatted
-/// before slots carried heat — is never misread as temperature.
-pub const HEAT_EPOCH: u64 = 1;
 
 /// Upper bound on `log_shards` (the per-stripe tail array must fit in the
 /// 4 KiB header with room to spare).
@@ -152,61 +147,17 @@ pub struct Layout {
     pub fd_slots: u64,
     /// Log stripes the entry array is split into (1 = seed format).
     pub log_shards: u64,
-    /// Inner backends of the mount (1 = v1/v2 single-backend fd slots,
-    /// `B > 1` = v3 slots carrying a backend and a heat word).
-    pub backends: u64,
 }
 
 impl Layout {
-    /// Layout for a configuration over one backend — the region's size and
-    /// every offset but the fd slots' partitioning, which follows from the
-    /// mount's backend count.
+    /// The layout of a configuration: the region's size and every offset.
     pub fn for_config(cfg: &NvCacheConfig) -> Layout {
         Layout {
             nb_entries: cfg.nb_entries,
             entry_size: cfg.entry_size as u64,
             fd_slots: cfg.fd_slots as u64,
             log_shards: cfg.log_shards as u64,
-            backends: 1,
         }
-    }
-
-    /// Whether fd slots use the v3 (tiered) partitioning.
-    pub fn tiered(&self) -> bool {
-        self.backends > 1
-    }
-
-    /// Offset of the path bytes within an fd slot.
-    pub fn fd_path_off(&self) -> u64 {
-        if self.tiered() {
-            FD_PATH_OFF_V3
-        } else {
-            FD_PATH_OFF
-        }
-    }
-
-    /// Maximum storable path length for this layout's fd slots.
-    pub fn path_max(&self) -> usize {
-        if self.tiered() {
-            PATH_MAX_V3
-        } else {
-            PATH_MAX
-        }
-    }
-
-    /// Whether an fd slot of this layout can hold `path` (normalized).
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`], naming the limit.
-    pub fn check_path(&self, path: &str) -> IoResult<()> {
-        if path.len() <= self.path_max() {
-            return Ok(());
-        }
-        Err(IoError::InvalidArgument(format!(
-            "{path}: path exceeds the {} bytes an fd slot of this mount holds",
-            self.path_max()
-        )))
     }
 
     /// Start of the fd table.
@@ -287,13 +238,28 @@ impl Layout {
     }
 }
 
-/// The region header as [`Header::read`] decodes it: the geometry and fd-slot
-/// shape the image was written under, and the single-stripe tail.
+/// Whether an fd slot can hold `path` (normalized).
+///
+/// # Errors
+///
+/// [`IoError::InvalidArgument`], naming the limit.
+pub fn check_path(path: &str) -> IoResult<()> {
+    if path.len() <= PATH_MAX {
+        return Ok(());
+    }
+    Err(IoError::InvalidArgument(format!(
+        "{path}: path exceeds the {PATH_MAX} bytes an fd slot holds"
+    )))
+}
+
+/// The region header as [`Header::read`] decodes it: the geometry and
+/// backend count the image was written under, and the single-stripe tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Header {
-    /// The image's geometry; `backends` is the count its fd slots were
-    /// written under.
+    /// The image's geometry.
     pub layout: Layout,
+    /// Backends the image's fd slots may reference.
+    pub backends: u64,
     /// Persistent tail of a single-stripe log ([`OFF_PTAIL`]).
     pub ptail: u64,
 }
@@ -321,40 +287,41 @@ impl Header {
                 entry_size: word(OFF_ENTRY_SIZE),
                 fd_slots: word(OFF_FD_SLOTS),
                 log_shards: word(OFF_LOG_SHARDS).max(1),
-                backends: word(OFF_BACKENDS).max(1),
             },
+            backends: word(OFF_BACKENDS).max(1),
             ptail: word(OFF_PTAIL),
         })
     }
 
-    /// Whether a mount laid out as `mount` may recover this image: the same
-    /// geometry, and at least the backends the image's fd slots may
-    /// reference. The count may grow across a recovery (a v2 → v3
-    /// migration, or tiers added); it may never shrink.
+    /// Whether a mount laid out as `mount` over `backends` backends may
+    /// recover this image: the same geometry, and at least the backends the
+    /// image's fd slots may reference. The count may grow across a recovery
+    /// (tiers added); it may never shrink.
     ///
     /// # Errors
     ///
     /// [`IoError::InvalidArgument`] naming the disagreement.
-    pub fn check(&self, mount: &Layout) -> IoResult<()> {
-        if (Layout { backends: mount.backends, ..self.layout }) != *mount {
+    pub fn check(&self, mount: &Layout, backends: u64) -> IoResult<()> {
+        if self.layout != *mount {
             return Err(IoError::InvalidArgument(
                 "configuration disagrees with the on-NVMM log geometry".into(),
             ));
         }
-        if self.layout.backends > mount.backends {
+        if self.backends > backends {
             return Err(IoError::InvalidArgument(format!(
-                "region references {} backends but the mount provides only {}",
-                self.layout.backends, mount.backends
+                "region references {} backends but the mount provides only {backends}",
+                self.backends
             )));
         }
         Ok(())
     }
 
-    /// Writes the header of a fresh image of `lay` and flushes it; the caller
-    /// fences. A single-stripe, single-backend header is the seed's byte for
-    /// byte: the count words it never wrote are written `0`, which also
-    /// clears a stale count when a region is reformatted.
-    pub fn format(region: &NvRegion, lay: &Layout, clock: &ActorClock) {
+    /// Writes the header of a fresh image of `lay` over `backends` backends
+    /// and flushes it; the caller fences. A single-stripe, single-backend
+    /// header is the seed's byte for byte: the count words it never wrote
+    /// are written `0`, which also clears a stale count when a region is
+    /// reformatted.
+    pub fn format(region: &NvRegion, lay: &Layout, backends: u64, clock: &ActorClock) {
         region.write_u64(OFF_MAGIC, MAGIC, clock);
         region.write_u64(OFF_ENTRY_SIZE, lay.entry_size, clock);
         region.write_u64(OFF_NB_ENTRIES, lay.nb_entries, clock);
@@ -362,30 +329,29 @@ impl Header {
         region.write_u64(OFF_FD_SLOTS, lay.fd_slots, clock);
         region.write_u64(OFF_PAGE_SIZE, crate::config::PAGE_SIZE as u64, clock);
         region.write_u64(OFF_LOG_SHARDS, count_word(lay.log_shards), clock);
-        // v2: one persistent tail per stripe.
+        // One persistent tail per stripe.
         let tails = if lay.log_shards > 1 { lay.log_shards } else { 0 };
         for s in 0..tails {
             region.write_u64(OFF_STRIPE_TAILS + 8 * s, 0, clock);
         }
-        region.write_u64(OFF_BACKENDS, count_word(lay.backends), clock);
+        region.write_u64(OFF_BACKENDS, count_word(backends), clock);
         // Flush only the written prefix: the rest of the header is
         // never-stored padding, and flushing clean lines is pure overhead
         // (the pmcheck redundant-pwb lint flags it).
         region.pwb(0, (OFF_STRIPE_TAILS + 8 * tails) as usize);
     }
 
-    /// Stamps the mount's backend count into a recovered image, fenced — the
-    /// one upgrade step: a v1/v2 image recovered over several backends is v3
-    /// from here on. Only once every fd slot written under the old shape is
-    /// cleared, so no slot is ever parsed under the wrong one.
+    /// Stamps the mount's backend count into a recovered image, fenced: an
+    /// image recovered over more backends than it was written under records
+    /// the grown count, so it can never again be mounted over fewer.
     pub fn upgrade(region: &NvRegion, backends: u64, clock: &ActorClock) {
         region.commit_store(OFF_BACKENDS, count_word(backends), clock);
         region.persist_fence(clock);
     }
 }
 
-/// A count word of the header: `0` encodes one, the value the formats that
-/// predate the word read back.
+/// A count word of the header: `0` encodes one, the value the seed format
+/// (which never writes the word) reads back.
 fn count_word(n: u64) -> u64 {
     if n > 1 {
         n
@@ -428,25 +394,6 @@ pub fn parse_commit_word(w: u64) -> CommitWord {
     }
 }
 
-/// Packs a quantized heat summary into a slot heat word: the current
-/// [`HEAT_EPOCH`] in bits 16..32 and the quantized heat in bits 0..16. A
-/// packed word is therefore never `0` even for stone-cold files, which is
-/// how a written summary is told apart from a never-written (zeroed) one.
-pub fn heat_word(qheat: u16) -> u64 {
-    (HEAT_EPOCH & 0xFFFF) << 16 | qheat as u64
-}
-
-/// Unpacks a slot heat word written by [`heat_word`]. Returns `None` when
-/// the word was never written (`0`) or carries an unknown epoch — both mean
-/// "no usable summary, treat as cold".
-pub fn parse_heat_word(w: u64) -> Option<u16> {
-    if (w >> 16) & 0xFFFF == HEAT_EPOCH {
-        Some((w & 0xFFFF) as u16)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -456,7 +403,7 @@ mod tests {
     use super::*;
 
     fn layout() -> Layout {
-        Layout { nb_entries: 8, entry_size: 128, fd_slots: 4, log_shards: 1, backends: 1 }
+        Layout { nb_entries: 8, entry_size: 128, fd_slots: 4, log_shards: 1 }
     }
 
     #[test]
@@ -505,7 +452,7 @@ mod tests {
         assert_eq!(l.stripe_slot(0, 3), 1);
         assert_eq!(l.stripe_slot(3, 0), 6);
         assert_eq!(l.stripe_slot(3, 5), 7);
-        // Per-stripe tails live in the v2 header array...
+        // Per-stripe tails live in the header's tail array...
         assert_eq!(l.stripe_tail_off(0), OFF_STRIPE_TAILS);
         assert_eq!(l.stripe_tail_off(3), OFF_STRIPE_TAILS + 24);
         // ...while a single-stripe log keeps the seed's tail word.
@@ -524,31 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn tiered_slots_repartition_but_do_not_grow() {
-        let legacy = layout();
-        let tiered = Layout { backends: 3, ..layout() };
-        assert!(!legacy.tiered());
-        assert!(tiered.tiered());
-        // Same slot size and total footprint: only the interior moves.
-        assert_eq!(legacy.total_bytes(), tiered.total_bytes());
-        assert_eq!(legacy.fd_path_off(), FD_PATH_OFF);
-        assert_eq!(tiered.fd_path_off(), FD_PATH_OFF_V3);
-        assert_eq!(legacy.path_max(), PATH_MAX);
-        assert_eq!(tiered.path_max(), PATH_MAX_V3);
-    }
-
-    #[test]
-    fn both_slot_shapes_tile_256_bytes() {
-        // Single backend: valid word + 248 path bytes.
-        let flat = layout();
-        assert_eq!(flat.path_max(), 248);
-        assert_eq!(8 + flat.path_max() as u64, FD_SLOT_BYTES);
-        assert_eq!(flat.fd_path_off(), 8);
-        // Tiered: valid word + backend word + 232 path bytes + heat word.
-        let tiered = Layout { backends: 2, ..layout() };
-        assert_eq!(tiered.path_max(), 232);
-        assert_eq!(tiered.fd_path_off(), FD_BACKEND_OFF + 8);
-        assert_eq!(tiered.fd_path_off() + tiered.path_max() as u64, FD_HEAT_OFF);
+    fn the_fd_slot_tiles_256_bytes() {
+        // Valid word + 232 path bytes + backend word + heat word.
+        assert_eq!(PATH_MAX, 232);
+        assert_eq!(FD_PATH_OFF, 8);
+        assert_eq!(FD_PATH_OFF + PATH_MAX as u64, FD_BACKEND_OFF);
+        assert_eq!(FD_BACKEND_OFF, 240);
+        assert_eq!(FD_HEAT_OFF, FD_BACKEND_OFF + 8);
         assert_eq!(FD_HEAT_OFF + 8, FD_SLOT_BYTES);
     }
 
@@ -558,29 +487,38 @@ mod tests {
     }
 
     #[test]
+    fn tiered_slots_repartition_but_do_not_grow() {
+        // Growing an image from one backend to three rewrites only the
+        // header's backends word: the geometry, the footprint and the slot
+        // stride stay as formatted.
+        let lay = layout();
+        let (clock, region) = region(&lay);
+        Header::format(&region, &lay, 1, &clock);
+        let flat = Header::read(&region, &clock).unwrap();
+        Header::upgrade(&region, 3, &clock);
+        let tiered = Header::read(&region, &clock).unwrap();
+        assert_eq!((flat.backends, tiered.backends), (1, 3));
+        assert_eq!(flat.layout, tiered.layout);
+        assert_eq!(flat.layout.total_bytes(), tiered.layout.total_bytes());
+        assert_eq!(tiered.layout.fd_slot(1) - tiered.layout.fd_slot(0), FD_SLOT_BYTES);
+        assert_eq!(tiered.layout.entries_base(), HEADER_BYTES + 4 * FD_SLOT_BYTES);
+        assert!(tiered.check(&lay, 3).is_ok());
+        assert!(tiered.check(&lay, 2).is_err());
+    }
+
+    #[test]
     fn the_header_round_trips_every_shape() {
         for (log_shards, backends) in [(1, 1), (4, 1), (1, 3), (4, 3)] {
-            let lay = Layout { log_shards, backends, ..layout() };
+            let lay = Layout { log_shards, ..layout() };
             let (clock, region) = region(&lay);
-            Header::format(&region, &lay, &clock);
-            assert_eq!(Header::read(&region, &clock).unwrap(), Header { layout: lay, ptail: 0 });
+            Header::format(&region, &lay, backends, &clock);
+            let header = Header::read(&region, &clock).unwrap();
+            assert_eq!(header, Header { layout: lay, backends, ptail: 0 });
             assert_eq!(region.read_u64(OFF_PAGE_SIZE), 4096);
             // One stripe, one backend: the count words stay at the seed's 0.
             assert_eq!(region.read_u64(OFF_LOG_SHARDS) == 0, log_shards == 1);
             assert_eq!(region.read_u64(OFF_BACKENDS) == 0, backends == 1);
         }
-    }
-
-    #[test]
-    fn heat_word_round_trips_and_rejects_foreign_epochs() {
-        assert_eq!(parse_heat_word(heat_word(0)), Some(0));
-        assert_eq!(parse_heat_word(heat_word(12345)), Some(12345));
-        assert_eq!(parse_heat_word(heat_word(u16::MAX)), Some(u16::MAX));
-        // A written summary is never the all-zero word, even when cold.
-        assert_ne!(heat_word(0), 0);
-        // Never-written slots and unknown epochs both read as "no summary".
-        assert_eq!(parse_heat_word(0), None);
-        assert_eq!(parse_heat_word((HEAT_EPOCH + 1) << 16 | 7), None);
     }
 
     #[test]

@@ -138,7 +138,7 @@
 //! crate knows about *which* inner file system holds a file lives in the
 //! `tiers` module; `cache.rs` sees one merged namespace. The routing
 //! decision is taken once per open, recorded in the volatile descriptor
-//! *and* in the persistent fd slot (region header v3), and the per-stripe
+//! *and* in the persistent fd slot's backend word, and the per-stripe
 //! cleanup workers drain each tier through its own submission ring — so a
 //! crash replays every pending entry to the backend that acknowledged it,
 //! never to wherever the router would place the file today.

@@ -374,11 +374,16 @@ impl Stripe {
             }
             let _lk = self.lockcheck.acquire(Class::StripeSpace, self.index as u64);
             let mut guard = self.space_lock.lock();
+            // Re-check both under the lock: `free_range` and `poison` change
+            // them before they notify under it, so no wakeup is lost.
             if self.vtail.load(Ordering::Acquire) >= target {
                 clock.advance_to(SimTime::from_nanos(self.tail_time.load(Ordering::Acquire)));
                 return;
             }
-            self.space_cv.wait_for(&mut guard, Duration::from_millis(1));
+            if self.is_poisoned() {
+                return;
+            }
+            self.space_cv.wait(&mut guard);
         }
     }
 }
@@ -560,11 +565,12 @@ impl Log {
             {
                 let _lk = stripe.lockcheck.acquire(Class::StripeSpace, stripe.index as u64);
                 let mut guard = stripe.space_lock.lock();
-                // Re-check under the lock to avoid a lost wakeup.
+                // Re-check under the lock to avoid a lost wakeup: the tail
+                // and the poison flag both change before their notify.
                 let head = stripe.head.load(Ordering::Acquire);
                 let tail = stripe.vtail.load(Ordering::Acquire);
-                if head + k - tail > cap {
-                    stripe.space_cv.wait_for(&mut guard, Duration::from_millis(1));
+                if head + k - tail > cap && !stripe.is_poisoned() {
+                    stripe.space_cv.wait(&mut guard);
                 }
             }
             stripe.space_waiters.fetch_sub(1, Ordering::AcqRel);
@@ -874,7 +880,7 @@ mod tests {
         log.stripes[1].free_range(0, 2, &c);
         assert_eq!(log.region.read_u64(layout::OFF_STRIPE_TAILS), 1);
         assert_eq!(log.region.read_u64(layout::OFF_STRIPE_TAILS + 8), 2);
-        // The v1 tail word stays untouched by striped frees.
+        // The seed's tail word stays untouched by striped frees.
         assert_eq!(log.region.read_u64(layout::OFF_PTAIL), 0);
     }
 
@@ -912,6 +918,46 @@ mod tests {
         // the entry in the log for recovery.
         stripe.flush_to(1, &c);
         assert_eq!(log.in_flight(), 1);
+    }
+
+    #[test]
+    fn poison_releases_a_blocked_flusher_and_a_blocked_writer() {
+        let (c, s, log) = mk_log(2);
+        for _ in 0..2 {
+            let stripe = &log.stripes[0];
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
+            stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
+        }
+        let log = Arc::new(log);
+        let (done, returned) = std::sync::mpsc::channel();
+        let flusher = {
+            let (log, done) = (Arc::clone(&log), done.clone());
+            std::thread::spawn(move || {
+                log.stripes[0].flush_to(2, &ActorClock::new());
+                done.send("flush_to").unwrap();
+            })
+        };
+        let writer = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let stats = NvCacheStats::default();
+                let reserved = log.reserve(&log.stripes[0], 1, &ActorClock::new(), &stats);
+                done.send("reserve").unwrap();
+                reserved.is_err()
+            })
+        };
+        // Both block on the full stripe: nothing frees it. The sleep only
+        // makes that likely; every interleaving must release both.
+        std::thread::sleep(Duration::from_millis(30));
+        log.stripes[0].poison();
+        let guard = Duration::from_secs(10);
+        let mut woke =
+            [returned.recv_timeout(guard).unwrap(), returned.recv_timeout(guard).unwrap()];
+        woke.sort();
+        assert_eq!(woke, ["flush_to", "reserve"]);
+        flusher.join().unwrap();
+        assert!(writer.join().unwrap(), "a poisoned stripe grants no space");
     }
 
     #[test]

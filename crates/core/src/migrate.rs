@@ -608,10 +608,9 @@ pub(crate) fn migrate_bytes(
 ) -> IoResult<u64> {
     assert!(from != to, "migration endpoints must differ");
     assert!(from < backends.len() && to < backends.len(), "backend index out of range");
-    // Legacy (v1/v2) slots hold up to 248 path bytes but a v3 journal slot
-    // only 232: a file with such a path can be recovered, yet never
-    // journaled — an error, not a panic in the repair pass or a sweep.
-    layout.check_path(to_path)?;
+    // A rename target is caller input: one too long for the journal slot
+    // is an error, not a panic in `PersistentFdTable::set`.
+    crate::layout::check_path(to_path)?;
     // Open the source before anything else: a vanished source (stale
     // catalog entry, duplicate repair request) must fail the migration
     // with NotFound *before* the journal is written or the target tier —
@@ -722,15 +721,23 @@ fn copy_from(
 
 /// Deletes every non-authoritative copy named by leftover migration
 /// journals and clears them — the recovery half of the protocol. Returns
-/// the number of journals repaired. A v1/v2 image cannot hold journals
-/// (they need the v3 slot partitioning), so this is a no-op there.
+/// the number of journals repaired. Only a multi-backend mount writes
+/// journals, and [`Header::check`](crate::layout::Header::check) refuses to
+/// recover any image that could hold one over a single backend, so a
+/// single-backend mount skips the scan.
+///
+/// # Errors
+///
+/// [`IoError::InvalidArgument`] if a journal names a backend the mount
+/// lacks — unlinking "every copy but that one" would delete them all — or
+/// any inner-file-system error from the unlinks.
 pub(crate) fn repair_journals(
     region: &NvRegion,
     layout: &Layout,
     tiers: &Tiers,
     clock: &ActorClock,
 ) -> IoResult<usize> {
-    if !layout.tiered() {
+    if tiers.backends.len() == 1 {
         return Ok(0);
     }
     let mut repaired = 0;
@@ -739,7 +746,16 @@ pub(crate) fn repair_journals(
         else {
             continue;
         };
-        tiers.unlink_others(&journal.path, journal.backend as usize, clock)?;
+        let keep = journal.backend as usize;
+        if keep >= tiers.backends.len() {
+            return Err(IoError::InvalidArgument(format!(
+                "journal slot {slot} ({}) names backend {keep}, \
+                 but recovery got only {} backends",
+                journal.path,
+                tiers.backends.len()
+            )));
+        }
+        tiers.unlink_others(&journal.path, keep, clock)?;
         PersistentFdTable::clear(region, layout, slot, clock);
         repaired += 1;
     }
@@ -918,9 +934,9 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
             Ok(None) => report.files_in_place += 1,
             Err(IoError::Busy(_)) => report.files_busy += 1,
             // The catalog entry went stale (unlinked below the mount, or a
-            // concurrent op removed it), or the path can never fit a v3
-            // journal slot: drop it rather than error every sweep.
-            Err(IoError::NotFound(_) | IoError::InvalidArgument(_)) => migrator.forget(path),
+            // concurrent op removed it): drop it rather than error every
+            // sweep.
+            Err(IoError::NotFound(_)) => migrator.forget(path),
             Err(e) => return Err(e),
         }
     }

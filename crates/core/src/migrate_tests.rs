@@ -11,7 +11,8 @@ use proptest::prelude::*;
 use simclock::ActorClock;
 use vfs::{FileSystem, IoError, MemFs, OpenFlags};
 
-use crate::layout::Layout;
+use crate::files::PersistentFdTable;
+use crate::layout::{Layout, FD_VALID_MIGRATION};
 use crate::migrate::{self, CrashPoint, MigrationPolicy};
 use crate::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 
@@ -28,9 +29,9 @@ fn hot_router() -> Arc<PathPrefixRouter> {
     Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0))
 }
 
-/// Formats a two-backend (v3) region and returns it shut down, ready for
+/// Formats a two-backend region and returns it shut down, ready for
 /// direct protocol calls: `(clock, dimm, cold, hot)`.
-fn formatted_v3_region(
+fn formatted_two_tier_region(
     cfg: &NvCacheConfig,
 ) -> (ActorClock, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<dyn FileSystem>) {
     let clock = ActorClock::new();
@@ -76,7 +77,7 @@ fn read_file(fs: &Arc<dyn FileSystem>, path: &str, clock: &ActorClock) -> Option
 /// authoritative.
 fn crash_scenario(content: &[u8], from: usize, crash_after: Option<CrashPoint>) -> usize {
     let cfg = tiny_tiered_cfg();
-    let (clock, dimm, cold, hot) = formatted_v3_region(&cfg);
+    let (clock, dimm, cold, hot) = formatted_two_tier_region(&cfg);
     let backends = [Arc::clone(&cold), Arc::clone(&hot)];
     let to = 1 - from;
     // The path routes to tier 1; placement correctness is not what this
@@ -85,7 +86,7 @@ fn crash_scenario(content: &[u8], from: usize, crash_after: Option<CrashPoint>) 
     let path = "/hot/victim";
     write_file(&backends[from], path, content, &clock);
 
-    let lay = Layout { backends: 2, ..Layout::for_config(&cfg) };
+    let lay = Layout::for_config(&cfg);
     let region = NvRegion::whole(Arc::clone(&dimm));
     migrate::migrate_bytes(
         &region,
@@ -159,6 +160,32 @@ fn crash_matrix_converges_to_exactly_one_copy() {
 fn empty_files_migrate_and_repair_too() {
     assert_eq!(crash_scenario(&[], 0, Some(CrashPoint::AfterCopy)), 0);
     assert_eq!(crash_scenario(&[], 0, Some(CrashPoint::AfterStamp)), 1);
+}
+
+#[test]
+fn a_journal_naming_a_missing_backend_fails_recovery_and_unlinks_nothing() {
+    // A journal's backend is the copy to keep: out of range, it matches no
+    // tier, and "unlink every other copy" would delete them all.
+    let cfg = tiny_tiered_cfg();
+    let (clock, dimm, cold, hot) = formatted_two_tier_region(&cfg);
+    let path = "/hot/twice";
+    for fs in [&cold, &hot] {
+        write_file(fs, path, b"a copy", &clock);
+    }
+    let region = NvRegion::whole(Arc::clone(&dimm));
+    let lay = Layout::for_config(&cfg);
+    PersistentFdTable::set(&region, &lay, 2, FD_VALID_MIGRATION, path, 5, &clock);
+
+    let restarted = Arc::new(dimm.crash_and_restart());
+    let mounted = NvCache::builder(NvRegion::whole(restarted))
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
+        .config(cfg)
+        .mode(Mount::Recover)
+        .mount(&clock);
+    assert!(matches!(mounted, Err(IoError::InvalidArgument(_))), "{mounted:?}");
+    for fs in [&cold, &hot] {
+        assert_eq!(read_file(fs, path, &clock).as_deref(), Some(b"a copy".as_slice()));
+    }
 }
 
 proptest! {
@@ -269,7 +296,7 @@ fn draining_zombie_blocks_migration_until_drained() {
 
 #[test]
 fn rebalance_requires_an_enabled_policy() {
-    let (clock, dimm, cold, hot) = formatted_v3_region(&tiny_tiered_cfg());
+    let (clock, dimm, cold, hot) = formatted_two_tier_region(&tiny_tiered_cfg());
     let cache = NvCache::builder(NvRegion::whole(Arc::new(dimm.crash_and_restart())))
         .tiers(Tiering::new(hot_router(), vec![cold, hot]))
         .config(tiny_tiered_cfg()) // MigrationPolicy::Disabled
@@ -339,7 +366,7 @@ fn recover_repair_rehomes_every_misplaced_file() {
     }
 
     // Phase 3: reopen through the mount, crash again, recover normally —
-    // the next mount must report files_misplaced == 0 (the v3 slots now
+    // the next mount must report files_misplaced == 0 (the slots now
     // record the router's placement).
     for (path, _) in &oracle {
         let fd = recovered.open(path, OpenFlags::RDWR, &clock).unwrap();

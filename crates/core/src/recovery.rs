@@ -1,6 +1,5 @@
 //! The recovery procedure (paper §III): reopen files from the persistent
-//! fd table — each on the backend its slot records (header v3), or on the
-//! router-chosen backend when migrating a legacy image — collect every
+//! fd table — each on the backend its slot records — collect every
 //! committed group in global commit order (per-stripe sorted runs, k-way
 //! merged), and replay them as a **plan**, not entry by entry:
 //!
@@ -74,8 +73,8 @@ pub struct RecoveryReport {
     /// single-backend mount; up to the tier count on a tiered one).
     pub backends_touched: usize,
     /// Recovered files whose backend disagrees with where the mount's
-    /// router puts their path (possible after a v2 → v3 migration or a
-    /// routing-policy change); under a [`HeatPolicy`](crate::HeatPolicy)
+    /// router puts their path (possible after tiers were added or the
+    /// routing policy changed); under a [`HeatPolicy`](crate::HeatPolicy)
     /// that also counts files the policy had promoted before the crash
     /// whose hottest persisted heat word no longer clears the promote
     /// threshold. Their bytes stay fully reachable — `stat`,
@@ -220,16 +219,12 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// per-stripe scans yield sorted runs that a k-way merge by stamped sequence
 /// number turns into the exact global commit order.
 ///
-/// **Backend resolution.** A v3 (tiered) image stores each fd slot's backend
-/// index; the slot's pending entries replay to exactly that backend — the
-/// router is *not* consulted, because its policy may have changed across the
-/// reboot while the acknowledged bytes live where they were written. A
-/// legacy (v1/v2) image carries no backend word: when recovered into a
-/// multi-backend stack, each reopened file goes to the router's placement if
-/// it already exists there (a pre-moved file), falling back to backend 0 —
-/// the legacy backend that owned every pre-migration file — so acknowledged
-/// writes survive any routing policy. This is the v2 → v3 migration path
-/// (the caller stamps the header afterwards).
+/// **Backend resolution.** Each fd slot stores its backend index; the
+/// slot's pending entries replay to exactly that backend — the router is
+/// *not* consulted, because its policy may have changed across the reboot
+/// while the acknowledged bytes live where they were written. An image
+/// written over one backend and recovered over several replays every file
+/// to backend 0, the tier its slots record.
 ///
 /// **Misplacement** is judged once per path, after the slot scan: the heat
 /// catalog is volatile (only the slots' heat words survive, see below), so
@@ -244,8 +239,8 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// `files_misplaced == 0`. Leftover migration journals from a crash inside
 /// the protocol are repaired on *every* recovery, repair mode or not.
 ///
-/// **Persisted heat**: a tiered slot ends in a quantized temperature
-/// summary ([`layout::heat_word`]), stamped by a mount that tracks heat. A
+/// **Persisted heat**: every slot ends in a quantized temperature summary,
+/// stamped by a mount that tracks heat. A
 /// mount that tracks heat too (`Tiers::heat`) dequantizes the summaries,
 /// keeps the hottest of each path's slots and returns them so the mount can
 /// re-seed the migrator's heat catalog — a crashed
@@ -279,13 +274,12 @@ pub(crate) fn recover(
     replay: Replayer,
 ) -> IoResult<Recovered> {
     let (backends, router) = (&*tiers.backends, &*tiers.router);
-    let Header { layout: lay, ptail } = *image;
+    let Header { layout: lay, ptail, .. } = *image;
     let (nb_entries, fd_slots, log_shards) = (lay.nb_entries, lay.fd_slots, lay.log_shards);
 
     // Repair interrupted migrations first (journal slots are invisible to
     // the open-file scan below, but their non-authoritative copies must be
-    // gone before anything else looks at the backends). A v1/v2 image
-    // cannot hold journals.
+    // gone before anything else looks at the backends).
     let mut report = RecoveryReport {
         migrations_repaired: crate::migrate::repair_journals(region, &lay, tiers, clock)?,
         ..RecoveryReport::default()
@@ -304,74 +298,47 @@ pub(crate) fn recover(
     // keep the hottest, 0 when the mount tracks no heat).
     let mut recovered: HashMap<String, (u32, f64)> = HashMap::new();
     for slot in 0..fd_slots as u32 {
-        if let Some(FdSlot { path, backend: stored, heat }) =
+        let Some(FdSlot { path, backend, heat }) =
             PersistentFdTable::get(region, &lay, slot, FD_VALID_OPEN, clock)
-        {
-            // Candidate backends, in resolution order. A v3 slot's recorded
-            // placement is authoritative. A legacy (v1/v2) slot entering a
-            // multi-backend stack migrates: prefer the router's placement
-            // when the file already exists there (the operator pre-moved
-            // it), and fall back to backend 0 — the legacy backend, which
-            // owned every file before the migration — so acknowledged
-            // writes are never discarded by a routing-policy change.
-            let candidates: Vec<usize> = if lay.tiered() {
-                vec![stored as usize]
-            } else {
-                let routed = router.route(&path);
-                if routed == 0 {
-                    vec![0]
-                } else {
-                    vec![routed, 0]
-                }
-            };
-            let mut resolved = None;
-            for &backend in &candidates {
-                let Some(inner) = backends.get(backend) else {
-                    return Err(IoError::InvalidArgument(format!(
-                        "fd slot {slot} ({path}) references backend {backend}, \
-                         but recovery got only {} backends",
-                        backends.len()
-                    )));
-                };
-                // No O_CREAT: a file that disappeared was deleted
-                // (NVCache opens files on the inner FS synchronously), and
-                // its pending writes must not resurrect it.
-                match inner.open(&path, OpenFlags::RDWR, clock) {
-                    Ok(fd) => {
-                        let meta = inner.fstat(fd, clock)?;
-                        let file = *file_of_identity
-                            .entry((backend, meta.dev, meta.ino))
-                            .or_insert_with(|| {
-                                files.push((backend, fd));
-                                files.len() - 1
-                            });
-                        file_of_slot.insert(slot, file);
-                        reopened.push((slot, backend, fd));
-                        report.files_reopened += 1;
-                        resolved = Some(backend);
-                        break;
-                    }
-                    Err(IoError::NotFound(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            if let Some(backend) = resolved {
-                let heat = heat.filter(|_| tiers.heat.is_some()).map_or(0.0, dequantize_heat);
+        else {
+            continue;
+        };
+        let Some(inner) = backends.get(backend as usize) else {
+            return Err(IoError::InvalidArgument(format!(
+                "fd slot {slot} ({path}) references backend {backend}, \
+                 but recovery got only {} backends",
+                backends.len()
+            )));
+        };
+        // No O_CREAT: a file that disappeared was deleted (NVCache opens
+        // files on the inner FS synchronously), and its pending writes must
+        // not resurrect it.
+        match inner.open(&path, OpenFlags::RDWR, clock) {
+            Ok(fd) => {
+                let backend = backend as usize;
+                let meta = inner.fstat(fd, clock)?;
+                let file =
+                    *file_of_identity.entry((backend, meta.dev, meta.ino)).or_insert_with(|| {
+                        files.push((backend, fd));
+                        files.len() - 1
+                    });
+                file_of_slot.insert(slot, file);
+                reopened.push((slot, backend, fd));
+                report.files_reopened += 1;
+                let heat = if tiers.heat.is_some() { dequantize_heat(heat) } else { 0.0 };
                 let (at, hottest) = recovered.entry(path).or_insert((0, 0.0));
                 *at = backend as u32;
                 *hottest = hottest.max(heat);
-            } else {
-                // The file was removed behind the mount's back, or the
-                // crash fell between an inner `unlink` and the slot update:
-                // its pending entries are skipped below, and the slot must
-                // be cleared here — a stale slot would otherwise survive a
-                // v2 → v3 migration and be re-parsed under the v3
-                // partitioning on the *next* recovery, where its path bytes
-                // masquerade as a (garbage) backend word and wedge the
-                // region permanently.
+            }
+            Err(IoError::NotFound(_)) => {
+                // The file was removed behind the mount's back, or the crash
+                // fell between an inner `unlink` and the slot update: its
+                // pending entries are skipped below, and the slot is cleared
+                // here so no later mount looks for the file again.
                 PersistentFdTable::clear(region, &lay, slot, clock);
                 report.files_missing += 1;
             }
+            Err(e) => return Err(e),
         }
     }
     // Replay lands where each file was found; path operations keep reaching
@@ -484,11 +451,9 @@ pub(crate) fn recover(
         PersistentFdTable::clear(region, &lay, slot, clock);
     }
 
-    // Stamp the (possibly migrated) backend count: a legacy image mounted
-    // over N backends is v3 from here on; a single-backend mount keeps the
-    // 0 encoding (bytes unchanged on v1/v2 images). Stamping *before* the
-    // repair pass matters: repair journals use the v3 slot partitioning, so
-    // a crash mid-repair must find a v3 header on the next mount.
+    // Stamp the mount's backend count: an image recovered over more tiers
+    // records the grown count, so it is never mounted over fewer again; a
+    // single-backend mount keeps the 0 encoding.
     Header::upgrade(region, backends.len() as u64, clock);
 
     // Repair mode: re-home every misplaced file to its router placement
@@ -496,12 +461,10 @@ pub(crate) fn recover(
     // above, so slot 0 is free to journal through; the files are closed and
     // the log is empty, so no coordination is needed.
     if repair {
-        let repair_lay = Layout { backends: backends.len() as u64, ..lay };
-        let mut unrepairable = Vec::new();
         for (path, from, to) in misplaced.drain(..) {
             match crate::migrate::migrate_bytes(
                 region,
-                &repair_lay,
+                &lay,
                 backends,
                 0,
                 &path,
@@ -520,10 +483,6 @@ pub(crate) fn recover(
                         seed.0 = to as u32;
                     }
                 }
-                // A legacy path longer than the v3 journal slot capacity
-                // cannot be journaled: leave it counted misplaced instead
-                // of failing the whole mount.
-                Err(IoError::InvalidArgument(_)) => unrepairable.push((path, from, to)),
                 // Already gone from the recorded tier (the source is opened
                 // before anything is journaled or touched, so this is
                 // side-effect-free): nothing left to repair.
@@ -531,7 +490,6 @@ pub(crate) fn recover(
                 Err(e) => return Err(e),
             }
         }
-        misplaced = unrepairable;
     }
     // No final psync: every store above was already pwb'd and fenced (the
     // log clear at the persist_fence, the fd-table clears and the repair

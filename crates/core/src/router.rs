@@ -7,9 +7,9 @@
 //! Routing is consulted when a file enters the cache (`open`) and for the
 //! path-based operations (`stat`, `unlink`, `rename`, `list_dir`); once a
 //! file is open, its backend index travels with the descriptor — volatile in
-//! [`OpenedFile`](crate::files) and persistent in the NVMM fd table (header
-//! v3), so recovery replays every log entry to the backend that was actually
-//! written (see `docs/ARCHITECTURE.md`, "The mount stack").
+//! [`OpenedFile`](crate::files) and persistent in the NVMM fd table (each
+//! slot's backend word), so recovery replays every log entry to the backend
+//! that was actually written (see `docs/ARCHITECTURE.md`, "The mount stack").
 //!
 //! A file whose recorded backend disagrees with the router's *current*
 //! placement (a policy changed across a reboot, or an explicit

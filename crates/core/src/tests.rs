@@ -801,8 +801,8 @@ fn recovery_is_idempotent() {
 
 #[test]
 fn single_shard_format_keeps_the_seed_header() {
-    // With log_shards = 1 the v2 code path must not touch the v2 header
-    // words: the persistent image stays byte-for-byte seed-compatible.
+    // With log_shards = 1 the striped code path must not touch the stripe
+    // header words: the persistent image stays byte-for-byte seed-compatible.
     use crate::layout::{OFF_LOG_SHARDS, OFF_STRIPE_TAILS};
     use nvmm::PmemInts;
     let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
@@ -810,7 +810,7 @@ fn single_shard_format_keeps_the_seed_header() {
     cache.pwrite(fd, b"seed-compatible", 0, &c).unwrap();
     cache.flush_log(&c);
     let region = &cache.shared.log.region;
-    assert_eq!(region.read_u64(OFF_LOG_SHARDS), 0, "v1 headers never write the shard word");
+    assert_eq!(region.read_u64(OFF_LOG_SHARDS), 0, "seed headers never write the shard word");
     assert_eq!(region.read_u64(OFF_STRIPE_TAILS), 0);
     cache.shutdown(&c);
 }
@@ -1000,7 +1000,7 @@ fn cross_stripe_same_page_propagation_keeps_commit_order() {
 
 #[test]
 fn reformatting_a_sharded_region_as_single_stripe_recovers() {
-    // Regression: format() must clear a stale v2 shard word, or recovery
+    // Regression: format() must clear a stale shard word, or recovery
     // of the reformatted region rejects the (valid) single-stripe config.
     // batch_min above the written entry count keeps the entry parked in the
     // log until abort(), so the replay count below is deterministic.

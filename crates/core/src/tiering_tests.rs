@@ -1,7 +1,7 @@
 //! Tests of the mount-stack builder and multi-backend tiering: the
-//! single-backend seed header encoding, POSIX conformance of a two-tier
-//! mount, per-tier drains, cross-backend crash recovery, and the v2 → v3
-//! header migration.
+//! single-backend seed header and fd slot encodings, POSIX conformance of a
+//! two-tier mount, per-tier drains, cross-backend crash recovery, and the
+//! recovery of a single-backend image into two tiers.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use nvmm::{NvDimm, NvRegion, NvmmProfile, PmemInts};
 use simclock::{ActorClock, SimTime};
 use vfs::{DelayLayer, Ext4, Ext4Profile, FileSystem, IoError, Layer, MemFs, OpenFlags};
 
-use crate::layout::{self, FD_BACKEND_OFF, FD_PATH_OFF_V3};
+use crate::layout::{self, FD_BACKEND_OFF, FD_PATH_OFF, FD_SLOT_BYTES};
 use crate::{
     Mount, NvCache, NvCacheBuilder, NvCacheConfig, PathPrefixRouter, Router, SingleBackend, Tiering,
 };
@@ -67,7 +67,7 @@ fn single_backend_builder_mount_keeps_the_seed_header_encoding() {
             .mount(&clock)
             .unwrap();
         let region = NvRegion::whole(Arc::clone(&dimm));
-        assert_eq!(region.read_u64(layout::OFF_BACKENDS), 0, "single backend keeps the v1/v2 word");
+        assert_eq!(region.read_u64(layout::OFF_BACKENDS), 0, "single backend keeps the seed word");
         assert_eq!(cache.backends().len(), 1);
         assert_eq!(cache.router().fan_out(), 1);
 
@@ -227,8 +227,8 @@ fn crash_mid_drain_replays_each_entry_to_its_recorded_backend() {
     // The cross-backend crash test of the acceptance criteria: files routed
     // to two different tiers, the process killed before anything drains,
     // and recovery must put every acknowledged byte back on the tier that
-    // acknowledged it — resolved through the persisted v3 backend ids, not
-    // by re-routing.
+    // acknowledged it — resolved through the persisted backend ids, not by
+    // re-routing.
     let cfg = NvCacheConfig {
         nb_entries: 256,
         // Park everything in the log: nothing reaches the tiers pre-crash.
@@ -251,10 +251,10 @@ fn crash_mid_drain_replays_each_entry_to_its_recorded_backend() {
     drop(cache);
     let restarted = Arc::new(dimm.crash_and_restart());
 
-    // The fd slots persisted their backend indices (v3 layout).
+    // The fd slots persisted their backend indices.
     let region = NvRegion::whole(Arc::clone(&restarted));
-    assert_eq!(region.read_u64(layout::OFF_BACKENDS), 2, "tiered image must be v3");
-    let lay = layout::Layout { backends: 2, ..layout::Layout::for_config(&cfg) };
+    assert_eq!(region.read_u64(layout::OFF_BACKENDS), 2, "the image records two backends");
+    let lay = layout::Layout::for_config(&cfg);
     let mut slot_backends: Vec<u64> =
         (0..2u32).map(|s| region.read_u64(lay.fd_slot(s) + FD_BACKEND_OFF)).collect();
     slot_backends.sort();
@@ -292,12 +292,11 @@ fn crash_mid_drain_replays_each_entry_to_its_recorded_backend() {
 }
 
 #[test]
-fn v2_image_migrates_to_v3_on_tiered_recovery() {
-    // Header-migration coverage: a legacy single-backend (v2-header) image
-    // recovered into a two-backend stack. Legacy slots carry no backend
-    // word; their pending entries must fall back to the legacy backend
-    // (index 0) — never be lost to a router that points at a tier the file
-    // was never written to — and the header must come out stamped v3.
+fn a_single_backend_image_recovers_into_two_tiers() {
+    // A single-backend image recovered into a two-backend stack. Its slots
+    // record backend 0, so their pending entries replay there — never lost
+    // to a router that points at a tier the file was never written to —
+    // and the header comes out stamped with the grown backend count.
     let cfg = NvCacheConfig {
         nb_entries: 128,
         batch_min: usize::MAX >> 1,
@@ -312,8 +311,8 @@ fn v2_image_migrates_to_v3_on_tiered_recovery() {
         .config(cfg.clone())
         .mount(&clock)
         .unwrap();
-    // Both files live on the (only) legacy backend, including one whose
-    // path the *future* router will claim for tier 1.
+    // Both files live on the only backend, including one whose path the
+    // *future* router will claim for tier 1.
     let hfd = cache.open("/hot/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     let cfd = cache.open("/cold/blob", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(hfd, b"claimed by tier 1", 0, &clock).unwrap();
@@ -332,80 +331,33 @@ fn v2_image_migrates_to_v3_on_tiered_recovery() {
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
-        .expect("migrating recovery");
+        .expect("recovery into two tiers");
     let report = recovered.recovery_report().expect("recover mode");
     assert_eq!(report.entries_replayed, 2);
     assert_eq!(report.files_reopened, 2);
-    assert_eq!(report.files_missing, 0, "the fallback must find both files on the legacy tier");
-    assert_eq!(report.backends_touched, 1, "everything replays to the legacy backend");
+    assert_eq!(report.files_missing, 0, "both files are on the backend their slots record");
+    assert_eq!(report.backends_touched, 1, "everything replays to backend 0");
     assert_eq!(
         report.files_misplaced, 1,
         "/hot/wal sits on tier 0 while the router now claims it for tier 1 — \
          the mismatch must be reported, not silent"
     );
 
-    // The acknowledged bytes are intact on the legacy tier…
+    // The acknowledged bytes are intact on tier 0…
     let f = legacy.open("/hot/wal", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = [0u8; 17];
     legacy.pread(f, &mut buf, 0, &clock).unwrap();
     assert_eq!(&buf, b"claimed by tier 1");
     // …nothing was invented on the new tier…
     assert!(matches!(hot.open("/hot/wal", OpenFlags::RDONLY, &clock), Err(IoError::NotFound(_))));
-    // …and the image is now v3.
+    // …and the image now records two backends.
     assert_eq!(NvRegion::whole(restarted).read_u64(layout::OFF_BACKENDS), 2);
 
-    // New files opened after the migration follow the router.
+    // New files opened after the recovery follow the router.
     let nfd = recovered.open("/hot/new", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     recovered.pwrite(nfd, b"routed", 0, &clock).unwrap();
     recovered.flush_log(&clock);
     assert!(hot.open("/hot/new", OpenFlags::RDONLY, &clock).is_ok());
-    recovered.shutdown(&clock);
-}
-
-#[test]
-fn pre_moved_files_recover_onto_their_new_tier() {
-    // The other half of the migration contract: when the operator already
-    // copied a file to the tier the router assigns, a legacy slot's entries
-    // replay *there* (router-first resolution).
-    let cfg = NvCacheConfig {
-        nb_entries: 128,
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        ..NvCacheConfig::tiny()
-    };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let legacy: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&legacy))
-        .config(cfg.clone())
-        .mount(&clock)
-        .unwrap();
-    let fd = cache.open("/hot/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(fd, b"pending", 0, &clock).unwrap();
-    cache.abort();
-    drop(cache);
-    let restarted = Arc::new(dimm.crash_and_restart());
-
-    // Operator pre-moves the file to the hot tier before remounting.
-    let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let moved = hot.open("/hot/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    hot.close(moved, &clock).unwrap();
-
-    let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .tiers(Tiering::new(
-            Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
-            vec![Arc::clone(&legacy), Arc::clone(&hot)],
-        ))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recovery");
-    assert_eq!(recovered.recovery_report().unwrap().entries_replayed, 1);
-    let f = hot.open("/hot/wal", OpenFlags::RDONLY, &clock).unwrap();
-    let mut buf = [0u8; 7];
-    hot.pread(f, &mut buf, 0, &clock).unwrap();
-    assert_eq!(&buf, b"pending", "the pending entry must land on the pre-moved copy");
     recovered.shutdown(&clock);
 }
 
@@ -438,7 +390,7 @@ fn tiered_image_cannot_be_mounted_with_fewer_backends() {
         .mount(&clock);
     assert!(
         matches!(res, Err(IoError::InvalidArgument(_))),
-        "a v3 image must refuse to shrink below its recorded backend count"
+        "a tiered image must refuse to shrink below its recorded backend count"
     );
 }
 
@@ -489,23 +441,45 @@ fn persisted_backend_beats_a_changed_router_policy() {
 }
 
 #[test]
-fn fd_slots_store_paths_after_the_backend_word() {
-    // Layout regression guard: the v3 slot keeps the path NUL-padded right
-    // after the backend word.
-    let lay = layout::Layout { backends: 2, ..layout::Layout::for_config(&NvCacheConfig::tiny()) };
-    assert_eq!(lay.fd_path_off(), FD_PATH_OFF_V3);
+fn fd_slots_store_the_backend_word_after_the_path() {
+    // Layout regression guard: the path sits NUL-padded right after the
+    // valid word, the backend word after the path.
+    let lay = layout::Layout::for_config(&NvCacheConfig::tiny());
     let (c, dimm, _cold, _hot, cache) = tiered_setup(NvCacheConfig::tiny(), Arc::new(MemFs::new()));
     let fd = cache.open("/hot/p", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let region = NvRegion::whole(Arc::clone(&dimm));
     // Slot 0 was handed to the first open.
     let base = lay.fd_slot(0);
     assert_eq!(region.read_u64(base), 1, "slot valid");
+    let mut path = [0u8; 7];
+    region.read_cached(base + FD_PATH_OFF, &mut path);
+    assert_eq!(&path, b"/hot/p\0");
     assert_eq!(region.read_u64(base + FD_BACKEND_OFF), 1, "backend word");
-    let mut path = [0u8; 6];
-    region.read_cached(base + FD_PATH_OFF_V3, &mut path);
-    assert_eq!(&path, b"/hot/p");
     cache.close(fd, &c).unwrap();
     cache.shutdown(&c);
+}
+
+#[test]
+fn a_single_backend_slot_is_the_seed_slot() {
+    // The backend and heat words of a single-backend mount are 0 and land
+    // where the seed slot had path padding: the slot is the seed's.
+    let clock = ActorClock::new();
+    let cfg = NvCacheConfig::tiny();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
+    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
+        .backend(Arc::new(MemFs::new()))
+        .config(cfg.clone())
+        .mount(&clock)
+        .unwrap();
+    let fd = cache.open("/seed", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    let mut slot = [0u8; FD_SLOT_BYTES as usize];
+    dimm.read_cached(layout::Layout::for_config(&cfg).fd_slot(0), &mut slot);
+    let mut seed = [0u8; FD_SLOT_BYTES as usize];
+    seed[..8].copy_from_slice(&1u64.to_le_bytes());
+    seed[8..13].copy_from_slice(b"/seed");
+    assert_eq!(slot, seed);
+    cache.close(fd, &clock).unwrap();
+    cache.shutdown(&clock);
 }
 
 #[test]
@@ -627,11 +601,10 @@ fn rename_of_a_missing_source_is_enoent_not_exdev() {
 
 #[test]
 fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
-    // Regression: a legacy slot whose file was deliberately unlinked could
-    // not be reopened by recovery. If it is left valid across a v2 → v3
-    // migration, the *next* recovery parses it with the v3 partitioning —
-    // its first path bytes masquerade as a garbage backend word — and the
-    // region is wedged forever. The slot must be cleared instead.
+    // A valid slot whose file was unlinked behind the mount's back cannot
+    // be reopened by recovery. Its entries are discarded and the slot is
+    // cleared, so the next recovery — here of a single-backend image
+    // recovered into two tiers — does not look for the file again.
     let cfg = NvCacheConfig {
         nb_entries: 128,
         batch_min: usize::MAX >> 1,
@@ -656,8 +629,8 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
     drop(cache);
     let restarted = Arc::new(dimm.crash_and_restart());
 
-    // First recovery: migrate into a two-tier stack. The dead file resolves
-    // nowhere, its entries are discarded, and its slot must be cleared.
+    // First recovery, into a two-tier stack: the dead file is found nowhere,
+    // its entries are discarded, and its slot must be cleared.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&restarted)))
@@ -665,21 +638,21 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
         .config(cfg.clone())
         .mode(Mount::Recover)
         .mount(&clock)
-        .expect("migrating recovery");
+        .expect("recovery into two tiers");
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.files_missing, 1, "a valid slot whose file is gone: removed on the inner fs");
     assert_eq!(report.entries_replayed, 0);
     recovered.abort();
     drop(recovered);
 
-    // Second crash + recovery on the now-v3 image must still mount.
+    // Second crash + recovery: the cleared slot is not counted again.
     let restarted = Arc::new(restarted.crash_and_restart());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
         .tiers(Tiering::new(router(), vec![legacy, hot]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
-        .expect("v3 image must stay recoverable after the migration");
+        .expect("the image stays recoverable");
     assert_eq!(recovered.recovery_report().unwrap().files_missing, 0);
     recovered.shutdown(&clock);
 }
@@ -721,9 +694,9 @@ fn an_unlinked_file_is_never_catalogued() {
 
 #[test]
 fn a_path_past_the_fd_slot_is_an_error_and_one_at_the_limit_survives_a_crash() {
-    // The two slot shapes: single (248 path bytes) and tiered (232, between
-    // the backend and the heat word). The tiered mount may migrate, so
-    // `open` holds a gate lease there.
+    // One slot shape, 232 path bytes, on a single-backend mount and on a
+    // tiered one. The tiered mount may migrate, so `open` holds a gate lease
+    // there.
     fn on_demand(tiers: Vec<Arc<dyn FileSystem>>) -> Tiering {
         let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
         Tiering::new(router, tiers).migration(crate::MigrationPolicy::OnDemand)
@@ -731,7 +704,7 @@ fn a_path_past_the_fd_slot_is_an_error_and_one_at_the_limit_survives_a_crash() {
     type Below = fn(Vec<Arc<dyn FileSystem>>) -> Tiering;
     let layouts: [(usize, usize, Below); 2] = [
         (layout::PATH_MAX, 1, |tiers| Tiering::new(Arc::new(SingleBackend), tiers)),
-        (layout::PATH_MAX_V3, 2, on_demand),
+        (layout::PATH_MAX, 2, on_demand),
     ];
     for (limit, tiers, below) in layouts {
         let clock = ActorClock::new();

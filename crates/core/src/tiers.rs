@@ -65,14 +65,14 @@ use vfs::{Fd, FileSystem, IoError, IoResult, Layer, Metadata, OpenFlags};
 
 use crate::cache::{NvCache, Shared};
 use crate::files::{FileState, OpenedFile, PersistentFdTable};
-use crate::layout::{Layout, MAX_BACKENDS};
+use crate::layout::MAX_BACKENDS;
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::Log;
 use crate::migrate::{FileHeat, MigrationGate, MigrationPolicy, Migrator, Move, RebalanceReport};
 use crate::placement::{quantize_heat, HeatPolicy, Temperature};
 use crate::recovery::HeatSeeds;
 use crate::router::Router;
-use crate::{NvCacheConfig, NvCacheStats};
+use crate::NvCacheStats;
 
 /// One tier of a [`Tiering::layered`] mount: the layer stack (outermost
 /// first, empty = bare) and the inner file system it wraps.
@@ -290,11 +290,6 @@ impl Tiers {
         Ok(Tiers { backends, router, heat, migrator, migrates })
     }
 
-    /// The fd-slot partitioning of this mount over `cfg`'s geometry.
-    pub fn layout(&self, cfg: &NvCacheConfig) -> Layout {
-        Layout { backends: self.backends.len() as u64, ..Layout::for_config(cfg) }
-    }
-
     /// The one inner file system of the paper's deployment; `None` on a
     /// mount that has a namespace to merge.
     fn sole(&self) -> Option<&Arc<dyn FileSystem>> {
@@ -475,7 +470,7 @@ impl Tiers {
             if !self.migrates() {
                 return Err(IoError::CrossDevice(format!("{from} -> {to}")));
             }
-            shared.log.layout.check_path(to)?;
+            crate::layout::check_path(to)?;
             // A lease blocks a claim, even our own: give them back first.
             // The unprotected gap is covered by the open/zombie re-check
             // under the claims.
@@ -841,7 +836,7 @@ mod tests {
     use vfs::MemFs;
 
     use super::*;
-    use crate::PathPrefixRouter;
+    use crate::{NvCacheConfig, PathPrefixRouter};
 
     /// A seeded bug in the merged namespace, armed per thread: the model
     /// test must fail under each.

@@ -49,14 +49,10 @@ const LEASE_FILES: &[&str] = &["core/src/migrate.rs", "core/src/tiers.rs"];
 const CAS_CALLS: &[&str] = &["compare_exchange", "fetch_update"];
 
 /// Host-clock timeouts, and the reviewed `(file suffix, line needle)` sites
-/// that may still spell one: the stripe's 1 ms polls for cleanup work and
-/// for log space. Entries leave this list; none join it.
+/// that may still spell one: the stripe's 1 ms poll for cleanup work.
+/// Entries leave this list; none join it.
 const HOST_TIMEOUTS: &[&str] = &[".wait_for(", "Duration::from_"];
-const ALLOW_TIMEOUT: &[(&str, &str)] = &[
-    ("core/src/log.rs", "self.work_cv.wait_for("),
-    ("core/src/log.rs", "self.space_cv.wait_for("),
-    ("core/src/log.rs", "stripe.space_cv.wait_for("),
-];
+const ALLOW_TIMEOUT: &[(&str, &str)] = &[("core/src/log.rs", "self.work_cv.wait_for(")];
 
 /// Reviewed `(file suffix, line needle)` pairs where `unwrap()`/`expect()`
 /// in non-test code is deliberate: each one documents an invariant whose
@@ -91,7 +87,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// simplification removed does not grow back unnoticed. Raising a ceiling
 /// is a reviewed one-line diff here, by no more than what a measured change
 /// had to add.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4991), ("vfs", 2539)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4944), ("vfs", 2539)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.

@@ -2,7 +2,7 @@
 //! store runs on an NVCache stack whose [`Router`] pins WAL files to a NOVA
 //! tier while SSTables and the manifest go to Ext4+SSD — the "hot files
 //! over NOVA, cold bulk over ext4" deployment of the ROADMAP's multi-backend
-//! item, crash-recovered end to end through the v3 fd table.
+//! item, crash-recovered end to end through the fd table's backend words.
 
 use std::sync::Arc;
 
