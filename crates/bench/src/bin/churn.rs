@@ -20,10 +20,10 @@
 //!    everything to the bulk tier).
 //! 3. **Crash + recover** — the hot set is reopened and fsynced (stamping
 //!    quantized heat into the fd slots), the mount aborts, and a
-//!    `RecoverRepair` mount follows: the persisted summaries must stop
-//!    the repair pass from demoting the hot set, and the first sweep must
-//!    leave it in place — placement quality survives the remount with
-//!    zero application reads.
+//!    `Mount::Recover` follows: the persisted summaries must keep the hot
+//!    set off the misplaced list, and the first sweep must leave it in
+//!    place — placement quality survives the remount with zero
+//!    application reads.
 //!
 //! Usage: `churn [--smoke] [--paths N] [--capacity N] [--seed N]
 //!         [--sweep-budget-ms N] [--json PATH]`
@@ -60,7 +60,7 @@ struct RunResult {
     promoted: u64,
     resident_after_churn: usize,
     resident_after_recover: usize,
-    repaired: u64,
+    misplaced: u64,
 }
 
 struct WallTimes {
@@ -187,8 +187,8 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     }
 
     // Phase 3 — crash with the hot set open and fsynced (the fsync stamps
-    // each slot's quantized heat), then recover with repair enabled: the
-    // persisted summaries must hold the hot set on the fast tier.
+    // each slot's quantized heat), then recover: the persisted summaries
+    // must hold the hot set on the fast tier.
     let mut hot_fds = Vec::with_capacity(HOT);
     for i in 0..HOT {
         let fd = cache.open(&hot_path(i), OpenFlags::RDWR, &clock).unwrap();
@@ -203,14 +203,14 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     let cache = NvCache::builder(NvRegion::whole(Arc::new(dimm.crash_and_restart())))
         .tiers(tiering)
         .config(cfg)
-        .mode(Mount::RecoverRepair)
+        .mode(Mount::Recover)
         .mount(&clock)
         .expect("recovery mount");
     let recover_ms = recover_start.elapsed().as_millis();
     let report = cache.recovery_report().expect("recover mode");
     assert_eq!(
-        report.files_repaired, 0,
-        "persisted heat must veto the repair pass demoting the hot set"
+        report.files_misplaced, 0,
+        "persisted heat must keep the hot set off the misplaced list"
     );
     // First post-recovery sweep, zero application touches since the crash:
     // the seeded temperatures alone must keep every hot file in place.
@@ -237,7 +237,7 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
             promoted: snap.files_promoted,
             resident_after_churn,
             resident_after_recover,
-            repaired: report.files_repaired as u64,
+            misplaced: report.files_misplaced as u64,
         },
         WallTimes { churn_ms, sweep_ms, recover_ms },
     )
@@ -293,7 +293,7 @@ fn main() {
         ),
     ];
     print_table(
-        &format!("catalog churn (promoted {}, repaired {})", result.promoted, result.repaired),
+        &format!("catalog churn (promoted {}, misplaced {})", result.promoted, result.misplaced),
         &["paths", "resident", "evictions", "readmissions", "virtual s", "wall ms"],
         &rows,
     );
@@ -339,7 +339,7 @@ fn main() {
                     Json::obj([
                         ("phase", Json::str("recover")),
                         ("resident", Json::Int(result.resident_after_recover as i64)),
-                        ("files_repaired", Json::Int(result.repaired as i64)),
+                        ("files_misplaced", Json::Int(result.misplaced as i64)),
                         ("hot_retained", Json::Int(HOT as i64)),
                         ("wall_ms", Json::Int(wall.recover_ms as i64)),
                     ]),

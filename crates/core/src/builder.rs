@@ -62,15 +62,10 @@ pub enum Mount {
     /// was written under, never fewer; every file replays to the backend
     /// its fd slot records. Interrupted tier migrations are always repaired
     /// from their journal slots; files found *misplaced* (recovered backend
-    /// ≠ current router placement) are only counted, not moved.
+    /// ≠ current router placement) are counted, not moved: on a mount that
+    /// may migrate they are catalogued, and the first
+    /// [`rebalance`](crate::NvCache::rebalance) re-homes them.
     Recover,
-    /// [`Mount::Recover`], plus a **repair pass**: after the replay is
-    /// durable, every misplaced file is re-homed to the router's current
-    /// placement through the crash-safe migration protocol
-    /// (copy → stamp → unlink, `core/src/migrate.rs`), so the mount comes
-    /// up with `files_misplaced == 0` and the moves counted in
-    /// [`RecoveryReport::files_repaired`](crate::RecoveryReport::files_repaired).
-    RecoverRepair,
 }
 
 /// Builder for mounting an [`NvCache`] stack; obtained from
@@ -200,12 +195,11 @@ impl NvCacheBuilder {
                 None
             }
             // Recovery stamps the grown backend count itself.
-            Mount::Recover | Mount::RecoverRepair => {
+            Mount::Recover => {
                 let image = Header::read(&region, clock)?;
                 image.check(&lay, backends)?;
-                let repair = mode == Mount::RecoverRepair;
                 let replay = crate::recovery::replay_planned;
-                Some(crate::recovery::recover(&region, &image, &tiers, repair, clock, replay)?)
+                Some(crate::recovery::recover(&region, &image, &tiers, clock, replay)?)
             }
         };
         Ok(NvCache::start(region, tiers, cfg, recovered, clock))

@@ -12,7 +12,7 @@ use std::thread::JoinHandle;
 use nvmm::NvRegion;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use simclock::{ActorClock, SimTime};
-use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags, SeekFrom};
+use vfs::{Fd, FileSystem, IoError, IoResult, Metadata, OpenFlags};
 
 use crate::builder::NvCacheBuilder;
 use crate::config::{copy_bandwidth, LIBC_OVERHEAD, PAGE_SIZE};
@@ -550,8 +550,8 @@ impl Shared {
     /// of `dirty` (ascending) is rebuilt by re-applying, in *global commit
     /// order* across all stripes, the `unpropagated` pending entries that
     /// overlap it — the page's dirty count, exact because the caller holds
-    /// the page's atomic lock (no writer increments it) *and* cleanup lock
-    /// (no worker decrements it). Those are the newest overlapping entries.
+    /// the page's atomic lock (no writer queues an entry) *and* cleanup lock
+    /// (no worker pops one). Those are the newest overlapping entries.
     /// One scan of the log serves the whole run; each page keeps its own
     /// count. The scan can also meet older, already propagated entries
     /// whose worker has not cleared their commit word yet (`free_range`
@@ -628,7 +628,7 @@ impl Shared {
                 .iter()
                 .filter_map(|((_, p), d)| {
                     let unpropagated = d.dirty_count();
-                    (unpropagated > 0).then_some((*p, unpropagated as usize))
+                    (unpropagated > 0).then_some((*p, unpropagated))
                 })
                 .collect();
             self.stats.dirty_misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
@@ -641,8 +641,8 @@ impl Shared {
     /// multi-page, multi-entry and batched writes): append `writes` — all
     /// routed to `stripe`, together fitting it — as one reservation window,
     /// commit them with a single fence pair (synchronous durability), then
-    /// update dirty counters, propagation queues, loaded page contents and
-    /// file sizes, and count the writes and their heat. The caller holds the
+    /// update propagation queues, loaded page contents and file sizes, and
+    /// count the writes and their heat. The caller holds the
     /// atomic lock of every written page: `pages` ascending by key, `guards`
     /// parallel to it. Returns the commit instant, from which every write is
     /// durable.
@@ -692,9 +692,9 @@ impl Shared {
         let done = clock.now();
 
         // Read-cache maintenance (ll.29-31), in window order: one
-        // dirty-counter increment and one propagation-queue entry per (entry,
-        // page) overlap — the cleanup workers replay each page's writes in
-        // commit order — and in-place update of loaded contents.
+        // propagation-queue entry — the paper's dirty-counter increment — per
+        // (entry, page) overlap, so the cleanup workers replay each page's
+        // writes in commit order, and in-place update of loaded contents.
         let ps = PAGE_SIZE as u64;
         let mut gseq = first_gseq;
         for (w, &(_, k)) in writes.iter().zip(&groups) {
@@ -706,9 +706,7 @@ impl Shared {
             };
             for (i, part) in w.data.chunks(es).enumerate() {
                 for p in self.pages_of(w.off + (i * es) as u64, part.len()) {
-                    let desc = &pages[index_of(p)].1;
-                    desc.inc_dirty();
-                    desc.enqueue_propagation(gseq + i as u64);
+                    pages[index_of(p)].1.enqueue_propagation(gseq + i as u64);
                 }
             }
             let end = w.off + w.data.len() as u64;
@@ -893,9 +891,7 @@ pub struct NvCache {
     name: String,
     cleanup: Mutex<Vec<JoinHandle<()>>>,
     /// The recovery report when the instance was mounted with
-    /// [`Mount::Recover`](crate::Mount) or
-    /// [`Mount::RecoverRepair`](crate::Mount); `None` on a fresh
-    /// format.
+    /// [`Mount::Recover`](crate::Mount); `None` on a fresh format.
     recovery: Option<RecoveryReport>,
 }
 
@@ -1095,67 +1091,6 @@ impl NvCache {
             let _ = h.join();
         }
     }
-
-    /// Cursor-based write (libc `write`): appends at the NVCache-maintained
-    /// cursor, honouring `O_APPEND` against NVCache's own size.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileSystem::pwrite`].
-    pub fn write(&self, fd: Fd, data: &[u8], clock: &ActorClock) -> IoResult<usize> {
-        let opened = self.shared.opened_fd(fd)?;
-        let mut cursor = opened.cursor.lock();
-        if opened.flags.contains(OpenFlags::APPEND) {
-            *cursor = opened.file.size.load(Ordering::Acquire);
-        }
-        let n = self.pwrite(fd, data, *cursor, clock)?;
-        *cursor += n as u64;
-        Ok(n)
-    }
-
-    /// Cursor-based read (libc `read`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FileSystem::pread`].
-    pub fn read(&self, fd: Fd, buf: &mut [u8], clock: &ActorClock) -> IoResult<usize> {
-        let opened = self.shared.opened_fd(fd)?;
-        let mut cursor = opened.cursor.lock();
-        let n = self.pread(fd, buf, *cursor, clock)?;
-        *cursor += n as u64;
-        Ok(n)
-    }
-
-    /// `lseek`, answered from NVCache's own cursor and size — the kernel's
-    /// values may be stale (paper Table III).
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::InvalidArgument`] when seeking before byte zero.
-    pub fn lseek(&self, fd: Fd, from: SeekFrom, clock: &ActorClock) -> IoResult<u64> {
-        clock.advance(LIBC_OVERHEAD);
-        let opened = self.shared.opened_fd(fd)?;
-        let mut cursor = opened.cursor.lock();
-        let base: i128 = match from {
-            SeekFrom::Start(o) => o as i128,
-            SeekFrom::End(d) => opened.file.size.load(Ordering::Acquire) as i128 + d as i128,
-            SeekFrom::Current(d) => *cursor as i128 + d as i128,
-        };
-        if base < 0 {
-            return Err(IoError::InvalidArgument("seek before start of file".into()));
-        }
-        *cursor = base as u64;
-        Ok(*cursor)
-    }
-
-    /// Current cursor (`ftell`).
-    ///
-    /// # Errors
-    ///
-    /// [`IoError::BadFd`] if the descriptor is not open.
-    pub fn tell(&self, fd: Fd) -> IoResult<u64> {
-        Ok(*self.shared.opened_fd(fd)?.cursor.lock())
-    }
 }
 
 #[cfg(feature = "pmcheck")]
@@ -1312,7 +1247,6 @@ impl NvCache {
         let opened = Arc::new(OpenedFile {
             slot,
             flags,
-            cursor: Mutex::new(0),
             file,
             backend: backend_idx as u32,
             inner: RwLock::new(Some(inner_fd)),

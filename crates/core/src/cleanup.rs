@@ -41,7 +41,7 @@ use crate::pagedesc::PageDescriptor;
 ///    cache, and the device's share of the batch is paid in phase 2. An
 ///    entry whose file is *dead* — unlinked, every descriptor closed, its
 ///    inner descriptor released ([`Shared::release_dead`]) — is consumed
-///    like any other (handoff, page locks, dirty counters) without the
+///    like any other (handoff, page locks, propagation pops) without the
 ///    write: [`entries_elided`](crate::NvCacheStats::entries_elided). An
 ///    entry below its file's pushed-below mark — the last writable `close`
 ///    pushed it into the kernel ([`Shared::push`]) — skips the write too,
@@ -267,7 +267,6 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 }
                 drop((inner, inner_order));
                 for (_, d) in &pages {
-                    d.dec_dirty();
                     d.pop_propagation(e.seq);
                 }
                 drop(guards);

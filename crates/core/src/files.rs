@@ -79,16 +79,15 @@ pub(crate) struct FileState {
 }
 
 /// Volatile per-descriptor state: the *opened table* entry of paper §III,
-/// holding the cursor and a pointer to the file structure.
+/// holding a pointer to the file structure. The cursor of the paper's entry
+/// is [`vfs::CursorFile`]'s: every call here is positional, and `fstat`
+/// answers NVCache's own size, which is all `O_APPEND` and `SEEK_END` need.
 #[derive(Debug)]
 pub(crate) struct OpenedFile {
     /// Persistent fd-table slot; doubles as the public descriptor number.
     pub slot: u32,
     /// Flags the file was opened with.
     pub flags: vfs::OpenFlags,
-    /// NVCache-maintained cursor (paper Table III: `lseek`/`ftell` answered
-    /// from here, never from the kernel).
-    pub cursor: Mutex<u64>,
     /// The shared file structure.
     pub file: Arc<FileState>,
     /// Index of the inner backend the router placed this file on (`0` on a

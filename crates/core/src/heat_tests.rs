@@ -268,10 +268,10 @@ fn sweep_on_a_lagging_clock_still_sees_decay() {
 
 /// A file the heat policy promoted, and that cooled off before the crash,
 /// is judged cold at recovery — its persisted heat word no longer clears the
-/// promote threshold — and a `RecoverRepair` mount demotes it back to the
-/// router baseline with intact bytes.
+/// promote threshold — and the first sweep after recovery demotes it back to
+/// the router baseline with intact bytes.
 #[test]
-fn recover_repair_demotes_a_previously_promoted_file() {
+fn a_sweep_after_recovery_demotes_a_previously_promoted_file() {
     let policy = || HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
@@ -296,17 +296,18 @@ fn recover_repair_demotes_a_previously_promoted_file() {
     cache.abort();
     drop(cache);
 
-    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::RecoverRepair, &clock);
-    let report = cache.recovery_report().unwrap();
-    assert_eq!(report.files_repaired, 1, "the stale promotion is demoted at recovery");
-    assert_eq!(report.files_misplaced, 0);
+    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::Recover, &clock);
+    assert_eq!(cache.recovery_report().unwrap().files_misplaced, 1, "the stale promotion");
+    assert!(on_tier(&tiers.1, "/burst", &clock), "recovery moves nothing");
+    let sweep = cache.rebalance(&clock).expect("post-recovery sweep");
+    assert_eq!((sweep.files_migrated, sweep.files_demoted), (1, 1));
     assert!(on_tier(&tiers.0, "/burst", &clock), "back on the router baseline");
     assert!(!on_tier(&tiers.1, "/burst", &clock), "fast-tier copy gone");
     // The acknowledged crash write replayed before the demotion.
     let fd = cache.open("/burst", OpenFlags::RDONLY, &clock).unwrap();
     let mut buf = [0u8; 64];
     cache.pread(fd, &mut buf, 0, &clock).unwrap();
-    assert_eq!(buf, [4; 64], "replayed bytes survive the repair demotion");
+    assert_eq!(buf, [4; 64], "replayed bytes survive the demotion");
     cache.close(fd, &clock).unwrap();
     cache.shutdown(&clock);
 }
@@ -347,9 +348,9 @@ fn recovery_judges_a_file_open_twice_by_its_hottest_slot() {
     cache.abort();
     drop(cache);
 
-    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::RecoverRepair, &clock);
+    let cache = mount(tiering, &Arc::new(dimm.crash_and_restart()), Mount::Recover, &clock);
     let report = cache.recovery_report().unwrap();
-    assert_eq!((report.files_misplaced, report.files_repaired), (0, 0), "judged by slot A");
+    assert_eq!(report.files_misplaced, 0, "judged by slot A");
     assert!(on_tier(&tiers.1, "/burst", &clock), "still on the fast tier");
     let sweep = cache.rebalance(&clock).expect("post-recovery sweep");
     assert_eq!(sweep.files_migrated, 0, "the seeded heat keeps the file where it is");

@@ -494,6 +494,9 @@ mod tests {
         let lay = layout();
         let (clock, region) = region(&lay);
         Header::format(&region, &lay, 1, &clock);
+        // The fence a mount's format ends with: the stamp is a commit store,
+        // ordered after a durable header.
+        region.psync(&clock);
         let flat = Header::read(&region, &clock).unwrap();
         Header::upgrade(&region, 3, &clock);
         let tiered = Header::read(&region, &clock).unwrap();

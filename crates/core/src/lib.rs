@@ -16,12 +16,14 @@
 //!   paper uses an approximate LRU) and the Table II page state machine
 //!   ([`Radix`], [`PageState`]);
 //! * the **two-lock-per-page concurrency scheme** (atomic lock + cleanup
-//!   lock + dirty counter, §II-D);
+//!   lock, §II-D), the paper's dirty counter being the length of the page's
+//!   propagation queue;
 //! * the **cleanup workers** with write batching (§III);
 //! * the **recovery procedure** replaying committed entries after a crash;
 //! * the **interception semantics** of Table III (`fsync` no-ops, NVCache's
-//!   own cursors/sizes) via the [`vfs::FileSystem`] trait plus cursor-based
-//!   [`NvCache::write`]/[`NvCache::read`]/[`NvCache::lseek`].
+//!   own sizes) via the [`vfs::FileSystem`] trait; `read`/`write`/`lseek`
+//!   are [`vfs::CursorFile`] over the mount, whose `fstat` answers
+//!   NVCache's size.
 //!
 //! Hardware primitives (`pwb`/`pfence`/`psync`) come from the [`nvmm`]
 //! simulator, which also provides crash injection so the durability claims
@@ -74,12 +76,13 @@
 //!    under the same name cannot inherit them. Once no descriptor on the
 //!    unlinked file is left un-closed it is *dead*: the workers release its
 //!    inner descriptors (the inner file system drops what it cached for the
-//!    inode) and consume its entries — same handoff, page locks, dirty
-//!    counters, tail and barrier rules — without the inner write. An inner
-//!    descriptor is only ever used under its guard (`OpenedFile::inner`,
-//!    read-held across the call, taken out under the write lock), so no
-//!    worker can be handed a released one; a zombie of a dead file stays
-//!    listed to pin its slot number until the tail has passed its entries.
+//!    inode) and consume its entries — same handoff, page locks,
+//!    propagation queues, tail and barrier rules — without the inner
+//!    write. An inner descriptor is only ever used under its guard
+//!    (`OpenedFile::inner`, read-held across the call, taken out under the
+//!    write lock), so no worker can be handed a released one; a zombie of
+//!    a dead file stays listed to pin its slot number until the tail has
+//!    passed its entries.
 //! 7. **Pushed entries** — the last writable `close` of a file pushes its
 //!    pending entries into the kernel and moves the file's *pushed-below*
 //!    mark to the next global sequence number, holding the cleanup lock of
@@ -154,8 +157,8 @@
 //! sweeps and [`NvCache::migrate`] moves, on the caller's clock; nothing
 //! migrates unless a caller asks. A sweep is driven by the router's
 //! placement (or the heat policy's), per-file access heat and the
-//! per-tier propagation load. A [`Mount::RecoverRepair`] mount re-homes
-//! every file recovery found misplaced before the cache comes up. A
+//! per-tier propagation load; the files a [`Mount::Recover`] found
+//! misplaced are in its catalog, so the first sweep re-homes them. A
 //! `rename` across tiers is `EXDEV` exactly when the policy is `Disabled`
 //! (the default), and a journaled migrate-then-rename otherwise.
 //!

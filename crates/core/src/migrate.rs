@@ -611,8 +611,8 @@ pub(crate) fn migrate_bytes(
     // A rename target is caller input: one too long for the journal slot
     // is an error, not a panic in `PersistentFdTable::set`.
     crate::layout::check_path(to_path)?;
-    // Open the source before anything else: a vanished source (stale
-    // catalog entry, duplicate repair request) must fail the migration
+    // Open the source before anything else: a vanished source (a stale
+    // catalog entry) must fail the migration
     // with NotFound *before* the journal is written or the target tier —
     // possibly holding the only good copy — is touched.
     let src = backends[from].open(from_path, OpenFlags::RDONLY, clock)?;

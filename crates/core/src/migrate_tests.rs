@@ -1,8 +1,8 @@
 //! Tests of the tier migrator: the copy → stamp → unlink crash matrix
 //! (exactly one authoritative copy after a crash at every protocol step,
 //! proptest-randomized), live migration/rebalance semantics (busy files,
-//! access-heat catalog), the recovery repair mode of the acceptance
-//! criteria, and cross-tier rename on a mount that may move files.
+//! access-heat catalog), misplaced files going home after recovery, and
+//! cross-tier rename on a mount that may move files.
 
 use std::sync::Arc;
 
@@ -102,8 +102,8 @@ fn crash_scenario(content: &[u8], from: usize, crash_after: Option<CrashPoint>) 
     )
     .expect("protocol run");
 
-    // Power failure, then a plain recovery mount (journal repair runs on
-    // every recovery, repair mode or not).
+    // Power failure, then a recovery mount (journal repair runs on every
+    // recovery).
     let restarted = Arc::new(dimm.crash_and_restart());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
         .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
@@ -308,11 +308,11 @@ fn rebalance_requires_an_enabled_policy() {
     cache.shutdown(&clock);
 }
 
-/// The acceptance scenario: crash with files misplaced by a policy change,
-/// one `Mount::RecoverRepair` re-homes them all (report shows
-/// `files_misplaced == 0`, moves in `files_repaired`), a byte oracle
-/// confirms the content, and the *next* crash + recovery reports zero
-/// misplaced files.
+/// The acceptance scenario: crash with files misplaced by a policy change.
+/// Recovery replays them where their slots say and moves nothing; it hands
+/// them to the migrator, so the first sweep a caller asks for repairs the
+/// placement of them all, a byte oracle confirms the content, and the
+/// *next* crash + recovery reports zero misplaced files.
 #[test]
 fn recover_repair_rehomes_every_misplaced_file() {
     let cfg = tiny_tiered_cfg();
@@ -339,21 +339,23 @@ fn recover_repair_rehomes_every_misplaced_file() {
     drop(cache);
     let restarted = Arc::new(dimm.crash_and_restart());
 
-    // Phase 2: repair-mode recovery into a two-tier stack whose router
-    // claims /hot/** for tier 1. The legacy files replay to backend 0
-    // (acknowledged bytes never re-route) and are then re-homed to tier 1
-    // by the repair pass.
+    // Phase 2: recovery into a two-tier stack whose router claims /hot/**
+    // for tier 1. The legacy files replay to backend 0 (acknowledged bytes
+    // never re-route); the sweep then re-homes them to tier 1.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    let tiering = Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
+        .migration(MigrationPolicy::OnDemand);
     let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&restarted)))
-        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)]))
+        .tiers(tiering.clone())
         .config(cfg.clone())
-        .mode(Mount::RecoverRepair)
+        .mode(Mount::Recover)
         .mount(&clock)
-        .expect("repair recovery");
+        .expect("recovery");
     let report = recovered.recovery_report().unwrap();
-    assert_eq!(report.entries_replayed, 4);
-    assert_eq!(report.files_repaired, 4, "every misplaced file must be re-homed");
-    assert_eq!(report.files_misplaced, 0, "none may remain misplaced after repair");
+    assert_eq!((report.entries_replayed, report.files_misplaced), (4, 4));
+    assert_eq!(recovered.stats().snapshot().files_migrated, 0, "recovery moves nothing");
+    assert_eq!(recovered.rebalance(&clock).expect("sweep").files_migrated, 4);
+    assert_eq!(recovered.stats().snapshot().files_migrated, 4, "every move is counted");
     for (path, content) in &oracle {
         assert_eq!(
             read_file(&hot, path, &clock).as_deref(),
@@ -365,9 +367,9 @@ fn recover_repair_rehomes_every_misplaced_file() {
         assert_eq!(recovered.stat(path, &clock).unwrap().size, content.len() as u64);
     }
 
-    // Phase 3: reopen through the mount, crash again, recover normally —
-    // the next mount must report files_misplaced == 0 (the slots now
-    // record the router's placement).
+    // Phase 3: reopen through the mount, crash again, recover — the next
+    // mount must report files_misplaced == 0 (the slots now record the
+    // router's placement).
     for (path, _) in &oracle {
         let fd = recovered.open(path, OpenFlags::RDWR, &clock).unwrap();
         recovered.pwrite(fd, b"!", 0, &clock).unwrap();
@@ -376,13 +378,12 @@ fn recover_repair_rehomes_every_misplaced_file() {
     drop(recovered);
     let restarted = Arc::new(restarted.crash_and_restart());
     let next = NvCache::builder(NvRegion::whole(restarted))
-        .tiers(Tiering::new(hot_router(), vec![legacy, hot]))
+        .tiers(tiering)
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
         .expect("second recovery");
     assert_eq!(next.recovery_report().unwrap().files_misplaced, 0);
-    assert_eq!(next.recovery_report().unwrap().files_repaired, 0);
     next.shutdown(&clock);
 }
 
@@ -403,8 +404,8 @@ fn a_recovered_misplaced_file_goes_home_on_the_next_sweep() {
     drop(cache);
     let restarted = Arc::new(dimm.crash_and_restart());
 
-    // Plain Recover (no repair pass): the misplaced file seeds the catalog,
-    // so the first sweep a caller asks for re-homes it.
+    // The misplaced file seeds the catalog, so the first sweep a caller
+    // asks for re-homes it.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
         .tiers(

@@ -1,10 +1,9 @@
 //! Per-page state: [`PageDescriptor`] with the paper's two-lock concurrency
-//! scheme (§II-D), the dirty counter, the Table II page states, and the
-//! propagation queue that keeps per-page write order at the inner file
-//! system across stripes.
+//! scheme (§II-D), the Table II page states, and the propagation queue that
+//! keeps per-page write order at the inner file system across stripes —
+//! and whose length is the paper's dirty counter.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicI64, Ordering};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -50,24 +49,25 @@ impl PageSlot {
 ///   dirty-miss procedure — and nothing else, so the cleanup thread never
 ///   blocks writers, and never blocks readers that hit the cache.
 ///
-/// The **dirty counter** counts log entries that modify this page; it may go
-/// transiently negative when the cleanup thread's decrement overtakes a
-/// writer's increment (paper footnote 4) — readers can never observe the
-/// unstable value because the dirty-miss procedure requires both locks.
-///
-/// The descriptor additionally carries the **propagation queue**: the global
+/// The descriptor also carries the **propagation queue**: the global
 /// sequence numbers of pending log entries touching this page, in commit
 /// order (writers enqueue under the atomic lock). A cleanup worker may only
 /// propagate an entry once it reaches the queue front, which restores
 /// cross-stripe per-page write ordering at the inner file system without
 /// serializing unrelated pages. Every log keeps it, one stripe included.
+///
+/// The queue's length is the paper's **dirty counter** — the log entries
+/// that modify this page and have not reached the inner file system. A
+/// worker pops an entry only once it is at the front, so unlike the paper's
+/// counter (footnote 4) the length never goes transiently negative; the
+/// dirty-miss procedure reads it under both locks, when no writer can push
+/// and no worker can pop.
 #[derive(Debug)]
 pub struct PageDescriptor {
     file_id: u64,
     page_no: u64,
     slot: Mutex<PageSlot>,
     cleanup_lock: Mutex<()>,
-    dirty_counter: AtomicI64,
     prop_queue: Mutex<VecDeque<u64>>,
 }
 
@@ -80,7 +80,6 @@ impl PageDescriptor {
             page_no,
             slot: Mutex::new(PageSlot::default()),
             cleanup_lock: Mutex::new(()),
-            dirty_counter: AtomicI64::new(0),
             prop_queue: Mutex::new(VecDeque::new()),
         }
     }
@@ -111,19 +110,9 @@ impl PageDescriptor {
         self.cleanup_lock.lock()
     }
 
-    /// Increments the dirty counter (writer path, under the atomic lock).
-    pub fn inc_dirty(&self) {
-        self.dirty_counter.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Decrements the dirty counter (cleanup path, under the cleanup lock).
-    pub fn dec_dirty(&self) {
-        self.dirty_counter.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Current dirty count (may be transiently negative, see type docs).
-    pub fn dirty_count(&self) -> i64 {
-        self.dirty_counter.load(Ordering::Acquire)
+    /// The dirty counter: pending log entries on this page (see type docs).
+    pub fn dirty_count(&self) -> usize {
+        self.prop_queue.lock().len()
     }
 
     /// Appends a pending entry's global sequence number to the propagation
@@ -154,7 +143,7 @@ impl PageDescriptor {
     }
 
     /// The page state per paper Table II, derived from residency and the
-    /// dirty counter.
+    /// dirty count.
     pub fn state(&self) -> PageState {
         let loaded = self.slot.lock().content.is_some();
         if loaded {
@@ -183,13 +172,13 @@ mod tests {
     fn table_ii_state_matrix() {
         let d = PageDescriptor::for_file(1, 0);
         // unloaded-clean -> unloaded-dirty on write (dc > 0)
-        d.inc_dirty();
+        d.enqueue_propagation(4);
         assert_eq!(d.state(), PageState::UnloadedDirty);
         // load content => loaded regardless of the counter
         d.lock().content = Some(vec![0u8; 64].into_boxed_slice());
         assert_eq!(d.state(), PageState::Loaded);
         // cleanup propagates the entry
-        d.dec_dirty();
+        d.pop_propagation(4);
         assert_eq!(d.state(), PageState::Loaded);
         // eviction -> unloaded-clean (dc == 0)
         d.lock().content = None;
@@ -202,19 +191,9 @@ mod tests {
         // design avoids a synchronous write-back at eviction.
         let d = PageDescriptor::for_file(1, 0);
         d.lock().content = Some(vec![1u8; 64].into_boxed_slice());
-        d.inc_dirty();
+        d.enqueue_propagation(0);
         d.lock().content = None; // evict without any I/O
         assert_eq!(d.state(), PageState::UnloadedDirty);
-    }
-
-    #[test]
-    fn dirty_counter_can_go_transiently_negative() {
-        let d = PageDescriptor::for_file(1, 0);
-        d.dec_dirty(); // cleanup overtakes the writer (paper footnote 4)
-        assert_eq!(d.dirty_count(), -1);
-        d.inc_dirty();
-        assert_eq!(d.dirty_count(), 0);
-        assert_eq!(d.state(), PageState::UnloadedClean);
     }
 
     #[test]
@@ -241,11 +220,11 @@ mod tests {
         assert_eq!(d.propagation_front(), None);
         d.enqueue_propagation(3);
         d.enqueue_propagation(9);
-        assert_eq!(d.propagation_front(), Some(3));
+        assert_eq!((d.propagation_front(), d.dirty_count()), (Some(3), 2));
         d.pop_propagation(3);
-        assert_eq!(d.propagation_front(), Some(9));
+        assert_eq!((d.propagation_front(), d.dirty_count()), (Some(9), 1));
         d.pop_propagation(9);
-        assert_eq!(d.propagation_front(), None);
+        assert_eq!((d.propagation_front(), d.dirty_count()), (None, 0));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::NvCacheStats;
 /// as good as a ghost queue.
 ///
 /// Eviction recycles the content; the descriptor becomes unloaded-clean or
-/// unloaded-dirty depending on the dirty counter — never issuing a
+/// unloaded-dirty depending on the dirty count — never issuing a
 /// synchronous write, which is the entire point of the state machine in
 /// paper Fig. 2. The policy state lives in [`PageSlot`], under the page's
 /// atomic lock. Because the evictor may already hold atomic locks of the
@@ -287,7 +287,7 @@ mod tests {
         let rc = ReadCache::new(1);
         let d = page(1, 0);
         install(&rc, &d);
-        d.inc_dirty();
+        d.enqueue_propagation(0);
         let extra = page(1, 1);
         rc.make_room(&stats);
         install(&rc, &extra);

@@ -80,18 +80,11 @@ pub struct RecoveryReport {
     /// threshold. Their bytes stay fully reachable — `stat`,
     /// `unlink` and `open` (creating or not) probe the recorded backend
     /// before policy routing, so an existing file is always opened in
-    /// place — but they sit on the wrong tier until a repair-mode recovery
-    /// ([`Mount::RecoverRepair`](crate::Mount)), a
-    /// [`rebalance`](crate::NvCache::rebalance) sweep, or the operator
-    /// moves the files. `0` means every recovered file is where the router
-    /// expects it; a repair-mode recovery reports the count *after* its
-    /// re-homing pass (so `0` on success, with the moves counted in
-    /// [`files_repaired`](RecoveryReport::files_repaired)).
+    /// place — but they sit on the wrong tier until a
+    /// [`rebalance`](crate::NvCache::rebalance) sweep (which finds them in
+    /// the catalog recovery seeds) or the operator moves them. `0` means
+    /// every recovered file is where the router expects it.
     pub files_misplaced: usize,
-    /// Misplaced files re-homed to the router's placement by a repair-mode
-    /// recovery (always `0` under plain
-    /// [`Mount::Recover`](crate::Mount)).
-    pub files_repaired: usize,
     /// Interrupted migrations rolled forward/back from their journal slots
     /// (the crashed mount died inside a copy → stamp → unlink protocol run;
     /// see `migrate.rs`). Each repair leaves exactly one authoritative copy.
@@ -201,8 +194,8 @@ pub(crate) type Replayer = fn(&Replay<'_>, &mut RecoveryReport) -> IoResult<()>;
 /// slots' heat words, ready to seed the migrator's catalog.
 pub(crate) type HeatSeeds = Vec<(String, u32, f64)>;
 
-/// What [`recover`] hands the mount: the report, the `(path, backend)`
-/// pairs still misplaced after recovery, and the recovered heat seeds.
+/// What [`recover`] hands the mount: the report, the misplaced
+/// `(path, backend)` pairs, and the recovered heat seeds.
 pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 
 /// The recovery procedure (paper §III "Recovery procedure"): reopen the
@@ -229,15 +222,10 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// **Misplacement** is judged once per path, after the slot scan: the heat
 /// catalog is volatile (only the slots' heat words survive, see below), so
 /// each recovered file is checked against the router's current placement of
-/// its path.
-///
-/// **Repair mode** (`repair = true`, a [`Mount::RecoverRepair`](crate::Mount)
-/// mount): after the replay is durable and the fd table cleared, every
-/// file judged misplaced is re-homed to the router's placement through the
-/// journaled copy → stamp → unlink protocol of `migrate.rs` — so the next
-/// mount reports
-/// `files_misplaced == 0`. Leftover migration journals from a crash inside
-/// the protocol are repaired on *every* recovery, repair mode or not.
+/// its path. Recovery moves no file: the misplaced ones are handed to the
+/// migrator, and moving them is a [`rebalance`](crate::NvCache::rebalance)'s
+/// job. Leftover migration journals from a crash inside the copy → stamp →
+/// unlink protocol are repaired first, on every recovery.
 ///
 /// **Persisted heat**: every slot ends in a quantized temperature summary,
 /// stamped by a mount that tracks heat. A
@@ -247,15 +235,14 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// [`HeatPolicy`](crate::HeatPolicy) mount re-promotes its hot set on the
 /// next sweep without the files being re-touched; every other mount ignores
 /// the word. A path whose seeded heat clears the promote threshold is *not*
-/// judged misplaced (and not demoted by a repair pass): the persisted
-/// temperature says it is exactly where promotion put it, and the next
-/// sweep would promote it again.
+/// judged misplaced: the persisted temperature says it is exactly where
+/// promotion put it, and the next sweep would promote it again.
 ///
-/// Returns the report, the `(path, backend)` pairs still misplaced after
-/// recovery (empty in repair mode) — the mount seeds the migrator's catalog
-/// with them so a later [`rebalance`](crate::NvCache::rebalance) can find
-/// the files — and the `(path, backend, heat)` summaries recovered from the
-/// heat words (empty unless the mount tracks heat).
+/// Returns the report, the misplaced `(path, backend)` pairs — the mount
+/// seeds the migrator's catalog with them so a later
+/// [`rebalance`](crate::NvCache::rebalance) can find the files — and the
+/// `(path, backend, heat)` summaries recovered from the heat words (empty
+/// unless the mount tracks heat).
 ///
 /// Idempotent: crashing *during* recovery and running it again converges to
 /// the same state, because replay only overwrites with logged data and the
@@ -269,7 +256,6 @@ pub(crate) fn recover(
     region: &NvRegion,
     image: &Header,
     tiers: &Tiers,
-    repair: bool,
     clock: &ActorClock,
     replay: Replayer,
 ) -> IoResult<Recovered> {
@@ -345,19 +331,17 @@ pub(crate) fn recover(
     // it there (recorded-backend probing), but it sits on the wrong tier —
     // as judged by the router, unless the hottest persisted summary of its
     // path clears the promote threshold (promotion put it there on purpose)
-    // — until a repair pass, a rebalance sweep, or the operator moves it.
-    // Count it so the mismatch is visible instead of silent. Each path is
-    // judged once, with the heat it seeds: the misplaced list — and the
-    // report's count, which the repair pass decrements per path and must
-    // end at zero — carries each path once, with its target.
+    // — until a rebalance sweep or the operator moves it. Count it so the
+    // mismatch is visible instead of silent. Each path is judged once, with
+    // the heat it seeds, so the misplaced list carries each path once.
     let promote = tiers.heat.as_ref().map(|p| p.promote_threshold);
-    let mut misplaced: Vec<(String, u32, usize)> = recovered
+    let mut misplaced: Vec<(String, u32)> = recovered
         .iter()
-        .filter_map(|(path, &(backend, heat))| {
-            let to = router.route(path);
+        .filter(|(path, &(backend, heat))| {
             let hot = promote.is_some_and(|t| heat >= t);
-            (backend as usize != to && !hot).then(|| (path.clone(), backend, to))
+            backend as usize != router.route(path) && !hot
         })
+        .map(|(path, &(backend, _))| (path.clone(), backend))
         .collect();
     misplaced.sort();
     report.files_misplaced = misplaced.len();
@@ -456,46 +440,11 @@ pub(crate) fn recover(
     // single-backend mount keeps the 0 encoding.
     Header::upgrade(region, backends.len() as u64, clock);
 
-    // Repair mode: re-home every misplaced file to its router placement
-    // with the journaled migration protocol. Every fd slot was cleared
-    // above, so slot 0 is free to journal through; the files are closed and
-    // the log is empty, so no coordination is needed.
-    if repair {
-        for (path, from, to) in misplaced.drain(..) {
-            match crate::migrate::migrate_bytes(
-                region,
-                &lay,
-                backends,
-                0,
-                &path,
-                &path,
-                from as usize,
-                to,
-                clock,
-                None,
-            ) {
-                Ok(_) => {
-                    report.files_repaired += 1;
-                    report.files_misplaced -= 1;
-                    // A (below-threshold) temperature summary follows the
-                    // re-homed file to its new tier.
-                    if let Some(seed) = recovered.get_mut(&path) {
-                        seed.0 = to as u32;
-                    }
-                }
-                // Already gone from the recorded tier (the source is opened
-                // before anything is journaled or touched, so this is
-                // side-effect-free): nothing left to repair.
-                Err(IoError::NotFound(_)) => report.files_misplaced -= 1,
-                Err(e) => return Err(e),
-            }
-        }
-    }
     // No final psync: every store above was already pwb'd and fenced (the
-    // log clear at the persist_fence, the fd-table clears and the repair
-    // protocol each end fenced), so the barrier the seed inherited from the
-    // paper's recovery sketch covered nothing — the pmcheck redundant-fence
-    // counter confirmed an always-empty flush queue here.
+    // log clear at the persist_fence, the fd-table clears each end fenced),
+    // so the barrier the seed inherited from the paper's recovery sketch
+    // covered nothing — the pmcheck redundant-fence counter confirmed an
+    // always-empty flush queue here.
     let mut heat_seeds: HeatSeeds = recovered
         .into_iter()
         .filter(|&(_, (_, heat))| heat > 0.0)
@@ -504,7 +453,6 @@ pub(crate) fn recover(
     // HashMap iteration order is not deterministic; catalog admission order
     // must be (the virtual-time oracle replays mounts byte for byte).
     heat_seeds.sort_by(|a, b| a.0.cmp(&b.0));
-    let misplaced = misplaced.into_iter().map(|(path, backend, _)| (path, backend)).collect();
     Ok((report, misplaced, heat_seeds))
 }
 

@@ -32,7 +32,7 @@ fn recover_with(crashed: &Crashed, replay: Replayer) -> RecoveryReport {
     let clock = ActorClock::new();
     let image = Header::read(&region, &clock).expect("a formatted image");
     let (report, misplaced, _) =
-        recovery::recover(&region, &image, &tiers, false, &clock, replay).expect("recovery");
+        recovery::recover(&region, &image, &tiers, &clock, replay).expect("recovery");
     assert!(misplaced.is_empty());
     report
 }

@@ -15,9 +15,8 @@
 //! placement (a policy changed across a reboot, or an explicit
 //! [`NvCache::migrate`](crate::NvCache::migrate) moved it) is **misplaced**:
 //! `stat`/`unlink` still reach it by probing the recorded backend first,
-//! and the tier migrator — [`NvCache::rebalance`](crate::NvCache::rebalance)
-//! sweeps or a [`Mount::RecoverRepair`](crate::Mount) mount — re-homes it
-//! to where `route` says it belongs.
+//! and an [`NvCache::rebalance`](crate::NvCache::rebalance) sweep re-homes
+//! it to where `route` says it belongs.
 
 /// Maps files to backend indices in a tiered
 /// [`NvCache`](crate::NvCache) mount.

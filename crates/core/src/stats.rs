@@ -258,10 +258,8 @@ counter_table! {
         inner_io_errors,
         /// Files moved between tiers by the migrator
         /// ([`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
-        /// calls and cross-tier renames; recovery-repair moves are reported
-        /// in
-        /// [`RecoveryReport::files_repaired`](crate::RecoveryReport::files_repaired)
-        /// instead). Always `0` on a single-backend mount.
+        /// calls and cross-tier renames; recovery moves no file). Always `0`
+        /// on a single-backend mount.
         files_migrated,
         /// Payload bytes copied across tiers by those migrations.
         migration_bytes,

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
-use vfs::{FileSystem, IoError, Layer, MemFs, OpenFlags};
+use vfs::{CursorFile, FileSystem, IoError, Layer, MemFs, OpenFlags, SeekFrom};
 
 use crate::{Mount, NvCache, NvCacheConfig};
 
@@ -97,21 +97,47 @@ fn nvcache_size_is_authoritative_before_propagation() {
     cache.shutdown(&c);
 }
 
+/// The cursor calls are a [`CursorFile`] over the mount: with nothing
+/// propagated yet, `O_APPEND` and `SEEK_END` still see NVCache's own size
+/// through its `fstat` (paper Table III), not the kernel's.
 #[test]
 fn cursor_api_and_append_mode() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
-    let fd = cache
-        .open("/cur", OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::APPEND, &c)
-        .unwrap();
-    cache.write(fd, b"aaa", &c).unwrap();
-    cache.lseek(fd, vfs::SeekFrom::Start(0), &c).unwrap();
-    cache.write(fd, b"bbb", &c).unwrap(); // O_APPEND: goes to the end
-    assert_eq!(cache.fstat(fd, &c).unwrap().size, 6);
-    cache.lseek(fd, vfs::SeekFrom::Start(0), &c).unwrap();
+    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..NvCacheConfig::tiny() };
+    let (c, _d, inner, cache) = setup(cfg);
+    let cache = Arc::new(cache);
+    let flags = OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::APPEND;
+    let f = CursorFile::open(Arc::clone(&cache) as Arc<dyn FileSystem>, "/cur", flags, &c).unwrap();
+    f.write(b"aaa", &c).unwrap();
+    f.seek(SeekFrom::Start(0), &c).unwrap();
+    f.write(b"bbb", &c).unwrap(); // O_APPEND: goes to the end
+    assert_eq!(f.stat(&c).unwrap().size, 6);
+    assert_eq!(inner.stat("/cur", &c).unwrap().size, 0, "nothing reached the kernel");
+    assert_eq!(f.seek(SeekFrom::End(-2), &c).unwrap(), 4);
+    f.seek(SeekFrom::Start(0), &c).unwrap();
     let mut buf = [0u8; 6];
-    cache.read(fd, &mut buf, &c).unwrap();
+    f.read(&mut buf, &c).unwrap();
     assert_eq!(&buf, b"aaabbb");
-    assert_eq!(cache.tell(fd).unwrap(), 6);
+    assert_eq!(f.tell().unwrap(), 6);
+    f.close(&c).unwrap();
+    cache.shutdown(&c);
+}
+
+/// A closed descriptor's fd slot goes to the next `open`: a closed cursor
+/// must not write through it into that file.
+#[test]
+fn a_closed_cursor_cannot_reach_the_next_file_on_its_slot() {
+    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let cache = Arc::new(cache);
+    let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+    let old =
+        CursorFile::open(Arc::clone(&cache) as Arc<dyn FileSystem>, "/old", flags, &c).unwrap();
+    old.close(&c).unwrap();
+    let fd = cache.open("/new", flags, &c).unwrap();
+    assert_eq!(fd, old.fd(), "the slot was handed on");
+    assert!(matches!(old.write(b"stale", &c), Err(IoError::BadFd(_))));
+    assert!(matches!(old.seek(SeekFrom::End(0), &c), Err(IoError::BadFd(_))));
+    assert_eq!(cache.fstat(fd, &c).unwrap().size, 0, "/new is untouched");
+    cache.close(fd, &c).unwrap();
     cache.shutdown(&c);
 }
 
@@ -163,7 +189,7 @@ fn dirty_miss_reconstructs_fresh_state() {
 
 /// Mounts with the cleanup workers parked, writes A then B over the same
 /// bytes of page `page` and C beside them, plays the workers by hand —
-/// A and B propagated (inner `pwrite`, dirty counters, propagation queues),
+/// A and B propagated (inner `pwrite`, propagation queues popped),
 /// C still pending — lets `free_b` recycle B and not A, and reads the
 /// never-loaded page: a dirty miss whose scan meets A's commit word and not
 /// B's. Replaying A over the kernel copy that holds B is the stale read.
@@ -194,10 +220,7 @@ fn dirty_miss_after_partial_free(shards: usize, free_b: impl Fn(&crate::log::Str
         let data = stripe.read_data_cached(seq, e.len as usize);
         inner.pwrite(ifd, &data, e.file_off, &c).unwrap();
         for (_, d) in shared.page_descs(&file, e.file_off, e.len as usize) {
-            d.dec_dirty();
-            if shards > 1 {
-                d.pop_propagation(e.seq);
-            }
+            d.pop_propagation(e.seq);
         }
     }
     free_b(seqs[1].0, seqs[1].1);

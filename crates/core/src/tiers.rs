@@ -151,10 +151,9 @@ impl Tiering {
     ///
     /// Heat tracking and rebalance sweeps only run on a mount that may move
     /// files: pair the policy with [`MigrationPolicy::OnDemand`].
-    /// Recovery judges `files_misplaced` and the
-    /// `RecoverRepair` targets by the router either way; only on a mount
-    /// that tracks heat does a persisted heat summary clearing the promote
-    /// threshold keep a file off that list.
+    /// Recovery judges `files_misplaced` by the router either way; only on
+    /// a mount that tracks heat does a persisted heat summary clearing the
+    /// promote threshold keep a file off that list.
     ///
     /// ```
     /// use std::sync::Arc;

@@ -23,16 +23,18 @@ pub enum SeekFrom {
 /// "legacy application" stand-ins use when they don't track offsets
 /// themselves.
 ///
-/// Note NVCache maintains *its own* cursor and size bookkeeping internally
-/// (paper Table III: `lseek`/`stat` answered from NVCache state); this
-/// handle delegates `size` to `fstat`, which each file system answers from
-/// its own fresh metadata.
+/// It is also NVCache's cursor (paper Table III: `lseek` answered from
+/// NVCache state, never the kernel's): the handle keeps the position itself
+/// and asks `fstat` for the size, which each file system answers from its
+/// own fresh metadata — NVCache from its own size, ahead of the kernel's.
 pub struct CursorFile {
     fs: Arc<dyn FileSystem>,
     fd: Fd,
     flags: OpenFlags,
-    pos: Mutex<u64>,
-    closed: Mutex<bool>,
+    /// The position; `None` once closed. Every call holds it across its
+    /// use of `fd`, so none reaches `fd` after `close` — whose number the
+    /// file system may already have handed to another `open`.
+    pos: Mutex<Option<u64>>,
 }
 
 impl std::fmt::Debug for CursorFile {
@@ -58,7 +60,7 @@ impl CursorFile {
         clock: &ActorClock,
     ) -> IoResult<CursorFile> {
         let fd = fs.open(path, flags, clock)?;
-        Ok(CursorFile { fs, fd, flags, pos: Mutex::new(0), closed: Mutex::new(false) })
+        Ok(CursorFile { fs, fd, flags, pos: Mutex::new(Some(0)) })
     }
 
     /// The raw descriptor.
@@ -66,78 +68,90 @@ impl CursorFile {
         self.fd
     }
 
-    /// The flags the file was opened with.
-    pub fn flags(&self) -> OpenFlags {
-        self.flags
+    /// Runs `f` on the position of the open handle, holding it.
+    fn at<R>(&self, f: impl FnOnce(&mut u64) -> IoResult<R>) -> IoResult<R> {
+        f(self.pos.lock().as_mut().ok_or(IoError::BadFd(self.fd.0))?)
     }
 
     /// Reads from the cursor, advancing it.
     ///
     /// # Errors
     ///
-    /// Propagates [`FileSystem::pread`] errors.
+    /// Propagates [`FileSystem::pread`] errors; [`IoError::BadFd`] once
+    /// closed.
     pub fn read(&self, buf: &mut [u8], clock: &ActorClock) -> IoResult<usize> {
-        let mut pos = self.pos.lock();
-        let n = self.fs.pread(self.fd, buf, *pos, clock)?;
-        *pos += n as u64;
-        Ok(n)
+        self.at(|pos| {
+            let n = self.fs.pread(self.fd, buf, *pos, clock)?;
+            *pos += n as u64;
+            Ok(n)
+        })
     }
 
     /// Writes at the cursor, advancing it; honours `O_APPEND`.
     ///
     /// # Errors
     ///
-    /// Propagates [`FileSystem::pwrite`] errors.
+    /// Propagates [`FileSystem::pwrite`] errors; [`IoError::BadFd`] once
+    /// closed.
     pub fn write(&self, data: &[u8], clock: &ActorClock) -> IoResult<usize> {
-        let mut pos = self.pos.lock();
-        if self.flags.contains(OpenFlags::APPEND) {
-            *pos = self.fs.fstat(self.fd, clock)?.size;
-        }
-        let n = self.fs.pwrite(self.fd, data, *pos, clock)?;
-        *pos += n as u64;
-        Ok(n)
+        self.at(|pos| {
+            if self.flags.contains(OpenFlags::APPEND) {
+                *pos = self.fs.fstat(self.fd, clock)?.size;
+            }
+            let n = self.fs.pwrite(self.fd, data, *pos, clock)?;
+            *pos += n as u64;
+            Ok(n)
+        })
     }
 
     /// Moves the cursor.
     ///
     /// # Errors
     ///
-    /// [`IoError::InvalidArgument`] when seeking before byte 0.
+    /// [`IoError::InvalidArgument`] when seeking before byte 0;
+    /// [`IoError::BadFd`] once closed.
     pub fn seek(&self, from: SeekFrom, clock: &ActorClock) -> IoResult<u64> {
-        let mut pos = self.pos.lock();
-        let base: i128 = match from {
-            SeekFrom::Start(o) => o as i128,
-            SeekFrom::End(d) => self.fs.fstat(self.fd, clock)?.size as i128 + d as i128,
-            SeekFrom::Current(d) => *pos as i128 + d as i128,
-        };
-        if base < 0 {
-            return Err(IoError::InvalidArgument("seek before start of file".into()));
-        }
-        *pos = base as u64;
-        Ok(*pos)
+        self.at(|pos| {
+            let base: i128 = match from {
+                SeekFrom::Start(o) => o as i128,
+                SeekFrom::End(d) => self.fs.fstat(self.fd, clock)?.size as i128 + d as i128,
+                SeekFrom::Current(d) => *pos as i128 + d as i128,
+            };
+            if base < 0 {
+                return Err(IoError::InvalidArgument("seek before start of file".into()));
+            }
+            *pos = base as u64;
+            Ok(*pos)
+        })
     }
 
     /// Current cursor position (`ftell`).
-    pub fn tell(&self) -> u64 {
-        *self.pos.lock()
+    ///
+    /// # Errors
+    ///
+    /// [`IoError::BadFd`] once closed.
+    pub fn tell(&self) -> IoResult<u64> {
+        self.at(|pos| Ok(*pos))
     }
 
     /// Metadata of the open file.
     ///
     /// # Errors
     ///
-    /// Propagates [`FileSystem::fstat`] errors.
+    /// Propagates [`FileSystem::fstat`] errors; [`IoError::BadFd`] once
+    /// closed.
     pub fn stat(&self, clock: &ActorClock) -> IoResult<Metadata> {
-        self.fs.fstat(self.fd, clock)
+        self.at(|_| self.fs.fstat(self.fd, clock))
     }
 
     /// Forces durability of the file.
     ///
     /// # Errors
     ///
-    /// Propagates [`FileSystem::fsync`] errors.
+    /// Propagates [`FileSystem::fsync`] errors; [`IoError::BadFd`] once
+    /// closed.
     pub fn fsync(&self, clock: &ActorClock) -> IoResult<()> {
-        self.fs.fsync(self.fd, clock)
+        self.at(|_| self.fs.fsync(self.fd, clock))
     }
 
     /// Closes the handle. Further operations return `BadFd`.
@@ -147,11 +161,8 @@ impl CursorFile {
     /// Propagates [`FileSystem::close`] errors; double close returns
     /// [`IoError::BadFd`].
     pub fn close(&self, clock: &ActorClock) -> IoResult<()> {
-        let mut closed = self.closed.lock();
-        if *closed {
-            return Err(IoError::BadFd(self.fd.0));
-        }
-        *closed = true;
+        let mut pos = self.pos.lock();
+        pos.take().ok_or(IoError::BadFd(self.fd.0))?;
         self.fs.close(self.fd, clock)
     }
 }
@@ -173,7 +184,7 @@ mod tests {
         let (clock, f) = open_tmp(OpenFlags::RDWR);
         f.write(b"hello ", &clock).unwrap();
         f.write(b"world", &clock).unwrap();
-        assert_eq!(f.tell(), 11);
+        assert_eq!(f.tell().unwrap(), 11);
         f.seek(SeekFrom::Start(0), &clock).unwrap();
         let mut buf = [0u8; 11];
         assert_eq!(f.read(&mut buf, &clock).unwrap(), 11);

@@ -1,7 +1,8 @@
 //! Tier rebalancing: a routing-policy change leaves files misplaced after a
-//! crash; one repair-mode recovery re-homes them all through the crash-safe
-//! copy → stamp → unlink migration protocol, and on a mount that may move
-//! files a rename across tiers is a migrate-then-rename, not EXDEV.
+//! crash; recovery replays them where they were acknowledged, and one
+//! rebalance sweep re-homes them all through the crash-safe copy → stamp →
+//! unlink migration protocol. On a mount that may move files a rename
+//! across tiers is a migrate-then-rename, not EXDEV.
 //!
 //! Run with: `cargo run --example tier_rebalance`
 
@@ -51,22 +52,23 @@ fn main() -> Result<(), Box<dyn Error>> {
     let restarted = Arc::new(log_dimm.crash_and_restart());
 
     // ---- today's policy: /hot/** belongs on the fast tier -----------------
-    // Mount::RecoverRepair replays every acknowledged byte to the tier that
-    // acknowledged it, then re-homes the misplaced files to the router's
-    // current placement — crash-safe at every step.
+    // Mount::Recover replays every acknowledged byte to the tier that
+    // acknowledged it and catalogues the misplaced files; the first sweep
+    // re-homes them to the router's current placement — crash-safe at every
+    // step.
     let hot_policy: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let cache = NvCache::builder(NvRegion::whole(restarted))
         .tiers(on_demand(hot_policy))
         .config(cfg)
-        .mode(Mount::RecoverRepair)
+        .mode(Mount::Recover)
         .mount(&clock)?;
     let report = cache.recovery_report().expect("recover mode");
+    let sweep = cache.rebalance(&clock)?;
     println!(
-        "repair recovery: {} entries replayed, {} files re-homed, {} still misplaced",
-        report.entries_replayed, report.files_repaired, report.files_misplaced
+        "recovery: {} entries replayed, {} files misplaced; sweep: {} files re-homed",
+        report.entries_replayed, report.files_misplaced, sweep.files_migrated
     );
-    assert_eq!(report.files_repaired, 8);
-    assert_eq!(report.files_misplaced, 0);
+    assert_eq!((report.files_misplaced, sweep.files_migrated), (8, 8));
 
     // The bytes moved tier without changing value, and the mount sees them
     // where the router expects them.
