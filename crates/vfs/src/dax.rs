@@ -42,6 +42,11 @@ impl Default for DaxProfile {
 /// Data writes go straight into persistent memory through the CPU caches
 /// (no page cache); in-place, not copy-on-write. Storage capacity is limited
 /// to the NVMM region — the limitation NVCache exists to remove.
+///
+/// A page no write ever reached reads as zeros without touching the region,
+/// and a shrinking truncation zeroes the tail of the page the cut falls in.
+/// A partial first write into an unwritten page — of a recycled slab, or
+/// one a shrink cut off — still leaves the page's other bytes as they were.
 pub struct DaxFs {
     region: NvRegion,
     profile: DaxProfile,
@@ -70,6 +75,16 @@ impl DaxFs {
         clock.advance(self.profile.journal_commit);
         self.region.psync(clock);
     }
+
+    /// Sets the file's length (`ftruncate`, an `O_TRUNC` open); a shrink
+    /// zeroes the tail of the page the cut falls in, in place.
+    fn truncate(&self, file: &SlabFile, len: u64, clock: &ActorClock) {
+        let Some((page, tail)) = self.slabs.truncate(file, len) else { return };
+        if let Some(base) = self.slabs.map_existing(file, page) {
+            let zeros = vec![0u8; self.profile.page_size as usize - tail];
+            self.region.write_and_pwb(base + tail as u64, &zeros, clock);
+        }
+    }
 }
 
 impl FileSystem for DaxFs {
@@ -81,8 +96,7 @@ impl FileSystem for DaxFs {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
         let opened = self.ns.open(path, flags, SlabFile::new)?;
         if opened.truncate {
-            opened.inode.data.size.store(0, Ordering::Release);
-            opened.inode.data.meta_dirty.store(true, Ordering::Release);
+            self.truncate(&opened.inode.data, 0, clock);
         }
         Ok(opened.fd)
     }
@@ -157,8 +171,7 @@ impl FileSystem for DaxFs {
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
         let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        inode.data.size.store(len, Ordering::Release);
-        inode.data.meta_dirty.store(true, Ordering::Release);
+        self.truncate(&inode.data, len, clock);
         Ok(())
     }
 
@@ -280,5 +293,46 @@ mod tests {
         assert_eq!(buf[999], 0xAA);
         assert_eq!(buf[1000], 0xBB);
         assert_eq!(buf[1010], 0xAA);
+    }
+
+    #[test]
+    fn a_shrunk_file_that_grows_again_reads_zeros_where_it_was_cut() {
+        for o_trunc in [false, true] {
+            let (c, fs) = fs(8);
+            let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+            let fd = fs.open("/t", flags, &c).unwrap();
+            fs.pwrite(fd, &[0xCD; 8192], 0, &c).unwrap();
+            fs.fsync(fd, &c).unwrap();
+            if o_trunc {
+                fs.open("/t", flags | OpenFlags::TRUNC, &c).unwrap();
+            } else {
+                fs.ftruncate(fd, 100, &c).unwrap();
+            }
+            fs.pwrite(fd, &[1], 8192, &c).unwrap();
+            let mut buf = [9u8; 8193];
+            assert_eq!(fs.pread(fd, &mut buf, 0, &c).unwrap(), 8193, "O_TRUNC {o_trunc}");
+            let head = if o_trunc { 0 } else { 0xCD };
+            assert!(buf[..100].iter().all(|&b| b == head), "O_TRUNC {o_trunc}");
+            assert_eq!((buf[200], buf[5000], buf[8192]), (0, 0, 1), "O_TRUNC {o_trunc}");
+        }
+    }
+
+    #[test]
+    fn a_recycled_slab_hands_its_old_bytes_to_no_one() {
+        let (c, fs) = fs(8);
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let old = fs.open("/old", flags, &c).unwrap();
+        fs.pwrite(old, &[0xAB; 8192], 0, &c).unwrap();
+        fs.fsync(old, &c).unwrap();
+        fs.close(old, &c).unwrap();
+        fs.unlink("/old", &c).unwrap();
+        let new = fs.open("/new", flags, &c).unwrap();
+        fs.pwrite(new, &[1u8; 4096], 4096, &c).unwrap();
+        assert_eq!(fs.slabs.free_count(), 0, "/new took /old's slab");
+        let read = || fs.region.dimm().stats().snapshot().bytes_read;
+        let before = read();
+        let mut buf = [9u8; 4096];
+        assert_eq!(fs.pread(new, &mut buf, 0, &c).unwrap(), 4096);
+        assert_eq!((buf, read()), ([0u8; 4096], before));
     }
 }

@@ -46,6 +46,12 @@ type Ext4Inode = Inode<SlabFile>;
 /// lazy extent allocation in contiguous slabs, and a jbd2-style journal whose
 /// commit (plus a device flush) is what makes `fsync` expensive.
 ///
+/// A page no write ever reached on the device — a hole, a page of an
+/// allocated slab nothing wrote, a page of a recycled slab, a page a
+/// truncation cut off — reads as zeros with no device I/O, as ext4's
+/// unwritten extents do; a shrinking truncation zeroes the tail of the page
+/// the cut falls in, so a file that grows again reads zeros there.
+///
 /// Instantiate it over an [`SsdDevice`](blockdev::SsdDevice) for the plain
 /// SSD baseline or over a [`DmWriteCacheDev`](blockdev::DmWriteCacheDev) for
 /// the DM-WriteCache baseline — the file-system code is identical, exactly as
@@ -87,7 +93,7 @@ impl Ext4 {
     /// The end of an inode nothing refers to any more: drops its cached
     /// pages and returns its slabs to the allocator.
     fn retire(&self, inode: &Ext4Inode) {
-        self.cache.drop_inode(inode.ino);
+        self.cache.drop_from(inode.ino, 0);
         self.slabs.reclaim(&inode.data);
     }
 
@@ -182,6 +188,8 @@ impl Ext4 {
         Ok(())
     }
 
+    /// The page as the device holds it: zeros, with no I/O, if no write
+    /// ever reached it.
     fn read_page_from_device(&self, inode: &Ext4Inode, page: u64, clock: &ActorClock) -> Vec<u8> {
         let mut buf = vec![0u8; self.page_size() as usize];
         if let Some(off) = self.slabs.map_existing(&inode.data, page) {
@@ -199,13 +207,14 @@ impl Ext4 {
     ) -> IoResult<usize> {
         let ps = self.page_size();
         for PageSpan { page, in_page, pos, n } in page_spans(off, data.len(), ps) {
-            let dev_off = self.map_alloc(inode, page)?;
             if n == ps as usize {
+                let dev_off = self.map_alloc(inode, page)?;
                 self.dev.write(dev_off, &data[pos..pos + n], clock);
             } else {
-                // Unaligned O_DIRECT tail: device-level read-modify-write.
-                let mut old = vec![0u8; ps as usize];
-                self.dev.read(dev_off, &mut old, clock);
+                // Unaligned O_DIRECT tail: device-level read-modify-write,
+                // read before `map_alloc` marks the page written.
+                let mut old = self.read_page_from_device(inode, page, clock);
+                let dev_off = self.map_alloc(inode, page)?;
                 old[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
                 self.dev.write(dev_off, &old, clock);
             }
@@ -224,15 +233,12 @@ impl Ext4 {
         clock: &ActorClock,
     ) -> IoResult<usize> {
         let ps = self.page_size();
-        let size = inode.data.len();
         for PageSpan { page, in_page, pos, n } in page_spans(off, data.len(), ps) {
             clock.advance(self.profile.costs.page_lookup);
             if !self.cache.update(inode.ino, page, in_page, &data[pos..pos + n]) {
-                // Page miss. A full overwrite or a page entirely beyond EOF
-                // needs no device read.
-                let whole = n == ps as usize;
-                let beyond_eof = page * ps >= size;
-                let mut fresh = if whole || beyond_eof {
+                // Page miss. A full overwrite needs no device read, nor does
+                // a page no write reached (one beyond EOF among them).
+                let mut fresh = if n == ps as usize {
                     vec![0u8; ps as usize]
                 } else {
                     self.read_page_from_device(inode, page, clock)
@@ -245,6 +251,23 @@ impl Ext4 {
         clock.advance(self.profile.costs.copy(data.len() as u64));
         Ok(data.len())
     }
+
+    /// Sets the inode's length (`ftruncate`, an `O_TRUNC` open). A shrink
+    /// drops the cached pages wholly past the cut, keeping the others and
+    /// their dirt, and zeroes the tail of the page the cut falls in.
+    fn truncate(&self, inode: &Ext4Inode, len: u64, clock: &ActorClock) {
+        let ps = self.page_size();
+        self.cache.drop_from(inode.ino, len.div_ceil(ps));
+        let Some((page, tail)) = self.slabs.truncate(&inode.data, len) else { return };
+        if !self.cache.update(inode.ino, page, tail, &vec![0u8; ps as usize - tail])
+            && self.slabs.map_existing(&inode.data, page).is_some()
+        {
+            let mut fresh = self.read_page_from_device(inode, page, clock);
+            fresh[tail..].fill(0);
+            let evicted = self.cache.insert(inode.ino, page, &fresh, true);
+            self.writeback_evicted(evicted, clock);
+        }
+    }
 }
 
 impl FileSystem for Ext4 {
@@ -256,10 +279,7 @@ impl FileSystem for Ext4 {
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
         let opened = self.ns.open(path, flags, SlabFile::new)?;
         if opened.truncate {
-            let inode = &opened.inode;
-            inode.data.size.store(0, Ordering::Release);
-            self.cache.drop_inode(inode.ino);
-            inode.data.meta_dirty.store(true, Ordering::Release);
+            self.truncate(&opened.inode, 0, clock);
         }
         Ok(opened.fd)
     }
@@ -317,12 +337,7 @@ impl FileSystem for Ext4 {
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
         let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        let old = inode.data.size.swap(len, Ordering::AcqRel);
-        if len < old {
-            // Invalidate cached pages wholly beyond the new end.
-            self.cache.drop_inode(inode.ino);
-        }
-        inode.data.meta_dirty.store(true, Ordering::Release);
+        self.truncate(&inode, len, clock);
         Ok(())
     }
 
@@ -789,5 +804,93 @@ mod tests {
         let mut buf = [0u8; 8192];
         assert_eq!(fs.pread(fd, &mut buf, 0, &c).unwrap(), 100);
         assert_eq!(fs.fstat(fd, &c).unwrap().size, 100);
+    }
+
+    #[test]
+    fn a_shrinking_truncate_keeps_the_dirty_pages_below_the_cut() {
+        let (c, _ssd, fs) = fs();
+        let fd = fs.open("/t", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        let data: Vec<u8> = (0..8192u32).map(|i| (i % 251) as u8 + 1).collect();
+        fs.pwrite(fd, &data, 0, &c).unwrap();
+        fs.ftruncate(fd, 6000, &c).unwrap();
+        for synced in [false, true] {
+            let mut buf = vec![0u8; 8192];
+            assert_eq!(fs.pread(fd, &mut buf, 0, &c).unwrap(), 6000, "synced {synced}");
+            assert_eq!(buf[..6000], data[..6000], "synced {synced}");
+            fs.fsync(fd, &c).unwrap();
+            fs.simulate_power_failure();
+        }
+    }
+
+    #[test]
+    fn a_shrunk_file_that_grows_again_reads_zeros_where_it_was_cut() {
+        // Cut by `ftruncate` (the cut page cached, or on the device only) or
+        // by an `O_TRUNC` open.
+        for (o_trunc, uncached) in [(false, false), (false, true), (true, false)] {
+            let what = format!("O_TRUNC {o_trunc}, uncached {uncached}");
+            let (c, _ssd, fs) = fs();
+            let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+            let fd = fs.open("/t", flags, &c).unwrap();
+            fs.pwrite(fd, &[0xCD; 8192], 0, &c).unwrap();
+            fs.fsync(fd, &c).unwrap();
+            if uncached {
+                fs.simulate_power_failure();
+            }
+            if o_trunc {
+                fs.open("/t", flags | OpenFlags::TRUNC, &c).unwrap();
+            } else {
+                fs.ftruncate(fd, 100, &c).unwrap();
+            }
+            fs.pwrite(fd, &[1], 8192, &c).unwrap();
+            let head = if o_trunc { 0 } else { 0xCD };
+            for crashed in [false, true] {
+                let mut buf = [9u8; 8193];
+                assert_eq!(fs.pread(fd, &mut buf, 0, &c).unwrap(), 8193, "{what}");
+                assert!(buf[..100].iter().all(|&b| b == head), "{what}, crashed {crashed}");
+                assert_eq!(
+                    (buf[200], buf[5000], buf[8192]),
+                    (0, 0, 1),
+                    "{what}, crashed {crashed}"
+                );
+                fs.fsync(fd, &c).unwrap();
+                fs.simulate_power_failure();
+            }
+        }
+    }
+
+    #[test]
+    fn a_recycled_slab_hands_its_old_bytes_to_no_one() {
+        let (c, ssd, fs) = fs();
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let old = fs.open("/old", flags, &c).unwrap();
+        fs.pwrite(old, &[0xAB; 8192], 0, &c).unwrap();
+        fs.fsync(old, &c).unwrap();
+        fs.close(old, &c).unwrap();
+        fs.unlink("/old", &c).unwrap();
+        let new = fs.open("/new", flags, &c).unwrap();
+        fs.pwrite(new, &[1u8; 4096], 4096, &c).unwrap();
+        fs.fsync(new, &c).unwrap();
+        assert_eq!(fs.slabs.free_count(), 0, "/new took /old's slab");
+        fs.simulate_power_failure();
+        let mut buf = [9u8; 4096];
+        assert_eq!(fs.pread(new, &mut buf, 0, &c).unwrap(), 4096);
+        assert_eq!((buf, ssd.stats().snapshot().reads), ([0u8; 4096], 0));
+    }
+
+    #[test]
+    fn a_hole_in_a_written_slab_costs_no_device_read() {
+        let (c, ssd, fs) = fs();
+        let fd = fs.open("/h", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        fs.pwrite(fd, &[7u8; 4096], 0, &c).unwrap();
+        fs.pwrite(fd, &[8u8; 4096], 2 * 4096, &c).unwrap();
+        fs.fsync(fd, &c).unwrap();
+        fs.simulate_power_failure();
+        let before = c.now();
+        let mut buf = [9u8; 4096];
+        assert_eq!(fs.pread(fd, &mut buf, 4096, &c).unwrap(), 4096);
+        let costs = &fs.profile.costs;
+        let cost = costs.syscall + costs.fs_overhead + costs.page_lookup + costs.copy(4096);
+        assert_eq!(c.now() - before, cost);
+        assert_eq!((buf, ssd.stats().snapshot().reads), ([0u8; 4096], 0));
     }
 }

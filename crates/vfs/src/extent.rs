@@ -1,5 +1,6 @@
 //! Page and extent arithmetic shared by the inner file systems.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -35,14 +36,22 @@ pub(crate) fn page_spans(off: u64, len: usize, page_size: u64) -> impl Iterator<
     })
 }
 
+/// One slab of a file: its base offset on the medium and a bit per page
+/// that a write has reached there.
+#[derive(Debug)]
+struct Slab {
+    base: u64,
+    written: Box<[u64]>,
+}
+
 /// Per-inode state of a file system that keeps its files in slabs (`Ext4`,
 /// `DaxFs`): the size, the slabs, and whether the inode changed since its
 /// last journal commit.
 #[derive(Debug)]
 pub(crate) struct SlabFile {
     pub size: AtomicU64,
-    /// slab index -> base offset on the medium
-    slabs: Mutex<HashMap<u64, u64>>,
+    /// slab index -> its place on the medium and its written pages
+    slabs: Mutex<HashMap<u64, Slab>>,
     pub meta_dirty: AtomicBool,
 }
 
@@ -86,49 +95,76 @@ impl SlabMap {
         }
     }
 
-    fn within(&self, base: u64, page: u64) -> u64 {
-        base + (page % self.slab_pages) * self.page_size
+    /// The base of a slab off the free list, or off the bump pointer.
+    fn alloc_slab(&self) -> IoResult<u64> {
+        if let Some(base) = self.free_slabs.lock().pop() {
+            return Ok(base);
+        }
+        let slab_bytes = self.slab_pages * self.page_size;
+        let base = self.alloc_next.fetch_add(slab_bytes, Ordering::Relaxed);
+        if base + slab_bytes > self.capacity {
+            return Err(IoError::NoSpace);
+        }
+        Ok(base)
     }
 
     /// Maps a file page to its offset on the medium, allocating a slab on
-    /// demand.
+    /// demand, and marks the page written: the caller writes it there.
     ///
     /// # Errors
     ///
     /// [`IoError::NoSpace`] when the medium is exhausted.
     pub fn map_alloc(&self, file: &SlabFile, page: u64) -> IoResult<u64> {
-        let slab = page / self.slab_pages;
+        let (slab, index) = (page / self.slab_pages, page % self.slab_pages);
         let mut slabs = file.slabs.lock();
-        if let Some(&base) = slabs.get(&slab) {
-            return Ok(self.within(base, page));
-        }
-        let base = match self.free_slabs.lock().pop() {
-            Some(base) => base,
-            None => {
-                let slab_bytes = self.slab_pages * self.page_size;
-                let base = self.alloc_next.fetch_add(slab_bytes, Ordering::Relaxed);
-                if base + slab_bytes > self.capacity {
-                    return Err(IoError::NoSpace);
-                }
-                base
+        let slab = match slabs.entry(slab) {
+            Entry::Occupied(slab) => slab.into_mut(),
+            Entry::Vacant(vacant) => {
+                let written = vec![0; self.slab_pages.div_ceil(64) as usize].into();
+                let slab = vacant.insert(Slab { base: self.alloc_slab()?, written });
+                file.meta_dirty.store(true, Ordering::Release);
+                slab
             }
         };
-        slabs.insert(slab, base);
-        file.meta_dirty.store(true, Ordering::Release);
-        Ok(self.within(base, page))
+        slab.written[(index / 64) as usize] |= 1 << (index % 64);
+        Ok(slab.base + index * self.page_size)
     }
 
-    /// Offset of `page` if its slab exists (reads of sparse holes skip the
-    /// medium).
+    /// Offset of `page` if a write ever reached it on the medium, else
+    /// `None`: a page of a hole, or one of an allocated slab that nothing
+    /// wrote (even where a recycled slab still holds a retired file's
+    /// bytes), reads as zeros with no I/O, as ext4's unwritten extents do.
     pub fn map_existing(&self, file: &SlabFile, page: u64) -> Option<u64> {
-        let slab = page / self.slab_pages;
-        file.slabs.lock().get(&slab).map(|&base| self.within(base, page))
+        let (slab, index) = (page / self.slab_pages, page % self.slab_pages);
+        let slabs = file.slabs.lock();
+        let slab = slabs.get(&slab)?;
+        let written = slab.written[(index / 64) as usize] >> (index % 64) & 1 == 1;
+        written.then(|| slab.base + index * self.page_size)
+    }
+
+    /// Sets the file's length to `len`. A shrink forgets every write to the
+    /// pages wholly past the cut, which read as zeros again, and returns the
+    /// page the cut falls in with the cut's offset in it, if it cuts a page
+    /// in two: the caller zeroes that page's tail.
+    pub fn truncate(&self, file: &SlabFile, len: u64) -> Option<(u64, usize)> {
+        file.meta_dirty.store(true, Ordering::Release);
+        if file.size.swap(len, Ordering::AcqRel) <= len {
+            return None;
+        }
+        let first = len.div_ceil(self.page_size);
+        for (slab, s) in file.slabs.lock().iter_mut() {
+            for index in first.saturating_sub(slab * self.slab_pages)..self.slab_pages {
+                s.written[(index / 64) as usize] &= !(1 << (index % 64));
+            }
+        }
+        let tail = (len % self.page_size) as usize;
+        (tail > 0).then_some((len / self.page_size, tail))
     }
 
     /// Returns the slabs of a retired file to the allocator.
     pub fn reclaim(&self, file: &SlabFile) {
         let mut slabs = file.slabs.lock();
-        self.free_slabs.lock().extend(slabs.values().copied());
+        self.free_slabs.lock().extend(slabs.values().map(|slab| slab.base));
         slabs.clear();
     }
 
@@ -167,5 +203,28 @@ mod tests {
         assert_eq!((map.free_count(), map.map_existing(&a, 0)), (2, None));
         assert!(map.map_alloc(&b, 0).is_ok(), "a retired file's slab is handed out again");
         assert_eq!(map.free_count(), 1);
+        assert_eq!(map.map_existing(&b, 1), None, "none of its old pages were written for b");
+    }
+
+    #[test]
+    fn only_written_pages_map_and_a_shrink_forgets_them() {
+        let map = SlabMap::new(128, 4096, 1 << 30);
+        let file = SlabFile::new();
+        for page in [1, 64, 127, 128, 300] {
+            map.map_alloc(&file, page).unwrap();
+        }
+        let written = |file: &SlabFile| {
+            (0..400).filter(|&p| map.map_existing(file, p).is_some()).collect::<Vec<_>>()
+        };
+        assert_eq!(written(&file), [1, 64, 127, 128, 300]);
+        file.size.store(400 * 4096, Ordering::Release);
+        assert_eq!(map.truncate(&file, 64 * 4096 + 1), Some((64, 1)), "cuts page 64 at 1");
+        assert_eq!(written(&file), [1, 64], "the cut page keeps its head");
+        assert_eq!(map.truncate(&file, 1 << 20), None, "a growth");
+        assert_eq!((map.truncate(&file, 4096), file.len()), (None, 4096), "a cut between pages");
+        assert_eq!(written(&file), [] as [u64; 0]);
+        assert_eq!(map.truncate(&file, 0), None);
+        assert_eq!(written(&file), [] as [u64; 0]);
+        assert_eq!(map.map_alloc(&file, 300).unwrap(), 2 * 128 * 4096 + 44 * 4096, "slabs kept");
     }
 }

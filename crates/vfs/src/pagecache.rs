@@ -86,8 +86,14 @@ impl Resident {
         Some(removed)
     }
 
-    fn remove_inode(&mut self, ino: u64) {
-        self.len -= self.files.remove(&ino).map_or(0, |file| file.len());
+    fn remove_from(&mut self, ino: u64, first: u64) {
+        let Some(file) = self.files.get_mut(&ino) else { return };
+        let before = file.len();
+        file.retain(|&page, _| page < first);
+        self.len -= before - file.len();
+        if file.is_empty() {
+            self.files.remove(&ino);
+        }
     }
 }
 
@@ -101,9 +107,9 @@ struct Inner {
     dirty: BTreeSet<(u64, u64)>,
 }
 
-/// The keys `(ino, _)`.
-fn pages_of(ino: u64) -> std::ops::RangeInclusive<(u64, u64)> {
-    (ino, 0)..=(ino, u64::MAX)
+/// The keys `(ino, p)` with `p >= first`.
+fn pages_from(ino: u64, first: u64) -> std::ops::RangeInclusive<(u64, u64)> {
+    (ino, first)..=(ino, u64::MAX)
 }
 
 /// The kernel's volatile write-back page cache.
@@ -268,7 +274,7 @@ impl PageCache {
         mut map: impl FnMut(u64, u64) -> IoResult<Option<u64>>,
     ) -> IoResult<Vec<(u64, Vec<u8>)>> {
         let inner = &mut *self.inner.lock();
-        let range = ino.map_or((0, 0)..=(u64::MAX, u64::MAX), pages_of);
+        let range = ino.map_or((0, 0)..=(u64::MAX, u64::MAX), |ino| pages_from(ino, 0));
         let keys: Vec<(u64, u64)> = inner.dirty.range(range).copied().collect();
         let mut out = Vec::with_capacity(keys.len());
         for &(ino, page) in &keys {
@@ -286,11 +292,13 @@ impl PageCache {
         Ok(out)
     }
 
-    /// Drops every page of `ino` (unlink / truncate).
-    pub fn drop_inode(&self, ino: u64) {
+    /// Drops the pages of `ino` from `first` on, dirty or not: every page
+    /// of a retired inode (`first` = 0), those wholly past a truncation's
+    /// cut.
+    pub fn drop_from(&self, ino: u64, first: u64) {
         let inner = &mut *self.inner.lock();
-        inner.pages.remove_inode(ino);
-        let dirty: Vec<(u64, u64)> = inner.dirty.range(pages_of(ino)).copied().collect();
+        inner.pages.remove_from(ino, first);
+        let dirty: Vec<(u64, u64)> = inner.dirty.range(pages_from(ino, first)).copied().collect();
         for key in &dirty {
             inner.dirty.remove(key);
         }
@@ -394,7 +402,7 @@ mod tests {
         pc.insert(3, 0, &[5u8; 64], true);
         assert_eq!(pc.dirty_count(), 4);
         pc.insert(3, 0, &[6u8; 64], false); // replaced by a clean copy
-        pc.drop_inode(2); // unlinked
+        pc.drop_from(2, 0); // unlinked
         assert_eq!(take(&pc, None), vec![(103, 4), (107, 3)], "sorted by inode, then page");
         assert_eq!(pc.dirty_count(), 0);
         assert!(take(&pc, None).is_empty());
@@ -454,10 +462,16 @@ mod tests {
         pc.insert(2, 0, &[2u8; 64], false);
         pc.insert(1, u64::MAX, &[3u8; 64], true);
         pc.insert(0, u64::MAX, &[4u8; 64], true);
-        pc.drop_inode(1);
+        pc.drop_from(1, 0);
         assert!(!pc.contains(1, 0) && !pc.contains(1, u64::MAX));
         assert!(pc.contains(2, 0) && pc.contains(0, u64::MAX));
         assert_eq!((pc.resident(), pc.dirty_count()), (2, 1), "its dirty marks go with it");
+        // A truncation's cut: the pages below it stay, dirty ones dirty.
+        pc.insert(3, 0, &[5u8; 64], true);
+        pc.insert(3, 1, &[6u8; 64], true);
+        pc.drop_from(3, 1);
+        assert!(pc.contains(3, 0) && !pc.contains(3, 1));
+        assert_eq!((pc.resident(), pc.dirty_count()), (3, 2));
     }
 
     #[test]
