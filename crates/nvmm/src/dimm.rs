@@ -1,7 +1,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -16,13 +16,111 @@ use crate::{NvmmProfile, NvmmStats};
 /// Size of a CPU cache line; flushes happen at this granularity.
 pub const CACHE_LINE: u64 = 64;
 
+/// Bytes per word of the packed images.
+const WORD: usize = 8;
+
 /// Global id source so per-thread flush queues can be keyed per DIMM.
 static NEXT_DIMM_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     /// Per-thread `pwb` queues (the hardware analogue is the per-CPU flush
-    /// queue drained by `sfence`). Keyed by DIMM id.
-    static PENDING_FLUSHES: RefCell<HashMap<u64, Vec<u64>>> = RefCell::new(HashMap::new());
+    /// queue drained by `sfence`). Keyed by DIMM id; one inclusive line
+    /// range `(first, last)` per `pwb`.
+    static PENDING_FLUSHES: RefCell<HashMap<u64, Vec<(u64, u64)>>> = RefCell::new(HashMap::new());
+}
+
+/// `n` zeroed atomics, allocated zeroed so that the OS maps a page only when
+/// it is first touched (a 273 MB DIMM costs nothing until it is written).
+fn zeroed(n: usize) -> Box<[AtomicU64]> {
+    // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (the value 0).
+    unsafe { Box::new_zeroed_slice(n).assume_init() }
+}
+
+/// Calls `f(word, mask)` once per bitmap word holding some of the bits
+/// `first..=last`, with the mask of those bits.
+fn for_each_bit_word(first: u64, last: u64, mut f: impl FnMut(usize, u64)) {
+    let mut bit = first;
+    while bit <= last {
+        let top = last.min(bit | 63);
+        f((bit / 64) as usize, (u64::MAX >> (63 - top % 64)) & (u64::MAX << (bit % 64)));
+        bit = top + 1;
+    }
+}
+
+/// A byte image packed little-endian into words: byte `i` is byte `i % 8`
+/// of word `i / 8`. A whole word moves with one relaxed load or store; a
+/// partial word is stored with one compare-and-swap, so a load of the word
+/// never returns a byte value no store wrote.
+struct Words(Box<[AtomicU64]>);
+
+impl Words {
+    fn zeroed(len: u64) -> Self {
+        Words(zeroed(len.div_ceil(WORD as u64) as usize))
+    }
+
+    /// Bytes from `off` to the next word boundary, at most `len`.
+    fn head(off: usize, len: usize) -> usize {
+        (off.wrapping_neg() % WORD).min(len)
+    }
+
+    fn store(&self, off: u64, data: &[u8]) {
+        let off = off as usize;
+        let (head, rest) = data.split_at(Self::head(off, data.len()));
+        self.store_partial(off, head);
+        let (words, tail) = rest.as_chunks::<WORD>();
+        let first = (off + head.len()) / WORD;
+        for (cell, bytes) in self.0[first..].iter().zip(words) {
+            cell.store(u64::from_le_bytes(*bytes), Ordering::Relaxed);
+        }
+        self.store_partial(off + head.len() + words.len() * WORD, tail);
+    }
+
+    /// Stores fewer than 8 bytes that lie within one word.
+    fn store_partial(&self, off: usize, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        let mut padded = [0u8; WORD];
+        padded[..bytes.len()].copy_from_slice(bytes);
+        let shift = 8 * (off % WORD);
+        let mask = (u64::MAX >> (64 - 8 * bytes.len())) << shift;
+        let value = u64::from_le_bytes(padded) << shift;
+        let cell = &self.0[off / WORD];
+        let _ =
+            cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| Some(w & !mask | value));
+    }
+
+    fn load(&self, off: u64, buf: &mut [u8]) {
+        let off = off as usize;
+        let (head, rest) = buf.split_at_mut(Self::head(off, buf.len()));
+        self.load_partial(off, head);
+        let first = (off + head.len()) / WORD;
+        let (words, tail) = rest.as_chunks_mut::<WORD>();
+        let tail_off = off + head.len() + words.len() * WORD;
+        for (cell, bytes) in self.0[first..].iter().zip(words) {
+            *bytes = cell.load(Ordering::Relaxed).to_le_bytes();
+        }
+        self.load_partial(tail_off, tail);
+    }
+
+    fn load_partial(&self, off: usize, buf: &mut [u8]) {
+        if buf.is_empty() {
+            return;
+        }
+        let at = off % WORD;
+        let word = self.0[off / WORD].load(Ordering::Relaxed).to_le_bytes();
+        buf.copy_from_slice(&word[at..at + buf.len()]);
+    }
+
+    /// Copies the words of cache lines `first..=last` from `src`.
+    fn copy_lines(&self, src: &Words, first: u64, last: u64) {
+        let per_line = CACHE_LINE as usize / WORD;
+        let start = first as usize * per_line;
+        let end = ((last as usize + 1) * per_line).min(self.0.len());
+        for (dst, src) in self.0[start..end].iter().zip(&src.0[start..end]) {
+            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
 }
 
 /// A simulated NVMM module.
@@ -31,10 +129,19 @@ thread_local! {
 /// *durable* image (what survives [`crash`](NvDimm::crash)). See the crate
 /// docs for the persistency contract.
 ///
+/// Both images are packed little-endian into 64-bit words and allocated
+/// zeroed (untouched pages cost no memory). Whole words are copied with one
+/// relaxed atomic load or store; the partial head or tail word of an access
+/// is stored with one compare-and-swap, so every byte is single-copy atomic:
+/// concurrent stores to disjoint bytes of a word lose no update, and a load
+/// only returns byte values some store wrote. An access spanning several
+/// words is not atomic as a whole, as on hardware.
+///
 /// All methods take `&self` and are safe to call from multiple threads; the
 /// flush queue filled by [`pwb`](NvDimm::pwb) and drained by
 /// [`pfence`](NvDimm::pfence) is per-thread, mirroring per-CPU hardware
-/// queues.
+/// queues. It holds one line range per `pwb`; the fence sorts and merges
+/// them and charges each distinct line once.
 ///
 /// Latency is charged directly to the calling actor's clock rather than
 /// through a shared device timeline: actors at very different virtual times
@@ -44,9 +151,10 @@ thread_local! {
 /// flusher is always the application thread.
 pub struct NvDimm {
     id: u64,
-    live: Box<[AtomicU8]>,
+    len: u64,
+    live: Words,
     /// Durable shadow; `None` when the profile disables durability tracking.
-    durable: Option<Mutex<Box<[u8]>>>,
+    durable: Option<Mutex<Words>>,
     /// One bit per cache line: set when live may differ from durable.
     dirty: Box<[AtomicU64]>,
     profile: NvmmProfile,
@@ -74,19 +182,13 @@ impl NvDimm {
     /// Panics if `size` is zero.
     pub fn new(size: u64, profile: NvmmProfile) -> Self {
         assert!(size > 0, "NvDimm size must be positive");
-        let n = size as usize;
-        let mut live = Vec::with_capacity(n);
-        live.resize_with(n, || AtomicU8::new(0));
         let lines = size.div_ceil(CACHE_LINE);
-        let words = lines.div_ceil(64) as usize;
-        let mut dirty = Vec::with_capacity(words);
-        dirty.resize_with(words, || AtomicU64::new(0));
-        let durable = profile.track_durability.then(|| Mutex::new(vec![0u8; n].into_boxed_slice()));
         NvDimm {
             id: NEXT_DIMM_ID.fetch_add(1, Ordering::Relaxed),
-            live: live.into_boxed_slice(),
-            durable,
-            dirty: dirty.into_boxed_slice(),
+            len: size,
+            live: Words::zeroed(size),
+            durable: profile.track_durability.then(|| Mutex::new(Words::zeroed(size))),
+            dirty: zeroed(lines.div_ceil(64) as usize),
             profile,
             stats: NvmmStats::default(),
             #[cfg(feature = "pmcheck")]
@@ -97,23 +199,21 @@ impl NvDimm {
     /// Creates a DIMM whose live *and* durable images start as `image`.
     pub fn from_image(image: &[u8], profile: NvmmProfile) -> Self {
         let dimm = Self::new(image.len() as u64, profile);
-        for (i, b) in image.iter().enumerate() {
-            dimm.live[i].store(*b, Ordering::Relaxed);
-        }
+        dimm.live.store(0, image);
         if let Some(d) = &dimm.durable {
-            d.lock().copy_from_slice(image);
+            d.lock().store(0, image);
         }
         dimm
     }
 
     /// Capacity in bytes.
     pub fn len(&self) -> u64 {
-        self.live.len() as u64
+        self.len
     }
 
     /// Whether the DIMM has zero capacity (never true; kept for API symmetry).
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.len == 0
     }
 
     /// The latency profile in use.
@@ -133,34 +233,28 @@ impl NvDimm {
         assert!(end <= self.len(), "NVMM access out of range: {off}..{end} beyond {}", self.len());
     }
 
-    fn mark_dirty(&self, off: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = off / CACHE_LINE;
-        let last = (off + len as u64 - 1) / CACHE_LINE;
-        for line in first..=last {
-            let word = (line / 64) as usize;
-            let bit = 1u64 << (line % 64);
-            self.dirty[word].fetch_or(bit, Ordering::Relaxed);
-        }
+    #[cfg(feature = "pmcheck")]
+    fn is_dirty(&self, line: u64) -> bool {
+        self.dirty[(line / 64) as usize].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
     }
 
     /// Stores `data` at `off` (CPU-cache speed; **not durable** until flushed).
     #[cfg_attr(feature = "pmcheck", track_caller)]
     pub fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
         self.check_range(off, data.len());
-        #[cfg(feature = "pmcheck")]
         if !data.is_empty() {
             let first = off / CACHE_LINE;
             let last = (off + data.len() as u64 - 1) / CACHE_LINE;
-            let site = crate::pmcheck::Site::here(std::panic::Location::caller());
-            self.pm.on_write(first, last, site);
+            #[cfg(feature = "pmcheck")]
+            {
+                let site = crate::pmcheck::Site::here(std::panic::Location::caller());
+                self.pm.on_write(first, last, site);
+            }
+            self.live.store(off, data);
+            for_each_bit_word(first, last, |word, mask| {
+                self.dirty[word].fetch_or(mask, Ordering::Relaxed);
+            });
         }
-        for (i, b) in data.iter().enumerate() {
-            self.live[off as usize + i].store(*b, Ordering::Relaxed);
-        }
-        self.mark_dirty(off, data.len());
         self.stats.bytes_stored.fetch_add(data.len() as u64, Ordering::Relaxed);
         clock.advance(self.profile.store_bandwidth.time_for(data.len() as u64));
     }
@@ -179,9 +273,7 @@ impl NvDimm {
     /// e.g. metadata the thread itself wrote moments ago).
     pub fn read_cached(&self, off: u64, buf: &mut [u8]) {
         self.check_range(off, buf.len());
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.live[off as usize + i].load(Ordering::Relaxed);
-        }
+        self.live.load(off, buf);
     }
 
     /// Enqueues the cache lines covering `off..off+len` for write-back
@@ -198,52 +290,42 @@ impl NvDimm {
         #[cfg(feature = "pmcheck")]
         {
             let site = crate::pmcheck::Site::here(std::panic::Location::caller());
-            let redundant = self.pm.on_pwb(first, last, site, |line| {
-                let word = (line / 64) as usize;
-                let bit = 1u64 << (line % 64);
-                self.dirty[word].load(Ordering::Relaxed) & bit != 0
-            });
+            let redundant = self.pm.on_pwb(first, last, site, |line| self.is_dirty(line));
             if redundant > 0 {
                 self.stats.redundant_pwb_lines.fetch_add(redundant, Ordering::Relaxed);
             }
         }
-        PENDING_FLUSHES.with(|p| {
-            let mut map = p.borrow_mut();
-            let queue = map.entry(self.id).or_default();
-            queue.extend(first..=last);
-        });
+        PENDING_FLUSHES.with(|p| p.borrow_mut().entry(self.id).or_default().push((first, last)));
     }
 
-    fn drain_pending(&self, clock: &ActorClock) -> usize {
-        let mut lines = PENDING_FLUSHES.with(|p| {
-            let mut map = p.borrow_mut();
-            map.remove(&self.id).unwrap_or_default()
-        });
-        if lines.is_empty() {
-            return 0;
+    fn drain_pending(&self, clock: &ActorClock) {
+        let mut ranges =
+            PENDING_FLUSHES.with(|p| p.borrow_mut().remove(&self.id)).unwrap_or_default();
+        if ranges.is_empty() {
+            return;
         }
-        lines.sort_unstable();
-        lines.dedup();
-        if let Some(durable) = &self.durable {
-            let mut image = durable.lock();
-            for &line in &lines {
-                let start = (line * CACHE_LINE) as usize;
-                let end = (start + CACHE_LINE as usize).min(self.live.len());
-                for i in start..end {
-                    image[i] = self.live[i].load(Ordering::Relaxed);
-                }
+        ranges.sort_unstable();
+        // Merge overlapping and adjacent ranges, so each line counts once.
+        ranges.dedup_by(|next, kept| {
+            let joins = next.0 <= kept.1 + 1;
+            if joins {
+                kept.1 = kept.1.max(next.1);
             }
+            joins
+        });
+        let durable = self.durable.as_ref().map(|d| d.lock());
+        let mut n = 0;
+        for &(first, last) in &ranges {
+            if let Some(image) = &durable {
+                image.copy_lines(&self.live, first, last);
+            }
+            for_each_bit_word(first, last, |word, mask| {
+                self.dirty[word].fetch_and(!mask, Ordering::Relaxed);
+            });
+            n += last - first + 1;
         }
-        for &line in &lines {
-            let word = (line / 64) as usize;
-            let bit = 1u64 << (line % 64);
-            self.dirty[word].fetch_and(!bit, Ordering::Relaxed);
-        }
-        let n = lines.len();
-        self.stats.lines_flushed.fetch_add(n as u64, Ordering::Relaxed);
-        let service = self.profile.write_bandwidth.time_for(n as u64 * CACHE_LINE);
-        clock.advance(service);
-        n
+        self.stats.lines_flushed.fetch_add(n, Ordering::Relaxed);
+        clock.advance(self.profile.write_bandwidth.time_for(n * CACHE_LINE));
     }
 
     /// Store fence: drains this thread's pending `pwb`s to durable media and
@@ -364,19 +446,20 @@ impl NvDimm {
             .durable
             .as_ref()
             .expect("crash semantics unavailable: durability tracking disabled");
-        let mut image = durable.lock().to_vec();
+        let mut image = vec![0u8; self.len as usize];
+        durable.lock().load(0, &mut image);
         let p = self.profile.eviction_probability;
         if p > 0.0 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let lines = self.len().div_ceil(CACHE_LINE);
-            for line in 0..lines {
-                let word = (line / 64) as usize;
-                let bit = 1u64 << (line % 64);
-                if self.dirty[word].load(Ordering::Relaxed) & bit != 0 && rng.gen_bool(p) {
-                    let start = (line * CACHE_LINE) as usize;
-                    let end = (start + CACHE_LINE as usize).min(self.live.len());
-                    for (dst, src) in image[start..end].iter_mut().zip(&self.live[start..end]) {
-                        *dst = src.load(Ordering::Relaxed);
+            for (word, bits) in self.dirty.iter().enumerate() {
+                let mut bits = bits.load(Ordering::Relaxed);
+                while bits != 0 {
+                    let line = word as u64 * 64 + u64::from(bits.trailing_zeros());
+                    bits &= bits - 1;
+                    if rng.gen_bool(p) {
+                        let start = line * CACHE_LINE;
+                        let end = (start + CACHE_LINE).min(self.len);
+                        self.live.load(start, &mut image[start as usize..end as usize]);
                     }
                 }
             }
@@ -567,6 +650,46 @@ mod tests {
         assert_eq!(d.stats().lines_flushed.load(Ordering::Relaxed), 2);
         assert_eq!(d.stats().fences.load(Ordering::Relaxed), 1);
         assert_eq!(d.stats().bytes_read.load(Ordering::Relaxed), 64);
+    }
+
+    /// Two threads store disjoint bytes of one word and, after each store, load
+    /// the whole word: neither may find its own byte overwritten by the other's
+    /// store (a lost update), nor the other's byte holding a value that thread
+    /// never stored (a partial word written as a clear and then a set would
+    /// show 0 in between).
+    #[test]
+    fn partial_word_stores_are_byte_atomic() {
+        const VALUES: [u8; 2] = [0xA5, 0x5A];
+        const ROUNDS: usize = 200_000;
+        let dimm = std::sync::Arc::new(NvDimm::new(64, NvmmProfile::instant()));
+        dimm.write(8, &[VALUES[0], VALUES[0]], &ActorClock::new());
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let hammer = |mine: usize| {
+            let (dimm, start) = (std::sync::Arc::clone(&dimm), std::sync::Arc::clone(&start));
+            std::thread::spawn(move || {
+                let clock = ActorClock::new();
+                let mut word = [0u8; 8];
+                start.wait();
+                for round in 0..ROUNDS {
+                    let value = VALUES[round % 2];
+                    dimm.write(8 + mine as u64, &[value], &clock);
+                    dimm.read_cached(8, &mut word);
+                    assert_eq!(word[mine], value, "round {round}: byte {mine}'s store was lost");
+                    let theirs = word[1 - mine];
+                    assert!(
+                        VALUES.contains(&theirs),
+                        "round {round}: byte {} read {theirs:#x}",
+                        1 - mine
+                    );
+                    assert_eq!(word[2..], [0; 6], "round {round}: untouched bytes changed");
+                }
+            })
+        };
+        let threads = [hammer(0), hammer(1)];
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(dimm.stats().bytes_stored.load(Ordering::Relaxed), 2 + 2 * ROUNDS as u64);
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //! [`NvDimm::crash`] discards everything that was not durable, which makes
 //! ordering bugs observable in tests instead of latent.
 //!
+//! Both images are packed little-endian into 64-bit words: whole words move
+//! with one relaxed atomic load or store, and the partial head or tail word
+//! of a store with one compare-and-swap. Every byte is therefore
+//! single-copy atomic (disjoint bytes of one word never lose an update, and
+//! a load only sees byte values some store wrote), while an access spanning
+//! several words may tear between words, as on hardware. `pwb` queues one
+//! line range per call; the fence sorts and merges the ranges and flushes
+//! (and charges) each distinct line once.
+//!
 //! Latency is charged against virtual time ([`simclock`]) using an
 //! Optane-like profile, directly to the calling actor's clock: the DIMM is
 //! *not* a shared device timeline, so concurrent flushers do not contend
@@ -43,6 +52,8 @@
 //! ```
 
 mod dimm;
+#[cfg(all(test, not(feature = "pmcheck")))]
+mod dimm_tests;
 mod ints;
 #[cfg(feature = "pmcheck")]
 mod pmcheck;

@@ -209,7 +209,22 @@ impl FileSystem for NovaFs {
     fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
         let (inode, _) = self.ns.writable(fd)?;
         clock.advance(self.profile.costs.syscall + self.profile.costs.fs_overhead);
-        inode.data.size.store(len, Ordering::Release);
+        let (file, ps) = (&inode.data, self.profile.page_size);
+        if len < file.len() {
+            // A shrink forgets what it cut, so that a regrow reads zeros
+            // there: pages wholly past the cut go back to the allocator, and
+            // the tail of the page the cut falls in is zeroed in place.
+            let mut pages = file.pages.lock();
+            let cut = pages.extract_if(|&page, _| page >= len.div_ceil(ps));
+            self.free_pages.lock().extend(cut.map(|(_, base)| base));
+            let in_page = len % ps;
+            if let Some(&base) = pages.get(&(len / ps)).filter(|_| in_page > 0) {
+                let zeros = vec![0; (ps - in_page) as usize];
+                self.region.write_and_pwb(base + in_page, &zeros, clock);
+                self.region.pfence(clock);
+            }
+        }
+        file.size.store(len, Ordering::Release);
         Ok(())
     }
 
@@ -342,6 +357,30 @@ mod tests {
         let mut buf = [0u8; 21];
         fs.pread(fd, &mut buf, 0, &c).unwrap();
         assert_eq!(&buf, b"durable without fsync");
+    }
+
+    #[test]
+    fn a_shrunk_file_that_grows_again_reads_zeros_where_it_was_cut() {
+        let (c, fs) = fs(8);
+        let fd = fs.open("/t", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        fs.pwrite(fd, &[0xCD; 8192], 0, &c).unwrap();
+        let free_before = fs.free_pages.lock().len();
+        let before = c.now();
+        fs.ftruncate(fd, 100, &c).unwrap();
+        let (cost, freed) = (c.now() - before, fs.free_pages.lock().len() - free_before);
+        fs.pwrite(fd, b"regrown", 8192, &c).unwrap();
+        for off in [200, 5000] {
+            let mut buf = [0xFFu8; 16];
+            assert_eq!(fs.pread(fd, &mut buf, off, &c).unwrap(), 16);
+            assert_eq!(buf, [0; 16], "offset {off} must read as zeros");
+        }
+        let mut head = [0u8; 100];
+        fs.pread(fd, &mut head, 0, &c).unwrap();
+        assert_eq!(head, [0xCD; 100], "the bytes below the cut stay");
+        // Page 1 went back to the free list before the regrow took a page;
+        // the tail of page 0 was zeroed as a charged store + pwb + fence.
+        assert_eq!(freed, 1);
+        assert!(cost > fs.profile.costs.syscall + fs.profile.costs.fs_overhead);
     }
 
     #[test]

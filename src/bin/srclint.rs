@@ -12,7 +12,8 @@
 //! * **deny compare-and-swap loops** (`compare_exchange`, `fetch_update`):
 //!   a lock-free structure saves host time only, and every number these
 //!   crates report is virtual time — one would have to argue its way in
-//!   through a reviewed change to this rule;
+//!   through a reviewed change to this rule (the allowlist holds the one
+//!   that did: the simulated DIMM's partial-word store);
 //! * **deny host-clock timeouts** (`.wait_for(`, `Duration::from_`): a
 //!   timeout decides an interleaving by the host's clock, not the model's;
 //!   the reviewed allowlist holds the polls still waiting for exact
@@ -47,6 +48,12 @@ const LEASE_FILES: &[&str] = &["core/src/migrate.rs", "core/src/tiers.rs"];
 /// Compare-and-swap loops: the building block of lock-free structures,
 /// which buy host time and no virtual time.
 const CAS_CALLS: &[&str] = &["compare_exchange", "fetch_update"];
+
+/// Reviewed `(file suffix, line needle)` sites that may spell one. The DIMM
+/// stores a partial word of its word-packed image with one CAS: that is how
+/// the model keeps each byte single-copy atomic for loads that take no lock,
+/// and it charges no virtual time.
+const ALLOW_CAS: &[(&str, &str)] = &[("nvmm/src/dimm.rs", "cell.fetch_update(")];
 
 /// Host-clock timeouts, and the reviewed `(file suffix, line needle)` sites
 /// that may still spell one: the stripe's 1 ms poll for cleanup work.
@@ -87,7 +94,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// simplification removed does not grow back unnoticed. Raising a ceiling
 /// is a reviewed one-line diff here, by no more than what a measured change
 /// had to add.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4864), ("vfs", 2577)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4864), ("nvmm", 755), ("vfs", 2589)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
@@ -208,7 +215,10 @@ fn scan_file(root: &Path, path: &Path, violations: &mut Vec<String>) {
             }
         }
         for call in CAS_CALLS {
-            if line.contains(call) {
+            let allowed = ALLOW_CAS
+                .iter()
+                .any(|(file, needle)| rel.ends_with(file) && line.contains(needle));
+            if line.contains(call) && !allowed {
                 violations.push(format!(
                     "{rel}:{lineno}: compare-and-swap `{call}` in virtual-time code (a lock \
                      does the same in virtual time)"
