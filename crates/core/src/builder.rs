@@ -45,7 +45,7 @@ use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, Layer};
 
 use crate::cache::NvCache;
-use crate::layout::{self, Header, Layout};
+use crate::layout::{Header, Layout};
 use crate::router::SingleBackend;
 use crate::tiers::{Tiering, Tiers};
 use crate::NvCacheConfig;
@@ -228,11 +228,7 @@ fn format_region(
         region.write_u64(base, 0, clock);
         region.pwb(base, 8);
     }
-    for slot in 0..lay.nb_entries {
-        let base = lay.entry(slot);
-        region.write_u64(base + layout::ENT_COMMIT, 0, clock);
-        region.pwb(base + layout::ENT_COMMIT, 8);
-    }
+    lay.clear_entries(region, clock);
     region.psync(clock);
     Ok(())
 }

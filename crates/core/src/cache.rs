@@ -20,7 +20,7 @@ use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentF
 use crate::layout::{self, Layout};
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::{EntryHeader, Log, Stripe};
-use crate::pagedesc::{PageDescriptor, PageSlot};
+use crate::pagedesc::{PageDescriptor, PageSlot, Queued};
 use crate::readcache::ReadCache;
 use crate::recovery::{Recovered, RecoveryReport};
 use crate::replay::{Pending, Window};
@@ -398,7 +398,7 @@ impl Shared {
         let consumed = |h: &EntryHeader| {
             self.page_descs(file, h.file_off, 1)
                 .iter()
-                .all(|(_, page)| page.propagation_front().is_none_or(|front| front > h.seq))
+                .all(|(_, page)| page.propagation_front().is_none_or(|front| front.gseq > h.seq))
         };
         let mut plans = Vec::new();
         let mut window = Window::default();
@@ -545,52 +545,29 @@ impl Shared {
             && self.finishing.load(Ordering::SeqCst) == 0
     }
 
-    /// The dirty-miss procedure (paper §II-C) over a run of pages read into
-    /// `run_buf`, whose first page is `first`: each `(page, unpropagated)`
-    /// of `dirty` (ascending) is rebuilt by re-applying, in *global commit
-    /// order* across all stripes, the `unpropagated` pending entries that
-    /// overlap it — the page's dirty count, exact because the caller holds
-    /// the page's atomic lock (no writer queues an entry) *and* cleanup lock
-    /// (no worker pops one). Those are the newest overlapping entries.
-    /// One scan of the log serves the whole run; each page keeps its own
-    /// count. The scan can also meet older, already propagated entries
-    /// whose worker has not cleared their commit word yet (`free_range`
-    /// runs outside the page locks, oldest first): the page already holds
-    /// them, and replaying one whose newer sibling the sweep has cleared
-    /// meanwhile would bring stale bytes back.
-    fn dirty_miss(
-        &self,
-        file: &Arc<FileState>,
-        first: u64,
-        dirty: &[(u64, usize)],
-        run_buf: &mut [u8],
-        clock: &ActorClock,
-    ) {
-        let (Some(&(lo, _)), Some(&(hi, _))) = (dirty.first(), dirty.last()) else {
-            return;
-        };
+    /// The dirty-miss procedure (paper §II-C) over `run`, whose pages were
+    /// read into `run_buf`: each page with pending entries is rebuilt by
+    /// re-applying its propagation queue, oldest first — the entries that
+    /// modify it and have not reached the inner file system, in global
+    /// commit order across stripes. The queue is exact because the caller
+    /// holds the page's atomic lock (no writer queues an entry) *and*
+    /// cleanup lock (no worker pops one, so none of them is freed).
+    fn dirty_miss(&self, run: &[KeyedPage], run_buf: &mut [u8], clock: &ActorClock) {
         let ps = PAGE_SIZE as u64;
-        let overlaps = |hdr: &EntryHeader, start: u64, end: u64| {
-            hdr.file_off < end && hdr.file_off + hdr.len as u64 > start
-        };
-        let overlapping = self.pending_entries_for(|hdr| {
-            overlaps(hdr, lo * ps, (hi + 1) * ps)
-                && self.opened_by_slot(hdr.fd_slot).is_some_and(|op| Arc::ptr_eq(&op.file, file))
-        });
-        for &(page, unpropagated) in dirty {
-            let (page_start, page_end) = (page * ps, (page + 1) * ps);
-            let on_page: Vec<_> = overlapping
-                .iter()
-                .filter(|(_, _, h)| overlaps(h, page_start, page_end))
-                .collect();
-            let propagated = on_page.len().saturating_sub(unpropagated);
-            let page_buf = &mut run_buf[((page - first) * ps) as usize..][..ps as usize];
-            for &(si, seq, hdr) in on_page.into_iter().skip(propagated) {
+        for (((_, page), desc), page_buf) in run.iter().zip(run_buf.chunks_mut(PAGE_SIZE)) {
+            let queued = desc.queued();
+            if queued.is_empty() {
+                continue;
+            }
+            self.stats.dirty_misses.fetch_add(1, Ordering::Relaxed);
+            let page_start = page * ps;
+            for entry in queued {
+                let stripe = &self.log.stripes[entry.stripe];
+                let hdr = stripe.read_header(entry.seq);
                 let e_start = hdr.file_off;
-                let e_end = e_start + hdr.len as u64;
-                let data = self.log.stripes[si].read_data(seq, hdr.len as usize, clock);
+                let data = stripe.read_data(entry.seq, hdr.len as usize, clock);
                 let s = e_start.max(page_start);
-                let e = e_end.min(page_end);
+                let e = (e_start + hdr.len as u64).min(page_start + ps);
                 page_buf[(s - page_start) as usize..(e - page_start) as usize]
                     .copy_from_slice(&data[(s - e_start) as usize..(e - e_start) as usize]);
             }
@@ -600,7 +577,8 @@ impl Shared {
     /// Reads `run` — consecutive unloaded pages whose atomic locks the
     /// caller holds — with one inner `pread`, under the run's cleanup locks
     /// (ascending, so no worker writes any of them meanwhile), and rebuilds
-    /// its dirty pages ([`dirty_miss`](Shared::dirty_miss)). Returns the
+    /// its dirty pages from their propagation queues
+    /// ([`dirty_miss`](Shared::dirty_miss)). Returns the
     /// pages' contents back to back; bytes past the inner file's end read as
     /// zeroes.
     fn read_run(
@@ -624,15 +602,7 @@ impl Shared {
         // last `close` pushed every entry, and the workers write none of
         // them again.
         if opened.file.writers.load(Ordering::SeqCst) > 0 {
-            let dirty: Vec<(u64, usize)> = run
-                .iter()
-                .filter_map(|((_, p), d)| {
-                    let unpropagated = d.dirty_count();
-                    (unpropagated > 0).then_some((*p, unpropagated))
-                })
-                .collect();
-            self.stats.dirty_misses.fetch_add(dirty.len() as u64, Ordering::Relaxed);
-            self.dirty_miss(&opened.file, first, &dirty, &mut run_buf, clock);
+            self.dirty_miss(run, &mut run_buf, clock);
         }
         Ok(run_buf)
     }
@@ -697,7 +667,7 @@ impl Shared {
         // writes in commit order, and in-place update of loaded contents.
         let ps = PAGE_SIZE as u64;
         let mut gseq = first_gseq;
-        for (w, &(_, k)) in writes.iter().zip(&groups) {
+        for (w, &(seq, k)) in writes.iter().zip(&groups) {
             let file = &w.opened.file;
             let index_of = |p: u64| {
                 pages
@@ -705,8 +675,10 @@ impl Shared {
                     .expect("the caller locked every written page")
             };
             for (i, part) in w.data.chunks(es).enumerate() {
+                let (gseq, seq) = (gseq + i as u64, seq + i as u64);
+                let entry = Queued { gseq, stripe: stripe.index, seq };
                 for p in self.pages_of(w.off + (i * es) as u64, part.len()) {
-                    pages[index_of(p)].1.enqueue_propagation(gseq + i as u64);
+                    pages[index_of(p)].1.enqueue_propagation(entry);
                 }
             }
             let end = w.off + w.data.len() as u64;

@@ -211,10 +211,9 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                         return; // killed while waiting
                     }
                     // The awaited sequence number is stuck in a poisoned
-                    // stripe (the handoff's grace period passed without
-                    // progress): per-page ordering can no longer be
-                    // maintained, so this stripe degrades too (writers get
-                    // errors, not hangs; recovery replays the rest).
+                    // stripe: per-page ordering can no longer be maintained,
+                    // so this stripe degrades too (writers get errors, not
+                    // hangs; recovery replays the rest).
                     batch_failed = true;
                     break;
                 }
@@ -398,25 +397,28 @@ fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
 /// waiter exists — which requires page-straddling writes whose entries
 /// split across stripes; entry-aligned workloads (e.g. the Fig. 6 sweep)
 /// never trigger it. Returns `false` if the cache was killed while
-/// waiting, or if the handoff can provably never complete because a
-/// sequence number it is waiting on is pending inside a *poisoned* stripe
-/// (whose worker is gone). A poisoned stripe elsewhere in the log does not
-/// degrade this one: after a grace period of parked waits the blocking
-/// sequence numbers are located by scanning the poisoned stripes' pending
-/// windows, and the wait continues whenever they sit in healthy stripes.
-fn wait_for_handoff(
+/// waiting, or as soon as a blocking queue front (one older than `gseq`)
+/// belongs to a *poisoned* stripe: its worker is gone, so the front is
+/// never popped. A poisoned stripe that blocks none of the fronts does not
+/// degrade this one — the wait goes on.
+pub(crate) fn wait_for_handoff(
     shared: &Shared,
     stripe: &crate::log::Stripe,
     pages: &[KeyedPage],
     gseq: u64,
 ) -> bool {
-    /// Parked (condvar, ~1 ms each) waits between scans of the poisoned
-    /// stripes' windows once a poisoned stripe has been observed.
-    const POISON_GRACE_PARKS: u32 = 64;
+    // A page whose queue is empty has not been given the entry yet: a
+    // writer commits before it queues.
     let at_front = || {
         pages
             .iter()
-            .all(|(_, d)| matches!(d.propagation_front(), Some(front) if front >= gseq))
+            .all(|(_, d)| matches!(d.propagation_front(), Some(front) if front.gseq >= gseq))
+    };
+    let blocked_by_poison = || {
+        pages
+            .iter()
+            .filter_map(|(_, d)| d.propagation_front())
+            .any(|front| front.gseq < gseq && shared.log.stripes[front.stripe].is_poisoned())
     };
     if at_front() {
         return true; // fast path: already at every front
@@ -424,22 +426,12 @@ fn wait_for_handoff(
     shared.log.handoff_waiters.fetch_add(1, Ordering::AcqRel);
     shared.log.notify_work_all();
     let mut spins = 0u32;
-    let mut poison_parks = 0u32;
     let survived = loop {
         if at_front() {
             break true;
         }
-        if shared.kill.load(Ordering::Acquire) {
+        if shared.kill.load(Ordering::Acquire) || blocked_by_poison() {
             break false;
-        }
-        if poison_parks > POISON_GRACE_PARKS {
-            poison_parks = 0;
-            if blocked_by_poisoned_stripe(shared, pages, gseq) {
-                break false;
-            }
-            // The blocking entries sit in healthy stripes — their workers
-            // will drain them (handoff pressure keeps them running); the
-            // peer's poison is not this stripe's problem.
         }
         // Brief spin for the common sub-microsecond handoff, then park on
         // the stripe's work condvar (1 ms timeout, like wait_for_work)
@@ -449,40 +441,8 @@ fn wait_for_handoff(
             std::thread::yield_now();
         } else {
             stripe.wait_for_work();
-            if shared.log.any_poisoned() {
-                poison_parks += 1;
-            }
         }
     };
     shared.log.handoff_waiters.fetch_sub(1, Ordering::AcqRel);
     survived
-}
-
-/// Whether any sequence number currently blocking the handoff (a
-/// propagation-queue front smaller than `gseq`) is pending inside a
-/// poisoned stripe's `[tail, head)` window — in which case it will never
-/// be popped and the waiter must give up. Pending entries always live in
-/// some stripe's window until freed, so a miss here means the blocker is
-/// in a healthy stripe (or was popped concurrently — the caller's
-/// `at_front` re-check picks that up). Only runs on the degraded path.
-fn blocked_by_poisoned_stripe(shared: &Shared, pages: &[KeyedPage], gseq: u64) -> bool {
-    let blockers: Vec<u64> = pages
-        .iter()
-        .filter_map(|(_, d)| d.propagation_front())
-        .filter(|&front| front < gseq)
-        .collect();
-    if blockers.is_empty() {
-        return false;
-    }
-    for poisoned in shared.log.stripes.iter().filter(|s| s.is_poisoned()) {
-        let tail = poisoned.vtail.load(Ordering::Acquire);
-        let head = poisoned.head.load(Ordering::Acquire);
-        for seq in tail..head {
-            let h = poisoned.read_header(seq);
-            if h.commit != CommitWord::Free && blockers.contains(&h.seq) {
-                return true;
-            }
-        }
-    }
-    false
 }

@@ -236,6 +236,17 @@ impl Layout {
     pub fn total_bytes(&self) -> u64 {
         self.entries_base() + self.nb_entries * self.entry_stride()
     }
+
+    /// Empties the log: clears every entry's commit word and writes it
+    /// back (format, and recovery once its replay is durable). The caller
+    /// fences.
+    pub(crate) fn clear_entries(&self, region: &NvRegion, clock: &ActorClock) {
+        for slot in 0..self.nb_entries {
+            let commit = self.entry(slot) + ENT_COMMIT;
+            region.write_u64(commit, 0, clock);
+            region.pwb(commit, 8);
+        }
+    }
 }
 
 /// Whether an fd slot can hold `path` (normalized).

@@ -53,8 +53,10 @@
 //!    allocating, so per-page global order equals acknowledgement order.
 //! 3. **Ordered propagation handoff** — entries touching the same page may
 //!    live in different stripes; each [`PageDescriptor`] carries a queue of
-//!    pending global sequence numbers, and a cleanup worker propagates an
-//!    entry only once it heads the queue of every page it touches. A worker
+//!    its pending entries (global sequence number and place in the log —
+//!    also the list a dirty miss re-applies), and a cleanup worker
+//!    propagates an entry only once it heads the queue of every page it
+//!    touches. A worker
 //!    therefore only waits for *smaller* sequence numbers sitting at other
 //!    stripes' tails — no cycles, no cross-stripe serialization of
 //!    unrelated pages.

@@ -37,8 +37,7 @@ impl EntryHeader {
     /// including the sequence number.
     pub const BYTES: usize = ENT_SEQ as usize + 8;
 
-    /// Decodes the leading bytes of an entry as one charged read returned
-    /// them (recovery; the hot paths load the fields one by one).
+    /// Decodes the leading bytes of an entry as one read returned them.
     pub fn decode(bytes: &[u8; Self::BYTES]) -> EntryHeader {
         let u32_at = |at: u64| {
             u32::from_le_bytes(bytes[at as usize..at as usize + 4].try_into().expect("4 bytes"))
@@ -269,18 +268,12 @@ impl Stripe {
         self.notify_work();
     }
 
-    /// Reads an entry header (CPU-cache-speed loads: the hot paths touch
+    /// Reads an entry header (a CPU-cache-speed load: the hot paths touch
     /// lines their thread recently wrote; recovery uses charged reads).
     pub fn read_header(&self, seq: u64) -> EntryHeader {
-        let base = self.layout.entry(self.slot(seq));
-        EntryHeader {
-            commit: layout::parse_commit_word(self.region.read_u64(base + ENT_COMMIT)),
-            fd_slot: self.region.read_u32(base + ENT_FD),
-            len: self.region.read_u32(base + ENT_LEN),
-            file_off: self.region.read_u64(base + ENT_FILE_OFF),
-            group_len: self.region.read_u32(base + ENT_GROUP_LEN),
-            seq: self.region.read_u64(base + ENT_SEQ),
-        }
+        let mut bytes = [0u8; EntryHeader::BYTES];
+        self.region.read_cached(self.layout.entry(self.slot(seq)), &mut bytes);
+        EntryHeader::decode(&bytes)
     }
 
     /// Reads entry data with a charged (media) read.
@@ -622,8 +615,8 @@ impl Log {
         }
     }
 
-    /// Whether any stripe is poisoned (used to break cross-stripe waits
-    /// that could otherwise spin on a dead worker).
+    /// Whether any stripe is poisoned (used to fail barriers and waits
+    /// that a dead worker could otherwise leave hanging).
     pub fn any_poisoned(&self) -> bool {
         self.stripes.iter().any(Stripe::is_poisoned)
     }

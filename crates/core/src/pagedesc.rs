@@ -49,12 +49,14 @@ impl PageSlot {
 ///   dirty-miss procedure — and nothing else, so the cleanup thread never
 ///   blocks writers, and never blocks readers that hit the cache.
 ///
-/// The descriptor also carries the **propagation queue**: the global
-/// sequence numbers of pending log entries touching this page, in commit
-/// order (writers enqueue under the atomic lock). A cleanup worker may only
-/// propagate an entry once it reaches the queue front, which restores
-/// cross-stripe per-page write ordering at the inner file system without
-/// serializing unrelated pages. Every log keeps it, one stripe included.
+/// The descriptor also carries the **propagation queue**: the pending log
+/// entries touching this page, each with its global sequence number and
+/// place in the log, in commit order (writers enqueue under the atomic
+/// lock). It is the list the dirty-miss procedure re-applies. A cleanup
+/// worker may only propagate an entry once it reaches the queue front,
+/// which restores cross-stripe per-page write ordering at the inner file
+/// system without serializing unrelated pages. Every log keeps it, one
+/// stripe included.
 ///
 /// The queue's length is the paper's **dirty counter** — the log entries
 /// that modify this page and have not reached the inner file system. A
@@ -68,7 +70,18 @@ pub struct PageDescriptor {
     page_no: u64,
     slot: Mutex<PageSlot>,
     cleanup_lock: Mutex<()>,
-    prop_queue: Mutex<VecDeque<u64>>,
+    prop_queue: Mutex<VecDeque<Queued>>,
+}
+
+/// One pending log entry in a page's propagation queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Queued {
+    /// Global sequence number: the entry's place in the commit order.
+    pub gseq: u64,
+    /// Index of the stripe that holds the entry.
+    pub stripe: usize,
+    /// The entry's stripe-local sequence number.
+    pub seq: u64,
 }
 
 impl PageDescriptor {
@@ -115,18 +128,24 @@ impl PageDescriptor {
         self.prop_queue.lock().len()
     }
 
-    /// Appends a pending entry's global sequence number to the propagation
-    /// queue (writer path, under the atomic lock — which makes the queue
-    /// order the commit order for this page).
-    pub fn enqueue_propagation(&self, gseq: u64) {
+    /// Appends a pending entry to the propagation queue (writer path, under
+    /// the atomic lock — which makes the queue order the commit order for
+    /// this page).
+    pub(crate) fn enqueue_propagation(&self, entry: Queued) {
         let mut q = self.prop_queue.lock();
-        debug_assert!(q.back().is_none_or(|&last| last < gseq), "queue must stay sorted");
-        q.push_back(gseq);
+        debug_assert!(q.back().is_none_or(|last| last.gseq < entry.gseq), "queue must stay sorted");
+        q.push_back(entry);
     }
 
     /// The oldest pending entry for this page, if any (cleanup handoff).
-    pub fn propagation_front(&self) -> Option<u64> {
+    pub(crate) fn propagation_front(&self) -> Option<Queued> {
         self.prop_queue.lock().front().copied()
+    }
+
+    /// The pending entries for this page, oldest first (dirty miss, under
+    /// both locks).
+    pub(crate) fn queued(&self) -> Vec<Queued> {
+        self.prop_queue.lock().iter().copied().collect()
     }
 
     /// Removes `gseq` from the queue front once the entry has been
@@ -136,9 +155,9 @@ impl PageDescriptor {
     ///
     /// Panics if `gseq` is not at the front — the ordered-handoff invariant
     /// was broken.
-    pub fn pop_propagation(&self, gseq: u64) {
+    pub(crate) fn pop_propagation(&self, gseq: u64) {
         let mut q = self.prop_queue.lock();
-        let front = q.pop_front();
+        let front = q.pop_front().map(|entry| entry.gseq);
         assert_eq!(front, Some(gseq), "out-of-order propagation pop");
     }
 
@@ -160,6 +179,11 @@ impl PageDescriptor {
 mod tests {
     use super::*;
 
+    /// A queued entry of stripe 0 whose local sequence number is `gseq`.
+    fn entry(gseq: u64) -> Queued {
+        Queued { gseq, stripe: 0, seq: gseq }
+    }
+
     #[test]
     fn fresh_descriptor_is_unloaded_clean() {
         let d = PageDescriptor::for_file(1, 9);
@@ -172,7 +196,7 @@ mod tests {
     fn table_ii_state_matrix() {
         let d = PageDescriptor::for_file(1, 0);
         // unloaded-clean -> unloaded-dirty on write (dc > 0)
-        d.enqueue_propagation(4);
+        d.enqueue_propagation(entry(4));
         assert_eq!(d.state(), PageState::UnloadedDirty);
         // load content => loaded regardless of the counter
         d.lock().content = Some(vec![0u8; 64].into_boxed_slice());
@@ -191,7 +215,7 @@ mod tests {
         // design avoids a synchronous write-back at eviction.
         let d = PageDescriptor::for_file(1, 0);
         d.lock().content = Some(vec![1u8; 64].into_boxed_slice());
-        d.enqueue_propagation(0);
+        d.enqueue_propagation(entry(0));
         d.lock().content = None; // evict without any I/O
         assert_eq!(d.state(), PageState::UnloadedDirty);
     }
@@ -218,11 +242,12 @@ mod tests {
     fn propagation_queue_is_fifo() {
         let d = PageDescriptor::for_file(1, 0);
         assert_eq!(d.propagation_front(), None);
-        d.enqueue_propagation(3);
-        d.enqueue_propagation(9);
-        assert_eq!((d.propagation_front(), d.dirty_count()), (Some(3), 2));
+        let (a, b) = (Queued { gseq: 3, stripe: 1, seq: 0 }, Queued { gseq: 9, stripe: 0, seq: 4 });
+        d.enqueue_propagation(a);
+        d.enqueue_propagation(b);
+        assert_eq!((d.propagation_front(), d.queued()), (Some(a), vec![a, b]));
         d.pop_propagation(3);
-        assert_eq!((d.propagation_front(), d.dirty_count()), (Some(9), 1));
+        assert_eq!((d.propagation_front(), d.dirty_count()), (Some(b), 1));
         d.pop_propagation(9);
         assert_eq!((d.propagation_front(), d.dirty_count()), (None, 0));
     }
@@ -231,8 +256,8 @@ mod tests {
     #[should_panic(expected = "out-of-order propagation pop")]
     fn out_of_order_pop_is_detected() {
         let d = PageDescriptor::for_file(1, 0);
-        d.enqueue_propagation(1);
-        d.enqueue_propagation(2);
+        d.enqueue_propagation(entry(1));
+        d.enqueue_propagation(entry(2));
         d.pop_propagation(2);
     }
 }

@@ -261,7 +261,7 @@ pub(crate) fn recover(
 ) -> IoResult<Recovered> {
     let (backends, router) = (&*tiers.backends, &*tiers.router);
     let Header { layout: lay, ptail, .. } = *image;
-    let (nb_entries, fd_slots, log_shards) = (lay.nb_entries, lay.fd_slots, lay.log_shards);
+    let (fd_slots, log_shards) = (lay.fd_slots, lay.log_shards);
 
     // Repair interrupted migrations first (journal slots are invisible to
     // the open-file scan below, but their non-authoritative copies must be
@@ -415,11 +415,7 @@ pub(crate) fn recover(
     for backend in backends {
         backend.sync(clock)?;
     }
-    for slot in 0..nb_entries {
-        let base = lay.entry(slot);
-        region.write_u64(base + layout::ENT_COMMIT, 0, clock);
-        region.pwb(base + layout::ENT_COMMIT, 8);
-    }
+    lay.clear_entries(region, clock);
     region.write_u64(layout::OFF_PTAIL, 0, clock);
     region.pwb(layout::OFF_PTAIL, 8);
     if log_shards > 1 {

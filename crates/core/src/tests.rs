@@ -191,8 +191,9 @@ fn dirty_miss_reconstructs_fresh_state() {
 /// bytes of page `page` and C beside them, plays the workers by hand —
 /// A and B propagated (inner `pwrite`, propagation queues popped),
 /// C still pending — lets `free_b` recycle B and not A, and reads the
-/// never-loaded page: a dirty miss whose scan meets A's commit word and not
-/// B's. Replaying A over the kernel copy that holds B is the stale read.
+/// never-loaded page: a dirty miss while A's entry is still committed in
+/// the log and B's is not. The page's propagation queue holds C alone;
+/// replaying A over the kernel copy that holds B is the stale read.
 fn dirty_miss_after_partial_free(shards: usize, free_b: impl Fn(&crate::log::Stripe, u64)) {
     let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..sharded_cfg(shards) };
     let (c, _d, inner, cache) = setup(cfg);
@@ -240,13 +241,66 @@ fn dirty_miss_ignores_a_propagated_entry_whose_newer_sibling_was_freed() {
     // worker still waits for its barrier.
     dirty_miss_after_partial_free(2, |stripe, seq| stripe.free_range(seq, 1, &ActorClock::new()));
     // One stripe: `free_range` clears the batch's commit words oldest
-    // first, outside the page locks, while the read scans in the same
-    // direction — it read A's word before the sweep cleared it and B's
-    // after. This is the log as that scan saw it.
+    // first, outside the page locks, so a read can meet B's word cleared
+    // and A's not yet. This is the log at that instant.
     dirty_miss_after_partial_free(1, |stripe, seq| {
         let commit = stripe.layout.entry(stripe.slot(seq)) + crate::layout::ENT_COMMIT;
         nvmm::PmemInts::write_u64(&stripe.region, commit, 0, &ActorClock::new());
     });
+}
+
+/// The cross-stripe handoff gives up at once when a blocking queue front
+/// sits in a poisoned stripe — its worker is gone, so nothing pops it — and
+/// keeps waiting on a front in a healthy stripe while another stripe is
+/// poisoned. The fronts are queued by hand over an empty log, so no worker
+/// runs a batch even under handoff pressure.
+#[test]
+fn a_poisoned_blocker_ends_the_handoff_and_a_healthy_one_does_not() {
+    use crate::cleanup::wait_for_handoff;
+    use crate::pagedesc::Queued;
+    use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
+
+    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..sharded_cfg(2) };
+    let (c, _d, _i, cache) = setup(cfg);
+    let fd = cache.open("/handoff", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+    let shared = &cache.shared;
+    let log = &shared.log;
+    let file = Arc::clone(&shared.opened_fd(fd).unwrap().file);
+    let (healthy, poisoned) = (shared.page_descs(&file, 0, 1), shared.page_descs(&file, 4096, 1));
+    // Each page: a blocking front, then the waiter's own entry 2.
+    for (pages, stripe) in [(&healthy, 1), (&poisoned, 0)] {
+        pages[0].1.enqueue_propagation(Queued { gseq: 1, stripe, seq: 0 });
+        pages[0].1.enqueue_propagation(Queued { gseq: 2, stripe: 1 - stripe, seq: 0 });
+    }
+    log.stripes[0].poison();
+
+    // The front's stripe is poisoned: `false` at once, before any parked
+    // wait (about 1 ms each). The fastest of three calls is timed, so a
+    // preempted test thread does not fail it.
+    let fastest = (0..3)
+        .map(|_| {
+            let started = Instant::now();
+            assert!(!wait_for_handoff(shared, &log.stripes[1], &poisoned, 2));
+            started.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(fastest < Duration::from_millis(32), "the handoff waited {fastest:?}");
+
+    // The front's stripe is healthy: the wait outlasts a few parks and ends
+    // when the front is popped.
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| wait_for_handoff(shared, &log.stripes[1], &healthy, 2));
+        while log.handoff_waiters.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        assert!(!waiter.is_finished(), "a healthy front ended the handoff");
+        healthy[0].1.pop_propagation(1);
+        assert!(waiter.join().unwrap(), "the popped front must let the handoff through");
+    });
+    cache.abort();
 }
 
 #[test]
