@@ -35,9 +35,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use nvcache::{
-    HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering,
-};
+use nvcache::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 use nvcache_bench::{arg_flag, arg_str, arg_u64, print_table, Json, Row};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
@@ -101,7 +99,6 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     // No routing rule ever reaches the fast tier: only heat can promote.
     let all_cold = Arc::new(PathPrefixRouter::new(vec![], 0));
     let tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
-        .migration(MigrationPolicy::OnDemand)
         .heat(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)))
         .catalog_capacity(capacity as usize);
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))

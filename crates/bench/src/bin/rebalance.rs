@@ -25,9 +25,7 @@
 use std::sync::Arc;
 
 use blockdev::{HddDevice, HddProfile};
-use nvcache::{
-    HeatPolicy, MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
-};
+use nvcache::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering};
 use nvcache_bench::{arg_flag, arg_u64};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
@@ -104,8 +102,7 @@ fn heat_policy_run(
     // Every path — including /data/hot/** — routes to the bulk tier: no
     // static rule ever reaches NOVA.
     let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
-    let mut tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
-        .migration(MigrationPolicy::OnDemand);
+    let mut tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)]);
     if let Some(policy) = policy {
         tiering = tiering.heat(policy);
     }
@@ -243,7 +240,7 @@ fn main() {
     // Phase 1 — the old policy: everything lands on the bulk tier.
     let cold_everything: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-        .tiers(Tiering::new(cold_everything, tiers.clone()).migration(MigrationPolicy::OnDemand))
+        .tiers(Tiering::new(cold_everything, tiers.clone()))
         .config(cfg.clone())
         .mount(&clock)
         .expect("phase-1 mount");
@@ -267,7 +264,7 @@ fn main() {
     // Phase 2 — recover under the real policy: /hot/** belongs on NOVA.
     let hot_policy: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let cache = NvCache::builder(NvRegion::whole(restarted))
-        .tiers(Tiering::new(hot_policy, tiers).migration(MigrationPolicy::OnDemand))
+        .tiers(Tiering::new(hot_policy, tiers))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)

@@ -699,7 +699,6 @@ impl Shared {
                 clock.advance(copy_bandwidth().time_for(updated_bytes));
             }
             file.size.fetch_max(end, Ordering::AcqRel);
-            file.writes.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
             gseq += k;
         }
         let stats = &self.stats;
@@ -775,7 +774,6 @@ impl Shared {
             // symmetric — only a committed write counts).
             return Ok(0);
         }
-        file.reads.fetch_add(1, Ordering::Relaxed); // access heat for the migrator
         self.tiers.touch(file, clock.now());
         let n = buf.len().min((size - off) as usize);
         if file.radix.get().is_none() {
@@ -1119,11 +1117,10 @@ impl NvCache {
             let mut files = self.shared.files.lock();
             Arc::clone(files.entry((backend_idx as u32, meta.dev, meta.ino)).or_insert_with(|| {
                 // The file leaves the migrator's closed-file catalog while
-                // open; its accumulated access heat seeds the fresh
-                // counters so temperature survives close/reopen cycles. A
-                // catalog entry pointing at a *different* tier stays: it
-                // tracks a copy this open did not touch, which a sweep may
-                // still need to find.
+                // open; its temperature seeds the fresh state so heat
+                // survives close/reopen cycles. A catalog entry pointing at
+                // a *different* tier stays: it tracks a copy this open did
+                // not touch, which a sweep may still need to find.
                 let catalogued = self.shared.tiers.migrator.take_if_on(path, backend_idx as u32);
                 let heat = catalogued.unwrap_or_default();
                 Arc::new(FileState {
@@ -1133,8 +1130,6 @@ impl NvCache {
                     unlinked: AtomicBool::new(false),
                     dead: AtomicBool::new(false),
                     size: AtomicU64::new(meta.size),
-                    reads: AtomicU64::new(heat.reads),
-                    writes: AtomicU64::new(heat.writes),
                     temperature: Mutex::new(heat.temp),
                     radix: OnceLock::new(),
                     open_count: AtomicU32::new(0),

@@ -249,13 +249,13 @@ mod tests {
     use vfs::{FileSystem, MemFs};
 
     use super::*;
-    use crate::{HashRouter, MigrationPolicy, Tiering};
+    use crate::{SingleBackend, Tiering};
 
     /// What replaced this configuration's six tiering fields: `n` bare tiers
     /// with every tiering choice at its default.
     fn tiering(n: usize) -> Tiering {
         let tiers = (0..n).map(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>).collect();
-        Tiering::new(Arc::new(HashRouter::new(n.max(1))), tiers)
+        Tiering::new(Arc::new(SingleBackend), tiers)
     }
 
     #[test]
@@ -282,13 +282,6 @@ mod tests {
         let cfg = NvCacheConfig::tiny();
         let need = cfg.required_nvmm_bytes();
         assert!(need > cfg.nb_entries * cfg.entry_size as u64);
-    }
-
-    #[test]
-    fn default_migration_is_disabled_and_exdev_preserved() {
-        let tiering = tiering(2);
-        assert_eq!(tiering.migration, MigrationPolicy::Disabled, "so a cross-tier rename is EXDEV");
-        tiering.validate();
     }
 
     #[test]

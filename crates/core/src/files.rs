@@ -44,13 +44,9 @@ pub(crate) struct FileState {
     /// NVCache's own view of the file size — the kernel's may be stale while
     /// appends sit in the log (paper §II-C).
     pub size: AtomicU64,
-    /// Intercepted reads against this file (access heat for the tier
-    /// migrator; carried across close/reopen through the migrator catalog).
-    pub reads: AtomicU64,
-    /// Intercepted writes against this file (access heat, as above).
-    pub writes: AtomicU64,
     /// Exponentially decaying access temperature (drives the
-    /// [`HeatPolicy`](crate::HeatPolicy) placement): every intercepted
+    /// [`HeatPolicy`](crate::HeatPolicy) placement; carried across
+    /// close/reopen through the migrator catalog): every intercepted
     /// read/write decays the stored heat to the touching call's virtual
     /// clock and adds one. A mutex, not atomics — decay folds two fields
     /// (value + stamp) and the surrounding I/O path already serializes on

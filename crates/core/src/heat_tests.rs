@@ -3,7 +3,6 @@
 //! survival, no heat from reads at the end of a file, the fast-tier
 //! budget), and recovery's misplacement judgement on persisted heat.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
@@ -11,7 +10,6 @@ use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, MemFs, OpenFlags};
 
 use crate::layout::{Layout, FD_HEAT_OFF};
-use crate::migrate::MigrationPolicy;
 use crate::router::Router;
 use crate::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 
@@ -26,10 +24,9 @@ fn parked_cfg() -> NvCacheConfig {
     }
 }
 
-/// `tiers` behind `router`, with on-demand migration.
-fn on_demand(router: Arc<dyn Router>, tiers: &Tiers) -> Tiering {
+/// `tiers` behind `router`.
+fn tiered(router: Arc<dyn Router>, tiers: &Tiers) -> Tiering {
     Tiering::new(router, vec![Arc::clone(&tiers.0), Arc::clone(&tiers.1)])
-        .migration(MigrationPolicy::OnDemand)
 }
 
 /// A DIMM sized for [`parked_cfg`].
@@ -88,7 +85,7 @@ fn heat_policy_promotes_hot_files_and_demotes_after_decay() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
+    let tiering = tiered(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     for (path, reads) in [("/data/hot", 8usize), ("/data/cold", 0)] {
@@ -145,7 +142,7 @@ fn temperature_survives_close_and_reopen() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
+    let tiering = tiered(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/wal", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -171,14 +168,16 @@ fn temperature_survives_close_and_reopen() {
 }
 
 /// A read at or past the end of a file moves no data and is no access heat:
-/// a tail poller's reads reach neither the temperature nor the read count
-/// the catalog carries across close and reopen.
+/// a tail poller's reads never reach the temperature the catalog carries
+/// across close and reopen.
 #[test]
 fn reads_at_the_end_of_a_file_leave_no_heat() {
+    let policy = HeatPolicy::new(1, 6.0, 1.0, SimTime::from_secs(3600));
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let cache = mount(on_demand(cold_everything(), &tiers), &dimm, Mount::Format, &clock);
+    let tiering = tiered(cold_everything(), &tiers).heat(policy);
+    let cache = mount(tiering, &dimm, Mount::Format, &clock);
     let fd = cache.open("/tail", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[5; 100], 0, &clock).unwrap();
     cache.flush_log(&clock);
@@ -189,11 +188,11 @@ fn reads_at_the_end_of_a_file_leave_no_heat() {
         assert_eq!(cache.pread(fd, &mut buf, 100, &clock).unwrap(), 0, "at the end");
     }
     cache.close(fd, &clock).unwrap();
-    // A reopen takes the catalogued counters back.
+    // A reopen takes the catalogued temperature back: one write's touch,
+    // not nine.
     let fd = cache.open("/tail", OpenFlags::RDONLY, &clock).unwrap();
     let file = Arc::clone(&cache.shared.opened_fd(fd).unwrap().file);
-    let counted = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    assert_eq!((counted(&file.reads), counted(&file.writes)), (0, 1));
+    assert_eq!(file.temperature.lock().heat, 1.0);
     cache.close(fd, &clock).unwrap();
     cache.shutdown(&clock);
 }
@@ -207,7 +206,7 @@ fn fast_tier_budget_evicts_the_coldest_resident() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
+    let tiering = tiered(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     // Three 512-byte files, all above the promote threshold, 1536 bytes of
@@ -239,7 +238,7 @@ fn sweep_on_a_lagging_clock_still_sees_decay() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy);
+    let tiering = tiered(cold_everything(), &tiers).heat(policy);
     let cache = mount(tiering, &dimm, Mount::Format, &clock);
 
     for path in ["/idle", "/later"] {
@@ -276,7 +275,7 @@ fn a_sweep_after_recovery_demotes_a_previously_promoted_file() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy());
+    let tiering = tiered(cold_everything(), &tiers).heat(policy());
     let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -323,7 +322,7 @@ fn recovery_judges_a_file_open_twice_by_its_hottest_slot() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy());
+    let tiering = tiered(cold_everything(), &tiers).heat(policy());
     let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
@@ -368,7 +367,7 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
     let clock = ActorClock::new();
     let dimm = parked_dimm(NvmmProfile::instant());
     let tiers = two_memfs();
-    let tiering = on_demand(cold_everything(), &tiers).heat(policy());
+    let tiering = tiered(cold_everything(), &tiers).heat(policy());
     let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
 
     // Two files open at crash time: one read-hot, one written once and
@@ -403,9 +402,8 @@ fn recovery_reseeds_persisted_heat_and_repromotes_without_retouching() {
 }
 
 /// Heat is stamped only where it is tracked: a tiered mount without a heat
-/// policy, or that may never migrate, leaves every fd slot's heat
-/// word at zero through open, pwrite, fsync, close and a crash, and its
-/// recovery seeds nothing.
+/// policy leaves every fd slot's heat word at zero through open, pwrite,
+/// fsync, close and a crash, and its recovery seeds nothing.
 #[test]
 fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
     let lay = Layout::for_config(&parked_cfg());
@@ -418,41 +416,35 @@ fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
             })
             .collect()
     };
-    let router = || Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-    let (bulk, fast) = two_memfs();
-    let heat = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
-    for (what, tiering) in [
-        ("no heat policy", on_demand(router(), &two_memfs())),
-        ("Disabled", Tiering::new(router(), vec![bulk, fast]).heat(heat)),
-    ] {
-        let clock = ActorClock::new();
-        let dimm = parked_dimm(NvmmProfile::instant());
-        let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
-        let create = OpenFlags::RDWR | OpenFlags::CREATE;
-        let kept = cache.open("/hot/kept", create, &clock).unwrap();
-        let closed = cache.open("/cold/closed", create, &clock).unwrap();
-        let mut buf = [0u8; 64];
-        for fd in [kept, closed] {
-            cache.pwrite(fd, &[7; 64], 0, &clock).unwrap();
-            for _ in 0..8 {
-                cache.pread(fd, &mut buf, 0, &clock).unwrap();
-            }
-            cache.fsync(fd, &clock).unwrap();
+    let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
+    let tiering = tiered(router, &two_memfs());
+    let clock = ActorClock::new();
+    let dimm = parked_dimm(NvmmProfile::instant());
+    let cache = mount(tiering.clone(), &dimm, Mount::Format, &clock);
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    let kept = cache.open("/hot/kept", create, &clock).unwrap();
+    let closed = cache.open("/cold/closed", create, &clock).unwrap();
+    let mut buf = [0u8; 64];
+    for fd in [kept, closed] {
+        cache.pwrite(fd, &[7; 64], 0, &clock).unwrap();
+        for _ in 0..8 {
+            cache.pread(fd, &mut buf, 0, &clock).unwrap();
         }
-        cache.flush_log(&clock);
-        cache.close(closed, &clock).unwrap();
-        cache.pwrite(kept, &[8; 64], 0, &clock).unwrap();
-        assert!(heat_stamps(&dimm).iter().all(|&w| w == 0), "{what}: stamped while mounted");
-        cache.abort();
-        drop(cache);
-
-        let dimm = Arc::new(dimm.crash_and_restart());
-        assert!(heat_stamps(&dimm).iter().all(|&w| w == 0), "{what}: stamped in the image");
-        let cache = mount(tiering, &dimm, Mount::Recover, &clock);
-        assert_eq!(cache.recovery_report().unwrap().files_reopened, 1, "{what}");
-        assert_eq!(cache.catalog_resident(), 0, "{what}: recovery seeded the catalog");
-        cache.shutdown(&clock);
+        cache.fsync(fd, &clock).unwrap();
     }
+    cache.flush_log(&clock);
+    cache.close(closed, &clock).unwrap();
+    cache.pwrite(kept, &[8; 64], 0, &clock).unwrap();
+    assert!(heat_stamps(&dimm).iter().all(|&w| w == 0), "stamped while mounted");
+    cache.abort();
+    drop(cache);
+
+    let dimm = Arc::new(dimm.crash_and_restart());
+    assert!(heat_stamps(&dimm).iter().all(|&w| w == 0), "stamped in the image");
+    let cache = mount(tiering, &dimm, Mount::Recover, &clock);
+    assert_eq!(cache.recovery_report().unwrap().files_reopened, 1);
+    assert_eq!(cache.catalog_resident(), 0, "recovery seeded the catalog");
+    cache.shutdown(&clock);
 }
 
 /// The bounded-catalog identity oracle: a capacity the workload never
@@ -466,7 +458,7 @@ fn an_unreached_catalog_capacity_is_byte_and_time_identical_to_unbounded() {
         let dimm = parked_dimm(NvmmProfile::optane());
         let tiers = two_memfs();
         let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-        let cache = mount(tune(on_demand(router, &tiers)), &dimm, Mount::Format, &clock);
+        let cache = mount(tune(tiered(router, &tiers)), &dimm, Mount::Format, &clock);
         let mut fds = Vec::new();
         for (path, byte) in [("/hot/a", 1u8), ("/cold/b", 2), ("/cold/c", 3)] {
             let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();

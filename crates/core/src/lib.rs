@@ -139,7 +139,7 @@
 //! A **tiered** stack hands [`NvCacheBuilder::tiers`] one [`Tiering`] value:
 //! several backends and a [`Router`] that maps each file to one of them (hot
 //! files over NOVA, cold bulk over ext4+HDD): [`PathPrefixRouter`] for
-//! explicit placement, [`HashRouter`] for uniform spreading. Everything the
+//! explicit placement, or any implementation of the trait. Everything the
 //! crate knows about *which* inner file system holds a file lives in the
 //! `tiers` module; `cache.rs` sees one merged namespace. The routing
 //! decision is taken once per open, recorded in the volatile descriptor
@@ -154,15 +154,14 @@
 //! (`migrate` module) moves closed, fully drained files between backends
 //! with a crash-safe copy → stamp → unlink protocol journaled in a
 //! persistent fd slot — a crash at any step recovers to exactly one
-//! authoritative copy. [`Tiering::migration`] picks the
-//! [`MigrationPolicy`]: under `OnDemand`, explicit [`NvCache::rebalance`]
-//! sweeps and [`NvCache::migrate`] moves, on the caller's clock; nothing
-//! migrates unless a caller asks. A sweep is driven by the router's
-//! placement (or the heat policy's), per-file access heat and the
-//! per-tier propagation load; the files a [`Mount::Recover`] found
+//! authoritative copy. On a mount over two or more tiers, explicit
+//! [`NvCache::rebalance`] sweeps and [`NvCache::migrate`] moves run on the
+//! caller's clock; nothing migrates unless a caller asks. A sweep is driven
+//! by the router's placement (or the heat policy's), per-file temperature
+//! and the per-tier propagation load; the files a [`Mount::Recover`] found
 //! misplaced are in its catalog, so the first sweep re-homes them. A
-//! `rename` across tiers is `EXDEV` exactly when the policy is `Disabled`
-//! (the default), and a journaled migrate-then-rename otherwise.
+//! `rename` across tiers is a journaled migrate-then-rename. A one-tier
+//! mount answers `rebalance` and `migrate` with `EINVAL`.
 //!
 //! ## Heat-driven placement
 //!
@@ -276,12 +275,12 @@ mod tiering_tests;
 pub use builder::{Mount, NvCacheBuilder};
 pub use cache::NvCache;
 pub use config::{NvCacheConfig, COPY_GIB_PER_SEC};
-pub use migrate::{MigrationPolicy, RebalanceReport};
+pub use migrate::RebalanceReport;
 pub use pagedesc::{PageDescriptor, PageSlot, PageState};
 pub use placement::HeatPolicy;
 pub use radix::Radix;
 pub use recovery::RecoveryReport;
-pub use router::{HashRouter, PathPrefixRouter, Router, SingleBackend};
+pub use router::{PathPrefixRouter, Router, SingleBackend};
 pub use squeue::{Completion, QueuePair};
 pub use stats::{
     NvCacheStats, NvCacheStatsSnapshot, QueueStats, QueueStatsSnapshot, ShardStats,

@@ -39,9 +39,8 @@
 //! # What drives it
 //!
 //! The [`Migrator`] keeps a volatile catalog of closed files — path,
-//! current backend, size, and per-file access heat (raw counters plus the
-//! decaying [`Temperature`]) folded in from the
-//! [`FileState`](crate::files) at last close; recovery seeds it with the
+//! current backend, size, and the decaying [`Temperature`] folded in from
+//! the [`FileState`](crate::files) at last close; recovery seeds it with the
 //! files it found misplaced. A sweep ([`sweep`], surfaced as
 //! [`NvCache::rebalance`](crate::NvCache::rebalance)) judges every
 //! catalogued file's target — the router's placement of its path, or the
@@ -52,7 +51,9 @@
 //! ([`NvCacheStats::per_backend_propagated`](crate::NvCacheStats)) and,
 //! within a tier, the hottest files first. Every sweep and every move runs
 //! on the clock of the caller that asked for it; nothing migrates by
-//! itself.
+//! itself. A `rename` across tiers is the same protocol under the new name
+//! (`mv` semantics, not `rename(2)` atomicity); a one-tier mount never
+//! migrates.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -72,25 +73,6 @@ use crate::placement::{HeatPolicy, Temperature};
 use crate::router::Router;
 use crate::stats::NvCacheStats;
 use crate::tiers::Tiers;
-
-/// How (and whether) the tier migrator may move files between backends.
-///
-/// Set with [`Tiering::migration`](crate::Tiering::migration). It also
-/// decides what a `rename` across tiers does: `EXDEV` under `Disabled` —
-/// the mount may never move a file — and a journaled migrate-then-rename
-/// (`mv` semantics, not `rename(2)` atomicity) under `OnDemand`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MigrationPolicy {
-    /// No migration, ever — the PR-3 behavior. `rebalance`/`migrate` fail
-    /// with `EINVAL`. The default.
-    #[default]
-    Disabled,
-    /// Migration happens only when explicitly requested:
-    /// [`NvCache::rebalance`](crate::NvCache::rebalance) sweeps and
-    /// [`NvCache::migrate`](crate::NvCache::migrate) single-file moves run
-    /// inline on the caller's clock.
-    OnDemand,
-}
 
 /// Outcome of one rebalancing sweep
 /// ([`NvCache::rebalance`](crate::NvCache::rebalance)).
@@ -217,16 +199,12 @@ impl Drop for Claim<'_> {
     }
 }
 
-/// Access heat of a catalogued (closed) file, folded in from the volatile
-/// [`FileState`](crate::files) counters at last close.
+/// Placement and heat of a catalogued (closed) file, folded in from the
+/// volatile [`FileState`](crate::files) at last close.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FileHeat {
     /// Backend currently holding the file.
     pub backend: u32,
-    /// Accumulated intercepted reads across this mount's open generations.
-    pub reads: u64,
-    /// Accumulated intercepted writes, likewise.
-    pub writes: u64,
     /// Payload bytes at last close (`0` for recovery-seeded entries whose
     /// size is unknown until reopen or migration).
     pub bytes: u64,
@@ -439,17 +417,15 @@ impl Migrator {
     }
 
     /// Records a file that just fully closed (it is now migratable) with
-    /// the `heat` of this open generation: the raw counters accumulate
-    /// across generations; the backend, size and temperature of the latest
-    /// close win (the [`FileState`](crate::files) temperature already
-    /// folded the catalogued heat back in at open). New paths go through
-    /// the capacity-bounded admission path.
+    /// the `heat` of this open generation: the backend, size and
+    /// temperature of the latest close win (the [`FileState`](crate::files)
+    /// temperature already folded the catalogued heat back in at open). New
+    /// paths go through the capacity-bounded admission path.
     pub fn record_closed(&self, path: &str, heat: FileHeat, stats: &NvCacheStats) {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         let mut catalog = self.catalog.lock();
         if let Some(e) = catalog.map.get_mut(path) {
-            let (reads, writes) = (e.heat.reads + heat.reads, e.heat.writes + heat.writes);
-            e.heat = FileHeat { reads, writes, ..heat };
+            e.heat = heat;
             e.referenced = true;
         } else {
             self.admit_new(&mut catalog, path.to_string(), heat, stats);
@@ -457,7 +433,7 @@ impl Migrator {
     }
 
     /// Removes and returns the catalog entry for a path being reopened (its
-    /// heat seeds the fresh [`FileState`](crate::files) counters) — but
+    /// temperature seeds the fresh [`FileState`](crate::files)) — but
     /// only when the catalog agrees the file lives on `backend`. An entry
     /// pointing elsewhere tracks a misplaced copy the reopen did not touch
     /// and must survive for later sweeps.
@@ -872,8 +848,8 @@ pub(crate) fn journaled_move(
 /// re-homes every file whose backend disagrees. Candidates drain the
 /// backend with the highest propagated-entry load first
 /// (`per_backend_propagated`), hottest (decayed) files first within a
-/// backend. Busy files are skipped (and stay catalogued); hard inner errors
-/// abort the sweep.
+/// backend, then by path. Busy files are skipped (and stay catalogued);
+/// hard inner errors abort the sweep.
 pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceReport> {
     let mut report = RebalanceReport::default();
     let Tiers { backends, router, heat, migrator, .. } = &shared.tiers;
@@ -914,7 +890,6 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
         loads[hb.backend as usize]
             .cmp(&loads[ha.backend as usize])
             .then(heats[b].total_cmp(&heats[a]))
-            .then((hb.reads + hb.writes).cmp(&(ha.reads + ha.writes)))
             .then(pa.cmp(pb))
     });
     for (i, target) in candidates {
@@ -1020,15 +995,12 @@ mod tests {
         let (m, stats) = unbounded();
         let mut temp = Temperature::default();
         temp.touch(SimTime::from_secs(1), SimTime::from_secs(60));
-        let closed =
-            |backend, reads, writes, bytes, temp| FileHeat { backend, reads, writes, bytes, temp };
-        m.record_closed("/f", closed(1, 10, 4, 100, temp), &stats);
+        m.record_closed("/f", FileHeat { backend: 1, bytes: 100, temp }, &stats);
         temp.touch(SimTime::from_secs(2), SimTime::from_secs(60));
-        m.record_closed("/f", closed(0, 5, 1, 300, temp), &stats);
+        m.record_closed("/f", FileHeat { backend: 0, bytes: 300, temp }, &stats);
         assert!(m.take_if_on("/f", 1).is_none(), "a mismatched tier must not steal the entry");
         let heat = m.take_if_on("/f", 0).expect("catalogued");
         assert_eq!(heat.backend, 0, "latest close wins the placement");
-        assert_eq!((heat.reads, heat.writes), (15, 5), "heat accumulates");
         assert_eq!(heat.bytes, 300, "latest close wins the size");
         assert_eq!(heat.temp, temp, "latest close wins the temperature snapshot");
         assert!(m.take_if_on("/f", 0).is_none(), "take removes the entry");
@@ -1065,7 +1037,7 @@ mod tests {
         for _ in 0..8 {
             hot.touch(SimTime::from_secs(1), SimTime::from_secs(60));
         }
-        let heat = FileHeat { backend: 0, reads: 8, writes: 0, bytes: 10, temp: hot };
+        let heat = FileHeat { backend: 0, bytes: 10, temp: hot };
         m.record_closed("/bulk/hot", heat, &stats);
         close_cold(&m, &stats, "/bulk/cold-a", 0);
         assert_eq!(m.resident(), 3);
@@ -1220,13 +1192,9 @@ mod tests {
                         for _ in 0..touches {
                             temp.touch(now, policy.half_life);
                         }
-                        let heat = FileHeat { backend, reads: 1, writes: 0, bytes: 10, temp };
+                        let heat = FileHeat { backend, bytes: 10, temp };
                         m.record_closed(&path, heat, &stats);
-                        let e = model.entry(path).or_default();
-                        e.backend = backend;
-                        e.reads += 1;
-                        e.bytes = 10;
-                        e.temp = temp;
+                        model.insert(path, heat);
                     }
                     Op::Open { p } => {
                         let path = model_path(p);

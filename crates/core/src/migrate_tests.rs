@@ -1,20 +1,20 @@
 //! Tests of the tier migrator: the copy → stamp → unlink crash matrix
 //! (exactly one authoritative copy after a crash at every protocol step,
 //! proptest-randomized), live migration/rebalance semantics (busy files,
-//! access-heat catalog), misplaced files going home after recovery, and
-//! cross-tier rename on a mount that may move files.
+//! access-heat catalog), misplaced files going home after recovery,
+//! cross-tier rename, and a one-tier mount's refusal to migrate.
 
 use std::sync::Arc;
 
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use proptest::prelude::*;
-use simclock::ActorClock;
+use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, IoError, MemFs, OpenFlags};
 
 use crate::files::PersistentFdTable;
 use crate::layout::{Layout, FD_VALID_MIGRATION};
-use crate::migrate::{self, CrashPoint, MigrationPolicy};
-use crate::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
+use crate::migrate::{self, CrashPoint};
+use crate::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, SingleBackend, Tiering};
 
 fn tiny_tiered_cfg() -> NvCacheConfig {
     NvCacheConfig {
@@ -226,10 +226,7 @@ fn live_migration_moves_a_closed_file_and_counts_stats() {
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .tiers(
-            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
-                .migration(MigrationPolicy::OnDemand),
-        )
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -273,10 +270,7 @@ fn draining_zombie_blocks_migration_until_drained() {
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(
-            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
-                .migration(MigrationPolicy::OnDemand),
-        )
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -295,16 +289,22 @@ fn draining_zombie_blocks_migration_until_drained() {
 }
 
 #[test]
-fn rebalance_requires_an_enabled_policy() {
-    let (clock, dimm, cold, hot) = formatted_two_tier_region(&tiny_tiered_cfg());
-    let cache = NvCache::builder(NvRegion::whole(Arc::new(dimm.crash_and_restart())))
-        .tiers(Tiering::new(hot_router(), vec![cold, hot]))
-        .config(tiny_tiered_cfg()) // MigrationPolicy::Disabled
-        .mode(Mount::Recover)
+fn a_one_tier_mount_refuses_rebalance_and_migrate() {
+    let cfg = tiny_tiered_cfg();
+    let clock = ActorClock::new();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let only: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    write_file(&only, "/x", b"stays", &clock);
+    // A heat policy changes nothing: one tier has nowhere to move a file.
+    let heat = HeatPolicy::new(0, 1.0, 0.5, SimTime::from_secs(60));
+    let cache = NvCache::builder(NvRegion::whole(dimm))
+        .tiers(Tiering::new(Arc::new(SingleBackend), vec![Arc::clone(&only)]).heat(heat))
+        .config(cfg)
         .mount(&clock)
         .unwrap();
     assert!(matches!(cache.rebalance(&clock), Err(IoError::InvalidArgument(_))));
-    assert!(matches!(cache.migrate("/x", 1, &clock), Err(IoError::InvalidArgument(_))));
+    assert!(matches!(cache.migrate("/x", 0, &clock), Err(IoError::InvalidArgument(_))));
+    assert_eq!(read_file(&only, "/x", &clock).as_deref(), Some(b"stays".as_slice()));
     cache.shutdown(&clock);
 }
 
@@ -343,8 +343,7 @@ fn recover_repair_rehomes_every_misplaced_file() {
     // for tier 1. The legacy files replay to backend 0 (acknowledged bytes
     // never re-route); the sweep then re-homes them to tier 1.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let tiering = Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
-        .migration(MigrationPolicy::OnDemand);
+    let tiering = Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)]);
     let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&restarted)))
         .tiers(tiering.clone())
         .config(cfg.clone())
@@ -408,10 +407,7 @@ fn a_recovered_misplaced_file_goes_home_on_the_next_sweep() {
     // asks for re-homes it.
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let recovered = NvCache::builder(NvRegion::whole(restarted))
-        .tiers(
-            Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)])
-                .migration(MigrationPolicy::OnDemand),
-        )
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&legacy), Arc::clone(&hot)]))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)
@@ -439,10 +435,7 @@ fn open_falls_back_to_the_recorded_tier_for_misplaced_files() {
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(
-            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
-                .migration(MigrationPolicy::OnDemand),
-        )
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -564,10 +557,7 @@ fn rename_replaces_stale_destination_copies_on_other_tiers() {
     // Destination name pre-exists, misplaced on the hot tier (routes cold).
     write_file(&hot, "/cold/dest", b"stale destination", &clock);
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(
-            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
-                .migration(MigrationPolicy::OnDemand),
-        )
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -592,10 +582,7 @@ fn cross_tier_rename_migrates_behind_the_flag() {
     let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let hot: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(
-            Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)])
-                .migration(MigrationPolicy::OnDemand),
-        )
+        .tiers(Tiering::new(hot_router(), vec![Arc::clone(&cold), Arc::clone(&hot)]))
         .config(cfg)
         .mount(&clock)
         .unwrap();
@@ -606,9 +593,7 @@ fn cross_tier_rename_migrates_behind_the_flag() {
     cache.flush_log(&clock);
     cache.close(fd, &clock).unwrap();
 
-    cache
-        .rename("/hot/wal", "/cold/wal", &clock)
-        .expect("flagged cross-tier rename");
+    cache.rename("/hot/wal", "/cold/wal", &clock).expect("cross-tier rename");
     assert_eq!(
         read_file(&cold, "/cold/wal", &clock).as_deref(),
         Some(b"renamed across tiers".as_slice())

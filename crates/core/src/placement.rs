@@ -255,7 +255,7 @@ mod tests {
     /// A catalog entry on `backend` whose heat is `heat` at virtual time 0.
     fn file(path: &str, backend: u32, bytes: u64, heat: f64) -> (String, FileHeat) {
         let temp = Temperature { heat, stamp: SimTime::ZERO };
-        (path.into(), FileHeat { backend, bytes, temp, ..FileHeat::default() })
+        (path.into(), FileHeat { backend, bytes, temp })
     }
 
     #[test]
@@ -479,12 +479,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                let f = ("/f".to_string(), FileHeat {
-                    backend: tier as u32,
-                    bytes: 10,
-                    temp,
-                    ..FileHeat::default()
-                });
+                let f = ("/f".to_string(), FileHeat { backend: tier as u32, bytes: 10, temp });
                 let target = p.assign(&[f], now, &router, 2)[0];
                 if target != tier {
                     // Each move must be justified by the heat at this step.

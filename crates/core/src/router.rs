@@ -1,8 +1,8 @@
 //! Backend routing for tiered mounts: the object-safe [`Router`] trait maps
-//! a file to one of the mount's inner file systems, plus the three routers
-//! every stack needs — [`SingleBackend`] (the paper's one-backend deployment),
-//! [`PathPrefixRouter`] (explicit hot/cold placement by directory) and
-//! [`HashRouter`] (uniform spreading).
+//! a file to one of the mount's inner file systems, plus the two routers
+//! every stack needs — [`SingleBackend`] (the paper's one-backend
+//! deployment) and [`PathPrefixRouter`] (explicit hot/cold placement by
+//! directory).
 //!
 //! Routing is consulted when a file enters the cache (`open`) and for the
 //! path-based operations (`stat`, `unlink`, `rename`, `list_dir`); once a
@@ -137,46 +137,6 @@ impl Router for PathPrefixRouter {
     }
 }
 
-/// Spreads files uniformly over `n` backends by hashing the path —
-/// capacity balancing when no explicit placement rule applies. Uses the same
-/// SplitMix64-style mix as the log's stripe routing.
-#[derive(Debug, Clone, Copy)]
-pub struct HashRouter {
-    n: usize,
-}
-
-impl HashRouter {
-    /// A router over `n` backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "hash router needs at least one backend");
-        HashRouter { n }
-    }
-}
-
-impl Router for HashRouter {
-    fn route(&self, path: &str) -> usize {
-        let mut h = 0x9E37_79B9_7F4A_7C15u64;
-        for &b in path.as_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        }
-        h = (h ^ (h >> 30)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        (h % self.n as u64) as usize
-    }
-
-    fn fan_out(&self) -> usize {
-        self.n
-    }
-
-    fn name(&self) -> &str {
-        "hash"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,32 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn hash_router_is_deterministic_and_in_range() {
-        let r = HashRouter::new(3);
-        assert_eq!(r.fan_out(), 3);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..64 {
-            let path = format!("/f{i}");
-            let a = r.route(&path);
-            assert_eq!(a, r.route(&path), "must be deterministic");
-            assert!(a < 3);
-            seen.insert(a);
-        }
-        assert_eq!(seen.len(), 3, "64 paths must hit every backend");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one backend")]
-    fn zero_way_hash_router_panics() {
-        HashRouter::new(0);
-    }
-
-    #[test]
     fn routers_are_object_safe() {
         let routers: Vec<Box<dyn Router>> = vec![
             Box::new(SingleBackend),
             Box::new(PathPrefixRouter::new(vec![("/x".into(), 1)], 0)),
-            Box::new(HashRouter::new(2)),
         ];
         for r in &routers {
             assert!(r.route("/x/y") < r.fan_out().max(2));

@@ -168,18 +168,28 @@ fn writes_route_to_their_tier_and_drain_through_per_tier_queues() {
 }
 
 #[test]
-fn cross_tier_rename_fails_with_exdev_same_tier_succeeds() {
-    let (c, _dimm, _cold, _hot, cache) =
-        tiered_setup(NvCacheConfig::tiny(), Arc::new(MemFs::new()));
-    let fd = cache.open("/hot/a", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
-    cache.pwrite(fd, b"payload", 0, &c).unwrap();
-    cache.close(fd, &c).unwrap();
-    assert!(
-        matches!(cache.rename("/hot/a", "/cold/a", &c), Err(IoError::CrossDevice(_))),
-        "moving a file across tiers must surface EXDEV, like a mount-point crossing"
-    );
-    cache.rename("/hot/a", "/hot/b", &c).expect("same-tier rename");
-    assert_eq!(cache.stat("/hot/b", &c).unwrap().size, 7);
+fn cross_tier_rename_moves_a_closed_file_same_tier_renames_in_place() {
+    let (c, _dimm, cold, hot, cache) = tiered_setup(NvCacheConfig::tiny(), Arc::new(MemFs::new()));
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    for path in ["/hot/a", "/hot/b"] {
+        let fd = cache.open(path, create, &c).unwrap();
+        cache.pwrite(fd, b"payload", 0, &c).unwrap();
+        cache.flush_log(&c);
+        cache.close(fd, &c).unwrap();
+    }
+    let migrated = || cache.stats().snapshot().files_migrated;
+    let before = migrated();
+    cache.rename("/hot/a", "/cold/a", &c).expect("cross-tier rename");
+    let mut buf = [0u8; 16];
+    let fd = cold.open("/cold/a", OpenFlags::RDONLY, &c).expect("on the destination tier");
+    assert_eq!(cold.pread(fd, &mut buf, 0, &c).unwrap(), 7);
+    assert_eq!(&buf[..7], b"payload");
+    cold.close(fd, &c).unwrap();
+    assert!(matches!(hot.stat("/hot/a", &c), Err(IoError::NotFound(_))), "no copy on the source");
+    assert_eq!(migrated(), before + 1);
+    cache.rename("/hot/b", "/hot/c", &c).expect("same-tier rename");
+    assert_eq!(cache.stat("/hot/c", &c).unwrap().size, 7);
+    assert_eq!(migrated(), before + 1, "a same-tier rename moves no bytes");
     cache.shutdown(&c);
 }
 
@@ -592,10 +602,6 @@ fn rename_of_a_missing_source_is_enoent_not_exdev() {
         matches!(res, Err(IoError::NotFound(_))),
         "nonexistent source must be ENOENT even across tiers, got {res:?}"
     );
-    // A real cross-tier source still reports EXDEV (default flag).
-    let fd = cache.open("/hot/real", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
-    cache.close(fd, &c).unwrap();
-    assert!(matches!(cache.rename("/hot/real", "/cold/real", &c), Err(IoError::CrossDevice(_))));
     cache.shutdown(&c);
 }
 
@@ -664,9 +670,8 @@ fn an_unlinked_file_is_never_catalogued() {
     // again — one `catalog_capacity` seat per journal until a sweep tripped
     // over `NotFound`.
     let cfg = NvCacheConfig { fd_slots: 64, ..NvCacheConfig::tiny() };
-    let (c, _dimm, _cold, _hot, cache) = tiered_setup_with(cfg, Arc::new(MemFs::new()), |t| {
-        t.migration(crate::MigrationPolicy::OnDemand).catalog_capacity(8)
-    });
+    let (c, _dimm, _cold, _hot, cache) =
+        tiered_setup_with(cfg, Arc::new(MemFs::new()), |t| t.catalog_capacity(8));
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     let db = cache.open("/hot/db", create, &c).unwrap();
     cache.pwrite(db, b"page", 0, &c).unwrap();
@@ -697,14 +702,13 @@ fn a_path_past_the_fd_slot_is_an_error_and_one_at_the_limit_survives_a_crash() {
     // One slot shape, 232 path bytes, on a single-backend mount and on a
     // tiered one. The tiered mount may migrate, so `open` holds a gate lease
     // there.
-    fn on_demand(tiers: Vec<Arc<dyn FileSystem>>) -> Tiering {
-        let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-        Tiering::new(router, tiers).migration(crate::MigrationPolicy::OnDemand)
+    fn two_tiers(tiers: Vec<Arc<dyn FileSystem>>) -> Tiering {
+        Tiering::new(Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)), tiers)
     }
     type Below = fn(Vec<Arc<dyn FileSystem>>) -> Tiering;
     let layouts: [(usize, usize, Below); 2] = [
         (layout::PATH_MAX, 1, |tiers| Tiering::new(Arc::new(SingleBackend), tiers)),
-        (layout::PATH_MAX, 2, on_demand),
+        (layout::PATH_MAX, 2, two_tiers),
     ];
     for (limit, tiers, below) in layouts {
         let clock = ActorClock::new();

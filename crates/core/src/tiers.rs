@@ -8,19 +8,17 @@
 //!
 //! * [`Tiering`] — the public value handed to
 //!   [`NvCacheBuilder::tiers`](crate::NvCacheBuilder::tiers): the router,
-//!   the (layered) tiers, and the three choices about moving files between
-//!   them ([`HeatPolicy`], [`MigrationPolicy`], catalog capacity).
+//!   the (layered) tiers, and the two choices about moving files between
+//!   them ([`HeatPolicy`], catalog capacity).
 //!   [`NvCacheBuilder::backend`](crate::NvCacheBuilder::backend) builds the
-//!   one-tier value of the paper's deployment, which has none of the three
-//!   to set.
+//!   one-tier value of the paper's deployment, which has neither to set.
 //! * `Tiers` — the mounted half, built once by the builder *before*
 //!   recovery. It owns the merged namespace `cache.rs` shows as one: an
 //!   existing file is opened in place (recorded backend, then routed
 //!   backend, then index order), `stat` probes in that order, `unlink`
 //!   leaves the name on no tier, a same-tier `rename` scrubs stale copies of
-//!   the destination everywhere else, a cross-tier `rename` is `EXDEV`
-//!   exactly when the mount may never move a file and a journaled
-//!   migrate-then-rename otherwise, `list_dir` is the sorted union. It also
+//!   the destination everywhere else, a cross-tier `rename` is a journaled
+//!   migrate-then-rename, `list_dir` is the sorted union. It also
 //!   owns the [`Migrator`], the path-operation [`Lease`]s that keep a
 //!   half-copied file invisible, heat bookkeeping, and the accounting of a
 //!   finished move.
@@ -34,7 +32,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use nvcache::{MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
+//! use nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 //! use nvmm::{NvDimm, NvRegion, NvmmProfile};
 //! use simclock::ActorClock;
 //! use vfs::{FileSystem, MemFs};
@@ -47,7 +45,7 @@
 //! let cold: Arc<dyn FileSystem> = Arc::new(MemFs::new());
 //! let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
 //! let cache = NvCache::builder(NvRegion::whole(dimm))
-//!     .tiers(Tiering::new(router, vec![cold, hot]).migration(MigrationPolicy::OnDemand))
+//!     .tiers(Tiering::new(router, vec![cold, hot]))
 //!     .config(cfg)
 //!     .mode(Mount::Format)
 //!     .mount(&clock)?;
@@ -68,7 +66,7 @@ use crate::files::{FileState, OpenedFile, PersistentFdTable};
 use crate::layout::MAX_BACKENDS;
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::Log;
-use crate::migrate::{FileHeat, MigrationGate, MigrationPolicy, Migrator, Move, RebalanceReport};
+use crate::migrate::{FileHeat, MigrationGate, Migrator, Move, RebalanceReport};
 use crate::placement::{quantize_heat, HeatPolicy, Temperature};
 use crate::recovery::HeatSeeds;
 use crate::router::Router;
@@ -79,22 +77,22 @@ use crate::NvCacheStats;
 pub type LayeredTier = (Vec<Arc<dyn Layer>>, Arc<dyn FileSystem>);
 
 /// Where the files of a mount live: the inner file systems (*tiers*), the
-/// [`Router`] that places a new file on one of them, and how — if at all —
-/// files move between them afterwards.
+/// [`Router`] that places a new file on one of them, and where files move
+/// between them afterwards. A mount over two or more tiers moves a file
+/// only when asked: [`NvCache::rebalance`], [`NvCache::migrate`], or a
+/// `rename` across tiers (a journaled migrate-then-rename).
 ///
 /// Defaults: no [`HeatPolicy`] (files belong where the router puts them),
-/// [`MigrationPolicy::Disabled`], an unbounded catalog. Nothing of this
-/// value is encoded in the NVMM image except the tier count; everything
-/// else may change across a remount. A mount with a heat policy that may
-/// migrate stamps each open file's temperature into its fd slot at `open`,
-/// `fsync` and `close`, so a crash + recovery re-seeds the policy instead
-/// of starting every file cold.
+/// an unbounded catalog. Nothing of this value is encoded in the NVMM image
+/// except the tier count; everything else may change across a remount. A
+/// mount over two or more tiers with a heat policy stamps each open file's
+/// temperature into its fd slot at `open`, `fsync` and `close`, so a crash
+/// + recovery re-seeds the policy instead of starting every file cold.
 #[derive(Clone)]
 pub struct Tiering {
     pub(crate) router: Arc<dyn Router>,
     pub(crate) tiers: Vec<LayeredTier>,
     pub(crate) heat: Option<HeatPolicy>,
-    pub(crate) migration: MigrationPolicy,
     pub(crate) catalog_capacity: Option<usize>,
 }
 
@@ -104,7 +102,6 @@ impl std::fmt::Debug for Tiering {
             .field("router", &self.router)
             .field("stack_depths", &self.tiers.iter().map(|t| t.0.len()).collect::<Vec<_>>())
             .field("heat", &self.heat)
-            .field("migration", &self.migration)
             .field("catalog_capacity", &self.catalog_capacity)
             .finish()
     }
@@ -135,13 +132,7 @@ impl Tiering {
             (1..=MAX_BACKENDS).contains(&tiers.len()),
             "backends must be in 1..={MAX_BACKENDS}"
         );
-        Tiering {
-            router,
-            tiers,
-            heat: None,
-            migration: MigrationPolicy::Disabled,
-            catalog_capacity: None,
-        }
+        Tiering { router, tiers, heat: None, catalog_capacity: None }
     }
 
     /// Installs the [`HeatPolicy`] that overrides the router's answer to
@@ -149,23 +140,22 @@ impl Tiering {
     /// *how*): hot files are promoted onto a designated fast tier
     /// regardless of path, cold ones demoted back to the router baseline.
     ///
-    /// Heat tracking and rebalance sweeps only run on a mount that may move
-    /// files: pair the policy with [`MigrationPolicy::OnDemand`].
-    /// Recovery judges `files_misplaced` by the router either way; only on
-    /// a mount that tracks heat does a persisted heat summary clearing the
-    /// promote threshold keep a file off that list.
+    /// A one-tier mount ignores the policy: it has no other tier to move a
+    /// file to, so it tracks no heat and stamps no heat word. Recovery
+    /// judges `files_misplaced` by the router either way; only on a mount
+    /// that tracks heat does a persisted heat summary clearing the promote
+    /// threshold keep a file off that list.
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use nvcache::{HashRouter, HeatPolicy, MigrationPolicy, Tiering};
+    /// use nvcache::{HeatPolicy, PathPrefixRouter, Tiering};
     /// use simclock::SimTime;
     /// use vfs::MemFs;
     ///
     /// let tiering = Tiering::new(
-    ///     Arc::new(HashRouter::new(2)),
+    ///     Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
     ///     vec![Arc::new(MemFs::new()), Arc::new(MemFs::new())],
     /// )
-    /// .migration(MigrationPolicy::OnDemand)
     /// .heat(HeatPolicy::new(
     ///     1,                        // promote onto backend 1
     ///     8.0,                      // promote at 8 units of heat
@@ -176,13 +166,6 @@ impl Tiering {
     /// ```
     pub fn heat(mut self, policy: HeatPolicy) -> Self {
         self.heat = Some(policy);
-        self
-    }
-
-    /// Sets how the tier migrator may move files (see [`MigrationPolicy`],
-    /// which also decides whether a cross-tier `rename` is `EXDEV`).
-    pub fn migration(mut self, policy: MigrationPolicy) -> Self {
-        self.migration = policy;
         self
     }
 
@@ -225,7 +208,7 @@ impl Tiering {
 /// A path-operation lease on the migration gate: `open`, `unlink` and
 /// `rename` hold one on each path they name, so none of them ever sees a
 /// half-copied file. Returned on drop — by `?`, early return or unwind
-/// alike. A mount that can never migrate hands out the empty lease.
+/// alike. A one-tier mount, which never migrates, hands out the empty lease.
 pub(crate) struct Lease<'a>(Option<(&'a MigrationGate, &'a str, Held)>);
 
 impl Drop for Lease<'_> {
@@ -242,16 +225,13 @@ pub(crate) struct Tiers {
     /// by the backend ids the router assigns.
     pub backends: Box<[Arc<dyn FileSystem>]>,
     pub router: Arc<dyn Router>,
-    /// The heat policy, on a mount that may migrate: per-I/O temperature
-    /// bookkeeping — and with it the fd slots' heat stamps and recovery's
-    /// reading of them — runs exactly when this is `Some`.
+    /// The heat policy, on a mount over two or more tiers: per-I/O
+    /// temperature bookkeeping — and with it the fd slots' heat stamps and
+    /// recovery's reading of them — runs exactly when this is `Some`.
     pub heat: Option<HeatPolicy>,
     /// Closed-file catalog and migration gate; idle unless
     /// [`migrates`](Tiers::migrates).
     pub migrator: Migrator,
-    /// Whether any file can ever move between tiers: never on one tier,
-    /// whatever was asked for.
-    migrates: bool,
 }
 
 impl Tiers {
@@ -268,7 +248,7 @@ impl Tiers {
     /// Panics if `tiering` is inconsistent ([`Tiering::validate`]).
     pub fn mount(tiering: Tiering) -> IoResult<Tiers> {
         tiering.validate();
-        let Tiering { router, tiers, heat, migration, catalog_capacity } = tiering;
+        let Tiering { router, tiers, heat, catalog_capacity } = tiering;
         if router.fan_out() > tiers.len() {
             return Err(IoError::InvalidArgument(format!(
                 "router {router:?} fans out to {} backends but only {} were supplied",
@@ -282,11 +262,10 @@ impl Tiers {
             .into_iter()
             .map(|(layers, inner)| vfs::stack(&layers, inner))
             .collect::<IoResult<_>>()?;
-        let migrates = backends.len() > 1 && migration == MigrationPolicy::OnDemand;
-        let heat = heat.filter(|_| migrates);
+        let heat = heat.filter(|_| backends.len() > 1);
         let migrator =
             Migrator::new(Recorder::new(), catalog_capacity, heat.clone(), Arc::clone(&router));
-        Ok(Tiers { backends, router, heat, migrator, migrates })
+        Ok(Tiers { backends, router, heat, migrator })
     }
 
     /// The one inner file system of the paper's deployment; `None` on a
@@ -309,19 +288,18 @@ impl Tiers {
         }
     }
 
-    /// Whether any file can ever move between tiers. When `false` the
-    /// migrator is bypassed entirely — no gate leases, no catalog growth.
+    /// Whether any file can ever move between tiers: on more than one
+    /// tier. When `false` the migrator is bypassed entirely — no gate
+    /// leases, no catalog growth.
     pub fn migrates(&self) -> bool {
-        self.migrates
+        self.sole().is_none()
     }
 
-    fn refuse_if_disabled(&self) -> IoResult<()> {
+    fn refuse_if_one_tier(&self) -> IoResult<()> {
         if self.migrates() {
             return Ok(());
         }
-        Err(IoError::InvalidArgument(
-            "tier migration is disabled (MigrationPolicy::Disabled)".into(),
-        ))
+        Err(IoError::InvalidArgument("a one-tier mount has no tier to migrate to".into()))
     }
 
     /// Takes the path-operation lease on `path` (blocking while a migration
@@ -436,10 +414,7 @@ impl Tiers {
     }
 
     /// The inner `rename`. POSIX errno order — a nonexistent source is
-    /// ENOENT *before* any cross-device consideration — then in place or,
-    /// across tiers, `EXDEV` exactly when the mount may never move a file:
-    /// legacy applications already handle it (`mv` falls back to copy +
-    /// unlink across mount points). Otherwise the call is a journaled
+    /// ENOENT first — then in place or, across tiers, a journaled
     /// migrate-then-rename.
     pub fn rename(
         &self,
@@ -466,9 +441,6 @@ impl Tiers {
         }
         let dst = self.router.route(to);
         if src != dst {
-            if !self.migrates() {
-                return Err(IoError::CrossDevice(format!("{from} -> {to}")));
-            }
             crate::layout::check_path(to)?;
             // A lease blocks a claim, even our own: give them back first.
             // The unprotected gap is covered by the open/zombie re-check
@@ -485,9 +457,6 @@ impl Tiers {
             return Ok(());
         }
         self.unlink_others(to, src, clock)?;
-        if !self.migrates() {
-            return Ok(());
-        }
         if shared.path_is_open_or_draining(from) {
             // The file is still open under its old name — `FileState.path`
             // keeps `from`, so the open-file guard could not protect a
@@ -686,8 +655,8 @@ impl Tiers {
     }
 
     /// The last descriptor on a named file is closed and drained: catalogue
-    /// it — with its accumulated access heat, size and decaying temperature
-    /// — so sweeps can re-home it.
+    /// it — with its size and decaying temperature — so sweeps can re-home
+    /// it.
     pub fn closed(&self, opened: &OpenedFile, stats: &NvCacheStats) {
         if !self.migrates() {
             return;
@@ -695,8 +664,6 @@ impl Tiers {
         let file = &opened.file;
         let heat = FileHeat {
             backend: opened.backend,
-            reads: file.reads.load(Ordering::Relaxed),
-            writes: file.writes.load(Ordering::Relaxed),
             bytes: file.size.load(Ordering::Relaxed),
             temp: *file.temperature.lock(),
         };
@@ -795,12 +762,11 @@ impl NvCache {
     ///
     /// # Errors
     ///
-    /// [`IoError::InvalidArgument`] when the mount's [`MigrationPolicy`] is
-    /// `Disabled` (as it is on one tier); any inner I/O error a migration
-    /// hits (the sweep stops there — already-moved files stay moved, the
-    /// rest stay catalogued).
+    /// [`IoError::InvalidArgument`] on a one-tier mount; any inner I/O
+    /// error a migration hits (the sweep stops there — already-moved files
+    /// stay moved, the rest stay catalogued).
     pub fn rebalance(&self, clock: &ActorClock) -> IoResult<RebalanceReport> {
-        self.shared.tiers.refuse_if_disabled()?;
+        self.shared.tiers.refuse_if_one_tier()?;
         crate::migrate::sweep(&self.shared, clock)
     }
 
@@ -810,13 +776,13 @@ impl NvCache {
     ///
     /// # Errors
     ///
-    /// [`IoError::InvalidArgument`] when migration is disabled or `to` is
+    /// [`IoError::InvalidArgument`] on a one-tier mount or when `to` is
     /// out of range; [`IoError::Busy`] (EBUSY) while the file is open or
     /// draining; [`IoError::NotFound`] if no backend holds the file; any
     /// inner I/O error from the copy.
     pub fn migrate(&self, path: &str, to: usize, clock: &ActorClock) -> IoResult<u64> {
         let tiers = &self.shared.tiers;
-        tiers.refuse_if_disabled()?;
+        tiers.refuse_if_one_tier()?;
         let path = vfs::normalize_path(path);
         let moved = crate::migrate::migrate_path(&self.shared, &path, to, clock)?;
         tiers.refresh_gauge(&self.shared.stats);
@@ -930,14 +896,13 @@ mod tests {
     }
 
     /// The plain model: which tiers hold each name, and the backend the
-    /// mount has *recorded* for it — on a live descriptor, or (when the
-    /// mount may migrate) in the closed-file catalog.
+    /// mount has *recorded* for it — on a live descriptor, or in the
+    /// closed-file catalog.
     struct Model {
-        migrates: bool,
         holders: BTreeMap<&'static str, BTreeSet<usize>>,
         recorded: BTreeMap<&'static str, usize>,
-        /// `(descriptor, the name it was opened under, unlinked since)`.
-        open: Vec<(Fd, &'static str, bool)>,
+        /// `(descriptor, the name it was opened under)`.
+        open: Vec<(Fd, &'static str)>,
     }
 
     impl Model {
@@ -948,28 +913,17 @@ mod tests {
             let mut order = order.filter(|b| self.holders[path].contains(b));
             order.next()
         }
-
-        fn closed(&mut self, path: &'static str, unlinked: bool) {
-            let still_open = self.open.iter().any(|&(_, p, gone)| p == path && !gone);
-            if !unlinked && !still_open && !self.migrates {
-                self.recorded.remove(path);
-            }
-        }
     }
 
     /// Runs `ops` through a mount over three `MemFs` tiers seeded per
     /// `seeds`, checking every answer — and, after every operation, which
     /// tiers hold which name — against the model. Panics on a difference.
-    fn check(seeds: &[Seed], ops: &[Op], migrates: bool) {
+    fn check(seeds: &[Seed], ops: &[Op]) {
         let clock = ActorClock::new();
         let inners: Vec<Arc<dyn FileSystem>> =
             (0..TIERS).map(|_| Arc::new(MemFs::new()) as Arc<dyn FileSystem>).collect();
-        let mut model = Model {
-            migrates,
-            holders: BTreeMap::new(),
-            recorded: BTreeMap::new(),
-            open: Vec::new(),
-        };
+        let mut model =
+            Model { holders: BTreeMap::new(), recorded: BTreeMap::new(), open: Vec::new() };
         let create = OpenFlags::RDWR | OpenFlags::CREATE;
         for (path, seed) in PATHS.into_iter().zip(seeds) {
             let routed = router().route(path);
@@ -985,11 +939,10 @@ mod tests {
             }
             model.holders.insert(path, on.iter().copied().collect());
         }
-        let policy = if migrates { MigrationPolicy::OnDemand } else { MigrationPolicy::Disabled };
         let cfg = NvCacheConfig::tiny();
         let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
         let cache = NvCache::builder(NvRegion::whole(dimm))
-            .tiers(Tiering::new(Arc::new(router()), inners.clone()).migration(policy))
+            .tiers(Tiering::new(Arc::new(router()), inners.clone()))
             .config(cfg)
             .mount(&clock)
             .unwrap();
@@ -1019,12 +972,11 @@ mod tests {
                         }
                     };
                     model.recorded.insert(path, backend);
-                    model.open.push((got.unwrap_or_else(|e| panic!("{what}: {e}")), path, false));
+                    model.open.push((got.unwrap_or_else(|e| panic!("{what}: {e}")), path));
                 }
                 Op::Close { k } if !model.open.is_empty() => {
-                    let (fd, path, unlinked) = model.open.remove(k % model.open.len());
+                    let (fd, _) = model.open.remove(k % model.open.len());
                     cache.close(fd, &clock).unwrap_or_else(|e| panic!("{what}: {e}"));
-                    model.closed(path, unlinked);
                 }
                 Op::Close { .. } => {}
                 Op::Stat { p } => {
@@ -1047,22 +999,17 @@ mod tests {
                     // The name is left on no tier, and recorded nowhere.
                     model.holders.insert(path, BTreeSet::new());
                     model.recorded.remove(path);
-                    for open in model.open.iter_mut().filter(|open| open.1 == path) {
-                        open.2 = true;
-                    }
                 }
                 Op::Rename { p, q } => {
                     let (from, to) = (PATHS[p], PATHS[q]);
                     let (on_them, others) =
                         model.open.drain(..).partition(|open| open.1 == from || open.1 == to);
                     model.open = others;
-                    for (fd, path, unlinked) in on_them {
+                    for (fd, _) in on_them {
                         cache.close(fd, &clock).unwrap_or_else(|e| panic!("{what}: {e}"));
-                        model.closed(path, unlinked);
                     }
                     let got = cache.rename(from, to, &clock);
                     let Some(src) = model.locate(from) else {
-                        // ENOENT precedes EXDEV.
                         assert!(matches!(got, Err(IoError::NotFound(_))), "{what}: {got:?}");
                         continue;
                     };
@@ -1071,21 +1018,13 @@ mod tests {
                         continue;
                     }
                     let dst = router().route(to);
-                    if src != dst && !migrates {
-                        // EXDEV exactly when the mount may never move a file.
-                        assert!(matches!(got, Err(IoError::CrossDevice(_))), "{what}: {got:?}");
-                        continue;
-                    }
                     got.unwrap_or_else(|e| panic!("{what}: {e}"));
                     // In place or migrated, the destination is on exactly
                     // one tier: the routed one.
                     model.holders.get_mut(from).unwrap().remove(&src);
                     model.holders.insert(to, BTreeSet::from([dst]));
                     model.recorded.remove(from);
-                    model.recorded.remove(to);
-                    if migrates {
-                        model.recorded.insert(to, dst);
-                    }
+                    model.recorded.insert(to, dst);
                 }
                 Op::ListDir { d } => {
                     // The sorted, de-duplicated union.
@@ -1110,12 +1049,8 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
         #[test]
-        fn merged_namespace_matches_the_model(
-            seeds in seeds(),
-            ops in ops(),
-            migrates in any::<bool>(),
-        ) {
-            check(&seeds, &ops, migrates);
+        fn merged_namespace_matches_the_model(seeds in seeds(), ops in ops()) {
+            check(&seeds, &ops);
         }
     }
 
@@ -1125,7 +1060,7 @@ mod tests {
         let failing = (0..96).filter(|&case| {
             let mut rng = proptest::TestRng::for_case("tiers::mutation", case);
             let (seeds, ops) = (seeds().generate(&mut rng), ops().generate(&mut rng));
-            catch_unwind(AssertUnwindSafe(|| check(&seeds, &ops, case % 2 == 0))).is_err()
+            catch_unwind(AssertUnwindSafe(|| check(&seeds, &ops))).is_err()
         });
         let failing = failing.count();
         ARMED.with(|a| a.set(Mutation::None));

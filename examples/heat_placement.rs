@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::{
-    HeatPolicy, MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
+    HeatPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
 };
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
@@ -32,11 +32,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // ever reach the fast one.
     let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
     let cache = NvCache::builder(NvRegion::whole(log_dimm))
-        .tiers(
-            Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
-                .migration(MigrationPolicy::OnDemand)
-                .heat(policy),
-        )
+        .tiers(Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)]).heat(policy))
         .config(cfg)
         .mount(&clock)?;
 

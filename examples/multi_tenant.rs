@@ -11,8 +11,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::{
-    HeatPolicy, LayeredTier, MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Router,
-    Tiering,
+    HeatPolicy, LayeredTier, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
 };
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
@@ -92,11 +91,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     let cache = Arc::new(
         NvCache::builder(NvRegion::whole(log_dimm))
-            .tiers(
-                Tiering::layered(all_cold, vec![bulk, fast])
-                    .migration(MigrationPolicy::OnDemand)
-                    .heat(policy),
-            )
+            .tiers(Tiering::layered(all_cold, vec![bulk, fast]).heat(policy))
             .config(cfg)
             .mount(&clock)?,
     );

@@ -1,17 +1,15 @@
 //! Tier rebalancing: a routing-policy change leaves files misplaced after a
 //! crash; recovery replays them where they were acknowledged, and one
 //! rebalance sweep re-homes them all through the crash-safe copy → stamp →
-//! unlink migration protocol. On a mount that may move files a rename
-//! across tiers is a migrate-then-rename, not EXDEV.
+//! unlink migration protocol. A rename across tiers is a
+//! migrate-then-rename.
 //!
 //! Run with: `cargo run --example tier_rebalance`
 
 use std::error::Error;
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{
-    MigrationPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering,
-};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, IoError, MemFs, OpenFlags};
@@ -27,12 +25,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         batch_max: usize::MAX >> 1,
         ..NvCacheConfig::tiny()
     };
-    // A mount that may move files: explicit sweeps and moves, and a rename
-    // across tiers is a migrate-then-rename instead of EXDEV.
-    let on_demand = |router: Arc<dyn Router>| {
-        Tiering::new(router, vec![Arc::clone(&bulk), Arc::clone(&fast)])
-            .migration(MigrationPolicy::OnDemand)
-    };
+    // Two tiers move files when asked: explicit sweeps and moves, and a
+    // rename across tiers is a migrate-then-rename.
+    let on_demand =
+        |router: Arc<dyn Router>| Tiering::new(router, vec![Arc::clone(&bulk), Arc::clone(&fast)]);
     let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
 
     // ---- yesterday's deployment: everything on the bulk tier --------------
@@ -82,9 +78,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("byte oracle: /hot/seg3 intact on the fast tier, gone from bulk ✓");
 
     // ---- cross-tier rename ------------------------------------------------
-    // Demoting a segment to the bulk tier is a rename across backends: under
-    // any `MigrationPolicy` but `Disabled` it runs as a journaled
-    // migrate-then-rename instead of failing with EXDEV.
+    // Demoting a segment to the bulk tier is a rename across backends: it
+    // runs as a journaled migrate-then-rename.
     cache.rename("/hot/seg7", "/archive/seg7", &clock)?;
     assert!(bulk.stat("/archive/seg7", &clock).is_ok());
     assert!(matches!(fast.stat("/hot/seg7", &clock), Err(IoError::NotFound(_))));

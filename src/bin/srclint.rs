@@ -94,7 +94,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// simplification removed does not grow back unnoticed. Raising a ceiling
 /// is a reviewed one-line diff here, by no more than what a measured change
 /// had to add.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4817), ("nvmm", 755), ("vfs", 2589)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4750), ("nvmm", 755), ("vfs", 2589)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
@@ -140,9 +140,7 @@ fn print_loc(root: &Path) -> bool {
     for krate in crates.iter().filter(|p| p.is_dir()) {
         let (mut lines, mut big) = (0, Vec::new());
         for file in rs_files(&krate.join("src")) {
-            let text = std::fs::read_to_string(&file).unwrap_or_default();
-            let mut here = 0;
-            for_each_code_line(&text, |_, _, code| here += usize::from(!code.trim().is_empty()));
+            let here = code_lines(&std::fs::read_to_string(&file).unwrap_or_default());
             lines += here;
             if here > BIG_FILE {
                 big.push((here, file));
@@ -199,15 +197,25 @@ fn rs_files(dir: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// The non-test, non-comment, non-blank lines of `text`.
+fn code_lines(text: &str) -> usize {
+    let mut lines = 0;
+    for_each_code_line(text, |_, _, code| lines += usize::from(!code.trim().is_empty()));
+    lines
+}
+
 fn scan_file(root: &Path, path: &Path, violations: &mut Vec<String>) {
     let Ok(text) = std::fs::read_to_string(path) else {
         violations.push(format!("{}: unreadable", path.display()));
         return;
     };
     let rel = path.strip_prefix(root).unwrap_or(path);
-    let rel = rel.to_string_lossy().replace('\\', "/");
+    scan_text(&rel.to_string_lossy().replace('\\', "/"), &text, violations);
+}
 
-    for_each_code_line(&text, |lineno, raw, line| {
+/// Checks every rule on `text`, the source of the file at `rel`.
+fn scan_text(rel: &str, text: &str, violations: &mut Vec<String>) {
+    for_each_code_line(text, |lineno, raw, line| {
         for api in WALL_CLOCK {
             if line.contains(api) {
                 violations
@@ -269,10 +277,10 @@ fn for_each_code_line(text: &str, mut f: impl FnMut(usize, &str, &str)) {
     let mut in_test_block = false;
     let mut depth: i32 = 0;
     let mut pending_test_attr = false;
-    let mut in_block_comment = false;
+    let mut carry = Carry::Code;
 
     for (lineno, raw) in text.lines().enumerate() {
-        let line = strip_comments(raw, &mut in_block_comment);
+        let line = strip_comments(raw, &mut carry);
         let trimmed = line.trim();
 
         if in_test_block {
@@ -312,34 +320,58 @@ fn for_each_code_line(text: &str, mut f: impl FnMut(usize, &str, &str)) {
     }
 }
 
-/// Strips line comments and (statefully) block comments; string literal
-/// contents are left in place, which is fine for the needles we search.
-fn strip_comments(line: &str, in_block: &mut bool) -> String {
+/// Where the scanner is when a line ends: a block comment and a string
+/// literal may both run on into the next line.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Carry {
+    Code,
+    BlockComment,
+    Str,
+}
+
+/// Strips line comments and (statefully) block comments. String literal
+/// contents are left in place, which is fine for the needles we search, but
+/// a `//` or `/*` inside one opens no comment; a `'"'` char literal opens no
+/// string.
+fn strip_comments(line: &str, carry: &mut Carry) -> String {
     let mut out = String::with_capacity(line.len());
     let bytes = line.as_bytes();
+    let at = |i: usize| bytes.get(i).copied();
     let mut i = 0;
     while i < bytes.len() {
-        if *in_block {
-            if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
-                *in_block = false;
-                i += 2;
-            } else {
-                i += 1;
-            }
-            continue;
-        }
-        if bytes[i] == b'/' && i + 1 < bytes.len() {
-            if bytes[i + 1] == b'/' {
-                break; // line comment (incl. doc comments)
-            }
-            if bytes[i + 1] == b'*' {
-                *in_block = true;
+        let mut len = 1;
+        match (*carry, bytes[i], at(i + 1)) {
+            (Carry::BlockComment, b'*', Some(b'/')) => {
+                *carry = Carry::Code;
                 i += 2;
                 continue;
             }
+            (Carry::BlockComment, ..) => {
+                i += 1;
+                continue;
+            }
+            (Carry::Str, b'\\', _) => len = 2,
+            (Carry::Str, b'"', _) => *carry = Carry::Code,
+            (Carry::Code, b'/', Some(b'/')) => break, // line comment (incl. doc comments)
+            (Carry::Code, b'/', Some(b'*')) => {
+                *carry = Carry::BlockComment;
+                i += 2;
+                continue;
+            }
+            (Carry::Code, b'"', _) => *carry = Carry::Str,
+            // A char literal: `'\x'` (escaped) or `'x'`; a lone `'` is a lifetime.
+            (Carry::Code, b'\'', Some(b'\\')) => {
+                let close =
+                    bytes.get(i + 3..).and_then(|rest| rest.iter().position(|&b| b == b'\''));
+                len = close.map_or(1, |end| end + 4);
+            }
+            (Carry::Code, b'\'', _) if at(i + 2) == Some(b'\'') => len = 3,
+            _ => {}
         }
-        out.push(bytes[i] as char);
-        i += 1;
+        for &b in &bytes[i..(i + len).min(bytes.len())] {
+            out.push(b as char);
+        }
+        i += len;
     }
     out
 }
@@ -354,4 +386,35 @@ fn brace_delta(line: &str) -> i32 {
         }
     }
     d
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `/*` inside a string literal opens no block comment: the lines
+    /// after it are still linted.
+    #[test]
+    fn a_comment_opener_in_a_string_hides_no_later_line() {
+        let text = "let placement = \"placement of /hot/**: {n}\";\nlet t = Instant::now();\n";
+        let mut violations = Vec::new();
+        scan_text("core/src/x.rs", text, &mut violations);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("core/src/x.rs:2: wall-clock API `Instant::now`"));
+    }
+
+    /// `--loc` counts every code line of a file holding such a string, and
+    /// none of its comments.
+    #[test]
+    fn a_comment_opener_in_a_string_is_counted_as_code() {
+        let text = r#"fn f() -> String {
+    let quote = '"'; // a char literal opens no string
+    let escaped = "a \" then /* and // in one string";
+    /* a real
+       block comment */
+    format!("{quote}{escaped} placement of /hot/**")
+}
+"#;
+        assert_eq!(code_lines(text), 5);
+    }
 }

@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{MigrationPolicy, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
+use nvcache_repro::nvcache::{NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
@@ -64,7 +64,6 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         NvCache::builder(NvRegion::whole(dimm))
             .tiers(
                 Tiering::new(router, vec![Arc::clone(&tier0), Arc::clone(&tier1)])
-                    .migration(MigrationPolicy::OnDemand)
                     .catalog_capacity(CAPACITY),
             )
             .config(cfg)
