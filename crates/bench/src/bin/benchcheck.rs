@@ -3,6 +3,10 @@
 //! a `config` object, and at least one data section (`rows`, `mixes` or
 //! `saturation`) that is non-empty.
 //!
+//! `BENCH_fig5.json` must also saturate no earlier on a bigger log: its
+//! rows' `saturation_paper_s`, taken in order of log size, never decrease,
+//! with `null` (never saturated) sorting last.
+//!
 //! Usage: `benchcheck [DIR]` (default: current directory). Exits non-zero
 //! listing every violation, so CI catches a snapshot that a binary change
 //! silently broke.
@@ -128,6 +132,42 @@ fn pair(parent_path: &str, change_path: &str) -> Result<usize, String> {
     Ok(failures)
 }
 
+/// Bytes of a fig5 log label: `100MB`, `1G`.
+fn log_bytes(label: &str) -> Option<u64> {
+    let (digits, unit) = label.split_at(label.find(|c: char| !c.is_ascii_digit())?);
+    let scale = match unit {
+        "MB" => 1 << 20,
+        "G" => 1 << 30,
+        _ => return None,
+    };
+    Some(digits.parse::<u64>().ok()? * scale)
+}
+
+/// fig5's rows, sorted by log size, saturate no earlier as the log grows;
+/// a `null` saturation (never) sorts after every instant.
+fn saturation_grows_with_the_log(rows: &[Json]) -> Result<(), String> {
+    let mut points = Vec::new();
+    for row in rows {
+        let log = text(row.get("log")).ok_or("a fig5 row lacks \"log\"")?;
+        let bytes = log_bytes(log).ok_or_else(|| format!("fig5 log \"{log}\" is not a size"))?;
+        let sat = match row.get("saturation_paper_s") {
+            Some(Json::Null) => f64::INFINITY,
+            v => number(v).ok_or_else(|| format!("log {log}: no \"saturation_paper_s\""))?,
+        };
+        points.push((bytes, log, sat));
+    }
+    points.sort_by_key(|&(bytes, ..)| bytes);
+    for pair in points.windows(2) {
+        let ((_, small, early), (_, big, late)) = (pair[0], pair[1]);
+        if late < early {
+            return Err(format!(
+                "log {big} saturates at {late} s, before the smaller log {small} ({early} s)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// One snapshot's validation result.
 fn check(name: &str, text: &str) -> Result<String, String> {
     let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -161,6 +201,9 @@ fn check(name: &str, text: &str) -> Result<String, String> {
     }
     if data_rows == 0 {
         return Err("no data: need a non-empty \"rows\", \"mixes\" or \"saturation\"".into());
+    }
+    if label == "fig5" {
+        saturation_grows_with_the_log(items(doc.get("rows")))?;
     }
     Ok(format!("{name}: ok ({label}, {data_rows} data rows)"))
 }
@@ -216,4 +259,37 @@ fn main() {
         std::process::exit(1);
     }
     println!("benchcheck: {} snapshots ok", names.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fig5(saturations: [&str; 4]) -> String {
+        let rows: Vec<String> = ["100MB", "1G", "8G", "32G"]
+            .iter()
+            .zip(saturations)
+            .map(|(log, sat)| format!(r#"{{"log": "{log}", "saturation_paper_s": {sat}}}"#))
+            .collect();
+        format!(r#"{{"figure": "fig5", "config": {{"scale": 64}}, "rows": [{}]}}"#, rows.join(","))
+    }
+
+    #[test]
+    fn fig5_saturation_may_not_come_earlier_on_a_bigger_log() {
+        assert!(check("f", &fig5(["0.3", "1.9", "23.0", "null"])).is_ok());
+        assert!(check("f", &fig5(["0.3", "0.3", "null", "null"])).is_ok());
+        // The first-sample detector's 100 MB row, later than the 1 GiB one.
+        let err = check("f", &fig5(["6.7", "1.9", "23.0", "null"])).unwrap_err();
+        assert!(err.contains("log 1G saturates at 1.9 s"), "{err}");
+        assert!(check("f", &fig5(["0.3", "null", "23.0", "null"])).is_err());
+        assert!(check("f", &fig5(["0.3", "1.9", "23.0", "\"soon\""])).is_err());
+    }
+
+    #[test]
+    fn fig5_log_labels_are_sizes() {
+        assert_eq!(log_bytes("100MB"), Some(100 << 20));
+        assert_eq!(log_bytes("32G"), Some(32 << 30));
+        assert_eq!(log_bytes("big"), None);
+        assert_eq!(log_bytes("8T"), None);
+    }
 }

@@ -26,16 +26,22 @@
 //! speedup over per-write submission (the log-size axis does not move
 //! these — the front-end is capacity-independent).
 //!
+//! "saturation @s" (`saturation_paper_s`, `null` when the log never
+//! saturates) is the instant `nvcache_bench::saturation` finds: the first
+//! write that waited for log space, or the first throughput sample below
+//! 60 % of the early plateau.
+//!
 //! `--json PATH` writes the whole summary (per-row p50/p99 write latency,
 //! saturation, configuration) as a machine-readable snapshot, e.g. the
 //! committed `BENCH_fig5.json`.
 
 use std::sync::Arc;
 
-use fiosim::{run_job, JobSpec, RwMode};
+use fiosim::{JobSpec, RwMode};
 use nvcache::{NvCache, NvCacheConfig};
 use nvcache_bench::{
-    arg_flag, arg_str, arg_u64, print_series, print_table, CommonArgs, Json, Row, SystemKind,
+    arg_flag, arg_str, arg_u64, print_series, print_table, run_to_saturation, CommonArgs, Json,
+    Row, SystemKind,
 };
 use simclock::{ActorClock, SimTime};
 
@@ -136,16 +142,9 @@ fn main() {
             sample_interval: SimTime::from_millis(1000 / scale.min(1000)),
             ..JobSpec::default()
         };
-        let result = run_job(&sys.fs, &job, &clock).expect("fio job");
+        let (result, sat) = run_to_saturation(&sys, &job, &clock);
+        let sat = sat.map(SimTime::as_secs_f64);
         let stats = nc.stats().snapshot();
-        // Saturation point: first interval whose throughput drops below 60%
-        // of the initial plateau.
-        let plateau = result.throughput.first().map_or(0.0, |&(_, v)| v);
-        let sat = result
-            .throughput
-            .iter()
-            .find(|&&(_, v)| v < plateau * 0.6)
-            .map(|&(t, _)| t.as_secs_f64());
         let raw_s = result.elapsed.as_secs_f64();
         let per_stripe_waits = stats
             .per_shard

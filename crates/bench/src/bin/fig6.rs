@@ -12,6 +12,10 @@
 //! amortization — becomes the ceiling: once the pwrites overlap, growing
 //! the batch past the ring depth stops paying.
 //!
+//! The post-saturation rate is taken from the instant
+//! `nvcache_bench::saturation` finds (the detector fig5 uses); a cell that
+//! never saturates prints `never`.
+//!
 //! Usage: `fig6 [--scale N] [--gib G] [--queue-depth Q] [--shards S]
 //! [--series]`
 //!
@@ -27,15 +31,18 @@
 
 use std::collections::BTreeMap;
 
-use fiosim::{run_job, JobSpec, RwMode};
+use fiosim::{JobSpec, RwMode};
 use nvcache::NvCacheConfig;
-use nvcache_bench::{arg_flag, arg_u64, print_series, print_table, Row, SystemKind, SystemSpec};
+use nvcache_bench::{
+    arg_flag, arg_u64, print_series, print_table, run_to_saturation, Row, SystemKind, SystemSpec,
+};
 use simclock::{ActorClock, SimTime};
 
 /// Result of one (batch, queue-depth, shards) cell.
 struct Cell {
     mean_mib_s: f64,
-    post_sat_mib_s: f64,
+    /// `None`: the cell never saturated.
+    post_sat_mib_s: Option<f64>,
     paper_secs: f64,
     fsyncs: u64,
     uring_peak: u64,
@@ -73,30 +80,25 @@ fn run_cell(
         sample_interval: SimTime::from_millis(1000 / scale.min(1000)),
         ..JobSpec::default()
     };
-    let result = run_job(&sys.fs, &job, &clock).expect("fio job");
+    let (result, sat_t) = run_to_saturation(&sys, &job, &clock);
     let nc = sys.nvcache.as_ref().expect("nvcache system");
     let stats = nc.stats().snapshot();
     // Post-saturation throughput from the cumulative curve: rate over
-    // everything after the first interval that dropped below 60% of the
-    // initial plateau (robust to the burst/stall cycles of big batches).
-    let plateau = result.throughput.first().map_or(0.0, |&(_, v)| v);
-    let sat_t = result.throughput.iter().find(|&&(_, v)| v < plateau * 0.6).map(|&(t, _)| t);
-    let post_sat_mib_s = match sat_t {
-        Some(t0) => {
-            let at = |t: SimTime| {
-                result
-                    .cumulative_gib
-                    .iter()
-                    .rev()
-                    .find(|&&(ts, _)| ts <= t)
-                    .map_or(0.0, |&(_, v)| v * 1024.0)
-            };
-            let end = result.elapsed;
-            let mib = (at(end) - at(t0)).max(0.0);
-            mib / (end - t0).as_secs_f64().max(1e-9)
-        }
-        None => result.mean_throughput_mib_s(),
-    };
+    // everything after the saturation instant (robust to the burst/stall
+    // cycles of big batches).
+    let post_sat_mib_s = sat_t.map(|t0| {
+        let at = |t: SimTime| {
+            result
+                .cumulative_gib
+                .iter()
+                .rev()
+                .find(|&&(ts, _)| ts <= t)
+                .map_or(0.0, |&(_, v)| v * 1024.0)
+        };
+        let end = result.elapsed;
+        let mib = (at(end) - at(t0)).max(0.0);
+        mib / (end - t0).as_secs_f64().max(1e-9)
+    });
     if want_series {
         print_series(
             &format!("batch-{batch} qd-{queue_depth} sh-{shards} throughput"),
@@ -115,6 +117,11 @@ fn run_cell(
     };
     sys.shutdown(&clock);
     cell
+}
+
+/// A post-saturation rate, or `never` for a cell that never saturated.
+fn mib_s_or_never(mib_s: Option<f64>) -> String {
+    mib_s.map_or("never".into(), |v| format!("{v:.0}"))
 }
 
 fn main() {
@@ -150,7 +157,7 @@ fn main() {
                     format!("batch {batch} / qd {qd} / {shards} shard(s)"),
                     vec![
                         format!("{:.0}", cell.mean_mib_s),
-                        format!("{:.0}", cell.post_sat_mib_s),
+                        mib_s_or_never(cell.post_sat_mib_s),
                         format!("{:.0}", cell.paper_secs),
                         format!("{}", cell.fsyncs),
                         format!("{}", cell.uring_peak),
@@ -175,7 +182,7 @@ fn main() {
                         format!("batch {batch}"),
                         depths
                             .iter()
-                            .map(|&qd| format!("{:.0}", cells[&(shards, batch, qd)].post_sat_mib_s))
+                            .map(|&qd| mib_s_or_never(cells[&(shards, batch, qd)].post_sat_mib_s))
                             .collect(),
                     )
                 })
@@ -199,12 +206,16 @@ fn main() {
             let ratios: Vec<f64> = batch_sizes
                 .iter()
                 .filter_map(|&b| {
-                    let one = cells[&(base, b, qd)].post_sat_mib_s;
-                    let many = cells[&(grown, b, qd)].post_sat_mib_s;
+                    let one = cells[&(base, b, qd)].post_sat_mib_s?;
+                    let many = cells[&(grown, b, qd)].post_sat_mib_s?;
                     (one > 1e-9).then(|| many / one)
                 })
                 .collect();
-            let mean_ratio = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
+            if ratios.is_empty() {
+                println!("qd {qd:>2}: no batch size saturated at both stripe counts");
+                continue;
+            }
+            let mean_ratio = ratios.iter().sum::<f64>() / ratios.len() as f64;
             let verdict = if mean_ratio >= 1.15 {
                 "cleanup-pool bound: striping the log (more drain workers) lifts the floor"
             } else if mean_ratio <= 0.87 {

@@ -21,6 +21,7 @@
 pub mod cli;
 pub mod json;
 pub mod report;
+pub mod saturation;
 pub mod systems;
 
 pub use cli::CommonArgs;
@@ -29,6 +30,7 @@ pub use report::{
     latency_histogram, percentiles_us, print_series, print_table, LatencyHistogram, PercentilesUs,
     Row,
 };
+pub use saturation::run_to_saturation;
 pub use systems::{build_system, System, SystemKind, SystemSpec};
 
 /// Parses `--key value` style arguments with a default.

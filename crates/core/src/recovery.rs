@@ -17,18 +17,27 @@
 //!    [`WINDOW_ENTRIES`](crate::replay::WINDOW_ENTRIES) entries and is
 //!    written out completely before the next one is planned, so memory is
 //!    bounded whatever the log holds;
-//! 3. **sync** — every backend is synced;
-//! 4. **empty** — only then are the commit words, the tails and the fd
-//!    table cleared.
+//! 3. **sync** — durability overlaps the copy: the extents come sorted by
+//!    file, and when the replay moves on from a file while the *syncer* is
+//!    idle, that file's inner `fsync` runs on the syncer's own clock as the
+//!    next file is copied (on a one-channel SSD the device writes one file
+//!    back while the next is read from NVMM). A file finished while the
+//!    syncer is busy is left to the end, so a log of many small files pays
+//!    about one journal commit more than a single `sync`, not one per file.
+//!    The replay then joins the syncer and syncs every backend, which
+//!    covers the last file and every file left over; a one-file log issues
+//!    that `sync` alone;
+//! 4. **empty** — only after every `fsync` and the `sync` have returned are
+//!    the commit words, the tails and the fd table cleared.
 //!
 //! The inner files end byte-identical to a sequential replay of every
 //! entry, and — because nothing in NVMM changes before step 4 — a crash
 //! anywhere inside recovery is healed by running it again.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use nvmm::{NvRegion, PmemInts};
+use nvmm::NvRegion;
 use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
@@ -140,10 +149,22 @@ pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -
     let Replay { region, lay, backends, files, clock, .. } = *replay;
     let mut window = Window::default();
     let mut total = Written::default();
+    // Extents come sorted by file. When the replay moves on from a file
+    // and the syncer is idle, the syncer writes that file back on its own
+    // clock while the next one is copied; a file finished while it is busy
+    // is left to the final `sync`.
+    let (mut synced_at, mut copying) = (clock.now(), None);
     let mut write_out = |window: &mut Window| -> IoResult<()> {
         let written = window.plan().write_out(
             |at, buf| region.read(at, buf, clock),
             |file, off, data| {
+                let idle = synced_at <= clock.now();
+                if let Some(done) = copying.replace(file).filter(|&done| done != file && idle) {
+                    let (backend, fd) = files[done];
+                    let syncer = ActorClock::starting_at(clock.now());
+                    backends[backend].fsync(fd, &syncer)?;
+                    synced_at = syncer.now();
+                }
                 let (backend, fd) = files[file];
                 backends[backend].pwrite(fd, data, off, clock).map(drop)
             },
@@ -179,6 +200,7 @@ pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -
         }
     }
     write_out(&mut window)?;
+    clock.advance_to(synced_at); // join the syncer
     report.inner_writes = total.inner_writes;
     report.bytes_absorbed = report.bytes_replayed - total.bytes;
     Ok(())
@@ -201,9 +223,10 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// The recovery procedure (paper §III "Recovery procedure"): reopen the
 /// files recorded in the NVMM fd table, collect every committed entry from
 /// the persistent tail(s) in *global commit order* (skipping torn entries,
-/// honouring group commit flags), replay them as planned extents (module
-/// docs: plan → extents → sync → empty), close the files, and empty the
-/// log.
+/// honouring group commit flags), replay them as planned extents while an
+/// idle syncer writes back each file the replay has finished, sync every
+/// backend (module docs: plan → extents → sync → empty), empty the log and
+/// close the files.
 ///
 /// On a single-stripe log (the seed format) the scan is the seed's
 /// in-ring-order scan from [`layout::OFF_PTAIL`]. On a striped log each
@@ -246,7 +269,9 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 ///
 /// Idempotent: crashing *during* recovery and running it again converges to
 /// the same state, because replay only overwrites with logged data and the
-/// log is emptied only after the final `sync`.
+/// log is emptied only after the syncer's last `fsync` and the final `sync`.
+/// A failing `fsync` or `sync` aborts recovery before anything in NVMM
+/// changes.
 ///
 /// `image` is the region's header, already read and checked against the
 /// mount. `replay` is the replay phase: [`replay_planned`] for every mount;
@@ -345,11 +370,8 @@ pub(crate) fn recover(
         .collect();
     misplaced.sort();
     report.files_misplaced = misplaced.len();
-    let mut touched = vec![false; backends.len()];
-    for &(_, backend, _) in &reopened {
-        touched[backend] = true;
-    }
-    report.backends_touched = touched.iter().filter(|&&t| t).count();
+    report.backends_touched =
+        reopened.iter().map(|&(_, backend, _)| backend).collect::<BTreeSet<_>>().len();
 
     // Scan phase: collect committed groups per stripe, in ring order from
     // each stripe's persistent tail. On the seed format this is one scan
@@ -369,9 +391,7 @@ pub(crate) fn recover(
             let slot = lay.stripe_slot(stripe, stripe_tail + i);
             let header = read_header(region, &lay, slot, clock);
             match header.commit {
-                CommitWord::Free => {
-                    i += 1;
-                }
+                CommitWord::Free => i += 1,
                 CommitWord::Member(_) => {
                     // An orphan member: its leader never committed (or was
                     // freed with the group); skip.
@@ -410,19 +430,18 @@ pub(crate) fn recover(
         &mut report,
     )?;
 
-    // Make the replay durable on every backend, then (and only then) empty
-    // the log.
+    // Make the rest of the replay durable on every backend — the last file
+    // and those the syncer was too busy to take —, then (and only then)
+    // empty the log.
     for backend in backends {
         backend.sync(clock)?;
     }
     lay.clear_entries(region, clock);
-    region.write_u64(layout::OFF_PTAIL, 0, clock);
-    region.pwb(layout::OFF_PTAIL, 8);
-    if log_shards > 1 {
-        for stripe in 0..log_shards {
-            region.write_u64(lay.stripe_tail_off(stripe), 0, clock);
-            region.pwb(lay.stripe_tail_off(stripe), 8);
-        }
+    // A striped log keeps its tails after OFF_PTAIL, which stays 0 there
+    // but is cleared all the same.
+    region.write_and_pwb(layout::OFF_PTAIL, &[0; 8], clock);
+    for stripe in (0..log_shards).filter(|_| log_shards > 1) {
+        region.write_and_pwb(lay.stripe_tail_off(stripe), &[0; 8], clock);
     }
     region.persist_fence(clock);
     // Close and clear the fd table.

@@ -2,7 +2,8 @@
 //! (see `support/replay_log.rs` for what each holds) are crashed, recovered
 //! with `Mount::Recover` and read back against a plain model of the
 //! acknowledged writes; then recovery itself is crashed — after each inner
-//! write, and between the last one and the `sync` — and run again.
+//! write, at each `fsync` of a replayed file, and between the last write
+//! and the `sync` — and run again.
 //!
 //! The comparison with the per-entry replayer this replaced lives in the
 //! core crate (`crates/core/src/replay_tests.rs`): that reference exists
@@ -87,15 +88,20 @@ fn crash_recovery_at(seed: u64, shape: Shape, fault: FaultRule, what: &str) -> R
 /// Recovery is idempotent under a crash after each of its inner writes. The
 /// 60-write log of seed 21 holds 66 replayable entries: the per-entry
 /// replay issued 66 inner writes for it, the planned one issues 29 — so 29
-/// crash points, plus one between the last write and the `sync`.
+/// crash points. The replay moves through three surviving files; the
+/// syncer writes back the first while the others are copied, and is still
+/// busy when the second ends (that one is left to the `sync`), so one more
+/// crash point is at its `fsync`. The last is between the last write and
+/// the `sync`.
 #[test]
 fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
-    for (what, shape, writes) in [
-        ("2 stripes", Shape { writes: 60, span: 96 << 10, ..Shape::small(2) }, (66, 29)),
+    for (what, shape, writes, fsyncs) in [
+        ("2 stripes", Shape { writes: 60, span: 96 << 10, ..Shape::small(2) }, (66, 29), 1),
         (
             "2 tiers, crypt",
             Shape { writes: 60, span: 96 << 10, ..Shape::small(4).tiered().crypt() },
             (66, 29),
+            1,
         ),
     ] {
         let clean = recover_and_check(&build(21, shape).crash(), what);
@@ -105,6 +111,29 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
             let fault = FaultRule::new(FaultOp::Write, FaultTrigger::OnNth(k));
             assert_eq!(replayed(&crash_recovery_at(21, shape, fault, &what)), replayed(&clean));
         }
+        // A power cut at each `fsync` the syncer issues, up to the first
+        // `k` the clean recovery does not reach.
+        let mut k = 1;
+        loop {
+            let crashed = build(21, shape).crash();
+            let rule = FaultRule::new(FaultOp::Fsync, FaultTrigger::OnNth(k));
+            let fault = Arc::new(FaultLayer::new(vec![rule]));
+            match crashed.recover(&[Arc::clone(&fault) as Arc<dyn Layer>]) {
+                Ok(cache) => {
+                    assert_eq!(fault.faults_injected(), 0, "{what}: recovered through a fault");
+                    fault.disarm();
+                    cache.shutdown(&ActorClock::new());
+                    break;
+                }
+                Err(_) => {
+                    let what = format!("{what}, power cut at the syncer's fsync {k}");
+                    let again = recover_and_check(&crashed.crash_again(), &what);
+                    assert_eq!(replayed(&again), replayed(&clean));
+                    k += 1;
+                }
+            }
+        }
+        assert_eq!(k - 1, fsyncs, "{what}: fsyncs");
         let fault = FaultRule::new(FaultOp::Sync, FaultTrigger::OnNth(1));
         let what = format!("{what}, power cut before the sync");
         assert_eq!(replayed(&crash_recovery_at(21, shape, fault, &what)), replayed(&clean));
