@@ -102,6 +102,9 @@ pub(crate) struct Shared {
     /// offending edge chain. Shared with the [`Log`]'s stripes and the
     /// tiers' migrator.
     pub lockcheck: Recorder,
+    /// When recovery's durability tail ended
+    /// ([`RecoveryReport::durable_at`]; zero on a fresh format).
+    pub durable_at: SimTime,
     /// Seeded bug: the cleanup workers rewrite entries `close` pushed.
     #[cfg(test)]
     pub rewrite_pushed: AtomicBool,
@@ -230,14 +233,23 @@ impl Shared {
         self.descriptor_at(path).is_some()
     }
 
+    /// Advances `clock` to the end of recovery's durability tail
+    /// ([`durable_at`](Shared::durable_at)). Until then the log still holds
+    /// the replayed entries and the fd table names their files by path: a
+    /// namespace change, a migration or a truncation before it would leave a
+    /// crash image that loses or resurrects recovered bytes.
+    pub fn wait_for_recovery(&self, clock: &ActorClock) {
+        clock.advance_to(self.durable_at);
+    }
+
     /// Pops a free persistent fd slot (draining finished zombies once if
     /// the allocator is empty), or `None` when the table is genuinely full.
     pub fn take_free_slot(&self, clock: &ActorClock) -> Option<u32> {
-        if let Some(slot) = self.fd_slots.acquire() {
+        if let Some(slot) = self.fd_slots.acquire(clock) {
             return Some(slot);
         }
         self.drain_zombies(clock);
-        self.fd_slots.acquire()
+        self.fd_slots.acquire(clock)
     }
 
     /// Holds `opened`'s inner descriptor shared: it cannot be released
@@ -897,18 +909,21 @@ impl NvCache {
         let stats =
             NvCacheStats::with_front_end(cfg.log_shards, tiers.backends.len(), cfg.sq_pairs);
         let name = tiers.name();
-        let recovery = recovered.map(|(report, misplaced, heat)| {
-            tiers.seed(misplaced, heat, clock.now(), &stats);
-            stats.recovered_entries.store(report.entries_replayed, Ordering::Relaxed);
-            report
-        });
+        let recovery = recovered.as_ref().map(|r| r.report);
+        // A fresh format recovers nothing: its log and slots are free at 0.
+        let Recovered { report, misplaced, heat, cleared } = recovered.unwrap_or_default();
+        tiers.seed(misplaced, heat, clock.now(), &stats);
+        stats.recovered_entries.store(report.entries_replayed, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             pool: ReadCache::new(cfg.read_cache_pages),
-            log: Log::new(region, lay, 0, lockcheck.clone()),
+            // Recovery's syncer frees the log and the slots it cleared at
+            // `durable_at`: the first reservation of each entry, every drain
+            // and an open handed such a slot advance to it.
+            log: Log::new(region, lay, report.durable_at, lockcheck.clone()),
             tiers,
             files: Mutex::new(HashMap::new()),
             opened: RwLock::new(HashMap::new()),
-            fd_slots: FdSlotAllocator::new(cfg.fd_slots),
+            fd_slots: FdSlotAllocator::new(cfg.fd_slots, cleared, report.durable_at),
             sq_taken: {
                 let mut taken = Vec::with_capacity(cfg.sq_pairs);
                 taken.resize_with(cfg.sq_pairs, || AtomicBool::new(false));
@@ -923,6 +938,7 @@ impl NvCache {
             cleanup_clocks: cleanup_clocks.into_boxed_slice(),
             next_file_id: AtomicU64::new(1),
             lockcheck,
+            durable_at: report.durable_at,
             cfg,
             #[cfg(test)]
             rewrite_pushed: AtomicBool::new(false),
@@ -1096,6 +1112,7 @@ impl NvCache {
     /// the path's lease: inner open, file/descriptor bookkeeping.
     fn open_at(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
         if flags.contains(OpenFlags::TRUNC) && flags.writable() {
+            self.shared.wait_for_recovery(clock);
             // Pending log entries for the victim content must not resurface
             // — and only a file the mount holds state for has any.
             let victim = self.shared.tiers.locate(&self.shared, path, clock)?;
@@ -1161,7 +1178,7 @@ impl NvCache {
                 self.flush_log(clock);
                 loop {
                     self.shared.drain_zombies(clock);
-                    slot = self.shared.fd_slots.acquire();
+                    slot = self.shared.fd_slots.acquire(clock);
                     if slot.is_some() || self.shared.log.any_poisoned() {
                         // Zombies pinned by a poisoned stripe can never
                         // drain; spinning on them would only delay the
@@ -1172,7 +1189,7 @@ impl NvCache {
                         // Genuinely out of descriptors — unless the last
                         // one on its way freed its slot since the attempt
                         // above.
-                        slot = self.shared.fd_slots.acquire();
+                        slot = self.shared.fd_slots.acquire(clock);
                         break;
                     }
                     std::thread::yield_now();
@@ -1372,11 +1389,13 @@ impl FileSystem for NvCache {
         // (`Shared::bury_if_dead`). A file that is still open keeps working
         // through its descriptors.
         clock.advance(LIBC_OVERHEAD);
+        self.shared.wait_for_recovery(clock);
         self.shared.tiers.unlink(&self.shared, &vfs::normalize_path(path), clock)
     }
 
     fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
         clock.advance(LIBC_OVERHEAD);
+        self.shared.wait_for_recovery(clock);
         let (from, to) = (vfs::normalize_path(from), vfs::normalize_path(to));
         self.shared.tiers.rename(&self.shared, &from, &to, clock)
     }

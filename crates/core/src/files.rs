@@ -9,7 +9,7 @@ use std::sync::{Arc, OnceLock};
 
 use nvmm::NvRegion;
 use parking_lot::{Mutex, RwLock};
-use simclock::ActorClock;
+use simclock::{ActorClock, SimTime};
 
 use crate::layout::{
     word_at, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_PATH_OFF, FD_SLOT_BYTES, PATH_MAX,
@@ -138,29 +138,45 @@ impl Drop for InFlight {
 /// The free persistent fd-table slots, as a stack: the most recently
 /// released slot is handed out next, and a fresh allocator yields `0, 1, 2,
 /// …` — descriptor numbers, and so every byte oracle, follow from that
-/// order. A leaf lock: nothing is taken while it is held.
+/// order. The slots a recovery cleared on its syncer's clock come after
+/// every untouched one, and whoever takes one advances to the instant the
+/// syncer finished. A leaf lock: nothing is taken while it is held.
 #[derive(Debug)]
-pub(crate) struct FdSlotAllocator(Mutex<Vec<u32>>);
+pub(crate) struct FdSlotAllocator {
+    free: Mutex<Vec<u32>>,
+    /// The slots recovery cleared on its syncer's clock, ascending.
+    cleared: Vec<u32>,
+    /// When the syncer cleared them.
+    cleared_at: SimTime,
+}
 
 impl FdSlotAllocator {
-    /// An allocator over slots `0..n`, all free.
-    pub fn new(n: u32) -> Self {
-        FdSlotAllocator(Mutex::new((0..n).rev().collect()))
+    /// An allocator over slots `0..n`, all free; `cleared` (ascending) were
+    /// cleared at `cleared_at`.
+    pub fn new(n: u32, cleared: Vec<u32>, cleared_at: SimTime) -> Self {
+        let untouched = (0..n).rev().filter(|slot| cleared.binary_search(slot).is_err());
+        let free = cleared.iter().rev().copied().chain(untouched).collect();
+        FdSlotAllocator { free: Mutex::new(free), cleared, cleared_at }
     }
 
-    /// Pops a free slot, or `None` when the table is exhausted.
-    pub fn acquire(&self) -> Option<u32> {
-        self.0.lock().pop()
+    /// Pops a free slot, or `None` when the table is exhausted. A slot
+    /// recovery cleared is not free before its clear: `clock` advances to it.
+    pub fn acquire(&self, clock: &ActorClock) -> Option<u32> {
+        let slot = self.free.lock().pop()?;
+        if self.cleared.binary_search(&slot).is_ok() {
+            clock.advance_to(self.cleared_at);
+        }
+        Some(slot)
     }
 
     /// Pushes `slot` back onto the free stack.
     pub fn release(&self, slot: u32) {
-        self.0.lock().push(slot);
+        self.free.lock().push(slot);
     }
 
     /// Currently free slots.
     pub fn free_count(&self) -> u32 {
-        self.0.lock().len() as u32
+        self.free.lock().len() as u32
     }
 }
 
@@ -171,7 +187,7 @@ impl FdSlotAllocator {
 /// writes to a different tier, and ends in the file's heat word.
 pub(crate) struct PersistentFdTable;
 
-/// A valid fd slot as [`PersistentFdTable::get`] reads it back.
+/// A valid fd slot as [`FdTableSnapshot::slots`] reads it back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FdSlot {
     pub path: String,
@@ -184,6 +200,24 @@ pub(crate) struct FdSlot {
 
 /// Bytes of the slot after its valid word: path, backend word, heat word.
 const PAYLOAD: usize = (FD_SLOT_BYTES - FD_PATH_OFF) as usize;
+
+/// The persistent fd table as [`PersistentFdTable::snapshot`] read it.
+pub(crate) struct FdTableSnapshot(Vec<u8>);
+
+impl FdTableSnapshot {
+    /// Every slot whose valid word is `valid`, ascending.
+    pub fn slots(&self, valid: u64) -> impl Iterator<Item = (u32, FdSlot)> + '_ {
+        let slots = self.0.chunks_exact(FD_SLOT_BYTES as usize).zip(0u32..);
+        slots.filter(move |(bytes, _)| word_at(bytes, 0) == valid).map(|(bytes, slot)| {
+            let path = &bytes[FD_PATH_OFF as usize..][..PATH_MAX];
+            let end = path.iter().position(|&b| b == 0).unwrap_or(PATH_MAX);
+            let path = String::from_utf8_lossy(&path[..end]).into_owned();
+            let word = |off| word_at(bytes, off as usize);
+            let (backend, heat) = (word(FD_BACKEND_OFF) as u32, word(FD_HEAT_OFF) as u16);
+            (slot, FdSlot { path, backend, heat })
+        })
+    }
+}
 
 /// Offset of the slot word at `off` within the payload.
 const fn in_payload(off: u64) -> usize {
@@ -232,31 +266,12 @@ impl PersistentFdTable {
         region.persist_fence(clock);
     }
 
-    /// Reads `slot` back if its valid word is `valid`. Charged reads
-    /// (recovery runs with a cold CPU cache): the valid word, then the rest
-    /// of the slot in one read.
-    pub fn get(
-        region: &NvRegion,
-        layout: &Layout,
-        slot: u32,
-        valid: u64,
-        clock: &ActorClock,
-    ) -> Option<FdSlot> {
-        let base = layout.fd_slot(slot);
-        let mut word = [0u8; 8];
-        region.read(base, &mut word, clock);
-        if u64::from_le_bytes(word) != valid {
-            return None;
-        }
-        let mut payload = [0u8; PAYLOAD];
-        region.read(base + FD_PATH_OFF, &mut payload, clock);
-        let path = &payload[..PATH_MAX];
-        let end = path.iter().position(|&b| b == 0).unwrap_or(PATH_MAX);
-        Some(FdSlot {
-            path: String::from_utf8_lossy(&path[..end]).into_owned(),
-            backend: word_at(&payload, in_payload(FD_BACKEND_OFF)) as u32,
-            heat: word_at(&payload, in_payload(FD_HEAT_OFF)) as u16,
-        })
+    /// The whole table, by one charged read (recovery runs with a cold CPU
+    /// cache, and scans every slot).
+    pub fn snapshot(region: &NvRegion, layout: &Layout, clock: &ActorClock) -> FdTableSnapshot {
+        let mut bytes = vec![0u8; (layout.fd_slots * FD_SLOT_BYTES) as usize];
+        region.read(layout.fd_slot(0), &mut bytes, clock);
+        FdTableSnapshot(bytes)
     }
 
     /// Atomically flips the backend word of a journal (or open) slot — the
@@ -333,9 +348,16 @@ mod tests {
         );
     }
 
+    /// The slot `slot` if its valid word is `valid`.
+    fn get_valid(region: &NvRegion, layout: &Layout, slot: u32, valid: u64) -> Option<FdSlot> {
+        let table = PersistentFdTable::snapshot(region, layout, &ActorClock::new());
+        let found = table.slots(valid).find(|&(s, _)| s == slot);
+        found.map(|(_, found)| found)
+    }
+
     /// The open file recorded in `slot`.
     fn get(region: &NvRegion, layout: &Layout, slot: u32) -> Option<FdSlot> {
-        PersistentFdTable::get(region, layout, slot, FD_VALID_OPEN, &ActorClock::new())
+        get_valid(region, layout, slot, FD_VALID_OPEN)
     }
 
     /// `(path, backend)` of the open file recorded in `slot`.
@@ -367,8 +389,7 @@ mod tests {
         let (c, region, layout) = setup();
         PersistentFdTable::set(&region, &layout, 1, FD_VALID_MIGRATION, "/moving", 1, &c);
         assert_eq!(get(&region, &layout, 1), None, "not an open file");
-        let journal = PersistentFdTable::get(&region, &layout, 1, FD_VALID_MIGRATION, &c);
-        let journal = journal.expect("journal");
+        let journal = get_valid(&region, &layout, 1, FD_VALID_MIGRATION).expect("journal");
         assert_eq!((journal.path.as_str(), journal.backend, journal.heat), ("/moving", 1, 0));
     }
 
@@ -436,40 +457,54 @@ mod tests {
 
     #[test]
     fn fd_slot_allocator_is_lifo_and_exhausts_cleanly() {
-        let a = FdSlotAllocator::new(3);
+        let (a, c) = (FdSlotAllocator::new(3, Vec::new(), SimTime::ZERO), ActorClock::new());
         assert_eq!(a.free_count(), 3);
         // Fresh allocator hands out ascending slots, like the old Vec.
-        assert_eq!(a.acquire(), Some(0));
-        assert_eq!(a.acquire(), Some(1));
-        assert_eq!(a.acquire(), Some(2));
-        assert_eq!(a.acquire(), None);
+        assert_eq!(a.acquire(&c), Some(0));
+        assert_eq!(a.acquire(&c), Some(1));
+        assert_eq!(a.acquire(&c), Some(2));
+        assert_eq!(a.acquire(&c), None);
         assert_eq!(a.free_count(), 0);
         // LIFO reuse: the most recently released slot comes back first.
         a.release(1);
         a.release(2);
-        assert_eq!(a.acquire(), Some(2));
-        assert_eq!(a.acquire(), Some(1));
-        assert_eq!(a.acquire(), None);
+        assert_eq!(a.acquire(&c), Some(2));
+        assert_eq!(a.acquire(&c), Some(1));
+        assert_eq!(a.acquire(&c), None);
+    }
+
+    /// Slots recovery cleared come after every untouched one, and taking
+    /// one waits for the clear; a released one stays cleared.
+    #[test]
+    fn fd_slot_allocator_hands_out_recovered_slots_last_and_after_their_clear() {
+        let at = SimTime::from_micros(7);
+        let (a, c) = (FdSlotAllocator::new(4, vec![1, 2], at), ActorClock::new());
+        assert_eq!((a.acquire(&c), a.acquire(&c), c.now()), (Some(0), Some(3), SimTime::ZERO));
+        assert_eq!((a.acquire(&c), c.now()), (Some(1), at));
+        a.release(1);
+        let late = ActorClock::new();
+        assert_eq!((a.acquire(&late), late.now()), (Some(1), at));
+        assert_eq!((a.acquire(&c), a.acquire(&c)), (Some(2), None));
     }
 
     #[test]
     fn fd_slot_allocator_empty_table() {
-        let a = FdSlotAllocator::new(0);
-        assert_eq!(a.acquire(), None);
+        let (a, c) = (FdSlotAllocator::new(0, Vec::new(), SimTime::ZERO), ActorClock::new());
+        assert_eq!(a.acquire(&c), None);
         assert_eq!(a.free_count(), 0);
     }
 
     #[test]
     fn fd_slot_allocator_concurrent_churn_never_duplicates() {
         use std::collections::HashSet;
-        let a = Arc::new(FdSlotAllocator::new(8));
+        let a = Arc::new(FdSlotAllocator::new(8, Vec::new(), SimTime::ZERO));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let a = Arc::clone(&a);
                 std::thread::spawn(move || {
-                    let mut held = Vec::new();
+                    let (mut held, c) = (Vec::new(), ActorClock::new());
                     for round in 0..2000u32 {
-                        if let Some(s) = a.acquire() {
+                        if let Some(s) = a.acquire(&c) {
                             held.push(s);
                         }
                         if round % 3 == 0 {

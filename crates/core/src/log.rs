@@ -131,25 +131,25 @@ impl Stripe {
         index: usize,
         region: NvRegion,
         layout: Layout,
-        start_seq: u64,
+        free_at: SimTime,
         lockcheck: Recorder,
     ) -> Self {
         let cap = layout.stripe_entries() as usize;
         let mut stamps = Vec::with_capacity(cap);
         stamps.resize_with(cap, || AtomicU64::new(0));
         let mut free_stamps = Vec::with_capacity(cap);
-        free_stamps.resize_with(cap, || AtomicU64::new(0));
+        free_stamps.resize_with(cap, || AtomicU64::new(free_at.as_nanos()));
         Stripe {
             index,
             region,
             layout,
-            head: AtomicU64::new(start_seq),
-            vtail: AtomicU64::new(start_seq),
+            head: AtomicU64::new(0),
+            vtail: AtomicU64::new(0),
             commit_stamps: stamps.into_boxed_slice(),
             free_stamps: free_stamps.into_boxed_slice(),
-            tail_time: AtomicU64::new(0),
+            tail_time: AtomicU64::new(free_at.as_nanos()),
             space_waiters: AtomicUsize::new(0),
-            flush_target: AtomicU64::new(start_seq),
+            flush_target: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             alloc_lock: Mutex::new(()),
             space_lock: Mutex::new(()),
@@ -428,18 +428,20 @@ impl std::fmt::Debug for Log {
 }
 
 impl Log {
-    /// `lockcheck` is the mount's lock-order recorder: every tracked lock of
-    /// the mount shares one acquisition graph.
-    pub fn new(region: NvRegion, layout: Layout, start_seq: u64, lockcheck: Recorder) -> Self {
+    /// An empty log whose entries are free, and its tails published, at
+    /// `free_at` (a recovered log is cleared on the recovery syncer's
+    /// clock). `lockcheck` is the mount's lock-order recorder: every tracked
+    /// lock of the mount shares one acquisition graph.
+    pub fn new(region: NvRegion, layout: Layout, free_at: SimTime, lockcheck: Recorder) -> Self {
         let shards = layout.log_shards.max(1) as usize;
         let stripes: Vec<Stripe> = (0..shards)
-            .map(|i| Stripe::new(i, region.clone(), layout, start_seq, lockcheck.clone()))
+            .map(|i| Stripe::new(i, region.clone(), layout, free_at, lockcheck.clone()))
             .collect();
         Log {
             region,
             layout,
             stripes: stripes.into_boxed_slice(),
-            global_seq: AtomicU64::new(start_seq),
+            global_seq: AtomicU64::new(0),
             handoff_waiters: AtomicUsize::new(0),
             tail_pin: RwLock::new(()),
         }
@@ -648,7 +650,7 @@ mod tests {
         let layout = Layout::for_config(&cfg);
         let dimm = Arc::new(NvDimm::new(layout.total_bytes(), NvmmProfile::instant()));
         let region = NvRegion::whole(dimm);
-        let log = Log::new(region, layout, 0, Recorder::new());
+        let log = Log::new(region, layout, SimTime::ZERO, Recorder::new());
         (ActorClock::new(), NvCacheStats::with_front_end(shards, 1, 0), log)
     }
 
@@ -713,7 +715,7 @@ mod tests {
         // no commit for b
         let crashed = log.region.dimm().crash_and_restart();
         let region = NvRegion::whole(Arc::new(crashed));
-        let recovered = Log::new(region, log.layout, 0, Recorder::new());
+        let recovered = Log::new(region, log.layout, SimTime::ZERO, Recorder::new());
         assert_eq!(recovered.stripes[0].read_header(a).commit, CommitWord::Leader);
         assert_eq!(recovered.stripes[0].read_header(b).commit, CommitWord::Free);
     }

@@ -66,7 +66,7 @@ use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
 use crate::cache::Shared;
-use crate::files::PersistentFdTable;
+use crate::files::{FdTableSnapshot, PersistentFdTable};
 use crate::layout::{Layout, FD_VALID_MIGRATION};
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::placement::{HeatPolicy, Temperature};
@@ -695,12 +695,13 @@ fn copy_from(
     inner
 }
 
-/// Deletes every non-authoritative copy named by leftover migration
-/// journals and clears them — the recovery half of the protocol. Returns
-/// the number of journals repaired. Only a multi-backend mount writes
-/// journals, and [`Header::check`](crate::layout::Header::check) refuses to
-/// recover any image that could hold one over a single backend, so a
-/// single-backend mount skips the scan.
+/// Deletes every non-authoritative copy named by the leftover migration
+/// journals in recovery's `table` snapshot and clears them — the recovery
+/// half of the protocol. Returns the number of journals repaired. Only a
+/// multi-backend mount writes journals, and
+/// [`Header::check`](crate::layout::Header::check) refuses to recover any
+/// image that could hold one over a single backend, so a single-backend
+/// mount skips the scan.
 ///
 /// # Errors
 ///
@@ -710,6 +711,7 @@ fn copy_from(
 pub(crate) fn repair_journals(
     region: &NvRegion,
     layout: &Layout,
+    table: &FdTableSnapshot,
     tiers: &Tiers,
     clock: &ActorClock,
 ) -> IoResult<usize> {
@@ -717,11 +719,7 @@ pub(crate) fn repair_journals(
         return Ok(0);
     }
     let mut repaired = 0;
-    for slot in 0..layout.fd_slots as u32 {
-        let Some(journal) = PersistentFdTable::get(region, layout, slot, FD_VALID_MIGRATION, clock)
-        else {
-            continue;
-        };
+    for (slot, journal) in table.slots(FD_VALID_MIGRATION) {
         let keep = journal.backend as usize;
         if keep >= tiers.backends.len() {
             return Err(IoError::InvalidArgument(format!(
@@ -760,6 +758,8 @@ pub(crate) fn migrate_path(
     to: usize,
     clock: &ActorClock,
 ) -> IoResult<Option<(Move, u64)>> {
+    // A recovered file may still be named by the log and the fd table.
+    shared.wait_for_recovery(clock);
     let tiers = &shared.tiers;
     if to >= tiers.backends.len() {
         return Err(IoError::InvalidArgument(format!(
@@ -835,8 +835,9 @@ pub(crate) fn journaled_move(
         clock,
         None,
     );
-    let (region, layout) = (&shared.log.region, &shared.log.layout);
-    if PersistentFdTable::get(region, layout, slot, FD_VALID_MIGRATION, clock).is_none() {
+    let mut valid = [0u8; 8];
+    shared.log.region.read(shared.log.layout.fd_slot(slot), &mut valid, clock);
+    if u64::from_le_bytes(valid) != FD_VALID_MIGRATION {
         shared.fd_slots.release(slot);
     }
     result

@@ -24,21 +24,29 @@
 //!    back while the next is read from NVMM). A file finished while the
 //!    syncer is busy is left to the end, so a log of many small files pays
 //!    about one journal commit more than a single `sync`, not one per file.
-//!    The replay then joins the syncer and syncs every backend, which
-//!    covers the last file and every file left over; a one-file log issues
-//!    that `sync` alone;
+//!    After the last extent the syncer, from its last `fsync`, syncs every
+//!    backend, which covers the last file and every file left over; a
+//!    one-file log issues that `sync` alone;
 //! 4. **empty** — only after every `fsync` and the `sync` have returned are
-//!    the commit words, the tails and the fd table cleared.
+//!    the commit words and the tails cleared, the reopened descriptors
+//!    closed and their fd slots cleared, still on the syncer's clock.
+//!
+//! The mount returns at the end of the copy, not of step 4: the paper makes
+//! a write durable once it is in the NVMM log, which is emptied only after
+//! the inner file systems hold the replay durably, so only what orders
+//! itself after step 4 waits for the syncer
+//! ([`RecoveryReport::durable_at`]). The fd table is read once, whole, for
+//! the reopen and the migration-journal repair.
 //!
 //! The inner files end byte-identical to a sequential replay of every
 //! entry, and — because nothing in NVMM changes before step 4 — a crash
 //! anywhere inside recovery is healed by running it again.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use nvmm::NvRegion;
-use simclock::ActorClock;
+use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
 use crate::files::{FdSlot, PersistentFdTable};
@@ -98,6 +106,15 @@ pub struct RecoveryReport {
     /// (the crashed mount died inside a copy → stamp → unlink protocol run;
     /// see `migrate.rs`). Each repair leaves exactly one authoritative copy.
     pub migrations_repaired: usize,
+    /// When recovery's durability tail ended, on the syncer's clock: the
+    /// inner `sync`s, the log clear, the closes and fd-slot clears run there
+    /// after the copy, while the mount returns at the end of the copy. Every
+    /// operation that depends on the tail waits for this instant — a log
+    /// reservation or drain, an `unlink` or `rename`, a truncating `open`,
+    /// a migration, an `open` handed a slot recovery cleared —; reads and
+    /// other opens do not, since the inner page cache already holds every
+    /// replayed byte.
+    pub durable_at: SimTime,
 }
 
 /// A committed group found by the scan phase: `stripe`'s ring position
@@ -145,7 +162,8 @@ fn read_header(region: &NvRegion, lay: &Layout, slot: u64, clock: &ActorClock) -
 }
 
 /// The replay phase's one production form: plan → extents (module docs).
-pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -> IoResult<()> {
+/// Returns the syncer's clock, at the end of its last `fsync`.
+pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> IoResult<ActorClock> {
     let Replay { region, lay, backends, files, clock, .. } = *replay;
     let mut window = Window::default();
     let mut total = Written::default();
@@ -153,17 +171,16 @@ pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -
     // and the syncer is idle, the syncer writes that file back on its own
     // clock while the next one is copied; a file finished while it is busy
     // is left to the final `sync`.
-    let (mut synced_at, mut copying) = (clock.now(), None);
+    let (syncer, mut copying) = (ActorClock::starting_at(clock.now()), None);
     let mut write_out = |window: &mut Window| -> IoResult<()> {
         let written = window.plan().write_out(
             |at, buf| region.read(at, buf, clock),
             |file, off, data| {
-                let idle = synced_at <= clock.now();
+                let idle = syncer.now() <= clock.now();
                 if let Some(done) = copying.replace(file).filter(|&done| done != file && idle) {
                     let (backend, fd) = files[done];
-                    let syncer = ActorClock::starting_at(clock.now());
+                    syncer.advance_to(clock.now());
                     backends[backend].fsync(fd, &syncer)?;
-                    synced_at = syncer.now();
                 }
                 let (backend, fd) = files[file];
                 backends[backend].pwrite(fd, data, off, clock).map(drop)
@@ -200,33 +217,45 @@ pub(crate) fn replay_planned(replay: &Replay<'_>, report: &mut RecoveryReport) -
         }
     }
     write_out(&mut window)?;
-    clock.advance_to(synced_at); // join the syncer
     report.inner_writes = total.inner_writes;
     report.bytes_absorbed = report.bytes_replayed - total.bytes;
-    Ok(())
+    Ok(syncer)
 }
 
 #[cfg(test)]
 pub(crate) use reference::replay_per_entry;
 
-/// The replay phase as [`recover`] takes it.
-pub(crate) type Replayer = fn(&Replay<'_>, &mut RecoveryReport) -> IoResult<()>;
+/// The replay phase as [`recover`] takes it: it returns its syncer's clock,
+/// which the durability tail goes on from.
+pub(crate) type Replayer = fn(&Replay<'_>, &mut RecoveryReport) -> IoResult<ActorClock>;
 
 /// `(path, backend, dequantized heat)` summaries harvested from the fd
 /// slots' heat words, ready to seed the migrator's catalog.
 pub(crate) type HeatSeeds = Vec<(String, u32, f64)>;
 
-/// What [`recover`] hands the mount: the report, the misplaced
-/// `(path, backend)` pairs, and the recovered heat seeds.
-pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
+/// What [`recover`] hands the mount.
+#[derive(Default)]
+pub(crate) struct Recovered {
+    pub report: RecoveryReport,
+    /// The misplaced `(path, backend)` pairs, for the migrator's catalog.
+    pub misplaced: Vec<(String, u32)>,
+    /// The `(path, backend, heat)` summaries of the heat words.
+    pub heat: HeatSeeds,
+    /// The fd slots cleared on the syncer's clock (at
+    /// [`durable_at`](RecoveryReport::durable_at)), ascending.
+    pub cleared: Vec<u32>,
+}
 
 /// The recovery procedure (paper §III "Recovery procedure"): reopen the
 /// files recorded in the NVMM fd table, collect every committed entry from
 /// the persistent tail(s) in *global commit order* (skipping torn entries,
 /// honouring group commit flags), replay them as planned extents while an
-/// idle syncer writes back each file the replay has finished, sync every
-/// backend (module docs: plan → extents → sync → empty), empty the log and
-/// close the files.
+/// idle syncer writes back each file the replay has finished; then, on the
+/// syncer's clock, sync every backend, empty the log and close the files
+/// (module docs: plan → extents → sync → empty). `clock` ends at the end
+/// of the copy; the report's [`durable_at`](RecoveryReport::durable_at) is
+/// where the syncer's clock ends, and the mount seeds the log's free stamps
+/// and the fd-slot allocator with it.
 ///
 /// On a single-stripe log (the seed format) the scan is the seed's
 /// in-ring-order scan from [`layout::OFF_PTAIL`]. On a striped log each
@@ -271,7 +300,8 @@ pub(crate) type Recovered = (RecoveryReport, Vec<(String, u32)>, HeatSeeds);
 /// the same state, because replay only overwrites with logged data and the
 /// log is emptied only after the syncer's last `fsync` and the final `sync`.
 /// A failing `fsync` or `sync` aborts recovery before anything in NVMM
-/// changes.
+/// changes; a crash after the log clear leaves fd slots whose files the next
+/// recovery reopens and closes again, with nothing to replay.
 ///
 /// `image` is the region's header, already read and checked against the
 /// mount. `replay` is the replay phase: [`replay_planned`] for every mount;
@@ -286,13 +316,16 @@ pub(crate) fn recover(
 ) -> IoResult<Recovered> {
     let (backends, router) = (&*tiers.backends, &*tiers.router);
     let Header { layout: lay, ptail, .. } = *image;
-    let (fd_slots, log_shards) = (lay.fd_slots, lay.log_shards);
+    let log_shards = lay.log_shards;
 
-    // Repair interrupted migrations first (journal slots are invisible to
-    // the open-file scan below, but their non-authoritative copies must be
-    // gone before anything else looks at the backends).
+    // One charged read of the whole fd table serves the journal repair and
+    // the reopen alike. Repair interrupted migrations first (journal slots
+    // are invisible to the open-file scan below, but their
+    // non-authoritative copies must be gone before anything else looks at
+    // the backends).
+    let table = PersistentFdTable::snapshot(region, &lay, clock);
     let mut report = RecoveryReport {
-        migrations_repaired: crate::migrate::repair_journals(region, &lay, tiers, clock)?,
+        migrations_repaired: crate::migrate::repair_journals(region, &lay, &table, tiers, clock)?,
         ..RecoveryReport::default()
     };
 
@@ -307,13 +340,10 @@ pub(crate) fn recover(
     // path → (backend, heat) of every recovered file: one entry per path (a
     // file open through several descriptors stamps one summary per slot;
     // keep the hottest, 0 when the mount tracks no heat).
-    let mut recovered: HashMap<String, (u32, f64)> = HashMap::new();
-    for slot in 0..fd_slots as u32 {
-        let Some(FdSlot { path, backend, heat }) =
-            PersistentFdTable::get(region, &lay, slot, FD_VALID_OPEN, clock)
-        else {
-            continue;
-        };
+    // Ordered by path: catalog admission order must be deterministic (the
+    // virtual-time oracle replays mounts byte for byte).
+    let mut recovered: BTreeMap<String, (u32, f64)> = BTreeMap::new();
+    for (slot, FdSlot { path, backend, heat }) in table.slots(FD_VALID_OPEN) {
         let Some(inner) = backends.get(backend as usize) else {
             return Err(IoError::InvalidArgument(format!(
                 "fd slot {slot} ({path}) references backend {backend}, \
@@ -360,7 +390,7 @@ pub(crate) fn recover(
     // mismatch is visible instead of silent. Each path is judged once, with
     // the heat it seeds, so the misplaced list carries each path once.
     let promote = tiers.heat.as_ref().map(|p| p.promote_threshold);
-    let mut misplaced: Vec<(String, u32)> = recovered
+    let misplaced: Vec<(String, u32)> = recovered
         .iter()
         .filter(|(path, &(backend, heat))| {
             let hot = promote.is_some_and(|t| heat >= t);
@@ -368,7 +398,6 @@ pub(crate) fn recover(
         })
         .map(|(path, &(backend, _))| (path.clone(), backend))
         .collect();
-    misplaced.sort();
     report.files_misplaced = misplaced.len();
     report.backends_touched =
         reopened.iter().map(|&(_, backend, _)| backend).collect::<BTreeSet<_>>().len();
@@ -417,7 +446,7 @@ pub(crate) fn recover(
 
     // Replay phase: every committed entry, in global commit order, to the
     // file its fd slot resolved to.
-    replay(
+    let syncer = replay(
         &Replay {
             region,
             lay: &lay,
@@ -430,45 +459,46 @@ pub(crate) fn recover(
         &mut report,
     )?;
 
-    // Make the rest of the replay durable on every backend — the last file
-    // and those the syncer was too busy to take —, then (and only then)
-    // empty the log.
+    // The durability tail, on the syncer's clock from its last `fsync` (the
+    // mount returns now): make the rest of the replay durable on every
+    // backend — the last file and those the syncer was too busy to take —,
+    // then (and only then) empty the log.
+    syncer.advance_to(clock.now());
     for backend in backends {
-        backend.sync(clock)?;
+        backend.sync(&syncer)?;
     }
-    lay.clear_entries(region, clock);
+    lay.clear_entries(region, &syncer);
     // A striped log keeps its tails after OFF_PTAIL, which stays 0 there
     // but is cleared all the same.
-    region.write_and_pwb(layout::OFF_PTAIL, &[0; 8], clock);
+    region.write_and_pwb(layout::OFF_PTAIL, &[0; 8], &syncer);
     for stripe in (0..log_shards).filter(|_| log_shards > 1) {
-        region.write_and_pwb(lay.stripe_tail_off(stripe), &[0; 8], clock);
+        region.write_and_pwb(lay.stripe_tail_off(stripe), &[0; 8], &syncer);
     }
-    region.persist_fence(clock);
+    region.persist_fence(&syncer);
     // Close and clear the fd table.
-    for (slot, backend, fd) in reopened {
-        backends[backend].close(fd, clock)?;
-        PersistentFdTable::clear(region, &lay, slot, clock);
+    for &(slot, backend, fd) in &reopened {
+        backends[backend].close(fd, &syncer)?;
+        PersistentFdTable::clear(region, &lay, slot, &syncer);
     }
 
     // Stamp the mount's backend count: an image recovered over more tiers
     // records the grown count, so it is never mounted over fewer again; a
     // single-backend mount keeps the 0 encoding.
-    Header::upgrade(region, backends.len() as u64, clock);
+    Header::upgrade(region, backends.len() as u64, &syncer);
+    report.durable_at = syncer.now();
 
     // No final psync: every store above was already pwb'd and fenced (the
     // log clear at the persist_fence, the fd-table clears each end fenced),
     // so the barrier the seed inherited from the paper's recovery sketch
     // covered nothing — the pmcheck redundant-fence counter confirmed an
     // always-empty flush queue here.
-    let mut heat_seeds: HeatSeeds = recovered
+    let heat = recovered
         .into_iter()
         .filter(|&(_, (_, heat))| heat > 0.0)
         .map(|(path, (backend, heat))| (path, backend, heat))
         .collect();
-    // HashMap iteration order is not deterministic; catalog admission order
-    // must be (the virtual-time oracle replays mounts byte for byte).
-    heat_seeds.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok((report, misplaced, heat_seeds))
+    let cleared = reopened.iter().map(|&(slot, ..)| slot).collect();
+    Ok(Recovered { report, misplaced, heat, cleared })
 }
 
 /// The per-entry replay this module used before the planner: one header
@@ -482,7 +512,7 @@ mod reference {
     pub(crate) fn replay_per_entry(
         replay: &Replay<'_>,
         report: &mut RecoveryReport,
-    ) -> IoResult<()> {
+    ) -> IoResult<ActorClock> {
         let Replay { region, lay, backends, files, clock, .. } = *replay;
         for group in replay.groups {
             for g in 0..group.len {
@@ -501,6 +531,6 @@ mod reference {
                 report.inner_writes += 1;
             }
         }
-        Ok(())
+        Ok(ActorClock::starting_at(clock.now()))
     }
 }

@@ -11,18 +11,19 @@
 //! they end, and the exact virtual time of logs it has nothing or little
 //! to overlap.
 
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use blockdev::{BlockDevice, SsdDevice, SsdProfile};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
-use vfs::{Ext4, Ext4Profile, Fd, FileSystem, IoResult, Layer, Metadata, OpenFlags};
+use vfs::{Ext4, Ext4Profile, Fd, FileSystem, IoResult, Layer, MemFs, Metadata, OpenFlags};
 
 use crate as nvcache;
-use crate::layout::Header;
+use crate::layout::{Header, FD_SLOT_BYTES};
 use crate::recovery::{self, RecoveryReport, Replayer};
 use crate::tiers::Tiers;
-use crate::{Mount, NvCache, NvCacheConfig};
+use crate::{Mount, NvCache, NvCacheConfig, SingleBackend, Tiering};
 
 #[path = "../../../tests/support/replay_log.rs"]
 mod replay_log;
@@ -39,10 +40,9 @@ fn recover_with(crashed: &Crashed, replay: Replayer) -> RecoveryReport {
     let region = NvRegion::whole(Arc::clone(&crashed.dimm));
     let clock = ActorClock::new();
     let image = Header::read(&region, &clock).expect("a formatted image");
-    let (report, misplaced, _) =
-        recovery::recover(&region, &image, &tiers, &clock, replay).expect("recovery");
-    assert!(misplaced.is_empty());
-    report
+    let recovered = recovery::recover(&region, &image, &tiers, &clock, replay).expect("recovery");
+    assert!(recovered.misplaced.is_empty());
+    recovered.report
 }
 
 /// Twin logs, one replayed as planned and one per entry: same bases, same
@@ -208,7 +208,16 @@ impl FileSystem for Recording {
 /// A log holding `pages[f]` pages of file `f`, every other page (so each
 /// page is an extent of its own), all of it pending when the power went;
 /// below it `Ext4` on a one-channel S4600.
-fn crashed_log(pages: &[u64]) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem>) {
+fn crashed_log(pages: &[u64]) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<SsdDevice>) {
+    crashed_log_over(pages, Vec::new())
+}
+
+/// A [`crashed_log`] whose mount has `more` as tiers 1, 2, … behind a router
+/// that places every file on the `Ext4` (tier 0).
+fn crashed_log_over(
+    pages: &[u64],
+    more: Vec<Arc<dyn FileSystem>>,
+) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<SsdDevice>) {
     let parked = usize::MAX >> 1;
     let cfg = NvCacheConfig {
         nb_entries: (pages.iter().sum::<u64>() + 1).next_multiple_of(64),
@@ -220,11 +229,13 @@ fn crashed_log(pages: &[u64]) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem
     };
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
     assert_eq!(ssd.queue_depth(), 1);
-    let ext4: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4", ssd, Ext4Profile::default()));
+    let below = Arc::clone(&ssd) as Arc<dyn BlockDevice>;
+    let ext4: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4", below, Ext4Profile::default()));
     let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     let clock = ActorClock::new();
+    let tiers = [vec![Arc::clone(&ext4)], more].concat();
     let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&ext4))
+        .tiers(Tiering::new(Arc::new(SingleBackend), tiers))
         .config(cfg.clone())
         .mount(&clock)
         .expect("format mount");
@@ -232,20 +243,32 @@ fn crashed_log(pages: &[u64]) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem
         let flags = OpenFlags::RDWR | OpenFlags::CREATE;
         let fd = cache.open(&format!("/f{f}"), flags, &clock).expect("open");
         for page in 0..n {
-            let data = [(f as u64 + page) as u8 + 1; 4096];
-            cache.pwrite(fd, &data, page * 8192, &clock).expect("pwrite");
+            cache.pwrite(fd, &page_of(f, page), page * 8192, &clock).expect("pwrite");
         }
     }
     cache.abort();
     drop(cache);
     ext4.simulate_power_failure();
-    (cfg, Arc::new(dimm.crash_and_restart()), ext4)
+    (cfg, Arc::new(dimm.crash_and_restart()), ext4, ssd)
 }
 
-/// Recovers a [`crashed_log`] on a fresh clock: how long the mount took
-/// and every inner call it issued.
-fn recover_recorded(pages: &[u64]) -> (SimTime, Vec<Call>) {
-    let (cfg, dimm, ext4) = crashed_log(pages);
+/// What [`crashed_log`] wrote to page `page` of file `f`.
+fn page_of(f: usize, page: u64) -> [u8; 4096] {
+    [(f as u64 + page) as u8 + 1; 4096]
+}
+
+/// A [`crashed_log`] recovered on a fresh clock.
+struct Remounted {
+    cache: NvCache,
+    /// When the mount returned.
+    took: SimTime,
+    /// Every inner call the mount issued.
+    calls: Vec<Call>,
+    ssd: Arc<SsdDevice>,
+}
+
+fn remount(pages: &[u64]) -> Remounted {
+    let (cfg, dimm, ext4, ssd) = crashed_log(pages);
     let recorder = Recorder::default();
     let calls = Arc::clone(&recorder.0);
     let clock = ActorClock::new();
@@ -255,59 +278,159 @@ fn recover_recorded(pages: &[u64]) -> (SimTime, Vec<Call>) {
         .mode(Mount::Recover)
         .mount(&clock)
         .expect("recovery");
-    let took = clock.now();
     let calls = calls.lock().expect("calls").clone();
     let report = cache.recovery_report().expect("a recovering mount reports");
     assert_eq!(report.files_reopened, pages.len());
     assert_eq!(report.entries_replayed, pages.iter().sum::<u64>());
+    assert!(clock.now() < report.durable_at, "the mount waited for the durability tail");
+    Remounted { cache, took: clock.now(), calls, ssd }
+}
+
+/// How long a recovery of a [`crashed_log`] took to return and to be
+/// durable, and every inner call it issued.
+fn recover_recorded(pages: &[u64]) -> (SimTime, SimTime, Vec<Call>) {
+    let Remounted { cache, took, calls, .. } = remount(pages);
+    let durable = cache.recovery_report().expect("recovering mount").durable_at;
     cache.shutdown(&ActorClock::new());
-    (took, calls)
+    (took, durable, calls)
 }
 
 fn count(calls: &[Call], op: &str) -> usize {
     calls.iter().filter(|c| c.0 == op).count()
 }
 
-/// The syncer writes a file back while the next one is copied: the mount
-/// takes less time than its inner calls add up to and than the serial
+/// The syncer writes a file back while the next one is copied: recovery
+/// is durable sooner than its inner calls add up to and than the serial
 /// replay took (measured before the syncer existed), twins end on the same
-/// instant, and every write-back is done before the first reopened
+/// instants, and every write-back is done before the first reopened
 /// descriptor is closed. The first file is handed over at once, the
 /// second once the syncer is idle again; the last is the `sync`'s.
 #[test]
 fn recovery_writes_back_each_file_while_it_copies_the_next() {
     let pages = [1, 64, 64];
-    let (took, calls) = recover_recorded(&pages);
+    let (took, durable, calls) = recover_recorded(&pages);
     let busy: SimTime = calls.iter().map(|&(_, start, end)| end - start).sum();
-    assert!(took < busy, "no overlap: the mount took {took}, its inner calls {busy}");
-    assert!(took < SimTime::from_nanos(2_042_447), "{took}: no faster than the serial replay");
+    assert!(durable < busy, "no overlap: durable at {durable}, inner calls {busy}");
+    assert!(
+        durable < SimTime::from_nanos(2_042_447),
+        "{durable}: no faster than the serial replay"
+    );
     assert_eq!((count(&calls, "fsync"), count(&calls, "sync")), (2, 1), "{calls:?}");
-    assert_eq!(recover_recorded(&pages).0, took, "a twin ends at another instant");
+    let (twin_took, twin_durable, _) = recover_recorded(&pages);
+    assert_eq!((twin_took, twin_durable), (took, durable), "a twin ends at other instants");
 
     let synced = calls.iter().filter(|c| c.0 == "fsync").map(|c| c.2).max();
     let first_close = calls.iter().filter(|c| c.0 == "close").map(|c| c.1).min();
     assert!(synced.expect("fsyncs") <= first_close.expect("closes"), "{calls:?}");
 }
 
-/// A one-file log has no file to hand over: no `fsync`, only the `sync`,
-/// and the virtual time of the serial replay (measured before the syncer
-/// existed).
+/// A one-file log has no file to hand over: no `fsync`, only the `sync`.
+/// It is durable at the serial replay's instant (measured before the
+/// syncer existed), less what reading the fd table in one go saves; the
+/// mount returns before the `sync`.
 #[test]
 fn a_one_file_recovery_syncs_once_and_takes_the_serial_time() {
-    let (took, calls) = recover_recorded(&[16]);
+    let (took, durable, calls) = recover_recorded(&[16]);
     assert_eq!((count(&calls, "fsync"), count(&calls, "sync")), (0, 1), "{calls:?}");
-    assert_eq!(took, SimTime::from_nanos(437_915), "{calls:?}");
+    // The serial replay read each slot's valid word, then the one valid
+    // slot's payload; the table now comes in one read.
+    let nvmm = NvmmProfile::optane();
+    let read = |bytes: u64| nvmm.read_latency + nvmm.read_bandwidth.time_for(bytes);
+    let slot_by_slot = read(8) * 8 + read(FD_SLOT_BYTES - 8);
+    let saved = slot_by_slot - read(8 * FD_SLOT_BYTES);
+    assert_eq!(durable + saved, SimTime::from_nanos(437_915), "{calls:?}");
+    let sync = calls.iter().find(|c| c.0 == "sync").expect("the sync");
+    assert_eq!(took, sync.1, "the mount returns as the sync starts");
 }
 
 /// Files that finish while the syncer is busy are left to the `sync`: 32
-/// one-page files cost one `fsync`, not 31 journal commits, and the
-/// recovery stays within one commit and flush of the serial replay's time
+/// one-page files cost one `fsync`, not 31 journal commits, and recovery is
+/// durable within one commit and flush of the serial replay's time
 /// (measured before the syncer existed).
 #[test]
 fn small_files_cost_at_most_one_write_back_more() {
-    let (took, calls) = recover_recorded(&[1; 32]);
+    let (took, durable, calls) = recover_recorded(&[1; 32]);
     assert_eq!((count(&calls, "fsync"), count(&calls, "sync")), (1, 1), "{calls:?}");
     let serial = SimTime::from_nanos(2_082_521);
     let commit = Ext4Profile::default().journal_commit + SsdProfile::s4600().flush;
-    assert!(took <= serial + commit, "{took} against {serial} serially");
+    assert!(durable <= serial + commit, "{durable} against {serial} serially");
+    assert!(took < durable);
+}
+
+/// The mount returns before recovery is durable, so causality is checked
+/// call by call, each on a clock starting where the mount returned: reads
+/// of replayed bytes and opens on untouched slots go ahead, everything the
+/// durability tail orders waits for `durable_at` — on a two-tier mount, a
+/// migration too.
+#[test]
+fn a_recovered_mount_serves_reads_at_once_and_orders_the_rest_after_durable_at() {
+    let Remounted { cache, took, ssd, .. } = remount(&[16, 16, 16]);
+    let durable = cache.recovery_report().expect("recovering mount").durable_at;
+    let at_mount = || ActorClock::starting_at(took);
+    let after = |clock: ActorClock, what: &str| {
+        assert!(clock.now() >= durable, "{what} at {}, before {durable}", clock.now());
+    };
+
+    let (clock, reads) = (at_mount(), ssd.stats().reads.load(Ordering::Relaxed));
+    let fd = cache.open("/f1", OpenFlags::RDONLY, &clock).expect("open");
+    assert!(fd.0 >= 3, "{fd:?} is a slot recovery cleared");
+    let mut buf = [0u8; 4096];
+    assert_eq!(cache.pread(fd, &mut buf, 5 * 8192, &clock).expect("pread"), buf.len());
+    assert!(buf == page_of(1, 5), "the replayed bytes");
+    assert!(clock.now() < durable, "the read waited: {} >= {durable}", clock.now());
+    assert_eq!(ssd.stats().reads.load(Ordering::Relaxed), reads, "a device read");
+    cache.close(fd, &clock).expect("close");
+
+    // The log is empty, yet drained only once it was cleared.
+    let clock = at_mount();
+    cache.flush_log(&clock);
+    after(clock, "flushed");
+    let clock = at_mount();
+    let fd = cache.open("/f0", OpenFlags::RDWR, &clock).expect("open");
+    cache.pwrite(fd, &[7; 64], 0, &clock).expect("pwrite");
+    after(clock, "committed");
+    // Nothing of these files is in the log: the mount holds no state for
+    // them, so only the fd table still naming them orders these calls.
+    let clock = at_mount();
+    cache.unlink("/f1", &clock).expect("unlink");
+    after(clock, "unlinked");
+    let clock = at_mount();
+    cache.rename("/f2", "/g2", &clock).expect("rename");
+    after(clock, "renamed");
+    let clock = at_mount();
+    cache.open("/g2", OpenFlags::RDWR | OpenFlags::TRUNC, &clock).expect("open");
+    after(clock, "truncated");
+    cache.shutdown(&ActorClock::new());
+
+    // Every slot is one recovery cleared: the open waits for the clear.
+    let Remounted { cache, took, .. } = remount(&[1; 8]);
+    let durable = cache.recovery_report().expect("recovering mount").durable_at;
+    let clock = ActorClock::starting_at(took);
+    cache.open("/new", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
+    assert!(clock.now() >= durable, "opened at {}, before {durable}", clock.now());
+    cache.shutdown(&ActorClock::new());
+
+    // A migration moves a file off the backend the log and the fd table
+    // may still name: moving the small recovered file to an empty `MemFs`
+    // tier waits, though its copy queues behind no device and is far
+    // shorter than the write-back of the two large files.
+    let fast: Arc<dyn FileSystem> = Arc::new(MemFs::new());
+    let (cfg, dimm, ext4, _) = crashed_log_over(&[1, 64, 64], vec![Arc::clone(&fast)]);
+    let clock = ActorClock::new();
+    let cache = NvCache::builder(NvRegion::whole(dimm))
+        .tiers(Tiering::new(Arc::new(SingleBackend), vec![ext4, Arc::clone(&fast)]))
+        .config(cfg)
+        .mode(Mount::Recover)
+        .mount(&clock)
+        .expect("recovery");
+    let durable = cache.recovery_report().expect("recovering mount").durable_at;
+    assert!(clock.now() < durable, "the mount waited for the durability tail");
+    let moved = ActorClock::starting_at(clock.now());
+    assert_eq!(cache.migrate("/f0", 1, &moved).expect("migrate"), 4096);
+    assert!(moved.now() >= durable, "migrated at {}, before {durable}", moved.now());
+    let fd = fast.open("/f0", OpenFlags::RDONLY, &moved).expect("on the fast tier");
+    let mut buf = [0u8; 4096];
+    assert_eq!(fast.pread(fd, &mut buf, 0, &moved).expect("pread"), buf.len());
+    assert!(buf == page_of(0, 0), "the replayed bytes");
+    cache.shutdown(&ActorClock::new());
 }

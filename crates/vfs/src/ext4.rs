@@ -236,15 +236,16 @@ impl Ext4 {
         for PageSpan { page, in_page, pos, n } in page_spans(off, data.len(), ps) {
             clock.advance(self.profile.costs.page_lookup);
             if !self.cache.update(inode.ino, page, in_page, &data[pos..pos + n]) {
-                // Page miss. A full overwrite needs no device read, nor does
-                // a page no write reached (one beyond EOF among them).
-                let mut fresh = if n == ps as usize {
-                    vec![0u8; ps as usize]
+                // Page miss. A full overwrite needs no device read and is
+                // inserted as it is; a partial one reads the page (free for
+                // a page no write reached, one beyond EOF among them).
+                let evicted = if n == ps as usize {
+                    self.cache.insert(inode.ino, page, &data[pos..pos + n], true)
                 } else {
-                    self.read_page_from_device(inode, page, clock)
+                    let mut fresh = self.read_page_from_device(inode, page, clock);
+                    fresh[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
+                    self.cache.insert(inode.ino, page, &fresh, true)
                 };
-                fresh[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
-                let evicted = self.cache.insert(inode.ino, page, &fresh, true);
                 self.writeback_evicted(evicted, clock);
             }
         }

@@ -54,14 +54,22 @@ fn main() -> Result<(), Box<dyn Error>> {
     inner.simulate_power_failure(); // the kernel page cache is gone too
 
     // ---- reboot + recovery ------------------------------------------------
+    let booted = clock.now();
     let recovered = NvCache::builder(NvRegion::whole(restarted))
         .backend(Arc::clone(&inner))
         .config(cfg)
         .mode(Mount::Recover)
         .mount(&clock)?;
     let report = recovered.recovery_report().expect("recover mode");
+    // The mount returns once the log is in the inner page cache; the inner
+    // `sync` and the log clear end later, on the recovery syncer's clock.
     println!(
-        "recovery: {} entries replayed ({} bytes), {} files reopened",
+        "recovery: the mount took {}, durable {} after the reboot",
+        clock.now() - booted,
+        report.durable_at - booted
+    );
+    println!(
+        "          {} entries replayed ({} bytes), {} files reopened",
         report.entries_replayed, report.bytes_replayed, report.files_reopened
     );
     // The replay is planned, not per entry: the drafts are absorbed by the

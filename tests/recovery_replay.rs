@@ -2,8 +2,8 @@
 //! (see `support/replay_log.rs` for what each holds) are crashed, recovered
 //! with `Mount::Recover` and read back against a plain model of the
 //! acknowledged writes; then recovery itself is crashed — after each inner
-//! write, at each `fsync` of a replayed file, and between the last write
-//! and the `sync` — and run again.
+//! write, at each `fsync` of a replayed file, between the last write and
+//! the `sync`, and after each fd-slot clear — and run again.
 //!
 //! The comparison with the per-entry replayer this replaced lives in the
 //! core crate (`crates/core/src/replay_tests.rs`): that reference exists
@@ -91,8 +91,9 @@ fn crash_recovery_at(seed: u64, shape: Shape, fault: FaultRule, what: &str) -> R
 /// crash points. The replay moves through three surviving files; the
 /// syncer writes back the first while the others are copied, and is still
 /// busy when the second ends (that one is left to the `sync`), so one more
-/// crash point is at its `fsync`. The last is between the last write and
-/// the `sync`.
+/// crash point is at its `fsync`. One more is between the last write and
+/// the `sync`, and the rest follow the log clear: one before each close of
+/// a reopened descriptor, so after each fd-slot clear but the last.
 #[test]
 fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
     for (what, shape, writes, fsyncs) in [
@@ -137,5 +138,23 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
         let fault = FaultRule::new(FaultOp::Sync, FaultTrigger::OnNth(1));
         let what = format!("{what}, power cut before the sync");
         assert_eq!(replayed(&crash_recovery_at(21, shape, fault, &what)), replayed(&clean));
+        // A power cut at each close of a reopened descriptor: after the
+        // log clear and after each fd-slot clear, all on the syncer's
+        // clock. The log is empty then, so the next recovery replays
+        // nothing, reopens the slots left and reads back the model.
+        for k in 1..=clean.files_reopened {
+            let what = format!("{what}, power cut after fd-slot clear {}", k - 1);
+            let fault = FaultRule::new(FaultOp::Close, FaultTrigger::OnNth(k as u64));
+            let layer: Arc<dyn Layer> = Arc::new(FaultLayer::new(vec![fault]));
+            let crashed = build(21, shape).crash();
+            assert!(crashed.recover(&[layer]).is_err(), "{what}: the fault must stop recovery");
+            let crashed = crashed.crash_again();
+            let cache = crashed.recover(&[]).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let report = cache.recovery_report().expect("a recovering mount reports");
+            assert_eq!(replayed(&report), [0; 5], "{what}");
+            assert_eq!(report.files_reopened, clean.files_reopened - (k - 1), "{what}");
+            crashed.assert_model(&cache, &what);
+            cache.shutdown(&ActorClock::new());
+        }
     }
 }
