@@ -122,18 +122,12 @@ impl DmWriteCacheDev {
             let mut buf = vec![0u8; bs];
             self.cache.read(self.slot_off(slot), &mut buf, clock);
             self.ssd.write(block * self.profile.block_size, &buf, clock);
-            // Block stays mapped (clean) for reads; slot is reclaimed lazily
-            // when the free list runs dry.
+            // The block leaves the cache: a later read goes to the SSD, and
+            // its slot is free for the next miss.
             let mut st = self.state.lock();
             st.map.remove(&block);
             st.free_slots.push(slot);
         }
-    }
-
-    /// Explicit background writeback entry point (drains up to `max_blocks`).
-    pub fn background_writeback(&self, max_blocks: usize, clock: &ActorClock) {
-        let dirty = self.dirty_blocks();
-        self.writeback_to(dirty.saturating_sub(max_blocks), clock);
     }
 
     fn write_block(&self, block: u64, in_block: usize, data: &[u8], clock: &ActorClock) {

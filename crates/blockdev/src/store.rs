@@ -33,11 +33,6 @@ impl SparseStore {
         SparseStore { chunks: RwLock::new(HashMap::new()), keep_content }
     }
 
-    /// Whether content is retained.
-    pub fn keeps_content(&self) -> bool {
-        self.keep_content
-    }
-
     /// Number of resident chunks (for memory accounting in tests).
     pub fn resident_chunks(&self) -> usize {
         self.chunks.read().len()

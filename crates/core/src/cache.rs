@@ -337,31 +337,6 @@ impl Shared {
         true
     }
 
-    /// Collects this file's still-pending log entries from every stripe,
-    /// sorted by global sequence number. The commit-word filter also skips
-    /// entries still being filled (their page locks are held by the writer,
-    /// and callers hold either the page locks or fd quiescence).
-    fn pending_entries_for(
-        &self,
-        filter: impl Fn(&EntryHeader) -> bool,
-    ) -> Vec<(usize, u64, EntryHeader)> {
-        let mut pending: Vec<(usize, u64, EntryHeader)> = Vec::new();
-        for (si, stripe) in self.log.stripes.iter().enumerate() {
-            let tail = stripe.vtail.load(Ordering::Acquire);
-            let head = stripe.head.load(Ordering::Acquire);
-            for seq in tail..head {
-                let hdr = stripe.read_header(seq);
-                if hdr.commit == layout::CommitWord::Free || !filter(&hdr) {
-                    continue;
-                }
-                pending.push((si, seq, hdr));
-            }
-        }
-        // Replay order must be the global commit order, not stripe order.
-        pending.sort_by_key(|(_, _, hdr)| hdr.seq);
-        pending
-    }
-
     /// Pushes pending log entries of `via`'s file into the kernel through
     /// `via`'s inner descriptor (buffered `pwrite`, **no** fsync): the
     /// paper's `close` contract — "all the writes in user space are actually
@@ -373,50 +348,56 @@ impl Shared {
     /// (`replay.rs`): each contiguous extent of surviving bytes is one inner
     /// write.
     ///
-    /// The cleanup lock of every page a listed entry covers is held from
-    /// before the mark moves until the last write, so a worker consumes an
-    /// entry below the mark without a write only once its bytes are in the
-    /// kernel, and no read miss sees the page in between. Under those locks
-    /// the entries a worker has consumed already are dropped. The tail is
-    /// pinned from the snapshot of the entries to the last payload read, so
-    /// none of them is freed, and its slot refilled, in between. Returns
-    /// whether every write reached the kernel; if not, the mark stays where
-    /// it was and the workers write the entries themselves.
+    /// The entries are listed from the propagation queues of the file's
+    /// pages, under the cleanup lock of every page that queues one in range,
+    /// held from before the listing until the last write. A worker pops an
+    /// entry from every page's queue under those locks before it writes or
+    /// frees it, so a listed entry is neither consumed nor freed — its slot
+    /// not refilled — before its payload is read; a worker consumes an entry
+    /// below the mark without a write only once its bytes are in the kernel;
+    /// and no read miss sees the page in between. Returns whether every
+    /// write reached the kernel; if not, the mark stays where it was and the
+    /// workers write the entries themselves.
     pub fn push(&self, via: &OpenedFile, mark: Option<u64>, clock: &ActorClock) -> bool {
         let file = &via.file;
-        let _lk = self.lockcheck.acquire(Class::TailPin, 0);
-        let _pin = self.log.tail_pin.read();
         let below = file.pushed_below.load(Ordering::Acquire);
+        let gseqs = below..mark.unwrap_or(u64::MAX);
         let slots = file.slots.lock().clone();
         let ours = |h: &EntryHeader| match mark {
-            Some(mark) => h.seq < mark && slots.contains(&h.fd_slot),
+            Some(_) => slots.contains(&h.fd_slot),
             None => h.fd_slot == via.slot,
         };
-        let listed = self.pending_entries_for(|h| h.seq >= below && ours(h));
-        #[cfg(test)]
-        crate::scoped_tests::after_snapshot();
-        let mut pages: Vec<KeyedPage> = listed
-            .iter()
-            .flat_map(|(_, _, h)| self.page_descs(file, h.file_off, h.len as usize))
-            .collect();
-        pages.sort_unstable_by_key(|(key, _)| *key);
-        pages.dedup_by_key(|(key, _)| *key);
+        // Most queued entries of a closing file sit below its mark, waiting
+        // to drain: only the pages queuing one in range are locked.
+        let mut pages: Vec<KeyedPage> = Vec::new();
+        if let Some(radix) = file.radix.get() {
+            radix.for_each(&mut |page| {
+                if page.queues_any(&gseqs) {
+                    pages.push(((file.file_id, page.page_no()), Arc::clone(page)));
+                }
+            });
+        }
         let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
-        // A listed entry a worker has consumed is in the kernel already, and
-        // a newer one on its page may be consumed and freed, so unlisted:
-        // writing it would put older bytes over the newer ones. A worker
-        // consumes an entry on all its pages at once, under their cleanup
-        // locks, and pops it from each page's propagation queue.
-        let consumed = |h: &EntryHeader| {
-            self.page_descs(file, h.file_off, 1)
-                .iter()
-                .all(|(_, page)| page.propagation_front().is_none_or(|front| front.gseq > h.seq))
-        };
+        let mut queued: Vec<Queued> = pages.iter().flat_map(|(_, page)| page.queued()).collect();
+        queued.retain(|entry| gseqs.contains(&entry.gseq));
+        queued.sort_unstable_by_key(|entry| entry.gseq);
+        queued.dedup_by_key(|entry| entry.gseq);
+        let listed: Vec<Pending> = queued
+            .into_iter()
+            .filter_map(|entry| {
+                let stripe = &self.log.stripes[entry.stripe];
+                let hdr = stripe.read_header(entry.seq);
+                let (file_off, len) = (hdr.file_off, hdr.len);
+                let data_at = self.log.layout.entry_data(stripe.slot(entry.seq));
+                ours(&hdr).then_some(Pending { file: 0, file_off, len, data_at })
+            })
+            .collect();
+        #[cfg(test)]
+        crate::scoped_tests::after_listing();
         let mut plans = Vec::new();
         let mut window = Window::default();
-        for (si, seq, hdr) in listed.into_iter().filter(|(_, _, h)| !consumed(h)) {
-            let data_at = self.log.layout.entry_data(self.log.stripes[si].slot(seq));
-            if window.push(Pending { file: 0, file_off: hdr.file_off, len: hdr.len, data_at }) {
+        for entry in listed {
+            if window.push(entry) {
                 plans.push(window.plan());
             }
         }
@@ -1429,13 +1410,38 @@ impl FileSystem for NvCache {
 }
 
 /// [`Shared::push`] of a descriptor's own entries as it was before the
-/// planner — one inner write per pending entry, in commit order — kept as
-/// the reference the planned form is tested against (`replay_tests.rs`).
+/// planner and the queue listing — one inner write per pending entry found
+/// by scanning the log, in commit order — kept as the reference the planned
+/// form is tested against (`replay_tests.rs`).
 #[cfg(test)]
 mod reference {
     use super::*;
 
     impl Shared {
+        /// Collects this file's still-pending log entries from every stripe,
+        /// sorted by global sequence number. The commit-word filter also
+        /// skips entries still being filled.
+        pub(crate) fn pending_entries_for(
+            &self,
+            filter: impl Fn(&EntryHeader) -> bool,
+        ) -> Vec<(usize, u64, EntryHeader)> {
+            let mut pending: Vec<(usize, u64, EntryHeader)> = Vec::new();
+            for (si, stripe) in self.log.stripes.iter().enumerate() {
+                let tail = stripe.vtail.load(Ordering::Acquire);
+                let head = stripe.head.load(Ordering::Acquire);
+                for seq in tail..head {
+                    let hdr = stripe.read_header(seq);
+                    if hdr.commit == layout::CommitWord::Free || !filter(&hdr) {
+                        continue;
+                    }
+                    pending.push((si, seq, hdr));
+                }
+            }
+            // Replay order must be the global commit order, not stripe order.
+            pending.sort_by_key(|(_, _, hdr)| hdr.seq);
+            pending
+        }
+
         pub fn kernel_flush_file_per_entry(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
             for (si, seq, hdr) in self.pending_entries_for(|h| h.fd_slot == opened.slot) {
                 let data = self.log.stripes[si].read_data_cached(seq, hdr.len as usize);

@@ -65,11 +65,12 @@ use crate::pagedesc::PageDescriptor;
 /// 3. **Free** — only after the whole batch's completions (writes *and*
 ///    barriers) have landed does the worker clear commit flags, persist the
 ///    stripe's tail index, and publish the space to writers through the
-///    volatile tail — once no push pins the tail
-///    ([`Log::free`](crate::log::Log::free)). A crash anywhere before
-///    phase 3 therefore leaves the persistent tail untouched and recovery
-///    replays the batch — the same crash-consistency contract as the
-///    synchronous drain.
+///    volatile tail ([`Stripe::free_range`](crate::log::Stripe::free_range)).
+///    A crash anywhere before phase 3 therefore leaves the persistent tail
+///    untouched and recovery replays the batch — the same crash-consistency
+///    contract as the synchronous drain. Every freed entry was popped from
+///    its pages' propagation queues under their cleanup locks, so a push
+///    holding those locks never lists it.
 ///
 /// With `queue_depth = 1` the ring degenerates to back-to-back calls on one
 /// timeline: the drain is behaviorally *and* temporally identical to the
@@ -352,7 +353,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // releases from a flush barrier finds the batch in the stats.
         shared.stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         shard_stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
-        shared.log.free(stripe, tail, consumed, &clock);
+        stripe.free_range(tail, consumed, &clock);
         shared.drain_zombies(&clock);
     }
 }

@@ -92,12 +92,13 @@
 //!    worker reads the mark under the entry's page cleanup locks and
 //!    consumes an entry below it without a write, but with the batch's
 //!    barrier. With no writable descriptor left, the kernel's copy is
-//!    current and a read miss replays nothing. A push pins the tail, so no
-//!    entry it listed is freed before it has read the payload. A truncating
-//!    `open` drains only a file the mount holds state for, and a same-tier
-//!    `rename` of a file no descriptor writes any more makes only that file
-//!    durable — push, inner `fsync`, retire its fd slots, rename — instead
-//!    of draining every stripe.
+//!    current and a read miss replays nothing. A push lists its entries
+//!    from those pages' propagation queues under the same locks, so no
+//!    worker consumes or frees one before the push has read its payload.
+//!    A truncating `open` drains only a file the mount holds state for, and
+//!    a same-tier `rename` of a file no descriptor writes any more makes
+//!    only that file durable — push, inner `fsync`, retire its fd slots,
+//!    rename — instead of draining every stripe.
 //!
 //! Back-pressure (the Fig. 5 saturation collapse) is preserved per stripe:
 //! each stripe couples its writers to its own cleanup worker's virtual

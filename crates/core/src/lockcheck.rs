@@ -55,10 +55,8 @@ pub(crate) enum Class {
     /// release it.
     InnerFd,
     /// `FileState::push_lock` — one `close`/`rename` push per file at a
-    /// time; taken before the tail pin.
+    /// time; taken before the page cleanup locks of the push.
     FilePush,
-    /// `Log::tail_pin` — read-held across a push, write-held to free.
-    TailPin,
 }
 
 #[cfg(feature = "pmcheck")]
@@ -77,7 +75,6 @@ impl Class {
             Class::MigratorCatalog => "MigratorCatalog",
             Class::InnerFd => "InnerFd",
             Class::FilePush => "FilePush",
-            Class::TailPin => "TailPin",
         }
     }
 

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use nvmm::{NvRegion, PmemInts};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Condvar, Mutex};
 use simclock::{ActorClock, SimTime};
 use vfs::{IoError, IoResult};
 
@@ -411,10 +411,6 @@ pub(crate) struct Log {
     /// `batch_min` — otherwise a stripe with few pending entries could sit
     /// on the sequence number its peers are waiting for.
     pub handoff_waiters: AtomicUsize,
-    /// Read-held by a push (`Shared::push`) from its snapshot of pending
-    /// entries to its last payload read, write-held by [`Log::free`]: no
-    /// entry a push has seen can be freed, and its slot refilled, under it.
-    pub tail_pin: RwLock<()>,
 }
 
 impl std::fmt::Debug for Log {
@@ -443,7 +439,6 @@ impl Log {
             stripes: stripes.into_boxed_slice(),
             global_seq: AtomicU64::new(0),
             handoff_waiters: AtomicUsize::new(0),
-            tail_pin: RwLock::new(()),
         }
     }
 
@@ -451,14 +446,6 @@ impl Log {
     /// below it has been reserved already.
     pub fn next_seq(&self) -> u64 {
         self.global_seq.load(Ordering::SeqCst)
-    }
-
-    /// [`Stripe::free_range`] once no push pins the tail: the cleanup
-    /// workers' one way to free entries.
-    pub fn free(&self, stripe: &Stripe, from: u64, count: u64, clock: &ActorClock) {
-        let _lk = stripe.lockcheck.acquire(Class::TailPin, 0);
-        let _pin = self.tail_pin.write();
-        stripe.free_range(from, count, clock);
     }
 
     /// The stripe that owns writes of file `dev_ino` starting at `file_off`:

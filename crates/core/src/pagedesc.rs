@@ -4,6 +4,7 @@
 //! and whose length is the paper's dirty counter.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -148,6 +149,12 @@ impl PageDescriptor {
         self.prop_queue.lock().iter().copied().collect()
     }
 
+    /// Whether an entry whose global sequence number lies in `gseqs` is
+    /// pending for this page.
+    pub(crate) fn queues_any(&self, gseqs: &Range<u64>) -> bool {
+        self.prop_queue.lock().iter().any(|entry| gseqs.contains(&entry.gseq))
+    }
+
     /// Removes `gseq` from the queue front once the entry has been
     /// propagated (cleanup path, under the cleanup lock).
     ///
@@ -178,6 +185,14 @@ impl PageDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PageDescriptor {
+        /// Takes the cleanup lock unless someone holds it (a test's racing
+        /// worker).
+        pub(crate) fn try_lock_cleanup(&self) -> Option<MutexGuard<'_, ()>> {
+            self.cleanup_lock.try_lock()
+        }
+    }
 
     /// A queued entry of stripe 0 whose local sequence number is `gseq`.
     fn entry(gseq: u64) -> Queued {
@@ -246,6 +261,7 @@ mod tests {
         d.enqueue_propagation(a);
         d.enqueue_propagation(b);
         assert_eq!((d.propagation_front(), d.queued()), (Some(a), vec![a, b]));
+        assert!(d.queues_any(&(9..10)) && d.queues_any(&(0..4)) && !d.queues_any(&(4..9)));
         d.pop_propagation(3);
         assert_eq!((d.propagation_front(), d.dirty_count()), (Some(b), 1));
         d.pop_propagation(9);

@@ -23,8 +23,9 @@
 //! on the inner file system) and `close`'s push into the kernel (one
 //! descriptor's pending entries, or at the last writable `close` the whole
 //! file's). The push plans every window first ([`Window::plan`]), under the
-//! cleanup lock of each page its entries cover, and its pinned tail keeps
-//! the payloads in place until [`Plan::write_out`] has read them.
+//! cleanup lock of each page its entries cover, which keeps the workers from
+//! consuming — and so freeing — them until [`Plan::write_out`] has read
+//! their payloads.
 
 use std::collections::BTreeMap;
 

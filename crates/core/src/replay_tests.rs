@@ -20,6 +20,8 @@ use simclock::{ActorClock, SimTime};
 use vfs::{Ext4, Ext4Profile, Fd, FileSystem, IoResult, Layer, MemFs, Metadata, OpenFlags};
 
 use crate as nvcache;
+use crate::cache::Shared;
+use crate::files::OpenedFile;
 use crate::layout::{Header, FD_SLOT_BYTES};
 use crate::recovery::{self, RecoveryReport, Replayer};
 use crate::tiers::Tiers;
@@ -104,9 +106,25 @@ fn planned_replay_matches_the_reference_across_an_entry_window_boundary() {
     assert_replays_agree("entries beyond a window", 2, Shape::many());
 }
 
+/// The entries of `opened` its file's pages queue, in commit order, as
+/// `(stripe, seq)`: what [`Shared::push`] lists without a mark.
+fn queued_for(shared: &Shared, opened: &OpenedFile) -> Vec<(usize, u64)> {
+    let mut queued = Vec::new();
+    if let Some(radix) = opened.file.radix.get() {
+        radix.for_each(&mut |page| queued.extend(page.queued()));
+    }
+    queued.sort_unstable_by_key(|entry| entry.gseq);
+    queued.dedup_by_key(|entry| entry.gseq);
+    let ours = |stripe: usize, seq| shared.log.stripes[stripe].read_header(seq).fd_slot;
+    queued.retain(|entry| ours(entry.stripe, entry.seq) == opened.slot);
+    queued.into_iter().map(|entry| (entry.stripe, entry.seq)).collect()
+}
+
 /// `close`'s kernel flush, planned, against its per-entry form: every
 /// descriptor of twin mounts is flushed one way each (nothing drains, so
-/// the bases hold exactly what the flushes wrote).
+/// the bases hold exactly what the flushes wrote). The planned push lists
+/// its entries from the pages' propagation queues, the reference by
+/// scanning every stripe of the log: the two listings must agree first.
 #[test]
 fn planned_kernel_flush_matches_its_per_entry_form() {
     for (what, shape) in shapes() {
@@ -116,7 +134,12 @@ fn planned_kernel_flush_matches_its_per_entry_form() {
             let clock = ActorClock::new();
             for (p, r) in planned.fds.iter().zip(&reference.fds) {
                 let shared = &planned.cache.shared;
-                assert!(shared.push(&shared.opened_fd(*p).expect("open"), None, &clock));
+                let opened = shared.opened_fd(*p).expect("open");
+                let scanned = shared.pending_entries_for(|h| h.fd_slot == opened.slot);
+                let scanned: Vec<_> = scanned.into_iter().map(|(si, seq, _)| (si, seq)).collect();
+                assert!(!scanned.is_empty(), "{what}, seed {seed}: a descriptor with entries");
+                assert_eq!(queued_for(shared, &opened), scanned, "{what}, seed {seed}");
+                assert!(shared.push(&opened, None, &clock));
                 let shared = &reference.cache.shared;
                 shared.kernel_flush_file_per_entry(&shared.opened_fd(*r).expect("open"), &clock);
             }

@@ -37,7 +37,7 @@ type Hook = Box<dyn FnOnce()>;
 thread_local! {
     static CRASH_AFTER: Cell<Option<Step>> = const { Cell::new(None) };
     static SKIP_FSYNC: Cell<bool> = const { Cell::new(false) };
-    static AFTER_SNAPSHOT: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    static AFTER_LISTING: RefCell<Option<Hook>> = const { RefCell::new(None) };
 }
 
 /// Fails the rename after `step` when a test on this thread asked for it.
@@ -53,10 +53,10 @@ pub(crate) fn skips_fsync() -> bool {
     SKIP_FSYNC.get()
 }
 
-/// Runs the hook armed on this thread, once: between a push's snapshot of
+/// Runs the hook armed on this thread, once: between a push's listing of
 /// its entries and its first payload read.
-pub(crate) fn after_snapshot() {
-    if let Some(hook) = AFTER_SNAPSHOT.with(|h| h.borrow_mut().take()) {
+pub(crate) fn after_listing() {
+    if let Some(hook) = AFTER_LISTING.with(|h| h.borrow_mut().take()) {
         hook();
     }
 }
@@ -356,9 +356,11 @@ fn a_reader_after_the_last_close_sees_the_newest_bytes() {
     assert_ne!(read_after_the_last_close(true), [2; 4096], "a rewriting worker fails it");
 }
 
-/// A cleanup worker frees the entry a closing push has just listed — as
-/// it does once it has consumed one — and a writer takes its slot at
-/// once: the push must still write the entry's own bytes.
+/// A cleanup worker consumes the entry a closing push has just listed —
+/// pops it under its page's cleanup lock, writes its bytes to the inner
+/// file — and frees it, and a writer takes its slot at once: the push must
+/// hold that lock from before it reads the page's queue until it has read
+/// the entry's payload, so that the worker cannot.
 #[test]
 fn close_never_pushes_a_recycled_slot() {
     let rig = Rig::new(NvCacheConfig { nb_entries: 4, ..parked() });
@@ -366,21 +368,34 @@ fn close_never_pushes_a_recycled_slot() {
     let c = rig.write("/c", create(), &[(0, b"CCCC"), (4096, b"CCCC"), (8192, b"CCCC")]);
     let b = rig.write("/b", create(), &[]);
     let shared = Arc::clone(&rig.cache.shared);
+    let a_opened = shared.opened_fd(a).expect("open");
     let b_opened = shared.opened_fd(b).expect("open");
-    AFTER_SNAPSHOT.with(|h| {
+    AFTER_LISTING.with(|h| {
         *h.borrow_mut() = Some(Box::new(move || {
             let clock = ActorClock::new();
-            // The lock `Log::free` takes, without waiting for it.
-            let pin = shared.log.tail_pin.try_write();
-            if pin.is_some() {
-                shared.log.stripes[0].free_range(0, 1, &clock);
-                drop(pin);
-                shared.do_pwrite(&b_opened, b"BBBB", 0, &clock).expect("refill");
-            }
+            let pages = shared.page_descs(&a_opened.file, 0, 4);
+            let page = &pages[0].1;
+            // The lock a worker pops an entry under, without waiting for it.
+            let Some(cleanup) = page.try_lock_cleanup() else {
+                return;
+            };
+            let stripe = &shared.log.stripes[0];
+            let hdr = stripe.read_header(0);
+            page.pop_propagation(hdr.seq);
+            let data = stripe.read_data_cached(0, hdr.len as usize);
+            let (inner, order) = shared.hold_inner(&a_opened);
+            let fd = inner.expect("an open descriptor");
+            shared
+                .inner_of(&a_opened)
+                .pwrite(fd, &data, hdr.file_off, &clock)
+                .expect("write");
+            drop((inner, order, cleanup));
+            stripe.free_range(0, 1, &clock);
+            shared.do_pwrite(&b_opened, b"BBBB", 0, &clock).expect("refill");
         }))
     });
     rig.close(a);
-    assert!(AFTER_SNAPSHOT.with(|h| h.borrow().is_none()), "the push ran the hook");
+    assert!(AFTER_LISTING.with(|h| h.borrow().is_none()), "the push ran the hook");
     rig.cache.flush_log(&rig.clock);
     assert_eq!(content(&*rig.ext4, "/a"), Some(b"AAAA".to_vec()));
     rig.close(b);

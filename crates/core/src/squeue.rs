@@ -169,11 +169,6 @@ impl QueuePair {
         self.sq.len()
     }
 
-    /// Completed-but-unreaped entries in the completion queue.
-    pub fn cq_len(&self) -> usize {
-        self.cq.len()
-    }
-
     /// Queues a positional write. Costs only the memcpy into the
     /// submission ring (at [`COPY_GIB_PER_SEC`](crate::COPY_GIB_PER_SEC)) — no libc
     /// crossing, no fence; durability is deferred to the next

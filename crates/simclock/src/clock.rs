@@ -1,5 +1,4 @@
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::SimTime;
 
@@ -38,11 +37,6 @@ impl ActorClock {
     /// Creates a clock starting at `t`.
     pub fn starting_at(t: SimTime) -> Self {
         ActorClock { now_ns: AtomicU64::new(t.as_nanos()) }
-    }
-
-    /// Creates a shareable clock at time zero.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(Self::new())
     }
 
     /// Current virtual time.

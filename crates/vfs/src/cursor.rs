@@ -19,9 +19,9 @@ pub enum SeekFrom {
 /// A cursor-based file handle over any [`FileSystem`].
 ///
 /// Provides the sequential `read`/`write`/`lseek` POSIX surface on top of the
-/// positional trait, including `O_APPEND` semantics. This is the layer the
-/// "legacy application" stand-ins use when they don't track offsets
-/// themselves.
+/// positional trait, including `O_APPEND` semantics, for a caller that does
+/// not track offsets itself (the legacy stand-ins `sqlight` and `rocklet`
+/// do, and call the positional trait directly).
 ///
 /// It is also NVCache's cursor (paper Table III: `lseek` answered from
 /// NVCache state, never the kernel's): the handle keeps the position itself

@@ -14,6 +14,9 @@ use crate::{normalize_path, Fd, FileSystem, IoError, IoResult, Metadata, OpenFla
 /// Suffix of the hidden per-file tag sidecar (one 8-byte tag per page).
 const TAG_SUFFIX: &str = ".#crypt-tags";
 
+/// The seal/verify granularity: one keystream, one tag per 4 KiB page.
+const PAGE: u64 = 4096;
+
 /// Deterministic snapshot of a [`CryptLayer`]'s counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CryptStats {
@@ -91,33 +94,20 @@ struct Counters {
 pub struct CryptLayer {
     /// `None` = passthrough (inert) mode.
     key: Option<u64>,
-    page: usize,
     counters: Arc<Counters>,
 }
 
 impl CryptLayer {
     /// An active layer encrypting with `key` over 4 KiB pages.
     pub fn new(key: u64) -> Self {
-        CryptLayer { key: Some(key), page: 4096, counters: Arc::new(Counters::default()) }
+        CryptLayer { key: Some(key), counters: Arc::new(Counters::default()) }
     }
 
     /// The inert configuration: [`wrap`](Layer::wrap) returns the inner
     /// file system unchanged (identity — for oracle tests and staged
     /// rollouts).
     pub fn passthrough() -> Self {
-        CryptLayer { key: None, page: 4096, counters: Arc::new(Counters::default()) }
-    }
-
-    /// Overrides the page granularity (must be a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is zero or not a power of two.
-    #[must_use]
-    pub fn with_page_size(mut self, page: usize) -> Self {
-        assert!(page.is_power_of_two(), "crypt page size must be a power of two");
-        self.page = page;
-        self
+        CryptLayer { key: None, counters: Arc::new(Counters::default()) }
     }
 
     /// Deterministic counters: pages sealed/opened and tampering events.
@@ -143,7 +133,6 @@ impl Layer for CryptLayer {
             Some(key) => Arc::new(CryptFs {
                 name: format!("crypt({})", inner.name()),
                 key,
-                page: self.page as u64,
                 counters: Arc::clone(&self.counters),
                 fds: Mutex::new(HashMap::new()),
                 locks: Mutex::new(HashMap::new()),
@@ -181,7 +170,6 @@ struct CryptFdEntry {
 struct CryptFs {
     name: String,
     key: u64,
-    page: u64,
     counters: Arc<Counters>,
     fds: Mutex<HashMap<u64, Arc<CryptFdEntry>>>,
     /// One lock per open path: read-modify-write must be atomic per file
@@ -254,7 +242,7 @@ impl CryptFs {
             return Ok(vec![0u8; avail]);
         }
         let mut buf = vec![0u8; avail];
-        self.inner.pread(data_fd, &mut buf, page_no * self.page, clock)?;
+        self.inner.pread(data_fd, &mut buf, page_no * PAGE, clock)?;
         if self.tag_of(page_no, &buf) != tag {
             self.counters.tamper_detected.fetch_add(1, Ordering::AcqRel);
             return Err(IoError::Other(format!(
@@ -283,7 +271,7 @@ impl CryptFs {
             return Ok(vec![0u8; avail]);
         }
         let mut buf = vec![0u8; avail];
-        self.inner.pread(data_fd, &mut buf, page_no * self.page, clock)?;
+        self.inner.pread(data_fd, &mut buf, page_no * PAGE, clock)?;
         self.xor_keystream(page_no, &mut buf);
         Ok(buf)
     }
@@ -299,7 +287,7 @@ impl CryptFs {
         clock: &ActorClock,
     ) -> IoResult<()> {
         self.xor_keystream(page_no, plain);
-        self.inner.pwrite(data_fd, plain, page_no * self.page, clock)?;
+        self.inner.pwrite(data_fd, plain, page_no * PAGE, clock)?;
         let tag = self.tag_of(page_no, plain);
         self.write_tag(e.tag_fd, page_no, tag, clock)?;
         self.counters.pages_sealed.fetch_add(1, Ordering::AcqRel);
@@ -318,10 +306,10 @@ impl CryptFs {
         len: u64,
         clock: &ActorClock,
     ) -> IoResult<()> {
-        let page_no = old / self.page;
+        let page_no = old / PAGE;
         if self.read_tag(e.tag_fd, page_no, clock)? != 0 {
-            let old_avail = (old - page_no * self.page) as usize;
-            let new_avail = (len - page_no * self.page).min(self.page) as usize;
+            let old_avail = (old - page_no * PAGE) as usize;
+            let new_avail = (len - page_no * PAGE).min(PAGE) as usize;
             let mut plain = self.open_page_unverified(e, data_fd, page_no, old_avail, clock)?;
             plain.resize(new_avail, 0);
             self.seal_page(e, data_fd, page_no, &mut plain, clock)?;
@@ -402,10 +390,10 @@ impl FileSystem for CryptFs {
             return Ok(0);
         }
         let n = buf.len().min((size - off) as usize);
-        let (first, last) = (off / self.page, (off + n as u64 - 1) / self.page);
+        let (first, last) = (off / PAGE, (off + n as u64 - 1) / PAGE);
         for page_no in first..=last {
-            let base = page_no * self.page;
-            let avail = (size - base).min(self.page) as usize;
+            let base = page_no * PAGE;
+            let avail = (size - base).min(PAGE) as usize;
             let plain = self.open_page(&e, fd, page_no, avail, clock)?;
             // Intersection of [off, off+n) with this page.
             let lo = off.max(base);
@@ -427,18 +415,18 @@ impl FileSystem for CryptFs {
         let _guard = e.lock.lock();
         let size = self.file_size(fd, clock)?;
         let end = off + data.len() as u64;
-        let (first, last) = (off / self.page, (end - 1) / self.page);
-        if !size.is_multiple_of(self.page) && first > size / self.page {
+        let (first, last) = (off / PAGE, (end - 1) / PAGE);
+        if !size.is_multiple_of(PAGE) && first > size / PAGE {
             // The write starts beyond the partly filled last page, which so
             // becomes an inner page without being written.
             self.reseal_grown_tail(&e, fd, size, end, clock)?;
         }
         for page_no in first..=last {
-            let base = page_no * self.page;
-            let old_in_page = size.saturating_sub(base).min(self.page) as usize;
+            let base = page_no * PAGE;
+            let old_in_page = size.saturating_sub(base).min(PAGE) as usize;
             // This write's extent within the page.
             let w_lo = (off.max(base) - base) as usize;
-            let w_hi = (end.min(base + self.page) - base) as usize;
+            let w_hi = (end.min(base + PAGE) - base) as usize;
             let new_len = old_in_page.max(w_hi);
             let mut plain = if old_in_page > 0 {
                 let mut p = self.open_page_unverified(&e, fd, page_no, old_in_page, clock)?;
@@ -468,21 +456,21 @@ impl FileSystem for CryptFs {
         let _guard = e.lock.lock();
         let old = self.file_size(fd, clock)?;
         self.inner.ftruncate(fd, len, clock)?;
-        self.inner.ftruncate(e.tag_fd, 8 * len.div_ceil(self.page), clock)?;
+        self.inner.ftruncate(e.tag_fd, 8 * len.div_ceil(PAGE), clock)?;
         // The page containing the old or new boundary changes content
         // length: re-seal it so its tag matches the bytes now stored.
-        if len < old && !len.is_multiple_of(self.page) {
+        if len < old && !len.is_multiple_of(PAGE) {
             // Shrink into a page: the stored prefix stays valid ciphertext
             // (the keystream is positional); only the tag must shrink.
-            let page_no = len / self.page;
+            let page_no = len / PAGE;
             if self.read_tag(e.tag_fd, page_no, clock)? != 0 {
-                let avail = (len - page_no * self.page) as usize;
+                let avail = (len - page_no * PAGE) as usize;
                 let mut buf = vec![0u8; avail];
-                self.inner.pread(fd, &mut buf, page_no * self.page, clock)?;
+                self.inner.pread(fd, &mut buf, page_no * PAGE, clock)?;
                 let tag = self.tag_of(page_no, &buf);
                 self.write_tag(e.tag_fd, page_no, tag, clock)?;
             }
-        } else if len > old && !old.is_multiple_of(self.page) {
+        } else if len > old && !old.is_multiple_of(PAGE) {
             self.reseal_grown_tail(&e, fd, old, len, clock)?;
         }
         Ok(())

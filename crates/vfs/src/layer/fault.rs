@@ -170,11 +170,6 @@ impl FaultLayer {
         self.state.armed.store(false, Ordering::Release);
     }
 
-    /// Whether faults are currently being injected.
-    pub fn is_armed(&self) -> bool {
-        self.state.armed.load(Ordering::Acquire)
-    }
-
     /// Total faults injected by this layer.
     pub fn faults_injected(&self) -> u64 {
         self.state.injected.load(Ordering::Acquire)
