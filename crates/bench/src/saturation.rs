@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use fiosim::{run_job, JobResult, JobSpec};
 use nvcache::NvCache;
 use simclock::{ActorClock, SimTime};
-use vfs::{Fd, FileSystem, IoResult, Metadata, OpenFlags};
+use vfs::{FileSystem, Hook, Hooked, IoResult, Op};
 
 use crate::System;
 
@@ -49,71 +49,40 @@ pub fn run_to_saturation(
     clock: &ActorClock,
 ) -> (JobResult, Option<SimTime>) {
     let nc = sys.nvcache.as_ref().expect("an NVCache system");
-    let probe = Arc::new(StallProbe {
-        inner: Arc::clone(&sys.fs),
-        nc: Arc::clone(nc),
-        first: Mutex::new(None),
-    });
+    let probe = StallProbe { nc: Arc::clone(nc), first: Mutex::new(None) };
+    let probe = Arc::new(Hooked::new(probe, Arc::clone(&sys.fs)));
     let fs: Arc<dyn FileSystem> = Arc::clone(&probe) as _;
     let result = run_job(&fs, job, clock).expect("fio job");
-    let first_stall = *probe.first.lock().expect("probe");
+    let first_stall = *probe.hook().first.lock().expect("probe");
     let sat = saturation(&result.throughput, first_stall);
     (result, sat)
 }
 
-/// Passes every call through to the mount and notes when the first write
-/// that waited for log space began. It never touches a clock.
+/// Notes when the first write that waited for log space began. It never
+/// touches a clock.
 struct StallProbe {
-    inner: Arc<dyn FileSystem>,
     nc: Arc<NvCache>,
     first: Mutex<Option<SimTime>>,
 }
 
-impl FileSystem for StallProbe {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
-        self.inner.open(path, flags, clock)
-    }
-    fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        self.inner.close(fd, clock)
-    }
-    fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        self.inner.pread(fd, buf, off, clock)
-    }
-    fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
+impl Hook for StallProbe {
+    fn around<R>(
+        &self,
+        op: Op,
+        _bytes: usize,
+        clock: &ActorClock,
+        forward: impl FnOnce() -> IoResult<R>,
+    ) -> IoResult<R> {
+        if op != Op::Write {
+            return forward();
+        }
         let start = clock.now();
-        let written = self.inner.pwrite(fd, data, off, clock);
+        let written = forward();
         let mut first = self.first.lock().expect("probe");
         if first.is_none() && self.nc.stats().log_full_waits.load(Ordering::Relaxed) > 0 {
             *first = Some(start);
         }
         written
-    }
-    fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        self.inner.fsync(fd, clock)
-    }
-    fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        self.inner.ftruncate(fd, len, clock)
-    }
-    fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
-        self.inner.fstat(fd, clock)
-    }
-    fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
-        self.inner.stat(path, clock)
-    }
-    fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
-        self.inner.unlink(path, clock)
-    }
-    fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
-        self.inner.rename(from, to, clock)
-    }
-    fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
-        self.inner.list_dir(dir, clock)
-    }
-    fn sync(&self, clock: &ActorClock) -> IoResult<()> {
-        self.inner.sync(clock)
     }
 }
 

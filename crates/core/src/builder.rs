@@ -167,8 +167,7 @@ impl NvCacheBuilder {
     /// # Errors
     ///
     /// [`IoError::InvalidArgument`] if no backend was supplied, the router's
-    /// fan-out exceeds the backend count, a layer stack exceeds
-    /// [`vfs::MAX_STACK_DEPTH`], the region is too small
+    /// fan-out exceeds the backend count, the region is too small
     /// ([`Mount::Format`]), or the region's on-NVMM geometry disagrees with
     /// the configuration ([`Mount::Recover`] — including an attempt to mount
     /// a tiered image with fewer backends than it references). Recovery

@@ -290,8 +290,8 @@ pub use stats::{
 pub use tiers::{LayeredTier, Tiering};
 // Re-exported so layered mounts can be assembled from `nvcache` alone.
 pub use vfs::{
-    CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats, FaultLayer, FaultOp, FaultRule,
-    FaultTrigger, Layer,
+    CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats, FaultLayer, FaultRule,
+    FaultTrigger, Layer, Op,
 };
 
 /// Seeded-schedule stress point: under the `sched-stress` feature every

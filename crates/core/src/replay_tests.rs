@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use blockdev::{BlockDevice, SsdDevice, SsdProfile};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
-use vfs::{Ext4, Ext4Profile, Fd, FileSystem, IoResult, Layer, MemFs, Metadata, OpenFlags};
+use vfs::{Ext4, Ext4Profile, FileSystem, Hook, Hooked, IoResult, Layer, MemFs, Op, OpenFlags};
 
 use crate as nvcache;
 use crate::cache::Shared;
@@ -155,24 +155,25 @@ fn planned_kernel_flush_matches_its_per_entry_form() {
     }
 }
 
-/// One inner call a recovering mount issued: its name and its span on the
+/// One inner call a recovering mount issued: its kind and its span on the
 /// clock it ran on.
-type Call = (&'static str, SimTime, SimTime);
+type Call = (Op, SimTime, SimTime);
 
 /// A layer that records every call into the stack it wraps.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Recorder(Arc<Mutex<Vec<Call>>>);
 
-struct Recording {
-    inner: Arc<dyn FileSystem>,
-    calls: Arc<Mutex<Vec<Call>>>,
-}
-
-impl Recording {
-    fn timed<R>(&self, op: &'static str, clock: &ActorClock, call: impl FnOnce() -> R) -> R {
+impl Hook for Recorder {
+    fn around<R>(
+        &self,
+        op: Op,
+        _bytes: usize,
+        clock: &ActorClock,
+        forward: impl FnOnce() -> IoResult<R>,
+    ) -> IoResult<R> {
         let start = clock.now();
-        let result = call();
-        self.calls.lock().expect("calls").push((op, start, clock.now()));
+        let result = forward();
+        self.0.lock().expect("calls").push((op, start, clock.now()));
         result
     }
 }
@@ -182,49 +183,7 @@ impl Layer for Recorder {
         "recorder"
     }
     fn wrap(&self, inner: Arc<dyn FileSystem>) -> Arc<dyn FileSystem> {
-        Arc::new(Recording { inner, calls: Arc::clone(&self.0) })
-    }
-}
-
-impl FileSystem for Recording {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn open(&self, path: &str, flags: OpenFlags, c: &ActorClock) -> IoResult<Fd> {
-        self.timed("open", c, || self.inner.open(path, flags, c))
-    }
-    fn close(&self, fd: Fd, c: &ActorClock) -> IoResult<()> {
-        self.timed("close", c, || self.inner.close(fd, c))
-    }
-    fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, c: &ActorClock) -> IoResult<usize> {
-        self.timed("pread", c, || self.inner.pread(fd, buf, off, c))
-    }
-    fn pwrite(&self, fd: Fd, data: &[u8], off: u64, c: &ActorClock) -> IoResult<usize> {
-        self.timed("pwrite", c, || self.inner.pwrite(fd, data, off, c))
-    }
-    fn fsync(&self, fd: Fd, c: &ActorClock) -> IoResult<()> {
-        self.timed("fsync", c, || self.inner.fsync(fd, c))
-    }
-    fn ftruncate(&self, fd: Fd, len: u64, c: &ActorClock) -> IoResult<()> {
-        self.timed("ftruncate", c, || self.inner.ftruncate(fd, len, c))
-    }
-    fn fstat(&self, fd: Fd, c: &ActorClock) -> IoResult<Metadata> {
-        self.timed("fstat", c, || self.inner.fstat(fd, c))
-    }
-    fn stat(&self, path: &str, c: &ActorClock) -> IoResult<Metadata> {
-        self.timed("stat", c, || self.inner.stat(path, c))
-    }
-    fn unlink(&self, path: &str, c: &ActorClock) -> IoResult<()> {
-        self.timed("unlink", c, || self.inner.unlink(path, c))
-    }
-    fn rename(&self, from: &str, to: &str, c: &ActorClock) -> IoResult<()> {
-        self.timed("rename", c, || self.inner.rename(from, to, c))
-    }
-    fn list_dir(&self, dir: &str, c: &ActorClock) -> IoResult<Vec<String>> {
-        self.timed("list_dir", c, || self.inner.list_dir(dir, c))
-    }
-    fn sync(&self, c: &ActorClock) -> IoResult<()> {
-        self.timed("sync", c, || self.inner.sync(c))
+        Arc::new(Hooked::new(self.clone(), inner))
     }
 }
 
@@ -318,7 +277,7 @@ fn recover_recorded(pages: &[u64]) -> (SimTime, SimTime, Vec<Call>) {
     (took, durable, calls)
 }
 
-fn count(calls: &[Call], op: &str) -> usize {
+fn count(calls: &[Call], op: Op) -> usize {
     calls.iter().filter(|c| c.0 == op).count()
 }
 
@@ -338,12 +297,12 @@ fn recovery_writes_back_each_file_while_it_copies_the_next() {
         durable < SimTime::from_nanos(2_042_447),
         "{durable}: no faster than the serial replay"
     );
-    assert_eq!((count(&calls, "fsync"), count(&calls, "sync")), (2, 1), "{calls:?}");
+    assert_eq!((count(&calls, Op::Fsync), count(&calls, Op::Sync)), (2, 1), "{calls:?}");
     let (twin_took, twin_durable, _) = recover_recorded(&pages);
     assert_eq!((twin_took, twin_durable), (took, durable), "a twin ends at other instants");
 
-    let synced = calls.iter().filter(|c| c.0 == "fsync").map(|c| c.2).max();
-    let first_close = calls.iter().filter(|c| c.0 == "close").map(|c| c.1).min();
+    let synced = calls.iter().filter(|c| c.0 == Op::Fsync).map(|c| c.2).max();
+    let first_close = calls.iter().filter(|c| c.0 == Op::Close).map(|c| c.1).min();
     assert!(synced.expect("fsyncs") <= first_close.expect("closes"), "{calls:?}");
 }
 
@@ -354,7 +313,7 @@ fn recovery_writes_back_each_file_while_it_copies_the_next() {
 #[test]
 fn a_one_file_recovery_syncs_once_and_takes_the_serial_time() {
     let (took, durable, calls) = recover_recorded(&[16]);
-    assert_eq!((count(&calls, "fsync"), count(&calls, "sync")), (0, 1), "{calls:?}");
+    assert_eq!((count(&calls, Op::Fsync), count(&calls, Op::Sync)), (0, 1), "{calls:?}");
     // The serial replay read each slot's valid word, then the one valid
     // slot's payload; the table now comes in one read.
     let nvmm = NvmmProfile::optane();
@@ -362,7 +321,7 @@ fn a_one_file_recovery_syncs_once_and_takes_the_serial_time() {
     let slot_by_slot = read(8) * 8 + read(FD_SLOT_BYTES - 8);
     let saved = slot_by_slot - read(8 * FD_SLOT_BYTES);
     assert_eq!(durable + saved, SimTime::from_nanos(437_915), "{calls:?}");
-    let sync = calls.iter().find(|c| c.0 == "sync").expect("the sync");
+    let sync = calls.iter().find(|c| c.0 == Op::Sync).expect("the sync");
     assert_eq!(took, sync.1, "the mount returns as the sync starts");
 }
 
@@ -373,7 +332,7 @@ fn a_one_file_recovery_syncs_once_and_takes_the_serial_time() {
 #[test]
 fn small_files_cost_at_most_one_write_back_more() {
     let (took, durable, calls) = recover_recorded(&[1; 32]);
-    assert_eq!((count(&calls, "fsync"), count(&calls, "sync")), (1, 1), "{calls:?}");
+    assert_eq!((count(&calls, Op::Fsync), count(&calls, Op::Sync)), (1, 1), "{calls:?}");
     let serial = SimTime::from_nanos(2_082_521);
     let commit = Ext4Profile::default().journal_commit + SsdProfile::s4600().flush;
     assert!(durable <= serial + commit, "{durable} against {serial} serially");

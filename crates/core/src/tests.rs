@@ -723,56 +723,26 @@ fn fd_table_exhaustion_is_reported() {
     cache.shutdown(&c);
 }
 
-/// Forwards to `inner`; `close` first runs the armed hook — on the thread
-/// that is inside `Shared::finish_close` at that moment, its descriptor
-/// gone from every table and its slot not yet released.
-struct CloseHook {
-    inner: Arc<dyn FileSystem>,
-    hook: parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>,
-}
+/// `close` first runs the armed hook — on the thread that is inside
+/// `Shared::finish_close` at that moment, its descriptor gone from every
+/// table and its slot not yet released.
+#[derive(Default)]
+struct CloseHook(parking_lot::Mutex<Option<Box<dyn FnOnce() + Send>>>);
 
-impl FileSystem for CloseHook {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> vfs::IoResult<vfs::Fd> {
-        self.inner.open(path, flags, clock)
-    }
-    fn close(&self, fd: vfs::Fd, clock: &ActorClock) -> vfs::IoResult<()> {
-        if let Some(hook) = self.hook.lock().take() {
-            hook();
+impl vfs::Hook for CloseHook {
+    fn around<R>(
+        &self,
+        op: vfs::Op,
+        _bytes: usize,
+        _clock: &ActorClock,
+        forward: impl FnOnce() -> vfs::IoResult<R>,
+    ) -> vfs::IoResult<R> {
+        if op == vfs::Op::Close {
+            if let Some(hook) = self.0.lock().take() {
+                hook();
+            }
         }
-        self.inner.close(fd, clock)
-    }
-    fn pread(&self, fd: vfs::Fd, buf: &mut [u8], off: u64, c: &ActorClock) -> vfs::IoResult<usize> {
-        self.inner.pread(fd, buf, off, c)
-    }
-    fn pwrite(&self, fd: vfs::Fd, data: &[u8], off: u64, c: &ActorClock) -> vfs::IoResult<usize> {
-        self.inner.pwrite(fd, data, off, c)
-    }
-    fn fsync(&self, fd: vfs::Fd, clock: &ActorClock) -> vfs::IoResult<()> {
-        self.inner.fsync(fd, clock)
-    }
-    fn ftruncate(&self, fd: vfs::Fd, len: u64, clock: &ActorClock) -> vfs::IoResult<()> {
-        self.inner.ftruncate(fd, len, clock)
-    }
-    fn fstat(&self, fd: vfs::Fd, clock: &ActorClock) -> vfs::IoResult<vfs::Metadata> {
-        self.inner.fstat(fd, clock)
-    }
-    fn stat(&self, path: &str, clock: &ActorClock) -> vfs::IoResult<vfs::Metadata> {
-        self.inner.stat(path, clock)
-    }
-    fn unlink(&self, path: &str, clock: &ActorClock) -> vfs::IoResult<()> {
-        self.inner.unlink(path, clock)
-    }
-    fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> vfs::IoResult<()> {
-        self.inner.rename(from, to, clock)
-    }
-    fn list_dir(&self, dir: &str, clock: &ActorClock) -> vfs::IoResult<Vec<String>> {
-        self.inner.list_dir(dir, clock)
-    }
-    fn sync(&self, clock: &ActorClock) -> vfs::IoResult<()> {
-        self.inner.sync(clock)
+        forward()
     }
 }
 
@@ -792,10 +762,7 @@ fn a_descriptor_being_finished_does_not_read_as_a_full_table() {
         };
         let c = ActorClock::new();
         let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-        let hooked = Arc::new(CloseHook {
-            inner: Arc::new(MemFs::new()),
-            hook: parking_lot::Mutex::new(None),
-        });
+        let hooked = Arc::new(vfs::Hooked::new(CloseHook::default(), Arc::new(MemFs::new())));
         let inner = Arc::clone(&hooked) as Arc<dyn FileSystem>;
         let cache =
             Arc::new(mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &c).expect("format"));
@@ -804,7 +771,7 @@ fn a_descriptor_being_finished_does_not_read_as_a_full_table() {
             cache.pwrite(fd, b"pending", 0, &c).unwrap(); // parked: close defers
         }
         let seen = Arc::new(parking_lot::Mutex::new(None));
-        *hooked.hook.lock() = Some(Box::new({
+        *hooked.hook().0.lock() = Some(Box::new({
             let (cache, seen) = (Arc::clone(&cache), Arc::clone(&seen));
             move || {
                 let shared = &cache.shared;

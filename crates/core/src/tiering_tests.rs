@@ -502,8 +502,8 @@ fn single_backend_router_is_the_implicit_default() {
 /// `NotFound`) — a [`vfs::FaultLayer`] rule, fault injection for the
 /// merged-listing path.
 fn broken_list_fs(inner: Arc<dyn FileSystem>) -> Arc<dyn FileSystem> {
-    use vfs::{FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer};
-    FaultLayer::new(vec![FaultRule::new(FaultOp::ListDir, FaultTrigger::AfterBudget(0))
+    use vfs::{FaultLayer, FaultRule, FaultTrigger, Layer, Op};
+    FaultLayer::new(vec![FaultRule::new(Op::ListDir, FaultTrigger::AfterBudget(0))
         .with_error(IoError::Other("injected list_dir failure".into()))])
     .wrap(inner)
 }

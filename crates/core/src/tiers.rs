@@ -241,7 +241,7 @@ impl Tiers {
     /// # Errors
     ///
     /// [`IoError::InvalidArgument`] if the router fans out to more tiers
-    /// than there are, or a layer stack exceeds [`vfs::MAX_STACK_DEPTH`].
+    /// than there are.
     ///
     /// # Panics
     ///
@@ -258,10 +258,8 @@ impl Tiers {
         }
         // Everything below — cleanup, migration, recovery — sees only the
         // wrapped Arc<dyn FileSystem> and works unchanged.
-        let backends: Box<[Arc<dyn FileSystem>]> = tiers
-            .into_iter()
-            .map(|(layers, inner)| vfs::stack(&layers, inner))
-            .collect::<IoResult<_>>()?;
+        let backends: Box<[Arc<dyn FileSystem>]> =
+            tiers.into_iter().map(|(layers, inner)| vfs::stack(&layers, inner)).collect();
         let heat = heat.filter(|_| backends.len() > 1);
         let migrator =
             Migrator::new(Recorder::new(), catalog_capacity, heat.clone(), Arc::clone(&router));

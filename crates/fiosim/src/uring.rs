@@ -373,8 +373,8 @@ mod tests {
 
     #[test]
     fn sync_overlaps_like_any_other_op_and_surfaces_its_error() {
-        use vfs::{FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer};
-        let fault = FaultLayer::new(vec![FaultRule::new(FaultOp::Sync, FaultTrigger::OnNth(2))]);
+        use vfs::{FaultLayer, FaultRule, FaultTrigger, Layer, Op};
+        let fault = FaultLayer::new(vec![FaultRule::new(Op::Sync, FaultTrigger::OnNth(2))]);
         let fs = fault.wrap(memfs());
         let clock = ActorClock::new();
         let mut ring = IoRing::new(Arc::clone(&fs), 2);

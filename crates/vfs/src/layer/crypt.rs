@@ -65,10 +65,6 @@ struct Counters {
 /// and reads as zeroes — sparse files keep POSIX semantics without
 /// encrypting untouched pages.
 ///
-/// [`CryptLayer::passthrough`] is the inert configuration: `wrap` returns
-/// the inner file system unchanged (no sidecars, no keystream, no
-/// counters), byte- and virtual-time-identical to an unlayered stack.
-///
 /// # Example
 ///
 /// ```
@@ -92,22 +88,14 @@ struct Counters {
 /// ```
 #[derive(Debug)]
 pub struct CryptLayer {
-    /// `None` = passthrough (inert) mode.
-    key: Option<u64>,
+    key: u64,
     counters: Arc<Counters>,
 }
 
 impl CryptLayer {
     /// An active layer encrypting with `key` over 4 KiB pages.
     pub fn new(key: u64) -> Self {
-        CryptLayer { key: Some(key), counters: Arc::new(Counters::default()) }
-    }
-
-    /// The inert configuration: [`wrap`](Layer::wrap) returns the inner
-    /// file system unchanged (identity — for oracle tests and staged
-    /// rollouts).
-    pub fn passthrough() -> Self {
-        CryptLayer { key: None, counters: Arc::new(Counters::default()) }
+        CryptLayer { key, counters: Arc::new(Counters::default()) }
     }
 
     /// Deterministic counters: pages sealed/opened and tampering events.
@@ -126,19 +114,14 @@ impl Layer for CryptLayer {
     }
 
     fn wrap(&self, inner: Arc<dyn FileSystem>) -> Arc<dyn FileSystem> {
-        match self.key {
-            // Inert mode: the identity layer — nothing to add, so add
-            // nothing (not even a forwarding frame).
-            None => inner,
-            Some(key) => Arc::new(CryptFs {
-                name: format!("crypt({})", inner.name()),
-                key,
-                counters: Arc::clone(&self.counters),
-                fds: Mutex::new(HashMap::new()),
-                locks: Mutex::new(HashMap::new()),
-                inner,
-            }),
-        }
+        Arc::new(CryptFs {
+            name: format!("crypt({})", inner.name()),
+            key: self.key,
+            counters: Arc::clone(&self.counters),
+            fds: Mutex::new(HashMap::new()),
+            locks: Mutex::new(HashMap::new()),
+            inner,
+        })
     }
 }
 
@@ -697,14 +680,5 @@ mod tests {
             rest
         };
         assert_ne!(read_rest(1), read_rest(2));
-    }
-
-    #[test]
-    fn passthrough_mode_is_the_identity() {
-        let layer = CryptLayer::passthrough();
-        let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-        let fs = layer.wrap(Arc::clone(&inner));
-        assert!(Arc::ptr_eq(&fs, &inner));
-        assert_eq!(layer.stats(), CryptStats::default());
     }
 }

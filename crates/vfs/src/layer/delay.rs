@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use simclock::{ActorClock, Bandwidth, SimTime};
 
-use super::Layer;
-use crate::{Fd, FileSystem, IoResult, Metadata, OpenFlags};
+use super::{Hook, Hooked, Layer, Op};
+use crate::{FileSystem, IoResult};
 
 /// Per-op-kind latency model of a [`DelayLayer`].
 ///
@@ -48,8 +48,10 @@ pub struct DelayStats {
     pub injected: SimTime,
 }
 
+/// The hook every wrapper of one [`DelayLayer`] shares.
 #[derive(Debug, Default)]
-struct DelayState {
+struct DelayHook {
+    profile: DelayProfile,
     ops_delayed: AtomicU64,
     injected_ns: AtomicU64,
 }
@@ -79,14 +81,13 @@ struct DelayState {
 /// ```
 #[derive(Debug)]
 pub struct DelayLayer {
-    profile: DelayProfile,
-    state: Arc<DelayState>,
+    hook: Arc<DelayHook>,
 }
 
 impl DelayLayer {
     /// A layer with the given latency profile.
     pub fn new(profile: DelayProfile) -> Self {
-        DelayLayer { profile, state: Arc::new(DelayState::default()) }
+        DelayLayer { hook: Arc::new(DelayHook { profile, ..DelayHook::default() }) }
     }
 
     /// The inert configuration: all delays zero, a pure call-forwarder.
@@ -110,16 +111,11 @@ impl DelayLayer {
         })
     }
 
-    /// The latency profile this layer injects.
-    pub fn profile(&self) -> &DelayProfile {
-        &self.profile
-    }
-
     /// Deterministic counters: ops delayed and total injected time.
     pub fn stats(&self) -> DelayStats {
         DelayStats {
-            ops_delayed: self.state.ops_delayed.load(Ordering::Acquire),
-            injected: SimTime::from_nanos(self.state.injected_ns.load(Ordering::Acquire)),
+            ops_delayed: self.hook.ops_delayed.load(Ordering::Acquire),
+            injected: SimTime::from_nanos(self.hook.injected_ns.load(Ordering::Acquire)),
         }
     }
 }
@@ -130,117 +126,47 @@ impl Layer for DelayLayer {
     }
 
     fn wrap(&self, inner: Arc<dyn FileSystem>) -> Arc<dyn FileSystem> {
-        Arc::new(DelayFs {
-            name: format!("delay({})", inner.name()),
-            profile: self.profile,
-            state: Arc::clone(&self.state),
-            inner,
-        })
+        Arc::new(Hooked::new(Arc::clone(&self.hook), inner))
     }
 }
 
-struct DelayFs {
-    name: String,
-    profile: DelayProfile,
-    state: Arc<DelayState>,
-    inner: Arc<dyn FileSystem>,
-}
+impl Hook for DelayHook {
+    fn label(&self) -> Option<&str> {
+        Some("delay")
+    }
 
-impl DelayFs {
-    fn delay(&self, fixed: SimTime, bw: Option<(Bandwidth, u64)>, clock: &ActorClock) {
-        let total = fixed + bw.map_or(SimTime::ZERO, |(b, n)| b.time_for(n));
+    fn around<R>(
+        &self,
+        op: Op,
+        bytes: usize,
+        clock: &ActorClock,
+        forward: impl FnOnce() -> IoResult<R>,
+    ) -> IoResult<R> {
+        let p = &self.profile;
+        let (fixed, bandwidth) = match op {
+            Op::Open => (p.open, None),
+            Op::Close => (p.close, None),
+            Op::Read => (p.pread, p.read_bandwidth),
+            Op::Write => (p.pwrite, p.write_bandwidth),
+            Op::Fsync | Op::Sync => (p.fsync, None),
+            Op::Truncate => (p.ftruncate, None),
+            Op::Fstat | Op::Stat => (p.stat, None),
+            Op::Unlink | Op::Rename | Op::ListDir => (p.path_op, None),
+        };
+        let total = fixed + bandwidth.map_or(SimTime::ZERO, |b| b.time_for(bytes as u64));
         if total > SimTime::ZERO {
             clock.advance(total);
-            self.state.ops_delayed.fetch_add(1, Ordering::AcqRel);
-            self.state.injected_ns.fetch_add(total.as_nanos(), Ordering::AcqRel);
+            self.ops_delayed.fetch_add(1, Ordering::AcqRel);
+            self.injected_ns.fetch_add(total.as_nanos(), Ordering::AcqRel);
         }
-    }
-}
-
-impl FileSystem for DelayFs {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
-        self.delay(self.profile.open, None, clock);
-        self.inner.open(path, flags, clock)
-    }
-
-    fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        self.delay(self.profile.close, None, clock);
-        self.inner.close(fd, clock)
-    }
-
-    fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let bw = self.profile.read_bandwidth.map(|b| (b, buf.len() as u64));
-        self.delay(self.profile.pread, bw, clock);
-        self.inner.pread(fd, buf, off, clock)
-    }
-
-    fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        let bw = self.profile.write_bandwidth.map(|b| (b, data.len() as u64));
-        self.delay(self.profile.pwrite, bw, clock);
-        self.inner.pwrite(fd, data, off, clock)
-    }
-
-    fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        self.delay(self.profile.fsync, None, clock);
-        self.inner.fsync(fd, clock)
-    }
-
-    fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        self.delay(self.profile.ftruncate, None, clock);
-        self.inner.ftruncate(fd, len, clock)
-    }
-
-    fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
-        self.delay(self.profile.stat, None, clock);
-        self.inner.fstat(fd, clock)
-    }
-
-    fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
-        self.delay(self.profile.stat, None, clock);
-        self.inner.stat(path, clock)
-    }
-
-    fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
-        self.delay(self.profile.path_op, None, clock);
-        self.inner.unlink(path, clock)
-    }
-
-    fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
-        self.delay(self.profile.path_op, None, clock);
-        self.inner.rename(from, to, clock)
-    }
-
-    fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
-        self.delay(self.profile.path_op, None, clock);
-        self.inner.list_dir(dir, clock)
-    }
-
-    fn sync(&self, clock: &ActorClock) -> IoResult<()> {
-        self.delay(self.profile.fsync, None, clock);
-        self.inner.sync(clock)
-    }
-
-    fn simulate_power_failure(&self) {
-        self.inner.simulate_power_failure();
-    }
-
-    fn synchronous_durability(&self) -> bool {
-        self.inner.synchronous_durability()
-    }
-
-    fn durable_linearizability(&self) -> bool {
-        self.inner.durable_linearizability()
+        forward()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemFs;
+    use crate::{MemFs, OpenFlags};
 
     #[test]
     fn inert_layer_never_touches_the_clock() {

@@ -58,8 +58,8 @@ pub use ext4::{Ext4, Ext4Profile};
 pub use flags::{Metadata, OpenFlags};
 pub use fs::{Fd, FileSystem};
 pub use layer::{
-    stack, validate_stack, CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats,
-    FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer, MAX_STACK_DEPTH,
+    stack, CryptLayer, CryptStats, DelayLayer, DelayProfile, DelayStats, FaultLayer, FaultRule,
+    FaultTrigger, Hook, Hooked, Layer, Op,
 };
 pub use memfs::MemFs;
 pub use nova::{NovaFs, NovaProfile};

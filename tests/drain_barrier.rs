@@ -17,8 +17,8 @@ use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Ti
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, SimTime};
 use nvcache_repro::vfs::{
-    Ext4, Ext4Profile, FaultLayer, FaultOp, FaultRule, FaultTrigger, Fd, FileSystem, IoError,
-    IoResult, Layer, Metadata, OpenFlags, PageCacheConfig,
+    Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, Fd, FileSystem, Hook, Hooked, IoError,
+    IoResult, Layer, Op, OpenFlags, PageCacheConfig,
 };
 
 const PARKED: usize = usize::MAX >> 1;
@@ -27,53 +27,20 @@ fn rdwr_create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Pwrite,
-    Fsync,
-    Sync,
-}
-
-/// Forwards to `inner`, recording every data-path call with the interval of
-/// the clock it ran on (the ring gives each operation its own).
+/// Records every data-path call with the interval of the clock it ran on
+/// (the ring gives each operation its own).
+#[derive(Default)]
 struct Probe {
-    inner: Arc<dyn FileSystem>,
     ops: Mutex<Vec<(Op, SimTime, SimTime)>>,
     /// When set, the next barrier announces itself, waits for the test's
-    /// go-ahead and fails without reaching `inner`: the machine went down
-    /// between the batch's last `pwrite` and its barrier.
+    /// go-ahead and fails without reaching the inner file system: the
+    /// machine went down between the batch's last `pwrite` and its barrier.
     power_cut: Mutex<Option<(Sender<()>, Receiver<()>)>>,
 }
 
 impl Probe {
-    fn over(inner: Arc<dyn FileSystem>) -> Arc<Probe> {
-        Arc::new(Probe { inner, ops: Mutex::default(), power_cut: Mutex::default() })
-    }
-
-    fn record<T>(
-        &self,
-        op: Op,
-        clock: &ActorClock,
-        call: impl FnOnce() -> IoResult<T>,
-    ) -> IoResult<T> {
-        let start = clock.now();
-        let result = call();
-        self.ops.lock().unwrap().push((op, start, clock.now()));
-        result
-    }
-
-    fn barrier(
-        &self,
-        op: Op,
-        clock: &ActorClock,
-        call: impl FnOnce() -> IoResult<()>,
-    ) -> IoResult<()> {
-        if let Some((reached, go)) = self.power_cut.lock().unwrap().take() {
-            reached.send(()).unwrap();
-            go.recv().unwrap();
-            return Err(IoError::Other("power is off".into()));
-        }
-        self.record(op, clock, call)
+    fn over(inner: Arc<dyn FileSystem>) -> Arc<Hooked<Probe>> {
+        Arc::new(Hooked::new(Probe::default(), inner))
     }
 
     fn ops(&self) -> Vec<(Op, SimTime, SimTime)> {
@@ -85,48 +52,29 @@ impl Probe {
     }
 }
 
-impl FileSystem for Probe {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-    fn open(&self, path: &str, flags: OpenFlags, clock: &ActorClock) -> IoResult<Fd> {
-        self.inner.open(path, flags, clock)
-    }
-    fn close(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        self.inner.close(fd, clock)
-    }
-    fn pread(&self, fd: Fd, buf: &mut [u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        self.inner.pread(fd, buf, off, clock)
-    }
-    fn pwrite(&self, fd: Fd, data: &[u8], off: u64, clock: &ActorClock) -> IoResult<usize> {
-        self.record(Op::Pwrite, clock, || self.inner.pwrite(fd, data, off, clock))
-    }
-    fn fsync(&self, fd: Fd, clock: &ActorClock) -> IoResult<()> {
-        self.barrier(Op::Fsync, clock, || self.inner.fsync(fd, clock))
-    }
-    fn ftruncate(&self, fd: Fd, len: u64, clock: &ActorClock) -> IoResult<()> {
-        self.inner.ftruncate(fd, len, clock)
-    }
-    fn fstat(&self, fd: Fd, clock: &ActorClock) -> IoResult<Metadata> {
-        self.inner.fstat(fd, clock)
-    }
-    fn stat(&self, path: &str, clock: &ActorClock) -> IoResult<Metadata> {
-        self.inner.stat(path, clock)
-    }
-    fn unlink(&self, path: &str, clock: &ActorClock) -> IoResult<()> {
-        self.inner.unlink(path, clock)
-    }
-    fn rename(&self, from: &str, to: &str, clock: &ActorClock) -> IoResult<()> {
-        self.inner.rename(from, to, clock)
-    }
-    fn list_dir(&self, dir: &str, clock: &ActorClock) -> IoResult<Vec<String>> {
-        self.inner.list_dir(dir, clock)
-    }
-    fn sync(&self, clock: &ActorClock) -> IoResult<()> {
-        self.barrier(Op::Sync, clock, || self.inner.sync(clock))
-    }
-    fn simulate_power_failure(&self) {
-        self.inner.simulate_power_failure();
+impl Hook for Probe {
+    fn around<R>(
+        &self,
+        op: Op,
+        _bytes: usize,
+        clock: &ActorClock,
+        forward: impl FnOnce() -> IoResult<R>,
+    ) -> IoResult<R> {
+        match op {
+            Op::Write => {}
+            Op::Fsync | Op::Sync => {
+                if let Some((reached, go)) = self.power_cut.lock().unwrap().take() {
+                    reached.send(()).unwrap();
+                    go.recv().unwrap();
+                    return Err(IoError::Other("power is off".into()));
+                }
+            }
+            _ => return forward(),
+        }
+        let start = clock.now();
+        let result = forward();
+        self.ops.lock().unwrap().push((op, start, clock.now()));
+        result
     }
 }
 
@@ -406,7 +354,7 @@ fn single_file_batch_drains_on_the_serial_timeline() {
     );
     cache.shutdown(&ActorClock::new());
 
-    let drained = probe.ops();
+    let drained = probe.hook().ops();
     let (_, twin) = ext4_ssd("ext4+ssd");
     let twin_fd = twin.open("/one", rdwr_create(), &ActorClock::new()).unwrap();
     let serial = ActorClock::starting_at(drained[0].1);
@@ -414,7 +362,7 @@ fn single_file_batch_drains_on_the_serial_timeline() {
     for i in 0..WRITES {
         let start = serial.now();
         twin.pwrite(twin_fd, &[i as u8; 4096], i << 20, &serial).unwrap();
-        expected.push((Op::Pwrite, start, serial.now()));
+        expected.push((Op::Write, start, serial.now()));
     }
     let start = serial.now();
     twin.fsync(twin_fd, &serial).unwrap();
@@ -466,7 +414,7 @@ fn recover_and_check(
 #[test]
 fn failed_syncfs_poisons_the_stripe_and_leaves_the_tail_alone() {
     let (_, ext4) = ext4_ssd("ext4+ssd");
-    let fault = FaultLayer::new(vec![FaultRule::new(FaultOp::Sync, FaultTrigger::AfterBudget(0))]);
+    let fault = FaultLayer::new(vec![FaultRule::new(Op::Sync, FaultTrigger::AfterBudget(0))]);
     let inner = fault.wrap(ext4);
     let cfg = batch_cfg(PARKED);
     let dimm = log_dimm(&cfg);
@@ -497,7 +445,7 @@ fn power_cut_before_the_barrier_loses_nothing() {
     let probe = Probe::over(ext4);
     let (reached, at_barrier) = channel();
     let (go, resume) = channel();
-    *probe.power_cut.lock().unwrap() = Some((reached, resume));
+    *probe.hook().power_cut.lock().unwrap() = Some((reached, resume));
     let cfg = batch_cfg(PARKED);
     let dimm = log_dimm(&cfg);
     let cache = mount(&dimm, Arc::clone(&probe) as Arc<dyn FileSystem>, &cfg, Mount::Format);
@@ -506,7 +454,7 @@ fn power_cut_before_the_barrier_loses_nothing() {
     let crashed = std::thread::scope(|s| {
         s.spawn(|| cache.flush_log(&ActorClock::new()));
         at_barrier.recv().unwrap();
-        assert_eq!(probe.count(Op::Pwrite), 12, "the whole batch reached the page cache");
+        assert_eq!(probe.hook().count(Op::Write), 12, "the whole batch reached the page cache");
         let crashed = dimm.crash_and_restart();
         go.send(()).unwrap();
         crashed
@@ -543,7 +491,8 @@ fn tiered_batch_issues_one_overlapped_syncfs_per_backend() {
     assert_eq!((stats.cleanup_batches, stats.cleanup_fsyncs, stats.cleanup_syncfs), (1, 2, 2));
     assert_eq!(stats.per_backend_propagated, vec![6, 18]);
 
-    let barrier = |p: &Probe| {
+    let barrier = |p: &Hooked<Probe>| {
+        let p = p.hook();
         assert_eq!((p.count(Op::Fsync), p.count(Op::Sync)), (0, 1));
         *p.ops().last().unwrap()
     };
@@ -624,11 +573,11 @@ fn multi_file_batch_over_a_multi_channel_ssd_is_one_barrier_after_the_last_page(
     cache.flush_log(&flushed);
     let stats = cache.stats().snapshot();
     assert_eq!((stats.cleanup_batches, stats.cleanup_fsyncs, stats.cleanup_syncfs), (1, 1, 1));
-    assert_eq!((probe.count(Op::Sync), probe.count(Op::Fsync)), (1, 0));
+    assert_eq!((probe.hook().count(Op::Sync), probe.hook().count(Op::Fsync)), (1, 0));
     assert_eq!(ext4.journal_commit_count(), 1);
     assert_eq!(dev.stats().snapshot().flushes, 1);
 
-    let (_, sync_start, sync_end) = *probe.ops().last().unwrap();
+    let (_, sync_start, sync_end) = *probe.hook().ops().last().unwrap();
     let write_ends = dev.write_ends.lock().unwrap().clone();
     let (flush_start, flush_end) = dev.flushes.lock().unwrap()[0];
     assert_eq!(write_ends.len() as u64, FILES * PAGES_EACH);

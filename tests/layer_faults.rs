@@ -11,8 +11,8 @@ use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Ti
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{
-    CryptLayer, Ext4, Ext4Profile, FaultLayer, FaultOp, FaultRule, FaultTrigger, FileSystem, Layer,
-    MemFs, OpenFlags,
+    CryptLayer, Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, FileSystem, Layer, MemFs,
+    Op, OpenFlags,
 };
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ impl Model {
 /// triggers, and which tier of a two-tier mount carries the layer.
 #[derive(Debug, Clone)]
 struct Schedule {
-    op: FaultOp,
+    op: Op,
     trigger: FaultTrigger,
     tier: usize,
 }
@@ -45,7 +45,7 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
     (
         // A drain's barrier is an `fsync` when the batch touched one file of
         // the tier and a `syncfs` when it touched both.
-        prop_oneof![Just(FaultOp::Write), Just(FaultOp::Fsync), Just(FaultOp::Sync)],
+        prop_oneof![Just(Op::Write), Just(Op::Fsync), Just(Op::Sync)],
         prop_oneof![
             (0..10u64).prop_map(FaultTrigger::AfterBudget),
             (1..10u64).prop_map(FaultTrigger::OnNth),

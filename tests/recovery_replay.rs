@@ -14,7 +14,7 @@ use std::sync::Arc;
 use nvcache_repro::nvcache;
 use nvcache_repro::nvcache::RecoveryReport;
 use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{FaultLayer, FaultOp, FaultRule, FaultTrigger, Layer};
+use nvcache_repro::vfs::{FaultLayer, FaultRule, FaultTrigger, Layer, Op};
 
 #[path = "support/replay_log.rs"]
 mod replay_log;
@@ -109,7 +109,7 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
         assert_eq!((clean.entries_replayed, clean.inner_writes), writes, "{what}: old, new");
         for k in 1..=clean.inner_writes {
             let what = format!("{what}, power cut at inner write {k}");
-            let fault = FaultRule::new(FaultOp::Write, FaultTrigger::OnNth(k));
+            let fault = FaultRule::new(Op::Write, FaultTrigger::OnNth(k));
             assert_eq!(replayed(&crash_recovery_at(21, shape, fault, &what)), replayed(&clean));
         }
         // A power cut at each `fsync` the syncer issues, up to the first
@@ -117,7 +117,7 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
         let mut k = 1;
         loop {
             let crashed = build(21, shape).crash();
-            let rule = FaultRule::new(FaultOp::Fsync, FaultTrigger::OnNth(k));
+            let rule = FaultRule::new(Op::Fsync, FaultTrigger::OnNth(k));
             let fault = Arc::new(FaultLayer::new(vec![rule]));
             match crashed.recover(&[Arc::clone(&fault) as Arc<dyn Layer>]) {
                 Ok(cache) => {
@@ -135,7 +135,7 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
             }
         }
         assert_eq!(k - 1, fsyncs, "{what}: fsyncs");
-        let fault = FaultRule::new(FaultOp::Sync, FaultTrigger::OnNth(1));
+        let fault = FaultRule::new(Op::Sync, FaultTrigger::OnNth(1));
         let what = format!("{what}, power cut before the sync");
         assert_eq!(replayed(&crash_recovery_at(21, shape, fault, &what)), replayed(&clean));
         // A power cut at each close of a reopened descriptor: after the
@@ -144,7 +144,7 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
         // nothing, reopens the slots left and reads back the model.
         for k in 1..=clean.files_reopened {
             let what = format!("{what}, power cut after fd-slot clear {}", k - 1);
-            let fault = FaultRule::new(FaultOp::Close, FaultTrigger::OnNth(k as u64));
+            let fault = FaultRule::new(Op::Close, FaultTrigger::OnNth(k as u64));
             let layer: Arc<dyn Layer> = Arc::new(FaultLayer::new(vec![fault]));
             let crashed = build(21, shape).crash();
             assert!(crashed.recover(&[layer]).is_err(), "{what}: the fault must stop recovery");
