@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §6): the paper motivates reusing the kernel I/O stack
+//! Ablation (README's program list): the paper motivates reusing the kernel I/O stack
 //! partly by its seek-optimizing schedulers (§I). This ablation swaps the
 //! SSD for a spinning disk and re-runs the batching sweep: with 8 ms seeks,
 //! the elevator ordering + write combining behind NVCache matter far more

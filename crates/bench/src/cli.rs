@@ -1,7 +1,7 @@
 //! Shared command-line parsing for the figure binaries.
 //!
 //! Every capacity-bound experiment takes the same three stack knobs —
-//! `--scale` (capacity divisor, DESIGN.md §3), `--shards` (log stripes) and
+//! `--scale` (capacity divisor, see README), `--shards` (log stripes) and
 //! `--queue-depth` (submission-ring/SSD-channel depth) — which used to be
 //! copy-pasted into each binary. [`CommonArgs`] parses them once and stamps
 //! them onto a [`SystemSpec`], which the systems module turns into an

@@ -1,6 +1,7 @@
 //! Benchmark harness for the NVCache reproduction.
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §6):
+//! One binary per table/figure of the paper (README, "Regenerating the
+//! paper's figures", lists them all):
 //!
 //! | target | regenerates |
 //! |--------|-------------|
@@ -13,7 +14,7 @@
 //! | `fig7`   | Fig. 7 (read-cache size sweep) |
 //!
 //! Capacity-bound experiments run at a configurable `--scale N` (default 64,
-//! see DESIGN.md §3): all capacities and dataset sizes divide by N, so the
+//! see README's `--scale` paragraph): all capacities and dataset sizes divide by N, so the
 //! virtual-time axis compresses by ≈N while per-operation latencies stay at
 //! paper scale. Each binary prints both raw virtual seconds and
 //! "paper-equivalent" seconds (`raw × N`).

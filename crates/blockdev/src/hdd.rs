@@ -1,6 +1,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simclock::{ActorClock, Bandwidth, Resource, SimTime};
+use simclock::{ActorClock, Bandwidth, ChannelResource, SimTime};
 
 use crate::{BlockDevice, DeviceStats, SparseStore};
 
@@ -49,7 +49,7 @@ impl Default for HddProfile {
 pub struct HddDevice {
     profile: HddProfile,
     store: SparseStore,
-    timeline: Resource,
+    timeline: ChannelResource,
     head: AtomicU64,
     stats: DeviceStats,
 }
@@ -61,7 +61,7 @@ impl HddDevice {
         HddDevice {
             profile,
             store: SparseStore::new(keep),
-            timeline: Resource::new(),
+            timeline: ChannelResource::new(1),
             head: AtomicU64::new(0),
             stats: DeviceStats::default(),
         }

@@ -307,11 +307,15 @@ impl Shared {
         }) else {
             return;
         };
+        // Under the file's slot list, which `finish_close` leaves after it
+        // reads `unlinked`: a descriptor that found the file named clears
+        // its own slot; one that did not is still listed, and its slot is
+        // cleared here before it can be freed and handed to another file.
+        let slots = file.slots.lock();
         file.unlinked.store(true, Ordering::SeqCst);
-        let descriptors = self.descriptors_of(&file);
-        let slots = descriptors.iter().map(|o| o.slot);
-        PersistentFdTable::clear_all(&self.log.region, &self.log.layout, slots, clock);
-        self.bury_if_dead(&file, descriptors);
+        PersistentFdTable::clear_all(&self.log.region, &self.log.layout, slots.clone(), clock);
+        drop(slots);
+        self.bury_if_dead(&file, self.descriptors_of(&file));
     }
 
     /// Whether the unlinked `file` is *dead* — none of its `descriptors`
@@ -332,7 +336,7 @@ impl Shared {
             self.pool.purge_file(file.file_id);
             self.stats.files_buried.fetch_add(1, Ordering::Relaxed);
             self.graveyard.lock().extend(descriptors);
-            self.log.notify_work_all();
+            self.log.notify_all();
         }
         true
     }
@@ -473,12 +477,13 @@ impl Shared {
             let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
             self.opened.write().remove(&opened.slot);
         }
+        // An unlinked file's slots were cleared at the `unlink`; it is in
+        // no file table, and there is no path to catalogue. Read before the
+        // slot leaves the file's list (see `file_unlinked`).
+        let named = !opened.file.unlinked.load(Ordering::SeqCst);
         opened.file.slots.lock().retain(|&slot| slot != opened.slot);
         // The descriptor is in no table and its slot is still taken.
         self.release_inner(opened, clock);
-        // An unlinked file's slots were cleared at the `unlink`; it is in
-        // no file table, and there is no path to catalogue.
-        let named = !opened.file.unlinked.load(Ordering::SeqCst);
         if named {
             PersistentFdTable::clear(&self.log.region, &self.log.layout, opened.slot, clock);
         }
@@ -704,6 +709,9 @@ impl Shared {
             .entries_logged
             .fetch_add(window, Ordering::Relaxed);
         stats.groups_logged.fetch_add(multi_entry, Ordering::Relaxed);
+        // The window is committed, queued and counted: wake the worker
+        // waiting at the tail, and a handoff waiting for its entry's queue.
+        stripe.signal.notify();
         let now = clock.now();
         for w in writes {
             self.tiers.touch(&w.opened.file, now);
@@ -1053,7 +1061,7 @@ impl NvCache {
     pub fn abort(&self) {
         self.shared.kill.store(true, Ordering::Release);
         self.shared.stop.store(true, Ordering::Release);
-        self.shared.log.notify_work_all();
+        self.shared.log.notify_all();
         for h in self.cleanup.lock().drain(..) {
             let _ = h.join();
         }
@@ -1287,7 +1295,7 @@ impl FileSystem for NvCache {
                 let _lk = self.shared.lockcheck.acquire(Class::Zombies, 0);
                 self.shared.zombies.lock().push(Zombie { opened, drain_targets: targets });
             }
-            self.shared.log.notify_work_all();
+            self.shared.log.notify_all();
         }
         Ok(())
     }

@@ -22,6 +22,7 @@ use crate::cache::{KeyedPage, Shared};
 use crate::files::OpenedFile;
 use crate::layout::CommitWord;
 use crate::lockcheck::Class;
+use crate::log::{Log, Stripe};
 use crate::pagedesc::PageDescriptor;
 
 /// Body of one cleanup worker (paper §III "Cleanup thread and batching",
@@ -106,6 +107,9 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         .collect();
     let mut touched = vec![Touched::Nothing; rings.len()];
     loop {
+        // Read before any condition below: whatever changes one of them
+        // signals the stripe afterwards, so the wait at the end returns.
+        let seen = stripe.signal.epoch();
         if shared.kill.load(Ordering::Acquire) {
             // Crash simulation: leave everything in the log for recovery.
             return;
@@ -137,7 +141,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 shared.drain_zombies(&clock);
                 return;
             }
-            stripe.wait_for_work();
+            stripe.signal.wait(seen);
             continue;
         }
 
@@ -155,12 +159,11 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
             // Wait for the in-order commit of the entry at the tail (the
             // paper's cleanup thread does exactly this). With the
             // multi-queue front-end a whole *reservation window* can sit
-            // here uncommitted while its doorbell is still filling, so the
-            // wait spins only briefly before parking on the stripe's work
-            // condvar — `commit_batch` rings it on every commit, single or
-            // doorbell-batched.
-            let mut spins = 0u32;
+            // here uncommitted while its doorbell is still filling; the
+            // writer signals the stripe once its window is committed and
+            // queued, single or doorbell-batched.
             let header = loop {
+                let seen = stripe.signal.epoch();
                 let h = stripe.read_header(seq);
                 if h.commit != CommitWord::Free {
                     break h;
@@ -173,14 +176,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                     // the gap and free what we have.
                     break h;
                 }
-                spins += 1;
-                if spins < 128 {
-                    std::thread::yield_now();
-                } else {
-                    // 1 ms-timeout park, so a lost wakeup only costs a
-                    // beat, never a hang.
-                    stripe.wait_for_work();
-                }
+                stripe.signal.wait(seen);
             };
             if header.commit == CommitWord::Free {
                 break;
@@ -266,9 +262,7 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                     shard_stats.entries_elided.fetch_add(1, Ordering::Relaxed);
                 }
                 drop((inner, inner_order));
-                for (_, d) in &pages {
-                    d.pop_propagation(e.seq);
-                }
+                pop_entry(&shared.log, stripe, &pages, e.seq);
                 drop(guards);
                 shared.stats.entries_propagated.fetch_add(1, Ordering::Relaxed);
                 shard_stats.entries_propagated.fetch_add(1, Ordering::Relaxed);
@@ -386,7 +380,20 @@ fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
         .inner_io_errors
         .fetch_add(errors, Ordering::Relaxed);
     shared.log.stripes[stripe_idx].poison();
-    shared.log.notify_work_all();
+    shared.log.notify_all();
+}
+
+/// Pops entry `gseq` of `stripe` from the front of every page in `pages`
+/// (under their cleanup locks) once it is consumed, and signals `stripe`
+/// while a handoff waits: a handoff blocked on one of these fronts waits on
+/// the signal of the front's stripe.
+pub(crate) fn pop_entry(log: &Log, stripe: &Stripe, pages: &[KeyedPage], gseq: u64) {
+    for (_, d) in pages {
+        d.pop_propagation(gseq);
+    }
+    if log.handoff_waiters.load(Ordering::Acquire) > 0 {
+        stripe.signal.notify();
+    }
 }
 
 /// Cross-stripe per-page ordering: blocks until `gseq` is the oldest
@@ -397,51 +404,47 @@ fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
 /// terminates. The override distorts the batching policy only while a
 /// waiter exists — which requires page-straddling writes whose entries
 /// split across stripes; entry-aligned workloads (e.g. the Fig. 6 sweep)
-/// never trigger it. Returns `false` if the cache was killed while
-/// waiting, or as soon as a blocking queue front (one older than `gseq`)
-/// belongs to a *poisoned* stripe: its worker is gone, so the front is
-/// never popped. A poisoned stripe that blocks none of the fronts does not
-/// degrade this one — the wait goes on.
+/// never trigger it.
+///
+/// The wait parks on the signal of the stripe that must act next: the
+/// stripe of the first blocking queue front (one older than `gseq`), whose
+/// worker signals as it pops while a handoff waits ([`pop_entry`]), or
+/// `stripe` itself while a page has not been given the entry yet — a
+/// writer commits before it queues, and signals its stripe once its
+/// entries are queued. Returns `false` if the cache was killed while
+/// waiting, or as soon as the stripe it waits on is *poisoned*: its worker
+/// is gone, so the front is never popped. A poisoned stripe that blocks
+/// none of the fronts does not degrade this one — the wait goes on; one
+/// that blocks a later front is met when the fronts before it are popped,
+/// or when their stripes poison themselves waiting on it.
 pub(crate) fn wait_for_handoff(
     shared: &Shared,
-    stripe: &crate::log::Stripe,
+    stripe: &Stripe,
     pages: &[KeyedPage],
     gseq: u64,
 ) -> bool {
-    // A page whose queue is empty has not been given the entry yet: a
-    // writer commits before it queues.
-    let at_front = || {
-        pages
-            .iter()
-            .all(|(_, d)| matches!(d.propagation_front(), Some(front) if front.gseq >= gseq))
+    let blocker = || {
+        pages.iter().find_map(|(_, d)| match d.propagation_front() {
+            None => Some(stripe.index),
+            Some(front) if front.gseq < gseq => Some(front.stripe),
+            Some(_) => None,
+        })
     };
-    let blocked_by_poison = || {
-        pages
-            .iter()
-            .filter_map(|(_, d)| d.propagation_front())
-            .any(|front| front.gseq < gseq && shared.log.stripes[front.stripe].is_poisoned())
-    };
-    if at_front() {
+    let Some(mut waiting_on) = blocker() else {
         return true; // fast path: already at every front
-    }
+    };
     shared.log.handoff_waiters.fetch_add(1, Ordering::AcqRel);
-    shared.log.notify_work_all();
-    let mut spins = 0u32;
+    shared.log.notify_all();
     let survived = loop {
-        if at_front() {
-            break true;
-        }
-        if shared.kill.load(Ordering::Acquire) || blocked_by_poison() {
-            break false;
-        }
-        // Brief spin for the common sub-microsecond handoff, then park on
-        // the stripe's work condvar (1 ms timeout, like wait_for_work)
-        // instead of burning a core while a peer finishes its batch.
-        spins += 1;
-        if spins < 128 {
-            std::thread::yield_now();
-        } else {
-            stripe.wait_for_work();
+        let waited_on = &shared.log.stripes[waiting_on];
+        let seen = waited_on.signal.epoch();
+        match blocker() {
+            None => break true,
+            Some(next) if next != waiting_on => waiting_on = next,
+            Some(_) if shared.kill.load(Ordering::Acquire) || waited_on.is_poisoned() => {
+                break false
+            }
+            Some(_) => waited_on.signal.wait(seen),
         }
     };
     shared.log.handoff_waiters.fetch_sub(1, Ordering::AcqRel);

@@ -33,7 +33,8 @@ pub(crate) fn copy_bandwidth() -> Bandwidth {
 /// Full-paper capacities need more NVMM than a test machine has RAM, so
 /// [`scaled`](NvCacheConfig::scaled) shrinks every capacity knob by a factor
 /// while keeping per-operation latencies untouched — saturation dynamics are
-/// capacity/rate ratios and survive the scaling (see DESIGN.md §3).
+/// capacity/rate ratios and survive the scaling (README, "Regenerating the
+/// paper's figures").
 ///
 /// # Example
 ///

@@ -58,7 +58,9 @@ pub(crate) struct FileState {
     /// Opens currently referencing this file.
     pub open_count: AtomicU32,
     /// Fd slots of the descriptors — open, closing or draining — on this
-    /// file, in no order (a leaf lock: nothing is taken while it is held).
+    /// file, in no order (a leaf lock: nothing but the NVMM region's own
+    /// is taken while it is held — `file_unlinked` clears the listed slots
+    /// under it).
     pub slots: Mutex<Vec<u32>>,
     /// Writable descriptors whose `close` has not finished pushing into the
     /// kernel, counted from `open`. At zero the kernel's copy is current.

@@ -32,10 +32,10 @@
 pub(crate) enum Class {
     /// `Stripe::alloc_lock` — head advancement + global sequence draw.
     StripeAlloc,
-    /// `Stripe::space_lock` — full-stripe waiting / space publication.
-    StripeSpace,
-    /// `Stripe::work_lock` — cleanup-worker wakeups.
-    StripeWork,
+    /// `Stripe::signal` — the stripe's one wakeup: its worker, full-stripe
+    /// writers, flushers and handoffs wait on it; nothing is acquired while
+    /// it is held.
+    StripeSignal,
     /// `PageDescriptor::lock()` — the per-page atomic lock.
     PageAtomic,
     /// `PageDescriptor::lock_cleanup()` — the per-page cleanup lock.
@@ -64,8 +64,7 @@ impl Class {
     fn name(self) -> &'static str {
         match self {
             Class::StripeAlloc => "StripeAlloc",
-            Class::StripeSpace => "StripeSpace",
-            Class::StripeWork => "StripeWork",
+            Class::StripeSignal => "StripeSignal",
             Class::PageAtomic => "PageAtomic",
             Class::PageCleanup => "PageCleanup",
             Class::FilesMap => "FilesMap",
@@ -137,7 +136,7 @@ mod imp {
     type Node = (Class, u64);
 
     fn node_name(n: Node) -> String {
-        if n.1 != 0 || matches!(n.0, Class::StripeAlloc | Class::StripeSpace | Class::StripeWork) {
+        if n.1 != 0 || matches!(n.0, Class::StripeAlloc | Class::StripeSignal) {
             format!("{}[{}]", n.0.name(), n.1)
         } else {
             n.0.name().to_string()

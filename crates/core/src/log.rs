@@ -4,7 +4,6 @@
 //! cross-stripe flush barriers).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
 
 use nvmm::{NvRegion, PmemInts};
 use parking_lot::{Condvar, Mutex};
@@ -56,6 +55,49 @@ impl EntryHeader {
     }
 }
 
+/// The one way a thread blocks on a stripe: an epoch-stamped wakeup.
+///
+/// A waiter reads [`epoch`](Signal::epoch) *before* it evaluates its
+/// condition and, if the condition does not hold, waits on that value. Every
+/// state change a waiter may wait for is made before a
+/// [`notify`](Signal::notify), so the evaluation either sees the change or
+/// the epoch has moved past `seen` and [`wait`](Signal::wait) returns at
+/// once: no wakeup is lost, and no wait needs a timeout.
+#[derive(Default)]
+pub(crate) struct Signal {
+    epoch: AtomicU64,
+    /// Orders a bump against a waiter's last look before it sleeps.
+    lock: Mutex<()>,
+    cv: Condvar,
+    /// Lock-order recorder and the stripe index the mutex is recorded under.
+    lockcheck: Recorder,
+    stripe: u64,
+}
+
+impl Signal {
+    /// The current epoch: read it before evaluating the condition to wait on.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Moves the epoch on, under the mutex, and wakes every waiter.
+    pub fn notify(&self) {
+        let _lk = self.lockcheck.acquire(Class::StripeSignal, self.stripe);
+        let _g = self.lock.lock();
+        self.epoch.fetch_add(1, Ordering::AcqRel);
+        self.cv.notify_all();
+    }
+
+    /// Blocks until the epoch differs from `seen`.
+    pub fn wait(&self, seen: u64) {
+        let _lk = self.lockcheck.acquire(Class::StripeSignal, self.stripe);
+        let mut guard = self.lock.lock();
+        while self.epoch() == seen {
+            self.cv.wait(&mut guard);
+        }
+    }
+}
+
 /// One stripe of the circular NVMM write log (paper §II-B, Algorithm 1,
 /// applied to the stripe's contiguous share of the entry array).
 ///
@@ -70,7 +112,7 @@ impl EntryHeader {
 ///   this stripe's cleanup worker after a batch is fsync'ed; the recovery
 ///   scan starts there.
 ///
-/// Writers that find the stripe full wait on `space_cv` and, once woken,
+/// Writers that find the stripe full wait on its `signal` and, once woken,
 /// synchronize their virtual clock with the cleanup worker's publication
 /// time (`tail_time`) — this is how SSD back-pressure reaches the
 /// application in the simulation, reproducing the saturation collapse of
@@ -106,10 +148,12 @@ pub(crate) struct Stripe {
     /// Serializes head advancement with global-sequence assignment, keeping
     /// ring order == global order within the stripe.
     alloc_lock: Mutex<()>,
-    space_lock: Mutex<()>,
-    space_cv: Condvar,
-    work_lock: Mutex<()>,
-    work_cv: Condvar,
+    /// The stripe's one wakeup, for its cleanup worker, its full-stripe
+    /// writers, its flushers and the handoffs blocked on its entries. Bumped
+    /// when entries are queued, space is freed, a flush, space or handoff
+    /// is asked for, a queue front of a waited-on handoff is popped, the
+    /// stripe is poisoned, or the mount stops.
+    pub signal: Signal,
     /// Lock-order recorder shared with the owning mount (no-op unless the
     /// `pmcheck` feature is on).
     lockcheck: Recorder,
@@ -152,10 +196,11 @@ impl Stripe {
             flush_target: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             alloc_lock: Mutex::new(()),
-            space_lock: Mutex::new(()),
-            space_cv: Condvar::new(),
-            work_lock: Mutex::new(()),
-            work_cv: Condvar::new(),
+            signal: Signal {
+                lockcheck: lockcheck.clone(),
+                stripe: index as u64,
+                ..Default::default()
+            },
             lockcheck,
         }
     }
@@ -265,7 +310,6 @@ impl Stripe {
                 self.commit_stamps[self.local_slot(first_seq + i)].store(now, Ordering::Release);
             }
         }
-        self.notify_work();
     }
 
     /// Reads an entry header (a CPU-cache-speed load: the hot paths touch
@@ -311,7 +355,7 @@ impl Stripe {
         self.region.persist_fence(clock);
         self.tail_time.store(clock.now().as_nanos(), Ordering::Release);
         self.vtail.store(from + count, Ordering::Release);
-        self.notify_space();
+        self.signal.notify();
     }
 
     /// Marks this stripe poisoned after an inner-file-system error and
@@ -319,34 +363,12 @@ impl Stripe {
     /// workers in the propagation handoff).
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        self.notify_space();
-        self.notify_work();
+        self.signal.notify();
     }
 
     /// Whether this stripe is poisoned (see [`Stripe::poison`]).
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
-    }
-
-    /// Wakes this stripe's cleanup worker.
-    pub fn notify_work(&self) {
-        let _lk = self.lockcheck.acquire(Class::StripeWork, self.index as u64);
-        let _g = self.work_lock.lock();
-        self.work_cv.notify_all();
-    }
-
-    /// Wakes writers blocked on a full stripe and flush waiters.
-    pub fn notify_space(&self) {
-        let _lk = self.lockcheck.acquire(Class::StripeSpace, self.index as u64);
-        let _g = self.space_lock.lock();
-        self.space_cv.notify_all();
-    }
-
-    /// Blocks this stripe's cleanup worker until there is (potential) work.
-    pub fn wait_for_work(&self) {
-        let _lk = self.lockcheck.acquire(Class::StripeWork, self.index as u64);
-        let mut guard = self.work_lock.lock();
-        self.work_cv.wait_for(&mut guard, Duration::from_millis(1));
     }
 
     /// Requests a drain to at least `target` and blocks until the volatile
@@ -356,8 +378,9 @@ impl Stripe {
     /// and the pending entries are only reachable through recovery.
     pub fn flush_to(&self, target: u64, clock: &ActorClock) {
         self.flush_target.fetch_max(target, Ordering::AcqRel);
-        self.notify_work();
+        self.signal.notify();
         loop {
+            let seen = self.signal.epoch();
             if self.vtail.load(Ordering::Acquire) >= target {
                 clock.advance_to(SimTime::from_nanos(self.tail_time.load(Ordering::Acquire)));
                 return;
@@ -365,18 +388,7 @@ impl Stripe {
             if self.is_poisoned() {
                 return;
             }
-            let _lk = self.lockcheck.acquire(Class::StripeSpace, self.index as u64);
-            let mut guard = self.space_lock.lock();
-            // Re-check both under the lock: `free_range` and `poison` change
-            // them before they notify under it, so no wakeup is lost.
-            if self.vtail.load(Ordering::Acquire) >= target {
-                clock.advance_to(SimTime::from_nanos(self.tail_time.load(Ordering::Acquire)));
-                return;
-            }
-            if self.is_poisoned() {
-                return;
-            }
-            self.space_cv.wait(&mut guard);
+            self.signal.wait(seen);
         }
     }
 }
@@ -497,16 +509,20 @@ impl Log {
     ) -> IoResult<(u64, u64)> {
         let cap = stripe.capacity();
         assert!(k <= cap, "write of {k} entries exceeds stripe capacity {cap}");
-        let mut waited = false;
-        loop {
+        // Set once this writer has found the stripe full: it stays counted
+        // in `space_waiters` (the worker runs regardless of `batch_min`)
+        // until it has its window or an error.
+        let mut waiting = false;
+        let reserved = loop {
             crate::stress_point();
+            let seen = stripe.signal.epoch();
             if stripe.is_poisoned() {
-                return Err(IoError::Other(format!(
+                break Err(IoError::Other(format!(
                     "NVCache log stripe {} is poisoned by an inner I/O error",
                     stripe.index
                 )));
             }
-            let reserved = {
+            let window = {
                 let _lk = stripe.lockcheck.acquire(Class::StripeAlloc, stripe.index as u64);
                 let _g = stripe.alloc_lock.lock();
                 let head = stripe.head.load(Ordering::Acquire);
@@ -520,7 +536,7 @@ impl Log {
                     None
                 }
             };
-            if let Some((head, gseq)) = reserved {
+            if let Some((head, gseq)) = window {
                 // Virtual-time coupling: the claimed slots only became free
                 // when the cleanup worker freed them — the producer cannot be
                 // "earlier" than that instant.
@@ -532,31 +548,27 @@ impl Log {
                 if free_at > 0 {
                     clock.advance_to(SimTime::from_nanos(free_at));
                 }
-                if waited {
+                if waiting {
                     clock.advance_to(SimTime::from_nanos(stripe.tail_time.load(Ordering::Acquire)));
                 }
-                return Ok((head, gseq));
+                break Ok((head, gseq));
             }
-            if !waited {
+            if waiting {
+                stripe.signal.wait(seen);
+            } else {
                 stats.log_full_waits.fetch_add(1, Ordering::Relaxed);
                 stats.per_shard[stripe.index].log_full_waits.fetch_add(1, Ordering::Relaxed);
-                waited = true;
+                stripe.space_waiters.fetch_add(1, Ordering::AcqRel);
+                // Wakes the worker, and moves the epoch past `seen`: the next
+                // turn reads it afresh before it looks at the tail again.
+                stripe.signal.notify();
+                waiting = true;
             }
-            stripe.space_waiters.fetch_add(1, Ordering::AcqRel);
-            stripe.notify_work();
-            {
-                let _lk = stripe.lockcheck.acquire(Class::StripeSpace, stripe.index as u64);
-                let mut guard = stripe.space_lock.lock();
-                // Re-check under the lock to avoid a lost wakeup: the tail
-                // and the poison flag both change before their notify.
-                let head = stripe.head.load(Ordering::Acquire);
-                let tail = stripe.vtail.load(Ordering::Acquire);
-                if head + k - tail > cap && !stripe.is_poisoned() {
-                    stripe.space_cv.wait(&mut guard);
-                }
-            }
+        };
+        if waiting {
             stripe.space_waiters.fetch_sub(1, Ordering::AcqRel);
         }
+        reserved
     }
 
     /// Entries allocated but not yet freed, across all stripes.
@@ -590,17 +602,17 @@ impl Log {
         let targets = self.heads();
         for (stripe, &target) in self.stripes.iter().zip(targets.iter()) {
             stripe.flush_target.fetch_max(target, Ordering::AcqRel);
-            stripe.notify_work();
+            stripe.signal.notify();
         }
         for (stripe, &target) in self.stripes.iter().zip(targets.iter()) {
             stripe.flush_to(target, clock);
         }
     }
 
-    /// Wakes every stripe's cleanup worker.
-    pub fn notify_work_all(&self) {
+    /// Signals every stripe.
+    pub fn notify_all(&self) {
         for stripe in self.stripes.iter() {
-            stripe.notify_work();
+            stripe.signal.notify();
         }
     }
 
@@ -626,6 +638,7 @@ mod tests {
     use crate::NvCacheConfig;
     use nvmm::{NvDimm, NvmmProfile};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn mk_log_sharded(nb: u64, shards: usize) -> (ActorClock, NvCacheStats, Log) {
         let cfg = NvCacheConfig {
@@ -643,6 +656,44 @@ mod tests {
 
     fn mk_log(nb: u64) -> (ActorClock, NvCacheStats, Log) {
         mk_log_sharded(nb, 1)
+    }
+
+    /// A `notify` that lands between a waiter's `epoch` and its `wait` is
+    /// not lost: the wait returns at once. A wait with no notify after its
+    /// epoch blocks until one comes.
+    #[test]
+    fn a_notify_between_epoch_and_wait_is_not_lost() {
+        let signal = Arc::new(Signal::default());
+        let (woke, returned) = std::sync::mpsc::channel();
+        let guard = Duration::from_secs(10);
+        let seen = signal.epoch();
+        let notifier = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || signal.notify())
+        };
+        notifier.join().unwrap();
+        let waiter = {
+            let (signal, woke) = (Arc::clone(&signal), woke.clone());
+            std::thread::spawn(move || {
+                signal.wait(seen);
+                woke.send(()).unwrap();
+            })
+        };
+        returned.recv_timeout(guard).expect("the notify before the wait was lost");
+        waiter.join().unwrap();
+
+        let seen = signal.epoch();
+        let waiter = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || {
+                signal.wait(seen);
+                woke.send(()).unwrap();
+            })
+        };
+        assert!(returned.recv_timeout(Duration::from_millis(20)).is_err(), "woke unnotified");
+        signal.notify();
+        returned.recv_timeout(guard).expect("the notify after the wait was lost");
+        waiter.join().unwrap();
     }
 
     #[test]

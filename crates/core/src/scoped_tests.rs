@@ -431,7 +431,7 @@ fn push_beside_a_consumed_entry(shards: usize) -> (u64, Vec<u8>, Option<Vec<u8>>
     stripe_a
         .flush_target
         .store(stripe_a.head.load(Ordering::Acquire), Ordering::Release);
-    stripe_a.notify_work();
+    stripe_a.signal.notify();
     while shared.stats.per_shard[a].entries_propagated.load(Ordering::Acquire) < in_a {
         std::thread::yield_now();
     }

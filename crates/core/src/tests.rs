@@ -256,7 +256,7 @@ fn dirty_miss_ignores_a_propagated_entry_whose_newer_sibling_was_freed() {
 /// runs a batch even under handoff pressure.
 #[test]
 fn a_poisoned_blocker_ends_the_handoff_and_a_healthy_one_does_not() {
-    use crate::cleanup::wait_for_handoff;
+    use crate::cleanup::{pop_entry, wait_for_handoff};
     use crate::pagedesc::Queued;
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
@@ -275,9 +275,9 @@ fn a_poisoned_blocker_ends_the_handoff_and_a_healthy_one_does_not() {
     }
     log.stripes[0].poison();
 
-    // The front's stripe is poisoned: `false` at once, before any parked
-    // wait (about 1 ms each). The fastest of three calls is timed, so a
-    // preempted test thread does not fail it.
+    // The front's stripe is poisoned: `false` at once, without parking. The
+    // fastest of three calls is timed, so a preempted test thread does not
+    // fail it.
     let fastest = (0..3)
         .map(|_| {
             let started = Instant::now();
@@ -288,8 +288,8 @@ fn a_poisoned_blocker_ends_the_handoff_and_a_healthy_one_does_not() {
         .unwrap();
     assert!(fastest < Duration::from_millis(32), "the handoff waited {fastest:?}");
 
-    // The front's stripe is healthy: the wait outlasts a few parks and ends
-    // when the front is popped.
+    // The front's stripe is healthy: the wait parks on that stripe's signal
+    // and ends when its worker's pop path pops the front.
     std::thread::scope(|s| {
         let waiter = s.spawn(|| wait_for_handoff(shared, &log.stripes[1], &healthy, 2));
         while log.handoff_waiters.load(Ordering::Acquire) == 0 {
@@ -297,7 +297,7 @@ fn a_poisoned_blocker_ends_the_handoff_and_a_healthy_one_does_not() {
         }
         std::thread::sleep(Duration::from_millis(10));
         assert!(!waiter.is_finished(), "a healthy front ended the handoff");
-        healthy[0].1.pop_propagation(1);
+        pop_entry(log, &log.stripes[1], &healthy, 1);
         assert!(waiter.join().unwrap(), "the popped front must let the handoff through");
     });
     cache.abort();
@@ -882,11 +882,27 @@ fn sharded_log_round_trips_and_propagates() {
     assert_eq!(snap.per_shard.len(), 4);
     let used: usize = snap.per_shard.iter().filter(|s| s.entries_logged > 0).count();
     assert!(used > 1, "hash routing must spread writes over stripes: {:?}", snap.per_shard);
-    assert_eq!(
-        snap.per_shard.iter().map(|s| s.entries_propagated).sum::<u64>(),
-        snap.entries_propagated,
-        "per-shard propagation counters must add up"
-    );
+    // Every counter the stripes mirror by hand adds up to the mount's.
+    let mut mirrored = Vec::new();
+    for (i, &name) in crate::ShardStats::NAMES.iter().enumerate() {
+        let Some(j) = crate::NvCacheStats::NAMES.iter().position(|&n| n == name) else {
+            continue;
+        };
+        let summed: u64 = snap.per_shard.iter().map(|s| s.values()[i]).sum();
+        assert_eq!(summed, snap.values()[j], "per-shard `{name}` must add up");
+        mirrored.push(name);
+    }
+    let expected = [
+        "entries_logged",
+        "entries_propagated",
+        "entries_elided",
+        "cleanup_batches",
+        "cleanup_fsyncs",
+        "cleanup_syncfs",
+        "log_full_waits",
+        "inner_io_errors",
+    ];
+    assert_eq!(mirrored, expected);
     // Everything reached the inner file system.
     let ifd = inner.open("/sharded", OpenFlags::RDONLY, &c).unwrap();
     for p in 0..32u64 {

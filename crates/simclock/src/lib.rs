@@ -5,19 +5,19 @@
 //! time. Real OS threads execute the protocols (locking, the cleanup thread,
 //! CAS races are all real), but every I/O primitive advances an [`ActorClock`]
 //! by a modelled service time, and shared devices serialize concurrent
-//! requests through a [`Resource`].
+//! requests through a [`ChannelResource`].
 //!
 //! This model is deterministic for single-threaded workloads and very close to
 //! deterministic under concurrency (the only nondeterminism is queueing order
-//! at a `Resource`, which affects fairness but not totals).
+//! at a `ChannelResource`, which affects fairness but not totals).
 //!
 //! # Example
 //!
 //! ```
-//! use simclock::{ActorClock, Resource, SimTime};
+//! use simclock::{ActorClock, ChannelResource, SimTime};
 //!
 //! let clock = ActorClock::new();
-//! let ssd = Resource::new();
+//! let ssd = ChannelResource::new(1);
 //! // Serve a 50µs random write against the device timeline.
 //! let done = ssd.serve(clock.now(), SimTime::from_micros(50));
 //! clock.advance_to(done);
@@ -31,7 +31,7 @@ mod time;
 mod window;
 
 pub use clock::ActorClock;
-pub use resource::{Bandwidth, ChannelResource, Resource};
+pub use resource::{Bandwidth, ChannelResource};
 pub use series::{Sample, SeriesBin, TimeSeries};
 pub use time::SimTime;
 pub use window::DispatchWindow;

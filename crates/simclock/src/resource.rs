@@ -1,67 +1,12 @@
 use crate::SimTime;
 
-/// A serially-shared device timeline (an M/G/1-style service point).
-///
-/// Concurrent actors submit requests with their current virtual time and a
-/// service duration; the resource serializes them on a single `busy_until`
-/// timeline so queueing delay emerges naturally when several actors hammer
-/// the same device (e.g. application writes and cleanup-thread writebacks
-/// hitting one SSD).
-///
-/// # Example
-///
-/// ```
-/// use simclock::{Resource, SimTime};
-/// let dev = Resource::new();
-/// let a = dev.serve(SimTime::ZERO, SimTime::from_micros(10));
-/// let b = dev.serve(SimTime::ZERO, SimTime::from_micros(10));
-/// // The second request queued behind the first.
-/// assert_eq!(a, SimTime::from_micros(10));
-/// assert_eq!(b, SimTime::from_micros(20));
-/// ```
-#[derive(Debug)]
-pub struct Resource {
-    inner: ChannelResource,
-}
-
-impl Default for Resource {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Resource {
-    /// Creates an idle resource.
-    pub fn new() -> Self {
-        // A serial timeline is exactly a one-channel queue; sharing the
-        // implementation keeps the two behaviorally identical by
-        // construction (`one_channel_matches_the_serial_resource`).
-        Resource { inner: ChannelResource::new(1) }
-    }
-
-    /// Submits a request arriving at `now` needing `service` time; returns the
-    /// completion time. The caller should `advance_to` the returned instant.
-    pub fn serve(&self, now: SimTime, service: SimTime) -> SimTime {
-        self.inner.serve(now, service)
-    }
-
-    /// The time at which the device becomes idle.
-    pub fn busy_until(&self) -> SimTime {
-        self.inner.busy_until()
-    }
-
-    /// Resets the device timeline (used when re-seeding an experiment).
-    pub fn reset(&self) {
-        self.inner.reset()
-    }
-}
-
 /// A device timeline with `ways` parallel service channels (a k-server
 /// queue) — the latency model behind command queueing (SATA NCQ, NVMe
 /// submission queues).
 ///
-/// Each request is dispatched to the earliest-free channel: with one channel
-/// this is exactly [`Resource`] (strictly serial service); with `k` channels,
+/// Each request is dispatched to the earliest-free channel: one channel is a
+/// strictly serial device timeline (an M/G/1-style service point, where
+/// queueing delay emerges when several actors hammer one device); with `k` channels,
 /// up to `k` requests whose submission times overlap are served concurrently,
 /// which is what makes an io_uring-style batch of writes cheaper than the
 /// same writes issued back to back.
@@ -195,7 +140,7 @@ mod tests {
 
     #[test]
     fn serial_requests_queue() {
-        let r = Resource::new();
+        let r = ChannelResource::new(1);
         let first = r.serve(SimTime::ZERO, SimTime::from_micros(5));
         let second = r.serve(SimTime::ZERO, SimTime::from_micros(5));
         assert_eq!(first, SimTime::from_micros(5));
@@ -205,7 +150,7 @@ mod tests {
 
     #[test]
     fn idle_gaps_are_not_charged() {
-        let r = Resource::new();
+        let r = ChannelResource::new(1);
         r.serve(SimTime::ZERO, SimTime::from_micros(1));
         // Arrives long after the device went idle: starts at its own arrival.
         let done = r.serve(SimTime::from_millis(1), SimTime::from_micros(1));
@@ -214,7 +159,7 @@ mod tests {
 
     #[test]
     fn concurrent_total_service_is_conserved() {
-        let r = Arc::new(Resource::new());
+        let r = Arc::new(ChannelResource::new(1));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let r = Arc::clone(&r);
@@ -250,22 +195,10 @@ mod tests {
 
     #[test]
     fn reset_clears_timeline() {
-        let r = Resource::new();
+        let r = ChannelResource::new(1);
         r.serve(SimTime::ZERO, SimTime::from_secs(1));
         r.reset();
         assert_eq!(r.busy_until(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn one_channel_matches_the_serial_resource() {
-        let serial = Resource::new();
-        let one = ChannelResource::new(1);
-        for (now, service) in [(0u64, 5u64), (2, 3), (40, 7), (41, 1)] {
-            let a = serial.serve(SimTime::from_micros(now), SimTime::from_micros(service));
-            let b = one.serve(SimTime::from_micros(now), SimTime::from_micros(service));
-            assert_eq!(a, b);
-        }
-        assert_eq!(serial.busy_until(), one.busy_until());
     }
 
     #[test]

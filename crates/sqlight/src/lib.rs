@@ -12,7 +12,8 @@
 //! The query surface is a deliberate simplification (`create_table` /
 //! `insert` / `get` / `scan` in transactions) — the paper's benchmarks only
 //! exercise key-value-shaped statements, and the storage engine below the
-//! SQL layer is what produces the I/O (see DESIGN.md §3).
+//! SQL layer is what produces the I/O (`fig3` in README's program list runs
+//! it).
 //!
 //! # Example
 //!

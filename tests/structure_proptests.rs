@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::Radix;
-use nvcache_repro::simclock::{ActorClock, Bandwidth, Resource, SimTime};
+use nvcache_repro::simclock::{ActorClock, Bandwidth, ChannelResource, SimTime};
 use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
 use proptest::prelude::*;
 
@@ -33,7 +33,7 @@ proptest! {
 
     #[test]
     fn resource_conserves_service_time(services in proptest::collection::vec(1u64..10_000, 1..100)) {
-        let r = Resource::new();
+        let r = ChannelResource::new(1);
         for &s in &services {
             r.serve(SimTime::ZERO, SimTime::from_nanos(s));
         }
