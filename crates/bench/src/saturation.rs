@@ -79,7 +79,9 @@ impl Hook for StallProbe {
         let start = clock.now();
         let written = forward();
         let mut first = self.first.lock().expect("probe");
-        if first.is_none() && self.nc.stats().log_full_waits.load(Ordering::Relaxed) > 0 {
+        let stripes = &self.nc.stats().per_shard;
+        let waits: u64 = stripes.iter().map(|s| s.log_full_waits.load(Ordering::Relaxed)).sum();
+        if first.is_none() && waits > 0 {
             *first = Some(start);
         }
         written

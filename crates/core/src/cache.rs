@@ -20,7 +20,7 @@ use crate::files::{FdSlotAllocator, FileState, InFlight, OpenedFile, PersistentF
 use crate::layout::{self, Layout};
 use crate::lockcheck::{Class, Held, Recorder};
 use crate::log::{EntryHeader, Log, Stripe};
-use crate::pagedesc::{PageDescriptor, PageSlot, Queued};
+use crate::pagedesc::{KeyedPage, PageDescriptor, PageSlot, Queued, Unpushed};
 use crate::readcache::ReadCache;
 use crate::recovery::{Recovered, RecoveryReport};
 use crate::replay::{Pending, Window};
@@ -36,10 +36,6 @@ pub(crate) struct Zombie {
     /// Per-stripe head snapshot taken at close time.
     pub drain_targets: Box<[u64]>,
 }
-
-/// A page descriptor keyed by `(file_id, page_no)` — the key every
-/// multi-page lock acquisition ascends by.
-pub(crate) type KeyedPage = ((u64, u64), Arc<PageDescriptor>);
 
 /// A held per-page lock plus its lock-order record.
 pub(crate) type PageGuard<'p, T> = (MutexGuard<'p, T>, Held);
@@ -352,16 +348,19 @@ impl Shared {
     /// (`replay.rs`): each contiguous extent of surviving bytes is one inner
     /// write.
     ///
-    /// The entries are listed from the propagation queues of the file's
-    /// pages, under the cleanup lock of every page that queues one in range,
+    /// The entries are listed from the propagation queues of the pages in
+    /// the file's [`unpushed`](FileState::unpushed) set — those queuing an
+    /// entry at or above the old mark — under the cleanup lock of each,
     /// held from before the listing until the last write. A worker pops an
     /// entry from every page's queue under those locks before it writes or
     /// frees it, so a listed entry is neither consumed nor freed — its slot
     /// not refilled — before its payload is read; a worker consumes an entry
     /// below the mark without a write only once its bytes are in the kernel;
     /// and no read miss sees the page in between. Returns whether every
-    /// write reached the kernel; if not, the mark stays where it was and the
-    /// workers write the entries themselves.
+    /// write reached the kernel; if not, the mark stays where it was, the
+    /// set is left as it was, and the workers write the entries themselves.
+    /// Once a mark has moved, the pages left with no entry at or above it
+    /// leave the set.
     pub fn push(&self, via: &OpenedFile, mark: Option<u64>, clock: &ActorClock) -> bool {
         let file = &via.file;
         let below = file.pushed_below.load(Ordering::Acquire);
@@ -371,16 +370,7 @@ impl Shared {
             Some(_) => slots.contains(&h.fd_slot),
             None => h.fd_slot == via.slot,
         };
-        // Most queued entries of a closing file sit below its mark, waiting
-        // to drain: only the pages queuing one in range are locked.
-        let mut pages: Vec<KeyedPage> = Vec::new();
-        if let Some(radix) = file.radix.get() {
-            radix.for_each(&mut |page| {
-                if page.queues_any(&gseqs) {
-                    pages.push(((file.file_id, page.page_no()), Arc::clone(page)));
-                }
-            });
-        }
+        let pages = file.unpushed.pages();
         let _guards = self.lock_pages(Class::PageCleanup, &pages, PageDescriptor::lock_cleanup);
         let mut queued: Vec<Queued> = pages.iter().flat_map(|(_, page)| page.queued()).collect();
         queued.retain(|entry| gseqs.contains(&entry.gseq));
@@ -422,6 +412,8 @@ impl Shared {
         });
         if pushed.is_err() {
             file.pushed_below.store(below, Ordering::Release);
+        } else if let Some(mark) = mark {
+            pages.iter().for_each(|(_, page)| page.settle(mark, &file.unpushed));
         }
         pushed.is_ok()
     }
@@ -676,7 +668,7 @@ impl Shared {
                 let (gseq, seq) = (gseq + i as u64, seq + i as u64);
                 let entry = Queued { gseq, stripe: stripe.index, seq };
                 for p in self.pages_of(w.off + (i * es) as u64, part.len()) {
-                    pages[index_of(p)].1.enqueue_propagation(entry);
+                    pages[index_of(p)].1.enqueue_propagation(entry, &file.unpushed);
                 }
             }
             let end = w.off + w.data.len() as u64;
@@ -704,7 +696,6 @@ impl Shared {
         let multi_entry = groups.iter().filter(|&&(_, k)| k > 1).count() as u64;
         stats.writes.fetch_add(writes.len() as u64, Ordering::Relaxed);
         stats.bytes_logged.fetch_add(bytes, Ordering::Relaxed);
-        stats.entries_logged.fetch_add(window, Ordering::Relaxed);
         stats.per_shard[stripe.index]
             .entries_logged
             .fetch_add(window, Ordering::Relaxed);
@@ -999,8 +990,8 @@ impl NvCache {
     /// Indices of log stripes poisoned by an inner-file-system error: their
     /// workers have stopped, their pending entries await a
     /// [`Mount::Recover`](crate::Mount) mount, and writes routed to them fail. Empty in
-    /// healthy operation ([`NvCacheStats::inner_io_errors`] counts the
-    /// causes).
+    /// healthy operation
+    /// ([`inner_io_errors`](crate::NvCacheStatsSnapshot::inner_io_errors) counts the causes).
     pub fn poisoned_stripes(&self) -> Vec<usize> {
         self.shared.log.poisoned_stripes()
     }
@@ -1143,6 +1134,7 @@ impl NvCache {
                     writers: AtomicU32::new(0),
                     pushed_below: AtomicU64::new(0),
                     push_lock: Mutex::new(()),
+                    unpushed: Unpushed::default(),
                 })
             }))
         };

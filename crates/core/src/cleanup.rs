@@ -18,12 +18,12 @@ use std::sync::Arc;
 use fiosim::IoRing;
 use simclock::SimTime;
 
-use crate::cache::{KeyedPage, Shared};
-use crate::files::OpenedFile;
+use crate::cache::Shared;
+use crate::files::{FileState, OpenedFile};
 use crate::layout::CommitWord;
 use crate::lockcheck::Class;
 use crate::log::{Log, Stripe};
-use crate::pagedesc::PageDescriptor;
+use crate::pagedesc::{KeyedPage, PageDescriptor, Queued};
 
 /// Body of one cleanup worker (paper §III "Cleanup thread and batching",
 /// one worker per log stripe).
@@ -43,7 +43,7 @@ use crate::pagedesc::PageDescriptor;
 ///    entry whose file is *dead* — unlinked, every descriptor closed, its
 ///    inner descriptor released ([`Shared::release_dead`]) — is consumed
 ///    like any other (handoff, page locks, propagation pops) without the
-///    write: [`entries_elided`](crate::NvCacheStats::entries_elided). An
+///    write: [`entries_elided`](crate::NvCacheStatsSnapshot::entries_elided). An
 ///    entry below its file's pushed-below mark — the last writable `close`
 ///    pushed it into the kernel ([`Shared::push`]) — skips the write too,
 ///    but its file counts as touched, so phase 2's barrier makes the pushed
@@ -88,7 +88,7 @@ use crate::pagedesc::PageDescriptor;
 ///
 /// An inner-file-system error (failed `pwrite` or barrier) does **not**
 /// abort the worker thread with a panic: the error is counted in
-/// [`inner_io_errors`](crate::NvCacheStats::inner_io_errors), the stripe is
+/// [`inner_io_errors`](crate::NvCacheStatsSnapshot::inner_io_errors), the stripe is
 /// poisoned — releasing blocked writers and flush barriers with an error
 /// instead of a hang — and the batch's entries stay in NVMM for recovery.
 pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
@@ -258,13 +258,12 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                         _ => Touched::Several,
                     };
                 } else {
-                    shared.stats.entries_elided.fetch_add(1, Ordering::Relaxed);
                     shard_stats.entries_elided.fetch_add(1, Ordering::Relaxed);
                 }
                 drop((inner, inner_order));
-                pop_entry(&shared.log, stripe, &pages, e.seq);
+                let popped = Queued { gseq: e.seq, stripe: stripe_idx, seq: seq + i };
+                pop_entry(&shared.log, &opened.file, &pages, popped);
                 drop(guards);
-                shared.stats.entries_propagated.fetch_add(1, Ordering::Relaxed);
                 shard_stats.entries_propagated.fetch_add(1, Ordering::Relaxed);
             }
             if batch_failed {
@@ -329,10 +328,8 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
                 }
                 // Only *successful* barriers count towards the Fig. 6
                 // amortization stats — a failed batch is not a durable drain.
-                shared.stats.cleanup_fsyncs.fetch_add(1, Ordering::Relaxed);
                 shard_stats.cleanup_fsyncs.fetch_add(1, Ordering::Relaxed);
                 if matches!(touched, Touched::Several) {
-                    shared.stats.cleanup_syncfs.fetch_add(1, Ordering::Relaxed);
                     shard_stats.cleanup_syncfs.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -345,7 +342,6 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // Phase 3: the whole batch (writes and barriers) has landed — only now
         // may the tail advance past it. Counted first: whoever the new tail
         // releases from a flush barrier finds the batch in the stats.
-        shared.stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         shard_stats.cleanup_batches.fetch_add(1, Ordering::Relaxed);
         stripe.free_range(tail, consumed, &clock);
         shared.drain_zombies(&clock);
@@ -375,24 +371,25 @@ enum Touched {
 /// instead of waiting on a worker that is about to exit), and the worker
 /// returns cleanly.
 fn poison(shared: &Shared, stripe_idx: usize, errors: u64) {
-    shared.stats.inner_io_errors.fetch_add(errors, Ordering::Relaxed);
-    shared.stats.per_shard[stripe_idx]
-        .inner_io_errors
-        .fetch_add(errors, Ordering::Relaxed);
+    let shard = &shared.stats.per_shard[stripe_idx];
+    shard.inner_io_errors.fetch_add(errors, Ordering::Relaxed);
     shared.log.stripes[stripe_idx].poison();
     shared.log.notify_all();
 }
 
-/// Pops entry `gseq` of `stripe` from the front of every page in `pages`
-/// (under their cleanup locks) once it is consumed, and signals `stripe`
+/// Pops `entry` from the front of every page in `pages` of `file` (under
+/// their cleanup locks) once it is consumed — a page left with no entry at
+/// or above the file's pushed-below mark leaves its
+/// [`unpushed`](FileState::unpushed) set — and signals the entry's stripe
 /// while a handoff waits: a handoff blocked on one of these fronts waits on
 /// the signal of the front's stripe.
-pub(crate) fn pop_entry(log: &Log, stripe: &Stripe, pages: &[KeyedPage], gseq: u64) {
+pub(crate) fn pop_entry(log: &Log, file: &FileState, pages: &[KeyedPage], entry: Queued) {
     for (_, d) in pages {
-        d.pop_propagation(gseq);
+        d.pop_propagation(entry.gseq);
+        d.settle(file.pushed_below.load(Ordering::Acquire), &file.unpushed);
     }
     if log.handoff_waiters.load(Ordering::Acquire) > 0 {
-        stripe.signal.notify();
+        log.stripes[entry.stripe].signal.notify();
     }
 }
 

@@ -14,6 +14,7 @@ use simclock::{ActorClock, SimTime};
 use crate::layout::{
     word_at, Layout, FD_BACKEND_OFF, FD_HEAT_OFF, FD_PATH_OFF, FD_SLOT_BYTES, PATH_MAX,
 };
+use crate::pagedesc::Unpushed;
 use crate::placement::Temperature;
 use crate::Radix;
 
@@ -74,6 +75,12 @@ pub(crate) struct FileState {
     pub pushed_below: AtomicU64,
     /// Serializes the pushes of `close` and `rename` on this file.
     pub push_lock: Mutex<()>,
+    /// The pages whose propagation queue holds an entry at or above
+    /// [`pushed_below`](FileState::pushed_below): the pages a push locks.
+    /// Its mutex is a leaf, taken inside a page's queue mutex (a writer's
+    /// enqueue, a worker's pop, a push settling the pages it locked) or
+    /// alone by the push that copies it.
+    pub unpushed: Unpushed,
 }
 
 /// Volatile per-descriptor state: the *opened table* entry of paper §III,

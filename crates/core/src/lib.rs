@@ -123,7 +123,7 @@
 //! identical to the synchronous drain.
 //!
 //! Inner-file-system errors during the drain no longer panic the worker:
-//! they are counted ([`NvCacheStats::inner_io_errors`]) and **poison** the
+//! they are counted ([`NvCacheStatsSnapshot::inner_io_errors`]) and **poison** the
 //! stripe — writes routed to it fail fast, flush barriers return instead of
 //! hanging, and the stripe's pending entries stay in NVMM for a
 //! [`Mount::Recover`] mount (see [`NvCache::poisoned_stripes`]).

@@ -556,7 +556,6 @@ impl Log {
             if waiting {
                 stripe.signal.wait(seen);
             } else {
-                stats.log_full_waits.fetch_add(1, Ordering::Relaxed);
                 stats.per_shard[stripe.index].log_full_waits.fetch_add(1, Ordering::Relaxed);
                 stripe.space_waiters.fetch_add(1, Ordering::AcqRel);
                 // Wakes the worker, and moves the epoch past `seen`: the next
@@ -792,7 +791,7 @@ mod tests {
             let c2 = ActorClock::new();
             let s2 = NvCacheStats::default();
             let (seq, _) = log2.reserve(&log2.stripes[0], 1, &c2, &s2).unwrap();
-            (seq, s2.log_full_waits.load(Ordering::Relaxed))
+            (seq, s2.per_shard[0].log_full_waits.load(Ordering::Relaxed))
         });
         std::thread::sleep(Duration::from_millis(30));
         let freeing_clock = ActorClock::starting_at(SimTime::from_secs(9));

@@ -1,10 +1,13 @@
 //! Per-page state: [`PageDescriptor`] with the paper's two-lock concurrency
 //! scheme (§II-D), the Table II page states, and the propagation queue that
 //! keeps per-page write order at the inner file system across stripes —
-//! and whose length is the paper's dirty counter.
+//! and whose length is the paper's dirty counter. Every change to a queue
+//! that adds or removes its last entry not yet pushed into the kernel keeps
+//! the file's [`Unpushed`] set current, under the queue's own mutex.
 
-use std::collections::VecDeque;
-use std::ops::Range;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -72,7 +75,16 @@ pub struct PageDescriptor {
     slot: Mutex<PageSlot>,
     cleanup_lock: Mutex<()>,
     prop_queue: Mutex<VecDeque<Queued>>,
+    /// Whether the page is in its file's [`Unpushed`] set, so that the
+    /// set's mutex is taken only when the page joins or leaves it. Read and
+    /// changed only under the queue mutex, which orders every access:
+    /// `Relaxed` suffices.
+    listed: AtomicBool,
 }
+
+/// A page descriptor keyed by `(file_id, page_no)` — the key every
+/// multi-page lock acquisition ascends by.
+pub(crate) type KeyedPage = ((u64, u64), Arc<PageDescriptor>);
 
 /// One pending log entry in a page's propagation queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +97,24 @@ pub(crate) struct Queued {
     pub seq: u64,
 }
 
+/// The pages of one file whose propagation queue holds an entry at or
+/// above the file's pushed-below mark (`FileState::pushed_below`), keyed
+/// as [`KeyedPage`]s: the pages a `close` push locks. A page joins when a
+/// writer queues an entry on it; it leaves when a pop, or a push moving the
+/// mark, leaves its queue no such entry. The mutex is a leaf: taken inside
+/// a page's queue mutex, or alone to copy the set.
+#[derive(Debug, Default)]
+pub(crate) struct Unpushed(Mutex<HashMap<(u64, u64), Arc<PageDescriptor>>>);
+
+impl Unpushed {
+    /// The pages, ascending by key (the lock order).
+    pub fn pages(&self) -> Vec<KeyedPage> {
+        let mut pages: Vec<_> = self.0.lock().iter().map(|(&k, d)| (k, Arc::clone(d))).collect();
+        pages.sort_unstable_by_key(|&(key, _)| key);
+        pages
+    }
+}
+
 impl PageDescriptor {
     /// Creates an unloaded-clean descriptor for `page_no`, tagged with the
     /// owning file's id.
@@ -95,6 +125,7 @@ impl PageDescriptor {
             slot: Mutex::new(PageSlot::default()),
             cleanup_lock: Mutex::new(()),
             prop_queue: Mutex::new(VecDeque::new()),
+            listed: AtomicBool::new(false),
         }
     }
 
@@ -129,13 +160,17 @@ impl PageDescriptor {
         self.prop_queue.lock().len()
     }
 
-    /// Appends a pending entry to the propagation queue (writer path, under
-    /// the atomic lock — which makes the queue order the commit order for
-    /// this page).
-    pub(crate) fn enqueue_propagation(&self, entry: Queued) {
+    /// Appends a pending entry to the propagation queue and lists the page
+    /// in its file's `unpushed` set (writer path, under the atomic lock —
+    /// which makes the queue order the commit order for this page). A
+    /// writer logs at or above its file's pushed-below mark.
+    pub(crate) fn enqueue_propagation(self: &Arc<Self>, entry: Queued, unpushed: &Unpushed) {
         let mut q = self.prop_queue.lock();
         debug_assert!(q.back().is_none_or(|last| last.gseq < entry.gseq), "queue must stay sorted");
         q.push_back(entry);
+        if !self.listed.swap(true, Ordering::Relaxed) {
+            unpushed.0.lock().insert((self.file_id, self.page_no), Arc::clone(self));
+        }
     }
 
     /// The oldest pending entry for this page, if any (cleanup handoff).
@@ -149,12 +184,6 @@ impl PageDescriptor {
         self.prop_queue.lock().iter().copied().collect()
     }
 
-    /// Whether an entry whose global sequence number lies in `gseqs` is
-    /// pending for this page.
-    pub(crate) fn queues_any(&self, gseqs: &Range<u64>) -> bool {
-        self.prop_queue.lock().iter().any(|entry| gseqs.contains(&entry.gseq))
-    }
-
     /// Removes `gseq` from the queue front once the entry has been
     /// propagated (cleanup path, under the cleanup lock).
     ///
@@ -166,6 +195,17 @@ impl PageDescriptor {
         let mut q = self.prop_queue.lock();
         let front = q.pop_front().map(|entry| entry.gseq);
         assert_eq!(front, Some(gseq), "out-of-order propagation pop");
+    }
+
+    /// Takes the page out of `unpushed` unless its queue holds an entry at
+    /// or above `mark`, its file's pushed-below mark — after a pop, or after
+    /// a push that moved the mark, under the page's cleanup lock. The queue
+    /// ascends by global sequence number: its last entry decides.
+    pub(crate) fn settle(&self, mark: u64, unpushed: &Unpushed) {
+        let q = self.prop_queue.lock();
+        if q.back().is_none_or(|e| e.gseq < mark) && self.listed.swap(false, Ordering::Relaxed) {
+            unpushed.0.lock().remove(&(self.file_id, self.page_no));
+        }
     }
 
     /// The page state per paper Table II, derived from residency and the
@@ -209,9 +249,9 @@ mod tests {
 
     #[test]
     fn table_ii_state_matrix() {
-        let d = PageDescriptor::for_file(1, 0);
+        let (d, unpushed) = (Arc::new(PageDescriptor::for_file(1, 0)), Unpushed::default());
         // unloaded-clean -> unloaded-dirty on write (dc > 0)
-        d.enqueue_propagation(entry(4));
+        d.enqueue_propagation(entry(4), &unpushed);
         assert_eq!(d.state(), PageState::UnloadedDirty);
         // load content => loaded regardless of the counter
         d.lock().content = Some(vec![0u8; 64].into_boxed_slice());
@@ -228,9 +268,9 @@ mod tests {
     fn eviction_of_dirty_page_is_unloaded_dirty() {
         // Fig. 2: loaded --eviction--> unloaded-dirty when dc > 0, i.e. the
         // design avoids a synchronous write-back at eviction.
-        let d = PageDescriptor::for_file(1, 0);
+        let d = Arc::new(PageDescriptor::for_file(1, 0));
         d.lock().content = Some(vec![1u8; 64].into_boxed_slice());
-        d.enqueue_propagation(entry(0));
+        d.enqueue_propagation(entry(0), &Unpushed::default());
         d.lock().content = None; // evict without any I/O
         assert_eq!(d.state(), PageState::UnloadedDirty);
     }
@@ -255,25 +295,55 @@ mod tests {
 
     #[test]
     fn propagation_queue_is_fifo() {
-        let d = PageDescriptor::for_file(1, 0);
+        let (d, unpushed) = (Arc::new(PageDescriptor::for_file(1, 0)), Unpushed::default());
         assert_eq!(d.propagation_front(), None);
         let (a, b) = (Queued { gseq: 3, stripe: 1, seq: 0 }, Queued { gseq: 9, stripe: 0, seq: 4 });
-        d.enqueue_propagation(a);
-        d.enqueue_propagation(b);
+        d.enqueue_propagation(a, &unpushed);
+        d.enqueue_propagation(b, &unpushed);
         assert_eq!((d.propagation_front(), d.queued()), (Some(a), vec![a, b]));
-        assert!(d.queues_any(&(9..10)) && d.queues_any(&(0..4)) && !d.queues_any(&(4..9)));
         d.pop_propagation(3);
         assert_eq!((d.propagation_front(), d.dirty_count()), (Some(b), 1));
         d.pop_propagation(9);
         assert_eq!((d.propagation_front(), d.dirty_count()), (None, 0));
     }
 
+    /// A page stays in the set while its queue holds an entry at or above
+    /// the mark, whichever entry is popped and wherever the mark moves.
+    #[test]
+    fn the_set_lists_a_page_while_it_queues_an_entry_at_or_above_the_mark() {
+        let listed = |set: &Unpushed| set.pages().iter().map(|(key, _)| key.1).collect::<Vec<_>>();
+        let unpushed = Unpushed::default();
+        let (p, q) =
+            (Arc::new(PageDescriptor::for_file(1, 7)), Arc::new(PageDescriptor::for_file(1, 2)));
+        for gseq in [3, 5, 8] {
+            p.enqueue_propagation(entry(gseq), &unpushed);
+        }
+        q.enqueue_propagation(entry(4), &unpushed);
+        assert_eq!(listed(&unpushed), [2, 7], "ascending by page number");
+        p.settle(9, &unpushed);
+        assert_eq!(listed(&unpushed), [2], "no entry at or above 9");
+        p.enqueue_propagation(entry(9), &unpushed);
+        p.settle(9, &unpushed);
+        assert_eq!(listed(&unpushed), [2, 7], "9 is not below 9");
+        q.pop_propagation(4);
+        q.settle(0, &unpushed);
+        assert_eq!(listed(&unpushed), [7], "q's queue is empty");
+        for gseq in [3, 5, 8] {
+            p.pop_propagation(gseq);
+            p.settle(9, &unpushed);
+            assert_eq!(listed(&unpushed), [7], "9 is still queued");
+        }
+        p.pop_propagation(9);
+        p.settle(9, &unpushed);
+        assert!(listed(&unpushed).is_empty());
+    }
+
     #[test]
     #[should_panic(expected = "out-of-order propagation pop")]
     fn out_of_order_pop_is_detected() {
-        let d = PageDescriptor::for_file(1, 0);
-        d.enqueue_propagation(entry(1));
-        d.enqueue_propagation(entry(2));
+        let (d, unpushed) = (Arc::new(PageDescriptor::for_file(1, 0)), Unpushed::default());
+        d.enqueue_propagation(entry(1), &unpushed);
+        d.enqueue_propagation(entry(2), &unpushed);
         d.pop_propagation(2);
     }
 }

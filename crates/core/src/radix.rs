@@ -145,21 +145,6 @@ impl Radix {
             Child::Node(_) => unreachable!("node at the leaf level"),
         }
     }
-
-    /// Calls `visit` on every descriptor of the tree, by ascending page
-    /// number. Creates nothing; a descriptor created meanwhile may be missed.
-    pub fn for_each(&self, visit: &mut impl FnMut(&Arc<PageDescriptor>)) {
-        walk(&self.root, visit);
-    }
-}
-
-fn walk(node: &Node, visit: &mut impl FnMut(&Arc<PageDescriptor>)) {
-    for child in node.children.iter().filter_map(OnceLock::get) {
-        match child {
-            Child::Node(n) => walk(n, visit),
-            Child::Leaf(d) => visit(d),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,21 +179,6 @@ mod tests {
         assert_eq!(r.len(), 101);
         assert!(r.get(99).is_some());
         assert!(r.get((1 << 36) - 1).is_some());
-    }
-
-    #[test]
-    fn for_each_visits_every_page_in_ascending_order() {
-        let r = Radix::new(1);
-        let pages = [(1 << 36) - 1, 64 * 64, 65, 64, 3, 0];
-        for p in pages {
-            r.get_or_create(p);
-        }
-        let mut seen = Vec::new();
-        r.for_each(&mut |d| seen.push(d.page_no()));
-        let mut expect = pages.to_vec();
-        expect.sort_unstable();
-        assert_eq!(seen, expect);
-        assert_eq!(r.len(), pages.len(), "the walk created nothing");
     }
 
     #[test]

@@ -287,7 +287,8 @@ mod tests {
         let rc = ReadCache::new(1);
         let d = page(1, 0);
         install(&rc, &d);
-        d.enqueue_propagation(crate::pagedesc::Queued { gseq: 0, stripe: 0, seq: 0 });
+        let queued = crate::pagedesc::Queued { gseq: 0, stripe: 0, seq: 0 };
+        d.enqueue_propagation(queued, &Default::default());
         let extra = page(1, 1);
         rc.make_room(&stats);
         install(&rc, &extra);

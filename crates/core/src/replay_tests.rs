@@ -106,13 +106,12 @@ fn planned_replay_matches_the_reference_across_an_entry_window_boundary() {
     assert_replays_agree("entries beyond a window", 2, Shape::many());
 }
 
-/// The entries of `opened` its file's pages queue, in commit order, as
-/// `(stripe, seq)`: what [`Shared::push`] lists without a mark.
+/// The entries of `opened` the pages of its file's unpushed set queue, in
+/// commit order, as `(stripe, seq)`: what [`Shared::push`] lists without a
+/// mark.
 fn queued_for(shared: &Shared, opened: &OpenedFile) -> Vec<(usize, u64)> {
-    let mut queued = Vec::new();
-    if let Some(radix) = opened.file.radix.get() {
-        radix.for_each(&mut |page| queued.extend(page.queued()));
-    }
+    let pages = opened.file.unpushed.pages();
+    let mut queued: Vec<_> = pages.iter().flat_map(|(_, page)| page.queued()).collect();
     queued.sort_unstable_by_key(|entry| entry.gseq);
     queued.dedup_by_key(|entry| entry.gseq);
     let ours = |stripe: usize, seq| shared.log.stripes[stripe].read_header(seq).fd_slot;

@@ -16,10 +16,12 @@ use blockdev::{BlockDevice, SsdDevice, SsdProfile};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
 use vfs::{
-    DelayLayer, DelayProfile, Ext4, Ext4Profile, FileSystem, IoError, IoResult, Layer, OpenFlags,
+    DelayLayer, DelayProfile, Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, FileSystem,
+    IoError, IoResult, Layer, MemFs, OpenFlags,
 };
 
 use crate::cache::Shared;
+use crate::pagedesc::Queued;
 use crate::tests::mount;
 use crate::{Mount, NvCache, NvCacheConfig};
 
@@ -381,7 +383,8 @@ fn close_never_pushes_a_recycled_slot() {
             };
             let stripe = &shared.log.stripes[0];
             let hdr = stripe.read_header(0);
-            page.pop_propagation(hdr.seq);
+            let popped = Queued { gseq: hdr.seq, stripe: 0, seq: 0 };
+            crate::cleanup::pop_entry(&shared.log, &a_opened.file, &pages[..1], popped);
             let data = stripe.read_data_cached(0, hdr.len as usize);
             let (inner, order) = shared.hold_inner(&a_opened);
             let fd = inner.expect("an open descriptor");
@@ -464,5 +467,121 @@ fn close_never_pushes_an_entry_a_worker_has_consumed() {
         assert!(newer(&read), "{shards} stripe(s): the older write came back: {:?}", &read[..4]);
         let durable = durable.expect("the file survives");
         assert!(newer(&durable), "{shards} stripe(s): after recovery: {:?}", &durable[..4]);
+    }
+}
+
+/// The pages of `file` whose queue holds an entry at or above its mark,
+/// found through `Radix::get` over pages `0..pages`, and the pages in its
+/// unpushed set.
+fn unpushed_against_its_definition(
+    shared: &Shared,
+    fd: vfs::Fd,
+    pages: u64,
+) -> (Vec<u64>, Vec<u64>) {
+    let file = Arc::clone(&shared.opened_fd(fd).expect("open").file);
+    let below = file.pushed_below.load(Ordering::Acquire);
+    let radix = file.radix.get().expect("a writable file has a tree");
+    let expected = (0..pages)
+        .filter(|&p| radix.get(p).is_some_and(|d| d.queued().iter().any(|e| e.gseq >= below)))
+        .collect();
+    (expected, file.unpushed.pages().iter().map(|((_, page), _)| *page).collect())
+}
+
+/// One seeded run over two stripes with parked workers: page-straddling
+/// writes, reads of pages nothing writes (their descriptors exist, their
+/// queues stay empty), worker drains of one stripe or of both, and marked
+/// and unmarked pushes — the first push fails at the inner file system.
+/// After every step the file's unpushed set is exactly the pages whose
+/// queue holds an entry at or above the file's mark.
+fn the_unpushed_set_follows_its_definition(seed: u64) -> Result<(), String> {
+    const WRITTEN: u64 = 8; // pages 0..8 are written; 8..12 only read
+    const PAGES: u64 = 13;
+    let cfg = NvCacheConfig { nb_entries: 1024, ..parked() }.with_log_shards(2);
+    let clock = ActorClock::new();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let faults = FaultLayer::new(vec![FaultRule::new(vfs::Op::Write, FaultTrigger::OnNth(1))]);
+    let inner = faults.wrap(Arc::new(MemFs::new()));
+    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).expect("format");
+    let shared = &cache.shared;
+    let fd = cache.open("/set", create(), &clock).expect("open");
+    let opened = shared.opened_fd(fd).expect("open");
+    let file = Arc::clone(&opened.file);
+    let mut rng = proptest::TestRng::for_case("unpushed_set", seed);
+    let step = |what: &str| -> Result<(), String> {
+        let (expected, listed) = unpushed_against_its_definition(shared, fd, PAGES);
+        match expected == listed {
+            true => Ok(()),
+            false => {
+                Err(format!("seed {seed}, after {what}: set {listed:?}, definition {expected:?}"))
+            }
+        }
+    };
+    // The last page sets the size: the pages before it that no write
+    // reaches are holes a read still makes descriptors for.
+    cache.pwrite(fd, b"end", (PAGES - 1) * 4096, &clock).expect("pwrite");
+    step("the first write")?;
+    let mut pushes = 0;
+    for _ in 0..60 {
+        let what = match rng.below(10) {
+            0..=3 => {
+                let len = 1 + rng.below(6000);
+                let off = rng.below(WRITTEN * 4096 - len);
+                let byte = rng.below(256) as u8;
+                cache.pwrite(fd, &vec![byte; len as usize], off, &clock).expect("pwrite");
+                "a write"
+            }
+            4 | 5 => {
+                let mut buf = vec![0u8; 1 + rng.below(8192) as usize];
+                let off = rng.below(PAGES * 4096 - buf.len() as u64);
+                cache.pread(fd, &mut buf, off, &clock).expect("pread");
+                "a read"
+            }
+            6 | 7 if pushes > 0 => {
+                // A stripe drains alone unless one of its entries queues
+                // behind the other stripe's: then both drain.
+                let s = rng.below(2) as usize;
+                let radix = file.radix.get().expect("a tree");
+                let behind = (0..PAGES).filter_map(|p| radix.get(p)).any(|d| {
+                    let q = d.queued();
+                    q.iter().skip_while(|e| e.stripe == s).any(|e| e.stripe == s)
+                });
+                match behind {
+                    true => cache.flush_log(&clock),
+                    false => {
+                        let stripe = &shared.log.stripes[s];
+                        stripe.flush_to(stripe.head.load(Ordering::Acquire), &clock);
+                    }
+                }
+                "a drain"
+            }
+            _ => {
+                let below = file.pushed_below.load(Ordering::Acquire);
+                let marked = pushes == 0 || rng.below(2) == 0;
+                let _serial = shared.serialize_push(&file);
+                let mark = marked.then(|| shared.log.next_seq());
+                let pushed = shared.push(&opened, mark, &clock);
+                pushes += 1;
+                if pushes == 1 {
+                    // The run's first inner write: the fault layer fails it.
+                    assert!(!pushed && faults.faults_injected() == 1, "the first push fails");
+                    assert_eq!(file.pushed_below.load(Ordering::Acquire), below, "mark restored");
+                } else {
+                    assert!(pushed, "seed {seed}: a push failed");
+                }
+                "a push"
+            }
+        };
+        step(what)?;
+    }
+    cache.flush_log(&clock);
+    step("the last drain")?;
+    cache.shutdown(&clock);
+    Ok(())
+}
+
+#[test]
+fn the_unpushed_set_is_the_pages_queuing_an_entry_at_or_above_the_mark() {
+    for seed in 0..24 {
+        the_unpushed_set_follows_its_definition(seed).unwrap_or_else(|e| panic!("{e}"));
     }
 }

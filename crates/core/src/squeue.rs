@@ -42,12 +42,12 @@ use std::sync::Arc;
 use simclock::{ActorClock, SimTime};
 use vfs::{Fd, IoError, IoResult};
 
-use crate::cache::{KeyedPage, NvCache, PageGuard, Shared, WriteOp};
+use crate::cache::{NvCache, PageGuard, Shared, WriteOp};
 use crate::config::{copy_bandwidth, LIBC_OVERHEAD};
 use crate::files::InFlight;
 use crate::lockcheck::Class;
 use crate::log::Stripe;
-use crate::pagedesc::{PageDescriptor, PageSlot};
+use crate::pagedesc::{KeyedPage, PageDescriptor, PageSlot};
 use crate::stats::{QueueStats, SQ_BATCH_BUCKETS};
 
 /// A completion queue entry: the asynchronous result of one submitted

@@ -36,13 +36,16 @@ impl<F: Family> Family for Box<[F]> {
 
 /// Declares one counter family from a single table. `counters` are scalar
 /// `AtomicU64`s (`u64` in the snapshot), each spelled exactly once; `nested`
-/// fields are other families (`live type => snapshot type = default`).
+/// fields are other families (`live type => snapshot type = default`);
+/// `summed over` a nested field names snapshot-only totals, each the sum of
+/// the same-named counter over that field's members.
 macro_rules! counter_table {
     (
         $(#[$live_meta:meta])*
         $live:ident => $(#[$snap_meta:meta])* $snap:ident
         counters { $($(#[$doc:meta])* $name:ident,)* }
         nested { $($(#[$ndoc:meta])* $nname:ident: $nlive:ty => $nsnap:ty = $ndefault:expr,)* }
+        $(summed over $over:ident { $($(#[$sdoc:meta])* $sname:ident,)* })?
     ) => {
         $(#[$live_meta])*
         #[derive(Debug)]
@@ -56,6 +59,7 @@ macro_rules! counter_table {
         pub struct $snap {
             $($(#[$doc])* pub $name: u64,)*
             $($(#[$ndoc])* pub $nname: $nsnap,)*
+            $($($(#[$sdoc])* pub $sname: u64,)*)?
         }
 
         impl $live {
@@ -69,21 +73,15 @@ macro_rules! counter_table {
 
             /// Point-in-time copy of all counters.
             pub fn snapshot(&self) -> $snap {
-                $snap { $($name: self.$name.snap(),)* $($nname: self.$nname.snap(),)* }
+                $(let $nname = self.$nname.snap();)*
+                $($(let $sname = $over.iter().map(|member| member.$sname).sum();)*)?
+                $snap { $($name: self.$name.snap(),)* $($($sname,)*)? $($nname,)* }
             }
         }
 
         impl Default for $live {
             fn default() -> Self {
                 $live { $($name: AtomicU64::new(0),)* $($nname: $ndefault,)* }
-            }
-        }
-
-        impl $snap {
-            /// The scalar counters' values, parallel to the live struct's
-            /// `NAMES`.
-            pub fn values(&self) -> [u64; $live::NAMES.len()] {
-                [$(self.$name),*]
             }
         }
 
@@ -106,7 +104,7 @@ counter_table! {
         /// Log entries created in this stripe.
         entries_logged,
         /// Entries consumed by this stripe's cleanup worker (see
-        /// [`NvCacheStats::entries_propagated`]).
+        /// [`NvCacheStatsSnapshot::entries_propagated`]).
         entries_propagated,
         /// Those of them dropped instead of written: entries of dead files.
         entries_elided,
@@ -174,7 +172,9 @@ fn family<F: Default>(n: usize) -> Box<[F]> {
 
 counter_table! {
     /// Operation counters of an [`NvCache`](crate::NvCache) instance (one
-    /// stripe, one backend and no queue pair by default).
+    /// stripe, one backend and no queue pair by default). The stripes'
+    /// counters are kept once, in `per_shard`; the snapshot's mount totals
+    /// of them are their sums.
     NvCacheStats =>
     /// Plain-value snapshot of [`NvCacheStats`].
     NvCacheStatsSnapshot
@@ -185,8 +185,6 @@ counter_table! {
         reads,
         /// Bytes appended to the NVMM log (payload only).
         bytes_logged,
-        /// Log entries created.
-        entries_logged,
         /// Multi-entry groups created.
         groups_logged,
         /// Reads served entirely from the read cache.
@@ -209,33 +207,18 @@ counter_table! {
         /// Read-cache installs admitted straight to the main FIFO: the page
         /// had left the small one recently (a ghost).
         read_cache_ghost_hits,
-        /// Times a writer had to wait for log space (saturation events).
-        log_full_waits,
         /// Times `open` found the fd table exhausted and had to force a log
         /// drain to reap zombie descriptors before a slot freed up (or the
         /// open failed). Rising values mean
         /// [`fd_slots`](crate::NvCacheConfig::fd_slots) is too small for the
         /// open/close churn.
         fd_slot_waits,
-        /// Cleanup batches completed.
-        cleanup_batches,
-        /// Entries *consumed* by the cleanup workers: written to the inner
-        /// file system, or — [`entries_elided`](Self::entries_elided) of
-        /// them — dropped because their file was dead. Every logged entry
-        /// ends up here exactly once, which is what `flush_log`, the zombie
-        /// accounting and per-entry ratios rely on; the entries a backend
-        /// actually received are in `per_backend_propagated`.
-        entries_propagated,
-        /// Entries the workers dropped instead of writing, because their
-        /// file was *dead* — unlinked, every descriptor on it closed — by
-        /// the time its turn came: work no reader could ever observe.
-        entries_elided,
         /// Files that died with descriptors or zombies still around: the
         /// inner descriptors were released at once (so the inner file
         /// system drops the pages it cached for them) instead of at the end
         /// of their drain.
         files_buried,
-        /// Of [`entries_propagated`](Self::entries_propagated), the entries
+        /// Of [`entries_propagated`](NvCacheStatsSnapshot::entries_propagated), the entries
         /// the workers consumed without a write because `close` had already
         /// pushed them into the kernel (the batch's barrier still makes
         /// them durable).
@@ -244,18 +227,8 @@ counter_table! {
         /// log: the file they touch had nothing in it, or a rename settled
         /// its source file alone.
         drains_skipped,
-        /// Durability barriers the cleanup workers completed: one per batch
-        /// per backend the batch wrote to — `fsync` of the file when it
-        /// touched one there, a `syncfs` of the backend when several.
-        cleanup_fsyncs,
-        /// Those of them that were a `syncfs` (multi-file batches).
-        cleanup_syncfs,
         /// Entries replayed by recovery.
         recovered_entries,
-        /// Inner-file-system errors hit by the cleanup workers (each one
-        /// poisons the owning stripe; see
-        /// [`NvCache::poisoned_stripes`](crate::NvCache::poisoned_stripes)).
-        inner_io_errors,
         /// Files moved between tiers by the migrator
         /// ([`rebalance`](crate::NvCache::rebalance)/[`migrate`](crate::NvCache::migrate)
         /// calls and cross-tier renames; recovery moves no file). Always `0`
@@ -303,6 +276,35 @@ counter_table! {
         /// write traffic over the tiers.
         per_backend_propagated: Box<[AtomicU64]> => Vec<u64> = family(1),
     }
+    summed over per_shard {
+        /// Log entries created.
+        entries_logged,
+        /// Entries *consumed* by the cleanup workers: written to the inner
+        /// file system, or — [`entries_elided`](Self::entries_elided) of
+        /// them — dropped because their file was dead. Every logged entry
+        /// ends up here exactly once, which is what `flush_log`, the zombie
+        /// accounting and per-entry ratios rely on; the entries a backend
+        /// actually received are in `per_backend_propagated`.
+        entries_propagated,
+        /// Entries the workers dropped instead of writing, because their
+        /// file was *dead* — unlinked, every descriptor on it closed — by
+        /// the time its turn came: work no reader could ever observe.
+        entries_elided,
+        /// Cleanup batches completed.
+        cleanup_batches,
+        /// Durability barriers the cleanup workers completed: one per batch
+        /// per backend the batch wrote to — `fsync` of the file when it
+        /// touched one there, a `syncfs` of the backend when several.
+        cleanup_fsyncs,
+        /// Those of them that were a `syncfs` (multi-file batches).
+        cleanup_syncfs,
+        /// Times a writer had to wait for log space (saturation events).
+        log_full_waits,
+        /// Inner-file-system errors hit by the cleanup workers (each one
+        /// poisons the owning stripe; see
+        /// [`NvCache::poisoned_stripes`](crate::NvCache::poisoned_stripes)).
+        inner_io_errors,
+    }
 }
 
 impl NvCacheStats {
@@ -323,30 +325,34 @@ impl NvCacheStats {
 mod tests {
     use super::*;
 
-    /// Sets counter *i* to *i + 1* and checks the snapshot mirrors every one.
+    /// Sets counter *i* to *i + 1* and checks that the snapshot, as `Debug`
+    /// prints it, shows every one under its name.
     fn mirrors<const N: usize>(
         names: &[&str],
         counters: [&AtomicU64; N],
-        values: impl Fn() -> [u64; N],
+        shown: impl Fn() -> String,
     ) {
         assert_eq!(names.len(), N);
         for (i, c) in counters.iter().enumerate() {
             c.store(i as u64 + 1, Ordering::Relaxed);
         }
-        for (i, v) in values().iter().enumerate() {
-            assert_eq!(*v, i as u64 + 1, "snapshot does not mirror `{}`", names[i]);
+        let shown = shown();
+        let fields: Vec<&str> = shown.split([',', '{', '}']).map(str::trim).collect();
+        for (i, name) in names.iter().enumerate() {
+            let field = format!("{name}: {}", i + 1);
+            assert!(fields.contains(&field.as_str()), "snapshot does not mirror `{name}`: {shown}");
         }
     }
 
     #[test]
     fn snapshot_mirrors_every_counter_of_the_table() {
         let s = NvCacheStats::with_front_end(1, 1, 1);
-        mirrors(NvCacheStats::NAMES, s.counters(), || s.snapshot().values());
+        mirrors(NvCacheStats::NAMES, s.counters(), || format!("{:?}", s.snapshot()));
         let shard = &s.per_shard[0];
-        mirrors(ShardStats::NAMES, shard.counters(), || s.snapshot().per_shard[0].values());
+        mirrors(ShardStats::NAMES, shard.counters(), || format!("{:?}", s.snapshot().per_shard[0]));
         let queue = &s.per_queue[0];
-        mirrors(QueueStats::NAMES, queue.counters(), || s.snapshot().per_queue[0].values());
-        assert_eq!(NvCacheStats::NAMES.len(), 32);
+        mirrors(QueueStats::NAMES, queue.counters(), || format!("{:?}", s.snapshot().per_queue[0]));
+        assert_eq!(NvCacheStats::NAMES.len(), 24);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 
@@ -361,6 +367,34 @@ mod tests {
         let names = [NvCacheStats::NAMES, ShardStats::NAMES, QueueStats::NAMES, &nested];
         for name in names.into_iter().flatten() {
             assert!(glossary.contains(&format!("`{name}")), "no glossary row for `{name}`");
+        }
+    }
+
+    /// The mount totals of the stripe counters are counted once, per
+    /// stripe, and snapshot as the sums over the stripes.
+    #[test]
+    fn the_mount_totals_are_the_sums_over_the_stripes() {
+        let s = NvCacheStats::with_front_end(3, 1, 0);
+        for (k, shard) in s.per_shard.iter().enumerate() {
+            for (i, c) in shard.counters().iter().enumerate() {
+                c.store((i as u64 + 1) * (k as u64 + 1), Ordering::Relaxed);
+            }
+        }
+        let snap = s.snapshot();
+        let totals = [
+            ("entries_logged", snap.entries_logged),
+            ("entries_propagated", snap.entries_propagated),
+            ("entries_elided", snap.entries_elided),
+            ("cleanup_batches", snap.cleanup_batches),
+            ("cleanup_fsyncs", snap.cleanup_fsyncs),
+            ("cleanup_syncfs", snap.cleanup_syncfs),
+            ("log_full_waits", snap.log_full_waits),
+            ("inner_io_errors", snap.inner_io_errors),
+        ];
+        for (name, total) in totals {
+            assert!(!NvCacheStats::NAMES.contains(&name), "`{name}` is counted twice");
+            let i = ShardStats::NAMES.iter().position(|&n| n == name).expect("a stripe counter");
+            assert_eq!(total, 6 * (i as u64 + 1), "`{name}` is not the sum over the stripes");
         }
     }
 
