@@ -22,6 +22,25 @@ const WORD: usize = 8;
 /// Global id source so per-thread flush queues can be keyed per DIMM.
 static NEXT_DIMM_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Bytes per chunk of an image's touched bitmap: one host page.
+pub(crate) const CHUNK: usize = 4096;
+
+/// Wiped images of dropped DIMMs, handed to the next `NvDimm::new` of their
+/// size instead of fresh storage.
+static POOL: Mutex<Pool> = Mutex::new(Pool { free: Vec::new(), live: 0, peak: 0 });
+
+/// The pooled images and the byte counts that bound them: pooled plus live
+/// image bytes never exceed `peak`, the high-water mark of live image bytes,
+/// so recycling never raises peak memory.
+struct Pool {
+    /// Oldest first.
+    free: Vec<Words>,
+    /// Bytes of the images live DIMMs hold.
+    live: usize,
+    /// The most `live` has been.
+    peak: usize,
+}
+
 thread_local! {
     /// Per-thread `pwb` queues (the hardware analogue is the per-CPU flush
     /// queue drained by `sfence`). Keyed by DIMM id; one inclusive line
@@ -30,7 +49,8 @@ thread_local! {
 }
 
 /// `n` zeroed atomics, allocated zeroed so that the OS maps a page only when
-/// it is first touched (a 273 MB DIMM costs nothing until it is written).
+/// it is first touched. Zero stores skip untouched chunks, so a 273 MB DIMM
+/// costs nothing until it is written, formatted or not.
 fn zeroed(n: usize) -> Box<[AtomicU64]> {
     // SAFETY: the all-zero bit pattern is a valid `AtomicU64` (the value 0).
     unsafe { Box::new_zeroed_slice(n).assume_init() }
@@ -47,15 +67,81 @@ fn for_each_bit_word(first: u64, last: u64, mut f: impl FnMut(usize, u64)) {
     }
 }
 
+/// The indices of the bits set in `bitmap`, ascending.
+fn set_bits(bitmap: &[AtomicU64]) -> impl Iterator<Item = usize> + '_ {
+    bitmap.iter().enumerate().flat_map(|(i, word)| {
+        let mut bits = word.load(Ordering::Relaxed);
+        std::iter::from_fn(move || {
+            let bit = (bits != 0).then(|| i * 64 + bits.trailing_zeros() as usize);
+            bits &= bits.wrapping_sub(1);
+            bit
+        })
+    })
+}
+
 /// A byte image packed little-endian into words: byte `i` is byte `i % 8`
 /// of word `i / 8`. A whole word moves with one relaxed load or store; a
 /// partial word is stored with one compare-and-swap, so a load of the word
 /// never returns a byte value no store wrote.
-struct Words(Box<[AtomicU64]>);
+///
+/// One bit per `CHUNK` bytes is set before the first non-zero byte is
+/// stored in that chunk. A chunk whose bit is clear holds only zeros, and
+/// no store or copy of zeros writes its host memory. A thread ordered after
+/// a store sees that store's bit.
+#[derive(Default)]
+struct Words {
+    cells: Box<[AtomicU64]>,
+    touched: Box<[AtomicU64]>,
+}
 
 impl Words {
-    fn zeroed(len: u64) -> Self {
-        Words(zeroed(len.div_ceil(WORD as u64) as usize))
+    /// A zeroed image of `len` bytes: a pooled one of its size, else fresh
+    /// storage, for which the oldest pooled images are freed until pooled
+    /// plus live bytes are back within the peak.
+    fn take(len: u64) -> Self {
+        let words = len.div_ceil(WORD as u64) as usize;
+        let mut pool = POOL.lock();
+        pool.live += words * WORD;
+        pool.peak = pool.peak.max(pool.live);
+        if let Some(i) = pool.free.iter().position(|w| w.cells.len() == words) {
+            return pool.free.remove(i);
+        }
+        while pool.free.iter().map(Words::bytes).sum::<usize>() + pool.live > pool.peak {
+            pool.free.remove(0);
+        }
+        drop(pool);
+        let chunks = words.div_ceil(CHUNK / WORD);
+        Words { cells: zeroed(words), touched: zeroed(chunks.div_ceil(64)) }
+    }
+
+    /// Zeroes the touched chunks, clears their bits and parks the image in
+    /// the pool. Live bytes fall by what the pool gains, so the bound holds.
+    fn recycle(mut self) {
+        let per_chunk = CHUNK / WORD;
+        for chunk in set_bits(&self.touched) {
+            let end = ((chunk + 1) * per_chunk).min(self.cells.len());
+            for cell in &mut self.cells[chunk * per_chunk..end] {
+                *cell.get_mut() = 0;
+            }
+        }
+        self.touched.iter_mut().for_each(|bits| *bits.get_mut() = 0);
+        let mut pool = POOL.lock();
+        pool.live -= self.bytes();
+        pool.free.push(self);
+    }
+
+    fn bytes(&self) -> usize {
+        self.cells.len() * WORD
+    }
+
+    fn is_touched(&self, chunk: usize) -> bool {
+        self.touched[chunk / 64].load(Ordering::Relaxed) & (1 << (chunk % 64)) != 0
+    }
+
+    fn mark(&self, chunk: usize) {
+        if !self.is_touched(chunk) {
+            self.touched[chunk / 64].fetch_or(1 << (chunk % 64), Ordering::Relaxed);
+        }
     }
 
     /// Bytes from `off` to the next word boundary, at most `len`.
@@ -63,13 +149,27 @@ impl Words {
         (off.wrapping_neg() % WORD).min(len)
     }
 
+    /// Stores `data` chunk by chunk: a part bound for an untouched chunk is
+    /// skipped when it is all zero, and marks the chunk first otherwise.
     fn store(&self, off: u64, data: &[u8]) {
-        let off = off as usize;
+        let (mut off, mut data) = (off as usize, data);
+        while !data.is_empty() {
+            let (part, rest) = data.split_at((CHUNK - off % CHUNK).min(data.len()));
+            let chunk = off / CHUNK;
+            if self.is_touched(chunk) || part.iter().any(|&b| b != 0) {
+                self.mark(chunk);
+                self.store_words(off, part);
+            }
+            (off, data) = (off + part.len(), rest);
+        }
+    }
+
+    fn store_words(&self, off: usize, data: &[u8]) {
         let (head, rest) = data.split_at(Self::head(off, data.len()));
         self.store_partial(off, head);
         let (words, tail) = rest.as_chunks::<WORD>();
         let first = (off + head.len()) / WORD;
-        for (cell, bytes) in self.0[first..].iter().zip(words) {
+        for (cell, bytes) in self.cells[first..].iter().zip(words) {
             cell.store(u64::from_le_bytes(*bytes), Ordering::Relaxed);
         }
         self.store_partial(off + head.len() + words.len() * WORD, tail);
@@ -85,7 +185,7 @@ impl Words {
         let shift = 8 * (off % WORD);
         let mask = (u64::MAX >> (64 - 8 * bytes.len())) << shift;
         let value = u64::from_le_bytes(padded) << shift;
-        let cell = &self.0[off / WORD];
+        let cell = &self.cells[off / WORD];
         let _ =
             cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| Some(w & !mask | value));
     }
@@ -97,7 +197,7 @@ impl Words {
         let first = (off + head.len()) / WORD;
         let (words, tail) = rest.as_chunks_mut::<WORD>();
         let tail_off = off + head.len() + words.len() * WORD;
-        for (cell, bytes) in self.0[first..].iter().zip(words) {
+        for (cell, bytes) in self.cells[first..].iter().zip(words) {
             *bytes = cell.load(Ordering::Relaxed).to_le_bytes();
         }
         self.load_partial(tail_off, tail);
@@ -108,17 +208,29 @@ impl Words {
             return;
         }
         let at = off % WORD;
-        let word = self.0[off / WORD].load(Ordering::Relaxed).to_le_bytes();
+        let word = self.cells[off / WORD].load(Ordering::Relaxed).to_le_bytes();
         buf.copy_from_slice(&word[at..at + buf.len()]);
     }
 
-    /// Copies the words of cache lines `first..=last` from `src`.
+    /// Copies the words of cache lines `first..=last` from `src`, chunk by
+    /// chunk: a touched source chunk marks this one, and a chunk untouched
+    /// in both images is zero in both and skipped.
     fn copy_lines(&self, src: &Words, first: u64, last: u64) {
         let per_line = CACHE_LINE as usize / WORD;
-        let start = first as usize * per_line;
-        let end = ((last as usize + 1) * per_line).min(self.0.len());
-        for (dst, src) in self.0[start..end].iter().zip(&src.0[start..end]) {
-            dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
+        let mut start = first as usize * per_line;
+        let end = ((last as usize + 1) * per_line).min(self.cells.len());
+        while start < end {
+            let chunk = start * WORD / CHUNK;
+            let stop = ((chunk + 1) * CHUNK / WORD).min(end);
+            if src.is_touched(chunk) {
+                self.mark(chunk);
+            }
+            if self.is_touched(chunk) {
+                for (dst, src) in self.cells[start..stop].iter().zip(&src.cells[start..stop]) {
+                    dst.store(src.load(Ordering::Relaxed), Ordering::Relaxed);
+                }
+            }
+            start = stop;
         }
     }
 }
@@ -136,6 +248,16 @@ impl Words {
 /// concurrent stores to disjoint bytes of a word lose no update, and a load
 /// only returns byte values some store wrote. An access spanning several
 /// words is not atomic as a whole, as on hardware.
+///
+/// Each image keeps one bit per 4 KiB chunk, set before the chunk's first
+/// non-zero byte is stored: a store of zeros into an untouched chunk, and a
+/// fence's copy between two untouched chunks, skip host memory but charge
+/// and count as any other, so a formatted DIMM costs memory only where it
+/// was written. A dropped DIMM's images zero their touched chunks and wait
+/// in a process-wide pool for the next [`new`](NvDimm::new) of their size;
+/// pooled plus live image bytes never exceed the high-water mark of live
+/// image bytes. A recycled image comes with a fresh DIMM id, so no thread's
+/// queued `pwb`s carry over.
 ///
 /// All methods take `&self` and are safe to call from multiple threads; the
 /// flush queue filled by [`pwb`](NvDimm::pwb) and drained by
@@ -175,7 +297,8 @@ impl fmt::Debug for NvDimm {
 }
 
 impl NvDimm {
-    /// Creates a zero-filled DIMM of `size` bytes.
+    /// Creates a zero-filled DIMM of `size` bytes, on a dropped DIMM's
+    /// wiped images when the pool holds some of that size.
     ///
     /// # Panics
     ///
@@ -186,8 +309,8 @@ impl NvDimm {
         NvDimm {
             id: NEXT_DIMM_ID.fetch_add(1, Ordering::Relaxed),
             len: size,
-            live: Words::zeroed(size),
-            durable: profile.track_durability.then(|| Mutex::new(Words::zeroed(size))),
+            live: Words::take(size),
+            durable: profile.track_durability.then(|| Mutex::new(Words::take(size))),
             dirty: zeroed(lines.div_ceil(64) as usize),
             profile,
             stats: NvmmStats::default(),
@@ -199,11 +322,17 @@ impl NvDimm {
     /// Creates a DIMM whose live *and* durable images start as `image`.
     pub fn from_image(image: &[u8], profile: NvmmProfile) -> Self {
         let dimm = Self::new(image.len() as u64, profile);
-        dimm.live.store(0, image);
-        if let Some(d) = &dimm.durable {
-            d.lock().store(0, image);
-        }
+        dimm.restore(0, image);
         dimm
+    }
+
+    /// Stores `bytes` at `off` in the live and the durable image alike,
+    /// uncharged.
+    fn restore(&self, off: u64, bytes: &[u8]) {
+        self.live.store(off, bytes);
+        if let Some(d) = &self.durable {
+            d.lock().store(off, bytes);
+        }
     }
 
     /// Capacity in bytes.
@@ -435,6 +564,18 @@ impl NvDimm {
     ///
     /// Panics if the profile disabled durability tracking.
     pub fn crash_image(&self, seed: u64) -> Vec<u8> {
+        let mut image = vec![0u8; self.len as usize];
+        self.crash_parts(seed, |off, bytes| {
+            image[off as usize..][..bytes.len()].copy_from_slice(bytes);
+        });
+        image
+    }
+
+    /// Hands `put(off, bytes)` the parts of [`crash_image`](Self::crash_image)
+    /// that may be non-zero, in the order they overwrite each other: the
+    /// durable image's touched chunks, then each dirty line the seeded draw
+    /// evicts, read from the live image.
+    fn crash_parts(&self, seed: u64, mut put: impl FnMut(u64, &[u8])) {
         #[cfg(feature = "pmcheck")]
         {
             let found = self.pm.check_crash(self.id);
@@ -446,25 +587,28 @@ impl NvDimm {
             .durable
             .as_ref()
             .expect("crash semantics unavailable: durability tracking disabled");
-        let mut image = vec![0u8; self.len as usize];
-        durable.lock().load(0, &mut image);
+        let mut buf = [0u8; CHUNK];
+        {
+            let durable = durable.lock();
+            for chunk in set_bits(&durable.touched) {
+                let off = (chunk * CHUNK) as u64;
+                let part = &mut buf[..CHUNK.min((self.len - off) as usize)];
+                durable.load(off, part);
+                put(off, part);
+            }
+        }
         let p = self.profile.eviction_probability;
         if p > 0.0 {
             let mut rng = StdRng::seed_from_u64(seed);
-            for (word, bits) in self.dirty.iter().enumerate() {
-                let mut bits = bits.load(Ordering::Relaxed);
-                while bits != 0 {
-                    let line = word as u64 * 64 + u64::from(bits.trailing_zeros());
-                    bits &= bits - 1;
-                    if rng.gen_bool(p) {
-                        let start = line * CACHE_LINE;
-                        let end = (start + CACHE_LINE).min(self.len);
-                        self.live.load(start, &mut image[start as usize..end as usize]);
-                    }
+            for line in set_bits(&self.dirty) {
+                if rng.gen_bool(p) {
+                    let off = line as u64 * CACHE_LINE;
+                    let part = &mut buf[..CACHE_LINE.min(self.len - off) as usize];
+                    self.live.load(off, part);
+                    put(off, part);
                 }
             }
         }
-        image
     }
 
     /// Simulates a power failure followed by reboot: returns a fresh DIMM
@@ -474,21 +618,32 @@ impl NvDimm {
     ///
     /// Panics if the profile disabled durability tracking.
     pub fn crash_and_restart(&self) -> NvDimm {
-        let image = self.crash_image(0);
-        Self::from_image(&image, self.profile.clone())
+        self.crash_and_restart_seeded(0)
     }
 
     /// Simulates a crash with a seeded eviction draw (see
-    /// [`crash_image`](NvDimm::crash_image)).
+    /// [`crash_image`](NvDimm::crash_image)): the new DIMM's live and
+    /// durable images are built from the parts of that image, chunk by
+    /// chunk, with no full-length copy.
     pub fn crash_and_restart_seeded(&self, seed: u64) -> NvDimm {
-        let image = self.crash_image(seed);
-        Self::from_image(&image, self.profile.clone())
+        let dimm = Self::new(self.len, self.profile.clone());
+        self.crash_parts(seed, |off, bytes| dimm.restore(off, bytes));
+        dimm
     }
 
     /// Alias for [`crash_and_restart`](NvDimm::crash_and_restart); reads as
     /// "crash" at call sites.
     pub fn crash(&self) -> NvDimm {
         self.crash_and_restart()
+    }
+}
+
+impl Drop for NvDimm {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.live).recycle();
+        if let Some(durable) = self.durable.take() {
+            durable.into_inner().recycle();
+        }
     }
 }
 
@@ -690,6 +845,82 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(dimm.stats().bytes_stored.load(Ordering::Relaxed), 2 + 2 * ROUNDS as u64);
+    }
+
+    /// Two threads store, in turn, zero and non-zero bytes into disjoint
+    /// bytes of one word of a chunk nothing touched before, chunk after
+    /// chunk, and read each store back: a zero store must reach a chunk a
+    /// non-zero store touched, whichever thread touched it.
+    #[test]
+    fn zero_and_non_zero_stores_into_an_untouched_chunk_lose_no_update() {
+        const CHUNKS: usize = 256;
+        let dimm =
+            std::sync::Arc::new(NvDimm::new((CHUNKS * CHUNK) as u64, NvmmProfile::instant()));
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let hammer = |mine: usize| {
+            let (dimm, start) = (std::sync::Arc::clone(&dimm), std::sync::Arc::clone(&start));
+            std::thread::spawn(move || {
+                let clock = ActorClock::new();
+                let mut byte = [0u8];
+                for chunk in 0..CHUNKS {
+                    let at = (chunk * CHUNK + 8 + mine) as u64;
+                    start.wait();
+                    for round in 0..6 {
+                        let value =
+                            if (round + mine).is_multiple_of(2) { 0 } else { 0xA5 ^ mine as u8 };
+                        dimm.write(at, &[value], &clock);
+                        dimm.read_cached(at, &mut byte);
+                        assert_eq!(byte[0], value, "chunk {chunk} round {round}: byte {mine}");
+                    }
+                }
+            })
+        };
+        let threads = [hammer(0), hammer(1)];
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    /// A DIMM built on a dropped one's storage reads all zero, crashes to
+    /// all zero, and charges and counts as one on fresh storage: the old
+    /// DIMM's touched chunks were wiped and its queued `pwb` stays with its
+    /// id.
+    #[test]
+    fn a_recycled_dimm_is_a_fresh_one() {
+        // A size no other test of this crate uses, so no test takes its images.
+        const SIZE: usize = 3 * CHUNK + 13;
+        let profile = NvmmProfile::optane().with_eviction_probability(1.0);
+        let script = |d: &NvDimm| {
+            let c = clock();
+            d.pfence(&c);
+            d.write(CHUNK as u64 - 3, &[9; 70], &c);
+            d.pwb(CHUNK as u64 - 3, 70);
+            d.psync(&c);
+            d.write(2 * CHUNK as u64, &[0; 64], &c);
+            let mut live = vec![0; SIZE];
+            d.read(0, &mut live, &c);
+            (c.now(), d.stats().snapshot(), live, d.crash_image(3))
+        };
+        let recycled = (0..100).find_map(|_| {
+            let old = NvDimm::new(SIZE as u64, profile.clone());
+            let c = clock();
+            old.write(0, &[0xAB; SIZE], &c);
+            old.pwb(0, SIZE);
+            old.pfence(&c);
+            old.write(5, &[1; 200], &c);
+            old.pwb(0, 200);
+            let storage = old.live.cells.as_ptr();
+            drop(old);
+            let dimm = NvDimm::new(SIZE as u64, profile.clone());
+            (dimm.live.cells.as_ptr() == storage).then_some(dimm)
+        });
+        let recycled = recycled.expect("a dropped DIMM's storage is reused");
+        let mut live = vec![1; SIZE];
+        recycled.read_cached(0, &mut live);
+        assert_eq!(live, vec![0; SIZE]);
+        assert_eq!(recycled.crash_image(1), vec![0; SIZE]);
+        let fresh = NvDimm::new(SIZE as u64, profile.clone());
+        assert_eq!(script(&recycled), script(&fresh));
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //! line range per call; the fence sorts and merges the ranges and flushes
 //! (and charges) each distinct line once.
 //!
+//! Each image keeps one bit per 4 KiB chunk, set before the chunk's first
+//! non-zero byte: zero stores into an untouched chunk, and fence copies
+//! between two untouched chunks, skip host memory (a formatted DIMM costs
+//! memory only where it was written). A dropped DIMM's images are wiped
+//! chunk by touched chunk and pooled for the next DIMM of their size; the
+//! pool never holds more than the high-water mark of live image bytes less
+//! the live ones. Neither shows in virtual time or in any counter.
+//!
 //! Latency is charged against virtual time ([`simclock`]) using an
 //! Optane-like profile, directly to the calling actor's clock: the DIMM is
 //! *not* a shared device timeline, so concurrent flushers do not contend
