@@ -1,4 +1,5 @@
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use simclock::ActorClock;
 
@@ -25,6 +26,20 @@ pub trait BlockDevice: Send + Sync {
     ///
     /// Panics if the range exceeds the device capacity.
     fn write(&self, off: u64, data: &[u8], clock: &ActorClock);
+
+    /// [`write`](BlockDevice::write) of a page the caller shares, such as a
+    /// page cache's page under writeback: charged and counted as `write`,
+    /// but a device that stores content may keep `data` itself instead of a
+    /// copy. The caller must not change the shared bytes afterwards (a page
+    /// cache copies a page before updating it while it is shared). The
+    /// default forwards to `write`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds the device capacity.
+    fn write_shared(&self, off: u64, data: &Arc<[u8]>, clock: &ActorClock) {
+        self.write(off, data, clock);
+    }
 
     /// Durably flushes the device write cache (FUA/flush command).
     fn flush(&self, clock: &ActorClock);
@@ -135,7 +150,6 @@ mod tests {
         }
         use crate::{DmWriteCacheDev, DmWriteCacheProfile, HddDevice, HddProfile};
         use crate::{SsdDevice, SsdProfile};
-        use std::sync::Arc;
         let ssd = |depth| SsdDevice::new(SsdProfile::s4600().with_queue_depth(depth));
         assert_eq!(ssd(1).queue_depth(), 1);
         assert_eq!(ssd(8).queue_depth(), 8);

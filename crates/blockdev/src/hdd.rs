@@ -1,4 +1,5 @@
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use simclock::{ActorClock, Bandwidth, ChannelResource, SimTime};
 
@@ -82,6 +83,16 @@ impl HddDevice {
             self.profile.seek + transfer
         }
     }
+
+    /// Charges and counts a write of `len` bytes at `off`; the caller
+    /// stores the content.
+    fn serve_write(&self, off: u64, len: usize, clock: &ActorClock) {
+        assert!(off + len as u64 <= self.capacity(), "HDD write beyond capacity");
+        let service = self.service(off, len, true);
+        let done = self.timeline.serve(clock.now(), service);
+        clock.advance_to(done);
+        self.stats.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
+    }
 }
 
 impl BlockDevice for HddDevice {
@@ -100,12 +111,13 @@ impl BlockDevice for HddDevice {
     }
 
     fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
-        assert!(off + data.len() as u64 <= self.capacity(), "HDD write beyond capacity");
-        let service = self.service(off, data.len(), true);
-        let done = self.timeline.serve(clock.now(), service);
-        clock.advance_to(done);
+        self.serve_write(off, data.len(), clock);
         self.store.write(off, data);
-        self.stats.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
+    }
+
+    fn write_shared(&self, off: u64, data: &Arc<[u8]>, clock: &ActorClock) {
+        self.serve_write(off, data.len(), clock);
+        self.store.write_shared(off, data);
     }
 
     fn flush(&self, clock: &ActorClock) {

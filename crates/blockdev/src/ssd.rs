@@ -1,4 +1,5 @@
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use simclock::{ActorClock, Bandwidth, ChannelResource, SimTime};
 
@@ -135,6 +136,24 @@ impl SsdDevice {
     fn chunks_4k(len: usize) -> u64 {
         (len as u64).div_ceil(4096)
     }
+
+    /// Charges and counts a write of `len` bytes at `off`; the caller
+    /// stores the content.
+    fn serve_write(&self, off: u64, len: usize, clock: &ActorClock) {
+        assert!(off + len as u64 <= self.capacity(), "SSD write beyond capacity: {off}+{len}");
+        let seq = Self::is_seq(&self.last_write_end, off);
+        self.last_write_end.store(off + len as u64, Ordering::Relaxed);
+        let service = if seq {
+            self.stats.seq_writes.fetch_add(1, Ordering::Relaxed);
+            self.profile.seq_write.time_for(len as u64)
+        } else {
+            self.stats.rand_writes.fetch_add(1, Ordering::Relaxed);
+            self.profile.rand_write_4k * Self::chunks_4k(len)
+        };
+        let done = self.timeline.serve(clock.now(), service);
+        clock.advance_to(done);
+        self.stats.bytes_written.fetch_add(len as u64, Ordering::Relaxed);
+    }
 }
 
 impl BlockDevice for SsdDevice {
@@ -163,24 +182,13 @@ impl BlockDevice for SsdDevice {
     }
 
     fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
-        assert!(
-            off + data.len() as u64 <= self.capacity(),
-            "SSD write beyond capacity: {off}+{}",
-            data.len()
-        );
-        let seq = Self::is_seq(&self.last_write_end, off);
-        self.last_write_end.store(off + data.len() as u64, Ordering::Relaxed);
-        let service = if seq {
-            self.stats.seq_writes.fetch_add(1, Ordering::Relaxed);
-            self.profile.seq_write.time_for(data.len() as u64)
-        } else {
-            self.stats.rand_writes.fetch_add(1, Ordering::Relaxed);
-            self.profile.rand_write_4k * Self::chunks_4k(data.len())
-        };
-        let done = self.timeline.serve(clock.now(), service);
-        clock.advance_to(done);
+        self.serve_write(off, data.len(), clock);
         self.store.write(off, data);
-        self.stats.bytes_written.fetch_add(data.len() as u64, Ordering::Relaxed);
+    }
+
+    fn write_shared(&self, off: u64, data: &Arc<[u8]>, clock: &ActorClock) {
+        self.serve_write(off, data.len(), clock);
+        self.store.write_shared(off, data);
     }
 
     fn flush(&self, clock: &ActorClock) {

@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 
@@ -10,6 +11,12 @@ const CHUNK: u64 = 4096;
 /// Multi-GiB virtual devices only pay memory for chunks actually written.
 /// Can be created in *discard* mode for timing-only benchmarks (reads then
 /// return zeroes).
+///
+/// A chunk may be shared: [`write_shared`](SparseStore::write_shared) keeps
+/// a whole aligned chunk as the caller's `Arc` (a page cache's page) instead
+/// of copying it. A later partial [`write`](SparseStore::write) into a
+/// shared chunk copies it first, so the other holder's bytes never change;
+/// a write into a chunk nothing else holds copies in place.
 ///
 /// # Example
 ///
@@ -23,7 +30,7 @@ const CHUNK: u64 = 4096;
 /// ```
 #[derive(Debug)]
 pub struct SparseStore {
-    chunks: RwLock<HashMap<u64, Box<[u8]>>>,
+    chunks: RwLock<HashMap<u64, Arc<[u8]>>>,
     keep_content: bool,
 }
 
@@ -50,11 +57,30 @@ impl SparseStore {
             let chunk_id = abs / CHUNK;
             let in_chunk = (abs % CHUNK) as usize;
             let n = ((CHUNK as usize) - in_chunk).min(data.len() - pos);
-            let chunk = chunks
-                .entry(chunk_id)
-                .or_insert_with(|| vec![0u8; CHUNK as usize].into_boxed_slice());
-            chunk[in_chunk..in_chunk + n].copy_from_slice(&data[pos..pos + n]);
+            let part = &data[pos..pos + n];
+            let in_place = chunks.get_mut(&chunk_id).is_some_and(|c| Arc::get_mut(c).is_some());
+            if n == CHUNK as usize && !in_place {
+                chunks.insert(chunk_id, Arc::from(part));
+            } else {
+                let chunk =
+                    chunks.entry(chunk_id).or_insert_with(|| Arc::from(&[0u8; CHUNK as usize][..]));
+                Arc::make_mut(chunk)[in_chunk..in_chunk + n].copy_from_slice(part);
+            }
             pos += n;
+        }
+    }
+
+    /// Writes `data` at byte offset `off`, keeping `data` itself as the
+    /// chunk when it is one whole chunk at a chunk boundary; anything else
+    /// is copied as [`write`](SparseStore::write) copies it.
+    pub fn write_shared(&self, off: u64, data: &Arc<[u8]>) {
+        if !self.keep_content {
+            return;
+        }
+        if off.is_multiple_of(CHUNK) && data.len() == CHUNK as usize {
+            self.chunks.write().insert(off / CHUNK, Arc::clone(data));
+        } else {
+            self.write(off, data);
         }
     }
 
@@ -110,6 +136,33 @@ mod tests {
         let mut buf = [9u8; 4];
         s.read(0, &mut buf);
         assert_eq!(buf, [0u8; 4]);
+    }
+
+    #[test]
+    fn a_partial_write_into_a_shared_chunk_leaves_the_sharer_intact() {
+        let s = SparseStore::new(true);
+        let page: Arc<[u8]> = Arc::from(vec![7u8; CHUNK as usize]);
+        s.write_shared(CHUNK, &page);
+        s.write(CHUNK + 10, &[1; 4]);
+        assert_eq!(page[..], [7u8; CHUNK as usize], "the sharer's bytes are untouched");
+        let mut buf = [0u8; 16];
+        s.read(CHUNK + 4, &mut buf);
+        assert_eq!(buf, [7, 7, 7, 7, 7, 7, 1, 1, 1, 1, 7, 7, 7, 7, 7, 7]);
+        // A whole-chunk write over a shared chunk replaces it; an unaligned
+        // shared write is copied.
+        s.write_shared(2 * CHUNK, &page);
+        s.write(2 * CHUNK, &[2; CHUNK as usize]);
+        s.write_shared(3 * CHUNK + 1, &page);
+        assert_eq!(page[..], [7u8; CHUNK as usize]);
+        assert_eq!(
+            Arc::strong_count(&page),
+            1,
+            "each chunk that held the page was copied or replaced"
+        );
+        s.read(2 * CHUNK, &mut buf);
+        assert_eq!(buf, [2; 16]);
+        s.read(3 * CHUNK, &mut buf);
+        assert_eq!(buf, [0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7]);
     }
 
     #[test]

@@ -40,12 +40,12 @@
 
 use std::sync::Arc;
 
-use nvmm::{NvRegion, PmemInts};
+use nvmm::NvRegion;
 use simclock::ActorClock;
 use vfs::{FileSystem, IoError, IoResult, Layer};
 
 use crate::cache::NvCache;
-use crate::layout::{Header, Layout};
+use crate::layout::{Header, Layout, FD_SLOT_BYTES};
 use crate::router::SingleBackend;
 use crate::tiers::{Tiering, Tiers};
 use crate::NvCacheConfig;
@@ -222,12 +222,8 @@ fn format_region(
         )));
     }
     Header::format(region, lay, backends, clock);
-    for slot in 0..lay.fd_slots as u32 {
-        let base = lay.fd_slot(slot);
-        region.write_u64(base, 0, clock);
-        region.pwb(base, 8);
-    }
-    lay.clear_entries(region, clock);
+    region.clear_words_and_pwb(lay.fd_table_base(), FD_SLOT_BYTES, lay.fd_slots, clock);
+    lay.clear_entries(region, 0, lay.nb_entries, clock);
     region.psync(clock);
     Ok(())
 }

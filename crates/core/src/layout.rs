@@ -237,14 +237,14 @@ impl Layout {
         self.entries_base() + self.nb_entries * self.entry_stride()
     }
 
-    /// Empties the log: clears every entry's commit word and writes it
-    /// back (format, and recovery once its replay is durable). The caller
-    /// fences.
-    pub(crate) fn clear_entries(&self, region: &NvRegion, clock: &ActorClock) {
-        for slot in 0..self.nb_entries {
-            let commit = self.entry(slot) + ENT_COMMIT;
-            region.write_u64(commit, 0, clock);
-            region.pwb(commit, 8);
+    /// Clears the commit words of the `n` entries from `slot` on (no wrap)
+    /// and writes them back, with one strided store: a freed batch, or
+    /// every entry (format, and recovery once its replay is durable). The
+    /// caller fences.
+    pub(crate) fn clear_entries(&self, region: &NvRegion, slot: u64, n: u64, clock: &ActorClock) {
+        if n > 0 {
+            let first = self.entry(slot) + ENT_COMMIT;
+            region.clear_words_and_pwb(first, self.entry_stride(), n, clock);
         }
     }
 }

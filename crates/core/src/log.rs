@@ -340,11 +340,11 @@ impl Stripe {
     /// "Cleanup thread": volatile tail only moves after the persistent state
     /// is consistent).
     pub fn free_range(&self, from: u64, count: u64, clock: &ActorClock) {
-        for i in 0..count {
-            let base = self.layout.entry(self.slot(from + i));
-            self.region.write_u64(base + ENT_COMMIT, 0, clock);
-            self.region.pwb(base + ENT_COMMIT, 8);
-        }
+        // One strided clear up to the end of the stripe's ring, one after.
+        let head = count.min(self.capacity() - self.local_slot(from) as u64);
+        self.layout.clear_entries(&self.region, self.slot(from), head, clock);
+        self.layout
+            .clear_entries(&self.region, self.slot(from + head), count - head, clock);
         let now = clock.now().as_nanos();
         for i in 0..count {
             self.free_stamps[self.local_slot(from + i)].store(now, Ordering::Release);

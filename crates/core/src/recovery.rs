@@ -467,7 +467,7 @@ pub(crate) fn recover(
     for backend in backends {
         backend.sync(&syncer)?;
     }
-    lay.clear_entries(region, &syncer);
+    lay.clear_entries(region, 0, lay.nb_entries, &syncer);
     // A striped log keeps its tails after OFF_PTAIL, which stays 0 there
     // but is cleared all the same.
     region.write_and_pwb(layout::OFF_PTAIL, &[0; 8], &syncer);

@@ -367,22 +367,32 @@ impl NvDimm {
         self.dirty[(line / 64) as usize].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
     }
 
+    /// The cache lines `first..=last` that `len > 0` bytes at `off` cover.
+    fn lines(off: u64, len: usize) -> (u64, u64) {
+        (off / CACHE_LINE, (off + len as u64 - 1) / CACHE_LINE)
+    }
+
+    /// Stores non-empty `data` at `off` and marks its lines dirty, with no
+    /// charge; returns the lines.
+    #[cfg_attr(feature = "pmcheck", track_caller)]
+    fn store_dirty(&self, off: u64, data: &[u8]) -> (u64, u64) {
+        let (first, last) = Self::lines(off, data.len());
+        #[cfg(feature = "pmcheck")]
+        self.pm
+            .on_write(first, last, crate::pmcheck::Site::here(std::panic::Location::caller()));
+        self.live.store(off, data);
+        for_each_bit_word(first, last, |word, mask| {
+            self.dirty[word].fetch_or(mask, Ordering::Relaxed);
+        });
+        (first, last)
+    }
+
     /// Stores `data` at `off` (CPU-cache speed; **not durable** until flushed).
     #[cfg_attr(feature = "pmcheck", track_caller)]
     pub fn write(&self, off: u64, data: &[u8], clock: &ActorClock) {
         self.check_range(off, data.len());
         if !data.is_empty() {
-            let first = off / CACHE_LINE;
-            let last = (off + data.len() as u64 - 1) / CACHE_LINE;
-            #[cfg(feature = "pmcheck")]
-            {
-                let site = crate::pmcheck::Site::here(std::panic::Location::caller());
-                self.pm.on_write(first, last, site);
-            }
-            self.live.store(off, data);
-            for_each_bit_word(first, last, |word, mask| {
-                self.dirty[word].fetch_or(mask, Ordering::Relaxed);
-            });
+            self.store_dirty(off, data);
         }
         self.stats.bytes_stored.fetch_add(data.len() as u64, Ordering::Relaxed);
         clock.advance(self.profile.store_bandwidth.time_for(data.len() as u64));
@@ -414,17 +424,19 @@ impl NvDimm {
             return;
         }
         self.check_range(off, len);
-        let first = off / CACHE_LINE;
-        let last = (off + len as u64 - 1) / CACHE_LINE;
+        let lines = Self::lines(off, len);
         #[cfg(feature = "pmcheck")]
-        {
-            let site = crate::pmcheck::Site::here(std::panic::Location::caller());
-            let redundant = self.pm.on_pwb(first, last, site, |line| self.is_dirty(line));
-            if redundant > 0 {
-                self.stats.redundant_pwb_lines.fetch_add(redundant, Ordering::Relaxed);
-            }
-        }
-        PENDING_FLUSHES.with(|p| p.borrow_mut().entry(self.id).or_default().push((first, last)));
+        self.pm_pwb(lines);
+        PENDING_FLUSHES.with(|p| p.borrow_mut().entry(self.id).or_default().push(lines));
+    }
+
+    /// The shadow checker's side of a `pwb` of lines `first..=last`.
+    #[cfg(feature = "pmcheck")]
+    #[track_caller]
+    fn pm_pwb(&self, (first, last): (u64, u64)) {
+        let site = crate::pmcheck::Site::here(std::panic::Location::caller());
+        let redundant = self.pm.on_pwb(first, last, site, |line| self.is_dirty(line));
+        self.stats.redundant_pwb_lines.fetch_add(redundant, Ordering::Relaxed);
     }
 
     fn drain_pending(&self, clock: &ActorClock) {
@@ -554,6 +566,32 @@ impl NvDimm {
     pub fn write_and_pwb(&self, off: u64, data: &[u8], clock: &ActorClock) {
         self.write(off, data, clock);
         self.pwb(off, data.len());
+    }
+
+    /// Stores `count` zero words `stride` bytes apart from `off` and queues
+    /// each for write-back: charged, counted and checked (under `pmcheck`)
+    /// as `count` calls of `write(at, &[0; 8])` + `pwb(at, 8)`, in order,
+    /// with one flush-queue append instead of `count`. Clears the commit
+    /// words of a run of log entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the last word lies beyond the DIMM.
+    #[cfg_attr(feature = "pmcheck", track_caller)]
+    pub fn clear_words_and_pwb(&self, off: u64, stride: u64, count: u64, clock: &ActorClock) {
+        let Some(last) = count.checked_sub(1) else { return };
+        let end = last.checked_mul(stride).and_then(|span| span.checked_add(off));
+        self.check_range(end.unwrap_or(u64::MAX), WORD);
+        let mut queued = Vec::with_capacity(count as usize);
+        for at in (0..count).map(|i| off + i * stride) {
+            let lines = self.store_dirty(at, &[0; WORD]);
+            #[cfg(feature = "pmcheck")]
+            self.pm_pwb(lines);
+            queued.push(lines);
+        }
+        PENDING_FLUSHES.with(|p| p.borrow_mut().entry(self.id).or_default().extend(queued));
+        self.stats.bytes_stored.fetch_add(count * WORD as u64, Ordering::Relaxed);
+        clock.advance(self.profile.store_bandwidth.time_for(WORD as u64) * count);
     }
 
     /// Produces the post-crash memory image: the durable image, with each
@@ -1105,6 +1143,38 @@ mod pmcheck_tests {
             d.write(0, &[6u8; 8], &c); // line re-dirtied
             d.pwb(0, 8); // needed on real hardware: not redundant
             assert_eq!(d.stats().redundant_pwb_lines.load(Ordering::Relaxed), 0);
+        });
+    }
+
+    /// A strided clear moves the shadow state, the counters and the clock
+    /// exactly as the per-word `write` + `pwb` loop it stands for, over
+    /// lines already Dirty, already queued and clean, with words that
+    /// straddle two lines.
+    #[test]
+    fn a_strided_clear_is_its_per_word_loop_to_the_checker() {
+        isolated(|| {
+            let run = |strided: bool| {
+                let (c, d) = setup();
+                d.commit_store(2048, 1, &c);
+                d.write(0, &[1; 300], &c);
+                d.pwb(256, 8);
+                d.pwb(1024, 8);
+                let (off, stride, count) = (8, 70, 40);
+                if strided {
+                    d.clear_words_and_pwb(off, stride, count, &c);
+                } else {
+                    for at in (0..count).map(|i| off + i * stride) {
+                        d.write(at, &[0; 8], &c);
+                        d.pwb(at, 8);
+                    }
+                }
+                let shadow = d.pm.lines();
+                d.pfence(&c);
+                (shadow, d.pm.lines(), d.stats().snapshot(), c.now())
+            };
+            let (strided, looped) = (run(true), run(false));
+            assert_eq!(strided, looped);
+            assert_eq!(strided.2.redundant_pwb_lines, 1, "the pwb of the clean line 16");
         });
     }
 

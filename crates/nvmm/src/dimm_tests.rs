@@ -103,6 +103,13 @@ impl ByteModel {
         self.stats.commit_stores += 1;
     }
 
+    fn clear_words_and_pwb(&mut self, off: usize, stride: usize, count: usize) {
+        for i in 0..count {
+            self.write(off + i * stride, &[0; 8]);
+            self.pwb(off + i * stride, 8);
+        }
+    }
+
     fn crash_image(&self, seed: u64) -> Vec<u8> {
         let mut image = self.durable.clone();
         let p = self.profile.eviction_probability;
@@ -134,7 +141,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Random stores (some all zero, some straddling a chunk boundary),
-    /// loads, write-backs, fences and commit words at unaligned offsets and
+    /// loads, write-backs, fences, strided word clears and commit words at
+    /// unaligned offsets and
     /// lengths (crossing words and lines) on DIMMs of sizes that are no
     /// multiple of 8 or 64, some dropped and re-created at the same size on
     /// pooled storage: after every step the live bytes, the crash image at
@@ -144,7 +152,7 @@ proptest! {
     fn the_word_packed_dimm_matches_a_per_byte_model(
         size in sizes(),
         evict in 0usize..3,
-        ops in proptest::collection::vec((0u8..10, any::<u64>(), any::<u64>(), any::<u8>()), 1..60),
+        ops in proptest::collection::vec((0u8..11, any::<u64>(), any::<u64>(), any::<u8>()), 1..60),
     ) {
         let profile = NvmmProfile::optane().with_eviction_probability([0.0, 0.5, 1.0][evict]);
         let mut ops = ops.iter().enumerate().peekable();
@@ -172,6 +180,14 @@ proptest! {
                     }
                     // Drop the DIMM; the next one takes its storage.
                     9 => break,
+                    10 if size >= 8 => {
+                        // Strides from overlapping words to several chunks.
+                        let off = off.min(size - 8);
+                        let stride = 1 + b as usize % (2 * CHUNK);
+                        let count = (1 + byte as usize % 40).min((size - 8 - off) / stride + 1);
+                        dimm.clear_words_and_pwb(off as u64, stride as u64, count as u64, &clock);
+                        model.clear_words_and_pwb(off, stride, count);
+                    }
                     2 => {
                         let mut buf = vec![0; len];
                         dimm.read(off as u64, &mut buf, &clock);

@@ -278,3 +278,27 @@ impl PmShadow {
         self.state.lock().violations.clone()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    /// Dirty `(line, thread)`s, queued `(thread, line, commit)` write-backs
+    /// and pending commit lines.
+    type Lines = (Vec<(u64, u64)>, Vec<(u64, u64, bool)>, Vec<u64>);
+
+    impl super::PmShadow {
+        /// The shadow state without call sites: Dirty lines with their
+        /// thread, queued `(thread, line, commit)` write-backs and pending
+        /// commit lines, each sorted.
+        pub(crate) fn lines(&self) -> Lines {
+            let st = self.state.lock();
+            let mut dirty: Vec<_> = st.dirty.iter().map(|(&line, d)| (line, d.tid)).collect();
+            let wb = st.written_back.iter();
+            let mut queued: Vec<_> = wb.map(|(&(t, l), q)| (t, l, q.commit)).collect();
+            let mut commits: Vec<_> = st.commits.iter().map(|c| c.line).collect();
+            dirty.sort_unstable();
+            queued.sort_unstable();
+            commits.sort_unstable();
+            (dirty, queued, commits)
+        }
+    }
+}

@@ -137,6 +137,15 @@ impl NvRegion {
         self.dimm.write_and_pwb(self.abs(off, data.len()), data, clock);
     }
 
+    /// See [`NvDimm::clear_words_and_pwb`].
+    #[cfg_attr(feature = "pmcheck", track_caller)]
+    pub fn clear_words_and_pwb(&self, off: u64, stride: u64, count: u64, clock: &ActorClock) {
+        if count > 0 {
+            self.abs((count - 1).saturating_mul(stride).saturating_add(off), 8);
+        }
+        self.dimm.clear_words_and_pwb(self.base + off, stride, count, clock);
+    }
+
     /// See [`NvDimm::persist_fence`] — a checked [`pfence`](NvRegion::pfence)
     /// asserting (under `pmcheck`) that every store this thread made has
     /// already been `pwb`'d.

@@ -128,7 +128,7 @@ impl Ext4 {
             let target = self.ns.read().by_ino(e.ino).cloned();
             if let Some(inode) = target {
                 if let Ok(dev_off) = self.map_alloc(&inode, e.page) {
-                    self.dev.write(dev_off, &e.data, clock);
+                    self.dev.write_shared(dev_off, &e.data, clock);
                 }
             }
         }
@@ -145,12 +145,13 @@ impl Ext4 {
     /// batch — the device's [`queue_depth`](BlockDevice::queue_depth)
     /// requests in flight, each on its own clock, the caller's joining the
     /// last completion. On a one-channel device that is one write after the
-    /// other on the caller's clock.
-    fn write_back(&self, mut targets: Vec<(u64, Vec<u8>)>, clock: &ActorClock) {
+    /// other on the caller's clock. Each page goes to the device as the
+    /// cache's own page ([`BlockDevice::write_shared`]).
+    fn write_back(&self, mut targets: Vec<(u64, Arc<[u8]>)>, clock: &ActorClock) {
         targets.sort_by_key(|(off, _)| *off);
         let mut queue = DispatchWindow::new(self.dev.queue_depth());
         for (off, data) in targets {
-            queue.run(clock.now(), |op| self.dev.write(off, &data, op));
+            queue.run(clock.now(), |op| self.dev.write_shared(off, &data, op));
         }
         queue.join(clock);
     }
@@ -484,6 +485,49 @@ mod tests {
         let mut buf = [0u8; 4096];
         fs.pread(fd, &mut buf, 0, &c).unwrap();
         assert_eq!(buf[0], 1, "synced version must survive, unsynced must not");
+    }
+
+    /// Reads page `page` of `fd` after a power failure.
+    fn page_after_power_failure(fs: &Ext4, fd: Fd, page: u64, c: &ActorClock) -> Vec<u8> {
+        fs.simulate_power_failure();
+        let mut buf = vec![0u8; 4096];
+        fs.pread(fd, &mut buf, page * 4096, c).unwrap();
+        buf
+    }
+
+    #[test]
+    fn an_update_of_a_written_back_page_leaves_the_device_copy_alone() {
+        // The device keeps the cache's page at the fsync; the updates after
+        // it copy the cache's side and never reach the device.
+        let (c, _ssd, fs) = fs();
+        let fd = fs.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        fs.pwrite(fd, &[1u8; 4096], 0, &c).unwrap();
+        fs.fsync(fd, &c).unwrap();
+        fs.pwrite(fd, &[2u8; 100], 10, &c).unwrap();
+        fs.pwrite(fd, &[3u8; 4096], 0, &c).unwrap();
+        assert_eq!(page_after_power_failure(&fs, fd, 0, &c), [1u8; 4096]);
+    }
+
+    #[test]
+    fn an_update_of_an_evicted_page_leaves_the_device_copy_alone() {
+        let (c, _ssd, fs) = small_cache_fs(8);
+        let flags = OpenFlags::RDWR | OpenFlags::CREATE;
+        let (f, g) = (fs.open("/f", flags, &c).unwrap(), fs.open("/g", flags, &c).unwrap());
+        fs.pwrite(f, &[1u8; 4096], 0, &c).unwrap();
+        fs.fsync(f, &c).unwrap();
+        fs.pwrite(f, &[2u8; 100], 0, &c).unwrap();
+        // The dirty page is evicted, and eviction writes it back.
+        for page in 0..32u64 {
+            fs.pwrite(g, &[9u8; 4096], page * 4096, &c).unwrap();
+        }
+        assert!(!fs.page_cache().contains(fs.ns.inode(f).unwrap().ino, 0));
+        let mut written = [1u8; 4096];
+        written[..100].fill(2);
+        let mut buf = [0u8; 4096];
+        fs.pread(f, &mut buf, 0, &c).unwrap();
+        assert_eq!(buf, written, "read back from the device");
+        fs.pwrite(f, &[3u8; 50], 20, &c).unwrap();
+        assert_eq!(page_after_power_failure(&fs, f, 0, &c), written);
     }
 
     #[test]

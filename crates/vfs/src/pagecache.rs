@@ -1,5 +1,6 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -42,13 +43,16 @@ pub struct EvictedPage {
     pub ino: u64,
     /// Page number within the file.
     pub page: u64,
-    /// Page content (zeroes when content retention is disabled).
-    pub data: Vec<u8>,
+    /// Page content, shared with the cache's page (the cache's one zero
+    /// page when content retention is disabled).
+    pub data: Arc<[u8]>,
 }
 
+/// A resident page. Its bytes may be shared with a writeback in flight or
+/// with the device's store: [`PageCache::update`] copies them first then.
 #[derive(Debug)]
 struct Page {
-    data: Option<Box<[u8]>>,
+    data: Arc<[u8]>,
     accessed: bool,
 }
 
@@ -125,17 +129,26 @@ fn pages_from(ino: u64, first: u64) -> std::ops::RangeInclusive<(u64, u64)> {
 /// Eviction is second-chance (CLOCK), the standard approximation of LRU used
 /// by Linux. Dirty pages evicted or flushed are returned to the caller — the
 /// file system owns the device and the journal.
+///
+/// A page is held once: writeback hands out the cached page itself, and a
+/// device may keep it as its stored copy. An update of a page that is so
+/// shared copies it first (copy-on-write), so bytes a device holds change
+/// only through a device write. Without content retention every page is
+/// the cache's one zero page.
 #[derive(Debug)]
 pub struct PageCache {
     cfg: PageCacheConfig,
     inner: Mutex<Inner>,
     stats: PageCacheStats,
+    /// The content of every page when content retention is disabled.
+    zero: Arc<[u8]>,
 }
 
 impl PageCache {
     /// Creates a cache with the given configuration.
     pub fn new(cfg: PageCacheConfig) -> Self {
-        PageCache { cfg, inner: Mutex::new(Inner::default()), stats: PageCacheStats::default() }
+        let zero = vec![0u8; cfg.page_size].into();
+        PageCache { cfg, inner: Mutex::default(), stats: PageCacheStats::default(), zero }
     }
 
     /// The configuration in use.
@@ -158,10 +171,6 @@ impl PageCache {
         self.inner.lock().pages.get((ino, page)).is_some()
     }
 
-    fn make_buf(&self) -> Option<Box<[u8]>> {
-        self.cfg.keep_content.then(|| vec![0u8; self.cfg.page_size].into_boxed_slice())
-    }
-
     fn evict_if_needed(
         inner: &mut Inner,
         cfg: &PageCacheConfig,
@@ -180,11 +189,7 @@ impl PageCache {
             stats.evictions.fetch_add(1, Ordering::Relaxed);
             if inner.dirty.remove(&key) {
                 stats.writebacks.fetch_add(1, Ordering::Relaxed);
-                out.push(EvictedPage {
-                    ino: key.0,
-                    page: key.1,
-                    data: p.data.map_or_else(|| vec![0u8; cfg.page_size], |d| d.to_vec()),
-                });
+                out.push(EvictedPage { ino: key.0, page: key.1, data: p.data });
             }
         }
         out
@@ -198,12 +203,9 @@ impl PageCache {
     /// Panics if `data` is not exactly one page.
     pub fn insert(&self, ino: u64, page: u64, data: &[u8], dirty: bool) -> Vec<EvictedPage> {
         assert_eq!(data.len(), self.cfg.page_size, "insert expects a whole page");
+        let data = if self.cfg.keep_content { Arc::from(data) } else { Arc::clone(&self.zero) };
         let mut inner = self.inner.lock();
-        let mut buf = self.make_buf();
-        if let Some(b) = &mut buf {
-            b.copy_from_slice(data);
-        }
-        let fresh = inner.pages.insert((ino, page), Page { data: buf, accessed: true });
+        let fresh = inner.pages.insert((ino, page), Page { data, accessed: true });
         if fresh {
             inner.queue.push_back((ino, page));
         }
@@ -215,15 +217,16 @@ impl PageCache {
         Self::evict_if_needed(&mut inner, &self.cfg, &self.stats)
     }
 
-    /// Updates part of a resident page, marking it dirty. Returns `false` on
-    /// a miss (the caller must fill the page first).
+    /// Updates part of a resident page, marking it dirty; a page a writeback
+    /// or the device still shares is copied first. Returns `false` on a miss
+    /// (the caller must fill the page first).
     pub fn update(&self, ino: u64, page: u64, in_page: usize, bytes: &[u8]) -> bool {
         assert!(in_page + bytes.len() <= self.cfg.page_size, "update exceeds page");
         let inner = &mut *self.inner.lock();
         match inner.pages.get_mut((ino, page)) {
             Some(p) => {
-                if let Some(d) = &mut p.data {
-                    d[in_page..in_page + bytes.len()].copy_from_slice(bytes);
+                if self.cfg.keep_content {
+                    Arc::make_mut(&mut p.data)[in_page..][..bytes.len()].copy_from_slice(bytes);
                 }
                 inner.dirty.insert((ino, page));
                 p.accessed = true;
@@ -243,10 +246,7 @@ impl PageCache {
         let mut inner = self.inner.lock();
         match inner.pages.get_mut((ino, page)) {
             Some(p) => {
-                match &p.data {
-                    Some(d) => buf.copy_from_slice(&d[in_page..in_page + buf.len()]),
-                    None => buf.fill(0),
-                }
+                buf.copy_from_slice(&p.data[in_page..in_page + buf.len()]);
                 p.accessed = true;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 true
@@ -264,6 +264,11 @@ impl PageCache {
     /// is returned beside the page's content, or `None` for a page nobody
     /// can ask for again, which is marked clean and left out.
     ///
+    /// The content handed out is the cached page itself, not a copy (the
+    /// one zero page without content retention): the writeback, and a
+    /// device that keeps it, share it with the cache until an
+    /// [`update`](PageCache::update) copies the cache's side.
+    ///
     /// # Errors
     ///
     /// The first error of `map`, with every page still dirty: a writeback
@@ -272,7 +277,7 @@ impl PageCache {
         &self,
         ino: Option<u64>,
         mut map: impl FnMut(u64, u64) -> IoResult<Option<u64>>,
-    ) -> IoResult<Vec<(u64, Vec<u8>)>> {
+    ) -> IoResult<Vec<(u64, Arc<[u8]>)>> {
         let inner = &mut *self.inner.lock();
         let range = ino.map_or((0, 0)..=(u64::MAX, u64::MAX), |ino| pages_from(ino, 0));
         let keys: Vec<(u64, u64)> = inner.dirty.range(range).copied().collect();
@@ -280,9 +285,7 @@ impl PageCache {
         for &(ino, page) in &keys {
             if let Some(target) = map(ino, page)? {
                 let resident = inner.pages.get((ino, page)).expect("a dirty page is resident");
-                let data = resident.data.as_ref();
-                let data = data.map_or_else(|| vec![0u8; self.cfg.page_size], |d| d.to_vec());
-                out.push((target, data));
+                out.push((target, Arc::clone(&resident.data)));
             }
         }
         for key in &keys {
@@ -482,9 +485,13 @@ mod tests {
             keep_content: false,
         });
         pc.insert(1, 0, &[9u8; 64], true);
+        pc.insert(1, 1, &[8u8; 64], true);
         let mut buf = [1u8; 8];
         assert!(pc.read(1, 0, 0, &mut buf));
         assert_eq!(buf, [0u8; 8], "content-free mode reads zeroes");
-        assert_eq!(pc.take_dirty(Some(1), |_, page| Ok(Some(page))).unwrap(), [(0, vec![0u8; 64])]);
+        let taken = pc.take_dirty(Some(1), |_, page| Ok(Some(page))).unwrap();
+        let zero = Arc::from(vec![0u8; 64]);
+        assert_eq!(taken, [(0, Arc::clone(&zero)), (1, zero)]);
+        assert!(Arc::ptr_eq(&taken[0].1, &taken[1].1), "every page is one zero page");
     }
 }

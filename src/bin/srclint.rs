@@ -90,7 +90,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// simplification removed does not grow back unnoticed. Raising a ceiling
 /// is a reviewed one-line diff here, by no more than what a measured change
 /// had to add.
-const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4743), ("nvmm", 854), ("vfs", 2496)];
+const LOC_CEILINGS: &[(&str, usize)] = &[("core", 4737), ("nvmm", 882), ("vfs", 2484)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
