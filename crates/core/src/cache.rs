@@ -4,7 +4,7 @@
 //! workers (the write path's one body and its page-lock helper, read cache
 //! and dirty-miss procedure, close/zombie drain bookkeeping).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -33,7 +33,8 @@ use crate::{NvCacheConfig, NvCacheStats, Radix};
 /// resolve those entries.
 pub(crate) struct Zombie {
     pub opened: Arc<OpenedFile>,
-    /// Per-stripe head snapshot taken at close time.
+    /// Per-stripe head snapshot taken at close time, under the zombies
+    /// lock.
     pub drain_targets: Box<[u64]>,
 }
 
@@ -69,8 +70,11 @@ pub(crate) struct Shared {
     /// ([`NvCacheConfig::sq_pairs`]): a pair is owned by exactly one
     /// [`QueuePair`](crate::QueuePair) handle at a time.
     pub sq_taken: Box<[AtomicBool]>,
-    /// Closed fds awaiting their last log entries to drain.
-    pub zombies: Mutex<Vec<Zombie>>,
+    /// Closed fds awaiting their last log entries to drain, in close order.
+    /// Each snapshots the heads under this lock, and heads only grow, so
+    /// the targets never fall along the queue: the drained zombies are a
+    /// prefix of it.
+    pub zombies: Mutex<VecDeque<Zombie>>,
     /// Descriptors of files that just died (unlinked, every descriptor
     /// closed), waiting for a cleanup worker to release their inner
     /// descriptors ([`release_dead`](Shared::release_dead)) — on its clock,
@@ -465,15 +469,37 @@ impl Shared {
     /// [`finishing`](Shared::finishing); the count is given back here, once
     /// the slot is free.
     pub fn finish_close(&self, opened: &Arc<OpenedFile>, clock: &ActorClock) {
+        let file = &opened.file;
+        // An unlinked file's slots were cleared at the `unlink`. Read before
+        // the slot leaves the file's list (see `file_unlinked`).
+        let named = !file.unlinked.load(Ordering::SeqCst);
+        file.slots.lock().retain(|&slot| slot != opened.slot);
+        let last = file.open_count.fetch_sub(1, Ordering::AcqRel) == 1;
+        if last {
+            self.pool.purge_file(file.file_id);
+            // Catalogued while the descriptor is still in `opened`, where an
+            // `unlink` looks for it, and under the slot list, where that
+            // `unlink` marks the file: it either marks the file first, and
+            // there is no path to catalogue, or forgets the path after.
+            let slots = file.slots.lock();
+            if !file.unlinked.load(Ordering::SeqCst) {
+                self.tiers.closed(opened, &self.stats);
+            }
+            drop(slots);
+            let (dev, ino) = file.dev_ino;
+            // Only this file's own entry: the key of a file unlinked
+            // meanwhile may already name its successor.
+            let _lk = self.lockcheck.acquire(Class::FilesMap, 0);
+            let mut files = self.files.lock();
+            let key = (opened.backend, dev, ino);
+            if files.get(&key).is_some_and(|f| Arc::ptr_eq(f, file)) {
+                files.remove(&key);
+            }
+        }
         {
             let _lk = self.lockcheck.acquire(Class::OpenedMap, 0);
             self.opened.write().remove(&opened.slot);
         }
-        // An unlinked file's slots were cleared at the `unlink`; it is in
-        // no file table, and there is no path to catalogue. Read before the
-        // slot leaves the file's list (see `file_unlinked`).
-        let named = !opened.file.unlinked.load(Ordering::SeqCst);
-        opened.file.slots.lock().retain(|&slot| slot != opened.slot);
         // The descriptor is in no table and its slot is still taken.
         self.release_inner(opened, clock);
         if named {
@@ -481,36 +507,22 @@ impl Shared {
         }
         self.fd_slots.release(opened.slot);
         self.finishing.fetch_sub(1, Ordering::SeqCst);
-        if opened.file.open_count.fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.pool.purge_file(opened.file.file_id);
-            let (dev, ino) = opened.file.dev_ino;
-            {
-                // Only this file's own entry: the key of a file unlinked
-                // meanwhile may already name its successor.
-                let _lk = self.lockcheck.acquire(Class::FilesMap, 0);
-                let mut files = self.files.lock();
-                let key = (opened.backend, dev, ino);
-                if files.get(&key).is_some_and(|f| Arc::ptr_eq(f, &opened.file)) {
-                    files.remove(&key);
-                }
-            }
-            if named {
-                self.tiers.closed(opened, &self.stats);
-            }
-        }
     }
 
-    /// Finishes all zombies whose entries have drained past every stripe's
-    /// tail.
+    /// Finishes, in close order, the zombies whose entries have drained
+    /// past every stripe's tail: the front of the queue up to the first one
+    /// still pending, so a call costs O(ready + 1). Every worker calls it
+    /// after each [`free_range`](Stripe::free_range), the only step that
+    /// moves a tail, and `close` lists a zombie under the same lock only
+    /// once its snapshot is not drained: whichever of the two takes the
+    /// lock last sees the other's work, and no zombie waits for a wakeup.
     pub fn drain_zombies(&self, clock: &ActorClock) {
         let ready: Vec<Zombie> = {
             let _lk = self.lockcheck.acquire(Class::Zombies, 0);
             let mut z = self.zombies.lock();
-            let (done, keep): (Vec<Zombie>, Vec<Zombie>) =
-                z.drain(..).partition(|zb| self.log.drained_to(&zb.drain_targets));
-            *z = keep;
-            self.finishing.fetch_add(done.len(), Ordering::SeqCst);
-            done
+            let n = z.iter().take_while(|zb| self.log.drained_to(&zb.drain_targets)).count();
+            self.finishing.fetch_add(n, Ordering::SeqCst);
+            z.drain(..n).collect()
         };
         for zb in ready {
             self.finish_close(&zb.opened, clock);
@@ -701,8 +713,9 @@ impl Shared {
             .fetch_add(window, Ordering::Relaxed);
         stats.groups_logged.fetch_add(multi_entry, Ordering::Relaxed);
         // The window is committed, queued and counted: wake the worker
-        // waiting at the tail, and a handoff waiting for its entry's queue.
-        stripe.signal.notify();
+        // waiting at the tail, a handoff waiting for its entry's queue, and
+        // the idle worker once the head makes a batch worth running.
+        stripe.signal.notify_commit(&stripe.head);
         let now = clock.now();
         for w in writes {
             self.tiers.touch(&w.opened.file, now);
@@ -909,7 +922,7 @@ impl NvCache {
                 taken.resize_with(cfg.sq_pairs, || AtomicBool::new(false));
                 taken.into_boxed_slice()
             },
-            zombies: Mutex::new(Vec::new()),
+            zombies: Mutex::new(VecDeque::new()),
             graveyard: Mutex::new(Vec::new()),
             finishing: AtomicUsize::new(0),
             stats,
@@ -1277,17 +1290,23 @@ impl FileSystem for NvCache {
         }
         // The persistent fd slot must outlive the entries that reference it
         // (recovery resolves paths through it); defer the actual teardown to
-        // the cleanup workers if entries are still in flight anywhere.
-        let targets = self.shared.log.heads();
-        if self.shared.log.drained_to(&targets) {
-            self.shared.finishing.fetch_add(1, Ordering::SeqCst);
-            self.shared.finish_close(&opened, clock);
-        } else {
-            {
-                let _lk = self.shared.lockcheck.acquire(Class::Zombies, 0);
-                self.shared.zombies.lock().push(Zombie { opened, drain_targets: targets });
+        // the cleanup workers if entries are still in flight anywhere. The
+        // snapshot is taken under the zombies lock, which keeps the queue in
+        // drain order; the `drain_zombies` after the batch that drains it
+        // finishes a listed zombie, so listing one wakes nobody.
+        let drained = {
+            let _lk = shared.lockcheck.acquire(Class::Zombies, 0);
+            let mut zombies = shared.zombies.lock();
+            let drain_targets = shared.log.heads();
+            let drained = shared.log.drained_to(&drain_targets);
+            if !drained {
+                zombies.push_back(Zombie { opened: Arc::clone(&opened), drain_targets });
             }
-            self.shared.log.notify_all();
+            drained
+        };
+        if drained {
+            shared.finishing.fetch_add(1, Ordering::SeqCst);
+            shared.finish_close(&opened, clock);
         }
         Ok(())
     }

@@ -114,7 +114,6 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
             // Crash simulation: leave everything in the log for recovery.
             return;
         }
-        shared.drain_zombies(&clock);
         let tail = stripe.vtail.load(Ordering::Acquire);
         let head = stripe.head.load(Ordering::Acquire);
         let pending = head - tail;
@@ -126,22 +125,22 @@ pub(crate) fn run_cleanup(shared: Arc<Shared>, stripe_idx: usize) {
         // threshold — run regardless of `batch_min` until the pressure
         // clears.
         let handoff_pressure = shared.log.handoff_waiters.load(Ordering::Acquire) > 0;
-
-        let should_run = pending > 0
-            && (pending >= shared.cfg.batch_min as u64
-                || flush_needed
-                || space_needed
-                || handoff_pressure
-                || stop);
+        // The pending entries that make a batch worth running.
+        let urgent = flush_needed || space_needed || handoff_pressure || stop;
+        let run_at = if urgent { 1 } else { (shared.cfg.batch_min as u64).max(1) };
         // Whatever died before this batch was asked for is released before
         // the batch looks at its entries.
         shared.release_dead(&clock);
-        if !should_run {
+        if pending < run_at {
             if stop && pending == 0 {
                 shared.drain_zombies(&clock);
                 return;
             }
-            stripe.signal.wait(seen);
+            shard_stats.idle_wakeups.fetch_add(1, Ordering::Relaxed);
+            // Every condition above but the head's is changed with a full
+            // wakeup; a commit wakes this sleep only once the head has
+            // reached `run_at` pending entries.
+            stripe.signal.wait_idle(seen, &stripe.head, tail + run_at);
             continue;
         }
 

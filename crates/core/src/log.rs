@@ -63,9 +63,29 @@ impl EntryHeader {
 /// [`notify`](Signal::notify), so the evaluation either sees the change or
 /// the epoch has moved past `seen` and [`wait`](Signal::wait) returns at
 /// once: no wakeup is lost, and no wait needs a timeout.
+///
+/// The signal knows who sleeps on it, so a bump with nobody asleep costs an
+/// atomic add and no mutex. A waiter registers under the mutex before its
+/// last look at the epoch, and a notifier looks for sleepers after its bump,
+/// all `SeqCst`: either the waiter sees the bump or the notifier sees the
+/// waiter, and then takes the mutex, which the waiter holds until it sleeps.
+///
+/// The stripe's cleanup worker sleeps while idle in
+/// [`wait_idle`](Signal::wait_idle), with the head at which it would run a
+/// batch. A commit's [`notify_commit`](Signal::notify_commit) wakes it only
+/// once the head has reached that point, or when a thread sleeps in `wait`;
+/// every other [`notify`](Signal::notify) is a full wakeup.
 #[derive(Default)]
 pub(crate) struct Signal {
+    /// Moved on by every notify.
     epoch: AtomicU64,
+    /// Moved on by every notify but a commit's.
+    full_epoch: AtomicU64,
+    /// Threads asleep in [`wait`](Signal::wait).
+    sleepers: AtomicUsize,
+    /// The head at which the idle waiter wants waking; 0 while none sleeps
+    /// (a threshold is at least 1).
+    idle_at: AtomicU64,
     /// Orders a bump against a waiter's last look before it sleeps.
     lock: Mutex<()>,
     cv: Condvar,
@@ -74,27 +94,84 @@ pub(crate) struct Signal {
     stripe: u64,
 }
 
+/// What a waiter saw of a [`Signal`] before it evaluated its condition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Seen {
+    epoch: u64,
+    full_epoch: u64,
+}
+
 impl Signal {
-    /// The current epoch: read it before evaluating the condition to wait on.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    /// The current epochs: read them before evaluating the condition to
+    /// wait on.
+    pub fn epoch(&self) -> Seen {
+        Seen {
+            epoch: self.epoch.load(Ordering::SeqCst),
+            full_epoch: self.full_epoch.load(Ordering::SeqCst),
+        }
     }
 
-    /// Moves the epoch on, under the mutex, and wakes every waiter.
+    /// A full wakeup: moves both epochs on and wakes every sleeper, the idle
+    /// waiter included.
     pub fn notify(&self) {
+        self.full_epoch.fetch_add(1, Ordering::SeqCst);
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        crate::stress_point();
+        if self.sleepers.load(Ordering::SeqCst) > 0 || self.idle_at.load(Ordering::SeqCst) != 0 {
+            self.wake();
+        }
+    }
+
+    /// A commit's wakeup, once the stripe's allocation `head` covers the
+    /// committed window: moves the epoch on, and wakes the sleepers if a
+    /// thread sleeps in [`wait`](Signal::wait) or the head has reached the
+    /// idle waiter's threshold. Every head store is `SeqCst` and followed by
+    /// its reserver's commit, so a waiter that registers too late for this
+    /// look sees the head itself.
+    pub fn notify_commit(&self, head: &AtomicU64) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        crate::stress_point();
+        let idle_at = self.idle_at.load(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0
+            || (idle_at != 0 && head.load(Ordering::SeqCst) >= idle_at)
+        {
+            self.wake();
+        }
+    }
+
+    fn wake(&self) {
         let _lk = self.lockcheck.acquire(Class::StripeSignal, self.stripe);
         let _g = self.lock.lock();
-        self.epoch.fetch_add(1, Ordering::AcqRel);
         self.cv.notify_all();
     }
 
     /// Blocks until the epoch differs from `seen`.
-    pub fn wait(&self, seen: u64) {
+    pub fn wait(&self, seen: Seen) {
+        crate::stress_point();
         let _lk = self.lockcheck.acquire(Class::StripeSignal, self.stripe);
         let mut guard = self.lock.lock();
-        while self.epoch() == seen {
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.epoch.load(Ordering::SeqCst) == seen.epoch {
             self.cv.wait(&mut guard);
         }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The idle worker's sleep: blocks until a full wakeup after `seen`, or
+    /// until `head` reaches `at` (at least 1). A signal has at most one idle
+    /// waiter, its stripe's worker.
+    pub fn wait_idle(&self, seen: Seen, head: &AtomicU64, at: u64) {
+        debug_assert!(at > 0, "an idle threshold is at least 1");
+        crate::stress_point();
+        let _lk = self.lockcheck.acquire(Class::StripeSignal, self.stripe);
+        let mut guard = self.lock.lock();
+        self.idle_at.store(at, Ordering::SeqCst);
+        while self.full_epoch.load(Ordering::SeqCst) == seen.full_epoch
+            && head.load(Ordering::SeqCst) < at
+        {
+            self.cv.wait(&mut guard);
+        }
+        self.idle_at.store(0, Ordering::SeqCst);
     }
 }
 
@@ -150,9 +227,10 @@ pub(crate) struct Stripe {
     alloc_lock: Mutex<()>,
     /// The stripe's one wakeup, for its cleanup worker, its full-stripe
     /// writers, its flushers and the handoffs blocked on its entries. Bumped
-    /// when entries are queued, space is freed, a flush, space or handoff
-    /// is asked for, a queue front of a waited-on handoff is popped, the
-    /// stripe is poisoned, or the mount stops.
+    /// when entries are queued (a wakeup for the idle worker only once the
+    /// head reaches its threshold), space is freed, a flush, space or
+    /// handoff is asked for, a queue front of a waited-on handoff is popped,
+    /// the stripe is poisoned, or the mount stops.
     pub signal: Signal,
     /// Lock-order recorder shared with the owning mount (no-op unless the
     /// `pmcheck` feature is on).
@@ -528,7 +606,9 @@ impl Log {
                 let head = stripe.head.load(Ordering::Acquire);
                 let tail = stripe.vtail.load(Ordering::Acquire);
                 if head + k - tail <= cap {
-                    stripe.head.store(head + k, Ordering::Release);
+                    // `SeqCst` against the idle worker's threshold (see
+                    // `Signal::notify_commit`).
+                    stripe.head.store(head + k, Ordering::SeqCst);
                     // Global sequence assignment happens under the same lock
                     // so ring order == global order within the stripe.
                     Some((head, self.global_seq.fetch_add(k, Ordering::AcqRel)))
@@ -658,28 +738,48 @@ mod tests {
     }
 
     /// A `notify` that lands between a waiter's `epoch` and its `wait` is
-    /// not lost: the wait returns at once. A wait with no notify after its
-    /// epoch blocks until one comes.
+    /// not lost: the wait returns at once. With nobody asleep the notify
+    /// takes the lock-free path (no sleeper is registered when it runs), and
+    /// so does a commit's. A wait with no notify after its epoch blocks
+    /// until one comes.
     #[test]
     fn a_notify_between_epoch_and_wait_is_not_lost() {
         let signal = Arc::new(Signal::default());
         let (woke, returned) = std::sync::mpsc::channel();
         let guard = Duration::from_secs(10);
+        let head = Arc::new(AtomicU64::new(0));
+        for commit in [false, true] {
+            let seen = signal.epoch();
+            let notifier = {
+                let (signal, head) = (Arc::clone(&signal), Arc::clone(&head));
+                std::thread::spawn(move || {
+                    assert_eq!(signal.sleepers.load(Ordering::SeqCst), 0, "the lock-free path");
+                    assert_eq!(signal.idle_at.load(Ordering::SeqCst), 0, "the lock-free path");
+                    if commit {
+                        signal.notify_commit(&head);
+                    } else {
+                        signal.notify();
+                    }
+                })
+            };
+            notifier.join().unwrap();
+            let waiter = {
+                let (signal, woke) = (Arc::clone(&signal), woke.clone());
+                std::thread::spawn(move || {
+                    signal.wait(seen);
+                    woke.send(()).unwrap();
+                })
+            };
+            returned.recv_timeout(guard).expect("the notify before the wait was lost");
+            waiter.join().unwrap();
+        }
+
+        // The idle waiter: a commit below its threshold is no wakeup, but a
+        // full one before the wait is not lost either.
         let seen = signal.epoch();
-        let notifier = {
-            let signal = Arc::clone(&signal);
-            std::thread::spawn(move || signal.notify())
-        };
-        notifier.join().unwrap();
-        let waiter = {
-            let (signal, woke) = (Arc::clone(&signal), woke.clone());
-            std::thread::spawn(move || {
-                signal.wait(seen);
-                woke.send(()).unwrap();
-            })
-        };
-        returned.recv_timeout(guard).expect("the notify before the wait was lost");
-        waiter.join().unwrap();
+        signal.notify_commit(&head);
+        signal.notify();
+        signal.wait_idle(seen, &head, 1);
 
         let seen = signal.epoch();
         let waiter = {
@@ -693,6 +793,190 @@ mod tests {
         signal.notify();
         returned.recv_timeout(guard).expect("the notify after the wait was lost");
         waiter.join().unwrap();
+    }
+
+    /// Parks an idle waiter on `signal` until `head` reaches `at`, and
+    /// returns once it is registered: a channel that hears when it woke,
+    /// and its thread.
+    fn park_idle(
+        signal: &Arc<Signal>,
+        head: &Arc<AtomicU64>,
+        at: u64,
+    ) -> (std::sync::mpsc::Receiver<()>, std::thread::JoinHandle<()>) {
+        let (woke, returned) = std::sync::mpsc::channel();
+        let seen = signal.epoch();
+        let waiter = {
+            let (signal, head) = (Arc::clone(signal), Arc::clone(head));
+            std::thread::spawn(move || {
+                signal.wait_idle(seen, &head, at);
+                woke.send(()).unwrap();
+            })
+        };
+        while signal.idle_at.load(Ordering::SeqCst) != at {
+            std::thread::yield_now();
+        }
+        (returned, waiter)
+    }
+
+    /// A commit that leaves the head below the idle waiter's threshold
+    /// leaves it asleep, asleep for good; the commit that reaches the
+    /// threshold wakes it. A thread asleep in `wait` is woken by every
+    /// commit.
+    #[test]
+    fn a_commit_below_the_idle_threshold_leaves_the_idle_waiter_asleep() {
+        let signal = Arc::new(Signal::default());
+        let head = Arc::new(AtomicU64::new(0));
+        let (returned, waiter) = park_idle(&signal, &head, 4);
+        for below in 1..4 {
+            head.store(below, Ordering::SeqCst);
+            signal.notify_commit(&head);
+            assert!(returned.recv_timeout(Duration::from_millis(20)).is_err(), "woke at {below}");
+        }
+        assert_eq!(signal.idle_at.load(Ordering::SeqCst), 4, "still parked");
+        head.store(4, Ordering::SeqCst);
+        signal.notify_commit(&head);
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the crossing commit was lost");
+        waiter.join().unwrap();
+        assert_eq!(signal.idle_at.load(Ordering::SeqCst), 0, "unregistered");
+
+        let (woke, returned) = std::sync::mpsc::channel();
+        let seen = signal.epoch();
+        let sleeper = {
+            let signal = Arc::clone(&signal);
+            std::thread::spawn(move || {
+                signal.wait(seen);
+                woke.send(()).unwrap();
+            })
+        };
+        while signal.sleepers.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        signal.notify_commit(&head);
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a commit skipped a sleeper");
+        sleeper.join().unwrap();
+    }
+
+    /// Flush, space, handoff, bury, poison, stop and a freed batch are full
+    /// wakeups: each wakes the stripe's idle worker however far its
+    /// threshold is.
+    #[test]
+    fn every_wakeup_but_a_commit_wakes_the_idle_worker() {
+        type Event = fn(&Arc<Log>) -> Option<std::thread::JoinHandle<()>>;
+        let events: [(&str, Event); 5] = [
+            ("flush", |log| {
+                let log = Arc::clone(log);
+                Some(std::thread::spawn(move || log.stripes[0].flush_to(1, &ActorClock::new())))
+            }),
+            ("space", |log| {
+                let log = Arc::clone(log);
+                Some(std::thread::spawn(move || {
+                    let stats = NvCacheStats::default();
+                    log.reserve(&log.stripes[0], 1, &ActorClock::new(), &stats).unwrap();
+                }))
+            }),
+            // A handoff that starts waiting, a buried file and the mount's
+            // stop signal every stripe.
+            ("handoff, bury, stop", |log| {
+                log.notify_all();
+                None
+            }),
+            ("poison", |log| {
+                log.stripes[0].poison();
+                None
+            }),
+            ("free", |log| {
+                log.stripes[0].free_range(0, 1, &ActorClock::new());
+                None
+            }),
+        ];
+        for (name, event) in events {
+            let (c, s, log) = mk_log(2);
+            for _ in 0..2 {
+                let stripe = &log.stripes[0];
+                let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
+                stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
+                stripe.commit_batch(&[(seq, 1)], &c);
+            }
+            let log = Arc::new(log);
+            let signal = &log.stripes[0].signal;
+            // The full stripe's worker would wait for no head: it is asleep
+            // until a full wakeup.
+            let head = Arc::new(AtomicU64::new(0));
+            let (woke, returned) = std::sync::mpsc::channel();
+            let seen = signal.epoch();
+            let waiter = {
+                let (log, head) = (Arc::clone(&log), Arc::clone(&head));
+                std::thread::spawn(move || {
+                    log.stripes[0].signal.wait_idle(seen, &head, u64::MAX);
+                    woke.send(()).unwrap();
+                })
+            };
+            while signal.idle_at.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let blocked = event(&log);
+            returned.recv_timeout(Duration::from_secs(10)).expect(name);
+            waiter.join().unwrap();
+            if let Some(blocked) = blocked {
+                // Release the flusher or the writer.
+                log.stripes[0].free_range(0, 2, &ActorClock::new());
+                blocked.join().unwrap();
+            }
+        }
+    }
+
+    /// Two threads hand a token back and forth many times through two
+    /// signals, each turn a notify racing the other side's way to sleep:
+    /// full wakeups into `wait`, commits into `wait_idle` at the exact
+    /// threshold, and commits into `wait`. A lost wakeup hangs a turn, and
+    /// the watchdog fails the test. The seeded-schedule stress build yields
+    /// inside `notify` and `wait`.
+    #[test]
+    fn a_signal_ping_pong_loses_no_wakeup() {
+        const TURNS: u64 = 20_000;
+        let sides = Arc::new([
+            (Signal::default(), AtomicU64::new(0)),
+            (Signal::default(), AtomicU64::new(0)),
+        ]);
+        let play = |me: usize| {
+            let sides = Arc::clone(&sides);
+            std::thread::spawn(move || {
+                let ((out, mine), (inbox, theirs)) = (&sides[me], &sides[1 - me]);
+                for turn in 1..=TURNS {
+                    mine.store(turn, Ordering::SeqCst);
+                    match turn % 3 {
+                        0 => out.notify(),
+                        _ => out.notify_commit(mine),
+                    }
+                    loop {
+                        let seen = inbox.epoch();
+                        if theirs.load(Ordering::SeqCst) >= turn {
+                            break;
+                        }
+                        // Widens the window a notify must not be lost in.
+                        std::thread::yield_now();
+                        match turn % 3 {
+                            1 => inbox.wait_idle(seen, theirs, turn),
+                            _ => inbox.wait(seen),
+                        }
+                    }
+                }
+            })
+        };
+        let (done, finished) = std::sync::mpsc::channel();
+        let players = [play(0), play(1)];
+        let watch = std::thread::spawn(move || {
+            for player in players {
+                player.join().unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        finished.recv_timeout(Duration::from_secs(120)).expect("a wakeup was lost");
+        watch.join().unwrap();
     }
 
     #[test]

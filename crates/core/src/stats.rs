@@ -128,6 +128,10 @@ counter_table! {
         /// Inner-file-system errors hit while draining this stripe (each one
         /// poisons the stripe instead of panicking the worker).
         inner_io_errors,
+        /// Turns of this stripe's worker loop that ran no batch, each of
+        /// which ends in an idle sleep. A commit that leaves fewer than
+        /// `batch_min` entries pending wakes no sleep, so it adds none.
+        idle_wakeups,
     }
     nested {}
 }

@@ -878,6 +878,150 @@ fn a_descriptor_being_finished_does_not_read_as_a_full_table() {
     }
 }
 
+/// Polls `done` until it holds, for at most ten seconds of host time.
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "never: {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A parked worker sleeps through commits that leave fewer than
+/// `batch_min` entries pending: 99 of them cost no wakeup. The 100th wakes
+/// it for a batch, with no flush asked for, and it parks again.
+#[test]
+fn a_parked_worker_wakes_once_per_batch_not_once_per_commit() {
+    let cfg =
+        NvCacheConfig { nb_entries: 256, batch_min: 100, batch_max: 100, ..NvCacheConfig::tiny() };
+    let (c, _d, _i, cache) = setup(cfg);
+    let shard = || cache.stats().snapshot().per_shard[0];
+    eventually("the worker parks", || shard().idle_wakeups == 1);
+    let fd = cache.open("/parked", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+    for i in 0..99u64 {
+        cache.pwrite(fd, &[i as u8; 8], i * 8, &c).unwrap();
+        // Time for a woken worker to take its turn.
+        for _ in 0..20 {
+            std::thread::yield_now();
+        }
+    }
+    assert_eq!(shard().cleanup_batches, 0);
+    assert_eq!(shard().idle_wakeups, 1, "a commit below batch_min woke the parked worker");
+    cache.pwrite(fd, &[99; 8], 99 * 8, &c).unwrap();
+    eventually("the crossing commit runs a batch", || shard().cleanup_batches == 1);
+    eventually("the worker parks again", || shard().idle_wakeups == 2);
+    assert_eq!(shard().entries_propagated, 100);
+    cache.shutdown(&c);
+}
+
+/// Zombies queue in close order, and the drain finishes them in that
+/// order: the slots go back to the allocator's stack first to last, so the
+/// next opens take them last to first.
+#[test]
+fn zombies_are_finished_in_close_order() {
+    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..NvCacheConfig::tiny() };
+    let (c, _d, _i, cache) = setup(cfg);
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    let fds: Vec<_> = (0..3).map(|i| cache.open(&format!("/z{i}"), create, &c).unwrap()).collect();
+    for &fd in &fds {
+        cache.pwrite(fd, b"pending", 0, &c).unwrap();
+        cache.close(fd, &c).unwrap();
+    }
+    let listed: Vec<u64> =
+        cache.shared.zombies.lock().iter().map(|z| u64::from(z.opened.slot)).collect();
+    assert_eq!(listed, fds.iter().map(|fd| fd.0).collect::<Vec<_>>(), "in close order");
+    cache.flush_log(&c);
+    eventually("the drain finishes every zombie", || cache.shared.out_of_descriptors());
+    let reopened: Vec<_> =
+        (0..3).map(|i| cache.open(&format!("/r{i}"), create, &c).unwrap().0).collect();
+    let released_first_to_last: Vec<_> = fds.iter().rev().map(|fd| fd.0).collect();
+    assert_eq!(reopened, released_first_to_last);
+    cache.shutdown(&c);
+}
+
+/// A `close` that races the batch draining its own write, on a log with
+/// nothing else to drain, strands no zombie: either it sees the drain and
+/// finishes on the spot, or the drain after the batch's `free_range` sees
+/// it. Its slot comes back with no further write or flush.
+#[test]
+fn a_close_racing_its_batch_strands_no_zombie() {
+    let cfg = NvCacheConfig { fd_slots: 2, ..NvCacheConfig::tiny() };
+    let (c, _d, _i, cache) = setup(cfg);
+    for round in 0..300u64 {
+        let fd = cache.open("/race", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
+        cache.pwrite(fd, &round.to_le_bytes(), 0, &c).unwrap();
+        cache.close(fd, &c).unwrap();
+        eventually(&format!("round {round}: the slot comes back"), || {
+            cache.fd_slot_usage() == (2, 0, 0)
+        });
+    }
+    cache.shutdown(&c);
+}
+
+/// A poisoned stripe never drains, so its zombies stay listed, and so does
+/// every zombie closed after the poisoning: their snapshots are above the
+/// stuck tail.
+#[test]
+fn a_poisoned_stripe_pins_every_later_zombie() {
+    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..NvCacheConfig::tiny() };
+    let clock = ActorClock::new();
+    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    let inner = vfs::FaultLayer::failing_pwrites(0).wrap(Arc::new(MemFs::new()));
+    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).expect("format");
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    let mut closed = Vec::new();
+    for path in ["/a", "/b"] {
+        let fd = cache.open(path, create, &clock).unwrap();
+        cache.pwrite(fd, b"stuck", 0, &clock).unwrap();
+        cache.close(fd, &clock).unwrap();
+        closed.push(fd.0);
+    }
+    cache.flush_log(&clock);
+    wait_for_poison(&cache);
+    let later = cache.open("/c", create, &clock).unwrap();
+    cache.close(later, &clock).unwrap();
+    closed.push(later.0);
+    cache.shared.drain_zombies(&clock);
+    let listed: Vec<u64> =
+        cache.shared.zombies.lock().iter().map(|z| u64::from(z.opened.slot)).collect();
+    assert_eq!(listed, closed, "every zombie stays listed, in close order");
+    assert!(!cache.shared.out_of_descriptors());
+    cache.shutdown(&clock);
+}
+
+/// An `open` that finds the table empty drains the log once and takes a
+/// slot a zombie gave back; with every slot held by an open descriptor it
+/// fails cleanly, and the table reads as out of descriptors.
+#[test]
+fn the_open_slow_path_reaps_zombies_and_a_full_table_fails() {
+    let cfg = NvCacheConfig {
+        fd_slots: 2,
+        batch_min: 1_000_000,
+        batch_max: 1_000_000,
+        ..NvCacheConfig::tiny()
+    };
+    let (c, _d, _i, cache) = setup(cfg);
+    let create = OpenFlags::RDWR | OpenFlags::CREATE;
+    for path in ["/a", "/b"] {
+        let fd = cache.open(path, create, &c).unwrap();
+        cache.pwrite(fd, b"pending", 0, &c).unwrap();
+        cache.close(fd, &c).unwrap();
+    }
+    assert_eq!(cache.fd_slot_usage(), (0, 2, 2), "both closes were deferred");
+    assert!(!cache.shared.out_of_descriptors(), "zombies can give slots back");
+    let held = [cache.open("/c", create, &c).unwrap(), cache.open("/d", create, &c).unwrap()];
+    assert_eq!(cache.stats().snapshot().fd_slot_waits, 1, "one drain reaped both");
+    assert_eq!(cache.fd_slot_usage(), (0, 2, 0));
+    let full = cache.open("/e", create, &c);
+    assert!(matches!(&full, Err(IoError::Other(m)) if m.contains("fd table is full")), "{full:?}");
+    assert_eq!(cache.stats().snapshot().fd_slot_waits, 2);
+    assert!(cache.shared.out_of_descriptors());
+    for fd in held {
+        cache.close(fd, &c).unwrap();
+    }
+    cache.shutdown(&c);
+}
+
 #[test]
 fn recovery_is_idempotent() {
     let cfg = NvCacheConfig {
