@@ -102,7 +102,7 @@
 //!
 //! Back-pressure (the Fig. 5 saturation collapse) is preserved per stripe:
 //! each stripe couples its writers to its own cleanup worker's virtual
-//! `tail_time`/`free_stamps`, and [`NvCacheStats::per_shard`] exposes the
+//! `free_stamps`/`published_stamps`, and [`NvCacheStats::per_shard`] exposes the
 //! per-stripe saturation and propagation counters.
 //!
 //! ## The asynchronous drain

@@ -190,10 +190,10 @@ impl Signal {
 ///   scan starts there.
 ///
 /// Writers that find the stripe full wait on its `signal` and, once woken,
-/// synchronize their virtual clock with the cleanup worker's publication
-/// time (`tail_time`) — this is how SSD back-pressure reaches the
-/// application in the simulation, reproducing the saturation collapse of
-/// paper Fig. 5 independently in every stripe.
+/// synchronize their virtual clock with the instant the cleanup worker
+/// published the slots they take (`published_stamps`) — this is how SSD
+/// back-pressure reaches the application in the simulation, reproducing the
+/// saturation collapse of paper Fig. 5 independently in every stripe.
 pub(crate) struct Stripe {
     /// Position of this stripe in [`Log::stripes`].
     pub index: usize,
@@ -210,6 +210,10 @@ pub(crate) struct Stripe {
     /// (paper Fig. 5) even though the real cleanup worker may keep up in
     /// wall-clock time.
     pub free_stamps: Box<[AtomicU64]>,
+    /// Virtual time at which the batch that last freed each local slot was
+    /// published (its tail persisted): what a writer that waited for the
+    /// slot is charged, however many later batches it slept through.
+    published_stamps: Box<[AtomicU64]>,
     /// Virtual time at which the cleanup worker last freed entries.
     pub tail_time: AtomicU64,
     /// Writers currently blocked on a full stripe.
@@ -259,8 +263,7 @@ impl Stripe {
         let cap = layout.stripe_entries() as usize;
         let mut stamps = Vec::with_capacity(cap);
         stamps.resize_with(cap, || AtomicU64::new(0));
-        let mut free_stamps = Vec::with_capacity(cap);
-        free_stamps.resize_with(cap, || AtomicU64::new(free_at.as_nanos()));
+        let seeded = || (0..cap).map(|_| AtomicU64::new(free_at.as_nanos())).collect();
         Stripe {
             index,
             region,
@@ -268,7 +271,8 @@ impl Stripe {
             head: AtomicU64::new(0),
             vtail: AtomicU64::new(0),
             commit_stamps: stamps.into_boxed_slice(),
-            free_stamps: free_stamps.into_boxed_slice(),
+            free_stamps: seeded(),
+            published_stamps: seeded(),
             tail_time: AtomicU64::new(free_at.as_nanos()),
             space_waiters: AtomicUsize::new(0),
             flush_target: AtomicU64::new(0),
@@ -423,15 +427,18 @@ impl Stripe {
         self.layout.clear_entries(&self.region, self.slot(from), head, clock);
         self.layout
             .clear_entries(&self.region, self.slot(from + head), count - head, clock);
-        let now = clock.now().as_nanos();
-        for i in 0..count {
-            self.free_stamps[self.local_slot(from + i)].store(now, Ordering::Release);
-        }
+        let freed = clock.now().as_nanos();
         let tail_off = self.layout.stripe_tail_off(self.index as u64);
         self.region.write_u64(tail_off, from + count, clock);
         self.region.pwb(tail_off, 8);
         self.region.persist_fence(clock);
-        self.tail_time.store(clock.now().as_nanos(), Ordering::Release);
+        let published = clock.now().as_nanos();
+        for i in 0..count {
+            let slot = self.local_slot(from + i);
+            self.free_stamps[slot].store(freed, Ordering::Release);
+            self.published_stamps[slot].store(published, Ordering::Release);
+        }
+        self.tail_time.store(published, Ordering::Release);
         self.vtail.store(from + count, Ordering::Release);
         self.signal.notify();
     }
@@ -619,17 +626,15 @@ impl Log {
             if let Some((head, gseq)) = window {
                 // Virtual-time coupling: the claimed slots only became free
                 // when the cleanup worker freed them — the producer cannot be
-                // "earlier" than that instant.
-                let mut free_at = 0u64;
-                for i in 0..k {
-                    let slot = stripe.local_slot(head + i);
-                    free_at = free_at.max(stripe.free_stamps[slot].load(Ordering::Acquire));
-                }
+                // "earlier" than that instant, and a producer that waited
+                // for them not earlier than their publication.
+                let stamps = if waiting { &stripe.published_stamps } else { &stripe.free_stamps };
+                let free_at = (head..head + k)
+                    .map(|seq| stamps[stripe.local_slot(seq)].load(Ordering::Acquire))
+                    .max()
+                    .unwrap_or(0);
                 if free_at > 0 {
                     clock.advance_to(SimTime::from_nanos(free_at));
-                }
-                if waiting {
-                    clock.advance_to(SimTime::from_nanos(stripe.tail_time.load(Ordering::Acquire)));
                 }
                 break Ok((head, gseq));
             }
@@ -1110,6 +1115,41 @@ mod tests {
             t >= SimTime::from_secs(5),
             "writer resumed at {t}, expected at least the cleanup time"
         );
+    }
+
+    #[test]
+    fn a_waiter_is_charged_the_batch_that_freed_its_slot() {
+        let (c, s, log) = mk_log(4);
+        for _ in 0..4 {
+            let stripe = &log.stripes[0];
+            let (seq, gseq) = log.reserve(stripe, 1, &c, &s).unwrap();
+            stripe.fill_entry(seq, gseq, 0, 0, &[0; 8], 1, None, &c);
+            stripe.commit_batch(&[(seq, 1)], &c);
+        }
+        let log = Arc::new(log);
+        let log2 = Arc::clone(&log);
+        let waiter = std::thread::spawn(move || {
+            let c2 = ActorClock::new();
+            let s2 = NvCacheStats::default();
+            let (seq, _) = log2.reserve(&log2.stripes[0], 1, &c2, &s2).unwrap();
+            (seq, c2.now())
+        });
+        let stripe = &log.stripes[0];
+        while stripe.space_waiters.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        // Holding the allocation lock keeps the waiter from taking a window
+        // until both batches are free, however the threads are scheduled.
+        let first = ActorClock::starting_at(SimTime::from_secs(5));
+        let second = ActorClock::starting_at(SimTime::from_secs(9));
+        {
+            let _g = stripe.alloc_lock.lock();
+            stripe.free_range(0, 2, &first);
+            stripe.free_range(2, 2, &second);
+        }
+        let (seq, at) = waiter.join().unwrap();
+        assert_eq!(seq, 4, "the waiter takes slot 0, freed by the first batch");
+        assert_eq!(at, first.now(), "charged the first batch's publication, not the second's");
     }
 
     #[test]

@@ -16,7 +16,7 @@ const LEVELS: u32 = 6;
 const BITS: u32 = 6;
 
 enum Child {
-    Node(Arc<Node>),
+    Node(Box<Node>),
     Leaf(Arc<PageDescriptor>),
 }
 
@@ -25,10 +25,10 @@ struct Node {
 }
 
 impl Node {
-    fn new() -> Arc<Node> {
+    fn new() -> Box<Node> {
         let mut children = Vec::with_capacity(FANOUT);
         children.resize_with(FANOUT, OnceLock::new);
-        Arc::new(Node { children })
+        Box::new(Node { children })
     }
 }
 
@@ -56,7 +56,7 @@ pub struct Radix {
     /// The owning file's id, stamped on every leaf: the read cache finds a
     /// file's loaded pages by it.
     file_id: u64,
-    root: Arc<Node>,
+    root: Box<Node>,
     descriptors: AtomicUsize,
 }
 
@@ -94,16 +94,12 @@ impl Radix {
     /// Panics if `page` exceeds the addressable range (2^36 pages).
     pub fn get(&self, page: u64) -> Option<Arc<PageDescriptor>> {
         assert!(page < 1 << (BITS * LEVELS), "page number out of radix range");
-        let mut node = Arc::clone(&self.root);
+        let mut node = &*self.root;
         for level in 0..LEVELS - 1 {
-            let idx = Self::index_at(page, level);
-            match node.children[idx].get()? {
-                Child::Node(n) => {
-                    let next = Arc::clone(n);
-                    node = next;
-                }
+            node = match node.children[Self::index_at(page, level)].get()? {
+                Child::Node(n) => n,
                 Child::Leaf(_) => unreachable!("leaf above the last level"),
-            }
+            };
         }
         match node.children[Self::index_at(page, LEVELS - 1)].get()? {
             Child::Leaf(d) => Some(Arc::clone(d)),
@@ -119,17 +115,14 @@ impl Radix {
     /// Panics if `page` exceeds the addressable range (2^36 pages).
     pub fn get_or_create(&self, page: u64) -> Arc<PageDescriptor> {
         assert!(page < 1 << (BITS * LEVELS), "page number out of radix range");
-        let mut node = Arc::clone(&self.root);
+        let mut node = &*self.root;
         for level in 0..LEVELS - 1 {
-            let idx = Self::index_at(page, level);
-            let child = node.children[idx].get_or_init(|| Child::Node(Node::new()));
-            match child {
-                Child::Node(n) => {
-                    let next = Arc::clone(n);
-                    node = next;
-                }
+            node = match node.children[Self::index_at(page, level)]
+                .get_or_init(|| Child::Node(Node::new()))
+            {
+                Child::Node(n) => n,
                 Child::Leaf(_) => unreachable!("leaf above the last level"),
-            }
+            };
         }
         let idx = Self::index_at(page, LEVELS - 1);
         let mut created = false;

@@ -1,3 +1,33 @@
+//! The table B+tree, edited in place on its pages.
+//!
+//! # Page format
+//!
+//! A node is one [`PAGE_SIZE`] page: a 3-byte header (the kind, then the
+//! cell count as a little-endian `u16`), the cells packed in key order, and
+//! zeros to the end of the page. Every cell starts with its key, an
+//! little-endian `i64`:
+//!
+//! * leaf (kind 1): `rowid: i64 | len: u16 | value: [u8; len]`. A page
+//!   nothing wrote (kind 0) reads as an empty leaf.
+//! * branch (kind 2): fixed 12-byte cells `max: i64 | child: u32`, where
+//!   `max` is the largest rowid under `child`. A rowid above every `max`
+//!   belongs to the last child.
+//!
+//! # In-place edits
+//!
+//! Nothing is decoded into owned cells. An insert walks the leaf's cells to
+//! its insertion point, shifts the cells behind it with `copy_within` and
+//! writes the one new cell. Each branch on the way back up patches its
+//! child's `max` and, if the child split, inserts the sibling's cell the same
+//! way. A node that would overflow splits at its middle cell: it keeps the
+//! lower half, and the upper half's bytes go to a fresh page. Lookups and
+//! scans read the cells where they lie.
+//!
+//! Each page ends up byte for byte the page that decoding, editing and
+//! re-encoding the node would give, and the pager sees the same reads,
+//! writes and allocations in the same order. The tests hold the tree to
+//! that decode → insert → encode reference on every page and on the clock.
+
 use simclock::ActorClock;
 
 use crate::pager::{Pager, PAGE_SIZE};
@@ -9,98 +39,79 @@ pub(crate) const MAX_VALUE: usize = 1024;
 
 const LEAF: u8 = 1;
 const BRANCH: u8 = 2;
+/// Bytes before the first cell: kind and cell count.
+const HEADER: usize = 3;
+/// A leaf cell's bytes before its value: rowid and length.
+const LEAF_HEAD: usize = 10;
+const BRANCH_CELL: usize = 12;
 
-/// A decoded B+tree node. Branch entries are `(max_rowid_in_subtree, child)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Node {
-    Leaf(Vec<(i64, Vec<u8>)>),
-    Branch(Vec<(i64, u32)>),
+fn key_at(cells: &[u8], pos: usize) -> i64 {
+    i64::from_le_bytes(cells[pos..pos + 8].try_into().expect("8 bytes"))
 }
 
-fn decode(page: &[u8]) -> SqlResult<Node> {
-    let kind = page[0];
-    let n = u16::from_le_bytes(page[1..3].try_into().expect("2 bytes")) as usize;
-    let mut pos = 3usize;
+fn child_at(page: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(page[pos + 8..pos + 12].try_into().expect("4 bytes"))
+}
+
+/// Byte length of the cell at `pos` of a node of `kind`.
+fn cell_len(kind: u8, cells: &[u8], pos: usize) -> usize {
     match kind {
-        0 | LEAF => {
-            // Kind 0: an untouched page decodes as an empty leaf.
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                if pos + 10 > PAGE_SIZE {
-                    return Err(SqlError::Corruption("leaf cell out of bounds".into()));
-                }
-                let rowid = i64::from_le_bytes(page[pos..pos + 8].try_into().expect("8 bytes"));
-                let vlen = u16::from_le_bytes(page[pos + 8..pos + 10].try_into().expect("2 bytes"))
-                    as usize;
-                pos += 10;
-                if pos + vlen > PAGE_SIZE {
-                    return Err(SqlError::Corruption("leaf value out of bounds".into()));
-                }
-                entries.push((rowid, page[pos..pos + vlen].to_vec()));
-                pos += vlen;
-            }
-            Ok(Node::Leaf(entries))
+        BRANCH => BRANCH_CELL,
+        _ => {
+            LEAF_HEAD
+                + u16::from_le_bytes(cells[pos + 8..pos + 10].try_into().expect("2 bytes")) as usize
         }
-        BRANCH => {
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                if pos + 12 > PAGE_SIZE {
-                    return Err(SqlError::Corruption("branch cell out of bounds".into()));
-                }
-                let max = i64::from_le_bytes(page[pos..pos + 8].try_into().expect("8 bytes"));
-                let child =
-                    u32::from_le_bytes(page[pos + 8..pos + 12].try_into().expect("4 bytes"));
-                entries.push((max, child));
-                pos += 12;
-            }
-            Ok(Node::Branch(entries))
-        }
+    }
+}
+
+fn branch_cell(max: i64, child: u32) -> [u8; BRANCH_CELL] {
+    let mut cell = [0u8; BRANCH_CELL];
+    cell[..8].copy_from_slice(&max.to_le_bytes());
+    cell[8..].copy_from_slice(&child.to_le_bytes());
+    cell
+}
+
+fn set_header(page: &mut [u8], kind: u8, n: usize) {
+    page[0] = kind;
+    page[1..HEADER].copy_from_slice(&(n as u16).to_le_bytes());
+}
+
+/// A node's kind ([`LEAF`] or [`BRANCH`]) and cell count.
+fn header(page: &[u8]) -> SqlResult<(u8, usize)> {
+    let n = u16::from_le_bytes(page[1..HEADER].try_into().expect("2 bytes")) as usize;
+    match page[0] {
+        0 | LEAF => Ok((LEAF, n)),
+        BRANCH if HEADER + n * BRANCH_CELL <= PAGE_SIZE => Ok((BRANCH, n)),
+        BRANCH => Err(SqlError::Corruption("branch cell out of bounds".into())),
         other => Err(SqlError::Corruption(format!("unknown node kind {other}"))),
     }
 }
 
-fn encoded_len(node: &Node) -> usize {
-    match node {
-        Node::Leaf(entries) => 3 + entries.iter().map(|(_, v)| 10 + v.len()).sum::<usize>(),
-        Node::Branch(entries) => 3 + entries.len() * 12,
-    }
-}
-
-fn encode(node: &Node, page: &mut [u8]) {
-    page.fill(0);
-    match node {
-        Node::Leaf(entries) => {
-            page[0] = LEAF;
-            page[1..3].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-            let mut pos = 3usize;
-            for (rowid, v) in entries {
-                page[pos..pos + 8].copy_from_slice(&rowid.to_le_bytes());
-                page[pos + 8..pos + 10].copy_from_slice(&(v.len() as u16).to_le_bytes());
-                pos += 10;
-                page[pos..pos + v.len()].copy_from_slice(v);
-                pos += v.len();
-            }
+/// Calls `f(pos, rowid, value)` for each of a leaf's `n` cells in order and
+/// returns where the last one ends.
+fn walk_leaf<'a>(
+    page: &'a [u8],
+    n: usize,
+    mut f: impl FnMut(usize, i64, &'a [u8]),
+) -> SqlResult<usize> {
+    let mut pos = HEADER;
+    for _ in 0..n {
+        if pos + LEAF_HEAD > PAGE_SIZE {
+            return Err(SqlError::Corruption("leaf cell out of bounds".into()));
         }
-        Node::Branch(entries) => {
-            page[0] = BRANCH;
-            page[1..3].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-            let mut pos = 3usize;
-            for (max, child) in entries {
-                page[pos..pos + 8].copy_from_slice(&max.to_le_bytes());
-                page[pos + 8..pos + 12].copy_from_slice(&child.to_le_bytes());
-                pos += 12;
-            }
+        let len = cell_len(LEAF, page, pos);
+        if pos + len > PAGE_SIZE {
+            return Err(SqlError::Corruption("leaf value out of bounds".into()));
         }
+        f(pos, key_at(page, pos), &page[pos + LEAF_HEAD..pos + len]);
+        pos += len;
     }
+    Ok(pos)
 }
 
-fn store(pager: &mut Pager, page_no: u32, node: &Node, clock: &ActorClock) -> SqlResult<()> {
-    debug_assert!(encoded_len(node) <= PAGE_SIZE, "node overflows its page");
-    pager.write_page(page_no, clock, |page| encode(node, page))
-}
-
-fn load(pager: &mut Pager, page_no: u32, clock: &ActorClock) -> SqlResult<Node> {
-    decode(pager.read_page(page_no, clock)?)
+/// The position of the first branch cell whose `max` covers `rowid`.
+fn branch_slot(page: &[u8], n: usize, rowid: i64) -> Option<usize> {
+    (0..n).map(|i| HEADER + i * BRANCH_CELL).find(|&pos| rowid <= key_at(page, pos))
 }
 
 /// Result of inserting into a subtree: the subtree's new max rowid, plus a
@@ -108,6 +119,75 @@ fn load(pager: &mut Pager, page_no: u32, clock: &ActorClock) -> SqlResult<Node> 
 struct InsertOutcome {
     max: i64,
     split: Option<(i64, u32)>,
+}
+
+/// Where a new cell goes in a node of `n` cells: at byte `at`, with the
+/// cells ending at `end` and the last one starting at `last`.
+struct Gap {
+    n: usize,
+    at: usize,
+    end: usize,
+    last: usize,
+}
+
+/// Writes the cell `head ++ body` into `page_no` at `gap`, after `patch` has
+/// edited the page, splitting the node in half if the cell does not fit.
+fn put_cell(
+    pager: &mut Pager,
+    page_no: u32,
+    kind: u8,
+    gap: Gap,
+    (head, body): (&[u8], &[u8]),
+    patch: impl FnOnce(&mut [u8]),
+    clock: &ActorClock,
+) -> SqlResult<InsertOutcome> {
+    let Gap { n, at, end, last } = gap;
+    let len = head.len() + body.len();
+    if end + len <= PAGE_SIZE {
+        let mut max = 0;
+        pager.write_page(page_no, clock, |page| {
+            patch(page);
+            page.copy_within(at..end, at + len);
+            page[at..at + head.len()].copy_from_slice(head);
+            page[at + head.len()..at + len].copy_from_slice(body);
+            set_header(page, kind, n + 1);
+            max = key_at(page, if at == end { at } else { last + len });
+        })?;
+        return Ok(InsertOutcome { max, split: None });
+    }
+    // The node keeps the first half of its n + 1 cells; a fresh page takes
+    // the rest.
+    let right_page = pager.alloc_page();
+    let total = n + 1;
+    let keep = total / 2;
+    let mut cells = Vec::with_capacity(end - HEADER + len);
+    let (mut split, mut left_max, mut right_max) = (0, 0, 0);
+    pager.write_page(page_no, clock, |page| {
+        patch(page);
+        cells.extend_from_slice(&page[HEADER..at]);
+        cells.extend_from_slice(head);
+        cells.extend_from_slice(body);
+        cells.extend_from_slice(&page[at..end]);
+        let mut pos = 0;
+        for i in 0..total {
+            if i == keep {
+                split = pos;
+                left_max = right_max;
+            }
+            right_max = key_at(&cells, pos);
+            pos += cell_len(kind, &cells, pos);
+        }
+        page[HEADER..HEADER + split].copy_from_slice(&cells[..split]);
+        page[HEADER + split..].fill(0);
+        set_header(page, kind, keep);
+    })?;
+    pager.write_page(right_page, clock, |page| {
+        let upper = &cells[split..];
+        page[HEADER..HEADER + upper.len()].copy_from_slice(upper);
+        page[HEADER + upper.len()..].fill(0);
+        set_header(page, kind, total - keep);
+    })?;
+    Ok(InsertOutcome { max: left_max, split: Some((right_max, right_page)) })
 }
 
 /// Inserts `(rowid, value)` under `page_no`.
@@ -118,63 +198,44 @@ fn insert_rec(
     value: &[u8],
     clock: &ActorClock,
 ) -> SqlResult<InsertOutcome> {
-    match load(pager, page_no, clock)? {
-        Node::Leaf(mut entries) => {
-            match entries.binary_search_by_key(&rowid, |(r, _)| *r) {
-                Ok(_) => return Err(SqlError::DuplicateRow(rowid)),
-                Err(idx) => entries.insert(idx, (rowid, value.to_vec())),
+    let page = pager.read_page(page_no, clock)?;
+    let (kind, n) = header(page)?;
+    if kind == LEAF {
+        let (mut at, mut last, mut duplicate) = (None, HEADER, false);
+        let end = walk_leaf(page, n, |pos, r, _| {
+            duplicate |= r == rowid;
+            if r > rowid && at.is_none() {
+                at = Some(pos);
             }
-            let node = Node::Leaf(entries);
-            if encoded_len(&node) <= PAGE_SIZE {
-                let max = match &node {
-                    Node::Leaf(e) => e.last().expect("nonempty").0,
-                    Node::Branch(_) => unreachable!(),
-                };
-                store(pager, page_no, &node, clock)?;
-                return Ok(InsertOutcome { max, split: None });
-            }
-            // Split the leaf in half.
-            let Node::Leaf(mut entries) = node else { unreachable!() };
-            let right_entries = entries.split_off(entries.len() / 2);
-            let left_max = entries.last().expect("nonempty").0;
-            let right_max = right_entries.last().expect("nonempty").0;
-            let right_page = pager.alloc_page();
-            store(pager, page_no, &Node::Leaf(entries), clock)?;
-            store(pager, right_page, &Node::Leaf(right_entries), clock)?;
-            Ok(InsertOutcome { max: left_max, split: Some((right_max, right_page)) })
+            last = pos;
+        })?;
+        if duplicate {
+            return Err(SqlError::DuplicateRow(rowid));
         }
-        Node::Branch(mut entries) => {
-            if entries.is_empty() {
-                return Err(SqlError::Corruption("empty branch node".into()));
-            }
-            // Child whose max covers the rowid; beyond-all goes to the last.
-            let idx =
-                entries.iter().position(|(max, _)| rowid <= *max).unwrap_or(entries.len() - 1);
-            let child = entries[idx].1;
-            let outcome = insert_rec(pager, child, rowid, value, clock)?;
-            entries[idx].0 = outcome.max;
-            if let Some((smax, spage)) = outcome.split {
-                entries.insert(idx + 1, (smax, spage));
-            }
-            let node = Node::Branch(entries);
-            if encoded_len(&node) <= PAGE_SIZE {
-                let max = match &node {
-                    Node::Branch(e) => e.last().expect("nonempty").0,
-                    Node::Leaf(_) => unreachable!(),
-                };
-                store(pager, page_no, &node, clock)?;
-                return Ok(InsertOutcome { max, split: None });
-            }
-            let Node::Branch(mut entries) = node else { unreachable!() };
-            let right_entries = entries.split_off(entries.len() / 2);
-            let left_max = entries.last().expect("nonempty").0;
-            let right_max = right_entries.last().expect("nonempty").0;
-            let right_page = pager.alloc_page();
-            store(pager, page_no, &Node::Branch(entries), clock)?;
-            store(pager, right_page, &Node::Branch(right_entries), clock)?;
-            Ok(InsertOutcome { max: left_max, split: Some((right_max, right_page)) })
-        }
+        let mut head = [0u8; LEAF_HEAD];
+        head[..8].copy_from_slice(&rowid.to_le_bytes());
+        head[8..].copy_from_slice(&(value.len() as u16).to_le_bytes());
+        let gap = Gap { n, at: at.unwrap_or(end), end, last };
+        return put_cell(pager, page_no, LEAF, gap, (&head, value), |_| {}, clock);
     }
+    if n == 0 {
+        return Err(SqlError::Corruption("empty branch node".into()));
+    }
+    let last = HEADER + (n - 1) * BRANCH_CELL;
+    let pos = branch_slot(page, n, rowid).unwrap_or(last);
+    let child_no = child_at(page, pos);
+    let child = insert_rec(pager, child_no, rowid, value, clock)?;
+    let patch = |page: &mut [u8]| page[pos..pos + 8].copy_from_slice(&child.max.to_le_bytes());
+    let Some((smax, spage)) = child.split else {
+        let mut max = 0;
+        pager.write_page(page_no, clock, |page| {
+            patch(page);
+            max = key_at(page, last);
+        })?;
+        return Ok(InsertOutcome { max, split: None });
+    };
+    let gap = Gap { n, at: pos + BRANCH_CELL, end: last + BRANCH_CELL, last };
+    put_cell(pager, page_no, BRANCH, gap, (&branch_cell(smax, spage), &[]), patch, clock)
 }
 
 /// A B+tree rooted at a fixed page (the root page number never changes, so
@@ -187,7 +248,10 @@ pub(crate) struct BTree {
 impl BTree {
     /// Initializes an empty tree at `root`.
     pub fn create(pager: &mut Pager, root: u32, clock: &ActorClock) -> SqlResult<BTree> {
-        store(pager, root, &Node::Leaf(Vec::new()), clock)?;
+        pager.write_page(root, clock, |page| {
+            page.fill(0);
+            set_header(page, LEAF, 0);
+        })?;
         Ok(BTree { root })
     }
 
@@ -210,11 +274,17 @@ impl BTree {
         if let Some((smax, spage)) = outcome.split {
             // Root split: move the current root content to a fresh page and
             // make the root a two-entry branch.
-            let old_root = load(pager, self.root, clock)?;
+            let old_root = pager.read_page(self.root, clock)?.clone();
             let moved = pager.alloc_page();
-            store(pager, moved, &old_root, clock)?;
-            let new_root = Node::Branch(vec![(outcome.max, moved), (smax, spage)]);
-            store(pager, self.root, &new_root, clock)?;
+            pager.write_page(moved, clock, |page| page.copy_from_slice(&old_root))?;
+            pager.write_page(self.root, clock, |page| {
+                page.fill(0);
+                set_header(page, BRANCH, 2);
+                page[HEADER..HEADER + BRANCH_CELL]
+                    .copy_from_slice(&branch_cell(outcome.max, moved));
+                page[HEADER + BRANCH_CELL..HEADER + 2 * BRANCH_CELL]
+                    .copy_from_slice(&branch_cell(smax, spage));
+            })?;
         }
         Ok(())
     }
@@ -232,19 +302,21 @@ impl BTree {
     ) -> SqlResult<Option<Vec<u8>>> {
         let mut page_no = self.root;
         loop {
-            match load(pager, page_no, clock)? {
-                Node::Leaf(entries) => {
-                    return Ok(entries
-                        .binary_search_by_key(&rowid, |(r, _)| *r)
-                        .ok()
-                        .map(|i| entries[i].1.clone()));
+            let page = pager.read_page(page_no, clock)?;
+            match header(page)? {
+                (LEAF, n) => {
+                    let mut found = None;
+                    walk_leaf(page, n, |_, r, v| {
+                        if r == rowid {
+                            found = Some(v);
+                        }
+                    })?;
+                    return Ok(found.map(<[u8]>::to_vec));
                 }
-                Node::Branch(entries) => {
-                    let Some(idx) = entries.iter().position(|(max, _)| rowid <= *max) else {
-                        return Ok(None);
-                    };
-                    page_no = entries[idx].1;
-                }
+                (_, n) => match branch_slot(page, n, rowid) {
+                    Some(pos) => page_no = child_at(page, pos),
+                    None => return Ok(None),
+                },
             }
         }
     }
@@ -259,12 +331,13 @@ impl BTree {
         let mut stack = vec![self.root];
         // Depth-first with children pushed in reverse keeps rowid order.
         while let Some(page_no) = stack.pop() {
-            match load(pager, page_no, clock)? {
-                Node::Leaf(entries) => out.extend(entries),
-                Node::Branch(entries) => {
-                    for (_, child) in entries.into_iter().rev() {
-                        stack.push(child);
-                    }
+            let page = pager.read_page(page_no, clock)?;
+            match header(page)? {
+                (LEAF, n) => {
+                    walk_leaf(page, n, |_, r, v| out.push((r, v.to_vec())))?;
+                }
+                (_, n) => {
+                    stack.extend((0..n).rev().map(|i| child_at(page, HEADER + i * BRANCH_CELL)))
                 }
             }
         }
@@ -273,101 +346,5 @@ impl BTree {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-    use vfs::{FileSystem, MemFs};
-
-    fn tree() -> (ActorClock, Pager, BTree) {
-        let c = ActorClock::new();
-        let fs: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-        let mut pager = Pager::open(fs, "/bt.db", false, &c).unwrap();
-        pager.begin().unwrap();
-        let root = pager.alloc_page();
-        let bt = BTree::create(&mut pager, root, &c).unwrap();
-        (c, pager, bt)
-    }
-
-    #[test]
-    fn insert_get_small() {
-        let (c, mut p, bt) = tree();
-        bt.insert(&mut p, 5, b"five", &c).unwrap();
-        bt.insert(&mut p, 1, b"one", &c).unwrap();
-        bt.insert(&mut p, 3, b"three", &c).unwrap();
-        assert_eq!(bt.get(&mut p, 3, &c).unwrap(), Some(b"three".to_vec()));
-        assert_eq!(bt.get(&mut p, 4, &c).unwrap(), None);
-    }
-
-    #[test]
-    fn duplicate_rowid_rejected() {
-        let (c, mut p, bt) = tree();
-        bt.insert(&mut p, 1, b"a", &c).unwrap();
-        assert!(matches!(bt.insert(&mut p, 1, b"b", &c), Err(SqlError::DuplicateRow(1))));
-    }
-
-    #[test]
-    fn oversized_value_rejected() {
-        let (c, mut p, bt) = tree();
-        assert!(matches!(
-            bt.insert(&mut p, 1, &vec![0u8; MAX_VALUE + 1], &c),
-            Err(SqlError::ValueTooLarge(_))
-        ));
-    }
-
-    #[test]
-    fn thousands_of_rows_split_correctly() {
-        let (c, mut p, bt) = tree();
-        let n: i64 = 5000;
-        // Insert in a scrambled order to exercise splits everywhere.
-        for i in 0..n {
-            let rowid = (i * 2654435761 % n + n) % n;
-            if bt.get(&mut p, rowid, &c).unwrap().is_none() {
-                bt.insert(&mut p, rowid, format!("row-{rowid}").as_bytes(), &c).unwrap();
-            }
-        }
-        for rowid in (0..n).step_by(37) {
-            if let Some(v) = bt.get(&mut p, rowid, &c).unwrap() {
-                assert_eq!(v, format!("row-{rowid}").into_bytes());
-            }
-        }
-        let all = bt.scan(&mut p, &c).unwrap();
-        for w in all.windows(2) {
-            assert!(w[0].0 < w[1].0, "scan must be sorted");
-        }
-    }
-
-    #[test]
-    fn sequential_fill_and_scan() {
-        let (c, mut p, bt) = tree();
-        for i in 0..3000i64 {
-            bt.insert(&mut p, i, &[7u8; 100], &c).unwrap();
-        }
-        let all = bt.scan(&mut p, &c).unwrap();
-        assert_eq!(all.len(), 3000);
-        assert_eq!(all[0].0, 0);
-        assert_eq!(all[2999].0, 2999);
-        assert_eq!(bt.get(&mut p, 2999, &c).unwrap(), Some(vec![7u8; 100]));
-    }
-
-    #[test]
-    fn persists_across_commit_and_reopen() {
-        let c = ActorClock::new();
-        let fs: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-        let root;
-        {
-            let mut pager = Pager::open(Arc::clone(&fs), "/p.db", true, &c).unwrap();
-            pager.begin().unwrap();
-            root = pager.alloc_page();
-            let bt = BTree::create(&mut pager, root, &c).unwrap();
-            for i in 0..500i64 {
-                bt.insert(&mut pager, i, format!("v{i}").as_bytes(), &c).unwrap();
-            }
-            pager.commit(&c).unwrap();
-            pager.close(&c).unwrap();
-        }
-        let mut pager = Pager::open(fs, "/p.db", true, &c).unwrap();
-        let bt = BTree { root };
-        assert_eq!(bt.get(&mut pager, 123, &c).unwrap(), Some(b"v123".to_vec()));
-        assert_eq!(bt.scan(&mut pager, &c).unwrap().len(), 500);
-    }
-}
+#[path = "btree_tests.rs"]
+mod tests;

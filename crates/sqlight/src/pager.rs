@@ -30,9 +30,9 @@ pub(crate) struct Pager {
     path: String,
     journal_path: String,
     fd: Fd,
-    /// Page cache; sqlight keeps every touched page resident (the paper's
-    /// databases fit the benchmark working set).
-    cache: BTreeMap<u32, Vec<u8>>,
+    /// Page cache, indexed by page number; sqlight keeps every touched page
+    /// resident (the paper's databases fit the benchmark working set).
+    cache: Vec<Option<Vec<u8>>>,
     page_count: u32,
     /// Transaction state.
     in_txn: bool,
@@ -71,7 +71,7 @@ impl Pager {
             path,
             journal_path,
             fd,
-            cache: BTreeMap::new(),
+            cache: Vec::new(),
             page_count: (size / PAGE_SIZE as u64) as u32,
             in_txn: false,
             journaled: BTreeMap::new(),
@@ -154,14 +154,26 @@ impl Pager {
         // CPU cost of the pager lookup + cell decoding (SQLite does this on
         // every page touch; hits don't reach the kernel).
         clock.advance(simclock::SimTime::from_nanos(350));
-        if !self.cache.contains_key(&page_no) {
+        if self.cached(page_no).is_none() {
             let mut buf = vec![0u8; PAGE_SIZE];
             if page_no < self.page_count {
                 self.fs.pread(self.fd, &mut buf, page_no as u64 * PAGE_SIZE as u64, clock)?;
             }
-            self.cache.insert(page_no, buf);
+            self.cache_page(page_no, buf);
         }
-        Ok(self.cache.get(&page_no).expect("just inserted"))
+        Ok(self.cached(page_no).expect("just inserted"))
+    }
+
+    fn cached(&self, page_no: u32) -> Option<&Vec<u8>> {
+        self.cache.get(page_no as usize)?.as_ref()
+    }
+
+    fn cache_page(&mut self, page_no: u32, page: Vec<u8>) {
+        let i = page_no as usize;
+        if i >= self.cache.len() {
+            self.cache.resize_with(i + 1, || None);
+        }
+        self.cache[i] = Some(page);
     }
 
     /// Modifies page `page_no` inside the active transaction, journaling the
@@ -182,7 +194,7 @@ impl Pager {
         self.read_page(page_no, clock)?; // populate the cache
         let preexisting = page_no < self.page_count;
         if preexisting && !self.journaled.contains_key(&page_no) {
-            let original = self.cache.get(&page_no).expect("cached").clone();
+            let original = self.cached(page_no).expect("cached").clone();
             // Append the original image to the journal file now (SQLite
             // journals eagerly, syncs at commit).
             let jfd =
@@ -195,7 +207,7 @@ impl Pager {
             self.journal_off += rec.len() as u64;
             self.journaled.insert(page_no, original);
         }
-        let page = self.cache.get_mut(&page_no).expect("cached");
+        let page = self.cache[page_no as usize].as_mut().expect("cached");
         f(page);
         self.dirty.insert(page_no);
         if page_no >= self.page_count {
@@ -208,7 +220,7 @@ impl Pager {
     pub fn alloc_page(&mut self) -> u32 {
         let p = self.page_count;
         self.page_count = p + 1;
-        self.cache.insert(p, vec![0u8; PAGE_SIZE]);
+        self.cache_page(p, vec![0u8; PAGE_SIZE]);
         p
     }
 
@@ -241,7 +253,7 @@ impl Pager {
         }
         // 3-4: write dirty pages, sync the database.
         for &page_no in &self.dirty {
-            let page = self.cache.get(&page_no).expect("dirty pages are cached");
+            let page = self.cached(page_no).expect("dirty pages are cached");
             self.fs.pwrite(self.fd, page, page_no as u64 * PAGE_SIZE as u64, clock)?;
         }
         if self.synchronous {
@@ -269,11 +281,11 @@ impl Pager {
         let journaled = std::mem::take(&mut self.journaled);
         let dirty = std::mem::take(&mut self.dirty);
         for (page_no, original) in journaled {
-            self.cache.insert(page_no, original);
+            self.cache_page(page_no, original);
         }
         // Freshly allocated pages (dirty but never journaled) are discarded.
         for page_no in dirty {
-            if !self.cache.contains_key(&page_no) {
+            if self.cached(page_no).is_none() {
                 continue;
             }
         }
