@@ -170,7 +170,7 @@ fn ssd(keep_content: bool, queue_depth: usize) -> Arc<SsdDevice> {
     Arc::new(SsdDevice::new(profile))
 }
 
-fn ext4_profile(_scale: u64, keep_content: bool) -> Ext4Profile {
+fn ext4_profile(keep_content: bool) -> Ext4Profile {
     // The paper's testbed has 384 GiB of DRAM: the page cache never feels
     // memory pressure in any of the evaluated workloads, so its capacity is
     // NOT scaled down with the datasets (content-free pages cost almost
@@ -181,13 +181,10 @@ fn ext4_profile(_scale: u64, keep_content: bool) -> Ext4Profile {
     }
 }
 
-fn ext4_dmwc_profile(scale: u64, keep_content: bool) -> Ext4Profile {
+fn ext4_dmwc_profile(keep_content: bool) -> Ext4Profile {
     // jbd2 commits land in the NVMM cache, not on the SSD: the sequential
     // journal write is cheap (the dm flush itself is charged by the device).
-    Ext4Profile {
-        journal_commit: simclock::SimTime::from_micros(2),
-        ..ext4_profile(scale, keep_content)
-    }
+    Ext4Profile { journal_commit: simclock::SimTime::from_micros(2), ..ext4_profile(keep_content) }
 }
 
 /// Builds a system per `spec`. NVCache variants start their cleanup thread;
@@ -204,7 +201,7 @@ pub fn build_system(spec: &SystemSpec, clock: &ActorClock) -> System {
             let dev = ssd(spec.keep_content, spec.queue_depth);
             System {
                 name: spec.kind.label(),
-                fs: Arc::new(Ext4::new("ext4+ssd", dev, ext4_profile(scale, spec.keep_content))),
+                fs: Arc::new(Ext4::new("ext4+ssd", dev, ext4_profile(spec.keep_content))),
                 nvcache: None,
             }
         }
@@ -237,18 +234,14 @@ pub fn build_system(spec: &SystemSpec, clock: &ActorClock) -> System {
             ));
             System {
                 name: spec.kind.label(),
-                fs: Arc::new(Ext4::new(
-                    "ext4+dmwc",
-                    dm,
-                    ext4_dmwc_profile(scale, spec.keep_content),
-                )),
+                fs: Arc::new(Ext4::new("ext4+dmwc", dm, ext4_dmwc_profile(spec.keep_content))),
                 nvcache: None,
             }
         }
         SystemKind::NvcacheSsd | SystemKind::NvcacheNova => {
             let inner: Arc<dyn FileSystem> = if spec.kind == SystemKind::NvcacheSsd {
                 let dev = ssd(spec.keep_content, spec.queue_depth);
-                Arc::new(Ext4::new("ext4+ssd", dev, ext4_profile(scale, spec.keep_content)))
+                Arc::new(Ext4::new("ext4+ssd", dev, ext4_profile(spec.keep_content)))
             } else {
                 let dimm = Arc::new(NvDimm::new(nvmm_bytes, nvmm_profile()));
                 Arc::new(NovaFs::new(NvRegion::whole(dimm), NovaProfile::default()))

@@ -5,58 +5,45 @@
 
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, SsdDevice, SsdProfile};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use proptest::prelude::*;
 use simclock::{ActorClock, SimTime};
-use vfs::{DelayLayer, DelayProfile, Ext4, Ext4Profile, FileSystem, Layer, MemFs, OpenFlags};
+use vfs::{DelayLayer, DelayProfile, FileSystem, OpenFlags};
 
 use crate::config::{copy_bandwidth, LIBC_OVERHEAD};
-use crate::tests::mount;
-use crate::{Mount, NvCache, NvCacheConfig, NvCacheStatsSnapshot};
+use crate::tests::rig::{self, Below, Model};
+use crate::{NvCache, NvCacheConfig, NvCacheStatsSnapshot};
 
 const PAGE: usize = 4096;
 
 /// The cleanup workers run only when a flush asks them to.
 fn parked() -> NvCacheConfig {
-    NvCacheConfig {
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        ..NvCacheConfig::tiny()
-    }
+    rig::parked(NvCacheConfig::tiny())
 }
 
-/// A mount over `MemFs` behind a layer charging 1 ns per inner `pread`, so
-/// that the layer's delayed-operation count is the inner `pread` count.
+/// One file on a mount over `MemFs` behind a layer charging 1 ns per inner
+/// `pread`, so that the layer's delayed-operation count is the inner
+/// `pread` count; and what the file must hold.
 struct Rig {
     clock: ActorClock,
     delay: Arc<DelayLayer>,
     cache: NvCache,
     fd: vfs::Fd,
-    model: Vec<u8>,
+    model: Model,
 }
 
 impl Rig {
     fn new(cfg: NvCacheConfig) -> Rig {
-        let clock = ActorClock::new();
         let profile = DelayProfile { pread: SimTime::from_nanos(1), ..DelayProfile::default() };
         let delay = Arc::new(DelayLayer::new(profile));
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-        let cache = NvCache::builder(NvRegion::whole(dimm))
-            .backend_stack(vec![Arc::clone(&delay) as Arc<dyn Layer>], Arc::new(MemFs::new()))
-            .config(cfg)
-            .mount(&clock)
-            .expect("format");
+        let below = Below { layers: vec![delay.clone()], ..Below::memfs(1) };
+        let (rig::Rig { clock, .. }, cache) = rig::Rig::new(cfg, below);
         let fd = cache.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
-        Rig { clock, delay, cache, fd, model: Vec::new() }
+        Rig { clock, delay, cache, fd, model: Model::new() }
     }
 
     fn write(&mut self, off: usize, data: &[u8]) {
         self.cache.pwrite(self.fd, data, off as u64, &self.clock).expect("pwrite");
-        if self.model.len() < off + data.len() {
-            self.model.resize(off + data.len(), 0);
-        }
-        self.model[off..off + data.len()].copy_from_slice(data);
+        self.model.write("/f", off as u64, data);
     }
 
     /// Reads `[off, off + len)` and checks it against the model; returns
@@ -65,8 +52,8 @@ impl Rig {
         let (preads, stats) = (self.delay.stats().ops_delayed, self.cache.stats().snapshot());
         let mut buf = vec![0u8; len];
         let n = self.cache.pread(self.fd, &mut buf, off as u64, &self.clock).expect("pread");
-        let expect = &self.model[off.min(self.model.len())..(off + len).min(self.model.len())];
-        assert!(buf[..n] == *expect, "[{off}, {}) differs from the model", off + len);
+        let expect = self.model.read("/f", off as u64, len);
+        assert!(buf[..n] == expect, "[{off}, {}) differs from the model", off + len);
         let after = self.cache.stats().snapshot();
         let moved = NvCacheStatsSnapshot {
             read_hits: after.read_hits - stats.read_hits,
@@ -130,13 +117,9 @@ fn a_run_past_the_inner_end_reads_log_bytes_and_zeroes() {
 /// one-page `Ext4::pread` and the copy out — to the nanosecond.
 #[test]
 fn a_lone_missing_page_charges_libc_one_inner_pread_and_the_copy() {
-    let clock = ActorClock::new();
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let ext4 = Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
-    let cfg = NvCacheConfig::tiny();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner = Arc::clone(&ext4) as Arc<dyn FileSystem>;
-    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).expect("format");
+    let (rig::Rig { clock, below, .. }, cache) =
+        rig::Rig::new(NvCacheConfig::tiny(), Below::ext4(1));
+    let ext4 = &below.bases[0];
     let fd = cache.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
     cache.pwrite(fd, &pages(0, 3), 0, &clock).expect("pwrite");
     cache.flush_log(&clock);

@@ -15,22 +15,23 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use blockdev::{BlockDevice, SsdDevice, SsdProfile};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvmm::{NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
-use vfs::{Ext4, Ext4Profile, FileSystem, Hook, Hooked, IoResult, Layer, MemFs, Op, OpenFlags};
+use vfs::{Ext4Profile, FileSystem, Hook, Hooked, IoResult, Layer, MemFs, Op, OpenFlags};
 
 use crate as nvcache;
 use crate::cache::Shared;
 use crate::files::OpenedFile;
 use crate::layout::{Header, FD_SLOT_BYTES};
 use crate::recovery::{self, RecoveryReport, Replayer};
+use crate::tests::rig::{self, parked, Below, Rig};
 use crate::tiers::Tiers;
-use crate::{Mount, NvCache, NvCacheConfig, SingleBackend, Tiering};
+use crate::{NvCache, NvCacheConfig, SingleBackend};
 
 #[path = "../../../tests/support/replay_log.rs"]
 mod replay_log;
 
-use replay_log::{build, shapes, Crashed, Shape};
+use replay_log::{build, raw_image, shapes, Crashed, Shape};
 
 /// Seeds per shape.
 const SEEDS: u64 = 3;
@@ -38,8 +39,8 @@ const SEEDS: u64 = 3;
 /// Runs recovery over `crashed` with `replay` as its replay phase — the
 /// mount's own call, minus the mount.
 fn recover_with(crashed: &Crashed, replay: Replayer) -> RecoveryReport {
-    let tiers = Tiers::mount(crashed.below.tiering(&[])).expect("tiers");
-    let region = NvRegion::whole(Arc::clone(&crashed.dimm));
+    let tiers = Tiers::mount(crashed.rig.below.tiering()).expect("tiers");
+    let region = NvRegion::whole(crashed.rig.dimm());
     let clock = ActorClock::new();
     let image = Header::read(&region, &clock).expect("a formatted image");
     let recovered = recovery::recover(&region, &image, &tiers, &clock, replay).expect("recovery");
@@ -55,7 +56,7 @@ fn assert_replays_agree(what: &str, seed: u64, shape: Shape) {
     let p = recover_with(&planned, recovery::replay_planned);
     let r = recover_with(&reference, recovery::replay_per_entry);
     let what = format!("{what}, seed {seed}");
-    assert!(planned.below.raw_image() == reference.below.raw_image(), "{what}: bases differ");
+    assert!(raw_image(&planned.rig) == raw_image(&reference.rig), "{what}: bases differ");
 
     let expect = &planned.expect;
     let replayed = expect.entries - expect.entries_of_gone;
@@ -143,7 +144,7 @@ fn planned_kernel_flush_matches_its_per_entry_form() {
                 shared.kernel_flush_file_per_entry(&shared.opened_fd(*r).expect("open"), &clock);
             }
             assert!(
-                planned.below.raw_image() == reference.below.raw_image(),
+                raw_image(&planned.rig) == raw_image(&reference.rig),
                 "{what}, seed {seed}: bases differ"
             );
             for built in [planned, reference] {
@@ -188,49 +189,32 @@ impl Layer for Recorder {
 
 /// A log holding `pages[f]` pages of file `f`, every other page (so each
 /// page is an extent of its own), all of it pending when the power went;
-/// below it `Ext4` on a one-channel S4600.
-fn crashed_log(pages: &[u64]) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<SsdDevice>) {
-    crashed_log_over(pages, Vec::new())
-}
-
-/// A [`crashed_log`] whose mount has `more` as tiers 1, 2, … behind a router
-/// that places every file on the `Ext4` (tier 0).
-fn crashed_log_over(
-    pages: &[u64],
-    more: Vec<Arc<dyn FileSystem>>,
-) -> (NvCacheConfig, Arc<NvDimm>, Arc<dyn FileSystem>, Arc<SsdDevice>) {
-    let parked = usize::MAX >> 1;
-    let cfg = NvCacheConfig {
+/// below it `Ext4` on a one-channel S4600, and `more` as tiers 1, 2, …
+/// behind a router that places every file on the `Ext4` (tier 0). The
+/// rig's clock is a fresh one, for the recovery.
+fn crashed_log(pages: &[u64], more: Vec<Arc<dyn FileSystem>>) -> (Rig, Arc<SsdDevice>) {
+    let cfg = parked(NvCacheConfig {
         nb_entries: (pages.iter().sum::<u64>() + 1).next_multiple_of(64),
         read_cache_pages: 16,
-        batch_min: parked,
-        batch_max: parked,
         fd_slots: pages.len().max(8) as u32,
         ..NvCacheConfig::default()
-    };
+    });
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
     assert_eq!(ssd.queue_depth(), 1);
-    let below = Arc::clone(&ssd) as Arc<dyn BlockDevice>;
-    let ext4: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4", below, Ext4Profile::default()));
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let clock = ActorClock::new();
-    let tiers = [vec![Arc::clone(&ext4)], more].concat();
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .tiers(Tiering::new(Arc::new(SingleBackend), tiers))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("format mount");
+    let bases = [vec![rig::ext4_on(ssd.clone())], more].concat();
+    let nvmm = NvmmProfile::optane();
+    let below = Below { router: Arc::new(SingleBackend), nvmm, ..Below::over(bases) };
+    let (mut rig, cache) = Rig::new(cfg, below);
     for (f, &n) in pages.iter().enumerate() {
         let flags = OpenFlags::RDWR | OpenFlags::CREATE;
-        let fd = cache.open(&format!("/f{f}"), flags, &clock).expect("open");
+        let fd = cache.open(&format!("/f{f}"), flags, &rig.clock).expect("open");
         for page in 0..n {
-            cache.pwrite(fd, &page_of(f, page), page * 8192, &clock).expect("pwrite");
+            cache.pwrite(fd, &page_of(f, page), page * 8192, &rig.clock).expect("pwrite");
         }
     }
-    cache.abort();
-    drop(cache);
-    ext4.simulate_power_failure();
-    (cfg, Arc::new(dimm.crash_and_restart()), ext4, ssd)
+    rig.crash(&cache, 0);
+    rig.clock = ActorClock::new();
+    (rig, ssd)
 }
 
 /// What [`crashed_log`] wrote to page `page` of file `f`.
@@ -249,16 +233,12 @@ struct Remounted {
 }
 
 fn remount(pages: &[u64]) -> Remounted {
-    let (cfg, dimm, ext4, ssd) = crashed_log(pages);
+    let (mut rig, ssd) = crashed_log(pages, Vec::new());
     let recorder = Recorder::default();
     let calls = Arc::clone(&recorder.0);
-    let clock = ActorClock::new();
-    let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backend_stack(vec![Arc::new(recorder)], ext4)
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recovery");
+    rig.below.layers = vec![Arc::new(recorder)];
+    let cache = rig.recover();
+    let clock = rig.clock;
     let calls = calls.lock().expect("calls").clone();
     let report = cache.recovery_report().expect("a recovering mount reports");
     assert_eq!(report.files_reopened, pages.len());
@@ -396,14 +376,9 @@ fn a_recovered_mount_serves_reads_at_once_and_orders_the_rest_after_durable_at()
     // tier waits, though its copy queues behind no device and is far
     // shorter than the write-back of the two large files.
     let fast: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let (cfg, dimm, ext4, _) = crashed_log_over(&[1, 64, 64], vec![Arc::clone(&fast)]);
-    let clock = ActorClock::new();
-    let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(Tiering::new(Arc::new(SingleBackend), vec![ext4, Arc::clone(&fast)]))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recovery");
+    let (rig, _) = crashed_log(&[1, 64, 64], vec![Arc::clone(&fast)]);
+    let cache = rig.recover();
+    let clock = &rig.clock;
     let durable = cache.recovery_report().expect("recovering mount").durable_at;
     assert!(clock.now() < durable, "the mount waited for the durability tail");
     let moved = ActorClock::starting_at(clock.now());

@@ -12,18 +12,16 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, SsdDevice, SsdProfile};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
 use vfs::{
-    DelayLayer, DelayProfile, Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, FileSystem,
-    IoError, IoResult, Layer, MemFs, OpenFlags,
+    DelayLayer, DelayProfile, FaultLayer, FaultRule, FaultTrigger, FileSystem, IoError, IoResult,
+    OpenFlags,
 };
 
 use crate::cache::Shared;
 use crate::pagedesc::Queued;
-use crate::tests::mount;
-use crate::{Mount, NvCache, NvCacheConfig};
+use crate::tests::rig::{self, read_all, Below, Model};
+use crate::{NvCache, NvCacheConfig};
 
 /// The steps of a scoped rename (`Tiers::settle_rename`) a test can stop
 /// it after; the fourth, the inner rename, is the call returning.
@@ -74,15 +72,13 @@ pub(crate) fn before_barrier(shared: &Shared, stripe: usize) {
     }
 }
 
-const PARKED: usize = usize::MAX >> 1;
-
 fn create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE
 }
 
 /// The cleanup workers run only when a flush asks them to.
 fn parked() -> NvCacheConfig {
-    NvCacheConfig { batch_min: PARKED, batch_max: PARKED, ..NvCacheConfig::tiny() }
+    rig::parked(NvCacheConfig::tiny())
 }
 
 /// A mount over `Ext4` on an SSD: a power failure drops what no barrier
@@ -90,29 +86,32 @@ fn parked() -> NvCacheConfig {
 /// inner `pwrite`, so that the layer's delayed-operation count is the inner
 /// `pwrite` count.
 struct Rig {
-    clock: ActorClock,
-    cfg: NvCacheConfig,
-    dimm: Arc<NvDimm>,
-    ext4: Arc<Ext4>,
-    delay: DelayLayer,
+    rig: rig::Rig,
+    delay: Arc<DelayLayer>,
     cache: NvCache,
+}
+
+impl std::ops::Deref for Rig {
+    type Target = rig::Rig;
+
+    fn deref(&self) -> &rig::Rig {
+        &self.rig
+    }
 }
 
 impl Rig {
     fn new(cfg: NvCacheConfig) -> Rig {
-        let clock = ActorClock::new();
-        let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-        let ext4 =
-            Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-        let delay = DelayLayer::new(DelayProfile {
+        let delay = Arc::new(DelayLayer::new(DelayProfile {
             pwrite: SimTime::from_nanos(1),
             ..DelayProfile::default()
-        });
-        let inner = delay.wrap(Arc::clone(&ext4) as Arc<dyn FileSystem>);
-        let region = NvRegion::whole(Arc::clone(&dimm));
-        let cache = mount(region, inner, cfg.clone(), Mount::Format, &clock).expect("format");
-        Rig { clock, cfg, dimm, ext4, delay, cache }
+        }));
+        let (rig, cache) =
+            rig::Rig::new(cfg, Below { layers: vec![delay.clone()], ..Below::ext4(1) });
+        Rig { rig, delay, cache }
+    }
+
+    fn ext4(&self) -> &dyn FileSystem {
+        &*self.below.bases[0]
     }
 
     /// Inner `pwrite`s so far.
@@ -137,7 +136,7 @@ impl Rig {
     /// time.
     fn forget(&self, path: &str) {
         self.cache.flush_log(&self.clock);
-        let meta = self.ext4.stat(path, &self.clock).expect("stat");
+        let meta = self.ext4().stat(path, &self.clock).expect("stat");
         while self.cache.shared.file_at(0, &meta).is_some() {
             self.cache.shared.drain_zombies(&self.clock);
             std::thread::yield_now();
@@ -148,42 +147,22 @@ impl Rig {
         self.cache.stats().snapshot().drains_skipped
     }
 
-    /// `abort` → `crash_and_restart` → power failure → `Mount::Recover`.
-    fn crash(self) -> NvCache {
-        self.cache.abort();
-        drop(self.cache);
-        let crashed = Arc::new(self.dimm.crash_and_restart());
-        self.ext4.simulate_power_failure();
-        let inner = self.ext4 as Arc<dyn FileSystem>;
-        mount(NvRegion::whole(crashed), inner, self.cfg, Mount::Recover, &self.clock)
-            .expect("recover")
+    /// The process and the power go; `Mount::Recover` without the delay.
+    fn crash(mut self) -> NvCache {
+        self.rig.crash(&self.cache, 0);
+        self.rig.below.layers.clear();
+        self.rig.recover()
     }
-}
-
-/// The whole of `path` as `fs` reads it; `None` when there is no such file.
-fn content(fs: &dyn FileSystem, path: &str) -> Option<Vec<u8>> {
-    let c = ActorClock::new();
-    let size = match fs.stat(path, &c) {
-        Ok(meta) => meta.size,
-        Err(IoError::NotFound(_)) => return None,
-        Err(e) => panic!("stat {path}: {e}"),
-    };
-    let fd = fs.open(path, OpenFlags::RDONLY, &c).expect("open for read-back");
-    let mut buf = vec![0u8; size as usize];
-    let n = fs.pread(fd, &mut buf, 0, &c).expect("pread");
-    fs.close(fd, &c).expect("close");
-    buf.truncate(n);
-    Some(buf)
 }
 
 /// What the application acknowledged under `/from`: two writes, the second
 /// overlapping the first.
 const NEW: [(u64, &[u8]); 2] = [(0, &[0xA1; 6000]), (4096, &[0xA2; 3000])];
 
-fn new_content() -> Vec<u8> {
-    let mut model = vec![0u8; 7096];
+/// [`NEW`] written to `path`, on top of `model`.
+fn with_new(mut model: Model, path: &str) -> Model {
     for (off, data) in NEW {
-        model[off as usize..off as usize + data.len()].copy_from_slice(data);
+        model.write(path, off, data);
     }
     model
 }
@@ -196,15 +175,13 @@ const OLD: [u8; 12288] = [0x0D; 12288];
 /// — `to` once the rename returned, `from` before — and `to` otherwise
 /// holding exactly its old content.
 fn check(recovered: &NvCache, renamed: bool) -> Result<(), String> {
-    let (from, to) = (content(recovered, "/from"), content(recovered, "/to"));
-    let expect = match renamed {
-        true => (None, Some(new_content())),
-        false => (Some(new_content()), Some(OLD.to_vec())),
-    };
-    match (from, to) == expect {
-        true => Ok(()),
-        false => Err(format!("renamed: {renamed}: the names do not hold the model's bytes")),
+    let mut model = Model::new();
+    model.write("/to", 0, &OLD);
+    let mut model = with_new(model, "/from");
+    if renamed {
+        model.rename("/from", "/to");
     }
+    model.check(recovered).map_err(|e| format!("renamed: {renamed}: {e}"))
 }
 
 /// `/from` written and closed through the cache, its entries parked in the
@@ -212,10 +189,11 @@ fn check(recovered: &NvCache, renamed: bool) -> Result<(), String> {
 /// (`crash_after` `None`) or stops after a step; then the machine crashes.
 fn rename_then_crash(crash_after: Option<Step>, skip_fsync: bool) -> Result<(), String> {
     let rig = Rig::new(parked());
-    let fd = rig.ext4.open("/to", create(), &rig.clock).expect("ext4 open");
-    rig.ext4.pwrite(fd, &OLD, 0, &rig.clock).expect("ext4 pwrite");
-    rig.ext4.fsync(fd, &rig.clock).expect("ext4 fsync");
-    rig.ext4.close(fd, &rig.clock).expect("ext4 close");
+    let ext4 = rig.ext4();
+    let fd = ext4.open("/to", create(), &rig.clock).expect("ext4 open");
+    ext4.pwrite(fd, &OLD, 0, &rig.clock).expect("ext4 pwrite");
+    ext4.fsync(fd, &rig.clock).expect("ext4 fsync");
+    ext4.close(fd, &rig.clock).expect("ext4 close");
     rig.close(rig.write("/from", create(), &NEW));
 
     CRASH_AFTER.set(crash_after);
@@ -230,7 +208,8 @@ fn rename_then_crash(crash_after: Option<Step>, skip_fsync: bool) -> Result<(), 
     assert!(rig.cache.pending_entries() > 0, "the log did not drain");
     if crash_after.is_none() {
         assert_eq!(rig.drains_skipped(), 1);
-        assert_eq!(content(&rig.cache, "/to"), Some(new_content()), "before the crash");
+        let model = with_new(Model::new(), "/to");
+        assert_eq!(model.check(&rig.cache), Ok(()), "before the crash");
     }
     let recovered = rig.crash();
     let checked = check(&recovered, crash_after.is_none());
@@ -252,7 +231,7 @@ fn a_rename_that_retires_the_slots_of_an_unsynced_file_fails_the_model() {
 }
 
 /// What a recovered mount must read.
-type Model = dyn Fn(&NvCache) -> Result<(), String>;
+type Holds = dyn Fn(&NvCache) -> Result<(), String>;
 
 /// The cases a rename or truncating open cannot scope: each drains the
 /// whole log first, and recovers to the model.
@@ -261,7 +240,7 @@ fn renames_and_truncations_that_cannot_scope_drain_and_recover_to_the_model() {
     // Runs the case's calls on a fresh rig, crashes, and checks the model
     // before what was left in the log: `pending` entries, logged after the
     // drain.
-    let case = |what: &str, pending, call: &dyn Fn(&Rig), model: &Model| {
+    let case = |what: &str, pending, call: &dyn Fn(&Rig), model: &Holds| {
         let rig = Rig::new(parked());
         call(&rig);
         let counted = (rig.drains_skipped(), rig.cache.pending_entries());
@@ -299,10 +278,7 @@ fn renames_and_truncations_that_cannot_scope_drain_and_recover_to_the_model() {
             rig.close(rig.write("/to", create(), &[(0, &OLD)]));
             rig.close(rig.write("/to", OpenFlags::RDWR | OpenFlags::TRUNC, &NEW));
         },
-        &|recovered| match content(recovered, "/to") == Some(new_content()) {
-            true => Ok(()),
-            false => Err("the old content came back".into()),
-        },
+        &|recovered| with_new(Model::new(), "/to").check(recovered),
     );
 }
 
@@ -319,8 +295,9 @@ fn a_truncating_open_of_a_file_with_nothing_in_the_log_does_not_drain() {
     assert_eq!(rig.drains_skipped(), 3);
     assert_eq!(rig.cache.pending_entries(), 3 + 1, "/b's three entries and /a's new one");
     let recovered = rig.crash();
-    assert_eq!(content(&recovered, "/a"), Some(b"short".to_vec()));
-    assert_eq!(content(&recovered, "/b"), Some(new_content()));
+    let mut model = with_new(Model::new(), "/b");
+    model.write("/a", 0, b"short");
+    assert_eq!(model.check(&recovered), Ok(()));
     recovered.shutdown(&ActorClock::new());
 }
 
@@ -400,7 +377,7 @@ fn close_never_pushes_a_recycled_slot() {
     rig.close(a);
     assert!(AFTER_LISTING.with(|h| h.borrow().is_none()), "the push ran the hook");
     rig.cache.flush_log(&rig.clock);
-    assert_eq!(content(&*rig.ext4, "/a"), Some(b"AAAA".to_vec()));
+    assert_eq!(read_all(rig.ext4(), "/a"), Some(b"AAAA".to_vec()));
     rig.close(b);
     rig.close(c);
     rig.cache.shutdown(&rig.clock);
@@ -453,7 +430,7 @@ fn push_beside_a_consumed_entry(shards: usize) -> (u64, Vec<u8>, Option<Vec<u8>>
     rig.cache.flush_log(&rig.clock);
     drop(shared);
     let recovered = rig.crash();
-    let durable = content(&recovered, "/page").map(|c| c[newer_at as usize..].to_vec());
+    let durable = read_all(&recovered, "/page").map(|c| c[newer_at as usize..].to_vec());
     recovered.shutdown(&ActorClock::new());
     (pushed, page, durable)
 }
@@ -497,11 +474,10 @@ fn the_unpushed_set_follows_its_definition(seed: u64) -> Result<(), String> {
     const WRITTEN: u64 = 8; // pages 0..8 are written; 8..12 only read
     const PAGES: u64 = 13;
     let cfg = NvCacheConfig { nb_entries: 1024, ..parked() }.with_log_shards(2);
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let faults = FaultLayer::new(vec![FaultRule::new(vfs::Op::Write, FaultTrigger::OnNth(1))]);
-    let inner = faults.wrap(Arc::new(MemFs::new()));
-    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).expect("format");
+    let rule = FaultRule::new(vfs::Op::Write, FaultTrigger::OnNth(1));
+    let faults = Arc::new(FaultLayer::new(vec![rule]));
+    let below = Below { layers: vec![faults.clone()], ..Below::memfs(1) };
+    let (rig::Rig { clock, .. }, cache) = rig::Rig::new(cfg, below);
     let shared = &cache.shared;
     let fd = cache.open("/set", create(), &clock).expect("open");
     let opened = shared.opened_fd(fd).expect("open");

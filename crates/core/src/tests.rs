@@ -2,37 +2,46 @@
 
 use std::sync::Arc;
 
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvmm::{NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
-use vfs::{CursorFile, FileSystem, IoError, Layer, MemFs, OpenFlags, SeekFrom};
+use vfs::{CursorFile, FaultLayer, FileSystem, IoError, MemFs, OpenFlags, SeekFrom};
 
+use crate as nvcache;
 use crate::{Mount, NvCache, NvCacheConfig};
 
-/// The one mount path, as the tests use it: `region` over a single `inner`
-/// backend.
-pub(crate) fn mount(
-    region: NvRegion,
-    inner: Arc<dyn FileSystem>,
-    cfg: NvCacheConfig,
-    mode: Mount,
-    clock: &ActorClock,
-) -> vfs::IoResult<NvCache> {
-    NvCache::builder(region).backend(inner).config(cfg).mode(mode).mount(clock)
+#[path = "../../../tests/support/rig.rs"]
+pub(crate) mod rig;
+
+use rig::{parked, Below, Rig};
+
+/// A mount over one `MemFs`, its clock and its inner file system.
+fn setup(cfg: NvCacheConfig) -> (ActorClock, Arc<dyn FileSystem>, NvCache) {
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, Below::memfs(1));
+    (clock, Arc::clone(&below.bases[0]), cache)
 }
 
-fn setup(cfg: NvCacheConfig) -> (ActorClock, Arc<NvDimm>, Arc<dyn FileSystem>, NvCache) {
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache =
-        mount(NvRegion::whole(Arc::clone(&dimm)), Arc::clone(&inner), cfg, Mount::Format, &clock)
-            .expect("format");
-    (clock, dimm, inner, cache)
+/// A 128-entry log with its cleanup workers parked: the tests flush
+/// explicitly, so every comparison point is deterministic.
+pub(crate) fn parked_128() -> NvCacheConfig {
+    parked(NvCacheConfig { nb_entries: 128, ..NvCacheConfig::tiny() })
+}
+
+/// A single-backend (legacy) mount over `MemFs`, and the two-tier stack a
+/// recovery brings that backend into: `/hot/*` on a new tier 1.
+pub(crate) fn legacy_then_two_tiers(cfg: NvCacheConfig) -> (Rig, NvCache, Below) {
+    let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+    let bases = vec![Arc::clone(&rig.below.bases[0]), Arc::new(MemFs::new()) as _];
+    (rig, cache, Below { bases, ..Below::memfs(2) })
+}
+
+/// [`Below::memfs`] with `layer` on top.
+fn memfs_under(layer: impl vfs::Layer + 'static) -> Below {
+    Below { layers: vec![Arc::new(layer)], ..Below::memfs(1) }
 }
 
 #[test]
 fn write_then_read_your_writes() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     let fd = cache.open("/f", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.pwrite(fd, b"read your writes", 0, &c).unwrap();
     let mut buf = [0u8; 16];
@@ -43,7 +52,7 @@ fn write_then_read_your_writes() {
 
 #[test]
 fn writes_propagate_to_inner_fs() {
-    let (c, _d, inner, cache) = setup(NvCacheConfig::tiny());
+    let (c, inner, cache) = setup(NvCacheConfig::tiny());
     let fd = cache.open("/p", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.pwrite(fd, b"propagated", 0, &c).unwrap();
     cache.flush_log(&c);
@@ -56,7 +65,7 @@ fn writes_propagate_to_inner_fs() {
 
 #[test]
 fn large_write_spans_multiple_entries_atomically() {
-    let (c, _d, inner, cache) = setup(NvCacheConfig::tiny());
+    let (c, inner, cache) = setup(NvCacheConfig::tiny());
     let fd = cache.open("/big", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
     assert_eq!(cache.pwrite(fd, &data, 500, &c).unwrap(), data.len());
@@ -74,7 +83,7 @@ fn large_write_spans_multiple_entries_atomically() {
 
 #[test]
 fn fsync_is_a_noop_and_cheap() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     let fd = cache.open("/s", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.pwrite(fd, &[1u8; 4096], 0, &c).unwrap();
     let before = c.now();
@@ -85,7 +94,7 @@ fn fsync_is_a_noop_and_cheap() {
 
 #[test]
 fn nvcache_size_is_authoritative_before_propagation() {
-    let (c, _d, inner, cache) =
+    let (c, inner, cache) =
         setup(NvCacheConfig::default().with_log_entries(64).with_batching(64, 64));
     // With batch_min = 64 nothing propagates for small counts.
     let fd = cache.open("/grow", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
@@ -102,8 +111,8 @@ fn nvcache_size_is_authoritative_before_propagation() {
 /// through its `fstat` (paper Table III), not the kernel's.
 #[test]
 fn cursor_api_and_append_mode() {
-    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..NvCacheConfig::tiny() };
-    let (c, _d, inner, cache) = setup(cfg);
+    let cfg = parked(NvCacheConfig::tiny());
+    let (c, inner, cache) = setup(cfg);
     let cache = Arc::new(cache);
     let flags = OpenFlags::RDWR | OpenFlags::CREATE | OpenFlags::APPEND;
     let f = CursorFile::open(Arc::clone(&cache) as Arc<dyn FileSystem>, "/cur", flags, &c).unwrap();
@@ -126,7 +135,7 @@ fn cursor_api_and_append_mode() {
 /// must not write through it into that file.
 #[test]
 fn a_closed_cursor_cannot_reach_the_next_file_on_its_slot() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     let cache = Arc::new(cache);
     let flags = OpenFlags::RDWR | OpenFlags::CREATE;
     let old =
@@ -143,7 +152,7 @@ fn a_closed_cursor_cannot_reach_the_next_file_on_its_slot() {
 
 #[test]
 fn read_only_files_bypass_the_read_cache() {
-    let (c, _d, inner, cache) = setup(NvCacheConfig::tiny());
+    let (c, inner, cache) = setup(NvCacheConfig::tiny());
     // Create content directly on the inner FS.
     let ifd = inner.open("/ro", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     inner.pwrite(ifd, b"kernel content", 0, &c).unwrap();
@@ -162,14 +171,9 @@ fn read_only_files_bypass_the_read_cache() {
 fn dirty_miss_reconstructs_fresh_state() {
     // Small read cache forces eviction of a dirty page, then a read must
     // merge kernel data with pending log entries (paper Fig. 2 dirty miss).
-    let cfg = NvCacheConfig {
-        read_cache_pages: 2,
-        batch_min: 1_000_000, // cleanup effectively disabled
-        batch_max: 1_000_000,
-        nb_entries: 256,
-        ..NvCacheConfig::tiny()
-    };
-    let (c, _d, _i, cache) = setup(cfg);
+    let cfg =
+        parked(NvCacheConfig { read_cache_pages: 2, nb_entries: 256, ..NvCacheConfig::tiny() });
+    let (c, _, cache) = setup(cfg);
     let fd = cache.open("/dm", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     // Write to page 0 (lands in log; page not loaded).
     cache.pwrite(fd, &[0xAA; 100], 0, &c).unwrap();
@@ -195,8 +199,8 @@ fn dirty_miss_reconstructs_fresh_state() {
 /// the log and B's is not. The page's propagation queue holds C alone;
 /// replaying A over the kernel copy that holds B is the stale read.
 fn dirty_miss_after_partial_free(shards: usize, free_b: impl Fn(&crate::log::Stripe, u64)) {
-    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..sharded_cfg(shards) };
-    let (c, _d, inner, cache) = setup(cfg);
+    let cfg = parked(sharded_cfg(shards));
+    let (c, inner, cache) = setup(cfg);
     let fd = cache.open("/race", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let shared = &cache.shared;
     let file = Arc::clone(&shared.opened_fd(fd).unwrap().file);
@@ -261,8 +265,8 @@ fn a_poisoned_blocker_ends_the_handoff_and_a_healthy_one_does_not() {
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
-    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..sharded_cfg(2) };
-    let (c, _d, _i, cache) = setup(cfg);
+    let cfg = parked(sharded_cfg(2));
+    let (c, _, cache) = setup(cfg);
     let fd = cache.open("/handoff", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let shared = &cache.shared;
     let log = &shared.log;
@@ -317,8 +321,8 @@ fn handoff_after_a_mid_batch_pop(next_on_p: bool) {
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
-    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..sharded_cfg(2) };
-    let (c, _d, inner, cache) = setup(cfg);
+    let cfg = parked(sharded_cfg(2));
+    let (c, inner, cache) = setup(cfg);
     let fd = cache.open("/cross", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let shared = &cache.shared;
     let file = Arc::clone(&shared.opened_fd(fd).unwrap().file);
@@ -382,47 +386,27 @@ fn a_handoff_wakes_when_its_blocker_is_popped_mid_batch() {
 
 #[test]
 fn crash_before_propagation_recovers_all_acked_writes() {
-    let cfg = NvCacheConfig {
-        batch_min: 1_000_000, // never propagate: everything stays in the log
-        batch_max: 1_000_000,
-        nb_entries: 128,
-        ..NvCacheConfig::tiny()
-    };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    let fd = cache.open("/crash", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(fd, b"first", 0, &clock).unwrap();
-    cache.pwrite(fd, b"second", 100, &clock).unwrap();
-    // Kill the process without draining.
-    cache.abort();
-    drop(cache);
-    // Power failure: NVMM keeps flushed lines; page cache content of the
-    // inner FS is volatile (MemFs loses everything it wasn't told to keep —
-    // here the file itself survives as an empty shell because metadata is
-    // in the simulated kernel namespace).
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let recovered =
-        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let cfg = parked_128();
+    let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+    let clock = &rig.clock;
+    let fd = cache.open("/crash", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    cache.pwrite(fd, b"first", 0, clock).unwrap();
+    cache.pwrite(fd, b"second", 100, clock).unwrap();
+    // Kill the process without draining; the power goes. NVMM keeps
+    // flushed lines, the MemFs below keeps the (empty) file.
+    rig.crash(&cache, 0);
+    let recovered = rig.recover();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 2);
     assert_eq!(report.files_reopened, 1);
-    let fd2 = recovered.open("/crash", OpenFlags::RDONLY, &clock).unwrap();
+    let fd2 = recovered.open("/crash", OpenFlags::RDONLY, clock).unwrap();
     let mut a = [0u8; 5];
     let mut b = [0u8; 6];
-    recovered.pread(fd2, &mut a, 0, &clock).unwrap();
-    recovered.pread(fd2, &mut b, 100, &clock).unwrap();
+    recovered.pread(fd2, &mut a, 0, clock).unwrap();
+    recovered.pread(fd2, &mut b, 100, clock).unwrap();
     assert_eq!(&a, b"first");
     assert_eq!(&b, b"second");
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 #[test]
@@ -432,51 +416,41 @@ fn torn_write_is_discarded_by_recovery() {
     use crate::layout::{Layout, ENTRY_HEADER_BYTES, ENT_FD, ENT_FILE_OFF, ENT_LEN};
     use nvmm::PmemInts;
 
-    let cfg = NvCacheConfig {
-        nb_entries: 64,
-        batch_min: 1_000_000,
-        batch_max: 1_000_000,
-        ..NvCacheConfig::tiny()
-    };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let region = NvRegion::whole(Arc::clone(&dimm));
-    let cache =
-        mount(region.clone(), Arc::clone(&inner), cfg.clone(), Mount::Format, &clock).unwrap();
-    let fd = cache.open("/torn", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(fd, b"committed", 0, &clock).unwrap();
+    let cfg = parked(NvCacheConfig { nb_entries: 64, ..NvCacheConfig::tiny() });
+    let (rig, cache) = Rig::new(cfg.clone(), Below::memfs(1));
+    let clock = &rig.clock;
+    let region = NvRegion::whole(rig.dimm());
+    let fd = cache.open("/torn", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    cache.pwrite(fd, b"committed", 0, clock).unwrap();
     cache.abort();
-    drop(cache);
 
     // Torn entry at slot 1: header + data flushed, commit word still 0.
     let lay = Layout::for_config(&cfg);
     let base = lay.entry(1);
-    region.write_u32(base + ENT_FD, 0, &clock);
-    region.write_u32(base + ENT_LEN, 4, &clock);
-    region.write_u64(base + ENT_FILE_OFF, 512, &clock);
-    region.write(base + ENTRY_HEADER_BYTES, b"torn", &clock);
+    region.write_u32(base + ENT_FD, 0, clock);
+    region.write_u32(base + ENT_LEN, 4, clock);
+    region.write_u64(base + ENT_FILE_OFF, 512, clock);
+    region.write(base + ENTRY_HEADER_BYTES, b"torn", clock);
     region.pwb(base, 128);
-    region.pfence(&clock);
+    region.pfence(clock);
 
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let recovered =
-        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    rig.power_cut(0);
+    let recovered = rig.recover();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 1, "only the committed entry replays");
-    let fd2 = recovered.open("/torn", OpenFlags::RDONLY, &clock).unwrap();
+    let fd2 = recovered.open("/torn", OpenFlags::RDONLY, clock).unwrap();
     let mut buf = [0u8; 9];
-    recovered.pread(fd2, &mut buf, 0, &clock).unwrap();
+    recovered.pread(fd2, &mut buf, 0, clock).unwrap();
     assert_eq!(&buf, b"committed");
     // The torn data must not have been applied.
-    assert_eq!(recovered.fstat(fd2, &clock).unwrap().size, 9);
-    recovered.shutdown(&clock);
+    assert_eq!(recovered.fstat(fd2, clock).unwrap().size, 9);
+    recovered.shutdown(clock);
 }
 
 #[test]
 fn concurrent_writers_to_disjoint_pages_are_all_durable() {
     let cfg = NvCacheConfig { nb_entries: 4096, read_cache_pages: 512, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     let cache = Arc::new(cache);
     let fd = cache.open("/mt", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let mut handles = Vec::new();
@@ -508,7 +482,7 @@ fn concurrent_writers_to_disjoint_pages_are_all_durable() {
 fn concurrent_same_page_writes_are_atomic() {
     // POSIX atomicity (paper §II-D): a read may see either value, never a mix.
     let cfg = NvCacheConfig { nb_entries: 4096, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     let cache = Arc::new(cache);
     let fd = cache.open("/atomic", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.pwrite(fd, &[0u8; 4096], 0, &c).unwrap();
@@ -549,7 +523,7 @@ fn concurrent_same_page_writes_are_atomic() {
 fn log_saturation_throttles_writers_to_inner_speed() {
     // A tiny log: the writer must wait for the cleanup thread (Fig. 5).
     let cfg = NvCacheConfig { nb_entries: 8, batch_min: 1, batch_max: 4, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     let fd = cache.open("/sat", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     for i in 0..256u64 {
         cache.pwrite(fd, &[i as u8; 4096], i * 4096, &c).unwrap();
@@ -563,13 +537,8 @@ fn log_saturation_throttles_writers_to_inner_speed() {
 
 #[test]
 fn close_flushes_content_to_the_kernel_without_draining() {
-    let cfg = NvCacheConfig {
-        batch_min: 1_000_000,
-        batch_max: 1_000_000,
-        nb_entries: 128,
-        ..NvCacheConfig::tiny()
-    };
-    let (c, _d, inner, cache) = setup(cfg);
+    let cfg = parked_128();
+    let (c, inner, cache) = setup(cfg);
     let fd = cache.open("/cl", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.pwrite(fd, b"flushed by close", 0, &c).unwrap();
     assert_eq!(inner.stat("/cl", &c).unwrap().size, 0);
@@ -590,7 +559,7 @@ fn close_flushes_content_to_the_kernel_without_draining() {
 #[test]
 fn truncation_drops_the_files_cached_pages() {
     for by_reopen in [false, true] {
-        let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+        let (c, _, cache) = setup(NvCacheConfig::tiny());
         let ps = crate::config::PAGE_SIZE;
         let fd = cache.open("/t", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
         cache.pwrite(fd, &vec![7u8; ps], 0, &c).unwrap();
@@ -622,7 +591,7 @@ fn truncation_drops_the_files_cached_pages() {
 /// pages back to the pool.
 #[test]
 fn last_close_returns_the_files_pages_to_the_pool() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     let ps = crate::config::PAGE_SIZE;
     let fd = cache.open("/lc", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let other = cache.open("/other", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
@@ -643,33 +612,16 @@ fn last_close_returns_the_files_pages_to_the_pool() {
 
 #[test]
 fn unlinked_file_is_not_resurrected_by_recovery() {
-    let cfg = NvCacheConfig {
-        batch_min: 1_000_000,
-        batch_max: 1_000_000,
-        nb_entries: 128,
-        ..NvCacheConfig::tiny()
-    };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    let keep = cache.open("/keep", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(keep, b"kept", 0, &clock).unwrap();
-    let gone = cache.open("/gone", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(gone, b"doomed", 0, &clock).unwrap();
-    cache.unlink("/gone", &clock).unwrap();
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let recovered =
-        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let cfg = parked_128();
+    let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+    let clock = &rig.clock;
+    let keep = cache.open("/keep", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    cache.pwrite(keep, b"kept", 0, clock).unwrap();
+    let gone = cache.open("/gone", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    cache.pwrite(gone, b"doomed", 0, clock).unwrap();
+    cache.unlink("/gone", clock).unwrap();
+    rig.crash(&cache, 0);
+    let recovered = rig.recover();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(
         report.files_missing, 0,
@@ -678,14 +630,14 @@ fn unlinked_file_is_not_resurrected_by_recovery() {
     );
     assert_eq!((report.entries_replayed, report.entries_skipped), (1, 1), "kept, doomed");
     assert!(
-        matches!(recovered.stat("/gone", &clock), Err(IoError::NotFound(_))),
+        matches!(recovered.stat("/gone", clock), Err(IoError::NotFound(_))),
         "recovery must not resurrect an unlinked file"
     );
-    let fd = recovered.open("/keep", OpenFlags::RDONLY, &clock).unwrap();
+    let fd = recovered.open("/keep", OpenFlags::RDONLY, clock).unwrap();
     let mut buf = [0u8; 4];
-    recovered.pread(fd, &mut buf, 0, &clock).unwrap();
+    recovered.pread(fd, &mut buf, 0, clock).unwrap();
     assert_eq!(&buf, b"kept");
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 /// sqlight's hot-journal pattern: a journal is written, deleted and created
@@ -702,51 +654,44 @@ fn a_recreated_name_does_not_inherit_a_dead_files_entries() {
         UnlinkStillOpen,
     }
     for death in [Death::CloseThenUnlink, Death::UnlinkThenClose, Death::UnlinkStillOpen] {
-        let cfg = NvCacheConfig {
-            batch_min: 1_000_000,
-            batch_max: 1_000_000,
-            nb_entries: 128,
-            ..NvCacheConfig::tiny()
-        };
-        let (clock, dimm, inner, cache) = setup(cfg.clone());
+        let cfg = parked_128();
+        let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+        let clock = &rig.clock;
         let create = OpenFlags::RDWR | OpenFlags::CREATE;
-        let old = cache.open("/db-journal", create, &clock).unwrap();
-        cache.pwrite(old, b"OLDHEADEROLDHEAD", 0, &clock).unwrap();
-        cache.pwrite(old, b"old-record", 100, &clock).unwrap();
+        let old = cache.open("/db-journal", create, clock).unwrap();
+        cache.pwrite(old, b"OLDHEADEROLDHEAD", 0, clock).unwrap();
+        cache.pwrite(old, b"old-record", 100, clock).unwrap();
         if death == Death::CloseThenUnlink {
-            cache.close(old, &clock).unwrap();
+            cache.close(old, clock).unwrap();
         }
-        cache.unlink("/db-journal", &clock).unwrap();
+        cache.unlink("/db-journal", clock).unwrap();
         if death == Death::UnlinkThenClose {
-            cache.close(old, &clock).unwrap();
+            cache.close(old, clock).unwrap();
         }
-        let new = cache.open("/db-journal", create, &clock).unwrap();
-        cache.pwrite(new, b"new", 16, &clock).unwrap();
+        let new = cache.open("/db-journal", create, clock).unwrap();
+        cache.pwrite(new, b"new", 16, clock).unwrap();
         if death == Death::UnlinkStillOpen {
-            cache.pwrite(old, b"late", 200, &clock).unwrap();
+            cache.pwrite(old, b"late", 200, clock).unwrap();
         }
         assert_eq!(cache.stats().snapshot().entries_propagated, 0, "{death:?}: drain is parked");
-        cache.abort();
-        drop(cache);
-        let crashed = Arc::new(dimm.crash_and_restart());
-        let recovered =
-            mount(NvRegion::whole(crashed), inner, cfg, Mount::Recover, &clock).unwrap();
+        rig.crash(&cache, 0);
+        let recovered = rig.recover();
         let report = recovered.recovery_report().unwrap();
         assert_eq!((report.files_reopened, report.files_missing), (1, 0), "{death:?}");
         assert_eq!(report.entries_replayed, 1, "{death:?}: only the new file's write");
-        let fd = recovered.open("/db-journal", OpenFlags::RDONLY, &clock).unwrap();
+        let fd = recovered.open("/db-journal", OpenFlags::RDONLY, clock).unwrap();
         let mut content = vec![0xFF; 256];
-        let n = recovered.pread(fd, &mut content, 0, &clock).unwrap();
+        let n = recovered.pread(fd, &mut content, 0, clock).unwrap();
         let mut expect = vec![0u8; 16];
         expect.extend_from_slice(b"new");
         assert_eq!(&content[..n], &expect[..], "{death:?}: the successor holds its own bytes");
-        recovered.shutdown(&clock);
+        recovered.shutdown(clock);
     }
 }
 
 #[test]
 fn double_close_and_bad_fd() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     let fd = cache.open("/dc", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.close(fd, &c).unwrap();
     assert!(matches!(cache.close(fd, &c), Err(IoError::BadFd(_))));
@@ -757,14 +702,14 @@ fn double_close_and_bad_fd() {
 
 #[test]
 fn posix_conformance_through_nvcache() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     vfs::check_posix_semantics(&cache);
     cache.shutdown(&c);
 }
 
 #[test]
 fn guarantees_are_reported() {
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     assert!(cache.synchronous_durability());
     assert!(cache.durable_linearizability());
     assert!(cache.name().starts_with("nvcache+"));
@@ -775,11 +720,8 @@ fn guarantees_are_reported() {
 fn write_latency_is_single_digit_microseconds() {
     // With the Optane profile, a 4 KiB synchronous write should cost ≈6-8µs
     // (the paper's ~550 MiB/s single-thread log bandwidth).
-    let cfg = NvCacheConfig::tiny();
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).unwrap();
+    let optane = Below { nvmm: NvmmProfile::optane(), ..Below::memfs(1) };
+    let (Rig { clock, .. }, cache) = Rig::new(NvCacheConfig::tiny(), optane);
     let fd = cache.open("/lat", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[0u8; 4096], 0, &clock).unwrap(); // warm-up (radix alloc)
     let before = clock.now();
@@ -793,7 +735,7 @@ fn write_latency_is_single_digit_microseconds() {
 #[test]
 fn fd_table_exhaustion_is_reported() {
     let cfg = NvCacheConfig { fd_slots: 2, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     let _a = cache.open("/1", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let _b = cache.open("/2", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     assert!(cache.open("/3", OpenFlags::RDWR | OpenFlags::CREATE, &c).is_err());
@@ -831,18 +773,10 @@ impl vfs::Hook for CloseHook {
 #[test]
 fn a_descriptor_being_finished_does_not_read_as_a_full_table() {
     for zombie in [false, true] {
-        let cfg = NvCacheConfig {
-            fd_slots: 1,
-            batch_min: 1_000_000,
-            batch_max: 1_000_000,
-            ..NvCacheConfig::tiny()
-        };
-        let c = ActorClock::new();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+        let cfg = parked(NvCacheConfig { fd_slots: 1, ..NvCacheConfig::tiny() });
         let hooked = Arc::new(vfs::Hooked::new(CloseHook::default(), Arc::new(MemFs::new())));
-        let inner = Arc::clone(&hooked) as Arc<dyn FileSystem>;
-        let cache =
-            Arc::new(mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &c).expect("format"));
+        let (Rig { clock: c, .. }, cache) = Rig::new(cfg, Below::over(vec![hooked.clone()]));
+        let cache = Arc::new(cache);
         let fd = cache.open("/a", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
         if zombie {
             cache.pwrite(fd, b"pending", 0, &c).unwrap(); // parked: close defers
@@ -894,7 +828,7 @@ fn eventually(what: &str, done: impl Fn() -> bool) {
 fn a_parked_worker_wakes_once_per_batch_not_once_per_commit() {
     let cfg =
         NvCacheConfig { nb_entries: 256, batch_min: 100, batch_max: 100, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     let shard = || cache.stats().snapshot().per_shard[0];
     eventually("the worker parks", || shard().idle_wakeups == 1);
     let fd = cache.open("/parked", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
@@ -919,8 +853,8 @@ fn a_parked_worker_wakes_once_per_batch_not_once_per_commit() {
 /// next opens take them last to first.
 #[test]
 fn zombies_are_finished_in_close_order() {
-    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let cfg = parked(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(cfg);
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     let fds: Vec<_> = (0..3).map(|i| cache.open(&format!("/z{i}"), create, &c).unwrap()).collect();
     for &fd in &fds {
@@ -946,7 +880,7 @@ fn zombies_are_finished_in_close_order() {
 #[test]
 fn a_close_racing_its_batch_strands_no_zombie() {
     let cfg = NvCacheConfig { fd_slots: 2, ..NvCacheConfig::tiny() };
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     for round in 0..300u64 {
         let fd = cache.open("/race", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
         cache.pwrite(fd, &round.to_le_bytes(), 0, &c).unwrap();
@@ -963,11 +897,8 @@ fn a_close_racing_its_batch_strands_no_zombie() {
 /// stuck tail.
 #[test]
 fn a_poisoned_stripe_pins_every_later_zombie() {
-    let cfg = NvCacheConfig { batch_min: 1_000_000, batch_max: 1_000_000, ..NvCacheConfig::tiny() };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner = vfs::FaultLayer::failing_pwrites(0).wrap(Arc::new(MemFs::new()));
-    let cache = mount(NvRegion::whole(dimm), inner, cfg, Mount::Format, &clock).expect("format");
+    let below = memfs_under(FaultLayer::failing_pwrites(0));
+    let (Rig { clock, .. }, cache) = Rig::new(parked(NvCacheConfig::tiny()), below);
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     let mut closed = Vec::new();
     for path in ["/a", "/b"] {
@@ -994,13 +925,8 @@ fn a_poisoned_stripe_pins_every_later_zombie() {
 /// fails cleanly, and the table reads as out of descriptors.
 #[test]
 fn the_open_slow_path_reaps_zombies_and_a_full_table_fails() {
-    let cfg = NvCacheConfig {
-        fd_slots: 2,
-        batch_min: 1_000_000,
-        batch_max: 1_000_000,
-        ..NvCacheConfig::tiny()
-    };
-    let (c, _d, _i, cache) = setup(cfg);
+    let cfg = parked(NvCacheConfig { fd_slots: 2, ..NvCacheConfig::tiny() });
+    let (c, _, cache) = setup(cfg);
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     for path in ["/a", "/b"] {
         let fd = cache.open(path, create, &c).unwrap();
@@ -1024,44 +950,25 @@ fn the_open_slow_path_reaps_zombies_and_a_full_table_fails() {
 
 #[test]
 fn recovery_is_idempotent() {
-    let cfg = NvCacheConfig {
-        batch_min: 1_000_000,
-        batch_max: 1_000_000,
-        nb_entries: 64,
-        ..NvCacheConfig::tiny()
-    };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    let fd = cache.open("/idem", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(fd, b"once", 0, &clock).unwrap();
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let region = NvRegion::whole(Arc::clone(&crashed));
-    let first =
-        mount(region.clone(), Arc::clone(&inner), cfg.clone(), Mount::Recover, &clock).unwrap();
+    let cfg = parked(NvCacheConfig { nb_entries: 64, ..NvCacheConfig::tiny() });
+    let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+    let clock = &rig.clock;
+    let fd = cache.open("/idem", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    cache.pwrite(fd, b"once", 0, clock).unwrap();
+    rig.crash(&cache, 0);
+    let first = rig.recover();
     let r1 = first.recovery_report().unwrap();
     assert_eq!(r1.entries_replayed, 1);
     first.abort();
-    drop(first);
     // Second recovery over the emptied log: nothing to do, content intact.
-    let second = mount(region, Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    let second = rig.recover();
     let r2 = second.recovery_report().unwrap();
     assert_eq!(r2.entries_replayed, 0);
-    let fd2 = second.open("/idem", OpenFlags::RDONLY, &clock).unwrap();
+    let fd2 = second.open("/idem", OpenFlags::RDONLY, clock).unwrap();
     let mut buf = [0u8; 4];
-    second.pread(fd2, &mut buf, 0, &clock).unwrap();
+    second.pread(fd2, &mut buf, 0, clock).unwrap();
     assert_eq!(&buf, b"once");
-    second.shutdown(&clock);
+    second.shutdown(clock);
 }
 
 #[test]
@@ -1070,7 +977,7 @@ fn single_shard_format_keeps_the_seed_header() {
     // header words: the persistent image stays byte-for-byte seed-compatible.
     use crate::layout::{OFF_LOG_SHARDS, OFF_STRIPE_TAILS};
     use nvmm::PmemInts;
-    let (c, _d, _i, cache) = setup(NvCacheConfig::tiny());
+    let (c, _, cache) = setup(NvCacheConfig::tiny());
     let fd = cache.open("/seed", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     cache.pwrite(fd, b"seed-compatible", 0, &c).unwrap();
     cache.flush_log(&c);
@@ -1086,7 +993,7 @@ fn sharded_cfg(shards: usize) -> NvCacheConfig {
 
 #[test]
 fn sharded_log_round_trips_and_propagates() {
-    let (c, _d, inner, cache) = setup(sharded_cfg(4));
+    let (c, inner, cache) = setup(sharded_cfg(4));
     let fd = cache.open("/sharded", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     // Touch many distinct chunks so several stripes see traffic.
     for p in 0..32u64 {
@@ -1118,67 +1025,38 @@ fn sharded_crash_recovery_merges_stripes_in_commit_order() {
     // Overlapping writes land in different stripes (different starting
     // chunks); recovery must replay them by global sequence, not stripe
     // order, to reproduce exactly the acknowledged final state.
-    let cfg = NvCacheConfig {
-        batch_min: 1_000_000, // keep everything in the log
-        batch_max: 1_000_000,
-        ..sharded_cfg(4)
-    };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    let fd = cache.open("/merge", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    let cfg = parked(sharded_cfg(4));
+    let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+    let clock = &rig.clock;
+    let fd = cache.open("/merge", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
     // A 2-page write starting at chunk 0, then single-page overwrites of
     // both halves starting at chunks 0 and 1 — three different routes, one
     // byte range.
-    cache.pwrite(fd, &[0xAA; 8192], 0, &clock).unwrap();
-    cache.pwrite(fd, &[0xBB; 4096], 0, &clock).unwrap();
-    cache.pwrite(fd, &[0xCC; 4096], 4096, &clock).unwrap();
-    cache.pwrite(fd, &[0xDD; 100], 2000, &clock).unwrap();
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let recovered =
-        mount(NvRegion::whole(crashed), Arc::clone(&inner), cfg, Mount::Recover, &clock).unwrap();
+    cache.pwrite(fd, &[0xAA; 8192], 0, clock).unwrap();
+    cache.pwrite(fd, &[0xBB; 4096], 0, clock).unwrap();
+    cache.pwrite(fd, &[0xCC; 4096], 4096, clock).unwrap();
+    cache.pwrite(fd, &[0xDD; 100], 2000, clock).unwrap();
+    rig.crash(&cache, 0);
+    let recovered = rig.recover();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 5, "2 + 1 + 1 + 1 entries");
-    let fd2 = recovered.open("/merge", OpenFlags::RDONLY, &clock).unwrap();
+    let fd2 = recovered.open("/merge", OpenFlags::RDONLY, clock).unwrap();
     let mut buf = vec![0u8; 8192];
-    recovered.pread(fd2, &mut buf, 0, &clock).unwrap();
+    recovered.pread(fd2, &mut buf, 0, clock).unwrap();
     let mut expect = vec![0xAA; 8192];
     expect[..4096].fill(0xBB);
     expect[4096..].fill(0xCC);
     expect[2000..2100].fill(0xDD);
     assert_eq!(buf, expect, "merge-replay must honour global commit order");
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 #[test]
 fn sharded_recovery_requires_matching_shard_count() {
-    let cfg = sharded_cfg(4);
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        cfg.clone(),
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let wrong = NvCacheConfig { log_shards: 2, ..cfg };
-    let res = mount(NvRegion::whole(crashed), inner, wrong, Mount::Recover, &clock);
+    let (mut rig, cache) = Rig::new(sharded_cfg(4), Below::memfs(1));
+    rig.crash(&cache, 0);
+    rig.cfg.log_shards = 2;
+    let res = rig.mount(Mount::Recover);
     assert!(matches!(res, Err(IoError::InvalidArgument(_))));
 }
 
@@ -1186,7 +1064,7 @@ fn sharded_recovery_requires_matching_shard_count() {
 fn concurrent_writers_spread_over_stripes_stay_durable() {
     let cfg = NvCacheConfig { nb_entries: 4096, read_cache_pages: 512, ..NvCacheConfig::tiny() }
         .with_log_shards(8);
-    let (c, _d, inner, cache) = setup(cfg);
+    let (c, inner, cache) = setup(cfg);
     let cache = Arc::new(cache);
     let fd = cache.open("/mt-shard", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let mut handles = Vec::new();
@@ -1225,7 +1103,7 @@ fn cross_stripe_same_page_propagation_keeps_commit_order() {
     // is what makes this hold.
     let cfg = NvCacheConfig { nb_entries: 512, read_cache_pages: 64, ..NvCacheConfig::tiny() }
         .with_log_shards(4);
-    let (c, _d, inner, cache) = setup(cfg);
+    let (c, inner, cache) = setup(cfg);
     let cache = Arc::new(cache);
     let fd = cache.open("/order", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     let mut handles = Vec::new();
@@ -1265,39 +1143,19 @@ fn reformatting_a_sharded_region_as_single_stripe_recovers() {
     // batch_min above the written entry count keeps the entry parked in the
     // log until abort(), so the replay count below is deterministic.
     let sharded = sharded_cfg(4).with_batching(1_000, 10_000);
-    let single = NvCacheConfig { log_shards: 1, ..sharded.clone() };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(sharded.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let first = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        sharded,
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    first.shutdown(&clock);
-    drop(first);
+    let (mut rig, first) = Rig::new(sharded, Below::memfs(1));
+    first.shutdown(&rig.clock);
     // Reuse the region as a plain single-stripe log.
-    let second = mount(
-        NvRegion::whole(Arc::clone(&dimm)),
-        Arc::clone(&inner),
-        single.clone(),
-        Mount::Format,
-        &clock,
-    )
-    .unwrap();
-    let fd = second.open("/reuse", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    second.pwrite(fd, b"still recoverable", 0, &clock).unwrap();
-    second.abort();
-    drop(second);
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let recovered = mount(NvRegion::whole(crashed), inner, single, Mount::Recover, &clock)
-        .expect("stale shard word must not block recovery");
+    rig.cfg.log_shards = 1;
+    let second = rig.mount(Mount::Format).unwrap();
+    let clock = &rig.clock;
+    let fd = second.open("/reuse", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    second.pwrite(fd, b"still recoverable", 0, clock).unwrap();
+    rig.crash(&second, 0);
+    let recovered = rig.mount(Mount::Recover).expect("stale shard word must not block recovery");
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 1);
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 #[test]
@@ -1316,7 +1174,7 @@ fn handoff_pressure_defeats_batch_min_deadlock() {
         ..NvCacheConfig::tiny()
     }
     .with_log_shards(4);
-    let (c, _d, inner, cache) = setup(cfg);
+    let (c, inner, cache) = setup(cfg);
     let fd = cache.open("/pressure", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     // Page-straddling writes at different starting chunks: entries for one
     // page end up in different stripes, forcing cross-stripe handoff.
@@ -1338,25 +1196,27 @@ fn handoff_pressure_defeats_batch_min_deadlock() {
     cache.shutdown(&c);
 }
 
+/// `Mount::Recover` over a DIMM no mount ever formatted.
+fn recover_unformatted() -> vfs::IoResult<NvCache> {
+    let cfg = NvCacheConfig::tiny();
+    let dimm = Arc::new(nvmm::NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
+    NvCache::builder(NvRegion::whole(dimm))
+        .backend(Arc::new(MemFs::new()))
+        .config(cfg)
+        .mode(Mount::Recover)
+        .mount(&ActorClock::new())
+}
+
 #[test]
 fn recover_rejects_unformatted_region() {
-    let cfg = NvCacheConfig::tiny();
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let res = mount(NvRegion::whole(dimm), inner, cfg, Mount::Recover, &clock);
-    assert!(matches!(res, Err(IoError::InvalidArgument(_))));
+    assert!(matches!(recover_unformatted(), Err(IoError::InvalidArgument(_))));
 }
 
 /// The magic is checked before any geometry word: a never-formatted region
 /// is named as such, not as a configuration mismatch.
 #[test]
 fn recovering_a_never_formatted_region_names_the_cause() {
-    let cfg = NvCacheConfig::tiny();
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let err = mount(NvRegion::whole(dimm), inner, cfg, Mount::Recover, &clock).err();
+    let err = recover_unformatted().err();
     let expected = "NVMM region is not a formatted NVCache log";
     assert!(matches!(&err, Some(IoError::InvalidArgument(why)) if why == expected), "{err:?}");
 }
@@ -1383,14 +1243,9 @@ fn wait_for_poison(cache: &NvCache) {
 
 #[test]
 fn inner_write_errors_poison_the_stripe_instead_of_panicking() {
-    let cfg = NvCacheConfig::tiny();
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let mem: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     // Every cleanup pwrite fails.
-    let inner = vfs::FaultLayer::failing_pwrites(0).wrap(Arc::clone(&mem));
-    let cache = mount(NvRegion::whole(Arc::clone(&dimm)), inner, cfg, Mount::Format, &clock)
-        .expect("format");
+    let below = memfs_under(FaultLayer::failing_pwrites(0));
+    let (Rig { clock, .. }, cache) = Rig::new(NvCacheConfig::tiny(), below);
     let fd = cache.open("/poison", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[7u8; 4096], 0, &clock).unwrap();
     wait_for_poison(&cache);
@@ -1425,37 +1280,30 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
     let cfg =
         NvCacheConfig { nb_entries: 64, batch_min: 8, batch_max: 16, ..NvCacheConfig::tiny() }
             .with_queue_depth(4);
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let mem: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let inner = vfs::FaultLayer::failing_pwrites(3).wrap(Arc::clone(&mem));
-    let cache =
-        mount(NvRegion::whole(Arc::clone(&dimm)), inner, cfg.clone(), Mount::Format, &clock)
-            .expect("format");
-    let fd = cache.open("/midbatch", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+    let (mut rig, cache) = Rig::new(cfg, memfs_under(FaultLayer::failing_pwrites(3)));
+    let clock = &rig.clock;
+    let fd = cache.open("/midbatch", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
     for i in 0..8u64 {
-        cache.pwrite(fd, &[i as u8 + 1; 4096], i * 4096, &clock).unwrap();
+        cache.pwrite(fd, &[i as u8 + 1; 4096], i * 4096, clock).unwrap();
     }
     wait_for_poison(&cache);
     // The persistent tail never moved: a crash now loses nothing.
-    let region = NvRegion::whole(Arc::clone(&dimm));
+    let region = NvRegion::whole(rig.dimm());
     assert_eq!(region.read_u64(crate::layout::OFF_PTAIL), 0, "tail advanced past a failed batch");
-    cache.abort();
-    drop(cache);
 
     // Crash, then recover against the (healthy) underlying file system.
-    let crashed = Arc::new(dimm.crash_and_restart());
-    let recovered = mount(NvRegion::whole(crashed), Arc::clone(&mem), cfg, Mount::Recover, &clock)
-        .expect("recover");
+    rig.crash(&cache, 0);
+    rig.below.layers.clear();
+    let recovered = rig.recover();
     let report = recovered.recovery_report().unwrap();
     assert_eq!(report.entries_replayed, 8, "every entry of the failed batch must replay");
     let mut buf = [0u8; 4096];
-    let rfd = recovered.open("/midbatch", OpenFlags::RDONLY, &clock).unwrap();
+    let rfd = recovered.open("/midbatch", OpenFlags::RDONLY, clock).unwrap();
     for i in 0..8u64 {
-        recovered.pread(rfd, &mut buf, i * 4096, &clock).unwrap();
+        recovered.pread(rfd, &mut buf, i * 4096, clock).unwrap();
         assert_eq!(buf[0], i as u8 + 1, "entry {i} content after replay");
     }
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 /// Runs a fig5-style random-write drain (4 log stripes over Ext4+SSD) with
@@ -1467,8 +1315,7 @@ fn sharded_drain_elapsed(
     ssd_channels: usize,
     direct: bool,
 ) -> (SimTime, u64, Vec<u8>) {
-    use blockdev::{BlockDevice, SsdDevice, SsdProfile};
-    use vfs::{Ext4, Ext4Profile};
+    use blockdev::{SsdDevice, SsdProfile};
     // batch_min above the workload size parks the backlog until the flush
     // barrier, so each stripe drains in one large batch (one fsync) and the
     // measurement isolates the device overlap instead of per-batch flushes.
@@ -1476,13 +1323,10 @@ fn sharded_drain_elapsed(
         .with_log_shards(4)
         .with_batching(1_000, 1_000)
         .with_queue_depth(queue_depth);
-    let clock = ActorClock::new();
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600().with_queue_depth(ssd_channels)));
-    let inner: Arc<dyn FileSystem> =
-        Arc::new(Ext4::new("ext4+ssd", ssd as Arc<dyn BlockDevice>, Ext4Profile::default()));
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = mount(NvRegion::whole(dimm), Arc::clone(&inner), cfg, Mount::Format, &clock)
-        .expect("format");
+    let ssd = SsdDevice::new(SsdProfile::s4600().with_queue_depth(ssd_channels));
+    let below = Below::over(vec![rig::ext4_on(Arc::new(ssd))]);
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, below);
+    let inner = &below.bases[0];
     // Writes 1 MiB apart (beyond the drive's sequential window), as in
     // Fig. 5's post-saturation regime. An O_DIRECT inner file sends each
     // propagation write to the SSD from the ring; a buffered one sends them
@@ -1548,7 +1392,7 @@ fn queue_depth_one_oracle_matches_serial_propagation_order_and_content() {
     // fiosim's qd1 ring oracles).
     let run = |qd: usize| {
         let cfg = NvCacheConfig::tiny().with_queue_depth(qd);
-        let (c, _d, inner, cache) = setup(cfg);
+        let (c, inner, cache) = setup(cfg);
         let fd = cache.open("/oracle", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
         for i in 0..24u64 {
             cache.pwrite(fd, &[i as u8 + 1; 2048], (i % 6) * 2048, &c).unwrap();
@@ -1573,7 +1417,7 @@ fn uring_counters_expose_the_overlap() {
     let cfg = NvCacheConfig { nb_entries: 128, ..NvCacheConfig::tiny() }
         .with_batching(16, 64)
         .with_queue_depth(8);
-    let (c, _d, _i, cache) = setup(cfg);
+    let (c, _, cache) = setup(cfg);
     let fd = cache.open("/counters", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
     for i in 0..32u64 {
         cache.pwrite(fd, &[1u8; 4096], i * 4096, &c).unwrap();

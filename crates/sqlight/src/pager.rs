@@ -34,8 +34,11 @@ pub(crate) struct Pager {
     /// resident (the paper's databases fit the benchmark working set).
     cache: Vec<Option<Vec<u8>>>,
     page_count: u32,
-    /// Transaction state.
+    /// Transaction state. `txn_pages` is the page count at `begin`: the
+    /// pages from there on are the transaction's own, and a rollback gives
+    /// them back.
     in_txn: bool,
+    txn_pages: u32,
     journaled: BTreeMap<u32, Vec<u8>>,
     dirty: BTreeSet<u32>,
     journal_off: u64,
@@ -74,6 +77,7 @@ impl Pager {
             cache: Vec::new(),
             page_count: (size / PAGE_SIZE as u64) as u32,
             in_txn: false,
+            txn_pages: 0,
             journaled: BTreeMap::new(),
             dirty: BTreeSet::new(),
             journal_off: 0,
@@ -90,7 +94,6 @@ impl Pager {
             Err(e) => return Err(e.into()),
         };
         let jsize = self.fs.fstat(jfd, clock)?.size;
-        let mut rolled_back = 0u32;
         if jsize >= 16 {
             let mut header = [0u8; 16];
             self.fs.pread(jfd, &mut header, 0, clock)?;
@@ -109,7 +112,6 @@ impl Pager {
                         break;
                     }
                     self.fs.pwrite(self.fd, &original, page_no as u64 * PAGE_SIZE as u64, clock)?;
-                    rolled_back += 1;
                     off += 4 + PAGE_SIZE as u64;
                 }
                 if self.synchronous {
@@ -119,7 +121,6 @@ impl Pager {
         }
         self.fs.close(jfd, clock)?;
         self.fs.unlink(&self.journal_path, clock)?;
-        let _ = rolled_back;
         Ok(())
     }
 
@@ -143,6 +144,7 @@ impl Pager {
             return Err(SqlError::TxnState("transaction already active".into()));
         }
         self.in_txn = true;
+        self.txn_pages = self.page_count;
         self.journaled.clear();
         self.dirty.clear();
         self.journal_off = 16; // space for the header
@@ -269,7 +271,8 @@ impl Pager {
         Ok(())
     }
 
-    /// Rolls the active transaction back from the in-memory originals.
+    /// Rolls the active transaction back from the in-memory originals and
+    /// gives back the pages it allocated.
     ///
     /// # Errors
     ///
@@ -278,17 +281,12 @@ impl Pager {
         if !self.in_txn {
             return Err(SqlError::TxnState("rollback without begin".into()));
         }
-        let journaled = std::mem::take(&mut self.journaled);
-        let dirty = std::mem::take(&mut self.dirty);
-        for (page_no, original) in journaled {
+        for (page_no, original) in std::mem::take(&mut self.journaled) {
             self.cache_page(page_no, original);
         }
-        // Freshly allocated pages (dirty but never journaled) are discarded.
-        for page_no in dirty {
-            if self.cached(page_no).is_none() {
-                continue;
-            }
-        }
+        self.dirty.clear();
+        self.page_count = self.txn_pages;
+        self.cache.truncate(self.txn_pages as usize);
         match self.fs.unlink(&self.journal_path, clock) {
             Ok(()) | Err(vfs::IoError::NotFound(_)) => {}
             Err(e) => return Err(e.into()),
@@ -343,6 +341,26 @@ mod tests {
         p.write_page(pg, &c, |b| b[0] = 2).unwrap();
         p.rollback(&c).unwrap();
         assert_eq!(p.read_page(pg, &c).unwrap()[0], 1);
+    }
+
+    /// The pages a rolled-back transaction allocated are free again: the
+    /// next allocation reuses them instead of leaving a hole in the file.
+    #[test]
+    fn rollback_gives_back_the_pages_its_transaction_allocated() {
+        let (c, _fs, mut p) = pager();
+        p.begin().unwrap();
+        let first = p.alloc_page();
+        p.write_page(first, &c, |b| b[0] = 1).unwrap();
+        p.commit(&c).unwrap();
+        p.begin().unwrap();
+        let fresh = p.alloc_page();
+        p.write_page(fresh, &c, |b| b[0] = 2).unwrap();
+        p.rollback(&c).unwrap();
+        assert_eq!(p.page_count(), 1);
+        p.begin().unwrap();
+        assert_eq!(p.alloc_page(), fresh, "the rolled-back page is handed out again");
+        assert_eq!(p.read_page(fresh, &c).unwrap()[0], 0, "none of its rolled-back bytes");
+        assert_eq!(p.read_page(first, &c).unwrap()[0], 1);
     }
 
     #[test]

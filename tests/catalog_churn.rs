@@ -10,10 +10,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
+use nvcache_repro::vfs::{FileSystem, OpenFlags};
+
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{Below, Rig};
 
 /// Distinct churned paths: enough to roll the 512-entry catalog hundreds
 /// of times over. Scaled down under `cfg(debug_assertions)` so the
@@ -47,7 +51,6 @@ fn churn_path(i: usize) -> String {
 
 #[test]
 fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files() {
-    let clock = ActorClock::new();
     let cfg = NvCacheConfig {
         nb_entries: 1024,
         read_cache_pages: 128,
@@ -56,20 +59,9 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         fd_slots: 64,
         ..NvCacheConfig::default()
     };
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let tier0: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let tier1: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(dimm))
-            .tiers(
-                Tiering::new(router, vec![Arc::clone(&tier0), Arc::clone(&tier1)])
-                    .catalog_capacity(CAPACITY),
-            )
-            .config(cfg)
-            .mount(&clock)
-            .expect("tiered mount"),
-    );
+    let below = Below { catalog_capacity: Some(CAPACITY), ..Below::memfs(2) };
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, below);
+    let (tier0, tier1, cache) = (&below.bases[0], &below.bases[1], Arc::new(cache));
 
     // Seed the victim set on its routed tier (0) before the storm starts.
     for i in 0..MISPLACED {
@@ -176,7 +168,7 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
     // namespace through the merged view, cheap stats on the tiers).
     for i in (0..PATHS).step_by(PATHS / 100) {
         let path = churn_path(i);
-        let tier: &Arc<dyn FileSystem> = if i.is_multiple_of(2) { &tier1 } else { &tier0 };
+        let tier: &Arc<dyn FileSystem> = if i.is_multiple_of(2) { tier1 } else { tier0 };
         assert!(tier.stat(&path, &clock).is_ok(), "churned file {path} missing");
     }
 

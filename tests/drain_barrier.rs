@@ -13,15 +13,17 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use nvcache_repro::blockdev::{BlockDevice, DeviceStats, SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
 use nvcache_repro::simclock::{ActorClock, SimTime};
 use nvcache_repro::vfs::{
     Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, Fd, FileSystem, Hook, Hooked, IoError,
-    IoResult, Layer, Op, OpenFlags, PageCacheConfig,
+    IoResult, Op, OpenFlags, PageCacheConfig,
 };
 
-const PARKED: usize = usize::MAX >> 1;
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{Below, Model, Rig, PARKED};
 
 fn rdwr_create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE
@@ -96,32 +98,9 @@ fn batch_cfg(batch: usize) -> NvCacheConfig {
     }
 }
 
-fn mount(
-    dimm: &Arc<NvDimm>,
-    inner: Arc<dyn FileSystem>,
-    cfg: &NvCacheConfig,
-    mode: Mount,
-) -> NvCache {
-    NvCache::builder(NvRegion::whole(Arc::clone(dimm)))
-        .backend(inner)
-        .config(cfg.clone())
-        .mode(mode)
-        .mount(&ActorClock::new())
-        .expect("mount")
-}
-
-fn log_dimm(cfg: &NvCacheConfig) -> Arc<NvDimm> {
-    Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()))
-}
-
-fn read_at(fs: &dyn FileSystem, path: &str, off: u64, len: usize) -> Vec<u8> {
-    let c = ActorClock::new();
-    let fd = fs.open(path, OpenFlags::RDONLY, &c).expect("open for read-back");
-    let mut buf = vec![0u8; len];
-    let n = fs.pread(fd, &mut buf, off, &c).expect("pread");
-    fs.close(fd, &c).expect("close");
-    buf.truncate(n);
-    buf
+/// A mount of `cfg` over `inner` alone.
+fn over(inner: Arc<dyn FileSystem>, cfg: NvCacheConfig) -> (Rig, NvCache) {
+    Rig::new(cfg, Below::over(vec![inner]))
 }
 
 /// (a) An engine that creates, fills, closes and unlinks a journal per
@@ -134,22 +113,24 @@ fn read_at(fs: &dyn FileSystem, path: &str, off: u64, len: usize) -> Vec<u8> {
 #[test]
 fn journal_churn_pays_one_commit_and_one_flush_per_batch() {
     const TXNS: u64 = 24;
-    let c = ActorClock::new();
     let (ssd, ext4) = ext4_ssd("ext4+ssd");
-    let cfg = batch_cfg(16);
-    let cache =
-        mount(&log_dimm(&cfg), Arc::clone(&ext4) as Arc<dyn FileSystem>, &cfg, Mount::Format);
-    let db = cache.open("/db", rdwr_create(), &c).unwrap();
+    let (rig, cache) = over(ext4.clone(), batch_cfg(16));
+    let c = &rig.clock;
+    let db = cache.open("/db", rdwr_create(), c).unwrap();
+    let mut model = Model::new();
     for t in 0..TXNS {
         let journal = format!("/db-journal-{t}");
-        let j = cache.open(&journal, rdwr_create(), &c).unwrap();
-        cache.pwrite(j, &[0xE0; 512], 0, &c).unwrap();
-        cache.pwrite(j, &[0xE1; 512], 512, &c).unwrap();
-        cache.pwrite(db, &[t as u8 + 1; 4096], t * 4096, &c).unwrap();
-        cache.close(j, &c).unwrap();
-        cache.unlink(&journal, &c).unwrap();
+        let j = cache.open(&journal, rdwr_create(), c).unwrap();
+        cache.pwrite(j, &[0xE0; 512], 0, c).unwrap();
+        cache.pwrite(j, &[0xE1; 512], 512, c).unwrap();
+        cache.pwrite(db, &[t as u8 + 1; 4096], t * 4096, c).unwrap();
+        cache.close(j, c).unwrap();
+        cache.unlink(&journal, c).unwrap();
+        model.write(&journal, 0, &[0xE0; 512]);
+        model.unlink(&journal);
+        model.write("/db", t * 4096, &[t as u8 + 1; 4096]);
     }
-    cache.flush_log(&c);
+    cache.flush_log(c);
     let stats = cache.stats().snapshot();
     let batches = stats.cleanup_batches;
     assert_eq!(batches, (3 * TXNS).div_ceil(16), "72 entries in batches of 16");
@@ -160,16 +141,12 @@ fn journal_churn_pays_one_commit_and_one_flush_per_batch() {
     assert_eq!(ssd.stats().snapshot().flushes, batches);
     assert_eq!(stats.inner_io_errors, 0);
 
-    for t in 0..TXNS {
-        assert_eq!(read_at(&cache, "/db", t * 4096, 4096), [t as u8 + 1; 4096], "via the cache");
-        assert!(matches!(ext4.stat(&format!("/db-journal-{t}"), &c), Err(IoError::NotFound(_))));
-    }
-    cache.shutdown(&c);
+    assert_eq!(model.check(&cache), Ok(()), "via the cache");
+    assert_eq!(model.check(&*ext4), Ok(()), "on Ext4");
+    cache.shutdown(c);
     // The barrier was real: the database survives losing the page cache.
-    ext4.simulate_power_failure();
-    for t in 0..TXNS {
-        assert_eq!(read_at(&*ext4, "/db", t * 4096, 4096), [t as u8 + 1; 4096], "from Ext4");
-    }
+    rig.power_cut(0);
+    assert_eq!(model.check(&*ext4), Ok(()), "from Ext4");
 }
 
 /// (a) An anonymous temporary file — open, unlink, keep writing through the
@@ -178,15 +155,13 @@ fn journal_churn_pays_one_commit_and_one_flush_per_batch() {
 /// evicted them.
 #[test]
 fn unlinked_open_file_in_a_multi_file_batch_keeps_its_data() {
-    let c = ActorClock::new();
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
     let profile = Ext4Profile {
         cache: PageCacheConfig { capacity_pages: 8, ..PageCacheConfig::default() },
         ..Ext4Profile::default()
     };
-    let ext4: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, profile));
-    let cfg = batch_cfg(PARKED);
-    let cache = mount(&log_dimm(&cfg), ext4, &cfg, Mount::Format);
+    let (Rig { clock: c, .. }, cache) =
+        over(Arc::new(Ext4::new("ext4+ssd", ssd, profile)), batch_cfg(PARKED));
     let anon = cache.open("/anon", rdwr_create(), &c).unwrap();
     let other = cache.open("/other", rdwr_create(), &c).unwrap();
     cache.pwrite(anon, &[5; 4096], 0, &c).unwrap();
@@ -217,31 +192,29 @@ fn unlinked_open_file_in_a_multi_file_batch_keeps_its_data() {
 #[test]
 fn a_file_that_died_before_its_drain_costs_the_device_nothing() {
     const PAGES: u64 = 16; // 64 KiB
-    let c = ActorClock::new();
     let (ssd, ext4) = ext4_ssd("ext4+ssd");
-    let cfg = batch_cfg(PARKED);
-    let cache =
-        mount(&log_dimm(&cfg), Arc::clone(&ext4) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let (rig, cache) = over(ext4.clone(), batch_cfg(PARKED));
+    let c = &rig.clock;
     let cost = || {
         let writebacks = ext4.page_cache().stats().writebacks.load(Ordering::Relaxed);
         (ssd.stats().snapshot().bytes_written, writebacks)
     };
     let lifecycle = |sibling: Option<Fd>| {
-        let journal = cache.open("/journal", rdwr_create(), &c).unwrap();
+        let journal = cache.open("/journal", rdwr_create(), c).unwrap();
         for page in 0..PAGES {
-            cache.pwrite(journal, &[0xD0 + page as u8; 4096], page * 4096, &c).unwrap();
+            cache.pwrite(journal, &[0xD0 + page as u8; 4096], page * 4096, c).unwrap();
             if let Some(sibling) = sibling.filter(|_| page % 4 == 0) {
-                cache.pwrite(sibling, &[page as u8 + 1; 4096], page * 1024, &c).unwrap();
+                cache.pwrite(sibling, &[page as u8 + 1; 4096], page * 1024, c).unwrap();
             }
         }
-        cache.close(journal, &c).unwrap();
-        cache.unlink("/journal", &c).unwrap();
+        cache.close(journal, c).unwrap();
+        cache.unlink("/journal", c).unwrap();
     };
 
     // Alone: the whole flush is free below the cache.
     let before = cost();
     lifecycle(None);
-    cache.flush_log(&c);
+    cache.flush_log(c);
     assert_eq!(cost(), before, "(device bytes, page-cache writebacks) of a dead file");
     let stats = cache.stats().snapshot();
     assert_eq!((stats.entries_propagated, stats.entries_elided), (PAGES, PAGES));
@@ -249,23 +222,24 @@ fn a_file_that_died_before_its_drain_costs_the_device_nothing() {
     assert_eq!((stats.files_buried, stats.inner_io_errors), (1, 0));
 
     // Beside a sibling: the flush costs what the sibling's 4 pages cost.
-    let sibling = cache.open("/sibling", rdwr_create(), &c).unwrap();
+    let sibling = cache.open("/sibling", rdwr_create(), c).unwrap();
     let before = cost();
     lifecycle(Some(sibling));
-    cache.flush_log(&c);
+    cache.flush_log(c);
     assert_eq!(cost(), (before.0 + 4 * 4096, before.1 + 4), "the sibling's pages and no other");
     let stats = cache.stats().snapshot();
     assert_eq!((stats.entries_propagated, stats.entries_elided), (2 * PAGES + 4, 2 * PAGES));
     assert_eq!((stats.cleanup_fsyncs, stats.cleanup_syncfs), (1, 0), "one file written: fsync");
-    cache.shutdown(&c);
+    cache.shutdown(c);
     assert_eq!(cache.fd_slot_usage().1 + cache.fd_slot_usage().2, 1, "only the sibling is left");
-    ext4.simulate_power_failure();
-    let mut model = vec![0u8; 12 * 1024 + 4096];
+    rig.power_cut(0);
+    let mut model = Model::new();
     for page in (0..PAGES).step_by(4) {
-        model[page as usize * 1024..][..4096].fill(page as u8 + 1);
+        model.write("/sibling", page * 1024, &[page as u8 + 1; 4096]);
     }
-    assert_eq!(read_at(&*ext4, "/sibling", 0, model.len()), model, "from Ext4, after a power cut");
-    assert!(matches!(ext4.stat("/journal", &c), Err(IoError::NotFound(_))));
+    model.write("/journal", 0, b"dead");
+    model.unlink("/journal");
+    assert_eq!(model.check(&*ext4), Ok(()), "from Ext4, after a power cut");
 }
 
 /// (a) The temporary-file idiom end to end: open, write, `unlink`, keep
@@ -276,21 +250,19 @@ fn a_file_that_died_before_its_drain_costs_the_device_nothing() {
 #[test]
 fn a_temporary_file_works_through_its_descriptor_until_the_last_close() {
     const PAGE: usize = 4096;
-    let c = ActorClock::new();
-    let (_, ext4) = ext4_ssd("ext4+ssd");
     let cfg = NvCacheConfig { read_cache_pages: 2, ..batch_cfg(PARKED) };
-    let cache =
-        mount(&log_dimm(&cfg), Arc::clone(&ext4) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let (Rig { clock: c, cfg, .. }, cache) = Rig::new(cfg, Below::ext4(1));
     let tmp = cache.open("/tmp-scratch", rdwr_create(), &c).unwrap();
-    let mut model = vec![0u8; 6 * PAGE];
-    let write = |model: &mut Vec<u8>, byte: u8, off: usize, len: usize| {
+    let mut model = Model::new();
+    let write = |model: &mut Model, byte: u8, off: usize, len: usize| {
         cache.pwrite(tmp, &vec![byte; len], off as u64, &c).unwrap();
-        model[off..off + len].fill(byte);
+        model.write("/tmp-scratch", off as u64, &vec![byte; len]);
     };
-    let check = |model: &[u8], off: usize, len: usize, what: &str| {
+    let check = |model: &Model, off: usize, len: usize, what: &str| {
         let mut buf = vec![0xEE; len];
         assert_eq!(cache.pread(tmp, &mut buf, off as u64, &c).unwrap(), len, "{what}");
-        assert!(buf == model[off..off + len], "{what}: read differs from the model at {off}");
+        let expect = model.read("/tmp-scratch", off as u64, len);
+        assert!(buf == expect, "{what}: read differs from the model at {off}");
     };
     write(&mut model, 1, 0, 4 * PAGE);
     cache.unlink("/tmp-scratch", &c).unwrap();
@@ -336,9 +308,7 @@ fn single_file_batch_drains_on_the_serial_timeline() {
     const WRITES: u64 = 32;
     let (_, ext4) = ext4_ssd("ext4+ssd");
     let probe = Probe::over(ext4);
-    let cfg = batch_cfg(PARKED);
-    let cache =
-        mount(&log_dimm(&cfg), Arc::clone(&probe) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let (_rig, cache) = over(probe.clone(), batch_cfg(PARKED));
     let fd = cache.open("/one", rdwr_create(), &ActorClock::new()).unwrap();
     // Pages 1 MiB apart keep the SSD in its random-write regime; a fresh
     // clock per write keeps every commit stamp behind the worker's clock.
@@ -373,39 +343,28 @@ fn single_file_batch_drains_on_the_serial_timeline() {
 
 /// Three files with `writes_each` queued writes apiece, the stripe poisoned
 /// or not: what the acknowledged content is.
-fn queue_three_files(cache: &NvCache, writes_each: u64) -> Vec<(String, Vec<u8>)> {
+fn queue_three_files(cache: &NvCache, writes_each: u64) -> Model {
     let c = ActorClock::new();
-    let mut model = Vec::new();
+    let mut model = Model::new();
     for f in 0..3u8 {
         let path = format!("/file-{f}");
         let fd = cache.open(&path, rdwr_create(), &c).unwrap();
-        let mut content = Vec::new();
         for i in 0..writes_each {
             let chunk = vec![f * 50 + i as u8 + 1; 1000];
             cache.pwrite(fd, &chunk, i * 1000, &c).unwrap();
-            content.extend_from_slice(&chunk);
+            model.write(&path, i * 1000, &chunk);
         }
-        model.push((path, content));
     }
     model
 }
 
-/// Crashes `dimm` as it is now, loses the inner page cache, and checks that
-/// `Mount::Recover` replays all `entries` and returns `model`.
-fn recover_and_check(
-    crashed: NvDimm,
-    inner: Arc<dyn FileSystem>,
-    cfg: &NvCacheConfig,
-    entries: u64,
-    model: &[(String, Vec<u8>)],
-) {
-    inner.simulate_power_failure();
-    let recovered = mount(&Arc::new(crashed), inner, cfg, Mount::Recover);
+/// Checks that `Mount::Recover` of the crashed `rig` replays all `entries`
+/// and returns `model`.
+fn recover_and_check(rig: &Rig, entries: u64, model: &Model) {
+    let recovered = rig.recover();
     let report = recovered.recovery_report().expect("recover mount");
     assert_eq!(report.entries_replayed, entries, "the persistent tail must not have moved");
-    for (path, content) in model {
-        assert_eq!(&read_at(&recovered, path, 0, content.len()), content, "{path}");
-    }
+    assert_eq!(model.check(&recovered), Ok(()));
     recovered.shutdown(&ActorClock::new());
 }
 
@@ -413,12 +372,10 @@ fn recover_and_check(
 /// does: nothing is freed, and recovery replays every acknowledged write.
 #[test]
 fn failed_syncfs_poisons_the_stripe_and_leaves_the_tail_alone() {
-    let (_, ext4) = ext4_ssd("ext4+ssd");
     let fault = FaultLayer::new(vec![FaultRule::new(Op::Sync, FaultTrigger::AfterBudget(0))]);
-    let inner = fault.wrap(ext4);
-    let cfg = batch_cfg(PARKED);
-    let dimm = log_dimm(&cfg);
-    let cache = mount(&dimm, Arc::clone(&inner), &cfg, Mount::Format);
+    let fault = Arc::new(fault);
+    let (rig, cache) =
+        Rig::new(batch_cfg(PARKED), Below { layers: vec![fault.clone()], ..Below::ext4(1) });
     let model = queue_three_files(&cache, 4);
     cache.flush_log(&ActorClock::new()); // returns once the stripe is poisoned
     assert_eq!(cache.poisoned_stripes(), vec![0]);
@@ -432,9 +389,9 @@ fn failed_syncfs_poisons_the_stripe_and_leaves_the_tail_alone() {
             .is_ok_and(|fd| cache.pwrite(fd, b"late", 0, &ActorClock::new()).is_err()),
         "a poisoned stripe refuses new writes"
     );
-    cache.abort();
+    rig.crash(&cache, 0);
     fault.disarm();
-    recover_and_check(dimm.crash_and_restart(), inner, &cfg, 12, &model);
+    recover_and_check(&rig, 12, &model);
 }
 
 /// (c) The power goes between the batch's last `pwrite` and its barrier:
@@ -446,22 +403,19 @@ fn power_cut_before_the_barrier_loses_nothing() {
     let (reached, at_barrier) = channel();
     let (go, resume) = channel();
     *probe.hook().power_cut.lock().unwrap() = Some((reached, resume));
-    let cfg = batch_cfg(PARKED);
-    let dimm = log_dimm(&cfg);
-    let cache = mount(&dimm, Arc::clone(&probe) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let (rig, cache) = over(probe.clone(), batch_cfg(PARKED));
     let model = queue_three_files(&cache, 4);
 
-    let crashed = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         s.spawn(|| cache.flush_log(&ActorClock::new()));
         at_barrier.recv().unwrap();
         assert_eq!(probe.hook().count(Op::Write), 12, "the whole batch reached the page cache");
-        let crashed = dimm.crash_and_restart();
+        rig.power_cut(0);
         go.send(()).unwrap();
-        crashed
     });
     assert_eq!(cache.stats().snapshot().cleanup_batches, 0);
     cache.abort();
-    recover_and_check(crashed, probe, &cfg, 12, &model);
+    recover_and_check(&rig, 12, &model);
 }
 
 /// (d) Two backends, three files each: two barriers, overlapped — the
@@ -469,14 +423,8 @@ fn power_cut_before_the_barrier_loses_nothing() {
 #[test]
 fn tiered_batch_issues_one_overlapped_syncfs_per_backend() {
     let probes = [Probe::over(ext4_ssd("cold").1), Probe::over(ext4_ssd("hot").1)];
-    let cfg = batch_cfg(PARKED);
-    let router = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
     let tiers = probes.iter().map(|p| Arc::clone(p) as Arc<dyn FileSystem>).collect();
-    let cache = NvCache::builder(NvRegion::whole(log_dimm(&cfg)))
-        .tiers(Tiering::new(router, tiers))
-        .config(cfg)
-        .mount(&ActorClock::new())
-        .expect("tiered mount");
+    let (_rig, cache) = Rig::new(batch_cfg(PARKED), Below::over(tiers));
     for f in 0..3u64 {
         for (dir, pages) in [("/cold", 2), ("/hot", 6)] {
             let fd = cache.open(&format!("{dir}/{f}"), rdwr_create(), &ActorClock::new()).unwrap();
@@ -557,9 +505,7 @@ fn multi_file_batch_over_a_multi_channel_ssd_is_one_barrier_after_the_last_page(
         fs_profile.clone(),
     ));
     let probe = Probe::over(Arc::clone(&ext4) as Arc<dyn FileSystem>);
-    let cfg = batch_cfg(PARKED);
-    let cache =
-        mount(&log_dimm(&cfg), Arc::clone(&probe) as Arc<dyn FileSystem>, &cfg, Mount::Format);
+    let (rig, cache) = over(probe.clone(), batch_cfg(PARKED));
     // Pages 1 MiB apart: one per slab, every device write a random one.
     for f in 0..FILES {
         let fd = cache.open(&format!("/file-{f}"), rdwr_create(), &ActorClock::new()).unwrap();
@@ -590,11 +536,12 @@ fn multi_file_batch_over_a_multi_channel_ssd_is_one_barrier_after_the_last_page(
     assert!(flushed.now() >= sync_end, "the tail moved at {}, before {sync_end}", flushed.now());
     cache.shutdown(&ActorClock::new());
 
-    ext4.simulate_power_failure();
+    rig.power_cut(0);
+    let mut model = Model::new();
     for f in 0..FILES {
         for p in 0..PAGES_EACH {
-            let page = read_at(&*ext4, &format!("/file-{f}"), p << 20, 4096);
-            assert_eq!(page, [(f * PAGES_EACH + p) as u8 + 1; 4096], "file {f} page {p}");
+            model.write(&format!("/file-{f}"), p << 20, &[(f * PAGES_EACH + p) as u8 + 1; 4096]);
         }
     }
+    assert_eq!(model.check(&*ext4), Ok(()), "from Ext4, after a power cut");
 }

@@ -6,31 +6,17 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvcache::{self, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{
-    CryptLayer, Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, FileSystem, Layer, MemFs,
-    Op, OpenFlags,
+    CryptLayer, FaultLayer, FaultRule, FaultTrigger, FileSystem, Layer, MemFs, Op, OpenFlags,
 };
 use proptest::prelude::*;
 
-/// In-memory oracle of a file's acknowledged content.
-#[derive(Default)]
-struct Model {
-    files: BTreeMap<String, Vec<u8>>,
-}
+#[path = "support/rig.rs"]
+mod rig;
 
-impl Model {
-    fn write(&mut self, path: &str, off: usize, byte: u8, len: usize) {
-        let content = self.files.entry(path.to_string()).or_default();
-        if content.len() < off + len {
-            content.resize(off + len, 0);
-        }
-        content[off..off + len].fill(byte);
-    }
-}
+use rig::{Below, Model, Rig};
 
 /// One randomized fault schedule: which drain-path op misbehaves, how it
 /// triggers, and which tier of a two-tier mount carries the layer.
@@ -55,12 +41,11 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
         .prop_map(|(op, trigger, tier)| Schedule { op, trigger, tier })
 }
 
-/// Mounts two MemFs tiers with a `FaultLayer` on `schedule.tier`, streams
+/// Mounts two Ext4 tiers with a `FaultLayer` on `schedule.tier`, streams
 /// writes across both tiers with an eagerly draining cleanup (faults land
 /// mid-drain), stops at the first error the app observes, crashes, disarms
 /// the fault, recovers — and demands every *acknowledged* write back.
 fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u8, u16, u16)]) {
-    let clock = ActorClock::new();
     let cfg = NvCacheConfig {
         nb_entries: 256,
         batch_min: 1, // drain eagerly: faults fire while entries propagate
@@ -69,40 +54,22 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
         read_cache_pages: 4,
         ..NvCacheConfig::default()
     };
-    let fault =
-        Arc::new(FaultLayer::new(vec![FaultRule::new(schedule.op, schedule.trigger.clone())]));
+    let fault = FaultLayer::new(vec![FaultRule::new(schedule.op, schedule.trigger.clone())]);
     // Durable tiers (Ext4+SSD): the acknowledged-prefix contract spans the
-    // crash, so drained entries must survive below (MemFs would not).
-    let ext4 = |name: &str| -> Arc<dyn FileSystem> {
-        Arc::new(Ext4::new(
-            name,
-            Arc::new(SsdDevice::new(SsdProfile::s4600())),
-            Ext4Profile::default(),
-        ))
-    };
-    let cold = ext4("ext4+ssd-cold");
-    let hot = ext4("ext4+ssd-hot");
-    let router: Arc<dyn nvcache_repro::nvcache::Router> =
-        Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-    let tiers = |fault_on: usize| {
-        let mut t: Vec<nvcache_repro::nvcache::LayeredTier> =
-            vec![(vec![], Arc::clone(&cold)), (vec![], Arc::clone(&hot))];
-        t[fault_on].0 = vec![Arc::clone(&fault) as Arc<dyn Layer>];
-        t
-    };
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .tiers(Tiering::layered(Arc::clone(&router), tiers(schedule.tier)))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("mount");
+    // crash, so drained entries must survive below (MemFs would not). The
+    // fault layer sits on one tier only, so it wraps that tier's base.
+    let mut below = Below::ext4(2);
+    let faulty = &mut below.bases[schedule.tier];
+    *faulty = fault.wrap(Arc::clone(faulty));
+    let (rig, cache) = Rig::new(cfg, below);
+    let clock = &rig.clock;
 
     let paths = ["/cold-file", "/hot/file", "/cold-file-2", "/hot/file-2"];
     let mut fds = BTreeMap::new();
-    let mut model = Model::default();
+    let mut model = Model::new();
     let mut opened = true;
     for path in paths {
-        match cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, &clock) {
+        match cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, clock) {
             Ok(fd) => {
                 fds.insert(path, fd);
             }
@@ -118,8 +85,8 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
             let path = paths[sel as usize % 4];
             let byte = (off % 250 + 1) as u8;
             let buf = vec![byte; len as usize];
-            match cache.pwrite(fds[path], &buf, off as u64, &clock) {
-                Ok(_) => model.write(path, off as usize, byte, len as usize),
+            match cache.pwrite(fds[path], &buf, off as u64, clock) {
+                Ok(_) => model.write(path, off as u64, &buf),
                 // First app-visible error (poisoned stripe): the
                 // acknowledged prefix ends here.
                 Err(_) => break,
@@ -136,33 +103,26 @@ fn crash_under_fault_schedule(schedule: &Schedule, crash_seed: u64, writes: &[(u
 
     // Power failure mid-drain, then recovery with the fault disarmed (the
     // device came back healthy) through the same layer handles.
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart_seeded(crash_seed));
-    cold.simulate_power_failure();
-    hot.simulate_power_failure();
+    rig.crash(&cache, crash_seed);
     fault.disarm();
-    let recovered = NvCache::builder(NvRegion::whole(crashed))
-        .tiers(Tiering::layered(router, tiers(schedule.tier)))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recovery must converge once the fault is gone");
+    let recovered = rig.mount(nvcache::Mount::Recover);
+    let recovered = recovered.expect("recovery must converge once the fault is gone");
 
-    for (path, expect) in &model.files {
-        let fd = recovered.open(path, OpenFlags::RDONLY, &clock).expect("reopen");
-        let size = recovered.fstat(fd, &clock).expect("fstat").size;
+    for path in &model.files() {
+        let expect = &model.content(path).expect("a model file");
+        let fd = recovered.open(path, OpenFlags::RDONLY, clock).expect("reopen");
+        let size = recovered.fstat(fd, clock).expect("fstat").size;
         assert!(
             size >= expect.len() as u64,
             "{path}: acknowledged size lost under {schedule:?} (got {size}, want ≥ {})",
             expect.len()
         );
         let mut buf = vec![0u8; expect.len()];
-        recovered.pread(fd, &mut buf, 0, &clock).expect("pread");
+        recovered.pread(fd, &mut buf, 0, clock).expect("pread");
         assert_eq!(&buf, expect, "{path}: acknowledged prefix lost under {schedule:?}");
-        recovered.close(fd, &clock).expect("close");
+        recovered.close(fd, clock).expect("close");
     }
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 proptest! {

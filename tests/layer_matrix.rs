@@ -7,20 +7,28 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvcache::{self, Mount, NvCache, NvCacheConfig};
+use nvcache_repro::nvmm::{NvDimm, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, Bandwidth, SimTime};
 use nvcache_repro::vfs::{
-    self, CryptLayer, DelayLayer, DelayProfile, Ext4, Ext4Profile, FaultLayer, FileSystem, IoError,
-    Layer, MemFs, OpenFlags,
+    self, CryptLayer, DelayLayer, DelayProfile, FaultLayer, FileSystem, IoError, Layer, MemFs,
+    OpenFlags,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{parked, Below, Model, Rig};
+
 fn ext4_ssd() -> Arc<dyn FileSystem> {
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()))
+    Below::ext4(1).bases.remove(0)
+}
+
+/// A mount of `cfg` over `MemFs` behind `layers`, on an Optane DIMM.
+fn optane_memfs(cfg: NvCacheConfig, layers: Vec<Arc<dyn Layer>>) -> (Rig, NvCache) {
+    Rig::new(cfg, Below { layers, nvmm: NvmmProfile::optane(), ..Below::memfs(1) })
 }
 
 fn active_delay_profile() -> DelayProfile {
@@ -108,13 +116,7 @@ fn mounted_stacks_preserve_the_byte_oracle() {
     let cfg = NvCacheConfig { nb_entries: 256, fd_slots: 16, ..NvCacheConfig::tiny() };
     let mut reference: Option<Vec<u8>> = None;
     for (stack_name, layers) in stack_matrix() {
-        let clock = ActorClock::new();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-        let cache = NvCache::builder(NvRegion::whole(dimm))
-            .backend_stack(layers, Arc::new(MemFs::new()))
-            .config(cfg.clone())
-            .mount(&clock)
-            .expect("mount");
+        let (Rig { clock, .. }, cache) = Rig::new(cfg.clone(), Below { layers, ..Below::memfs(1) });
         let content = workload(&cache, &clock);
         cache.shutdown(&clock);
         match &reference {
@@ -140,33 +142,15 @@ fn all_inert_stack_is_byte_and_time_identical_to_unlayered() {
     // batch composition races the OS scheduler, so the deterministic
     // surfaces are the mount, the app-side write path, and the fully
     // drained persistent bytes (same discipline as the builder oracle).
-    let cfg = NvCacheConfig {
-        nb_entries: 64,
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        ..NvCacheConfig::tiny()
-    };
+    let cfg = parked(NvCacheConfig { nb_entries: 64, ..NvCacheConfig::tiny() });
 
-    let bare_clock = ActorClock::new();
-    let bare_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let bare = NvCache::builder(NvRegion::whole(Arc::clone(&bare_dimm)))
-        .backend(Arc::new(MemFs::new()))
-        .config(cfg.clone())
-        .mount(&bare_clock)
-        .expect("bare mount");
+    let (bare_rig, bare) = optane_memfs(cfg.clone(), vec![]);
+    let (bare_clock, bare_dimm) = (&bare_rig.clock, bare_rig.dimm());
 
     let delay = Arc::new(DelayLayer::inert());
     let fault = Arc::new(FaultLayer::inert());
-    let layered_clock = ActorClock::new();
-    let layered_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let layered = NvCache::builder(NvRegion::whole(Arc::clone(&layered_dimm)))
-        .backend_stack(
-            vec![Arc::clone(&delay) as Arc<dyn Layer>, Arc::clone(&fault) as Arc<dyn Layer>],
-            Arc::new(MemFs::new()),
-        )
-        .config(cfg)
-        .mount(&layered_clock)
-        .expect("layered mount");
+    let (layered_rig, layered) = optane_memfs(cfg, vec![delay.clone(), fault.clone()]);
+    let (layered_clock, layered_dimm) = (&layered_rig.clock, layered_rig.dimm());
 
     assert_eq!(bare_clock.now(), layered_clock.now(), "mount timings diverged");
     assert_eq!(region_bytes(&bare_dimm), region_bytes(&layered_dimm), "format bytes diverged");
@@ -180,8 +164,8 @@ fn all_inert_stack_is_byte_and_time_identical_to_unlayered() {
         cache.pread(fd, &mut buf, 150, clock).unwrap();
         fd
     };
-    let bfd = burst(&bare, &bare_clock);
-    let lfd = burst(&layered, &layered_clock);
+    let bfd = burst(&bare, bare_clock);
+    let lfd = burst(&layered, layered_clock);
 
     assert_eq!(bare_clock.now(), layered_clock.now(), "write-path virtual time diverged");
     assert_eq!(region_bytes(&bare_dimm), region_bytes(&layered_dimm), "logged bytes diverged");
@@ -220,98 +204,65 @@ fn acknowledged_writes_survive_crashes_through_crypt_delay_stacks() {
         fd_slots: 16,
         ..NvCacheConfig::default()
     };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner = ext4_ssd();
     let make_stack =
         || -> Vec<Arc<dyn Layer>> { vec![Arc::new(CryptLayer::new(KEY)), active_delay()] };
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend_stack(make_stack(), Arc::clone(&inner))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("mount");
-
+    let (mut rig, cache) = Rig::new(cfg, Below { layers: make_stack(), ..Below::ext4(1) });
     let fd = cache
-        .open("/sealed", OpenFlags::RDWR | OpenFlags::CREATE, &clock)
+        .open("/sealed", OpenFlags::RDWR | OpenFlags::CREATE, &rig.clock)
         .expect("open");
     let mut rng = StdRng::seed_from_u64(77);
-    let mut acked: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut model = Model::new();
     for i in 0..60usize {
         let off = rng.gen_range(0..48u64) * 512;
         let val = vec![(i % 251 + 1) as u8; rng.gen_range(1..2000)];
-        cache.pwrite(fd, &val, off, &clock).expect("pwrite");
-        acked.retain(|(o, v)| *o + v.len() as u64 <= off || *o >= off + val.len() as u64);
-        acked.push((off, val));
+        cache.pwrite(fd, &val, off, &rig.clock).expect("pwrite");
+        model.write("/sealed", off, &val);
     }
 
     // Pull the power mid-drain, then recover through a *rebuilt* stack.
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart_seeded(13));
-    inner.simulate_power_failure();
-    let recovered = NvCache::builder(NvRegion::whole(crashed))
-        .backend_stack(make_stack(), Arc::clone(&inner))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recover through the stack");
-    let fd = recovered.open("/sealed", OpenFlags::RDONLY, &clock).expect("reopen");
-    for (off, val) in &acked {
-        let mut buf = vec![0u8; val.len()];
-        recovered.pread(fd, &mut buf, *off, &clock).expect("pread");
-        assert_eq!(&buf, val, "acknowledged write at {off} lost through the stack");
-    }
-    recovered.shutdown(&clock);
+    rig.crash(&cache, 13);
+    rig.below.layers = make_stack();
+    let recovered = rig.mount(Mount::Recover).expect("recover through the stack");
+    let held = model.check(&recovered);
+    assert_eq!(held, Ok(()), "acknowledged writes lost through the stack");
+    recovered.shutdown(&rig.clock);
 }
 
 /// Bytes corrupted below the crypt layer (disk tampering / bit rot) must
 /// surface as a read error through the mount, not as silent garbage.
 #[test]
 fn tampering_below_the_crypt_layer_is_detected_through_the_mount() {
-    let cfg = NvCacheConfig::tiny().with_read_cache_pages(1);
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
     let crypt = Arc::new(CryptLayer::new(0xBAD_CAB1E));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend_stack(vec![Arc::clone(&crypt) as Arc<dyn Layer>], Arc::clone(&inner))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("mount");
-    let fd = cache
-        .open("/secret", OpenFlags::RDWR | OpenFlags::CREATE, &clock)
-        .expect("open");
-    cache.pwrite(fd, &[0x42; 8192], 0, &clock).expect("pwrite");
-    cache.flush_log(&clock); // data now lives (encrypted) in the inner fs
-    cache.close(fd, &clock).expect("close");
-    cache.shutdown(&clock);
+    let below = Below { layers: vec![crypt.clone()], ..Below::memfs(1) };
+    let (rig, cache) = Rig::new(NvCacheConfig::tiny().with_read_cache_pages(1), below);
+    let (clock, inner) = (&rig.clock, &rig.below.bases[0]);
+    let fd = cache.open("/secret", OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open");
+    cache.pwrite(fd, &[0x42; 8192], 0, clock).expect("pwrite");
+    cache.flush_log(clock); // data now lives (encrypted) in the inner fs
+    cache.close(fd, clock).expect("close");
+    cache.shutdown(clock);
 
     // Flip one at-rest byte behind the layer's back.
-    let raw = inner.open("/secret", OpenFlags::RDWR, &clock).expect("raw open");
+    let raw = inner.open("/secret", OpenFlags::RDWR, clock).expect("raw open");
     let mut b = [0u8; 1];
-    inner.pread(raw, &mut b, 4200, &clock).expect("raw pread");
-    inner.pwrite(raw, &[b[0] ^ 0xA5], 4200, &clock).expect("raw pwrite");
-    inner.close(raw, &clock).expect("raw close");
+    inner.pread(raw, &mut b, 4200, clock).expect("raw pread");
+    inner.pwrite(raw, &[b[0] ^ 0xA5], 4200, clock).expect("raw pwrite");
+    inner.close(raw, clock).expect("raw close");
 
-    let remounted = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend_stack(vec![Arc::clone(&crypt) as Arc<dyn Layer>], Arc::clone(&inner))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("remount");
-    let fd = remounted.open("/secret", OpenFlags::RDONLY, &clock).expect("reopen");
+    let remounted = rig.recover();
+    let fd = remounted.open("/secret", OpenFlags::RDONLY, clock).expect("reopen");
     let mut buf = [0u8; 64];
     // Page 0 is untampered and still reads…
-    remounted.pread(fd, &mut buf, 0, &clock).expect("clean page");
+    remounted.pread(fd, &mut buf, 0, clock).expect("clean page");
     assert_eq!(buf, [0x42; 64]);
     // …page 1 was tampered and must refuse.
-    let res = remounted.pread(fd, &mut buf, 4096, &clock);
+    let res = remounted.pread(fd, &mut buf, 4096, clock);
     assert!(
         matches!(res, Err(IoError::Other(_))),
         "tampered page must error through the mount, got {res:?}"
     );
     assert!(crypt.stats().tamper_detected >= 1, "the layer must count the detection");
-    remounted.shutdown(&clock);
+    remounted.shutdown(clock);
 }
 
 /// Two mounts with identical delay profiles must produce identical virtual
@@ -321,24 +272,11 @@ fn tampering_below_the_crypt_layer_is_detected_through_the_mount() {
 fn delay_layer_timelines_are_deterministic_through_mounts() {
     let run = || -> (SimTime, u64) {
         let delay = Arc::new(DelayLayer::new(active_delay_profile()));
-        let handle = Arc::clone(&delay);
-        let delay: Arc<dyn Layer> = delay;
         // Parked cleanup worker (huge batch window): left free, it races
         // the `pwrite` and may split the drain into two batches, which moves
         // the app clock `flush_log` waits on by a different amount.
-        let cfg = NvCacheConfig {
-            batch_min: usize::MAX >> 1,
-            batch_max: usize::MAX >> 1,
-            ..NvCacheConfig::tiny()
-        }
-        .with_read_cache_pages(1);
-        let clock = ActorClock::new();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-        let cache = NvCache::builder(NvRegion::whole(dimm))
-            .backend_stack(vec![delay], Arc::new(MemFs::new()))
-            .config(cfg)
-            .mount(&clock)
-            .expect("mount");
+        let cfg = parked(NvCacheConfig::tiny()).with_read_cache_pages(1);
+        let (Rig { clock, .. }, cache) = optane_memfs(cfg, vec![delay.clone()]);
         let fd = cache.open("/t", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
         cache.pwrite(fd, &[1; 8192], 0, &clock).expect("pwrite");
         cache.flush_log(&clock);
@@ -351,7 +289,7 @@ fn delay_layer_timelines_are_deterministic_through_mounts() {
         // Only the app-clock charges are deterministic (the drain worker
         // runs on its own clock), so compare the app clock and the fact
         // that delays happened at all.
-        (clock.now(), handle.stats().ops_delayed)
+        (clock.now(), delay.stats().ops_delayed)
     };
     let (t1, ops1) = run();
     let (t2, ops2) = run();

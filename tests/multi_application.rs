@@ -4,10 +4,16 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{self, Mount, NvCache, NvCacheConfig};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
+
+// Two mounts share one DIMM here, so they assemble their own stacks.
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::parked;
 
 fn mount(
     region: NvRegion,
@@ -36,14 +42,9 @@ fn remount(
         .expect("recover")
 }
 
+/// Everything stays in the logs.
 fn cfg() -> NvCacheConfig {
-    NvCacheConfig {
-        nb_entries: 128,
-        batch_min: usize::MAX >> 1, // keep everything in the logs
-        batch_max: usize::MAX >> 1,
-        fd_slots: 8,
-        ..NvCacheConfig::tiny()
-    }
+    parked(NvCacheConfig { nb_entries: 128, fd_slots: 8, ..NvCacheConfig::tiny() })
 }
 
 #[test]

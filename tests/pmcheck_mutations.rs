@@ -7,15 +7,15 @@
 
 #![cfg(feature = "pmcheck")]
 
-use std::sync::Arc;
+use nvcache_repro::nvcache::{self, pm_mutation, NvCache, NvCacheConfig};
+use nvcache_repro::vfs::{FileSystem, OpenFlags};
 
-use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{pm_mutation, Mount, NvCache, NvCacheConfig};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
-use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, OpenFlags};
+#[path = "support/rig.rs"]
+mod rig;
 
-fn mount(clock: &ActorClock) -> (Arc<NvDimm>, Arc<dyn FileSystem>, NvCacheConfig, NvCache) {
+use rig::{Below, Rig};
+
+fn mount() -> (Rig, NvCache) {
     let cfg = NvCacheConfig {
         nb_entries: 256,
         batch_min: 4,
@@ -25,15 +25,7 @@ fn mount(clock: &ActorClock) -> (Arc<NvDimm>, Arc<dyn FileSystem>, NvCacheConfig
         ..NvCacheConfig::default()
     }
     .with_sq_pairs(1);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&inner))
-        .config(cfg.clone())
-        .mount(clock)
-        .expect("mount");
-    (dimm, inner, cfg, cache)
+    Rig::new(cfg, Below::ext4(1))
 }
 
 /// Arms `arm` on a fresh thread, drives one synchronous write through the
@@ -43,14 +35,14 @@ fn mount(clock: &ActorClock) -> (Arc<NvDimm>, Arc<dyn FileSystem>, NvCacheConfig
 /// away from every other test in this process.
 fn violation_message(arm: fn()) -> String {
     std::thread::spawn(move || {
-        let clock = ActorClock::new();
-        let (dimm, _inner, _cfg, cache) = mount(&clock);
-        let fd = cache.open("/mut", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
+        let (rig, cache) = mount();
+        let (clock, dimm) = (&rig.clock, rig.dimm());
+        let fd = cache.open("/mut", OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open");
         // An unmutated write first: the armed bug must flag the *next* one.
-        cache.pwrite(fd, &[1u8; 100], 0, &clock).expect("pwrite");
+        cache.pwrite(fd, &[1u8; 100], 0, clock).expect("pwrite");
         arm();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.pwrite(fd, &[2u8; 100], 4096, &clock)
+            cache.pwrite(fd, &[2u8; 100], 4096, clock)
         }))
         .expect_err("the armed mutation must make pmcheck panic");
         pm_mutation::disarm_all();
@@ -106,20 +98,20 @@ fn skipped_pwb_is_flagged_at_the_covering_fence() {
 fn panicking_doorbell_gives_back_its_in_flight_counts() {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let clock = ActorClock::new();
-        let (_dimm, _inner, _cfg, cache) = mount(&clock);
-        let fd = cache.open("/bell", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
-        let mut qp = cache.queue_pair(0, &clock).expect("queue pair");
+        let (rig, cache) = mount();
+        let clock = &rig.clock;
+        let fd = cache.open("/bell", OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open");
+        let mut qp = cache.queue_pair(0, clock).expect("queue pair");
         for i in 0..3u64 {
-            qp.submit_pwrite(fd, &[3u8; 100], i * 4096, &clock).expect("submit");
+            qp.submit_pwrite(fd, &[3u8; 100], i * 4096, clock).expect("submit");
         }
         qp.submit_flush(fd).expect("submit flush");
         pm_mutation::arm_drop_fence();
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| qp.ring_doorbell(&clock)))
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| qp.ring_doorbell(clock)))
             .expect_err("the armed mutation must make pmcheck panic mid-doorbell");
         pm_mutation::disarm_all();
         drop(qp);
-        let closed = cache.close(fd, &clock);
+        let closed = cache.close(fd, clock);
         cache.abort();
         let _ = tx.send(closed);
     });
@@ -133,34 +125,26 @@ fn unmutated_workload_reports_zero_violations() {
     // Canonical mixed workload — writes, overwrites, reads, flush, crash,
     // recovery — with no mutation armed: the checker must stay silent while
     // the lock-order recorder actually observes acquisitions.
-    let clock = ActorClock::new();
-    let (dimm, inner, cfg, cache) = mount(&clock);
-    let fd = cache.open("/a", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open a");
-    let fd2 = cache.open("/b", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open b");
+    let (rig, cache) = mount();
+    let clock = &rig.clock;
+    let fd = cache.open("/a", OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open a");
+    let fd2 = cache.open("/b", OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open b");
     for i in 0..64u64 {
-        cache.pwrite(fd, &[i as u8 + 1; 700], i * 512, &clock).expect("pwrite a");
-        cache.pwrite(fd2, &[i as u8 + 7; 300], i * 4096, &clock).expect("pwrite b");
+        cache.pwrite(fd, &[i as u8 + 1; 700], i * 512, clock).expect("pwrite a");
+        cache.pwrite(fd2, &[i as u8 + 7; 300], i * 4096, clock).expect("pwrite b");
     }
     let mut buf = [0u8; 700];
-    cache.pread(fd, &mut buf, 512, &clock).expect("pread");
-    cache.rename("/b", "/c", &clock).expect("rename");
-    cache.flush_log(&clock);
+    cache.pread(fd, &mut buf, 512, clock).expect("pread");
+    cache.rename("/b", "/c", clock).expect("rename");
+    cache.flush_log(clock);
     assert!(cache.pm_violations().is_empty(), "{:?}", cache.pm_violations());
     assert!(cache.lock_order_violations().is_empty(), "{:?}", cache.lock_order_violations());
     assert!(cache.lock_order_edges() > 0, "the recorder saw no acquisitions at all");
-    cache.abort();
-
-    let crashed = Arc::new(dimm.crash_and_restart_seeded(11));
-    inner.simulate_power_failure();
-    let recovered = NvCache::builder(NvRegion::whole(Arc::clone(&crashed)))
-        .backend(inner)
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recover");
-    let fd = recovered.open("/a", OpenFlags::RDONLY, &clock).expect("reopen");
-    recovered.pread(fd, &mut buf, 512, &clock).expect("pread recovered");
+    rig.crash(&cache, 11);
+    let recovered = rig.recover();
+    let fd = recovered.open("/a", OpenFlags::RDONLY, clock).expect("reopen");
+    recovered.pread(fd, &mut buf, 512, clock).expect("pread recovered");
     assert!(recovered.pm_violations().is_empty(), "{:?}", recovered.pm_violations());
     assert!(recovered.lock_order_violations().is_empty());
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }

@@ -57,18 +57,29 @@ fn large_storage_nvcache_works_past_nvmm_capacity_where_nova_cannot() {
         read_cache_pages: 64,
         ..nvcache_repro::nvcache::NvCacheConfig::default()
     };
-    let boosted = build_system(
-        &SystemSpec::new(SystemKind::NvcacheSsd, 512).with_nvcache_cfg(cfg).timing_only(),
-        &clock,
-    );
+    let boosted =
+        build_system(&SystemSpec::new(SystemKind::NvcacheSsd, 512).with_nvcache_cfg(cfg), &clock);
+    // Every block says which it is, so a block the drain misplaced or lost
+    // shows when it is read back.
+    let block = |i: u64| {
+        let mut content = [(i % 251) as u8 + 1; 4096];
+        content[..8].copy_from_slice(&i.to_le_bytes());
+        content
+    };
     let fd = boosted.fs.open("/big", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     for i in 0..data / 4096 {
         boosted
             .fs
-            .pwrite(fd, &[1u8; 4096], i * 4096, &clock)
+            .pwrite(fd, &block(i), i * 4096, &clock)
             .expect("NVCache must not be capacity-limited by its NVMM");
     }
     assert_eq!(boosted.fs.fstat(fd, &clock).unwrap().size, data);
+    boosted.nvcache.as_ref().expect("an NVCache system").flush_log(&clock);
+    let mut read = [0u8; 4096];
+    for i in 0..data / 4096 {
+        assert_eq!(boosted.fs.pread(fd, &mut read, i * 4096, &clock).unwrap(), read.len());
+        assert!(read == block(i), "block {i} differs after the drain");
+    }
     boosted.shutdown(&clock);
 }
 

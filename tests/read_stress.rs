@@ -8,10 +8,14 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{NvCache, NvCacheConfig};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
+use nvcache_repro::vfs::{FileSystem, OpenFlags};
+
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{Below, Rig};
 
 const PAGE: usize = 4096;
 const PAGES: usize = 8;
@@ -50,7 +54,6 @@ fn assert_checkers_clean(_cache: &NvCache) {}
 
 #[test]
 fn multi_page_reads_beside_writers_and_two_workers_read_acknowledged_versions() {
-    let clock = ActorClock::new();
     let cfg = NvCacheConfig {
         nb_entries: 64,
         read_cache_pages: 4,
@@ -59,15 +62,8 @@ fn multi_page_reads_beside_writers_and_two_workers_read_acknowledged_versions() 
         ..NvCacheConfig::default()
     }
     .with_log_shards(2);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(dimm))
-            .backend(Arc::clone(&inner))
-            .config(cfg)
-            .mount(&clock)
-            .expect("mount"),
-    );
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, Below::memfs(1));
+    let (inner, cache) = (&below.bases[0], Arc::new(cache));
     let fd = cache.open("/shared", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     cache.pwrite(fd, &[0; PAGES * PAGE], 0, &clock).unwrap();
     let owners = Arc::new(ranges());

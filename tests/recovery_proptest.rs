@@ -4,14 +4,16 @@
 //! log must recover exactly the same state as the single-shard oracle.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
-use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, OpenFlags};
+use nvcache_repro::nvcache::{self, NvCacheConfig};
+use nvcache_repro::nvmm::NvmmProfile;
+use nvcache_repro::vfs::{FileSystem, OpenFlags};
 use proptest::prelude::*;
+
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{parked, read_all, Below, Model, Rig};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -28,20 +30,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// An in-memory model of what the files must contain.
-#[derive(Default)]
-struct Model {
-    files: BTreeMap<u8, Vec<u8>>,
-}
-
-impl Model {
-    fn write(&mut self, f: u8, off: usize, byte: u8, len: usize) {
-        let content = self.files.entry(f).or_default();
-        if content.len() < off + len {
-            content.resize(off + len, 0);
-        }
-        content[off..off + len].fill(byte);
-    }
+/// File `f`'s path.
+fn path(f: u8) -> String {
+    format!("/f{f}")
 }
 
 /// Runs `ops` against a fresh NVCache with `log_shards` stripes, crashes,
@@ -53,54 +44,38 @@ fn run_crash_scenario(
     eviction: f64,
     log_shards: usize,
     model: &mut Model,
-) -> BTreeMap<u8, Vec<u8>> {
-    let clock = ActorClock::new();
-    let cfg = NvCacheConfig {
+) -> BTreeMap<String, Option<Vec<u8>>> {
+    // Everything stays in the log.
+    let cfg = parked(NvCacheConfig {
         nb_entries: 512,
-        batch_min: usize::MAX >> 1, // keep everything in the log
-        batch_max: usize::MAX >> 1,
         fd_slots: 8,
         read_cache_pages: 4,
         log_shards,
         ..NvCacheConfig::default()
-    };
-    let profile = NvmmProfile::instant().with_eviction_probability(eviction);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), profile));
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&inner))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("mount");
+    });
+    let nvmm = NvmmProfile::instant().with_eviction_probability(eviction);
+    let (rig, cache) = Rig::new(cfg, Below { nvmm, ..Below::ext4(1) });
+    let clock = &rig.clock;
 
     let mut fds = BTreeMap::new();
     for f in 0..3u8 {
-        let fd = cache
-            .open(&format!("/f{f}"), OpenFlags::RDWR | OpenFlags::CREATE, &clock)
-            .expect("open");
+        let fd = cache.open(&path(f), OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open");
         fds.insert(f, fd);
     }
     for op in ops {
         match *op {
             Op::Write(f, off, byte, len) => {
                 let buf = vec![byte; len as usize];
-                cache.pwrite(fds[&f], &buf, off as u64, &clock).expect("pwrite");
-                model.write(f, off as usize, byte, len as usize);
+                cache.pwrite(fds[&f], &buf, off as u64, clock).expect("pwrite");
+                model.write(&path(f), off as u64, &buf);
             }
             Op::Read(f, off, len) => {
                 let mut buf = vec![0u8; len as usize];
-                let n = cache.pread(fds[&f], &mut buf, off as u64, &clock).expect("pread");
+                let n = cache.pread(fds[&f], &mut buf, off as u64, clock).expect("pread");
                 // Read-your-writes against the model.
-                let expect = model.files.get(&f).cloned().unwrap_or_default();
-                let lo = (off as usize).min(expect.len());
-                let hi = (off as usize + len as usize).min(expect.len());
-                assert_eq!(n, hi - lo, "short read mismatch ({log_shards} shards)");
-                assert_eq!(
-                    &buf[..n],
-                    &expect[lo..hi],
-                    "read-your-writes violated ({log_shards} shards)"
-                );
+                let expect = model.read(&path(f), off as u64, len as usize);
+                assert_eq!(n, expect.len(), "short read mismatch ({log_shards} shards)");
+                assert_eq!(buf[..n], expect, "read-your-writes violated ({log_shards} shards)");
             }
         }
     }
@@ -112,32 +87,13 @@ fn run_crash_scenario(
         assert!(cache.pm_violations().is_empty(), "{:?}", cache.pm_violations());
         assert!(cache.lock_order_violations().is_empty(), "{:?}", cache.lock_order_violations());
     }
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart_seeded(crash_seed));
-    inner.simulate_power_failure();
-    let recovered = NvCache::builder(NvRegion::whole(crashed))
-        .backend(Arc::clone(&inner))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recover");
-
-    let mut contents = BTreeMap::new();
-    for (f, expect) in &model.files {
-        let fd = recovered.open(&format!("/f{f}"), OpenFlags::RDONLY, &clock).expect("reopen");
-        assert_eq!(
-            recovered.fstat(fd, &clock).expect("fstat").size,
-            expect.len() as u64,
-            "file {f} size lost ({log_shards} shards)"
-        );
-        let mut buf = vec![0u8; expect.len()];
-        recovered.pread(fd, &mut buf, 0, &clock).expect("pread");
-        contents.insert(*f, buf);
-    }
+    rig.crash(&cache, crash_seed);
+    let recovered = rig.recover();
+    let contents = model.files().into_iter().map(|f| (read_all(&recovered, &f), f));
+    let contents = contents.map(|(content, f)| (f, content)).collect();
     #[cfg(feature = "pmcheck")]
     assert!(recovered.pm_violations().is_empty(), "{:?}", recovered.pm_violations());
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
     contents
 }
 
@@ -151,12 +107,12 @@ proptest! {
         eviction in prop_oneof![Just(0.0f64), Just(0.3), Just(0.9)],
         log_shards in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
     ) {
-        let mut model = Model::default();
+        let mut model = Model::new();
         let recovered =
             run_crash_scenario(&ops, crash_seed, eviction, log_shards, &mut model);
-        for (f, expect) in &model.files {
+        for (f, content) in &recovered {
             prop_assert_eq!(
-                &recovered[f], expect,
+                content, &model.content(f),
                 "file {} content lost ({} shards)", f, log_shards
             );
         }
@@ -172,9 +128,9 @@ proptest! {
         // log and on the paper's single log, must converge to identical
         // file contents: the k-way merge by global sequence number is
         // observationally equivalent to the seed's in-order replay.
-        let mut model = Model::default();
+        let mut model = Model::new();
         let sharded = run_crash_scenario(&ops, crash_seed, 0.3, log_shards, &mut model);
-        let mut oracle_model = Model::default();
+        let mut oracle_model = Model::new();
         let oracle = run_crash_scenario(&ops, crash_seed, 0.3, 1, &mut oracle_model);
         prop_assert_eq!(&sharded, &oracle, "{} shards diverged from oracle", log_shards);
     }

@@ -18,6 +18,8 @@ use nvcache_repro::vfs::{FaultLayer, FaultRule, FaultTrigger, Layer, Op};
 
 #[path = "support/replay_log.rs"]
 mod replay_log;
+#[path = "support/rig.rs"]
+mod rig;
 
 use replay_log::{build, shapes, Crashed, Shape};
 
@@ -82,7 +84,8 @@ fn crash_recovery_at(seed: u64, shape: Shape, fault: FaultRule, what: &str) -> R
     let crashed = build(seed, shape).crash();
     let layer: Arc<dyn Layer> = Arc::new(FaultLayer::new(vec![fault]));
     assert!(crashed.recover(&[layer]).is_err(), "{what}: the fault must stop recovery");
-    recover_and_check(&crashed.crash_again(), what)
+    crashed.rig.power_cut(0);
+    recover_and_check(&crashed, what)
 }
 
 /// Recovery is idempotent under a crash after each of its inner writes. The
@@ -128,7 +131,8 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
                 }
                 Err(_) => {
                     let what = format!("{what}, power cut at the syncer's fsync {k}");
-                    let again = recover_and_check(&crashed.crash_again(), &what);
+                    crashed.rig.power_cut(0);
+                    let again = recover_and_check(&crashed, &what);
                     assert_eq!(replayed(&again), replayed(&clean));
                     k += 1;
                 }
@@ -148,7 +152,7 @@ fn recovery_is_idempotent_under_a_crash_after_each_inner_write() {
             let layer: Arc<dyn Layer> = Arc::new(FaultLayer::new(vec![fault]));
             let crashed = build(21, shape).crash();
             assert!(crashed.recover(&[layer]).is_err(), "{what}: the fault must stop recovery");
-            let crashed = crashed.crash_again();
+            crashed.rig.power_cut(0);
             let cache = crashed.recover(&[]).unwrap_or_else(|e| panic!("{what}: {e}"));
             let report = cache.recovery_report().expect("a recovering mount reports");
             assert_eq!(replayed(&report), [0; 5], "{what}");

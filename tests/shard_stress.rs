@@ -5,10 +5,14 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{FileSystem, IoError, MemFs, OpenFlags};
+use nvcache_repro::vfs::{FileSystem, IoError, OpenFlags};
+
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{Below, Model, Rig};
 
 /// Under `pmcheck`, audit the mount's post-mortem registries: violations
 /// panic at the offending site already, but an end-of-run sweep also
@@ -30,7 +34,6 @@ fn setup_with_fd_slots(
     shards: usize,
     fd_slots: u32,
 ) -> (ActorClock, Arc<dyn FileSystem>, Arc<NvCache>) {
-    let clock = ActorClock::new();
     let cfg = NvCacheConfig {
         nb_entries: 1024,
         read_cache_pages: 128,
@@ -40,16 +43,8 @@ fn setup_with_fd_slots(
         ..NvCacheConfig::default()
     }
     .with_log_shards(shards);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(dimm))
-            .backend(Arc::clone(&inner))
-            .config(cfg)
-            .mount(&clock)
-            .expect("mount"),
-    );
-    (clock, inner, cache)
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, Below::memfs(1));
+    (clock, Arc::clone(&below.bases[0]), Arc::new(cache))
 }
 
 /// Writers collide on a small set of overlapping, page-straddling ranges.
@@ -208,7 +203,6 @@ fn open_never_finds_the_table_full_while_a_close_is_finishing() {
 fn journals_die_beside_a_long_lived_file(rounds: u64, crash: bool) {
     const CHURNERS: u64 = 4;
     const PAGE: u64 = 4096;
-    let clock = ActorClock::new();
     let cfg = NvCacheConfig {
         nb_entries: 64,
         read_cache_pages: 16,
@@ -218,17 +212,10 @@ fn journals_die_beside_a_long_lived_file(rounds: u64, crash: bool) {
         ..NvCacheConfig::default()
     }
     .with_log_shards(4);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-            .backend(Arc::clone(&inner))
-            .config(cfg.clone())
-            .mount(&clock)
-            .expect("mount"),
-    );
+    let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+    let (clock, inner, cache) = (&rig.clock, &rig.below.bases[0], Arc::new(cache));
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
-    let long_lived = cache.open("/db", create, &clock).unwrap();
+    let long_lived = cache.open("/db", create, clock).unwrap();
 
     let churners: Vec<_> = (0..CHURNERS)
         .map(|t| {
@@ -259,17 +246,18 @@ fn journals_die_beside_a_long_lived_file(rounds: u64, crash: bool) {
         })
         .collect();
     // The long-lived file, on this thread: one writer, so the model is exact.
-    let mut model = vec![0u8; 8 * PAGE as usize];
+    let mut model = Model::new();
     for round in 0..rounds {
         let off = (round % 7) * PAGE + PAGE - 300;
         let byte = round as u8 | 1;
-        cache.pwrite(long_lived, &[byte; 600], off, &clock).unwrap();
-        model[off as usize..off as usize + 600].fill(byte);
+        cache.pwrite(long_lived, &[byte; 600], off, clock).unwrap();
+        model.write("/db", off, &[byte; 600]);
         if round % 16 == 5 {
             let mut page = vec![0u8; PAGE as usize];
             let p = (round % 8) * PAGE;
-            cache.pread(long_lived, &mut page, p, &clock).unwrap();
-            assert!(page == model[p as usize..][..PAGE as usize], "round {round}: page at {p}");
+            let n = cache.pread(long_lived, &mut page, p, clock).unwrap();
+            let expect = model.read("/db", p, PAGE as usize);
+            assert!(page[..n] == expect, "round {round}: page at {p}");
         }
     }
     for h in churners {
@@ -277,28 +265,18 @@ fn journals_die_beside_a_long_lived_file(rounds: u64, crash: bool) {
     }
 
     if crash {
-        cache.abort();
+        rig.crash(&cache, 0);
         assert_checkers_clean(&cache);
-        drop(cache);
-        let crashed = Arc::new(dimm.crash_and_restart());
-        let recovered = NvCache::builder(NvRegion::whole(crashed))
-            .backend(inner)
-            .config(cfg)
-            .mode(Mount::Recover)
-            .mount(&clock)
-            .expect("recovery");
+        let recovered = rig.recover();
         let report = recovered.recovery_report().expect("a recovering mount");
         assert_eq!((report.files_reopened, report.files_missing), (1, 0), "{report:?}");
-        assert_eq!(recovered.list_dir("/", &clock).unwrap(), ["/db"], "no dead file came back");
-        let fd = recovered.open("/db", OpenFlags::RDONLY, &clock).unwrap();
-        let mut content = vec![0u8; model.len()];
-        let n = recovered.pread(fd, &mut content, 0, &clock).unwrap();
-        assert!(content[..n] == model[..n] && model[n..].iter().all(|&b| b == 0), "model differs");
-        recovered.shutdown(&clock);
+        assert_eq!(recovered.list_dir("/", clock).unwrap(), ["/db"], "no dead file came back");
+        assert_eq!(model.check(&recovered), Ok(()), "model differs");
+        recovered.shutdown(clock);
         return;
     }
 
-    cache.flush_log(&clock);
+    cache.flush_log(clock);
     assert_eq!(cache.pending_entries(), 0);
     assert_eq!(cache.poisoned_stripes(), Vec::<usize>::new());
     let snap = cache.stats().snapshot();
@@ -311,27 +289,27 @@ fn journals_die_beside_a_long_lived_file(rounds: u64, crash: bool) {
     // No page of the long-lived file is left with a dirty count or a queued
     // handoff: with the log empty every miss is a clean one, and a write to
     // each page still drains.
-    let mut content = vec![0u8; model.len()];
     for pass in 0..2 {
         let before = cache.stats().snapshot().dirty_misses;
-        let n = cache.pread(long_lived, &mut content, 0, &clock).unwrap();
-        assert!(content[..n] == model[..n], "pass {pass}: the long-lived file differs");
-        assert!(model[n..].iter().all(|&b| b == 0), "pass {pass}: short by {}", model.len() - n);
+        let expect = model.content("/db").expect("written");
+        let mut content = vec![0u8; expect.len() + 1];
+        let n = cache.pread(long_lived, &mut content, 0, clock).unwrap();
+        assert!(content[..n] == expect, "pass {pass}: the long-lived file differs");
         assert_eq!(cache.stats().snapshot().dirty_misses, before, "pass {pass}: stale dirty count");
         for page in 0..8 {
-            cache.pwrite(long_lived, &[0xAB; 8], page * PAGE + 8, &clock).unwrap();
-            model[(page * PAGE + 8) as usize..][..8].fill(0xAB);
+            cache.pwrite(long_lived, &[0xAB; 8], page * PAGE + 8, clock).unwrap();
+            model.write("/db", page * PAGE + 8, &[0xAB; 8]);
         }
-        cache.flush_log(&clock);
+        cache.flush_log(clock);
     }
     for t in 0..CHURNERS {
         for k in 0..3 {
-            let gone = inner.stat(&format!("/journal-{t}-{k}"), &clock);
+            let gone = inner.stat(&format!("/journal-{t}-{k}"), clock);
             assert!(matches!(gone, Err(IoError::NotFound(_))), "journal {t}-{k}: {gone:?}");
         }
     }
     assert_checkers_clean(&cache);
-    cache.shutdown(&clock); // joins the workers: every zombie has finished
+    cache.shutdown(clock); // joins the workers: every zombie has finished
     assert_eq!(cache.fd_slot_usage(), (63, 1, 0), "only the long-lived descriptor is left");
     assert!(cache.poisoned_stripes().is_empty());
 }

@@ -5,28 +5,27 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
 use nvcache_repro::nvcache::{
-    FaultLayer, Layer, Mount, NvCache, NvCacheConfig, NvCacheStatsSnapshot, QueuePair,
-    COPY_GIB_PER_SEC,
+    self, FaultLayer, NvCache, NvCacheConfig, NvCacheStatsSnapshot, QueuePair, COPY_GIB_PER_SEC,
 };
-use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_repro::nvmm::NvmmProfile;
 use nvcache_repro::simclock::{ActorClock, Bandwidth, SimTime};
-use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, IoError, MemFs, OpenFlags};
+use nvcache_repro::vfs::{FileSystem, IoError, OpenFlags};
 use proptest::prelude::*;
 
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{parked, Below, Model, Rig};
+
 fn mount(cfg: NvCacheConfig) -> (ActorClock, Arc<dyn FileSystem>, Arc<NvCache>) {
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(dimm))
-            .backend(Arc::clone(&inner))
-            .config(cfg)
-            .mount(&clock)
-            .expect("mount"),
-    );
-    (clock, inner, cache)
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, Below::memfs(1));
+    (clock, Arc::clone(&below.bases[0]), Arc::new(cache))
+}
+
+/// A mount over `MemFs` on an Optane DIMM.
+fn optane(cfg: NvCacheConfig) -> (Rig, NvCache) {
+    Rig::new(cfg, Below { nvmm: NvmmProfile::optane(), ..Below::memfs(1) })
 }
 
 /// Under `pmcheck`, audit the mount's post-mortem registries: violations
@@ -62,12 +61,8 @@ fn small_cfg(shards: usize, sq_pairs: usize) -> NvCacheConfig {
 #[test]
 fn unused_queue_pairs_leave_the_sync_path_identical() {
     let run = |sq_pairs: usize| {
-        let cfg = NvCacheConfig {
-            batch_min: usize::MAX >> 1, // park cleanup: deterministic clock
-            batch_max: usize::MAX >> 1,
-            ..small_cfg(2, sq_pairs)
-        };
-        let (clock, _inner, cache) = mount(cfg);
+        // Parked cleanup: a deterministic clock.
+        let (clock, _inner, cache) = mount(parked(small_cfg(2, sq_pairs)));
         let fd = cache.open("/id", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
         for i in 0..40u64 {
             let len = 1 + (i as usize * 97) % 6000;
@@ -120,23 +115,17 @@ struct Run {
 /// with a doorbell + reap every `doorbell_every` submissions (and before
 /// every read, and at the end).
 fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run {
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&inner))
-        .config(cfg)
-        .mount(&clock)
-        .expect("mount");
-    let fd = cache.open("/w", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    let mut qp = doorbell_every.map(|_| cache.queue_pair(0, &clock).unwrap());
+    let (rig, cache) = optane(cfg);
+    let (clock, dimm, inner) = (&rig.clock, rig.dimm(), &rig.below.bases[0]);
+    let fd = cache.open("/w", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    let mut qp = doorbell_every.map(|_| cache.queue_pair(0, clock).unwrap());
     let mut rung = None;
     let mut ring = |qp: &mut QueuePair| {
-        let n = qp.ring_doorbell(&clock);
+        let n = qp.ring_doorbell(clock);
         if n > 0 {
             rung = Some(cache.stats().snapshot());
         }
-        let done = qp.reap(&clock);
+        let done = qp.reap(clock);
         assert_eq!(done.len(), n, "every rung write must complete");
         assert!(done.iter().all(|c| c.result.is_ok()));
         assert!(done.windows(2).all(|w| w[0].user_data < w[1].user_data));
@@ -145,18 +134,18 @@ fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run
     for &op in ops {
         match (op, qp.as_mut()) {
             (Op::Write { off, len, byte }, None) => {
-                cache.pwrite(fd, &vec![byte; len], off, &clock).unwrap();
+                cache.pwrite(fd, &vec![byte; len], off, clock).unwrap();
             }
             (Op::Write { off, len, byte }, Some(qp)) => {
-                qp.submit_pwrite(fd, &vec![byte; len], off, &clock).unwrap();
+                qp.submit_pwrite(fd, &vec![byte; len], off, clock).unwrap();
                 if Some(qp.sq_len()) == doorbell_every {
                     ring(qp);
                 }
             }
             (Op::ReadAll, qp) => {
                 qp.map(&mut ring);
-                let mut view = vec![0u8; cache.fstat(fd, &clock).unwrap().size as usize];
-                cache.pread(fd, &mut view, 0, &clock).unwrap();
+                let mut view = vec![0u8; cache.fstat(fd, clock).unwrap().size as usize];
+                cache.pread(fd, &mut view, 0, clock).unwrap();
             }
         }
     }
@@ -171,11 +160,11 @@ fn run_ops(cfg: NvCacheConfig, ops: &[Op], doorbell_every: Option<usize>) -> Run
     let stats = cache.stats().snapshot();
     assert_checkers_clean(&cache);
 
-    cache.flush_log(&clock);
-    let mut inner_view = vec![0u8; cache.fstat(fd, &clock).unwrap().size as usize];
-    let ifd = inner.open("/w", OpenFlags::RDONLY, &clock).unwrap();
-    inner.pread(ifd, &mut inner_view, 0, &clock).unwrap();
-    cache.shutdown(&clock);
+    cache.flush_log(clock);
+    let mut inner_view = vec![0u8; cache.fstat(fd, clock).unwrap().size as usize];
+    let ifd = inner.open("/w", OpenFlags::RDONLY, clock).unwrap();
+    inner.pread(ifd, &mut inner_view, 0, clock).unwrap();
+    cache.shutdown(clock);
     Run { elapsed, region, nvmm, stats, rung, inner: inner_view }
 }
 
@@ -207,11 +196,8 @@ fn queued_writes_match_the_synchronous_oracle() {
         }
         shaped.push(Op::ReadAll);
     }
-    let parked = |shards| NvCacheConfig {
-        batch_min: usize::MAX >> 1, // park cleanup: nothing but the ops runs
-        batch_max: usize::MAX >> 1,
-        ..small_cfg(shards, 1)
-    };
+    // Parked cleanup: nothing but the ops runs.
+    let parked = |shards| parked(small_cfg(shards, 1));
 
     for (name, cfg, ops, every) in [
         ("batched", small_cfg(4, 1), &scattered, 6),
@@ -265,14 +251,8 @@ fn queued_writes_match_the_synchronous_oracle() {
 #[test]
 fn poisoned_stripe_fails_a_multi_window_doorbell_in_submission_order() {
     let cfg = NvCacheConfig { nb_entries: 4, ..small_cfg(1, 1) };
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let inner = FaultLayer::failing_pwrites(0).wrap(Arc::new(MemFs::new()));
-    let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backend(inner)
-        .config(cfg)
-        .mount(&clock)
-        .expect("mount");
+    let below = Below { layers: vec![Arc::new(FaultLayer::failing_pwrites(0))], ..Below::memfs(1) };
+    let (Rig { clock, .. }, cache) = Rig::new(cfg, below);
     let fd = cache.open("/p", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
     // The first propagation fails and poisons the only stripe.
     cache.pwrite(fd, &[1u8; 64], 0, &clock).unwrap();
@@ -302,15 +282,7 @@ fn poisoned_stripe_fails_a_multi_window_doorbell_in_submission_order() {
 #[test]
 fn doorbell_batching_amortizes_fixed_costs() {
     let run = |queued: bool| {
-        let cfg = small_cfg(1, 1);
-        let clock = ActorClock::new();
-        let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-        let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-        let cache = NvCache::builder(NvRegion::whole(dimm))
-            .backend(inner)
-            .config(cfg)
-            .mount(&clock)
-            .unwrap();
+        let (Rig { clock, .. }, cache) = optane(small_cfg(1, 1));
         let fd = cache.open("/amortize", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
         let data = vec![7u8; 512];
         let t0 = clock.now();
@@ -490,68 +462,55 @@ fn run_sq_crash_scenario(
     doorbell_every: usize,
     crash_seed: u64,
 ) {
-    let cfg = NvCacheConfig {
+    // Every entry stays in the log.
+    let cfg = parked(NvCacheConfig {
         nb_entries: 512,
-        batch_min: usize::MAX >> 1, // keep every entry in the log
-        batch_max: usize::MAX >> 1,
         fd_slots: 8,
         read_cache_pages: 4,
         ..NvCacheConfig::default()
-    }
+    })
     .with_log_shards(4)
     .with_sq_pairs(sq_pairs);
-    let clock = ActorClock::new();
-    let profile = NvmmProfile::instant().with_eviction_probability(0.3);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), profile));
+    let nvmm = NvmmProfile::instant().with_eviction_probability(0.3);
     // A journaled backend: the namespace survives the crash, un-synced page
     // cache does not (MemFs would lose the files themselves).
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&inner))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("mount");
+    let (rig, cache) = Rig::new(cfg, Below { nvmm, ..Below::ext4(1) });
+    let clock = &rig.clock;
 
     let mut fds = BTreeMap::new();
     for f in 0..2u8 {
         let fd = cache
-            .open(&format!("/f{f}"), OpenFlags::RDWR | OpenFlags::CREATE, &clock)
+            .open(&format!("/f{f}"), OpenFlags::RDWR | OpenFlags::CREATE, clock)
             .expect("open");
         fds.insert(f, fd);
     }
 
     // The model applies a pair's pending writes when its doorbell rings
     // (= commit order); unrung writes never reach it.
-    let mut model: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
-    let apply = |model: &mut BTreeMap<u8, Vec<u8>>, (f, off, byte, len): (u8, u16, u8, u16)| {
-        let content = model.entry(f).or_default();
-        let (off, len) = (off as usize, len as usize);
-        if content.len() < off + len {
-            content.resize(off + len, 0);
-        }
-        content[off..off + len].fill(byte);
+    let mut model = Model::new();
+    let apply = |model: &mut Model, (f, off, byte, len): (u8, u16, u8, u16)| {
+        model.write(&format!("/f{f}"), off as u64, &vec![byte; len as usize]);
     };
 
     if sq_pairs == 0 {
         for &op in ops {
             let (f, off, byte, len) = op;
-            cache.pwrite(fds[&f], &vec![byte; len as usize], off as u64, &clock).unwrap();
+            cache.pwrite(fds[&f], &vec![byte; len as usize], off as u64, clock).unwrap();
             apply(&mut model, op);
         }
     } else {
-        let mut qps: Vec<_> = (0..sq_pairs).map(|i| cache.queue_pair(i, &clock).unwrap()).collect();
+        let mut qps: Vec<_> = (0..sq_pairs).map(|i| cache.queue_pair(i, clock).unwrap()).collect();
         let mut pending: Vec<Vec<(u8, u16, u8, u16)>> = vec![Vec::new(); sq_pairs];
         for (i, &op) in ops.iter().enumerate() {
             let p = i % sq_pairs;
             let (f, off, byte, len) = op;
             qps[p]
-                .submit_pwrite(fds[&f], &vec![byte; len as usize], off as u64, &clock)
+                .submit_pwrite(fds[&f], &vec![byte; len as usize], off as u64, clock)
                 .unwrap();
             pending[p].push(op);
             if pending[p].len() >= doorbell_every {
-                qps[p].ring_doorbell(&clock);
-                for c in qps[p].reap(&clock) {
+                qps[p].ring_doorbell(clock);
+                for c in qps[p].reap(clock) {
                     assert!(c.result.is_ok());
                 }
                 for op in pending[p].drain(..) {
@@ -566,29 +525,12 @@ fn run_sq_crash_scenario(
 
     // Crash with everything still in the log, then recover.
     assert_checkers_clean(&cache);
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart_seeded(crash_seed));
-    inner.simulate_power_failure();
-    let recovered = NvCache::builder(NvRegion::whole(crashed))
-        .backend(Arc::clone(&inner))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recover");
-    for (f, expect) in &model {
-        let fd = recovered.open(&format!("/f{f}"), OpenFlags::RDONLY, &clock).expect("reopen");
-        assert_eq!(
-            recovered.fstat(fd, &clock).expect("fstat").size,
-            expect.len() as u64,
-            "file {f} size wrong after crash (sq_pairs={sq_pairs})"
-        );
-        let mut buf = vec![0u8; expect.len()];
-        recovered.pread(fd, &mut buf, 0, &clock).expect("pread");
-        assert_eq!(&buf, expect, "file {f} content wrong after crash (sq_pairs={sq_pairs})");
-    }
+    rig.crash(&cache, crash_seed);
+    let recovered = rig.recover();
+    let held = model.check(&recovered);
+    assert_eq!(held, Ok(()), "content wrong after crash (sq_pairs={sq_pairs})");
     assert_checkers_clean(&recovered);
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 proptest! {

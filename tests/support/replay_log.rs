@@ -2,8 +2,8 @@
 //! (`tests/recovery_replay.rs`, through the public API) and the core
 //! crate's own (`crates/core/src/replay_tests.rs`, which can also run the
 //! `#[cfg(test)]` per-entry reference replayer). The including module
-//! brings the core crate into scope as `nvcache` (`use crate as nvcache;`
-//! inside the crate).
+//! brings the core crate into scope as `nvcache` and the test rig
+//! (`rig.rs`) as `rig`.
 //!
 //! Every log is built with the cleanup workers parked, so what it holds is a
 //! function of the seed and the [`Shape`] alone, and building it twice
@@ -19,14 +19,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use blockdev::{SsdDevice, SsdProfile};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::ActorClock;
-use vfs::{CryptLayer, Ext4, Ext4Profile, Fd, FileSystem, Layer, OpenFlags};
+use vfs::{CryptLayer, Fd, FileSystem, IoResult, Layer, OpenFlags};
 
-use super::nvcache::{
-    LayeredTier, Mount, NvCache, NvCacheBuilder, NvCacheConfig, PathPrefixRouter, Tiering,
-};
+use super::nvcache::{Mount, NvCache, NvCacheConfig};
+use super::rig::{parked, read_all, Below, Model, Rig};
 
 /// What varies between logs.
 #[derive(Debug, Clone, Copy)]
@@ -125,111 +122,44 @@ const SHARED: usize = 0;
 const GONE: usize = 3;
 const CRYPT_KEY: u64 = 0x5EED_CAFE;
 
-/// The acknowledged content of every surviving file.
-pub type Model = BTreeMap<String, Vec<u8>>;
-
-fn model_write(model: &mut Model, path: &str, off: u64, data: &[u8]) {
-    let file = model.entry(path.to_string()).or_default();
-    let end = off as usize + data.len();
-    if file.len() < end {
-        file.resize(end, 0);
+/// The rig below a log that takes `entries` without any stripe filling:
+/// the workers are parked, and a full stripe would wake one.
+fn rig(shape: Shape, entries: u64) -> (Rig, NvCache) {
+    // One stripe takes exactly its entries; several get four times the
+    // total, however unevenly the hash spreads them.
+    let room = if shape.stripes == 1 { entries + 1 } else { 4 * entries };
+    let cfg = parked(NvCacheConfig {
+        entry_size: shape.entry_size,
+        nb_entries: room.next_multiple_of(64),
+        fd_slots: 8,
+        read_cache_pages: 16,
+        ..NvCacheConfig::default()
+    })
+    .with_log_shards(shape.stripes);
+    let mut below = Below::ext4(if shape.tiered { 2 } else { 1 });
+    if shape.crypt {
+        below.layers.push(Arc::new(CryptLayer::new(CRYPT_KEY)));
     }
-    file[off as usize..end].copy_from_slice(data);
+    Rig::new(cfg, below)
 }
 
-/// The stack below the cache: base file systems that survive a crash, and
-/// how to stack and mount over them.
-pub struct Below {
-    pub cfg: NvCacheConfig,
-    /// One `Ext4` over an SSD per tier: un-synced pages die with the power.
-    pub bases: Vec<Arc<dyn FileSystem>>,
-    shape: Shape,
-}
-
-impl Below {
-    /// A stack whose log takes `entries` without any stripe filling: the
-    /// workers are parked, and a full stripe would wake one.
-    fn new(shape: Shape, entries: u64) -> Below {
-        // One stripe takes exactly its entries; several get four times the
-        // total, however unevenly the hash spreads them.
-        let room = if shape.stripes == 1 { entries + 1 } else { 4 * entries };
-        let cfg = NvCacheConfig {
-            entry_size: shape.entry_size,
-            nb_entries: room.next_multiple_of(64),
-            batch_min: usize::MAX >> 1,
-            batch_max: usize::MAX >> 1,
-            fd_slots: 8,
-            read_cache_pages: 16,
-            ..NvCacheConfig::default()
-        }
-        .with_log_shards(shape.stripes);
-        let tiers = if shape.tiered { 2 } else { 1 };
-        let bases = (0..tiers)
-            .map(|t| {
-                let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-                Arc::new(Ext4::new(format!("ext4-{t}"), ssd, Ext4Profile::default())) as _
-            })
-            .collect();
-        Below { cfg, bases, shape }
-    }
-
-    /// A builder over `region` with this stack, `extra` layers on top of
-    /// every tier (a `FaultLayer`, say).
-    pub fn builder(&self, region: NvRegion, extra: &[Arc<dyn Layer>]) -> NvCacheBuilder {
-        NvCache::builder(region).tiers(self.tiering(extra)).config(self.cfg.clone())
-    }
-
-    /// The tiers as the cache mounts them, `extra` layers on top of each.
-    pub fn tiering(&self, extra: &[Arc<dyn Layer>]) -> Tiering {
-        let tiers: Vec<LayeredTier> = self
-            .bases
-            .iter()
-            .map(|base| {
-                let mut layers = extra.to_vec();
-                if self.shape.crypt {
-                    layers.push(Arc::new(CryptLayer::new(CRYPT_KEY)));
-                }
-                (layers, Arc::clone(base))
-            })
-            .collect();
-        let hot = self.bases.len() - 1; // 0 on a single tier: everything is "cold"
-        Tiering::layered(Arc::new(PathPrefixRouter::new(vec![("/hot".into(), hot)], 0)), tiers)
-    }
-
-    /// Every file of every base — sidecars included — as stored: what two
-    /// replays of twin logs must agree on byte for byte.
-    pub fn raw_image(&self) -> BTreeMap<(usize, String), Vec<u8>> {
-        let clock = ActorClock::new();
-        let mut image = BTreeMap::new();
-        for (tier, base) in self.bases.iter().enumerate() {
-            for dir in ["/cold", "/hot"] {
-                for path in base.list_dir(dir, &clock).unwrap_or_default() {
-                    let content = read_all(base.as_ref(), &path);
-                    image.insert((tier, path), content);
-                }
+/// Every file of every base — sidecars included — as stored: what two
+/// replays of twin logs must agree on byte for byte.
+pub fn raw_image(rig: &Rig) -> BTreeMap<(usize, String), Vec<u8>> {
+    let clock = ActorClock::new();
+    let mut image = BTreeMap::new();
+    for (tier, base) in rig.below.bases.iter().enumerate() {
+        for dir in ["/cold", "/hot"] {
+            for path in base.list_dir(dir, &clock).unwrap_or_default() {
+                let content = read_all(base.as_ref(), &path).expect("a listed file");
+                image.insert((tier, path), content);
             }
         }
-        image
     }
-}
-
-/// The whole of `path` as `fs` returns it.
-pub fn read_all(fs: &dyn FileSystem, path: &str) -> Vec<u8> {
-    let clock = ActorClock::new();
-    let fd = fs.open(path, OpenFlags::RDONLY, &clock).expect("open for reading");
-    let mut content = vec![0u8; fs.fstat(fd, &clock).expect("fstat").size as usize];
-    let mut got = 0;
-    while got < content.len() {
-        let n = fs.pread(fd, &mut content[got..], got as u64, &clock).expect("pread");
-        assert!(n > 0, "{path}: short read at {got}");
-        got += n;
-    }
-    fs.close(fd, &clock).expect("close");
-    content
+    image
 }
 
 /// What a log must leave behind once replayed.
-#[derive(Debug, Clone)]
 pub struct Expect {
     pub model: Model,
     /// Log entries acknowledged, and those of them logged for `/hot/gone`.
@@ -241,8 +171,7 @@ pub struct Expect {
 
 /// A mounted cache holding the seeded log, nothing drained.
 pub struct Built {
-    pub below: Below,
-    pub dimm: Arc<NvDimm>,
+    pub rig: Rig,
     pub cache: NvCache,
     /// Every open descriptor, `/cold/shared` twice.
     pub fds: Vec<Fd>,
@@ -269,76 +198,56 @@ pub fn build(seed: u64, shape: Shape) -> Built {
     let entries_of = |len: u64| len.div_ceil(es);
     let entries = writes.iter().map(|&(_, _, len)| entries_of(len)).sum();
 
-    let below = Below::new(shape, entries);
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(below.cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = below
-        .builder(NvRegion::whole(Arc::clone(&dimm)), &[])
-        .mount(&clock)
-        .expect("format mount");
+    let (rig, cache) = rig(shape, entries);
+    let clock = &rig.clock;
     let flags = OpenFlags::RDWR | OpenFlags::CREATE;
     let mut fds: Vec<Fd> =
-        PATHS.iter().map(|p| cache.open(p, flags, &clock).expect("open")).collect();
-    fds.push(cache.open(PATHS[SHARED], OpenFlags::RDWR, &clock).expect("second descriptor"));
+        PATHS.iter().map(|p| cache.open(p, flags, clock).expect("open")).collect();
+    fds.push(cache.open(PATHS[SHARED], OpenFlags::RDWR, clock).expect("second descriptor"));
 
     let mut model = Model::new();
     let (mut entries_of_gone, mut bytes) = (0, 0);
     for (version, &(d, off, len)) in writes.iter().enumerate() {
         let data: Vec<u8> = (0..len).map(|i| (version as u64 * 31 + i * 7 + 1) as u8).collect();
-        cache.pwrite(fds[d], &data, off, &clock).expect("pwrite");
-        if d == GONE {
-            entries_of_gone += entries_of(len);
-        } else {
-            bytes += len;
-            model_write(&mut model, PATHS[d % PATHS.len()], off, &data);
+        cache.pwrite(fds[d], &data, off, clock).expect("pwrite");
+        model.write(PATHS[d % PATHS.len()], off, &data);
+        match d == GONE {
+            true => entries_of_gone += entries_of(len),
+            false => bytes += len,
         }
     }
-    Built { below, dimm, cache, fds, expect: Expect { model, entries, entries_of_gone, bytes } }
+    Built { rig, cache, fds, expect: Expect { model, entries, entries_of_gone, bytes } }
 }
 
 /// What the power failure leaves: the durable NVMM image and the bases
-/// without their un-synced pages.
+/// without their un-synced pages, and what a recovery must make of them.
 pub struct Crashed {
-    pub below: Below,
-    pub dimm: Arc<NvDimm>,
+    pub rig: Rig,
     pub expect: Expect,
 }
 
 impl Built {
     /// Unlinks `/hot/gone`, kills the cache without draining, cuts the power.
     pub fn crash(self) -> Crashed {
-        let Built { below, dimm, cache, expect, .. } = self;
+        let Built { rig, cache, mut expect, .. } = self;
         cache.unlink(PATHS[GONE], &ActorClock::new()).expect("unlink");
-        cache.abort();
-        drop(cache);
-        Crashed { below, dimm, expect }.crash_again()
+        expect.model.unlink(PATHS[GONE]);
+        rig.crash(&cache, 0);
+        Crashed { rig, expect }
     }
 }
 
 impl Crashed {
-    /// The power goes (again): the bases lose their un-synced pages, the
-    /// DIMM everything that was not flushed.
-    pub fn crash_again(self) -> Crashed {
-        for base in &self.below.bases {
-            base.simulate_power_failure();
-        }
-        Crashed { dimm: Arc::new(self.dimm.crash_and_restart()), ..self }
+    /// `Mount::Recover`, `extra` layers on top of every tier.
+    pub fn recover(&self, extra: &[Arc<dyn Layer>]) -> IoResult<NvCache> {
+        let mut below = self.rig.below.clone();
+        below.layers.splice(0..0, extra.iter().cloned());
+        self.rig.mount_over(&below, Mount::Recover)
     }
 
-    /// `Mount::Recover` through the builder, `extra` layers on every tier.
-    pub fn recover(&self, extra: &[Arc<dyn Layer>]) -> vfs::IoResult<NvCache> {
-        self.below
-            .builder(NvRegion::whole(Arc::clone(&self.dimm)), extra)
-            .mode(Mount::Recover)
-            .mount(&ActorClock::new())
-    }
-
-    /// Every surviving file read back through `cache` equals the model, in
-    /// content and in size, and the unlinked one stays gone.
+    /// Every file read back through `cache` equals the model, in content
+    /// and in size, and the unlinked one stays gone.
     pub fn assert_model(&self, cache: &NvCache, what: &str) {
-        for (path, expect) in &self.expect.model {
-            assert!(read_all(cache, path) == *expect, "{what}: {path} differs from the model");
-        }
-        assert!(cache.stat(PATHS[GONE], &ActorClock::new()).is_err(), "{what}: resurrected");
+        self.expect.model.check(cache).unwrap_or_else(|e| panic!("{what}: {e}"));
     }
 }

@@ -6,12 +6,15 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::blockdev::{SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig, Router, Tiering};
+use nvcache_repro::nvcache::{self, NvCacheConfig, Router};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::rocklet::{RockletDb, RockletOptions, WriteOptions};
-use nvcache_repro::simclock::ActorClock;
-use nvcache_repro::vfs::{Ext4, Ext4Profile, FileSystem, NovaFs, NovaProfile, OpenFlags};
+use nvcache_repro::vfs::{FileSystem, NovaFs, NovaProfile, OpenFlags};
+
+#[path = "support/rig.rs"]
+mod rig;
+
+use rig::{Below, Rig};
 
 /// Tier 1 for write-ahead logs (`…/wal-*`), tier 0 for everything else —
 /// a policy a path prefix cannot express, showing the trait is the
@@ -33,28 +36,20 @@ impl Router for WalRouter {
     }
 }
 
-fn tiers() -> (Arc<dyn FileSystem>, Arc<dyn FileSystem>) {
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let bulk: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
+/// Ext4 on an SSD for the bulk tier, NOVA on its own DIMM for the WALs.
+fn tiers() -> Below {
     let dimm = Arc::new(NvDimm::new(64 << 20, NvmmProfile::optane()));
-    let hot: Arc<dyn FileSystem> =
-        Arc::new(NovaFs::new(NvRegion::whole(dimm), NovaProfile::default()));
-    (bulk, hot)
+    let hot = Arc::new(NovaFs::new(NvRegion::whole(dimm), NovaProfile::default()));
+    let bulk = Below::ext4(1).bases.remove(0);
+    Below { router: Arc::new(WalRouter), ..Below::over(vec![bulk, hot]) }
 }
 
 #[test]
 fn lsm_engine_runs_and_recovers_on_a_wal_tiered_mount() {
-    let clock = ActorClock::new();
     let cfg = NvCacheConfig { nb_entries: 4096, fd_slots: 32, ..NvCacheConfig::tiny() };
-    let (bulk, hot) = tiers();
-    let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-            .tiers(Tiering::new(Arc::new(WalRouter), vec![Arc::clone(&bulk), Arc::clone(&hot)]))
-            .config(cfg.clone())
-            .mount(&clock)
-            .expect("tiered mount"),
-    );
+    let (rig, cache) = Rig::new(cfg, tiers());
+    let (clock, bulk, hot) = (&rig.clock, &rig.below.bases[0], &rig.below.bases[1]);
+    let cache = Arc::new(cache);
 
     // Small memtable so the run produces SSTables (bulk tier) and WAL
     // rotations (hot tier).
@@ -63,21 +58,20 @@ fn lsm_engine_runs_and_recovers_on_a_wal_tiered_mount() {
         target_table_bytes: 8 << 10,
         ..RockletOptions::default()
     };
-    let db =
-        RockletDb::open(Arc::clone(&cache) as Arc<dyn FileSystem>, "/db", opts.clone(), &clock)
-            .expect("open db");
+    let db = RockletDb::open(Arc::clone(&cache) as Arc<dyn FileSystem>, "/db", opts.clone(), clock)
+        .expect("open db");
     let wo = WriteOptions { sync: true };
     for i in 0..200u64 {
-        db.put(format!("key-{i:05}").as_bytes(), format!("value-{i}").as_bytes(), &wo, &clock)
+        db.put(format!("key-{i:05}").as_bytes(), format!("value-{i}").as_bytes(), &wo, clock)
             .expect("put");
     }
-    cache.flush_log(&clock);
+    cache.flush_log(clock);
 
     // Placement assertions: every WAL file sits on the NOVA tier, every
     // SSTable / manifest on the Ext4 tier, and neither tier holds the
     // other's files.
-    let hot_files = hot.list_dir("/db", &clock).expect("hot listing");
-    let bulk_files = bulk.list_dir("/db", &clock).expect("bulk listing");
+    let hot_files = hot.list_dir("/db", clock).expect("hot listing");
+    let bulk_files = bulk.list_dir("/db", clock).expect("bulk listing");
     assert!(!hot_files.is_empty(), "WAL tier must hold the write-ahead logs");
     assert!(
         hot_files.iter().all(|f| f.starts_with("/db/wal-")),
@@ -92,28 +86,19 @@ fn lsm_engine_runs_and_recovers_on_a_wal_tiered_mount() {
         "no WALs on the bulk tier: {bulk_files:?}"
     );
     // The merged view the application sees covers both tiers.
-    let merged = cache.list_dir("/db", &clock).expect("merged listing");
+    let merged = cache.list_dir("/db", clock).expect("merged listing");
     assert_eq!(merged.len(), hot_files.len() + bulk_files.len());
 
-    // Process crash: nothing volatile survives, the NVMM log replays every
+    // Crash: nothing volatile survives, the NVMM log replays every
     // acknowledged write back to its recorded tier, and the engine's own
     // WAL replay finds its files where it left them.
     drop(db);
-    cache.abort();
-    drop(cache);
-    let restarted = Arc::new(log_dimm.crash_and_restart());
-    let recovered = Arc::new(
-        NvCache::builder(NvRegion::whole(restarted))
-            .tiers(Tiering::new(Arc::new(WalRouter), vec![bulk, hot]))
-            .config(cfg)
-            .mode(Mount::Recover)
-            .mount(&clock)
-            .expect("tiered recovery"),
-    );
-    let db = RockletDb::open(Arc::clone(&recovered) as Arc<dyn FileSystem>, "/db", opts, &clock)
+    rig.crash(&cache, 0);
+    let recovered = Arc::new(rig.recover());
+    let db = RockletDb::open(Arc::clone(&recovered) as Arc<dyn FileSystem>, "/db", opts, clock)
         .expect("reopen db");
     for i in 0..200u64 {
-        let got = db.get(format!("key-{i:05}").as_bytes(), &clock).expect("get");
+        let got = db.get(format!("key-{i:05}").as_bytes(), clock).expect("get");
         assert_eq!(
             got.as_deref(),
             Some(format!("value-{i}").as_bytes()),
@@ -121,7 +106,7 @@ fn lsm_engine_runs_and_recovers_on_a_wal_tiered_mount() {
         );
     }
     drop(db);
-    recovered.shutdown(&clock);
+    recovered.shutdown(clock);
 }
 
 #[test]
@@ -129,43 +114,28 @@ fn tiered_mount_is_posix_for_the_engine_paths() {
     // The conformance suite again, this time over the WAL-affinity router
     // (its `/conf/*` paths are non-WAL and land on the bulk tier, while the
     // mount still carries two backends).
-    let clock = ActorClock::new();
-    let cfg = NvCacheConfig::tiny();
-    let (bulk, hot) = tiers();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(Tiering::new(Arc::new(WalRouter), vec![bulk, hot]))
-        .config(cfg)
-        .mount(&clock)
-        .expect("mount");
+    let (Rig { clock, .. }, cache) = Rig::new(NvCacheConfig::tiny(), tiers());
     nvcache_repro::vfs::check_posix_semantics(&cache);
     cache.shutdown(&clock);
 }
 
 #[test]
 fn open_fds_keep_serving_reads_from_both_tiers() {
-    let clock = ActorClock::new();
-    let cfg = NvCacheConfig::tiny();
-    let (bulk, hot) = tiers();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let cache = NvCache::builder(NvRegion::whole(dimm))
-        .tiers(Tiering::new(Arc::new(WalRouter), vec![Arc::clone(&bulk), Arc::clone(&hot)]))
-        .config(cfg)
-        .mount(&clock)
-        .expect("mount");
-    let wal = cache.open("/wal-1", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    let sst = cache.open("/data.sst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-    cache.pwrite(wal, b"hot", 0, &clock).unwrap();
-    cache.pwrite(sst, b"bulk", 0, &clock).unwrap();
-    cache.flush_log(&clock);
+    let (rig, cache) = Rig::new(NvCacheConfig::tiny(), tiers());
+    let (clock, bulk, hot) = (&rig.clock, &rig.below.bases[0], &rig.below.bases[1]);
+    let wal = cache.open("/wal-1", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    let sst = cache.open("/data.sst", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+    cache.pwrite(wal, b"hot", 0, clock).unwrap();
+    cache.pwrite(sst, b"bulk", 0, clock).unwrap();
+    cache.flush_log(clock);
     let mut buf = [0u8; 4];
-    cache.pread(wal, &mut buf[..3], 0, &clock).unwrap();
+    cache.pread(wal, &mut buf[..3], 0, clock).unwrap();
     assert_eq!(&buf[..3], b"hot");
-    cache.pread(sst, &mut buf, 0, &clock).unwrap();
+    cache.pread(sst, &mut buf, 0, clock).unwrap();
     assert_eq!(&buf, b"bulk");
     // And the bytes physically live on their tiers.
-    assert!(hot.stat("/wal-1", &clock).is_ok());
-    assert!(bulk.stat("/data.sst", &clock).is_ok());
-    assert!(hot.stat("/data.sst", &clock).is_err());
-    cache.shutdown(&clock);
+    assert!(hot.stat("/wal-1", clock).is_ok());
+    assert!(bulk.stat("/data.sst", clock).is_ok());
+    assert!(hot.stat("/data.sst", clock).is_err());
+    cache.shutdown(clock);
 }
