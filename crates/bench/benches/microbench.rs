@@ -15,37 +15,23 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use nvcache::{NvCache, NvCacheConfig, Radix};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvcache_bench::rig::{parked, Below, Rig};
+use nvmm::NvmmProfile;
 use simclock::ActorClock;
 use vfs::{FileSystem, MemFs, OpenFlags, PageCache, PageCacheConfig};
 
-fn mk_cache(cfg: NvCacheConfig) -> (ActorClock, Arc<NvCache>) {
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(
-        cfg.required_nvmm_bytes(),
-        NvmmProfile::optane().without_durability_tracking(),
-    ));
-    let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let cache = Arc::new(
-        NvCache::builder(NvRegion::whole(dimm))
-            .backend(inner)
-            .config(cfg)
-            .mount(&clock)
-            .expect("mount"),
-    );
-    (clock, cache)
+fn mk_cache(cfg: NvCacheConfig) -> (Rig, NvCache) {
+    let nvmm = NvmmProfile::optane().without_durability_tracking();
+    Rig::new(cfg, Below { nvmm, ..Below::memfs(1) })
 }
 
 fn bench_log_append(c: &mut Criterion) {
     let mut g = c.benchmark_group("log_append");
     for size in [128usize, 4096, 65536] {
-        let (clock, cache) = mk_cache(NvCacheConfig {
-            nb_entries: 1 << 16,
-            batch_min: usize::MAX >> 1,
-            batch_max: usize::MAX >> 1,
-            ..NvCacheConfig::tiny()
-        });
-        let fd = cache.open("/bench", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+        let (rig, cache) =
+            mk_cache(parked(NvCacheConfig { nb_entries: 1 << 16, ..NvCacheConfig::tiny() }));
+        let clock = &rig.clock;
+        let fd = cache.open("/bench", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
         let data = vec![7u8; size];
         let mut off = 0u64;
         g.throughput(Throughput::Bytes(size as u64));
@@ -53,13 +39,13 @@ fn bench_log_append(c: &mut Criterion) {
             b.iter(|| {
                 // Wrap within the log capacity comfortably.
                 off = (off + size as u64) % (1 << 26);
-                cache.pwrite(fd, &data, off, &clock).unwrap();
+                cache.pwrite(fd, &data, off, clock).unwrap();
                 if cache.pending_entries() > (1 << 15) {
-                    cache.flush_log(&clock);
+                    cache.flush_log(clock);
                 }
             })
         });
-        cache.shutdown(&clock);
+        cache.shutdown(clock);
     }
     g.finish();
 }
@@ -68,37 +54,35 @@ fn bench_read_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("read_path");
     // Hit: loaded page.
     {
-        let (clock, cache) = mk_cache(NvCacheConfig::tiny());
-        let fd = cache.open("/hit", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-        cache.pwrite(fd, &[1u8; 4096], 0, &clock).unwrap();
+        let (rig, cache) = mk_cache(NvCacheConfig::tiny());
+        let clock = &rig.clock;
+        let fd = cache.open("/hit", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+        cache.pwrite(fd, &[1u8; 4096], 0, clock).unwrap();
         let mut buf = [0u8; 4096];
-        cache.pread(fd, &mut buf, 0, &clock).unwrap(); // load it
-        g.bench_function("hit_4k", |b| b.iter(|| cache.pread(fd, &mut buf, 0, &clock).unwrap()));
-        cache.shutdown(&clock);
+        cache.pread(fd, &mut buf, 0, clock).unwrap(); // load it
+        g.bench_function("hit_4k", |b| b.iter(|| cache.pread(fd, &mut buf, 0, clock).unwrap()));
+        cache.shutdown(clock);
     }
     // Dirty miss: unloaded page with pending entries (tiny pool forces
     // eviction before each read).
     {
-        let (clock, cache) = mk_cache(NvCacheConfig {
-            read_cache_pages: 1,
-            nb_entries: 1 << 14,
-            batch_min: usize::MAX >> 1,
-            batch_max: usize::MAX >> 1,
-            ..NvCacheConfig::tiny()
-        });
-        let fd = cache.open("/dm", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+        let cfg =
+            NvCacheConfig { read_cache_pages: 1, nb_entries: 1 << 14, ..NvCacheConfig::tiny() };
+        let (rig, cache) = mk_cache(parked(cfg));
+        let clock = &rig.clock;
+        let fd = cache.open("/dm", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
         for p in 0..64u64 {
-            cache.pwrite(fd, &[p as u8; 4096], p * 4096, &clock).unwrap();
+            cache.pwrite(fd, &[p as u8; 4096], p * 4096, clock).unwrap();
         }
         let mut buf = [0u8; 4096];
         let mut p = 0u64;
         g.bench_function("dirty_miss_4k", |b| {
             b.iter(|| {
                 p = (p + 1) % 64;
-                cache.pread(fd, &mut buf, p * 4096, &clock).unwrap()
+                cache.pread(fd, &mut buf, p * 4096, clock).unwrap()
             })
         });
-        cache.shutdown(&clock);
+        cache.shutdown(clock);
     }
     g.finish();
 }
@@ -136,35 +120,19 @@ fn bench_recovery(c: &mut Criterion) {
     g.bench_function("replay_1k_entries", |b| {
         b.iter_batched(
             || {
-                let clock = ActorClock::new();
-                let cfg = NvCacheConfig {
-                    nb_entries: 2048,
-                    batch_min: usize::MAX >> 1,
-                    batch_max: usize::MAX >> 1,
-                    ..NvCacheConfig::tiny()
-                };
-                let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-                let inner: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-                let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-                    .backend(Arc::clone(&inner))
-                    .config(cfg.clone())
-                    .mount(&clock)
-                    .unwrap();
-                let fd = cache.open("/r", OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
+                let cfg = parked(NvCacheConfig { nb_entries: 2048, ..NvCacheConfig::tiny() });
+                let (rig, cache) = Rig::new(cfg, Below::memfs(1));
+                let clock = &rig.clock;
+                let fd = cache.open("/r", OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
                 for i in 0..1024u64 {
-                    cache.pwrite(fd, &[i as u8; 512], i * 512, &clock).unwrap();
+                    cache.pwrite(fd, &[i as u8; 512], i * 512, clock).unwrap();
                 }
                 cache.abort();
-                (dimm, inner, cfg, clock)
+                rig
             },
-            |(dimm, inner, cfg, clock)| {
-                let crashed = Arc::new(dimm.crash_and_restart());
-                let cache = NvCache::builder(NvRegion::whole(crashed))
-                    .backend(inner)
-                    .config(cfg)
-                    .mode(nvcache::Mount::Recover)
-                    .mount(&clock)
-                    .unwrap();
+            |rig| {
+                rig.power_cut(0);
+                let cache = rig.recover();
                 let report = cache.recovery_report().expect("recover mode");
                 assert_eq!(report.entries_replayed, 1024);
                 cache.abort();

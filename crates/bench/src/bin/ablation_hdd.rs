@@ -10,45 +10,33 @@ use std::sync::Arc;
 
 use blockdev::{HddDevice, HddProfile};
 use fiosim::{run_job, JobSpec, RwMode};
-use nvcache::{NvCache, NvCacheConfig};
-use nvcache_bench::{arg_u64, print_table, Row};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
-use simclock::{ActorClock, SimTime};
+use nvcache::NvCacheConfig;
+use nvcache_bench::rig::{Below, Rig};
+use nvcache_bench::{arg_u64, print_table, CommonArgs, Row};
+use nvmm::NvmmProfile;
+use simclock::SimTime;
 use vfs::{Ext4, Ext4Profile, FileSystem, PageCacheConfig};
 
 fn main() {
-    let scale = arg_u64("--scale", 64);
+    let scale = CommonArgs::parse().scale;
     let gib = arg_u64("--gib", 2);
     let io_total = (gib << 30) / scale;
     println!("Ablation — NVCache over a 7200rpm HDD, batching sweep (scale 1/{scale})");
 
     let mut rows = Vec::new();
     for batch in [1usize, 100, 5000] {
-        let clock = ActorClock::new();
         let hdd = Arc::new(HddDevice::new(HddProfile::seven_k2()));
-        let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new(
-            "ext4+hdd",
-            hdd,
-            Ext4Profile {
-                cache: PageCacheConfig { keep_content: false, ..PageCacheConfig::default() },
-                ..Ext4Profile::default()
-            },
-        ));
+        let page_cache = PageCacheConfig { keep_content: false, ..PageCacheConfig::default() };
+        let profile = Ext4Profile { cache: page_cache, ..Ext4Profile::default() };
+        let base: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+hdd", hdd, profile));
         let cfg = NvCacheConfig::default()
             .scaled(scale)
             .with_log_entries(((1u64 << 30) / 4096 / scale).max(64))
             .with_batching(batch, batch);
-        let dimm = Arc::new(NvDimm::new(
-            cfg.required_nvmm_bytes(),
-            NvmmProfile::optane().without_durability_tracking(),
-        ));
-        let cache = Arc::new(
-            NvCache::builder(NvRegion::whole(dimm))
-                .backend(inner)
-                .config(cfg)
-                .mount(&clock)
-                .expect("mount"),
-        );
+        let nvmm = NvmmProfile::optane().without_durability_tracking();
+        let (rig, cache) = Rig::new(cfg, Below { nvmm, ..Below::over(vec![base]) });
+        let clock = &rig.clock;
+        let cache = Arc::new(cache);
         let fs: Arc<dyn FileSystem> = Arc::clone(&cache) as Arc<dyn FileSystem>;
         let job = JobSpec {
             name: format!("hdd-batch-{batch}"),
@@ -60,7 +48,7 @@ fn main() {
             sample_interval: SimTime::from_millis(1000 / scale.min(1000)),
             ..JobSpec::default()
         };
-        let result = run_job(&fs, &job, &clock).expect("fio job");
+        let result = run_job(&fs, &job, clock).expect("fio job");
         rows.push(Row::new(
             format!("batch {batch}"),
             vec![
@@ -68,7 +56,7 @@ fn main() {
                 format!("{:.1}", result.mean_latency.as_micros_f64()),
             ],
         ));
-        cache.shutdown(&clock);
+        cache.shutdown(clock);
     }
     print_table("HDD ablation", &["mean MiB/s", "lat µs"], &rows);
     println!(

@@ -35,11 +35,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use nvcache::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Tiering};
+use nvcache::{HeatPolicy, NvCacheConfig, PathPrefixRouter};
+use nvcache_bench::rig::{parked, Below, Rig};
 use nvcache_bench::{arg_flag, arg_str, arg_u64, print_table, Json, Row};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
-use simclock::{ActorClock, SimTime};
-use vfs::{FileSystem, MemFs, OpenFlags};
+use simclock::SimTime;
+use vfs::{FileSystem, OpenFlags};
 
 /// Files in the hot working set, re-read throughout the churn.
 const HOT: usize = 64;
@@ -79,40 +79,31 @@ fn hot_path(i: usize) -> String {
     format!("/ws/f{i:02}")
 }
 
-fn churn_cfg() -> NvCacheConfig {
-    NvCacheConfig {
+fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunResult, WallTimes) {
+    // Parked drain: flushes are explicit, so virtual time is
+    // seed-deterministic.
+    let cfg = NvCacheConfig {
         nb_entries: 4096,
         read_cache_pages: 256,
         fd_slots: 256,
-        batch_min: usize::MAX >> 1, // parked drain: flushes are explicit,
-        batch_max: usize::MAX >> 1, // so virtual time is seed-deterministic
         ..NvCacheConfig::default()
-    }
-}
-
-fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunResult, WallTimes) {
-    let clock = ActorClock::new();
-    let cfg = churn_cfg();
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::instant()));
-    let bulk: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let fast: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    // No routing rule ever reaches the fast tier: only heat can promote.
-    let all_cold = Arc::new(PathPrefixRouter::new(vec![], 0));
-    let tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)])
-        .heat(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600)))
-        .catalog_capacity(capacity as usize);
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .tiers(tiering.clone())
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("churn mount");
+    };
+    let below = Below {
+        // No routing rule ever reaches the fast tier: only heat can promote.
+        router: Arc::new(PathPrefixRouter::new(vec![], 0)),
+        heat: Some(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600))),
+        catalog_capacity: Some(capacity as usize),
+        ..Below::memfs(2)
+    };
+    let (rig, cache) = Rig::new(parked(cfg), below);
+    let (clock, bulk, fast) = (&rig.clock, &rig.below.bases[0], &rig.below.bases[1]);
 
     // The hot working set, created first, then re-read all run long.
     for i in 0..HOT {
-        let fd = cache.open(&hot_path(i), OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-        cache.pwrite(fd, &[0x5A; 64], 0, &clock).unwrap();
-        cache.flush_log(&clock);
-        cache.close(fd, &clock).unwrap();
+        let fd = cache.open(&hot_path(i), OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+        cache.pwrite(fd, &[0x5A; 64], 0, clock).unwrap();
+        cache.flush_log(clock);
+        cache.close(fd, clock).unwrap();
     }
 
     let bound = capacity as usize + HOT;
@@ -126,32 +117,32 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
         let n = BATCH.min(paths - done);
         for i in done..done + n {
             let path = format!("/bulk/f{i}");
-            let fd = cache.open(&path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
-            cache.pwrite(fd, &[i as u8; 64], 0, &clock).unwrap();
+            let fd = cache.open(&path, OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+            cache.pwrite(fd, &[i as u8; 64], 0, clock).unwrap();
             batch_fds.push(fd);
         }
         // Drain, then close: a parked cleanup never reaps zombie slots, so
         // closes must find their entries already propagated.
-        cache.flush_log(&clock);
+        cache.flush_log(clock);
         for fd in batch_fds.drain(..) {
-            cache.close(fd, &clock).unwrap();
+            cache.close(fd, clock).unwrap();
         }
         // Readmission traffic: re-read one path the clock hand plausibly
         // evicted a few thousand files ago.
         if done > 0 {
             let back = (splitmix(&mut rng) as usize) % done;
-            let fd = cache.open(&format!("/bulk/f{back}"), OpenFlags::RDONLY, &clock).unwrap();
-            cache.pread(fd, &mut buf, 0, &clock).unwrap();
-            cache.close(fd, &clock).unwrap();
+            let fd = cache.open(&format!("/bulk/f{back}"), OpenFlags::RDONLY, clock).unwrap();
+            cache.pread(fd, &mut buf, 0, clock).unwrap();
+            cache.close(fd, clock).unwrap();
         }
         done += n;
         round += 1;
         // Keep the working set glowing: one read pass every 32 batches.
         if round.is_multiple_of(32) {
             for i in 0..HOT {
-                let fd = cache.open(&hot_path(i), OpenFlags::RDONLY, &clock).unwrap();
-                cache.pread(fd, &mut buf, 0, &clock).unwrap();
-                cache.close(fd, &clock).unwrap();
+                let fd = cache.open(&hot_path(i), OpenFlags::RDONLY, clock).unwrap();
+                cache.pread(fd, &mut buf, 0, clock).unwrap();
+                cache.close(fd, clock).unwrap();
             }
         }
         // The memory bound, sampled under churn.
@@ -171,16 +162,16 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     // Phase 2 — the sweep: sorts only the bounded resident set, promotes
     // the whole hot set, and fits the wall-clock budget.
     let sweep_start = Instant::now();
-    let report = cache.rebalance(&clock).expect("churn sweep");
+    let report = cache.rebalance(clock).expect("churn sweep");
     let sweep_ms = sweep_start.elapsed().as_millis();
-    assert_eq!(report.files_promoted as usize, HOT, "the whole hot set must be promoted");
+    assert_eq!(report.files_promoted, HOT, "the whole hot set must be promoted");
     assert!(
         sweep_ms <= sweep_budget_ms,
         "sweep took {sweep_ms} ms over a {resident_after_churn}-entry catalog \
          (budget {sweep_budget_ms} ms)"
     );
     for i in 0..HOT {
-        assert!(fast.stat(&hot_path(i), &clock).is_ok(), "{} not on the fast tier", hot_path(i));
+        assert!(fast.stat(&hot_path(i), clock).is_ok(), "{} not on the fast tier", hot_path(i));
     }
 
     // Phase 3 — crash with the hot set open and fsynced (the fsync stamps
@@ -188,21 +179,15 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     // must hold the hot set on the fast tier.
     let mut hot_fds = Vec::with_capacity(HOT);
     for i in 0..HOT {
-        let fd = cache.open(&hot_path(i), OpenFlags::RDWR, &clock).unwrap();
-        cache.fsync(fd, &clock).unwrap();
+        let fd = cache.open(&hot_path(i), OpenFlags::RDWR, clock).unwrap();
+        cache.fsync(fd, clock).unwrap();
         hot_fds.push(fd);
     }
     let snap = cache.stats().snapshot();
-    cache.abort();
-    drop(cache);
 
     let recover_start = Instant::now();
-    let cache = NvCache::builder(NvRegion::whole(Arc::new(dimm.crash_and_restart())))
-        .tiers(tiering)
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recovery mount");
+    rig.crash(&cache, 0);
+    let cache = rig.recover();
     let recover_ms = recover_start.elapsed().as_millis();
     let report = cache.recovery_report().expect("recover mode");
     assert_eq!(
@@ -211,19 +196,19 @@ fn run(paths: usize, capacity: u64, seed: u64, sweep_budget_ms: u128) -> (RunRes
     );
     // First post-recovery sweep, zero application touches since the crash:
     // the seeded temperatures alone must keep every hot file in place.
-    let sweep = cache.rebalance(&clock).expect("post-recovery sweep");
+    let sweep = cache.rebalance(clock).expect("post-recovery sweep");
     assert_eq!(sweep.files_migrated, 0, "the recovered hot set must already be converged");
     for i in 0..HOT {
         assert!(
-            fast.stat(&hot_path(i), &clock).is_ok(),
+            fast.stat(&hot_path(i), clock).is_ok(),
             "{} lost its fast-tier seat across the crash",
             hot_path(i)
         );
-        assert!(bulk.stat(&hot_path(i), &clock).is_err(), "{} duplicated on bulk", hot_path(i));
+        assert!(bulk.stat(&hot_path(i), clock).is_err(), "{} duplicated on bulk", hot_path(i));
     }
     let resident_after_recover = cache.catalog_resident();
     assert!(resident_after_recover <= bound, "recovered resident {resident_after_recover}");
-    cache.shutdown(&clock);
+    cache.shutdown(clock);
 
     (
         RunResult {

@@ -29,7 +29,7 @@ fn main() {
         let cfg = NvCacheConfig::default()
             .scaled(scale)
             .with_log_entries(((32u64 << 30) / 4096 / scale).max(64));
-        let spec = args.spec(kind).with_nvcache_cfg(cfg).timing_only();
+        let spec = args.spec_with(kind, cfg).timing_only();
         let sys = nvcache_bench::build_system(&spec, &clock);
         let job = JobSpec {
             name: sys.name.into(),

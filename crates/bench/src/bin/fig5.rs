@@ -118,19 +118,14 @@ fn main() {
     let mut json_rows = Vec::new();
     for (label, bytes) in log_sizes {
         let clock = ActorClock::new();
-        let mut cfg = NvCacheConfig::default()
+        let cfg = NvCacheConfig::default()
             .scaled(scale)
-            .with_log_entries((bytes / 4096 / scale).max(64));
-        if common.shards > 1 {
-            cfg = cfg.with_log_shards(common.shards);
-        }
-        if sq_pairs > 0 {
-            cfg = cfg.with_sq_pairs(sq_pairs);
-        }
-        let nb_entries = cfg.nb_entries;
-        let spec = common.spec(SystemKind::NvcacheSsd).with_nvcache_cfg(cfg).timing_only();
+            .with_log_entries((bytes / 4096 / scale).max(64))
+            .with_sq_pairs(sq_pairs);
+        let spec = common.spec_with(SystemKind::NvcacheSsd, cfg).timing_only();
         let sys = nvcache_bench::build_system(&spec, &clock);
         let nc = sys.nvcache.as_ref().expect("nvcache system");
+        let nb_entries = spec.nvcache_cfg.nb_entries;
         let front = (sq_pairs > 0).then(|| front_end_burst(nc, sq_pairs, nb_entries, &clock));
         let job = JobSpec {
             name: format!("log-{label}"),

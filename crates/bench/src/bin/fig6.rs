@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use fiosim::{JobSpec, RwMode};
 use nvcache::NvCacheConfig;
 use nvcache_bench::{
-    arg_flag, arg_u64, print_series, print_table, run_to_saturation, Row, SystemKind, SystemSpec,
+    arg_flag, arg_u64, print_series, print_table, run_to_saturation, CommonArgs, Row, SystemKind,
 };
 use simclock::{ActorClock, SimTime};
 
@@ -48,27 +48,16 @@ struct Cell {
     uring_peak: u64,
 }
 
-fn run_cell(
-    scale: u64,
-    io_total: u64,
-    batch: usize,
-    queue_depth: usize,
-    shards: usize,
-    want_series: bool,
-) -> Cell {
+/// One cell at `args`' scale, queue depth and stripe count.
+fn run_cell(args: CommonArgs, io_total: u64, batch: usize, want_series: bool) -> Cell {
+    let CommonArgs { scale, queue_depth, shards } = args;
     let clock = ActorClock::new();
     // Batch sizes are a *policy*, not a capacity: don't scale them.
-    let mut cfg = NvCacheConfig::default()
+    let cfg = NvCacheConfig::default()
         .scaled(scale)
         .with_log_entries(((8u64 << 30) / 4096 / scale).max(64))
         .with_batching(batch.max(1), batch.max(1));
-    if shards > 1 {
-        cfg = cfg.with_log_shards(shards);
-    }
-    let spec = SystemSpec::new(SystemKind::NvcacheSsd, scale)
-        .with_nvcache_cfg(cfg)
-        .with_queue_depth(queue_depth)
-        .timing_only();
+    let spec = args.spec_with(SystemKind::NvcacheSsd, cfg).timing_only();
     let sys = nvcache_bench::build_system(&spec, &clock);
     let job = JobSpec {
         name: format!("batch-{batch}-qd-{queue_depth}-sh-{shards}"),
@@ -125,7 +114,8 @@ fn mib_s_or_never(mib_s: Option<f64>) -> String {
 }
 
 fn main() {
-    let scale = arg_u64("--scale", 64);
+    let common = CommonArgs::parse();
+    let scale = common.scale;
     let gib = arg_u64("--gib", 20);
     let io_total = (gib << 30) / scale;
     let want_series = arg_flag("--series");
@@ -152,7 +142,8 @@ fn main() {
     for &shards in &shard_counts {
         for batch in batch_sizes {
             for &qd in &depths {
-                let cell = run_cell(scale, io_total, batch, qd, shards, want_series);
+                let args = CommonArgs { queue_depth: qd, shards, ..common };
+                let cell = run_cell(args, io_total, batch, want_series);
                 detail_rows.push(Row::new(
                     format!("batch {batch} / qd {qd} / {shards} shard(s)"),
                     vec![

@@ -35,7 +35,7 @@ fn main() {
             .scaled(scale)
             .with_log_entries(((8u64 << 30) / 4096 / scale).max(64))
             .with_read_cache_pages((pages / scale as usize).max(8));
-        let spec = args.spec(SystemKind::NvcacheSsd).with_nvcache_cfg(cfg);
+        let spec = args.spec_with(SystemKind::NvcacheSsd, cfg);
         let sys = nvcache_bench::build_system(&spec, &clock);
         let job = JobSpec {
             name: format!("cache-{label}"),

@@ -25,11 +25,36 @@
 use std::sync::Arc;
 
 use blockdev::{HddDevice, HddProfile};
-use nvcache::{HeatPolicy, Mount, NvCache, NvCacheConfig, PathPrefixRouter, Router, Tiering};
+use nvcache::{HeatPolicy, Mount, NvCacheConfig, PathPrefixRouter};
+use nvcache_bench::rig::{parked, Below, Rig};
 use nvcache_bench::{arg_flag, arg_u64};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::{ActorClock, SimTime};
 use vfs::{Ext4, Ext4Profile, FileSystem, NovaFs, NovaProfile, OpenFlags};
+
+/// A fresh NOVA on a 1 GiB DIMM.
+fn nova() -> Arc<dyn FileSystem> {
+    let dimm = Arc::new(NvDimm::new(1 << 30, NvmmProfile::optane()));
+    Arc::new(NovaFs::new(NvRegion::whole(dimm), NovaProfile::default()))
+}
+
+/// A fresh two-tier machine: Ext4 on a 7200 rpm HDD as tier 0, NOVA as
+/// tier 1, `/hot/**` routed to NOVA, the log on an Optane DIMM. A crash
+/// cuts no base's power.
+fn two_tiers() -> Below {
+    let hdd = Arc::new(HddDevice::new(HddProfile::seven_k2()));
+    let bulk: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+hdd", hdd, Ext4Profile::default()));
+    Below { nvmm: NvmmProfile::optane(), power_cut: false, ..Below::over(vec![bulk, nova()]) }
+}
+
+/// The configuration of a log that takes every file of the working set.
+fn cfg(files: u64, kib: u64) -> NvCacheConfig {
+    NvCacheConfig {
+        nb_entries: (2 * files * kib.div_ceil(4)).max(64).next_multiple_of(2),
+        fd_slots: (2 * files + 8) as u32,
+        ..NvCacheConfig::default()
+    }
+}
 
 /// Virtual time to read every file under `dir` once, sequentially, off `fs`.
 fn scan_dir(fs: &Arc<dyn FileSystem>, dir: &str, files: u64, kib: u64) -> simclock::SimTime {
@@ -87,30 +112,11 @@ fn heat_policy_run(
     files: u64,
     kib: u64,
 ) -> (SimTime, u64) {
-    let clock = ActorClock::new();
-    let hdd = Arc::new(HddDevice::new(HddProfile::seven_k2()));
-    let bulk: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+hdd", hdd, Ext4Profile::default()));
-    let nova_dimm = Arc::new(NvDimm::new(1 << 30, NvmmProfile::optane()));
-    let fast: Arc<dyn FileSystem> =
-        Arc::new(NovaFs::new(NvRegion::whole(nova_dimm), NovaProfile::default()));
-    let cfg = NvCacheConfig {
-        nb_entries: (2 * files * kib.div_ceil(4)).max(64).next_multiple_of(2),
-        fd_slots: (2 * files + 8) as u32,
-        ..NvCacheConfig::default()
-    };
-    let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
     // Every path — including /data/hot/** — routes to the bulk tier: no
     // static rule ever reaches NOVA.
-    let all_cold: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
-    let mut tiering = Tiering::new(all_cold, vec![Arc::clone(&bulk), Arc::clone(&fast)]);
-    if let Some(policy) = policy {
-        tiering = tiering.heat(policy);
-    }
-    let cache = NvCache::builder(NvRegion::whole(log_dimm))
-        .tiers(tiering)
-        .config(cfg)
-        .mount(&clock)
-        .expect("heat-policy mount");
+    let router = Arc::new(PathPrefixRouter::new(vec![], 0));
+    let (rig, cache) = Rig::new(cfg(files, kib), Below { router, heat: policy, ..two_tiers() });
+    let (clock, bulk, fast) = (&rig.clock, &rig.below.bases[0], &rig.below.bases[1]);
 
     // Write the working set, drain, close: everything lands on ext4+hdd.
     let payload = vec![0x5Au8; (kib << 10) as usize];
@@ -118,31 +124,31 @@ fn heat_policy_run(
     for i in 0..files {
         for prefix in ["/data/hot", "/data/cold"] {
             let fd = cache
-                .open(&format!("{prefix}/f{i:03}"), OpenFlags::RDWR | OpenFlags::CREATE, &clock)
+                .open(&format!("{prefix}/f{i:03}"), OpenFlags::RDWR | OpenFlags::CREATE, clock)
                 .expect("create");
-            cache.pwrite(fd, &payload, 0, &clock).expect("write");
+            cache.pwrite(fd, &payload, 0, clock).expect("write");
             fds.push(fd);
         }
     }
-    cache.flush_log(&clock);
+    cache.flush_log(clock);
     for fd in fds {
-        cache.close(fd, &clock).expect("close");
+        cache.close(fd, clock).expect("close");
     }
     // Heat the hot set up: ten read passes per file, through the cache.
     let mut buf = vec![0u8; (kib << 10) as usize];
     for i in 0..files {
         let path = format!("/data/hot/f{i:03}");
-        let fd = cache.open(&path, OpenFlags::RDONLY, &clock).expect("reopen");
+        let fd = cache.open(&path, OpenFlags::RDONLY, clock).expect("reopen");
         for _ in 0..10 {
-            cache.pread(fd, &mut buf, 0, &clock).expect("read");
+            cache.pread(fd, &mut buf, 0, clock).expect("read");
         }
-        cache.close(fd, &clock).expect("close");
+        cache.close(fd, clock).expect("close");
     }
     // Sweep until converged.
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let sweep = cache.rebalance(&clock).expect("rebalance sweep");
+        let sweep = cache.rebalance(clock).expect("rebalance sweep");
         println!(
             "  [{label}] sweep {rounds}: {} promoted, {} demoted, {} busy, {} in place",
             sweep.files_promoted, sweep.files_demoted, sweep.files_busy, sweep.files_in_place
@@ -156,10 +162,10 @@ fn heat_policy_run(
         "  [{label}] stats: files_promoted = {}, files_demoted = {}, fast_tier_bytes = {}",
         snap.files_promoted, snap.files_demoted, snap.fast_tier_bytes
     );
-    cache.shutdown(&clock);
+    cache.shutdown(clock);
     // Cold device caches: the scan must measure the medium, not DRAM.
     bulk.simulate_power_failure();
-    (scan_converged(&fast, &bulk, files, kib), snap.files_promoted)
+    (scan_converged(fast, bulk, files, kib), snap.files_promoted)
 }
 
 /// `--heat-policy`: heat policy vs. path router convergence on a hot set
@@ -171,9 +177,7 @@ fn heat_policy_demo(files: u64, kib: u64) {
     );
     // All-fast baseline: the same hot set written natively to NOVA.
     let clock = ActorClock::new();
-    let nova_dimm = Arc::new(NvDimm::new(1 << 30, NvmmProfile::optane()));
-    let all_fast: Arc<dyn FileSystem> =
-        Arc::new(NovaFs::new(NvRegion::whole(nova_dimm), NovaProfile::default()));
+    let all_fast = nova();
     let payload = vec![0x5Au8; (kib << 10) as usize];
     for i in 0..files {
         let path = format!("/data/hot/f{i:03}");
@@ -220,70 +224,45 @@ fn main() {
         if do_rebalance { ", then --rebalance sweep" } else { "" }
     );
 
-    let clock = ActorClock::new();
-    let hdd = Arc::new(HddDevice::new(HddProfile::seven_k2()));
-    let bulk: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+hdd", hdd, Ext4Profile::default()));
-    let nova_dimm = Arc::new(NvDimm::new(1 << 30, NvmmProfile::optane()));
-    let hot: Arc<dyn FileSystem> =
-        Arc::new(NovaFs::new(NvRegion::whole(nova_dimm), NovaProfile::default()));
-
-    let cfg = NvCacheConfig {
-        nb_entries: (2 * files * kib.div_ceil(4)).max(64).next_multiple_of(2),
-        fd_slots: (2 * files + 8) as u32,
-        batch_min: usize::MAX >> 1, // park the drain: the crash finds everything in the log
-        batch_max: usize::MAX >> 1,
-        ..NvCacheConfig::default()
-    };
-    let tiers = vec![Arc::clone(&bulk), Arc::clone(&hot)];
-    let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-
-    // Phase 1 — the old policy: everything lands on the bulk tier.
-    let cold_everything: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![], 0));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&log_dimm)))
-        .tiers(Tiering::new(cold_everything, tiers.clone()))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("phase-1 mount");
+    // Phase 1 — the old policy: everything lands on the bulk tier. The
+    // drain is parked: the crash finds everything in the log.
+    let below = two_tiers();
+    let cold_everything = Arc::new(PathPrefixRouter::new(vec![], 0));
+    let phase1 = Below { router: cold_everything, ..below.clone() };
+    let (rig, cache) = Rig::new(parked(cfg(files, kib)), phase1);
+    let (clock, bulk, hot) = (&rig.clock, &below.bases[0], &below.bases[1]);
     let payload = vec![0xA5u8; (kib << 10) as usize];
     for i in 0..files {
         for prefix in ["/hot", "/cold"] {
             let fd = cache
-                .open(&format!("{prefix}/f{i:03}"), OpenFlags::RDWR | OpenFlags::CREATE, &clock)
+                .open(&format!("{prefix}/f{i:03}"), OpenFlags::RDWR | OpenFlags::CREATE, clock)
                 .expect("create");
-            cache.pwrite(fd, &payload, 0, &clock).expect("write");
+            cache.pwrite(fd, &payload, 0, clock).expect("write");
         }
     }
     println!(
         "phase 1: {} entries pending under the cold-everything policy — power failure",
         cache.pending_entries()
     );
-    cache.abort();
-    drop(cache);
-    let restarted = Arc::new(log_dimm.crash_and_restart());
+    rig.crash(&cache, 0);
 
     // Phase 2 — recover under the real policy: /hot/** belongs on NOVA.
-    let hot_policy: Arc<dyn Router> = Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0));
-    let cache = NvCache::builder(NvRegion::whole(restarted))
-        .tiers(Tiering::new(hot_policy, tiers))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("phase-2 recovery");
+    let cache = rig.mount_over(&below, Mount::Recover).expect("phase-2 recovery");
     let report = cache.recovery_report().expect("recover mode");
     println!(
         "phase 2: recovery replayed {} entries; files_misplaced = {}",
         report.entries_replayed, report.files_misplaced
     );
-    placement(&hot, &bulk, &clock);
+    placement(hot, bulk, clock);
     // Drop the bulk tier's volatile page cache (warm from the recovery
     // replay) so both scans measure the device, not DRAM.
     bulk.simulate_power_failure();
-    let before = scan_hot(&bulk, files, kib);
+    let before = scan_hot(bulk, files, kib);
     println!("  hot-set scan on its current (bulk) tier, cold caches: {before}");
 
     if !do_rebalance {
         println!("pass --rebalance to re-home the misplaced files and re-measure");
-        cache.shutdown(&clock);
+        cache.shutdown(clock);
         return;
     }
 
@@ -291,7 +270,7 @@ fn main() {
     let mut rounds = 0;
     loop {
         rounds += 1;
-        let sweep = cache.rebalance(&clock).expect("rebalance sweep");
+        let sweep = cache.rebalance(clock).expect("rebalance sweep");
         println!(
             "sweep {rounds}: {} migrated ({} bytes), {} busy, {} in place",
             sweep.files_migrated, sweep.bytes_moved, sweep.files_busy, sweep.files_in_place
@@ -305,9 +284,9 @@ fn main() {
         "stats: files_migrated = {}, migration_bytes = {}",
         snap.files_migrated, snap.migration_bytes
     );
-    placement(&hot, &bulk, &clock);
+    placement(hot, bulk, clock);
     hot.simulate_power_failure(); // NOVA is NVMM-native: nothing volatile to lose
-    let after = scan_hot(&hot, files, kib);
+    let after = scan_hot(hot, files, kib);
     println!("  hot-set scan on its rebalanced (NOVA) tier: {after}");
     let speedup = before.as_nanos() as f64 / after.as_nanos().max(1) as f64;
     println!("  convergence: hot reads {speedup:.1}x faster after the sweep");
@@ -315,5 +294,5 @@ fn main() {
         cache.stats().snapshot().files_migrated >= files,
         "the sweep must have re-homed the whole hot set"
     );
-    cache.shutdown(&clock);
+    cache.shutdown(clock);
 }

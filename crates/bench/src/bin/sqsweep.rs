@@ -27,12 +27,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use blockdev::{SsdDevice, SsdProfile};
-use nvcache::{Mount, NvCache, NvCacheConfig};
+use nvcache::{NvCache, NvCacheConfig};
+use nvcache_bench::rig::{parked, Below, Model, Rig};
 use nvcache_bench::{arg_str, arg_u64, percentiles_us, print_table, Json, PercentilesUs, Row};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
+use nvmm::NvmmProfile;
 use simclock::{ActorClock, SimTime};
-use vfs::{Ext4, Ext4Profile, FileSystem, OpenFlags};
+use vfs::{FileSystem, OpenFlags};
 
 /// One measured arm: aggregate throughput plus the completion-latency
 /// distribution (submit → acknowledged, virtual time).
@@ -41,26 +41,18 @@ struct Arm {
     lat: PercentilesUs,
 }
 
-fn mount_for(shards: usize, sq_pairs: usize, nb_entries: u64, clock: &ActorClock) -> Arc<NvCache> {
-    let cfg = NvCacheConfig {
-        nb_entries,
-        batch_min: usize::MAX >> 1, // park cleanup: measure submission only
-        batch_max: usize::MAX >> 1,
-        fd_slots: 32,
-        ..NvCacheConfig::default()
-    }
-    .with_log_shards(shards)
-    .with_sq_pairs(sq_pairs);
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
-    Arc::new(
-        NvCache::builder(NvRegion::whole(dimm))
-            .backend(inner)
-            .config(cfg)
-            .mount(clock)
-            .expect("mount"),
-    )
+/// A rig of `shards` stripes and `sq_pairs` queue pairs over Ext4 on an
+/// SSD, cleanup parked so only submission is measured, on a DIMM of `nvmm`.
+fn mount(
+    shards: usize,
+    sq_pairs: usize,
+    nb_entries: u64,
+    fd_slots: u32,
+    nvmm: NvmmProfile,
+) -> (Rig, NvCache) {
+    let cfg = NvCacheConfig { nb_entries, fd_slots, ..NvCacheConfig::default() };
+    let cfg = parked(cfg).with_log_shards(shards).with_sq_pairs(sq_pairs);
+    Rig::new(cfg, Below { nvmm, ..Below::ext4(1) })
 }
 
 /// Runs `threads` submitters, each writing `writes` ops of `size` bytes to
@@ -76,8 +68,8 @@ fn run_arm(
     batch: u64,
 ) -> Arm {
     let nb_entries = (threads as u64 * writes * 2).max(4096).next_multiple_of(shards as u64);
-    let setup = ActorClock::new();
-    let nc = mount_for(shards, if queued { threads } else { 0 }, nb_entries, &setup);
+    let sq_pairs = if queued { threads } else { 0 };
+    let nc = Arc::new(mount(shards, sq_pairs, nb_entries, 32, NvmmProfile::optane()).1);
     let mut handles = Vec::new();
     for t in 0..threads {
         let nc = Arc::clone(&nc);
@@ -141,51 +133,29 @@ fn run_arm(
 /// batch, leave a tail unrung, crash with seeded eviction, recover, and
 /// verify exactly the acknowledged writes.
 fn crash_check(shards: usize) {
-    let cfg = NvCacheConfig {
-        nb_entries: 4096,
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        fd_slots: 8,
-        ..NvCacheConfig::default()
-    }
-    .with_log_shards(shards)
-    .with_sq_pairs(8);
-    let clock = ActorClock::new();
-    let dimm = Arc::new(NvDimm::new(
-        cfg.required_nvmm_bytes(),
-        NvmmProfile::optane().with_eviction_probability(0.3),
-    ));
-    let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
-    let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
-    let cache = NvCache::builder(NvRegion::whole(Arc::clone(&dimm)))
-        .backend(Arc::clone(&inner))
-        .config(cfg.clone())
-        .mount(&clock)
-        .expect("mount");
-    let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, &clock).expect("open");
+    let nvmm = NvmmProfile::optane().with_eviction_probability(0.3);
+    let (rig, cache) = mount(shards, 8, 4096, 8, nvmm);
+    let clock = &rig.clock;
+    let fd = cache.open("/burst", OpenFlags::RDWR | OpenFlags::CREATE, clock).expect("open");
 
-    let mut model: Vec<u8> = Vec::new();
-    let mut qps: Vec<_> = (0..8).map(|p| cache.queue_pair(p, &clock).expect("claim")).collect();
+    let mut model = Model::new();
+    let mut qps: Vec<_> = (0..8).map(|p| cache.queue_pair(p, clock).expect("claim")).collect();
     let mut pending: Vec<Vec<(u64, u8, usize)>> = vec![Vec::new(); 8];
     for i in 0..256u64 {
         let p = (i % 8) as usize;
         let off = (i * 2711) % 60000;
         let len = 512 + (i as usize * 97) % 512;
         let byte = (i % 251) as u8 + 1;
-        qps[p].submit_pwrite(fd, &vec![byte; len], off, &clock).expect("submit");
+        qps[p].submit_pwrite(fd, &vec![byte; len], off, clock).expect("submit");
         pending[p].push((off, byte, len));
         // Ring two pairs out of three; the rest accumulate a torn tail.
         if pending[p].len() >= 3 && p % 3 != 2 {
-            qps[p].ring_doorbell(&clock);
-            for c in qps[p].reap(&clock) {
+            qps[p].ring_doorbell(clock);
+            for c in qps[p].reap(clock) {
                 c.result.as_ref().expect("acked");
             }
             for (off, byte, len) in pending[p].drain(..) {
-                let end = off as usize + len;
-                if model.len() < end {
-                    model.resize(end, 0);
-                }
-                model[off as usize..end].fill(byte);
+                model.write("/burst", off, &vec![byte; len]);
             }
         }
     }
@@ -193,23 +163,12 @@ fn crash_check(shards: usize) {
     assert!(torn > 0, "the scenario must leave a torn tail");
     drop(qps); // unrung submissions are discarded, never acknowledged
 
-    cache.abort();
-    drop(cache);
-    let crashed = Arc::new(dimm.crash_and_restart_seeded(42));
-    inner.simulate_power_failure();
-    let recovered = NvCache::builder(NvRegion::whole(crashed))
-        .backend(Arc::clone(&inner))
-        .config(cfg)
-        .mode(Mount::Recover)
-        .mount(&clock)
-        .expect("recover");
-    let fd = recovered.open("/burst", OpenFlags::RDONLY, &clock).expect("reopen");
-    let size = recovered.fstat(fd, &clock).expect("fstat").size;
-    assert_eq!(size, model.len() as u64, "recovered size != acked model");
-    let mut buf = vec![0u8; model.len()];
-    recovered.pread(fd, &mut buf, 0, &clock).expect("pread");
-    assert_eq!(buf, model, "recovered bytes != acked model");
-    recovered.shutdown(&clock);
+    rig.crash(&cache, 42);
+    let recovered = rig.recover();
+    model
+        .check(&recovered)
+        .unwrap_or_else(|e| panic!("recovered bytes != acked model: {e}"));
+    recovered.shutdown(clock);
     println!(
         "crash check: OK — {} acked writes recovered byte-identical, {torn} torn \
          (unacknowledged) submissions discarded",

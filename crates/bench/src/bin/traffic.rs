@@ -10,14 +10,15 @@
 //! * `--json PATH` — writes the machine-readable snapshot, e.g. the
 //!   committed `BENCH_traffic.json`.
 //!
-//! Every mount parks NVCache's background cleanup (`batch_min`/`batch_max`
-//! ≈ `usize::MAX`) and lets the engine drain the log at fixed op counts, so
-//! virtual-time results are exactly reproducible per seed.
+//! Every mount parks NVCache's background cleanup (`rig::parked`) and lets
+//! the engine drain the log at fixed op counts, so virtual-time results are
+//! exactly reproducible per seed.
 
 use nvcache::NvCacheConfig;
+use nvcache_bench::rig::parked;
 use nvcache_bench::{
-    arg_flag, arg_str, arg_u64, build_system, print_table, Json, PercentilesUs, Row, SystemKind,
-    SystemSpec,
+    arg_flag, arg_str, arg_u64, build_system, print_table, CommonArgs, Json, PercentilesUs, Row,
+    SystemKind, SystemSpec,
 };
 use simclock::{ActorClock, SimTime};
 use traffic::{
@@ -125,16 +126,10 @@ fn saturation_tenant(ops: u64, rate: f64) -> TenantSpec {
 /// Builds a fresh parked-cleanup NVCache+SSD mount and runs the tenants.
 fn run_on_fresh_mount(tenants: &[TenantSpec], seed: u64, scale: u64) -> TrafficReport {
     let clock = ActorClock::new();
-    let cfg = NvCacheConfig {
-        nb_entries: 64 * 1024,
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        fd_slots: 1024,
-        ..NvCacheConfig::default()
-    };
+    let cfg = NvCacheConfig { nb_entries: 64 * 1024, fd_slots: 1024, ..NvCacheConfig::default() };
     // Content must be kept (no `timing_only()`): the DB tenants read back
     // their own SSTables/pages through the cache.
-    let spec = SystemSpec::new(SystemKind::NvcacheSsd, scale).with_nvcache_cfg(cfg);
+    let spec = SystemSpec::new(SystemKind::NvcacheSsd, scale).with_nvcache_cfg(parked(cfg));
     let sys = build_system(&spec, &clock);
     let nc = sys.nvcache.clone().expect("nvcache system");
     let target = TrafficTarget::nvcache(nc);
@@ -155,7 +150,7 @@ fn kind_label(spec: &TenantSpec) -> &'static str {
 fn main() {
     let smoke = arg_flag("--smoke");
     let seed = arg_u64("--seed", 42);
-    let scale = arg_u64("--scale", 64);
+    let scale = CommonArgs::parse().scale;
     let default_ops = if smoke { 120 } else { 600 };
     let ops = arg_u64("--ops", default_ops);
     let json_path = arg_str("--json");

@@ -18,10 +18,17 @@
 //! virtual-time axis compresses by ≈N while per-operation latencies stay at
 //! paper scale. Each binary prints both raw virtual seconds and
 //! "paper-equivalent" seconds (`raw × N`).
+//!
+//! Every stack a binary, a benchmark or a test mounts, crashes and recovers
+//! is described by [`rig`] (its [`rig::Rig`] and [`rig::Model`]).
+
+// The rig names the core crate as `super::nvcache`.
+extern crate nvcache;
 
 pub mod cli;
 pub mod json;
 pub mod report;
+pub mod rig;
 pub mod saturation;
 pub mod systems;
 
@@ -34,14 +41,17 @@ pub use report::{
 pub use saturation::run_to_saturation;
 pub use systems::{build_system, System, SystemKind, SystemSpec};
 
-/// Parses `--key value` style arguments with a default.
-pub fn arg_u64(key: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
+/// The value after `key` in `args`, `None` when absent.
+pub(crate) fn arg_in<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == key)
         .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map(String::as_str)
+}
+
+/// Parses `--key value` style arguments with a default.
+pub fn arg_u64(key: &str, default: u64) -> u64 {
+    arg_str(key).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 /// Whether a bare flag is present.
@@ -51,8 +61,7 @@ pub fn arg_flag(key: &str) -> bool {
 
 /// Parses a `--key value` string argument, `None` when absent.
 pub fn arg_str(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1)).cloned()
+    arg_in(&std::env::args().collect::<Vec<_>>(), key).map(str::to_owned)
 }
 
 #[cfg(test)]

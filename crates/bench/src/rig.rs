@@ -1,9 +1,10 @@
-//! The one test rig: a machine — its clock, its DIMM and what sits below the
-//! cache — that mounts an NVCache stack, crashes it and recovers it, and the
-//! one model of what a stack acknowledged. The root suites include this file
-//! through `#[path]`, the core crate's test modules reach it as
-//! `crate::tests::rig`; the including module brings the core crate into
-//! scope as `nvcache` (`use crate as nvcache;` inside the crate).
+//! The one stack description of the harness: a machine — its clock, its
+//! DIMM and what sits below the cache — that mounts an NVCache stack,
+//! crashes it and recovers it, and the one model of what a stack
+//! acknowledged. Benches and root suites use it as `nvcache_bench::rig`;
+//! the core crate's test modules include it through `#[path]` as
+//! `crate::tests::rig` (with `use crate as nvcache;` in scope), since a
+//! crate that depends on `nvcache` cannot serve their unit tests.
 
 // Every suite uses its own part of it.
 #![allow(dead_code)]

@@ -2,13 +2,15 @@
 
 use std::sync::Arc;
 
-use blockdev::{BlockDevice, DmWriteCacheDev, DmWriteCacheProfile, SsdDevice, SsdProfile};
+use blockdev::{DmWriteCacheDev, DmWriteCacheProfile, SsdDevice, SsdProfile};
 use nvcache::{NvCache, NvCacheConfig};
 use nvmm::{NvDimm, NvRegion, NvmmProfile};
 use simclock::ActorClock;
 use vfs::{
     DaxFs, DaxProfile, Ext4, Ext4Profile, FileSystem, MemFs, NovaFs, NovaProfile, PageCacheConfig,
 };
+
+use crate::rig::{Below, Rig};
 
 /// The seven systems of the evaluation (paper Table IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,14 +80,11 @@ pub struct SystemSpec {
     /// NVMM region bytes for DAX/NOVA/dm-cache backends (pre-scaled value;
     /// will be divided by `scale`).
     pub nvmm_bytes_full: u64,
-    /// NVCache configuration (already scaled by the caller); `None` uses
-    /// `NvCacheConfig::default().scaled(scale)`.
-    pub nvcache_cfg: Option<NvCacheConfig>,
+    /// NVCache configuration, log stripes included (already scaled; the
+    /// default is `NvCacheConfig::default().scaled(scale)`).
+    pub nvcache_cfg: NvCacheConfig,
     /// Retain file content (disable for timing-only FIO sweeps).
     pub keep_content: bool,
-    /// NVCache log stripes (`1` = the paper's single log; applied on top of
-    /// whatever configuration the spec resolves to).
-    pub log_shards: usize,
     /// I/O queue depth (`1` = the paper's strictly synchronous model).
     /// `N > 1` gives SSD-backed devices `N` parallel command channels and
     /// lets each NVCache cleanup worker keep `N` propagation writes in
@@ -100,9 +99,8 @@ impl SystemSpec {
             kind,
             scale,
             nvmm_bytes_full: 128 << 30, // one Optane DIMM
-            nvcache_cfg: None,
+            nvcache_cfg: NvCacheConfig::default().scaled(scale),
             keep_content: true,
-            log_shards: 1,
             queue_depth: 1,
         }
     }
@@ -115,14 +113,7 @@ impl SystemSpec {
 
     /// Overrides the NVCache configuration.
     pub fn with_nvcache_cfg(mut self, cfg: NvCacheConfig) -> Self {
-        self.nvcache_cfg = Some(cfg);
-        self
-    }
-
-    /// Splits the NVCache log into `shards` stripes (one cleanup worker
-    /// each). No effect on systems without an NVCache layer.
-    pub fn with_log_shards(mut self, shards: usize) -> Self {
-        self.log_shards = shards.max(1);
+        self.nvcache_cfg = cfg;
         self
     }
 
@@ -162,14 +153,6 @@ fn nvmm_profile() -> NvmmProfile {
     NvmmProfile::optane().without_durability_tracking()
 }
 
-fn ssd(keep_content: bool, queue_depth: usize) -> Arc<SsdDevice> {
-    let mut profile = SsdProfile::s4600().with_queue_depth(queue_depth.max(1));
-    if !keep_content {
-        profile = profile.timing_only();
-    }
-    Arc::new(SsdDevice::new(profile))
-}
-
 fn ext4_profile(keep_content: bool) -> Ext4Profile {
     // The paper's testbed has 384 GiB of DRAM: the page cache never feels
     // memory pressure in any of the evaluated workloads, so its capacity is
@@ -181,100 +164,59 @@ fn ext4_profile(keep_content: bool) -> Ext4Profile {
     }
 }
 
-fn ext4_dmwc_profile(keep_content: bool) -> Ext4Profile {
-    // jbd2 commits land in the NVMM cache, not on the SSD: the sequential
-    // journal write is cheap (the dm flush itself is charged by the device).
-    Ext4Profile { journal_commit: simclock::SimTime::from_micros(2), ..ext4_profile(keep_content) }
-}
-
-/// Builds a system per `spec`. NVCache variants start their cleanup thread;
-/// call [`System::shutdown`] when done.
+/// Builds a system per `spec`. The NVCache kinds mount a [`Rig`] over the
+/// base their plain kind builds (Ext4+SSD, NOVA) and start its cleanup
+/// workers; `clock` resumes where that mount returned. Call
+/// [`System::shutdown`] when done.
 ///
 /// # Panics
 ///
 /// Panics if NVCache formatting fails (a sizing bug in the spec).
 pub fn build_system(spec: &SystemSpec, clock: &ActorClock) -> System {
-    let scale = spec.scale.max(1);
-    let nvmm_bytes = (spec.nvmm_bytes_full / scale).max(64 << 20);
-    match spec.kind {
-        SystemKind::Ssd => {
-            let dev = ssd(spec.keep_content, spec.queue_depth);
-            System {
-                name: spec.kind.label(),
-                fs: Arc::new(Ext4::new("ext4+ssd", dev, ext4_profile(spec.keep_content))),
-                nvcache: None,
-            }
-        }
-        SystemKind::Tmpfs => {
-            System { name: spec.kind.label(), fs: Arc::new(MemFs::new()), nvcache: None }
-        }
-        SystemKind::Ext4Dax => {
-            let dimm = Arc::new(NvDimm::new(nvmm_bytes, nvmm_profile()));
-            System {
-                name: spec.kind.label(),
-                fs: Arc::new(DaxFs::new(NvRegion::whole(dimm), DaxProfile::default())),
-                nvcache: None,
-            }
-        }
-        SystemKind::Nova => {
-            let dimm = Arc::new(NvDimm::new(nvmm_bytes, nvmm_profile()));
-            System {
-                name: spec.kind.label(),
-                fs: Arc::new(NovaFs::new(NvRegion::whole(dimm), NovaProfile::default())),
-                nvcache: None,
-            }
-        }
+    let keep = spec.keep_content;
+    let dimm = || {
+        let bytes = (spec.nvmm_bytes_full / spec.scale).max(64 << 20);
+        NvRegion::whole(Arc::new(NvDimm::new(bytes, nvmm_profile())))
+    };
+    let ssd = || {
+        let profile = SsdProfile::s4600().with_queue_depth(spec.queue_depth);
+        Arc::new(SsdDevice::new(if keep { profile } else { profile.timing_only() }))
+    };
+    let ext4 = || Arc::new(Ext4::new("ext4+ssd", ssd(), ext4_profile(keep))) as Arc<dyn FileSystem>;
+    let nova = || Arc::new(NovaFs::new(dimm(), NovaProfile::default())) as Arc<dyn FileSystem>;
+    let base = match spec.kind {
+        SystemKind::Ssd | SystemKind::NvcacheSsd => ext4(),
+        SystemKind::Nova | SystemKind::NvcacheNova => nova(),
+        SystemKind::Tmpfs => Arc::new(MemFs::new()),
+        SystemKind::Ext4Dax => Arc::new(DaxFs::new(dimm(), DaxProfile::default())),
         SystemKind::DmWritecacheSsd => {
-            let dev = ssd(spec.keep_content, spec.queue_depth);
-            let dimm = Arc::new(NvDimm::new(nvmm_bytes, nvmm_profile()));
-            let dm = Arc::new(DmWriteCacheDev::new(
-                dev as Arc<dyn BlockDevice>,
-                NvRegion::whole(dimm),
-                DmWriteCacheProfile::default(),
-            ));
-            System {
-                name: spec.kind.label(),
-                fs: Arc::new(Ext4::new("ext4+dmwc", dm, ext4_dmwc_profile(spec.keep_content))),
-                nvcache: None,
-            }
+            let dm = DmWriteCacheDev::new(ssd(), dimm(), DmWriteCacheProfile::default());
+            // jbd2 commits land in the NVMM cache, not on the SSD: the
+            // sequential journal write is cheap (the dm flush itself is
+            // charged by the device).
+            let journal_commit = simclock::SimTime::from_micros(2);
+            let profile = Ext4Profile { journal_commit, ..ext4_profile(keep) };
+            Arc::new(Ext4::new("ext4+dmwc", Arc::new(dm), profile))
         }
-        SystemKind::NvcacheSsd | SystemKind::NvcacheNova => {
-            let inner: Arc<dyn FileSystem> = if spec.kind == SystemKind::NvcacheSsd {
-                let dev = ssd(spec.keep_content, spec.queue_depth);
-                Arc::new(Ext4::new("ext4+ssd", dev, ext4_profile(spec.keep_content)))
-            } else {
-                let dimm = Arc::new(NvDimm::new(nvmm_bytes, nvmm_profile()));
-                Arc::new(NovaFs::new(NvRegion::whole(dimm), NovaProfile::default()))
-            };
-            let mut cfg = spec
-                .nvcache_cfg
-                .clone()
-                .unwrap_or_else(|| NvCacheConfig::default().scaled(scale));
-            if spec.log_shards > 1 {
-                cfg = cfg.with_log_shards(spec.log_shards);
-            }
-            if spec.queue_depth > 1 {
-                cfg = cfg.with_queue_depth(spec.queue_depth);
-            }
-            let log_dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), nvmm_profile()));
-            let cache = NvCache::builder(NvRegion::whole(log_dimm))
-                .backend(inner)
-                .config(cfg)
-                .mount(clock)
-                .expect("NVCache mount");
-            let cache = Arc::new(cache);
-            System {
-                name: spec.kind.label(),
-                fs: Arc::clone(&cache) as Arc<dyn FileSystem>,
-                nvcache: Some(cache),
-            }
-        }
+    };
+    let name = spec.kind.label();
+    if !matches!(spec.kind, SystemKind::NvcacheSsd | SystemKind::NvcacheNova) {
+        return System { name, fs: base, nvcache: None };
     }
+    let mut cfg = spec.nvcache_cfg.clone();
+    if spec.queue_depth > 1 {
+        cfg = cfg.with_queue_depth(spec.queue_depth);
+    }
+    let (rig, cache) = Rig::new(cfg, Below { nvmm: nvmm_profile(), ..Below::over(vec![base]) });
+    clock.advance_to(rig.clock.now());
+    let cache = Arc::new(cache);
+    System { name, fs: Arc::clone(&cache) as Arc<dyn FileSystem>, nvcache: Some(cache) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CommonArgs;
     use vfs::OpenFlags;
 
     #[test]
@@ -298,7 +240,8 @@ mod tests {
     #[test]
     fn sharded_nvcache_system_builds_and_does_io() {
         let clock = ActorClock::new();
-        let spec = SystemSpec::new(SystemKind::NvcacheSsd, 512).with_log_shards(4);
+        let spec =
+            CommonArgs { scale: 512, shards: 4, queue_depth: 1 }.spec(SystemKind::NvcacheSsd);
         let sys = build_system(&spec, &clock);
         let nc = sys.nvcache.as_ref().expect("nvcache system");
         assert_eq!(nc.config().log_shards, 4);
@@ -320,9 +263,8 @@ mod tests {
     #[test]
     fn queue_depth_threads_into_nvcache_and_ssd() {
         let clock = ActorClock::new();
-        let spec = SystemSpec::new(SystemKind::NvcacheSsd, 512)
-            .with_log_shards(2)
-            .with_queue_depth(8);
+        let spec =
+            CommonArgs { scale: 512, shards: 2, queue_depth: 8 }.spec(SystemKind::NvcacheSsd);
         let sys = build_system(&spec, &clock);
         let nc = sys.nvcache.as_ref().expect("nvcache system");
         assert_eq!(nc.config().queue_depth, 8);

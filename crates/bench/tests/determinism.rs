@@ -7,35 +7,24 @@ use std::sync::Arc;
 
 use blockdev::{SsdDevice, SsdProfile};
 use nvcache::{NvCache, NvCacheConfig};
-use nvmm::{NvDimm, NvRegion, NvmmProfile};
-use simclock::{ActorClock, SimTime};
+use nvcache_bench::rig::{ext4_on, parked, Below, Rig};
+use nvmm::NvmmProfile;
+use simclock::SimTime;
 use traffic::{
     Arrival, Burst, EngineConfig, OpMix, SizeDist, TenantKind, TenantSpec, TenantTrace,
     TrafficTarget,
 };
-use vfs::{Ext4, Ext4Profile, FileSystem, MemFs};
+use vfs::MemFs;
 
 /// A fresh parked-cleanup NVCache over ext4+SSD: background cleanup never
 /// fires, so the engine's explicit `flush_log` points fully determine
 /// virtual time.
-fn fresh_mount() -> (Arc<NvCache>, ActorClock) {
-    let clock = ActorClock::new();
-    let cfg = NvCacheConfig {
-        nb_entries: 8 * 1024,
-        batch_min: usize::MAX >> 1,
-        batch_max: usize::MAX >> 1,
-        fd_slots: 512,
-        ..NvCacheConfig::default()
-    };
-    let dimm = Arc::new(NvDimm::new(cfg.required_nvmm_bytes(), NvmmProfile::optane()));
+fn fresh_mount() -> (Rig, Arc<NvCache>) {
+    let cfg = NvCacheConfig { nb_entries: 8 * 1024, fd_slots: 512, ..NvCacheConfig::default() };
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600().timing_only()));
-    let inner: Arc<dyn FileSystem> = Arc::new(Ext4::new("ext4+ssd", ssd, Ext4Profile::default()));
-    let cache = NvCache::builder(NvRegion::whole(dimm))
-        .backend(inner)
-        .config(cfg)
-        .mount(&clock)
-        .expect("mount");
-    (Arc::new(cache), clock)
+    let below = Below { nvmm: NvmmProfile::optane(), ..Below::over(vec![ext4_on(ssd)]) };
+    let (rig, cache) = Rig::new(parked(cfg), below);
+    (rig, Arc::new(cache))
 }
 
 fn mixed_specs() -> Vec<TenantSpec> {
@@ -83,11 +72,12 @@ fn same_seed_same_trace_same_virtual_time() {
     let cfg = EngineConfig { seed: 42, flush_every: 64, ..EngineConfig::default() };
 
     let run_once = || {
-        let (cache, clock) = fresh_mount();
+        let (rig, cache) = fresh_mount();
+        let clock = &rig.clock;
         let target = TrafficTarget::nvcache(Arc::clone(&cache));
         let cfg = EngineConfig { start: clock.now(), ..cfg };
         let report = traffic::run(&target, &specs, &cfg).expect("traffic run");
-        cache.shutdown(&clock);
+        cache.shutdown(clock);
         report
     };
 
@@ -112,22 +102,24 @@ fn same_seed_same_trace_same_virtual_time() {
     }
 
     // And a different seed must actually change the outcome.
-    let (cache, clock) = fresh_mount();
+    let (rig, cache) = fresh_mount();
+    let clock = &rig.clock;
     let target = TrafficTarget::nvcache(Arc::clone(&cache));
     let other = EngineConfig { seed: 43, start: clock.now(), ..cfg };
     let r3 = traffic::run(&target, &specs, &other).expect("traffic run");
-    cache.shutdown(&clock);
+    cache.shutdown(clock);
     assert_ne!(r1.final_clock, r3.final_clock, "a different seed should perturb virtual time");
 }
 
 #[test]
 fn reports_cover_all_tenants_and_ops() {
     let specs = mixed_specs();
-    let (cache, clock) = fresh_mount();
+    let (rig, cache) = fresh_mount();
+    let clock = &rig.clock;
     let target = TrafficTarget::nvcache(Arc::clone(&cache));
     let cfg = EngineConfig { seed: 7, flush_every: 32, start: clock.now() };
     let report = traffic::run(&target, &specs, &cfg).expect("traffic run");
-    cache.shutdown(&clock);
+    cache.shutdown(clock);
 
     assert_eq!(report.tenants.len(), specs.len());
     for (spec, t) in specs.iter().zip(&report.tenants) {

@@ -305,7 +305,7 @@ pub(crate) fn stress_point() {
         use std::sync::atomic::{AtomicU64, Ordering};
         static TICK: AtomicU64 = AtomicU64::new(0);
         let t = TICK.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        if (t ^ (t >> 7)) % 3 == 0 {
+        if (t ^ (t >> 7)).is_multiple_of(3) {
             std::thread::yield_now();
         }
     }

@@ -9,7 +9,7 @@ use vfs::{CursorFile, FaultLayer, FileSystem, IoError, MemFs, OpenFlags, SeekFro
 use crate as nvcache;
 use crate::{Mount, NvCache, NvCacheConfig};
 
-#[path = "../../../tests/support/rig.rs"]
+#[path = "../../bench/src/rig.rs"]
 pub(crate) mod rig;
 
 use rig::{parked, Below, Rig};

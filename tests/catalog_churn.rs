@@ -10,14 +10,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{NvCache, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, OpenFlags};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Rig};
+use nvcache_bench::rig::{Below, Rig};
 
 /// Distinct churned paths: enough to roll the 512-entry catalog hundreds
 /// of times over. Scaled down under `cfg(debug_assertions)` so the

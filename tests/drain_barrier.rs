@@ -13,17 +13,14 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use nvcache_repro::blockdev::{BlockDevice, DeviceStats, SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{NvCache, NvCacheConfig};
 use nvcache_repro::simclock::{ActorClock, SimTime};
 use nvcache_repro::vfs::{
     Ext4, Ext4Profile, FaultLayer, FaultRule, FaultTrigger, Fd, FileSystem, Hook, Hooked, IoError,
     IoResult, Op, OpenFlags, PageCacheConfig,
 };
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Model, Rig, PARKED};
+use nvcache_bench::rig::{Below, Model, Rig, PARKED};
 
 fn rdwr_create() -> OpenFlags {
     OpenFlags::RDWR | OpenFlags::CREATE

@@ -6,16 +6,13 @@
 use std::sync::Arc;
 
 use nvcache_repro::blockdev::{BlockDevice, SsdDevice, SsdProfile};
-use nvcache_repro::nvcache::{self, NvCacheConfig};
+use nvcache_repro::nvcache::NvCacheConfig;
 use nvcache_repro::nvmm::NvmmProfile;
 use nvcache_repro::vfs::{FileSystem, OpenFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{parked, Below, Model, Rig};
+use nvcache_bench::rig::{self, parked, Below, Model, Rig};
 
 /// The parked configuration of most tests here: everything stays in the
 /// log until the crash.

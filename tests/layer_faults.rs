@@ -13,10 +13,7 @@ use nvcache_repro::vfs::{
 };
 use proptest::prelude::*;
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Model, Rig};
+use nvcache_bench::rig::{Below, Model, Rig};
 
 /// One randomized fault schedule: which drain-path op misbehaves, how it
 /// triggers, and which tier of a two-tier mount carries the layer.

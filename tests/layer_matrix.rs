@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{self, Mount, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
 use nvcache_repro::nvmm::{NvDimm, NvmmProfile};
 use nvcache_repro::simclock::{ActorClock, Bandwidth, SimTime};
 use nvcache_repro::vfs::{
@@ -17,10 +17,7 @@ use nvcache_repro::vfs::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{parked, Below, Model, Rig};
+use nvcache_bench::rig::{parked, Below, Model, Rig};
 
 fn ext4_ssd() -> Arc<dyn FileSystem> {
     Below::ext4(1).bases.remove(0)

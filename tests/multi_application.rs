@@ -4,17 +4,14 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{self, Mount, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{Mount, NvCache, NvCacheConfig};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, MemFs, OpenFlags};
 
+use nvcache_bench::rig::parked;
+
 // Two mounts share one DIMM here, so they assemble their own stacks.
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::parked;
-
 fn mount(
     region: NvRegion,
     inner: &Arc<dyn FileSystem>,

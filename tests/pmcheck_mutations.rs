@@ -7,13 +7,10 @@
 
 #![cfg(feature = "pmcheck")]
 
-use nvcache_repro::nvcache::{self, pm_mutation, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{pm_mutation, NvCache, NvCacheConfig};
 use nvcache_repro::vfs::{FileSystem, OpenFlags};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Rig};
+use nvcache_bench::rig::{Below, Rig};
 
 fn mount() -> (Rig, NvCache) {
     let cfg = NvCacheConfig {

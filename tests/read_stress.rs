@@ -8,14 +8,11 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{NvCache, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, OpenFlags};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Rig};
+use nvcache_bench::rig::{Below, Rig};
 
 const PAGE: usize = 4096;
 const PAGES: usize = 8;

@@ -5,15 +5,12 @@
 
 use std::collections::BTreeMap;
 
-use nvcache_repro::nvcache::{self, NvCacheConfig};
+use nvcache_repro::nvcache::NvCacheConfig;
 use nvcache_repro::nvmm::NvmmProfile;
 use nvcache_repro::vfs::{FileSystem, OpenFlags};
 use proptest::prelude::*;
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{parked, read_all, Below, Model, Rig};
+use nvcache_bench::rig::{parked, read_all, Below, Model, Rig};
 
 #[derive(Debug, Clone)]
 enum Op {

@@ -18,8 +18,7 @@ use nvcache_repro::vfs::{FaultLayer, FaultRule, FaultTrigger, Layer, Op};
 
 #[path = "support/replay_log.rs"]
 mod replay_log;
-#[path = "support/rig.rs"]
-mod rig;
+use nvcache_bench::rig;
 
 use replay_log::{build, shapes, Crashed, Shape};
 

@@ -5,14 +5,11 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{self, NvCache, NvCacheConfig};
+use nvcache_repro::nvcache::{NvCache, NvCacheConfig};
 use nvcache_repro::simclock::ActorClock;
 use nvcache_repro::vfs::{FileSystem, IoError, OpenFlags};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Model, Rig};
+use nvcache_bench::rig::{Below, Model, Rig};
 
 /// Under `pmcheck`, audit the mount's post-mortem registries: violations
 /// panic at the offending site already, but an end-of-run sweep also

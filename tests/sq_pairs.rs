@@ -6,17 +6,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nvcache_repro::nvcache::{
-    self, FaultLayer, NvCache, NvCacheConfig, NvCacheStatsSnapshot, QueuePair, COPY_GIB_PER_SEC,
+    FaultLayer, NvCache, NvCacheConfig, NvCacheStatsSnapshot, QueuePair, COPY_GIB_PER_SEC,
 };
 use nvcache_repro::nvmm::NvmmProfile;
 use nvcache_repro::simclock::{ActorClock, Bandwidth, SimTime};
 use nvcache_repro::vfs::{FileSystem, IoError, OpenFlags};
 use proptest::prelude::*;
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{parked, Below, Model, Rig};
+use nvcache_bench::rig::{parked, Below, Model, Rig};
 
 fn mount(cfg: NvCacheConfig) -> (ActorClock, Arc<dyn FileSystem>, Arc<NvCache>) {
     let (Rig { clock, below, .. }, cache) = Rig::new(cfg, Below::memfs(1));

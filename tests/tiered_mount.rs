@@ -6,15 +6,12 @@
 
 use std::sync::Arc;
 
-use nvcache_repro::nvcache::{self, NvCacheConfig, Router};
+use nvcache_repro::nvcache::{NvCacheConfig, Router};
 use nvcache_repro::nvmm::{NvDimm, NvRegion, NvmmProfile};
 use nvcache_repro::rocklet::{RockletDb, RockletOptions, WriteOptions};
 use nvcache_repro::vfs::{FileSystem, NovaFs, NovaProfile, OpenFlags};
 
-#[path = "support/rig.rs"]
-mod rig;
-
-use rig::{Below, Rig};
+use nvcache_bench::rig::{Below, Rig};
 
 /// Tier 1 for write-ahead logs (`…/wal-*`), tier 0 for everything else —
 /// a policy a path prefix cannot express, showing the trait is the
