@@ -16,7 +16,13 @@
 //!    [`WINDOW_PAYLOAD`](crate::replay::WINDOW_PAYLOAD) payload bytes or
 //!    [`WINDOW_ENTRIES`](crate::replay::WINDOW_ENTRIES) entries and is
 //!    written out completely before the next one is planned, so memory is
-//!    bounded whatever the log holds;
+//!    bounded whatever the log holds. The reads overlap the writes: every
+//!    NVMM read of the replay (the group members' headers and the extents'
+//!    pieces) runs on the *reader*'s own clock, which starts a window's
+//!    pieces once the previous window is written; the replay's clock writes
+//!    each extent once the reader has read it. One actor per resource: the
+//!    reader uses the NVMM, the replay's clock the inner page cache, the
+//!    syncer the device;
 //! 3. **sync** — durability overlaps the copy: the extents come sorted by
 //!    file, and when the replay moves on from a file while the *syncer* is
 //!    idle, that file's inner `fsync` runs on the syncer's own clock as the
@@ -167,15 +173,18 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
     let Replay { region, lay, backends, files, clock, .. } = *replay;
     let mut window = Window::default();
     let mut total = Written::default();
-    // Extents come sorted by file. When the replay moves on from a file
-    // and the syncer is idle, the syncer writes that file back on its own
-    // clock while the next one is copied; a file finished while it is busy
-    // is left to the final `sync`.
-    let (syncer, mut copying) = (ActorClock::starting_at(clock.now()), None);
+    // Beside the replay's clock, which writes the inner page cache, the
+    // reader does every NVMM read, at most a window ahead, and the syncer
+    // writes back each file the replay leaves while it is idle; a file
+    // left while it is busy waits for the final `sync` (module docs).
+    let [syncer, reader] = [(); 2].map(|()| ActorClock::starting_at(clock.now()));
+    let mut copying = None;
     let mut write_out = |window: &mut Window| -> IoResult<()> {
+        reader.advance_to(clock.now());
         let written = window.plan().write_out(
-            |at, buf| region.read(at, buf, clock),
+            |at, buf| region.read(at, buf, &reader),
             |file, off, data| {
+                clock.advance_to(reader.now());
                 let idle = syncer.now() <= clock.now();
                 if let Some(done) = copying.replace(file).filter(|&done| done != file && idle) {
                     let (backend, fd) = files[done];
@@ -193,7 +202,8 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
     for group in replay.groups {
         for g in 0..group.len {
             let gslot = replay.slot_of(group, g);
-            let logged = if g == 0 { group.leader } else { read_header(region, lay, gslot, clock) };
+            let logged =
+                if g == 0 { group.leader } else { read_header(region, lay, gslot, &reader) };
             let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
                 // Entry for a slot missing from the fd table. By design:
                 // `unlink` cleared the slots of its victim so that nothing
@@ -217,6 +227,7 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
         }
     }
     write_out(&mut window)?;
+    clock.advance_to(reader.now());
     report.inner_writes = total.inner_writes;
     report.bytes_absorbed = report.bytes_replayed - total.bytes;
     Ok(syncer)
@@ -249,13 +260,15 @@ pub(crate) struct Recovered {
 /// The recovery procedure (paper §III "Recovery procedure"): reopen the
 /// files recorded in the NVMM fd table, collect every committed entry from
 /// the persistent tail(s) in *global commit order* (skipping torn entries,
-/// honouring group commit flags), replay them as planned extents while an
-/// idle syncer writes back each file the replay has finished; then, on the
+/// honouring group commit flags), replay them as planned extents — a
+/// reader reads them from NVMM ahead of the inner writes — while an idle
+/// syncer writes back each file the replay has finished; then, on the
 /// syncer's clock, sync every backend, empty the log and close the files
 /// (module docs: plan → extents → sync → empty). `clock` ends at the end
-/// of the copy; the report's [`durable_at`](RecoveryReport::durable_at) is
-/// where the syncer's clock ends, and the mount seeds the log's free stamps
-/// and the fd-slot allocator with it.
+/// of the copy, after the reader's last read; the report's
+/// [`durable_at`](RecoveryReport::durable_at) is where the syncer's clock
+/// ends, and the mount seeds the log's free stamps and the fd-slot
+/// allocator with it.
 ///
 /// On a single-stripe log (the seed format) the scan is the seed's
 /// in-ring-order scan from [`layout::OFF_PTAIL`]. On a striped log each
@@ -316,7 +329,6 @@ pub(crate) fn recover(
 ) -> IoResult<Recovered> {
     let (backends, router) = (&*tiers.backends, &*tiers.router);
     let Header { layout: lay, ptail, .. } = *image;
-    let log_shards = lay.log_shards;
 
     // One charged read of the whole fd table serves the journal repair and
     // the reopen alike. Repair interrupted migrations first (journal slots
@@ -407,8 +419,8 @@ pub(crate) fn recover(
     // starting at OFF_PTAIL.
     let mut groups: Vec<CommittedGroup> = Vec::new();
     let per_stripe = lay.stripe_entries();
-    for stripe in 0..log_shards {
-        let stripe_tail = if log_shards == 1 {
+    for stripe in 0..lay.log_shards {
+        let stripe_tail = if lay.log_shards == 1 {
             ptail
         } else {
             let mut t = [0u8; 8];
@@ -428,13 +440,9 @@ pub(crate) fn recover(
                     i += 1;
                 }
                 CommitWord::Leader => {
-                    let group_len = (header.group_len.max(1) as u64).min(per_stripe - i);
-                    groups.push(CommittedGroup {
-                        first_slot: slot,
-                        len: group_len,
-                        leader: header,
-                    });
-                    i += group_len;
+                    let len = (header.group_len.max(1) as u64).min(per_stripe - i);
+                    groups.push(CommittedGroup { first_slot: slot, len, leader: header });
+                    i += len;
                 }
             }
         }
@@ -471,7 +479,7 @@ pub(crate) fn recover(
     // A striped log keeps its tails after OFF_PTAIL, which stays 0 there
     // but is cleared all the same.
     region.write_and_pwb(layout::OFF_PTAIL, &[0; 8], &syncer);
-    for stripe in (0..log_shards).filter(|_| log_shards > 1) {
+    for stripe in (0..lay.log_shards).filter(|_| lay.log_shards > 1) {
         region.write_and_pwb(lay.stripe_tail_off(stripe), &[0; 8], &syncer);
     }
     region.persist_fence(&syncer);

@@ -32,7 +32,9 @@ use std::collections::BTreeMap;
 use vfs::IoResult;
 
 /// Payload bytes one window plans before it must be written out (soft by
-/// one entry). Bounds the largest extent buffer.
+/// one entry). Bounds the largest extent buffer, and how far recovery's
+/// reader may read ahead of its inner writes: it starts a window's payload
+/// only once the previous window is written.
 pub(crate) const WINDOW_PAYLOAD: u64 = 32 << 20;
 /// Entries one window plans before it must be written out. A plan holds at
 /// most twice as many pieces: every claim adds one interval and each gap
