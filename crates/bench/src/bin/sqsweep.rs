@@ -27,9 +27,10 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use fiosim::{LatencyHistogram, Tail};
 use nvcache::{NvCache, NvCacheConfig};
 use nvcache_bench::rig::{parked, Below, Model, Rig};
-use nvcache_bench::{arg_str, arg_u64, percentiles_us, print_table, Json, PercentilesUs, Row};
+use nvcache_bench::{arg_str, arg_u64, print_table, Json, Row};
 use nvmm::NvmmProfile;
 use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, OpenFlags};
@@ -38,7 +39,7 @@ use vfs::{FileSystem, OpenFlags};
 /// distribution (submit → acknowledged, virtual time).
 struct Arm {
     mib_s: f64,
-    lat: PercentilesUs,
+    lat: Tail,
 }
 
 /// A rig of `shards` stripes and `sq_pairs` queue pairs over Ext4 on an
@@ -79,18 +80,18 @@ fn run_arm(
                 .open(&format!("/sq/f{t}"), OpenFlags::RDWR | OpenFlags::CREATE, &clock)
                 .expect("open");
             let data = vec![t as u8 + 1; size];
-            let mut lats: Vec<SimTime> = Vec::with_capacity(writes as usize);
+            let mut lats = LatencyHistogram::new();
             let t0 = clock.now();
             if queued {
                 let mut qp = nc.queue_pair(t, &clock).expect("claim pair");
                 let mut submitted: BTreeMap<u64, SimTime> = BTreeMap::new();
                 let reap_into = |qp: &mut nvcache::QueuePair,
                                  submitted: &mut BTreeMap<u64, SimTime>,
-                                 lats: &mut Vec<SimTime>| {
+                                 lats: &mut LatencyHistogram| {
                     for c in qp.reap(&clock) {
                         c.result.as_ref().expect("completion");
                         let at = submitted.remove(&c.user_data).expect("known token");
-                        lats.push(c.completed_at.saturating_sub(at));
+                        lats.record(c.completed_at.saturating_sub(at));
                     }
                 };
                 for i in 0..writes {
@@ -108,24 +109,24 @@ fn run_arm(
                 for i in 0..writes {
                     let s = clock.now();
                     nc.pwrite(fd, &data, i * 4096, &clock).expect("pwrite");
-                    lats.push(clock.now() - s);
+                    lats.record(clock.now() - s);
                 }
             }
             (clock.now() - t0, lats)
         }));
     }
     let mut makespan = SimTime::ZERO;
-    let mut lats = Vec::new();
+    let mut lats = LatencyHistogram::new();
     for h in handles {
-        let (elapsed, mut thread_lats) = h.join().expect("submitter");
+        let (elapsed, thread_lats) = h.join().expect("submitter");
         makespan = makespan.max(elapsed);
-        lats.append(&mut thread_lats);
+        lats.merge(&thread_lats);
     }
     nc.abort();
     let bytes = (threads as u64 * writes * size as u64) as f64;
     Arm {
         mib_s: bytes / (1 << 20) as f64 / makespan.as_secs_f64().max(1e-12),
-        lat: percentiles_us(&lats),
+        lat: Tail::of(&lats),
     }
 }
 
@@ -202,14 +203,16 @@ fn main() {
             if size == 512 && pairs == submitters {
                 accept_speedup = Some(speedup);
             }
+            let [sync_p50, sync_p99, sync_p999] = sync.lat.micros();
+            let [queued_p50, queued_p99, queued_p999] = queued.lat.micros();
             rows.push(Row::new(
                 format!("{size}B x{pairs}"),
                 vec![
                     format!("{:.0}", sync.mib_s),
                     format!("{:.0}", queued.mib_s),
                     format!("{speedup:.2}x"),
-                    format!("{:.2}/{:.2}", sync.lat.p50, sync.lat.p99),
-                    format!("{:.2}/{:.2}", queued.lat.p50, queued.lat.p99),
+                    format!("{sync_p50:.2}/{sync_p99:.2}"),
+                    format!("{queued_p50:.2}/{queued_p99:.2}"),
                 ],
             ));
             json_rows.push(Json::obj([
@@ -218,12 +221,12 @@ fn main() {
                 ("sync_mib_s", Json::Num(sync.mib_s)),
                 ("queued_mib_s", Json::Num(queued.mib_s)),
                 ("speedup", Json::Num(speedup)),
-                ("sync_p50_us", Json::Num(sync.lat.p50)),
-                ("sync_p99_us", Json::Num(sync.lat.p99)),
-                ("sync_p999_us", Json::Num(sync.lat.p999)),
-                ("queued_p50_us", Json::Num(queued.lat.p50)),
-                ("queued_p99_us", Json::Num(queued.lat.p99)),
-                ("queued_p999_us", Json::Num(queued.lat.p999)),
+                ("sync_p50_us", Json::Num(sync_p50)),
+                ("sync_p99_us", Json::Num(sync_p99)),
+                ("sync_p999_us", Json::Num(sync_p999)),
+                ("queued_p50_us", Json::Num(queued_p50)),
+                ("queued_p99_us", Json::Num(queued_p99)),
+                ("queued_p999_us", Json::Num(queued_p999)),
             ]));
         }
     }

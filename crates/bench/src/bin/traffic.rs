@@ -17,8 +17,8 @@
 use nvcache::NvCacheConfig;
 use nvcache_bench::rig::parked;
 use nvcache_bench::{
-    arg_flag, arg_str, arg_u64, build_system, print_table, CommonArgs, Json, PercentilesUs, Row,
-    SystemKind, SystemSpec,
+    arg_flag, arg_str, arg_u64, build_system, print_table, CommonArgs, Json, Row, SystemKind,
+    SystemSpec,
 };
 use simclock::{ActorClock, SimTime};
 use traffic::{
@@ -170,15 +170,15 @@ fn main() {
         let mut rows = Vec::new();
         let mut json_tenants = Vec::new();
         for (spec, t) in mix.tenants.iter().zip(&report.tenants) {
-            let p = PercentilesUs::of(&t.all);
+            let [p50, p99, p999] = t.tail().micros();
             rows.push(Row::new(
                 t.name.clone(),
                 vec![
                     kind_label(spec).into(),
                     format!("{}", t.ops),
-                    format!("{:.1}", p.p50),
-                    format!("{:.1}", p.p99),
-                    format!("{:.1}", p.p999),
+                    format!("{p50:.1}"),
+                    format!("{p99:.1}"),
+                    format!("{p999:.1}"),
                     format!("{:.0}", t.achieved_ops_per_sec),
                     t.offered_ops_per_sec.map_or("closed".into(), |r| format!("{r:.0}")),
                 ],
@@ -187,9 +187,9 @@ fn main() {
                 ("name", Json::str(t.name.clone())),
                 ("kind", Json::str(kind_label(spec))),
                 ("ops", Json::Int(t.ops as i64)),
-                ("p50_us", Json::Num(p.p50)),
-                ("p99_us", Json::Num(p.p99)),
-                ("p999_us", Json::Num(p.p999)),
+                ("p50_us", Json::Num(p50)),
+                ("p99_us", Json::Num(p99)),
+                ("p999_us", Json::Num(p999)),
                 ("achieved_ops_s", Json::Num(t.achieved_ops_per_sec)),
                 ("offered_ops_s", t.offered_ops_per_sec.map_or(Json::Null, Json::Num)),
                 ("saturation_ratio", Json::Num(t.saturation_ratio())),
@@ -234,6 +234,7 @@ fn main() {
         let report = run_on_fresh_mount(std::slice::from_ref(&spec), seed, scale);
         let t = &report.tenants[0];
         let ratio = t.saturation_ratio();
+        let p99 = t.tail().p99.as_micros_f64();
         if knee.is_none() && ratio < 0.95 {
             knee = Some(rate);
         }
@@ -242,14 +243,14 @@ fn main() {
             vec![
                 format!("{:.0}", t.achieved_ops_per_sec),
                 format!("{ratio:.3}"),
-                format!("{:.1}", PercentilesUs::of(&t.all).p99),
+                format!("{p99:.1}"),
             ],
         ));
         json_ladder.push(Json::obj([
             ("offered_ops_s", Json::Num(rate)),
             ("achieved_ops_s", Json::Num(t.achieved_ops_per_sec)),
             ("ratio", Json::Num(ratio)),
-            ("p99_us", Json::Num(PercentilesUs::of(&t.all).p99)),
+            ("p99_us", Json::Num(p99)),
         ]));
     }
     print_table(

@@ -34,10 +34,7 @@ pub mod systems;
 
 pub use cli::CommonArgs;
 pub use json::Json;
-pub use report::{
-    latency_histogram, percentiles_us, print_series, print_table, LatencyHistogram, PercentilesUs,
-    Row,
-};
+pub use report::{print_series, print_table, Row};
 pub use saturation::run_to_saturation;
 pub use systems::{build_system, System, SystemKind, SystemSpec};
 

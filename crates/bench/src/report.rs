@@ -1,48 +1,6 @@
-//! Plain-text table/series rendering for the figure binaries, plus the
-//! shared latency-percentile helper every distribution-reporting binary
-//! (`fig5 --json`, `sqsweep`, `traffic`) goes through.
+//! Plain-text table/series rendering for the figure binaries.
 
-pub use fiosim::LatencyHistogram;
 use simclock::SimTime;
-
-/// The three tail percentiles the perf snapshots report, in microseconds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PercentilesUs {
-    /// Median.
-    pub p50: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// 99.9th percentile.
-    pub p999: f64,
-}
-
-impl PercentilesUs {
-    /// Reads p50/p99/p999 out of a histogram.
-    pub fn of(hist: &LatencyHistogram) -> PercentilesUs {
-        PercentilesUs {
-            p50: hist.p50().as_micros_f64(),
-            p99: hist.p99().as_micros_f64(),
-            p999: hist.p999().as_micros_f64(),
-        }
-    }
-}
-
-/// Builds a [`LatencyHistogram`] from raw latency samples (order
-/// irrelevant).
-pub fn latency_histogram(samples: &[SimTime]) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
-    for &s in samples {
-        h.record(s);
-    }
-    h
-}
-
-/// p50/p99/p999 (µs) of a raw sample set — the one percentile path shared
-/// by `fig5 --json` (via [`fiosim::JobResult`]), `sqsweep` and the traffic
-/// engine, all interpolating on the same merged log-scale histogram.
-pub fn percentiles_us(samples: &[SimTime]) -> PercentilesUs {
-    PercentilesUs::of(&latency_histogram(samples))
-}
 
 /// One row of a printed table: a label plus one cell per column.
 #[derive(Debug, Clone)]
@@ -122,19 +80,5 @@ mod tests {
     fn us_formatting() {
         assert_eq!(us(3.15159), "3.2");
         assert_eq!(us(250.7), "251");
-    }
-
-    #[test]
-    fn shared_percentiles_are_ordered() {
-        let samples: Vec<SimTime> = (1..=200).map(SimTime::from_micros).collect();
-        let p = percentiles_us(&samples);
-        assert!(p.p50 < p.p99 && p.p99 <= p.p999, "{p:?}");
-        assert!((p.p50 - 100.0).abs() / 100.0 < 0.1, "median ≈ 100 µs, got {}", p.p50);
-    }
-
-    #[test]
-    fn empty_sample_set_is_all_zero() {
-        let p = percentiles_us(&[]);
-        assert_eq!((p.p50, p.p99, p.p999), (0.0, 0.0, 0.0));
     }
 }

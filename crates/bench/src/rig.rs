@@ -41,7 +41,6 @@ pub struct Below {
     pub layers: Vec<Arc<dyn Layer>>,
     pub router: Arc<dyn Router>,
     pub heat: Option<HeatPolicy>,
-    pub catalog_capacity: Option<usize>,
     pub nvmm: NvmmProfile,
     /// Whether a power cut reaches the bases. `Ext4` loses what it did not
     /// write back; the `MemFs` of these suites stands for a kernel that
@@ -63,7 +62,6 @@ impl Below {
             layers: Vec::new(),
             router,
             heat: None,
-            catalog_capacity: None,
             nvmm: NvmmProfile::instant(),
             power_cut: true,
         }
@@ -90,9 +88,6 @@ impl Below {
         let mut tiering = Tiering::layered(Arc::clone(&self.router), tiers);
         if let Some(policy) = &self.heat {
             tiering = tiering.heat(policy.clone());
-        }
-        if let Some(n) = self.catalog_capacity {
-            tiering = tiering.catalog_capacity(n);
         }
         tiering
     }

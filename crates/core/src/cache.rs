@@ -483,7 +483,7 @@ impl Shared {
             // there is no path to catalogue, or forgets the path after.
             let slots = file.slots.lock();
             if !file.unlinked.load(Ordering::SeqCst) {
-                self.tiers.closed(opened, &self.stats);
+                self.tiers.closed(opened);
             }
             drop(slots);
             let (dev, ino) = file.dev_ino;
@@ -755,7 +755,7 @@ impl Shared {
     /// With every page's atomic lock held, each maximal run of consecutive
     /// missing pages is read with one inner `pread` ([`read_run`]); then,
     /// in page order, a missing page is installed (after
-    /// [`make_room`](ReadCache::make_room)) and every page is copied out —
+    /// [`evict_to_fit`](ReadCache::evict_to_fit)) and every page is copied out —
     /// the read cache sees the same sequence as with one `pread` per page.
     ///
     /// [`read_run`]: Shared::read_run
@@ -805,7 +805,7 @@ impl Shared {
         for (((_, p), d), (slot, _)) in pages.iter().zip(&mut guards) {
             if slot.content.is_none() {
                 self.stats.read_misses.fetch_add(1, Ordering::Relaxed);
-                self.pool.make_room(&self.stats);
+                self.pool.evict_to_fit(&self.stats);
                 let content = fetched.next().expect("one page per miss");
                 self.pool.install(d, slot, content, &self.stats);
             } else {
@@ -905,7 +905,7 @@ impl NvCache {
         let recovery = recovered.as_ref().map(|r| r.report);
         // A fresh format recovers nothing: its log and slots are free at 0.
         let Recovered { report, misplaced, heat, cleared } = recovered.unwrap_or_default();
-        tiers.seed(misplaced, heat, clock.now(), &stats);
+        tiers.seed(misplaced, heat, clock.now());
         stats.recovered_entries.store(report.entries_replayed, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             pool: ReadCache::new(cfg.read_cache_pages),

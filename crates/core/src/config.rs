@@ -294,19 +294,14 @@ mod tests {
 
     #[test]
     fn default_catalog_is_unbounded_and_heat_volatile() {
-        let tiering = tiering(2);
-        assert_eq!(tiering.catalog_capacity, None);
+        let tiers = crate::tiers::Tiers::mount(tiering(2)).unwrap();
         // No heat policy by default: nothing tracks or stamps heat.
-        assert!(crate::tiers::Tiers::mount(tiering.clone()).unwrap().heat.is_none());
-        let tiering = tiering.catalog_capacity(128);
-        assert_eq!(tiering.catalog_capacity, Some(128));
-        tiering.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "catalog_capacity must be at least 1")]
-    fn zero_catalog_capacity_panics() {
-        tiering(2).catalog_capacity(0);
+        assert!(tiers.heat.is_none());
+        for i in 0..1000 {
+            let heat = crate::migrate::FileHeat::default();
+            tiers.migrator.record_closed(&format!("/f{i}"), heat);
+        }
+        assert_eq!(tiers.migrator.resident(), 1000, "every distinct closed path stays");
     }
 
     #[test]

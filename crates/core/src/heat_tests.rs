@@ -380,19 +380,21 @@ fn a_mount_that_tracks_no_heat_never_stamps_a_heat_word() {
     cache.shutdown(clock);
 }
 
-/// The bounded-catalog identity oracle: a capacity the workload never
-/// reaches must change nothing — the run is byte- and
-/// virtual-time-identical to the default unbounded mount, sweep reports
-/// and stats included, and the eviction counters stay at zero.
+/// The repeat oracle: one tiered heat-policy run — parked writes, a manual
+/// `migrate`, a sweep, `fsync`s that stamp heat, a crash, recovery and a
+/// second sweep — on two fresh rigs leaves byte-identical region images,
+/// identical clocks, sweep reports and stats.
 #[test]
-fn an_unreached_catalog_capacity_is_byte_and_time_identical_to_unbounded() {
-    let run = |catalog_capacity| {
-        let below = Below { catalog_capacity, nvmm: NvmmProfile::optane(), ..Below::memfs(2) };
+fn a_tiered_heat_run_repeats_to_the_byte_and_the_nanosecond() {
+    let run = || {
+        let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(3600));
+        let below = Below { heat: Some(policy), nvmm: NvmmProfile::optane(), ..Below::memfs(2) };
         let (rig, cache) = Rig::new(parked_128(), below);
         let clock = &rig.clock;
+        let create = OpenFlags::RDWR | OpenFlags::CREATE;
         let mut fds = Vec::new();
         for (path, byte) in [("/hot/a", 1u8), ("/cold/b", 2), ("/cold/c", 3)] {
-            let fd = cache.open(path, OpenFlags::RDWR | OpenFlags::CREATE, clock).unwrap();
+            let fd = cache.open(path, create, clock).unwrap();
             cache.pwrite(fd, &[byte; 700], 0, clock).unwrap();
             fds.push(fd);
         }
@@ -401,9 +403,30 @@ fn an_unreached_catalog_capacity_is_byte_and_time_identical_to_unbounded() {
             cache.close(fd, clock).unwrap();
         }
         heat_up(&cache, "/cold/c", 5, clock);
-        let moved = cache.migrate("/cold/c", 1, clock).unwrap();
-        assert_eq!(moved, 700);
-        let report = cache.rebalance(clock).expect("sweep");
+        assert_eq!(cache.migrate("/cold/c", 1, clock).unwrap(), 700);
+        let first = cache.rebalance(clock).expect("sweep");
+        // Open at the crash: `/cold/e` and `/cold/f` read equally hot (the
+        // sweep orders them by path alone), `/cold/d` written once.
+        let mut buf = [0u8; 64];
+        let mut open = Vec::new();
+        for path in ["/cold/e", "/cold/f"] {
+            let fd = cache.open(path, create, clock).unwrap();
+            cache.pwrite(fd, &[5; 700], 0, clock).unwrap();
+            for _ in 0..8 {
+                cache.pread(fd, &mut buf, 0, clock).unwrap();
+            }
+            open.push(fd);
+        }
+        let cold = cache.open("/cold/d", create, clock).unwrap();
+        cache.pwrite(cold, &[4; 300], 0, clock).unwrap();
+        open.push(cold);
+        for fd in open {
+            cache.fsync(fd, clock).unwrap();
+        }
+        rig.crash(&cache, 0);
+        let cache = rig.recover();
+        let second = cache.rebalance(clock).expect("post-recovery sweep");
+        assert_eq!(second.files_promoted, 2, "the persisted hot files are promoted");
         cache.flush_log(clock);
         let snap = cache.stats().snapshot();
         cache.shutdown(clock);
@@ -415,19 +438,24 @@ fn an_unreached_catalog_capacity_is_byte_and_time_identical_to_unbounded() {
             snap.entries_propagated,
             snap.files_migrated,
             snap.migration_bytes,
-            snap.catalog_evictions,
-            snap.catalog_readmissions,
+            snap.recovered_entries,
         );
-        (region_bytes(&rig.dimm()), clock.now(), report, stats)
+        // Which tier holds each file, and in which order each tier created
+        // its files (inode numbers): the order of the sweeps' moves.
+        let probe = ActorClock::new();
+        let paths = ["/hot/a", "/cold/b", "/cold/c", "/cold/d", "/cold/e", "/cold/f"];
+        let placed = |tier: &Arc<dyn FileSystem>| {
+            paths.map(|p| tier.stat(p, &probe).ok().map(|m| (m.ino, m.size)))
+        };
+        let tiers: Vec<_> = rig.below.bases.iter().map(placed).collect();
+        (region_bytes(&rig.dimm()), clock.now(), (first, second), stats, tiers)
     };
 
-    let (bytes_unbounded, time_unbounded, report_unbounded, stats_unbounded) = run(None);
-    let (bytes_bounded, time_bounded, report_bounded, stats_bounded) = run(Some(1 << 20));
-
-    assert_eq!(bytes_unbounded, bytes_bounded, "persistent images must be byte-identical");
-    assert_eq!(time_unbounded, time_bounded, "virtual timelines must be identical");
-    assert_eq!(report_unbounded, report_bounded, "sweep reports must agree");
-    assert_eq!(stats_unbounded, stats_bounded, "stats must agree");
-    let (.., evictions, readmissions) = stats_bounded;
-    assert_eq!((evictions, readmissions), (0, 0), "an unreached bound never evicts");
+    let (bytes_a, time_a, reports_a, stats_a, tiers_a) = run();
+    let (bytes_b, time_b, reports_b, stats_b, tiers_b) = run();
+    assert_eq!(bytes_a, bytes_b, "persistent images must be byte-identical");
+    assert_eq!(time_a, time_b, "virtual timelines must be identical");
+    assert_eq!(reports_a, reports_b, "sweep reports must agree");
+    assert_eq!(stats_a, stats_b, "stats must agree");
+    assert_eq!(tiers_a, tiers_b, "every file must land on the same tier in the same order");
 }

@@ -55,8 +55,7 @@
 //! (`mv` semantics, not `rename(2)` atomicity); a one-tier mount never
 //! migrates.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -69,9 +68,7 @@ use crate::cache::Shared;
 use crate::files::{FdTableSnapshot, PersistentFdTable};
 use crate::layout::{Layout, FD_VALID_MIGRATION};
 use crate::lockcheck::{Class, Held, Recorder};
-use crate::placement::{HeatPolicy, Temperature};
-use crate::router::Router;
-use crate::stats::NvCacheStats;
+use crate::placement::Temperature;
 use crate::tiers::Tiers;
 
 /// Outcome of one rebalancing sweep
@@ -214,68 +211,6 @@ pub(crate) struct FileHeat {
     pub temp: Temperature,
 }
 
-/// One resident catalog entry: the heat record plus the clock-eviction
-/// bookkeeping of a capacity-bounded catalog (see [`Catalog`]).
-#[derive(Debug, Clone)]
-struct CatalogEntry {
-    heat: FileHeat,
-    /// Second-chance bit: set on every touch (close, rename, seed), cleared
-    /// by one pass of the eviction hand. An entry is only evicted after a
-    /// full hand revolution without a touch.
-    referenced: bool,
-    /// Admission sequence number; a ring occurrence is live only while its
-    /// recorded sequence matches (removal + readmission makes the old ring
-    /// occurrence a tombstone instead of a duplicate).
-    seq: u64,
-}
-
-/// The closed-file catalog: `path → CatalogEntry`, plus the clock-eviction
-/// ring and the recently-evicted filter behind the readmission counter. An
-/// unbounded catalog (the default) keeps the ring and never evicts.
-#[derive(Default)]
-struct Catalog {
-    map: HashMap<String, CatalogEntry>,
-    /// Clock ring in admission order: `(seq, path)`. Occurrences whose
-    /// `seq` no longer matches the map entry are tombstones, dropped when
-    /// the hand reaches them (or by [`Catalog::maybe_compact`]).
-    ring: VecDeque<(u64, String)>,
-    next_seq: u64,
-    /// Hashes of recently evicted paths (bounded; cleared wholesale when
-    /// it outgrows its budget). A newly admitted path found here counts a
-    /// readmission — the thrash signal behind `catalog_readmissions`.
-    evicted: HashSet<u64>,
-}
-
-impl Catalog {
-    fn path_hash(path: &str) -> u64 {
-        // DefaultHasher::new() uses fixed keys: deterministic per run.
-        let mut h = DefaultHasher::new();
-        path.hash(&mut h);
-        h.finish()
-    }
-
-    /// Remembers an evicted path for readmission detection, keeping the
-    /// filter's memory bounded by the catalog capacity.
-    fn note_evicted(&mut self, path: &str, capacity: usize) {
-        if self.evicted.len() >= capacity.saturating_mul(8).max(1024) {
-            // The filter is allowed to forget (a missed readmission only
-            // under-counts a diagnostic); unbounded growth is not.
-            self.evicted.clear();
-        }
-        self.evicted.insert(Self::path_hash(path));
-    }
-
-    /// Drops tombstoned ring occurrences once they dominate the ring, so
-    /// under-capacity churn (open/close of one path leaves a tombstone per
-    /// cycle) cannot grow the ring without bound.
-    fn maybe_compact(&mut self) {
-        if self.ring.len() > 2 * self.map.len() + 64 {
-            let map = &self.map;
-            self.ring.retain(|(seq, path)| map.get(path).is_some_and(|e| e.seq == *seq));
-        }
-    }
-}
-
 /// The migrator's shared state: the catalog of migratable (closed) files
 /// and the [`MigrationGate`].
 pub(crate) struct Migrator {
@@ -283,43 +218,26 @@ pub(crate) struct Migrator {
     /// path → placement + heat for files the mount has seen close (or
     /// recovery reported misplaced). Volatile by design: after a remount
     /// the catalog refills from recovery's misplaced list and new closes.
-    catalog: Mutex<Catalog>,
-    /// Resident-set bound ([`catalog_capacity`]); `usize::MAX` when
-    /// unbounded.
-    ///
-    /// [`catalog_capacity`]: crate::Tiering::catalog_capacity
-    capacity: usize,
-    /// The mount's heat policy, if it tracks heat — the eviction pin
-    /// judgement (misplaced? promote-worthy?) must agree with the sweeps it
-    /// guards.
-    heat: Option<HeatPolicy>,
-    /// The mount's router: where a file belongs when heat does not say.
-    router: Arc<dyn Router>,
+    /// Unbounded: one entry per distinct closed path, until the path is
+    /// reopened, unlinked or found stale by a sweep.
+    catalog: Mutex<HashMap<String, FileHeat>>,
     /// High-water mark (nanoseconds) of the virtual time observed on any
     /// heat touch. Per-actor clocks advance independently, and `rebalance`
     /// accepts any caller's clock — one that lags the actors that heated
     /// the files included — so temperature decay is always measured
     /// against `max(caller clock, this mark)`: without it a sweep on a
     /// lagging clock would compute `Δt = 0` against every app-side stamp
-    /// and [`HeatPolicy`] cooling would never demote.
+    /// and [`HeatPolicy`](crate::HeatPolicy) cooling would never demote.
     time_high_water: std::sync::atomic::AtomicU64,
     /// The mount's shared lock-order recorder (inert unless `pmcheck`).
     pub lockcheck: Recorder,
 }
 
 impl Migrator {
-    pub fn new(
-        lockcheck: Recorder,
-        capacity: Option<usize>,
-        heat: Option<HeatPolicy>,
-        router: Arc<dyn Router>,
-    ) -> Migrator {
+    pub fn new(lockcheck: Recorder) -> Migrator {
         Migrator {
             gate: MigrationGate::default(),
-            catalog: Mutex::new(Catalog::default()),
-            capacity: capacity.unwrap_or(usize::MAX),
-            heat,
-            router,
+            catalog: Mutex::new(HashMap::new()),
             time_high_water: std::sync::atomic::AtomicU64::new(0),
             lockcheck,
         }
@@ -343,93 +261,13 @@ impl Migrator {
         simclock::SimTime::from_nanos(self.time_high_water.load(Ordering::Relaxed))
     }
 
-    /// Whether a catalogued entry is **pinned** — never evictable from a
-    /// bounded catalog. Pinned means the migrator still owes work on it:
-    /// the file is misplaced (its recorded tier is not where the router
-    /// puts its path), or its decayed heat sits at or above the heat
-    /// policy's promote threshold (a promotion the next sweep will
-    /// execute).
-    fn pinned(&self, path: &str, heat: &FileHeat) -> bool {
-        self.router.route(path) != heat.backend as usize
-            || self.heat.as_ref().is_some_and(|p| {
-                heat.temp.decayed(self.observed_time(), p.half_life) >= p.promote_threshold
-            })
-    }
-
-    /// Advances the clock hand until one unpinned, unreferenced resident is
-    /// evicted. Returns `false` when a bounded number of steps found no
-    /// victim (every resident pinned or just touched — the catalog may
-    /// then exceed its capacity rather than drop owed work). Each step
-    /// either retires a tombstone (paid for by the removal that left it),
-    /// spends a second-chance bit (paid for by the touch that set it), or
-    /// skips a pinned entry, so the amortized cost per admission is O(1)
-    /// plus the pinned population.
-    fn make_room(&self, catalog: &mut Catalog, stats: &NvCacheStats) -> bool {
-        let mut steps = 2 * catalog.ring.len();
-        while steps > 0 {
-            steps -= 1;
-            let Some((seq, path)) = catalog.ring.pop_front() else {
-                return false;
-            };
-            match catalog.map.get_mut(&path) {
-                Some(e) if e.seq == seq => {
-                    if e.referenced {
-                        e.referenced = false;
-                        catalog.ring.push_back((seq, path));
-                    } else if self.pinned(&path, &e.heat) {
-                        catalog.ring.push_back((seq, path));
-                    } else {
-                        catalog.map.remove(&path);
-                        catalog.note_evicted(&path, self.capacity);
-                        stats.catalog_evictions.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                }
-                _ => {} // tombstone: the live occurrence is elsewhere
-            }
-        }
-        false
-    }
-
-    /// Admits a path the catalog does not currently hold, enforcing the
-    /// capacity bound: at capacity a correctly-placed cold resident is
-    /// evicted first; when every resident is pinned, a pinned newcomer is
-    /// admitted past the bound (owed work is never dropped) while a cold
-    /// newcomer is rejected — which counts as an eviction of itself.
-    fn admit_new(&self, catalog: &mut Catalog, path: String, heat: FileHeat, stats: &NvCacheStats) {
-        // Evict until back under the bound — more than once when pinned
-        // overflow from earlier admissions has since cooled below the
-        // retain threshold and become evictable again.
-        while catalog.map.len() >= self.capacity && self.make_room(catalog, stats) {}
-        if catalog.map.len() >= self.capacity && !self.pinned(&path, &heat) {
-            stats.catalog_evictions.fetch_add(1, Ordering::Relaxed);
-            catalog.note_evicted(&path, self.capacity);
-            return;
-        }
-        if catalog.evicted.remove(&Catalog::path_hash(&path)) {
-            stats.catalog_readmissions.fetch_add(1, Ordering::Relaxed);
-        }
-        let seq = catalog.next_seq;
-        catalog.next_seq += 1;
-        catalog.ring.push_back((seq, path.clone()));
-        catalog.map.insert(path, CatalogEntry { heat, referenced: false, seq });
-        catalog.maybe_compact();
-    }
-
     /// Records a file that just fully closed (it is now migratable) with
     /// the `heat` of this open generation: the backend, size and
     /// temperature of the latest close win (the [`FileState`](crate::files)
-    /// temperature already folded the catalogued heat back in at open). New
-    /// paths go through the capacity-bounded admission path.
-    pub fn record_closed(&self, path: &str, heat: FileHeat, stats: &NvCacheStats) {
+    /// temperature already folded the catalogued heat back in at open).
+    pub fn record_closed(&self, path: &str, heat: FileHeat) {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        let mut catalog = self.catalog.lock();
-        if let Some(e) = catalog.map.get_mut(path) {
-            e.heat = heat;
-            e.referenced = true;
-        } else {
-            self.admit_new(&mut catalog, path.to_string(), heat, stats);
-        }
+        self.catalog.lock().insert(path.to_string(), heat);
     }
 
     /// Removes and returns the catalog entry for a path being reopened (its
@@ -440,8 +278,8 @@ impl Migrator {
     pub fn take_if_on(&self, path: &str, backend: u32) -> Option<FileHeat> {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         let mut catalog = self.catalog.lock();
-        match catalog.map.get(path) {
-            Some(e) if e.heat.backend == backend => catalog.map.remove(path).map(|e| e.heat),
+        match catalog.get(path) {
+            Some(h) if h.backend == backend => catalog.remove(path),
             _ => None,
         }
     }
@@ -449,93 +287,54 @@ impl Migrator {
     /// Drops a path from the catalog (unlinked, or found stale).
     pub fn forget(&self, path: &str) {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        self.catalog.lock().map.remove(path);
+        self.catalog.lock().remove(path);
     }
 
     /// Renames a catalog entry, stamping the backend the file now lives
-    /// on. The destination goes through the same admission path as a
-    /// close: a resident source just changes key (a rename never grows
-    /// the catalog), but stamping a brand-new destination at capacity
-    /// must evict or be rejected like any other admission — the
-    /// unconditional insert this used to do could grow the catalog past
-    /// its bound one rename at a time.
-    pub fn rename_entry(&self, from: &str, to: &str, backend: u32, stats: &NvCacheStats) {
+    /// on. The source's heat travels with it (an uncatalogued source
+    /// arrives cold), and a catalogued destination is replaced: its old
+    /// file is gone.
+    pub fn rename_entry(&self, from: &str, to: &str, backend: u32) {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         let mut catalog = self.catalog.lock();
-        let moved = catalog.map.remove(from);
-        let resident_source = moved.is_some();
-        let heat = FileHeat { backend, ..moved.map(|e| e.heat).unwrap_or_default() };
-        if let Some(e) = catalog.map.get_mut(to) {
-            // The destination name was already catalogued: rename replaces
-            // it (the old destination file is gone), keeping its ring seat.
-            e.heat = heat;
-            e.referenced = true;
-        } else if resident_source {
-            // Net resident count is unchanged (one key out, one key in):
-            // no eviction needed, just a fresh ring seat for the new key.
-            let seq = catalog.next_seq;
-            catalog.next_seq += 1;
-            catalog.ring.push_back((seq, to.to_string()));
-            catalog
-                .map
-                .insert(to.to_string(), CatalogEntry { heat, referenced: false, seq });
-            catalog.maybe_compact();
-        } else {
-            self.admit_new(&mut catalog, to.to_string(), heat, stats);
-        }
+        let heat = catalog.remove(from).unwrap_or_default();
+        catalog.insert(to.to_string(), FileHeat { backend, ..heat });
     }
 
     /// The catalogued backend of a closed file, if known.
     pub fn backend_of(&self, path: &str) -> Option<u32> {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        self.catalog.lock().map.get(path).map(|e| e.heat.backend)
+        self.catalog.lock().get(path).map(|h| h.backend)
     }
 
     /// Stamps the backend — and the temperature, when one is known — of
-    /// each `(path, backend, temperature)` on its catalog entry. Three
-    /// callers: a finished migration publishing where the file now lives,
-    /// recovery's misplaced-file list (pinned, so even a bounded catalog
-    /// admits every one), and the temperatures recovered from the fd slots'
-    /// heat words, so the first sweep judges each file exactly as hot as the
-    /// crashed mount last persisted it.
-    ///
-    /// A path the catalog does not hold — never closed on this mount, or
-    /// already evicted as correctly placed and cold — enters through the
-    /// admission path: dropping the stamp instead would strand a file just
-    /// moved *off* its routed tier with no record of the misplacement, and
-    /// no sweep would ever bring it home.
-    pub fn seed(
-        &self,
-        entries: impl IntoIterator<Item = (String, u32, Option<Temperature>)>,
-        stats: &NvCacheStats,
-    ) {
+    /// each `(path, backend, temperature)` on its catalog entry, adding the
+    /// entry when the catalog lacks it. Three callers: a finished migration
+    /// publishing where the file now lives (dropping that stamp would
+    /// strand a file just moved *off* its routed tier with no record of the
+    /// misplacement), recovery's misplaced-file list, and the temperatures
+    /// recovered from the fd slots' heat words, so the first sweep judges
+    /// each file exactly as hot as the crashed mount last persisted it.
+    pub fn seed(&self, entries: impl IntoIterator<Item = (String, u32, Option<Temperature>)>) {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         let mut catalog = self.catalog.lock();
         for (path, backend, temp) in entries {
-            if let Some(e) = catalog.map.get_mut(&path) {
-                e.heat.backend = backend;
-                e.heat.temp = temp.unwrap_or(e.heat.temp);
-            } else {
-                let heat =
-                    FileHeat { backend, temp: temp.unwrap_or_default(), ..FileHeat::default() };
-                self.admit_new(&mut catalog, path, heat, stats);
-            }
+            let h = catalog.entry(path).or_default();
+            h.backend = backend;
+            h.temp = temp.unwrap_or(h.temp);
         }
     }
 
-    /// Number of resident catalog entries — the population sweeps clone
-    /// and sort, the quantity [`catalog_capacity`] bounds.
-    ///
-    /// [`catalog_capacity`]: crate::Tiering::catalog_capacity
+    /// Number of catalog entries — the population sweeps clone and sort.
     pub fn resident(&self) -> usize {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        self.catalog.lock().map.len()
+        self.catalog.lock().len()
     }
 
     /// Snapshot of the catalog (sweep input).
     fn entries(&self) -> Vec<(String, FileHeat)> {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
-        self.catalog.lock().map.iter().map(|(p, e)| (p.clone(), e.heat)).collect()
+        self.catalog.lock().iter().map(|(p, h)| (p.clone(), *h)).collect()
     }
 
     /// Catalogued payload bytes currently on backend `fast` — the
@@ -545,10 +344,9 @@ impl Migrator {
         let _lk = self.lockcheck.acquire(Class::MigratorCatalog, 0);
         self.catalog
             .lock()
-            .map
             .values()
-            .filter(|e| e.heat.backend == fast)
-            .map(|e| e.heat.bytes)
+            .filter(|h| h.backend == fast)
+            .map(|h| h.bytes)
             .sum()
     }
 }
@@ -797,7 +595,7 @@ pub(crate) fn migrate_path(
     // Publish the new placement *before* the claim is released: a
     // concurrent sweep reading a stale catalog backend would probe the old
     // tier, get NotFound and drop the entry entirely.
-    tiers.migrator.seed([(path.to_string(), to as u32, None)], &shared.stats);
+    tiers.migrator.seed([(path.to_string(), to as u32, None)]);
     Ok(Some((tiers.moved(&shared.stats, from, to, bytes), bytes)))
 }
 
@@ -924,34 +722,9 @@ pub(crate) fn sweep(shared: &Shared, clock: &ActorClock) -> IoResult<RebalanceRe
 mod tests {
     use std::time::Duration;
 
-    use proptest::prelude::*;
     use simclock::SimTime;
 
     use super::*;
-    use crate::router::{PathPrefixRouter, SingleBackend};
-
-    /// An unbounded migrator over a single-backend router (every entry
-    /// correctly placed, nothing pinned) — the seed-faithful default.
-    fn unbounded() -> (Migrator, NvCacheStats) {
-        let m = Migrator::new(Recorder::default(), None, None, Arc::new(SingleBackend));
-        (m, NvCacheStats::default())
-    }
-
-    /// A capacity-bounded migrator on a two-tier mount: `/hot/**` routes
-    /// to tier 1, everything else to tier 0, promote-threshold 4 heat.
-    fn bounded(capacity: usize) -> (Migrator, NvCacheStats) {
-        let m = Migrator::new(
-            Recorder::default(),
-            Some(capacity),
-            Some(HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60))),
-            Arc::new(PathPrefixRouter::new(vec![("/hot".into(), 1)], 0)),
-        );
-        (m, NvCacheStats::default())
-    }
-
-    fn close_cold(m: &Migrator, stats: &NvCacheStats, path: &str, backend: u32) {
-        m.record_closed(path, FileHeat { backend, bytes: 10, ..FileHeat::default() }, stats);
-    }
 
     #[test]
     fn gate_leases_and_claims_exclude_each_other() {
@@ -993,296 +766,48 @@ mod tests {
 
     #[test]
     fn catalog_accumulates_heat_across_generations() {
-        let (m, stats) = unbounded();
+        let m = Migrator::new(Recorder::default());
         let mut temp = Temperature::default();
         temp.touch(SimTime::from_secs(1), SimTime::from_secs(60));
-        m.record_closed("/f", FileHeat { backend: 1, bytes: 100, temp }, &stats);
+        m.record_closed("/f", FileHeat { backend: 1, bytes: 100, temp });
         temp.touch(SimTime::from_secs(2), SimTime::from_secs(60));
-        m.record_closed("/f", FileHeat { backend: 0, bytes: 300, temp }, &stats);
+        m.record_closed("/f", FileHeat { backend: 0, bytes: 300, temp });
         assert!(m.take_if_on("/f", 1).is_none(), "a mismatched tier must not steal the entry");
         let heat = m.take_if_on("/f", 0).expect("catalogued");
         assert_eq!(heat.backend, 0, "latest close wins the placement");
         assert_eq!(heat.bytes, 300, "latest close wins the size");
         assert_eq!(heat.temp, temp, "latest close wins the temperature snapshot");
         assert!(m.take_if_on("/f", 0).is_none(), "take removes the entry");
-        m.seed([("/g".to_string(), 2u32, None)], &stats);
+        m.seed([("/g".to_string(), 2u32, None)]);
         assert_eq!(m.backend_of("/g"), Some(2));
-        m.rename_entry("/g", "/h", 1, &stats);
+        m.rename_entry("/g", "/h", 1);
         assert_eq!(m.backend_of("/g"), None);
         assert_eq!(m.backend_of("/h"), Some(1));
         m.forget("/h");
         assert_eq!(m.backend_of("/h"), None);
-        assert_eq!(stats.catalog_evictions.load(Ordering::Relaxed), 0);
-        assert_eq!(stats.catalog_readmissions.load(Ordering::Relaxed), 0);
+        // A rename of an uncatalogued source stamps the destination's
+        // backend on a cold entry.
+        m.rename_entry("/unknown", "/u", 1);
+        assert_eq!(m.resident(), 1);
+        let u = m.take_if_on("/u", 1).expect("the destination is catalogued");
+        assert_eq!((u.bytes, u.temp), (0, Temperature::default()), "it arrives cold");
+        // A rename onto a catalogued destination replaces it.
+        m.record_closed("/src", FileHeat { backend: 0, bytes: 7, temp });
+        m.record_closed("/dst", FileHeat { backend: 0, bytes: 999, ..FileHeat::default() });
+        m.rename_entry("/src", "/dst", 1);
+        assert_eq!(m.resident(), 1, "one file under one name");
+        let dst = m.take_if_on("/dst", 1).expect("the destination is catalogued");
+        assert_eq!((dst.bytes, dst.temp), (7, temp), "the source's heat replaced the old file's");
     }
 
     #[test]
     fn fast_tier_occupancy_sums_catalogued_bytes() {
-        let (m, stats) = unbounded();
+        let m = Migrator::new(Recorder::default());
         for (path, backend, bytes) in [("/a", 1, 100), ("/b", 1, 50), ("/c", 0, 999)] {
-            m.record_closed(path, FileHeat { backend, bytes, ..FileHeat::default() }, &stats);
+            m.record_closed(path, FileHeat { backend, bytes, ..FileHeat::default() });
         }
         assert_eq!(m.fast_tier_occupancy(1), 150);
         assert_eq!(m.fast_tier_occupancy(0), 999);
         assert_eq!(m.fast_tier_occupancy(7), 0);
-    }
-
-    #[test]
-    fn bounded_catalog_evicts_only_correctly_placed_cold_entries() {
-        let (m, stats) = bounded(3);
-        // A misplaced file (routes to /hot yet sits on tier 0) and a hot
-        // file (heat 8 ≥ promote threshold 4) are pinned; two cold,
-        // correctly-placed files fill the rest.
-        close_cold(&m, &stats, "/hot/misplaced", 0);
-        let mut hot = Temperature::default();
-        for _ in 0..8 {
-            hot.touch(SimTime::from_secs(1), SimTime::from_secs(60));
-        }
-        let heat = FileHeat { backend: 0, bytes: 10, temp: hot };
-        m.record_closed("/bulk/hot", heat, &stats);
-        close_cold(&m, &stats, "/bulk/cold-a", 0);
-        assert_eq!(m.resident(), 3);
-        // Admitting a fourth entry must evict one of the colds — never the
-        // misplaced or the hot entry.
-        close_cold(&m, &stats, "/bulk/cold-b", 0);
-        assert_eq!(m.resident(), 3, "capacity holds");
-        assert_eq!(stats.catalog_evictions.load(Ordering::Relaxed), 1);
-        assert_eq!(m.backend_of("/hot/misplaced"), Some(0), "misplaced entry pinned");
-        assert_eq!(m.backend_of("/bulk/hot"), Some(0), "hot entry pinned");
-        // Re-closing the evicted cold file counts a readmission (it may in
-        // turn evict the other cold — the clock hand decides).
-        close_cold(&m, &stats, "/bulk/cold-a", 0);
-        close_cold(&m, &stats, "/bulk/cold-b", 0);
-        assert!(stats.catalog_readmissions.load(Ordering::Relaxed) >= 1);
-        assert!(m.resident() <= 3);
-    }
-
-    #[test]
-    fn pinned_overflow_grows_past_capacity_rather_than_dropping_work() {
-        let (m, stats) = bounded(2);
-        // Three misplaced files: all pinned, capacity 2.
-        close_cold(&m, &stats, "/hot/a", 0);
-        close_cold(&m, &stats, "/hot/b", 0);
-        close_cold(&m, &stats, "/hot/c", 0);
-        assert_eq!(m.resident(), 3, "pinned entries are never dropped");
-        assert_eq!(stats.catalog_evictions.load(Ordering::Relaxed), 0);
-        // A cold newcomer is rejected while the pinned population holds
-        // every seat (its rejection counts as an eviction of itself)...
-        close_cold(&m, &stats, "/bulk/cold", 0);
-        assert_eq!(m.backend_of("/bulk/cold"), None);
-        assert_eq!(stats.catalog_evictions.load(Ordering::Relaxed), 1);
-        // ...and once the pinned files are re-homed (set_backend after a
-        // migration), they become evictable colds again.
-        m.seed(["/hot/a", "/hot/b", "/hot/c"].map(|p| (p.to_string(), 1, None)), &stats);
-        close_cold(&m, &stats, "/bulk/cold", 0);
-        assert_eq!(m.backend_of("/bulk/cold"), Some(0));
-        assert!(m.resident() <= 3);
-        assert_eq!(stats.catalog_readmissions.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn rename_at_capacity_goes_through_admission() {
-        let (m, stats) = bounded(2);
-        close_cold(&m, &stats, "/hot/a", 0); // pinned (misplaced)
-        close_cold(&m, &stats, "/hot/b", 0); // pinned (misplaced)
-        assert_eq!(m.resident(), 2);
-        // Stamping a brand-new cold destination at capacity must not grow
-        // the catalog (the pre-fix code inserted unconditionally).
-        m.rename_entry("/bulk/unknown", "/bulk/fresh", 0, &stats);
-        assert_eq!(m.resident(), 2, "rename must not grow a full catalog");
-        assert_eq!(m.backend_of("/bulk/fresh"), None);
-        // A resident source just changes key — never blocked, never grows.
-        m.rename_entry("/hot/a", "/hot/a2", 0, &stats);
-        assert_eq!(m.resident(), 2);
-        assert_eq!(m.backend_of("/hot/a"), None);
-        assert_eq!(m.backend_of("/hot/a2"), Some(0));
-        // A pinned destination is admitted even at capacity.
-        m.rename_entry("/bulk/unknown", "/hot/pinned-dst", 0, &stats);
-        assert_eq!(m.backend_of("/hot/pinned-dst"), Some(0));
-    }
-
-    #[test]
-    fn under_capacity_churn_keeps_the_ring_bounded() {
-        let (m, stats) = bounded(64);
-        // Open/close churn of few paths leaves one ring tombstone per
-        // take_if_on; compaction must keep the ring near the resident set.
-        for round in 0..1_000 {
-            let path = format!("/bulk/{}", round % 4);
-            close_cold(&m, &stats, &path, 0);
-            assert!(m.take_if_on(&path, 0).is_some());
-        }
-        assert_eq!(m.resident(), 0);
-        let catalog = m.catalog.lock();
-        // Compaction fires once tombstones pass 2·residents + 64; with ≤ 4
-        // residents the ring can never coast past ~73 occurrences.
-        assert!(
-            catalog.ring.len() <= 128,
-            "ring grew to {} with {} residents",
-            catalog.ring.len(),
-            catalog.map.len()
-        );
-    }
-
-    /// One step of the model interleaving: the same mutation is applied to
-    /// a bounded migrator and to an unbounded model map.
-    #[derive(Debug, Clone)]
-    enum Op {
-        /// Full close of path `p` on tier `backend`, with `touches` heat
-        /// touches folded in at virtual second `at`.
-        Close { p: u8, backend: u32, touches: u8, at: u16 },
-        /// Reopen (take_if_on) of path `p` against the tier the model says.
-        Open { p: u8 },
-        /// Unlink of path `p`.
-        Unlink { p: u8 },
-        /// Rename `p` → `q` stamping tier `backend`.
-        Rename { p: u8, q: u8, backend: u32 },
-        /// A migration landed: stamp `p`'s entry onto `backend`.
-        SetBackend { p: u8, backend: u32 },
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            (0u8..24, 0u32..2, 0u8..10, 0u16..600)
-                .prop_map(|(p, backend, touches, at)| Op::Close { p, backend, touches, at }),
-            (0u8..24).prop_map(|p| Op::Open { p }),
-            (0u8..24).prop_map(|p| Op::Unlink { p }),
-            (0u8..24, 0u8..24, 0u32..2).prop_map(|(p, q, backend)| Op::Rename { p, q, backend }),
-            (0u8..24, 0u32..2).prop_map(|(p, backend)| Op::SetBackend { p, backend }),
-        ]
-    }
-
-    fn model_path(p: u8) -> String {
-        // Half the namespace routes to the fast tier (/hot), half to the
-        // slow baseline — so misplacement and pinning both occur.
-        if p.is_multiple_of(2) {
-            format!("/hot/f{p}")
-        } else {
-            format!("/bulk/f{p}")
-        }
-    }
-
-    proptest! {
-        /// Model test: under arbitrary close/open/unlink/rename/migrate
-        /// interleavings a bounded catalog (a) never exceeds
-        /// `max(capacity, pinned entries)`, (b) never evicts a misplaced
-        /// or promote-worthy entry — every such model entry survives with
-        /// identical heat — and (c) agrees with the unbounded model on
-        /// the sweep targets of every retained entry.
-        #[test]
-        fn bounded_catalog_matches_the_unbounded_model(
-            ops in proptest::collection::vec(op_strategy(), 1..120),
-            capacity in 1usize..12,
-        ) {
-            let (m, stats) = bounded(capacity);
-            let policy = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60));
-            let router = PathPrefixRouter::new(vec![("/hot".into(), 1)], 0);
-            let mut model: HashMap<String, FileHeat> = HashMap::new();
-            let mut now = SimTime::ZERO;
-            let mut pinned_high = 0usize;
-            for op in ops {
-                match op {
-                    Op::Close { p, backend, touches, at } => {
-                        let path = model_path(p);
-                        now = now.max(SimTime::from_secs(at as u64));
-                        m.observe_time(now);
-                        let mut temp = model
-                            .get(&path)
-                            .filter(|h| h.backend == backend)
-                            .map(|h| h.temp)
-                            .unwrap_or_default();
-                        for _ in 0..touches {
-                            temp.touch(now, policy.half_life);
-                        }
-                        let heat = FileHeat { backend, bytes: 10, temp };
-                        m.record_closed(&path, heat, &stats);
-                        model.insert(path, heat);
-                    }
-                    Op::Open { p } => {
-                        let path = model_path(p);
-                        if let Some(h) = model.get(&path).copied() {
-                            let taken = m.take_if_on(&path, h.backend);
-                            if taken.is_some() {
-                                model.remove(&path);
-                            }
-                        }
-                    }
-                    Op::Unlink { p } => {
-                        let path = model_path(p);
-                        m.forget(&path);
-                        model.remove(&path);
-                    }
-                    Op::Rename { p, q, backend } => {
-                        let (from, to) = (model_path(p), model_path(q));
-                        // Heat travels with a rename only while the source is
-                        // still catalogued: an entry evicted as
-                        // correctly-placed-cold has already forgotten its
-                        // temperature, so the destination starts cold.
-                        let resident = m.backend_of(&from).is_some();
-                        m.rename_entry(&from, &to, backend, &stats);
-                        let heat = model
-                            .remove(&from)
-                            .filter(|_| resident)
-                            .unwrap_or_default();
-                        model.insert(to, FileHeat { backend, ..heat });
-                    }
-                    Op::SetBackend { p, backend } => {
-                        // A sweep-driven migration only lands on catalogued
-                        // entries, so the model mirrors the stamp only when
-                        // the bounded catalog still holds the path (an entry
-                        // evicted as correctly-placed-cold cannot later be
-                        // flipped misplaced by a migration it can't start).
-                        let path = model_path(p);
-                        if m.backend_of(&path).is_some() {
-                            m.seed([(path.clone(), backend, None)], &stats);
-                            if let Some(h) = model.get_mut(&path) {
-                                h.backend = backend;
-                            }
-                        }
-                    }
-                }
-                let decay_now = m.observed_time();
-                let pinned = model
-                    .iter()
-                    .filter(|(path, h)| {
-                        router.route(path) != h.backend as usize
-                            || h.temp.decayed(decay_now, policy.half_life) >= 4.0
-                    })
-                    .count();
-                // Resident only grows at admission, where the bound
-                // max(capacity, pinned-at-that-moment) holds; entries that
-                // were pinned when admitted past cap may cool afterwards
-                // and linger until the next admission drains them, so the
-                // running bound is the pinned high-water mark.
-                pinned_high = pinned_high.max(pinned);
-                prop_assert!(
-                    m.resident() <= capacity.max(pinned_high),
-                    "{} resident > max(capacity {capacity}, pinned high-water {pinned_high})",
-                    m.resident()
-                );
-            }
-            // Every pinned model entry must have survived, bit for bit.
-            let decay_now = m.observed_time();
-            let retained: HashMap<String, FileHeat> = m.entries().into_iter().collect();
-            for (path, h) in &model {
-                let is_pinned = router.route(path) != h.backend as usize
-                    || h.temp.decayed(decay_now, policy.half_life) >= 4.0;
-                if is_pinned {
-                    let kept = retained.get(path);
-                    prop_assert!(kept.is_some(), "pinned entry {path} was evicted");
-                    if let Some(kept) = kept {
-                        prop_assert_eq!(kept.backend, h.backend);
-                        prop_assert_eq!(kept.temp, h.temp, "heat of {} diverged", path);
-                    }
-                }
-            }
-            // On the retained set, sweep targets equal the unbounded
-            // model's assignment for the same files.
-            let mut kept: Vec<(String, FileHeat)> = retained.into_iter().collect();
-            kept.sort_by(|a, b| a.0.cmp(&b.0));
-            let bounded_targets = policy.assign(&kept, decay_now, &router, 2);
-            let modelled: Vec<(String, FileHeat)> =
-                kept.into_iter().map(|(path, _)| (path.clone(), model[&path])).collect();
-            prop_assert_eq!(bounded_targets, policy.assign(&modelled, decay_now, &router, 2));
-        }
     }
 }

@@ -128,9 +128,8 @@ pub(crate) fn dequantize_heat(q: u16) -> f64 {
 #[derive(Debug, Clone)]
 pub struct HeatPolicy {
     pub(crate) fast_tier: usize,
-    /// Also the decayed heat at or above which a capacity-bounded migrator
-    /// catalog never evicts an entry: it is a promotion the sweep still
-    /// owes.
+    /// Also the persisted heat at or above which recovery does not count
+    /// a file off its routed tier as misplaced.
     pub(crate) promote_threshold: f64,
     demote_threshold: f64,
     pub(crate) half_life: SimTime,
@@ -242,15 +241,10 @@ impl HeatPolicy {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use proptest::prelude::*;
 
     use super::*;
-    use crate::lockcheck::Recorder;
-    use crate::migrate::Migrator;
     use crate::router::{PathPrefixRouter, SingleBackend};
-    use crate::NvCacheStats;
 
     /// A catalog entry on `backend` whose heat is `heat` at virtual time 0.
     fn file(path: &str, backend: u32, bytes: u64, heat: f64) -> (String, FileHeat) {
@@ -362,24 +356,6 @@ mod tests {
         for q in 0..u16::MAX {
             assert!(dequantize_heat(q) < dequantize_heat(q + 1));
         }
-    }
-
-    #[test]
-    fn retain_threshold_follows_the_promote_threshold() {
-        // A one-entry catalog holding `resident` at `heat`, then asked to
-        // admit a cold newcomer: whether the resident survives.
-        let kept = |heat: f64| {
-            let p = HeatPolicy::new(1, 4.0, 1.0, SimTime::from_secs(60));
-            let m = Migrator::new(Recorder::default(), Some(1), Some(p), Arc::new(SingleBackend));
-            let stats = NvCacheStats::default();
-            let (path, resident) = file("/resident", 0, 10, heat);
-            m.record_closed(&path, resident, &stats);
-            let (path, newcomer) = file("/newcomer", 0, 10, 0.0);
-            m.record_closed(&path, newcomer, &stats);
-            m.backend_of("/resident").is_some()
-        };
-        assert!(kept(4.0), "at the promote threshold the sweep still owes a promotion");
-        assert!(!kept(3.99), "below it the entry is a correctly placed cold file");
     }
 
     #[test]

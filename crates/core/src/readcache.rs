@@ -99,7 +99,7 @@ impl ReadCache {
     /// aside, and put back at the front of its FIFO at the end. Eviction
     /// takes from the other FIFO while every remaining page of the preferred
     /// one is set aside, and once every page is, the pool overshoots for now.
-    pub fn make_room(&self, stats: &NvCacheStats) {
+    pub fn evict_to_fit(&self, stats: &NvCacheStats) {
         let mut q = self.queues.lock();
         let (mut held, mut held_small) = (Vec::new(), 0);
         while q.loaded() + held.len() >= self.capacity {
@@ -210,7 +210,7 @@ mod tests {
         if slot.content.is_some() {
             slot.touch();
         } else {
-            rc.make_room(stats);
+            rc.evict_to_fit(stats);
             rc.install(d, &mut slot, vec![0u8; 16].into_boxed_slice(), stats);
         }
     }
@@ -246,7 +246,7 @@ mod tests {
             read(&rc, &stats, d);
         }
         read(&rc, &stats, &ps[0]); // the hot page: read again
-        rc.make_room(&stats);
+        rc.evict_to_fit(&stats);
         assert_eq!(rc.loaded(), 9);
         assert!(loaded(&ps[0]), "a page read twice moves to main");
         assert!(!loaded(&ps[1]), "a page read once leaves first");
@@ -260,7 +260,7 @@ mod tests {
         let pinned = page(1, 0);
         install(&rc, &pinned);
         let _guard = pinned.lock(); // evictor must not deadlock on this
-        rc.make_room(&stats);
+        rc.evict_to_fit(&stats);
         // Could not evict: pool overshoots rather than deadlocks.
         assert_eq!(rc.loaded(), 1);
         assert_eq!(count(&stats.evictions), 0);
@@ -274,7 +274,7 @@ mod tests {
         install(&rc, &a);
         install(&rc, &b);
         read(&rc, &NvCacheStats::default(), &a);
-        rc.make_room(&NvCacheStats::default());
+        rc.evict_to_fit(&NvCacheStats::default());
         rc.purge_file(1);
         assert_eq!(rc.loaded(), 1);
         assert!(!loaded(&a));
@@ -290,7 +290,7 @@ mod tests {
         let queued = crate::pagedesc::Queued { gseq: 0, stripe: 0, seq: 0 };
         d.enqueue_propagation(queued, &Default::default());
         let extra = page(1, 1);
-        rc.make_room(&stats);
+        rc.evict_to_fit(&stats);
         install(&rc, &extra);
         assert_eq!(d.state(), crate::PageState::UnloadedDirty);
     }
@@ -395,7 +395,7 @@ mod tests {
 
         /// Evicts until below capacity, passing over `pinned` pages;
         /// returns the victims in order.
-        fn make_room(&mut self, pinned: &HashSet<usize>) -> Vec<usize> {
+        fn evict_to_fit(&mut self, pinned: &HashSet<usize>) -> Vec<usize> {
             let mut victims = Vec::new();
             let (mut held_small, mut held_main) = (Vec::new(), Vec::new());
             while self.loaded() + held_small.len() + held_main.len() >= self.cap {
@@ -503,7 +503,7 @@ mod tests {
                         if model.is_loaded(p) {
                             model.touch(p);
                         } else {
-                            victims = model.make_room(&HashSet::new());
+                            victims = model.evict_to_fit(&HashSet::new());
                             model.install(p);
                         }
                         read(&rc, &stats, &descs[p]);
@@ -513,8 +513,8 @@ mod tests {
                         descs[p].lock().touch();
                     }
                     4 => {
-                        victims = model.make_room(&HashSet::new());
-                        rc.make_room(&stats);
+                        victims = model.evict_to_fit(&HashSet::new());
+                        rc.evict_to_fit(&stats);
                     }
                     5 => {
                         let file = p as u64 % 2 + 1;
@@ -531,7 +531,7 @@ mod tests {
                         if model.is_loaded(p) {
                             model.touch(p);
                         } else {
-                            victims = model.make_room(&pinned);
+                            victims = model.evict_to_fit(&pinned);
                             model.install(p);
                         }
                         read(&rc, &stats, &descs[p]);

@@ -253,18 +253,6 @@ counter_table! {
         /// migration and rebalance sweep; the occupancy the
         /// [`HeatPolicy`](crate::HeatPolicy) budget is enforced against.
         fast_tier_bytes,
-        /// Entries a capacity-bounded migrator catalog
-        /// ([`catalog_capacity`](crate::Tiering::catalog_capacity))
-        /// dropped to stay within its bound — always correctly-placed cold
-        /// files (misplaced or promote-worthy entries are pinned). Always
-        /// `0` on an unbounded catalog. A high rate relative to closes means
-        /// the capacity is too small for the working set.
-        catalog_evictions,
-        /// Closes that re-admitted a path the bounded catalog had previously
-        /// evicted — each one restarted heat accumulation from the file's
-        /// open-time state, so a rising rate means the catalog is thrashing
-        /// (capacity below the *recurring* working set).
-        catalog_readmissions,
     }
     nested {
         /// Per-stripe breakdown of the log counters (one entry per
@@ -356,7 +344,7 @@ mod tests {
         mirrors(ShardStats::NAMES, shard.counters(), || format!("{:?}", s.snapshot().per_shard[0]));
         let queue = &s.per_queue[0];
         mirrors(QueueStats::NAMES, queue.counters(), || format!("{:?}", s.snapshot().per_queue[0]));
-        assert_eq!(NvCacheStats::NAMES.len(), 24);
+        assert_eq!(NvCacheStats::NAMES.len(), 22);
         assert_eq!(NvCacheStats::NAMES[0], "writes");
     }
 

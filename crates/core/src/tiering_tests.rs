@@ -501,11 +501,10 @@ fn unlinked_file_slot_is_cleared_by_migration_so_the_region_stays_mountable() {
 fn an_unlinked_file_is_never_catalogued() {
     // Regression: `unlink` forgot the path, then the victim's zombie
     // finished its drain and `finish_close` catalogued the deleted path
-    // again — one `catalog_capacity` seat per journal until a sweep tripped
-    // over `NotFound`.
+    // again — one catalog entry per journal until a sweep tripped over
+    // `NotFound`.
     let cfg = NvCacheConfig { fd_slots: 64, ..NvCacheConfig::tiny() };
-    let below = Below { catalog_capacity: Some(8), ..Below::memfs(2) };
-    let (Rig { clock: c, .. }, cache) = Rig::new(cfg, below);
+    let (Rig { clock: c, .. }, cache) = Rig::new(cfg, Below::memfs(2));
     let create = OpenFlags::RDWR | OpenFlags::CREATE;
     let db = cache.open("/hot/db", create, &c).unwrap();
     cache.pwrite(db, b"page", 0, &c).unwrap();

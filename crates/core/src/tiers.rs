@@ -8,10 +8,10 @@
 //!
 //! * [`Tiering`] — the public value handed to
 //!   [`NvCacheBuilder::tiers`](crate::NvCacheBuilder::tiers): the router,
-//!   the (layered) tiers, and the two choices about moving files between
-//!   them ([`HeatPolicy`], catalog capacity).
+//!   the (layered) tiers, and the choice of where files move between
+//!   them ([`HeatPolicy`]).
 //!   [`NvCacheBuilder::backend`](crate::NvCacheBuilder::backend) builds the
-//!   one-tier value of the paper's deployment, which has neither to set.
+//!   one-tier value of the paper's deployment, which has none to set.
 //! * `Tiers` — the mounted half, built once by the builder *before*
 //!   recovery. It owns the merged namespace `cache.rs` shows as one: an
 //!   existing file is opened in place (recorded backend, then routed
@@ -82,8 +82,11 @@ pub type LayeredTier = (Vec<Arc<dyn Layer>>, Arc<dyn FileSystem>);
 /// only when asked: [`NvCache::rebalance`], [`NvCache::migrate`], or a
 /// `rename` across tiers (a journaled migrate-then-rename).
 ///
-/// Defaults: no [`HeatPolicy`] (files belong where the router puts them),
-/// an unbounded catalog. Nothing of this value is encoded in the NVMM image
+/// Default: no [`HeatPolicy`] (files belong where the router puts them).
+/// The migrator's catalog keeps one entry per distinct path a tiered mount
+/// closes until the path is reopened or unlinked, so it grows with that
+/// namespace; no benchmark workload, paper figure or example reaches a
+/// size where this shows. Nothing of this value is encoded in the NVMM image
 /// except the tier count; everything else may change across a remount. A
 /// mount over two or more tiers with a heat policy stamps each open file's
 /// temperature into its fd slot at `open`, `fsync` and `close`, so a crash
@@ -93,7 +96,6 @@ pub struct Tiering {
     pub(crate) router: Arc<dyn Router>,
     pub(crate) tiers: Vec<LayeredTier>,
     pub(crate) heat: Option<HeatPolicy>,
-    pub(crate) catalog_capacity: Option<usize>,
 }
 
 impl std::fmt::Debug for Tiering {
@@ -102,7 +104,6 @@ impl std::fmt::Debug for Tiering {
             .field("router", &self.router)
             .field("stack_depths", &self.tiers.iter().map(|t| t.0.len()).collect::<Vec<_>>())
             .field("heat", &self.heat)
-            .field("catalog_capacity", &self.catalog_capacity)
             .finish()
     }
 }
@@ -132,7 +133,7 @@ impl Tiering {
             (1..=MAX_BACKENDS).contains(&tiers.len()),
             "backends must be in 1..={MAX_BACKENDS}"
         );
-        Tiering { router, tiers, heat: None, catalog_capacity: None }
+        Tiering { router, tiers, heat: None }
     }
 
     /// Installs the [`HeatPolicy`] that overrides the router's answer to
@@ -166,25 +167,6 @@ impl Tiering {
     /// ```
     pub fn heat(mut self, policy: HeatPolicy) -> Self {
         self.heat = Some(policy);
-        self
-    }
-
-    /// Caps the migrator's closed-file catalog at `n` resident entries with
-    /// a clock (second-chance) eviction that only evicts *correctly placed
-    /// cold* files: an entry that is misplaced or whose decayed heat sits at
-    /// or above the policy's promote threshold is pinned until a sweep acts
-    /// on it, and when the pinned population alone exceeds `n` the catalog
-    /// grows past the cap rather than drop owed work. Keeps sweep time and
-    /// catalog memory O(hot files) on million-file namespaces. Without this
-    /// call the catalog is unbounded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero — a catalog that can hold nothing would
-    /// silently disable heat accumulation and misplacement tracking.
-    pub fn catalog_capacity(mut self, n: usize) -> Self {
-        assert!(n >= 1, "catalog_capacity must be at least 1");
-        self.catalog_capacity = Some(n);
         self
     }
 
@@ -248,7 +230,7 @@ impl Tiers {
     /// Panics if `tiering` is inconsistent ([`Tiering::validate`]).
     pub fn mount(tiering: Tiering) -> IoResult<Tiers> {
         tiering.validate();
-        let Tiering { router, tiers, heat, catalog_capacity } = tiering;
+        let Tiering { router, tiers, heat } = tiering;
         if router.fan_out() > tiers.len() {
             return Err(IoError::InvalidArgument(format!(
                 "router {router:?} fans out to {} backends but only {} were supplied",
@@ -261,9 +243,7 @@ impl Tiers {
         let backends: Box<[Arc<dyn FileSystem>]> =
             tiers.into_iter().map(|(layers, inner)| vfs::stack(&layers, inner)).collect();
         let heat = heat.filter(|_| backends.len() > 1);
-        let migrator =
-            Migrator::new(Recorder::new(), catalog_capacity, heat.clone(), Arc::clone(&router));
-        Ok(Tiers { backends, router, heat, migrator })
+        Ok(Tiers { backends, router, heat, migrator: Migrator::new(Recorder::new()) })
     }
 
     /// The one inner file system of the paper's deployment; `None` on a
@@ -465,7 +445,7 @@ impl Tiers {
             self.migrator.forget(from);
             self.migrator.forget(to);
         } else {
-            self.migrator.rename_entry(from, to, src as u32, &shared.stats);
+            self.migrator.rename_entry(from, to, src as u32);
         }
         Ok(())
     }
@@ -569,7 +549,7 @@ impl Tiers {
         let bytes = crate::migrate::journaled_move(shared, from, to, src, dst, clock)?;
         // The destination name is replaced mount-wide.
         self.unlink_others(to, dst, clock)?;
-        self.migrator.rename_entry(from, to, dst as u32, &shared.stats);
+        self.migrator.rename_entry(from, to, dst as u32);
         self.moved(&shared.stats, src, dst, bytes);
         self.refresh_gauge(&shared.stats);
         Ok(())
@@ -655,7 +635,7 @@ impl Tiers {
     /// The last descriptor on a named file is closed and drained: catalogue
     /// it — with its size and decaying temperature — so sweeps can re-home
     /// it.
-    pub fn closed(&self, opened: &OpenedFile, stats: &NvCacheStats) {
+    pub fn closed(&self, opened: &OpenedFile) {
         if !self.migrates() {
             return;
         }
@@ -665,7 +645,7 @@ impl Tiers {
             bytes: file.size.load(Ordering::Relaxed),
             temp: *file.temperature.lock(),
         };
-        self.migrator.record_closed(&file.path, heat, stats);
+        self.migrator.record_closed(&file.path, heat);
     }
 
     /// Accounts one finished move of `bytes` from tier `from` to tier `to`,
@@ -699,21 +679,14 @@ impl Tiers {
     /// persisted temperature summaries re-seed the catalog so the next sweep
     /// re-promotes the recovered hot set without a file being re-touched —
     /// only on a mount that tracks heat.
-    pub fn seed(
-        &self,
-        misplaced: Vec<(String, u32)>,
-        heat: HeatSeeds,
-        now: SimTime,
-        stats: &NvCacheStats,
-    ) {
+    pub fn seed(&self, misplaced: Vec<(String, u32)>, heat: HeatSeeds, now: SimTime) {
         if self.migrates() {
-            self.migrator
-                .seed(misplaced.into_iter().map(|(path, b)| (path, b, None)), stats);
+            self.migrator.seed(misplaced.into_iter().map(|(path, b)| (path, b, None)));
         }
         if self.heat.is_some() && !heat.is_empty() {
             self.migrator.observe_time(now);
             let warm = |(path, b, heat)| (path, b, Some(Temperature { heat, stamp: now }));
-            self.migrator.seed(heat.into_iter().map(warm), stats);
+            self.migrator.seed(heat.into_iter().map(warm));
         }
     }
 }
@@ -741,11 +714,9 @@ impl NvCache {
         &self.shared.tiers.router
     }
 
-    /// Files currently resident in the migrator's closed-file catalog —
-    /// bounded by [`Tiering::catalog_capacity`] (plus any pinned overflow
-    /// the bound is not allowed to drop: misplaced or above-threshold
-    /// entries survive until acted on). Unbounded mounts report the full
-    /// catalog size.
+    /// Files currently in the migrator's closed-file catalog: every path
+    /// closed on a tiered mount (or reported misplaced by recovery) and not
+    /// since reopened, unlinked or found stale. `0` on a one-tier mount.
     pub fn catalog_resident(&self) -> usize {
         self.shared.tiers.migrator.resident()
     }

@@ -220,6 +220,30 @@ impl LatencyHistogram {
     }
 }
 
+/// The three tail points every latency report carries, read off one
+/// [`LatencyHistogram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tail {
+    /// Median latency.
+    pub p50: SimTime,
+    /// 99th-percentile latency.
+    pub p99: SimTime,
+    /// 99.9th-percentile latency.
+    pub p999: SimTime,
+}
+
+impl Tail {
+    /// Reads the three percentiles out of a histogram.
+    pub fn of(hist: &LatencyHistogram) -> Tail {
+        Tail { p50: hist.p50(), p99: hist.p99(), p999: hist.p999() }
+    }
+
+    /// `[p50, p99, p999]` in microseconds, as reports print them.
+    pub fn micros(&self) -> [f64; 3] {
+        [self.p50, self.p99, self.p999].map(SimTime::as_micros_f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,6 +346,21 @@ mod tests {
         assert_eq!(h.p999(), SimTime::ZERO);
         assert_eq!(h.mean(), SimTime::ZERO);
         assert_eq!(h.min(), SimTime::ZERO);
+        let zero = SimTime::ZERO;
+        assert_eq!(Tail::of(&h), Tail { p50: zero, p99: zero, p999: zero });
+    }
+
+    #[test]
+    fn a_tail_reads_its_three_points_off_the_histogram() {
+        let mut h = LatencyHistogram::new();
+        for us in 1..=200 {
+            h.record(SimTime::from_micros(us));
+        }
+        let t = Tail::of(&h);
+        assert_eq!((t.p50, t.p99, t.p999), (h.p50(), h.p99(), h.p999()));
+        let [p50, p99, p999] = t.micros();
+        assert!(p50 < p99 && p99 <= p999, "{t:?}");
+        assert!((p50 - 100.0).abs() / 100.0 < 0.1, "median ≈ 100 µs, got {p50}");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 pub mod hist;
 pub mod uring;
 
-pub use hist::LatencyHistogram;
+pub use hist::{LatencyHistogram, Tail};
 pub use uring::{Cqe, IoRing};
 
 use std::sync::Arc;

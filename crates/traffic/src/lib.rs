@@ -26,6 +26,7 @@ pub mod metrics;
 pub mod tenant;
 
 pub use engine::{run, EngineConfig, TrafficError, TrafficResult, TrafficTarget};
+pub use fiosim::Tail;
 pub use gen::{Arrival, Burst, OpKind, OpMix, SizeDist, TenantTrace, TraceOp, ZipfSampler};
-pub use metrics::{Tail, TenantMetrics, TenantReport, TrafficReport};
+pub use metrics::{TenantMetrics, TenantReport, TrafficReport};
 pub use tenant::{TenantKind, TenantSpec};

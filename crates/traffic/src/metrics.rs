@@ -1,28 +1,10 @@
 //! Per-tenant latency/throughput accounting over mergeable log-scale
 //! histograms ([`fiosim::LatencyHistogram`]).
 
-use fiosim::{JobResult, LatencyHistogram};
+use fiosim::{JobResult, LatencyHistogram, Tail};
 use simclock::SimTime;
 
 use crate::gen::OpKind;
-
-/// The three tail points every traffic report carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tail {
-    /// Median latency.
-    pub p50: SimTime,
-    /// 99th-percentile latency.
-    pub p99: SimTime,
-    /// 99.9th-percentile latency.
-    pub p999: SimTime,
-}
-
-impl Tail {
-    /// Reads the three percentiles out of a histogram.
-    pub fn of(hist: &LatencyHistogram) -> Tail {
-        Tail { p50: hist.p50(), p99: hist.p99(), p999: hist.p999() }
-    }
-}
 
 /// Mutable per-tenant accounting while a run is in flight.
 #[derive(Debug, Clone, PartialEq)]

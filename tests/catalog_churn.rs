@@ -1,11 +1,9 @@
 //! Catalog churn stress: multi-threaded close/reopen churn over ~10^5
-//! distinct paths against a *small* bounded migrator catalog while a
-//! sweeper thread re-homes misplaced files underneath with back-to-back
-//! `rebalance` calls. The run must finish (no deadlock between closes, the
-//! catalog lock and the sweeps), keep the resident set within
-//! `capacity + pinned`, and lose **zero** misplaced files to eviction —
-//! every file parked on the wrong tier is back on its routed tier after the
-//! final sweep.
+//! distinct paths through the migrator catalog while a sweeper thread
+//! re-homes misplaced files underneath with back-to-back `rebalance` calls.
+//! The run must finish (no deadlock between closes, the catalog lock and
+//! the sweeps) and lose **zero** misplaced files — every file parked on the
+//! wrong tier is back on its routed tier after the final sweep.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -16,12 +14,10 @@ use nvcache_repro::vfs::{FileSystem, OpenFlags};
 
 use nvcache_bench::rig::{Below, Rig};
 
-/// Distinct churned paths: enough to roll the 512-entry catalog hundreds
-/// of times over. Scaled down under `cfg(debug_assertions)` so the
-/// unoptimized build stays in CI budget.
+/// Distinct churned paths. Scaled down under `cfg(debug_assertions)` so
+/// the unoptimized build stays in CI budget.
 const PATHS: usize = if cfg!(debug_assertions) { 20_000 } else { 100_000 };
 const CHURN_THREADS: usize = 6;
-const CAPACITY: usize = 512;
 /// Files deliberately moved to the wrong tier while the churn runs.
 const MISPLACED: usize = 128;
 
@@ -47,7 +43,7 @@ fn churn_path(i: usize) -> String {
 }
 
 #[test]
-fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files() {
+fn multithreaded_churn_beside_live_sweeps_loses_no_misplaced_file() {
     let cfg = NvCacheConfig {
         nb_entries: 1024,
         read_cache_pages: 128,
@@ -56,8 +52,7 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         fd_slots: 64,
         ..NvCacheConfig::default()
     };
-    let below = Below { catalog_capacity: Some(CAPACITY), ..Below::memfs(2) };
-    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, below);
+    let (Rig { clock, below, .. }, cache) = Rig::new(cfg, Below::memfs(2));
     let (tier0, tier1, cache) = (&below.bases[0], &below.bases[1], Arc::new(cache));
 
     // Seed the victim set on its routed tier (0) before the storm starts.
@@ -80,23 +75,13 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
                 let fd = cache.open(&path, OpenFlags::RDWR | OpenFlags::CREATE, &clock).unwrap();
                 cache.pwrite(fd, &[i as u8; 64], 0, &clock).unwrap();
                 cache.close(fd, &clock).unwrap();
-                // Reopen a recent neighbour: readmission traffic on paths
-                // the clock hand may just have evicted.
+                // Reopen a recent neighbour: its catalog entry leaves
+                // while the sweeper may be judging it.
                 if i >= CHURN_THREADS {
                     let back = churn_path(i - CHURN_THREADS);
                     let fd = cache.open(&back, OpenFlags::RDONLY, &clock).unwrap();
                     cache.pread(fd, &mut buf, 0, &clock).unwrap();
                     cache.close(fd, &clock).unwrap();
-                }
-                // The memory bound, sampled under full contention: the
-                // resident set may exceed capacity only by the pinned
-                // (misplaced) population.
-                if i % 1024 == 0 {
-                    let resident = cache.catalog_resident();
-                    assert!(
-                        resident <= CAPACITY + MISPLACED,
-                        "{resident} resident > capacity {CAPACITY} + pinned {MISPLACED}"
-                    );
                 }
             }
         }));
@@ -120,8 +105,8 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
             }
         }));
     }
-    // Live sweeps race the closes, the admissions and the wrong-way moves
-    // on the bounded catalog until the churn is over.
+    // Live sweeps race the closes, the reopens and the wrong-way moves on
+    // the catalog until the churn is over.
     let done = Arc::new(AtomicBool::new(false));
     let sweeper = {
         let (cache, done) = (Arc::clone(&cache), Arc::clone(&done));
@@ -169,14 +154,6 @@ fn bounded_catalog_survives_multithreaded_churn_without_losing_misplaced_files()
         assert!(tier.stat(&path, &clock).is_ok(), "churned file {path} missing");
     }
 
-    let resident = cache.catalog_resident();
-    assert!(resident <= CAPACITY + MISPLACED, "final resident {resident} exceeds the bound");
-    let snap = cache.stats().snapshot();
-    assert!(
-        snap.catalog_evictions as usize >= PATHS - CAPACITY - MISPLACED,
-        "the bound never engaged: only {} evictions over {PATHS} paths",
-        snap.catalog_evictions
-    );
     assert_checkers_clean(&cache);
     cache.shutdown(&clock);
 }
