@@ -81,4 +81,12 @@ mod tests {
         assert_eq!(us(3.15159), "3.2");
         assert_eq!(us(250.7), "251");
     }
+
+    #[test]
+    fn empty_sample_set_is_all_zero() {
+        // What sqsweep and the traffic bin print for a run with no samples.
+        let [p50, p99, p999] = fiosim::Tail::of(&fiosim::LatencyHistogram::new()).micros();
+        assert_eq!((p50, p99, p999), (0.0, 0.0, 0.0));
+        assert_eq!(us(p999), "0.0");
+    }
 }
