@@ -86,7 +86,8 @@ pub(crate) struct Shared {
     /// `finish_close` — under the zombies lock when unlisting a zombie —
     /// and given back once the slot is free, so that
     /// [`out_of_descriptors`](Shared::out_of_descriptors) never mistakes
-    /// that moment for a full table.
+    /// that moment for a full table, and a migration of the file waits for
+    /// the finish instead of failing on a descriptor whose entries drained.
     pub finishing: AtomicUsize,
     pub stats: NvCacheStats,
     /// Graceful stop: drain the log, then exit.

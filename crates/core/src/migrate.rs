@@ -583,8 +583,14 @@ pub(crate) fn migrate_path(
         return Ok(None); // already in place — not a move
     }
     // Zombies whose entries already drained just haven't been reaped yet;
-    // finish them so a freshly drained file is immediately migratable.
+    // finish them so a freshly drained file is immediately migratable. A
+    // worker may have unlisted one first (counted in `finishing` under the
+    // zombies lock this drain took after it) and still be finishing it:
+    // its entries drained too, so wait for it to leave the tables.
     shared.drain_zombies(clock);
+    while shared.path_is_open_or_draining(path) && shared.finishing.load(Ordering::SeqCst) > 0 {
+        std::thread::yield_now();
+    }
     // Re-check under the claim: any open that raced us either finished
     // before the claim (visible in the opened/zombie tables) or is still
     // blocked on its gate lease.

@@ -1,29 +1,37 @@
 //! The recovery procedure (paper §III): reopen files from the persistent
 //! fd table — each on the backend its slot records — collect every
-//! committed group in global commit order (per-stripe sorted runs, k-way
+//! committed entry in global commit order (per-stripe sorted runs, k-way
 //! merged), and replay them as a **plan**, not entry by entry:
 //!
-//! 1. **plan** — the committed entries are admitted, in commit order, into
+//! 1. **scan** — beside the reopen, each stripe is scanned on a *scanner*
+//!    clock of its own, started where the journal repair ended: it reads
+//!    the stripe's persistent tail and every header of its ring, members of
+//!    committed groups included, and lists each committed entry (its global
+//!    slot, fd slot, file offset and length, stamped with its leader's
+//!    sequence number) — a list of O(entries), not O(groups). The replay
+//!    starts once the reopen and the slowest scanner have both ended;
+//! 2. **plan** — the committed entries are admitted, in commit order, into
 //!    a [`replay::Window`](crate::replay); it walks them newest-first and
 //!    keeps of each entry only the bytes no newer entry of the *same file*
 //!    overwrites. "Same file" is the file's identity on its inner file
 //!    system — `(backend, dev, ino)` from an `fstat` of the reopened
 //!    descriptor — never the fd slot: one file open through two descriptors
 //!    is last-writer-wins across both;
-//! 2. **extents** — the surviving pieces of a window are glued into
+//! 3. **extents** — the surviving pieces of a window are glued into
 //!    contiguous extents, each read from NVMM once and written with one
 //!    inner `pwrite`, ascending by offset. A window holds at most
 //!    [`WINDOW_PAYLOAD`](crate::replay::WINDOW_PAYLOAD) payload bytes or
 //!    [`WINDOW_ENTRIES`](crate::replay::WINDOW_ENTRIES) entries and is
 //!    written out completely before the next one is planned, so memory is
 //!    bounded whatever the log holds. The reads overlap the writes: every
-//!    NVMM read of the replay (the group members' headers and the extents'
-//!    pieces) runs on the *reader*'s own clock, which starts a window's
-//!    pieces once the previous window is written; the replay's clock writes
-//!    each extent once the reader has read it. One actor per resource: the
-//!    reader uses the NVMM, the replay's clock the inner page cache, the
-//!    syncer the device;
-//! 3. **sync** — durability overlaps the copy: the extents come sorted by
+//!    NVMM read of the replay (the extents' pieces) runs on the *reader*'s
+//!    own clock, which starts a window's pieces once the previous window is
+//!    written; the replay's clock writes each extent once the reader has
+//!    read it. One actor per resource: a scanner per stripe and then the
+//!    reader read the NVMM, the replay's clock uses the inner file systems
+//!    (the reopen, then the writes into the page cache), the syncer the
+//!    device;
+//! 4. **sync** — durability overlaps the copy: the extents come sorted by
 //!    file, and when the replay moves on from a file while the *syncer* is
 //!    idle, that file's inner `fsync` runs on the syncer's own clock as the
 //!    next file is copied (on a one-channel SSD the device writes one file
@@ -33,19 +41,19 @@
 //!    After the last extent the syncer, from its last `fsync`, syncs every
 //!    backend, which covers the last file and every file left over; a
 //!    one-file log issues that `sync` alone;
-//! 4. **empty** — only after every `fsync` and the `sync` have returned are
+//! 5. **empty** — only after every `fsync` and the `sync` have returned are
 //!    the commit words and the tails cleared, the reopened descriptors
 //!    closed and their fd slots cleared, still on the syncer's clock.
 //!
-//! The mount returns at the end of the copy, not of step 4: the paper makes
+//! The mount returns at the end of the copy, not of step 5: the paper makes
 //! a write durable once it is in the NVMM log, which is emptied only after
 //! the inner file systems hold the replay durably, so only what orders
-//! itself after step 4 waits for the syncer
+//! itself after step 5 waits for the syncer
 //! ([`RecoveryReport::durable_at`]). The fd table is read once, whole, for
 //! the reopen and the migration-journal repair.
 //!
 //! The inner files end byte-identical to a sequential replay of every
-//! entry, and — because nothing in NVMM changes before step 4 — a crash
+//! entry, and — because nothing in NVMM changes before step 5 — a crash
 //! anywhere inside recovery is healed by running it again.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -123,19 +131,22 @@ pub struct RecoveryReport {
     pub durable_at: SimTime,
 }
 
-/// A committed group found by the scan phase: `stripe`'s ring position
-/// `first_slot..first_slot+len` (global entry slots, contiguous), ordered
-/// globally by the leader's stamped sequence number (`leader.seq`).
+/// A member of a committed group as its stripe's scanner read it (nothing
+/// of it is read again but its payload): ordered globally by `seq`, its
+/// group leader's stamped sequence number, and within a group by ring
+/// order.
 #[derive(Debug, Clone, Copy)]
-struct CommittedGroup {
-    first_slot: u64,
-    len: u64,
-    /// The leader's header as the scan read it (not read again).
-    leader: EntryHeader,
+struct CommittedEntry {
+    seq: u64,
+    /// Global entry slot.
+    slot: u64,
+    fd_slot: u32,
+    file_off: u64,
+    len: u32,
 }
 
 /// What the replay phase works on: the image, the reopened files and the
-/// committed groups in global commit order.
+/// committed entries in global commit order.
 pub(crate) struct Replay<'a> {
     region: &'a NvRegion,
     lay: &'a Layout,
@@ -144,27 +155,8 @@ pub(crate) struct Replay<'a> {
     files: &'a [(usize, vfs::Fd)],
     /// fd slot → index into `files`; a slot whose file is gone is absent.
     file_of_slot: &'a HashMap<u32, usize>,
-    groups: &'a [CommittedGroup],
+    entries: &'a [CommittedEntry],
     clock: &'a ActorClock,
-}
-
-impl Replay<'_> {
-    /// Global entry slot of member `g` of `group`. Group slots are
-    /// contiguous in the owning stripe's window and never wrap past it
-    /// mid-group (allocation keeps groups whole), but the modulo keeps the
-    /// scan honest at the window edge.
-    fn slot_of(&self, group: &CommittedGroup, g: u64) -> u64 {
-        let per_stripe = self.lay.stripe_entries();
-        let stripe = group.first_slot / per_stripe;
-        stripe * per_stripe + (group.first_slot % per_stripe + g) % per_stripe
-    }
-}
-
-/// The header of the entry in global slot `slot`, by one charged read.
-fn read_header(region: &NvRegion, lay: &Layout, slot: u64, clock: &ActorClock) -> EntryHeader {
-    let mut bytes = [0u8; EntryHeader::BYTES];
-    region.read(lay.entry(slot), &mut bytes, clock);
-    EntryHeader::decode(&bytes)
 }
 
 /// The replay phase's one production form: plan → extents (module docs).
@@ -174,7 +166,7 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
     let mut window = Window::default();
     let mut total = Written::default();
     // Beside the replay's clock, which writes the inner page cache, the
-    // reader does every NVMM read, at most a window ahead, and the syncer
+    // reader reads every payload, at most a window ahead, and the syncer
     // writes back each file the replay leaves while it is idle; a file
     // left while it is busy waits for the final `sync` (module docs).
     let [syncer, reader] = [(); 2].map(|()| ActorClock::starting_at(clock.now()));
@@ -199,31 +191,21 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
         total.bytes += written.bytes;
         Ok(())
     };
-    for group in replay.groups {
-        for g in 0..group.len {
-            let gslot = replay.slot_of(group, g);
-            let logged =
-                if g == 0 { group.leader } else { read_header(region, lay, gslot, &reader) };
-            let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
-                // Entry for a slot missing from the fd table. By design:
-                // `unlink` cleared the slots of its victim so that nothing
-                // of it is replayed, into whatever carries the name now; a
-                // `close` clears a slot only after a full drain, so the
-                // entry is on disk; or the file is missing (cleared above).
-                report.entries_skipped += 1;
-                continue;
-            };
-            report.entries_replayed += 1;
-            report.bytes_replayed += logged.len as u64;
-            let entry = Pending {
-                file,
-                file_off: logged.file_off,
-                len: logged.len,
-                data_at: lay.entry_data(gslot),
-            };
-            if window.push(entry) {
-                write_out(&mut window)?;
-            }
+    for logged in replay.entries {
+        let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
+            // Entry for a slot missing from the fd table. By design:
+            // `unlink` cleared the slots of its victim so that nothing of it
+            // is replayed, into whatever carries the name now; a `close`
+            // clears a slot only after a full drain, so the entry is on
+            // disk; or the file is missing (cleared above).
+            report.entries_skipped += 1;
+            continue;
+        };
+        report.entries_replayed += 1;
+        report.bytes_replayed += logged.len as u64;
+        let CommittedEntry { file_off, len, slot, .. } = *logged;
+        if window.push(Pending { file, file_off, len, data_at: lay.entry_data(slot) }) {
+            write_out(&mut window)?;
         }
     }
     write_out(&mut window)?;
@@ -258,24 +240,28 @@ pub(crate) struct Recovered {
 }
 
 /// The recovery procedure (paper §III "Recovery procedure"): reopen the
-/// files recorded in the NVMM fd table, collect every committed entry from
-/// the persistent tail(s) in *global commit order* (skipping torn entries,
-/// honouring group commit flags), replay them as planned extents — a
-/// reader reads them from NVMM ahead of the inner writes — while an idle
-/// syncer writes back each file the replay has finished; then, on the
-/// syncer's clock, sync every backend, empty the log and close the files
-/// (module docs: plan → extents → sync → empty). `clock` ends at the end
-/// of the copy, after the reader's last read; the report's
+/// files recorded in the NVMM fd table while one scanner per stripe
+/// collects every committed entry from the persistent tail(s) (skipping
+/// torn entries, honouring group commit flags), merge them into *global
+/// commit order*, replay them as planned extents — a reader reads them
+/// from NVMM ahead of the inner writes — while an idle syncer writes back
+/// each file the replay has finished; then, on the syncer's clock, sync
+/// every backend, empty the log and close the files (module docs: scan →
+/// plan → extents → sync → empty). `clock` waits for the reopen and the
+/// slowest scanner, and ends at the end of the copy, after the reader's
+/// last read; the report's
 /// [`durable_at`](RecoveryReport::durable_at) is where the syncer's clock
 /// ends, and the mount seeds the log's free stamps and the fd-slot
 /// allocator with it.
 ///
 /// On a single-stripe log (the seed format) the scan is the seed's
 /// in-ring-order scan from [`layout::OFF_PTAIL`]. On a striped log each
-/// stripe is scanned from its own persistent tail; within a stripe, ring
-/// order equals global-sequence order (an allocation invariant), so the
-/// per-stripe scans yield sorted runs that a k-way merge by stamped sequence
-/// number turns into the exact global commit order.
+/// stripe is scanned from its own persistent tail, on its own clock; within
+/// a stripe, ring order equals global-sequence order (an allocation
+/// invariant), so the per-stripe scans yield sorted runs that a k-way merge
+/// by stamped sequence number turns into the exact global commit order.
+/// The scanners read only NVMM and the reopen only the inner file systems,
+/// so the two overlap: the replay starts at the later of their ends.
 ///
 /// **Backend resolution.** Each fd slot stores its backend index; the
 /// slot's pending entries replay to exactly that backend — the router is
@@ -340,6 +326,8 @@ pub(crate) fn recover(
         migrations_repaired: crate::migrate::repair_journals(region, &lay, &table, tiers, clock)?,
         ..RecoveryReport::default()
     };
+    // The scanners start here, beside the reopen (see the scan below).
+    let repaired = clock.now();
 
     // Reopen the files referenced by the fd table, each on its backend.
     // `reopened` lists every descriptor (to close it and clear its slot);
@@ -414,43 +402,56 @@ pub(crate) fn recover(
     report.backends_touched =
         reopened.iter().map(|&(_, backend, _)| backend).collect::<BTreeSet<_>>().len();
 
-    // Scan phase: collect committed groups per stripe, in ring order from
-    // each stripe's persistent tail. On the seed format this is one scan
-    // starting at OFF_PTAIL.
-    let mut groups: Vec<CommittedGroup> = Vec::new();
-    let per_stripe = lay.stripe_entries();
+    // Scan phase, one scanner clock per stripe from where the repair ended:
+    // the scanners read only NVMM, so they ran beside the reopen above. Each
+    // reads its stripe's persistent tail (OFF_PTAIL on the seed format) and
+    // then every header of its ring in ring order, the members of a
+    // committed group with it, so nothing but payloads is read again.
+    let mut entries: Vec<CommittedEntry> = Vec::new();
+    let (per_stripe, mut scanned) = (lay.stripe_entries(), clock.now());
     for stripe in 0..lay.log_shards {
+        let scanner = ActorClock::starting_at(repaired);
         let stripe_tail = if lay.log_shards == 1 {
             ptail
         } else {
             let mut t = [0u8; 8];
-            region.read(lay.stripe_tail_off(stripe), &mut t, clock);
+            region.read(lay.stripe_tail_off(stripe), &mut t, &scanner);
             u64::from_le_bytes(t)
         };
-        let mut i = 0u64;
-        while i < per_stripe {
+        // The leader's sequence number and the members of its group left.
+        let (mut seq, mut members) = (0, 0);
+        for i in 0..per_stripe {
             let slot = lay.stripe_slot(stripe, stripe_tail + i);
-            let header = read_header(region, &lay, slot, clock);
-            match header.commit {
-                CommitWord::Free => i += 1,
-                CommitWord::Member(_) => {
-                    // An orphan member: its leader never committed (or was
-                    // freed with the group); skip.
-                    report.entries_skipped += 1;
-                    i += 1;
-                }
-                CommitWord::Leader => {
-                    let len = (header.group_len.max(1) as u64).min(per_stripe - i);
-                    groups.push(CommittedGroup { first_slot: slot, len, leader: header });
-                    i += len;
+            let mut bytes = [0u8; EntryHeader::BYTES];
+            region.read(lay.entry(slot), &mut bytes, &scanner);
+            let header = EntryHeader::decode(&bytes);
+            if members == 0 {
+                match header.commit {
+                    CommitWord::Free => continue,
+                    CommitWord::Member(_) => {
+                        // An orphan member: its leader never committed (or
+                        // was freed with the group); skip.
+                        report.entries_skipped += 1;
+                        continue;
+                    }
+                    CommitWord::Leader => {
+                        seq = header.seq;
+                        members = (header.group_len.max(1) as u64).min(per_stripe - i);
+                    }
                 }
             }
+            members -= 1;
+            let EntryHeader { fd_slot, file_off, len, .. } = header;
+            entries.push(CommittedEntry { seq, slot, fd_slot, file_off, len });
         }
+        scanned = scanned.max(scanner.now());
     }
-    // Merge phase: total order by global sequence number. Each stripe's scan
-    // produced an already-sorted run, so this is the k-way merge collapsed
-    // into one sort of the (few) committed groups.
-    groups.sort_by_key(|g| g.leader.seq);
+    // Merge phase: total order by global sequence number, once the reopen
+    // and the slowest scanner are done. Each stripe's scan produced an
+    // already-sorted run, so this is the k-way merge collapsed into one
+    // stable sort, which keeps each group's members in ring order.
+    clock.advance_to(scanned);
+    entries.sort_by_key(|e| e.seq);
 
     // Replay phase: every committed entry, in global commit order, to the
     // file its fd slot resolved to.
@@ -461,7 +462,7 @@ pub(crate) fn recover(
             backends,
             files: &files,
             file_of_slot: &file_of_slot,
-            groups: &groups,
+            entries: &entries,
             clock,
         },
         &mut report,
@@ -509,10 +510,9 @@ pub(crate) fn recover(
     Ok(Recovered { report, misplaced, heat, cleared })
 }
 
-/// The per-entry replay this module used before the planner: one header
-/// read, one data read and one inner `pwrite` per committed entry, in
-/// commit order. Kept as the reference the planned replay is tested
-/// against (`replay_tests.rs`).
+/// The per-entry replay this module used before the planner: one data read
+/// and one inner `pwrite` per committed entry, in commit order. Kept as the
+/// reference the planned replay is tested against (`replay_tests.rs`).
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -522,22 +522,18 @@ mod reference {
         report: &mut RecoveryReport,
     ) -> IoResult<ActorClock> {
         let Replay { region, lay, backends, files, clock, .. } = *replay;
-        for group in replay.groups {
-            for g in 0..group.len {
-                let gslot = replay.slot_of(group, g);
-                let logged = read_header(region, lay, gslot, clock);
-                let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
-                    report.entries_skipped += 1;
-                    continue;
-                };
-                let (backend, fd) = files[file];
-                let mut data = vec![0u8; logged.len as usize];
-                region.read(lay.entry_data(gslot), &mut data, clock);
-                backends[backend].pwrite(fd, &data, logged.file_off, clock)?;
-                report.entries_replayed += 1;
-                report.bytes_replayed += logged.len as u64;
-                report.inner_writes += 1;
-            }
+        for logged in replay.entries {
+            let Some(&file) = replay.file_of_slot.get(&logged.fd_slot) else {
+                report.entries_skipped += 1;
+                continue;
+            };
+            let (backend, fd) = files[file];
+            let mut data = vec![0u8; logged.len as usize];
+            region.read(lay.entry_data(logged.slot), &mut data, clock);
+            backends[backend].pwrite(fd, &data, logged.file_off, clock)?;
+            report.entries_replayed += 1;
+            report.bytes_replayed += logged.len as u64;
+            report.inner_writes += 1;
         }
         Ok(ActorClock::starting_at(clock.now()))
     }

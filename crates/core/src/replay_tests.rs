@@ -6,10 +6,11 @@
 //! The root suite `tests/recovery_replay.rs` checks the same logs against
 //! the model through the public API and crashes recovery itself.
 //!
-//! Then recovery's reader and syncer, on a recorded trace of the inner
-//! calls over `Ext4` on a one-channel SSD: how the reads and the
-//! write-backs overlap the copy, when they end, and the exact virtual time
-//! of logs the syncer has nothing or little to overlap.
+//! Then recovery's scanners, reader and syncer, on a recorded trace of the
+//! inner calls over `Ext4` on a one-channel SSD: how the scan overlaps the
+//! reopen, how the reads and the write-backs overlap the copy, when they
+//! end, and the exact virtual time of logs the syncer has nothing or little
+//! to overlap.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -23,6 +24,7 @@ use crate as nvcache;
 use crate::cache::Shared;
 use crate::files::OpenedFile;
 use crate::layout::{Header, FD_SLOT_BYTES};
+use crate::log::EntryHeader;
 use crate::recovery::{self, RecoveryReport, Replayer};
 use crate::tests::rig::{self, parked, Below, Rig};
 use crate::tiers::Tiers;
@@ -187,16 +189,26 @@ impl Layer for Recorder {
     }
 }
 
-/// A log holding `pages[f]` pages of file `f`, every other page (so each
-/// page is an extent of its own), all of it pending when the power went;
-/// below it `Ext4` on a one-channel S4600, and `more` as tiers 1, 2, …
-/// behind a router that places every file on the `Ext4` (tier 0). The
-/// rig's clock is a fresh one, for the recovery.
-fn crashed_log(pages: &[u64], more: Vec<Arc<dyn FileSystem>>) -> (Rig, Arc<SsdDevice>) {
+/// The entry slots of a [`crashed_log`] of `pages`.
+fn nb_entries(pages: &[u64]) -> u64 {
+    (pages.iter().sum::<u64>() + 1).next_multiple_of(64)
+}
+
+/// A log of `shards` stripes holding `pages[f]` pages of file `f`, every
+/// other page (so each page is an extent of its own), all of it pending
+/// when the power went; below it `Ext4` on a one-channel S4600, and `more`
+/// as tiers 1, 2, … behind a router that places every file on the `Ext4`
+/// (tier 0). The rig's clock is a fresh one, for the recovery.
+fn crashed_log(
+    pages: &[u64],
+    shards: usize,
+    more: Vec<Arc<dyn FileSystem>>,
+) -> (Rig, Arc<SsdDevice>) {
     let cfg = parked(NvCacheConfig {
-        nb_entries: (pages.iter().sum::<u64>() + 1).next_multiple_of(64),
+        nb_entries: nb_entries(pages),
         read_cache_pages: 16,
         fd_slots: pages.len().max(8) as u32,
+        log_shards: shards,
         ..NvCacheConfig::default()
     });
     let ssd = Arc::new(SsdDevice::new(SsdProfile::s4600()));
@@ -233,7 +245,12 @@ struct Remounted {
 }
 
 fn remount(pages: &[u64]) -> Remounted {
-    let (mut rig, ssd) = crashed_log(pages, Vec::new());
+    remount_striped(pages, 1)
+}
+
+/// [`remount`] over a log of `shards` stripes.
+fn remount_striped(pages: &[u64], shards: usize) -> Remounted {
+    let (mut rig, ssd) = crashed_log(pages, shards, Vec::new());
     let recorder = Recorder::default();
     let calls = Arc::clone(&recorder.0);
     rig.below.layers = vec![Arc::new(recorder)];
@@ -293,9 +310,10 @@ fn nvmm_read(bytes: u64) -> SimTime {
 
 /// A one-file log has no file to hand over: no `fsync`, only the `sync`.
 /// It is durable at the serial replay's instant (measured before the
-/// syncer existed), less what reading the fd table in one go saves and
-/// less the payload reads the reader does while the previous extent is
-/// written; the mount returns before the `sync`.
+/// syncer existed), less what reading the fd table in one go saves, less
+/// the payload reads the reader does while the previous extent is written
+/// and less the reopen, which runs while the scan reads the log's headers;
+/// the mount returns before the `sync`.
 #[test]
 fn a_one_file_recovery_syncs_once_and_reads_behind_its_writes() {
     let pages = 16;
@@ -308,7 +326,10 @@ fn a_one_file_recovery_syncs_once_and_reads_behind_its_writes() {
     // Every other page is written, so each page is an extent: all but the
     // first are read while the write before them runs.
     let overlap = nvmm_read(4096) * (pages - 1);
-    assert_eq!(durable + saved + overlap, SimTime::from_nanos(437_915), "{calls:?}");
+    // The file's `open` and `fstat`, hidden behind the longer scan.
+    let reopen = |c: &&Call| matches!(c.0, Op::Open | Op::Fstat);
+    let hidden: SimTime = calls.iter().filter(reopen).map(|&(_, start, end)| end - start).sum();
+    assert_eq!(durable + saved + overlap + hidden, SimTime::from_nanos(437_915), "{calls:?}");
     let sync = calls.iter().find(|c| c.0 == Op::Sync).expect("the sync");
     assert_eq!(took, sync.1, "the mount returns as the sync starts");
 }
@@ -329,16 +350,40 @@ fn the_replay_writes_back_to_back_once_the_first_extent_is_read() {
     for pair in writes.windows(2) {
         assert_eq!(pair[1].1, pair[0].2, "a write waited for its read: {calls:?}");
     }
-    // The scan reads the header of every slot of the log (sized as
-    // `crashed_log` sizes it) after the reopen's last `fstat`; the reader
-    // starts there and reads the first extent.
+    // The scan reads the header of every slot of the log from the end of
+    // the fd-table read, where the reopen's first `open` starts, beside the
+    // reopen; the reader starts once both are done and reads the first
+    // extent.
+    let table_read = calls.iter().find(|c| c.0 == Op::Open).map(|c| c.1).expect("opens");
     let reopened = calls.iter().filter(|c| c.0 == Op::Fstat).map(|c| c.2).max().expect("fstats");
-    let nb_entries = (pages.iter().sum::<u64>() + 1).next_multiple_of(64);
-    let scan = nvmm_read(crate::log::EntryHeader::BYTES as u64) * nb_entries;
-    let first_read = reopened + scan + nvmm_read(4096);
+    let scan = nvmm_read(EntryHeader::BYTES as u64) * nb_entries(&pages);
+    let first_read = reopened.max(table_read + scan) + nvmm_read(4096);
     let written: SimTime = writes.iter().map(|&(_, start, end)| end - start).sum();
     assert_eq!(took, first_read + written, "{calls:?}");
     assert_eq!(count(&calls, Op::Fsync), 1, "the first file is handed over: {calls:?}");
+    cache.shutdown(&ActorClock::new());
+}
+
+/// Each stripe is scanned on a clock of its own, beside the reopen: over a
+/// two-stripe log the mount returns at the end of the longer stripe scan —
+/// its persistent tail and every header of its ring, from the end of the
+/// header and fd-table reads —, plus the first extent's read, plus the
+/// writes. Scanned on the replay's clock, the reopen and both stripes
+/// would add up.
+#[test]
+fn a_striped_scan_costs_its_longest_stripe() {
+    let pages = [8, 8];
+    let Remounted { cache, took, calls, .. } = remount_striped(&pages, 2);
+    // `crashed_log` sizes the fd table at eight slots for two files.
+    let table_read = nvmm_read(64) + nvmm_read(8 * FD_SLOT_BYTES);
+    let per_stripe = nb_entries(&pages) / 2;
+    let longest = nvmm_read(8) + nvmm_read(EntryHeader::BYTES as u64) * per_stripe;
+    let reopened = calls.iter().filter(|c| c.0 == Op::Fstat).map(|c| c.2).max().expect("fstats");
+    assert!(reopened < table_read + longest, "the reopen outlasts the scan: {calls:?}");
+    let writes: Vec<Call> = calls.iter().copied().filter(|c| c.0 == Op::Write).collect();
+    assert_eq!(writes.len(), 16, "{calls:?}");
+    let written: SimTime = writes.iter().map(|&(_, start, end)| end - start).sum();
+    assert_eq!(took, table_read + longest + nvmm_read(4096) + written, "{calls:?}");
     cache.shutdown(&ActorClock::new());
 }
 
@@ -414,7 +459,7 @@ fn a_recovered_mount_serves_reads_at_once_and_orders_the_rest_after_durable_at()
     // tier waits, though its copy queues behind no device and is far
     // shorter than the write-back of the two large files.
     let fast: Arc<dyn FileSystem> = Arc::new(MemFs::new());
-    let (rig, _) = crashed_log(&[1, 64, 64], vec![Arc::clone(&fast)]);
+    let (rig, _) = crashed_log(&[1, 64, 64], 1, vec![Arc::clone(&fast)]);
     let cache = rig.recover();
     let clock = &rig.clock;
     let durable = cache.recovery_report().expect("recovering mount").durable_at;
