@@ -406,6 +406,7 @@ impl Shared {
         }
         let pushed = plans.into_iter().try_for_each(|plan| {
             plan.write_out(
+                &mut [u64::MAX],
                 |at, buf| self.log.region.read_cached(at, buf),
                 |_, off, data| {
                     let (inner, _lk) = self.hold_inner(via);

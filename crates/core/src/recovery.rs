@@ -18,8 +18,12 @@
 //!    descriptor — never the fd slot: one file open through two descriptors
 //!    is last-writer-wins across both;
 //! 3. **extents** — the surviving pieces of a window are glued into
-//!    contiguous extents, each read from NVMM once and written with one
-//!    inner `pwrite`, ascending by offset. A window holds at most
+//!    extents, each read from NVMM once and written with one inner
+//!    `pwrite`, ascending by offset. Pieces glue when they touch, and
+//!    across a gap shorter than a page that lies past the file's
+//!    *known-zero offset* — the larger of its inner size at the reopen (the
+//!    `fstat` of step 2) and the end of what an earlier window wrote to
+//!    it —: the gap is written as zeros. A window holds at most
 //!    [`WINDOW_PAYLOAD`](crate::replay::WINDOW_PAYLOAD) payload bytes or
 //!    [`WINDOW_ENTRIES`](crate::replay::WINDOW_ENTRIES) entries and is
 //!    written out completely before the next one is planned, so memory is
@@ -67,7 +71,7 @@ use crate::files::{FdSlot, PersistentFdTable};
 use crate::layout::{self, CommitWord, Header, Layout, FD_VALID_OPEN};
 use crate::log::EntryHeader;
 use crate::placement::dequantize_heat;
-use crate::replay::{Pending, Window, Written};
+use crate::replay::{Pending, Window};
 use crate::tiers::Tiers;
 
 /// Outcome of a recovery run.
@@ -92,13 +96,16 @@ pub struct RecoveryReport {
     pub files_missing: usize,
     /// Payload bytes of the replayed entries.
     pub bytes_replayed: u64,
-    /// Inner `pwrite` calls the replay issued: one per contiguous extent of
-    /// surviving bytes (per planning window), not one per entry. Exact —
-    /// a function of the log's content alone.
+    /// Inner `pwrite` calls the replay issued: one per extent of surviving
+    /// bytes (per planning window), not one per entry; pieces a gap shorter
+    /// than a page separates past the file's inner end are one extent.
+    /// Exact — a function of the log's content and of each reopened file's
+    /// inner size.
     pub inner_writes: u64,
     /// Of [`bytes_replayed`](RecoveryReport::bytes_replayed), the bytes
     /// never read from NVMM nor written, because a newer entry of the same
-    /// file in the same planning window overwrites them. Exact, as above.
+    /// file in the same planning window overwrites them. Exact — a function
+    /// of the log's content alone.
     pub bytes_absorbed: u64,
     /// Distinct inner backends that received replayed files (`1` on a
     /// single-backend mount; up to the tier count on a tiered one).
@@ -151,8 +158,9 @@ pub(crate) struct Replay<'a> {
     region: &'a NvRegion,
     lay: &'a Layout,
     backends: &'a [Arc<dyn FileSystem>],
-    /// One `(backend, descriptor)` per distinct reopened *file*.
-    files: &'a [(usize, vfs::Fd)],
+    /// One `(backend, descriptor, inner size at the reopen)` per distinct
+    /// reopened *file*.
+    files: &'a [(usize, vfs::Fd, u64)],
     /// fd slot → index into `files`; a slot whose file is gone is absent.
     file_of_slot: &'a HashMap<u32, usize>,
     entries: &'a [CommittedEntry],
@@ -164,7 +172,10 @@ pub(crate) struct Replay<'a> {
 pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> IoResult<ActorClock> {
     let Replay { region, lay, backends, files, clock, .. } = *replay;
     let mut window = Window::default();
-    let mut total = Written::default();
+    // Each file reads as zeros from its reopened size on; `write_out`
+    // raises that past what each window writes (module docs, step 3).
+    let mut zero_from: Vec<u64> = files.iter().map(|&(.., size)| size).collect();
+    let (mut inner_writes, mut payload) = (0, 0);
     // Beside the replay's clock, which writes the inner page cache, the
     // reader reads every payload, at most a window ahead, and the syncer
     // writes back each file the replay leaves while it is idle; a file
@@ -173,22 +184,22 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
     let mut copying = None;
     let mut write_out = |window: &mut Window| -> IoResult<()> {
         reader.advance_to(clock.now());
-        let written = window.plan().write_out(
+        payload += window.plan().write_out(
+            &mut zero_from,
             |at, buf| region.read(at, buf, &reader),
             |file, off, data| {
+                inner_writes += 1;
                 clock.advance_to(reader.now());
                 let idle = syncer.now() <= clock.now();
                 if let Some(done) = copying.replace(file).filter(|&done| done != file && idle) {
-                    let (backend, fd) = files[done];
+                    let (backend, fd, _) = files[done];
                     syncer.advance_to(clock.now());
                     backends[backend].fsync(fd, &syncer)?;
                 }
-                let (backend, fd) = files[file];
+                let (backend, fd, _) = files[file];
                 backends[backend].pwrite(fd, data, off, clock).map(drop)
             },
         )?;
-        total.inner_writes += written.inner_writes;
-        total.bytes += written.bytes;
         Ok(())
     };
     for logged in replay.entries {
@@ -210,8 +221,8 @@ pub(crate) fn replay_planned(replay: &Replay, report: &mut RecoveryReport) -> Io
     }
     write_out(&mut window)?;
     clock.advance_to(reader.now());
-    report.inner_writes = total.inner_writes;
-    report.bytes_absorbed = report.bytes_replayed - total.bytes;
+    report.inner_writes = inner_writes;
+    report.bytes_absorbed = report.bytes_replayed - payload;
     Ok(syncer)
 }
 
@@ -332,9 +343,10 @@ pub(crate) fn recover(
     // Reopen the files referenced by the fd table, each on its backend.
     // `reopened` lists every descriptor (to close it and clear its slot);
     // `files` lists every distinct file once, found by its identity on the
-    // inner file system, and `file_of_slot` maps each slot to its file.
+    // inner file system, with its inner size, and `file_of_slot` maps each
+    // slot to its file.
     let mut reopened: Vec<(u32, usize, vfs::Fd)> = Vec::new();
-    let mut files: Vec<(usize, vfs::Fd)> = Vec::new();
+    let mut files: Vec<(usize, vfs::Fd, u64)> = Vec::new();
     let mut file_of_identity: HashMap<(usize, u64, u64), usize> = HashMap::new();
     let mut file_of_slot: HashMap<u32, usize> = HashMap::new();
     // path → (backend, heat) of every recovered file: one entry per path (a
@@ -360,7 +372,7 @@ pub(crate) fn recover(
                 let meta = inner.fstat(fd, clock)?;
                 let file =
                     *file_of_identity.entry((backend, meta.dev, meta.ino)).or_insert_with(|| {
-                        files.push((backend, fd));
+                        files.push((backend, fd, meta.size));
                         files.len() - 1
                     });
                 file_of_slot.insert(slot, file);
@@ -527,7 +539,7 @@ mod reference {
                 report.entries_skipped += 1;
                 continue;
             };
-            let (backend, fd) = files[file];
+            let (backend, fd, _) = files[file];
             let mut data = vec![0u8; logged.len as usize];
             region.read(lay.entry_data(logged.slot), &mut data, clock);
             backends[backend].pwrite(fd, &data, logged.file_off, clock)?;

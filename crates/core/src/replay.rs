@@ -9,9 +9,13 @@
 //! pieces are disjoint, so sorting them by `(file, offset)` and gluing
 //! neighbours yields the extents: each is read from NVMM piece by piece
 //! into one buffer and written with one inner call, in ascending offset
-//! order. The final image is the one sequential replay leaves: every byte
-//! holds its last writer's value and every file ends where its furthest
-//! entry ends.
+//! order. Neighbours glue when they touch, and also across a gap shorter
+//! than a page that lies where the inner file is known to read as zeros
+//! (past its end when the replay began, and past what an earlier window
+//! wrote): the gap is written as zeros, and since it holds no whole page,
+//! every page it touches is one a neighbour writes anyway. The final image
+//! is the one sequential replay leaves: every byte holds its last writer's
+//! value and every file ends where its furthest entry ends.
 //!
 //! Memory is bounded by windowing: entries are admitted in commit order
 //! until [`WINDOW_PAYLOAD`] bytes or [`WINDOW_ENTRIES`] entries are
@@ -22,7 +26,8 @@
 //! Two callers: recovery (every committed entry, files keyed by identity
 //! on the inner file system) and `close`'s push into the kernel (one
 //! descriptor's pending entries, or at the last writable `close` the whole
-//! file's). The push plans every window first ([`Window::plan`]), under the
+//! file's; it does not know the inner size, so it glues touching pieces
+//! only). The push plans every window first ([`Window::plan`]), under the
 //! cleanup lock of each page its entries cover, which keeps the workers from
 //! consuming — and so freeing — them until [`Plan::write_out`] has read
 //! their payloads.
@@ -31,10 +36,15 @@ use std::collections::BTreeMap;
 
 use vfs::IoResult;
 
+use crate::config::PAGE_SIZE;
+
 /// Payload bytes one window plans before it must be written out (soft by
-/// one entry). Bounds the largest extent buffer, and how far recovery's
-/// reader may read ahead of its inner writes: it starts a window's payload
-/// only once the previous window is written.
+/// one entry). It also bounds every extent buffer, zero-filled gaps
+/// included (a window may hold twice [`WINDOW_ENTRIES`] pieces, each
+/// followed by up to a page of zeros): a piece that would take its extent
+/// past it starts a new extent. And it bounds how far recovery's reader may
+/// read ahead of its inner writes: it starts a window's payload only once
+/// the previous window is written.
 pub(crate) const WINDOW_PAYLOAD: u64 = 32 << 20;
 /// Entries one window plans before it must be written out. A plan holds at
 /// most twice as many pieces: every claim adds one interval and each gap
@@ -52,15 +62,6 @@ pub(crate) struct Pending {
     pub len: u32,
     /// Region offset of the first payload byte.
     pub data_at: u64,
-}
-
-/// What writing out one window did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Written {
-    /// Inner write calls issued (one per extent).
-    pub inner_writes: u64,
-    /// Payload bytes those calls carried.
-    pub bytes: u64,
 }
 
 /// The entries admitted since the last [`Window::plan`], in commit order.
@@ -89,14 +90,21 @@ impl Window {
     }
 }
 
-/// The surviving pieces of one window, sorted by `(file, offset)`: its
-/// extents are the runs of contiguous pieces.
+/// The surviving pieces of one window, sorted by `(file, offset)`.
 #[derive(Debug)]
 pub(crate) struct Plan(Vec<Pending>);
 
 impl Plan {
     /// Fills each extent through `read(region offset, buffer)` and hands it
-    /// to `write(file, file offset, bytes)`, ascending by `(file, offset)`.
+    /// to `write(file, file offset, bytes)`, ascending by `(file, offset)`;
+    /// returns the payload bytes written, zero fill not counted.
+    ///
+    /// `zero_from[file]` is the offset from which the inner file reads as
+    /// zeros: a neighbour joins an extent when it touches it, or when the
+    /// gap between them starts at or past that offset and is shorter than a
+    /// page. Each write raises it to the extent's end, so a later window
+    /// never zeroes what this one wrote. `u64::MAX` joins touching pieces
+    /// only.
     ///
     /// # Errors
     ///
@@ -104,28 +112,35 @@ impl Plan {
     /// the rest were not.
     pub fn write_out(
         self,
+        zero_from: &mut [u64],
         mut read: impl FnMut(u64, &mut [u8]),
         mut write: impl FnMut(usize, u64, &[u8]) -> IoResult<()>,
-    ) -> IoResult<Written> {
-        let mut written = Written::default();
-        let mut extent = Vec::new();
-        for run in self.0.chunk_by(contiguous) {
+    ) -> IoResult<u64> {
+        let (mut payload, mut extent) = (0, Vec::new());
+        let mut pieces = self.0.into_iter().peekable();
+        while let Some(first) = pieces.next() {
+            let (file, start) = (first.file, first.file_off);
+            let mut next = Some(first);
             extent.clear();
-            for piece in run {
-                let at = extent.len();
+            while let Some(piece) = next {
+                // Growing the buffer zero-fills the gap before the piece.
+                let at = (piece.file_off - start) as usize;
                 extent.resize(at + piece.len as usize, 0);
                 read(piece.data_at, &mut extent[at..]);
+                payload += piece.len as u64;
+                let end = start + extent.len() as u64;
+                next = pieces.next_if(|p| {
+                    p.file == file
+                        && (p.file_off == end
+                            || end >= zero_from[file] && p.file_off - end < PAGE_SIZE as u64)
+                        && p.file_off + p.len as u64 - start <= WINDOW_PAYLOAD
+                });
             }
-            write(run[0].file, run[0].file_off, &extent)?;
-            written.inner_writes += 1;
-            written.bytes += extent.len() as u64;
+            write(file, start, &extent)?;
+            zero_from[file] = zero_from[file].max(start + extent.len() as u64);
         }
-        Ok(written)
+        Ok(payload)
     }
-}
-
-fn contiguous(a: &Pending, b: &Pending) -> bool {
-    a.file == b.file && a.file_off + a.len as u64 == b.file_off
 }
 
 /// The parts of `entries` (commit order) no newer entry of the same file
@@ -193,29 +208,38 @@ mod tests {
     }
 
     type Images = BTreeMap<usize, Vec<u8>>;
-    type Replayed = (Images, Vec<(usize, u64, usize)>, Written);
+    type Replayed = (Images, Vec<(usize, u64, usize)>, u64);
 
-    /// Writes the window out into per-file images; returns them with the
-    /// `(file, offset, len)` of every inner write and the tally.
-    fn replay(entries: &[Pending], log: &[u8]) -> Replayed {
-        let mut window = Window::default();
-        for &e in entries {
-            window.push(e);
+    /// Writes `windows` out one after the other into per-file images, every
+    /// file known to read as zeros from `zero_from` on; returns the images
+    /// with the `(file, offset, len)` of every inner write and the payload.
+    fn replay_in(windows: &[&[Pending]], zero_from: u64, log: &[u8]) -> Replayed {
+        let (mut files, mut calls, mut payload) = (Images::new(), Vec::new(), 0);
+        let mut zero_from = [zero_from; 2];
+        for entries in windows {
+            let mut window = Window::default();
+            for &e in *entries {
+                window.push(e);
+            }
+            payload += window
+                .plan()
+                .write_out(
+                    &mut zero_from,
+                    |at, buf| buf.copy_from_slice(&log[at as usize..at as usize + buf.len()]),
+                    |file, off, data| {
+                        apply(&mut files, file, off, data);
+                        calls.push((file, off, data.len()));
+                        Ok(())
+                    },
+                )
+                .expect("infallible write");
         }
-        let mut files = Images::new();
-        let mut calls = Vec::new();
-        let written = window
-            .plan()
-            .write_out(
-                |at, buf| buf.copy_from_slice(&log[at as usize..at as usize + buf.len()]),
-                |file, off, data| {
-                    apply(&mut files, file, off, data);
-                    calls.push((file, off, data.len()));
-                    Ok(())
-                },
-            )
-            .expect("infallible write");
-        (files, calls, written)
+        (files, calls, payload)
+    }
+
+    /// One window, touching pieces glued only.
+    fn replay(entries: &[Pending], log: &[u8]) -> Replayed {
+        replay_in(&[entries], u64::MAX, log)
     }
 
     fn apply(files: &mut Images, file: usize, off: u64, data: &[u8]) {
@@ -243,8 +267,7 @@ mod tests {
     fn contiguous_appends_become_one_extent() {
         let (entries, log) = log_of(&[(0, 0, 100), (0, 100, 50), (0, 150, 4096)]);
         let (files, calls, written) = replay(&entries, &log);
-        assert_eq!(calls, vec![(0, 0, 4246)]);
-        assert_eq!(written, Written { inner_writes: 1, bytes: 4246 });
+        assert_eq!((calls, written), (vec![(0, 0, 4246)], 4246));
         assert_eq!(files, sequential(&entries, &log));
     }
 
@@ -254,8 +277,7 @@ mod tests {
         // survive and glue to the newer bytes: one extent, no byte twice.
         let (entries, log) = log_of(&[(0, 0, 300), (0, 100, 100)]);
         let (files, calls, written) = replay(&entries, &log);
-        assert_eq!(calls, vec![(0, 0, 300)]);
-        assert_eq!(written.bytes, 300);
+        assert_eq!((calls, written), (vec![(0, 0, 300)], 300));
         let image = &files[&0];
         assert!(image[..100].iter().all(|&b| b == 1));
         assert!(image[100..200].iter().all(|&b| b == 2));
@@ -272,7 +294,7 @@ mod tests {
         let mut reads = Vec::new();
         window
             .plan()
-            .write_out(|at, buf| reads.push((at, buf.len())), |_, _, _| Ok(()))
+            .write_out(&mut [u64::MAX], |at, buf| reads.push((at, buf.len())), |_, _, _| Ok(()))
             .expect("infallible write");
         assert_eq!(reads, vec![(100, 100), (200, 100)], "entry 0 (log bytes 0..100) is absorbed");
     }
@@ -288,23 +310,103 @@ mod tests {
     #[test]
     fn touching_and_nested_claims_match_sequential_replay() {
         // A deterministic sweep over every pair and triple of ranges on a
-        // small grid, including empty, touching, nested and equal ones.
+        // small grid, including empty, touching, nested and equal ones;
+        // with every gap past the file's end too, where it is zero-filled.
         let ranges: Vec<(u64, u32)> =
             (0..6u64).flat_map(|off| (0..5u32).map(move |len| (off * 3, len * 3))).collect();
-        for &a in &ranges {
-            for &b in &ranges {
-                for &c in &[(0u64, 0u32), (4, 7), (9, 9)] {
-                    let writes = [(0, a.0, a.1), (0, b.0, b.1), (0, c.0, c.1)];
-                    let (entries, log) = log_of(&writes);
-                    let (files, calls, written) = replay(&entries, &log);
-                    assert_eq!(files, sequential(&entries, &log), "{writes:?}");
-                    let covered =
-                        files.get(&0).map_or(0, |f| f.iter().filter(|&&b| b != 0).count());
-                    assert_eq!(written.bytes, covered as u64, "each byte once: {writes:?}");
-                    assert!(calls.windows(2).all(|w| w[0].1 + w[0].2 as u64 <= w[1].1));
+        for zero_from in [u64::MAX, 0] {
+            for &a in &ranges {
+                for &b in &ranges {
+                    for &c in &[(0u64, 0u32), (4, 7), (9, 9)] {
+                        let writes = [(0, a.0, a.1), (0, b.0, b.1), (0, c.0, c.1)];
+                        let (entries, log) = log_of(&writes);
+                        let (files, calls, written) = replay_in(&[&entries], zero_from, &log);
+                        assert_eq!(files, sequential(&entries, &log), "{writes:?}");
+                        let covered =
+                            files.get(&0).map_or(0, |f| f.iter().filter(|&&b| b != 0).count());
+                        assert_eq!(written, covered as u64, "each byte once: {writes:?}");
+                        assert!(calls.windows(2).all(|w| w[0].1 + w[0].2 as u64 <= w[1].1));
+                        if zero_from == 0 {
+                            assert!(calls.len() <= 1, "sub-page gaps glue: {writes:?}");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn sub_page_gaps_past_zero_from_glue_and_read_as_zeros() {
+        // File 0's second extent leaves its bytes in the buffer, which
+        // file 1's extent then reuses: its gap must be zeroed, not stale.
+        let gap = PAGE_SIZE as u64 - 1;
+        let (entries, log) =
+            log_of(&[(0, 0, 100), (0, 4196, 100), (1, 0, 10), (1, 20, 10), (1, 30 + gap, 10)]);
+        let (files, calls, written) = replay_in(&[&entries], 0, &log);
+        assert_eq!(calls, vec![(0, 0, 100), (0, 4196, 100), (1, 0, 40 + gap as usize)]);
+        assert_eq!(written, 230, "zero fill is not payload");
+        assert_eq!(files, sequential(&entries, &log));
+        let gaps = [&files[&1][10..20], &files[&1][30..30 + gap as usize]];
+        assert!(gaps.concat().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_gap_of_a_whole_page_splits() {
+        let page = PAGE_SIZE as u64;
+        let (entries, log) = log_of(&[(0, 0, 100), (0, 100 + page, 100)]);
+        let (files, calls, _) = replay_in(&[&entries], 0, &log);
+        assert_eq!(calls, vec![(0, 0, 100), (0, 100 + page, 100)]);
+        assert_eq!(files, sequential(&entries, &log));
+    }
+
+    #[test]
+    fn a_gap_below_zero_from_splits() {
+        // The inner file reads as zeros from 400 on: the gap at 100 may
+        // hold bytes it already has, the one starting at 400 may not.
+        let (entries, log) = log_of(&[(0, 0, 100), (0, 300, 100), (0, 450, 50)]);
+        let (files, calls, written) = replay_in(&[&entries], 400, &log);
+        assert_eq!((calls, written), (vec![(0, 0, 100), (0, 300, 200)], 250));
+        assert_eq!(files, sequential(&entries, &log));
+    }
+
+    #[test]
+    fn a_sparse_window_keeps_every_buffer_within_the_payload_bound() {
+        // A full window of one-byte pieces a page apart: glued, they would
+        // span 64 MiB of mostly zeros.
+        let page = PAGE_SIZE as u64;
+        let mut window = Window::default();
+        let pieces = (0..WINDOW_ENTRIES as u64).map(|i| Pending {
+            file: 0,
+            file_off: i * page,
+            len: 1,
+            data_at: 0,
+        });
+        assert!(pieces.map(|p| window.push(p)).last().expect("a full window"));
+        let mut calls = Vec::new();
+        let written = window
+            .plan()
+            .write_out(
+                &mut [0],
+                |_, buf| buf.fill(1),
+                |_, off, data| {
+                    calls.push((off, data.len()));
+                    Ok(())
+                },
+            )
+            .expect("infallible write");
+        assert_eq!(written, WINDOW_ENTRIES as u64);
+        let half = WINDOW_PAYLOAD - page + 1;
+        assert_eq!(calls, vec![(0, half as usize), (WINDOW_PAYLOAD, half as usize)]);
+    }
+
+    #[test]
+    fn a_later_window_never_zeroes_what_an_earlier_one_wrote() {
+        // The first window grows the file to 1000 bytes: the second one's
+        // gap at 110 lies below that, though past the file's first end.
+        let (entries, log) = log_of(&[(0, 0, 1000), (0, 100, 10), (0, 200, 10)]);
+        let (files, calls, _) = replay_in(&[&entries[..1], &entries[1..]], 0, &log);
+        assert_eq!(calls, vec![(0, 0, 1000), (0, 100, 10), (0, 200, 10)]);
+        assert_eq!(files, sequential(&entries, &log));
     }
 
     #[test]
@@ -313,7 +415,10 @@ mod tests {
         let big = Pending { file: 0, file_off: 0, len: (WINDOW_PAYLOAD / 2) as u32, data_at: 0 };
         assert!(!window.push(big));
         assert!(window.push(big), "the payload budget is reached");
-        window.plan().write_out(|_, _| (), |_, _, _| Ok(())).expect("infallible write");
+        window
+            .plan()
+            .write_out(&mut [0], |_, _| (), |_, _, _| Ok(()))
+            .expect("infallible write");
         let small = Pending { file: 0, file_off: 0, len: 1, data_at: 0 };
         assert!((1..WINDOW_ENTRIES).all(|_| !window.push(small)));
         assert!(window.push(small), "the entry cap is reached");
@@ -328,6 +433,7 @@ mod tests {
         }
         let mut calls = 0;
         let result = window.plan().write_out(
+            &mut [u64::MAX],
             |at, buf| buf.copy_from_slice(&log[at as usize..at as usize + buf.len()]),
             |_, _, _| {
                 calls += 1;
