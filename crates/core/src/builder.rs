@@ -35,8 +35,9 @@
 //! # }
 //! ```
 //!
-//! A single-backend, single-stripe `Mount::Format` produces the seed's
-//! region image byte for byte (the header oracle tests pin this down).
+//! Every `Mount::Format` writes one image format (`"NVCACHE2"`), whatever
+//! its stripe and backend counts; `Mount::Recover` refuses an image of any
+//! other format by its magic.
 
 use std::sync::Arc;
 
@@ -206,8 +207,7 @@ impl NvCacheBuilder {
 }
 
 /// Writes a fresh log image (header, invalid fd slots, free entries) —
-/// the paper's `format` step. A `log_shards = 1`, single-backend format is
-/// byte-for-byte identical to the seed image.
+/// the paper's `format` step.
 fn format_region(
     region: &NvRegion,
     lay: &Layout,

@@ -58,7 +58,7 @@ pub struct NvCacheConfig {
     /// Concurrent open-file slots in the persistent fd table.
     pub fd_slots: u32,
     /// Independent log stripes the entry array is split into. `1` (the
-    /// default) reproduces the paper's single circular log byte for byte;
+    /// default) is the paper's single circular log;
     /// `N > 1` gives each stripe its own head/tail and cleanup worker,
     /// removing the single-consumer bottleneck under multi-core writes.
     /// Writes are routed to a stripe by `(device, inode, offset/entry_size)`

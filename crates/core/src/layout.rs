@@ -12,22 +12,23 @@
 //! +-----------+----------------------+--------------------------------+
 //! ```
 //!
-//! # Header count words
+//! # The header
 //!
-//! The header carries two count words, each never written by the seed
-//! format — so `0` reads as one, and a single-stripe, single-backend header
-//! is the seed's byte for byte:
+//! The header opens with [`MAGIC`] (`"NVCACHE2"`), then the geometry words
+//! and two count words, each written as its count:
 //!
-//! * [`OFF_LOG_SHARDS`] — log stripes. With `N > 1` the entry array is
-//!   split into `N` equal contiguous stripes; stripe `s` owns entries
+//! * [`OFF_LOG_SHARDS`] — log stripes. The entry array is split into `N`
+//!   equal contiguous stripes; stripe `s` owns entries
 //!   `[s·(nb_entries/N), (s+1)·(nb_entries/N))` and persists its own tail at
-//!   [`OFF_STRIPE_TAILS`]` + 8·s` (one stripe keeps the seed's tail at
-//!   [`OFF_PTAIL`]). Every entry carries a globally monotonic sequence
-//!   number ([`ENT_SEQ`]) so recovery can merge-replay committed entries
-//!   from all stripes in total order.
+//!   [`OFF_STRIPE_TAILS`]` + 8·s`, a one-stripe log included. Every entry
+//!   carries a globally monotonic sequence number ([`ENT_SEQ`]) so recovery
+//!   can merge-replay committed entries from all stripes in total order.
 //! * [`OFF_BACKENDS`] — inner backends of the mount, selected by a
 //!   [`Router`](crate::Router). A mount may recover an image over more
 //!   backends than it was written under, never fewer.
+//!
+//! The words at bytes 24 and 40 are unused. An image under another magic is
+//! refused by name; no older format is read.
 //!
 //! # The fd slot
 //!
@@ -44,8 +45,7 @@
 //! backend that acknowledged it — the router is *not* re-consulted. The
 //! heat word is the file's quantized temperature on a mount whose placement
 //! reads heat, and `0` (cold) on every other. On a single-backend mount both
-//! words are `0` and land where the seed slot had path padding, so a slot
-//! holding a path of at most [`PATH_MAX`] bytes is the seed's byte for byte.
+//! words are `0`.
 //! A slot whose valid word is [`FD_VALID_MIGRATION`] is a *migration
 //! journal* instead of an open file: it records the authoritative location
 //! of a file mid-move between tiers (see `core/src/migrate.rs`).
@@ -95,8 +95,8 @@ pub const FD_HEAT_OFF: u64 = 248;
 /// Bytes of each entry header.
 pub const ENTRY_HEADER_BYTES: u64 = 64;
 
-/// Magic value identifying a formatted region ("NVCACHE1").
-pub const MAGIC: u64 = u64::from_le_bytes(*b"NVCACHE1");
+/// Magic value identifying a formatted region and its format ("NVCACHE2").
+pub const MAGIC: u64 = u64::from_le_bytes(*b"NVCACHE2");
 
 /// Commit word of a committed leader entry.
 pub const COMMIT_LEADER: u64 = 1;
@@ -107,17 +107,13 @@ pub const MEMBER_BIT: u64 = 1 << 63;
 pub const OFF_MAGIC: u64 = 0;
 pub const OFF_ENTRY_SIZE: u64 = 8;
 pub const OFF_NB_ENTRIES: u64 = 16;
-pub const OFF_PTAIL: u64 = 24;
 pub const OFF_FD_SLOTS: u64 = 32;
-pub const OFF_PAGE_SIZE: u64 = 40;
-/// Number of log stripes; `0` (the seed format, which never writes this
-/// word) means one.
+/// Number of log stripes.
 pub const OFF_LOG_SHARDS: u64 = 48;
-/// Number of inner backends of the mount; `0` (the seed format, which never
-/// writes this word) means one.
+/// Number of inner backends of the mount.
 pub const OFF_BACKENDS: u64 = 56;
-/// Base of the per-stripe persistent tail array (striped logs only; stripe
-/// `s` persists its tail at `OFF_STRIPE_TAILS + 8 * s`).
+/// Base of the per-stripe persistent tail array: stripe `s` persists its
+/// tail at `OFF_STRIPE_TAILS + 8 * s`.
 pub const OFF_STRIPE_TAILS: u64 = 64;
 
 /// Upper bound on `log_shards` (the per-stripe tail array must fit in the
@@ -145,7 +141,7 @@ pub struct Layout {
     pub entry_size: u64,
     /// Persistent fd slots.
     pub fd_slots: u64,
-    /// Log stripes the entry array is split into (1 = seed format).
+    /// Log stripes the entry array is split into (at least one).
     pub log_shards: u64,
 }
 
@@ -203,7 +199,7 @@ impl Layout {
 
     /// Entries owned by each stripe.
     pub fn stripe_entries(&self) -> u64 {
-        self.nb_entries / self.log_shards.max(1)
+        self.nb_entries / self.log_shards
     }
 
     /// Global entry slot of stripe-local sequence number `local_seq` in
@@ -213,18 +209,13 @@ impl Layout {
     ///
     /// Panics if `stripe` is out of range.
     pub fn stripe_slot(&self, stripe: u64, local_seq: u64) -> u64 {
-        assert!(stripe < self.log_shards.max(1), "stripe {stripe} out of range");
+        assert!(stripe < self.log_shards, "stripe {stripe} out of range");
         stripe * self.stripe_entries() + local_seq % self.stripe_entries()
     }
 
-    /// Header offset of the persistent tail of `stripe` ([`OFF_PTAIL`] for a
-    /// single-stripe log, so the seed format is unchanged).
+    /// Header offset of the persistent tail of `stripe`.
     pub fn stripe_tail_off(&self, stripe: u64) -> u64 {
-        if self.log_shards <= 1 {
-            OFF_PTAIL
-        } else {
-            OFF_STRIPE_TAILS + 8 * stripe
-        }
+        OFF_STRIPE_TAILS + 8 * stripe
     }
 
     /// Offset of the data area of the entry in `slot`.
@@ -264,43 +255,44 @@ pub fn check_path(path: &str) -> IoResult<()> {
 }
 
 /// The region header as [`Header::read`] decodes it: the geometry and
-/// backend count the image was written under, and the single-stripe tail.
+/// backend count the image was written under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Header {
     /// The image's geometry.
     pub layout: Layout,
     /// Backends the image's fd slots may reference.
     pub backends: u64,
-    /// Persistent tail of a single-stripe log ([`OFF_PTAIL`]).
-    pub ptail: u64,
 }
 
 impl Header {
     /// Reads the header back by one charged 64-byte read (recovery runs with
-    /// cold caches). The magic is checked first; the count words read `0` as
-    /// one.
+    /// cold caches). The magic is checked first.
     ///
     /// # Errors
     ///
-    /// [`IoError::InvalidArgument`] if the region is not a formatted log.
+    /// [`IoError::InvalidArgument`] if the region is not a formatted log,
+    /// naming the format when it holds an NVCache image of another one.
     pub fn read(region: &NvRegion, clock: &ActorClock) -> IoResult<Header> {
         let mut bytes = [0u8; 64];
         region.read(0, &mut bytes, clock);
         let word = |off: u64| word_at(&bytes, off as usize);
         if word(OFF_MAGIC) != MAGIC {
-            return Err(IoError::InvalidArgument(
-                "NVMM region is not a formatted NVCache log".into(),
-            ));
+            let magic = String::from_utf8_lossy(&bytes[..8]);
+            let why = if magic.starts_with("NVCACHE") {
+                format!("NVMM region holds an {magic} image; this build reads NVCACHE2 only")
+            } else {
+                "NVMM region is not a formatted NVCache log".into()
+            };
+            return Err(IoError::InvalidArgument(why));
         }
         Ok(Header {
             layout: Layout {
                 nb_entries: word(OFF_NB_ENTRIES),
                 entry_size: word(OFF_ENTRY_SIZE),
                 fd_slots: word(OFF_FD_SLOTS),
-                log_shards: word(OFF_LOG_SHARDS).max(1),
+                log_shards: word(OFF_LOG_SHARDS),
             },
-            backends: word(OFF_BACKENDS).max(1),
-            ptail: word(OFF_PTAIL),
+            backends: word(OFF_BACKENDS),
         })
     }
 
@@ -328,46 +320,29 @@ impl Header {
     }
 
     /// Writes the header of a fresh image of `lay` over `backends` backends
-    /// and flushes it; the caller fences. A single-stripe, single-backend
-    /// header is the seed's byte for byte: the count words it never wrote
-    /// are written `0`, which also clears a stale count when a region is
-    /// reformatted.
+    /// and flushes it; the caller fences.
     pub fn format(region: &NvRegion, lay: &Layout, backends: u64, clock: &ActorClock) {
         region.write_u64(OFF_MAGIC, MAGIC, clock);
         region.write_u64(OFF_ENTRY_SIZE, lay.entry_size, clock);
         region.write_u64(OFF_NB_ENTRIES, lay.nb_entries, clock);
-        region.write_u64(OFF_PTAIL, 0, clock);
         region.write_u64(OFF_FD_SLOTS, lay.fd_slots, clock);
-        region.write_u64(OFF_PAGE_SIZE, crate::config::PAGE_SIZE as u64, clock);
-        region.write_u64(OFF_LOG_SHARDS, count_word(lay.log_shards), clock);
-        // One persistent tail per stripe.
-        let tails = if lay.log_shards > 1 { lay.log_shards } else { 0 };
-        for s in 0..tails {
-            region.write_u64(OFF_STRIPE_TAILS + 8 * s, 0, clock);
+        region.write_u64(OFF_LOG_SHARDS, lay.log_shards, clock);
+        region.write_u64(OFF_BACKENDS, backends, clock);
+        for s in 0..lay.log_shards {
+            region.write_u64(lay.stripe_tail_off(s), 0, clock);
         }
-        region.write_u64(OFF_BACKENDS, count_word(backends), clock);
         // Flush only the written prefix: the rest of the header is
         // never-stored padding, and flushing clean lines is pure overhead
         // (the pmcheck redundant-pwb lint flags it).
-        region.pwb(0, (OFF_STRIPE_TAILS + 8 * tails) as usize);
+        region.pwb(0, lay.stripe_tail_off(lay.log_shards) as usize);
     }
 
     /// Stamps the mount's backend count into a recovered image, fenced: an
     /// image recovered over more backends than it was written under records
     /// the grown count, so it can never again be mounted over fewer.
     pub fn upgrade(region: &NvRegion, backends: u64, clock: &ActorClock) {
-        region.commit_store(OFF_BACKENDS, count_word(backends), clock);
+        region.commit_store(OFF_BACKENDS, backends, clock);
         region.persist_fence(clock);
-    }
-}
-
-/// A count word of the header: `0` encodes one, the value the seed format
-/// (which never writes the word) reads back.
-fn count_word(n: u64) -> u64 {
-    if n > 1 {
-        n
-    } else {
-        0
     }
 }
 
@@ -444,7 +419,7 @@ mod tests {
 
     #[test]
     fn magic_is_ascii() {
-        assert_eq!(&MAGIC.to_le_bytes(), b"NVCACHE1");
+        assert_eq!(&MAGIC.to_le_bytes(), b"NVCACHE2");
     }
 
     #[test]
@@ -463,11 +438,11 @@ mod tests {
         assert_eq!(l.stripe_slot(0, 3), 1);
         assert_eq!(l.stripe_slot(3, 0), 6);
         assert_eq!(l.stripe_slot(3, 5), 7);
-        // Per-stripe tails live in the header's tail array...
+        // Per-stripe tails live in the header's tail array, a single
+        // stripe's included.
         assert_eq!(l.stripe_tail_off(0), OFF_STRIPE_TAILS);
         assert_eq!(l.stripe_tail_off(3), OFF_STRIPE_TAILS + 24);
-        // ...while a single-stripe log keeps the seed's tail word.
-        assert_eq!(layout().stripe_tail_off(0), OFF_PTAIL);
+        assert_eq!(layout().stripe_tail_off(0), OFF_STRIPE_TAILS);
     }
 
     #[test]
@@ -522,16 +497,26 @@ mod tests {
 
     #[test]
     fn the_header_round_trips_every_shape() {
-        for (log_shards, backends) in [(1, 1), (4, 1), (1, 3), (4, 3)] {
-            let lay = Layout { log_shards, ..layout() };
-            let (clock, region) = region(&lay);
-            Header::format(&region, &lay, backends, &clock);
-            let header = Header::read(&region, &clock).unwrap();
-            assert_eq!(header, Header { layout: lay, backends, ptail: 0 });
-            assert_eq!(region.read_u64(OFF_PAGE_SIZE), 4096);
-            // One stripe, one backend: the count words stay at the seed's 0.
-            assert_eq!(region.read_u64(OFF_LOG_SHARDS) == 0, log_shards == 1);
-            assert_eq!(region.read_u64(OFF_BACKENDS) == 0, backends == 1);
+        for log_shards in [1, 2, 4] {
+            for backends in [1, 3] {
+                let lay = Layout { log_shards, ..layout() };
+                let (clock, region) = region(&lay);
+                // A stale word in every tail slot, as a reformat finds it.
+                for s in 0..log_shards {
+                    region.write_u64(lay.stripe_tail_off(s), 7, &clock);
+                }
+                Header::format(&region, &lay, backends, &clock);
+                let header = Header::read(&region, &clock).unwrap();
+                assert_eq!(header, Header { layout: lay, backends });
+                // Each count word holds its count, one included.
+                assert_eq!(region.read_u64(OFF_LOG_SHARDS), log_shards);
+                assert_eq!(region.read_u64(OFF_BACKENDS), backends);
+                // Each stripe's tail sits in its slot of the one tail array.
+                for s in 0..log_shards {
+                    assert_eq!(lay.stripe_tail_off(s), OFF_STRIPE_TAILS + 8 * s);
+                    assert_eq!(region.read_u64(OFF_STRIPE_TAILS + 8 * s), 0);
+                }
+            }
         }
     }
 

@@ -38,7 +38,8 @@
 //! atomics, commit/free time stamps, condition variables, flush barrier and
 //! cleanup worker. One stripe is not a special case: `log_shards = 1` (the
 //! default) runs the same routing, sequence stamping and propagation
-//! handoff, and its persistent image is byte-for-byte seed-compatible.
+//! handoff, and its persistent image has the same header: its one tail sits
+//! in the per-stripe tail array and its count word reads 1.
 //!
 //! The invariants that make striping safe:
 //!

@@ -26,8 +26,7 @@ pub(crate) struct EntryHeader {
     pub file_off: u64,
     pub group_len: u32,
     /// Global sequence number stamped at allocation time (equals the
-    /// stripe-local sequence number on a single-stripe log, i.e. the seed
-    /// format).
+    /// stripe-local sequence number on a single-stripe log).
     pub seq: u64,
 }
 
@@ -184,10 +183,9 @@ impl Signal {
 ///   ring order always matches the global-sequence order within a stripe —
 ///   the invariant the cross-stripe propagation handoff relies on.
 /// * `vtail` — volatile tail: everything below it is free for writers.
-/// * persistent tail — stored in the region header (`OFF_PTAIL` for a
-///   single-stripe log, the per-stripe tail array otherwise), advanced by
-///   this stripe's cleanup worker after a batch is fsync'ed; the recovery
-///   scan starts there.
+/// * persistent tail — stored in the region header's per-stripe tail array,
+///   advanced by this stripe's cleanup worker after a batch is fsync'ed;
+///   the recovery scan starts there.
 ///
 /// Writers that find the stripe full wait on its `signal` and, once woken,
 /// synchronize their virtual clock with the instant the cleanup worker
@@ -483,8 +481,7 @@ impl Stripe {
 ///
 /// Every log has this one shape; with one stripe it is the paper's single
 /// circular log, and the stamped sequence numbers coincide with the
-/// allocation sequence, making the persistent image byte-for-byte
-/// seed-compatible.
+/// allocation sequence.
 ///
 /// * writes are routed to a stripe by [`Log::route`] — a hash of
 ///   `(device, inode, file_off / entry_size)`, so rewrites of one aligned
@@ -500,7 +497,7 @@ pub(crate) struct Log {
     pub stripes: Box<[Stripe]>,
     /// Next global sequence number. Drawn under the allocation lock of the
     /// stripe that takes it, so on one stripe it is that stripe's head: the
-    /// stamped sequence is the local one, as in the seed format.
+    /// stamped sequence is the local one.
     global_seq: AtomicU64,
     /// Cleanup workers currently blocked in the per-page propagation
     /// handoff, waiting for another stripe to drain a smaller sequence
@@ -526,8 +523,7 @@ impl Log {
     /// clock). `lockcheck` is the mount's lock-order recorder: every tracked
     /// lock of the mount shares one acquisition graph.
     pub fn new(region: NvRegion, layout: Layout, free_at: SimTime, lockcheck: Recorder) -> Self {
-        let shards = layout.log_shards.max(1) as usize;
-        let stripes: Vec<Stripe> = (0..shards)
+        let stripes: Vec<Stripe> = (0..layout.log_shards as usize)
             .map(|i| Stripe::new(i, region.clone(), layout, free_at, lockcheck.clone()))
             .collect();
         Log {
@@ -1058,7 +1054,7 @@ mod tests {
         assert_eq!(log.in_flight(), 4);
         stripe.free_range(0, 2, &c);
         assert_eq!(log.in_flight(), 2);
-        assert_eq!(log.region.read_u64(layout::OFF_PTAIL), 2);
+        assert_eq!(log.region.read_u64(log.layout.stripe_tail_off(0)), 2);
         // Freed slots are reusable.
         let (seq, _) = log.reserve(stripe, 2, &c, &s).unwrap();
         assert_eq!(seq, 4);
@@ -1236,8 +1232,6 @@ mod tests {
         log.stripes[1].free_range(0, 2, &c);
         assert_eq!(log.region.read_u64(layout::OFF_STRIPE_TAILS), 1);
         assert_eq!(log.region.read_u64(layout::OFF_STRIPE_TAILS + 8), 2);
-        // The seed's tail word stays untouched by striped frees.
-        assert_eq!(log.region.read_u64(layout::OFF_PTAIL), 0);
     }
 
     #[test]

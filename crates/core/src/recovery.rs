@@ -68,7 +68,7 @@ use simclock::{ActorClock, SimTime};
 use vfs::{FileSystem, IoError, IoResult, OpenFlags};
 
 use crate::files::{FdSlot, PersistentFdTable};
-use crate::layout::{self, CommitWord, Header, Layout, FD_VALID_OPEN};
+use crate::layout::{CommitWord, Header, Layout, FD_VALID_OPEN};
 use crate::log::EntryHeader;
 use crate::placement::dequantize_heat;
 use crate::replay::{Pending, Window};
@@ -265,12 +265,11 @@ pub(crate) struct Recovered {
 /// ends, and the mount seeds the log's free stamps and the fd-slot
 /// allocator with it.
 ///
-/// On a single-stripe log (the seed format) the scan is the seed's
-/// in-ring-order scan from [`layout::OFF_PTAIL`]. On a striped log each
-/// stripe is scanned from its own persistent tail, on its own clock; within
-/// a stripe, ring order equals global-sequence order (an allocation
-/// invariant), so the per-stripe scans yield sorted runs that a k-way merge
-/// by stamped sequence number turns into the exact global commit order.
+/// Each stripe, a one-stripe log's included, is scanned in ring order from
+/// its own persistent tail, on its own clock; within a stripe, ring order
+/// equals global-sequence order (an allocation invariant), so the
+/// per-stripe scans yield sorted runs that a k-way merge by stamped
+/// sequence number turns into the exact global commit order.
 /// The scanners read only NVMM and the reopen only the inner file systems,
 /// so the two overlap: the replay starts at the later of their ends.
 ///
@@ -325,7 +324,7 @@ pub(crate) fn recover(
     replay: Replayer,
 ) -> IoResult<Recovered> {
     let (backends, router) = (&*tiers.backends, &*tiers.router);
-    let Header { layout: lay, ptail, .. } = *image;
+    let lay = image.layout;
 
     // One charged read of the whole fd table serves the journal repair and
     // the reopen alike. Repair interrupted migrations first (journal slots
@@ -416,20 +415,16 @@ pub(crate) fn recover(
 
     // Scan phase, one scanner clock per stripe from where the repair ended:
     // the scanners read only NVMM, so they ran beside the reopen above. Each
-    // reads its stripe's persistent tail (OFF_PTAIL on the seed format) and
-    // then every header of its ring in ring order, the members of a
-    // committed group with it, so nothing but payloads is read again.
+    // reads its stripe's persistent tail and then every header of its ring
+    // in ring order, the members of a committed group with it, so nothing
+    // but payloads is read again.
     let mut entries: Vec<CommittedEntry> = Vec::new();
     let (per_stripe, mut scanned) = (lay.stripe_entries(), clock.now());
     for stripe in 0..lay.log_shards {
         let scanner = ActorClock::starting_at(repaired);
-        let stripe_tail = if lay.log_shards == 1 {
-            ptail
-        } else {
-            let mut t = [0u8; 8];
-            region.read(lay.stripe_tail_off(stripe), &mut t, &scanner);
-            u64::from_le_bytes(t)
-        };
+        let mut tail = [0u8; 8];
+        region.read(lay.stripe_tail_off(stripe), &mut tail, &scanner);
+        let stripe_tail = u64::from_le_bytes(tail);
         // The leader's sequence number and the members of its group left.
         let (mut seq, mut members) = (0, 0);
         for i in 0..per_stripe {
@@ -489,10 +484,7 @@ pub(crate) fn recover(
         backend.sync(&syncer)?;
     }
     lay.clear_entries(region, 0, lay.nb_entries, &syncer);
-    // A striped log keeps its tails after OFF_PTAIL, which stays 0 there
-    // but is cleared all the same.
-    region.write_and_pwb(layout::OFF_PTAIL, &[0; 8], &syncer);
-    for stripe in (0..lay.log_shards).filter(|_| lay.log_shards > 1) {
+    for stripe in 0..lay.log_shards {
         region.write_and_pwb(lay.stripe_tail_off(stripe), &[0; 8], &syncer);
     }
     region.persist_fence(&syncer);
@@ -503,8 +495,7 @@ pub(crate) fn recover(
     }
 
     // Stamp the mount's backend count: an image recovered over more tiers
-    // records the grown count, so it is never mounted over fewer again; a
-    // single-backend mount keeps the 0 encoding.
+    // records the grown count, so it is never mounted over fewer again.
     Header::upgrade(region, backends.len() as u64, &syncer);
     report.durable_at = syncer.now();
 

@@ -971,22 +971,6 @@ fn recovery_is_idempotent() {
     second.shutdown(clock);
 }
 
-#[test]
-fn single_shard_format_keeps_the_seed_header() {
-    // With log_shards = 1 the striped code path must not touch the stripe
-    // header words: the persistent image stays byte-for-byte seed-compatible.
-    use crate::layout::{OFF_LOG_SHARDS, OFF_STRIPE_TAILS};
-    use nvmm::PmemInts;
-    let (c, _, cache) = setup(NvCacheConfig::tiny());
-    let fd = cache.open("/seed", OpenFlags::RDWR | OpenFlags::CREATE, &c).unwrap();
-    cache.pwrite(fd, b"seed-compatible", 0, &c).unwrap();
-    cache.flush_log(&c);
-    let region = &cache.shared.log.region;
-    assert_eq!(region.read_u64(OFF_LOG_SHARDS), 0, "seed headers never write the shard word");
-    assert_eq!(region.read_u64(OFF_STRIPE_TAILS), 0);
-    cache.shutdown(&c);
-}
-
 fn sharded_cfg(shards: usize) -> NvCacheConfig {
     NvCacheConfig { nb_entries: 256, fd_slots: 8, ..NvCacheConfig::tiny() }.with_log_shards(shards)
 }
@@ -1221,6 +1205,22 @@ fn recovering_a_never_formatted_region_names_the_cause() {
     assert!(matches!(&err, Some(IoError::InvalidArgument(why)) if why == expected), "{err:?}");
 }
 
+/// An image under another format's magic is refused by the magic's name,
+/// not by a geometry word it may lay out differently.
+#[test]
+fn recovering_an_image_of_another_format_names_the_format() {
+    let (rig, cache) = Rig::new(NvCacheConfig::tiny(), Below::memfs(1));
+    let fd = cache.open("/old", OpenFlags::RDWR | OpenFlags::CREATE, &rig.clock).unwrap();
+    cache.pwrite(fd, b"pending", 0, &rig.clock).unwrap();
+    rig.crash(&cache, 0);
+    let region = NvRegion::whole(rig.dimm());
+    region.write_and_pwb(crate::layout::OFF_MAGIC, b"NVCACHE1", &rig.clock);
+    region.psync(&rig.clock);
+    let err = rig.mount(Mount::Recover).err();
+    let expected = "NVMM region holds an NVCACHE1 image; this build reads NVCACHE2 only";
+    assert!(matches!(&err, Some(IoError::InvalidArgument(why)) if why == expected), "{err:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Async drain (queue_depth) and inner-error poisoning
 // ---------------------------------------------------------------------------
@@ -1289,7 +1289,8 @@ fn crash_mid_batch_never_advances_tail_past_an_uncompleted_entry() {
     wait_for_poison(&cache);
     // The persistent tail never moved: a crash now loses nothing.
     let region = NvRegion::whole(rig.dimm());
-    assert_eq!(region.read_u64(crate::layout::OFF_PTAIL), 0, "tail advanced past a failed batch");
+    let tail = crate::layout::OFF_STRIPE_TAILS;
+    assert_eq!(region.read_u64(tail), 0, "tail advanced past a failed batch");
 
     // Crash, then recover against the (healthy) underlying file system.
     rig.crash(&cache, 0);

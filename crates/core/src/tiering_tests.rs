@@ -1,5 +1,5 @@
 //! Tests of the mount-stack builder and multi-backend tiering: the
-//! single-backend seed header and fd slot encodings, POSIX conformance of a
+//! single-backend header and fd slot encodings, POSIX conformance of a
 //! two-tier mount, per-tier drains, cross-backend crash recovery, and the
 //! recovery of a single-backend image into two tiers.
 
@@ -17,7 +17,7 @@ use crate::{
 };
 
 #[test]
-fn single_backend_builder_mount_keeps_the_seed_header_encoding() {
+fn single_backend_builder_mount_keeps_the_header_encoding() {
     // One script — open, write, rename, list_dir, close, unlink, abort,
     // recover — through `.backend(x)` and through the one-tier `Tiering` it
     // stands for. Every inner call costs 5 µs on its caller's clock, so an
@@ -35,7 +35,7 @@ fn single_backend_builder_mount_keeps_the_seed_header_encoding() {
             .mount(&clock)
             .unwrap();
         let region = NvRegion::whole(Arc::clone(&dimm));
-        assert_eq!(region.read_u64(layout::OFF_BACKENDS), 0, "single backend keeps the seed word");
+        assert_eq!(region.read_u64(layout::OFF_BACKENDS), 1, "the image records one backend");
         assert_eq!(cache.backends().len(), 1);
         assert_eq!(cache.router().fan_out(), 1);
 
@@ -270,7 +270,7 @@ fn a_single_backend_image_recovers_into_two_tiers() {
     cache.pwrite(hfd, b"claimed by tier 1", 0, clock).unwrap();
     cache.pwrite(cfd, b"stays on tier 0", 0, clock).unwrap();
     rig.crash(&cache, 0);
-    assert_eq!(NvRegion::whole(rig.dimm()).read_u64(layout::OFF_BACKENDS), 0);
+    assert_eq!(NvRegion::whole(rig.dimm()).read_u64(layout::OFF_BACKENDS), 1);
 
     let recovered = rig.mount_over(&two, Mount::Recover).expect("recovery into two tiers");
     let report = recovered.recovery_report().expect("recover mode");

@@ -91,7 +91,7 @@ const ALLOW_PANIC: &[(&str, &str)] = &[
 /// is a reviewed one-line diff here, by no more than what a measured change
 /// had to add.
 const LOC_CEILINGS: &[(&str, usize)] =
-    &[("bench", 2381), ("core", 4632), ("nvmm", 882), ("vfs", 2484)];
+    &[("bench", 2381), ("core", 4610), ("nvmm", 882), ("vfs", 2484)];
 
 /// Code lines above which `--loc` names a file under its crate: the split
 /// candidates, as a number CI shows.
